@@ -118,7 +118,7 @@ pub fn denormalize(db: &Database, root: Option<&str>) -> Result<Denormalized, Bi
             for (hops, live) in &chain_hops {
                 let mut r = row;
                 for keys in hops {
-                    let k = keys[r];
+                    let k = keys.get(r);
                     if k == NULL_KEY || (k as usize) >= live.map(|(_, n)| n).unwrap_or(0) {
                         continue 'rows;
                     }
@@ -131,7 +131,7 @@ pub fn denormalize(db: &Database, root: Option<&str>) -> Result<Denormalized, Bi
                 if target.has_deletes() {
                     let mut r = row;
                     for keys in hops {
-                        r = keys[r] as usize;
+                        r = keys.get(r) as usize;
                     }
                     if !target.is_live(r as RowId) {
                         continue 'rows;
@@ -157,7 +157,7 @@ pub fn denormalize(db: &Database, root: Option<&str>) -> Result<Denormalized, Bi
             .map(|&row| {
                 let mut r = row;
                 for keys in &hops {
-                    r = keys[r] as usize;
+                    r = keys.get(r) as usize;
                 }
                 r
             })
@@ -190,16 +190,17 @@ pub fn denormalize(db: &Database, root: Option<&str>) -> Result<Denormalized, Bi
     Ok(Denormalized { db: out, wide_name, mapping })
 }
 
-/// Gathers `col[rows[i]]` into a fresh column. Dictionary columns reuse the
-/// source dictionary; only codes are gathered.
+/// Gathers `col[rows[i]]` into a fresh column, built straight into
+/// segment-sized chunks. Dictionary columns share the source dictionary;
+/// only codes are gathered.
 fn gather(col: &Column, rows: &[usize]) -> Column {
     match col {
-        Column::I32(v) => Column::I32(rows.iter().map(|&r| v[r]).collect()),
-        Column::I64(v) => Column::I64(rows.iter().map(|&r| v[r]).collect()),
-        Column::F64(v) => Column::F64(rows.iter().map(|&r| v[r]).collect()),
+        Column::I32(v) => Column::I32(Chunked::from_fn(rows.len(), |i| v.get(rows[i]))),
+        Column::I64(v) => Column::I64(Chunked::from_fn(rows.len(), |i| v.get(rows[i]))),
+        Column::F64(v) => Column::F64(Chunked::from_fn(rows.len(), |i| v.get(rows[i]))),
         Column::Dict(dc) => {
-            let codes = rows.iter().map(|&r| dc.code(r)).collect();
-            Column::Dict(DictColumn::from_parts(codes, dc.dict().clone()))
+            let codes = Chunked::from_fn(rows.len(), |i| dc.code(rows[i]));
+            Column::Dict(DictColumn::from_parts(codes, dc.dict_arc()))
         }
         Column::Str(sc) => {
             let mut out = astore_storage::strings::StrColumn::new();

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use astore_core::agg::{AggTable, Grouper};
 use astore_core::exec::agg_output;
-use astore_core::expr::{CompiledMeasure, CompiledPred};
+use astore_core::expr::{CompiledMeasure, CompiledPred, SegMeasure, SegPred};
 use astore_core::filter::{build_chain_filter, participating_chains};
 use astore_core::graph::JoinGraph;
 use astore_core::groupvec::{build_group_vector, FactGrouper, GroupDict, GroupVector};
@@ -29,6 +29,7 @@ use astore_core::query::{AggFunc, Query};
 use astore_core::result::QueryResult;
 use astore_core::universal::{bind_root, BindError, Universal};
 use astore_storage::catalog::Database;
+use astore_storage::chunks::Chunked;
 use astore_storage::types::{Key, Value, NULL_KEY};
 
 /// Execution report of the hash-pipeline engine.
@@ -130,7 +131,7 @@ pub fn execute_hash_pipeline(
         .map(|p| p.conjuncts().iter().map(|c| c.compile(fact)).collect())
         .unwrap_or_default();
 
-    let probe_keys: Vec<&[Key]> = hash_tables
+    let probe_keys: Vec<&Chunked<Key>> = hash_tables
         .iter()
         .map(|ht| {
             fact.column(&ht.fact_key_col)
@@ -159,41 +160,50 @@ pub fn execute_hash_pipeline(
     let measures: Vec<Option<CompiledMeasure<'_>>> =
         query.aggregates.iter().map(|a| a.expr.as_ref().map(|e| e.compile(fact))).collect();
 
-    let n = fact.num_slots();
+    // The fact table is read sequentially, one segment at a time: every
+    // predicate, probe-key column and measure binds the segment's chunks
+    // once, and the row loop runs over segment-local offsets.
     let has_deletes = fact.has_deletes();
-    let live = fact.live_bitmap();
     let mut coords = vec![0 as Key; dims];
     let mut selected = 0usize;
-    'rows: for r in 0..n {
-        if has_deletes && !live.get_or_false(r) {
-            continue;
-        }
-        for p in &fact_preds {
-            if !p.eval(r) {
-                continue 'rows;
+    for seg in 0..fact.segment_count() {
+        let range = fact.segment_range(seg);
+        let live = fact.live_bitmap().chunk(seg);
+        let preds: Vec<SegPred<'_>> = fact_preds.iter().map(|p| p.bind(seg)).collect();
+        let keys: Vec<&[Key]> = probe_keys.iter().map(|k| k.chunk(seg)).collect();
+        let measures: Vec<Option<SegMeasure<'_>>> =
+            measures.iter().map(|m| m.as_ref().map(|cm| cm.bind(seg))).collect();
+        'rows: for off in 0..range.len() {
+            if has_deletes && !live.get(off) {
+                continue;
             }
-        }
-        // Probe every chain hash table.
-        for (ht, keys) in hash_tables.iter().zip(&probe_keys) {
-            let Some(&payload) = ht.table.get(&keys[r]) else {
-                continue 'rows;
-            };
-            let w = ht.group_cols.len();
-            let base = payload as usize * w;
-            for (gslot, &gi) in ht.group_cols.iter().enumerate() {
-                coords[gi] = ht.group_codes[base + gslot];
+            for p in &preds {
+                if !p.eval(off) {
+                    continue 'rows;
+                }
             }
-        }
-        selected += 1;
-        for (gi, fg) in &mut fact_groupers {
-            coords[*gi] = fg.code_for(r);
-        }
-        // Pipelined aggregation: fold immediately, no Measure Index.
-        let cell = agg.register(&coords);
-        for (j, m) in measures.iter().enumerate() {
-            match m {
-                Some(cm) => agg.update(j, cell, cm.eval(r)),
-                None => agg.update(j, cell, 0.0),
+            // Probe every chain hash table.
+            for (ht, keys) in hash_tables.iter().zip(&keys) {
+                let Some(&payload) = ht.table.get(&keys[off]) else {
+                    continue 'rows;
+                };
+                let w = ht.group_cols.len();
+                let base = payload as usize * w;
+                for (gslot, &gi) in ht.group_cols.iter().enumerate() {
+                    coords[gi] = ht.group_codes[base + gslot];
+                }
+            }
+            selected += 1;
+            for (gi, fg) in &mut fact_groupers {
+                coords[*gi] = fg.code_for(range.start + off);
+            }
+            // Pipelined aggregation: fold immediately, no Measure Index.
+            let cell = agg.register(&coords);
+            for (j, m) in measures.iter().enumerate() {
+                match m {
+                    Some(m) => agg.update(j, cell, m.eval(off)),
+                    None => agg.update(j, cell, 0.0),
+                }
             }
         }
     }

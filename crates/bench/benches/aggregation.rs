@@ -34,9 +34,10 @@ fn bench_aggregation(c: &mut Criterion) {
     });
     g.finish();
 
-    let disc = lo.column("lo_discount").unwrap().as_i32().unwrap();
-    let tax = lo.column("lo_tax").unwrap().as_i32().unwrap();
-    let rev = lo.column("lo_revenue").unwrap().as_i64().unwrap();
+    // Flat copies: the raw kernels are flat-array microbenchmarks.
+    let disc = &lo.column("lo_discount").unwrap().as_i32().unwrap().to_vec();
+    let tax = &lo.column("lo_tax").unwrap().as_i32().unwrap().to_vec();
+    let rev = &lo.column("lo_revenue").unwrap().as_i64().unwrap().to_vec();
     let mut g = c.benchmark_group("raw_groupby_kernels");
     g.throughput(Throughput::Elements(n as u64));
     g.bench_function("array", |b| {

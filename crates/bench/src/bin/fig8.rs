@@ -16,8 +16,10 @@ use astore_datagen::{env_scale_factor, env_threads, ssb, tpch};
 use astore_storage::catalog::Database;
 use astore_storage::types::Key;
 
-fn key_col<'a>(db: &'a Database, table: &str, col: &str) -> &'a [Key] {
-    db.table(table).unwrap().column(col).unwrap().as_key().expect("key column").1
+/// The key column as one flat array (the join kernels are flat-array
+/// microbenchmarks; tables store columns in per-segment chunks).
+fn key_col(db: &Database, table: &str, col: &str) -> Vec<Key> {
+    db.table(table).unwrap().column(col).unwrap().as_key().expect("key column").1.to_vec()
 }
 
 fn main() {
@@ -46,7 +48,7 @@ fn main() {
     let mut t =
         TablePrinter::new(&["join (count query)", "rows", "sort-merge", "NPO", "PRO", "AIR"]);
     for (label, dbx, fact, col, dim) in cases {
-        let probe = key_col(dbx, fact, col);
+        let probe = &key_col(dbx, fact, col)[..];
         let dim_rows = dbx.table(dim).unwrap().num_slots();
         let payload: Vec<i64> = (0..dim_rows as i64).collect();
         let build_keys: Vec<u32> = (0..dim_rows as u32).collect();

@@ -16,13 +16,15 @@ use astore_storage::catalog::Database;
 use astore_storage::types::Key;
 
 /// One join case: the fact FK column and the dimension payload to gather.
-struct JoinCase<'a> {
+struct JoinCase {
     label: String,
-    probe: &'a [Key],
+    probe: Vec<Key>,
     dim_rows: usize,
 }
 
-fn key_col<'a>(db: &'a Database, table: &str, col: &str) -> &'a [Key] {
+/// The key column as one flat array (the join kernels are flat-array
+/// microbenchmarks; tables store columns in per-segment chunks).
+fn key_col(db: &Database, table: &str, col: &str) -> Vec<Key> {
     db.table(table)
         .unwrap_or_else(|| panic!("no table {table}"))
         .column(col)
@@ -30,6 +32,7 @@ fn key_col<'a>(db: &'a Database, table: &str, col: &str) -> &'a [Key] {
         .as_key()
         .expect("key column")
         .1
+        .to_vec()
 }
 
 fn run_case(t: &mut TablePrinter, label: &str, probe: &[Key], dim_rows: usize) {
@@ -85,7 +88,7 @@ fn main() {
             probe: key_col(&db, fact, col),
             dim_rows: db.table(dim).unwrap().num_slots(),
         };
-        run_case(&mut t, &case.label, case.probe, case.dim_rows);
+        run_case(&mut t, &case.label, &case.probe, case.dim_rows);
     }
 
     // --- TPC-H ---
@@ -103,7 +106,7 @@ fn main() {
             probe: key_col(&db_h, fact, col),
             dim_rows: db_h.table(dim).unwrap().num_slots(),
         };
-        run_case(&mut t, &case.label, case.probe, case.dim_rows);
+        run_case(&mut t, &case.label, &case.probe, case.dim_rows);
     }
 
     // --- TPC-DS ---
@@ -124,7 +127,7 @@ fn main() {
         let label = format!("store_sales \u{22C8} {dim}");
         let probe = key_col(&db_ds, "store_sales", &format!("ss_{dim}_sk"));
         let dim_rows = db_ds.table(dim).unwrap().num_slots();
-        run_case(&mut t, &label, probe, dim_rows);
+        run_case(&mut t, &label, &probe, dim_rows);
     }
 
     // --- Workloads of [7] ---

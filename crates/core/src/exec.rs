@@ -24,8 +24,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use astore_obs::{SpanId, TraceBuf};
-use astore_storage::bitmap::Bitmap;
+use astore_storage::bitmap::{Bitmap, SegBitmap};
 use astore_storage::catalog::Database;
+use astore_storage::chunks::Chunked;
 use astore_storage::selvec::SelVec;
 use astore_storage::types::{Key, RowId, Value, NULL_KEY};
 
@@ -36,7 +37,9 @@ use crate::groupvec::{build_group_vector, label_at, DictRef, FactGrouper, GroupD
 use crate::optimizer::{AggStrategy, OptimizerConfig};
 use crate::query::{AggFunc, Query};
 use crate::result::QueryResult;
-use crate::scan::{select_bitmap_and, select_columnwise, select_rowwise, ChainCheck, DirectCheck};
+use crate::scan::{
+    segment_runs, select_bitmap_and, select_columnwise, select_rowwise, ChainCheck, DirectCheck,
+};
 use crate::universal::{bind_root, BindError, Universal};
 use crate::zone::{SegmentPruner, SegmentSurvey};
 
@@ -609,11 +612,11 @@ pub(crate) fn build_chain_checks<'a>(
 /// What a grouping column reads from during the fact scan.
 enum GroupSource<'a> {
     /// Probe a pre-built group vector through a fact FK column (`_G`).
-    DimVec { keys: &'a [Key], gv: &'a GroupVector },
+    DimVec { keys: &'a Chunked<Key>, gv: &'a GroupVector },
     /// Intern values of a root-table column on the fly.
     Fact(FactGrouper<'a>),
     /// Chase the AIR chain and intern the label per row (non-`_G`).
-    Resolved { rc: crate::universal::ResolvedCol<'a>, live: Option<&'a Bitmap>, dict: GroupDict },
+    Resolved { rc: crate::universal::ResolvedCol<'a>, live: Option<&'a SegBitmap>, dict: GroupDict },
 }
 
 /// Artifacts of the fact-scan phase: the Measure Index plus the aggregation
@@ -703,13 +706,12 @@ pub(crate) fn compile_fact_preds<'a>(
 /// Measure Index.
 ///
 /// With a [`SegmentSurvey`], pruned segments are skipped *before* any
-/// predicate touches their columns; `None` scans the range flat (the
-/// parallel path prunes at dispatch time, so workers pass `None`). When
-/// every overlapping segment survives, the range is scanned in one flat
-/// pass — no per-segment re-materialization cost for unselective queries.
-/// Otherwise sub-ranges stay in ascending row order, so the concatenated
+/// predicate touches their columns; `None` scans the whole range (the
+/// parallel path prunes at dispatch time, so workers pass `None`). The
+/// selection itself always proceeds segment by segment (columns are
+/// per-segment chunks, bound once each) in ascending row order, so the
 /// selection vector — and therefore every float accumulation order
-/// downstream — is identical to a flat scan over the surviving rows.
+/// downstream — is the same whichever segments were pruned.
 ///
 /// `fact_preds` ([`compile_fact_preds`]) and `chain_checks`
 /// ([`build_chain_checks`]) are built by the caller: once per execution for
@@ -801,9 +803,14 @@ pub(crate) fn scan_phase<'a>(
         let mut codes = vec![NULL_KEY; rows.len()];
         match src {
             GroupSource::DimVec { keys, gv } => {
-                for (i, &r) in rows.iter().enumerate() {
-                    codes[i] = gv.probe(keys[r as usize]);
-                }
+                // The probed FK column is sequential in the fact table:
+                // bind its chunk once per segment run.
+                segment_runs(rows, seg_rows, |seg, run| {
+                    let (keys, base) = (keys.chunk(seg), seg * seg_rows);
+                    for (code, &r) in codes[run.clone()].iter_mut().zip(&rows[run]) {
+                        *code = gv.probe(keys[r as usize - base]);
+                    }
+                });
             }
             GroupSource::Fact(fg) => {
                 for (i, &r) in rows.iter().enumerate() {
@@ -909,9 +916,15 @@ pub(crate) fn aggregate_phase(u: &Universal<'_>, query: &Query, sa: &mut ScanArt
             (Some(expr), _) => {
                 let cm = expr.compile(fact);
                 let st = sa.agg.state_mut(j);
-                for (&r, &cell) in sa.mi_rows.iter().zip(&sa.mi_cells) {
-                    st.update(cell, cm.eval(r as usize));
-                }
+                let seg_rows = fact.segment_rows();
+                // Measure columns bind one chunk per segment run of the
+                // (ascending) Measure Index.
+                segment_runs(&sa.mi_rows, seg_rows, |seg, run| {
+                    let (m, base) = (cm.bind(seg), seg * seg_rows);
+                    for (&r, &cell) in sa.mi_rows[run.clone()].iter().zip(&sa.mi_cells[run]) {
+                        st.update(cell, m.eval(r as usize - base));
+                    }
+                });
             }
         }
     }

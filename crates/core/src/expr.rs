@@ -1,15 +1,27 @@
 //! Predicates and measure expressions.
 //!
 //! Predicates come in a small logical algebra ([`Pred`]) that is *compiled*
-//! against a concrete table into [`CompiledPred`]: typed closures over
-//! column slices. Compilation performs the paper's dictionary pushdown —
+//! against a concrete table into [`CompiledPred`]: typed tests over the
+//! table's columns. Compilation performs the paper's dictionary pushdown —
 //! string predicates on dictionary-compressed columns are evaluated once per
 //! *distinct value* and turn into code comparisons or code-bitmap probes, so
 //! no `strcmp` runs inside a scan loop (§4.2).
+//!
+//! Columns are stored as per-segment chunks, so a compiled expression comes
+//! in two *bindings* of one shape ([`PredOver`], [`MeasureOver`]): bound to
+//! the [`Whole`] table it addresses rows by table-wide index (the
+//! random-access form — AIR chases into dimension tables, samples); bound
+//! [`InSegment`] by [`CompiledPred::bind`] it holds one segment's chunks as
+//! plain slices and addresses rows by segment-local offset — the form every
+//! sequential scan loop evaluates, so inner loops stay `slice[i]`.
+
+use std::fmt::Debug;
+use std::sync::Arc;
 
 use astore_storage::bitmap::Bitmap;
+use astore_storage::chunks::Chunked;
 use astore_storage::column::Column;
-use astore_storage::strings::StrColumn;
+use astore_storage::strings::{StrChunk, StrColumn};
 use astore_storage::table::Table;
 use astore_storage::types::Key;
 
@@ -299,13 +311,19 @@ impl Pred {
     /// vector path, §4.2). Dead slots evaluate to `false`.
     pub fn eval_bitmap(&self, table: &Table) -> Bitmap {
         let compiled = self.compile(table);
-        let n = table.num_slots();
-        if table.has_deletes() {
-            let live = table.live_bitmap();
-            Bitmap::from_fn(n, |row| live.get(row) && compiled.eval(row))
-        } else {
-            Bitmap::from_fn(n, |row| compiled.eval(row))
+        let has_deletes = table.has_deletes();
+        let mut out = Bitmap::new(table.num_slots(), false);
+        for seg in 0..table.segment_count() {
+            let pred = compiled.bind(seg);
+            let live = table.live_bitmap().chunk(seg);
+            let range = table.segment_range(seg);
+            for off in 0..range.len() {
+                if (!has_deletes || live.get(off)) && pred.eval(off) {
+                    out.set(range.start + off, true);
+                }
+            }
         }
+        out
     }
 }
 
@@ -367,11 +385,11 @@ fn compile_cmp<'a>(table: &'a Table, col: &str, op: CmpOp, lit: &Lit) -> Compile
                 // Non-equality string ops: evaluate once per distinct value.
                 _ => CompiledPred::DictSet {
                     codes: dict_col.codes(),
-                    matches: dict.codes_matching(|v| op.apply(v, s)),
+                    matches: Arc::new(dict.codes_matching(|v| op.apply(v, s))),
                 },
             }
         }
-        Column::Str(sc) => CompiledPred::StrCmp { col: sc, op, v: str_lit(lit, col).to_owned() },
+        Column::Str(sc) => CompiledPred::StrCmp { col: sc, op, v: str_lit(lit, col).into() },
     }
 }
 
@@ -403,13 +421,13 @@ fn compile_between<'a>(table: &'a Table, col: &str, lo: &Lit, hi: &Lit) -> Compi
             let (lo, hi) = (str_lit(lo, col), str_lit(hi, col));
             CompiledPred::DictSet {
                 codes: dc.codes(),
-                matches: dc.dict().codes_matching(|v| v >= lo && v <= hi),
+                matches: Arc::new(dc.dict().codes_matching(|v| v >= lo && v <= hi)),
             }
         }
         Column::Str(sc) => CompiledPred::StrBetween {
             col: sc,
-            lo: str_lit(lo, col).to_owned(),
-            hi: str_lit(hi, col).to_owned(),
+            lo: str_lit(lo, col).into(),
+            hi: str_lit(hi, col).into(),
         },
         Column::Key { keys, .. } => {
             let lo = int_lit(lo, col).clamp(0, i64::from(u32::MAX)) as Key;
@@ -432,27 +450,98 @@ fn compile_in<'a>(table: &'a Table, col: &str, lits: &[Lit]) -> CompiledPred<'a>
             let wanted: Vec<&str> = lits.iter().map(|l| str_lit(l, col)).collect();
             CompiledPred::DictSet {
                 codes: dc.codes(),
-                matches: dc.dict().codes_matching(|v| wanted.contains(&v)),
+                matches: Arc::new(dc.dict().codes_matching(|v| wanted.contains(&v))),
             }
         }
         Column::Str(sc) => CompiledPred::StrIn {
             col: sc,
-            set: lits.iter().map(|l| str_lit(l, col).to_owned()).collect(),
+            set: lits.iter().map(|l| str_lit(l, col).into()).collect(),
         },
         other => panic!("IN list unsupported for column type {}", other.dtype()),
     }
 }
 
-/// A predicate compiled against one table's columns. `eval(row)` is the
-/// per-row test used inside scan loops.
+/// Read access to one column payload by row position: a whole chunked
+/// column (position = table-wide row index) or one segment's slice
+/// (position = segment-local offset).
+pub trait Rows<T>: Copy + Debug {
+    /// The value at position `i`.
+    fn at(self, i: usize) -> T;
+}
+
+impl<T: Copy + Debug> Rows<T> for &Chunked<T> {
+    #[inline]
+    fn at(self, i: usize) -> T {
+        self.get(i)
+    }
+}
+
+impl<T: Copy + Debug> Rows<T> for &[T] {
+    #[inline]
+    fn at(self, i: usize) -> T {
+        self[i]
+    }
+}
+
+/// [`Rows`] for heap-backed string columns.
+pub trait StrRows: Copy + Debug {
+    /// The string at position `i`.
+    fn str_at(&self, i: usize) -> &str;
+}
+
+impl StrRows for &StrColumn {
+    #[inline]
+    fn str_at(&self, i: usize) -> &str {
+        self.get(i)
+    }
+}
+
+impl StrRows for StrChunk<'_> {
+    #[inline]
+    fn str_at(&self, i: usize) -> &str {
+        self.get(i)
+    }
+}
+
+/// What a compiled expression is bound to: [`Whole`] columns or the chunks
+/// of one segment ([`InSegment`]). Chooses the column-handle types of
+/// [`PredOver`] and [`MeasureOver`]; the evaluation code is shared.
+pub trait Binding<'a>: Debug {
+    /// Handle to a fixed-width column payload.
+    type Of<T: Copy + Debug + 'a>: Rows<T>;
+    /// Handle to a string column.
+    type Strs: StrRows;
+}
+
+/// Bound to whole columns: positions are table-wide row indexes.
 #[derive(Debug)]
-pub enum CompiledPred<'a> {
+pub struct Whole;
+
+/// Bound to one segment's chunks: positions are segment-local offsets.
+#[derive(Debug)]
+pub struct InSegment;
+
+impl<'a> Binding<'a> for Whole {
+    type Of<T: Copy + Debug + 'a> = &'a Chunked<T>;
+    type Strs = &'a StrColumn;
+}
+
+impl<'a> Binding<'a> for InSegment {
+    type Of<T: Copy + Debug + 'a> = &'a [T];
+    type Strs = StrChunk<'a>;
+}
+
+/// A predicate compiled against one table's columns, over binding `B`.
+/// `eval(i)` is the per-row test used inside scan loops. Literal payloads
+/// are `Arc`-held so re-binding per segment shares them.
+#[derive(Debug)]
+pub enum PredOver<'a, B: Binding<'a>> {
     /// Constant truth value.
     Const(bool),
     /// `i32` comparison.
     I32Cmp {
         /// Column data.
-        data: &'a [i32],
+        data: B::Of<i32>,
         /// Operator.
         op: CmpOp,
         /// Literal.
@@ -461,7 +550,7 @@ pub enum CompiledPred<'a> {
     /// `i32` inclusive range.
     I32Between {
         /// Column data.
-        data: &'a [i32],
+        data: B::Of<i32>,
         /// Lower bound.
         lo: i32,
         /// Upper bound.
@@ -470,14 +559,14 @@ pub enum CompiledPred<'a> {
     /// `i32` membership (small lists: linear scan beats hashing).
     I32In {
         /// Column data.
-        data: &'a [i32],
+        data: B::Of<i32>,
         /// Accepted values.
-        set: Vec<i32>,
+        set: Arc<[i32]>,
     },
     /// `i64` comparison.
     I64Cmp {
         /// Column data.
-        data: &'a [i64],
+        data: B::Of<i64>,
         /// Operator.
         op: CmpOp,
         /// Literal.
@@ -486,7 +575,7 @@ pub enum CompiledPred<'a> {
     /// `i64` inclusive range.
     I64Between {
         /// Column data.
-        data: &'a [i64],
+        data: B::Of<i64>,
         /// Lower bound.
         lo: i64,
         /// Upper bound.
@@ -495,14 +584,14 @@ pub enum CompiledPred<'a> {
     /// `i64` membership.
     I64In {
         /// Column data.
-        data: &'a [i64],
+        data: B::Of<i64>,
         /// Accepted values.
-        set: Vec<i64>,
+        set: Arc<[i64]>,
     },
     /// `f64` comparison.
     F64Cmp {
         /// Column data.
-        data: &'a [f64],
+        data: B::Of<f64>,
         /// Operator.
         op: CmpOp,
         /// Literal.
@@ -511,7 +600,7 @@ pub enum CompiledPred<'a> {
     /// `f64` inclusive range.
     F64Between {
         /// Column data.
-        data: &'a [f64],
+        data: B::Of<f64>,
         /// Lower bound.
         lo: f64,
         /// Upper bound.
@@ -520,7 +609,7 @@ pub enum CompiledPred<'a> {
     /// Key comparison (rare; keys are opaque positions).
     KeyCmp {
         /// Column data.
-        keys: &'a [Key],
+        keys: B::Of<Key>,
         /// Operator.
         op: CmpOp,
         /// Literal.
@@ -529,7 +618,7 @@ pub enum CompiledPred<'a> {
     /// Key inclusive range.
     KeyBetween {
         /// Column data.
-        keys: &'a [Key],
+        keys: B::Of<Key>,
         /// Lower bound.
         lo: Key,
         /// Upper bound.
@@ -538,7 +627,7 @@ pub enum CompiledPred<'a> {
     /// Dictionary equality: one code comparison per row.
     DictEq {
         /// Code array.
-        codes: &'a [Key],
+        codes: B::Of<Key>,
         /// The matching code ([`astore_storage::types::NULL_KEY`] if the
         /// value is absent, which matches nothing).
         code: Key,
@@ -547,85 +636,152 @@ pub enum CompiledPred<'a> {
     /// distinct value into a bitmap over codes.
     DictSet {
         /// Code array.
-        codes: &'a [Key],
+        codes: B::Of<Key>,
         /// Bitmap over codes.
-        matches: Bitmap,
+        matches: Arc<Bitmap>,
     },
     /// Raw string comparison (no dictionary available).
     StrCmp {
         /// String column.
-        col: &'a StrColumn,
+        col: B::Strs,
         /// Operator.
         op: CmpOp,
         /// Literal.
-        v: String,
+        v: Arc<str>,
     },
     /// Raw string inclusive range.
     StrBetween {
         /// String column.
-        col: &'a StrColumn,
+        col: B::Strs,
         /// Lower bound.
-        lo: String,
+        lo: Arc<str>,
         /// Upper bound.
-        hi: String,
+        hi: Arc<str>,
     },
     /// Raw string membership.
     StrIn {
         /// String column.
-        col: &'a StrColumn,
+        col: B::Strs,
         /// Accepted values.
-        set: Vec<String>,
+        set: Arc<[Arc<str>]>,
     },
     /// Conjunction.
-    And(Vec<CompiledPred<'a>>),
+    And(Vec<PredOver<'a, B>>),
     /// Disjunction.
-    Or(Vec<CompiledPred<'a>>),
+    Or(Vec<PredOver<'a, B>>),
     /// Negation.
-    Not(Box<CompiledPred<'a>>),
+    Not(Box<PredOver<'a, B>>),
 }
 
-impl CompiledPred<'_> {
-    /// Evaluates the predicate on one row.
+/// A predicate bound to whole columns; `eval(row)` takes a table-wide row
+/// index.
+pub type CompiledPred<'a> = PredOver<'a, Whole>;
+
+/// A predicate bound to one segment's chunks ([`CompiledPred::bind`]);
+/// `eval(off)` takes a segment-local offset.
+pub type SegPred<'a> = PredOver<'a, InSegment>;
+
+impl<'a, B: Binding<'a>> PredOver<'a, B> {
+    /// Evaluates the predicate on the row at position `i` (of the binding).
     #[inline]
-    pub fn eval(&self, row: usize) -> bool {
+    pub fn eval(&self, i: usize) -> bool {
         match self {
-            CompiledPred::Const(b) => *b,
-            CompiledPred::I32Cmp { data, op, v } => op.apply(data[row], *v),
-            CompiledPred::I32Between { data, lo, hi } => {
-                let x = data[row];
+            PredOver::Const(b) => *b,
+            PredOver::I32Cmp { data, op, v } => op.apply(data.at(i), *v),
+            PredOver::I32Between { data, lo, hi } => {
+                let x = data.at(i);
                 x >= *lo && x <= *hi
             }
-            CompiledPred::I32In { data, set } => set.contains(&data[row]),
-            CompiledPred::I64Cmp { data, op, v } => op.apply(data[row], *v),
-            CompiledPred::I64Between { data, lo, hi } => {
-                let x = data[row];
+            PredOver::I32In { data, set } => set.contains(&data.at(i)),
+            PredOver::I64Cmp { data, op, v } => op.apply(data.at(i), *v),
+            PredOver::I64Between { data, lo, hi } => {
+                let x = data.at(i);
                 x >= *lo && x <= *hi
             }
-            CompiledPred::I64In { data, set } => set.contains(&data[row]),
-            CompiledPred::F64Cmp { data, op, v } => op.apply(data[row], *v),
-            CompiledPred::F64Between { data, lo, hi } => {
-                let x = data[row];
+            PredOver::I64In { data, set } => set.contains(&data.at(i)),
+            PredOver::F64Cmp { data, op, v } => op.apply(data.at(i), *v),
+            PredOver::F64Between { data, lo, hi } => {
+                let x = data.at(i);
                 x >= *lo && x <= *hi
             }
-            CompiledPred::KeyCmp { keys, op, v } => op.apply(keys[row], *v),
-            CompiledPred::KeyBetween { keys, lo, hi } => {
-                let k = keys[row];
+            PredOver::KeyCmp { keys, op, v } => op.apply(keys.at(i), *v),
+            PredOver::KeyBetween { keys, lo, hi } => {
+                let k = keys.at(i);
                 k >= *lo && k <= *hi
             }
-            CompiledPred::DictEq { codes, code } => codes[row] == *code,
-            CompiledPred::DictSet { codes, matches } => matches.get_or_false(codes[row] as usize),
-            CompiledPred::StrCmp { col, op, v } => op.apply(col.get(row), v.as_str()),
-            CompiledPred::StrBetween { col, lo, hi } => {
-                let s = col.get(row);
-                s >= lo.as_str() && s <= hi.as_str()
+            PredOver::DictEq { codes, code } => codes.at(i) == *code,
+            PredOver::DictSet { codes, matches } => matches.get_or_false(codes.at(i) as usize),
+            PredOver::StrCmp { col, op, v } => op.apply(col.str_at(i), v),
+            PredOver::StrBetween { col, lo, hi } => {
+                let s = col.str_at(i);
+                s >= &**lo && s <= &**hi
             }
-            CompiledPred::StrIn { col, set } => {
-                let s = col.get(row);
-                set.iter().any(|w| w == s)
+            PredOver::StrIn { col, set } => {
+                let s = col.str_at(i);
+                set.iter().any(|w| &**w == s)
             }
-            CompiledPred::And(ps) => ps.iter().all(|p| p.eval(row)),
-            CompiledPred::Or(ps) => ps.iter().any(|p| p.eval(row)),
-            CompiledPred::Not(p) => !p.eval(row),
+            PredOver::And(ps) => ps.iter().all(|p| p.eval(i)),
+            PredOver::Or(ps) => ps.iter().any(|p| p.eval(i)),
+            PredOver::Not(p) => !p.eval(i),
+        }
+    }
+}
+
+impl<'a> CompiledPred<'a> {
+    /// Binds the predicate to segment `seg` of its table: every column
+    /// handle becomes that segment's chunk slice. Cheap (no row data or
+    /// literal is copied); done once per scanned segment.
+    pub fn bind(&self, seg: usize) -> SegPred<'a> {
+        match self {
+            PredOver::Const(b) => PredOver::Const(*b),
+            PredOver::I32Cmp { data, op, v } => {
+                PredOver::I32Cmp { data: data.chunk(seg), op: *op, v: *v }
+            }
+            PredOver::I32Between { data, lo, hi } => {
+                PredOver::I32Between { data: data.chunk(seg), lo: *lo, hi: *hi }
+            }
+            PredOver::I32In { data, set } => {
+                PredOver::I32In { data: data.chunk(seg), set: Arc::clone(set) }
+            }
+            PredOver::I64Cmp { data, op, v } => {
+                PredOver::I64Cmp { data: data.chunk(seg), op: *op, v: *v }
+            }
+            PredOver::I64Between { data, lo, hi } => {
+                PredOver::I64Between { data: data.chunk(seg), lo: *lo, hi: *hi }
+            }
+            PredOver::I64In { data, set } => {
+                PredOver::I64In { data: data.chunk(seg), set: Arc::clone(set) }
+            }
+            PredOver::F64Cmp { data, op, v } => {
+                PredOver::F64Cmp { data: data.chunk(seg), op: *op, v: *v }
+            }
+            PredOver::F64Between { data, lo, hi } => {
+                PredOver::F64Between { data: data.chunk(seg), lo: *lo, hi: *hi }
+            }
+            PredOver::KeyCmp { keys, op, v } => {
+                PredOver::KeyCmp { keys: keys.chunk(seg), op: *op, v: *v }
+            }
+            PredOver::KeyBetween { keys, lo, hi } => {
+                PredOver::KeyBetween { keys: keys.chunk(seg), lo: *lo, hi: *hi }
+            }
+            PredOver::DictEq { codes, code } => {
+                PredOver::DictEq { codes: codes.chunk(seg), code: *code }
+            }
+            PredOver::DictSet { codes, matches } => {
+                PredOver::DictSet { codes: codes.chunk(seg), matches: Arc::clone(matches) }
+            }
+            PredOver::StrCmp { col, op, v } => {
+                PredOver::StrCmp { col: col.chunk(seg), op: *op, v: Arc::clone(v) }
+            }
+            PredOver::StrBetween { col, lo, hi } => {
+                PredOver::StrBetween { col: col.chunk(seg), lo: Arc::clone(lo), hi: Arc::clone(hi) }
+            }
+            PredOver::StrIn { col, set } => {
+                PredOver::StrIn { col: col.chunk(seg), set: Arc::clone(set) }
+            }
+            PredOver::And(ps) => PredOver::And(ps.iter().map(|p| p.bind(seg)).collect()),
+            PredOver::Or(ps) => PredOver::Or(ps.iter().map(|p| p.bind(seg)).collect()),
+            PredOver::Not(p) => PredOver::Not(Box::new(p.bind(seg))),
         }
     }
 
@@ -726,37 +882,72 @@ impl MeasureExpr {
     }
 }
 
-/// A compiled measure expression.
+/// A compiled measure expression over binding `B` (see [`PredOver`]).
 #[derive(Debug)]
-pub enum CompiledMeasure<'a> {
+pub enum MeasureOver<'a, B: Binding<'a>> {
     /// i32 column.
-    I32(&'a [i32]),
+    I32(B::Of<i32>),
     /// i64 column.
-    I64(&'a [i64]),
+    I64(B::Of<i64>),
     /// f64 column.
-    F64(&'a [f64]),
+    F64(B::Of<f64>),
     /// Constant.
     Const(f64),
     /// Addition.
-    Add(Box<CompiledMeasure<'a>>, Box<CompiledMeasure<'a>>),
+    Add(Box<MeasureOver<'a, B>>, Box<MeasureOver<'a, B>>),
     /// Subtraction.
-    Sub(Box<CompiledMeasure<'a>>, Box<CompiledMeasure<'a>>),
+    Sub(Box<MeasureOver<'a, B>>, Box<MeasureOver<'a, B>>),
     /// Multiplication.
-    Mul(Box<CompiledMeasure<'a>>, Box<CompiledMeasure<'a>>),
+    Mul(Box<MeasureOver<'a, B>>, Box<MeasureOver<'a, B>>),
 }
 
-impl CompiledMeasure<'_> {
-    /// Evaluates the measure on one row.
+/// A measure bound to whole columns; `eval(row)` takes a table-wide row
+/// index.
+pub type CompiledMeasure<'a> = MeasureOver<'a, Whole>;
+
+/// A measure bound to one segment's chunks ([`CompiledMeasure::bind`]).
+pub type SegMeasure<'a> = MeasureOver<'a, InSegment>;
+
+impl<'a, B: Binding<'a>> MeasureOver<'a, B> {
+    /// Evaluates the measure on the row at position `i` (of the binding).
     #[inline]
-    pub fn eval(&self, row: usize) -> f64 {
+    pub fn eval(&self, i: usize) -> f64 {
         match self {
-            CompiledMeasure::I32(d) => f64::from(d[row]),
-            CompiledMeasure::I64(d) => d[row] as f64,
-            CompiledMeasure::F64(d) => d[row],
-            CompiledMeasure::Const(v) => *v,
-            CompiledMeasure::Add(a, b) => a.eval(row) + b.eval(row),
-            CompiledMeasure::Sub(a, b) => a.eval(row) - b.eval(row),
-            CompiledMeasure::Mul(a, b) => a.eval(row) * b.eval(row),
+            MeasureOver::I32(d) => f64::from(d.at(i)),
+            MeasureOver::I64(d) => d.at(i) as f64,
+            MeasureOver::F64(d) => d.at(i),
+            MeasureOver::Const(v) => *v,
+            MeasureOver::Add(a, b) => a.eval(i) + b.eval(i),
+            MeasureOver::Sub(a, b) => a.eval(i) - b.eval(i),
+            MeasureOver::Mul(a, b) => a.eval(i) * b.eval(i),
+        }
+    }
+}
+
+impl<'a> CompiledMeasure<'a> {
+    /// Binds the measure to segment `seg` of its table (see
+    /// [`CompiledPred::bind`]).
+    pub fn bind(&self, seg: usize) -> SegMeasure<'a> {
+        let both = |a: &CompiledMeasure<'a>, b: &CompiledMeasure<'a>| {
+            (Box::new(a.bind(seg)), Box::new(b.bind(seg)))
+        };
+        match self {
+            MeasureOver::I32(d) => MeasureOver::I32(d.chunk(seg)),
+            MeasureOver::I64(d) => MeasureOver::I64(d.chunk(seg)),
+            MeasureOver::F64(d) => MeasureOver::F64(d.chunk(seg)),
+            MeasureOver::Const(v) => MeasureOver::Const(*v),
+            MeasureOver::Add(a, b) => {
+                let (a, b) = both(a, b);
+                MeasureOver::Add(a, b)
+            }
+            MeasureOver::Sub(a, b) => {
+                let (a, b) = both(a, b);
+                MeasureOver::Sub(a, b)
+            }
+            MeasureOver::Mul(a, b) => {
+                let (a, b) = both(a, b);
+                MeasureOver::Mul(a, b)
+            }
         }
     }
 }

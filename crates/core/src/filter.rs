@@ -121,7 +121,7 @@ fn compose_table_filter(
     // Local predicate (or pure liveness when the table has none).
     let mut bm = match query.selection_on(table) {
         Some(pred) => pred.eval_bitmap(t),
-        None => t.live_bitmap().clone(),
+        None => t.live_bitmap().to_bitmap(),
     };
 
     // Fold children: for each outgoing AIR edge into a relevant table,
@@ -136,7 +136,7 @@ fn compose_table_filter(
         // Only rows still passing need the child probe.
         let passing: Vec<usize> = bm.iter_ones().collect();
         for i in passing {
-            let k = keys[i];
+            let k = keys.get(i);
             if k == NULL_KEY || !child_bm.get_or_false(k as usize) {
                 bm.set(i, false);
             }

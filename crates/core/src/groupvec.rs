@@ -16,6 +16,7 @@ use std::collections::HashMap;
 
 use astore_storage::bitmap::Bitmap;
 use astore_storage::catalog::Database;
+use astore_storage::chunks::Chunked;
 use astore_storage::column::Column;
 use astore_storage::types::{Key, Value, NULL_KEY};
 
@@ -178,7 +179,7 @@ pub fn build_group_vector(
         db.table(first_dim_name).ok_or_else(|| BindError::NoTable(first_dim_name.clone()))?;
 
     // Hop arrays *within* the dimension chain (first-level dim -> target).
-    let mut hops: Vec<&[Key]> = Vec::with_capacity(path.steps.len() - 1);
+    let mut hops: Vec<&Chunked<Key>> = Vec::with_capacity(path.steps.len() - 1);
     for step in &path.steps[1..] {
         let t = db
             .table(&step.from_table)
@@ -210,7 +211,7 @@ pub fn build_group_vector(
         let mut row = slot;
         let mut alive = true;
         for keys in &hops {
-            match keys.get(row).copied() {
+            match keys.get_checked(row) {
                 Some(k) if k != NULL_KEY => row = k as usize,
                 _ => {
                     alive = false;

@@ -13,33 +13,35 @@
 //! the dimension predicates per fact row (the fallback when the filter
 //! would not fit the cache budget, and the mode of the `_P`-less variants).
 
-use astore_storage::bitmap::Bitmap;
+use astore_storage::bitmap::{Bitmap, SegBitmap};
+use astore_storage::chunks::Chunked;
 use astore_storage::encoded::EncodedColumn;
 use astore_storage::selvec::SelVec;
 use astore_storage::table::Table;
 use astore_storage::types::{Key, RowId, NULL_KEY};
 
-use crate::expr::CompiledPred;
+use crate::expr::{CompiledPred, SegPred};
 use crate::filter::{FactPred, PackedRangeTest};
 
 /// A per-fact-row liveness + predicate check against one table of a
 /// dimension chain, evaluated by chasing the AIR hops.
 pub struct DirectCheck<'a> {
     /// AIR hop arrays from the fact table to the checked table.
-    pub hops: Vec<&'a [Key]>,
+    pub hops: Vec<&'a Chunked<Key>>,
     /// Live bitmap of the checked table, present only when it has deletes.
-    pub live: Option<&'a Bitmap>,
+    pub live: Option<&'a SegBitmap>,
     /// Compiled predicate on the checked table, if the query has one.
     pub pred: Option<CompiledPred<'a>>,
 }
 
 impl DirectCheck<'_> {
-    /// Evaluates the check for one fact row.
+    /// Evaluates the check for one fact row (table-wide index). Every hop
+    /// is a random access, so the chase addresses whole columns.
     #[inline]
     pub fn eval(&self, fact_row: usize) -> bool {
         let mut row = fact_row;
         for keys in &self.hops {
-            let k = keys[row];
+            let k = keys.get(row);
             if k == NULL_KEY {
                 return false;
             }
@@ -63,7 +65,7 @@ pub enum ChainCheck<'a> {
     /// column (paper §4.2).
     PredVec {
         /// The fact FK column's key array.
-        keys: &'a [Key],
+        keys: &'a Chunked<Key>,
         /// Composed predicate vector over the first-level dimension.
         bitmap: &'a Bitmap,
     },
@@ -74,16 +76,58 @@ pub enum ChainCheck<'a> {
     },
 }
 
-impl ChainCheck<'_> {
-    /// Evaluates the chain check for one fact row.
+/// A [`ChainCheck`] bound to one fact segment: the probed key column is the
+/// segment's chunk slice, rows are segment-local offsets.
+enum SegChain<'c, 'a> {
+    PredVec { keys: &'c [Key], bitmap: &'c Bitmap },
+    Direct { checks: &'c [DirectCheck<'a>], seg_start: usize },
+}
+
+impl SegChain<'_, '_> {
+    #[inline]
+    fn eval(&self, off: usize) -> bool {
+        match self {
+            // NULL_KEY maps far out of range and reads as false.
+            SegChain::PredVec { keys, bitmap } => bitmap.get_or_false(keys[off] as usize),
+            SegChain::Direct { checks, seg_start } => {
+                checks.iter().all(|c| c.eval(seg_start + off))
+            }
+        }
+    }
+
+    /// Refines `rows[mark..]` (rows of this segment) by the check, with the
+    /// variant dispatched once instead of per row.
+    fn refine(&self, rows: &mut Vec<RowId>, mark: usize, base: usize) {
+        match self {
+            SegChain::PredVec { keys, bitmap } => {
+                refine_tail(rows, mark, |r| bitmap.get_or_false(keys[r as usize - base] as usize))
+            }
+            SegChain::Direct { checks, .. } => {
+                refine_tail(rows, mark, |r| checks.iter().all(|c| c.eval(r as usize)))
+            }
+        }
+    }
+}
+
+impl<'a> ChainCheck<'a> {
+    /// Evaluates the chain check for one fact row (table-wide index).
     #[inline]
     pub fn eval(&self, row: usize) -> bool {
         match self {
             ChainCheck::PredVec { keys, bitmap } => {
                 // NULL_KEY maps far out of range and reads as false.
-                bitmap.get_or_false(keys[row] as usize)
+                bitmap.get_or_false(keys.get(row) as usize)
             }
             ChainCheck::Direct { checks } => checks.iter().all(|c| c.eval(row)),
+        }
+    }
+
+    fn bind(&self, seg: &FactSegment<'_>) -> SegChain<'_, 'a> {
+        match self {
+            ChainCheck::PredVec { keys, bitmap } => {
+                SegChain::PredVec { keys: keys.chunk(seg.index), bitmap }
+            }
+            ChainCheck::Direct { checks } => SegChain::Direct { checks, seg_start: seg.start },
         }
     }
 
@@ -104,18 +148,109 @@ impl ChainCheck<'_> {
     }
 }
 
-/// The initial selection vector over a row range, honouring deletes.
-pub fn initial_selvec(fact: &Table, range: std::ops::Range<usize>) -> SelVec {
-    if fact.has_deletes() {
-        let live = fact.live_bitmap();
-        SelVec::from_rows(range.filter(|&r| live.get_or_false(r)).map(|r| r as RowId).collect())
-    } else {
-        SelVec::from_rows(range.map(|r| r as RowId).collect())
+/// The part of a scanned row range that lies in one fact segment. Scans are
+/// segment-aligned: columns, live bits and predicates are bound once per
+/// `FactSegment`, and the inner loops run over segment-local offsets.
+struct FactSegment<'t> {
+    /// Segment number.
+    index: usize,
+    /// Table-wide index of the segment's first row.
+    start: usize,
+    /// The scanned offsets within the segment.
+    offs: std::ops::Range<usize>,
+    /// The segment's live bits, present only when the table has deletes.
+    live: Option<&'t Bitmap>,
+}
+
+impl FactSegment<'_> {
+    #[inline]
+    fn is_live(&self, off: usize) -> bool {
+        self.live.is_none_or(|l| l.get_or_false(off))
+    }
+
+    #[inline]
+    fn row(&self, off: usize) -> RowId {
+        (self.start + off) as RowId
+    }
+
+    /// Appends the live rows of the scanned offsets to `rows`.
+    fn push_live(&self, rows: &mut Vec<RowId>) {
+        match self.live {
+            None => rows.extend(self.row(self.offs.start)..self.row(self.offs.end)),
+            Some(live) => rows.extend(
+                self.offs.clone().filter(|&off| live.get_or_false(off)).map(|off| self.row(off)),
+            ),
+        }
     }
 }
 
-/// Emits the rows of one sealed segment whose encoded column value falls
-/// in `[lo, hi]`, restricted to absolute rows `[start, end)`, ascending.
+/// Cuts `range` at the fact table's segment boundaries, ascending.
+fn fact_segments(
+    fact: &Table,
+    range: std::ops::Range<usize>,
+) -> impl Iterator<Item = FactSegment<'_>> {
+    let seg_rows = fact.segment_rows();
+    let has_deletes = fact.has_deletes();
+    let segs =
+        if range.is_empty() { 0..0 } else { range.start / seg_rows..range.end.div_ceil(seg_rows) };
+    segs.map(move |index| {
+        let start = index * seg_rows;
+        FactSegment {
+            index,
+            start,
+            offs: range.start.max(start) - start..range.end.min(start + seg_rows) - start,
+            live: has_deletes.then(|| fact.live_bitmap().chunk(index)),
+        }
+    })
+}
+
+/// Splits ascending row ids into maximal runs lying in one segment each and
+/// calls `f(segment, index range into rows)` per run — how the passes that
+/// follow selection (group codes, measures) bind one chunk per segment.
+pub(crate) fn segment_runs(
+    rows: &[RowId],
+    seg_rows: usize,
+    mut f: impl FnMut(usize, std::ops::Range<usize>),
+) {
+    let mut i = 0;
+    while i < rows.len() {
+        let seg = rows[i] as usize / seg_rows;
+        let seg_end = (seg + 1) * seg_rows;
+        let j = i + rows[i..].partition_point(|&r| (r as usize) < seg_end);
+        f(seg, i..j);
+        i = j;
+    }
+}
+
+/// Keeps only the rows of `rows[mark..]` for which `keep` holds, in place —
+/// the per-predicate refinement step of the vectorized column scan, applied
+/// to the segment currently being appended. The compaction is branch-free
+/// (store always, advance on keep): selectivities in the middle of the
+/// range would otherwise pay a mispredict on every other row.
+#[inline]
+fn refine_tail(rows: &mut Vec<RowId>, mark: usize, mut keep: impl FnMut(RowId) -> bool) {
+    let tail = &mut rows[mark..];
+    let mut w = 0;
+    for i in 0..tail.len() {
+        let r = tail[i];
+        tail[w] = r;
+        w += usize::from(keep(r));
+    }
+    rows.truncate(mark + w);
+}
+
+/// The initial selection vector over a row range, honouring deletes.
+pub fn initial_selvec(fact: &Table, range: std::ops::Range<usize>) -> SelVec {
+    let mut rows = Vec::with_capacity(range.len());
+    for seg in fact_segments(fact, range) {
+        seg.push_live(&mut rows);
+    }
+    SelVec::from_rows(rows)
+}
+
+/// Emits the segment-local offsets of one sealed segment whose encoded
+/// column value falls in `[lo, hi]`, restricted to offsets `[off0, off1)`,
+/// ascending.
 ///
 /// Bit-packed columns go through the SWAR kernel
 /// ([`crate::filter::packed_range_mask`], two words at a time on the wide
@@ -127,14 +262,12 @@ fn scan_encoded(
     enc: &EncodedColumn,
     lo: i64,
     hi: i64,
-    seg_start: usize,
-    start: usize,
-    end: usize,
+    off0: usize,
+    off1: usize,
     mut emit: impl FnMut(usize),
 ) {
     match enc {
         EncodedColumn::Rle(rle) => {
-            let (off0, off1) = (start - seg_start, end - seg_start);
             let mut run_start = 0usize;
             for (i, &e) in rle.ends().iter().enumerate() {
                 let run_end = e as usize;
@@ -143,7 +276,7 @@ fn scan_encoded(
                 }
                 if rle.values()[i] >= lo && rle.values()[i] <= hi {
                     for off in run_start.max(off0)..run_end.min(off1) {
-                        emit(seg_start + off);
+                        emit(off);
                     }
                 }
                 run_start = run_end;
@@ -152,7 +285,6 @@ fn scan_encoded(
         EncodedColumn::Packed(p) => {
             let Some((clo, chi)) = p.code_bounds(lo, hi) else { return };
             let test = PackedRangeTest::new(clo, chi, p.width() as usize, p.lanes());
-            let (off0, off1) = (start - seg_start, end - seg_start);
             let lanes = p.lanes();
             let w0 = off0 / lanes;
             let w1 = off1.div_ceil(lanes).min(p.words().len());
@@ -163,7 +295,7 @@ fn scan_encoded(
                     // in the last word, to rows that exist — tail lanes are
                     // zero-coded padding).
                     if off >= off0 && off < off1 {
-                        emit(seg_start + off);
+                        emit(off);
                     }
                 });
             };
@@ -184,95 +316,67 @@ fn scan_encoded(
     }
 }
 
-/// Builds the initial selection vector from one seeded predicate: sealed
-/// segments are scanned in encoded form ([`scan_encoded`]); unsealed (or
-/// never-encoded) segments fall back to row-wise evaluation of the same
-/// predicate. Rows come out ascending either way, so the result is
-/// indistinguishable from `initial_selvec` + `refine` — just cheaper.
+/// Appends to `rows` the rows of one segment that pass one seeded
+/// predicate: a sealed segment is scanned in encoded form
+/// ([`scan_encoded`]); an unsealed (or never-encoded) one falls back to
+/// row-wise evaluation of the same predicate over the segment's chunk. Rows
+/// come out ascending either way, so the result is indistinguishable from
+/// the live rows refined by the predicate — just cheaper.
 ///
 /// A sealed segment may carry a write delta (see
 /// [`astore_storage::table::SegmentDelta`]): *stale* rows whose encoded
 /// value was superseded by a write-through are skipped in the encoded pass
-/// and re-evaluated against the flat arrays (which are always current), and
+/// and re-evaluated against the flat chunk (which is always current), and
 /// rows appended past the seal's coverage (the *overhang*) are evaluated
 /// flat as well. Stale hits interleave with encoded hits, so the segment's
 /// slice is re-sorted when any landed.
-fn seeded_selvec(fact: &Table, range: std::ops::Range<usize>, fp: &FactPred<'_>) -> SelVec {
+fn seeded_segment(fact: &Table, seg: &FactSegment<'_>, fp: &FactPred<'_>, rows: &mut Vec<RowId>) {
     let seed = fp.seed.as_ref().expect("caller verified the seed");
-    let has_deletes = fact.has_deletes();
-    let live = fact.live_bitmap();
-    let seg_rows = fact.segment_rows();
-    let mut rows: Vec<RowId> = Vec::new();
-    let mut r = range.start;
-    while r < range.end {
-        let seg = r / seg_rows;
-        let seg_start = seg * seg_rows;
-        let sub_end = range.end.min(seg_start + seg_rows);
-        let enc = fact.encoding(seg).and_then(|e| e.cols.get(seed.col).and_then(Option::as_ref));
-        match enc {
-            Some(enc) => {
-                let mark = rows.len();
-                let stale = fact.segment_stale(seg);
-                let enc_end = (seg_start + enc.len()).min(sub_end);
-                if r < enc_end {
-                    scan_encoded(enc, seed.lo, seed.hi, seg_start, r, enc_end, |row| {
-                        if (!has_deletes || live.get_or_false(row))
-                            && stale.binary_search(&((row - seg_start) as u32)).is_err()
-                        {
-                            rows.push(row as RowId);
-                        }
-                    });
-                }
-                // Stale rows: the flat value superseded the encoded one.
-                let mut delta_hits = false;
-                for &off in stale {
-                    let row = seg_start + off as usize;
-                    if row >= r
-                        && row < enc_end
-                        && (!has_deletes || live.get_or_false(row))
-                        && fp.pred.eval(row)
-                    {
-                        rows.push(row as RowId);
-                        delta_hits = true;
-                    }
-                }
-                // Overhang appended past the seal's coverage: always flat.
-                for row in enc_end.max(r)..sub_end {
-                    if has_deletes && !live.get_or_false(row) {
-                        continue;
-                    }
-                    if fp.pred.eval(row) {
-                        rows.push(row as RowId);
-                    }
-                }
-                if delta_hits {
-                    rows[mark..].sort_unstable();
-                }
+    let pred = fp.pred.bind(seg.index);
+    let flat = |offs: std::ops::Range<usize>, rows: &mut Vec<RowId>| {
+        rows.extend(offs.filter(|&off| seg.is_live(off) && pred.eval(off)).map(|off| seg.row(off)));
+    };
+    let enc = fact.encoding(seg.index).and_then(|e| e.cols.get(seed.col).and_then(Option::as_ref));
+    let Some(enc) = enc else {
+        flat(seg.offs.clone(), rows);
+        return;
+    };
+    let mark = rows.len();
+    let stale = fact.segment_stale(seg.index);
+    let enc_end = enc.len().min(seg.offs.end);
+    if seg.offs.start < enc_end {
+        scan_encoded(enc, seed.lo, seed.hi, seg.offs.start, enc_end, |off| {
+            if seg.is_live(off) && stale.binary_search(&(off as u32)).is_err() {
+                rows.push(seg.row(off));
             }
-            None => {
-                for row in r..sub_end {
-                    if has_deletes && !live.get_or_false(row) {
-                        continue;
-                    }
-                    if fp.pred.eval(row) {
-                        rows.push(row as RowId);
-                    }
-                }
-            }
-        }
-        r = sub_end;
+        });
     }
-    SelVec::from_rows(rows)
+    // Stale rows: the flat value superseded the encoded one.
+    let encoded_hits = rows.len();
+    for &off in stale {
+        let off = off as usize;
+        if off >= seg.offs.start && off < enc_end && seg.is_live(off) && pred.eval(off) {
+            rows.push(seg.row(off));
+        }
+    }
+    let delta_hits = rows.len() > encoded_hits;
+    // Overhang appended past the seal's coverage: always flat.
+    flat(enc_end.max(seg.offs.start)..seg.offs.end, rows);
+    if delta_hits {
+        rows[mark..].sort_unstable();
+    }
 }
 
-/// Column-wise vector-based scan (§4.1): refine per fact-local predicate
-/// (already ordered most-selective-first by the caller), then per chain
-/// check (predicate vectors before direct probes).
+/// Column-wise vector-based scan (§4.1), one segment at a time: refine per
+/// fact-local predicate (already ordered most-selective-first by the
+/// caller), then per chain check (predicate vectors before direct probes).
+/// Each predicate and check is bound to the segment's chunks once; the
+/// refinement loops then run over plain slices.
 ///
 /// When the fact table carries sealed-segment encodings and a predicate is
-/// seedable, the *first* seeded predicate builds the initial selection
-/// vector directly from the encoded form instead of refining a full range
-/// — the remaining predicates then refine only its survivors.
+/// seedable, the *first* seeded predicate builds the segment's initial
+/// selection directly from the encoded form instead of refining the full
+/// range — the remaining predicates then refine only its survivors.
 pub fn select_columnwise(
     fact: &Table,
     range: std::ops::Range<usize>,
@@ -283,32 +387,38 @@ pub fn select_columnwise(
         .iter()
         .position(|p| p.seed.is_some())
         .filter(|_| fact.encodings().iter().any(Option::is_some));
-    let mut sv = match seed_idx {
-        Some(i) => seeded_selvec(fact, range, &fact_preds[i]),
-        None => initial_selvec(fact, range),
-    };
-    for (i, p) in fact_preds.iter().enumerate() {
-        if Some(i) == seed_idx {
-            continue;
-        }
-        if sv.is_empty() {
-            break;
-        }
-        sv.refine(|r| p.pred.eval(r as usize));
-    }
     // Predicate vectors first (cheap, cache-resident), ordered densest-last.
     chains.sort_by(|a, b| {
         a.estimated_selectivity()
             .partial_cmp(&b.estimated_selectivity())
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    for c in chains.iter() {
-        if sv.is_empty() {
-            break;
+    let mut rows: Vec<RowId> = Vec::new();
+    for seg in fact_segments(fact, range) {
+        let mark = rows.len();
+        match seed_idx {
+            Some(i) => seeded_segment(fact, &seg, &fact_preds[i], &mut rows),
+            None => seg.push_live(&mut rows),
         }
-        sv.refine(|r| c.eval(r as usize));
+        let base = seg.start;
+        for (i, p) in fact_preds.iter().enumerate() {
+            if Some(i) == seed_idx {
+                continue;
+            }
+            if rows.len() == mark {
+                break;
+            }
+            let pred = p.pred.bind(seg.index);
+            refine_tail(&mut rows, mark, |r| pred.eval(r as usize - base));
+        }
+        for c in chains.iter() {
+            if rows.len() == mark {
+                break;
+            }
+            c.bind(&seg).refine(&mut rows, mark, base);
+        }
     }
-    sv
+    SelVec::from_rows(rows)
 }
 
 /// The full-materialization alternative of §4.1: "Some systems choose to
@@ -323,24 +433,26 @@ pub fn select_bitmap_and(
     fact_preds: &[FactPred<'_>],
     chains: &[ChainCheck<'_>],
 ) -> SelVec {
-    let (lo, hi) = (range.start, range.end);
-    let n = hi - lo;
-    let mut acc = if fact.has_deletes() {
-        let live = fact.live_bitmap();
-        Bitmap::from_fn(n, |i| live.get_or_false(lo + i))
-    } else {
-        Bitmap::new(n, true)
-    };
-    for p in fact_preds {
-        // Full column scan into an intermediate bitmap, then AND.
-        let bm = Bitmap::from_fn(n, |i| p.pred.eval(lo + i));
-        acc.and_assign(&bm);
+    let mut rows = Vec::new();
+    for seg in fact_segments(fact, range) {
+        let lo = seg.offs.start;
+        let n = seg.offs.len();
+        let mut acc = match seg.live {
+            Some(live) => Bitmap::from_fn(n, |i| live.get_or_false(lo + i)),
+            None => Bitmap::new(n, true),
+        };
+        for p in fact_preds {
+            // Full column scan into an intermediate bitmap, then AND.
+            let pred = p.pred.bind(seg.index);
+            acc.and_assign(&Bitmap::from_fn(n, |i| pred.eval(lo + i)));
+        }
+        for c in chains {
+            let check = c.bind(&seg);
+            acc.and_assign(&Bitmap::from_fn(n, |i| check.eval(lo + i)));
+        }
+        rows.extend(acc.iter_ones().map(|i| seg.row(lo + i)));
     }
-    for c in chains {
-        let bm = Bitmap::from_fn(n, |i| c.eval(lo + i));
-        acc.and_assign(&bm);
-    }
-    SelVec::from_rows(acc.iter_ones().map(|i| (lo + i) as RowId).collect())
+    SelVec::from_rows(rows)
 }
 
 /// Row-wise scan (the `AIRScan_R*` variants): all predicates evaluated per
@@ -351,15 +463,17 @@ pub fn select_rowwise(
     fact_preds: &[FactPred<'_>],
     chains: &[ChainCheck<'_>],
 ) -> SelVec {
-    let has_deletes = fact.has_deletes();
-    let live = fact.live_bitmap();
     let mut rows = Vec::new();
-    for r in range {
-        if has_deletes && !live.get_or_false(r) {
-            continue;
-        }
-        if fact_preds.iter().all(|p| p.pred.eval(r)) && chains.iter().all(|c| c.eval(r)) {
-            rows.push(r as RowId);
+    for seg in fact_segments(fact, range) {
+        let preds: Vec<SegPred<'_>> = fact_preds.iter().map(|p| p.pred.bind(seg.index)).collect();
+        let checks: Vec<SegChain<'_, '_>> = chains.iter().map(|c| c.bind(&seg)).collect();
+        for off in seg.offs.clone() {
+            if seg.is_live(off)
+                && preds.iter().all(|p| p.eval(off))
+                && checks.iter().all(|c| c.eval(off))
+            {
+                rows.push(seg.row(off));
+            }
         }
     }
     SelVec::from_rows(rows)

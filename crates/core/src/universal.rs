@@ -12,6 +12,7 @@
 //! positional array lookups — the paper's "scan-and-address" join.
 
 use astore_storage::catalog::Database;
+use astore_storage::chunks::Chunked;
 use astore_storage::column::Column;
 use astore_storage::table::Table;
 use astore_storage::types::{Key, NULL_KEY};
@@ -99,7 +100,7 @@ impl<'a> Universal<'a> {
 
     /// The AIR hop arrays along the path `root -> table`, in traversal
     /// order. Empty for the root itself.
-    pub fn hops_to(&self, table: &str) -> Result<Vec<&'a [Key]>, BindError> {
+    pub fn hops_to(&self, table: &str) -> Result<Vec<&'a Chunked<Key>>, BindError> {
         let path = self.graph.path(&self.root, table).ok_or_else(|| BindError::Unreachable {
             root: self.root.clone(),
             table: table.into(),
@@ -138,7 +139,7 @@ impl<'a> Universal<'a> {
 pub struct ResolvedCol<'a> {
     /// AIR hop arrays, in traversal order (empty if the column lives on the
     /// root table).
-    pub hops: Vec<&'a [Key]>,
+    pub hops: Vec<&'a Chunked<Key>>,
     /// The table the column lives on.
     pub table: &'a Table,
     /// The physical column.
@@ -153,7 +154,7 @@ impl ResolvedCol<'_> {
     pub fn locate(&self, root_row: usize) -> Option<usize> {
         let mut row = root_row;
         for keys in &self.hops {
-            let k = *keys.get(row)?;
+            let k = keys.get_checked(row)?;
             if k == NULL_KEY {
                 return None;
             }

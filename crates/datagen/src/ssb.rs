@@ -283,22 +283,22 @@ pub fn gen_date() -> Table {
         "date",
         schema,
         vec![
-            Column::I32(datekey),
+            Column::I32(datekey.into()),
             Column::Str(date_str),
             Column::Dict(DictColumn::from_values(dayofweek)),
             Column::Dict(DictColumn::from_values(month)),
-            Column::I32(year),
-            Column::I32(yearmonthnum),
+            Column::I32(year.into()),
+            Column::I32(yearmonthnum.into()),
             Column::Dict(DictColumn::from_values(yearmonth)),
-            Column::I32(daynuminweek),
-            Column::I32(daynuminmonth),
-            Column::I32(daynuminyear),
-            Column::I32(monthnuminyear),
-            Column::I32(weeknuminyear),
+            Column::I32(daynuminweek.into()),
+            Column::I32(daynuminmonth.into()),
+            Column::I32(daynuminyear.into()),
+            Column::I32(monthnuminyear.into()),
+            Column::I32(weeknuminyear.into()),
             Column::Dict(DictColumn::from_values(sellingseason)),
-            Column::I32(lastdayinweekfl),
-            Column::I32(holidayfl),
-            Column::I32(weekdayfl),
+            Column::I32(lastdayinweekfl.into()),
+            Column::I32(holidayfl.into()),
+            Column::I32(weekdayfl.into()),
         ],
     )
 }
@@ -441,30 +441,32 @@ fn gen_part(n: usize, rng: &mut SmallRng) -> Table {
             Column::Dict(DictColumn::from_values(brand1)),
             Column::Dict(DictColumn::from_values(color)),
             Column::Dict(DictColumn::from_values(ptype)),
-            Column::I32(size),
+            Column::I32(size.into()),
             Column::Dict(DictColumn::from_values(container)),
         ],
     )
 }
 
 fn gen_lineorder(sizes: SsbSizes, rng: &mut SmallRng) -> Table {
+    // Columns fill segment-sized chunks directly (what the table stores);
+    // no whole-table flat array is ever built.
     let n = sizes.lineorder;
-    let mut orderkey = Vec::with_capacity(n);
-    let mut linenumber = Vec::with_capacity(n);
-    let mut custkey = Vec::with_capacity(n);
-    let mut partkey = Vec::with_capacity(n);
-    let mut suppkey = Vec::with_capacity(n);
-    let mut orderdate = Vec::with_capacity(n);
+    let mut orderkey = ChunkedBuilder::new();
+    let mut linenumber = ChunkedBuilder::new();
+    let mut custkey = ChunkedBuilder::new();
+    let mut partkey = ChunkedBuilder::new();
+    let mut suppkey = ChunkedBuilder::new();
+    let mut orderdate = ChunkedBuilder::new();
     let mut orderpriority = Vec::with_capacity(n);
-    let mut shippriority = Vec::with_capacity(n);
-    let mut quantity = Vec::with_capacity(n);
-    let mut extendedprice = Vec::with_capacity(n);
-    let mut ordtotalprice = Vec::with_capacity(n);
-    let mut discount = Vec::with_capacity(n);
-    let mut revenue = Vec::with_capacity(n);
-    let mut supplycost = Vec::with_capacity(n);
-    let mut tax = Vec::with_capacity(n);
-    let mut commitdate = Vec::with_capacity(n);
+    let mut shippriority = ChunkedBuilder::new();
+    let mut quantity = ChunkedBuilder::new();
+    let mut extendedprice = ChunkedBuilder::new();
+    let mut ordtotalprice = ChunkedBuilder::new();
+    let mut discount = ChunkedBuilder::new();
+    let mut revenue = ChunkedBuilder::new();
+    let mut supplycost = ChunkedBuilder::new();
+    let mut tax = ChunkedBuilder::new();
+    let mut commitdate = ChunkedBuilder::new();
     let mut shipmode = Vec::with_capacity(n);
 
     let mut i = 0usize;
@@ -539,22 +541,22 @@ fn gen_lineorder(sizes: SsbSizes, rng: &mut SmallRng) -> Table {
         "lineorder",
         schema,
         vec![
-            Column::I64(orderkey),
-            Column::I32(linenumber),
-            Column::Key { target: "customer".into(), keys: custkey },
-            Column::Key { target: "part".into(), keys: partkey },
-            Column::Key { target: "supplier".into(), keys: suppkey },
-            Column::Key { target: "date".into(), keys: orderdate },
+            Column::I64(orderkey.finish()),
+            Column::I32(linenumber.finish()),
+            Column::Key { target: "customer".into(), keys: custkey.finish() },
+            Column::Key { target: "part".into(), keys: partkey.finish() },
+            Column::Key { target: "supplier".into(), keys: suppkey.finish() },
+            Column::Key { target: "date".into(), keys: orderdate.finish() },
             Column::Dict(DictColumn::from_values(orderpriority)),
-            Column::I32(shippriority),
-            Column::I32(quantity),
-            Column::I64(extendedprice),
-            Column::I64(ordtotalprice),
-            Column::I32(discount),
-            Column::I64(revenue),
-            Column::I64(supplycost),
-            Column::I32(tax),
-            Column::Key { target: "date".into(), keys: commitdate },
+            Column::I32(shippriority.finish()),
+            Column::I32(quantity.finish()),
+            Column::I64(extendedprice.finish()),
+            Column::I64(ordtotalprice.finish()),
+            Column::I32(discount.finish()),
+            Column::I64(revenue.finish()),
+            Column::I64(supplycost.finish()),
+            Column::I32(tax.finish()),
+            Column::Key { target: "date".into(), keys: commitdate.finish() },
             Column::Dict(DictColumn::from_values(shipmode)),
         ],
     )
@@ -575,16 +577,14 @@ fn intern(values: &mut Vec<String>, v: &str) -> u32 {
 /// [`DictColumn::from_values`] assigns, so a streamed column is
 /// bit-identical to the string-materialized one — without ever holding a
 /// per-row string.
-fn finish_dict(mut codes: Vec<u32>, values: Vec<String>) -> DictColumn {
+fn finish_dict(codes: Chunked<u32>, values: Vec<String>) -> DictColumn {
     let mut order: Vec<usize> = (0..values.len()).collect();
     order.sort_unstable_by(|&a, &b| values[a].cmp(&values[b]));
     let mut remap = vec![0u32; values.len()];
     for (rank, &old) in order.iter().enumerate() {
         remap[old] = rank as u32;
     }
-    for c in &mut codes {
-        *c = remap[*c as usize];
-    }
+    let codes = codes.map(|c| remap[c as usize]);
     let mut sorted = values;
     sorted.sort_unstable();
     DictColumn::from_parts(codes, astore_storage::dictionary::Dictionary::from_values(sorted))
@@ -595,24 +595,24 @@ fn finish_dict(mut codes: Vec<u32>, values: Vec<String>) -> DictColumn {
 /// directly — no per-row `String` is ever allocated for them.
 fn gen_lineorder_streaming(sizes: SsbSizes, rng: &mut SmallRng) -> Table {
     let n = sizes.lineorder;
-    let mut orderkey = Vec::with_capacity(n);
-    let mut linenumber = Vec::with_capacity(n);
-    let mut custkey = Vec::with_capacity(n);
-    let mut partkey = Vec::with_capacity(n);
-    let mut suppkey = Vec::with_capacity(n);
-    let mut orderdate = Vec::with_capacity(n);
-    let mut orderpriority = Vec::with_capacity(n);
+    let mut orderkey = ChunkedBuilder::new();
+    let mut linenumber = ChunkedBuilder::new();
+    let mut custkey = ChunkedBuilder::new();
+    let mut partkey = ChunkedBuilder::new();
+    let mut suppkey = ChunkedBuilder::new();
+    let mut orderdate = ChunkedBuilder::new();
+    let mut orderpriority = ChunkedBuilder::new();
     let mut prio_values = Vec::new();
-    let mut shippriority = Vec::with_capacity(n);
-    let mut quantity = Vec::with_capacity(n);
-    let mut extendedprice = Vec::with_capacity(n);
-    let mut ordtotalprice = Vec::with_capacity(n);
-    let mut discount = Vec::with_capacity(n);
-    let mut revenue = Vec::with_capacity(n);
-    let mut supplycost = Vec::with_capacity(n);
-    let mut tax = Vec::with_capacity(n);
-    let mut commitdate = Vec::with_capacity(n);
-    let mut shipmode = Vec::with_capacity(n);
+    let mut shippriority = ChunkedBuilder::new();
+    let mut quantity = ChunkedBuilder::new();
+    let mut extendedprice = ChunkedBuilder::new();
+    let mut ordtotalprice = ChunkedBuilder::new();
+    let mut discount = ChunkedBuilder::new();
+    let mut revenue = ChunkedBuilder::new();
+    let mut supplycost = ChunkedBuilder::new();
+    let mut tax = ChunkedBuilder::new();
+    let mut commitdate = ChunkedBuilder::new();
+    let mut shipmode = ChunkedBuilder::new();
     let mut ship_values = Vec::new();
 
     let mut i = 0usize;
@@ -681,23 +681,23 @@ fn gen_lineorder_streaming(sizes: SsbSizes, rng: &mut SmallRng) -> Table {
         "lineorder",
         schema,
         vec![
-            Column::I64(orderkey),
-            Column::I32(linenumber),
-            Column::Key { target: "customer".into(), keys: custkey },
-            Column::Key { target: "part".into(), keys: partkey },
-            Column::Key { target: "supplier".into(), keys: suppkey },
-            Column::Key { target: "date".into(), keys: orderdate },
-            Column::Dict(finish_dict(orderpriority, prio_values)),
-            Column::I32(shippriority),
-            Column::I32(quantity),
-            Column::I64(extendedprice),
-            Column::I64(ordtotalprice),
-            Column::I32(discount),
-            Column::I64(revenue),
-            Column::I64(supplycost),
-            Column::I32(tax),
-            Column::Key { target: "date".into(), keys: commitdate },
-            Column::Dict(finish_dict(shipmode, ship_values)),
+            Column::I64(orderkey.finish()),
+            Column::I32(linenumber.finish()),
+            Column::Key { target: "customer".into(), keys: custkey.finish() },
+            Column::Key { target: "part".into(), keys: partkey.finish() },
+            Column::Key { target: "supplier".into(), keys: suppkey.finish() },
+            Column::Key { target: "date".into(), keys: orderdate.finish() },
+            Column::Dict(finish_dict(orderpriority.finish(), prio_values)),
+            Column::I32(shippriority.finish()),
+            Column::I32(quantity.finish()),
+            Column::I64(extendedprice.finish()),
+            Column::I64(ordtotalprice.finish()),
+            Column::I32(discount.finish()),
+            Column::I64(revenue.finish()),
+            Column::I64(supplycost.finish()),
+            Column::I32(tax.finish()),
+            Column::Key { target: "date".into(), keys: commitdate.finish() },
+            Column::Dict(finish_dict(shipmode.finish(), ship_values)),
         ],
     )
 }

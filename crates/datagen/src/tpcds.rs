@@ -66,7 +66,7 @@ fn payload_dim(name: &str, rows: usize, rng: &mut SmallRng) -> Table {
     Table::from_columns(
         name,
         Schema::new(vec![ColumnDef::new("payload", DataType::I32)]),
-        vec![Column::I32(payload)],
+        vec![Column::I32(payload.into())],
     )
 }
 
@@ -101,7 +101,7 @@ pub fn generate(sf: f64, seed: u64) -> Database {
         let fk_name = format!("ss_{name}_sk");
         let keys: Vec<Key> = (0..n).map(|_| rng.gen_range(0..rows as u32)).collect();
         defs.push(ColumnDef::new(fk_name, DataType::Key { target: name.into() }));
-        cols.push(Column::Key { target: name.into(), keys });
+        cols.push(Column::Key { target: name.into(), keys: keys.into() });
     }
     defs.push(ColumnDef::new("ss_net_paid", DataType::I64));
     cols.push(Column::I64((0..n).map(|_| rng.gen_range(0..20_000i64)).collect()));

@@ -84,7 +84,7 @@ pub fn generate(sf: f64, seed: u64) -> Database {
         ]),
         vec![
             Column::Dict(DictColumn::from_values(n_name)),
-            Column::Key { target: "region".into(), keys: n_regionkey },
+            Column::Key { target: "region".into(), keys: n_regionkey.into() },
         ],
     );
     db.add_table(nation);
@@ -107,8 +107,8 @@ pub fn generate(sf: f64, seed: u64) -> Database {
             ColumnDef::new("c_mktsegment", DataType::Dict),
         ]),
         vec![
-            Column::Key { target: "nation".into(), keys: c_nationkey },
-            Column::F64(c_acctbal),
+            Column::Key { target: "nation".into(), keys: c_nationkey.into() },
+            Column::F64(c_acctbal.into()),
             Column::Dict(DictColumn::from_values(c_mktsegment)),
         ],
     );
@@ -131,9 +131,9 @@ pub fn generate(sf: f64, seed: u64) -> Database {
             ColumnDef::new("o_orderdate", DataType::I32),
         ]),
         vec![
-            Column::Key { target: "customer".into(), keys: o_custkey },
-            Column::I64(o_price),
-            Column::I32(o_orderdate),
+            Column::Key { target: "customer".into(), keys: o_custkey.into() },
+            Column::I64(o_price.into()),
+            Column::I32(o_orderdate.into()),
         ],
     );
     db.add_table(orders);
@@ -154,7 +154,7 @@ pub fn generate(sf: f64, seed: u64) -> Database {
             ColumnDef::new("s_acctbal", DataType::F64),
             ColumnDef::new("s_rating", DataType::I32),
         ]),
-        vec![Column::F64(s_acctbal), Column::I32(s_rating)],
+        vec![Column::F64(s_acctbal.into()), Column::I32(s_rating.into())],
     );
     db.add_table(supplier);
 
@@ -170,7 +170,7 @@ pub fn generate(sf: f64, seed: u64) -> Database {
             ColumnDef::new("p_size", DataType::I32),
             ColumnDef::new("p_retailprice", DataType::I64),
         ]),
-        vec![Column::I32(p_size), Column::I64(p_retail)],
+        vec![Column::I32(p_size.into()), Column::I64(p_retail.into())],
     );
     db.add_table(part);
 
@@ -204,13 +204,13 @@ pub fn generate(sf: f64, seed: u64) -> Database {
             ColumnDef::new("l_tax", DataType::F64),
         ]),
         vec![
-            Column::Key { target: "orders".into(), keys: l_orderkey },
-            Column::Key { target: "part".into(), keys: l_partkey },
-            Column::Key { target: "supplier".into(), keys: l_suppkey },
-            Column::I32(l_quantity),
-            Column::F64(l_extendedprice),
-            Column::F64(l_discount),
-            Column::F64(l_tax),
+            Column::Key { target: "orders".into(), keys: l_orderkey.into() },
+            Column::Key { target: "part".into(), keys: l_partkey.into() },
+            Column::Key { target: "supplier".into(), keys: l_suppkey.into() },
+            Column::I32(l_quantity.into()),
+            Column::F64(l_extendedprice.into()),
+            Column::F64(l_discount.into()),
+            Column::F64(l_tax.into()),
         ],
     );
     db.add_table(lineitem);

@@ -2,7 +2,7 @@
 //!
 //! The offline build environment precludes tokio/mio, so this crate is a
 //! small, self-contained reactor in the mio mold: a thin FFI layer over
-//! epoll (Linux) / kqueue (macOS) in [`sys`], a safe [`poller::Poller`] +
+//! epoll (Linux) / kqueue (macOS) in `sys`, a safe [`poller::Poller`] +
 //! [`poller::Waker`] on top, newline-framing byte buffers in [`buffer`],
 //! and the [`reactor::Reactor`] event loop that turns 10K+ sockets into a
 //! stream of complete frames handed to a [`reactor::Service`].
@@ -14,7 +14,7 @@
 //!   executor threads ────┴── Done::send ◄───┘   pipelining, watermarks
 //! ```
 //!
-//! Everything `unsafe` lives in [`sys`]; the rest of the crate forbids it.
+//! Everything `unsafe` lives in `sys`; the rest of the crate forbids it.
 
 #![deny(unsafe_code)] // `sys` opts back in explicitly
 pub mod buffer;

@@ -317,6 +317,10 @@ impl<S: Service> Reactor<S> {
 
     fn admit(&mut self, stream: TcpStream) -> io::Result<()> {
         stream.set_nonblocking(true)?;
+        // Responses are small frames written as they complete: with Nagle
+        // on, the tail of a pipelined batch waits out the peer's delayed
+        // ACK (~40 ms per batch). Best-effort, like the threaded front end.
+        let _ = stream.set_nodelay(true);
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
@@ -660,6 +664,26 @@ mod tests {
         let stop = reactor.stop_handle();
         let join = std::thread::spawn(move || reactor.run().unwrap());
         (addr, stop, join)
+    }
+
+    #[test]
+    fn admitted_streams_have_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut reactor =
+            Reactor::new(listener, EchoService::new(false), ReactorConfig::default()).unwrap();
+        let _client = TcpStream::connect(addr).unwrap();
+        let accepted = loop {
+            match reactor.listener.accept() {
+                Ok((stream, _)) => break stream,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::yield_now(),
+                Err(e) => panic!("accept failed: {e}"),
+            }
+        };
+        assert!(!accepted.nodelay().unwrap(), "accepted sockets start with Nagle on");
+        reactor.admit(accepted).unwrap();
+        let conn = reactor.slots[0].conn.as_ref().expect("admitted connection");
+        assert!(conn.stream.nodelay().unwrap(), "admit must set TCP_NODELAY");
     }
 
     #[test]

@@ -76,6 +76,7 @@ use std::path::Path;
 
 use astore_storage::bitmap::Bitmap;
 use astore_storage::catalog::Database;
+use astore_storage::chunks::{ChunkedBuilder, Geometry};
 use astore_storage::column::Column;
 use astore_storage::dictionary::{DictColumn, Dictionary};
 use astore_storage::encoded::{EncodedColumn, PackedInts, RleInts, SegmentEncoding};
@@ -213,7 +214,7 @@ fn encode_table_preamble(buf: &mut Vec<u8>, t: &Table) {
     encode_coldefs(buf, t);
     put_u32(buf, t.segment_rows() as u32);
     put_u64(buf, t.num_slots() as u64);
-    for w in t.live_bitmap().words() {
+    for w in t.live_bitmap().to_bitmap().words() {
         put_u64(buf, *w);
     }
     put_u32(buf, t.free_slots().len() as u32);
@@ -294,12 +295,11 @@ fn encode_zone_stats(buf: &mut Vec<u8>, zone: &SegmentZone) {
 }
 
 fn encode_segment_payload_v2(t: &Table, seg: usize) -> Vec<u8> {
-    let range = t.segment_range(seg);
     let mut buf = Vec::new();
     put_u64(&mut buf, t.zone(seg).live());
     encode_zone_stats(&mut buf, t.zone(seg));
     for i in 0..t.schema().arity() {
-        encode_column_range(&mut buf, t.column_at(i), range.clone());
+        encode_column_chunk(&mut buf, t.column_at(i), seg);
     }
     buf
 }
@@ -325,7 +325,7 @@ fn encode_segment_payload_v3(t: &Table, seg: usize) -> Vec<u8> {
     encode_zone_stats(&mut buf, t.zone(seg));
     let Some(enc) = enc else {
         for i in 0..t.schema().arity() {
-            encode_column_range(&mut buf, t.column_at(i), range.clone());
+            encode_column_chunk(&mut buf, t.column_at(i), seg);
         }
         return buf;
     };
@@ -333,7 +333,7 @@ fn encode_segment_payload_v3(t: &Table, seg: usize) -> Vec<u8> {
         match &enc.cols[i] {
             None => {
                 buf.push(ENC_RAW);
-                encode_column_range(&mut buf, t.column_at(i), range.clone());
+                encode_column_chunk(&mut buf, t.column_at(i), seg);
             }
             Some(EncodedColumn::Packed(p)) => {
                 buf.push(ENC_PACKED);
@@ -367,35 +367,37 @@ fn encode_segment_payload_v3(t: &Table, seg: usize) -> Vec<u8> {
     buf
 }
 
-fn encode_column_range(buf: &mut Vec<u8>, col: &Column, range: std::ops::Range<usize>) {
+/// Writes the raw values of `col`'s chunk of segment `seg`.
+fn encode_column_chunk(buf: &mut Vec<u8>, col: &Column, seg: usize) {
     match col {
         Column::I32(v) => {
-            for x in &v[range] {
+            for x in v.chunk(seg) {
                 buf.extend_from_slice(&x.to_le_bytes());
             }
         }
         Column::I64(v) => {
-            for x in &v[range] {
+            for x in v.chunk(seg) {
                 buf.extend_from_slice(&x.to_le_bytes());
             }
         }
         Column::F64(v) => {
-            for x in &v[range] {
+            for x in v.chunk(seg) {
                 buf.extend_from_slice(&x.to_bits().to_le_bytes());
             }
         }
         Column::Str(c) => {
-            for row in range {
-                put_str(buf, c.get(row));
+            let chunk = c.chunk(seg);
+            for off in 0..c.slots().chunk(seg).len() {
+                put_str(buf, chunk.get(off));
             }
         }
         Column::Dict(c) => {
-            for &code in &c.codes()[range] {
+            for &code in c.codes().chunk(seg) {
                 put_u32(buf, code);
             }
         }
         Column::Key { keys, .. } => {
-            for &k in &keys[range] {
+            for &k in keys.chunk(seg) {
                 put_u32(buf, k);
             }
         }
@@ -443,7 +445,7 @@ pub fn encode_snapshot_v1(db: &Database, wal_lsn: u64) -> Vec<u8> {
 fn encode_table_v1(buf: &mut Vec<u8>, t: &Table) {
     encode_coldefs(buf, t);
     put_u64(buf, t.num_slots() as u64);
-    for w in t.live_bitmap().words() {
+    for w in t.live_bitmap().to_bitmap().words() {
         put_u64(buf, *w);
     }
     put_u32(buf, t.free_slots().len() as u32);
@@ -458,7 +460,9 @@ fn encode_table_v1(buf: &mut Vec<u8>, t: &Table) {
                 put_str(buf, v);
             }
         }
-        encode_column_range(buf, col, 0..t.num_slots());
+        for seg in 0..t.segment_count() {
+            encode_column_chunk(buf, col, seg);
+        }
     }
 }
 
@@ -642,30 +646,33 @@ fn decode_dictionary(c: &mut Cursor<'_>) -> Result<Dictionary, PersistError> {
     Ok(Dictionary::from_values(values))
 }
 
-/// Per-column accumulator for segment-wise decoding.
+/// Per-column accumulator for segment-wise decoding: payloads are built
+/// directly as the table's per-segment chunks (one `extend*` call per
+/// segment hands over exactly one chunk) — no flat whole-table array.
 enum ColumnBuilder {
-    I32(Vec<i32>),
-    I64(Vec<i64>),
-    F64(Vec<f64>),
+    I32(ChunkedBuilder<i32>),
+    I64(ChunkedBuilder<i64>),
+    F64(ChunkedBuilder<f64>),
     Str(StrColumn),
-    Dict { codes: Vec<Key>, dict: Dictionary },
-    Key { target: String, keys: Vec<Key> },
+    Dict { codes: ChunkedBuilder<Key>, dict: Dictionary },
+    Key { target: String, keys: ChunkedBuilder<Key> },
 }
 
 impl ColumnBuilder {
-    fn new(dtype: &DataType, dict: Option<Dictionary>, capacity: usize) -> ColumnBuilder {
+    fn new(dtype: &DataType, dict: Option<Dictionary>, geo: Geometry) -> ColumnBuilder {
         match dtype {
-            DataType::I32 => ColumnBuilder::I32(Vec::with_capacity(capacity)),
-            DataType::I64 => ColumnBuilder::I64(Vec::with_capacity(capacity)),
-            DataType::F64 => ColumnBuilder::F64(Vec::with_capacity(capacity)),
-            DataType::Str => ColumnBuilder::Str(StrColumn::new()),
+            DataType::I32 => ColumnBuilder::I32(ChunkedBuilder::with_geometry(geo)),
+            DataType::I64 => ColumnBuilder::I64(ChunkedBuilder::with_geometry(geo)),
+            DataType::F64 => ColumnBuilder::F64(ChunkedBuilder::with_geometry(geo)),
+            DataType::Str => ColumnBuilder::Str(StrColumn::with_geometry(geo)),
             DataType::Dict => ColumnBuilder::Dict {
-                codes: Vec::with_capacity(capacity),
+                codes: ChunkedBuilder::with_geometry(geo),
                 dict: dict.expect("v2 table header carries the dictionary"),
             },
-            DataType::Key { target } => {
-                ColumnBuilder::Key { target: target.clone(), keys: Vec::with_capacity(capacity) }
-            }
+            DataType::Key { target } => ColumnBuilder::Key {
+                target: target.clone(),
+                keys: ChunkedBuilder::with_geometry(geo),
+            },
         }
     }
 
@@ -757,14 +764,14 @@ impl ColumnBuilder {
 
     fn finish(self) -> Column {
         match self {
-            ColumnBuilder::I32(v) => Column::I32(v),
-            ColumnBuilder::I64(v) => Column::I64(v),
-            ColumnBuilder::F64(v) => Column::F64(v),
+            ColumnBuilder::I32(v) => Column::I32(v.finish()),
+            ColumnBuilder::I64(v) => Column::I64(v.finish()),
+            ColumnBuilder::F64(v) => Column::F64(v.finish()),
             ColumnBuilder::Str(c) => Column::Str(c),
             ColumnBuilder::Dict { codes, dict } => {
-                Column::Dict(DictColumn::from_parts(codes, dict))
+                Column::Dict(DictColumn::from_parts(codes.finish(), dict))
             }
-            ColumnBuilder::Key { target, keys } => Column::Key { target, keys },
+            ColumnBuilder::Key { target, keys } => Column::Key { target, keys: keys.finish() },
         }
     }
 }
@@ -809,11 +816,9 @@ fn decode_table_v2(c: &mut Cursor<'_>) -> Result<Table, PersistError> {
         )));
     }
     let TableHeader { name, defs, seg_rows, nslots, live, free, dicts } = header;
-    let mut builders: Vec<ColumnBuilder> = defs
-        .iter()
-        .zip(dicts)
-        .map(|(d, dict)| ColumnBuilder::new(&d.dtype, dict, nslots))
-        .collect();
+    let geo = Geometry::new(seg_rows);
+    let mut builders: Vec<ColumnBuilder> =
+        defs.iter().zip(dicts).map(|(d, dict)| ColumnBuilder::new(&d.dtype, dict, geo)).collect();
     let mut zones = Vec::with_capacity(nsegs);
     for seg in 0..nsegs {
         let len = c.u32("segment length")? as usize;
@@ -856,11 +861,9 @@ fn decode_table_v3(c: &mut Cursor<'_>) -> Result<Table, PersistError> {
         )));
     }
     let TableHeader { name, defs, seg_rows, nslots, live, free, dicts } = header;
-    let mut builders: Vec<ColumnBuilder> = defs
-        .iter()
-        .zip(dicts)
-        .map(|(d, dict)| ColumnBuilder::new(&d.dtype, dict, nslots))
-        .collect();
+    let geo = Geometry::new(seg_rows);
+    let mut builders: Vec<ColumnBuilder> =
+        defs.iter().zip(dicts).map(|(d, dict)| ColumnBuilder::new(&d.dtype, dict, geo)).collect();
     let mut zones = Vec::with_capacity(nsegs);
     let mut encodings: Vec<Option<SegmentEncoding>> = Vec::with_capacity(nsegs);
     for seg in 0..nsegs {
@@ -1013,7 +1016,7 @@ fn decode_column_v1(
     n: usize,
 ) -> Result<Column, PersistError> {
     let dict = if *dtype == DataType::Dict { Some(decode_dictionary(c)?) } else { None };
-    let mut b = ColumnBuilder::new(dtype, dict, n);
+    let mut b = ColumnBuilder::new(dtype, dict, Geometry::default());
     b.extend(c, n)?;
     Ok(b.finish())
 }

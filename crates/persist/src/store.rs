@@ -124,29 +124,16 @@ pub fn checkpoint(
     let last = wal.last_lsn();
     // Seal before encoding so the snapshot persists the compressed segment
     // form (newly sealed segments come out dirty and re-encode; segments
-    // sealed by an earlier checkpoint stay clean and byte-reuse). In-place
-    // only — a table shared with in-flight readers is never deep-cloned
-    // for a seal; it checkpoints raw this round and seals at the next.
+    // sealed by an earlier checkpoint stay clean and byte-reuse). A table
+    // shared with in-flight readers is cloned first — pointer bumps, not
+    // row data — so readers never delay a seal.
     for name in db.table_names().to_vec() {
-        if let Some(t) = db.table_mut_in_place(&name) {
-            t.seal_segments();
-        }
+        db.table_mut(&name).expect("listed table exists").seal_segments();
     }
     let bytes = write_checkpoint(dir, db, last)?;
     wal.reset(last)?;
     for name in db.table_names().to_vec() {
-        // Flipping the clean flags is metadata only — never worth a
-        // copy-on-write deep clone under the caller's write latch. Tables
-        // with nothing dirty are skipped outright; a table still shared
-        // with in-flight readers keeps its dirty flags and is simply
-        // re-encoded in full at the next checkpoint (CPU, not
-        // correctness).
-        let dirty = db.table(&name).is_some_and(|t| t.zones().iter().any(|z| z.is_dirty()));
-        if dirty {
-            if let Some(t) = db.table_mut_in_place(&name) {
-                t.mark_segments_clean();
-            }
-        }
+        db.table_mut(&name).expect("listed table exists").mark_segments_clean();
     }
     Ok(bytes)
 }

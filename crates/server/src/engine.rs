@@ -25,12 +25,18 @@
 //! write latch is held only for the pointer swap, so readers taking
 //! snapshots never wait on statement application or WAL I/O, and an
 //! acknowledged write is always on disk before its response frame leaves.
+//! The private clone is pointer bumps, and applying a statement copies only
+//! the chunks of the segments it touches (see `astore_storage::table`), so
+//! a batch's cost does not grow with the tables it writes to.
 //! The WAL is folded back into the snapshot by `{"cmd":"checkpoint"}` or
-//! automatically once it accumulates `checkpoint_every` records; the fold
-//! encodes from a COW snapshot *outside* the commit lock, so checkpoints no
-//! longer stall writers for the duration of the encode.
+//! automatically once it accumulates `checkpoint_every` records: the
+//! committing leader only *notes* that the fold is due and the maintenance
+//! thread ([`Engine::run_maintenance`]) runs it, so no client's
+//! acknowledgement waits for a fold. The fold encodes from a COW snapshot
+//! *outside* the commit lock, so checkpoints do not stall writers either.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -134,12 +140,20 @@ pub struct Durability {
     /// Auto-checkpoint once this many records accumulate (0 = only on
     /// explicit `{"cmd":"checkpoint"}`).
     checkpoint_every: u64,
+    /// Set by the committing leader when the WAL crossed
+    /// `checkpoint_every`; consumed by [`Engine::run_maintenance`].
+    checkpoint_due: AtomicBool,
 }
 
 impl Durability {
     /// Wraps an open WAL rooted at `dir`.
     pub fn new(dir: impl Into<PathBuf>, wal: Wal, checkpoint_every: u64) -> Self {
-        Durability { dir: dir.into(), wal: Mutex::new(wal), checkpoint_every }
+        Durability {
+            dir: dir.into(),
+            wal: Mutex::new(wal),
+            checkpoint_every,
+            checkpoint_due: AtomicBool::new(false),
+        }
     }
 
     /// The data directory.
@@ -212,8 +226,7 @@ pub struct Engine {
     /// snapshot encoding or while a response is being written — WAL fsync
     /// is the only I/O under it (that *is* the commit point).
     commit_lock: Mutex<()>,
-    /// One checkpoint at a time; auto-checkpoint skips (try-lock) instead
-    /// of queueing a redundant fold behind an in-flight one.
+    /// One checkpoint at a time.
     checkpoint_lock: Mutex<()>,
 }
 
@@ -267,18 +280,12 @@ impl Engine {
         engine
     }
 
-    /// Seals every full segment in place and refreshes the
-    /// `encoded_bytes` / `raw_bytes` gauges. Boot only — once the engine is
-    /// shared, in-place mutation outside the commit lock would race the
-    /// group-commit leader; checkpoints seal under the commit lock instead.
+    /// Seals every segment that needs it and refreshes the `encoded_bytes`
+    /// / `raw_bytes` gauges. Boot only — once the engine is shared,
+    /// mutation outside the commit lock would race the group-commit leader;
+    /// checkpoints seal under the commit lock instead.
     fn seal_and_gauge(&self) {
-        self.db.write(|db| {
-            for name in db.table_names().to_vec() {
-                if let Some(t) = db.table_mut_in_place(&name) {
-                    t.seal_segments();
-                }
-            }
-        });
+        self.db.write(seal_all);
         self.gauge_footprint();
     }
 
@@ -372,18 +379,14 @@ impl Engine {
 
     /// The checkpoint body; caller holds `checkpoint_lock`.
     fn checkpoint_locked(&self, d: &Durability) -> Result<(u64, usize), String> {
-        // Phase 1 (commit lock, brief): seal in place, then fix the image
-        // and the last LSN it covers. No batch can publish between the two
-        // reads, so every statement with LSN ≤ `last` is in `snap`.
+        // Phase 1 (commit lock, brief): seal, then fix the image and the
+        // last LSN it covers. No batch can publish between the two reads,
+        // so every statement with LSN ≤ `last` is in `snap`. Readers
+        // holding the previous image do not delay the seal: a shared table
+        // is cloned (pointer bumps) and only re-sealed segments change.
         let (snap, last) = {
             let _c = self.commit_lock.lock().unwrap_or_else(|p| p.into_inner());
-            self.db.write(|db| {
-                for name in db.table_names().to_vec() {
-                    if let Some(t) = db.table_mut_in_place(&name) {
-                        t.seal_segments();
-                    }
-                }
-            });
+            self.db.write(seal_all);
             let wal = d.wal.lock().unwrap_or_else(|p| p.into_inner());
             (self.db.snapshot(), wal.last_lsn())
         };
@@ -412,13 +415,9 @@ impl Engine {
                 })
                 .cloned()
                 .collect();
-            // Both outstanding handles must go before the in-place flip can
-            // see an unshared table.
-            drop(cur);
-            drop(snap);
             self.db.write(|db| {
                 for name in &unchanged {
-                    if let Some(t) = db.table_mut_in_place(name) {
+                    if let Some(t) = db.table_mut(name) {
                         t.mark_segments_clean();
                     }
                 }
@@ -429,16 +428,21 @@ impl Engine {
         Ok((last, bytes))
     }
 
-    /// Auto-checkpoint when the WAL has accumulated enough records.
-    fn maybe_auto_checkpoint(&self) {
+    /// Is an auto-checkpoint noted as due and not yet run?
+    pub fn checkpoint_due(&self) -> bool {
+        self.durability.as_ref().is_some_and(|d| d.checkpoint_due.load(Ordering::SeqCst))
+    }
+
+    /// Runs the auto-checkpoint if one is due. The note is re-checked
+    /// against the log itself, so a note raised while the previous fold was
+    /// still encoding does not trigger a second fold over a log that fold
+    /// just truncated.
+    fn run_due_checkpoint(&self) {
         let Some(d) = &self.durability else { return };
-        if d.checkpoint_every == 0 {
+        if !d.checkpoint_due.swap(false, Ordering::SeqCst) {
             return;
         }
-        // A whole batch of writers lands here at once after a group
-        // commit; one of them folds, the rest skip (their fold would be a
-        // redundant pass over an already-truncated log).
-        let Ok(_one) = self.checkpoint_lock.try_lock() else { return };
+        let _one = self.checkpoint_lock.lock().unwrap_or_else(|p| p.into_inner());
         let due = {
             let wal = d.wal.lock().unwrap_or_else(|p| p.into_inner());
             wal.appended_since_reset() >= d.checkpoint_every
@@ -448,6 +452,15 @@ impl Engine {
                 eprintln!("auto-checkpoint failed: {e}");
             }
         }
+    }
+
+    /// One pass of background maintenance, run by the server's maintenance
+    /// thread: the auto-checkpoint if the write path noted one as due, then
+    /// one compaction pass. Returns the number of segments compaction
+    /// installed.
+    pub fn run_maintenance(&self) -> usize {
+        self.run_due_checkpoint();
+        self.run_compaction_pass()
     }
 
     /// The underlying shared database handle.
@@ -1189,7 +1202,6 @@ impl Engine {
             self.lead_commits();
         }
         let affected = slot.wait()?;
-        self.maybe_auto_checkpoint();
         Ok(Json::obj([("ok", Json::Bool(true)), ("rows_affected", Json::Int(affected as i64))]))
     }
 
@@ -1225,11 +1237,13 @@ impl Engine {
     /// apply order) is the commit point: if it errors, every applied
     /// statement is thrown away with the private clone and memory, log and
     /// clients all agree the batch never happened.
+    ///
+    /// The private clone shares every table with the published image;
+    /// applying a statement clones the written table's chunk *pointers* and
+    /// copies only the chunks of the segments it touches.
     fn commit_batch(&self, batch: Vec<PendingWrite>) {
         use std::sync::atomic::Ordering::Relaxed;
-        let base = self.db.snapshot();
-        let mut work = (*base).clone();
-        drop(base);
+        let mut work = (*self.db.snapshot()).clone();
         let mut applied: Vec<(Arc<WriteSlot>, usize)> = Vec::with_capacity(batch.len());
         let mut sqls: Vec<String> = Vec::with_capacity(batch.len());
         for pw in batch {
@@ -1258,6 +1272,11 @@ impl Engine {
                 }
                 return;
             }
+            // Only note that the fold is due: the maintenance thread runs
+            // it, so the batch's clients are acknowledged without waiting.
+            if d.checkpoint_every > 0 && wal.appended_since_reset() >= d.checkpoint_every {
+                d.checkpoint_due.store(true, Ordering::SeqCst);
+            }
         }
         work.bump_version();
         self.db.replace(Arc::new(work));
@@ -1276,12 +1295,17 @@ impl Engine {
 
     /// One background-compaction pass: find up to a handful of sealed
     /// segments whose encodings have gone stale (write-throughs) or short
-    /// (appends), re-encode them against a COW snapshot with no locks
-    /// held, and install the results under the commit lock. The per-segment
-    /// epoch fence makes a stale install a no-op: if a write slipped in
-    /// after the snapshot, [`astore_storage::table::Table::install_compacted`]
-    /// refuses and the segment is picked up again next pass. Returns the
-    /// number of segments installed.
+    /// (appends) *by enough to be worth a re-encode*
+    /// ([`astore_storage::table::Table::segment_worth_compacting`] — a
+    /// single stale row is not; checkpoints seal everything regardless),
+    /// re-encode them against a COW snapshot with no locks held, and
+    /// install the results under the commit lock. The per-segment epoch
+    /// fence makes a stale install a no-op: if a write slipped in after the
+    /// snapshot, [`astore_storage::table::Table::install_compacted`]
+    /// refuses and the segment is picked up again next pass. Readers
+    /// holding the current image never delay an install: a shared table is
+    /// cloned (pointer bumps) and only the installed segment's encoding
+    /// changes. Returns the number of segments installed.
     pub fn run_compaction_pass(&self) -> usize {
         const MAX_SEGMENTS_PER_PASS: usize = 8;
         let snap = self.db.snapshot();
@@ -1289,7 +1313,7 @@ impl Engine {
         'scan: for name in snap.table_names() {
             let Some(t) = snap.table(name) else { continue };
             for seg in 0..t.segment_count() {
-                if t.segment_needs_reseal(seg) {
+                if t.segment_worth_compacting(seg) {
                     // The heavy part, off every lock: readers and writers
                     // proceed while this encodes.
                     let enc = t.encode_segment_now(seg);
@@ -1309,13 +1333,9 @@ impl Engine {
             let _publish = self.commit_lock.lock().unwrap_or_else(|p| p.into_inner());
             self.db.write(|db| {
                 for (name, seg, epoch, enc) in encoded {
-                    // In place only: a table still shared with an in-flight
-                    // reader skips this pass rather than deep-clone.
-                    if let Some(t) = db.table_mut_in_place(&name) {
-                        if t.install_compacted(seg, enc, epoch) {
-                            installed += 1;
-                        }
-                    }
+                    let installs =
+                        db.table_mut(&name).is_some_and(|t| t.install_compacted(seg, enc, epoch));
+                    installed += usize::from(installs);
                 }
             });
         }
@@ -1326,6 +1346,13 @@ impl Engine {
             self.gauge_footprint();
         }
         installed
+    }
+}
+
+/// Seals every segment of every table that needs it.
+fn seal_all(db: &mut Database) {
+    for name in db.table_names().to_vec() {
+        db.table_mut(&name).expect("listed table exists").seal_segments();
     }
 }
 
@@ -1659,7 +1686,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_checkpoint_fires_on_record_threshold() {
+    fn auto_checkpoint_is_noted_by_the_write_and_run_by_maintenance() {
         let dir = std::env::temp_dir().join(format!("astore-engine-auto-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let seed = {
@@ -1668,15 +1695,21 @@ mod tests {
         };
         let wal = astore_persist::store::bootstrap(&dir, &seed).unwrap();
         let e = Engine::new(SharedDatabase::new(seed)).durable(Durability::new(&dir, wal, 3));
-        for _ in 0..3 {
+        let checkpoints = || e.stats().checkpoints.load(std::sync::atomic::Ordering::Relaxed);
+        for i in 0..3 {
+            assert!(!e.checkpoint_due(), "write {i} is below the threshold");
             let r = sql(&e, "INSERT INTO fact VALUES (0, 1)");
             assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
         }
-        assert_eq!(
-            e.stats().checkpoints.load(std::sync::atomic::Ordering::Relaxed),
-            1,
-            "third write crosses the threshold"
-        );
+        // The third write crossed the threshold and was acknowledged — the
+        // fold is only noted, not charged to the writer's thread.
+        assert!(e.checkpoint_due(), "third write crosses the threshold");
+        assert_eq!(checkpoints(), 0, "no fold ran on the acknowledging thread");
+        e.run_maintenance();
+        assert_eq!(checkpoints(), 1, "the maintenance pass ran the due fold");
+        assert!(!e.checkpoint_due());
+        e.run_maintenance();
+        assert_eq!(checkpoints(), 1, "nothing due, nothing folded");
         drop(e);
         let rec = astore_persist::store::open(&dir).unwrap();
         assert_eq!(rec.replayed, 0, "everything folded into the snapshot");
@@ -2149,18 +2182,28 @@ mod tests {
 
     #[test]
     fn compaction_folds_write_throughs_back_into_seals() {
+        use astore_storage::table::COMPACT_MIN_STALE;
         let e = Engine::new(SharedDatabase::new(big_db()));
-        // Boot sealed both full fact segments; a write-through leaves one
+        // Boot sealed both full fact segments; write-throughs leave one
         // encoding stale without voiding it.
         let n = 2 * SEGMENT_ROWS as i64;
         let base_sum: i64 = n * (n - 1) / 2;
-        let r = sql(&e, "UPDATE fact SET f_v = 999999 WHERE rowid = 5");
-        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
+        let update = |row: usize| {
+            let r = sql(&e, &format!("UPDATE fact SET f_v = 999999 WHERE rowid = {row}"));
+            assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
+        };
         let delta = |e: &Engine| {
             let r = e.handle_line(r#"{"cmd":"stats"}"#);
             r.get("stats").unwrap().get("delta_rows").unwrap().as_i64().unwrap()
         };
-        assert!(delta(&e) > 0, "write-through must be visible in delta_rows");
+        // Below the hysteresis threshold the delta waits (scans patch it).
+        (0..COMPACT_MIN_STALE - 1).for_each(update);
+        assert_eq!(delta(&e), COMPACT_MIN_STALE as i64 - 1, "write-throughs show in delta_rows");
+        assert_eq!(e.run_compaction_pass(), 0, "a small delta is not worth a re-encode");
+        // At the threshold it folds — while a reader holds the image the
+        // install replaces: readers never delay the compactor.
+        update(COMPACT_MIN_STALE - 1);
+        let held = e.database().snapshot();
         let mut installed = 0;
         loop {
             let k = e.run_compaction_pass();
@@ -2169,14 +2212,21 @@ mod tests {
             }
             installed += k;
         }
-        assert!(installed >= 1, "compactor re-sealed the stale segment");
+        assert!(installed >= 1, "compactor re-sealed the stale segment under a held snapshot");
         use std::sync::atomic::Ordering::Relaxed;
         assert!(e.stats().compactions.load(Relaxed) >= 1);
         assert_eq!(delta(&e), 0, "all deltas folded back");
+        let stale = COMPACT_MIN_STALE as i64;
+        assert_eq!(
+            held.table("fact").unwrap().delta_rows(),
+            stale as u64,
+            "the held image still carries its delta"
+        );
         let r = sql(&e, "SELECT sum(f_v) AS s FROM fact");
         let s =
             r.get("rows").unwrap().as_array().unwrap()[0].as_array().unwrap()[0].as_i64().unwrap();
-        assert_eq!(s, base_sum - 5 + 999999, "compaction preserved the current values");
+        let replaced: i64 = (0..stale).sum();
+        assert_eq!(s, base_sum - replaced + stale * 999999, "compaction preserved the values");
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl PriorityPool {
 
     /// Like [`PriorityPool::new`], but scan-class dequeue consults the
     /// shared core budget: while every permit is granted, queued scans are
-    /// deferred (up to [`SCAN_DEFER_MAX`]) so scan bursts cannot drain the
+    /// deferred (up to `SCAN_DEFER_MAX`) so scan bursts cannot drain the
     /// permit pool ahead of interactive statements.
     pub fn with_budget(workers: usize, queue_depth: usize, budget: Arc<CoreBudget>) -> Self {
         PriorityPool::build(workers, queue_depth, Some(budget))

@@ -232,10 +232,11 @@ pub fn start(engine: Arc<Engine>, config: ServerConfig) -> std::io::Result<Serve
             (accept, None, None)
         }
     };
-    // Background compaction: fold write-throughs on sealed segments back
-    // into their compressed form so a write-heavy phase does not slowly
-    // decay the scan path to flat evaluation. Best-effort — a spawn
-    // failure just means segments re-encode at the next checkpoint.
+    // Background maintenance: due auto-checkpoints, and compaction — fold
+    // write-throughs on sealed segments back into their compressed form so
+    // a write-heavy phase does not slowly decay the scan path to flat
+    // evaluation. Best-effort — after a spawn failure segments re-encode
+    // at the next explicit checkpoint.
     let compactor = {
         let engine = Arc::clone(&engine);
         let stop = Arc::clone(&stop);
@@ -255,12 +256,14 @@ pub fn start(engine: Arc<Engine>, config: ServerConfig) -> std::io::Result<Serve
     })
 }
 
-/// Polls for stale or short segment encodings and re-seals them. Backs off
-/// to a longer sleep when a pass finds nothing; every sleep is short enough
-/// that shutdown is prompt.
+/// The maintenance thread: runs the auto-checkpoint the write path noted as
+/// due (so no client's acknowledgement waits for a fold), then polls for
+/// stale or short segment encodings and re-seals them. Backs off to a
+/// longer sleep when a pass finds nothing; every sleep is short enough that
+/// shutdown is prompt (a checkpoint in flight finishes first).
 fn compactor_loop(engine: &Arc<Engine>, stop: &AtomicBool) {
     while !stop.load(Ordering::SeqCst) {
-        let installed = engine.run_compaction_pass();
+        let installed = engine.run_maintenance();
         let nap =
             if installed > 0 { Duration::from_millis(10) } else { Duration::from_millis(100) };
         std::thread::sleep(nap);
@@ -444,6 +447,36 @@ mod tests {
         let r = c.request(&Json::obj([("cmd", Json::Str("ping".into()))])).unwrap();
         assert_eq!(r.get("pong").unwrap().as_bool(), Some(true));
         h.shutdown();
+    }
+
+    #[test]
+    fn maintenance_thread_runs_the_auto_checkpoint_a_write_noted() {
+        use crate::engine::Durability;
+        let dir = std::env::temp_dir().join(format!("astore-serve-auto-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let seed = tiny_engine().database().snapshot().as_ref().clone();
+        let wal = astore_persist::store::bootstrap(&dir, &seed).unwrap();
+        let engine =
+            Arc::new(Engine::new(SharedDatabase::new(seed)).durable(Durability::new(&dir, wal, 2)));
+        let config = ServerConfig { addr: "127.0.0.1:0".into(), ..ServerConfig::default() };
+        let h = start(engine, config).unwrap();
+        let mut c = Client::connect(h.addr()).unwrap();
+        for _ in 0..2 {
+            let r = c.sql("INSERT INTO t VALUES (7)").unwrap();
+            assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
+        }
+        // The second write crossed `checkpoint_every` and is acknowledged;
+        // the maintenance thread picks the fold up within its poll interval.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while h.engine().stats().checkpoints.load(Ordering::Relaxed) == 0 {
+            assert!(std::time::Instant::now() < deadline, "no auto-checkpoint within 10 s");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        h.shutdown();
+        let rec = astore_persist::store::open(&dir).unwrap();
+        assert_eq!(rec.replayed, 0, "both writes were folded into the snapshot");
+        assert_eq!(rec.db.table("t").unwrap().num_live(), 12);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

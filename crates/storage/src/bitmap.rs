@@ -5,6 +5,15 @@
 //! and *delete vectors* (§4.4 — one bit per slot, `1` = slot holds a live
 //! tuple). The probe path (`get`) is branch-free and is the inner loop of
 //! the AIR scan, so it must stay cheap.
+//!
+//! A table's delete vector is a [`SegBitmap`]: the same bits cut into one
+//! `Arc`-held [`Bitmap`] per segment, so a delete or an append copies one
+//! segment's 8 KiB of bits instead of the table's whole vector (see
+//! [`crate::chunks`]).
+
+use std::sync::Arc;
+
+use crate::chunks::Geometry;
 
 /// A fixed-length bitmap packed into 64-bit words.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -186,6 +195,33 @@ impl Bitmap {
         bm
     }
 
+    /// The bits `range` as a bitmap of their own (word copy when the range
+    /// starts on a word boundary).
+    pub fn slice(&self, range: std::ops::Range<usize>) -> Bitmap {
+        assert!(range.start <= range.end && range.end <= self.len, "bit range out of bounds");
+        let n = range.len();
+        if range.start.is_multiple_of(WORD_BITS) {
+            let w0 = range.start / WORD_BITS;
+            return Bitmap::from_words(self.words[w0..w0 + n.div_ceil(WORD_BITS)].to_vec(), n);
+        }
+        Bitmap::from_fn(n, |i| self.get(range.start + i))
+    }
+
+    /// Appends all bits of `other` (word copy when `self` ends on a word
+    /// boundary).
+    pub fn extend_from(&mut self, other: &Bitmap) {
+        if self.len.is_multiple_of(WORD_BITS) {
+            self.words.extend_from_slice(&other.words);
+            self.len += other.len;
+            return;
+        }
+        let base = self.len;
+        self.resize(base + other.len, false);
+        for i in other.iter_ones() {
+            self.set(base + i, true);
+        }
+    }
+
     /// Zeroes the bits beyond `len` in the last word so `count_ones` and
     /// `not_assign` stay correct.
     fn clear_tail(&mut self) {
@@ -221,6 +257,164 @@ impl Iterator for IterOnes<'_> {
             }
             self.current = self.bm.words[self.word_idx];
         }
+    }
+}
+
+/// A bitmap cut into one `Arc`-held [`Bitmap`] per table segment — the
+/// table's live vector. Cloning bumps one reference count per segment; a
+/// write copies only the segment it lands in, and only if a snapshot shares
+/// it. The set-bit count is maintained incrementally.
+#[derive(Debug, Clone)]
+pub struct SegBitmap {
+    chunks: Vec<Arc<Bitmap>>,
+    geo: Geometry,
+    len: usize,
+    ones: usize,
+}
+
+impl SegBitmap {
+    /// An empty bitmap cut into `geo`-sized segments.
+    pub fn new(geo: Geometry) -> Self {
+        SegBitmap { chunks: Vec::new(), geo, len: 0, ones: 0 }
+    }
+
+    /// `len` bits, all `value`.
+    pub fn filled(len: usize, value: bool, geo: Geometry) -> Self {
+        let chunks = (0..geo.segments_for(len))
+            .map(|seg| Arc::new(Bitmap::new((len - seg * geo.rows()).min(geo.rows()), value)))
+            .collect();
+        SegBitmap { chunks, geo, len, ones: if value { len } else { 0 } }
+    }
+
+    /// Cuts a flat bitmap into `geo`-sized segments.
+    pub fn from_bitmap(bm: &Bitmap, geo: Geometry) -> Self {
+        let len = bm.len();
+        let chunks = (0..geo.segments_for(len))
+            .map(|seg| {
+                let start = seg * geo.rows();
+                Arc::new(bm.slice(start..(start + geo.rows()).min(len)))
+            })
+            .collect();
+        SegBitmap { chunks, geo, len, ones: bm.count_ones() }
+    }
+
+    /// Number of bits.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` if the bitmap has zero bits.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of set bits (O(1)).
+    #[inline]
+    pub fn count_ones(&self) -> usize {
+        self.ones
+    }
+
+    /// Reads bit `i`.
+    ///
+    /// # Panics
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub fn get(&self, i: usize) -> bool {
+        assert!(i < self.len, "bit index {i} out of range {}", self.len);
+        let (seg, off) = self.geo.locate(i);
+        self.chunks[seg].get(off)
+    }
+
+    /// Reads bit `i`; out-of-range reads return `false`.
+    #[inline]
+    pub fn get_or_false(&self, i: usize) -> bool {
+        if i >= self.len {
+            return false;
+        }
+        let (seg, off) = self.geo.locate(i);
+        self.chunks[seg].get_or_false(off)
+    }
+
+    /// The bits of segment `seg` (indexed by segment-local offset) — what
+    /// scans bind per segment.
+    #[inline]
+    pub fn chunk(&self, seg: usize) -> &Bitmap {
+        &self.chunks[seg]
+    }
+
+    /// Do `self` and `other` hold the same allocation for segment `seg`?
+    pub fn shares_chunk(&self, other: &SegBitmap, seg: usize) -> bool {
+        match (self.chunks.get(seg), other.chunks.get(seg)) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// Writes bit `i`, copying its segment first if a snapshot shares it.
+    pub fn set(&mut self, i: usize, value: bool) {
+        assert!(i < self.len, "bit index {i} out of range {}", self.len);
+        let (seg, off) = self.geo.locate(i);
+        let chunk = &mut self.chunks[seg];
+        if chunk.get(off) != value {
+            Arc::make_mut(chunk).set(off, value);
+            if value {
+                self.ones += 1;
+            } else {
+                self.ones -= 1;
+            }
+        }
+    }
+
+    /// Appends one bit, copying the tail segment first if a snapshot shares
+    /// it.
+    pub fn push(&mut self, value: bool) {
+        match self.chunks.last_mut() {
+            Some(tail) if tail.len() < self.geo.rows() => Arc::make_mut(tail).push(value),
+            _ => self.chunks.push(Arc::new(Bitmap::new(1, value))),
+        }
+        self.len += 1;
+        self.ones += usize::from(value);
+    }
+
+    /// The same bits as one flat [`Bitmap`].
+    pub fn to_bitmap(&self) -> Bitmap {
+        let mut out = Bitmap::new(0, false);
+        for c in &self.chunks {
+            out.extend_from(c);
+        }
+        out
+    }
+
+    /// Iterates over the indexes of set bits, in ascending order.
+    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
+        let rows = self.geo.rows();
+        self.chunks
+            .iter()
+            .enumerate()
+            .flat_map(move |(seg, c)| c.iter_ones().map(move |off| seg * rows + off))
+    }
+
+    /// Re-cuts the bitmap into `geo`-sized segments (a no-op when the
+    /// geometry is unchanged).
+    pub fn rechunk(&mut self, geo: Geometry) {
+        if geo != self.geo {
+            *self = SegBitmap::from_bitmap(&self.to_bitmap(), geo);
+        }
+    }
+}
+
+/// Bit equality (segment boundaries are not part of the value).
+impl PartialEq for SegBitmap {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len
+            && self.ones == other.ones
+            && if self.geo == other.geo {
+                self.chunks.iter().zip(&other.chunks).all(|(a, b)| a == b)
+            } else {
+                self.to_bitmap() == other.to_bitmap()
+            }
     }
 }
 
@@ -379,5 +573,63 @@ mod tests {
     fn size_bytes_tracks_words() {
         assert_eq!(Bitmap::new(64, false).size_bytes(), 8);
         assert_eq!(Bitmap::new(65, false).size_bytes(), 16);
+    }
+
+    #[test]
+    fn slice_and_extend_roundtrip_aligned_and_unaligned() {
+        let bm = Bitmap::from_fn(300, |i| i % 7 == 0 || i == 299);
+        for (a, b) in [(0, 300), (64, 200), (128, 128), (5, 77), (130, 300)] {
+            let s = bm.slice(a..b);
+            assert_eq!(s.len(), b - a);
+            for i in 0..s.len() {
+                assert_eq!(s.get(i), bm.get(a + i), "slice {a}..{b} bit {i}");
+            }
+        }
+        for cut in [0, 64, 100, 192, 300] {
+            let mut joined = bm.slice(0..cut);
+            joined.extend_from(&bm.slice(cut..300));
+            assert_eq!(joined, bm, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn seg_bitmap_matches_flat_bitmap() {
+        for rows in [4usize, 64, 100] {
+            let geo = Geometry::new(rows);
+            let flat = Bitmap::from_fn(333, |i| i % 3 != 0);
+            let mut seg = SegBitmap::from_bitmap(&flat, geo);
+            assert_eq!(seg.len(), 333);
+            assert_eq!(seg.count_ones(), flat.count_ones());
+            assert_eq!(seg.to_bitmap(), flat);
+            assert_eq!(seg.iter_ones().collect::<Vec<_>>(), flat.iter_ones().collect::<Vec<_>>());
+            assert!(!seg.get_or_false(333));
+            seg.set(0, true);
+            seg.set(1, false);
+            seg.set(1, false); // idempotent: the count must not drift
+            seg.push(true);
+            assert_eq!(seg.len(), 334);
+            assert_eq!(seg.count_ones(), seg.to_bitmap().count_ones());
+            assert!(seg.get(0) && !seg.get(1) && seg.get(333));
+            let mut other = seg.clone();
+            other.rechunk(Geometry::new(rows + 1));
+            assert_eq!(other, seg, "equality ignores segment boundaries");
+        }
+        let all = SegBitmap::filled(10, true, Geometry::new(4));
+        assert_eq!(all.count_ones(), 10);
+        assert_eq!(all.chunk(2).len(), 2);
+    }
+
+    #[test]
+    fn seg_bitmap_writes_copy_one_segment() {
+        let mut live = SegBitmap::filled(200, true, Geometry::new(64));
+        let snap = live.clone();
+        live.set(70, false);
+        assert!(live.shares_chunk(&snap, 0));
+        assert!(!live.shares_chunk(&snap, 1));
+        assert!(live.shares_chunk(&snap, 2) && live.shares_chunk(&snap, 3));
+        assert!(snap.get(70), "the snapshot keeps its bit");
+        live.push(true);
+        assert!(!live.shares_chunk(&snap, 3), "an append copies the shared tail");
+        assert!(live.shares_chunk(&snap, 0));
     }
 }

@@ -24,7 +24,10 @@ pub struct AirEdge {
 }
 
 /// A set of named tables. Tables are held behind [`Arc`] so snapshots
-/// (see [`crate::snapshot`]) are cheap copy-on-write clones.
+/// (see [`crate::snapshot`]) are cheap copy-on-write clones, and a table
+/// itself clones in O(columns × segments) pointer bumps (see
+/// [`crate::table`]), so [`Database::table_mut`] never copies row data
+/// wholesale.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: HashMap<String, Arc<Table>>,
@@ -69,18 +72,11 @@ impl Database {
         self.tables.get(name).cloned()
     }
 
-    /// Mutable access to a table; clones it first if snapshots still hold it
-    /// (copy-on-write).
+    /// Mutable access to a table. If snapshots still hold it, the table is
+    /// cloned first — pointer bumps only; the mutation then copies just the
+    /// chunks of the segments it touches (copy-on-write).
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
         self.tables.get_mut(name).map(Arc::make_mut)
-    }
-
-    /// Mutable access **only if** no snapshot shares the table — never
-    /// triggers a copy-on-write clone. For metadata-only touches (e.g.
-    /// marking segments clean after a checkpoint) that are not worth a
-    /// deep copy while readers are in flight.
-    pub fn table_mut_in_place(&mut self, name: &str) -> Option<&mut Table> {
-        self.tables.get_mut(name).and_then(Arc::get_mut)
     }
 
     /// Table names in insertion order.
@@ -172,12 +168,11 @@ impl Database {
             self.edges().into_iter().filter(|e| e.to_table == name).collect();
         for edge in inbound {
             let src = self.table_mut(&edge.from_table).unwrap();
-            if let Some(Column::Key { keys, .. }) = src_column_mut(src, &edge.column) {
-                for k in keys.iter_mut() {
-                    if *k != NULL_KEY {
-                        *k = remap.get(*k as usize).copied().flatten().unwrap_or(NULL_KEY);
-                    }
-                }
+            if let Some(Column::Key { keys, .. }) = src.column_mut(&edge.column) {
+                *keys = keys.map(|k| match k {
+                    NULL_KEY => NULL_KEY,
+                    k => remap.get(k as usize).copied().flatten().unwrap_or(NULL_KEY),
+                });
             }
             // The raw key rewrite invalidated the column's zone statistics;
             // restore exact bounds so data skipping keeps working.
@@ -207,11 +202,6 @@ impl Database {
         }
         total
     }
-}
-
-/// Helper: mutable column access by name without borrowing all of `Database`.
-fn src_column_mut<'a>(table: &'a mut Table, column: &str) -> Option<&'a mut Column> {
-    table.column_mut(column)
 }
 
 /// Validates and returns a key for indexing into a table of `n` slots,
@@ -293,7 +283,7 @@ mod tests {
         let fact = db.table("lineorder").unwrap();
         let (_, keys) = fact.column("lo_dk").unwrap().as_key().unwrap();
         // date[2] -> new slot 1, date[1] -> new slot 0.
-        assert_eq!(keys, &[NULL_KEY, 1, 0]);
+        assert_eq!(keys.to_vec(), [NULL_KEY, 1, 0]);
         assert!(db.validate_references().is_empty());
         assert_eq!(db.table("date").unwrap().num_slots(), 2);
     }

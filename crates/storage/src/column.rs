@@ -1,11 +1,14 @@
 //! The unified column representation.
 //!
 //! A table is an *array family*: a set of equal-length arrays, one per
-//! column (paper §2). [`Column`] is the sum of the physical array kinds;
-//! hot paths downcast to typed slices ([`Column::as_i32`] etc.) so scans
-//! compile to tight loops over contiguous memory, while generic code uses
-//! [`Column::get`].
+//! column (paper §2). [`Column`] is the sum of the physical array kinds.
+//! Every payload is a [`Chunked`] sequence of per-segment chunks (the unit
+//! of copy-on-write ownership, see [`crate::chunks`]): hot paths downcast to
+//! the typed payload ([`Column::as_i32`] etc.) and bind one segment's chunk
+//! as a plain slice, so scans compile to tight loops over contiguous
+//! memory, while generic code uses [`Column::get`].
 
+use crate::chunks::{Chunked, Geometry};
 use crate::dictionary::DictColumn;
 use crate::strings::StrColumn;
 use crate::types::{DataType, Key, Value};
@@ -14,11 +17,11 @@ use crate::types::{DataType, Key, Value};
 #[derive(Debug, Clone)]
 pub enum Column {
     /// 32-bit integers.
-    I32(Vec<i32>),
+    I32(Chunked<i32>),
     /// 64-bit integers.
-    I64(Vec<i64>),
+    I64(Chunked<i64>),
     /// 64-bit floats.
-    F64(Vec<f64>),
+    F64(Chunked<f64>),
     /// Variable-length strings (slot array + heap).
     Str(StrColumn),
     /// Dictionary-compressed strings.
@@ -28,20 +31,55 @@ pub enum Column {
         /// Referenced table name.
         target: String,
         /// The reference array.
-        keys: Vec<Key>,
+        keys: Chunked<Key>,
     },
 }
 
 impl Column {
-    /// Creates an empty column of the given type.
+    /// Creates an empty column of the given type in the default geometry.
     pub fn new(dtype: &DataType) -> Self {
+        Column::with_geometry(dtype, Geometry::default())
+    }
+
+    /// Creates an empty column of the given type cut into `geo`-sized
+    /// chunks.
+    pub fn with_geometry(dtype: &DataType, geo: Geometry) -> Self {
         match dtype {
-            DataType::I32 => Column::I32(Vec::new()),
-            DataType::I64 => Column::I64(Vec::new()),
-            DataType::F64 => Column::F64(Vec::new()),
-            DataType::Str => Column::Str(StrColumn::new()),
-            DataType::Dict => Column::Dict(DictColumn::new()),
-            DataType::Key { target } => Column::Key { target: target.clone(), keys: Vec::new() },
+            DataType::I32 => Column::I32(Chunked::with_geometry(geo)),
+            DataType::I64 => Column::I64(Chunked::with_geometry(geo)),
+            DataType::F64 => Column::F64(Chunked::with_geometry(geo)),
+            DataType::Str => Column::Str(StrColumn::with_geometry(geo)),
+            DataType::Dict => Column::Dict(DictColumn::with_geometry(geo)),
+            DataType::Key { target } => {
+                Column::Key { target: target.clone(), keys: Chunked::with_geometry(geo) }
+            }
+        }
+    }
+
+    /// Re-cuts the payload into `geo`-sized chunks (a no-op when the
+    /// geometry is unchanged).
+    pub fn rechunk(&mut self, geo: Geometry) {
+        match self {
+            Column::I32(v) => v.rechunk(geo),
+            Column::I64(v) => v.rechunk(geo),
+            Column::F64(v) => v.rechunk(geo),
+            Column::Str(c) => c.rechunk(geo),
+            Column::Dict(c) => c.rechunk(geo),
+            Column::Key { keys, .. } => keys.rechunk(geo),
+        }
+    }
+
+    /// Do `self` and `other` hold the same payload allocation for segment
+    /// `seg`? (The observable of copy-on-write sharing.)
+    pub fn shares_chunk(&self, other: &Column, seg: usize) -> bool {
+        match (self, other) {
+            (Column::I32(a), Column::I32(b)) => a.shares_chunk(b, seg),
+            (Column::I64(a), Column::I64(b)) => a.shares_chunk(b, seg),
+            (Column::F64(a), Column::F64(b)) => a.shares_chunk(b, seg),
+            (Column::Str(a), Column::Str(b)) => a.slots().shares_chunk(b.slots(), seg),
+            (Column::Dict(a), Column::Dict(b)) => a.codes().shares_chunk(b.codes(), seg),
+            (Column::Key { keys: a, .. }, Column::Key { keys: b, .. }) => a.shares_chunk(b, seg),
+            _ => false,
         }
     }
 
@@ -77,12 +115,12 @@ impl Column {
     /// Generic scalar access. Not for hot loops.
     pub fn get(&self, row: usize) -> Value {
         match self {
-            Column::I32(v) => Value::Int(i64::from(v[row])),
-            Column::I64(v) => Value::Int(v[row]),
-            Column::F64(v) => Value::Float(v[row]),
+            Column::I32(v) => Value::Int(i64::from(v.get(row))),
+            Column::I64(v) => Value::Int(v.get(row)),
+            Column::F64(v) => Value::Float(v.get(row)),
             Column::Str(c) => Value::Str(c.get(row).to_owned()),
             Column::Dict(c) => Value::Str(c.get(row).to_owned()),
-            Column::Key { keys, .. } => Value::Key(keys[row]),
+            Column::Key { keys, .. } => Value::Key(keys.get(row)),
         }
     }
 
@@ -112,43 +150,44 @@ impl Column {
         }
     }
 
-    /// Generic in-place overwrite of one row.
+    /// Generic in-place overwrite of one row (copies the row's chunk first
+    /// if a snapshot shares it).
     pub fn set(&mut self, row: usize, value: &Value) {
         match (self, value) {
             (Column::I32(v), Value::Int(x)) => {
-                v[row] = i32::try_from(*x).expect("i32 column overflow")
+                v.set(row, i32::try_from(*x).expect("i32 column overflow"))
             }
-            (Column::I64(v), Value::Int(x)) => v[row] = *x,
-            (Column::F64(v), Value::Float(x)) => v[row] = *x,
-            (Column::F64(v), Value::Int(x)) => v[row] = *x as f64,
+            (Column::I64(v), Value::Int(x)) => v.set(row, *x),
+            (Column::F64(v), Value::Float(x)) => v.set(row, *x),
+            (Column::F64(v), Value::Int(x)) => v.set(row, *x as f64),
             (Column::Str(c), Value::Str(s)) => c.update(row, s),
             (Column::Dict(c), Value::Str(s)) => c.update(row, s),
-            (Column::Key { keys, .. }, Value::Key(k)) => keys[row] = *k,
+            (Column::Key { keys, .. }, Value::Key(k)) => keys.set(row, *k),
             (Column::Key { keys, .. }, Value::Int(k)) => {
-                keys[row] = Key::try_from(*k).expect("key out of range")
+                keys.set(row, Key::try_from(*k).expect("key out of range"))
             }
             (col, v) => panic!("type mismatch: cannot set {v:?} in {} column", col.dtype()),
         }
     }
 
-    /// Typed view: `i32` slice.
-    pub fn as_i32(&self) -> Option<&[i32]> {
+    /// Typed view: chunked `i32` payload.
+    pub fn as_i32(&self) -> Option<&Chunked<i32>> {
         match self {
             Column::I32(v) => Some(v),
             _ => None,
         }
     }
 
-    /// Typed view: `i64` slice.
-    pub fn as_i64(&self) -> Option<&[i64]> {
+    /// Typed view: chunked `i64` payload.
+    pub fn as_i64(&self) -> Option<&Chunked<i64>> {
         match self {
             Column::I64(v) => Some(v),
             _ => None,
         }
     }
 
-    /// Typed view: `f64` slice.
-    pub fn as_f64(&self) -> Option<&[f64]> {
+    /// Typed view: chunked `f64` payload.
+    pub fn as_f64(&self) -> Option<&Chunked<f64>> {
         match self {
             Column::F64(v) => Some(v),
             _ => None,
@@ -172,7 +211,7 @@ impl Column {
     }
 
     /// Typed view: AIR (foreign key) array and its target table.
-    pub fn as_key(&self) -> Option<(&str, &[Key])> {
+    pub fn as_key(&self) -> Option<(&str, &Chunked<Key>)> {
         match self {
             Column::Key { target, keys } => Some((target, keys)),
             _ => None,
@@ -184,9 +223,9 @@ impl Column {
     #[inline]
     pub fn numeric_at(&self, row: usize) -> Option<f64> {
         match self {
-            Column::I32(v) => Some(f64::from(v[row])),
-            Column::I64(v) => Some(v[row] as f64),
-            Column::F64(v) => Some(v[row]),
+            Column::I32(v) => Some(f64::from(v.get(row))),
+            Column::I64(v) => Some(v.get(row) as f64),
+            Column::F64(v) => Some(v.get(row)),
             _ => None,
         }
     }
@@ -195,9 +234,9 @@ impl Column {
     #[inline]
     pub fn int_at(&self, row: usize) -> Option<i64> {
         match self {
-            Column::I32(v) => Some(i64::from(v[row])),
-            Column::I64(v) => Some(v[row]),
-            Column::Key { keys, .. } => Some(i64::from(keys[row])),
+            Column::I32(v) => Some(i64::from(v.get(row))),
+            Column::I64(v) => Some(v.get(row)),
+            Column::Key { keys, .. } => Some(i64::from(keys.get(row))),
             _ => None,
         }
     }
@@ -213,8 +252,8 @@ impl Column {
         }
     }
 
-    /// Reserves capacity for `additional` more rows (cheap for the append
-    /// path the paper describes in §4.4).
+    /// Reserves capacity for `additional` more rows in the tail chunk (the
+    /// append path the paper describes in §4.4).
     pub fn reserve(&mut self, additional: usize) {
         match self {
             Column::I32(v) => v.reserve(additional),
@@ -299,7 +338,7 @@ mod tests {
         let mut c = Column::new(&DataType::I32);
         c.push(&Value::Int(1));
         c.push(&Value::Int(2));
-        assert_eq!(c.as_i32(), Some(&[1, 2][..]));
+        assert_eq!(c.as_i32().map(Chunked::to_vec), Some(vec![1, 2]));
         assert!(c.as_i64().is_none());
         assert!(c.as_f64().is_none());
         assert!(c.as_key().is_none());
@@ -308,7 +347,7 @@ mod tests {
         k.push(&Value::Key(NULL_KEY));
         let (target, keys) = k.as_key().unwrap();
         assert_eq!(target, "date");
-        assert_eq!(keys, &[NULL_KEY]);
+        assert_eq!(keys.to_vec(), [NULL_KEY]);
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! the scan loop (cf. §4.2's complaint about repeated `strcmp`).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::bitmap::Bitmap;
+use crate::chunks::{Chunked, Geometry};
 use crate::types::{Key, NULL_KEY};
 
 /// An order-preserving string dictionary.
@@ -119,23 +121,32 @@ impl Dictionary {
     }
 }
 
-/// A dictionary-compressed string column: the code array plus its dictionary.
+/// A dictionary-compressed string column: the (per-segment chunked) code
+/// array plus its dictionary. The dictionary is shared by `Arc` across
+/// copy-on-write clones; interning a *new* value while a snapshot is held
+/// copies it (dictionaries are small by construction), re-using an existing
+/// value copies nothing but the written code chunk.
 #[derive(Debug, Clone)]
 pub struct DictColumn {
-    codes: Vec<Key>,
-    dict: Dictionary,
+    codes: Chunked<Key>,
+    dict: Arc<Dictionary>,
 }
 
 impl DictColumn {
     /// Encodes `input` into a new dictionary column.
     pub fn from_values<S: AsRef<str>>(input: impl IntoIterator<Item = S>) -> Self {
         let (dict, codes) = Dictionary::encode(input);
-        DictColumn { codes, dict }
+        DictColumn { codes: codes.into(), dict: Arc::new(dict) }
     }
 
     /// Creates an empty column with a dynamic dictionary.
     pub fn new() -> Self {
-        DictColumn { codes: Vec::new(), dict: Dictionary::new_dynamic() }
+        DictColumn::with_geometry(Geometry::default())
+    }
+
+    /// Creates an empty column cut into `geo`-sized code chunks.
+    pub fn with_geometry(geo: Geometry) -> Self {
+        DictColumn { codes: Chunked::with_geometry(geo), dict: Arc::new(Dictionary::new_dynamic()) }
     }
 
     /// Assembles a column from an existing code array and dictionary (used
@@ -144,7 +155,8 @@ impl DictColumn {
     ///
     /// # Panics
     /// Panics if any code is out of the dictionary's range.
-    pub fn from_parts(codes: Vec<Key>, dict: Dictionary) -> Self {
+    pub fn from_parts(codes: impl Into<Chunked<Key>>, dict: impl Into<Arc<Dictionary>>) -> Self {
+        let (codes, dict) = (codes.into(), dict.into());
         let n = dict.len() as Key;
         assert!(codes.iter().all(|&c| c < n), "code out of dictionary range");
         DictColumn { codes, dict }
@@ -164,7 +176,7 @@ impl DictColumn {
 
     /// The raw code array (the "foreign key to the dictionary").
     #[inline]
-    pub fn codes(&self) -> &[Key] {
+    pub fn codes(&self) -> &Chunked<Key> {
         &self.codes
     }
 
@@ -174,28 +186,48 @@ impl DictColumn {
         &self.dict
     }
 
+    /// The shared dictionary handle (a gathered column re-uses it instead
+    /// of copying the values).
+    pub fn dict_arc(&self) -> Arc<Dictionary> {
+        Arc::clone(&self.dict)
+    }
+
     /// Decoded value at `row`.
     #[inline]
     pub fn get(&self, row: usize) -> &str {
-        self.dict.decode(self.codes[row])
+        self.dict.decode(self.codes.get(row))
     }
 
     /// Code at `row`.
     #[inline]
     pub fn code(&self, row: usize) -> Key {
-        self.codes[row]
+        self.codes.get(row)
+    }
+
+    /// The code of `value`, interning it if new. Only a new value needs
+    /// exclusive access to the dictionary (and so may copy a shared one).
+    fn intern(&mut self, value: &str) -> Key {
+        match self.dict.code_of(value) {
+            NULL_KEY => Arc::make_mut(&mut self.dict).intern(value),
+            code => code,
+        }
     }
 
     /// Appends a value, interning it if new.
     pub fn push(&mut self, value: &str) {
-        let c = self.dict.intern(value);
+        let c = self.intern(value);
         self.codes.push(c);
     }
 
     /// In-place update of one row's value.
     pub fn update(&mut self, row: usize, value: &str) {
-        let c = self.dict.intern(value);
-        self.codes[row] = c;
+        let c = self.intern(value);
+        self.codes.set(row, c);
+    }
+
+    /// Re-cuts the code array into `geo`-sized chunks.
+    pub fn rechunk(&mut self, geo: Geometry) {
+        self.codes.rechunk(geo);
     }
 
     /// Iterates decoded values in row order.

@@ -31,8 +31,6 @@
 //! treat NULL like any other value. No special NULL path, no semantic
 //! drift from the flat evaluator.
 
-use std::ops::Range;
-
 use crate::column::Column;
 use crate::types::NULL_KEY;
 
@@ -80,7 +78,7 @@ impl PackedInts {
     }
 
     /// Reassembles a [`PackedInts`] from serialized parts (the snapshot
-    /// decoder). Every structural invariant [`PackedInts::build`]
+    /// decoder). Every structural invariant `PackedInts::build`
     /// guarantees is re-checked, so corrupt or hand-rolled bytes cannot
     /// produce a value the scan kernels would misread: the width is
     /// re-derived from `max_code`, the word count must match `len`, every
@@ -279,7 +277,7 @@ impl RleInts {
 
     /// Reassembles an [`RleInts`] from serialized parts (the snapshot
     /// decoder), re-checking the canonical-form invariants
-    /// [`RleInts::build`] guarantees: one end per value, strictly
+    /// `RleInts::build` guarantees: one end per value, strictly
     /// increasing ends, and no two adjacent runs with the same value
     /// (so a re-encode of the decoded column is byte-identical).
     pub fn from_parts(values: Vec<i64>, ends: Vec<u32>) -> Option<RleInts> {
@@ -454,28 +452,28 @@ pub fn raw_row_bytes(col: &Column) -> usize {
     }
 }
 
-/// Reads the slot range of `col` into the logical `i64` domain, or `None`
-/// for columns that have none (floats, strings).
-fn gather(col: &Column, range: Range<usize>) -> Option<Vec<i64>> {
+/// Reads `col`'s chunk of segment `seg` into the logical `i64` domain, or
+/// `None` for columns that have none (floats, strings).
+fn gather(col: &Column, seg: usize) -> Option<Vec<i64>> {
     match col {
-        Column::I32(v) => Some(v[range].iter().map(|&x| i64::from(x)).collect()),
-        Column::I64(v) => Some(v[range].to_vec()),
-        Column::Key { keys, .. } => Some(keys[range].iter().map(|&k| i64::from(k)).collect()),
-        Column::Dict(d) => Some(d.codes()[range].iter().map(|&c| i64::from(c)).collect()),
+        Column::I32(v) => Some(v.chunk(seg).iter().map(|&x| i64::from(x)).collect()),
+        Column::I64(v) => Some(v.chunk(seg).to_vec()),
+        Column::Key { keys, .. } => Some(keys.chunk(seg).iter().map(|&k| i64::from(k)).collect()),
+        Column::Dict(d) => Some(d.codes().chunk(seg).iter().map(|&c| i64::from(c)).collect()),
         Column::F64(_) | Column::Str(_) => None,
     }
 }
 
-/// Chooses and builds the encoding of one column over one segment's slot
-/// range, or `None` if no encoding is strictly smaller than the raw array.
-/// All slots in `range` are encoded, live or dead, so a decode reproduces
-/// the raw array exactly.
-pub fn encode_column(col: &Column, range: Range<usize>) -> Option<EncodedColumn> {
-    if range.is_empty() {
+/// Chooses and builds the encoding of one column over segment `seg` —
+/// straight from the segment's chunk — or `None` if no encoding is strictly
+/// smaller than the raw chunk. All slots of the segment are encoded, live
+/// or dead, so a decode reproduces the raw chunk exactly.
+pub fn encode_column(col: &Column, seg: usize) -> Option<EncodedColumn> {
+    let is_key = matches!(col, Column::Key { .. });
+    let vals = gather(col, seg)?;
+    if vals.is_empty() {
         return None;
     }
-    let is_key = matches!(col, Column::Key { .. });
-    let vals = gather(col, range)?;
     // One stats pass: run count, real bounds, NULL count (keys only).
     let mut runs = 0usize;
     let mut prev: Option<i64> = None;
@@ -519,17 +517,18 @@ pub fn encode_column(col: &Column, range: Range<usize>) -> Option<EncodedColumn>
 
 /// Builds the full per-column encoding of one segment (see
 /// [`encode_column`]); `None` entries are columns left raw.
-pub fn encode_segment(columns: &[Column], range: Range<usize>) -> SegmentEncoding {
-    SegmentEncoding { cols: columns.iter().map(|c| encode_column(c, range.clone())).collect() }
+pub fn encode_segment(columns: &[Column], seg: usize) -> SegmentEncoding {
+    SegmentEncoding { cols: columns.iter().map(|c| encode_column(c, seg)).collect() }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunks::Geometry;
     use crate::dictionary::DictColumn;
 
     fn int_col(vals: &[i64]) -> Column {
-        Column::I64(vals.to_vec())
+        Column::I64(vals.to_vec().into())
     }
 
     fn oracle(vals: &[i64], lo: i64, hi: i64) -> Vec<u32> {
@@ -549,7 +548,7 @@ mod tests {
     #[test]
     fn packed_roundtrips_every_slot() {
         let vals: Vec<i64> = (0..1000).map(|i| 1_000_000 + (i * 37) % 513).collect();
-        let enc = encode_column(&int_col(&vals), 0..vals.len()).expect("should encode");
+        let enc = encode_column(&int_col(&vals), 0).expect("should encode");
         assert_eq!(enc.len(), vals.len());
         for (i, &v) in vals.iter().enumerate() {
             assert_eq!(enc.value_at(i), v, "slot {i}");
@@ -560,8 +559,7 @@ mod tests {
     #[test]
     fn packed_guard_bit_is_always_zero() {
         let vals: Vec<i64> = (0..777).map(|i| (i * 11) % 300).collect();
-        let EncodedColumn::Packed(p) = encode_column(&int_col(&vals), 0..vals.len()).unwrap()
-        else {
+        let EncodedColumn::Packed(p) = encode_column(&int_col(&vals), 0).unwrap() else {
             panic!("expected packed")
         };
         let w = p.width() as usize;
@@ -582,7 +580,7 @@ mod tests {
             let m = 1i64 << bits;
             let vals: Vec<i64> =
                 (0..513).map(|i: i64| (i.wrapping_mul(2654435761) % m + m) % m).collect();
-            let enc = encode_column(&int_col(&vals), 0..vals.len()).expect("encodes");
+            let enc = encode_column(&int_col(&vals), 0).expect("encodes");
             for (lo, hi) in [
                 (0, m - 1),
                 (m / 4, m / 2),
@@ -601,13 +599,13 @@ mod tests {
         // A span needing > 31 data bits cannot pack; two runs won't RLE a
         // 4-row column below raw either.
         let vals = vec![0, i64::MAX, 0, i64::MAX];
-        assert_eq!(encode_column(&int_col(&vals), 0..4), None);
+        assert_eq!(encode_column(&int_col(&vals), 0), None);
     }
 
     #[test]
     fn negative_bases_work() {
         let vals: Vec<i64> = (0..200).map(|i| -500 + i * 3).collect();
-        let enc = encode_column(&int_col(&vals), 0..vals.len()).unwrap();
+        let enc = encode_column(&int_col(&vals), 0).unwrap();
         for (i, &v) in vals.iter().enumerate() {
             assert_eq!(enc.value_at(i), v);
         }
@@ -618,9 +616,9 @@ mod tests {
     fn key_nulls_map_to_top_code_order_preserved() {
         let keys: Vec<u32> =
             (0..300).map(|i| if i % 7 == 0 { NULL_KEY } else { 10 + (i % 50) }).collect();
-        let col = Column::Key { target: "d".into(), keys: keys.clone() };
+        let col = Column::Key { target: "d".into(), keys: keys.clone().into() };
         let vals: Vec<i64> = keys.iter().map(|&k| i64::from(k)).collect();
-        let EncodedColumn::Packed(p) = encode_column(&col, 0..keys.len()).unwrap() else {
+        let EncodedColumn::Packed(p) = encode_column(&col, 0).unwrap() else {
             panic!("expected packed")
         };
         assert_eq!(p.null_code(), Some(p.max_code()));
@@ -643,8 +641,8 @@ mod tests {
     #[test]
     fn all_null_key_segment() {
         let keys = vec![NULL_KEY; 64];
-        let col = Column::Key { target: "d".into(), keys };
-        let enc = encode_column(&col, 0..64).unwrap();
+        let col = Column::Key { target: "d".into(), keys: keys.into() };
+        let enc = encode_column(&col, 0).unwrap();
         for i in 0..64 {
             assert_eq!(enc.value_at(i), NULL_KEY as i64);
         }
@@ -657,7 +655,7 @@ mod tests {
     fn rle_wins_on_clustered_values() {
         // 8 long runs over 4096 rows: RLE ≈ 96 bytes vs packed ≈ 1 KiB.
         let vals: Vec<i64> = (0..4096).map(|i| i64::from(i / 512)).collect();
-        let enc = encode_column(&int_col(&vals), 0..vals.len()).unwrap();
+        let enc = encode_column(&int_col(&vals), 0).unwrap();
         let EncodedColumn::Rle(r) = &enc else { panic!("expected RLE, got {enc:?}") };
         assert_eq!(r.run_count(), 8);
         assert_eq!(enc.len(), 4096);
@@ -672,7 +670,7 @@ mod tests {
     #[test]
     fn constant_column_is_one_run() {
         let vals = vec![0i64; 1000];
-        let enc = encode_column(&int_col(&vals), 0..1000).unwrap();
+        let enc = encode_column(&int_col(&vals), 0).unwrap();
         let EncodedColumn::Rle(r) = &enc else { panic!("expected RLE") };
         assert_eq!(r.run_count(), 1);
         assert_eq!(r.ends(), &[1000]);
@@ -682,7 +680,8 @@ mod tests {
     #[test]
     fn sub_range_encoding_is_segment_relative() {
         let vals: Vec<i64> = (0..100).collect();
-        let enc = encode_column(&int_col(&vals), 40..60).unwrap();
+        let col = Column::I64(crate::chunks::Chunked::from_vec(vals, Geometry::new(20)));
+        let enc = encode_column(&col, 2).unwrap();
         assert_eq!(enc.len(), 20);
         assert_eq!(enc.value_at(0), 40);
         assert_eq!(scan(&enc, 45, 47), vec![5, 6, 7]);
@@ -690,19 +689,19 @@ mod tests {
 
     #[test]
     fn floats_and_strings_never_encode() {
-        assert_eq!(encode_column(&Column::F64(vec![1.0; 64]), 0..64), None);
+        assert_eq!(encode_column(&Column::F64(vec![1.0; 64].into()), 0), None);
         let mut s = crate::strings::StrColumn::new();
         for _ in 0..64 {
             s.push("x");
         }
-        assert_eq!(encode_column(&Column::Str(s), 0..64), None);
+        assert_eq!(encode_column(&Column::Str(s), 0), None);
     }
 
     #[test]
     fn dict_codes_pack_to_domain_width() {
         let vals: Vec<String> = (0..512).map(|i| format!("v{:02}", i % 12)).collect();
         let col = Column::Dict(DictColumn::from_values(vals.iter()));
-        let EncodedColumn::Packed(p) = encode_column(&col, 0..512).unwrap() else {
+        let EncodedColumn::Packed(p) = encode_column(&col, 0).unwrap() else {
             panic!("expected packed")
         };
         // 12 distinct codes → 4 data bits + guard = 5-bit lanes.
@@ -714,18 +713,18 @@ mod tests {
     fn i32_extremes_stay_raw() {
         // A span of u32::MAX offsets needs 32 data bits: unpackable, and
         // two runs over two rows beat nothing.
-        let col = Column::I32(vec![i32::MIN, i32::MAX]);
-        assert_eq!(encode_column(&col, 0..2), None);
+        let col = Column::I32(vec![i32::MIN, i32::MAX].into());
+        assert_eq!(encode_column(&col, 0), None);
     }
 
     #[test]
     fn encode_segment_covers_all_columns() {
         let cols = vec![
             int_col(&(0..256).map(|i| i % 7).collect::<Vec<_>>()),
-            Column::F64(vec![0.5; 256]),
+            Column::F64(vec![0.5; 256].into()),
             Column::I32((0..256).map(|_| 3).collect()),
         ];
-        let seg = encode_segment(&cols, 0..256);
+        let seg = encode_segment(&cols, 0);
         assert_eq!(seg.cols.len(), 3);
         assert!(seg.cols[0].is_some());
         assert!(seg.cols[1].is_none(), "floats stay raw");
@@ -741,7 +740,7 @@ mod tests {
         keys[200] = NULL_KEY as i64;
         let col =
             Column::Key { target: "d".into(), keys: keys.iter().map(|&k| k as u32).collect() };
-        let EncodedColumn::Packed(p) = encode_column(&col, 0..300).unwrap() else {
+        let EncodedColumn::Packed(p) = encode_column(&col, 0).unwrap() else {
             panic!("expected packed")
         };
         let rebuilt = PackedInts::from_parts(
@@ -779,7 +778,7 @@ mod tests {
     #[test]
     fn rle_from_parts_roundtrips_and_rejects_corruption() {
         let vals: Vec<i64> = (0..200).map(|i| i / 50).collect();
-        let EncodedColumn::Rle(r) = encode_column(&int_col(&vals), 0..200).unwrap() else {
+        let EncodedColumn::Rle(r) = encode_column(&int_col(&vals), 0).unwrap() else {
             panic!("expected rle")
         };
         let rebuilt = RleInts::from_parts(r.values().to_vec(), r.ends().to_vec())

@@ -16,7 +16,11 @@
 //! - [`column::Column`] — typed arrays (`i32`/`i64`/`f64`), heap-backed
 //!   varchars ([`strings::StrColumn`]), dictionary-compressed strings
 //!   ([`dictionary::DictColumn`]), and AIR key arrays;
-//! - [`bitmap::Bitmap`] — predicate vectors (§4.2) and delete vectors (§4.4);
+//! - [`chunks::Chunked`] — the physical form of every array: one
+//!   `Arc`-held chunk per table segment, the unit of copy-on-write
+//!   ownership;
+//! - [`bitmap::Bitmap`] — predicate vectors (§4.2) and delete vectors (§4.4;
+//!   per-segment as [`bitmap::SegBitmap`]);
 //! - [`selvec::SelVec`] — selection vectors for the vectorized column scan
 //!   (§4.1);
 //! - [`table::Table`] — the array family plus lazy deletion, slot reuse,
@@ -28,7 +32,8 @@
 //! - [`catalog::Database`] — named tables, AIR edge discovery, referential
 //!   validation, and consolidation;
 //! - [`snapshot::SharedDatabase`] — copy-on-write snapshots isolating OLAP
-//!   readers from concurrent updates (§4.4).
+//!   readers from concurrent updates (§4.4): a write copies the chunks of
+//!   the segments it touches, never the table.
 //!
 //! ## Example
 //!
@@ -63,7 +68,7 @@
 //!
 //! // Following the AIR resolves the join positionally.
 //! let (_, keys) = db.table("lineorder").unwrap().column("lo_dk").unwrap().as_key().unwrap();
-//! let year = db.table("date").unwrap().column("d_year").unwrap().get(keys[0] as usize);
+//! let year = db.table("date").unwrap().column("d_year").unwrap().get(keys.get(0) as usize);
 //! assert_eq!(year, Value::Int(1998));
 //! ```
 
@@ -72,6 +77,7 @@
 
 pub mod bitmap;
 pub mod catalog;
+pub mod chunks;
 pub mod column;
 pub mod dictionary;
 pub mod encoded;
@@ -84,8 +90,9 @@ pub mod types;
 
 /// Convenient glob import of the commonly used names.
 pub mod prelude {
-    pub use crate::bitmap::Bitmap;
+    pub use crate::bitmap::{Bitmap, SegBitmap};
     pub use crate::catalog::{checked_key, AirEdge, Database};
+    pub use crate::chunks::{Chunked, ChunkedBuilder, Geometry};
     pub use crate::column::Column;
     pub use crate::dictionary::{DictColumn, Dictionary};
     pub use crate::encoded::{EncodedColumn, PackedInts, RleInts, SegmentEncoding};

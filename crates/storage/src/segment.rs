@@ -1,8 +1,10 @@
 //! Fixed-size row segments and their zone maps.
 //!
-//! A [`crate::table::Table`] is physically one array family, but logically a
-//! sequence of fixed-size **segments** of [`SEGMENT_ROWS`] rows (the last
-//! one may be partial). Each segment carries a [`SegmentZone`]: per-column
+//! A [`crate::table::Table`] is one array family cut into a sequence of
+//! fixed-size **segments** of [`SEGMENT_ROWS`] rows (the last one may be
+//! partial) — the unit of data skipping, of sealing, and of copy-on-write
+//! ownership (every column stores one chunk per segment, see
+//! [`crate::chunks`]). Each segment carries a [`SegmentZone`]: per-column
 //! min/max statistics for numeric and AIR key columns, the NULL-reference
 //! count of key columns, and the segment's live-tuple count. Scans consult
 //! zone maps to *skip* whole segments whose value ranges cannot satisfy a
@@ -18,6 +20,9 @@
 //! exactly (lazily, after enough imprecise operations accumulate — see
 //! [`crate::table::Table::update`]).
 
+use std::sync::Arc;
+
+use crate::bitmap::{Bitmap, SegBitmap};
 use crate::column::Column;
 use crate::table::Schema;
 use crate::types::{DataType, Key, NULL_KEY};
@@ -102,28 +107,70 @@ impl ZoneStats {
     /// Widens the statistic to cover `col[row]`.
     #[inline]
     pub(crate) fn include(&mut self, col: &Column, row: usize) {
-        match (self, col) {
-            (ZoneStats::Untracked, _) => {}
-            (ZoneStats::Int { min, max }, Column::I32(v)) => {
-                let x = i64::from(v[row]);
+        match col {
+            Column::I32(v) => self.include_int(i64::from(v.get(row))),
+            Column::I64(v) => self.include_int(v.get(row)),
+            Column::F64(v) => self.include_float(v.get(row)),
+            Column::Key { keys, .. } => self.include_key(keys.get(row)),
+            Column::Str(_) | Column::Dict(_) => *self = ZoneStats::Untracked,
+        }
+    }
+
+    /// Widens the statistic to cover the rows of `col`'s segment `seg` whose
+    /// bit is set in `live` (the segment's slice of the live vector). One
+    /// type dispatch per (segment, column); the loops run over the bound
+    /// chunk slice.
+    fn include_chunk(&mut self, col: &Column, seg: usize, live: &Bitmap) {
+        fn live_values<'a, T: Copy>(
+            chunk: &'a [T],
+            live: &'a Bitmap,
+        ) -> impl Iterator<Item = T> + 'a {
+            chunk.iter().enumerate().filter(|&(off, _)| live.get_or_false(off)).map(|(_, &v)| v)
+        }
+        match col {
+            Column::I32(v) => {
+                live_values(v.chunk(seg), live).for_each(|x| self.include_int(i64::from(x)))
+            }
+            Column::I64(v) => live_values(v.chunk(seg), live).for_each(|x| self.include_int(x)),
+            Column::F64(v) => live_values(v.chunk(seg), live).for_each(|x| self.include_float(x)),
+            Column::Key { keys, .. } => {
+                live_values(keys.chunk(seg), live).for_each(|k| self.include_key(k))
+            }
+            Column::Str(_) | Column::Dict(_) => *self = ZoneStats::Untracked,
+        }
+    }
+
+    // A statistic of the wrong kind for the value (type drift — should not
+    // happen, schemas are fixed) stops tracking rather than prune wrongly.
+
+    #[inline]
+    fn include_int(&mut self, x: i64) {
+        match self {
+            ZoneStats::Int { min, max } => {
                 *min = (*min).min(x);
                 *max = (*max).max(x);
             }
-            (ZoneStats::Int { min, max }, Column::I64(v)) => {
-                let x = v[row];
-                *min = (*min).min(x);
-                *max = (*max).max(x);
-            }
-            (ZoneStats::Float { min, max }, Column::F64(v)) => {
-                // f64::min/max ignore NaN operands: NaN rows stay outside
-                // the bounds, which is sound (no ordered predicate matches
-                // NaN).
-                let x = v[row];
+            other => *other = ZoneStats::Untracked,
+        }
+    }
+
+    /// `f64::min`/`max` ignore NaN operands: NaN rows stay outside the
+    /// bounds, which is sound (no ordered predicate matches NaN).
+    #[inline]
+    fn include_float(&mut self, x: f64) {
+        match self {
+            ZoneStats::Float { min, max } => {
                 *min = min.min(x);
                 *max = max.max(x);
             }
-            (ZoneStats::Key { min, max, nulls }, Column::Key { keys, .. }) => {
-                let k = keys[row];
+            other => *other = ZoneStats::Untracked,
+        }
+    }
+
+    #[inline]
+    fn include_key(&mut self, k: Key) {
+        match self {
+            ZoneStats::Key { min, max, nulls } => {
                 if k == NULL_KEY {
                     *nulls += 1;
                 } else {
@@ -131,11 +178,7 @@ impl ZoneStats {
                     *max = (*max).max(k);
                 }
             }
-            (stat, _) => {
-                // Type drift (should not happen — schemas are fixed): stop
-                // tracking rather than prune wrongly.
-                *stat = ZoneStats::Untracked;
-            }
+            other => *other = ZoneStats::Untracked,
         }
     }
 }
@@ -144,7 +187,9 @@ impl ZoneStats {
 /// and the bookkeeping the persistence layer and lazy rebuilds need.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentZone {
-    stats: Vec<ZoneStats>,
+    /// `Arc`-held so a table clone shares the statistics of every segment
+    /// it does not write to (copied on the first widening after a clone).
+    stats: Arc<Vec<ZoneStats>>,
     live: u64,
     /// Mutated since this table was loaded from / checkpointed to a
     /// snapshot — an incremental checkpoint re-encodes only dirty segments.
@@ -163,7 +208,7 @@ impl SegmentZone {
     /// born dirty: they have no on-disk representation yet.
     pub fn new(schema: &Schema) -> SegmentZone {
         SegmentZone {
-            stats: schema.defs().iter().map(|d| ZoneStats::new_for(&d.dtype)).collect(),
+            stats: Arc::new(schema.defs().iter().map(|d| ZoneStats::new_for(&d.dtype)).collect()),
             live: 0,
             dirty: true,
             imprecise: 0,
@@ -171,22 +216,18 @@ impl SegmentZone {
         }
     }
 
-    /// Rebuilds a zone exactly from the segment's live rows.
+    /// Rebuilds the zone of segment `seg` exactly from its live rows.
     pub(crate) fn rebuild(
         schema: &Schema,
         columns: &[Column],
-        live: &crate::bitmap::Bitmap,
-        range: std::ops::Range<usize>,
+        live: &SegBitmap,
+        seg: usize,
     ) -> SegmentZone {
+        let live = live.chunk(seg);
         let mut zone = SegmentZone::new(schema);
-        for row in range {
-            if !live.get_or_false(row) {
-                continue;
-            }
-            zone.live += 1;
-            for (stat, col) in zone.stats.iter_mut().zip(columns) {
-                stat.include(col, row);
-            }
+        zone.live = live.count_ones() as u64;
+        for (stat, col) in Arc::make_mut(&mut zone.stats).iter_mut().zip(columns) {
+            stat.include_chunk(col, seg, live);
         }
         zone
     }
@@ -195,7 +236,7 @@ impl SegmentZone {
     /// Loaded zones are clean: their on-disk representation is the file they
     /// came from.
     pub fn from_parts(stats: Vec<ZoneStats>, live: u64) -> SegmentZone {
-        SegmentZone { stats, live, dirty: false, imprecise: 0, decayed: 0 }
+        SegmentZone { stats: Arc::new(stats), live, dirty: false, imprecise: 0, decayed: 0 }
     }
 
     /// Per-column statistics, in schema order.
@@ -234,7 +275,7 @@ impl SegmentZone {
     pub(crate) fn note_append(&mut self, columns: &[Column], row: usize) {
         self.live += 1;
         self.dirty = true;
-        for (stat, col) in self.stats.iter_mut().zip(columns) {
+        for (stat, col) in Arc::make_mut(&mut self.stats).iter_mut().zip(columns) {
             stat.include(col, row);
         }
     }
@@ -251,7 +292,7 @@ impl SegmentZone {
     pub(crate) fn note_update(&mut self, col_idx: usize, columns: &[Column], row: usize) -> u32 {
         self.dirty = true;
         self.imprecise += 1;
-        self.stats[col_idx].include(&columns[col_idx], row);
+        Arc::make_mut(&mut self.stats)[col_idx].include(&columns[col_idx], row);
         self.imprecise
     }
 
@@ -275,7 +316,7 @@ impl SegmentZone {
     /// Stops tracking one column (a caller obtained raw mutable access to
     /// it, so its bounds can no longer be trusted).
     pub(crate) fn untrack_column(&mut self, col_idx: usize) {
-        self.stats[col_idx] = ZoneStats::Untracked;
+        Arc::make_mut(&mut self.stats)[col_idx] = ZoneStats::Untracked;
         self.dirty = true;
     }
 }
@@ -283,7 +324,7 @@ impl SegmentZone {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitmap::Bitmap;
+    use crate::chunks::Geometry;
     use crate::table::ColumnDef;
 
     #[test]
@@ -296,14 +337,14 @@ mod tests {
 
     #[test]
     fn include_widens_int_and_float() {
-        let col = Column::I32(vec![5, -3, 9]);
+        let col = Column::I32(vec![5, -3, 9].into());
         let mut s = ZoneStats::new_for(&DataType::I32);
         for r in 0..3 {
             s.include(&col, r);
         }
         assert_eq!(s, ZoneStats::Int { min: -3, max: 9 });
 
-        let col = Column::F64(vec![1.5, f64::NAN, -2.0]);
+        let col = Column::F64(vec![1.5, f64::NAN, -2.0].into());
         let mut s = ZoneStats::new_for(&DataType::F64);
         for r in 0..3 {
             s.include(&col, r);
@@ -313,7 +354,7 @@ mod tests {
 
     #[test]
     fn include_counts_key_nulls() {
-        let col = Column::Key { target: "d".into(), keys: vec![7, NULL_KEY, 3, NULL_KEY] };
+        let col = Column::Key { target: "d".into(), keys: vec![7, NULL_KEY, 3, NULL_KEY].into() };
         let mut s = ZoneStats::new_for(&DataType::Key { target: "d".into() });
         for r in 0..4 {
             s.include(&col, r);
@@ -324,10 +365,10 @@ mod tests {
     #[test]
     fn rebuild_skips_dead_rows() {
         let schema = Schema::new(vec![ColumnDef::new("v", DataType::I64)]);
-        let columns = vec![Column::I64(vec![10, 999, 20])];
-        let mut live = Bitmap::new(3, true);
+        let columns = vec![Column::I64(vec![10, 999, 20].into())];
+        let mut live = SegBitmap::filled(3, true, Geometry::default());
         live.set(1, false);
-        let zone = SegmentZone::rebuild(&schema, &columns, &live, 0..3);
+        let zone = SegmentZone::rebuild(&schema, &columns, &live, 0);
         assert_eq!(zone.live(), 2);
         assert_eq!(zone.stat(0), &ZoneStats::Int { min: 10, max: 20 });
         assert!(zone.is_dirty(), "rebuilt zones have no on-disk backing");

@@ -1,19 +1,34 @@
 //! Copy-on-write snapshots for concurrent OLTP + OLAP (paper §4.4).
 //!
 //! The paper sketches a Hyper-style MVCC where "a copy-on-write mechanism
-//! … isolate\[s\] OLTP and OLAP workloads". We realise the same property at
-//! two levels of granularity:
+//! … isolate\[s\] OLTP and OLAP workloads". We realise the same property
+//! at three levels of granularity, each an `Arc`:
 //!
-//! - the catalog itself lives behind an `Arc<Database>`, so taking a
-//!   snapshot is a single reference-count bump — **no allocation, no table
-//!   map copy** on the read path;
-//! - inside a [`Database`], tables are `Arc`-shared, so a writer that runs
-//!   while snapshots are outstanding clones only the catalog map
+//! - the **catalog** lives behind an `Arc<Database>`, so taking a snapshot
+//!   is a single reference-count bump — no allocation, no table map copy on
+//!   the read path;
+//! - inside a [`Database`], **tables** are `Arc`-shared, so a writer that
+//!   runs while snapshots are outstanding clones only the catalog map
 //!   (`Arc::make_mut` on the database) and the tables it actually touches
-//!   (`Arc::make_mut` per table).
+//!   (`Arc::make_mut` per table);
+//! - inside a [`Table`], the **segment** is the unit of ownership: every
+//!   column's payload is a sequence of `Arc`-held per-segment chunks, next
+//!   to the segment's live bits, zone statistics, encoding and stale list
+//!   (see [`crate::table`], [`crate::chunks`]). Cloning a table is
+//!   O(columns × segments) pointer bumps and copies no row data.
+//!
+//! **What a write copies.** Only what it touches, and only if a snapshot
+//! still shares it: an `UPDATE` of one field copies that column's chunk of
+//! one segment; an `INSERT` copies the tail segment's chunks; a `DELETE`
+//! copies one segment's live bits. Every other chunk stays
+//! pointer-identical between the old image and the new one, so the cost of
+//! a committed write is bounded by the segments it touches and does not
+//! grow with the table. With no snapshot outstanding nothing is shared and
+//! the same code path writes in place — there is no separate in-place mode.
 //!
 //! Readers therefore observe a stable, consistent image for the whole
-//! duration of a query, while writers proceed without blocking on them.
+//! duration of a query, while writers proceed without blocking on them —
+//! and without paying for the readers' existence with a table copy.
 //! The write latch serialises writers and snapshot acquisition only; it is
 //! never held while a query runs.
 
@@ -54,8 +69,8 @@ impl SharedDatabase {
     ///
     /// Poisoning is recovered from (availability over strictness), so a
     /// closure that *panics* mid-mutation can leave a partially applied
-    /// write visible when no snapshot was outstanding (in-place
-    /// `Arc::make_mut` path). Callers that cannot tolerate this must
+    /// write visible when no snapshot was outstanding (nothing was shared,
+    /// so the write landed in place). Callers that cannot tolerate this must
     /// validate before mutating — the serving layer
     /// (`astore-server`) does exactly that.
     pub fn write<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
@@ -169,11 +184,111 @@ mod tests {
     #[test]
     fn writes_without_snapshot_do_not_copy() {
         let shared = shared_dim();
-        // No snapshot outstanding: make_mut mutates in place. (Behavioural
-        // check: values observable after write.)
+        // No snapshot outstanding: nothing is shared, so the write lands in
+        // place — the same `Arc<Table>` serves the next snapshot.
+        let addr = Arc::as_ptr(&shared.snapshot().table_arc("dim").unwrap());
         shared.insert("dim", &[Value::Int(123)]);
         let snap = shared.snapshot();
+        assert_eq!(Arc::as_ptr(&snap.table_arc("dim").unwrap()), addr);
         assert_eq!(snap.table("dim").unwrap().num_live(), 5);
+    }
+
+    /// A fact-like table of `segs` full 64-row segments plus a partial
+    /// tail, with one column of every kind.
+    fn wide_shared(segs: usize) -> SharedDatabase {
+        let mut t = Table::new(
+            "fact",
+            Schema::new(vec![
+                ColumnDef::new("k", DataType::Key { target: "dim".into() }),
+                ColumnDef::new("i", DataType::I32),
+                ColumnDef::new("l", DataType::I64),
+                ColumnDef::new("f", DataType::F64),
+                ColumnDef::new("d", DataType::Dict),
+                ColumnDef::new("s", DataType::Str),
+            ]),
+        );
+        t.set_segment_rows(64);
+        for r in 0..(segs * 64 + 10) as i64 {
+            t.append_row(&[
+                Value::Key((r % 7) as u32),
+                Value::Int(r % 100),
+                Value::Int(r * 3),
+                Value::Float(r as f64 / 2.0),
+                Value::Str(format!("v{}", r % 5)),
+                Value::Str(format!("row{r}")),
+            ]);
+        }
+        t.seal_segments();
+        let mut db = Database::new();
+        db.add_table(t);
+        SharedDatabase::new(db)
+    }
+
+    /// The `(column, segment)` payload chunks and the live-bit segments the
+    /// new image no longer shares with the old one.
+    fn unshared(old: &Table, new: &Table) -> (Vec<(usize, usize)>, Vec<usize>) {
+        let segs = old.segment_count().max(new.segment_count());
+        let mut cols = Vec::new();
+        for c in 0..old.schema().arity() {
+            for seg in 0..segs {
+                if !new.column_at(c).shares_chunk(old.column_at(c), seg) {
+                    cols.push((c, seg));
+                }
+            }
+        }
+        let live = (0..segs)
+            .filter(|&seg| !new.live_bitmap().shares_chunk(old.live_bitmap(), seg))
+            .collect();
+        (cols, live)
+    }
+
+    #[test]
+    fn a_write_copies_only_the_chunks_it_touches_whatever_the_table_size() {
+        // Same writes against an 8-segment and a 64-segment table: the set
+        // of copied chunks must depend on the touched rows only.
+        for segs in [8usize, 64] {
+            let shared = wide_shared(segs);
+            let tail = segs; // the partial segment after `segs` full ones
+
+            // UPDATE of one field: exactly that column's chunk of the row's
+            // segment — here column `l` (position 2), row 70 (segment 1).
+            let held = shared.snapshot();
+            shared.update("fact", 70, "l", &Value::Int(-1));
+            let now = shared.snapshot();
+            let (cols, live) = unshared(held.table("fact").unwrap(), now.table("fact").unwrap());
+            assert_eq!(cols, vec![(2, 1)], "segs={segs}: update copies one chunk");
+            assert!(live.is_empty(), "segs={segs}: update leaves the live bits shared");
+            assert_eq!(held.table("fact").unwrap().row(70)[2], Value::Int(210));
+            assert_eq!(now.table("fact").unwrap().row(70)[2], Value::Int(-1));
+
+            // INSERT (append): every column's tail chunk and the tail's
+            // live bits, nothing else.
+            let held = shared.snapshot();
+            let row = held.table("fact").unwrap().row(0);
+            shared.insert("fact", &row);
+            let now = shared.snapshot();
+            let (cols, live) = unshared(held.table("fact").unwrap(), now.table("fact").unwrap());
+            assert_eq!(cols, (0..6).map(|c| (c, tail)).collect::<Vec<_>>(), "segs={segs}");
+            assert_eq!(live, vec![tail], "segs={segs}");
+            assert_eq!(held.table("fact").unwrap().num_slots(), segs * 64 + 10);
+
+            // DELETE: one segment's live bits, no payload chunk.
+            let held = shared.snapshot();
+            shared.delete("fact", 130);
+            let now = shared.snapshot();
+            let (cols, live) = unshared(held.table("fact").unwrap(), now.table("fact").unwrap());
+            assert!(cols.is_empty(), "segs={segs}: delete copies no payload");
+            assert_eq!(live, vec![2], "segs={segs}");
+            assert!(held.table("fact").unwrap().is_live(130));
+
+            // INSERT reusing the dead slot: that slot's segment only.
+            let held = shared.snapshot();
+            assert_eq!(shared.insert("fact", &row), 130);
+            let now = shared.snapshot();
+            let (cols, live) = unshared(held.table("fact").unwrap(), now.table("fact").unwrap());
+            assert_eq!(cols, (0..6).map(|c| (c, 2)).collect::<Vec<_>>(), "segs={segs}");
+            assert_eq!(live, vec![2], "segs={segs}");
+        }
     }
 
     #[test]

@@ -7,8 +7,18 @@
 //! position while the bytes live in an append-only heap, which is also what
 //! makes *in-place update* (§4.4) possible: an update appends new bytes and
 //! swaps the slot reference without touching neighbouring tuples.
+//!
+//! Under copy-on-write (see [`crate::chunks`]) the slot array is chunked per
+//! segment like every other column, and the heap is shared by `Arc`: a
+//! string write while a snapshot is held copies one slot chunk plus the
+//! heap's *active* slab (at most 1 MiB) — frozen slabs are immutable and
+//! only ever reference-counted.
+
+use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
+
+use crate::chunks::{Chunked, Geometry};
 
 /// A fixed-width reference into a [`StrHeap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,18 +90,39 @@ impl StrHeap {
     }
 }
 
-/// A string column: an aligned array of fixed-width [`StrRef`] slots plus the
-/// shared heap.
+/// A string column: an aligned (per-segment chunked) array of fixed-width
+/// [`StrRef`] slots plus the shared heap.
 #[derive(Debug, Clone, Default)]
 pub struct StrColumn {
-    slots: Vec<StrRef>,
-    heap: StrHeap,
+    slots: Chunked<StrRef>,
+    heap: Arc<StrHeap>,
+}
+
+/// One segment of a [`StrColumn`]: its slot chunk plus the heap the slots
+/// point into. Indexed by segment-local offset.
+#[derive(Debug, Clone, Copy)]
+pub struct StrChunk<'a> {
+    slots: &'a [StrRef],
+    heap: &'a StrHeap,
+}
+
+impl<'a> StrChunk<'a> {
+    /// Reads the value at segment-local offset `off`.
+    #[inline]
+    pub fn get(&self, off: usize) -> &'a str {
+        self.heap.get(self.slots[off])
+    }
 }
 
 impl StrColumn {
     /// Creates an empty column.
     pub fn new() -> Self {
         StrColumn::default()
+    }
+
+    /// Creates an empty column cut into `geo`-sized slot chunks.
+    pub fn with_geometry(geo: Geometry) -> Self {
+        StrColumn { slots: Chunked::with_geometry(geo), heap: Arc::default() }
     }
 
     /// Creates a column from an iterator of strings.
@@ -118,7 +149,7 @@ impl StrColumn {
 
     /// Appends a value, returning its slot index.
     pub fn push(&mut self, s: &str) -> usize {
-        let r = self.heap.push(s);
+        let r = Arc::make_mut(&mut self.heap).push(s);
         self.slots.push(r);
         self.slots.len() - 1
     }
@@ -126,14 +157,31 @@ impl StrColumn {
     /// Reads the value at `row`.
     #[inline]
     pub fn get(&self, row: usize) -> &str {
-        self.heap.get(self.slots[row])
+        self.heap.get(self.slots.get(row))
+    }
+
+    /// The slots of segment `seg` bound to the heap.
+    #[inline]
+    pub fn chunk(&self, seg: usize) -> StrChunk<'_> {
+        StrChunk { slots: self.slots.chunk(seg), heap: &self.heap }
+    }
+
+    /// The slot array (chunk-sharing diagnostics; values go through
+    /// [`StrColumn::get`]).
+    pub fn slots(&self) -> &Chunked<StrRef> {
+        &self.slots
     }
 
     /// In-place update (§4.4): the new bytes go to the heap; only this slot's
     /// reference changes, so inbound AIR references remain valid.
     pub fn update(&mut self, row: usize, s: &str) {
-        let r = self.heap.push(s);
-        self.slots[row] = r;
+        let r = Arc::make_mut(&mut self.heap).push(s);
+        self.slots.set(row, r);
+    }
+
+    /// Re-cuts the slot array into `geo`-sized chunks.
+    pub fn rechunk(&mut self, geo: Geometry) {
+        self.slots.rechunk(geo);
     }
 
     /// Heap bytes in use (live + superseded).

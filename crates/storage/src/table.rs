@@ -8,14 +8,41 @@
 //! No primary-key column is ever materialized. A [`Table`] additionally
 //! carries a *live bitmap* (the inverse of the paper's §4.4 delete vector)
 //! and a free-slot list enabling slot reuse for dimension tables.
+//!
+//! ## Ownership: the segment is the unit of copy-on-write
+//!
+//! The array family is cut into fixed-size segments, and everything a
+//! segment owns is held by its own `Arc`: one payload chunk per column
+//! ([`crate::chunks::Chunked`]), its slice of the live bitmap
+//! ([`crate::bitmap::SegBitmap`]), its zone statistics, its sealed encoding
+//! and its stale-row list. Table-wide state that writes touch — string
+//! heaps, dictionaries, the free-slot list, the schema — is `Arc`-shared
+//! the same way. Cloning a `Table` (what a writer does while any snapshot
+//! holds the current image, see [`crate::snapshot`]) is therefore
+//! O(columns × segments) reference-count bumps and copies no row data.
+//! What a write then copies, if and only if a snapshot still shares it:
+//!
+//! | write | copied |
+//! |---|---|
+//! | `update` of one field | that column's chunk of the row's segment (+ the segment's stale list; a string value: the heap's active slab, ≤ 1 MiB; a *new* dictionary value: the dictionary) |
+//! | `append_row` / `insert` at the end | every column's chunk of the **tail** segment and the tail's live bits |
+//! | `insert` reusing a dead slot | every column's chunk of that slot's segment, its live bits, the free-slot list |
+//! | `delete` | the row's segment's live bits (8 KiB) and the free-slot list |
+//!
+//! Nothing a write copies grows with the number of segments, so the cost of
+//! a committed write is bounded by the segments it touches, not by the
+//! table's size. Every other chunk stays pointer-identical between the old
+//! image and the new one ([`crate::column::Column::shares_chunk`] observes
+//! it).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::bitmap::Bitmap;
+use crate::bitmap::{Bitmap, SegBitmap};
+use crate::chunks::Geometry;
 use crate::column::Column;
 use crate::encoded::{encode_segment, SegmentEncoding};
-use crate::segment::{SegmentZone, DECAY_REBUILD_AFTER_OPS, REBUILD_AFTER_OPS, SEGMENT_ROWS};
+use crate::segment::{SegmentZone, DECAY_REBUILD_AFTER_OPS, REBUILD_AFTER_OPS};
 use crate::selvec::SelVec;
 use crate::types::{DataType, RowId, Value};
 
@@ -83,17 +110,33 @@ impl Schema {
 /// dead weight and the segment reverts to flat until the next seal.
 pub const STALE_LIMIT: usize = 1024;
 
+/// The smallest delta worth a background re-encode of its segment (see
+/// [`Table::segment_worth_compacting`]): an eighth of [`STALE_LIMIT`] stale
+/// rows. Re-encoding costs a full pass over the segment however few rows
+/// changed, so folding a single stale row per pass turns a steady writer
+/// into a permanent re-encode loop whose installs the epoch fence mostly
+/// refuses.
+pub const COMPACT_MIN_STALE: usize = STALE_LIMIT / 8;
+
+/// The smallest appended overhang (rows past a seal's coverage) worth a
+/// background re-encode while the segment is still filling; a *completed*
+/// segment is always worth it — its overhang will never grow again.
+pub const COMPACT_MIN_OVERHANG: usize = 4096;
+
 /// Per-segment delta bookkeeping layered over a sealed encoding. Writes go
-/// *through* to the flat arrays (which are therefore always current);
+/// *through* to the flat chunks (which are therefore always current);
 /// `stale` records the segment-local offsets whose encoded value was
-/// superseded, so scans can patch encoded results from the flat arrays
+/// superseded, so scans can patch encoded results from the flat chunks
 /// instead of unsealing the whole segment. `epoch` advances on every value
 /// write covered by the seal and fences concurrent compaction installs: a
 /// compactor that encoded the segment at epoch `e` may only install its
 /// result while the epoch is still `e`.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentDelta {
-    stale: Vec<u32>,
+    /// `Arc`-held like every per-segment payload: a table clone shares it,
+    /// the first stale write after the clone copies it (≤ [`STALE_LIMIT`]
+    /// offsets).
+    stale: Arc<Vec<u32>>,
     epoch: u64,
 }
 
@@ -101,35 +144,36 @@ pub struct SegmentDelta {
 fn fresh_delta(next_epoch: &mut u64) -> SegmentDelta {
     let epoch = *next_epoch;
     *next_epoch += 1;
-    SegmentDelta { stale: Vec::new(), epoch }
+    SegmentDelta { stale: Arc::default(), epoch }
 }
 
-/// A relational table stored as an array family, logically partitioned
-/// into fixed-size segments with zone maps (see [`crate::segment`]).
+/// A relational table stored as an array family cut into fixed-size
+/// segments with zone maps (see [`crate::segment`]); the segment is the
+/// unit of copy-on-write ownership (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
-    schema: Schema,
+    schema: Arc<Schema>,
+    /// One chunked payload per column; all cut by `geo`.
     columns: Vec<Column>,
     /// Bit `i` = slot `i` holds a live tuple. The complement is the paper's
     /// delete vector.
-    live: Bitmap,
+    live: SegBitmap,
     /// Dead slots available for reuse by inserts (paper §4.4: "The position
     /// of a deleted tuple will later be reused by a newly inserted tuple").
-    free: Vec<RowId>,
-    /// Rows per segment (fixed per table; default [`SEGMENT_ROWS`]).
-    seg_rows: usize,
-    /// One zone map per segment; `zones.len() == num_slots().div_ceil(seg_rows)`.
+    free: Arc<Vec<RowId>>,
+    /// The segment geometry (fixed per table; default
+    /// [`crate::segment::SEGMENT_ROWS`] rows).
+    geo: Geometry,
+    /// One zone map per segment; `zones.len() == geo.segments_for(num_slots())`.
     zones: Vec<SegmentZone>,
     /// One optional encoding per segment, parallel to `zones`. `Some` means
     /// the segment is *sealed*: its columns were re-represented in
     /// compressed form (see [`crate::encoded`]) and scans may read the
-    /// encoded words instead of the raw arrays. Value mutations no longer
-    /// unseal the segment: they write through to the flat arrays and record
+    /// encoded words instead of the raw chunks. Value mutations no longer
+    /// unseal the segment: they write through to the flat chunks and record
     /// the row in the segment's [`SegmentDelta`]; appends leave the seal
-    /// covering its original prefix. The `Arc` lets COW table clones (one
-    /// per committed write batch) share the encoded words instead of
-    /// re-copying megabytes of sealed data per commit.
+    /// covering its original prefix.
     encodings: Vec<Option<Arc<SegmentEncoding>>>,
     /// Per-segment write deltas, parallel to `zones`.
     deltas: Vec<SegmentDelta>,
@@ -143,18 +187,8 @@ impl Table {
     /// Creates an empty table with the given schema.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         let columns = schema.defs().iter().map(|d| Column::new(&d.dtype)).collect();
-        Table {
-            name: name.into(),
-            schema,
-            columns,
-            live: Bitmap::new(0, false),
-            free: Vec::new(),
-            seg_rows: SEGMENT_ROWS,
-            zones: Vec::new(),
-            encodings: Vec::new(),
-            deltas: Vec::new(),
-            next_epoch: 0,
-        }
+        let geo = Geometry::default();
+        Table::assemble(name.into(), schema, columns, SegBitmap::new(geo), Vec::new(), geo)
     }
 
     /// Bulk-constructs a table from pre-built columns (the data generators'
@@ -164,24 +198,10 @@ impl Table {
     /// # Panics
     /// Panics if column count or lengths disagree with the schema.
     pub fn from_columns(name: impl Into<String>, schema: Schema, columns: Vec<Column>) -> Self {
-        assert_eq!(columns.len(), schema.arity(), "column count mismatch");
         let n = columns.first().map_or(0, Column::len);
-        for (c, d) in columns.iter().zip(schema.defs()) {
-            assert_eq!(c.len(), n, "array family misaligned at column {:?}", d.name);
-            assert_eq!(c.dtype(), d.dtype, "type mismatch at column {:?}", d.name);
-        }
-        let mut t = Table {
-            name: name.into(),
-            schema,
-            columns,
-            live: Bitmap::new(n, true),
-            free: Vec::new(),
-            seg_rows: SEGMENT_ROWS,
-            zones: Vec::new(),
-            encodings: Vec::new(),
-            deltas: Vec::new(),
-            next_epoch: 0,
-        };
+        let geo = Geometry::default();
+        let live = SegBitmap::filled(n, true, geo);
+        let mut t = Table::assemble(name.into(), schema, columns, live, Vec::new(), geo);
         t.rebuild_zone_maps();
         t
     }
@@ -200,25 +220,31 @@ impl Table {
         live: Bitmap,
         free: Vec<RowId>,
     ) -> Self {
-        let mut t = Table::from_parts_unzoned(name, schema, columns, live, free);
+        let geo = Geometry::default();
+        let live = SegBitmap::from_bitmap(&live, geo);
+        let mut t = Table::assemble(name.into(), schema, columns, live, free, geo);
         t.rebuild_zone_maps();
         t
     }
 
-    /// Shared validated construction for the `from_parts*` family; zone
-    /// maps are left empty for the caller to rebuild or install.
-    fn from_parts_unzoned(
-        name: impl Into<String>,
+    /// Shared validated construction: checks the array-family invariants,
+    /// brings every column to the table's geometry (a no-op for columns
+    /// built in it) and leaves the per-segment metadata empty for the
+    /// caller to rebuild or install.
+    fn assemble(
+        name: String,
         schema: Schema,
-        columns: Vec<Column>,
-        live: Bitmap,
+        mut columns: Vec<Column>,
+        live: SegBitmap,
         free: Vec<RowId>,
+        geo: Geometry,
     ) -> Self {
         assert_eq!(columns.len(), schema.arity(), "column count mismatch");
         let n = columns.first().map_or(live.len(), Column::len);
-        for (c, d) in columns.iter().zip(schema.defs()) {
+        for (c, d) in columns.iter_mut().zip(schema.defs()) {
             assert_eq!(c.len(), n, "array family misaligned at column {:?}", d.name);
             assert_eq!(c.dtype(), d.dtype, "type mismatch at column {:?}", d.name);
+            c.rechunk(geo);
         }
         assert_eq!(live.len(), n, "live bitmap length mismatch");
         for &slot in &free {
@@ -226,12 +252,12 @@ impl Table {
             assert!(!live.get(slot as usize), "free slot {slot} is still live");
         }
         Table {
-            name: name.into(),
-            schema,
+            name,
+            schema: Arc::new(schema),
             columns,
             live,
-            free,
-            seg_rows: SEGMENT_ROWS,
+            free: Arc::new(free),
+            geo,
             zones: Vec::new(),
             encodings: Vec::new(),
             deltas: Vec::new(),
@@ -243,6 +269,7 @@ impl Table {
     /// maps (the snapshot-v2 load path): the zone maps are trusted verbatim
     /// instead of recomputed, so a warm boot prunes immediately and a
     /// re-save reproduces the same bytes. Loaded segments are clean.
+    /// Columns built in `seg_rows`-row chunks are adopted as they are.
     ///
     /// # Panics
     /// Panics on the same invariant violations as [`Table::from_parts`], or
@@ -256,20 +283,20 @@ impl Table {
         seg_rows: usize,
         zones: Vec<SegmentZone>,
     ) -> Self {
-        assert!(seg_rows > 0, "segment size must be positive");
         // No rebuild scan here: the persisted zone maps are installed
         // verbatim (the point of persisting them — warm boots skip the
         // O(rows x columns) statistics pass entirely).
-        let mut t = Table::from_parts_unzoned(name, schema, columns, live, free);
+        let geo = Geometry::new(seg_rows);
+        let live = SegBitmap::from_bitmap(&live, geo);
+        let mut t = Table::assemble(name.into(), schema, columns, live, free, geo);
         assert_eq!(
             zones.len(),
-            t.num_slots().div_ceil(seg_rows),
+            geo.segments_for(t.num_slots()),
             "zone map count does not cover the slots"
         );
         for z in &zones {
             assert_eq!(z.stats().len(), t.schema.arity(), "zone arity mismatch");
         }
-        t.seg_rows = seg_rows;
         t.encodings = vec![None; zones.len()];
         t.deltas = (0..zones.len()).map(|_| fresh_delta(&mut t.next_epoch)).collect();
         t.zones = zones;
@@ -284,7 +311,7 @@ impl Table {
 
     /// Rows per segment.
     pub fn segment_rows(&self) -> usize {
-        self.seg_rows
+        self.geo.rows()
     }
 
     /// Number of segments (0 for an empty table).
@@ -294,8 +321,8 @@ impl Table {
 
     /// The slot range of segment `seg`.
     pub fn segment_range(&self, seg: usize) -> std::ops::Range<usize> {
-        let start = seg * self.seg_rows;
-        start..((start + self.seg_rows).min(self.num_slots()))
+        let start = seg * self.geo.rows();
+        start..((start + self.geo.rows()).min(self.num_slots()))
     }
 
     /// The zone map of segment `seg`.
@@ -309,15 +336,20 @@ impl Table {
         &self.zones
     }
 
-    /// Re-partitions the table into `seg_rows`-row segments and rebuilds
-    /// every zone map exactly. Mostly a test/tuning hook — production
-    /// tables keep the default [`SEGMENT_ROWS`].
+    /// Re-partitions the table into `seg_rows`-row segments — every column
+    /// and the live bitmap are re-cut into chunks of the new size — and
+    /// rebuilds every zone map exactly. Mostly a test/tuning hook —
+    /// production tables keep the default
+    /// [`SEGMENT_ROWS`](crate::segment::SEGMENT_ROWS).
     ///
     /// # Panics
     /// Panics if `seg_rows` is zero.
     pub fn set_segment_rows(&mut self, seg_rows: usize) {
-        assert!(seg_rows > 0, "segment size must be positive");
-        self.seg_rows = seg_rows;
+        self.geo = Geometry::new(seg_rows);
+        for c in &mut self.columns {
+            c.rechunk(self.geo);
+        }
+        self.live.rechunk(self.geo);
         self.rebuild_zone_maps();
     }
 
@@ -326,23 +358,17 @@ impl Table {
     /// its write delta reset (with a fresh epoch, fencing in-flight
     /// compactions that encoded under the old geometry).
     pub fn rebuild_zone_maps(&mut self) {
-        let nsegs = self.num_slots().div_ceil(self.seg_rows);
+        let nsegs = self.geo.segments_for(self.num_slots());
         self.encodings = vec![None; nsegs];
         self.deltas = (0..nsegs).map(|_| fresh_delta(&mut self.next_epoch)).collect();
         self.zones = (0..nsegs)
-            .map(|seg| {
-                let start = seg * self.seg_rows;
-                let range = start..((start + self.seg_rows).min(self.live.len()));
-                SegmentZone::rebuild(&self.schema, &self.columns, &self.live, range)
-            })
+            .map(|seg| SegmentZone::rebuild(&self.schema, &self.columns, &self.live, seg))
             .collect();
     }
 
     /// Rebuilds one segment's zone map exactly.
     fn rebuild_zone(&mut self, seg: usize) {
-        let zone =
-            SegmentZone::rebuild(&self.schema, &self.columns, &self.live, self.segment_range(seg));
-        self.zones[seg] = zone;
+        self.zones[seg] = SegmentZone::rebuild(&self.schema, &self.columns, &self.live, seg);
     }
 
     /// Marks every segment as persisted (called after a checkpoint wrote
@@ -352,6 +378,29 @@ impl Table {
         for z in &mut self.zones {
             z.mark_clean();
         }
+    }
+
+    /// True if a *background* compaction pass should re-encode segment
+    /// `seg` now: it needs a reseal ([`Table::segment_needs_reseal`]) and
+    /// its delta is worth a full re-encode — it is unsealed, carries at
+    /// least [`COMPACT_MIN_STALE`] stale rows, or has an appended overhang
+    /// that is complete (the segment is full) or at least
+    /// [`COMPACT_MIN_OVERHANG`] rows long. Smaller deltas wait: scans patch
+    /// them from the flat chunks at one binary search per encoded hit, and
+    /// a checkpoint's [`Table::seal_segments`] folds them regardless.
+    pub fn segment_worth_compacting(&self, seg: usize) -> bool {
+        if !self.segment_needs_reseal(seg) {
+            return false;
+        }
+        let Some(covered) = self.encodings[seg].as_deref().and_then(SegmentEncoding::covered_rows)
+        else {
+            return true;
+        };
+        let rows = self.segment_range(seg).len();
+        let overhang = rows - covered;
+        self.deltas[seg].stale.len() >= COMPACT_MIN_STALE
+            || overhang >= COMPACT_MIN_OVERHANG
+            || (overhang > 0 && rows == self.geo.rows())
     }
 
     /// True if segment `seg` needs a (re-)seal: it is unsealed, carries
@@ -382,7 +431,7 @@ impl Table {
             if !self.segment_needs_reseal(seg) {
                 continue;
             }
-            let enc = encode_segment(&self.columns, self.segment_range(seg));
+            let enc = encode_segment(&self.columns, seg);
             if enc.encoded_cols() > 0 {
                 self.zones[seg].mark_dirty();
             }
@@ -406,10 +455,10 @@ impl Table {
 
     /// Segment-local offsets (sorted) whose sealed value was superseded by
     /// a write-through; scans over the encoding must re-read these rows
-    /// from the flat arrays. Empty for unsealed or clean segments.
+    /// from the flat chunks. Empty for unsealed or clean segments.
     #[inline]
     pub fn segment_stale(&self, seg: usize) -> &[u32] {
-        self.deltas.get(seg).map_or(&[], |d| &d.stale)
+        self.deltas.get(seg).map_or(&[], |d| d.stale.as_slice())
     }
 
     /// The segment's delta epoch (see [`SegmentDelta`]).
@@ -453,12 +502,12 @@ impl Table {
         rows
     }
 
-    /// Encodes segment `seg` from the current flat arrays without touching
+    /// Encodes segment `seg` from its current flat chunks without touching
     /// the table — the compactor's read-only half. Pair with
     /// [`Table::install_compacted`] under the commit lock, quoting the
     /// [`Table::segment_epoch`] observed *before* this call.
     pub fn encode_segment_now(&self, seg: usize) -> SegmentEncoding {
-        encode_segment(&self.columns, self.segment_range(seg))
+        encode_segment(&self.columns, seg)
     }
 
     /// Installs a compaction result for segment `seg`, provided no value
@@ -504,24 +553,24 @@ impl Table {
     /// advance the epoch — scans already read those rows flat, but an
     /// in-flight compaction may have encoded the old value.
     fn note_value_write(&mut self, row: usize) {
-        let seg = row / self.seg_rows;
+        let (seg, off) = self.geo.locate(row);
         let covered = match self.encodings[seg].as_deref() {
             Some(e) if e.encoded_cols() > 0 => e.covered_rows().unwrap_or(0),
             _ => return,
         };
         self.deltas[seg].epoch = self.next_epoch;
         self.next_epoch += 1;
-        let off = (row - seg * self.seg_rows) as u32;
-        if off as usize >= covered {
+        if off >= covered {
             return;
         }
+        let off = off as u32;
         let stale = &mut self.deltas[seg].stale;
         if let Err(pos) = stale.binary_search(&off) {
-            stale.insert(pos, off);
+            Arc::make_mut(stale).insert(pos, off);
         }
         if stale.len() > STALE_LIMIT {
             self.encodings[seg] = None;
-            self.deltas[seg].stale.clear();
+            self.deltas[seg].stale = Arc::default();
         }
     }
 
@@ -586,7 +635,7 @@ impl Table {
         self.live.len()
     }
 
-    /// Number of live tuples.
+    /// Number of live tuples (O(1): the live bitmap keeps the count).
     pub fn num_live(&self) -> usize {
         self.live.count_ones()
     }
@@ -600,17 +649,18 @@ impl Table {
     /// Returns `true` if any slot is dead (scans must then consult
     /// [`Table::live_bitmap`]).
     pub fn has_deletes(&self) -> bool {
-        self.free.len() + (self.num_slots() - self.live.count_ones()) > 0
+        self.live.count_ones() < self.num_slots()
     }
 
-    /// The live bitmap (inverse delete vector).
-    pub fn live_bitmap(&self) -> &Bitmap {
+    /// The live bitmap (inverse delete vector), one `Arc`-held chunk of bits
+    /// per segment.
+    pub fn live_bitmap(&self) -> &SegBitmap {
         &self.live
     }
 
     /// A selection vector over all live slots.
     pub fn live_selvec(&self) -> SelVec {
-        SelVec::from_bitmap(&self.live)
+        SelVec::from_rows(self.live.iter_ones().map(|i| i as RowId).collect())
     }
 
     /// Column by position.
@@ -654,7 +704,7 @@ impl Table {
         }
         let row = self.live.len();
         self.live.push(true);
-        let seg = row / self.seg_rows;
+        let seg = self.geo.segment_of(row);
         if seg == self.zones.len() {
             self.zones.push(SegmentZone::new(&self.schema));
             self.encodings.push(None);
@@ -670,7 +720,8 @@ impl Table {
     /// Inserts a tuple, preferring a reusable dead slot over growing the
     /// arrays (paper §4.4). Returns the tuple's array index.
     pub fn insert(&mut self, values: &[Value]) -> RowId {
-        if let Some(slot) = self.free.pop() {
+        if !self.free.is_empty() {
+            let slot = Arc::make_mut(&mut self.free).pop().expect("free list is non-empty");
             assert_eq!(values.len(), self.schema.arity(), "arity mismatch");
             self.touch();
             for (col, v) in self.columns.iter_mut().zip(values) {
@@ -678,7 +729,7 @@ impl Table {
             }
             self.live.set(slot as usize, true);
             self.note_value_write(slot as usize);
-            let seg = slot as usize / self.seg_rows;
+            let seg = self.geo.segment_of(slot as usize);
             if self.zones[seg].note_reuse(&self.columns, slot as usize) >= REBUILD_AFTER_OPS {
                 self.rebuild_zone(seg);
             }
@@ -699,12 +750,12 @@ impl Table {
         }
         self.touch();
         self.live.set(row as usize, false);
-        self.free.push(row);
+        Arc::make_mut(&mut self.free).push(row);
         // A delete never widens bounds (and never unseals — the encoded
         // values are unchanged), so it answers to the laxer decay
         // threshold: rebuild only once enough live-count decay piled up
         // that an exact pass can tighten bounds around the survivors.
-        let seg = row as usize / self.seg_rows;
+        let seg = self.geo.segment_of(row as usize);
         if self.zones[seg].note_delete() >= DECAY_REBUILD_AFTER_OPS {
             self.rebuild_zone(seg);
         }
@@ -726,7 +777,7 @@ impl Table {
         let i = self.schema.position(column).unwrap_or_else(|| panic!("no column {column:?}"));
         self.columns[i].set(row as usize, value);
         self.note_value_write(row as usize);
-        let seg = row as usize / self.seg_rows;
+        let seg = self.geo.segment_of(row as usize);
         if self.zones[seg].note_update(i, &self.columns, row as usize) >= REBUILD_AFTER_OPS {
             self.rebuild_zone(seg);
         }
@@ -739,7 +790,7 @@ impl Table {
 
     /// Reserves append capacity across the family (paper §4.4: "A-Store
     /// preserves a certain proportion of free space at the end of each
-    /// array").
+    /// array") — here, in each column's tail chunk.
     pub fn reserve(&mut self, additional: usize) {
         for c in &mut self.columns {
             c.reserve(additional);
@@ -768,19 +819,17 @@ impl Table {
             }
         }
         let live_rows: Vec<usize> = self.live.iter_ones().collect();
-        let defs = self.schema.defs().to_vec();
         let mut new_cols = Vec::with_capacity(self.columns.len());
-        for (col, def) in self.columns.iter().zip(&defs) {
-            let mut fresh = Column::new(&def.dtype);
-            fresh.reserve(live_rows.len());
+        for (col, def) in self.columns.iter().zip(self.schema.defs()) {
+            let mut fresh = Column::with_geometry(&def.dtype, self.geo);
             for &r in &live_rows {
                 fresh.push(&col.get(r));
             }
             new_cols.push(fresh);
         }
         self.columns = new_cols;
-        self.live = Bitmap::new(live_rows.len(), true);
-        self.free.clear();
+        self.live = SegBitmap::filled(live_rows.len(), true, self.geo);
+        self.free = Arc::default();
         self.rebuild_zone_maps();
         remap
     }
@@ -869,8 +918,8 @@ mod tests {
             ColumnDef::new("v", DataType::I64),
         ]);
         let cols = vec![
-            Column::Key { target: "dim".into(), keys: vec![0, 1, NULL_KEY] },
-            Column::I64(vec![10, 20, 30]),
+            Column::Key { target: "dim".into(), keys: vec![0, 1, NULL_KEY].into() },
+            Column::I64(vec![10, 20, 30].into()),
         ];
         let t = Table::from_columns("fact", schema, cols);
         assert_eq!(t.num_slots(), 3);
@@ -887,7 +936,11 @@ mod tests {
             ColumnDef::new("a", DataType::I32),
             ColumnDef::new("b", DataType::I32),
         ]);
-        Table::from_columns("t", schema, vec![Column::I32(vec![1]), Column::I32(vec![1, 2])]);
+        Table::from_columns(
+            "t",
+            schema,
+            vec![Column::I32(vec![1].into()), Column::I32(vec![1, 2].into())],
+        );
     }
 
     #[test]
@@ -902,7 +955,7 @@ mod tests {
             t.name().to_owned(),
             t.schema().clone(),
             (0..t.schema().arity()).map(|i| t.column_at(i).clone()).collect(),
-            t.live_bitmap().clone(),
+            t.live_bitmap().to_bitmap(),
             t.free_slots().to_vec(),
         );
         assert_eq!(rebuilt.num_live(), t.num_live());
@@ -924,7 +977,7 @@ mod tests {
             "bad",
             t.schema().clone(),
             (0..t.schema().arity()).map(|i| t.column_at(i).clone()).collect(),
-            t.live_bitmap().clone(),
+            t.live_bitmap().to_bitmap(),
             vec![0],
         );
     }
@@ -1132,6 +1185,49 @@ mod tests {
         for row in 0..64usize {
             assert_eq!(Some(e.value_at(row)), t.column_at(0).int_at(row));
         }
+    }
+
+    #[test]
+    fn small_deltas_are_not_worth_a_background_re_encode() {
+        const SEG: usize = 16_384;
+        let mut t = Table::new("f", Schema::new(vec![ColumnDef::new("v", DataType::I64)]));
+        t.set_segment_rows(SEG);
+        let append = |t: &mut Table, n: usize| {
+            for _ in 0..n {
+                t.append_row(&[Value::Int(3)]);
+            }
+        };
+        append(&mut t, SEG);
+        assert!(t.segment_worth_compacting(0), "an unsealed segment is always worth it");
+        t.seal_segments();
+        assert!(!t.segment_worth_compacting(0), "a clean seal needs nothing");
+
+        // Stale rows: one below the threshold waits, at the threshold folds.
+        for r in 0..COMPACT_MIN_STALE as u32 - 1 {
+            t.update(r, "v", &Value::Int(1));
+        }
+        assert!(t.segment_needs_reseal(0));
+        assert!(!t.segment_worth_compacting(0), "{} stale rows wait", COMPACT_MIN_STALE - 1);
+        t.update(COMPACT_MIN_STALE as u32 - 1, "v", &Value::Int(1));
+        assert!(t.segment_worth_compacting(0), "{COMPACT_MIN_STALE} stale rows fold");
+        assert_eq!(t.seal_segments(), 1, "a checkpoint seal folds any delta");
+
+        // Overhang of a segment still filling: same two sides.
+        append(&mut t, 100);
+        t.seal_segments(); // segment 1 sealed over its first 100 rows
+        append(&mut t, COMPACT_MIN_OVERHANG - 1);
+        assert!(t.segment_needs_reseal(1));
+        assert!(!t.segment_worth_compacting(1), "a short overhang of a filling segment waits");
+        append(&mut t, 1);
+        assert!(t.segment_worth_compacting(1), "{COMPACT_MIN_OVERHANG} overhang rows fold");
+
+        // A completed segment folds whatever its overhang: it will not grow.
+        t.seal_segments();
+        append(&mut t, SEG - (100 + COMPACT_MIN_OVERHANG) - 1);
+        t.seal_segments(); // one row short of full
+        append(&mut t, 1);
+        assert_eq!(t.segment_range(1).len(), SEG);
+        assert!(t.segment_worth_compacting(1), "one overhang row completes the segment");
     }
 
     #[test]
