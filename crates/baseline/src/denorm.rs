@@ -105,37 +105,27 @@ pub fn denormalize(db: &Database, root: Option<&str>) -> Result<Denormalized, Bi
     // reachable table is complete and lands on live tuples.
     let mut keep: Vec<usize> = Vec::with_capacity(fact.num_live());
     {
-        let mut chain_hops = Vec::new();
+        let mut chains = Vec::new();
         for t in &tables[1..] {
-            let hops = u.hops_to(t)?;
-            let live = db.table(t).map(|tb| (tb.has_deletes(), tb.num_slots()));
-            chain_hops.push((hops, live));
+            let target = db.table(t).ok_or_else(|| BindError::NoTable(t.clone()))?;
+            let hops: Vec<_> = u.hops_to(t)?.into_iter().map(Chunked::cursor).collect();
+            chains.push((hops, target));
         }
         'rows: for row in 0..n {
             if !fact.is_live(row as RowId) {
                 continue;
             }
-            for (hops, live) in &chain_hops {
+            for (hops, target) in &mut chains {
                 let mut r = row;
-                for keys in hops {
+                for keys in hops.iter_mut() {
                     let k = keys.get(r);
-                    if k == NULL_KEY || (k as usize) >= live.map(|(_, n)| n).unwrap_or(0) {
+                    if k == NULL_KEY || (k as usize) >= target.num_slots() {
                         continue 'rows;
                     }
                     r = k as usize;
                 }
-            }
-            // Liveness of the final targets.
-            for (t, (hops, _)) in tables[1..].iter().zip(&chain_hops) {
-                let target = db.table(t).unwrap();
-                if target.has_deletes() {
-                    let mut r = row;
-                    for keys in hops {
-                        r = keys.get(r) as usize;
-                    }
-                    if !target.is_live(r as RowId) {
-                        continue 'rows;
-                    }
+                if target.has_deletes() && !target.is_live(r as RowId) {
+                    continue 'rows;
                 }
             }
             keep.push(row);
@@ -150,17 +140,11 @@ pub fn denormalize(db: &Database, root: Option<&str>) -> Result<Denormalized, Bi
 
     for t in &tables {
         let table = db.table(t).unwrap();
-        let hops = u.hops_to(t)?;
+        let mut hops: Vec<_> = u.hops_to(t)?.into_iter().map(Chunked::cursor).collect();
         // Pre-chase the chain once per kept row for this table.
         let dim_rows: Vec<usize> = keep
             .iter()
-            .map(|&row| {
-                let mut r = row;
-                for keys in &hops {
-                    r = keys.get(r) as usize;
-                }
-                r
-            })
+            .map(|&row| hops.iter_mut().fold(row, |r, keys| keys.get(r) as usize))
             .collect();
         for (name, col) in table.columns() {
             if matches!(col, Column::Key { .. }) {
@@ -191,16 +175,22 @@ pub fn denormalize(db: &Database, root: Option<&str>) -> Result<Denormalized, Bi
 }
 
 /// Gathers `col[rows[i]]` into a fresh column, built straight into
-/// segment-sized chunks. Dictionary columns share the source dictionary;
-/// only codes are gathered.
+/// segment-sized chunks. The source is read through a
+/// [`ChunkCursor`](astore_storage::chunks::ChunkCursor): the
+/// fact table's own columns (ascending rows) bind each chunk once, and a
+/// dimension that fits one segment binds once for the whole gather.
+/// Dictionary columns share the source dictionary; only codes are gathered.
 fn gather(col: &Column, rows: &[usize]) -> Column {
+    fn values<T: Copy>(v: &Chunked<T>, rows: &[usize]) -> Chunked<T> {
+        let mut src = v.cursor();
+        Chunked::from_fn(rows.len(), |i| src.get(rows[i]))
+    }
     match col {
-        Column::I32(v) => Column::I32(Chunked::from_fn(rows.len(), |i| v.get(rows[i]))),
-        Column::I64(v) => Column::I64(Chunked::from_fn(rows.len(), |i| v.get(rows[i]))),
-        Column::F64(v) => Column::F64(Chunked::from_fn(rows.len(), |i| v.get(rows[i]))),
+        Column::I32(v) => Column::I32(values(v, rows)),
+        Column::I64(v) => Column::I64(values(v, rows)),
+        Column::F64(v) => Column::F64(values(v, rows)),
         Column::Dict(dc) => {
-            let codes = Chunked::from_fn(rows.len(), |i| dc.code(rows[i]));
-            Column::Dict(DictColumn::from_parts(codes, dc.dict_arc()))
+            Column::Dict(DictColumn::from_parts(values(dc.codes(), rows), dc.dict_arc()))
         }
         Column::Str(sc) => {
             let mut out = astore_storage::strings::StrColumn::new();

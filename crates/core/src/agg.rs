@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use astore_storage::types::Key;
+use astore_storage::types::{Key, RowId, NULL_KEY};
 
 use crate::query::AggFunc;
 
@@ -158,6 +158,18 @@ impl Grouper {
     pub fn is_dense(&self) -> bool {
         matches!(self, Grouper::Dense { .. } | Grouper::Scalar)
     }
+
+    /// Do both groupers give every coordinate tuple the same cell id,
+    /// whatever was registered so far? True for two scalar groupers and for
+    /// dense arrays of identical radices; sparse groupers number their
+    /// cells in first-appearance order, which differs between scans.
+    fn same_cell_ids(&self, other: &Grouper) -> bool {
+        match (self, other) {
+            (Grouper::Scalar, Grouper::Scalar) => true,
+            (Grouper::Dense { radices: a, .. }, Grouper::Dense { radices: b, .. }) => a == b,
+            _ => false,
+        }
+    }
 }
 
 /// The accumulator state of one aggregate across all cells.
@@ -219,9 +231,58 @@ impl AggState {
         }
     }
 
+    /// Folds one measure value per Measure-Index entry, in order:
+    /// `value(i)` goes to `cells[i]`. The column-wise form of
+    /// [`AggState::update`] — the aggregate function is dispatched once,
+    /// not per tuple.
+    pub fn fold(&mut self, cells: &[u32], mut value: impl FnMut(usize) -> f64) {
+        let (sum, count) = (&mut self.sum, &mut self.count);
+        match self.func {
+            AggFunc::Sum => {
+                for (i, &c) in cells.iter().enumerate() {
+                    sum[c as usize] += value(i);
+                }
+            }
+            AggFunc::Count => {
+                for &c in cells {
+                    count[c as usize] += 1;
+                }
+            }
+            AggFunc::Min => {
+                for (i, &c) in cells.iter().enumerate() {
+                    let v = value(i);
+                    if v < sum[c as usize] {
+                        sum[c as usize] = v;
+                    }
+                }
+            }
+            AggFunc::Max => {
+                for (i, &c) in cells.iter().enumerate() {
+                    let v = value(i);
+                    if v > sum[c as usize] {
+                        sum[c as usize] = v;
+                    }
+                }
+            }
+            AggFunc::Avg => {
+                for (i, &c) in cells.iter().enumerate() {
+                    sum[c as usize] += value(i);
+                    count[c as usize] += 1;
+                }
+            }
+        }
+    }
+
     /// The raw accumulator pair of a cell.
     pub fn acc(&self, cell: u32) -> (f64, u64) {
         (self.sum[cell as usize], self.count[cell as usize])
+    }
+
+    /// Overwrites the accumulator pair of a cell (the first partial result
+    /// to reach it).
+    fn set_acc(&mut self, cell: u32, acc: (f64, u64)) {
+        self.sum[cell as usize] = acc.0;
+        self.count[cell as usize] = acc.1;
     }
 
     /// Merges another accumulator pair into a cell (parallel merge path).
@@ -301,15 +362,130 @@ impl AggTable {
     #[inline]
     pub fn register(&mut self, coords: &[Key]) -> u32 {
         let cell = self.grouper.cell(coords);
-        let needed = cell as usize + 1;
+        self.cover_cells();
+        self.hits[cell as usize] += 1;
+        cell
+    }
+
+    /// Sizes the hit counts and accumulators to the grouper's cell count
+    /// (sparse groupers allocate cells as coordinates are first seen).
+    fn cover_cells(&mut self) {
+        let needed = self.grouper.num_cells();
         if self.hits.len() < needed {
             self.hits.resize(needed, 0);
             for s in &mut self.states {
                 s.ensure(needed);
             }
         }
-        self.hits[cell as usize] += 1;
-        cell
+    }
+
+    /// The Measure Index of one scanned segment, built column-wise (§4.3):
+    /// `codes[d][i]` is the group id of selected tuple `rows[i]` in
+    /// grouping dimension `d`. Tuples with a [`NULL_KEY`] coordinate are
+    /// dropped from `rows` (the paper's −1 entries); `cells` is overwritten
+    /// with the aggregation cell of every tuple that remains, and each
+    /// cell's hit count advances. The dense array computes the mixed-radix
+    /// cell one dimension at a time over whole code vectors; the sparse
+    /// groupers still resolve one coordinate tuple per row.
+    pub fn assign_cells(
+        &mut self,
+        codes: &mut [Vec<Key>],
+        rows: &mut Vec<RowId>,
+        cells: &mut Vec<u32>,
+    ) {
+        if codes.iter().any(|c| c.contains(&NULL_KEY)) {
+            let mut w = 0;
+            for i in 0..rows.len() {
+                if codes.iter().all(|c| c[i] != NULL_KEY) {
+                    rows[w] = rows[i];
+                    for c in codes.iter_mut() {
+                        c[w] = c[i];
+                    }
+                    w += 1;
+                }
+            }
+            rows.truncate(w);
+            for c in codes.iter_mut() {
+                c.truncate(w);
+            }
+        }
+        cells.clear();
+        cells.resize(rows.len(), 0);
+        match &mut self.grouper {
+            Grouper::Scalar => {}
+            Grouper::Dense { radices, .. } => {
+                for (dim, &radix) in codes.iter().zip(radices.iter()) {
+                    for (cell, &code) in cells.iter_mut().zip(dim) {
+                        debug_assert!(code < radix, "group code {code} out of radix {radix}");
+                        *cell = *cell * radix + code;
+                    }
+                }
+            }
+            sparse => {
+                let mut coords = vec![0 as Key; codes.len()];
+                for (i, cell) in cells.iter_mut().enumerate() {
+                    for (coord, dim) in coords.iter_mut().zip(codes.iter()) {
+                        *coord = dim[i];
+                    }
+                    *cell = sparse.cell(&coords);
+                }
+            }
+        }
+        self.cover_cells();
+        for &cell in cells.iter() {
+            self.hits[cell as usize] += 1;
+        }
+    }
+
+    /// Re-addresses the table under another grouper over the same
+    /// coordinate space: every non-empty cell keeps its coordinates, hit
+    /// count and accumulators. Used when a scan-built dictionary outgrows
+    /// a dense array's radix (wider dense array) or the optimizer's cell
+    /// budget (dense → hash).
+    pub fn relayout(&mut self, grouper: Grouper) {
+        let funcs: Vec<AggFunc> = self.states.iter().map(|s| s.func).collect();
+        let old = std::mem::replace(self, AggTable::new(grouper, &funcs));
+        self.merge_from(&old, &[]);
+    }
+
+    /// Folds another scan's partial aggregates into this table ("the
+    /// multidimensional arrays are integrated", §5). `remap[d]`, when
+    /// present, translates the other table's group ids of dimension `d`
+    /// into this table's — scan-built dictionaries number their groups per
+    /// worker; `None` means both scans probed one shared dictionary. With
+    /// nothing to translate and identical dense layouts the merge is by
+    /// cell index; otherwise each non-empty cell is re-addressed through
+    /// its coordinates. A cell that was empty here takes the other's
+    /// accumulators verbatim. A dense target must already be wide enough
+    /// for the translated ids.
+    pub fn merge_from(&mut self, other: &AggTable, remap: &[Option<Vec<Key>>]) {
+        let by_index =
+            remap.iter().all(Option::is_none) && self.grouper.same_cell_ids(&other.grouper);
+        for (cell, &hits) in other.hits.iter().enumerate().filter(|(_, &h)| h > 0) {
+            let cell = cell as u32;
+            let to = if by_index {
+                cell
+            } else {
+                let mut coords = other.grouper.coords_of(cell);
+                for (coord, map) in coords.iter_mut().zip(remap) {
+                    if let Some(map) = map {
+                        *coord = map[*coord as usize];
+                    }
+                }
+                let to = self.grouper.cell(&coords);
+                self.cover_cells();
+                to
+            };
+            let fresh = self.hits[to as usize] == 0;
+            self.hits[to as usize] += hits;
+            for (mine, theirs) in self.states.iter_mut().zip(&other.states) {
+                if fresh {
+                    mine.set_acc(to, theirs.acc(cell));
+                } else {
+                    mine.merge_acc(to, theirs.acc(cell));
+                }
+            }
+        }
     }
 
     /// Folds a measure value into aggregate `agg` at `cell` (aggregation
@@ -487,5 +663,136 @@ mod tests {
             t.update(0, cell, f64::from(i));
         }
         assert_eq!(t.emit().len(), 100);
+    }
+
+    /// The column-wise Measure Index must address the cells the per-tuple
+    /// `register` addresses, drop exactly the tuples with a NULL
+    /// coordinate, and count the hits — for the dense array and for both
+    /// hash fallbacks.
+    #[test]
+    fn assign_cells_matches_per_tuple_register() {
+        let dims: [&[Key]; 2] = [&[0, 2, NULL_KEY, 1, 2, 0, 1], &[3, 0, 1, NULL_KEY, 3, 3, 2]];
+        let rows: Vec<RowId> = (100..107).collect();
+        for wide in [0usize, 3] {
+            // `wide` extra constant dimensions push the sparse grouper past
+            // four coordinates (the `HashWide` variant).
+            let mut codes: Vec<Vec<Key>> = dims.iter().map(|d| d.to_vec()).collect();
+            codes.extend((0..wide).map(|_| vec![0; rows.len()]));
+            let mut radices = vec![3, 4];
+            radices.extend((0..wide).map(|_| 1));
+            let dense = || Grouper::dense(radices.clone());
+            let hash = || Grouper::hash(2 + wide);
+            let groupers: [&dyn Fn() -> Grouper; 2] = [&dense, &hash];
+            for grouper in groupers {
+                let mut by_tuple = AggTable::new(grouper(), &[AggFunc::Count]);
+                let mut want_rows = Vec::new();
+                let mut want_cells = Vec::new();
+                for (i, &r) in rows.iter().enumerate() {
+                    let coords: Vec<Key> = codes.iter().map(|c| c[i]).collect();
+                    if !coords.contains(&NULL_KEY) {
+                        want_rows.push(r);
+                        want_cells.push(by_tuple.register(&coords));
+                    }
+                }
+                let mut table = AggTable::new(grouper(), &[AggFunc::Count]);
+                let (mut got_rows, mut got_cells) = (rows.clone(), vec![9, 9]);
+                table.assign_cells(&mut codes.clone(), &mut got_rows, &mut got_cells);
+                assert_eq!(got_rows, want_rows);
+                assert_eq!(got_cells, want_cells);
+                assert_eq!(table.hits, by_tuple.hits);
+            }
+        }
+    }
+
+    #[test]
+    fn assign_cells_without_grouping_is_one_cell() {
+        let mut t = AggTable::new(Grouper::Scalar, &[AggFunc::Sum]);
+        let (mut rows, mut cells) = (vec![4, 8, 15], Vec::new());
+        t.assign_cells(&mut [], &mut rows, &mut cells);
+        assert_eq!(cells, [0, 0, 0]);
+        t.state_mut(0).fold(&cells, |i| f64::from(rows[i]));
+        assert_eq!(t.emit()[0].accs[0].0, 27.0);
+        assert_eq!(t.emit()[0].hits, 3);
+    }
+
+    #[test]
+    fn fold_matches_update_for_every_function() {
+        let cells = [0u32, 1, 0, 1, 1];
+        let values = [3.0, -1.0, 7.5, 4.0, -2.5];
+        for func in [AggFunc::Sum, AggFunc::Count, AggFunc::Min, AggFunc::Max, AggFunc::Avg] {
+            let (mut folded, mut updated) = (AggState::new(func, 2), AggState::new(func, 2));
+            folded.fold(&cells, |i| values[i]);
+            for (&c, &v) in cells.iter().zip(&values) {
+                updated.update(c, v);
+            }
+            for cell in 0..2 {
+                assert_eq!(folded.acc(cell), updated.acc(cell), "{func:?} cell {cell}");
+            }
+        }
+    }
+
+    /// A table re-addressed under wider radices, then as a hash table, keeps
+    /// every group's coordinates, hits and accumulators.
+    #[test]
+    fn relayout_keeps_every_group() {
+        let mut t = AggTable::new(Grouper::dense(vec![2, 2]), &[AggFunc::Sum, AggFunc::Min]);
+        for (coords, v) in [([0, 1], 5.0), ([1, 0], 2.0), ([0, 1], -1.0)] {
+            let cell = t.register(&coords);
+            t.update(0, cell, v);
+            t.update(1, cell, v);
+        }
+        let mut before = t.emit();
+        before.sort_by(|a, b| a.coords.cmp(&b.coords));
+        for grouper in [Grouper::dense(vec![5, 3]), Grouper::hash(2)] {
+            t.relayout(grouper);
+            let mut after = t.emit();
+            after.sort_by(|a, b| a.coords.cmp(&b.coords));
+            assert_eq!(after, before);
+        }
+        // The re-addressed table keeps accumulating.
+        let cell = t.register(&[4, 2]);
+        t.update(0, cell, 1.0);
+        assert_eq!(t.occupied(), 3);
+    }
+
+    #[test]
+    fn merge_by_cell_index_and_through_remapped_coordinates() {
+        let filled = |grouper: Grouper, groups: &[([Key; 2], f64)]| {
+            let mut t = AggTable::new(grouper, &[AggFunc::Sum, AggFunc::Max]);
+            for (coords, v) in groups {
+                let cell = t.register(coords);
+                t.update(0, cell, *v);
+                t.update(1, cell, *v);
+            }
+            t
+        };
+        let sums = |t: &AggTable| {
+            let mut cells = t.emit();
+            cells.sort_by(|a, b| a.coords.cmp(&b.coords));
+            cells
+                .into_iter()
+                .map(|c| (c.coords, c.accs[0].0, c.accs[1].0, c.hits))
+                .collect::<Vec<_>>()
+        };
+        let want =
+            vec![(vec![0, 1], 12.0, 7.0, 2), (vec![1, 0], 3.0, 3.0, 1), (vec![1, 2], 4.0, 4.0, 1)];
+
+        // Same dense layout, shared dictionaries: merged by cell index.
+        let mut a = filled(Grouper::dense(vec![2, 3]), &[([0, 1], 5.0), ([1, 0], 3.0)]);
+        let b = filled(Grouper::dense(vec![2, 3]), &[([0, 1], 7.0), ([1, 2], 4.0)]);
+        a.merge_from(&b, &[None, None]);
+        assert_eq!(sums(&a), want);
+
+        // The other scan numbered dimension 0 the other way round and used
+        // a hash table: merged through translated coordinates.
+        let mut a = filled(Grouper::dense(vec![2, 3]), &[([0, 1], 5.0), ([1, 0], 3.0)]);
+        let b = filled(Grouper::hash(2), &[([1, 1], 7.0), ([0, 2], 4.0)]);
+        a.merge_from(&b, &[Some(vec![1, 0]), None]);
+        assert_eq!(sums(&a), want);
+
+        // Hash target: cells appear as the merge meets new coordinates.
+        let mut a = filled(Grouper::hash(2), &[([0, 1], 5.0), ([1, 0], 3.0)]);
+        a.merge_from(&b, &[Some(vec![1, 0]), None]);
+        assert_eq!(sums(&a), want);
     }
 }

@@ -19,6 +19,14 @@
 //!    aggregation cell (the Measure Index);
 //! 3. **Aggregation** — scan the measure columns through the Measure Index
 //!    into the multidimensional aggregation array (or hash table).
+//!
+//! Phases 2 and 3 run as one **segment-at-a-time pipeline**: for each
+//! surviving segment a worker selects, gathers group codes, computes cells
+//! and accumulates the measures, in buffers it keeps for its lifetime — no
+//! table-wide selection vector or Measure Index is ever materialised. The
+//! predicate-vector and group-vector lookups run through
+//! [`crate::kernels`]. The reported phase times keep the paper's
+//! boundaries, summed over the segments.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -27,19 +35,20 @@ use astore_obs::{SpanId, TraceBuf};
 use astore_storage::bitmap::{Bitmap, SegBitmap};
 use astore_storage::catalog::Database;
 use astore_storage::chunks::Chunked;
-use astore_storage::selvec::SelVec;
+use astore_storage::table::Table;
 use astore_storage::types::{Key, RowId, Value, NULL_KEY};
 
 use crate::agg::{AggTable, Grouper};
+use crate::expr::CompiledMeasure;
 use crate::filter::{build_chain_filter, participating_chains, ChainSpec, FactPred};
 use crate::graph::JoinGraph;
-use crate::groupvec::{build_group_vector, label_at, DictRef, FactGrouper, GroupDict, GroupVector};
+use crate::groupvec::{build_group_vector, label_at, FactGrouper, GroupDict, GroupVector};
+use crate::kernels;
 use crate::optimizer::{AggStrategy, OptimizerConfig};
+use crate::parallel::{morsel_size, run_workers, MorselDispatcher};
 use crate::query::{AggFunc, Query};
 use crate::result::QueryResult;
-use crate::scan::{
-    segment_runs, select_bitmap_and, select_columnwise, select_rowwise, ChainCheck, DirectCheck,
-};
+use crate::scan::{order_chains, ChainCheck, DirectCheck, ScanMode, SegmentScan};
 use crate::universal::{bind_root, BindError, Universal};
 use crate::zone::{SegmentPruner, SegmentSurvey};
 
@@ -319,10 +328,11 @@ pub struct ExecOutput {
 /// [`SegmentPruner`], whose surviving-row estimate drives the planner's
 /// fan-out decision ([`OptimizerConfig::plan_threads`]): with
 /// `opts.threads > 1` *and* enough surviving rows to amortize worker spawn,
-/// the scan is driven by the segment-aligned morsel dispatcher (§5);
-/// otherwise execution is serial. [`PlanInfo::executor`] reports which path
-/// ran, and [`PlanInfo::segments_pruned`] how much of the fact table was
-/// never touched.
+/// the scan is driven by the segment-aligned morsel dispatcher (§5) from
+/// several workers; otherwise one worker — the calling thread — drains it.
+/// [`PlanInfo::executor`] reports which ran, and
+/// [`PlanInfo::segments_pruned`] how much of the fact table was never
+/// touched.
 pub fn execute(db: &Database, query: &Query, opts: &ExecOptions) -> Result<ExecOutput, BindError> {
     let t_start = Instant::now();
     let trace = opts.trace.as_deref();
@@ -340,8 +350,8 @@ pub fn execute(db: &Database, query: &Query, opts: &ExecOptions) -> Result<ExecO
         t.add("bind", root_span, start, t.now_us().saturating_sub(start), vec![]);
     }
 
-    // Phase 1 (leaf processing) is shared by both executors; it runs before
-    // the fan-out decision so the pruner can use the chain filters.
+    // Phase 1 (leaf processing) runs before the fan-out decision so the
+    // pruner can use the chain filters.
     let t_leaf = Instant::now();
     let leaf = prepare_leaf(&u, query, opts)?;
     let leaf_time = t_leaf.elapsed();
@@ -358,8 +368,7 @@ pub fn execute(db: &Database, query: &Query, opts: &ExecOptions) -> Result<ExecO
         );
     }
     // The per-segment admission tests run exactly once, into a survey that
-    // the fan-out decision, the serial scan and the parallel dispatcher all
-    // share.
+    // the fan-out decision and the morsel dispatcher share.
     let t_opt = Instant::now();
     let survey = build_pruner(&u, query, &leaf, opts).map(|p| p.survey());
 
@@ -394,21 +403,43 @@ pub fn execute(db: &Database, query: &Query, opts: &ExecOptions) -> Result<ExecO
             vec![("est_rows", est_rows as i64), ("threads", threads as i64)],
         );
     }
-    if threads > 1 {
-        crate::parallel::execute_parallel(
-            &u,
-            query,
-            opts,
-            threads,
-            &leaf,
-            leaf_time,
-            survey.as_ref(),
-            t_start,
-            root_span,
-        )
-    } else {
-        execute_serial(&u, query, opts, &leaf, leaf_time, survey.as_ref(), t_start, root_span)
+    let scanned = scan_and_aggregate(&u, query, opts, threads, &leaf, survey.as_ref(), root_span)?;
+
+    let mut result = build_result(query, &scanned.agg, &scanned.dicts());
+    result.order_and_limit(&query.order_by, query.limit);
+    let plan = PlanInfo {
+        root: u.root().to_owned(),
+        executor: scanned.executor,
+        predvec_chains: leaf.filters.iter().filter(|f| f.is_some()).count(),
+        direct_chains: leaf.filters.iter().filter(|f| f.is_none()).count(),
+        agg_strategy: scanned.strategy,
+        segments_scanned: scanned.segments_scanned,
+        segments_pruned: scanned.segments_pruned,
+        selected_rows: scanned.selected,
+        groups: scanned.agg.occupied(),
+    };
+    let total = t_start.elapsed();
+    if let (Some(t), Some(id)) = (trace, root_span) {
+        let start = t.us_since_epoch(t_start);
+        t.record(
+            id,
+            "execute",
+            None,
+            start,
+            t.now_us().saturating_sub(start),
+            vec![("selected_rows", plan.selected_rows as i64), ("groups", plan.groups as i64)],
+        );
     }
+    Ok(ExecOutput {
+        result,
+        timings: PhaseTimings {
+            leaf: leaf_time,
+            scan: scanned.scan_time,
+            agg: scanned.agg_time,
+            total,
+        },
+        plan,
+    })
 }
 
 /// Builds the segment pruner for an execution: fact-local zone predicates
@@ -434,84 +465,6 @@ pub(crate) fn build_pruner<'a>(
         })
         .collect();
     Some(SegmentPruner::new(fact, query.selection_on(u.root()), chains))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_serial(
-    u: &Universal<'_>,
-    query: &Query,
-    opts: &ExecOptions,
-    leaf: &LeafArtifacts,
-    leaf_time: Duration,
-    survey: Option<&SegmentSurvey>,
-    t_start: Instant,
-    root_span: Option<SpanId>,
-) -> Result<ExecOutput, BindError> {
-    let trace = opts.trace.as_deref();
-    let t_scan = Instant::now();
-    let n = u.root_table().num_slots();
-    let fact_preds = compile_fact_preds(u, query, opts);
-    let mut chain_checks = build_chain_checks(u, query, leaf)?;
-    let mut sa = scan_phase(u, query, opts, leaf, &fact_preds, &mut chain_checks, 0..n, survey)?;
-    let scan_time = t_scan.elapsed();
-    if let Some(t) = trace {
-        t.add(
-            "phase2_scan",
-            root_span,
-            t.us_since_epoch(t_scan),
-            scan_time.as_micros() as u64,
-            vec![
-                ("selected_rows", sa.selected as i64),
-                ("segments_scanned", sa.segments_scanned as i64),
-                ("segments_pruned", sa.segments_pruned as i64),
-            ],
-        );
-    }
-
-    let t_agg = Instant::now();
-    aggregate_phase(u, query, &mut sa);
-    let agg_time = t_agg.elapsed();
-    if let Some(t) = trace {
-        t.add(
-            "phase3_agg",
-            root_span,
-            t.us_since_epoch(t_agg),
-            agg_time.as_micros() as u64,
-            vec![("groups", sa.agg.occupied() as i64)],
-        );
-    }
-
-    let mut result = build_result(query, &sa.agg, &sa.dicts);
-    result.order_and_limit(&query.order_by, query.limit);
-
-    let plan = PlanInfo {
-        root: u.root().to_owned(),
-        executor: ExecutorInfo::Serial { requested_threads: opts.threads },
-        predvec_chains: leaf.filters.iter().filter(|f| f.is_some()).count(),
-        direct_chains: leaf.filters.iter().filter(|f| f.is_none()).count(),
-        agg_strategy: sa.strategy,
-        segments_scanned: sa.segments_scanned,
-        segments_pruned: sa.segments_pruned,
-        selected_rows: sa.selected,
-        groups: sa.agg.occupied(),
-    };
-    let total = t_start.elapsed();
-    if let (Some(t), Some(id)) = (trace, root_span) {
-        let start = t.us_since_epoch(t_start);
-        t.record(
-            id,
-            "execute",
-            None,
-            start,
-            t.now_us().saturating_sub(start),
-            vec![("selected_rows", plan.selected_rows as i64), ("groups", plan.groups as i64)],
-        );
-    }
-    Ok(ExecOutput {
-        result,
-        timings: PhaseTimings { leaf: leaf_time, scan: scan_time, agg: agg_time, total },
-        plan,
-    })
 }
 
 /// Artifacts of the leaf-processing phase, shared read-only by all workers
@@ -609,39 +562,6 @@ pub(crate) fn build_chain_checks<'a>(
     Ok(out)
 }
 
-/// What a grouping column reads from during the fact scan.
-enum GroupSource<'a> {
-    /// Probe a pre-built group vector through a fact FK column (`_G`).
-    DimVec { keys: &'a Chunked<Key>, gv: &'a GroupVector },
-    /// Intern values of a root-table column on the fly.
-    Fact(FactGrouper<'a>),
-    /// Chase the AIR chain and intern the label per row (non-`_G`).
-    Resolved { rc: crate::universal::ResolvedCol<'a>, live: Option<&'a SegBitmap>, dict: GroupDict },
-}
-
-/// Artifacts of the fact-scan phase: the Measure Index plus the aggregation
-/// table it addresses.
-pub(crate) struct ScanArtifacts<'a> {
-    /// Row ids of tuples that survived selection *and* grouping.
-    pub mi_rows: Vec<u32>,
-    /// Their aggregation cells (the Measure Index).
-    pub mi_cells: Vec<u32>,
-    /// The aggregation table (cells registered, accumulators empty).
-    pub agg: AggTable,
-    /// Group dictionaries, one per grouping column. Shared leaf dictionaries
-    /// are borrowed, not cloned — a worker draining many morsels produces
-    /// one `ScanArtifacts` per morsel.
-    pub dicts: Vec<DictRef<'a>>,
-    /// Tuples surviving selection (before group-null drops).
-    pub selected: usize,
-    /// The aggregation strategy in effect.
-    pub strategy: AggStrategy,
-    /// Segments this scan visited.
-    pub segments_scanned: usize,
-    /// Segments this scan skipped whole via zone maps.
-    pub segments_pruned: usize,
-}
-
 /// Compiles the fact-local predicates and orders them most-selective-first
 /// (§4.1). With pruning enabled, the ordering key blends a prefix-sample
 /// estimate with the zone-map survival fraction (the share of segments the
@@ -649,8 +569,7 @@ pub(crate) struct ScanArtifacts<'a> {
 /// is cheap *and* selective inside the survivors, so it runs first. With
 /// `opts.pruning` off, zone maps are not consulted at all — the flat-scan
 /// ablation baseline reproduces the pre-segmentation ordering exactly.
-/// Hoisted out of [`scan_phase`] so the cost is paid once per execution,
-/// not once per morsel; the compiled predicates are shared read-only by
+/// Done once per execution; the compiled predicates are shared read-only by
 /// every worker.
 pub(crate) fn compile_fact_preds<'a>(
     u: &Universal<'a>,
@@ -702,236 +621,422 @@ pub(crate) fn compile_fact_preds<'a>(
     fact_preds
 }
 
-/// Phase 2: the fact scan over `range` — selection, then grouping into the
-/// Measure Index.
+/// What a grouping column reads from during the fact scan.
+enum GroupSource<'a> {
+    /// Probe a pre-built group vector through a fact FK column (`_G`).
+    DimVec { keys: &'a Chunked<Key>, gv: &'a GroupVector },
+    /// Intern values of a root-table column on the fly.
+    Fact(FactGrouper<'a>),
+    /// Chase the AIR chain and intern the label per row (non-`_G`).
+    Resolved { rc: crate::universal::ResolvedCol<'a>, live: Option<&'a SegBitmap>, dict: GroupDict },
+}
+
+impl GroupSource<'_> {
+    /// The column's group dictionary: the shared leaf dictionary of a group
+    /// vector, or the one this worker's scan has built so far.
+    fn dict(&self) -> &GroupDict {
+        match self {
+            GroupSource::DimVec { gv, .. } => &gv.dict,
+            GroupSource::Fact(fg) => &fg.dict,
+            GroupSource::Resolved { dict, .. } => dict,
+        }
+    }
+
+    /// The dictionary a scan grows (`None` for shared leaf dictionaries).
+    fn scan_built_dict(&mut self) -> Option<&mut GroupDict> {
+        match self {
+            GroupSource::DimVec { .. } => None,
+            GroupSource::Fact(fg) => Some(&mut fg.dict),
+            GroupSource::Resolved { dict, .. } => Some(dict),
+        }
+    }
+
+    /// One pass of the column-wise code step (§4.3): the group id of every
+    /// selected row of segment `seg` (first row `base`), into `codes`.
+    fn codes(&mut self, seg: usize, base: RowId, rows: &[RowId], codes: &mut Vec<Key>) {
+        match self {
+            GroupSource::DimVec { keys, gv } => {
+                kernels::gather_codes(keys.chunk(seg), base, &gv.codes, rows, codes)
+            }
+            GroupSource::Fact(fg) => fg.codes_for_segment(seg, base, rows, codes),
+            GroupSource::Resolved { rc, live, dict } => {
+                codes.clear();
+                codes.extend(rows.iter().map(|&r| match rc.locate(r as usize) {
+                    Some(row) if live.is_none_or(|bm| bm.get_or_false(row)) => {
+                        dict.intern(label_at(rc.column, row))
+                    }
+                    _ => NULL_KEY,
+                }));
+            }
+        }
+    }
+}
+
+/// What every worker of one execution shares, read-only: the selection
+/// step, the compiled measures, and the options that steer aggregation.
+struct ScanPlan<'p, 'a> {
+    fact: &'a Table,
+    query: &'p Query,
+    opts: &'p ExecOptions,
+    leaf: &'a LeafArtifacts,
+    scan: SegmentScan<'p, 'a>,
+    /// Compiled measure per aggregate (`None` = `COUNT(*)`-style, no
+    /// expression).
+    measures: Vec<Option<CompiledMeasure<'a>>>,
+}
+
+/// One worker's scan state, owned for the worker's lifetime: its grouping
+/// sources (with the dictionaries its scan builds), its aggregation table,
+/// and the per-segment scratch buffers every claimed morsel reuses. A
+/// worker produces exactly one partial result however many morsels it
+/// claims; the serial executor is the one-worker case.
+struct Worker<'p, 'a> {
+    plan: &'p ScanPlan<'p, 'a>,
+    sources: Vec<GroupSource<'a>>,
+    agg: AggTable,
+    strategy: AggStrategy,
+    /// Selected rows of the current morsel, ascending.
+    rows: Vec<RowId>,
+    /// Group ids of `rows`, one vector per grouping column.
+    codes: Vec<Vec<Key>>,
+    /// Aggregation cells of `rows` (the morsel's Measure Index).
+    cells: Vec<u32>,
+    /// Tuples surviving selection (before group-null drops), all morsels.
+    selected: usize,
+    /// Time spent accumulating measures (phase 3), all morsels.
+    agg_time: Duration,
+}
+
+impl<'p, 'a> Worker<'p, 'a> {
+    fn new(plan: &'p ScanPlan<'p, 'a>, u: &Universal<'a>) -> Result<Self, BindError> {
+        let (fact, query, opts, leaf) = (plan.fact, plan.query, plan.opts, plan.leaf);
+        let mut sources: Vec<GroupSource<'a>> = Vec::with_capacity(query.group_by.len());
+        for (gi, g) in query.group_by.iter().enumerate() {
+            if g.table == u.root() {
+                let col = fact
+                    .column(&g.column)
+                    .ok_or_else(|| BindError::NoColumn(g.table.clone(), g.column.clone()))?;
+                sources.push(GroupSource::Fact(FactGrouper::new(col)));
+            } else if let Some(gv) = leaf.group_vectors[gi].as_ref() {
+                let (_, keys) = fact
+                    .column(&gv.fact_key_col)
+                    .expect("group vector key column exists")
+                    .as_key()
+                    .expect("group vector key column is a key");
+                sources.push(GroupSource::DimVec { keys, gv });
+            } else {
+                let rc = u.resolve(g)?;
+                let live = rc.table.has_deletes().then(|| rc.table.live_bitmap());
+                sources.push(GroupSource::Resolved { rc, live, dict: GroupDict::new() });
+            }
+        }
+
+        // Leaf dictionaries are final; scan-built ones start empty and the
+        // dense array is re-addressed as they grow (`fit_radices`).
+        let radices: Vec<u32> = sources.iter().map(|s| s.dict().len() as u32).collect();
+        let strategy = opts.force_agg.unwrap_or_else(|| {
+            if opts.variant.array_agg() {
+                opts.optimizer.agg_strategy(&radices)
+            } else {
+                AggStrategy::HashTable
+            }
+        });
+        let grouper = if sources.is_empty() {
+            Grouper::Scalar
+        } else {
+            match strategy {
+                AggStrategy::DenseArray => Grouper::dense(radices),
+                AggStrategy::HashTable => Grouper::hash(sources.len()),
+            }
+        };
+        let funcs: Vec<AggFunc> = query.aggregates.iter().map(|a| a.func).collect();
+        Ok(Worker {
+            plan,
+            codes: vec![Vec::new(); sources.len()],
+            sources,
+            agg: AggTable::new(grouper, &funcs),
+            strategy,
+            rows: Vec::new(),
+            cells: Vec::new(),
+            selected: 0,
+            agg_time: Duration::ZERO,
+        })
+    }
+
+    /// Widens a dense aggregation array whose scan-built dictionaries have
+    /// outgrown its radices, or — when the optimizer no longer accepts the
+    /// array for the dictionary sizes reached — re-addresses it as a hash
+    /// table. A forced strategy is never abandoned.
+    fn fit_radices(&mut self) {
+        let Grouper::Dense { radices, .. } = &self.agg.grouper else { return };
+        let sizes = || self.sources.iter().map(|s| s.dict().len() as u32);
+        if sizes().zip(radices).all(|(len, &radix)| len <= radix) {
+            return;
+        }
+        let lens: Vec<u32> = sizes().collect();
+        let opts = self.plan.opts;
+        let dense_ok = |radices: &[u32]| {
+            opts.force_agg.is_some()
+                || opts.optimizer.agg_strategy(radices) == AggStrategy::DenseArray
+        };
+        // Doubling bounds the re-addressing passes by the logarithm of the
+        // final dictionary size; the exact sizes are the fallback when the
+        // doubled array alone would cross the optimizer's limits.
+        let doubled: Vec<u32> = lens
+            .iter()
+            .zip(radices)
+            .map(
+                |(&len, &radix)| if len > radix { len.max(radix.saturating_mul(2)) } else { radix },
+            )
+            .collect();
+        let grouper = if dense_ok(&doubled) {
+            Grouper::dense(doubled)
+        } else if dense_ok(&lens) {
+            Grouper::dense(lens)
+        } else {
+            self.strategy = AggStrategy::HashTable;
+            Grouper::hash(lens.len())
+        };
+        self.agg.relayout(grouper);
+    }
+
+    /// The whole pipeline for one morsel (a row range inside one segment):
+    /// select → group codes → cells (phase 2), then accumulate every
+    /// measure through the cells (phase 3), all in this worker's buffers.
+    /// Returns the number of tuples that survived selection.
+    fn run_morsel(&mut self, range: std::ops::Range<usize>) -> usize {
+        let plan = self.plan;
+        let seg = range.start / plan.fact.segment_rows();
+        let base = plan.fact.segment_range(seg).start as RowId;
+        plan.scan.select(range, &mut self.rows);
+        let selected = self.rows.len();
+        self.selected += selected;
+        if selected == 0 {
+            return 0;
+        }
+        for (source, codes) in self.sources.iter_mut().zip(&mut self.codes) {
+            source.codes(seg, base, &self.rows, codes);
+        }
+        self.fit_radices();
+        self.agg.assign_cells(&mut self.codes, &mut self.rows, &mut self.cells);
+
+        // "Only the parts of the measure columns referred by the Measure
+        // Index need to be accessed" (§4.3); rows ascend, so every
+        // accumulator sees its values in row order.
+        let t_agg = Instant::now();
+        let (rows, cells) = (&self.rows, &self.cells);
+        for (j, measure) in plan.measures.iter().enumerate() {
+            let state = self.agg.state_mut(j);
+            match measure {
+                None => state.fold(cells, |_| 0.0),
+                Some(cm) => {
+                    let m = cm.bind(seg);
+                    state.fold(cells, |i| m.eval((rows[i] - base) as usize));
+                }
+            }
+        }
+        self.agg_time += t_agg.elapsed();
+        selected
+    }
+
+    /// Folds another worker's partial result into this one. Group ids of
+    /// shared leaf dictionaries mean the same in both; scan-built
+    /// dictionaries are reconciled by label, once per distinct group.
+    fn absorb(&mut self, other: &Worker<'_, '_>) {
+        self.selected += other.selected;
+        let remap: Vec<Option<Vec<Key>>> = self
+            .sources
+            .iter_mut()
+            .zip(&other.sources)
+            .map(|(mine, theirs)| {
+                let dict = mine.scan_built_dict()?;
+                Some(theirs.dict().labels().iter().map(|l| dict.intern(l.clone())).collect())
+            })
+            .collect();
+        self.fit_radices();
+        self.agg.merge_from(&other.agg, &remap);
+    }
+}
+
+/// What phases 2–3 hand back to [`execute`].
+struct Scanned<'a> {
+    /// The (merged) aggregation table.
+    agg: AggTable,
+    /// Its grouping sources, for decoding group ids into labels.
+    sources: Vec<GroupSource<'a>>,
+    strategy: AggStrategy,
+    executor: ExecutorInfo,
+    selected: usize,
+    segments_scanned: usize,
+    segments_pruned: usize,
+    scan_time: Duration,
+    agg_time: Duration,
+}
+
+impl Scanned<'_> {
+    fn dicts(&self) -> Vec<&GroupDict> {
+        self.sources.iter().map(GroupSource::dict).collect()
+    }
+}
+
+/// Phases 2 and 3 as one segment-at-a-time pipeline: the surviving
+/// segments are cut into morsels (zone-pruned segments never enter the
+/// dispatcher, so no worker touches their columns), `threads` workers —
+/// the calling thread among them — drain the dispatcher through
+/// [`Worker::run_morsel`], and the workers' partial results are merged
+/// once each ("the multidimensional arrays are integrated", §5).
 ///
-/// With a [`SegmentSurvey`], pruned segments are skipped *before* any
-/// predicate touches their columns; `None` scans the whole range (the
-/// parallel path prunes at dispatch time, so workers pass `None`). The
-/// selection itself always proceeds segment by segment (columns are
-/// per-segment chunks, bound once each) in ascending row order, so the
-/// selection vector — and therefore every float accumulation order
-/// downstream — is the same whichever segments were pruned.
+/// Rows are selected and accumulated in ascending order within a worker
+/// whichever segments were pruned, so a one-worker execution sums floats
+/// in the same order with pruning on or off.
 ///
-/// `fact_preds` ([`compile_fact_preds`]) and `chain_checks`
-/// ([`build_chain_checks`]) are built by the caller: once per execution for
-/// the serial path, once per *worker* for the parallel path, so a worker
-/// claiming dozens of morsels pays the setup once.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_phase<'a>(
+/// Reported phase times keep the paper's boundaries: for one worker, scan
+/// is everything up to the Measure Index and aggregation is the measure
+/// accumulation, each summed over the segments; with several workers the
+/// scan span covers the workers' wall time and aggregation is the merge.
+fn scan_and_aggregate<'a>(
     u: &Universal<'a>,
     query: &Query,
     opts: &ExecOptions,
+    threads: usize,
     leaf: &'a LeafArtifacts,
-    fact_preds: &[FactPred<'a>],
-    chain_checks: &mut [ChainCheck<'a>],
-    range: std::ops::Range<usize>,
     survey: Option<&SegmentSurvey>,
-) -> Result<ScanArtifacts<'a>, BindError> {
+    root_span: Option<SpanId>,
+) -> Result<Scanned<'a>, BindError> {
+    let trace = opts.trace.as_deref();
     let fact = u.root_table();
+    let parallel = threads > 1;
+    let t_scan = Instant::now();
 
-    let seg_rows = fact.segment_rows();
-    let (seg_lo, seg_hi) = if range.is_empty() {
-        (0, 0)
+    // A lone worker takes whole segments; several share smaller morsels so
+    // every one of them sees a few.
+    let morsel = if parallel {
+        morsel_size(fact.num_slots(), threads, opts.morsel_rows)
     } else {
-        (range.start / seg_rows, range.end.div_ceil(seg_rows))
+        fact.segment_rows()
     };
-    let mut segments_scanned = 0usize;
-    let mut segments_pruned = 0usize;
-    let select = |sub: std::ops::Range<usize>, chain_checks: &mut [ChainCheck<'a>]| {
-        if !opts.variant.column_wise() {
-            select_rowwise(fact, sub, fact_preds, chain_checks)
-        } else {
-            match opts.selection {
-                SelectionStrategy::VectorRefine => {
-                    select_columnwise(fact, sub, fact_preds, chain_checks)
-                }
-                SelectionStrategy::BitmapAnd => {
-                    select_bitmap_and(fact, sub, fact_preds, chain_checks)
-                }
-            }
-        }
+    let dispatcher = MorselDispatcher::over_segments(fact, survey, morsel);
+    let segments_pruned = survey.map_or(0, SegmentSurvey::pruned);
+    let segments_scanned = fact.segment_count() - segments_pruned;
+
+    let fact_preds = compile_fact_preds(u, query, opts);
+    let mut chains = build_chain_checks(u, query, leaf)?;
+    order_chains(&mut chains);
+    let mode = match (opts.variant.column_wise(), opts.selection) {
+        (false, _) => ScanMode::RowWise,
+        (true, SelectionStrategy::VectorRefine) => ScanMode::ColumnWise,
+        (true, SelectionStrategy::BitmapAnd) => ScanMode::BitmapAnd,
     };
-    let sv = match survey {
-        Some(s) if !(seg_lo..seg_hi).all(|seg| s.keep(seg)) => {
-            let mut rows: Vec<RowId> = Vec::new();
-            for seg in seg_lo..seg_hi {
-                if s.keep(seg) {
-                    segments_scanned += 1;
-                    let seg_start = seg * seg_rows;
-                    let sub = range.start.max(seg_start)..range.end.min(seg_start + seg_rows);
-                    rows.extend_from_slice(select(sub, chain_checks).rows());
-                } else {
-                    segments_pruned += 1;
-                }
-            }
-            SelVec::from_rows(rows)
-        }
-        _ => {
-            segments_scanned = seg_hi - seg_lo;
-            select(range, chain_checks)
-        }
+    let plan = ScanPlan {
+        fact,
+        query,
+        opts,
+        leaf,
+        scan: SegmentScan::new(fact, &fact_preds, &chains, mode),
+        measures: query
+            .aggregates
+            .iter()
+            .map(|a| a.expr.as_ref().map(|e| e.compile(fact)))
+            .collect(),
     };
-    let selected = sv.len();
 
-    // Grouping sources.
-    let mut sources: Vec<GroupSource<'_>> = Vec::with_capacity(query.group_by.len());
-    for (gi, g) in query.group_by.iter().enumerate() {
-        if g.table == u.root() {
-            let col = fact
-                .column(&g.column)
-                .ok_or_else(|| BindError::NoColumn(g.table.clone(), g.column.clone()))?;
-            sources.push(GroupSource::Fact(FactGrouper::new(col)));
-        } else if let Some(gv) = leaf.group_vectors[gi].as_ref() {
-            let (_, keys) = fact
-                .column(&gv.fact_key_col)
-                .expect("group vector key column exists")
-                .as_key()
-                .expect("group vector key column is a key");
-            sources.push(GroupSource::DimVec { keys, gv });
-        } else {
-            let rc = u.resolve(g)?;
-            let live = rc.table.has_deletes().then(|| rc.table.live_bitmap());
-            sources.push(GroupSource::Resolved { rc, live, dict: GroupDict::new() });
-        }
-    }
-
-    // Column-wise code pass: one pass per grouping column (§4.3).
-    let rows = sv.rows();
-    let mut dim_codes: Vec<Vec<Key>> = Vec::with_capacity(sources.len());
-    for src in &mut sources {
-        let mut codes = vec![NULL_KEY; rows.len()];
-        match src {
-            GroupSource::DimVec { keys, gv } => {
-                // The probed FK column is sequential in the fact table:
-                // bind its chunk once per segment run.
-                segment_runs(rows, seg_rows, |seg, run| {
-                    let (keys, base) = (keys.chunk(seg), seg * seg_rows);
-                    for (code, &r) in codes[run.clone()].iter_mut().zip(&rows[run]) {
-                        *code = gv.probe(keys[r as usize - base]);
-                    }
-                });
-            }
-            GroupSource::Fact(fg) => {
-                for (i, &r) in rows.iter().enumerate() {
-                    codes[i] = fg.code_for(r as usize);
-                }
-            }
-            GroupSource::Resolved { rc, live, dict } => {
-                for (i, &r) in rows.iter().enumerate() {
-                    if let Some(row) = rc.locate(r as usize) {
-                        if live.is_none_or(|bm| bm.get_or_false(row)) {
-                            codes[i] = dict.intern(label_at(rc.column, row));
-                        }
-                    }
-                }
+    // Reserved up front so workers can parent their per-morsel spans under
+    // it; its interval is recorded once the workers have joined.
+    let scan_span = trace.filter(|_| parallel).map(|t| t.alloc());
+    let workers = run_workers(threads, |w| -> Result<Worker<'_, 'a>, BindError> {
+        let mut worker = Worker::new(&plan, u)?;
+        while let Some(range) = dispatcher.claim() {
+            let morsel_start = scan_span.and(trace).map(|t| t.now_us());
+            let rows = range.len();
+            let selected = worker.run_morsel(range);
+            // One span per claimed morsel: dispatch + scan + fold.
+            if let (Some(t), Some(start)) = (trace, morsel_start) {
+                t.add(
+                    "morsel",
+                    scan_span,
+                    start,
+                    t.now_us().saturating_sub(start),
+                    vec![
+                        ("worker", w as i64),
+                        ("rows", rows as i64),
+                        ("selected_rows", selected as i64),
+                    ],
+                );
             }
         }
-        dim_codes.push(codes);
-    }
-
-    // Radices are final once the code pass is done.
-    let radices: Vec<u32> = sources
-        .iter()
-        .map(|s| match s {
-            GroupSource::DimVec { gv, .. } => gv.dict.len() as u32,
-            GroupSource::Fact(fg) => fg.dict.len() as u32,
-            GroupSource::Resolved { dict, .. } => dict.len() as u32,
-        })
-        .collect();
-
-    let strategy = opts.force_agg.unwrap_or_else(|| {
-        if opts.variant.array_agg() {
-            opts.optimizer.agg_strategy(&radices)
-        } else {
-            AggStrategy::HashTable
-        }
+        Ok(worker)
     });
-    let grouper = if query.group_by.is_empty() {
-        Grouper::Scalar
-    } else {
-        match strategy {
-            AggStrategy::DenseArray => Grouper::dense(radices),
-            AggStrategy::HashTable => Grouper::hash(query.group_by.len()),
-        }
-    };
-    let funcs: Vec<AggFunc> = query.aggregates.iter().map(|a| a.func).collect();
-    let mut agg = AggTable::new(grouper, &funcs);
+    let mut workers = workers.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter();
+    let mut first = workers.next().expect("at least one worker ran");
+    let workers_time = t_scan.elapsed();
 
-    // Measure Index: cell per surviving tuple; tuples with a NULL group
-    // coordinate are dropped (the paper's −1 entries).
-    let mut mi_rows = Vec::with_capacity(rows.len());
-    let mut mi_cells = Vec::with_capacity(rows.len());
-    let dims = dim_codes.len();
-    let mut coords = vec![0 as Key; dims];
-    'rows: for (i, &r) in rows.iter().enumerate() {
-        for d in 0..dims {
-            let c = dim_codes[d][i];
-            if c == NULL_KEY {
-                continue 'rows;
-            }
-            coords[d] = c;
+    let t_merge = Instant::now();
+    for other in workers {
+        first.absorb(&other);
+    }
+    let merge_time = t_merge.elapsed();
+
+    // One worker: its accumulation time is phase 3, the rest of the loop
+    // (setup included) phase 2. Several: accumulation overlaps scanning
+    // across workers, so the scan phase is their wall time.
+    let worker_agg = if parallel { Duration::ZERO } else { first.agg_time };
+    let scan_time = workers_time.saturating_sub(worker_agg);
+    let agg_time = worker_agg + merge_time;
+    if let Some(t) = trace {
+        let scan_start = t.us_since_epoch(t_scan);
+        let mut attrs = vec![
+            ("selected_rows", first.selected as i64),
+            ("segments_scanned", segments_scanned as i64),
+            ("segments_pruned", segments_pruned as i64),
+        ];
+        if parallel {
+            attrs.push(("threads", threads as i64));
+            attrs.push(("morsels", dispatcher.morsels() as i64));
         }
-        let cell = agg.register(&coords);
-        mi_rows.push(r);
-        mi_cells.push(cell);
+        let scan_us = scan_time.as_micros() as u64;
+        match scan_span {
+            Some(id) => t.record(id, "phase2_scan", root_span, scan_start, scan_us, attrs),
+            None => {
+                t.add("phase2_scan", root_span, scan_start, scan_us, attrs);
+            }
+        }
+        let groups = ("groups", first.agg.occupied() as i64);
+        let agg_us = agg_time.as_micros() as u64;
+        if parallel {
+            let attrs = vec![groups, ("partials", threads as i64)];
+            t.add("merge", root_span, t.us_since_epoch(t_merge), agg_us, attrs);
+        } else {
+            // Per-segment accumulation, shown as one interval after the
+            // summed scan time.
+            t.add("phase3_agg", root_span, scan_start + scan_us, agg_us, vec![groups]);
+        }
     }
 
-    // Collect the group dictionaries for result decoding. Leaf dictionaries
-    // stay borrowed; only scan-built dictionaries are moved out.
-    let dicts: Vec<DictRef<'a>> = sources
-        .into_iter()
-        .map(|s| match s {
-            GroupSource::DimVec { gv, .. } => DictRef::Shared(&gv.dict),
-            GroupSource::Fact(fg) => DictRef::Owned(fg.dict),
-            GroupSource::Resolved { dict, .. } => DictRef::Owned(dict),
-        })
-        .collect();
-
-    Ok(ScanArtifacts {
-        mi_rows,
-        mi_cells,
-        agg,
-        dicts,
-        selected,
-        strategy,
+    let executor = if parallel {
+        ExecutorInfo::Parallel {
+            threads,
+            requested_threads: opts.threads,
+            morsels: dispatcher.morsels(),
+            morsel_rows: morsel,
+        }
+    } else {
+        ExecutorInfo::Serial { requested_threads: opts.threads }
+    };
+    Ok(Scanned {
+        agg: first.agg,
+        sources: first.sources,
+        strategy: first.strategy,
+        executor,
+        selected: first.selected,
         segments_scanned,
         segments_pruned,
+        scan_time,
+        agg_time,
     })
 }
 
-/// Phase 3: measure-column aggregation, driven column-wise by the Measure
-/// Index — "only the parts of the measure columns referred by the Measure
-/// Index need to be accessed" (§4.3).
-pub(crate) fn aggregate_phase(u: &Universal<'_>, query: &Query, sa: &mut ScanArtifacts<'_>) {
-    let fact = u.root_table();
-    for (j, aggdef) in query.aggregates.iter().enumerate() {
-        match (&aggdef.expr, aggdef.func) {
-            (None, AggFunc::Count) | (None, _) => {
-                let st = sa.agg.state_mut(j);
-                for &cell in &sa.mi_cells {
-                    st.update(cell, 0.0);
-                }
-            }
-            (Some(expr), _) => {
-                let cm = expr.compile(fact);
-                let st = sa.agg.state_mut(j);
-                let seg_rows = fact.segment_rows();
-                // Measure columns bind one chunk per segment run of the
-                // (ascending) Measure Index.
-                segment_runs(&sa.mi_rows, seg_rows, |seg, run| {
-                    let (m, base) = (cm.bind(seg), seg * seg_rows);
-                    for (&r, &cell) in sa.mi_rows[run.clone()].iter().zip(&sa.mi_cells[run]) {
-                        st.update(cell, m.eval(r as usize - base));
-                    }
-                });
-            }
-        }
-    }
-}
-
 /// Assembles the result rows from the aggregation table.
-pub(crate) fn build_result(query: &Query, agg: &AggTable, dicts: &[DictRef<'_>]) -> QueryResult {
+fn build_result(query: &Query, agg: &AggTable, dicts: &[&GroupDict]) -> QueryResult {
     let columns = query.output_names();
     let cells = agg.emit();
     let mut rows = Vec::with_capacity(cells.len());
@@ -1249,5 +1354,78 @@ mod tests {
         let db = star_db();
         let q = Query::new().filter("ghost", Pred::eq("x", 1)).agg(Aggregate::count("n"));
         assert!(execute(&db, &q, &ExecOptions::default()).is_err());
+    }
+
+    /// A fact-local grouping column whose values keep appearing segment
+    /// after segment: the worker's dense array starts empty and is widened
+    /// as the scan-built dictionary grows — and abandoned for a hash table
+    /// once the optimizer's cell budget is crossed. Either way the result
+    /// is the one a hash table from the start produces.
+    #[test]
+    fn dense_array_follows_a_scan_built_dictionary() {
+        let mut db = Database::new();
+        let mut fact = Table::new(
+            "fact",
+            Schema::new(vec![
+                ColumnDef::new("f_g", DataType::I32),
+                ColumnDef::new("f_s", DataType::Dict),
+                ColumnDef::new("f_v", DataType::I64),
+            ]),
+        );
+        fact.set_segment_rows(64);
+        for i in 0..1000i64 {
+            // New groups keep turning up: value i/25 first appears at row 25·i.
+            fact.append_row(&[
+                Value::Int(i / 25),
+                Value::Str(format!("s{}", (i * 7) % 5)),
+                Value::Int(i),
+            ]);
+        }
+        db.add_table(fact);
+        let q = Query::new()
+            .root("fact")
+            .group("fact", "f_g")
+            .group("fact", "f_s")
+            .agg(Aggregate::sum(MeasureExpr::col("f_v"), "total"))
+            .agg(Aggregate::count("n"));
+        let hashed = execute(
+            &db,
+            &q,
+            &ExecOptions { force_agg: Some(AggStrategy::HashTable), ..Default::default() },
+        )
+        .unwrap();
+        assert_eq!(hashed.plan.groups, 200);
+
+        let dense = execute(&db, &q, &ExecOptions::default()).unwrap();
+        assert_eq!(dense.plan.agg_strategy, AggStrategy::DenseArray);
+        assert_eq!(dense.plan.segments_scanned, 16);
+        assert!(dense.result.same_contents(&hashed.result, 0.0));
+
+        // 40 × 5 cells do not fit a 64-cell budget: the array is given up
+        // part-way through the scan, with every group carried over.
+        let mut tight = ExecOptions::default();
+        tight.optimizer.agg_array_max_cells = 64;
+        let converted = execute(&db, &q, &tight).unwrap();
+        assert_eq!(converted.plan.agg_strategy, AggStrategy::HashTable);
+        assert!(converted.result.same_contents(&hashed.result, 0.0));
+
+        // A forced dense array is never abandoned.
+        tight.force_agg = Some(AggStrategy::DenseArray);
+        let forced = execute(&db, &q, &tight).unwrap();
+        assert_eq!(forced.plan.agg_strategy, AggStrategy::DenseArray);
+        assert!(forced.result.same_contents(&hashed.result, 0.0));
+
+        // Two workers build their dictionaries in different orders; the
+        // merge reconciles them by label.
+        let mut par = ExecOptions::default().threads(2).morsel_rows(32);
+        par.optimizer.parallel_min_rows_per_thread = 1;
+        par.optimizer.host_threads = 64;
+        let merged = execute(&db, &q, &par).unwrap();
+        assert!(merged.plan.executor.is_parallel());
+        assert!(merged.result.same_contents(&hashed.result, 0.0));
+        par.optimizer.agg_array_max_cells = 64;
+        let merged = execute(&db, &q, &par).unwrap();
+        assert_eq!(merged.plan.agg_strategy, AggStrategy::HashTable);
+        assert!(merged.result.same_contents(&hashed.result, 0.0));
     }
 }

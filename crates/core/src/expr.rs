@@ -312,18 +312,21 @@ impl Pred {
     pub fn eval_bitmap(&self, table: &Table) -> Bitmap {
         let compiled = self.compile(table);
         let has_deletes = table.has_deletes();
-        let mut out = Bitmap::new(table.num_slots(), false);
+        let n = table.num_slots();
+        // Bits are OR-ed into their word unconditionally: a half-selective
+        // predicate would mispredict a test-and-set on every other row.
+        let mut words = vec![0u64; n.div_ceil(64)];
         for seg in 0..table.segment_count() {
             let pred = compiled.bind(seg);
             let live = table.live_bitmap().chunk(seg);
             let range = table.segment_range(seg);
             for off in 0..range.len() {
-                if (!has_deletes || live.get(off)) && pred.eval(off) {
-                    out.set(range.start + off, true);
-                }
+                let pass = (!has_deletes || live.get(off)) && pred.eval(off);
+                let slot = range.start + off;
+                words[slot / 64] |= u64::from(pass) << (slot % 64);
             }
         }
-        out
+        Bitmap::from_words(words, n)
     }
 }
 

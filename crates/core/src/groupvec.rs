@@ -10,7 +10,8 @@
 //! A [`GroupVector`] lives on the *first-level* dimension of a chain (for
 //! snowflakes the group value is chased down the chain once per dimension
 //! row, not once per fact row). Grouping columns on the fact table itself
-//! use a [`FactGrouper`] that interns codes during the fact scan.
+//! use a [`FactGrouper`] that interns codes during the fact scan; the same
+//! interner numbers a group vector's groups while it is built.
 
 use std::collections::HashMap;
 
@@ -18,7 +19,8 @@ use astore_storage::bitmap::Bitmap;
 use astore_storage::catalog::Database;
 use astore_storage::chunks::Chunked;
 use astore_storage::column::Column;
-use astore_storage::types::{Key, Value, NULL_KEY};
+use astore_storage::dictionary::DictColumn;
+use astore_storage::types::{Key, RowId, Value, NULL_KEY};
 
 use crate::graph::JoinGraph;
 use crate::query::ColRef;
@@ -86,33 +88,6 @@ impl GroupDict {
     /// All labels, ordered by group id.
     pub fn labels(&self) -> &[GroupLabel] {
         &self.labels
-    }
-}
-
-/// A group dictionary held by reference or by value.
-///
-/// The fact scan's dictionaries come in two flavours: pre-built leaf
-/// dictionaries (group vectors, probed read-only by every worker and every
-/// morsel) and scan-built dictionaries (fact-local or chain-resolved
-/// grouping columns). Borrowing the former matters under morsel-driven
-/// execution, where cloning a shared dictionary once per claimed morsel
-/// would turn a read-only probe structure into per-morsel allocation work.
-#[derive(Debug)]
-pub enum DictRef<'a> {
-    /// A shared, pre-built dictionary (leaf group vectors).
-    Shared(&'a GroupDict),
-    /// A dictionary built during the scan itself.
-    Owned(GroupDict),
-}
-
-impl std::ops::Deref for DictRef<'_> {
-    type Target = GroupDict;
-
-    fn deref(&self) -> &GroupDict {
-        match self {
-            DictRef::Shared(d) => d,
-            DictRef::Owned(d) => d,
-        }
     }
 }
 
@@ -196,39 +171,36 @@ pub fn build_group_vector(
         .ok_or_else(|| BindError::NoColumn(colref.table.clone(), colref.column.clone()))?;
 
     let n = first_dim.num_slots();
-    let mut dict = GroupDict::new();
+    // Group ids in first-appearance order. A dictionary column interns by
+    // storage code, so each distinct label is materialised once, not once
+    // per dimension row.
+    let mut groups = FactGrouper::new(column);
     let mut codes = vec![NULL_KEY; n];
-    #[allow(clippy::needless_range_loop)] // slot indexes three parallel structures
-    for slot in 0..n {
-        let passes = match filter {
-            Some(bm) => bm.get_or_false(slot),
-            None => first_dim.is_live(slot as Key),
-        };
-        if !passes {
-            continue;
-        }
+    // Passing slots ascending, so group ids keep first-appearance order.
+    // Walking the filter's set bits (instead of testing every slot) keeps a
+    // half-selective filter from mispredicting on every other row.
+    let mut assign = |slot: usize| {
         // Chase the chain to the grouping column's row.
         let mut row = slot;
-        let mut alive = true;
         for keys in &hops {
             match keys.get_checked(row) {
                 Some(k) if k != NULL_KEY => row = k as usize,
-                _ => {
-                    alive = false;
-                    break;
-                }
+                _ => return,
             }
         }
-        if !alive {
-            continue;
-        }
-        codes[slot] = dict.intern(label_at(column, row));
+        codes[slot] = groups.code_for(row);
+    };
+    match filter {
+        Some(bm) => bm.iter_ones().take_while(|&slot| slot < n).for_each(&mut assign),
+        None => (0..n).filter(|&slot| first_dim.is_live(slot as Key)).for_each(&mut assign),
     }
-    Ok(GroupVector { fact_key_col, codes, dict })
+    Ok(GroupVector { fact_key_col, codes, dict: groups.dict })
 }
 
-/// Grouping on a root-table column: codes are interned during the fact scan
-/// itself (there is no smaller table to pre-compute a vector on).
+/// Interns the values of one column into group ids, in first-appearance
+/// order. Grouping on a root-table column runs it during the fact scan
+/// itself (there is no smaller table to pre-compute a vector on);
+/// [`build_group_vector`] runs it once per passing dimension row.
 #[derive(Debug)]
 pub struct FactGrouper<'a> {
     column: &'a Column,
@@ -237,7 +209,18 @@ pub struct FactGrouper<'a> {
     /// Fast path: for dictionary-compressed fact columns, maps storage codes
     /// to group ids directly (storage code space is dense and small).
     dict_code_map: Vec<Key>,
+    /// Fast path for integer columns: the group id of value `v` sits at
+    /// `int_map[v - int_base]` ([`NULL_KEY`] = not seen yet) while the
+    /// values seen span fewer than [`INT_MAP_SPAN`]; values outside that
+    /// window are interned through the dictionary's hash index every time.
+    int_map: Vec<Key>,
+    int_base: i64,
 }
+
+/// Widest value range the integer lookup vector covers (256 KiB of ids):
+/// years, quantities, discounts, flags and small keys fit; a high-cardinality
+/// column falls back to hashing past the window instead of growing it.
+const INT_MAP_SPAN: i64 = 1 << 16;
 
 impl<'a> FactGrouper<'a> {
     /// Creates a grouper over a root-table column.
@@ -246,23 +229,92 @@ impl<'a> FactGrouper<'a> {
             Column::Dict(dc) => vec![NULL_KEY; dc.dict().len()],
             _ => Vec::new(),
         };
-        FactGrouper { column, dict: GroupDict::new(), dict_code_map }
+        FactGrouper {
+            column,
+            dict: GroupDict::new(),
+            dict_code_map,
+            int_map: Vec::new(),
+            int_base: 0,
+        }
+    }
+
+    /// The group id of dictionary storage code `sc`, interning its string
+    /// the first time the code is seen.
+    #[inline]
+    fn group_of_code(&mut self, dc: &DictColumn, sc: Key) -> Key {
+        let cached = self.dict_code_map[sc as usize];
+        if cached != NULL_KEY {
+            return cached;
+        }
+        let id = self.dict.intern(GroupLabel::Str(dc.dict().decode(sc).to_owned()));
+        self.dict_code_map[sc as usize] = id;
+        id
+    }
+
+    /// The group id of integer value `v`: a lookup-vector hit for a value
+    /// seen before inside the window, the dictionary's hash index otherwise.
+    #[inline]
+    fn group_of_int(&mut self, v: i64) -> Key {
+        let slot = v.wrapping_sub(self.int_base) as u64 as usize;
+        if let Some(&id) = self.int_map.get(slot).filter(|&&id| id != NULL_KEY) {
+            return id;
+        }
+        let id = self.dict.intern(GroupLabel::Int(v));
+        // Stretch the window over `v` if it still fits the span.
+        let (lo, hi) = match self.int_map.len() {
+            0 => (v, v),
+            len => (v.min(self.int_base), v.max(self.int_base + (len as i64 - 1))),
+        };
+        if hi.checked_sub(lo).is_some_and(|span| span < INT_MAP_SPAN) {
+            if !self.int_map.is_empty() && lo < self.int_base {
+                let below = (self.int_base - lo) as usize;
+                self.int_map.splice(0..0, std::iter::repeat_n(NULL_KEY, below));
+            }
+            self.int_base = lo;
+            self.int_map.resize((hi - lo) as usize + 1, NULL_KEY);
+            self.int_map[(v - lo) as usize] = id;
+        }
+        id
     }
 
     /// The group id of `row`'s value, interning new values.
     #[inline]
     pub fn code_for(&mut self, row: usize) -> Key {
         if let Column::Dict(dc) = self.column {
-            let sc = dc.code(row) as usize;
-            let cached = self.dict_code_map[sc];
-            if cached != NULL_KEY {
-                return cached;
-            }
-            let id = self.dict.intern(GroupLabel::Str(dc.get(row).to_owned()));
-            self.dict_code_map[sc] = id;
-            return id;
+            return self.group_of_code(dc, dc.code(row));
         }
-        self.dict.intern(label_at(self.column, row))
+        match self.column.int_at(row) {
+            Some(v) => self.group_of_int(v),
+            None => self.dict.intern(label_at(self.column, row)),
+        }
+    }
+
+    /// [`FactGrouper::code_for`] over the selected `rows` of segment `seg`
+    /// (whose first row is `base`), in order, into `codes`. A dictionary
+    /// column binds the segment's code chunk once.
+    pub fn codes_for_segment(
+        &mut self,
+        seg: usize,
+        base: RowId,
+        rows: &[RowId],
+        codes: &mut Vec<Key>,
+    ) {
+        codes.clear();
+        match self.column {
+            Column::Dict(dc) => {
+                let chunk = dc.codes().chunk(seg);
+                codes.extend(
+                    rows.iter().map(|&r| self.group_of_code(dc, chunk[(r - base) as usize])),
+                );
+            }
+            _ => codes.extend(rows.iter().map(|&r| self.code_for(r as usize))),
+        }
+    }
+
+    /// An upper bound on the number of groups, when the column knows one
+    /// without scanning (a dictionary column's dictionary size).
+    pub fn max_groups(&self) -> Option<usize> {
+        matches!(self.column, Column::Dict(_)).then_some(self.dict_code_map.len())
     }
 }
 
@@ -380,15 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn dict_ref_derefs_shared_and_owned() {
-        let mut owned = GroupDict::new();
-        owned.intern(GroupLabel::Int(7));
-        let shared = owned.clone();
-        assert_eq!(DictRef::Shared(&shared).label(0), &GroupLabel::Int(7));
-        assert_eq!(DictRef::Owned(owned).len(), 1);
-    }
-
-    #[test]
     fn fact_grouper_interns_integer_values() {
         let db = db();
         let fact = db.table("fact").unwrap();
@@ -397,6 +440,39 @@ mod tests {
         assert_eq!(codes, vec![0, 1, 0, 2]);
         assert_eq!(fg.dict.label(0), &GroupLabel::Int(1));
         assert_eq!(fg.dict.label(2), &GroupLabel::Int(3));
+    }
+
+    #[test]
+    fn fact_grouper_integer_window_matches_plain_interning() {
+        // Values below, inside, above and far outside the lookup window, in
+        // an order that stretches it both ways; ids must equal what
+        // interning each value through the dictionary alone would assign.
+        let values: Vec<i64> = vec![
+            1995,
+            1995,
+            1992,
+            1998,
+            i64::MIN,
+            1992,
+            5_000_000_000,
+            -3,
+            1995,
+            i64::MAX,
+            i64::MIN,
+            70_000,
+            -3,
+            5_000_000_000,
+        ];
+        let mut t = Table::new("t", Schema::new(vec![ColumnDef::new("v", DataType::I64)]));
+        for &v in &values {
+            t.append_row(&[Value::Int(v)]);
+        }
+        let mut fg = FactGrouper::new(t.column("v").unwrap());
+        let mut plain = GroupDict::new();
+        for (row, &v) in values.iter().enumerate() {
+            assert_eq!(fg.code_for(row), plain.intern(GroupLabel::Int(v)), "row {row} value {v}");
+        }
+        assert_eq!(fg.dict.labels(), plain.labels());
     }
 
     #[test]

@@ -19,10 +19,13 @@
 //!    Index into a dense multidimensional aggregation array (or a hash
 //!    table when the array would be too sparse).
 //!
-//! Multicore execution (§5) is morsel-driven: a shared atomic cursor hands
-//! out fixed-size fact-table row ranges to a pool of workers that share the
-//! phase-1 artifacts read-only and merge partial aggregates at the group
-//! label level (see [`parallel`]).
+//! Phases 2–3 run one fact segment at a time, the array lookups through
+//! the vectorised [`kernels`] (AVX2 where the CPU has it, scalar
+//! otherwise). Multicore execution (§5) is morsel-driven: a shared atomic
+//! cursor hands out fixed-size fact-table row ranges to workers that share
+//! the phase-1 artifacts read-only, each fold their morsels into one
+//! private aggregation table, and merge those tables once (see
+//! [`parallel`]).
 //!
 //! ## Quick example
 //!
@@ -60,9 +63,13 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny`, not `forbid`: the one sanctioned exception is the SSE2 wide path
-// of the packed-segment scan kernel in `filter.rs`, which carries a scoped
-// `#[allow(unsafe_code)]` and a SAFETY argument. Everything else stays safe.
+// `deny`, not `forbid`: there are two sanctioned exceptions, each a scoped
+// `#[allow(unsafe_code)]` with a SAFETY argument per block — the SSE2 wide
+// path of the packed-segment scan kernel in `filter.rs`, and the AVX2
+// gather kernels of the fact scan, confined to the private `avx2` module
+// of `kernels.rs` (every gather index is clamped into its array first;
+// the safe wrappers own the length checks the intrinsics rely on).
+// Everything else stays safe.
 #![deny(unsafe_code)]
 
 pub mod agg;
@@ -73,6 +80,7 @@ pub mod expr;
 pub mod filter;
 pub mod graph;
 pub mod groupvec;
+pub mod kernels;
 pub mod optimizer;
 pub mod parallel;
 pub mod query;

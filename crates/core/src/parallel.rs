@@ -10,32 +10,24 @@
 //!
 //! The unit of scheduling is a *morsel*: a fixed-size row range (cap
 //! [`DEFAULT_MORSEL_ROWS`]) claimed from a single shared atomic cursor
-//! ([`MorselDispatcher`]). Workers loop `claim → scan → aggregate` until
-//! the cursor drains, so a worker that lands on a cheap (sparsely
+//! ([`MorselDispatcher`]). Workers loop `claim → select → group → fold`
+//! until the cursor drains, so a worker that lands on a cheap (sparsely
 //! selected) region simply claims more morsels instead of idling — the
 //! dynamic form of the paper's 4× over-subscription, without pre-committing
 //! any thread to a fixed range. Phase-1 artifacts (predicate filters, group
-//! vectors) and the compiled fact predicates are shared read-only; each
-//! worker folds its morsels' partial aggregates into a private table and
-//! the partials are merged at the *group label* level, which stays correct
-//! even for grouping columns whose dictionaries are built per worker.
+//! vectors), the compiled fact predicates and the ordered chain checks are
+//! shared read-only; each worker owns one aggregation table, its scan-built
+//! dictionaries and its scratch buffers for its whole lifetime (see
+//! `exec.rs`), and the workers' partial results are merged once each: by
+//! cell index when every grouping column has a shared leaf dictionary, by
+//! label — once per distinct group — for dictionaries built per worker.
+//! The statement's own thread is worker 0 ([`run_workers`]).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
-use astore_obs::SpanId;
 use astore_storage::segment::SEGMENT_ROWS;
-use astore_storage::types::Value;
+use astore_storage::table::Table;
 
-use crate::exec::{
-    agg_output, aggregate_phase, build_chain_checks, compile_fact_preds, scan_phase, ExecOptions,
-    ExecOutput, ExecutorInfo, LeafArtifacts, PhaseTimings, PlanInfo,
-};
-use crate::groupvec::GroupLabel;
-use crate::query::{AggFunc, Query};
-use crate::result::QueryResult;
-use crate::universal::{BindError, Universal};
 use crate::zone::SegmentSurvey;
 
 /// Cap on rows per dispatched morsel: 64K rows keeps a scanned fact-column
@@ -47,9 +39,10 @@ pub const DEFAULT_MORSEL_ROWS: usize = SEGMENT_ROWS;
 
 /// A shared morsel dispatcher: one atomic cursor over a precomputed list of
 /// contiguous row ranges, handing out the next range to whichever worker
-/// asks first. The executor builds the list *segment-aligned*: every range
-/// lies inside one storage segment, and zone-pruned segments are simply
-/// absent — a worker can never claim (let alone touch) a pruned segment.
+/// asks first. The executor builds the list *segment-aligned*
+/// ([`MorselDispatcher::over_segments`]): every range lies inside one
+/// storage segment, and zone-pruned segments are simply absent — a worker
+/// can never claim (let alone touch) a pruned segment.
 #[derive(Debug)]
 pub struct MorselDispatcher {
     ranges: Vec<std::ops::Range<usize>>,
@@ -73,10 +66,21 @@ impl MorselDispatcher {
         MorselDispatcher { ranges, next: AtomicUsize::new(0), morsel }
     }
 
-    /// A dispatcher over an explicit list of ranges (the segment-aligned,
-    /// pruned layout). `morsel` is the nominal chunk size, for reporting.
-    pub fn from_ranges(ranges: Vec<std::ops::Range<usize>>, morsel: usize) -> Self {
-        MorselDispatcher { ranges, next: AtomicUsize::new(0), morsel: morsel.max(1) }
+    /// The segment-aligned, pruned layout over `fact`: every segment the
+    /// survey keeps (all of them without a survey) is cut into
+    /// `morsel`-row chunks, in row order; pruned segments are skipped
+    /// entirely (the survey already holds the per-segment decisions — no
+    /// admission test is re-evaluated here). Morsels never straddle a
+    /// segment boundary.
+    pub fn over_segments(fact: &Table, survey: Option<&SegmentSurvey>, morsel: usize) -> Self {
+        let morsel = morsel.max(1);
+        let mut ranges = Vec::new();
+        for seg in (0..fact.segment_count()).filter(|&seg| survey.is_none_or(|s| s.keep(seg))) {
+            let r = fact.segment_range(seg);
+            ranges
+                .extend(r.clone().step_by(morsel).map(|start| start..(start + morsel).min(r.end)));
+        }
+        MorselDispatcher { ranges, next: AtomicUsize::new(0), morsel }
     }
 
     /// Claims the next unclaimed morsel, or `None` once the list is
@@ -127,287 +131,30 @@ pub fn partition_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// One merged group: per-aggregate `(sum, count)` accumulators plus the hit
-/// count.
-type MergedAcc = (Vec<(f64, u64)>, u64);
-type MergedMap = HashMap<Vec<GroupLabel>, MergedAcc>;
-type WorkerOut = Result<(MergedMap, usize), BindError>;
-
-/// Folds one emitted cell into a label-keyed partial-aggregate map.
-fn merge_cell(
-    merged: &mut MergedMap,
-    funcs: &[AggFunc],
-    labels: Vec<GroupLabel>,
-    accs: Vec<(f64, u64)>,
-    hits: u64,
-) {
-    match merged.entry(labels) {
-        std::collections::hash_map::Entry::Vacant(e) => {
-            e.insert((accs, hits));
-        }
-        std::collections::hash_map::Entry::Occupied(mut e) => {
-            let (macc, mhits) = e.get_mut();
-            *mhits += hits;
-            for (j, (s, c)) in accs.into_iter().enumerate() {
-                merge_acc(funcs[j], &mut macc[j], (s, c));
-            }
-        }
-    }
-}
-
-/// Morsel-driven parallel execution: shared leaf phase, dynamically
-/// dispatched *segment-aligned* fact-scan morsels, label-level merge.
+/// Runs `work(w)` for every worker number `w` in `0..threads` and returns
+/// the results in worker order. Worker 0 is the calling thread — the
+/// statement already occupies it (and its slot of a server's core budget),
+/// so only `threads − 1` threads are spawned, and a one-worker run spawns
+/// none.
 ///
-/// Zone pruning happens at dispatch time: the surviving segments are
-/// chunked into morsels and pruned segments never enter the dispatcher, so
-/// no worker ever touches their columns. `threads` is the planner's
-/// fan-out decision (already clamped to the *surviving* scan size); the
-/// caller guarantees `threads > 1`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_parallel(
-    u: &Universal<'_>,
-    query: &Query,
-    opts: &ExecOptions,
-    threads: usize,
-    leaf: &LeafArtifacts,
-    leaf_time: Duration,
-    survey: Option<&SegmentSurvey>,
-    t_start: Instant,
-    root_span: Option<SpanId>,
-) -> Result<ExecOutput, BindError> {
-    let trace = opts.trace.as_deref();
-    let fact = u.root_table();
-    let n = fact.num_slots();
-    let morsel = morsel_size(n, threads, opts.morsel_rows);
-
-    // Segment-aligned morsel layout: chunk every surviving segment, skip
-    // pruned ones entirely (the survey already holds the per-segment
-    // decisions — no admission test is re-evaluated here). Morsels never
-    // straddle a segment boundary.
-    let mut ranges = Vec::new();
-    let mut segments_scanned = 0usize;
-    let mut segments_pruned = 0usize;
-    for seg in 0..fact.segment_count() {
-        if !survey.is_none_or(|s| s.keep(seg)) {
-            segments_pruned += 1;
-            continue;
-        }
-        segments_scanned += 1;
-        let r = fact.segment_range(seg);
-        let mut start = r.start;
-        while start < r.end {
-            let end = (start + morsel).min(r.end);
-            ranges.push(start..end);
-            start = end;
-        }
-    }
-    let dispatcher = MorselDispatcher::from_ranges(ranges, morsel);
-    // Compiled (and selectivity-ordered) once, shared by every worker.
-    let fact_preds = compile_fact_preds(u, query, opts);
-    let funcs: Vec<AggFunc> = query.aggregates.iter().map(|a| a.func).collect();
-
-    // The scan span is reserved up front so workers can parent their
-    // per-morsel spans under it; its interval is recorded once the workers
-    // have joined.
-    let scan_span = trace.map(|t| t.alloc());
-    let t_scan = Instant::now();
-    let worker_results: Vec<WorkerOut> = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let dispatcher = &dispatcher;
-            let fact_preds = &fact_preds;
-            let funcs = &funcs;
-            handles.push(s.spawn(move || -> WorkerOut {
-                // Per-worker setup is paid once, then amortized over every
-                // morsel the worker claims.
-                let mut chain_checks = build_chain_checks(u, query, leaf)?;
-                let mut merged: MergedMap = HashMap::new();
-                // Reused across every morsel this worker claims: the label
-                // scratch buffer and (through `merged` itself) the partial
-                // map's capacity. Steady state allocates nothing per cell.
-                let mut label_buf: Vec<GroupLabel> = Vec::new();
-                let mut selected = 0usize;
-                while let Some(range) = dispatcher.claim() {
-                    // Pruning already happened at dispatch: every claimed
-                    // range lies inside a surviving segment.
-                    let morsel_rows = range.len();
-                    let morsel_start = trace.map(|t| t.now_us());
-                    let mut sa = scan_phase(
-                        u,
-                        query,
-                        opts,
-                        leaf,
-                        fact_preds,
-                        &mut chain_checks,
-                        range,
-                        None,
-                    )?;
-                    let morsel_selected = sa.selected;
-                    selected += sa.selected;
-                    aggregate_phase(u, query, &mut sa);
-                    for cell in sa.agg.emit() {
-                        label_buf.clear();
-                        label_buf.extend(
-                            cell.coords
-                                .iter()
-                                .enumerate()
-                                .map(|(d, &c)| sa.dicts[d].label(c).clone()),
-                        );
-                        // Borrowed-slice lookup: an existing group (the
-                        // common case after the first morsel) folds in
-                        // place without allocating a key vector.
-                        match merged.get_mut(label_buf.as_slice()) {
-                            Some((macc, mhits)) => {
-                                *mhits += cell.hits;
-                                for (j, (s, c)) in cell.accs.into_iter().enumerate() {
-                                    merge_acc(funcs[j], &mut macc[j], (s, c));
-                                }
-                            }
-                            None => {
-                                merged.insert(label_buf.clone(), (cell.accs, cell.hits));
-                            }
-                        }
-                    }
-                    // One span per claimed morsel: dispatch + scan + fold.
-                    if let (Some(t), Some(ms)) = (trace, morsel_start) {
-                        t.add(
-                            "morsel",
-                            scan_span,
-                            ms,
-                            t.now_us().saturating_sub(ms),
-                            vec![
-                                ("worker", w as i64),
-                                ("rows", morsel_rows as i64),
-                                ("selected_rows", morsel_selected as i64),
-                            ],
-                        );
-                    }
-                }
-                Ok((merged, selected))
-            }));
-        }
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    });
-    let scan_time = t_scan.elapsed();
-    if let (Some(t), Some(id)) = (trace, scan_span) {
-        let start = t.us_since_epoch(t_scan);
-        t.record(
-            id,
-            "phase2_scan",
-            root_span,
-            start,
-            scan_time.as_micros() as u64,
-            vec![
-                ("threads", threads as i64),
-                ("morsels", dispatcher.morsels() as i64),
-                ("segments_scanned", segments_scanned as i64),
-                ("segments_pruned", segments_pruned as i64),
-            ],
-        );
-    }
-
-    // Merge phase ("the multidimensional arrays are integrated").
-    let t_agg = Instant::now();
-    let mut merged: MergedMap = HashMap::new();
-    let mut selected_total = 0usize;
-    for r in worker_results {
-        let (partials, selected) = r?;
-        selected_total += selected;
-        for (labels, (accs, hits)) in partials {
-            merge_cell(&mut merged, &funcs, labels, accs, hits);
-        }
-    }
-
-    let columns = query.output_names();
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(merged.len());
-    let groups = merged.len();
-    for (labels, (accs, _)) in merged {
-        let mut row: Vec<Value> = labels.iter().map(GroupLabel::to_value).collect();
-        for (j, &(s, c)) in accs.iter().enumerate() {
-            row.push(agg_output(funcs[j], s, c));
-        }
-        rows.push(row);
-    }
-    let mut result = QueryResult { columns, rows };
-    result.order_and_limit(&query.order_by, query.limit);
-    let agg_time = t_agg.elapsed();
-    if let Some(t) = trace {
-        t.add(
-            "merge",
-            root_span,
-            t.us_since_epoch(t_agg),
-            agg_time.as_micros() as u64,
-            vec![("groups", groups as i64)],
-        );
-    }
-
-    let plan = PlanInfo {
-        root: u.root().to_owned(),
-        executor: ExecutorInfo::Parallel {
-            threads,
-            requested_threads: opts.threads,
-            morsels: dispatcher.morsels(),
-            morsel_rows: morsel,
-        },
-        predvec_chains: leaf.filters.iter().filter(|f| f.is_some()).count(),
-        direct_chains: leaf.filters.iter().filter(|f| f.is_none()).count(),
-        // All workers share one decision path; report the optimizer's call.
-        agg_strategy: if opts.variant.array_agg() {
-            opts.force_agg.unwrap_or(crate::optimizer::AggStrategy::DenseArray)
-        } else {
-            crate::optimizer::AggStrategy::HashTable
-        },
-        segments_scanned,
-        segments_pruned,
-        selected_rows: selected_total,
-        groups,
-    };
-    let total = t_start.elapsed();
-    if let (Some(t), Some(id)) = (trace, root_span) {
-        let start = t.us_since_epoch(t_start);
-        t.record(
-            id,
-            "execute",
-            None,
-            start,
-            t.now_us().saturating_sub(start),
-            vec![("selected_rows", selected_total as i64), ("groups", groups as i64)],
-        );
-    }
-    Ok(ExecOutput {
-        result,
-        timings: PhaseTimings { leaf: leaf_time, scan: scan_time, agg: agg_time, total },
-        plan,
+/// # Panics
+/// Propagates a worker's panic.
+pub fn run_workers<T: Send>(threads: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    std::thread::scope(|s| {
+        let work = &work;
+        let spawned: Vec<_> = (1..threads).map(|w| s.spawn(move || work(w))).collect();
+        let mut out = vec![work(0)];
+        out.extend(spawned.into_iter().map(|h| h.join().expect("worker panicked")));
+        out
     })
-}
-
-/// Merges an accumulator pair according to the aggregate's semantics.
-fn merge_acc(func: AggFunc, into: &mut (f64, u64), from: (f64, u64)) {
-    match func {
-        AggFunc::Sum | AggFunc::Avg => {
-            into.0 += from.0;
-            into.1 += from.1;
-        }
-        AggFunc::Count => into.1 += from.1,
-        AggFunc::Min => {
-            if from.0 < into.0 {
-                into.0 = from.0;
-            }
-        }
-        AggFunc::Max => {
-            if from.0 > into.0 {
-                into.0 = from.0;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute, ScanVariant};
+    use crate::exec::{execute, ExecOptions, ExecutorInfo, ScanVariant};
     use crate::expr::{MeasureExpr, Pred};
-    use crate::query::{Aggregate, OrderKey};
+    use crate::query::{Aggregate, OrderKey, Query};
     use astore_storage::prelude::*;
 
     /// Test options: force fan-out on tiny tables so the parallel executor

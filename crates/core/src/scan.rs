@@ -1,27 +1,34 @@
 //! Scan-and-filter machinery (paper §3 phase 1, §4.1, §4.2).
 //!
-//! Two scan disciplines are provided, matching the paper's ablation (§6.3):
+//! The fact scan works one segment at a time: [`SegmentScan::select`]
+//! produces the ascending row ids of one segment's slice that pass every
+//! fact-local predicate and every dimension chain, into a buffer the caller
+//! reuses. Three scan disciplines are provided ([`ScanMode`]), matching the
+//! paper's ablation (§6.3) and §4.1's comparison:
 //!
-//! * **row-wise** ([`select_rowwise`]): every tuple is evaluated against all
-//!   predicates in one pass over the fact table;
-//! * **column-wise** ([`select_columnwise`]): a [`SelVec`] is refined one
-//!   predicate at a time, most selective first, so later predicates touch
-//!   only surviving tuples.
+//! * **row-wise**: every tuple is evaluated against all predicates in one
+//!   pass over the segment;
+//! * **column-wise**: the selection is refined one predicate at a time,
+//!   most selective first, so later predicates touch only surviving tuples;
+//! * **bitmap-AND**: every predicate scans the whole slice into a bitmap
+//!   and the bitmaps are intersected — the alternative §4.1 argues against.
 //!
 //! Dimension predicates appear as [`ChainCheck`]s: either a probe of a
 //! pre-built predicate vector (§4.2) or a direct AIR chase that evaluates
 //! the dimension predicates per fact row (the fallback when the filter
 //! would not fit the cache budget, and the mode of the `_P`-less variants).
+//! The column-wise predicate-vector probes run through [`crate::kernels`].
 
 use astore_storage::bitmap::{Bitmap, SegBitmap};
 use astore_storage::chunks::Chunked;
 use astore_storage::encoded::EncodedColumn;
-use astore_storage::selvec::SelVec;
 use astore_storage::table::Table;
 use astore_storage::types::{Key, RowId, NULL_KEY};
 
-use crate::expr::{CompiledPred, SegPred};
+use crate::expr::CompiledPred;
+use crate::expr::SegPred;
 use crate::filter::{FactPred, PackedRangeTest};
+use crate::kernels;
 
 /// A per-fact-row liveness + predicate check against one table of a
 /// dimension chain, evaluated by chasing the AIR hops.
@@ -95,15 +102,13 @@ impl SegChain<'_, '_> {
         }
     }
 
-    /// Refines `rows[mark..]` (rows of this segment) by the check, with the
-    /// variant dispatched once instead of per row.
-    fn refine(&self, rows: &mut Vec<RowId>, mark: usize, base: usize) {
+    /// Refines `rows` (rows of this segment, whose first row is `base`) by
+    /// the check, with the variant dispatched once instead of per row.
+    fn refine(&self, rows: &mut Vec<RowId>, base: RowId) {
         match self {
-            SegChain::PredVec { keys, bitmap } => {
-                refine_tail(rows, mark, |r| bitmap.get_or_false(keys[r as usize - base] as usize))
-            }
+            SegChain::PredVec { keys, bitmap } => kernels::sparse_probe(keys, base, bitmap, rows),
             SegChain::Direct { checks, .. } => {
-                refine_tail(rows, mark, |r| checks.iter().all(|c| c.eval(r as usize)))
+                kernels::scalar::retain(rows, |r| checks.iter().all(|c| c.eval(r as usize)))
             }
         }
     }
@@ -148,9 +153,20 @@ impl<'a> ChainCheck<'a> {
     }
 }
 
-/// The part of a scanned row range that lies in one fact segment. Scans are
-/// segment-aligned: columns, live bits and predicates are bound once per
-/// `FactSegment`, and the inner loops run over segment-local offsets.
+/// Orders chain checks for the column-wise scan: predicate vectors first
+/// (cheap, cache-resident), most selective first, direct probes last. Done
+/// once per execution — the estimate counts a bitmap's set bits.
+pub fn order_chains(chains: &mut [ChainCheck<'_>]) {
+    chains.sort_by_cached_key(|c| {
+        // Selectivities are in [0, 1]: their bit patterns order like the
+        // values.
+        c.estimated_selectivity().to_bits()
+    });
+}
+
+/// The slice of one fact segment a scan step works on. Columns, live bits
+/// and predicates are bound once per `FactSegment`, and the inner loops run
+/// over segment-local offsets.
 struct FactSegment<'t> {
     /// Segment number.
     index: usize,
@@ -158,11 +174,29 @@ struct FactSegment<'t> {
     start: usize,
     /// The scanned offsets within the segment.
     offs: std::ops::Range<usize>,
-    /// The segment's live bits, present only when the table has deletes.
+    /// The segment's live bits, present only when the segment has a dead
+    /// slot.
     live: Option<&'t Bitmap>,
 }
 
-impl FactSegment<'_> {
+impl<'t> FactSegment<'t> {
+    /// The segment slice covering `range`, which must be non-empty and lie
+    /// inside one segment of `fact`.
+    fn of(fact: &'t Table, range: std::ops::Range<usize>) -> Self {
+        let seg_rows = fact.segment_rows();
+        let index = range.start / seg_rows;
+        let start = index * seg_rows;
+        assert!(
+            range.start < range.end && range.end <= start + seg_rows,
+            "scan range {range:?} must lie inside one segment of {seg_rows} rows"
+        );
+        let live = fact
+            .has_deletes()
+            .then(|| fact.live_bitmap().chunk(index))
+            .filter(|live| live.count_ones() < live.len());
+        FactSegment { index, start, offs: range.start - start..range.end - start, live }
+    }
+
     #[inline]
     fn is_live(&self, off: usize) -> bool {
         self.live.is_none_or(|l| l.get_or_false(off))
@@ -182,70 +216,6 @@ impl FactSegment<'_> {
             ),
         }
     }
-}
-
-/// Cuts `range` at the fact table's segment boundaries, ascending.
-fn fact_segments(
-    fact: &Table,
-    range: std::ops::Range<usize>,
-) -> impl Iterator<Item = FactSegment<'_>> {
-    let seg_rows = fact.segment_rows();
-    let has_deletes = fact.has_deletes();
-    let segs =
-        if range.is_empty() { 0..0 } else { range.start / seg_rows..range.end.div_ceil(seg_rows) };
-    segs.map(move |index| {
-        let start = index * seg_rows;
-        FactSegment {
-            index,
-            start,
-            offs: range.start.max(start) - start..range.end.min(start + seg_rows) - start,
-            live: has_deletes.then(|| fact.live_bitmap().chunk(index)),
-        }
-    })
-}
-
-/// Splits ascending row ids into maximal runs lying in one segment each and
-/// calls `f(segment, index range into rows)` per run — how the passes that
-/// follow selection (group codes, measures) bind one chunk per segment.
-pub(crate) fn segment_runs(
-    rows: &[RowId],
-    seg_rows: usize,
-    mut f: impl FnMut(usize, std::ops::Range<usize>),
-) {
-    let mut i = 0;
-    while i < rows.len() {
-        let seg = rows[i] as usize / seg_rows;
-        let seg_end = (seg + 1) * seg_rows;
-        let j = i + rows[i..].partition_point(|&r| (r as usize) < seg_end);
-        f(seg, i..j);
-        i = j;
-    }
-}
-
-/// Keeps only the rows of `rows[mark..]` for which `keep` holds, in place —
-/// the per-predicate refinement step of the vectorized column scan, applied
-/// to the segment currently being appended. The compaction is branch-free
-/// (store always, advance on keep): selectivities in the middle of the
-/// range would otherwise pay a mispredict on every other row.
-#[inline]
-fn refine_tail(rows: &mut Vec<RowId>, mark: usize, mut keep: impl FnMut(RowId) -> bool) {
-    let tail = &mut rows[mark..];
-    let mut w = 0;
-    for i in 0..tail.len() {
-        let r = tail[i];
-        tail[w] = r;
-        w += usize::from(keep(r));
-    }
-    rows.truncate(mark + w);
-}
-
-/// The initial selection vector over a row range, honouring deletes.
-pub fn initial_selvec(fact: &Table, range: std::ops::Range<usize>) -> SelVec {
-    let mut rows = Vec::with_capacity(range.len());
-    for seg in fact_segments(fact, range) {
-        seg.push_live(&mut rows);
-    }
-    SelVec::from_rows(rows)
 }
 
 /// Emits the segment-local offsets of one sealed segment whose encoded
@@ -367,116 +337,136 @@ fn seeded_segment(fact: &Table, seg: &FactSegment<'_>, fp: &FactPred<'_>, rows: 
     }
 }
 
-/// Column-wise vector-based scan (§4.1), one segment at a time: refine per
-/// fact-local predicate (already ordered most-selective-first by the
-/// caller), then per chain check (predicate vectors before direct probes).
-/// Each predicate and check is bound to the segment's chunks once; the
-/// refinement loops then run over plain slices.
-///
-/// When the fact table carries sealed-segment encodings and a predicate is
-/// seedable, the *first* seeded predicate builds the segment's initial
-/// selection directly from the encoded form instead of refining the full
-/// range — the remaining predicates then refine only its survivors.
-pub fn select_columnwise(
-    fact: &Table,
-    range: std::ops::Range<usize>,
-    fact_preds: &[FactPred<'_>],
-    chains: &mut [ChainCheck<'_>],
-) -> SelVec {
-    let seed_idx = fact_preds
-        .iter()
-        .position(|p| p.seed.is_some())
-        .filter(|_| fact.encodings().iter().any(Option::is_some));
-    // Predicate vectors first (cheap, cache-resident), ordered densest-last.
-    chains.sort_by(|a, b| {
-        a.estimated_selectivity()
-            .partial_cmp(&b.estimated_selectivity())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut rows: Vec<RowId> = Vec::new();
-    for seg in fact_segments(fact, range) {
-        let mark = rows.len();
-        match seed_idx {
-            Some(i) => seeded_segment(fact, &seg, &fact_preds[i], &mut rows),
-            None => seg.push_live(&mut rows),
-        }
-        let base = seg.start;
-        for (i, p) in fact_preds.iter().enumerate() {
-            if Some(i) == seed_idx {
-                continue;
-            }
-            if rows.len() == mark {
-                break;
-            }
-            let pred = p.pred.bind(seg.index);
-            refine_tail(&mut rows, mark, |r| pred.eval(r as usize - base));
-        }
-        for c in chains.iter() {
-            if rows.len() == mark {
-                break;
-            }
-            c.bind(&seg).refine(&mut rows, mark, base);
-        }
-    }
-    SelVec::from_rows(rows)
+/// How a segment's selection is produced — the scan axis of the §6.3
+/// ablation plus §4.1's full-materialization comparator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanMode {
+    /// The `AIRScan_R*` variants: all predicates evaluated per tuple in a
+    /// single pass.
+    RowWise,
+    /// Column-wise vector-based scan (§4.1): refine per fact-local
+    /// predicate (already ordered most-selective-first by the caller), then
+    /// per chain check ([`order_chains`]).
+    ColumnWise,
+    /// "Some systems choose to scan and evaluate each column independently.
+    /// The result of each scan is a bitmap … then the scan results of all
+    /// the columns are combined through bitwise AND." Every predicate
+    /// touches the *whole* slice — no skipping — which is exactly the
+    /// memory-bandwidth cost the selection-vector scan avoids.
+    BitmapAnd,
 }
 
-/// The full-materialization alternative of §4.1: "Some systems choose to
-/// scan and evaluate each column independently. The result of each scan is
-/// a bitmap … then the scan results of all the columns are combined through
-/// bitwise AND." Every predicate touches the *whole* column — no skipping —
-/// which is exactly the memory-bandwidth cost the selection-vector scan
-/// avoids. Kept as an ablation comparator.
-pub fn select_bitmap_and(
-    fact: &Table,
-    range: std::ops::Range<usize>,
-    fact_preds: &[FactPred<'_>],
-    chains: &[ChainCheck<'_>],
-) -> SelVec {
-    let mut rows = Vec::new();
-    for seg in fact_segments(fact, range) {
+/// The selection step of the fact scan, set up once per execution and run
+/// once per segment slice; shared read-only by every worker.
+pub struct SegmentScan<'p, 'a> {
+    fact: &'a Table,
+    preds: &'p [FactPred<'a>],
+    chains: &'p [ChainCheck<'a>],
+    mode: ScanMode,
+    /// The column-wise scan's seeded predicate: when the fact table carries
+    /// sealed-segment encodings, the *first* seedable predicate builds a
+    /// segment's initial selection directly from the encoded form instead
+    /// of refining the full range.
+    seed_idx: Option<usize>,
+}
+
+impl<'p, 'a> SegmentScan<'p, 'a> {
+    /// A scan of `fact` by the given predicates and chain checks, both
+    /// already in evaluation order.
+    pub fn new(
+        fact: &'a Table,
+        preds: &'p [FactPred<'a>],
+        chains: &'p [ChainCheck<'a>],
+        mode: ScanMode,
+    ) -> Self {
+        let seed_idx = preds
+            .iter()
+            .position(|p| p.seed.is_some())
+            .filter(|_| fact.encodings().iter().any(Option::is_some));
+        SegmentScan { fact, preds, chains, mode, seed_idx }
+    }
+
+    /// Overwrites `rows` with the live rows of `range` that pass every
+    /// predicate and chain check, ascending. `range` must be non-empty and
+    /// lie inside one segment.
+    pub fn select(&self, range: std::ops::Range<usize>, rows: &mut Vec<RowId>) {
+        rows.clear();
+        let seg = FactSegment::of(self.fact, range);
+        match self.mode {
+            ScanMode::RowWise => self.rowwise(&seg, rows),
+            ScanMode::ColumnWise => self.columnwise(&seg, rows),
+            ScanMode::BitmapAnd => self.bitmap_and(&seg, rows),
+        }
+    }
+
+    /// Each predicate and check is bound to the segment's chunks once; the
+    /// refinement loops then run over plain slices. The first step fills
+    /// the selection: from the encoded form when a predicate is seeded,
+    /// else — with no fact-local predicate and every slot live — fused with
+    /// the first predicate-vector probe ([`kernels::dense_probe`]), else
+    /// from the live bits.
+    fn columnwise(&self, seg: &FactSegment<'_>, rows: &mut Vec<RowId>) {
+        let base = seg.row(0);
+        let mut chains = self.chains.iter();
+        match (self.seed_idx, seg.live, self.preds, self.chains.first()) {
+            (Some(i), ..) => seeded_segment(self.fact, seg, &self.preds[i], rows),
+            (None, None, [], Some(ChainCheck::PredVec { keys, bitmap })) => {
+                kernels::dense_probe(keys.chunk(seg.index), seg.offs.clone(), base, bitmap, rows);
+                chains.next();
+            }
+            _ => seg.push_live(rows),
+        }
+        for (i, p) in self.preds.iter().enumerate() {
+            if Some(i) == self.seed_idx {
+                continue;
+            }
+            if rows.is_empty() {
+                return;
+            }
+            let pred = p.pred.bind(seg.index);
+            kernels::scalar::retain(rows, |r| pred.eval((r - base) as usize));
+        }
+        for c in chains {
+            if rows.is_empty() {
+                return;
+            }
+            c.bind(seg).refine(rows, base);
+        }
+    }
+
+    fn bitmap_and(&self, seg: &FactSegment<'_>, rows: &mut Vec<RowId>) {
         let lo = seg.offs.start;
         let n = seg.offs.len();
         let mut acc = match seg.live {
             Some(live) => Bitmap::from_fn(n, |i| live.get_or_false(lo + i)),
             None => Bitmap::new(n, true),
         };
-        for p in fact_preds {
+        for p in self.preds {
             // Full column scan into an intermediate bitmap, then AND.
             let pred = p.pred.bind(seg.index);
             acc.and_assign(&Bitmap::from_fn(n, |i| pred.eval(lo + i)));
         }
-        for c in chains {
-            let check = c.bind(&seg);
+        for c in self.chains {
+            let check = c.bind(seg);
             acc.and_assign(&Bitmap::from_fn(n, |i| check.eval(lo + i)));
         }
         rows.extend(acc.iter_ones().map(|i| seg.row(lo + i)));
     }
-    SelVec::from_rows(rows)
-}
 
-/// Row-wise scan (the `AIRScan_R*` variants): all predicates evaluated per
-/// tuple in a single pass.
-pub fn select_rowwise(
-    fact: &Table,
-    range: std::ops::Range<usize>,
-    fact_preds: &[FactPred<'_>],
-    chains: &[ChainCheck<'_>],
-) -> SelVec {
-    let mut rows = Vec::new();
-    for seg in fact_segments(fact, range) {
-        let preds: Vec<SegPred<'_>> = fact_preds.iter().map(|p| p.pred.bind(seg.index)).collect();
-        let checks: Vec<SegChain<'_, '_>> = chains.iter().map(|c| c.bind(&seg)).collect();
-        for off in seg.offs.clone() {
-            if seg.is_live(off)
-                && preds.iter().all(|p| p.eval(off))
-                && checks.iter().all(|c| c.eval(off))
-            {
-                rows.push(seg.row(off));
-            }
-        }
+    fn rowwise(&self, seg: &FactSegment<'_>, rows: &mut Vec<RowId>) {
+        let preds: Vec<SegPred<'_>> = self.preds.iter().map(|p| p.pred.bind(seg.index)).collect();
+        let checks: Vec<SegChain<'_, '_>> = self.chains.iter().map(|c| c.bind(seg)).collect();
+        rows.extend(
+            seg.offs
+                .clone()
+                .filter(|&off| {
+                    seg.is_live(off)
+                        && preds.iter().all(|p| p.eval(off))
+                        && checks.iter().all(|c| c.eval(off))
+                })
+                .map(|off| seg.row(off)),
+        );
     }
-    SelVec::from_rows(rows)
 }
 
 #[cfg(test)]
@@ -484,6 +474,28 @@ mod tests {
     use super::*;
     use crate::expr::{CmpOp, Pred};
     use astore_storage::prelude::*;
+
+    /// Runs the segment scan over every segment slice of `range` and
+    /// concatenates the selections, as the executor's morsel loop does.
+    fn select<'a>(
+        fact: &'a Table,
+        range: std::ops::Range<usize>,
+        preds: &[FactPred<'a>],
+        chains: &[ChainCheck<'a>],
+        mode: ScanMode,
+    ) -> Vec<RowId> {
+        let scan = SegmentScan::new(fact, preds, chains, mode);
+        let seg_rows = fact.segment_rows();
+        let (mut out, mut rows) = (Vec::new(), Vec::new());
+        let mut start = range.start;
+        while start < range.end {
+            let end = ((start / seg_rows + 1) * seg_rows).min(range.end);
+            scan.select(start..end, &mut rows);
+            out.extend_from_slice(&rows);
+            start = end;
+        }
+        out
+    }
 
     /// fact(f_dim key -> dim, f_v i32), dim(d_flag i32).
     fn db() -> Database {
@@ -508,19 +520,41 @@ mod tests {
     }
 
     #[test]
-    fn initial_selvec_full_range() {
+    fn unfiltered_selection_is_the_range() {
         let db = db();
         let fact = db.table("fact").unwrap();
-        assert_eq!(initial_selvec(fact, 0..6).len(), 6);
-        assert_eq!(initial_selvec(fact, 2..4).rows(), &[2, 3]);
+        for mode in [ScanMode::RowWise, ScanMode::ColumnWise, ScanMode::BitmapAnd] {
+            assert_eq!(select(fact, 0..6, &[], &[], mode).len(), 6);
+            assert_eq!(select(fact, 2..4, &[], &[], mode), [2, 3]);
+        }
     }
 
     #[test]
-    fn initial_selvec_skips_deleted() {
+    fn unfiltered_selection_skips_deleted() {
         let mut db = db();
         db.table_mut("fact").unwrap().delete(1);
         let fact = db.table("fact").unwrap();
-        assert_eq!(initial_selvec(fact, 0..6).rows(), &[0, 2, 3, 4, 5]);
+        for mode in [ScanMode::RowWise, ScanMode::ColumnWise, ScanMode::BitmapAnd] {
+            assert_eq!(select(fact, 0..6, &[], &[], mode), [0, 2, 3, 4, 5]);
+        }
+    }
+
+    #[test]
+    fn chains_order_most_selective_first_direct_last() {
+        let db = db();
+        let fact = db.table("fact").unwrap();
+        let dim = db.table("dim").unwrap();
+        let (_, keys) = fact.column("f_dim").unwrap().as_key().unwrap();
+        let half = Pred::eq("d_flag", 1).eval_bitmap(dim);
+        let none = Pred::eq("d_flag", 7).eval_bitmap(dim);
+        let mut chains = vec![
+            ChainCheck::Direct { checks: Vec::new() },
+            ChainCheck::PredVec { keys, bitmap: &half },
+            ChainCheck::PredVec { keys, bitmap: &none },
+        ];
+        order_chains(&mut chains);
+        let density: Vec<f64> = chains.iter().map(ChainCheck::estimated_selectivity).collect();
+        assert_eq!(density, [0.0, 0.5, 1.0]);
     }
 
     #[test]
@@ -585,13 +619,16 @@ mod tests {
         let (_, keys) = fact.column("f_dim").unwrap().as_key().unwrap();
         let fact_pred = FactPred::unseeded(Pred::cmp("f_v", CmpOp::Lt, 60).compile(fact));
 
-        let mut chains = vec![ChainCheck::PredVec { keys, bitmap: &bm }];
-        let col = select_columnwise(fact, 0..6, std::slice::from_ref(&fact_pred), &mut chains);
-        let row = select_rowwise(fact, 0..6, std::slice::from_ref(&fact_pred), &chains);
-        let bma = select_bitmap_and(fact, 0..6, std::slice::from_ref(&fact_pred), &chains);
-        assert_eq!(col, row);
-        assert_eq!(col, bma);
-        assert_eq!(col.rows(), &[1, 3]);
+        let chains = vec![ChainCheck::PredVec { keys, bitmap: &bm }];
+        let preds = std::slice::from_ref(&fact_pred);
+        let col = select(fact, 0..6, preds, &chains, ScanMode::ColumnWise);
+        assert_eq!(col, select(fact, 0..6, preds, &chains, ScanMode::RowWise));
+        assert_eq!(col, select(fact, 0..6, preds, &chains, ScanMode::BitmapAnd));
+        assert_eq!(col, [1, 3]);
+        // Chains alone take the fused first probe; same rows as row-wise.
+        let col = select(fact, 0..6, &[], &chains, ScanMode::ColumnWise);
+        assert_eq!(col, select(fact, 0..6, &[], &chains, ScanMode::RowWise));
+        assert_eq!(col, [1, 3, 5]);
     }
 
     #[test]
@@ -600,8 +637,8 @@ mod tests {
         db.table_mut("fact").unwrap().delete(3);
         let fact = db.table("fact").unwrap();
         let p = FactPred::unseeded(Pred::cmp("f_v", CmpOp::Ge, 20).compile(fact));
-        let sv = select_bitmap_and(fact, 1..5, std::slice::from_ref(&p), &[]);
-        assert_eq!(sv.rows(), &[1, 2, 4]);
+        let rows = select(fact, 1..5, std::slice::from_ref(&p), &[], ScanMode::BitmapAnd);
+        assert_eq!(rows, [1, 2, 4]);
     }
 
     #[test]
@@ -609,8 +646,7 @@ mod tests {
         let db = db();
         let fact = db.table("fact").unwrap();
         let p = FactPred::unseeded(Pred::cmp("f_v", CmpOp::Gt, 1000).compile(fact));
-        let sv = select_columnwise(fact, 0..6, std::slice::from_ref(&p), &mut []);
-        assert!(sv.is_empty());
+        assert!(select(fact, 0..6, std::slice::from_ref(&p), &[], ScanMode::ColumnWise).is_empty());
     }
 
     /// The encoded seeded scan must produce exactly the rows the row-wise
@@ -703,9 +739,9 @@ mod tests {
             for range in
                 [0..n, 0..64, 10..200, 64..128, 130..131, 299..300, 150..150, 290..n, 300..n]
             {
-                let enc =
-                    select_columnwise(fact, range.clone(), std::slice::from_ref(&fp), &mut []);
-                let flat = select_rowwise(fact, range, std::slice::from_ref(&fp), &[]);
+                let preds = std::slice::from_ref(&fp);
+                let enc = select(fact, range.clone(), preds, &[], ScanMode::ColumnWise);
+                let flat = select(fact, range, preds, &[], ScanMode::RowWise);
                 assert_eq!(enc, flat, "{p:?}");
             }
         }

@@ -233,8 +233,8 @@ impl<'a> SegmentPruner<'a> {
     /// Runs the admission test over every segment **once**, materializing
     /// the keep/prune decisions plus the surviving live-row count. The
     /// executor computes one survey per execution and shares it between
-    /// the fan-out decision, the serial scan and the parallel dispatcher —
-    /// the (chain-bitmap) range probes are never repeated.
+    /// the fan-out decision and the morsel dispatcher — the (chain-bitmap)
+    /// range probes are never repeated.
     pub fn survey(&self) -> SegmentSurvey {
         let mut keep = Vec::with_capacity(self.fact.segment_count());
         let mut live_rows = 0usize;

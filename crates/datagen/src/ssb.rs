@@ -165,7 +165,7 @@ impl SsbSizes {
 }
 
 /// Generates the full SSB database at scale factor `sf`, deterministically
-/// from `seed`.
+/// from `seed` (same arguments → same bytes; a unit test pins them).
 pub fn generate(sf: f64, seed: u64) -> Database {
     let sizes = SsbSizes::at(sf);
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -178,29 +178,13 @@ pub fn generate(sf: f64, seed: u64) -> Database {
     db
 }
 
-/// Generates the same database as [`generate`] — identical rows, identical
-/// dictionary code assignment, same `seed` → same bytes — but built for
-/// large scale factors (SF ≥ 1, millions of fact rows):
-///
-/// - fact dictionary columns (`lo_orderpriority`, `lo_shipmode`) are
-///   generated directly as interned codes instead of one owned `String`
-///   per row, skipping the hundreds of megabytes of transient string heap
-///   [`generate`] would allocate and immediately re-intern at SF 1;
-/// - every table is sealed on the way out, so the database arrives with
-///   its per-segment compressed encodings already built and scan-ready —
-///   booting SF 1 never holds an uncompressed intermediate beyond the
-///   resident column arrays themselves.
+/// [`generate`], with every table sealed on the way out: the database
+/// arrives with its per-segment compressed encodings already built and
+/// scan-ready (what the SF ≥ 1 benches boot from).
 pub fn generate_streaming(sf: f64, seed: u64) -> Database {
-    let sizes = SsbSizes::at(sf);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut db = Database::new();
-    db.add_table(gen_date());
-    db.add_table(gen_customer(sizes.customer, &mut rng));
-    db.add_table(gen_supplier(sizes.supplier, &mut rng));
-    db.add_table(gen_part(sizes.part, &mut rng));
-    db.add_table(gen_lineorder_streaming(sizes, &mut rng));
+    let mut db = generate(sf, seed);
     for name in ["date", "customer", "supplier", "part", "lineorder"] {
-        db.table_mut(name).unwrap().seal_segments();
+        db.table_mut(name).expect("generated table").seal_segments();
     }
     db
 }
@@ -447,124 +431,9 @@ fn gen_part(n: usize, rng: &mut SmallRng) -> Table {
     )
 }
 
-fn gen_lineorder(sizes: SsbSizes, rng: &mut SmallRng) -> Table {
-    // Columns fill segment-sized chunks directly (what the table stores);
-    // no whole-table flat array is ever built.
-    let n = sizes.lineorder;
-    let mut orderkey = ChunkedBuilder::new();
-    let mut linenumber = ChunkedBuilder::new();
-    let mut custkey = ChunkedBuilder::new();
-    let mut partkey = ChunkedBuilder::new();
-    let mut suppkey = ChunkedBuilder::new();
-    let mut orderdate = ChunkedBuilder::new();
-    let mut orderpriority = Vec::with_capacity(n);
-    let mut shippriority = ChunkedBuilder::new();
-    let mut quantity = ChunkedBuilder::new();
-    let mut extendedprice = ChunkedBuilder::new();
-    let mut ordtotalprice = ChunkedBuilder::new();
-    let mut discount = ChunkedBuilder::new();
-    let mut revenue = ChunkedBuilder::new();
-    let mut supplycost = ChunkedBuilder::new();
-    let mut tax = ChunkedBuilder::new();
-    let mut commitdate = ChunkedBuilder::new();
-    let mut shipmode = Vec::with_capacity(n);
-
-    let mut i = 0usize;
-    let mut order = 0i64;
-    while i < n {
-        order += 1;
-        let lines = rng.gen_range(1..=7usize).min(n - i);
-        // Orders arrive in (roughly) chronological sequence: the order date
-        // advances linearly with the order's position in the table, with a
-        // ±30-day entry jitter. This is how operational fact tables
-        // actually fill up (append-in-arrival-order), and the physical
-        // date clustering it produces is what makes per-segment zone maps
-        // prune the date-selective SSB flights (Q1.x) instead of scanning
-        // everything. Marginal distributions stay uniform over the
-        // calendar, so published SSB selectivities are unaffected.
-        let base = (i as u64 * sizes.date as u64 / n.max(1) as u64) as i64;
-        let odate = (base + rng.gen_range(-30..=30i64)).clamp(0, sizes.date as i64 - 1) as u32;
-        let ck = rng.gen_range(0..sizes.customer as u32);
-        let prio = PRIORITIES[rng.gen_range(0..PRIORITIES.len())];
-        let mut total = 0i64;
-        let start = i;
-        for l in 0..lines {
-            let q = rng.gen_range(1..=50i32);
-            let price_base = rng.gen_range(900..=1_109i64);
-            let eprice = (i64::from(q) * price_base).min(55_450);
-            let disc = rng.gen_range(0..=10i32);
-            let rev = eprice * i64::from(100 - disc) / 100;
-            total += eprice;
-            orderkey.push(order);
-            linenumber.push(l as i32 + 1);
-            custkey.push(ck);
-            partkey.push(rng.gen_range(0..sizes.part as u32));
-            suppkey.push(rng.gen_range(0..sizes.supplier as u32));
-            orderdate.push(odate);
-            orderpriority.push(prio.to_owned());
-            shippriority.push(0i32);
-            quantity.push(q);
-            extendedprice.push(eprice);
-            discount.push(disc);
-            revenue.push(rev);
-            supplycost.push(price_base * 6 / 10);
-            tax.push(rng.gen_range(0..=8i32));
-            commitdate.push((odate + rng.gen_range(30..=90u32)).min(sizes.date as u32 - 1));
-            shipmode.push(SHIP_MODES[rng.gen_range(0..SHIP_MODES.len())].to_owned());
-            i += 1;
-        }
-        for _ in start..i {
-            ordtotalprice.push(total);
-        }
-    }
-
-    let schema = Schema::new(vec![
-        ColumnDef::new("lo_orderkey", DataType::I64),
-        ColumnDef::new("lo_linenumber", DataType::I32),
-        ColumnDef::new("lo_custkey", DataType::Key { target: "customer".into() }),
-        ColumnDef::new("lo_partkey", DataType::Key { target: "part".into() }),
-        ColumnDef::new("lo_suppkey", DataType::Key { target: "supplier".into() }),
-        ColumnDef::new("lo_orderdate", DataType::Key { target: "date".into() }),
-        ColumnDef::new("lo_orderpriority", DataType::Dict),
-        ColumnDef::new("lo_shippriority", DataType::I32),
-        ColumnDef::new("lo_quantity", DataType::I32),
-        ColumnDef::new("lo_extendedprice", DataType::I64),
-        ColumnDef::new("lo_ordtotalprice", DataType::I64),
-        ColumnDef::new("lo_discount", DataType::I32),
-        ColumnDef::new("lo_revenue", DataType::I64),
-        ColumnDef::new("lo_supplycost", DataType::I64),
-        ColumnDef::new("lo_tax", DataType::I32),
-        ColumnDef::new("lo_commitdate", DataType::Key { target: "date".into() }),
-        ColumnDef::new("lo_shipmode", DataType::Dict),
-    ]);
-    Table::from_columns(
-        "lineorder",
-        schema,
-        vec![
-            Column::I64(orderkey.finish()),
-            Column::I32(linenumber.finish()),
-            Column::Key { target: "customer".into(), keys: custkey.finish() },
-            Column::Key { target: "part".into(), keys: partkey.finish() },
-            Column::Key { target: "supplier".into(), keys: suppkey.finish() },
-            Column::Key { target: "date".into(), keys: orderdate.finish() },
-            Column::Dict(DictColumn::from_values(orderpriority)),
-            Column::I32(shippriority.finish()),
-            Column::I32(quantity.finish()),
-            Column::I64(extendedprice.finish()),
-            Column::I64(ordtotalprice.finish()),
-            Column::I32(discount.finish()),
-            Column::I64(revenue.finish()),
-            Column::I64(supplycost.finish()),
-            Column::I32(tax.finish()),
-            Column::Key { target: "date".into(), keys: commitdate.finish() },
-            Column::Dict(DictColumn::from_values(shipmode)),
-        ],
-    )
-}
-
 /// First-appearance interning; domains here are tiny (≤ 7 values), so a
 /// linear probe beats a hash map. [`finish_dict`] remaps the codes to the
-/// sorted-domain order [`DictColumn::from_values`] would assign.
+/// sorted-domain order [`DictColumn::from_values`] assigns.
 fn intern(values: &mut Vec<String>, v: &str) -> u32 {
     if let Some(i) = values.iter().position(|x| x == v) {
         return i as u32;
@@ -574,9 +443,8 @@ fn intern(values: &mut Vec<String>, v: &str) -> u32 {
 }
 
 /// Remaps first-appearance codes onto the sorted-domain codes
-/// [`DictColumn::from_values`] assigns, so a streamed column is
-/// bit-identical to the string-materialized one — without ever holding a
-/// per-row string.
+/// [`DictColumn::from_values`] assigns, so the column is bit-identical to
+/// one built from per-row strings — without ever holding them.
 fn finish_dict(codes: Chunked<u32>, values: Vec<String>) -> DictColumn {
     let mut order: Vec<usize> = (0..values.len()).collect();
     order.sort_unstable_by(|&a, &b| values[a].cmp(&values[b]));
@@ -590,10 +458,11 @@ fn finish_dict(codes: Chunked<u32>, values: Vec<String>) -> DictColumn {
     DictColumn::from_parts(codes, astore_storage::dictionary::Dictionary::from_values(sorted))
 }
 
-/// The streaming twin of [`gen_lineorder`]: identical row data and rng
-/// draw order, but dictionary columns are emitted as interned codes
-/// directly — no per-row `String` is ever allocated for them.
-fn gen_lineorder_streaming(sizes: SsbSizes, rng: &mut SmallRng) -> Table {
+/// The fact table. Columns fill segment-sized chunks directly (what the
+/// table stores) — no whole-table flat array is ever built — and the
+/// dictionary columns (`lo_orderpriority`, `lo_shipmode`) are emitted as
+/// interned codes: no per-row `String` is ever allocated for them.
+fn gen_lineorder(sizes: SsbSizes, rng: &mut SmallRng) -> Table {
     let n = sizes.lineorder;
     let mut orderkey = ChunkedBuilder::new();
     let mut linenumber = ChunkedBuilder::new();
@@ -620,8 +489,14 @@ fn gen_lineorder_streaming(sizes: SsbSizes, rng: &mut SmallRng) -> Table {
     while i < n {
         order += 1;
         let lines = rng.gen_range(1..=7usize).min(n - i);
-        // Same arrival-order date clustering as `gen_lineorder` (see the
-        // comment there); the draw sequence must match it exactly.
+        // Orders arrive in (roughly) chronological sequence: the order date
+        // advances linearly with the order's position in the table, with a
+        // ±30-day entry jitter. This is how operational fact tables
+        // actually fill up (append-in-arrival-order), and the physical
+        // date clustering it produces is what makes per-segment zone maps
+        // prune the date-selective SSB flights (Q1.x) instead of scanning
+        // everything. Marginal distributions stay uniform over the
+        // calendar, so published SSB selectivities are unaffected.
         let base = (i as u64 * sizes.date as u64 / n.max(1) as u64) as i64;
         let odate = (base + rng.gen_range(-30..=30i64)).clamp(0, sizes.date as i64 - 1) as u32;
         let ck = rng.gen_range(0..sizes.customer as u32);
@@ -978,33 +853,52 @@ mod tests {
         assert_ne!(ka, kc, "different seeds give different data");
     }
 
-    #[test]
-    fn streaming_generation_matches_batch_exactly() {
-        let a = generate(0.002, 42);
-        let b = generate_streaming(0.002, 42);
-        assert_eq!(a.table_names(), b.table_names());
-        for name in a.table_names() {
-            let (ta, tb) = (a.table(name).unwrap(), b.table(name).unwrap());
-            assert_eq!(ta.schema().defs(), tb.schema().defs(), "{name} schema");
-            assert_eq!(ta.num_slots(), tb.num_slots(), "{name} rows");
-            for row in 0..ta.num_slots() as u32 {
-                assert_eq!(ta.row(row), tb.row(row), "{name}[{row}]");
+    /// FNV-1a over every table's rows, plus the code arrays and dictionary
+    /// order of the interned fact columns (two layouts could render the
+    /// same rows).
+    fn digest(db: &Database) -> u64 {
+        fn eat(h: &mut u64, bytes: &[u8]) {
+            for &b in bytes {
+                *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
             }
         }
-        // Code-level identity too: the interner mirrors from_values.
-        for col in ["lo_orderpriority", "lo_shipmode"] {
-            let ca = a.table("lineorder").unwrap().column(col).unwrap().as_dict().unwrap();
-            let cb = b.table("lineorder").unwrap().column(col).unwrap().as_dict().unwrap();
-            assert_eq!(ca.dict().values(), cb.dict().values(), "{col} dictionary order");
-            assert_eq!(ca.codes(), cb.codes(), "{col} codes");
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for name in db.table_names() {
+            let t = db.table(name).unwrap();
+            eat(&mut h, name.as_bytes());
+            for row in 0..t.num_slots() as u32 {
+                eat(&mut h, format!("{:?}", t.row(row)).as_bytes());
+            }
         }
-        // The streamed database arrives sealed, with real compression.
+        for col in ["lo_orderpriority", "lo_shipmode"] {
+            let dc = db.table("lineorder").unwrap().column(col).unwrap().as_dict().unwrap();
+            eat(&mut h, format!("{:?}{:?}", dc.dict().values(), dc.codes().to_vec()).as_bytes());
+        }
+        h
+    }
+
+    /// The generated bytes are part of the repository's contract: the
+    /// golden snapshot fixtures, the benchmark's reference answers and every
+    /// recorded measurement assume `generate(sf, seed)` keeps producing
+    /// exactly this database. Pinned when the per-row-`String` generator was
+    /// retired, from that generator's output.
+    #[test]
+    fn generated_database_is_pinned() {
+        assert_eq!(digest(&generate(0.002, 42)), PINNED_DIGEST);
+    }
+
+    #[test]
+    fn streaming_generation_is_generate_plus_seal() {
+        let b = generate_streaming(0.002, 42);
+        assert_eq!(digest(&b), PINNED_DIGEST);
         let lo = b.table("lineorder").unwrap();
         assert!(lo.encodings().iter().all(Option::is_some), "every segment sealed");
         let (enc, raw) = lo.encoded_footprint();
         assert!(enc * 2 <= raw, "encoded {enc} must be ≤ half of raw {raw}");
         assert!(b.validate_references().is_empty());
     }
+
+    const PINNED_DIGEST: u64 = 0x088c_b3ea_3b6e_4052;
 
     #[test]
     fn revenue_consistent_with_price_and_discount() {

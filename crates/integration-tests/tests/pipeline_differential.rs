@@ -1,0 +1,195 @@
+//! The segment-at-a-time scan pipeline against everything it must equal.
+//!
+//! For the 13 SSB queries and for seeded random SPJGA queries
+//! ([`astore_integration_tests::random_sql`]), five executions must return
+//! the same rows with tolerance 0.0 (every SSB measure is an integer, so
+//! sums are exact in any association): one worker, two workers, zone-map
+//! pruning off, encoded-segment evaluation off, and the hash-join baseline
+//! — which shares none of the scan code. The fact table is sealed and then
+//! written to, so segments carry stale rows (updates after the seal), an
+//! unsealed overhang (appends) and deletes: the states in which the
+//! vectorised probes must hand over to the flat, per-row paths.
+//!
+//! The executor's bookkeeping is pinned beside the results: a worker that
+//! claims many morsels contributes exactly one partial result to the merge,
+//! and `PlanInfo`'s exact counts for the 13 queries equal the values
+//! recorded before the pipeline existed.
+
+use std::sync::Arc;
+
+use astore_baseline::engine::execute_hash_pipeline;
+use astore_core::prelude::*;
+use astore_integration_tests::{random_sql, ssb_sql, substitute};
+use astore_obs::TraceBuf;
+use astore_sql::sql_to_query;
+use astore_storage::catalog::Database;
+use astore_storage::types::Value;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+/// SSB SF 0.01 (60 000 fact rows) in 4096-row segments, sealed.
+fn sealed_db() -> Database {
+    let mut db = astore_datagen::ssb::generate(0.01, 42);
+    let t = db.table_mut("lineorder").unwrap();
+    t.set_segment_rows(4096);
+    t.seal_segments();
+    db
+}
+
+/// Writes on top of the seals: updates of a measure, a predicate column and
+/// a foreign key (stale rows in sealed segments), deletes spread over the
+/// table, slot-reusing inserts, and an appended tail (the overhang).
+fn dirty(db: &mut Database, rng: &mut SmallRng) {
+    let t = db.table_mut("lineorder").unwrap();
+    let n = t.num_slots() as u32;
+    for _ in 0..120 {
+        let r = rng.gen_range(0..n);
+        if !t.is_live(r) {
+            continue;
+        }
+        match rng.gen_range(0..3u32) {
+            0 => t.update(r, "lo_quantity", &Value::Int(rng.gen_range(1..=50))),
+            1 => t.update(r, "lo_discount", &Value::Int(rng.gen_range(0..=10))),
+            _ => t.update(r, "lo_suppkey", &Value::Key(rng.gen_range(0..50))),
+        }
+    }
+    for _ in 0..60 {
+        t.delete(rng.gen_range(0..n));
+    }
+    for i in 0..700u32 {
+        let template = (0..n).map(|k| (k * 7 + i) % n).find(|&r| t.is_live(r)).expect("a live row");
+        let row = t.row(template);
+        if i % 25 == 0 {
+            t.insert(&row); // reuses a freed slot inside a sealed segment
+        } else {
+            t.append_row(&row);
+        }
+    }
+    assert!(t.delta_rows() > 0, "the fixture must carry a write delta");
+    assert!(t.has_deletes());
+}
+
+/// Forces fan-out on the test-sized table, with morsels smaller than a
+/// segment so a worker claims many.
+fn two_threads(base: ExecOptions) -> ExecOptions {
+    let mut o = base.threads(2).morsel_rows(1024);
+    o.optimizer.parallel_min_rows_per_thread = 1;
+    o.optimizer.host_threads = 64;
+    o
+}
+
+fn check_all_arms(db: &Database, name: &str, sql: &str) {
+    let q = sql_to_query(sql, db).unwrap_or_else(|e| panic!("{name}: {e}\n{sql}"));
+    let run = |arm: &str, opts: ExecOptions| {
+        execute(db, &q, &opts).unwrap_or_else(|e| panic!("{name}: {arm} arm failed: {e:?}\n{sql}"))
+    };
+    let serial = run("serial", ExecOptions::default());
+    assert!(!serial.plan.executor.is_parallel());
+    let arms = [
+        ("2 threads", run("2 threads", two_threads(ExecOptions::default()))),
+        ("pruning(false)", run("pruning(false)", ExecOptions::default().pruning(false))),
+        ("encoded(false)", run("encoded(false)", ExecOptions::default().encoded(false))),
+        (
+            "2 threads, unpruned, flat",
+            run(
+                "2 threads, unpruned, flat",
+                two_threads(ExecOptions::default().pruning(false).encoded(false)),
+            ),
+        ),
+    ];
+    for (arm, out) in &arms {
+        assert!(
+            out.result.same_contents(&serial.result, 0.0),
+            "{name}: {arm} diverged from serial\n{sql}\n{:?}\nvs\n{:?}",
+            out.result.rows,
+            serial.result.rows
+        );
+        assert_eq!(out.plan.selected_rows, serial.plan.selected_rows, "{name}: {arm}\n{sql}");
+        assert_eq!(out.plan.groups, serial.plan.groups, "{name}: {arm}\n{sql}");
+    }
+    assert!(
+        arms[0].1.plan.executor.is_parallel() || serial.plan.segments_scanned == 0,
+        "{name}: the 2-thread arm must fan out unless everything was pruned"
+    );
+    let joined = execute_hash_pipeline(db, &q).unwrap_or_else(|e| panic!("{name}: join: {e:?}"));
+    assert!(
+        joined.result.same_contents(&serial.result, 0.0),
+        "{name}: hash-join baseline diverged from serial\n{sql}\n{:?}\nvs\n{:?}",
+        joined.result.rows,
+        serial.result.rows
+    );
+    assert_eq!(joined.selected_rows, serial.plan.selected_rows, "{name}: join\n{sql}");
+}
+
+#[test]
+fn pipeline_equals_every_other_execution_on_a_written_to_sealed_table() {
+    let mut db = sealed_db();
+    let mut rng = SmallRng::seed_from_u64(0x91BE_11E5);
+    // Clean seals first, then two rounds of writes on top of them.
+    for round in 0..3 {
+        if round > 0 {
+            dirty(&mut db, &mut rng);
+        }
+        for (name, template, params) in ssb_sql() {
+            check_all_arms(&db, name, &substitute(template, &params));
+        }
+        for i in 0..40 {
+            let sql = random_sql(&mut rng).literal_sql();
+            check_all_arms(&db, &format!("random {round}/{i}"), &sql);
+        }
+    }
+}
+
+/// `(query, groups, selected_rows, segments_scanned, segments_pruned)` of
+/// the serial executor on [`sealed_db`], recorded at the commit before the
+/// scan became a per-segment pipeline (PR 14).
+const PLAN_COUNTS: [(&str, usize, usize, usize, usize); 13] = [
+    ("Q1.1", 1, 1140, 4, 11),
+    ("Q1.2", 1, 40, 1, 14),
+    ("Q1.3", 1, 3, 1, 14),
+    ("Q2.1", 226, 800, 15, 0),
+    ("Q2.2", 31, 49, 15, 0),
+    ("Q2.3", 0, 0, 0, 15),
+    ("Q3.1", 120, 831, 13, 2),
+    ("Q3.2", 21, 32, 13, 2),
+    ("Q3.3", 6, 8, 13, 2),
+    ("Q3.4", 0, 0, 1, 14),
+    ("Q4.1", 35, 1357, 15, 0),
+    ("Q4.2", 89, 388, 5, 10),
+    ("Q4.3", 6, 6, 5, 10),
+];
+
+#[test]
+fn plan_counts_of_the_13_queries_are_what_they_were() {
+    let db = sealed_db();
+    for ((name, template, params), want) in ssb_sql().into_iter().zip(PLAN_COUNTS) {
+        assert_eq!(name, want.0);
+        let q = sql_to_query(&substitute(template, &params), &db).unwrap();
+        for (arm, opts) in
+            [("serial", ExecOptions::default()), ("2 threads", two_threads(ExecOptions::default()))]
+        {
+            let p = execute(&db, &q, &opts).unwrap().plan;
+            let got = (name, p.groups, p.selected_rows, p.segments_scanned, p.segments_pruned);
+            assert_eq!(got, want, "{name} ({arm})");
+        }
+    }
+}
+
+#[test]
+fn a_worker_claiming_many_morsels_contributes_one_partial() {
+    let db = sealed_db();
+    let (_, template, params) = ssb_sql().into_iter().find(|(n, ..)| *n == "Q4.1").unwrap();
+    let q = sql_to_query(&substitute(template, &params), &db).unwrap();
+    let trace = Arc::new(TraceBuf::new());
+    let out = execute(&db, &q, &two_threads(ExecOptions::default()).trace(trace.clone())).unwrap();
+    let ExecutorInfo::Parallel { threads, morsels, .. } = out.plan.executor else {
+        panic!("expected the morsel executor, got {}", out.plan.executor);
+    };
+    assert_eq!(threads, 2);
+    assert!(morsels > 50, "15 segments in 1024-row morsels, got {morsels}");
+    let spans = trace.spans();
+    assert_eq!(spans.iter().filter(|s| s.name == "morsel").count(), morsels);
+    let merge = spans.iter().find(|s| s.name == "merge").expect("a merge span");
+    assert_eq!(merge.attr("partials"), Some(2), "one partial per worker, not per morsel");
+    assert_eq!(merge.attr("groups"), Some(out.plan.groups as i64));
+}

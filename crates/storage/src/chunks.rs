@@ -185,6 +185,13 @@ impl<T: Copy> Chunked<T> {
         self.chunks[seg][off]
     }
 
+    /// A reader that keeps the last chunk it touched bound — for loops
+    /// that address rows by table-wide index but mostly stay inside one
+    /// segment at a time (see [`ChunkCursor`]).
+    pub fn cursor(&self) -> ChunkCursor<'_, T> {
+        ChunkCursor { col: self, start: 0, chunk: &[] }
+    }
+
     /// The value at `row`, or `None` past the end.
     #[inline]
     pub fn get_checked(&self, row: usize) -> Option<T> {
@@ -314,6 +321,37 @@ impl<T: Copy + PartialEq> PartialEq for Chunked<T> {
     }
 }
 
+/// [`Chunked::get`] with the current chunk held as a slice: a row inside the
+/// bound chunk costs a subtraction and an index, and only a row outside it
+/// goes back through the geometry. Ascending rows (a gather over a scanned
+/// table) rebind once per segment; a column that fits one segment (most
+/// dimensions) binds once.
+#[derive(Debug)]
+pub struct ChunkCursor<'a, T> {
+    col: &'a Chunked<T>,
+    /// Table-wide index of the bound chunk's first row.
+    start: usize,
+    chunk: &'a [T],
+}
+
+impl<T: Copy> ChunkCursor<'_, T> {
+    /// The value at table-wide row index `row`.
+    ///
+    /// # Panics
+    /// Panics if `row` is out of range.
+    #[inline]
+    pub fn get(&mut self, row: usize) -> T {
+        // A row before the bound chunk wraps to a huge offset and misses.
+        if let Some(&v) = self.chunk.get(row.wrapping_sub(self.start)) {
+            return v;
+        }
+        let (seg, off) = self.col.geo.locate(row);
+        self.start = row - off;
+        self.chunk = self.col.chunk(seg);
+        self.chunk[off]
+    }
+}
+
 /// Fills a [`Chunked`] column row by row with the cost of a plain `Vec`
 /// push: rows accumulate in an un-shared tail and move into an `Arc` only
 /// as whole chunks. The bulk-load companion of [`Chunked::push`], which
@@ -399,6 +437,25 @@ mod tests {
             assert_eq!(g.segments_for(rows), 1);
             assert_eq!(g.segments_for(rows + 1), 2);
         }
+    }
+
+    #[test]
+    fn cursor_reads_like_get_in_any_order() {
+        for seg_rows in [3usize, 4, 64] {
+            let c = Chunked::from_vec((0..23i64).map(|i| i * i).collect(), Geometry::new(seg_rows));
+            let mut cur = c.cursor();
+            // Ascending, backwards across chunk boundaries, and repeated.
+            for row in (0..23).chain((0..23).rev()).chain([7, 7, 22, 0, 11]) {
+                assert_eq!(cur.get(row), c.get(row), "seg_rows={seg_rows} row={row}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn cursor_panics_past_the_end() {
+        let c = Chunked::from_vec(vec![1, 2, 3], Geometry::new(2));
+        c.cursor().get(4);
     }
 
     #[test]
