@@ -177,11 +177,12 @@ pub fn denormalize(db: &Database, root: Option<&str>) -> Result<Denormalized, Bi
 /// Gathers `col[rows[i]]` into a fresh column, built straight into
 /// segment-sized chunks. The source is read through a
 /// [`ChunkCursor`](astore_storage::chunks::ChunkCursor): the
-/// fact table's own columns (ascending rows) bind each chunk once, and a
-/// dimension that fits one segment binds once for the whole gather.
+/// fact table's own columns (ascending rows) bind — and, where the chunk is
+/// resident encoded, decode — each chunk once, and a dimension that fits
+/// one segment binds once for the whole gather.
 /// Dictionary columns share the source dictionary; only codes are gathered.
 fn gather(col: &Column, rows: &[usize]) -> Column {
-    fn values<T: Copy>(v: &Chunked<T>, rows: &[usize]) -> Chunked<T> {
+    fn values<T: ChunkValue>(v: &Chunked<T>, rows: &[usize]) -> Chunked<T> {
         let mut src = v.cursor();
         Chunked::from_fn(rows.len(), |i| src.get(rows[i]))
     }

@@ -170,7 +170,9 @@ pub fn execute_hash_pipeline(
         let range = fact.segment_range(seg);
         let live = fact.live_bitmap().chunk(seg);
         let preds: Vec<SegPred<'_>> = fact_preds.iter().map(|p| p.bind(seg)).collect();
-        let keys: Vec<&[Key]> = probe_keys.iter().map(|k| k.chunk(seg)).collect();
+        // Every row of the segment is probed: one decode per key chunk, not
+        // a lane extraction per row.
+        let keys: Vec<_> = probe_keys.iter().map(|k| k.chunk(seg).decoded()).collect();
         let measures: Vec<Option<SegMeasure<'_>>> =
             measures.iter().map(|m| m.as_ref().map(|cm| cm.bind(seg))).collect();
         'rows: for off in 0..range.len() {

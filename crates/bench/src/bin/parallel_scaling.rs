@@ -37,7 +37,7 @@ fn main() {
          curve above {host_cores} threads measures dispatcher overhead, not scaling.\n"
     );
 
-    let db = ssb::generate_streaming(sf, 42);
+    let db = ssb::generate(sf, 42);
     let queries = ssb::queries();
 
     let mut headers: Vec<String> = vec!["query".into()];

@@ -23,7 +23,7 @@ fn main() {
     println!("scale factor (ASTORE_SF) = {sf}");
 
     let t0 = Instant::now();
-    let db = ssb::generate_streaming(sf, 42);
+    let db = ssb::generate(sf, 42);
     let boot = t0.elapsed();
 
     let fact_rows = db.table("lineorder").expect("lineorder").num_slots();

@@ -22,8 +22,7 @@ use astore_storage::catalog::Database;
 fn predicate_query(db: &Database, level: u32) -> (Query, f64) {
     // Per-predicate target selectivity 1/2^level on four fact columns.
     let lo = db.table("lineorder").unwrap();
-    let max_order =
-        lo.column("lo_orderkey").unwrap().as_i64().unwrap().iter().max().copied().unwrap_or(1);
+    let max_order = lo.column("lo_orderkey").unwrap().as_i64().unwrap().iter().max().unwrap_or(1);
     let (q_thr, d_thr, t_thr, o_thr, approx) = match level {
         1 => (25, 4, 3, max_order / 2, 0.5 * 0.4545 * 0.4444 * 0.5),
         2 => (12, 2, 1, max_order / 4, 0.24 * 0.2727 * 0.2222 * 0.25),

@@ -146,12 +146,6 @@ pub struct ExecOptions {
     /// Disabling it reproduces the pre-segmentation flat scan — the
     /// ablation baseline of the `scan_pruning` bench and differential.
     pub pruning: bool,
-    /// Encoded-segment scans: let seedable fact predicates run directly on
-    /// sealed segments' compressed form (bit-packed / RLE kernels) instead
-    /// of the flat arrays (default on). Disabling reproduces the flat
-    /// columnar scan on identical data — the compression ablation of the
-    /// encoded differential.
-    pub encoded: bool,
     /// Span buffer for this execution (`None` = tracing off). When set, the
     /// executor records one span per phase — bind, leaf processing,
     /// optimize (with per-segment prune-decision events), fact scan (with
@@ -171,7 +165,6 @@ impl Default for ExecOptions {
             force_agg: None,
             selection: SelectionStrategy::default(),
             pruning: true,
-            encoded: true,
             trace: None,
         }
     }
@@ -198,12 +191,6 @@ impl ExecOptions {
     /// Enables or disables zone-map segment skipping.
     pub fn pruning(mut self, on: bool) -> Self {
         self.pruning = on;
-        self
-    }
-
-    /// Enables or disables predicate evaluation on encoded segments.
-    pub fn encoded(mut self, on: bool) -> Self {
-        self.encoded = on;
         self
     }
 
@@ -576,31 +563,12 @@ pub(crate) fn compile_fact_preds<'a>(
     query: &Query,
     opts: &ExecOptions,
 ) -> Vec<FactPred<'a>> {
-    use crate::expr::Pred;
     let fact = u.root_table();
     let conjuncts = query.selection_on(u.root()).map(|p| p.conjuncts()).unwrap_or_default();
     // Each conjunct compiles, then derives its encoded-scan seed from the
-    // compiled form — literal coercions included — when the fact column is
-    // resolvable and encoded scans are enabled.
-    let seed_col = |c: &Pred| -> Option<usize> {
-        if !opts.encoded {
-            return None;
-        }
-        match c {
-            Pred::Cmp { col, .. } | Pred::Between { col, .. } | Pred::InList { col, .. } => {
-                fact.schema().position(col)
-            }
-            _ => None,
-        }
-    };
-    let wrap = |c: &&Pred| -> FactPred<'a> {
-        let p = c.compile(fact);
-        match seed_col(c) {
-            Some(col) => FactPred::seeded(p, col),
-            None => FactPred::unseeded(p),
-        }
-    };
-    let mut fact_preds: Vec<FactPred<'a>> = conjuncts.iter().map(wrap).collect();
+    // compiled form — literal coercions included.
+    let mut fact_preds: Vec<FactPred<'a>> =
+        conjuncts.iter().map(|c| FactPred::compile(c, fact)).collect();
     if fact_preds.len() > 1 {
         let n = fact.num_slots();
         let mut keyed: Vec<(f64, FactPred<'a>)> = fact_preds

@@ -12,15 +12,19 @@
 //! the [`Whole`] table it addresses rows by table-wide index (the
 //! random-access form — AIR chases into dimension tables, samples); bound
 //! [`InSegment`] by [`CompiledPred::bind`] it holds one segment's chunks as
-//! plain slices and addresses rows by segment-local offset — the form every
-//! sequential scan loop evaluates, so inner loops stay `slice[i]`.
+//! they are resident ([`ChunkRef`]: a plain slice, bit-packed codes or
+//! runs) and addresses rows by segment-local offset — the form every
+//! sequential scan loop evaluates. A packed chunk answers a row with a
+//! division-free lane extraction plus the frame-of-reference base, so
+//! predicates refine and measures fold straight from the codes.
 
 use std::fmt::Debug;
 use std::sync::Arc;
 
 use astore_storage::bitmap::Bitmap;
-use astore_storage::chunks::Chunked;
+use astore_storage::chunks::{ChunkRef, Chunked};
 use astore_storage::column::Column;
+use astore_storage::encoded::ChunkValue;
 use astore_storage::strings::{StrChunk, StrColumn};
 use astore_storage::table::Table;
 use astore_storage::types::Key;
@@ -308,25 +312,11 @@ impl Pred {
     }
 
     /// Evaluates over all live rows of a table into a bitmap (the predicate
-    /// vector path, §4.2). Dead slots evaluate to `false`.
+    /// vector path, §4.2). Dead slots evaluate to `false`. Runs as the
+    /// column-wise selection scan ([`crate::scan::select_bitmap`]), so a
+    /// dimension's predicates meet its chunks the way the fact table's do.
     pub fn eval_bitmap(&self, table: &Table) -> Bitmap {
-        let compiled = self.compile(table);
-        let has_deletes = table.has_deletes();
-        let n = table.num_slots();
-        // Bits are OR-ed into their word unconditionally: a half-selective
-        // predicate would mispredict a test-and-set on every other row.
-        let mut words = vec![0u64; n.div_ceil(64)];
-        for seg in 0..table.segment_count() {
-            let pred = compiled.bind(seg);
-            let live = table.live_bitmap().chunk(seg);
-            let range = table.segment_range(seg);
-            for off in 0..range.len() {
-                let pass = (!has_deletes || live.get(off)) && pred.eval(off);
-                let slot = range.start + off;
-                words[slot / 64] |= u64::from(pass) << (slot % 64);
-            }
-        }
-        Bitmap::from_words(words, n)
+        crate::scan::select_bitmap(table, self)
     }
 }
 
@@ -465,24 +455,24 @@ fn compile_in<'a>(table: &'a Table, col: &str, lits: &[Lit]) -> CompiledPred<'a>
 }
 
 /// Read access to one column payload by row position: a whole chunked
-/// column (position = table-wide row index) or one segment's slice
+/// column (position = table-wide row index) or one segment's chunk
 /// (position = segment-local offset).
 pub trait Rows<T>: Copy + Debug {
     /// The value at position `i`.
     fn at(self, i: usize) -> T;
 }
 
-impl<T: Copy + Debug> Rows<T> for &Chunked<T> {
+impl<T: ChunkValue> Rows<T> for &Chunked<T> {
     #[inline]
     fn at(self, i: usize) -> T {
         self.get(i)
     }
 }
 
-impl<T: Copy + Debug> Rows<T> for &[T] {
+impl<T: ChunkValue> Rows<T> for ChunkRef<'_, T> {
     #[inline]
     fn at(self, i: usize) -> T {
-        self[i]
+        ChunkRef::at(&self, i)
     }
 }
 
@@ -511,7 +501,7 @@ impl StrRows for StrChunk<'_> {
 /// [`PredOver`] and [`MeasureOver`]; the evaluation code is shared.
 pub trait Binding<'a>: Debug {
     /// Handle to a fixed-width column payload.
-    type Of<T: Copy + Debug + 'a>: Rows<T>;
+    type Of<T: ChunkValue>: Rows<T>;
     /// Handle to a string column.
     type Strs: StrRows;
 }
@@ -525,12 +515,12 @@ pub struct Whole;
 pub struct InSegment;
 
 impl<'a> Binding<'a> for Whole {
-    type Of<T: Copy + Debug + 'a> = &'a Chunked<T>;
+    type Of<T: ChunkValue> = &'a Chunked<T>;
     type Strs = &'a StrColumn;
 }
 
 impl<'a> Binding<'a> for InSegment {
-    type Of<T: Copy + Debug + 'a> = &'a [T];
+    type Of<T: ChunkValue> = ChunkRef<'a, T>;
     type Strs = StrChunk<'a>;
 }
 
@@ -732,8 +722,9 @@ impl<'a, B: Binding<'a>> PredOver<'a, B> {
 
 impl<'a> CompiledPred<'a> {
     /// Binds the predicate to segment `seg` of its table: every column
-    /// handle becomes that segment's chunk slice. Cheap (no row data or
-    /// literal is copied); done once per scanned segment.
+    /// handle becomes that segment's chunk, in whichever representation it
+    /// is resident. Cheap (no row data or literal is copied); done once per
+    /// scanned segment.
     pub fn bind(&self, seg: usize) -> SegPred<'a> {
         match self {
             PredOver::Const(b) => PredOver::Const(*b),

@@ -19,9 +19,10 @@ use std::collections::{HashMap, HashSet};
 
 use astore_storage::bitmap::Bitmap;
 use astore_storage::catalog::Database;
+use astore_storage::table::Table;
 use astore_storage::types::NULL_KEY;
 
-use crate::expr::CompiledPred;
+use crate::expr::{CompiledPred, Pred};
 use crate::graph::JoinGraph;
 use crate::query::Query;
 use crate::universal::BindError;
@@ -172,9 +173,9 @@ pub struct PredRange {
 ///
 /// Every predicate keeps its row-wise [`CompiledPred::eval`] — the seed is
 /// an *additional* capability the column-wise scan uses on sealed segments.
-/// Predicates whose accepted set is not an interval (`<>`, `IN`, string
-/// and float comparisons, boolean combinators) carry no seed and always
-/// evaluate row-wise.
+/// Predicates whose accepted set is not an interval (`<>`, `IN`, raw-string
+/// and float comparisons, boolean combinators, dictionary sets that are
+/// not one run of codes) carry no seed and always evaluate row-wise.
 pub struct FactPred<'a> {
     /// The compiled predicate (always usable row-wise).
     pub pred: CompiledPred<'a>,
@@ -193,6 +194,22 @@ impl<'a> FactPred<'a> {
     pub fn seeded(pred: CompiledPred<'a>, col: usize) -> Self {
         let seed = seed_range(&pred, col);
         FactPred { pred, seed }
+    }
+
+    /// Compiles one conjunct against `table`, seeded when it tests a single
+    /// resolvable column.
+    pub fn compile(conjunct: &Pred, table: &'a Table) -> Self {
+        let pred = conjunct.compile(table);
+        let col = match conjunct {
+            Pred::Cmp { col, .. } | Pred::Between { col, .. } | Pred::InList { col, .. } => {
+                table.schema().position(col)
+            }
+            _ => None,
+        };
+        match col {
+            Some(col) => FactPred::seeded(pred, col),
+            None => FactPred::unseeded(pred),
+        }
     }
 }
 
@@ -241,6 +258,15 @@ pub fn seed_range(pred: &CompiledPred<'_>, col: usize) -> Option<PredRange> {
         // seed preserves: no stored code reaches it, so nothing matches —
         // same as eval.
         CompiledPred::DictEq { code, .. } => (*code as i64, *code as i64),
+        // A string range over an order-preserving dictionary (and any other
+        // set that happens to be one run of codes) is a code range.
+        CompiledPred::DictSet { matches, .. } => {
+            let (first, last) = (matches.iter_ones().next()?, matches.iter_ones().last()?);
+            if last - first + 1 != matches.count_ones() {
+                return None;
+            }
+            (first as i64, last as i64)
+        }
         _ => return None,
     };
     (lo <= hi).then_some(PredRange { col, lo, hi })
@@ -611,6 +637,22 @@ mod tests {
             seed(Pred::eq("d", "zzz"), 3),
             Some(PredRange { col: 3, lo: NULL_KEY as i64, hi: NULL_KEY as i64 })
         );
+        // A string range over a sorted dictionary is one run of codes; a set
+        // with a gap is not.
+        for v in ["a", "m", "z"] {
+            t.append_row(&[
+                Value::Int(1),
+                Value::Int(2),
+                Value::Key(0),
+                Value::Str(v.into()),
+                Value::Float(1.5),
+            ]);
+        }
+        let seed = |p: Pred, col: usize| seed_range(&p.compile(&t), col);
+        // Codes in first-appearance order: x=0, a=1, m=2, z=3.
+        assert_eq!(seed(Pred::between("d", "a", "n"), 3), Some(PredRange { col: 3, lo: 1, hi: 2 }));
+        assert_eq!(seed(Pred::in_list("d", vec!["a", "z"]), 3), None);
+        assert_eq!(seed(Pred::between("d", "0", "1"), 3), None, "an empty set seeds nothing");
         // Not intervals (or not integer domains): unseeded.
         assert_eq!(seed(Pred::cmp("a", CmpOp::Ne, 1), 0), None);
         assert_eq!(seed(Pred::in_list("a", vec![1, 5]), 0), None);

@@ -304,7 +304,7 @@ impl<'a> FactGrouper<'a> {
             Column::Dict(dc) => {
                 let chunk = dc.codes().chunk(seg);
                 codes.extend(
-                    rows.iter().map(|&r| self.group_of_code(dc, chunk[(r - base) as usize])),
+                    rows.iter().map(|&r| self.group_of_code(dc, chunk.at((r - base) as usize))),
                 );
             }
             _ => codes.extend(rows.iter().map(|&r| self.code_for(r as usize))),

@@ -20,13 +20,12 @@
 //! The column-wise predicate-vector probes run through [`crate::kernels`].
 
 use astore_storage::bitmap::{Bitmap, SegBitmap};
-use astore_storage::chunks::Chunked;
+use astore_storage::chunks::{ChunkRef, Chunked};
 use astore_storage::encoded::EncodedColumn;
 use astore_storage::table::Table;
 use astore_storage::types::{Key, RowId, NULL_KEY};
 
-use crate::expr::CompiledPred;
-use crate::expr::SegPred;
+use crate::expr::{CompiledPred, Pred, SegPred};
 use crate::filter::{FactPred, PackedRangeTest};
 use crate::kernels;
 
@@ -84,9 +83,9 @@ pub enum ChainCheck<'a> {
 }
 
 /// A [`ChainCheck`] bound to one fact segment: the probed key column is the
-/// segment's chunk slice, rows are segment-local offsets.
+/// segment's chunk as it is resident, rows are segment-local offsets.
 enum SegChain<'c, 'a> {
-    PredVec { keys: &'c [Key], bitmap: &'c Bitmap },
+    PredVec { keys: ChunkRef<'c, Key>, bitmap: &'c Bitmap },
     Direct { checks: &'c [DirectCheck<'a>], seg_start: usize },
 }
 
@@ -95,7 +94,7 @@ impl SegChain<'_, '_> {
     fn eval(&self, off: usize) -> bool {
         match self {
             // NULL_KEY maps far out of range and reads as false.
-            SegChain::PredVec { keys, bitmap } => bitmap.get_or_false(keys[off] as usize),
+            SegChain::PredVec { keys, bitmap } => bitmap.get_or_false(keys.at(off) as usize),
             SegChain::Direct { checks, seg_start } => {
                 checks.iter().all(|c| c.eval(seg_start + off))
             }
@@ -106,7 +105,7 @@ impl SegChain<'_, '_> {
     /// the check, with the variant dispatched once instead of per row.
     fn refine(&self, rows: &mut Vec<RowId>, base: RowId) {
         match self {
-            SegChain::PredVec { keys, bitmap } => kernels::sparse_probe(keys, base, bitmap, rows),
+            SegChain::PredVec { keys, bitmap } => kernels::sparse_probe(*keys, base, bitmap, rows),
             SegChain::Direct { checks, .. } => {
                 kernels::scalar::retain(rows, |r| checks.iter().all(|c| c.eval(r as usize)))
             }
@@ -218,13 +217,12 @@ impl<'t> FactSegment<'t> {
     }
 }
 
-/// Emits the segment-local offsets of one sealed segment whose encoded
-/// column value falls in `[lo, hi]`, restricted to offsets `[off0, off1)`,
-/// ascending.
+/// Emits the segment-local offsets of one encoded chunk whose value falls
+/// in `[lo, hi]`, restricted to offsets `[off0, off1)`, ascending.
 ///
-/// Bit-packed columns go through the SWAR kernel
+/// Bit-packed chunks go through the SWAR kernel
 /// ([`crate::filter::packed_range_mask`], two words at a time on the wide
-/// path): the logical range is mapped onto the segment's code domain once
+/// path): the logical range is mapped onto the chunk's code domain once
 /// ([`astore_storage::encoded::PackedInts::code_bounds`]), then every word
 /// is tested without decoding a single value. RLE runs accept or reject
 /// wholesale — one comparison covers the entire run.
@@ -237,21 +235,11 @@ fn scan_encoded(
     mut emit: impl FnMut(usize),
 ) {
     match enc {
-        EncodedColumn::Rle(rle) => {
-            let mut run_start = 0usize;
-            for (i, &e) in rle.ends().iter().enumerate() {
-                let run_end = e as usize;
-                if run_start >= off1 {
-                    break;
-                }
-                if rle.values()[i] >= lo && rle.values()[i] <= hi {
-                    for off in run_start.max(off0)..run_end.min(off1) {
-                        emit(off);
-                    }
-                }
-                run_start = run_end;
+        EncodedColumn::Rle(rle) => rle.runs_in(off0..off1, |v, run| {
+            if lo <= v && v <= hi {
+                run.for_each(&mut emit);
             }
-        }
+        }),
         EncodedColumn::Packed(p) => {
             let Some((clo, chi)) = p.code_bounds(lo, hi) else { return };
             let test = PackedRangeTest::new(clo, chi, p.width() as usize, p.lanes());
@@ -287,53 +275,28 @@ fn scan_encoded(
 }
 
 /// Appends to `rows` the rows of one segment that pass one seeded
-/// predicate: a sealed segment is scanned in encoded form
-/// ([`scan_encoded`]); an unsealed (or never-encoded) one falls back to
-/// row-wise evaluation of the same predicate over the segment's chunk. Rows
-/// come out ascending either way, so the result is indistinguishable from
-/// the live rows refined by the predicate — just cheaper.
-///
-/// A sealed segment may carry a write delta (see
-/// [`astore_storage::table::SegmentDelta`]): *stale* rows whose encoded
-/// value was superseded by a write-through are skipped in the encoded pass
-/// and re-evaluated against the flat chunk (which is always current), and
-/// rows appended past the seal's coverage (the *overhang*) are evaluated
-/// flat as well. Stale hits interleave with encoded hits, so the segment's
-/// slice is re-sorted when any landed.
+/// predicate: when the tested column's chunk is resident encoded it is
+/// scanned in that form ([`scan_encoded`]); a flat chunk is evaluated row
+/// by row. Rows come out ascending either way, so the result is
+/// indistinguishable from the live rows refined by the predicate — just
+/// cheaper.
 fn seeded_segment(fact: &Table, seg: &FactSegment<'_>, fp: &FactPred<'_>, rows: &mut Vec<RowId>) {
     let seed = fp.seed.as_ref().expect("caller verified the seed");
-    let pred = fp.pred.bind(seg.index);
-    let flat = |offs: std::ops::Range<usize>, rows: &mut Vec<RowId>| {
-        rows.extend(offs.filter(|&off| seg.is_live(off) && pred.eval(off)).map(|off| seg.row(off)));
-    };
-    let enc = fact.encoding(seg.index).and_then(|e| e.cols.get(seed.col).and_then(Option::as_ref));
-    let Some(enc) = enc else {
-        flat(seg.offs.clone(), rows);
-        return;
-    };
-    let mark = rows.len();
-    let stale = fact.segment_stale(seg.index);
-    let enc_end = enc.len().min(seg.offs.end);
-    if seg.offs.start < enc_end {
-        scan_encoded(enc, seed.lo, seed.hi, seg.offs.start, enc_end, |off| {
-            if seg.is_live(off) && stale.binary_search(&(off as u32)).is_err() {
+    match fact.column_at(seed.col).chunk_encoding(seg.index) {
+        Some(enc) => scan_encoded(enc, seed.lo, seed.hi, seg.offs.start, seg.offs.end, |off| {
+            if seg.is_live(off) {
                 rows.push(seg.row(off));
             }
-        });
-    }
-    // Stale rows: the flat value superseded the encoded one.
-    let encoded_hits = rows.len();
-    for &off in stale {
-        let off = off as usize;
-        if off >= seg.offs.start && off < enc_end && seg.is_live(off) && pred.eval(off) {
-            rows.push(seg.row(off));
+        }),
+        None => {
+            let pred = fp.pred.bind(seg.index);
+            rows.extend(
+                seg.offs
+                    .clone()
+                    .filter(|&off| seg.is_live(off) && pred.eval(off))
+                    .map(|off| seg.row(off)),
+            );
         }
-    }
-    let delta_hits = rows.len() > encoded_hits;
-    // Overhang appended past the seal's coverage: always flat.
-    flat(enc_end.max(seg.offs.start)..seg.offs.end, rows);
-    if delta_hits {
-        rows[mark..].sort_unstable();
     }
 }
 
@@ -363,10 +326,10 @@ pub struct SegmentScan<'p, 'a> {
     preds: &'p [FactPred<'a>],
     chains: &'p [ChainCheck<'a>],
     mode: ScanMode,
-    /// The column-wise scan's seeded predicate: when the fact table carries
-    /// sealed-segment encodings, the *first* seedable predicate builds a
-    /// segment's initial selection directly from the encoded form instead
-    /// of refining the full range.
+    /// The column-wise scan's seeded predicate: the *first* seedable
+    /// predicate builds a segment's initial selection — directly from the
+    /// encoded form wherever the chunk it tests is resident encoded —
+    /// instead of refining the full range.
     seed_idx: Option<usize>,
 }
 
@@ -379,10 +342,7 @@ impl<'p, 'a> SegmentScan<'p, 'a> {
         chains: &'p [ChainCheck<'a>],
         mode: ScanMode,
     ) -> Self {
-        let seed_idx = preds
-            .iter()
-            .position(|p| p.seed.is_some())
-            .filter(|_| fact.encodings().iter().any(Option::is_some));
+        let seed_idx = preds.iter().position(|p| p.seed.is_some());
         SegmentScan { fact, preds, chains, mode, seed_idx }
     }
 
@@ -399,9 +359,9 @@ impl<'p, 'a> SegmentScan<'p, 'a> {
         }
     }
 
-    /// Each predicate and check is bound to the segment's chunks once; the
-    /// refinement loops then run over plain slices. The first step fills
-    /// the selection: from the encoded form when a predicate is seeded,
+    /// Each predicate and check is bound to the segment's chunks once, in
+    /// whichever representation they are resident. The first step fills the
+    /// selection: from the seeded predicate's column when there is one,
     /// else — with no fact-local predicate and every slot live — fused with
     /// the first predicate-vector probe ([`kernels::dense_probe`]), else
     /// from the live bits.
@@ -423,14 +383,36 @@ impl<'p, 'a> SegmentScan<'p, 'a> {
             if rows.is_empty() {
                 return;
             }
-            let pred = p.pred.bind(seg.index);
-            kernels::scalar::retain(rows, |r| pred.eval((r - base) as usize));
+            self.refine(seg, p, base, rows);
         }
         for c in chains {
             if rows.is_empty() {
                 return;
             }
             c.bind(seg).refine(rows, base);
+        }
+    }
+
+    /// Refines `rows` by one fact-local predicate. A range predicate over a
+    /// bit-packed chunk compares codes ([`kernels::sparse_range`]: the
+    /// range is mapped onto the chunk's code domain once, no value is
+    /// rebuilt); everything else evaluates the bound predicate per row.
+    fn refine(&self, seg: &FactSegment<'_>, p: &FactPred<'_>, base: RowId, rows: &mut Vec<RowId>) {
+        let packed = p.seed.as_ref().and_then(|seed| {
+            match self.fact.column_at(seed.col).chunk_encoding(seg.index) {
+                Some(EncodedColumn::Packed(codes)) => Some((codes, seed)),
+                _ => None,
+            }
+        });
+        match packed {
+            Some((codes, seed)) => match codes.code_bounds(seed.lo, seed.hi) {
+                Some((clo, chi)) => kernels::sparse_range(codes, base, clo, chi, rows),
+                None => rows.clear(),
+            },
+            None => {
+                let pred = p.pred.bind(seg.index);
+                kernels::scalar::retain(rows, |r| pred.eval((r - base) as usize));
+            }
         }
     }
 
@@ -467,6 +449,26 @@ impl<'p, 'a> SegmentScan<'p, 'a> {
                 .map(|off| seg.row(off)),
         );
     }
+}
+
+/// Evaluates `pred` over all live rows of `table` into a bitmap — a
+/// dimension's predicate vector (§4.2). This is the column-wise selection
+/// scan with no chains: the first range conjunct builds each segment's
+/// selection (word-at-a-time on an encoded chunk), the others refine it.
+pub fn select_bitmap(table: &Table, pred: &Pred) -> Bitmap {
+    let preds: Vec<FactPred<'_>> =
+        pred.conjuncts().into_iter().map(|c| FactPred::compile(c, table)).collect();
+    let scan = SegmentScan::new(table, &preds, &[], ScanMode::ColumnWise);
+    let n = table.num_slots();
+    let mut words = vec![0u64; n.div_ceil(64)];
+    let mut rows = Vec::new();
+    for seg in 0..table.segment_count() {
+        scan.select(table.segment_range(seg), &mut rows);
+        for &r in &rows {
+            words[r as usize / 64] |= 1 << (r % 64);
+        }
+    }
+    Bitmap::from_words(words, n)
 }
 
 #[cfg(test)]
@@ -690,11 +692,12 @@ mod tests {
         }
         let sealed = fact.seal_segments();
         assert!(sealed > 0);
-        assert!(fact.encodings().iter().any(Option::is_some));
+        assert!(fact.column_at(1).chunk_encoding(0).is_some());
 
-        // Post-seal write-throughs: updates and a reuse-insert go to the
-        // stale delta, appends become unsealed overhang — the seals must
-        // survive and the seeded scan must keep agreeing with row-wise.
+        // Post-seal writes: each update and the reuse-insert decode the
+        // chunks they land in, the appends decode the partial tail — the
+        // seeded scan takes every chunk as it finds it and must keep
+        // agreeing with row-wise.
         fact.update(10, "f_i", &Value::Int(23));
         fact.update(70, "f_l", &Value::Int(9));
         fact.update(131, "f_d", &Value::Str("m3".into()));
@@ -710,9 +713,9 @@ mod tests {
                 Value::Str("m2".into()),
             ]);
         }
-        assert!(fact.encoding(0).is_some(), "write-through keeps the seal");
-        assert!(!fact.segment_stale(0).is_empty());
-        assert!(fact.delta_rows() > 0);
+        assert!(fact.column_at(1).chunk_encoding(0).is_none(), "the written chunk went flat");
+        assert!(fact.column_at(2).chunk_encoding(0).is_some(), "its neighbours stayed encoded");
+        assert!(fact.segment_written(0).is_some());
         db.add_table(dim);
         db.add_table(fact);
         let fact = db.table("fact").unwrap();

@@ -165,26 +165,24 @@ impl SsbSizes {
 }
 
 /// Generates the full SSB database at scale factor `sf`, deterministically
-/// from `seed` (same arguments → same bytes; a unit test pins them).
+/// from `seed` (same arguments → same values; a unit test pins them). The
+/// database arrives **sealed**: the fact table's builders encode each
+/// column chunk the moment it completes, so generation never holds more
+/// than one segment of the fact table flat, and the closing seal covers
+/// what is left (the dimensions and the partial tail segment).
 pub fn generate(sf: f64, seed: u64) -> Database {
     let sizes = SsbSizes::at(sf);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut db = Database::new();
-    db.add_table(gen_date());
-    db.add_table(gen_customer(sizes.customer, &mut rng));
-    db.add_table(gen_supplier(sizes.supplier, &mut rng));
-    db.add_table(gen_part(sizes.part, &mut rng));
-    db.add_table(gen_lineorder(sizes, &mut rng));
-    db
-}
-
-/// [`generate`], with every table sealed on the way out: the database
-/// arrives with its per-segment compressed encodings already built and
-/// scan-ready (what the SF ≥ 1 benches boot from).
-pub fn generate_streaming(sf: f64, seed: u64) -> Database {
-    let mut db = generate(sf, seed);
-    for name in ["date", "customer", "supplier", "part", "lineorder"] {
-        db.table_mut(name).expect("generated table").seal_segments();
+    for mut table in [
+        gen_date(),
+        gen_customer(sizes.customer, &mut rng),
+        gen_supplier(sizes.supplier, &mut rng),
+        gen_part(sizes.part, &mut rng),
+        gen_lineorder(sizes, &mut rng),
+    ] {
+        table.seal_segments();
+        db.add_table(table);
     }
     db
 }
@@ -459,29 +457,31 @@ fn finish_dict(codes: Chunked<u32>, values: Vec<String>) -> DictColumn {
 }
 
 /// The fact table. Columns fill segment-sized chunks directly (what the
-/// table stores) — no whole-table flat array is ever built — and the
-/// dictionary columns (`lo_orderpriority`, `lo_shipmode`) are emitted as
-/// interned codes: no per-row `String` is ever allocated for them.
+/// table stores), each sealed as it completes — no whole-table flat array
+/// is ever built, and no more than one segment's worth of flat rows exists
+/// at a time — and the dictionary columns (`lo_orderpriority`,
+/// `lo_shipmode`) are emitted as interned codes: no per-row `String` is
+/// ever allocated for them.
 fn gen_lineorder(sizes: SsbSizes, rng: &mut SmallRng) -> Table {
     let n = sizes.lineorder;
-    let mut orderkey = ChunkedBuilder::new();
-    let mut linenumber = ChunkedBuilder::new();
-    let mut custkey = ChunkedBuilder::new();
-    let mut partkey = ChunkedBuilder::new();
-    let mut suppkey = ChunkedBuilder::new();
-    let mut orderdate = ChunkedBuilder::new();
-    let mut orderpriority = ChunkedBuilder::new();
+    let mut orderkey = ChunkedBuilder::new().sealing();
+    let mut linenumber = ChunkedBuilder::new().sealing();
+    let mut custkey = ChunkedBuilder::new().sealing();
+    let mut partkey = ChunkedBuilder::new().sealing();
+    let mut suppkey = ChunkedBuilder::new().sealing();
+    let mut orderdate = ChunkedBuilder::new().sealing();
+    let mut orderpriority = ChunkedBuilder::new().sealing();
     let mut prio_values = Vec::new();
-    let mut shippriority = ChunkedBuilder::new();
-    let mut quantity = ChunkedBuilder::new();
-    let mut extendedprice = ChunkedBuilder::new();
-    let mut ordtotalprice = ChunkedBuilder::new();
-    let mut discount = ChunkedBuilder::new();
-    let mut revenue = ChunkedBuilder::new();
-    let mut supplycost = ChunkedBuilder::new();
-    let mut tax = ChunkedBuilder::new();
-    let mut commitdate = ChunkedBuilder::new();
-    let mut shipmode = ChunkedBuilder::new();
+    let mut shippriority = ChunkedBuilder::new().sealing();
+    let mut quantity = ChunkedBuilder::new().sealing();
+    let mut extendedprice = ChunkedBuilder::new().sealing();
+    let mut ordtotalprice = ChunkedBuilder::new().sealing();
+    let mut discount = ChunkedBuilder::new().sealing();
+    let mut revenue = ChunkedBuilder::new().sealing();
+    let mut supplycost = ChunkedBuilder::new().sealing();
+    let mut tax = ChunkedBuilder::new().sealing();
+    let mut commitdate = ChunkedBuilder::new().sealing();
+    let mut shipmode = ChunkedBuilder::new().sealing();
     let mut ship_values = Vec::new();
 
     let mut i = 0usize;
@@ -810,7 +810,7 @@ mod tests {
     fn date_dimension_calendar() {
         let d = gen_date();
         assert_eq!(d.num_slots(), 2_557);
-        let years = d.column("d_year").unwrap().as_i32().unwrap();
+        let years = d.column("d_year").unwrap().as_i32().unwrap().to_vec();
         assert_eq!(years[0], 1992);
         assert_eq!(years[2_556], 1998);
         // 1992 and 1996 are leap years: 366 days.
@@ -818,7 +818,7 @@ mod tests {
         assert_eq!(years.iter().filter(|&&y| y == 1993).count(), 365);
         assert_eq!(years.iter().filter(|&&y| y == 1996).count(), 366);
         // Spot-check datekeys.
-        let dk = d.column("d_datekey").unwrap().as_i32().unwrap();
+        let dk = d.column("d_datekey").unwrap().as_i32().unwrap().to_vec();
         assert_eq!(dk[0], 19_920_101);
         assert_eq!(dk[31], 19_920_201);
         // Dec1997 yearmonth exists.
@@ -888,14 +888,33 @@ mod tests {
     }
 
     #[test]
-    fn streaming_generation_is_generate_plus_seal() {
-        let b = generate_streaming(0.002, 42);
-        assert_eq!(digest(&b), PINNED_DIGEST);
-        let lo = b.table("lineorder").unwrap();
-        assert!(lo.encodings().iter().all(Option::is_some), "every segment sealed");
+    fn generation_arrives_sealed_without_a_flat_fact_table() {
+        let db = generate(0.002, 42);
+        let lo = db.table("lineorder").unwrap();
+        assert!((0..lo.segment_count()).all(|s| lo.segment_written(s).is_none()), "sealed");
         let (enc, raw) = lo.encoded_footprint();
         assert!(enc * 2 <= raw, "encoded {enc} must be ≤ half of raw {raw}");
-        assert!(b.validate_references().is_empty());
+        assert!(db.validate_references().is_empty());
+
+        // With 4 096-row segments SF 0.01 has 14 complete segments: every
+        // integer chunk of them left the builders already encoded.
+        let sizes = SsbSizes::at(0.01);
+        let geo = Geometry::new(4096);
+        let mut rng = SmallRng::seed_from_u64(42);
+        let mut customer = ChunkedBuilder::with_geometry(geo).sealing();
+        let mut quantity = ChunkedBuilder::with_geometry(geo).sealing();
+        for _ in 0..sizes.lineorder {
+            customer.push(rng.gen_range(0..sizes.customer as u32));
+            quantity.push(rng.gen_range(1..=50i32));
+        }
+        let (customer, quantity) = (customer.finish(), quantity.finish());
+        let complete = sizes.lineorder / 4096;
+        assert!(complete >= 14);
+        for seg in 0..complete {
+            assert!(customer.chunk(seg).as_flat().is_none(), "custkey chunk {seg} is flat");
+            assert!(quantity.chunk(seg).as_flat().is_none(), "quantity chunk {seg} is flat");
+        }
+        assert!(customer.chunk(complete).as_flat().is_some(), "the filling tail stays flat");
     }
 
     const PINNED_DIGEST: u64 = 0x088c_b3ea_3b6e_4052;
@@ -904,9 +923,9 @@ mod tests {
     fn revenue_consistent_with_price_and_discount() {
         let db = generate(0.001, 1);
         let lo = db.table("lineorder").unwrap();
-        let price = lo.column("lo_extendedprice").unwrap().as_i64().unwrap();
-        let disc = lo.column("lo_discount").unwrap().as_i32().unwrap();
-        let rev = lo.column("lo_revenue").unwrap().as_i64().unwrap();
+        let price = lo.column("lo_extendedprice").unwrap().as_i64().unwrap().to_vec();
+        let disc = lo.column("lo_discount").unwrap().as_i32().unwrap().to_vec();
+        let rev = lo.column("lo_revenue").unwrap().as_i64().unwrap().to_vec();
         for i in 0..lo.num_slots() {
             assert_eq!(rev[i], price[i] * i64::from(100 - disc[i]) / 100);
             assert!(price[i] <= 55_450);

@@ -114,10 +114,11 @@ pub fn generate(sf: f64, seed: u64) -> Database {
     );
     db.add_table(customer);
 
-    // orders -> customer
-    let mut o_custkey = Vec::with_capacity(sizes.orders);
-    let mut o_price = Vec::with_capacity(sizes.orders);
-    let mut o_orderdate = Vec::with_capacity(sizes.orders);
+    // orders -> customer. The two large tables fill sealing builders: each
+    // column chunk is encoded as it completes, never a whole flat column.
+    let mut o_custkey = ChunkedBuilder::new().sealing();
+    let mut o_price = ChunkedBuilder::new().sealing();
+    let mut o_orderdate = ChunkedBuilder::new().sealing();
     for _ in 0..sizes.orders {
         o_custkey.push(rng.gen_range(0..sizes.customer as u32));
         o_price.push(rng.gen_range(100..500_000i64));
@@ -131,9 +132,9 @@ pub fn generate(sf: f64, seed: u64) -> Database {
             ColumnDef::new("o_orderdate", DataType::I32),
         ]),
         vec![
-            Column::Key { target: "customer".into(), keys: o_custkey.into() },
-            Column::I64(o_price.into()),
-            Column::I32(o_orderdate.into()),
+            Column::Key { target: "customer".into(), keys: o_custkey.finish() },
+            Column::I64(o_price.finish()),
+            Column::I32(o_orderdate.finish()),
         ],
     );
     db.add_table(orders);
@@ -176,13 +177,13 @@ pub fn generate(sf: f64, seed: u64) -> Database {
 
     // lineitem -> {orders, part, supplier}
     let n = sizes.lineitem;
-    let mut l_orderkey = Vec::with_capacity(n);
-    let mut l_partkey = Vec::with_capacity(n);
-    let mut l_suppkey = Vec::with_capacity(n);
-    let mut l_quantity = Vec::with_capacity(n);
-    let mut l_extendedprice = Vec::with_capacity(n);
-    let mut l_discount = Vec::with_capacity(n);
-    let mut l_tax = Vec::with_capacity(n);
+    let mut l_orderkey = ChunkedBuilder::new().sealing();
+    let mut l_partkey = ChunkedBuilder::new().sealing();
+    let mut l_suppkey = ChunkedBuilder::new().sealing();
+    let mut l_quantity = ChunkedBuilder::new().sealing();
+    let mut l_extendedprice = ChunkedBuilder::new();
+    let mut l_discount = ChunkedBuilder::new();
+    let mut l_tax = ChunkedBuilder::new();
     for _ in 0..n {
         l_orderkey.push(rng.gen_range(0..sizes.orders as u32));
         l_partkey.push(rng.gen_range(0..sizes.part as u32));
@@ -204,16 +205,21 @@ pub fn generate(sf: f64, seed: u64) -> Database {
             ColumnDef::new("l_tax", DataType::F64),
         ]),
         vec![
-            Column::Key { target: "orders".into(), keys: l_orderkey.into() },
-            Column::Key { target: "part".into(), keys: l_partkey.into() },
-            Column::Key { target: "supplier".into(), keys: l_suppkey.into() },
-            Column::I32(l_quantity.into()),
-            Column::F64(l_extendedprice.into()),
-            Column::F64(l_discount.into()),
-            Column::F64(l_tax.into()),
+            Column::Key { target: "orders".into(), keys: l_orderkey.finish() },
+            Column::Key { target: "part".into(), keys: l_partkey.finish() },
+            Column::Key { target: "supplier".into(), keys: l_suppkey.finish() },
+            Column::I32(l_quantity.finish()),
+            Column::F64(l_extendedprice.finish()),
+            Column::F64(l_discount.finish()),
+            Column::F64(l_tax.finish()),
         ],
     );
     db.add_table(lineitem);
+    // Arrive sealed, like `ssb::generate`: what the builders left flat (the
+    // small tables, the partial tail segments) is encoded here.
+    for name in db.table_names().to_vec() {
+        db.table_mut(&name).expect("listed table exists").seal_segments();
+    }
     db
 }
 

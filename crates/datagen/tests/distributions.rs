@@ -67,19 +67,19 @@ fn ssb_uniform_columns_cover_their_ranges() {
     let lo = db.table("lineorder").unwrap();
     let n = lo.num_slots() as f64;
 
-    let disc = lo.column("lo_discount").unwrap().as_i32().unwrap();
+    let disc = lo.column("lo_discount").unwrap().as_i32().unwrap().to_vec();
     for d in 0..=10 {
         let freq = disc.iter().filter(|&&x| x == d).count() as f64 / n;
         assert!((freq - 1.0 / 11.0).abs() < 0.02, "discount {d} frequency {freq} far from uniform");
     }
 
-    let qty = lo.column("lo_quantity").unwrap().as_i32().unwrap();
+    let qty = lo.column("lo_quantity").unwrap().as_i32().unwrap().to_vec();
     assert_eq!(*qty.iter().min().unwrap(), 1);
     assert_eq!(*qty.iter().max().unwrap(), 50);
     let under_25 = qty.iter().filter(|&&q| q < 25).count() as f64 / n;
     assert!((under_25 - 24.0 / 50.0).abs() < 0.02, "quantity < 25 rate {under_25}");
 
-    let tax = lo.column("lo_tax").unwrap().as_i32().unwrap();
+    let tax = lo.column("lo_tax").unwrap().as_i32().unwrap().to_vec();
     assert_eq!(*tax.iter().min().unwrap(), 0);
     assert_eq!(*tax.iter().max().unwrap(), 8);
 }
@@ -89,9 +89,10 @@ fn ssb_fk_distributions_are_roughly_uniform() {
     let db = ssb::generate(0.02, 42);
     let lo = db.table("lineorder").unwrap();
     let (_, dates) = lo.column("lo_orderdate").unwrap().as_key().unwrap();
+    let dates = dates.to_vec();
     let n_dates = db.table("date").unwrap().num_slots();
     // Year 1993 should get ~1/7 of the fact rows.
-    let years = db.table("date").unwrap().column("d_year").unwrap().as_i32().unwrap();
+    let years = db.table("date").unwrap().column("d_year").unwrap().as_i32().unwrap().to_vec();
     let in_1993 =
         dates.iter().filter(|&&d| years[d as usize] == 1993).count() as f64 / dates.len() as f64;
     assert!((in_1993 - 365.0 / n_dates as f64).abs() < 0.01, "1993 share {in_1993}");
@@ -101,11 +102,13 @@ fn ssb_fk_distributions_are_roughly_uniform() {
 fn ssb_orders_group_lines_with_shared_attributes() {
     let db = ssb::generate(0.005, 42);
     let lo = db.table("lineorder").unwrap();
-    let orderkeys = lo.column("lo_orderkey").unwrap().as_i64().unwrap();
+    let orderkeys = lo.column("lo_orderkey").unwrap().as_i64().unwrap().to_vec();
     let (_, custs) = lo.column("lo_custkey").unwrap().as_key().unwrap();
+    let custs = custs.to_vec();
     let (_, dates) = lo.column("lo_orderdate").unwrap().as_key().unwrap();
-    let totals = lo.column("lo_ordtotalprice").unwrap().as_i64().unwrap();
-    let lines = lo.column("lo_linenumber").unwrap().as_i32().unwrap();
+    let dates = dates.to_vec();
+    let totals = lo.column("lo_ordtotalprice").unwrap().as_i64().unwrap().to_vec();
+    let lines = lo.column("lo_linenumber").unwrap().as_i32().unwrap().to_vec();
     for i in 1..lo.num_slots() {
         if orderkeys[i] == orderkeys[i - 1] {
             assert_eq!(custs[i], custs[i - 1], "order lines share the customer");

@@ -1,13 +1,19 @@
-//! Seeded model check of segment-granular copy-on-write.
+//! Seeded model check of segment-granular copy-on-write over chunk slots
+//! that flip between their two representations.
 //!
 //! A fact table takes a random stream of inserts, updates, deletes, seals,
-//! compaction installs, re-segmentations and consolidations through a
+//! compaction installs (half of them raced by a write between encode and
+//! install), re-segmentations and consolidations through a
 //! [`SharedDatabase`] while several snapshots are held open. A naive
-//! row-vector model mirrors every write. At every checkpoint each held
-//! snapshot must still read *its own* image — row for row — and on every
-//! image the three engines must agree with each other and with the answer
-//! computed from the model: the AIR scan, the AIR scan with pruning off,
-//! and the hash-join pipeline.
+//! row-vector model mirrors every write. After every step the chunks the
+//! new image no longer shares with the previous one must be exactly the
+//! ones the step may touch, each in the representation the step leaves it
+//! in (a value write: flat; a seal or install: encoded, same values; a
+//! delete: none) and a raced install must be refused. At every checkpoint
+//! each held snapshot must still read *its own* image — row for row — and
+//! on every image the engines must agree with each other and with the
+//! answer computed from the model: the AIR scan, the AIR scan with pruning
+//! off, the AIR scan over a decoded copy, and the hash-join pipeline.
 //!
 //! `COW_MODEL_SEED=<n>` runs one extra seed.
 
@@ -51,6 +57,7 @@ fn seed_db() -> Database {
         ]),
     );
     fact.set_segment_rows(32);
+    dim.seal_segments(); // AIR chases and leaf predicates read encoded chunks
     let mut db = Database::new();
     db.add_table(dim);
     db.add_table(fact);
@@ -77,10 +84,45 @@ fn random_live(rng: &mut SmallRng, model: &[Option<Row>]) -> Option<usize> {
     (!live.is_empty()).then(|| live[rng.gen_range(0..live.len())])
 }
 
+/// The `(column, segment)` chunks `after` does not share with `before`.
+fn unshared(before: &Table, after: &Table) -> Vec<(usize, usize)> {
+    let segs = before.segment_count().max(after.segment_count());
+    (0..after.schema().arity())
+        .flat_map(|c| (0..segs).map(move |seg| (c, seg)))
+        .filter(|&(c, seg)| !after.column_at(c).shares_chunk(before.column_at(c), seg))
+        .collect()
+}
+
+/// Every column's chunk of segment `seg`.
+fn whole_segment(t: &Table, seg: usize) -> Vec<(usize, usize)> {
+    (0..t.schema().arity()).map(|c| (c, seg)).collect()
+}
+
+fn is_encoded(t: &Table, (c, seg): (usize, usize)) -> bool {
+    t.column_at(c).chunk_encoding(seg).is_some()
+}
+
+/// The chunks a seal or an install replaced: each was flat, is encoded now,
+/// and nothing else moved. (Values are checked against the model at the
+/// next checkpoint.)
+fn check_re_encoded(before: &Table, after: &Table, within: Option<usize>, ctx: &str) {
+    for slot in unshared(before, after) {
+        assert!(within.is_none_or(|seg| seg == slot.1), "{ctx}: touched {slot:?}");
+        assert!(!is_encoded(before, slot) && is_encoded(after, slot), "{ctx}: {slot:?}");
+    }
+}
+
 /// Applies one random write to the live database and mirrors it in the
-/// model. Returns a label for failure messages.
+/// model, checking which chunks the new image no longer shares with the
+/// previous one. Returns a label for failure messages.
 fn step(rng: &mut SmallRng, shared: &SharedDatabase, model: &mut Vec<Option<Row>>) -> &'static str {
     let fact = |f: &mut dyn FnMut(&mut Table)| shared.write(|db| f(db.table_mut("f").unwrap()));
+    // Held across the write: every chunk is shared, so every touched chunk
+    // is replaced and shows up in `unshared`.
+    let before = shared.snapshot();
+    let before = before.table("f").unwrap();
+    let seg_rows = before.segment_rows();
+    let after = || shared.snapshot();
     match rng.gen_range(0..100u32) {
         0..=39 => {
             let row = random_row(rng);
@@ -92,65 +134,79 @@ fn step(rng: &mut SmallRng, shared: &SharedDatabase, model: &mut Vec<Option<Row>
                 assert!(model[slot].is_none(), "insert reused a live slot");
                 model[slot] = Some(row);
             }
+            // An append or a reuse: every column's chunk of one segment,
+            // all flat afterwards.
+            let now = after();
+            let now = now.table("f").unwrap();
+            let touched = whole_segment(now, slot / seg_rows);
+            assert_eq!(unshared(before, now), touched, "insert into slot {slot}");
+            assert!(touched.iter().all(|&s| !is_encoded(now, s)), "insert left a chunk encoded");
             "insert"
         }
         40..=64 => {
             let Some(r) = random_live(rng, model) else { return "update (no rows)" };
-            let fresh = random_row(rng);
-            let row = model[r].as_mut().unwrap();
-            let (col, v) = match rng.gen_range(0..4u32) {
-                0 => {
-                    row.0 = fresh.0;
-                    ("f_d", Value::Key(fresh.0))
-                }
-                1 => {
-                    row.1 = fresh.1;
-                    ("f_i", Value::Int(fresh.1))
-                }
-                2 => {
-                    row.2 = fresh.2;
-                    ("f_l", Value::Int(fresh.2))
-                }
-                _ => {
-                    // Sometimes a value the dictionary has never seen.
-                    let s = if rng.gen_range(0..4u32) == 0 {
-                        format!("new{}", rng.gen_range(0..1000u32))
-                    } else {
-                        fresh.3
-                    };
-                    row.3 = s.clone();
-                    ("f_s", Value::Str(s))
-                }
-            };
-            fact(&mut |t| t.update(r as RowId, col, &v));
+            let col = update_random_column(rng, shared, model, r);
+            let now = after();
+            let now = now.table("f").unwrap();
+            assert_eq!(unshared(before, now), [(col, r / seg_rows)], "update of slot {r}");
+            assert!(!is_encoded(now, (col, r / seg_rows)), "update left its chunk encoded");
             "update"
         }
         65..=79 => {
             let Some(r) = random_live(rng, model) else { return "delete (no rows)" };
             fact(&mut |t| assert!(t.delete(r as RowId)));
             model[r] = None;
+            assert_eq!(unshared(before, after().table("f").unwrap()), [], "delete of slot {r}");
             "delete"
         }
         80..=84 => {
             fact(&mut |t| {
                 t.seal_segments();
             });
+            let now = after();
+            let now = now.table("f").unwrap();
+            check_re_encoded(before, now, None, "seal");
+            assert!((0..now.segment_count()).all(|seg| now.segment_written(seg).is_none()));
             "seal"
         }
         85..=91 => {
             // The compactor's two halves: encode from a snapshot, install
-            // against the live table under the epoch fence.
-            let snap = shared.snapshot();
-            let t = snap.table("f").unwrap();
-            if t.segment_count() == 0 {
+            // against the live table — half the time with a write to the
+            // segment in between, which must get the install refused.
+            if before.segment_count() == 0 {
                 return "compact (empty)";
             }
-            let seg = rng.gen_range(0..t.segment_count());
-            let (epoch, enc) = (t.segment_epoch(seg), t.encode_segment_now(seg));
-            fact(&mut |t| {
-                t.install_compacted(seg, enc.clone(), epoch);
-            });
-            "compact"
+            let seg = rng.gen_range(0..before.segment_count());
+            let mut enc = Some(before.encode_segment_now(seg));
+            let racer = (seg * seg_rows..((seg + 1) * seg_rows).min(model.len()))
+                .find(|&r| model[r].is_some())
+                .filter(|_| rng.gen_range(0..2u32) == 0);
+            if let Some(r) = racer {
+                update_random_column(rng, shared, model, r);
+            }
+            let raced = shared.snapshot();
+            let mut installed = false;
+            fact(&mut |t| installed = t.install_compacted(seg, enc.take().unwrap()));
+            assert_eq!(installed, racer.is_none(), "install of segment {seg}, racer {racer:?}");
+            let now = after();
+            let now = now.table("f").unwrap();
+            if installed {
+                check_re_encoded(before, now, Some(seg), "install");
+                assert!(now.segment_written(seg).is_none());
+                assert_eq!(now.encode_segment_now(seg).encoded_cols(), 0, "nothing left to encode");
+            } else {
+                assert_eq!(
+                    unshared(raced.table("f").unwrap(), now),
+                    [],
+                    "a refusal changes nothing"
+                );
+                assert!(now.segment_written(seg).is_some());
+            }
+            if installed {
+                "compact"
+            } else {
+                "compact (raced)"
+            }
         }
         92..=95 => {
             let rows = [8usize, 16, 32, 48, 64, 100][rng.gen_range(0..6usize)];
@@ -165,20 +221,62 @@ fn step(rng: &mut SmallRng, shared: &SharedDatabase, model: &mut Vec<Option<Row>
     }
 }
 
-/// The three engines on `q` over `db`, checked against `expect`.
-fn check_query(db: &Database, q: &Query, expect: Vec<Vec<Value>>, ctx: &str) {
+/// Updates one random column of live slot `r`, in the database and in the
+/// model; returns the column's position.
+fn update_random_column(
+    rng: &mut SmallRng,
+    shared: &SharedDatabase,
+    model: &mut [Option<Row>],
+    r: usize,
+) -> usize {
+    let fresh = random_row(rng);
+    let row = model[r].as_mut().unwrap();
+    let (pos, col, v) = match rng.gen_range(0..4u32) {
+        0 => {
+            row.0 = fresh.0;
+            (0, "f_d", Value::Key(fresh.0))
+        }
+        1 => {
+            row.1 = fresh.1;
+            (1, "f_i", Value::Int(fresh.1))
+        }
+        2 => {
+            row.2 = fresh.2;
+            (2, "f_l", Value::Int(fresh.2))
+        }
+        _ => {
+            // Sometimes a value the dictionary has never seen.
+            let s = if rng.gen_range(0..4u32) == 0 {
+                format!("new{}", rng.gen_range(0..1000u32))
+            } else {
+                fresh.3
+            };
+            row.3 = s.clone();
+            (3, "f_s", Value::Str(s))
+        }
+    };
+    shared.update("f", r as RowId, col, &v);
+    pos
+}
+
+/// The engines on `q` over `db` (and over `flat`, its decoded copy),
+/// checked against `expect`.
+fn check_query(db: &Database, flat: &Database, q: &Query, expect: Vec<Vec<Value>>, ctx: &str) {
     let expect = QueryResult { columns: q.output_names(), rows: expect };
     let air = execute(db, q, &ExecOptions::default()).unwrap().result;
-    let flat = execute(db, q, &ExecOptions::default().pruning(false)).unwrap().result;
+    let unpruned = execute(db, q, &ExecOptions::default().pruning(false)).unwrap().result;
+    let decoded = execute(flat, q, &ExecOptions::default()).unwrap().result;
     let join = execute_hash_pipeline(db, q).unwrap().result;
     assert!(air.same_contents(&expect, 1e-9), "{ctx}: AIR\n{air:?}\nvs model\n{expect:?}");
-    assert!(flat.same_contents(&air, 1e-9), "{ctx}: pruning(false)\n{flat:?}\nvs AIR\n{air:?}");
+    assert!(unpruned.same_contents(&air, 1e-9), "{ctx}: pruning(false)\n{unpruned:?}\nvs\n{air:?}");
+    assert!(decoded.same_contents(&air, 0.0), "{ctx}: decoded copy\n{decoded:?}\nvs\n{air:?}");
     assert!(join.same_contents(&air, 1e-9), "{ctx}: hash join\n{join:?}\nvs AIR\n{air:?}");
 }
 
 /// Checks that `db` holds exactly `model`, physically and through queries.
 fn check_image(db: &Database, model: &[Option<Row>], rng: &mut SmallRng, ctx: &str) {
     let t = db.table("f").unwrap();
+    let flat = &db.decoded();
     assert_eq!(t.num_slots(), model.len(), "{ctx}: slot count");
     assert_eq!(t.num_live(), model.iter().flatten().count(), "{ctx}: live count");
     for (r, m) in model.iter().enumerate() {
@@ -208,7 +306,7 @@ fn check_image(db: &Database, model: &[Option<Row>], rng: &mut SmallRng, ctx: &s
         .into_iter()
         .map(|(g, (s, n))| vec![Value::Str(g.into()), Value::Float(s as f64), Value::Int(n)])
         .collect();
-    check_query(db, &q, expect, &format!("{ctx} Q1[{lo},{hi}]"));
+    check_query(db, flat, &q, expect, &format!("{ctx} Q1[{lo},{hi}]"));
 
     // Q2: dimension predicate + dictionary predicate on the fact, scalar.
     let tag = TAGS[rng.gen_range(0..TAGS.len())];
@@ -227,7 +325,7 @@ fn check_image(db: &Database, model: &[Option<Row>], rng: &mut SmallRng, ctx: &s
     } else {
         vec![vec![Value::Int(hits.len() as i64), Value::Float(sum as f64)]]
     };
-    check_query(db, &q, expect, &format!("{ctx} Q2[{tag}]"));
+    check_query(db, flat, &q, expect, &format!("{ctx} Q2[{tag}]"));
 
     // Q3: fact-local grouping and predicate (no chain: NULL keys count).
     let floor = rng.gen_range(0..1000i64);
@@ -244,7 +342,7 @@ fn check_image(db: &Database, model: &[Option<Row>], rng: &mut SmallRng, ctx: &s
         .into_iter()
         .map(|(g, s)| vec![Value::Str(g.into()), Value::Float(s as f64)])
         .collect();
-    check_query(db, &q, expect, &format!("{ctx} Q3[{floor}]"));
+    check_query(db, flat, &q, expect, &format!("{ctx} Q3[{floor}]"));
 }
 
 fn run(seed: u64) {

@@ -1,14 +1,15 @@
-//! Encoded-vs-flat result identity: the compressed scan path must be
-//! observationally invisible. Every generated SPJGA query runs through
-//! three arms — encoded segments (the default), the flat columns with
-//! encoded evaluation disabled, and zone-map pruning disabled — serially
-//! and through the morsel executor, and all answers must agree.
+//! Encoded-vs-flat result identity: the representation a chunk is resident
+//! in must be observationally invisible. Every generated SPJGA query runs
+//! through three arms — the table as it is (encoded chunks scanned in
+//! encoded form), a decoded copy of it (every chunk flat: the same code
+//! taking its flat paths), and zone-map pruning disabled — serially and
+//! through the morsel executor, and all answers must agree.
 //!
 //! Between query batches the fact table takes interleaved writes (updates
-//! and reuse-inserts unseal their segment; deletes keep the encoding and
-//! rely on the liveness bitmap) followed by a re-seal, so the differential
-//! covers the unseal → re-encode lifecycle and mixed sealed/unsealed
-//! tables, not just a freshly encoded image. The generator deliberately
+//! and reuse-inserts decode the chunks they land in; deletes touch the
+//! liveness bitmap only) followed by a re-seal, so the differential covers
+//! the decode → re-encode lifecycle and tables that mix encoded and flat
+//! chunks, not just a freshly encoded image. The generator deliberately
 //! mixes float literals over integer columns — the encoded seed-range
 //! derivation must round them exactly as the scalar path does.
 //!
@@ -116,13 +117,13 @@ fn random_query(rng: &mut SmallRng) -> Query {
     q
 }
 
-/// The three serial arms: the default encoded scan, the flat columns with
-/// encoded evaluation off, and pruning off (every segment admitted).
-fn arms() -> [(&'static str, ExecOptions); 3] {
+/// The three serial arms: the table as it is resident, its decoded copy,
+/// and pruning off (every segment admitted). `true` = run on the copy.
+fn arms() -> [(&'static str, bool, ExecOptions); 3] {
     [
-        ("encoded", ExecOptions::default()),
-        ("flat", ExecOptions::default().encoded(false)),
-        ("unpruned", ExecOptions::default().pruning(false)),
+        ("encoded", false, ExecOptions::default()),
+        ("flat", true, ExecOptions::default()),
+        ("unpruned", false, ExecOptions::default().pruning(false)),
     ]
 }
 
@@ -140,7 +141,7 @@ fn encoded_flat_unpruned_differential_with_interleaved_writes() {
     const ROUNDS: usize = 4;
     const PER_ROUND: usize = 50; // 200 queries total
     let sf = env_scale_factor(0.005);
-    let mut db = ssb::generate_streaming(sf, 0xE2C0DE);
+    let mut db = ssb::generate(sf, 0xE2C0DE);
     {
         // Re-chunk the fact table into small segments so zone-map pruning
         // and per-segment encoding choices actually vary, then re-seal
@@ -148,8 +149,9 @@ fn encoded_flat_unpruned_differential_with_interleaved_writes() {
         let t = db.table_mut("lineorder").unwrap();
         t.set_segment_rows(4096);
         t.seal_segments();
+        let key = t.schema().position("lo_custkey").unwrap();
         assert!(
-            t.encodings().iter().all(|e| e.as_ref().is_some_and(|e| e.encoded_cols() > 0)),
+            (0..t.segment_count()).all(|seg| t.column_at(key).chunk_encoding(seg).is_some()),
             "fixture must start fully encoded"
         );
     }
@@ -157,14 +159,18 @@ fn encoded_flat_unpruned_differential_with_interleaved_writes() {
     let mut rng = SmallRng::seed_from_u64(0x0D1F_FE2C);
     let mut nonempty = 0usize;
     for round in 0..ROUNDS {
+        let flat = db.decoded();
+        let (resident, raw) = flat.table("lineorder").unwrap().encoded_footprint();
+        assert_eq!(resident, raw, "the decoded copy holds no encoded chunk");
         for i in 0..PER_ROUND {
             let q = random_query(&mut rng);
             let qi = round * PER_ROUND + i;
             let mut reference: Option<ExecOutput> = None;
-            for (name, opts) in arms() {
-                let serial = execute(&db, &q, &opts)
+            for (name, on_copy, opts) in arms() {
+                let db = if on_copy { &flat } else { &db };
+                let serial = execute(db, &q, &opts)
                     .unwrap_or_else(|e| panic!("query {qi} failed on {name} arm: {e:?}\n{q:?}"));
-                let par = execute(&db, &q, &parallel(&opts)).unwrap_or_else(|e| {
+                let par = execute(db, &q, &parallel(&opts)).unwrap_or_else(|e| {
                     panic!("query {qi} failed on parallel {name} arm: {e:?}\n{q:?}")
                 });
                 // Parallel merges re-associate float additions; everything
@@ -177,7 +183,7 @@ fn encoded_flat_unpruned_differential_with_interleaved_writes() {
                     None => reference = Some(serial),
                     Some(r) => {
                         assert!(
-                            serial.result.same_contents(&r.result, 1e-9),
+                            serial.result.same_contents(&r.result, 0.0),
                             "query {qi}: {name} arm diverged from encoded arm \
                              ({} vs {} rows)\n{q:?}",
                             serial.result.len(),
@@ -195,11 +201,11 @@ fn encoded_flat_unpruned_differential_with_interleaved_writes() {
             }
         }
 
-        // Interleaved writes: updates and reuse-inserts unseal their
-        // segments, deletes keep the encoding (liveness is consulted on
-        // scan), appends grow an unsealed tail. The next round therefore
-        // runs over a mixed sealed/unsealed table; the re-seal afterwards
-        // exercises re-encoding of the dirtied segments.
+        // Interleaved writes: updates and reuse-inserts decode the chunks
+        // they land in, deletes touch liveness only (consulted on scan),
+        // appends fill the flat tail. The next round therefore runs over a
+        // table that mixes encoded and flat chunks; the re-seal afterwards
+        // exercises re-encoding of the written ones.
         let t = db.table_mut("lineorder").unwrap();
         let n = t.num_slots() as u32;
         for _ in 0..8 {

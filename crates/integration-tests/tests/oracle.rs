@@ -118,7 +118,7 @@ fn reference_execute(db: &Database, q: &Query) -> QueryResult {
             let hops = u.hops_to(t).unwrap();
             let mut r = row;
             for keys in &hops {
-                let k = keys[r];
+                let k = keys.get(r);
                 if k == NULL_KEY {
                     continue 'rows;
                 }

@@ -393,10 +393,14 @@ fn checked_in_v2_golden_still_loads() {
     let (db, lsn) = astore_persist::snapshot::decode_snapshot(&on_disk).unwrap();
     assert_eq!(lsn, 7);
     assert_identical(&golden_database(), &db, "v2 golden decode");
-    // v2 carries no segment encodings: tables come up unsealed.
+    // v2 carries no segment encodings: tables come up flat and unsealed.
     for name in db.table_names() {
         let t = db.table(name).unwrap();
-        assert!(t.encodings().iter().all(Option::is_none), "{name}: v2 load must be unsealed");
+        assert_eq!(t.encoded_footprint().0, t.encoded_footprint().1, "{name}: v2 loads flat");
+        assert!(
+            (0..t.segment_count()).all(|seg| t.segment_written(seg).is_some()),
+            "{name}: v2 load must be unsealed"
+        );
     }
     assert_eq!(
         astore_persist::snapshot::encode_snapshot_v2(&golden_database(), 7),
@@ -429,13 +433,9 @@ fn checked_in_v1_ssb_snapshot_answers_all_13_queries_bit_identically() {
     let v3_path = dir.join("resaved-v3.snapshot");
     save_snapshot(&db, &v3_path).unwrap();
     let reloaded = load_snapshot(&v3_path).unwrap();
+    let lineorder = reloaded.table("lineorder").unwrap();
     assert!(
-        reloaded
-            .table("lineorder")
-            .unwrap()
-            .encodings()
-            .iter()
-            .any(|e| e.as_ref().is_some_and(|e| e.encoded_cols() > 0)),
+        lineorder.encoded_footprint().0 * 2 < lineorder.encoded_footprint().1,
         "resaved SSB snapshot must carry encoded segments"
     );
 
@@ -465,4 +465,56 @@ fn checked_in_v1_ssb_snapshot_answers_all_13_queries_bit_identically() {
     }
     assert!(q1_pruned > 0, "date-selective Q1.x must skip segments of the date-clustered fixture");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Data directories written by the parent commit (PR 15, before a chunk had
+// one resident representation) keep recovering with every acknowledged write.
+// ---------------------------------------------------------------------------
+
+/// Two directories a PR 15 `astore-serve --sf 0.0002` left behind under
+/// SIGKILL: one still on its raw (`fmt 0`) bootstrap snapshot with five
+/// acknowledged writes in the WAL, one checkpointed (sealed blocks) with
+/// three more writes after the checkpoint. The expected `count(*)`,
+/// `sum(lo_quantity)`, `sum(lo_revenue)` are what that server answered
+/// right before it was killed.
+#[test]
+fn data_directories_written_by_the_parent_commit_recover() {
+    let cases: [(&str, usize, [f64; 3]); 2] = [
+        ("parent-pr15-bootstrap", 5, [1201.0, 29753.0, 28355380.0]),
+        ("parent-pr15-checkpointed", 3, [1201.0, 29780.0, 28347714.0]),
+    ];
+    for (name, replayed, expected) in cases {
+        // Recovery truncates and reopens the WAL: work on a copy.
+        let dir = tmpdir(name);
+        for file in [store::SNAPSHOT_FILE, store::WAL_FILE] {
+            std::fs::copy(testdata_path(name).join(file), dir.join(file)).unwrap();
+        }
+        let rec = store::open(&dir).unwrap();
+        assert_eq!(rec.replayed, replayed, "{name}: every acknowledged write replays");
+        let answer = |db: &Database| -> Vec<f64> {
+            let q = astore_sql::sql_to_query(
+                "SELECT count(*) AS n, sum(lo_quantity) AS q, sum(lo_revenue) AS r FROM lineorder",
+                db,
+            )
+            .unwrap();
+            let out = execute(db, &q, &ExecOptions::default()).unwrap();
+            out.result.rows[0].iter().map(|v| v.as_float().unwrap()).collect()
+        };
+        assert_eq!(answer(&rec.db), expected, "{name}: recovered answers");
+        // Sealed, re-saved in today's form and reloaded: same answers, and
+        // the reloaded fact table holds its integer chunks encoded.
+        let mut db = rec.db;
+        for table in db.table_names().to_vec() {
+            db.table_mut(&table).unwrap().seal_segments();
+        }
+        let path = dir.join("resaved.snapshot");
+        save_snapshot(&db, &path).unwrap();
+        let reloaded = load_snapshot(&path).unwrap();
+        assert_identical(&db, &reloaded, name);
+        assert_eq!(answer(&reloaded), expected, "{name}: re-saved answers");
+        let fact = reloaded.table("lineorder").unwrap();
+        assert!(fact.encoded_footprint().0 * 2 < fact.encoded_footprint().1, "{name}: encoded");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -4,11 +4,11 @@
 //! ([`astore_integration_tests::random_sql`]), five executions must return
 //! the same rows with tolerance 0.0 (every SSB measure is an integer, so
 //! sums are exact in any association): one worker, two workers, zone-map
-//! pruning off, encoded-segment evaluation off, and the hash-join baseline
-//! — which shares none of the scan code. The fact table is sealed and then
-//! written to, so segments carry stale rows (updates after the seal), an
-//! unsealed overhang (appends) and deletes: the states in which the
-//! vectorised probes must hand over to the flat, per-row paths.
+//! pruning off, a decoded (all-flat) copy of the database, and the
+//! hash-join baseline — which shares none of the scan code. The fact table
+//! is sealed and then written to, so segments mix encoded chunks with flat
+//! ones (decoded by updates after the seal), a flat tail (appends) and
+//! deletes: the kernels must take every chunk as they find it.
 //!
 //! The executor's bookkeeping is pinned beside the results: a worker that
 //! claims many morsels contributes exactly one partial result to the merge,
@@ -37,8 +37,9 @@ fn sealed_db() -> Database {
 }
 
 /// Writes on top of the seals: updates of a measure, a predicate column and
-/// a foreign key (stale rows in sealed segments), deletes spread over the
-/// table, slot-reusing inserts, and an appended tail (the overhang).
+/// a foreign key (each decodes the one chunk it lands in), deletes spread
+/// over the table, slot-reusing inserts (a whole segment's chunks decoded),
+/// and an appended flat tail.
 fn dirty(db: &mut Database, rng: &mut SmallRng) {
     let t = db.table_mut("lineorder").unwrap();
     let n = t.num_slots() as u32;
@@ -59,13 +60,18 @@ fn dirty(db: &mut Database, rng: &mut SmallRng) {
     for i in 0..700u32 {
         let template = (0..n).map(|k| (k * 7 + i) % n).find(|&r| t.is_live(r)).expect("a live row");
         let row = t.row(template);
-        if i % 25 == 0 {
-            t.insert(&row); // reuses a freed slot inside a sealed segment
+        if i % 100 == 0 {
+            t.insert(&row); // reuses a freed slot inside an encoded segment
         } else {
             t.append_row(&row);
         }
     }
-    assert!(t.delta_rows() > 0, "the fixture must carry a write delta");
+    let ((chunks, _), (resident, raw)) = (t.flat_chunks(), t.encoded_footprint());
+    assert!(chunks > 0 && t.segment_written(0).is_some(), "the writes must have decoded chunks");
+    assert!(
+        resident < raw,
+        "and left chunks encoded beside them: {chunks} flat chunks, {resident} of {raw} bytes"
+    );
     assert!(t.has_deletes());
 }
 
@@ -78,22 +84,26 @@ fn two_threads(base: ExecOptions) -> ExecOptions {
     o
 }
 
-fn check_all_arms(db: &Database, name: &str, sql: &str) {
+fn check_all_arms(db: &Database, flat: &Database, name: &str, sql: &str) {
     let q = sql_to_query(sql, db).unwrap_or_else(|e| panic!("{name}: {e}\n{sql}"));
     let run = |arm: &str, opts: ExecOptions| {
         execute(db, &q, &opts).unwrap_or_else(|e| panic!("{name}: {arm} arm failed: {e:?}\n{sql}"))
+    };
+    let on_copy = |arm: &str, opts: ExecOptions| {
+        execute(flat, &q, &opts)
+            .unwrap_or_else(|e| panic!("{name}: {arm} arm failed: {e:?}\n{sql}"))
     };
     let serial = run("serial", ExecOptions::default());
     assert!(!serial.plan.executor.is_parallel());
     let arms = [
         ("2 threads", run("2 threads", two_threads(ExecOptions::default()))),
         ("pruning(false)", run("pruning(false)", ExecOptions::default().pruning(false))),
-        ("encoded(false)", run("encoded(false)", ExecOptions::default().encoded(false))),
+        ("decoded copy", on_copy("decoded copy", ExecOptions::default())),
         (
-            "2 threads, unpruned, flat",
-            run(
-                "2 threads, unpruned, flat",
-                two_threads(ExecOptions::default().pruning(false).encoded(false)),
+            "2 threads, unpruned, decoded copy",
+            on_copy(
+                "2 threads, unpruned, decoded copy",
+                two_threads(ExecOptions::default().pruning(false)),
             ),
         ),
     ];
@@ -130,12 +140,13 @@ fn pipeline_equals_every_other_execution_on_a_written_to_sealed_table() {
         if round > 0 {
             dirty(&mut db, &mut rng);
         }
+        let flat = db.decoded();
         for (name, template, params) in ssb_sql() {
-            check_all_arms(&db, name, &substitute(template, &params));
+            check_all_arms(&db, &flat, name, &substitute(template, &params));
         }
         for i in 0..40 {
             let sql = random_sql(&mut rng).literal_sql();
-            check_all_arms(&db, &format!("random {round}/{i}"), &sql);
+            check_all_arms(&db, &flat, &format!("random {round}/{i}"), &sql);
         }
     }
 }

@@ -69,15 +69,28 @@ fn churn(io_model: IoModel, cycles: usize, probe_every: usize) {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    // The connection gauge drained too.
+    // The connection gauge drains too — under the same deadline, not at the
+    // same instant: a connection the accept loop has counted but whose
+    // thread has not started yet holds a gauge slot and no registry.
     let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream.write_all(b"{\"cmd\":\"stats\"}\n").unwrap();
-    let mut line = String::new();
-    BufReader::new(stream.try_clone().unwrap()).read_line(&mut line).unwrap();
-    let frame = astore_server::json::parse(line.trim()).unwrap();
-    let open =
-        frame.get("stats").and_then(|s| s.get("open_connections")).and_then(Json::as_i64).unwrap();
-    assert_eq!(open, 1, "only the probing connection should be open");
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    loop {
+        stream.write_all(b"{\"cmd\":\"stats\"}\n").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let frame = astore_server::json::parse(line.trim()).unwrap();
+        let open = frame
+            .get("stats")
+            .and_then(|s| s.get("open_connections"))
+            .and_then(Json::as_i64)
+            .unwrap();
+        if open == 1 {
+            break; // only the probing connection
+        }
+        assert!(Instant::now() < deadline, "{open} connections still counted open after churn");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    drop(reader);
     drop(stream);
     server.shutdown();
     assert_eq!(live_registries(), baseline, "shutdown leaked registries");

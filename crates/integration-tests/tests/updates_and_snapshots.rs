@@ -70,7 +70,7 @@ fn deletes_are_excluded_and_slots_reused() {
         let region = customer.column("c_region").unwrap().as_dict().unwrap();
         let (_, keys) = lo.column("lo_custkey").unwrap().as_key().unwrap();
         for r in 0..50u32 {
-            if region.get(keys[r as usize] as usize) == "ASIA" {
+            if region.get(keys.get(r as usize) as usize) == "ASIA" {
                 deleted_asia += 1;
             }
         }

@@ -48,15 +48,20 @@
 //! crc32    u32   over every preceding byte
 //! ```
 //!
-//! A *sealed* segment (see `Table::seal_segments`) persists its compressed
-//! per-column encodings verbatim — frame-of-reference bit-packed words or
-//! RLE runs — and the loader both rebuilds the flat arrays from them and
-//! reinstalls the encodings, so a reboot scans compressed segments
-//! immediately without re-sealing. Unsealed segments write `fmt 0`, the
-//! exact version-2 payload plus the format byte. Each encoded block carries
-//! its own CRC so a corrupt compressed column is pinpointed, and every
-//! packing invariant the kernels rely on (guard bits, tail lanes, run
-//! monotonicity) is re-validated on load.
+//! **Blocks ⇄ slots.** A column block of a segment is the serialized form
+//! of that (column, segment) chunk *in the representation it is resident
+//! in* (see `astore_storage::chunks`): an encoded chunk — frame-of-reference
+//! bit-packed words or RLE runs — is written verbatim as a `packed` / `rle`
+//! block straight from its slot, a flat chunk as the raw array; a segment
+//! none of whose chunks is encoded writes `fmt 0`, the exact version-2
+//! payload plus the format byte. The loader does the inverse: an encoded
+//! block goes straight back into its slot — no flat array is rebuilt — so a
+//! reboot holds, and scans, exactly the bytes the file holds. Each encoded
+//! block carries its own CRC so a corrupt compressed column is pinpointed;
+//! every packing invariant the kernels rely on (guard bits, tail lanes, run
+//! monotonicity) is re-validated on load, and so is the value domain
+//! (an `i32` block must decode inside `i32`, a dictionary block inside the
+//! dictionary), from the block's bounds rather than row by row.
 //!
 //! The per-segment CRC + framing makes segments independently addressable:
 //! an **incremental checkpoint** ([`encode_snapshot_with_prev`]) copies the
@@ -79,7 +84,7 @@ use astore_storage::catalog::Database;
 use astore_storage::chunks::{ChunkedBuilder, Geometry};
 use astore_storage::column::Column;
 use astore_storage::dictionary::{DictColumn, Dictionary};
-use astore_storage::encoded::{EncodedColumn, PackedInts, RleInts, SegmentEncoding};
+use astore_storage::encoded::{EncodedColumn, PackedInts, RleInts};
 use astore_storage::segment::{SegmentZone, ZoneStats};
 use astore_storage::strings::StrColumn;
 use astore_storage::table::{ColumnDef, Schema, Table};
@@ -153,8 +158,8 @@ impl SegmentIndex<'_> {
 }
 
 /// Serializes `db` into the current (version 3) byte layout. Deterministic:
-/// equal databases produce equal bytes. Sealed segments persist their
-/// compressed encodings; unsealed segments persist raw columns.
+/// equal databases in equal representations produce equal bytes — every
+/// chunk is written in the form it is resident in.
 pub fn encode_snapshot(db: &Database, wal_lsn: u64) -> Vec<u8> {
     encode_snapshot_with_prev(db, wal_lsn, None).0
 }
@@ -174,7 +179,16 @@ pub fn encode_snapshot_with_prev(
     wal_lsn: u64,
     prev: Option<&SegmentIndex<'_>>,
 ) -> (Vec<u8>, usize) {
-    let mut buf = Vec::with_capacity(64 + db.approx_bytes() * 2);
+    // Sized from what is resident (the blocks are the slots' bytes plus
+    // framing), not from the flat size: a sealed database must not reserve
+    // its decoded size to be written.
+    let resident: u64 = db
+        .table_names()
+        .iter()
+        .filter_map(|name| db.table(name))
+        .map(|t| t.encoded_footprint().0)
+        .sum();
+    let mut buf = Vec::with_capacity(4096 + resident as usize * 5 / 4);
     buf.extend_from_slice(SNAPSHOT_MAGIC);
     put_u32(&mut buf, SNAPSHOT_VERSION);
     put_u64(&mut buf, wal_lsn);
@@ -305,35 +319,22 @@ fn encode_segment_payload_v2(t: &Table, seg: usize) -> Vec<u8> {
 }
 
 /// The v3 segment payload: the v2 payload prefixed with a format byte, and
-/// — when the segment is sealed with at least one encoded column — the
-/// compressed per-column blocks in place of the raw arrays.
+/// — when at least one of the segment's chunks is resident encoded — one
+/// tagged block per column, each in the form its chunk is held in.
 fn encode_segment_payload_v3(t: &Table, seg: usize) -> Vec<u8> {
-    let range = t.segment_range(seg);
-    // Only a *clean, full-coverage* seal persists in encoded form: a
-    // segment with stale write-through rows or an appended overhang would
-    // decode to superseded/short columns, so it checkpoints raw and its
-    // encoding is rebuilt by a later seal or compaction. (This keeps the
-    // snapshot format at v3 — the delta tail is recovered from the WAL.)
-    let enc = t.encoding(seg).filter(|e| {
-        e.encoded_cols() > 0
-            && t.segment_stale(seg).is_empty()
-            && e.covered_rows() == Some(range.len())
-    });
+    let encoded = (0..t.schema().arity()).any(|i| t.column_at(i).chunk_encoding(seg).is_some());
     let mut buf = Vec::new();
-    buf.push(if enc.is_some() { SEG_FMT_ENCODED } else { SEG_FMT_RAW });
+    buf.push(if encoded { SEG_FMT_ENCODED } else { SEG_FMT_RAW });
     put_u64(&mut buf, t.zone(seg).live());
     encode_zone_stats(&mut buf, t.zone(seg));
-    let Some(enc) = enc else {
-        for i in 0..t.schema().arity() {
-            encode_column_chunk(&mut buf, t.column_at(i), seg);
-        }
-        return buf;
-    };
     for i in 0..t.schema().arity() {
-        match &enc.cols[i] {
+        let col = t.column_at(i);
+        match col.chunk_encoding(seg) {
             None => {
-                buf.push(ENC_RAW);
-                encode_column_chunk(&mut buf, t.column_at(i), seg);
+                if encoded {
+                    buf.push(ENC_RAW);
+                }
+                encode_column_chunk(&mut buf, col, seg);
             }
             Some(EncodedColumn::Packed(p)) => {
                 buf.push(ENC_PACKED);
@@ -343,8 +344,12 @@ fn encode_segment_payload_v3(t: &Table, seg: usize) -> Vec<u8> {
                 put_u32(&mut buf, p.len() as u32);
                 put_u64(&mut buf, p.max_code());
                 put_u32(&mut buf, p.words().len() as u32);
-                for &w in p.words() {
-                    put_u64(&mut buf, w);
+                // Sized once and filled in place: the words are most of a
+                // sealed snapshot's bytes.
+                let at = buf.len();
+                buf.resize(at + p.words().len() * 8, 0);
+                for (dst, w) in buf[at..].chunks_exact_mut(8).zip(p.words()) {
+                    dst.copy_from_slice(&w.to_le_bytes());
                 }
                 let crc = crc32(&buf[start..]);
                 put_u32(&mut buf, crc);
@@ -367,21 +372,23 @@ fn encode_segment_payload_v3(t: &Table, seg: usize) -> Vec<u8> {
     buf
 }
 
-/// Writes the raw values of `col`'s chunk of segment `seg`.
+/// Writes the raw values of `col`'s chunk of segment `seg` (an encoded
+/// chunk — which only the legacy v1/v2 encoders meet here — through its
+/// decode-once view).
 fn encode_column_chunk(buf: &mut Vec<u8>, col: &Column, seg: usize) {
     match col {
         Column::I32(v) => {
-            for x in v.chunk(seg) {
+            for x in v.chunk(seg).decoded().iter() {
                 buf.extend_from_slice(&x.to_le_bytes());
             }
         }
         Column::I64(v) => {
-            for x in v.chunk(seg) {
+            for x in v.chunk(seg).decoded().iter() {
                 buf.extend_from_slice(&x.to_le_bytes());
             }
         }
         Column::F64(v) => {
-            for x in v.chunk(seg) {
+            for x in v.chunk(seg).decoded().iter() {
                 buf.extend_from_slice(&x.to_bits().to_le_bytes());
             }
         }
@@ -392,12 +399,12 @@ fn encode_column_chunk(buf: &mut Vec<u8>, col: &Column, seg: usize) {
             }
         }
         Column::Dict(c) => {
-            for &code in c.codes().chunk(seg) {
+            for &code in c.codes().chunk(seg).decoded().iter() {
                 put_u32(buf, code);
             }
         }
         Column::Key { keys, .. } => {
-            for &k in keys.chunk(seg) {
+            for &k in keys.chunk(seg).decoded().iter() {
                 put_u32(buf, k);
             }
         }
@@ -719,41 +726,39 @@ impl ColumnBuilder {
         Ok(())
     }
 
-    /// Appends `n` rows decoded from a compressed block, validating that
-    /// every value fits the column's domain (an encoded block is an
-    /// untrusted `i64` stream until proven otherwise).
-    fn extend_decoded(&mut self, enc: &EncodedColumn, n: usize) -> Result<(), PersistError> {
+    /// Appends a compressed block of `n` rows as one encoded chunk, straight
+    /// into its slot, after checking that it holds `n` rows and that every
+    /// value it can decode to fits the column's domain (an encoded block is
+    /// an untrusted `i64` stream until proven otherwise; its bounds are
+    /// enough — see [`EncodedColumn::value_bounds`]).
+    fn push_encoded(&mut self, enc: EncodedColumn, n: usize) -> Result<(), PersistError> {
         if enc.len() != n {
             return Err(PersistError::Corrupt(format!(
                 "encoded block holds {} rows, segment needs {n}",
                 enc.len()
             )));
         }
-        let domain = |what: &str| PersistError::Corrupt(format!("encoded {what} out of range"));
+        let (lo, hi) = enc.value_bounds().unwrap_or((0, 0));
+        let inside = |min: i64, max: i64, what: &str| {
+            if min <= lo && hi <= max {
+                Ok(())
+            } else {
+                Err(PersistError::Corrupt(format!("encoded {what} out of range")))
+            }
+        };
         match self {
             ColumnBuilder::I32(v) => {
-                for i in 0..n {
-                    v.push(i32::try_from(enc.value_at(i)).map_err(|_| domain("i32 value"))?);
-                }
+                inside(i64::from(i32::MIN), i64::from(i32::MAX), "i32 value")?;
+                v.push_encoded(enc);
             }
-            ColumnBuilder::I64(v) => {
-                for i in 0..n {
-                    v.push(enc.value_at(i));
-                }
-            }
+            ColumnBuilder::I64(v) => v.push_encoded(enc),
             ColumnBuilder::Dict { codes, dict } => {
-                for i in 0..n {
-                    let code = u32::try_from(enc.value_at(i))
-                        .ok()
-                        .filter(|&c| (c as usize) < dict.len())
-                        .ok_or_else(|| domain("dictionary code"))?;
-                    codes.push(code);
-                }
+                inside(0, dict.len() as i64 - 1, "dictionary code")?;
+                codes.push_encoded(enc);
             }
             ColumnBuilder::Key { keys, .. } => {
-                for i in 0..n {
-                    keys.push(u32::try_from(enc.value_at(i)).map_err(|_| domain("key"))?);
-                }
+                inside(0, i64::from(u32::MAX), "key")?;
+                keys.push_encoded(enc);
             }
             ColumnBuilder::F64(_) | ColumnBuilder::Str(_) => {
                 return Err(PersistError::Corrupt("encoded block on a float/string column".into()));
@@ -865,7 +870,6 @@ fn decode_table_v3(c: &mut Cursor<'_>) -> Result<Table, PersistError> {
     let mut builders: Vec<ColumnBuilder> =
         defs.iter().zip(dicts).map(|(d, dict)| ColumnBuilder::new(&d.dtype, dict, geo)).collect();
     let mut zones = Vec::with_capacity(nsegs);
-    let mut encodings: Vec<Option<SegmentEncoding>> = Vec::with_capacity(nsegs);
     for seg in 0..nsegs {
         let len = c.u32("segment length")? as usize;
         let payload = c.bytes(len, "segment payload")?;
@@ -888,33 +892,27 @@ fn decode_table_v3(c: &mut Cursor<'_>) -> Result<Table, PersistError> {
                 for b in &mut builders {
                     b.extend(&mut pc, rows)?;
                 }
-                encodings.push(None);
             }
             SEG_FMT_ENCODED => {
-                let mut cols = Vec::with_capacity(builders.len());
                 for b in &mut builders {
                     let tag = pc.bytes(1, "column encoding tag")?[0];
-                    let enc = match tag {
-                        ENC_RAW => {
-                            b.extend(&mut pc, rows)?;
-                            None
-                        }
+                    match tag {
+                        ENC_RAW => b.extend(&mut pc, rows)?,
                         ENC_PACKED => {
-                            Some(EncodedColumn::Packed(decode_packed_block(&mut pc, payload)?))
+                            let block = decode_packed_block(&mut pc, payload)?;
+                            b.push_encoded(EncodedColumn::Packed(block), rows)?;
                         }
-                        ENC_RLE => Some(EncodedColumn::Rle(decode_rle_block(&mut pc, payload)?)),
+                        ENC_RLE => {
+                            let block = decode_rle_block(&mut pc, payload)?;
+                            b.push_encoded(EncodedColumn::Rle(block), rows)?;
+                        }
                         other => {
                             return Err(PersistError::Corrupt(format!(
                                 "unknown column encoding tag {other}"
                             )));
                         }
-                    };
-                    if let Some(enc) = &enc {
-                        b.extend_decoded(enc, rows)?;
                     }
-                    cols.push(enc);
                 }
-                encodings.push(Some(SegmentEncoding { cols }));
             }
             other => {
                 return Err(PersistError::Corrupt(format!("unknown segment format {other}")));
@@ -929,12 +927,7 @@ fn decode_table_v3(c: &mut Cursor<'_>) -> Result<Table, PersistError> {
         zones.push(SegmentZone::from_parts(stats, live_count));
     }
     let columns: Vec<Column> = builders.into_iter().map(ColumnBuilder::finish).collect();
-    let mut t =
-        Table::from_parts_with_zones(name, Schema::new(defs), columns, live, free, seg_rows, zones);
-    // Every per-column length was validated against the segment's row count
-    // above, so this install cannot panic on decoded input.
-    t.install_segment_encodings(encodings);
-    Ok(t)
+    Ok(Table::from_parts_with_zones(name, Schema::new(defs), columns, live, free, seg_rows, zones))
 }
 
 /// Decodes and CRC-checks one bit-packed column block; every packing
@@ -952,10 +945,11 @@ fn decode_packed_block(pc: &mut Cursor<'_>, payload: &[u8]) -> Result<PackedInts
     if nwords > pc.remaining() / 8 {
         return Err(PersistError::Corrupt(format!("packed word count {nwords} exceeds block")));
     }
-    let mut words = Vec::with_capacity(nwords);
-    for _ in 0..nwords {
-        words.push(pc.u64("packed word")?);
-    }
+    let words = pc
+        .bytes(nwords * 8, "packed words")?
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+        .collect();
     check_block_crc(pc, payload, start, "packed")?;
     PackedInts::from_parts(base, len, max_code, has_null == 1, words)
         .ok_or_else(|| PersistError::Corrupt("packed block violates packing invariants".into()))
@@ -1191,68 +1185,113 @@ mod tests {
         db
     }
 
+    /// The `(column, segment)` chunks of `t` that are resident encoded.
+    fn encoded_chunks(t: &Table) -> Vec<(usize, usize)> {
+        (0..t.schema().arity())
+            .flat_map(|c| (0..t.segment_count()).map(move |seg| (c, seg)))
+            .filter(|&(c, seg)| t.column_at(c).chunk_encoding(seg).is_some())
+            .collect()
+    }
+
     #[test]
-    fn sealed_roundtrip_reinstalls_encodings() {
+    fn sealed_roundtrip_loads_blocks_straight_into_slots() {
         let db = sealed_kitchen_sink();
         let fact = db.table("fact").unwrap();
-        let sealed: usize = (0..fact.segment_count())
-            .filter(|&s| fact.encoding(s).is_some_and(|e| e.encoded_cols() > 0))
-            .count();
-        assert!(sealed > 0, "fixture must actually encode something");
+        assert!(!encoded_chunks(fact).is_empty(), "fixture must actually encode something");
 
         let bytes = encode_snapshot(&db, 21);
         let (back, lsn) = decode_snapshot(&bytes).unwrap();
         assert_eq!(lsn, 21);
         assert_same(&db, &back);
         let bfact = back.table("fact").unwrap();
+        // Every slot holds what the original held — the same words and runs
+        // where it was encoded, and no flat chunk in their place.
+        assert_eq!(encoded_chunks(bfact), encoded_chunks(fact));
+        for (c, seg) in encoded_chunks(fact) {
+            assert_eq!(
+                bfact.column_at(c).chunk_encoding(seg),
+                fact.column_at(c).chunk_encoding(seg),
+                "column {c} segment {seg}"
+            );
+        }
+        assert_eq!(bfact.encoded_footprint(), fact.encoded_footprint());
         for seg in 0..fact.segment_count() {
-            let orig = fact.encoding(seg).filter(|e| e.encoded_cols() > 0);
-            let load = bfact.encoding(seg).filter(|e| e.encoded_cols() > 0);
-            assert_eq!(orig, load, "segment {seg} encodings survive the roundtrip");
             assert!(!bfact.zone(seg).is_dirty(), "loaded segments are clean");
         }
-        // Deterministic re-encode: a loaded, sealed database writes the
-        // same bytes (install_segment_encodings preserved every word/run).
+        // sealed → save → load → save is byte-identical, and a seal of the
+        // loaded image finds nothing to do.
         assert_eq!(encode_snapshot(&back, 21), bytes);
+        let mut resealed = back.clone();
+        resealed.table_mut("fact").unwrap().seal_segments();
+        assert_eq!(encode_snapshot(&resealed, 21), bytes);
         // And the compressed footprint is genuinely smaller.
         let (enc, raw) = bfact.encoded_footprint();
         assert!(enc < raw, "encoded {enc} must beat raw {raw}");
     }
 
     #[test]
-    fn stale_or_partial_seals_checkpoint_raw_and_roundtrip() {
-        // Write-throughs after a seal leave the encoding stale (and appends
-        // leave it short); the snapshot must persist such segments raw —
-        // never a superseded or truncated encoded block — and the loaded
-        // image must carry the *current* flat values.
+    fn written_chunks_checkpoint_raw_beside_encoded_neighbours() {
+        // A write after a seal decodes the chunk it lands in (and an append
+        // the partial tail): the snapshot persists each chunk in the form
+        // it is held — the written ones raw, their neighbours encoded — and
+        // the loaded image carries the current values.
         let mut db = sealed_kitchen_sink();
         let fact = db.table_mut("fact").unwrap();
-        let seg = (0..fact.segment_count())
-            .find(|&s| fact.encoding(s).is_some_and(|e| e.encoded_cols() > 0))
-            .expect("fixture must encode at least one segment");
+        let i64_col = fact.schema().position("f_i64").unwrap();
+        let (_, seg) = *encoded_chunks(fact)
+            .iter()
+            .find(|&&(c, _)| c == i64_col)
+            .expect("fixture must encode an f_i64 chunk");
         let row = (seg * 2..seg * 2 + 2)
             .map(|r| r as u32)
             .find(|&r| fact.is_live(r))
             .expect("an encoded segment has a live row");
         fact.update(row, "f_i64", &Value::Int(777_777));
         fact.append_row(&[Value::Key(1), Value::Int(9), Value::Int(9), Value::Float(1.5)]);
-        assert!(fact.encoding(seg).is_some(), "seal survives the write-through");
-        assert!(!fact.segment_stale(seg).is_empty());
+        assert!(fact.column_at(i64_col).chunk_encoding(seg).is_none(), "the write decoded it");
 
         let bytes = encode_snapshot(&db, 7);
         let (back, _) = decode_snapshot(&bytes).unwrap();
         assert_same(&db, &back);
-        let bfact = back.table("fact").unwrap();
+        let (fact, bfact) = (db.table("fact").unwrap(), back.table("fact").unwrap());
         assert_eq!(bfact.row(row)[2], Value::Int(777_777), "current value persisted");
-        assert!(
-            bfact.encoding(seg).is_none_or(|e| e.encoded_cols() == 0),
-            "stale segment persisted raw, not encoded"
+        assert_eq!(
+            encoded_chunks(bfact),
+            encoded_chunks(fact),
+            "each chunk in the form it was held"
         );
-        let last = bfact.segment_count() - 1;
+        assert_eq!(encode_snapshot(&back, 7), bytes);
+        // The next seal puts the written chunks back in encoded form.
+        let mut resealed = back.clone();
+        resealed.table_mut("fact").unwrap().seal_segments();
+        assert!(resealed.table("fact").unwrap().column_at(i64_col).chunk_encoding(seg).is_some());
+    }
+
+    #[test]
+    fn encoded_blocks_outside_the_column_domain_are_rejected() {
+        use astore_storage::encoded::encode_values;
+        let mut b = ColumnBuilder::new(&DataType::I32, None, Geometry::new(4));
+        let wide = encode_values(&[1i64 << 40, (1 << 40) + 1, (1 << 40) + 1, 1 << 40]).unwrap();
+        assert!(b.push_encoded(wide.clone(), 4).is_err(), "beyond i32");
+        assert!(b.push_encoded(encode_values(&[7i64, 7, 7, 8]).unwrap(), 3).is_err(), "row count");
+        assert!(b.push_encoded(encode_values(&[7i64, 7, 7, 8]).unwrap(), 4).is_ok());
+        let dict = Dictionary::from_values(vec!["a".into(), "b".into()]);
+        let mut d = ColumnBuilder::new(&DataType::Dict, Some(dict), Geometry::new(4));
         assert!(
-            bfact.encoding(last).is_none_or(|e| e.encoded_cols() == 0),
-            "partial-coverage segment persisted raw"
+            d.push_encoded(encode_values(&[0u32, 0, 2, 2]).unwrap(), 4).is_err(),
+            "code 2 of 2"
         );
+        assert!(d.push_encoded(encode_values(&[0u32, 0, 1, 1]).unwrap(), 4).is_ok());
+        let mut k =
+            ColumnBuilder::new(&DataType::Key { target: "t".into() }, None, Geometry::new(4));
+        assert!(
+            k.push_encoded(encode_values(&[-1i64, -1, -1, 0]).unwrap(), 4).is_err(),
+            "negative"
+        );
+        assert!(k.push_encoded(wide, 4).is_err(), "beyond u32");
+        assert!(k.push_encoded(encode_values(&[NULL_KEY, 5, 5, 5]).unwrap(), 4).is_ok());
+        let mut f = ColumnBuilder::new(&DataType::F64, None, Geometry::new(4));
+        assert!(f.push_encoded(encode_values(&[1i64, 1, 1, 1]).unwrap(), 4).is_err());
     }
 
     #[test]
@@ -1279,7 +1318,11 @@ mod tests {
         // tables come up unsealed (a boot-time seal rebuilds them).
         let fact = back.table("fact").unwrap();
         assert_eq!(fact.segment_rows(), db.table("fact").unwrap().segment_rows());
-        assert!(fact.encodings().iter().all(Option::is_none), "v2 loads are unsealed");
+        assert!(encoded_chunks(fact).is_empty(), "v2 loads are flat");
+        assert!(
+            (0..fact.segment_count()).all(|s| fact.segment_written(s).is_some()),
+            "and unsealed"
+        );
         // v2 blocks are not reusable by a v3 checkpoint.
         assert!(index_snapshot_segments(&bytes).is_none());
     }

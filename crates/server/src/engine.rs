@@ -35,10 +35,11 @@
 //! acknowledgement waits for a fold. The fold encodes from a COW snapshot
 //! *outside* the commit lock, so checkpoints do not stall writers either.
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use astore_baseline::engine::execute_hash_pipeline;
 use astore_core::exec::{execute, ExecOptions, ExecOutput};
@@ -228,7 +229,14 @@ pub struct Engine {
     commit_lock: Mutex<()>,
     /// One checkpoint at a time.
     checkpoint_lock: Mutex<()>,
+    /// The compactor's memory between passes (see
+    /// [`Engine::run_compaction_pass`]).
+    unsealed_since: Mutex<HashMap<String, UnsealedSegments>>,
 }
+
+/// Per unsealed complete segment of one table: the write stamp the
+/// compactor last saw, and when it first saw it.
+type UnsealedSegments = HashMap<usize, (u64, Instant)>;
 
 impl Engine {
     /// Wraps a shared database with default execution options (serial
@@ -272,37 +280,39 @@ impl Engine {
             commit: Mutex::new(CommitState::default()),
             commit_lock: Mutex::new(()),
             checkpoint_lock: Mutex::new(()),
+            unsealed_since: Mutex::default(),
         };
-        // Seal whatever the boot image carried unsealed (a v2 snapshot, a
-        // WAL replay tail) so the scan path starts on encoded segments, and
-        // prime the footprint gauges.
+        // Seal whatever the boot image carried flat (a v1/v2 snapshot, the
+        // chunks a WAL replay decoded, a hand-built database) and prime the
+        // footprint gauges. A generated or checkpointed image arrives
+        // sealed and this finds nothing to do.
         engine.seal_and_gauge();
         engine
     }
 
-    /// Seals every segment that needs it and refreshes the `encoded_bytes`
-    /// / `raw_bytes` gauges. Boot only — once the engine is shared,
-    /// mutation outside the commit lock would race the group-commit leader;
-    /// checkpoints seal under the commit lock instead.
+    /// Seals every segment that needs it and refreshes the footprint
+    /// gauges. Boot only — once the engine is shared, mutation outside the
+    /// commit lock would race the group-commit leader; checkpoints seal
+    /// under the commit lock instead.
     fn seal_and_gauge(&self) {
         self.db.write(seal_all);
         self.gauge_footprint();
     }
 
-    /// Refreshes the `encoded_bytes` / `raw_bytes` gauges from a snapshot.
+    /// Refreshes the `encoded_bytes` / `raw_bytes` / `flat_chunks` /
+    /// `flat_bytes` gauges from a snapshot (a walk over the chunk slots, no
+    /// row data).
     fn gauge_footprint(&self) {
         let snap = self.db.snapshot();
-        let (mut enc, mut raw) = (0u64, 0u64);
-        for name in snap.table_names() {
-            if let Some(t) = snap.table(name) {
-                let (e, r) = t.encoded_footprint();
-                enc += e;
-                raw += r;
-            }
+        let (mut resident, mut raw, mut chunks, mut bytes) = (0u64, 0u64, 0u64, 0u64);
+        for t in snap.table_names().iter().filter_map(|name| snap.table(name)) {
+            let ((r, w), (c, b)) = (t.encoded_footprint(), t.flat_chunks());
+            (resident, raw, chunks, bytes) = (resident + r, raw + w, chunks + c, bytes + b);
         }
-        use std::sync::atomic::Ordering;
-        self.stats.encoded_bytes.store(enc, Ordering::Relaxed);
+        self.stats.encoded_bytes.store(resident, Ordering::Relaxed);
         self.stats.raw_bytes.store(raw, Ordering::Relaxed);
+        self.stats.flat_chunks.store(chunks, Ordering::Relaxed);
+        self.stats.flat_bytes.store(bytes, Ordering::Relaxed);
     }
 
     /// Sets the slow-query capture threshold in milliseconds
@@ -588,6 +598,7 @@ impl Engine {
         } else if let Some(cmd) = req.get("cmd").and_then(Json::as_str) {
             match cmd {
                 "stats" => {
+                    self.gauge_footprint();
                     let mut s = self.stats.to_json(&self.cache);
                     if let Json::Object(m) = &mut s {
                         m.insert("engine_threads".into(), Json::Int(self.opts.threads as i64));
@@ -596,15 +607,8 @@ impl Engine {
                             "core_budget_in_use".into(),
                             Json::Int(self.budget.in_use() as i64),
                         );
-                        let snap = self.db.snapshot();
-                        let delta: u64 = snap
-                            .table_names()
-                            .iter()
-                            .filter_map(|n| snap.table(n))
-                            .map(|t| t.delta_rows())
-                            .sum();
-                        m.insert("delta_rows".into(), Json::Int(delta as i64));
-                        m.insert("db_version".into(), Json::Int(snap.version() as i64));
+                        let version = self.db.snapshot().version();
+                        m.insert("db_version".into(), Json::Int(version as i64));
                         m.insert("templates".into(), self.templates.to_json());
                         let rsnap = self.router.snapshot();
                         m.insert(
@@ -620,6 +624,7 @@ impl Engine {
                     Json::obj([("ok", Json::Bool(true)), ("stats", s)])
                 }
                 "metrics" => {
+                    self.gauge_footprint();
                     let gauges = [
                         (
                             "astore_server_engine_threads",
@@ -1293,33 +1298,49 @@ impl Engine {
         }
     }
 
-    /// One background-compaction pass: find up to a handful of sealed
-    /// segments whose encodings have gone stale (write-throughs) or short
-    /// (appends) *by enough to be worth a re-encode*
-    /// ([`astore_storage::table::Table::segment_worth_compacting`] — a
-    /// single stale row is not; checkpoints seal everything regardless),
-    /// re-encode them against a COW snapshot with no locks held, and
-    /// install the results under the commit lock. The per-segment epoch
-    /// fence makes a stale install a no-op: if a write slipped in after the
-    /// snapshot, [`astore_storage::table::Table::install_compacted`]
-    /// refuses and the segment is picked up again next pass. Readers
+    /// One background-compaction pass. The rule, in full: a **complete**
+    /// segment (the filling tail is left to appends) that is unsealed — a
+    /// value write decoded or rewrote some of its chunks — is re-encoded
+    /// once its write stamp
+    /// ([`astore_storage::table::Table::segment_written`]) has not moved for
+    /// [`COMPACT_QUIET`]. A segment a writer keeps touching is therefore
+    /// never picked, however often the pass runs: encoding a chunk that the
+    /// next write decodes again would be pure churn. (Checkpoints do not
+    /// wait: they seal everything they persist.)
+    ///
+    /// Due segments — up to a handful per pass — are encoded against a COW
+    /// snapshot with no locks held and installed under the commit lock;
+    /// [`astore_storage::table::Table::install_compacted`] refuses a result if any chunk of the
+    /// segment is no longer the allocation the encode read, i.e. if a write
+    /// slipped in, and the segment starts a new quiet period. Readers
     /// holding the current image never delay an install: a shared table is
-    /// cloned (pointer bumps) and only the installed segment's encoding
-    /// changes. Returns the number of segments installed.
+    /// cloned (pointer bumps) and only the installed chunks change. Returns
+    /// the number of segments installed.
     pub fn run_compaction_pass(&self) -> usize {
         const MAX_SEGMENTS_PER_PASS: usize = 8;
         let snap = self.db.snapshot();
+        let now = Instant::now();
         let mut encoded = Vec::new();
-        'scan: for name in snap.table_names() {
-            let Some(t) = snap.table(name) else { continue };
-            for seg in 0..t.segment_count() {
-                if t.segment_worth_compacting(seg) {
-                    // The heavy part, off every lock: readers and writers
-                    // proceed while this encodes.
-                    let enc = t.encode_segment_now(seg);
-                    encoded.push((name.clone(), seg, t.segment_epoch(seg), enc));
-                    if encoded.len() >= MAX_SEGMENTS_PER_PASS {
-                        break 'scan;
+        {
+            let mut seen = self.unsealed_since.lock().unwrap_or_else(|p| p.into_inner());
+            seen.retain(|name, _| snap.table(name).is_some());
+            'scan: for name in snap.table_names() {
+                let Some(t) = snap.table(name) else { continue };
+                let complete = t.num_slots() / t.segment_rows();
+                let segs = seen.entry(name.clone()).or_default();
+                segs.retain(|&seg, _| seg < complete && t.segment_written(seg).is_some());
+                for seg in 0..complete {
+                    let Some(stamp) = t.segment_written(seg) else { continue };
+                    let first_seen = segs.entry(seg).or_insert((stamp, now));
+                    if first_seen.0 != stamp {
+                        *first_seen = (stamp, now);
+                    } else if now.duration_since(first_seen.1) >= COMPACT_QUIET {
+                        // The heavy part, off every lock: readers and
+                        // writers proceed while this encodes.
+                        encoded.push((name.clone(), seg, t.encode_segment_now(seg)));
+                        if encoded.len() >= MAX_SEGMENTS_PER_PASS {
+                            break 'scan;
+                        }
                     }
                 }
             }
@@ -1332,22 +1353,26 @@ impl Engine {
         {
             let _publish = self.commit_lock.lock().unwrap_or_else(|p| p.into_inner());
             self.db.write(|db| {
-                for (name, seg, epoch, enc) in encoded {
+                for (name, seg, enc) in encoded {
                     let installs =
-                        db.table_mut(&name).is_some_and(|t| t.install_compacted(seg, enc, epoch));
+                        db.table_mut(&name).is_some_and(|t| t.install_compacted(seg, enc));
                     installed += usize::from(installs);
                 }
             });
         }
         if installed > 0 {
-            self.stats
-                .compactions
-                .fetch_add(installed as u64, std::sync::atomic::Ordering::Relaxed);
+            self.stats.compactions.fetch_add(installed as u64, Ordering::Relaxed);
             self.gauge_footprint();
         }
         installed
     }
 }
+
+/// How long a complete segment must have gone unwritten before the
+/// background compactor re-encodes its flat chunks (see
+/// [`Engine::run_compaction_pass`]). Long next to the gap between two writes
+/// of a busy writer, short next to how long an idle table stays idle.
+pub const COMPACT_QUIET: Duration = Duration::from_secs(1);
 
 /// Seals every segment of every table that needs it.
 fn seal_all(db: &mut Database) {
@@ -2181,52 +2206,60 @@ mod tests {
     }
 
     #[test]
-    fn compaction_folds_write_throughs_back_into_seals() {
-        use astore_storage::table::COMPACT_MIN_STALE;
+    fn compaction_waits_for_a_quiet_period_then_reseals() {
+        use std::sync::atomic::Ordering::Relaxed;
         let e = Engine::new(SharedDatabase::new(big_db()));
-        // Boot sealed both full fact segments; write-throughs leave one
-        // encoding stale without voiding it.
+        // Boot sealed both (complete) fact segments.
+        let flat_chunks = |e: &Engine| {
+            let r = e.handle_line(r#"{"cmd":"stats"}"#);
+            r.get("stats").unwrap().get("flat_chunks").unwrap().as_i64().unwrap()
+        };
+        let sealed = flat_chunks(&e);
         let n = 2 * SEGMENT_ROWS as i64;
         let base_sum: i64 = n * (n - 1) / 2;
-        let update = |row: usize| {
+        let mut replaced = 0i64;
+        let mut update = |row: i64| {
             let r = sql(&e, &format!("UPDATE fact SET f_v = 999999 WHERE rowid = {row}"));
             assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
+            replaced += row;
         };
-        let delta = |e: &Engine| {
-            let r = e.handle_line(r#"{"cmd":"stats"}"#);
-            r.get("stats").unwrap().get("delta_rows").unwrap().as_i64().unwrap()
-        };
-        // Below the hysteresis threshold the delta waits (scans patch it).
-        (0..COMPACT_MIN_STALE - 1).for_each(update);
-        assert_eq!(delta(&e), COMPACT_MIN_STALE as i64 - 1, "write-throughs show in delta_rows");
-        assert_eq!(e.run_compaction_pass(), 0, "a small delta is not worth a re-encode");
-        // At the threshold it folds — while a reader holds the image the
-        // install replaces: readers never delay the compactor.
-        update(COMPACT_MIN_STALE - 1);
-        let held = e.database().snapshot();
-        let mut installed = 0;
-        loop {
-            let k = e.run_compaction_pass();
-            if k == 0 {
-                break;
+        // A writer touching every segment four times a second, for longer
+        // than the quiet period: the compactor, polling all along, never
+        // re-encodes anything.
+        let start = Instant::now();
+        let mut round = 0i64;
+        while start.elapsed() < COMPACT_QUIET + Duration::from_millis(500) {
+            update(round);
+            update(SEGMENT_ROWS as i64 + round);
+            round += 1;
+            for _ in 0..5 {
+                assert_eq!(e.run_compaction_pass(), 0, "a busy segment is not re-encoded");
+                std::thread::sleep(Duration::from_millis(50));
             }
-            installed += k;
         }
-        assert!(installed >= 1, "compactor re-sealed the stale segment under a held snapshot");
-        use std::sync::atomic::Ordering::Relaxed;
-        assert!(e.stats().compactions.load(Relaxed) >= 1);
-        assert_eq!(delta(&e), 0, "all deltas folded back");
-        let stale = COMPACT_MIN_STALE as i64;
-        assert_eq!(
-            held.table("fact").unwrap().delta_rows(),
-            stale as u64,
-            "the held image still carries its delta"
+        assert_eq!(e.stats().compactions.load(Relaxed), 0);
+        assert_eq!(flat_chunks(&e), sealed + 2, "each write decoded the one chunk it touched");
+        // The writer stops: within two quiet periods both segments are
+        // encoded again — while a reader holds the image; the install
+        // replaces chunks, readers never delay the compactor.
+        let held = e.database().snapshot();
+        let stopped = Instant::now();
+        while flat_chunks(&e) > sealed {
+            assert!(stopped.elapsed() < 2 * COMPACT_QUIET, "segments still flat after two periods");
+            e.run_compaction_pass();
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        assert_eq!(e.stats().compactions.load(Relaxed), 2);
+        assert_eq!(e.run_compaction_pass(), 0, "nothing left to do");
+        let fact = held.table("fact").unwrap();
+        assert!(
+            fact.column_at(1).chunk_encoding(0).is_none(),
+            "the held image keeps its flat chunk"
         );
         let r = sql(&e, "SELECT sum(f_v) AS s FROM fact");
         let s =
             r.get("rows").unwrap().as_array().unwrap()[0].as_array().unwrap()[0].as_i64().unwrap();
-        let replaced: i64 = (0..stale).sum();
-        assert_eq!(s, base_sum - replaced + stale * 999999, "compaction preserved the values");
+        assert_eq!(s, base_sum - replaced + 2 * round * 999999, "compaction preserved the values");
     }
 
     #[test]

@@ -278,7 +278,7 @@ pub fn render_prometheus(
         ),
         (
             "astore_server_compactions_total",
-            "Sealed segments re-encoded by the background compactor.",
+            "Segments whose flat chunks the background compactor put back in encoded form.",
             stats.compactions.load(Ordering::Relaxed),
         ),
         (
@@ -383,6 +383,19 @@ pub fn render_prometheus(
     w.sample_u64("astore_server_slowlog_entries", &[], slowlog.len() as u64);
     w.header("astore_obs_enabled", "1 when the runtime tracing toggle is on.", "gauge");
     w.sample_u64("astore_obs_enabled", &[], u64::from(astore_obs::enabled()));
+    for (name, help, gauge) in [
+        (
+            "astore_server_encoded_bytes",
+            "Resident bytes of the column chunks, each in the representation it is held in.",
+            &stats.encoded_bytes,
+        ),
+        ("astore_server_raw_bytes", "Bytes the same chunks would occupy flat.", &stats.raw_bytes),
+        ("astore_server_flat_chunks", "Column chunks currently held flat.", &stats.flat_chunks),
+        ("astore_server_flat_bytes", "Bytes of the chunks held flat.", &stats.flat_bytes),
+    ] {
+        w.header(name, help, "gauge");
+        w.sample_u64(name, &[], gauge.load(Ordering::Relaxed));
+    }
     for (name, help, value) in gauges {
         w.header(name, help, "gauge");
         w.sample(name, &[], *value);

@@ -232,11 +232,11 @@ pub fn start(engine: Arc<Engine>, config: ServerConfig) -> std::io::Result<Serve
             (accept, None, None)
         }
     };
-    // Background maintenance: due auto-checkpoints, and compaction — fold
-    // write-throughs on sealed segments back into their compressed form so
-    // a write-heavy phase does not slowly decay the scan path to flat
-    // evaluation. Best-effort — after a spawn failure segments re-encode
-    // at the next explicit checkpoint.
+    // Background maintenance: due auto-checkpoints, and compaction — put
+    // the chunks writes decoded back in encoded form once their segment
+    // has gone quiet, so a write-heavy phase does not slowly grow the
+    // resident table back to its flat size. Best-effort — after a spawn
+    // failure segments re-encode at the next explicit checkpoint.
     let compactor = {
         let engine = Arc::clone(&engine);
         let stop = Arc::clone(&stop);
@@ -258,7 +258,8 @@ pub fn start(engine: Arc<Engine>, config: ServerConfig) -> std::io::Result<Serve
 
 /// The maintenance thread: runs the auto-checkpoint the write path noted as
 /// due (so no client's acknowledgement waits for a fold), then polls for
-/// stale or short segment encodings and re-seals them. Backs off to a
+/// written segments that have gone quiet and re-encodes their flat chunks
+/// ([`Engine::run_compaction_pass`]). Backs off to a
 /// longer sleep when a pass finds nothing; every sleep is short enough that
 /// shutdown is prompt (a checkpoint in flight finishes first).
 fn compactor_loop(engine: &Arc<Engine>, stop: &AtomicBool) {
@@ -304,10 +305,10 @@ fn accept_loop(
         let conn_engine = Arc::clone(engine);
         let pool = Arc::clone(pool);
         let stop = Arc::clone(stop);
-        let spawned = std::thread::Builder::new().name("astore-conn".into()).spawn(move || {
-            serve_connection(stream, &conn_engine, &pool, &stop);
-            conn_engine.stats().active_connections.fetch_sub(1, Ordering::Relaxed);
-        });
+        // The connection thread gives the slot back itself (`ConnectionSlot`).
+        let spawned = std::thread::Builder::new()
+            .name("astore-conn".into())
+            .spawn(move || serve_connection(stream, &conn_engine, &pool, &stop));
         if spawned.is_err() {
             // Thread exhaustion: give the slot back or the counter leaks
             // and the server eventually rejects everything while idle.
@@ -331,6 +332,13 @@ fn serve_connection(
     pool: &WorkerPool,
     stop: &AtomicBool,
 ) {
+    // The connection's prepared-statement registry. Statements run on pool
+    // workers one at a time per connection, so the mutex is uncontended —
+    // it only carries the registry across worker threads. Declared before
+    // the gauge slot so that it is dropped *after* it: whoever observes the
+    // registry gone also observes the connection gone from the gauge.
+    let session = Arc::new(Mutex::new(StatementRegistry::default()));
+    let _slot = ConnectionSlot(engine);
     // A short read timeout doubles as the shutdown poll interval.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let _ = stream.set_nodelay(true);
@@ -338,10 +346,6 @@ fn serve_connection(
     let mut writer = BufWriter::new(write_half);
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 8192];
-    // The connection's prepared-statement registry. Statements run on pool
-    // workers one at a time per connection, so the mutex is uncontended —
-    // it only carries the registry across worker threads.
-    let session = Arc::new(Mutex::new(StatementRegistry::default()));
     loop {
         // Answer every complete frame currently buffered.
         while let Some(nl) = buf.iter().position(|&b| b == b'\n') {
@@ -376,6 +380,16 @@ fn serve_connection(
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => return,
         }
+    }
+}
+
+/// Returns a connection's slot in the `active_connections` gauge (taken by
+/// the accept loop) when the connection thread is done, on every exit path.
+struct ConnectionSlot<'a>(&'a Engine);
+
+impl Drop for ConnectionSlot<'_> {
+    fn drop(&mut self) {
+        self.0.stats().active_connections.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

@@ -23,8 +23,8 @@ pub struct ServerStats {
     /// Group-commit batches published (each batch is one WAL fsync; the
     /// statements it carried are counted by `writes`).
     pub group_commits: AtomicU64,
-    /// Sealed segments re-encoded and installed by the background
-    /// compactor (write-throughs folded back into the compressed form).
+    /// Segments whose flat chunks the background compactor put back in
+    /// encoded form (written segments that then went quiet).
     pub compactions: AtomicU64,
     /// Read queries executed by the morsel-driven parallel executor.
     pub parallel_queries: AtomicU64,
@@ -72,11 +72,19 @@ pub struct ServerStats {
     /// (bind and frame assembly excluded), so the three engines compare
     /// apples to apples.
     pub engine_latency: [LatencyHistogram; 3],
-    /// Resident bytes of the compressed (encoded) sealed segments.
-    /// Gauge, not counter: overwritten at boot and after each checkpoint.
+    /// Resident bytes of the column chunks, each counted in the one
+    /// representation it is held in (encoded or flat): the sum of
+    /// `Table::encoded_footprint().0` over the tables. Gauge, not counter:
+    /// overwritten at boot, after each compaction install and checkpoint,
+    /// and when the stats are read.
     pub encoded_bytes: AtomicU64,
-    /// Flat columnar bytes those same sealed segments would occupy raw.
+    /// Flat columnar bytes the same chunks would occupy raw.
     pub raw_bytes: AtomicU64,
+    /// Chunks currently held flat (written since their last seal, the
+    /// filling tail, or kinds with no smaller form) …
+    pub flat_chunks: AtomicU64,
+    /// … and their bytes — the part of `encoded_bytes` that is not encoded.
+    pub flat_bytes: AtomicU64,
     /// End-to-end statement latency (parse → response built).
     pub latency: LatencyHistogram,
     /// Groups multi-counter updates (e.g. `queries` + `segments_scanned` +
@@ -119,6 +127,8 @@ impl Default for ServerStats {
             ],
             encoded_bytes: AtomicU64::new(0),
             raw_bytes: AtomicU64::new(0),
+            flat_chunks: AtomicU64::new(0),
+            flat_bytes: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
             group: SeqLock::new(),
             started: Instant::now(),
@@ -199,6 +209,8 @@ impl ServerStats {
             ("engine_latency", self.engine_latency_json()),
             ("encoded_bytes", Json::Int(self.encoded_bytes.load(Ordering::Relaxed) as i64)),
             ("raw_bytes", Json::Int(self.raw_bytes.load(Ordering::Relaxed) as i64)),
+            ("flat_chunks", Json::Int(self.flat_chunks.load(Ordering::Relaxed) as i64)),
+            ("flat_bytes", Json::Int(self.flat_bytes.load(Ordering::Relaxed) as i64)),
             ("cache_hits", Json::Int(cache.hits() as i64)),
             ("cache_misses", Json::Int(cache.misses() as i64)),
             ("cache_hit_rate", Json::Float(cache.hit_rate())),
@@ -284,6 +296,8 @@ mod tests {
             "rejected",
             "encoded_bytes",
             "raw_bytes",
+            "flat_chunks",
+            "flat_bytes",
             "latency_p99_us",
             "router_mispredictions",
         ] {

@@ -79,6 +79,16 @@ impl Database {
         self.tables.get_mut(name).map(Arc::make_mut)
     }
 
+    /// A copy of the database with every table decoded flat (see
+    /// [`Table::decoded`]): the flat oracle of the differential tests.
+    pub fn decoded(&self) -> Database {
+        let mut db = self.clone();
+        for t in db.tables.values_mut() {
+            *t = Arc::new(t.decoded());
+        }
+        db
+    }
+
     /// Table names in insertion order.
     pub fn table_names(&self) -> &[String] {
         &self.order
@@ -128,7 +138,7 @@ impl Database {
             };
             let src = &self.tables[&edge.from_table];
             let (_, keys) = src.column(&edge.column).unwrap().as_key().unwrap();
-            for (row, &k) in keys.iter().enumerate() {
+            for (row, k) in keys.iter().enumerate() {
                 if !src.is_live(row as u32) || k == NULL_KEY {
                     continue;
                 }

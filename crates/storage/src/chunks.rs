@@ -1,4 +1,5 @@
-//! Per-segment column chunks — the unit of copy-on-write ownership.
+//! Per-segment column chunks — the unit of copy-on-write ownership and of
+//! representation.
 //!
 //! A column's payload is not one flat array but a sequence of *chunks*, one
 //! per table segment ([`Geometry::rows`] rows each, the last one partial),
@@ -9,14 +10,31 @@
 //! segments it touches instead of by the table's size (see
 //! [`crate::snapshot`]).
 //!
-//! Readers reach the data two ways: [`Chunked::chunk`] hands out one
-//! segment's rows as a plain slice — scans bind it once per segment so their
-//! inner loops stay `slice[i]` — and [`Chunked::get`] addresses any row by
-//! its table-wide index for the random-access paths (AIR chases into
-//! dimension tables).
+//! ## One resident representation per chunk
+//!
+//! A [`Chunk`] is **either** a flat array **or** its encoding
+//! ([`crate::encoded`]: frame-of-reference bit-packed words, or runs) —
+//! never both. Sealing ([`Chunked::seal_chunk`]) replaces a flat chunk by
+//! its encoding when that is strictly smaller; a value write into an
+//! encoded chunk decodes *that chunk* into a fresh flat one, which is
+//! exactly the copy copy-on-write would have paid for a shared flat chunk;
+//! appends land in the filling tail chunk, which is flat while it fills.
+//! Both transitions install a new `Arc`, so pointer identity
+//! ([`Chunked::shares_chunk`]) still tells whether a chunk was written.
+//!
+//! Readers take a chunk as they find it: [`Chunked::chunk`] hands out a
+//! [`ChunkRef`] — the flat slice, the packed words or the runs — which the
+//! scan kernels consume directly and row-at-a-time code reads through
+//! [`ChunkRef::at`]; [`ChunkRef::decoded`] and [`ChunkCursor`] are the
+//! decode-once views for loops that touch most rows of a chunk; and
+//! [`Chunked::get`] addresses any row by its table-wide index for the
+//! random-access paths (AIR chases into dimension tables).
 
+use std::any::Any;
+use std::borrow::Cow;
 use std::sync::Arc;
 
+use crate::encoded::{encode_values, ChunkValue, EncodedColumn, PackedInts, RleInts};
 use crate::segment::SEGMENT_ROWS;
 
 /// How a table's row space is cut into segments: `rows` per segment, with a
@@ -72,34 +90,196 @@ impl Default for Geometry {
     }
 }
 
-/// Exclusive access to a chunk, copying it first if a snapshot shares it.
-/// The copy reserves room for `extra` more rows so an append right after
-/// does not reallocate what was just copied.
-fn unshare<T: Copy>(chunk: &mut Arc<Vec<T>>, extra: usize) -> &mut Vec<T> {
+/// One column's rows of one segment, in its one resident representation.
+#[derive(Debug)]
+pub enum Chunk<T> {
+    /// The plain array.
+    Flat(Vec<T>),
+    /// The compressed form; decodes to the array it replaced, slot for slot.
+    Encoded(EncodedColumn),
+}
+
+impl<T: ChunkValue> Chunk<T> {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match self {
+            Chunk::Flat(v) => v.len(),
+            Chunk::Encoded(e) => e.len(),
+        }
+    }
+
+    /// Returns `true` if the chunk holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The chunk as readers take it.
+    #[inline]
+    pub fn view(&self) -> ChunkRef<'_, T> {
+        match self {
+            Chunk::Flat(v) => ChunkRef::Flat(v),
+            Chunk::Encoded(EncodedColumn::Packed(p)) => ChunkRef::Packed(p),
+            Chunk::Encoded(EncodedColumn::Rle(r)) => ChunkRef::Rle(r),
+        }
+    }
+
+    /// The encoding, if the chunk is held encoded.
+    pub fn encoding(&self) -> Option<&EncodedColumn> {
+        match self {
+            Chunk::Flat(_) => None,
+            Chunk::Encoded(e) => Some(e),
+        }
+    }
+
+    /// Heap bytes of the resident representation.
+    pub fn bytes(&self) -> usize {
+        match self {
+            Chunk::Flat(_) => self.raw_bytes(),
+            Chunk::Encoded(e) => e.bytes(),
+        }
+    }
+
+    /// Heap bytes the chunk takes (or would take) flat.
+    pub fn raw_bytes(&self) -> usize {
+        self.len() * std::mem::size_of::<T>()
+    }
+}
+
+/// A borrowed chunk in whichever representation it is resident: what scans
+/// bind once per segment. `Copy`, like the slice it generalises.
+#[derive(Debug)]
+pub enum ChunkRef<'a, T> {
+    /// A flat array.
+    Flat(&'a [T]),
+    /// Frame-of-reference bit-packed codes.
+    Packed(&'a PackedInts),
+    /// Run-length encoded values.
+    Rle(&'a RleInts),
+}
+
+impl<T> Clone for ChunkRef<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for ChunkRef<'_, T> {}
+
+impl<'a, T: ChunkValue> ChunkRef<'a, T> {
+    /// Number of rows.
+    #[inline]
+    pub fn len(&self) -> usize {
+        match self {
+            ChunkRef::Flat(v) => v.len(),
+            ChunkRef::Packed(p) => p.len(),
+            ChunkRef::Rle(r) => r.len(),
+        }
+    }
+
+    /// Returns `true` if the chunk holds no rows.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The value at segment-local offset `off` (a packed chunk extracts one
+    /// lane without a division; a run chunk searches its run ends).
+    ///
+    /// # Panics
+    /// Panics if `off` is out of range.
+    #[inline]
+    pub fn at(&self, off: usize) -> T {
+        match self {
+            ChunkRef::Flat(v) => v[off],
+            ChunkRef::Packed(p) => {
+                assert!(off < p.len(), "offset {off} out of range");
+                T::from_logical(p.value_at(off))
+            }
+            ChunkRef::Rle(r) => T::from_logical(r.value_at(off)),
+        }
+    }
+
+    /// The flat slice, if the chunk is resident flat.
+    #[inline]
+    pub fn as_flat(&self) -> Option<&'a [T]> {
+        match self {
+            ChunkRef::Flat(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Appends every row's value to `out`.
+    pub fn decode_into(&self, out: &mut Vec<T>) {
+        match self {
+            ChunkRef::Flat(v) => out.extend_from_slice(v),
+            ChunkRef::Packed(p) => p.decode_into(out),
+            ChunkRef::Rle(r) => r.decode_into(out),
+        }
+    }
+
+    /// The decode-once view: the flat slice itself, or an encoded chunk
+    /// decoded into a buffer of the caller's — for loops that read most
+    /// rows of the chunk and should not pay a lane extraction for each.
+    pub fn decoded(&self) -> Cow<'a, [T]> {
+        match self.as_flat() {
+            Some(flat) => Cow::Borrowed(flat),
+            None => {
+                let mut out = Vec::new();
+                self.decode_into(&mut out);
+                Cow::Owned(out)
+            }
+        }
+    }
+}
+
+/// Exclusive access to a chunk as a flat array: a shared flat chunk is
+/// copied first, an encoded one decoded — either way into a fresh
+/// allocation with room for `extra` more rows, so an append right after
+/// does not reallocate what was just built.
+fn unshare<T: ChunkValue>(chunk: &mut Arc<Chunk<T>>, extra: usize) -> &mut Vec<T> {
     // Chunks are never downgraded to `Weak`, so a strong count of one means
     // unique; `get_mut` below stays the authority either way.
-    if Arc::strong_count(chunk) > 1 {
-        let mut own = Vec::with_capacity(chunk.len() + extra);
-        own.extend_from_slice(chunk);
-        *chunk = Arc::new(own);
+    let fresh = match &**chunk {
+        Chunk::Flat(v) if Arc::strong_count(chunk) > 1 => {
+            let mut own = Vec::with_capacity(v.len() + extra);
+            own.extend_from_slice(v);
+            Some(own)
+        }
+        Chunk::Flat(_) => None,
+        Chunk::Encoded(e) => {
+            let mut own = Vec::with_capacity(e.len() + extra);
+            e.decode_into(&mut own);
+            Some(own)
+        }
+    };
+    if let Some(own) = fresh {
+        *chunk = Arc::new(Chunk::Flat(own));
     }
-    Arc::get_mut(chunk).expect("chunk is uniquely owned after un-sharing")
+    match Arc::get_mut(chunk).expect("chunk is uniquely owned after un-sharing") {
+        Chunk::Flat(v) => v,
+        Chunk::Encoded(_) => unreachable!("an encoded chunk was just decoded"),
+    }
 }
 
 /// Rows of headroom a tail chunk gets when an append has to copy it: enough
 /// that the rest of a write batch appends in place, small next to the chunk.
 const APPEND_HEADROOM: usize = 64;
 
+/// A type-erased hold on one chunk allocation: keeps it alive (so its
+/// address cannot be reused) and answers only "is this still the chunk in
+/// the slot?" — see [`Chunked::chunk_handle`].
+pub type ChunkHandle = Arc<dyn Any + Send + Sync>;
+
 /// A column payload as a sequence of `Arc`-held per-segment chunks. Every
 /// chunk but the last holds exactly [`Geometry::rows`] rows.
 #[derive(Debug, Clone)]
 pub struct Chunked<T> {
-    chunks: Vec<Arc<Vec<T>>>,
+    chunks: Vec<Arc<Chunk<T>>>,
     geo: Geometry,
     len: usize,
 }
 
-impl<T: Copy> Chunked<T> {
+impl<T: ChunkValue> Chunked<T> {
     /// An empty column in the default geometry.
     pub fn new() -> Self {
         Chunked::with_geometry(Geometry::default())
@@ -110,18 +290,18 @@ impl<T: Copy> Chunked<T> {
         Chunked { chunks: Vec::new(), geo, len: 0 }
     }
 
-    /// Cuts a flat array into `geo`-sized chunks. An array that fits one
-    /// chunk is adopted without copying.
+    /// Cuts a flat array into `geo`-sized (flat) chunks. An array that fits
+    /// one chunk is adopted without copying.
     pub fn from_vec(values: Vec<T>, geo: Geometry) -> Self {
         let len = values.len();
         let chunks = if len <= geo.rows() {
             if len == 0 {
                 Vec::new()
             } else {
-                vec![Arc::new(values)]
+                vec![Arc::new(Chunk::Flat(values))]
             }
         } else {
-            values.chunks(geo.rows()).map(|c| Arc::new(c.to_vec())).collect()
+            values.chunks(geo.rows()).map(|c| Arc::new(Chunk::Flat(c.to_vec()))).collect()
         };
         Chunked { chunks, geo, len }
     }
@@ -133,7 +313,7 @@ impl<T: Copy> Chunked<T> {
         let chunks = (0..geo.segments_for(len))
             .map(|seg| {
                 let start = seg * geo.rows();
-                Arc::new((start..(start + geo.rows()).min(len)).map(&mut f).collect())
+                Arc::new(Chunk::Flat((start..(start + geo.rows()).min(len)).map(&mut f).collect()))
             })
             .collect();
         Chunked { chunks, geo, len }
@@ -157,12 +337,21 @@ impl<T: Copy> Chunked<T> {
         self.chunks.len()
     }
 
-    /// The rows of segment `seg` as a slice — what scans bind per segment.
+    /// The rows of segment `seg` as they are resident — what scans bind per
+    /// segment.
     ///
     /// # Panics
     /// Panics if `seg` is out of range.
     #[inline]
-    pub fn chunk(&self, seg: usize) -> &[T] {
+    pub fn chunk(&self, seg: usize) -> ChunkRef<'_, T> {
+        self.chunks[seg].view()
+    }
+
+    /// The owned chunk of segment `seg` (its representation and size).
+    ///
+    /// # Panics
+    /// Panics if `seg` is out of range.
+    pub fn chunk_slot(&self, seg: usize) -> &Chunk<T> {
         &self.chunks[seg]
     }
 
@@ -175,6 +364,19 @@ impl<T: Copy> Chunked<T> {
         }
     }
 
+    /// A hold on the allocation currently in slot `seg`. While it is held
+    /// every write to the chunk installs a new allocation (the chunk is
+    /// shared), so [`Chunked::holds`] answering `true` later proves that
+    /// nothing wrote to the chunk in between.
+    pub fn chunk_handle(&self, seg: usize) -> ChunkHandle {
+        Arc::clone(&self.chunks[seg]) as ChunkHandle
+    }
+
+    /// Is `handle`'s allocation still the one in slot `seg`?
+    pub fn holds(&self, seg: usize, handle: &ChunkHandle) -> bool {
+        self.chunks.get(seg).is_some_and(|c| std::ptr::addr_eq(Arc::as_ptr(c), Arc::as_ptr(handle)))
+    }
+
     /// The value at table-wide row index `row`.
     ///
     /// # Panics
@@ -182,14 +384,14 @@ impl<T: Copy> Chunked<T> {
     #[inline]
     pub fn get(&self, row: usize) -> T {
         let (seg, off) = self.geo.locate(row);
-        self.chunks[seg][off]
+        self.chunks[seg].view().at(off)
     }
 
-    /// A reader that keeps the last chunk it touched bound — for loops
-    /// that address rows by table-wide index but mostly stay inside one
-    /// segment at a time (see [`ChunkCursor`]).
+    /// A reader that keeps the last chunk it touched bound (and decoded) —
+    /// for loops that address rows by table-wide index but mostly stay
+    /// inside one segment at a time (see [`ChunkCursor`]).
     pub fn cursor(&self) -> ChunkCursor<'_, T> {
-        ChunkCursor { col: self, start: 0, chunk: &[] }
+        ChunkCursor { col: self, start: 0, flat: Some(&[]), decoded: Vec::new() }
     }
 
     /// The value at `row`, or `None` past the end.
@@ -198,34 +400,42 @@ impl<T: Copy> Chunked<T> {
         (row < self.len).then(|| self.get(row))
     }
 
-    /// Iterates all values in row order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
-        self.chunks.iter().flat_map(|c| c.iter())
+    /// Iterates all values in row order (an encoded chunk is decoded once,
+    /// when the iteration reaches it).
+    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        self.chunks.iter().flat_map(|c| {
+            let (flat, decoded) = match c.view().decoded() {
+                Cow::Borrowed(flat) => (flat, Vec::new()),
+                Cow::Owned(decoded) => (&[][..], decoded),
+            };
+            flat.iter().copied().chain(decoded)
+        })
     }
 
     /// Copies the column into one flat array.
     pub fn to_vec(&self) -> Vec<T> {
         let mut out = Vec::with_capacity(self.len);
         for c in &self.chunks {
-            out.extend_from_slice(c);
+            c.view().decode_into(&mut out);
         }
         out
     }
 
-    /// A column of the same shape with `f` applied to every value.
-    pub fn map<U: Copy>(&self, mut f: impl FnMut(T) -> U) -> Chunked<U> {
-        Chunked {
-            chunks: self
-                .chunks
-                .iter()
-                .map(|c| Arc::new(c.iter().map(|&v| f(v)).collect()))
-                .collect(),
-            geo: self.geo,
-            len: self.len,
+    /// A column of the same shape with `f` applied to every value, built a
+    /// chunk at a time; chunks whose source was encoded are sealed again.
+    pub fn map<U: ChunkValue>(&self, mut f: impl FnMut(T) -> U) -> Chunked<U> {
+        let mut out = Chunked::with_geometry(self.geo);
+        for (seg, c) in self.chunks.iter().enumerate() {
+            out.push_chunk(c.view().decoded().iter().map(|&v| f(v)).collect());
+            if c.encoding().is_some() {
+                out.seal_chunk(seg);
+            }
         }
+        out
     }
 
-    /// Appends a value. Copies the tail chunk first if a snapshot shares it.
+    /// Appends a value. The tail chunk is made flat and exclusive first
+    /// (copied if a snapshot shares it, decoded if it was sealed partial).
     pub fn push(&mut self, value: T) {
         let rows = self.geo.rows();
         match self.chunks.last_mut() {
@@ -233,25 +443,39 @@ impl<T: Copy> Chunked<T> {
                 let headroom = APPEND_HEADROOM.min(rows - tail.len());
                 unshare(tail, headroom).push(value);
             }
-            _ => self.chunks.push(Arc::new(vec![value])),
+            _ => self.chunks.push(Arc::new(Chunk::Flat(vec![value]))),
         }
         self.len += 1;
     }
 
-    /// Appends one whole chunk (the bulk-load path: generators and the
+    /// Appends one whole flat chunk (the bulk-load path: generators and the
     /// snapshot loader hand over segment-sized arrays without copying).
     ///
     /// # Panics
     /// Panics if the current tail is partial, or the chunk is empty or
     /// longer than a segment.
     pub fn push_chunk(&mut self, chunk: Vec<T>) {
+        self.push_slot(Chunk::Flat(chunk));
+    }
+
+    /// Appends one whole chunk that is already encoded — a snapshot block
+    /// loaded straight into its slot.
+    ///
+    /// # Panics
+    /// As [`Chunked::push_chunk`].
+    pub fn push_encoded(&mut self, chunk: EncodedColumn) {
+        self.push_slot(Chunk::Encoded(chunk));
+    }
+
+    fn push_slot(&mut self, chunk: Chunk<T>) {
         assert_eq!(self.len % self.geo.rows(), 0, "cannot append a chunk after a partial tail");
         assert!(!chunk.is_empty() && chunk.len() <= self.geo.rows(), "chunk size out of range");
         self.len += chunk.len();
         self.chunks.push(Arc::new(chunk));
     }
 
-    /// Overwrites one row. Copies its chunk first if a snapshot shares it.
+    /// Overwrites one row. Its chunk is made flat and exclusive first
+    /// (copied if a snapshot shares it, decoded if it was encoded).
     ///
     /// # Panics
     /// Panics if `row` is out of range.
@@ -261,40 +485,77 @@ impl<T: Copy> Chunked<T> {
     }
 
     /// Reserves room for `additional` appends in the tail chunk (capped at
-    /// the chunk boundary; later chunks are allocated as they start).
+    /// the chunk boundary; later chunks are allocated as they start). An
+    /// encoded tail is left alone: the append that decodes it sizes it.
     pub fn reserve(&mut self, additional: usize) {
         let rows = self.geo.rows();
         if let Some(tail) = self.chunks.last_mut() {
             let room = rows - tail.len();
-            if room > 0 {
+            if room > 0 && tail.encoding().is_none() {
                 unshare(tail, 0).reserve(additional.min(room));
             }
         }
     }
 
-    /// Re-cuts the column into `geo`-sized chunks (copies every row; a
+    /// Re-cuts the column into `geo`-sized flat chunks (copies every row; a
     /// no-op when the geometry is unchanged).
     pub fn rechunk(&mut self, geo: Geometry) {
         if geo != self.geo {
             *self = Chunked::from_vec(self.to_vec(), geo);
         }
     }
+
+    /// The encoding of segment `seg`'s chunk if it is resident flat and an
+    /// encoding is strictly smaller ([`encode_values`]); the slot is not
+    /// touched.
+    pub fn encode_chunk(&self, seg: usize) -> Option<EncodedColumn> {
+        match &*self.chunks[seg] {
+            Chunk::Flat(v) => encode_values(v),
+            Chunk::Encoded(_) => None,
+        }
+    }
+
+    /// Replaces segment `seg`'s chunk by `enc` (which must decode to it).
+    ///
+    /// # Panics
+    /// Panics if the lengths differ.
+    pub fn install_encoded(&mut self, seg: usize, enc: EncodedColumn) {
+        assert_eq!(enc.len(), self.chunks[seg].len(), "encoding length mismatch");
+        self.chunks[seg] = Arc::new(Chunk::Encoded(enc));
+    }
+
+    /// Seals segment `seg`'s chunk: a flat chunk is replaced by its
+    /// encoding when that is strictly smaller. Returns whether the slot
+    /// changed representation.
+    pub fn seal_chunk(&mut self, seg: usize) -> bool {
+        self.encode_chunk(seg).map(|enc| self.install_encoded(seg, enc)).is_some()
+    }
+
+    /// Decodes every encoded chunk into a flat one (the flat oracle of the
+    /// differential tests; a write does this to the one chunk it lands in).
+    pub fn decode_all(&mut self) {
+        for chunk in &mut self.chunks {
+            if chunk.encoding().is_some() {
+                unshare(chunk, 0);
+            }
+        }
+    }
 }
 
-impl<T: Copy> Default for Chunked<T> {
+impl<T: ChunkValue> Default for Chunked<T> {
     fn default() -> Self {
         Chunked::new()
     }
 }
 
-impl<T: Copy> From<Vec<T>> for Chunked<T> {
+impl<T: ChunkValue> From<Vec<T>> for Chunked<T> {
     /// Cuts a flat array into chunks of the default geometry.
     fn from(values: Vec<T>) -> Self {
         Chunked::from_vec(values, Geometry::default())
     }
 }
 
-impl<T: Copy> FromIterator<T> for Chunked<T> {
+impl<T: ChunkValue> FromIterator<T> for Chunked<T> {
     /// Collects straight into chunks of the default geometry — no flat
     /// intermediate.
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
@@ -304,18 +565,9 @@ impl<T: Copy> FromIterator<T> for Chunked<T> {
     }
 }
 
-impl<T: Copy> std::ops::Index<usize> for Chunked<T> {
-    type Output = T;
-
-    #[inline]
-    fn index(&self, row: usize) -> &T {
-        let (seg, off) = self.geo.locate(row);
-        &self.chunks[seg][off]
-    }
-}
-
-/// Value equality (chunk boundaries are not part of a column's value).
-impl<T: Copy + PartialEq> PartialEq for Chunked<T> {
+/// Value equality (chunk boundaries and representations are not part of a
+/// column's value).
+impl<T: ChunkValue + PartialEq> PartialEq for Chunked<T> {
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len && self.iter().eq(other.iter())
     }
@@ -323,18 +575,22 @@ impl<T: Copy + PartialEq> PartialEq for Chunked<T> {
 
 /// [`Chunked::get`] with the current chunk held as a slice: a row inside the
 /// bound chunk costs a subtraction and an index, and only a row outside it
-/// goes back through the geometry. Ascending rows (a gather over a scanned
-/// table) rebind once per segment; a column that fits one segment (most
-/// dimensions) binds once.
+/// goes back through the geometry. An encoded chunk is decoded into the
+/// cursor's own buffer when it is bound, so a gather pays one decode per
+/// chunk visit instead of a lane extraction per row. Ascending rows (a
+/// gather over a scanned table) rebind once per segment; a column that fits
+/// one segment (most dimensions) binds once.
 #[derive(Debug)]
 pub struct ChunkCursor<'a, T> {
     col: &'a Chunked<T>,
     /// Table-wide index of the bound chunk's first row.
     start: usize,
-    chunk: &'a [T],
+    /// The bound chunk when it is resident flat; `None` = `decoded` holds it.
+    flat: Option<&'a [T]>,
+    decoded: Vec<T>,
 }
 
-impl<T: Copy> ChunkCursor<'_, T> {
+impl<T: ChunkValue> ChunkCursor<'_, T> {
     /// The value at table-wide row index `row`.
     ///
     /// # Panics
@@ -342,27 +598,36 @@ impl<T: Copy> ChunkCursor<'_, T> {
     #[inline]
     pub fn get(&mut self, row: usize) -> T {
         // A row before the bound chunk wraps to a huge offset and misses.
-        if let Some(&v) = self.chunk.get(row.wrapping_sub(self.start)) {
+        let bound = self.flat.unwrap_or(&self.decoded);
+        if let Some(&v) = bound.get(row.wrapping_sub(self.start)) {
             return v;
         }
         let (seg, off) = self.col.geo.locate(row);
         self.start = row - off;
-        self.chunk = self.col.chunk(seg);
-        self.chunk[off]
+        let chunk = self.col.chunk(seg);
+        self.flat = chunk.as_flat();
+        if self.flat.is_none() {
+            self.decoded.clear();
+            chunk.decode_into(&mut self.decoded);
+        }
+        self.flat.unwrap_or(&self.decoded)[off]
     }
 }
 
 /// Fills a [`Chunked`] column row by row with the cost of a plain `Vec`
 /// push: rows accumulate in an un-shared tail and move into an `Arc` only
 /// as whole chunks. The bulk-load companion of [`Chunked::push`], which
-/// must check for sharing on every call.
+/// must check for sharing on every call. A [`ChunkedBuilder::sealing`]
+/// builder seals each chunk as it completes, so a bulk load never holds
+/// more than one chunk of the column flat.
 #[derive(Debug)]
 pub struct ChunkedBuilder<T> {
     done: Chunked<T>,
     tail: Vec<T>,
+    seal: bool,
 }
 
-impl<T: Copy> ChunkedBuilder<T> {
+impl<T: ChunkValue> ChunkedBuilder<T> {
     /// A builder in the default geometry.
     pub fn new() -> Self {
         ChunkedBuilder::with_geometry(Geometry::default())
@@ -370,7 +635,14 @@ impl<T: Copy> ChunkedBuilder<T> {
 
     /// A builder cutting `geo`-sized chunks.
     pub fn with_geometry(geo: Geometry) -> Self {
-        ChunkedBuilder { done: Chunked::with_geometry(geo), tail: Vec::new() }
+        ChunkedBuilder { done: Chunked::with_geometry(geo), tail: Vec::new(), seal: false }
+    }
+
+    /// Seal every chunk the moment it completes (the trailing partial chunk
+    /// stays flat: it is the one appends go to).
+    pub fn sealing(mut self) -> Self {
+        self.seal = true;
+        self
     }
 
     /// Rows pushed so far.
@@ -383,13 +655,36 @@ impl<T: Copy> ChunkedBuilder<T> {
         self.len() == 0
     }
 
+    /// Moves the full tail into the column: encoded straight from the
+    /// builder's buffer (which is then reused) when sealing finds a smaller
+    /// form, handed over as a flat chunk otherwise.
+    fn complete_chunk(&mut self) {
+        match self.seal.then(|| encode_values(&self.tail)).flatten() {
+            Some(enc) => {
+                self.done.push_encoded(enc);
+                self.tail.clear();
+            }
+            None => self.done.push_chunk(std::mem::take(&mut self.tail)),
+        }
+    }
+
     /// Appends a value.
     #[inline]
     pub fn push(&mut self, value: T) {
         self.tail.push(value);
         if self.tail.len() == self.done.geo.rows() {
-            self.done.push_chunk(std::mem::take(&mut self.tail));
+            self.complete_chunk();
         }
+    }
+
+    /// Appends one whole chunk that is already encoded (see
+    /// [`Chunked::push_encoded`]).
+    ///
+    /// # Panics
+    /// Panics unless the rows pushed so far end on a chunk boundary.
+    pub fn push_encoded(&mut self, chunk: EncodedColumn) {
+        assert!(self.tail.is_empty(), "cannot append a chunk after a partial tail");
+        self.done.push_encoded(chunk);
     }
 
     /// Appends values, a chunk's worth per `Vec::extend` so sized iterators
@@ -402,7 +697,7 @@ impl<T: Copy> ChunkedBuilder<T> {
             if self.tail.len() < rows {
                 return;
             }
-            self.done.push_chunk(std::mem::take(&mut self.tail));
+            self.complete_chunk();
         }
     }
 
@@ -416,7 +711,7 @@ impl<T: Copy> ChunkedBuilder<T> {
     }
 }
 
-impl<T: Copy> Default for ChunkedBuilder<T> {
+impl<T: ChunkValue> Default for ChunkedBuilder<T> {
     fn default() -> Self {
         ChunkedBuilder::new()
     }
@@ -466,13 +761,12 @@ mod tests {
         }
         assert_eq!(c.len(), 10);
         assert_eq!(c.chunk_count(), 3);
-        assert_eq!(c.chunk(1), &[40, 50, 60, 70]);
-        assert_eq!(c.chunk(2), &[80, 90]);
+        assert_eq!(c.chunk(1).as_flat(), Some(&[40, 50, 60, 70][..]));
+        assert_eq!(c.chunk(2).as_flat(), Some(&[80, 90][..]));
         assert_eq!(c.get(5), 50);
-        assert_eq!(c[9], 90);
         assert_eq!(c.get_checked(10), None);
         assert_eq!(c.to_vec(), (0..10).map(|i| i * 10).collect::<Vec<_>>());
-        assert_eq!(c.iter().copied().sum::<i32>(), 450);
+        assert_eq!(c.iter().sum::<i32>(), 450);
         assert_eq!(c.map(i64::from).get(3), 30i64);
     }
 
@@ -496,7 +790,7 @@ mod tests {
         live.push(11); // fills chunk 2
         live.push(12); // opens chunk 3: nothing shared to copy
         assert_eq!(live.chunk_count(), 4);
-        assert_eq!(live.chunk(3), &[12]);
+        assert_eq!(live.chunk(3).as_flat(), Some(&[12][..]));
     }
 
     #[test]
@@ -505,7 +799,7 @@ mod tests {
         assert_eq!(one.chunk_count(), 1);
         let many = Chunked::from_vec((0..20).collect::<Vec<i32>>(), Geometry::new(8));
         assert_eq!(many.chunk_count(), 3);
-        assert_eq!(many.chunk(2), &[16, 17, 18, 19]);
+        assert_eq!(many.chunk(2).as_flat(), Some(&[16, 17, 18, 19][..]));
         assert_eq!(Chunked::<i32>::from_vec(vec![], Geometry::new(8)).chunk_count(), 0);
     }
 
@@ -538,6 +832,109 @@ mod tests {
         assert_eq!(collected.to_vec(), p.to_vec());
         assert_eq!(Chunked::from_fn(9, |i| i as u32).to_vec(), p.to_vec());
         assert_eq!(Chunked::from_fn(0, |i| i as u32).chunk_count(), 0);
+    }
+
+    /// A column of small values in 8-row chunks, sealed: two encoded chunks
+    /// and a partial (still encodable) tail.
+    fn sealed() -> Chunked<i32> {
+        let mut c = Chunked::from_vec((0..20).map(|i| 100 + i % 3).collect(), Geometry::new(8));
+        for seg in 0..3 {
+            assert!(c.seal_chunk(seg), "chunk {seg} has a smaller encoding");
+        }
+        assert!(!c.seal_chunk(0), "sealing an encoded chunk changes nothing");
+        c
+    }
+
+    #[test]
+    fn a_slot_holds_one_representation_and_flips_on_seal_and_write() {
+        let flat: Vec<i32> = (0..20).map(|i| 100 + i % 3).collect();
+        let mut c = sealed();
+        assert!((0..3).all(|seg| c.chunk(seg).as_flat().is_none()));
+        assert!(c.chunk_slot(1).bytes() < 8 * 4, "the encoding replaced the array");
+        // Every reader sees the same values through the encoded form.
+        assert_eq!(c.to_vec(), flat);
+        assert_eq!(c.iter().collect::<Vec<_>>(), flat);
+        assert_eq!((0..20).map(|r| c.get(r)).collect::<Vec<_>>(), flat);
+        assert_eq!(c.chunk(2).len(), 4);
+        assert_eq!(c.chunk(1).at(3), flat[11]);
+        assert_eq!(&*c.chunk(1).decoded(), &flat[8..16]);
+        assert_eq!(c, Chunked::from_vec(flat.clone(), Geometry::new(5)), "equality sees values");
+
+        // A write decodes the one chunk it lands in, shared or not.
+        let snap = c.clone();
+        c.set(9, -7);
+        assert_eq!(c.chunk(1).as_flat().map(|v| v[1]), Some(-7));
+        assert!(c.chunk(0).as_flat().is_none() && c.chunk(2).as_flat().is_none());
+        assert!(!c.shares_chunk(&snap, 1) && c.shares_chunk(&snap, 0));
+        assert_eq!(snap.get(9), flat[9], "the snapshot keeps its encoded chunk");
+        // An append decodes the sealed partial tail and fills it flat.
+        c.push(5);
+        assert_eq!(c.chunk(2).as_flat(), Some(&[flat[16], flat[17], flat[18], flat[19], 5][..]));
+        // Re-sealing puts both back.
+        assert!(c.seal_chunk(1) && c.seal_chunk(2));
+        assert_eq!(c.get(9), -7);
+        // decode_all leaves no encoded chunk; map keeps the representation.
+        let doubled = c.map(|v| i64::from(v) * 2);
+        assert!(doubled.chunk(0).as_flat().is_none());
+        assert_eq!(doubled.get(9), -14);
+        c.decode_all();
+        assert!((0..3).all(|seg| c.chunk(seg).as_flat().is_some()));
+        assert_eq!(c.get(20), 5);
+    }
+
+    #[test]
+    fn a_handle_tells_whether_the_chunk_was_written() {
+        let mut c = sealed();
+        c.set(0, 100); // chunk 0 flat and uniquely owned: writes go in place
+        let (h0, h1) = (c.chunk_handle(0), c.chunk_handle(1));
+        assert!(c.holds(0, &h0) && c.holds(1, &h1) && !c.holds(1, &h0));
+        // While a handle is held even an in-place-able write replaces the
+        // chunk, so the handle notices; an untouched chunk still matches.
+        c.set(1, 101);
+        assert!(!c.holds(0, &h0), "the held chunk was written");
+        assert!(c.holds(1, &h1));
+        let enc = c.encode_chunk(0).expect("flat and encodable");
+        c.install_encoded(0, enc);
+        assert_eq!(c.get(1), 101);
+        assert!(c.encode_chunk(0).is_none(), "nothing to encode in an encoded chunk");
+        assert!(!c.holds(9, &h1), "out of range is just `false`");
+    }
+
+    #[test]
+    fn cursor_decodes_an_encoded_chunk_once_per_visit() {
+        let c = sealed();
+        let mut cur = c.cursor();
+        for row in (0..20).chain((0..20).rev()).chain([7, 7, 19, 0, 11]) {
+            assert_eq!(cur.get(row), c.get(row), "row {row}");
+        }
+        // Mixed representations under one cursor.
+        let mut mixed = sealed();
+        mixed.set(10, 1);
+        let mut cur = mixed.cursor();
+        assert_eq!((0..20).map(|r| cur.get(r)).collect::<Vec<_>>(), mixed.to_vec());
+    }
+
+    #[test]
+    fn a_sealing_builder_encodes_each_chunk_as_it_completes() {
+        let mut b = ChunkedBuilder::with_geometry(Geometry::new(8)).sealing();
+        b.extend((0..20).map(|i| 100 + i % 3));
+        let c = b.finish();
+        assert!(c.chunk(0).as_flat().is_none() && c.chunk(1).as_flat().is_none());
+        assert!(c.chunk(2).as_flat().is_some(), "the trailing partial chunk stays flat");
+        assert_eq!(c, sealed());
+        // A chunk with no smaller encoding is handed over flat; floats never
+        // encode.
+        let mut wide = ChunkedBuilder::with_geometry(Geometry::new(2)).sealing();
+        wide.extend([0i64, i64::MAX, 0, i64::MAX]);
+        assert!(wide.finish().chunk(0).as_flat().is_some());
+        let mut floats = ChunkedBuilder::with_geometry(Geometry::new(4)).sealing();
+        floats.extend([1.5f64; 8]);
+        assert!(floats.finish().chunk(1).as_flat().is_some());
+        // An already-encoded chunk can be appended on a chunk boundary.
+        let mut b = ChunkedBuilder::with_geometry(Geometry::new(8));
+        b.extend(0..8);
+        b.push_encoded(encode_values(&[3i32; 8]).unwrap());
+        assert_eq!(b.finish().get(12), 3);
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //! A table is an *array family*: a set of equal-length arrays, one per
 //! column (paper §2). [`Column`] is the sum of the physical array kinds.
 //! Every payload is a [`Chunked`] sequence of per-segment chunks (the unit
-//! of copy-on-write ownership, see [`crate::chunks`]): hot paths downcast to
-//! the typed payload ([`Column::as_i32`] etc.) and bind one segment's chunk
-//! as a plain slice, so scans compile to tight loops over contiguous
-//! memory, while generic code uses [`Column::get`].
+//! of copy-on-write ownership and of representation, see
+//! [`crate::chunks`]): hot paths downcast to the typed payload
+//! ([`Column::as_i32`] etc.) and bind one segment's chunk as it is resident
+//! — a plain slice, packed words or runs — while generic code uses
+//! [`Column::get`].
 
-use crate::chunks::{Chunked, Geometry};
+use crate::chunks::{ChunkHandle, Chunked, Geometry};
 use crate::dictionary::DictColumn;
+use crate::encoded::{ChunkValue, EncodedColumn};
 use crate::strings::StrColumn;
 use crate::types::{DataType, Key, Value};
 
@@ -33,6 +35,44 @@ pub enum Column {
         /// The reference array.
         keys: Chunked<Key>,
     },
+}
+
+/// Runs `$body` with `$v` bound to the column's chunked payload, whatever
+/// its element type (string columns: the slot array; dictionary columns:
+/// the code array).
+macro_rules! payload {
+    ($col:expr, $v:ident => $body:expr) => {
+        match $col {
+            Column::I32($v) => $body,
+            Column::I64($v) => $body,
+            Column::F64($v) => $body,
+            Column::Str(c) => {
+                let $v = c.slots();
+                $body
+            }
+            Column::Dict(c) => {
+                let $v = c.codes();
+                $body
+            }
+            Column::Key { keys: $v, .. } => $body,
+        }
+    };
+    (mut $col:expr, $v:ident => $body:expr) => {
+        match $col {
+            Column::I32($v) => $body,
+            Column::I64($v) => $body,
+            Column::F64($v) => $body,
+            Column::Str(c) => {
+                let $v = c.slots_mut();
+                $body
+            }
+            Column::Dict(c) => {
+                let $v = c.codes_mut();
+                $body
+            }
+            Column::Key { keys: $v, .. } => $body,
+        }
+    };
 }
 
 impl Column {
@@ -67,6 +107,54 @@ impl Column {
             Column::Dict(c) => c.rechunk(geo),
             Column::Key { keys, .. } => keys.rechunk(geo),
         }
+    }
+
+    /// The encoding of segment `seg`'s chunk, if it is resident encoded.
+    pub fn chunk_encoding(&self, seg: usize) -> Option<&EncodedColumn> {
+        payload!(self, v => v.chunk_slot(seg).encoding())
+    }
+
+    /// Resident heap bytes of segment `seg`'s chunk, and the bytes it would
+    /// take flat (string heap payloads excluded from both).
+    pub fn chunk_bytes(&self, seg: usize) -> (usize, usize) {
+        payload!(self, v => {
+            let chunk = v.chunk_slot(seg);
+            (chunk.bytes(), chunk.raw_bytes())
+        })
+    }
+
+    /// A smaller encoding of segment `seg`'s chunk, if the chunk is
+    /// resident flat and has one (see [`Chunked::encode_chunk`]).
+    pub fn encode_chunk(&self, seg: usize) -> Option<EncodedColumn> {
+        payload!(self, v => v.encode_chunk(seg))
+    }
+
+    /// Seals segment `seg`'s chunk (see [`Chunked::seal_chunk`]); returns
+    /// whether it changed representation.
+    pub fn seal_chunk(&mut self, seg: usize) -> bool {
+        payload!(mut self, v => v.seal_chunk(seg))
+    }
+
+    /// Replaces segment `seg`'s chunk by `enc` (see
+    /// [`Chunked::install_encoded`]).
+    pub fn install_chunk(&mut self, seg: usize, enc: EncodedColumn) {
+        payload!(mut self, v => v.install_encoded(seg, enc))
+    }
+
+    /// Decodes every encoded chunk (see [`Chunked::decode_all`]).
+    pub fn decode_all(&mut self) {
+        payload!(mut self, v => v.decode_all())
+    }
+
+    /// A hold on segment `seg`'s chunk allocation (see
+    /// [`Chunked::chunk_handle`]).
+    pub fn chunk_handle(&self, seg: usize) -> ChunkHandle {
+        payload!(self, v => v.chunk_handle(seg))
+    }
+
+    /// Is `handle`'s allocation still segment `seg`'s chunk?
+    pub fn holds_chunk(&self, seg: usize, handle: &ChunkHandle) -> bool {
+        payload!(self, v => v.holds(seg, handle))
     }
 
     /// Do `self` and `other` hold the same payload allocation for segment
@@ -150,8 +238,37 @@ impl Column {
         }
     }
 
-    /// Generic in-place overwrite of one row (copies the row's chunk first
-    /// if a snapshot shares it).
+    /// Appends `src[r]` for every `r` of `rows`, reading `src` through
+    /// chunk cursors (an encoded chunk is decoded once per visit, not once
+    /// per row). String and dictionary values are re-interned into `self`.
+    ///
+    /// # Panics
+    /// Panics if the two columns are of different kinds.
+    pub fn extend_from_rows(&mut self, src: &Column, rows: &[usize]) {
+        fn copy<T: ChunkValue>(dst: &mut Chunked<T>, src: &Chunked<T>, rows: &[usize]) {
+            let mut src = src.cursor();
+            rows.iter().for_each(|&r| dst.push(src.get(r)));
+        }
+        match (self, src) {
+            (Column::I32(d), Column::I32(s)) => copy(d, s, rows),
+            (Column::I64(d), Column::I64(s)) => copy(d, s, rows),
+            (Column::F64(d), Column::F64(s)) => copy(d, s, rows),
+            (Column::Key { keys: d, .. }, Column::Key { keys: s, .. }) => copy(d, s, rows),
+            (Column::Dict(d), Column::Dict(s)) => {
+                let mut codes = s.codes().cursor();
+                rows.iter().for_each(|&r| d.push(s.dict().decode(codes.get(r))));
+            }
+            (Column::Str(d), Column::Str(s)) => rows.iter().for_each(|&r| {
+                d.push(s.get(r));
+            }),
+            (dst, src) => {
+                panic!("type mismatch: {} rows into a {} column", src.dtype(), dst.dtype())
+            }
+        }
+    }
+
+    /// Generic in-place overwrite of one row (its chunk is decoded first if
+    /// it is encoded, copied first if a snapshot shares it).
     pub fn set(&mut self, row: usize, value: &Value) {
         match (self, value) {
             (Column::I32(v), Value::Int(x)) => {

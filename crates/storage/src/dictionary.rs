@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::bitmap::Bitmap;
-use crate::chunks::{Chunked, Geometry};
+use crate::chunks::{Chunk, Chunked, Geometry};
 use crate::types::{Key, NULL_KEY};
 
 /// An order-preserving string dictionary.
@@ -157,8 +157,13 @@ impl DictColumn {
     /// Panics if any code is out of the dictionary's range.
     pub fn from_parts(codes: impl Into<Chunked<Key>>, dict: impl Into<Arc<Dictionary>>) -> Self {
         let (codes, dict) = (codes.into(), dict.into());
-        let n = dict.len() as Key;
-        assert!(codes.iter().all(|&c| c < n), "code out of dictionary range");
+        // An encoded chunk answers from its bounds; a flat one is scanned.
+        let n = dict.len();
+        let in_range = (0..codes.chunk_count()).all(|seg| match codes.chunk_slot(seg) {
+            Chunk::Flat(v) => v.iter().all(|&c| (c as usize) < n),
+            Chunk::Encoded(e) => e.value_bounds().is_none_or(|(lo, hi)| lo >= 0 && hi < n as i64),
+        });
+        assert!(in_range, "code out of dictionary range");
         DictColumn { codes, dict }
     }
 
@@ -178,6 +183,10 @@ impl DictColumn {
     #[inline]
     pub fn codes(&self) -> &Chunked<Key> {
         &self.codes
+    }
+
+    pub(crate) fn codes_mut(&mut self) -> &mut Chunked<Key> {
+        &mut self.codes
     }
 
     /// The dictionary (the "reference table").
@@ -232,7 +241,7 @@ impl DictColumn {
 
     /// Iterates decoded values in row order.
     pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
-        self.codes.iter().map(move |&c| self.dict.decode(c))
+        self.codes.iter().map(move |c| self.dict.decode(c))
     }
 }
 

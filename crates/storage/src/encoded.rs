@@ -14,11 +14,13 @@
 //!   arrival-order date columns of the SSB generator, constant columns),
 //!   where a range predicate accepts or rejects an entire run at a time.
 //!
-//! Encodings are chosen per column per segment at *seal* time, only when
-//! strictly smaller than the raw array, and cover **all** slots of the
-//! segment (dead ones included) so decoding reproduces the raw arrays
+//! An encoding is chosen per column chunk ([`encode_values`]), only when
+//! strictly smaller than the raw chunk, and covers **all** slots of the
+//! segment (dead ones included) so decoding reproduces the raw chunk
 //! byte-for-byte: liveness stays in the table's delete vector, exactly as
-//! for flat segments.
+//! for flat chunks. The encoding then *replaces* the flat chunk in its
+//! column slot ([`crate::chunks::Chunk`]): a (column, segment) is resident
+//! in exactly one form, and every reader takes whichever it finds.
 //!
 //! ## The logical value domain
 //!
@@ -31,8 +33,84 @@
 //! treat NULL like any other value. No special NULL path, no semantic
 //! drift from the flat evaluator.
 
-use crate::column::Column;
-use crate::types::NULL_KEY;
+use crate::strings::StrRef;
+use crate::types::{Key, NULL_KEY};
+
+/// A fixed-width value a column chunk holds, and its image in the logical
+/// `i64` domain the encodings store (see the module docs). Floats and
+/// string references are chunk values too, but never encoding candidates.
+pub trait ChunkValue: Copy + std::fmt::Debug + Send + Sync + 'static {
+    /// Are chunks of this type encoding candidates?
+    const ENCODABLE: bool;
+    /// The logical value that stands for a NULL reference, for types that
+    /// have one (keys).
+    const NULL: Option<i64> = None;
+
+    /// The value in the logical `i64` domain.
+    ///
+    /// # Panics
+    /// Panics for types that are not [`ChunkValue::ENCODABLE`].
+    fn to_logical(self) -> i64;
+
+    /// The value a logical `i64` stands for (the inverse of
+    /// [`ChunkValue::to_logical`]; out-of-domain input truncates).
+    fn from_logical(v: i64) -> Self;
+}
+
+impl ChunkValue for i32 {
+    const ENCODABLE: bool = true;
+    #[inline]
+    fn to_logical(self) -> i64 {
+        i64::from(self)
+    }
+    #[inline]
+    fn from_logical(v: i64) -> i32 {
+        v as i32
+    }
+}
+
+impl ChunkValue for i64 {
+    const ENCODABLE: bool = true;
+    #[inline]
+    fn to_logical(self) -> i64 {
+        self
+    }
+    #[inline]
+    fn from_logical(v: i64) -> i64 {
+        v
+    }
+}
+
+/// AIR keys and dictionary codes. `NULL_KEY` only ever occurs in key
+/// columns (a dictionary code is an index into its dictionary), so giving
+/// the type one NULL treatment changes nothing for code chunks.
+impl ChunkValue for Key {
+    const ENCODABLE: bool = true;
+    const NULL: Option<i64> = Some(NULL_KEY as i64);
+    #[inline]
+    fn to_logical(self) -> i64 {
+        i64::from(self)
+    }
+    #[inline]
+    fn from_logical(v: i64) -> Key {
+        v as Key
+    }
+}
+
+macro_rules! never_encoded {
+    ($($t:ty),*) => {$(
+        impl ChunkValue for $t {
+            const ENCODABLE: bool = false;
+            fn to_logical(self) -> i64 {
+                unreachable!(concat!(stringify!($t), " chunks are never encoded"))
+            }
+            fn from_logical(_: i64) -> $t {
+                unreachable!(concat!(stringify!($t), " chunks are never encoded"))
+            }
+        }
+    )*};
+}
+never_encoded!(f64, StrRef);
 
 /// Widest lane the packer emits (data bits + guard bit). Capping at 32
 /// guarantees at least two lanes per word, so the SWAR path always beats
@@ -51,6 +129,13 @@ pub const MAX_PACK_WIDTH: u8 = 32;
 pub struct PackedInts {
     base: i64,
     width: u8,
+    /// `64 / width`, kept so that no row access divides.
+    lanes: u8,
+    /// `⌈2^64 / lanes⌉`: the high half of `i × lane_recip` is `i / lanes`
+    /// exactly for every `i < 2^32` and `2 <= lanes <= 32` (the error term
+    /// `i × (lane_recip − 2^64/lanes) / 2^64` stays below `2^-32 <
+    /// 1/lanes`), so locating a row's word is one widening multiply.
+    lane_recip: u64,
     len: u32,
     max_code: u64,
     null_code: Option<u64>,
@@ -58,23 +143,49 @@ pub struct PackedInts {
 }
 
 impl PackedInts {
-    /// Packs `vals` relative to `base`. `null_code`, when present, is the
-    /// largest stored code and stands for [`NULL_KEY`]; real values then
-    /// occupy codes `0..null_code`. Returns `None` if the required width
-    /// exceeds [`MAX_PACK_WIDTH`].
-    fn build(vals: &[i64], base: i64, max_code: u64, null_code: Option<u64>) -> Option<PackedInts> {
+    /// Packs `vals` (logical values) relative to `base`. `null_code`, when
+    /// present, is the largest stored code and stands for [`NULL_KEY`]; real
+    /// values then occupy codes `0..null_code`. Returns `None` if the
+    /// required width exceeds [`MAX_PACK_WIDTH`].
+    fn build(
+        vals: impl ExactSizeIterator<Item = i64>,
+        base: i64,
+        max_code: u64,
+        null_code: Option<u64>,
+    ) -> Option<PackedInts> {
         let width = Self::width_for(max_code)?;
         let lanes = (64 / width) as usize;
-        let mut words = vec![0u64; vals.len().div_ceil(lanes)];
-        for (i, &v) in vals.iter().enumerate() {
+        let len = vals.len();
+        let mut words = vec![0u64; len.div_ceil(lanes)];
+        let (mut word, mut shift) = (0usize, 0usize);
+        for v in vals {
             let code = match null_code {
                 Some(nc) if v == NULL_KEY as i64 => nc,
                 _ => v.wrapping_sub(base) as u64,
             };
             debug_assert!(code <= max_code);
-            words[i / lanes] |= code << ((i % lanes) * width as usize);
+            words[word] |= code << shift;
+            shift += width as usize;
+            if shift + width as usize > 64 {
+                (word, shift) = (word + 1, 0);
+            }
         }
-        Some(PackedInts { base, width, len: vals.len() as u32, max_code, null_code, words })
+        Some(PackedInts::assemble(base, width, len as u32, max_code, null_code, words))
+    }
+
+    /// The struct for already-validated parts, with the layout constants
+    /// derived from `width`.
+    fn assemble(
+        base: i64,
+        width: u8,
+        len: u32,
+        max_code: u64,
+        null_code: Option<u64>,
+        words: Vec<u64>,
+    ) -> PackedInts {
+        let lanes = 64 / width;
+        let lane_recip = u64::MAX / u64::from(lanes) + 1;
+        PackedInts { base, width, lanes, lane_recip, len, max_code, null_code, words }
     }
 
     /// Reassembles a [`PackedInts`] from serialized parts (the snapshot
@@ -98,31 +209,27 @@ impl PackedInts {
         if words.len() != (len as usize).div_ceil(lanes) {
             return None;
         }
-        let mask = (1u64 << width) - 1;
-        for (wi, &w) in words.iter().enumerate() {
-            let used_bits = lanes * width as usize;
-            if used_bits < 64 && w >> used_bits != 0 {
-                return None; // residue bits above the last lane
-            }
-            for lane in 0..lanes {
-                let code = (w >> (lane * width as usize)) & mask;
-                if wi * lanes + lane < len as usize {
-                    if code > max_code {
-                        return None;
-                    }
-                } else if code != 0 {
-                    return None; // tail lanes past `len` must stay zero
-                }
-            }
+        // Whole words at a time (this runs over every block of every boot):
+        // with all guard bits clear every code is below `half`, and adding
+        // `half − 1 − max_code` to each lane then sets a guard bit exactly
+        // where a code exceeds `max_code` — no carry leaves a lane.
+        let (width, half) = (width as usize, 1u64 << (width - 1));
+        let replicate = |v: u64| (0..lanes).fold(0u64, |acc, lane| acc | v << (lane * width));
+        let (guard, over) = (replicate(half), replicate(half - 1 - max_code));
+        let used_bits = lanes * width;
+        let well_formed = words.iter().all(|&w| {
+            (used_bits == 64 || w >> used_bits == 0) // no residue above the last lane
+                && w & guard == 0
+                && w.wrapping_add(over) & guard == 0
+        });
+        // Tail lanes past `len` must stay zero.
+        let tail = len as usize % lanes;
+        let tail_clear = tail == 0 || words.last().is_none_or(|&w| w >> (tail * width) == 0);
+        if !(well_formed && tail_clear) {
+            return None;
         }
-        Some(PackedInts {
-            base,
-            width,
-            len,
-            max_code,
-            null_code: has_null.then_some(max_code),
-            words,
-        })
+        let width = width as u8;
+        Some(PackedInts::assemble(base, width, len, max_code, has_null.then_some(max_code), words))
     }
 
     /// Lane width (guard bit included) needed for codes up to `max_code`,
@@ -186,25 +293,57 @@ impl PackedInts {
     /// Lanes per word.
     #[inline]
     pub fn lanes(&self) -> usize {
-        (64 / self.width) as usize
+        self.lanes as usize
     }
 
-    /// The stored code at row `i`.
+    /// The stored code at row `i` (division-free, see `lane_recip`).
     #[inline]
     pub fn code_at(&self, i: usize) -> u64 {
         debug_assert!(i < self.len as usize);
         let lanes = self.lanes();
+        let word = ((i as u128 * u128::from(self.lane_recip)) >> 64) as usize;
         let mask = (1u64 << self.width) - 1;
-        (self.words[i / lanes] >> ((i % lanes) * self.width as usize)) & mask
+        (self.words[word] >> ((i - word * lanes) * self.width as usize)) & mask
+    }
+
+    /// The logical value a stored code stands for.
+    #[inline]
+    pub fn value_of(&self, code: u64) -> i64 {
+        match self.null_code {
+            Some(nc) if code == nc => NULL_KEY as i64,
+            _ => self.base.wrapping_add(code as i64),
+        }
     }
 
     /// The logical value at row `i` (NULL keys read back as [`NULL_KEY`]).
     #[inline]
     pub fn value_at(&self, i: usize) -> i64 {
-        let code = self.code_at(i);
+        self.value_of(self.code_at(i))
+    }
+
+    /// The smallest and largest logical value a row can decode to (the
+    /// loader's domain check: every stored code is `<= max_code`).
+    pub fn value_bounds(&self) -> (i64, i64) {
         match self.null_code {
-            Some(nc) if code == nc => NULL_KEY as i64,
-            _ => self.base.wrapping_add(code as i64),
+            Some(0) => (NULL_KEY as i64, NULL_KEY as i64),
+            Some(nc) => (self.base, self.value_of(nc - 1).max(NULL_KEY as i64)),
+            None => (self.base, self.value_of(self.max_code)),
+        }
+    }
+
+    /// Appends every row's value to `out`, unpacking a word at a time.
+    pub fn decode_into<T: ChunkValue>(&self, out: &mut Vec<T>) {
+        let (width, lanes) = (self.width as usize, self.lanes());
+        let mask = (1u64 << width) - 1;
+        let mut left = self.len();
+        out.reserve(left);
+        for &word in &self.words {
+            let mut word = word;
+            for _ in 0..lanes.min(left) {
+                out.push(T::from_logical(self.value_of(word & mask)));
+                word >>= width;
+            }
+            left = left.saturating_sub(lanes);
         }
     }
 
@@ -262,15 +401,17 @@ pub struct RleInts {
 }
 
 impl RleInts {
-    fn build(vals: &[i64]) -> RleInts {
+    fn build(vals: impl Iterator<Item = i64>) -> RleInts {
         let mut values = Vec::new();
-        let mut ends = Vec::new();
-        for (i, &v) in vals.iter().enumerate() {
-            if values.last() != Some(&v) {
-                values.push(v);
-                ends.push(0);
+        let mut ends: Vec<u32> = Vec::new();
+        for v in vals {
+            match ends.last_mut() {
+                Some(end) if values.last() == Some(&v) => *end += 1,
+                _ => {
+                    values.push(v);
+                    ends.push(ends.last().map_or(1, |e| e + 1));
+                }
             }
-            *ends.last_mut().unwrap() = (i + 1) as u32;
         }
         RleInts { values, ends }
     }
@@ -334,6 +475,36 @@ impl RleInts {
         self.values[run]
     }
 
+    /// Appends every row's value to `out`, a run at a time.
+    pub fn decode_into<T: ChunkValue>(&self, out: &mut Vec<T>) {
+        out.reserve(self.len());
+        let mut start = 0u32;
+        for (&v, &end) in self.values.iter().zip(&self.ends) {
+            out.extend(std::iter::repeat_n(T::from_logical(v), (end - start) as usize));
+            start = end;
+        }
+    }
+
+    /// Calls `f(run value, row range)` for every run overlapping `rows`
+    /// (clipped to it), ascending — how the scan kernels reach one verdict
+    /// per run.
+    pub fn runs_in(
+        &self,
+        rows: std::ops::Range<usize>,
+        mut f: impl FnMut(i64, std::ops::Range<usize>),
+    ) {
+        let first = self.ends.partition_point(|&e| e as usize <= rows.start);
+        let mut start = rows.start;
+        for (&v, &end) in self.values[first..].iter().zip(&self.ends[first..]) {
+            if start >= rows.end {
+                break;
+            }
+            let end = (end as usize).min(rows.end);
+            f(v, start..end);
+            start = end;
+        }
+    }
+
     /// Heap bytes held by the run representation.
     pub fn bytes(&self) -> usize {
         self.values.len() * 8 + self.ends.len() * 4
@@ -380,6 +551,29 @@ impl EncodedColumn {
         }
     }
 
+    /// Appends every row's value to `out` — the decode a write into an
+    /// encoded chunk pays, and the decode-once view of row-at-a-time
+    /// readers ([`crate::chunks::ChunkRef::decoded`]).
+    pub fn decode_into<T: ChunkValue>(&self, out: &mut Vec<T>) {
+        match self {
+            EncodedColumn::Packed(p) => p.decode_into(out),
+            EncodedColumn::Rle(r) => r.decode_into(out),
+        }
+    }
+
+    /// Bounds on the logical values the rows decode to, `None` when empty:
+    /// what the snapshot loader checks against the column's domain instead
+    /// of decoding every row.
+    pub fn value_bounds(&self) -> Option<(i64, i64)> {
+        match self {
+            EncodedColumn::Packed(p) => (!p.is_empty()).then(|| p.value_bounds()),
+            EncodedColumn::Rle(r) => {
+                let min = r.values().iter().min()?;
+                Some((*min, *r.values().iter().max()?))
+            }
+        }
+    }
+
     /// Calls `f(row)` for every encoded row (relative to the segment start)
     /// whose logical value falls in `[lo, hi]`. Rows are visited ascending.
     /// This is the portable reference path; the scan layer ships wider
@@ -397,81 +591,21 @@ impl EncodedColumn {
                     }
                 }
             }
-            EncodedColumn::Rle(r) => {
-                let mut start = 0u32;
-                for (k, &v) in r.values.iter().enumerate() {
-                    let end = r.ends[k];
-                    if lo <= v && v <= hi {
-                        for i in start..end {
-                            f(i);
-                        }
-                    }
-                    start = end;
+            EncodedColumn::Rle(r) => r.runs_in(0..r.len(), |v, run| {
+                if lo <= v && v <= hi {
+                    run.for_each(|i| f(i as u32));
                 }
-            }
+            }),
         }
     }
 }
 
-/// The encoded form of one sealed segment: one optional [`EncodedColumn`]
-/// per schema column (`None` = the column stays raw — floats, strings, or
-/// no encoding beat the raw array).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SegmentEncoding {
-    /// Per-column encodings, in schema order.
-    pub cols: Vec<Option<EncodedColumn>>,
-}
-
-impl SegmentEncoding {
-    /// Total heap bytes across the encoded columns.
-    pub fn bytes(&self) -> usize {
-        self.cols.iter().flatten().map(EncodedColumn::bytes).sum()
-    }
-
-    /// Number of columns that carry an encoding.
-    pub fn encoded_cols(&self) -> usize {
-        self.cols.iter().flatten().count()
-    }
-
-    /// Rows this encoding covers, or `None` if no column is encoded (a
-    /// raw-canonical seal covers nothing — scans read the flat arrays).
-    /// All encoded columns of one segment cover the same row count, so the
-    /// first one answers for all.
-    pub fn covered_rows(&self) -> Option<usize> {
-        self.cols.iter().flatten().next().map(EncodedColumn::len)
-    }
-}
-
-/// Raw in-memory bytes of one row of `col` (heap payload of strings is
-/// excluded — string columns are never encoding candidates anyway).
-pub fn raw_row_bytes(col: &Column) -> usize {
-    match col {
-        Column::I32(_) | Column::Key { .. } | Column::Dict(_) => 4,
-        Column::I64(_) | Column::F64(_) => 8,
-        Column::Str(_) => 8,
-    }
-}
-
-/// Reads `col`'s chunk of segment `seg` into the logical `i64` domain, or
-/// `None` for columns that have none (floats, strings).
-fn gather(col: &Column, seg: usize) -> Option<Vec<i64>> {
-    match col {
-        Column::I32(v) => Some(v.chunk(seg).iter().map(|&x| i64::from(x)).collect()),
-        Column::I64(v) => Some(v.chunk(seg).to_vec()),
-        Column::Key { keys, .. } => Some(keys.chunk(seg).iter().map(|&k| i64::from(k)).collect()),
-        Column::Dict(d) => Some(d.codes().chunk(seg).iter().map(|&c| i64::from(c)).collect()),
-        Column::F64(_) | Column::Str(_) => None,
-    }
-}
-
-/// Chooses and builds the encoding of one column over segment `seg` —
-/// straight from the segment's chunk — or `None` if no encoding is strictly
-/// smaller than the raw chunk. All slots of the segment are encoded, live
-/// or dead, so a decode reproduces the raw chunk exactly.
-pub fn encode_column(col: &Column, seg: usize) -> Option<EncodedColumn> {
-    let is_key = matches!(col, Column::Key { .. });
-    let vals = gather(col, seg)?;
-    if vals.is_empty() {
+/// Chooses and builds the encoding of one chunk of values, or `None` if no
+/// encoding is strictly smaller than the raw chunk (and always for floats
+/// and string references). All slots are encoded, live or dead, so a decode
+/// reproduces the chunk exactly.
+pub fn encode_values<T: ChunkValue>(vals: &[T]) -> Option<EncodedColumn> {
+    if !T::ENCODABLE || vals.is_empty() {
         return None;
     }
     // One stats pass: run count, real bounds, NULL count (keys only).
@@ -480,12 +614,12 @@ pub fn encode_column(col: &Column, seg: usize) -> Option<EncodedColumn> {
     let mut real_min = i64::MAX;
     let mut real_max = i64::MIN;
     let mut nulls = 0usize;
-    for &v in &vals {
+    for v in vals.iter().map(|v| v.to_logical()) {
         if prev != Some(v) {
             runs += 1;
             prev = Some(v);
         }
-        if is_key && v == NULL_KEY as i64 {
+        if T::NULL == Some(v) {
             nulls += 1;
         } else {
             real_min = real_min.min(v);
@@ -502,33 +636,33 @@ pub fn encode_column(col: &Column, seg: usize) -> Option<EncodedColumn> {
     } else {
         (real_min, real_max.wrapping_sub(real_min) as u64, None)
     };
-    let raw_bytes = raw_row_bytes(col) * vals.len();
+    let raw_bytes = std::mem::size_of_val(vals);
     let packed_bytes = PackedInts::bytes_for(vals.len(), max_code);
     let rle_bytes = runs * 12;
     let packed_wins = packed_bytes.is_some_and(|p| p < raw_bytes && p <= rle_bytes);
+    let logical = vals.iter().map(|v| v.to_logical());
     if packed_wins {
-        PackedInts::build(&vals, base, max_code, null_code).map(EncodedColumn::Packed)
+        PackedInts::build(logical, base, max_code, null_code).map(EncodedColumn::Packed)
     } else if rle_bytes < raw_bytes {
-        Some(EncodedColumn::Rle(RleInts::build(&vals)))
+        Some(EncodedColumn::Rle(RleInts::build(logical)))
     } else {
         None
     }
-}
-
-/// Builds the full per-column encoding of one segment (see
-/// [`encode_column`]); `None` entries are columns left raw.
-pub fn encode_segment(columns: &[Column], seg: usize) -> SegmentEncoding {
-    SegmentEncoding { cols: columns.iter().map(|c| encode_column(c, seg)).collect() }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chunks::Geometry;
+    use crate::column::Column;
     use crate::dictionary::DictColumn;
 
     fn int_col(vals: &[i64]) -> Column {
         Column::I64(vals.to_vec().into())
+    }
+
+    fn encode_column(col: &Column, seg: usize) -> Option<EncodedColumn> {
+        col.encode_chunk(seg)
     }
 
     fn oracle(vals: &[i64], lo: i64, hi: i64) -> Vec<u32> {
@@ -717,20 +851,47 @@ mod tests {
         assert_eq!(encode_column(&col, 0), None);
     }
 
+    /// The word-at-a-time decode, the per-row lane extraction and the run
+    /// walk all reproduce the encoded chunk, for every lane count, with a
+    /// negative base and with NULLs.
     #[test]
-    fn encode_segment_covers_all_columns() {
-        let cols = vec![
-            int_col(&(0..256).map(|i| i % 7).collect::<Vec<_>>()),
-            Column::F64(vec![0.5; 256].into()),
-            Column::I32((0..256).map(|_| 3).collect()),
-        ];
-        let seg = encode_segment(&cols, 0);
-        assert_eq!(seg.cols.len(), 3);
-        assert!(seg.cols[0].is_some());
-        assert!(seg.cols[1].is_none(), "floats stay raw");
-        assert!(seg.cols[2].is_some());
-        assert_eq!(seg.encoded_cols(), 2);
-        assert!(seg.bytes() > 0);
+    fn decode_code_at_and_runs_agree_with_the_source() {
+        for bits in 1u32..=31 {
+            let m = 1i64 << bits;
+            let vals: Vec<i64> =
+                (0..301).map(|i: i64| -7 + (i.wrapping_mul(2654435761) % m + m) % m).collect();
+            let Some(EncodedColumn::Packed(p)) = encode_values(&vals) else {
+                assert!(bits >= 31, "a {bits}-bit span must pack");
+                continue;
+            };
+            assert_eq!(p.lanes(), 64 / (bits as usize + 1).max(2));
+            let mut out: Vec<i64> = Vec::new();
+            p.decode_into(&mut out);
+            assert_eq!(out, vals, "bits={bits}");
+            for (i, &v) in vals.iter().enumerate() {
+                assert_eq!(p.value_at(i), v, "bits={bits} slot {i}");
+            }
+            let (lo, hi) = p.value_bounds();
+            assert_eq!((lo, hi), (*vals.iter().min().unwrap(), *vals.iter().max().unwrap()));
+        }
+        let keys: Vec<Key> =
+            (0..100).map(|i| if i % 9 == 0 { NULL_KEY } else { 40 + i % 13 }).collect();
+        let enc = encode_values(&keys).unwrap();
+        let mut out: Vec<Key> = Vec::new();
+        enc.decode_into(&mut out);
+        assert_eq!(out, keys);
+        assert_eq!(enc.value_bounds(), Some((40, NULL_KEY as i64)));
+
+        let runs: Vec<i64> = (0..1000).map(|i| i / 300).collect();
+        let Some(EncodedColumn::Rle(r)) = encode_values(&runs) else { panic!("expected RLE") };
+        let mut out: Vec<i64> = Vec::new();
+        r.decode_into(&mut out);
+        assert_eq!(out, runs);
+        let mut seen = Vec::new();
+        r.runs_in(250..901, |v, rows| seen.push((v, rows)));
+        assert_eq!(seen, vec![(0, 250..300), (1, 300..600), (2, 600..900), (3, 900..901)]);
+        r.runs_in(10..10, |_, _| panic!("an empty range visits no run"));
+        assert_eq!(encode_values(&[1.5f64; 64]), None, "floats never encode");
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   ([`dictionary::DictColumn`]), and AIR key arrays;
 //! - [`chunks::Chunked`] — the physical form of every array: one
 //!   `Arc`-held chunk per table segment, the unit of copy-on-write
-//!   ownership;
+//!   ownership, resident either flat or in its compressed encoding
+//!   ([`encoded`]), never both;
 //! - [`bitmap::Bitmap`] — predicate vectors (§4.2) and delete vectors (§4.4;
 //!   per-segment as [`bitmap::SegBitmap`]);
 //! - [`selvec::SelVec`] — selection vectors for the vectorized column scan
@@ -92,14 +93,14 @@ pub mod types;
 pub mod prelude {
     pub use crate::bitmap::{Bitmap, SegBitmap};
     pub use crate::catalog::{checked_key, AirEdge, Database};
-    pub use crate::chunks::{Chunked, ChunkedBuilder, Geometry};
+    pub use crate::chunks::{Chunk, ChunkRef, Chunked, ChunkedBuilder, Geometry};
     pub use crate::column::Column;
     pub use crate::dictionary::{DictColumn, Dictionary};
-    pub use crate::encoded::{EncodedColumn, PackedInts, RleInts, SegmentEncoding};
+    pub use crate::encoded::{ChunkValue, EncodedColumn, PackedInts, RleInts};
     pub use crate::segment::{SegmentZone, ZoneStats, SEGMENT_ROWS};
     pub use crate::selvec::SelVec;
     pub use crate::snapshot::SharedDatabase;
     pub use crate::strings::{StrColumn, StrHeap, StrRef};
-    pub use crate::table::{ColumnDef, Schema, Table};
+    pub use crate::table::{ColumnDef, Schema, SegmentEncoding, Table};
     pub use crate::types::{DataType, Key, RowId, Value, NULL_KEY};
 }

@@ -24,6 +24,7 @@ use std::sync::Arc;
 
 use crate::bitmap::{Bitmap, SegBitmap};
 use crate::column::Column;
+use crate::encoded::ChunkValue;
 use crate::table::Schema;
 use crate::types::{DataType, Key, NULL_KEY};
 
@@ -118,23 +119,26 @@ impl ZoneStats {
 
     /// Widens the statistic to cover the rows of `col`'s segment `seg` whose
     /// bit is set in `live` (the segment's slice of the live vector). One
-    /// type dispatch per (segment, column); the loops run over the bound
-    /// chunk slice.
+    /// type dispatch per (segment, column); the loops run over the chunk's
+    /// decode-once view.
     fn include_chunk(&mut self, col: &Column, seg: usize, live: &Bitmap) {
-        fn live_values<'a, T: Copy>(
+        fn live_values<'a, T: ChunkValue>(
             chunk: &'a [T],
             live: &'a Bitmap,
         ) -> impl Iterator<Item = T> + 'a {
             chunk.iter().enumerate().filter(|&(off, _)| live.get_or_false(off)).map(|(_, &v)| v)
         }
         match col {
-            Column::I32(v) => {
-                live_values(v.chunk(seg), live).for_each(|x| self.include_int(i64::from(x)))
+            Column::I32(v) => live_values(&v.chunk(seg).decoded(), live)
+                .for_each(|x| self.include_int(i64::from(x))),
+            Column::I64(v) => {
+                live_values(&v.chunk(seg).decoded(), live).for_each(|x| self.include_int(x))
             }
-            Column::I64(v) => live_values(v.chunk(seg), live).for_each(|x| self.include_int(x)),
-            Column::F64(v) => live_values(v.chunk(seg), live).for_each(|x| self.include_float(x)),
+            Column::F64(v) => {
+                live_values(&v.chunk(seg).decoded(), live).for_each(|x| self.include_float(x))
+            }
             Column::Key { keys, .. } => {
-                live_values(keys.chunk(seg), live).for_each(|k| self.include_key(k))
+                live_values(&keys.chunk(seg).decoded(), live).for_each(|k| self.include_key(k))
             }
             Column::Str(_) | Column::Dict(_) => *self = ZoneStats::Untracked,
         }

@@ -12,15 +12,17 @@
 //!   (`Arc::make_mut` on the database) and the tables it actually touches
 //!   (`Arc::make_mut` per table);
 //! - inside a [`Table`], the **segment** is the unit of ownership: every
-//!   column's payload is a sequence of `Arc`-held per-segment chunks, next
-//!   to the segment's live bits, zone statistics, encoding and stale list
-//!   (see [`crate::table`], [`crate::chunks`]). Cloning a table is
+//!   column's payload is a sequence of `Arc`-held per-segment chunks —
+//!   each resident flat *or* encoded, never both — next to the segment's
+//!   live bits and zone statistics (see [`crate::table`],
+//!   [`crate::chunks`]). Cloning a table is
 //!   O(columns × segments) pointer bumps and copies no row data.
 //!
 //! **What a write copies.** Only what it touches, and only if a snapshot
 //! still shares it: an `UPDATE` of one field copies that column's chunk of
-//! one segment; an `INSERT` copies the tail segment's chunks; a `DELETE`
-//! copies one segment's live bits. Every other chunk stays
+//! one segment (decodes it, if it was encoded — the same one allocation);
+//! an `INSERT` copies the tail segment's chunks; a `DELETE` copies one
+//! segment's live bits. Every other chunk stays
 //! pointer-identical between the old image and the new one, so the cost of
 //! a committed write is bounded by the segments it touches and does not
 //! grow with the table. With no snapshot outstanding nothing is shared and

@@ -163,13 +163,18 @@ impl StrColumn {
     /// The slots of segment `seg` bound to the heap.
     #[inline]
     pub fn chunk(&self, seg: usize) -> StrChunk<'_> {
-        StrChunk { slots: self.slots.chunk(seg), heap: &self.heap }
+        let slots = self.slots.chunk(seg).as_flat().expect("string slots are never encoded");
+        StrChunk { slots, heap: &self.heap }
     }
 
     /// The slot array (chunk-sharing diagnostics; values go through
     /// [`StrColumn::get`]).
     pub fn slots(&self) -> &Chunked<StrRef> {
         &self.slots
+    }
+
+    pub(crate) fn slots_mut(&mut self) -> &mut Chunked<StrRef> {
+        &mut self.slots
     }
 
     /// In-place update (§4.4): the new bytes go to the heap; only this slot's
@@ -191,7 +196,7 @@ impl StrColumn {
 
     /// Iterates over all values in slot order.
     pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
-        self.slots.iter().map(move |&r| self.heap.get(r))
+        self.slots.iter().map(move |r| self.heap.get(r))
     }
 }
 

@@ -14,34 +14,46 @@
 //! The array family is cut into fixed-size segments, and everything a
 //! segment owns is held by its own `Arc`: one payload chunk per column
 //! ([`crate::chunks::Chunked`]), its slice of the live bitmap
-//! ([`crate::bitmap::SegBitmap`]), its zone statistics, its sealed encoding
-//! and its stale-row list. Table-wide state that writes touch — string
-//! heaps, dictionaries, the free-slot list, the schema — is `Arc`-shared
-//! the same way. Cloning a `Table` (what a writer does while any snapshot
-//! holds the current image, see [`crate::snapshot`]) is therefore
-//! O(columns × segments) reference-count bumps and copies no row data.
-//! What a write then copies, if and only if a snapshot still shares it:
+//! ([`crate::bitmap::SegBitmap`]) and its zone statistics. Table-wide state
+//! that writes touch — string heaps, dictionaries, the free-slot list, the
+//! schema — is `Arc`-shared the same way. Cloning a `Table` (what a writer
+//! does while any snapshot holds the current image, see
+//! [`crate::snapshot`]) is therefore O(columns × segments) reference-count
+//! bumps and copies no row data.
 //!
-//! | write | copied |
-//! |---|---|
-//! | `update` of one field | that column's chunk of the row's segment (+ the segment's stale list; a string value: the heap's active slab, ≤ 1 MiB; a *new* dictionary value: the dictionary) |
-//! | `append_row` / `insert` at the end | every column's chunk of the **tail** segment and the tail's live bits |
-//! | `insert` reusing a dead slot | every column's chunk of that slot's segment, its live bits, the free-slot list |
-//! | `delete` | the row's segment's live bits (8 KiB) and the free-slot list |
+//! ## One representation per chunk
 //!
-//! Nothing a write copies grows with the number of segments, so the cost of
-//! a committed write is bounded by the segments it touches, not by the
+//! Every (column, segment) chunk is resident in exactly one form: flat, or
+//! — once **sealed** — the compressed encoding that replaced it (see
+//! [`crate::chunks`], [`crate::encoded`]). [`Table::seal_segments`] swaps
+//! every flat chunk for its encoding where that is strictly smaller; the
+//! bulk-load builders and the snapshot loader produce encoded chunks
+//! directly. What a write then copies or decodes:
+//!
+//! | write | touched chunks | each is … |
+//! |---|---|---|
+//! | `update` of one field | that column's chunk of the row's segment | **decoded** into a fresh flat chunk if it was encoded; **copied** if flat and a snapshot shares it; written in place otherwise (a string value also copies the heap's active slab, ≤ 1 MiB; a *new* dictionary value: the dictionary) |
+//! | `append_row` / `insert` at the end | every column's chunk of the **tail** segment and the tail's live bits | as above — the filling tail is flat from its first append on |
+//! | `insert` reusing a dead slot | every column's chunk of that slot's segment, its live bits, the free-slot list | as above |
+//! | `delete` | the row's segment's live bits (8 KiB) and the free-slot list | copied if shared; no column chunk is touched, encoded or not |
+//!
+//! A decode *is* the copy copy-on-write would have paid for a shared flat
+//! chunk, so nothing a write costs grows with the number of segments: a
+//! committed write is bounded by the segments it touches, not by the
 //! table's size. Every other chunk stays pointer-identical between the old
 //! image and the new one ([`crate::column::Column::shares_chunk`] observes
-//! it).
+//! it). A value write leaves its segment **unsealed**
+//! ([`Table::segment_written`]) until the next seal or compaction install
+//! ([`Table::install_compacted`]) puts the flat chunks back in encoded
+//! form.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::bitmap::{Bitmap, SegBitmap};
-use crate::chunks::Geometry;
+use crate::chunks::{ChunkHandle, Geometry};
 use crate::column::Column;
-use crate::encoded::{encode_segment, SegmentEncoding};
+use crate::encoded::EncodedColumn;
 use crate::segment::{SegmentZone, DECAY_REBUILD_AFTER_OPS, REBUILD_AFTER_OPS};
 use crate::selvec::SelVec;
 use crate::types::{DataType, RowId, Value};
@@ -104,47 +116,23 @@ impl Schema {
     }
 }
 
-/// How many stale (superseded) rows a sealed segment tolerates before its
-/// seal is voided outright. Below the limit the delta stays cheap for scans
-/// (one binary search per encoded hit); above it the encoding is mostly
-/// dead weight and the segment reverts to flat until the next seal.
-pub const STALE_LIMIT: usize = 1024;
-
-/// The smallest delta worth a background re-encode of its segment (see
-/// [`Table::segment_worth_compacting`]): an eighth of [`STALE_LIMIT`] stale
-/// rows. Re-encoding costs a full pass over the segment however few rows
-/// changed, so folding a single stale row per pass turns a steady writer
-/// into a permanent re-encode loop whose installs the epoch fence mostly
-/// refuses.
-pub const COMPACT_MIN_STALE: usize = STALE_LIMIT / 8;
-
-/// The smallest appended overhang (rows past a seal's coverage) worth a
-/// background re-encode while the segment is still filling; a *completed*
-/// segment is always worth it — its overhang will never grow again.
-pub const COMPACT_MIN_OVERHANG: usize = 4096;
-
-/// Per-segment delta bookkeeping layered over a sealed encoding. Writes go
-/// *through* to the flat chunks (which are therefore always current);
-/// `stale` records the segment-local offsets whose encoded value was
-/// superseded, so scans can patch encoded results from the flat chunks
-/// instead of unsealing the whole segment. `epoch` advances on every value
-/// write covered by the seal and fences concurrent compaction installs: a
-/// compactor that encoded the segment at epoch `e` may only install its
-/// result while the epoch is still `e`.
-#[derive(Debug, Clone, Default)]
-pub struct SegmentDelta {
-    /// `Arc`-held like every per-segment payload: a table clone shares it,
-    /// the first stale write after the clone copies it (≤ [`STALE_LIMIT`]
-    /// offsets).
-    stale: Arc<Vec<u32>>,
-    epoch: u64,
+/// The compactor's read-only half for one segment
+/// ([`Table::encode_segment_now`]): a hold on every column chunk it read
+/// and, for each chunk that was resident flat and has one, its strictly
+/// smaller encoding. The holds are what [`Table::install_compacted`]
+/// checks: while they exist every write to the segment installs a new
+/// chunk allocation, so "every chunk is still the one that was read"
+/// proves no value write raced the encode.
+#[derive(Debug)]
+pub struct SegmentEncoding {
+    cols: Vec<(ChunkHandle, Option<EncodedColumn>)>,
 }
 
-/// An empty delta stamped with a fresh epoch from the table's counter.
-fn fresh_delta(next_epoch: &mut u64) -> SegmentDelta {
-    let epoch = *next_epoch;
-    *next_epoch += 1;
-    SegmentDelta { stale: Arc::default(), epoch }
+impl SegmentEncoding {
+    /// Number of chunks this pass found a smaller encoding for.
+    pub fn encoded_cols(&self) -> usize {
+        self.cols.iter().filter(|(_, enc)| enc.is_some()).count()
+    }
 }
 
 /// A relational table stored as an array family cut into fixed-size
@@ -167,20 +155,14 @@ pub struct Table {
     geo: Geometry,
     /// One zone map per segment; `zones.len() == geo.segments_for(num_slots())`.
     zones: Vec<SegmentZone>,
-    /// One optional encoding per segment, parallel to `zones`. `Some` means
-    /// the segment is *sealed*: its columns were re-represented in
-    /// compressed form (see [`crate::encoded`]) and scans may read the
-    /// encoded words instead of the raw chunks. Value mutations no longer
-    /// unseal the segment: they write through to the flat chunks and record
-    /// the row in the segment's [`SegmentDelta`]; appends leave the seal
-    /// covering its original prefix.
-    encodings: Vec<Option<Arc<SegmentEncoding>>>,
-    /// Per-segment write deltas, parallel to `zones`.
-    deltas: Vec<SegmentDelta>,
-    /// Monotonic epoch source for `deltas`. Never reused, so a compaction
-    /// result raced by *any* later write — even across a zone rebuild that
-    /// resets segment geometry — fails its install fence.
-    next_epoch: u64,
+    /// Per segment, parallel to `zones`: the table epoch of the latest value
+    /// write (update, slot-reusing insert, append) since the segment was
+    /// last sealed, `0` = sealed — nothing was written since a seal looked
+    /// at every chunk, so whatever is flat has no smaller encoding.
+    written: Vec<u64>,
+    /// Monotonic mutation counter (see [`Table::epoch`]); never `0` once a
+    /// row was written, so `0` is free to mean "sealed" in `written`.
+    epoch: u64,
 }
 
 impl Table {
@@ -259,17 +241,19 @@ impl Table {
             free: Arc::new(free),
             geo,
             zones: Vec::new(),
-            encodings: Vec::new(),
-            deltas: Vec::new(),
-            next_epoch: 0,
+            written: Vec::new(),
+            epoch: 0,
         }
     }
 
     /// Rebuilds a table from persisted parts *including* its persisted zone
-    /// maps (the snapshot-v2 load path): the zone maps are trusted verbatim
-    /// instead of recomputed, so a warm boot prunes immediately and a
-    /// re-save reproduces the same bytes. Loaded segments are clean.
-    /// Columns built in `seg_rows`-row chunks are adopted as they are.
+    /// maps (the snapshot-v2/v3 load path): the zone maps are trusted
+    /// verbatim instead of recomputed, so a warm boot prunes immediately and
+    /// a re-save reproduces the same bytes. Loaded segments are clean.
+    /// Columns built in `seg_rows`-row chunks are adopted as they are —
+    /// encoded chunks stay encoded. Every segment comes up unsealed: the
+    /// next seal looks at whatever was loaded flat (and, finding nothing to
+    /// change in a segment, leaves it clean).
     ///
     /// # Panics
     /// Panics on the same invariant violations as [`Table::from_parts`], or
@@ -297,8 +281,8 @@ impl Table {
         for z in &zones {
             assert_eq!(z.stats().len(), t.schema.arity(), "zone arity mismatch");
         }
-        t.encodings = vec![None; zones.len()];
-        t.deltas = (0..zones.len()).map(|_| fresh_delta(&mut t.next_epoch)).collect();
+        t.touch();
+        t.written = vec![t.epoch; zones.len()];
         t.zones = zones;
         t
     }
@@ -354,13 +338,12 @@ impl Table {
     }
 
     /// Rebuilds every segment's zone map exactly from the live rows.
-    /// Segment geometry may change, so every segment is also unsealed and
-    /// its write delta reset (with a fresh epoch, fencing in-flight
-    /// compactions that encoded under the old geometry).
+    /// Segment geometry may have changed, so every segment also counts as
+    /// unsealed again.
     pub fn rebuild_zone_maps(&mut self) {
         let nsegs = self.geo.segments_for(self.num_slots());
-        self.encodings = vec![None; nsegs];
-        self.deltas = (0..nsegs).map(|_| fresh_delta(&mut self.next_epoch)).collect();
+        self.touch();
+        self.written = vec![self.epoch; nsegs];
         self.zones = (0..nsegs)
             .map(|seg| SegmentZone::rebuild(&self.schema, &self.columns, &self.live, seg))
             .collect();
@@ -380,243 +363,141 @@ impl Table {
         }
     }
 
-    /// True if a *background* compaction pass should re-encode segment
-    /// `seg` now: it needs a reseal ([`Table::segment_needs_reseal`]) and
-    /// its delta is worth a full re-encode — it is unsealed, carries at
-    /// least [`COMPACT_MIN_STALE`] stale rows, or has an appended overhang
-    /// that is complete (the segment is full) or at least
-    /// [`COMPACT_MIN_OVERHANG`] rows long. Smaller deltas wait: scans patch
-    /// them from the flat chunks at one binary search per encoded hit, and
-    /// a checkpoint's [`Table::seal_segments`] folds them regardless.
-    pub fn segment_worth_compacting(&self, seg: usize) -> bool {
-        if !self.segment_needs_reseal(seg) {
-            return false;
-        }
-        let Some(covered) = self.encodings[seg].as_deref().and_then(SegmentEncoding::covered_rows)
-        else {
-            return true;
-        };
-        let rows = self.segment_range(seg).len();
-        let overhang = rows - covered;
-        self.deltas[seg].stale.len() >= COMPACT_MIN_STALE
-            || overhang >= COMPACT_MIN_OVERHANG
-            || (overhang > 0 && rows == self.geo.rows())
+    /// The table epoch of the latest value write (update, slot-reusing
+    /// insert, append) into segment `seg` since it was last sealed, or
+    /// `None` if it is sealed: every chunk that has a smaller encoding is
+    /// resident in it. Deletes touch live bits only and do not unseal. A
+    /// compactor that sees the same stamp twice, a quiet period apart,
+    /// knows nothing wrote to the segment in between.
+    pub fn segment_written(&self, seg: usize) -> Option<u64> {
+        self.written.get(seg).copied().filter(|&stamp| stamp != 0)
     }
 
-    /// True if segment `seg` needs a (re-)seal: it is unsealed, carries
-    /// stale rows, or its seal covers only a prefix of the segment (rows
-    /// were appended past it). Raw-canonical seals (no encodable column)
-    /// never need resealing — flat is already their best form.
-    pub fn segment_needs_reseal(&self, seg: usize) -> bool {
-        match self.encodings.get(seg).map(Option::as_deref) {
-            None | Some(None) => seg < self.zones.len(),
-            Some(Some(e)) => match e.covered_rows() {
-                None => false,
-                Some(covered) => {
-                    !self.deltas[seg].stale.is_empty() || covered != self.segment_range(seg).len()
-                }
-            },
-        }
-    }
-
-    /// Seals every segment that needs it: chooses and builds the per-column
-    /// compressed encoding (see [`crate::encoded`]), clearing the segment's
-    /// write delta. Clean sealed segments are untouched, so sealing twice
-    /// is a no-op. A segment whose seal produced at least one encoded
-    /// column is marked dirty so the next checkpoint persists the encoded
-    /// form. Returns the number of segments sealed by this call.
+    /// Seals every unsealed segment: each of its flat chunks is replaced by
+    /// its compressed encoding where that is strictly smaller (see
+    /// [`crate::encoded`]) — partial tail included, which the next append
+    /// decodes again. Sealed segments are untouched, so sealing twice is a
+    /// no-op. A segment that changed representation is marked dirty so the
+    /// next checkpoint persists the encoded form. Returns the number of
+    /// segments sealed by this call.
     pub fn seal_segments(&mut self) -> usize {
         let mut sealed = 0;
         for seg in 0..self.zones.len() {
-            if !self.segment_needs_reseal(seg) {
+            if self.written[seg] == 0 {
                 continue;
             }
-            let enc = encode_segment(&self.columns, seg);
-            if enc.encoded_cols() > 0 {
+            let mut changed = false;
+            for col in &mut self.columns {
+                changed |= col.seal_chunk(seg);
+            }
+            if changed {
                 self.zones[seg].mark_dirty();
             }
-            self.encodings[seg] = Some(Arc::new(enc));
-            self.deltas[seg] = fresh_delta(&mut self.next_epoch);
+            self.written[seg] = 0;
             sealed += 1;
         }
         sealed
     }
 
-    /// The encoded form of segment `seg`, if it is sealed.
-    #[inline]
-    pub fn encoding(&self, seg: usize) -> Option<&SegmentEncoding> {
-        self.encodings.get(seg).and_then(Option::as_deref)
-    }
-
-    /// Per-segment encodings, parallel to [`Table::zones`].
-    pub fn encodings(&self) -> &[Option<Arc<SegmentEncoding>>] {
-        &self.encodings
-    }
-
-    /// Segment-local offsets (sorted) whose sealed value was superseded by
-    /// a write-through; scans over the encoding must re-read these rows
-    /// from the flat chunks. Empty for unsealed or clean segments.
-    #[inline]
-    pub fn segment_stale(&self, seg: usize) -> &[u32] {
-        self.deltas.get(seg).map_or(&[], |d| d.stale.as_slice())
-    }
-
-    /// The segment's delta epoch (see [`SegmentDelta`]).
-    pub fn segment_epoch(&self, seg: usize) -> u64 {
-        self.deltas.get(seg).map_or(0, |d| d.epoch)
-    }
-
-    /// The table-wide mutation epoch: the current value of the monotonic
-    /// counter behind every per-segment delta epoch. Every row mutation —
-    /// append, insert, delete, update — and every seal/compaction event
-    /// advances it, so two reads returning the same epoch bracket a window
-    /// with no changes to this table image. Derived caches (e.g. the
-    /// server's denormalized-result cache) compare epochs to drop stale
-    /// materializations instead of serving them. Not persisted: restarts
-    /// from 0, so cross-boot comparisons are meaningless.
+    /// The table-wide mutation epoch: a monotonic counter every row
+    /// mutation — append, insert, delete, update — advances, so two reads
+    /// returning the same epoch bracket a window with no changes to this
+    /// table's contents (seals and compaction installs change a chunk's
+    /// representation, never a value, and leave it alone). Derived caches
+    /// (e.g. the server's denormalized-result cache) compare epochs to drop
+    /// stale materializations instead of serving them. Not persisted:
+    /// restarts from 0, so cross-boot comparisons are meaningless.
     pub fn epoch(&self) -> u64 {
-        self.next_epoch
+        self.epoch
     }
 
     /// Advances the table-wide mutation epoch (see [`Table::epoch`]).
     fn touch(&mut self) {
-        self.next_epoch += 1;
+        self.epoch += 1;
     }
 
-    /// Rows currently served from the flat write store instead of a sealed
-    /// encoding, counted over segments a compaction pass would touch:
-    /// stale rows plus unsealed overhang of sealed segments, plus every
-    /// row of voided/unsealed segments. The compactor's backlog gauge.
-    pub fn delta_rows(&self) -> u64 {
-        let mut rows = 0u64;
-        for seg in 0..self.zones.len() {
-            if !self.segment_needs_reseal(seg) {
-                continue;
+    /// Advances the epoch and stamps segment `seg` as written at it.
+    fn touch_segment(&mut self, seg: usize) {
+        self.touch();
+        self.written[seg] = self.epoch;
+    }
+
+    /// Chunks currently resident flat, as `(chunks, bytes)` — the part of
+    /// [`Table::encoded_footprint`]'s first component that a seal could
+    /// still shrink or that has no smaller form (floats, string slots).
+    pub fn flat_chunks(&self) -> (u64, u64) {
+        let (mut chunks, mut bytes) = (0u64, 0u64);
+        for seg in 0..self.segment_count() {
+            for col in self.columns.iter().filter(|c| c.chunk_encoding(seg).is_none()) {
+                chunks += 1;
+                bytes += col.chunk_bytes(seg).0 as u64;
             }
-            let n = self.segment_range(seg).len();
-            rows += match self.encodings[seg].as_deref().and_then(SegmentEncoding::covered_rows) {
-                Some(covered) => (self.deltas[seg].stale.len() + (n - covered)) as u64,
-                None => n as u64,
-            };
         }
-        rows
+        (chunks, bytes)
     }
 
-    /// Encodes segment `seg` from its current flat chunks without touching
-    /// the table — the compactor's read-only half. Pair with
-    /// [`Table::install_compacted`] under the commit lock, quoting the
-    /// [`Table::segment_epoch`] observed *before* this call.
+    /// Encodes the flat chunks of segment `seg` without touching the table
+    /// — the compactor's read-only half, run off every lock against a
+    /// snapshot. Pair with [`Table::install_compacted`] under the commit
+    /// lock.
     pub fn encode_segment_now(&self, seg: usize) -> SegmentEncoding {
-        encode_segment(&self.columns, seg)
+        SegmentEncoding {
+            cols: self.columns.iter().map(|c| (c.chunk_handle(seg), c.encode_chunk(seg))).collect(),
+        }
     }
 
-    /// Installs a compaction result for segment `seg`, provided no value
-    /// write raced it (`expected_epoch` still current) and it actually
-    /// improves on the installed seal (clears stale rows or extends
-    /// coverage). Returns whether the encoding was installed.
-    pub fn install_compacted(
-        &mut self,
-        seg: usize,
-        enc: SegmentEncoding,
-        expected_epoch: u64,
-    ) -> bool {
-        if seg >= self.zones.len() || self.deltas[seg].epoch != expected_epoch {
+    /// Installs a compaction result for segment `seg`, provided every chunk
+    /// of the segment is still the allocation the encode read (see
+    /// [`SegmentEncoding`]) — a value write in between replaced at least
+    /// one and the whole result is refused; the segment stays unsealed and
+    /// is picked up again. Returns whether the result was installed.
+    pub fn install_compacted(&mut self, seg: usize, enc: SegmentEncoding) -> bool {
+        let current = seg < self.zones.len()
+            && enc.cols.len() == self.columns.len()
+            && self.columns.iter().zip(&enc.cols).all(|(c, (read, _))| c.holds_chunk(seg, read));
+        if !current {
             return false;
         }
-        if enc.encoded_cols() == 0 {
-            // Nothing encodable: flat stays canonical; voiding the slot to
-            // `None` would just re-queue the segment forever, so seal it
-            // raw-canonical to record the outcome.
-            self.encodings[seg] = Some(Arc::new(enc));
-            self.deltas[seg] = fresh_delta(&mut self.next_epoch);
-            return true;
+        if enc.encoded_cols() > 0 {
+            self.zones[seg].mark_dirty();
         }
-        let offered = enc.covered_rows();
-        let improves = match self.encodings[seg].as_deref() {
-            None => true,
-            Some(cur) => !self.deltas[seg].stale.is_empty() || cur.covered_rows() < offered,
-        };
-        if !improves {
-            return false;
+        for (col, (_, enc)) in self.columns.iter_mut().zip(enc.cols) {
+            if let Some(enc) = enc {
+                col.install_chunk(seg, enc);
+            }
         }
-        self.zones[seg].mark_dirty();
-        self.encodings[seg] = Some(Arc::new(enc));
-        self.deltas[seg] = fresh_delta(&mut self.next_epoch);
+        // Nothing encodable left flat: sealed (also when nothing was
+        // encodable at all — recording that stops the retries).
+        self.written[seg] = 0;
         true
     }
 
-    /// Records a write-through to `row`: if its segment is sealed with an
-    /// encoding that covers the row, the segment-local offset joins the
-    /// stale set (scans patch it from the flat arrays) and the delta epoch
-    /// advances; past [`STALE_LIMIT`] stale rows the seal is voided
-    /// outright. Writes beyond the seal's coverage (appended overhang) only
-    /// advance the epoch — scans already read those rows flat, but an
-    /// in-flight compaction may have encoded the old value.
-    fn note_value_write(&mut self, row: usize) {
-        let (seg, off) = self.geo.locate(row);
-        let covered = match self.encodings[seg].as_deref() {
-            Some(e) if e.encoded_cols() > 0 => e.covered_rows().unwrap_or(0),
-            _ => return,
-        };
-        self.deltas[seg].epoch = self.next_epoch;
-        self.next_epoch += 1;
-        if off >= covered {
-            return;
-        }
-        let off = off as u32;
-        let stale = &mut self.deltas[seg].stale;
-        if let Err(pos) = stale.binary_search(&off) {
-            Arc::make_mut(stale).insert(pos, off);
-        }
-        if stale.len() > STALE_LIMIT {
-            self.encodings[seg] = None;
-            self.deltas[seg].stale = Arc::default();
-        }
+    /// A copy of the table with every chunk decoded flat and every segment
+    /// unsealed: the flat oracle the differential tests run beside the
+    /// encoded table.
+    pub fn decoded(&self) -> Table {
+        let mut t = self.clone();
+        t.columns.iter_mut().for_each(Column::decode_all);
+        t.touch();
+        t.written.fill(t.epoch);
+        t
     }
 
-    /// Installs persisted segment encodings verbatim (the snapshot-v3 load
-    /// path): segments arrive already sealed, so a re-seal after boot adds
-    /// no work and no dirt.
-    ///
-    /// # Panics
-    /// Panics if the encoding list does not match the segment count or a
-    /// sealed segment's column arity.
-    pub fn install_segment_encodings(&mut self, encodings: Vec<Option<SegmentEncoding>>) {
-        assert_eq!(encodings.len(), self.zones.len(), "encoding count mismatch");
-        for (seg, e) in encodings.iter().enumerate() {
-            if let Some(e) = e {
-                assert_eq!(e.cols.len(), self.schema.arity(), "encoding arity mismatch");
-                for c in e.cols.iter().flatten() {
-                    assert_eq!(c.len(), self.segment_range(seg).len(), "encoding length mismatch");
-                }
-            }
-        }
-        self.encodings = encodings.into_iter().map(|e| e.map(Arc::new)).collect();
-        self.deltas = (0..self.zones.len()).map(|_| fresh_delta(&mut self.next_epoch)).collect();
-    }
-
-    /// Resident bytes of the column arrays as `(encoded, raw)`: `raw`
-    /// counts every column at its flat in-memory width, `encoded` counts
-    /// sealed columns at their compressed size and everything else flat.
-    /// String heap payloads are excluded from both sides (strings are never
-    /// encoding candidates).
+    /// Bytes of the column arrays as `(resident, raw)`: `resident` counts
+    /// every chunk at the size of the one representation it is held in
+    /// (encoded or flat), `raw` counts every chunk at its flat in-memory
+    /// width. String heap payloads are excluded from both sides (strings
+    /// are never encoding candidates).
     pub fn encoded_footprint(&self) -> (u64, u64) {
-        let mut encoded = 0u64;
-        let mut raw = 0u64;
+        let (mut resident, mut raw) = (0u64, 0u64);
         for seg in 0..self.segment_count() {
-            let n = self.segment_range(seg).len() as u64;
-            for (i, col) in self.columns.iter().enumerate() {
-                let row_bytes = crate::encoded::raw_row_bytes(col) as u64;
-                let flat = row_bytes * n;
-                raw += flat;
-                match self.encodings[seg].as_deref().and_then(|e| e.cols[i].as_ref()) {
-                    // A partial seal still keeps its unsealed overhang flat.
-                    Some(c) => encoded += c.bytes() as u64 + row_bytes * (n - c.len() as u64),
-                    None => encoded += flat,
-                }
+            for col in &self.columns {
+                let (held, flat) = col.chunk_bytes(seg);
+                resident += held as u64;
+                raw += flat as u64;
             }
         }
-        (encoded, raw)
+        (resident, raw)
     }
 
     /// The table name.
@@ -682,12 +563,10 @@ impl Table {
         for z in &mut self.zones {
             z.untrack_column(i);
         }
-        // Raw mutable access can rewrite any value: every seal is void and
-        // every delta restarts (fresh epochs fence in-flight compactions).
-        for e in &mut self.encodings {
-            *e = None;
-        }
-        self.deltas = (0..self.zones.len()).map(|_| fresh_delta(&mut self.next_epoch)).collect();
+        // Raw mutable access can rewrite any value: every segment counts as
+        // written.
+        self.touch();
+        self.written.fill(self.epoch);
         Some(&mut self.columns[i])
     }
 
@@ -698,7 +577,6 @@ impl Table {
     /// Panics if `values` does not match the schema arity/types.
     pub fn append_row(&mut self, values: &[Value]) -> RowId {
         assert_eq!(values.len(), self.schema.arity(), "arity mismatch");
-        self.touch();
         for (col, v) in self.columns.iter_mut().zip(values) {
             col.push(v);
         }
@@ -707,12 +585,9 @@ impl Table {
         let seg = self.geo.segment_of(row);
         if seg == self.zones.len() {
             self.zones.push(SegmentZone::new(&self.schema));
-            self.encodings.push(None);
-            let d = fresh_delta(&mut self.next_epoch);
-            self.deltas.push(d);
+            self.written.push(0);
         }
-        // An append never unseals: the existing seal keeps covering its
-        // original prefix and the new row reads flat (overhang delta).
+        self.touch_segment(seg);
         self.zones[seg].note_append(&self.columns, row);
         row as RowId
     }
@@ -723,13 +598,12 @@ impl Table {
         if !self.free.is_empty() {
             let slot = Arc::make_mut(&mut self.free).pop().expect("free list is non-empty");
             assert_eq!(values.len(), self.schema.arity(), "arity mismatch");
-            self.touch();
             for (col, v) in self.columns.iter_mut().zip(values) {
                 col.set(slot as usize, v);
             }
             self.live.set(slot as usize, true);
-            self.note_value_write(slot as usize);
             let seg = self.geo.segment_of(slot as usize);
+            self.touch_segment(seg);
             if self.zones[seg].note_reuse(&self.columns, slot as usize) >= REBUILD_AFTER_OPS {
                 self.rebuild_zone(seg);
             }
@@ -751,8 +625,8 @@ impl Table {
         self.touch();
         self.live.set(row as usize, false);
         Arc::make_mut(&mut self.free).push(row);
-        // A delete never widens bounds (and never unseals — the encoded
-        // values are unchanged), so it answers to the laxer decay
+        // A delete never widens bounds (and never unseals — no column
+        // chunk is touched), so it answers to the laxer decay
         // threshold: rebuild only once enough live-count decay piled up
         // that an exact pass can tighten bounds around the survivors.
         let seg = self.geo.segment_of(row as usize);
@@ -766,18 +640,17 @@ impl Table {
     /// updating, so it can avoid modifying foreign keys"). The segment's
     /// zone map widens to cover the new value; after enough in-place
     /// updates accumulate, the zone is rebuilt exactly (lazy tightening).
-    /// A sealed segment stays sealed: the row joins its stale delta and
-    /// scans read it from the (always-current) flat arrays.
+    /// An encoded chunk is decoded first (see the module docs) and the
+    /// segment counts as unsealed until the next seal or compaction.
     ///
     /// # Panics
     /// Panics if the column does not exist or the slot is dead.
     pub fn update(&mut self, row: RowId, column: &str, value: &Value) {
         assert!(self.is_live(row), "cannot update dead slot {row}");
-        self.touch();
         let i = self.schema.position(column).unwrap_or_else(|| panic!("no column {column:?}"));
         self.columns[i].set(row as usize, value);
-        self.note_value_write(row as usize);
         let seg = self.geo.segment_of(row as usize);
+        self.touch_segment(seg);
         if self.zones[seg].note_update(i, &self.columns, row as usize) >= REBUILD_AFTER_OPS {
             self.rebuild_zone(seg);
         }
@@ -822,9 +695,7 @@ impl Table {
         let mut new_cols = Vec::with_capacity(self.columns.len());
         for (col, def) in self.columns.iter().zip(self.schema.defs()) {
             let mut fresh = Column::with_geometry(&def.dtype, self.geo);
-            for &r in &live_rows {
-                fresh.push(&col.get(r));
-            }
+            fresh.extend_from_rows(col, &live_rows);
             new_cols.push(fresh);
         }
         self.columns = new_cols;
@@ -1077,157 +948,122 @@ mod tests {
         assert_eq!(t.zone(0).stat(0), &crate::segment::ZoneStats::Int { min: 1, max: 1 });
     }
 
-    #[test]
-    fn seal_encodes_and_mutations_go_to_the_delta() {
+    fn sealable() -> Table {
         let mut t = Table::new(
             "f",
             Schema::new(vec![
                 ColumnDef::new("v", DataType::I64),
                 ColumnDef::new("k", DataType::Key { target: "d".into() }),
+                ColumnDef::new("x", DataType::F64),
             ]),
         );
         t.set_segment_rows(64);
         for i in 0..200i64 {
-            t.append_row(&[Value::Int(i % 16), Value::Key((i % 8) as u32)]);
+            t.append_row(&[Value::Int(i % 16), Value::Key((i % 8) as u32), Value::Float(i as f64)]);
         }
+        t
+    }
+
+    fn encoded(t: &Table, col: usize, seg: usize) -> bool {
+        t.column_at(col).chunk_encoding(seg).is_some()
+    }
+
+    #[test]
+    fn seal_replaces_flat_chunks_and_a_write_decodes_the_one_it_touches() {
+        let mut t = sealable();
+        let flat = t.clone();
+        assert_eq!(t.encoded_footprint().0, t.encoded_footprint().1, "all flat: resident = raw");
+        assert_eq!(t.flat_chunks().0, 12);
         assert_eq!(t.seal_segments(), 4);
         assert_eq!(t.seal_segments(), 0, "re-seal is a no-op");
         for seg in 0..t.segment_count() {
-            let enc = t.encoding(seg).expect("sealed");
-            assert!(enc.encoded_cols() > 0, "small domains must encode");
+            assert!(t.segment_written(seg).is_none());
+            assert!(encoded(&t, 0, seg) && encoded(&t, 1, seg), "small domains must encode");
+            assert!(!encoded(&t, 2, seg), "floats stay flat");
             // Decode reproduces the raw arrays exactly, dead or alive.
-            for (i, col) in [0usize, 1].iter().map(|&i| (i, t.column_at(i))) {
-                let e = enc.cols[i].as_ref().unwrap();
-                for (off, row) in t.segment_range(seg).enumerate() {
-                    assert_eq!(Some(e.value_at(off)), col.int_at(row));
-                }
+            for row in t.segment_range(seg) {
+                assert_eq!(t.row(row as RowId), flat.row(row as RowId));
             }
         }
-        let (encoded, raw) = t.encoded_footprint();
-        assert!(encoded < raw, "sealed footprint must shrink: {encoded} vs {raw}");
+        let (resident, raw) = t.encoded_footprint();
+        assert!(resident < raw, "sealed footprint must shrink: {resident} vs {raw}");
+        assert_eq!(raw, flat.encoded_footprint().1);
+        assert_eq!(t.flat_chunks(), (4, 200 * 8), "only the float chunks are held flat");
 
-        // A delete keeps the seal (values unchanged) and records no delta …
+        // A delete touches no chunk and does not unseal …
+        let sealed = t.clone();
         t.delete(10);
-        assert!(t.encoding(0).is_some());
-        assert!(t.segment_stale(0).is_empty());
-        // … an update keeps the seal too: the row goes stale, the flat
-        // array is current, and the segment now needs a reseal.
-        let epoch_before = t.segment_epoch(0);
+        assert!(t.segment_written(0).is_none());
+        assert!((0..3).all(|c| t.column_at(c).shares_chunk(sealed.column_at(c), 0)));
+        // … an update decodes exactly the chunk it lands in.
         t.update(11, "v", &Value::Int(7));
-        assert!(t.encoding(0).is_some(), "update writes through, seal survives");
-        assert_eq!(t.segment_stale(0), &[11]);
-        assert!(t.segment_epoch(0) > epoch_before, "value write advances the epoch");
-        assert!(t.segment_needs_reseal(0));
-        assert!(!t.segment_needs_reseal(1));
-        assert_eq!(t.row(11)[0], Value::Int(7), "flat read sees the new value");
-        // A reuse-insert joins the same stale set (slot 10, before 11).
-        t.insert(&[Value::Int(1), Value::Key(1)]); // reuses slot 10 in seg 0
-        assert_eq!(t.segment_stale(0), &[10, 11]);
-        assert_eq!(t.delta_rows(), 2);
-        t.seal_segments();
-        assert!(t.segment_stale(0).is_empty(), "reseal clears the delta");
-        // An append keeps the tail seal covering its original prefix.
-        t.append_row(&[Value::Int(1), Value::Key(1)]);
+        assert!(!encoded(&t, 0, 0) && encoded(&t, 1, 0), "one column of one segment went flat");
+        assert!(encoded(&t, 0, 1));
+        assert!(t.column_at(1).shares_chunk(sealed.column_at(1), 0));
+        assert!(t.segment_written(0).is_some() && t.segment_written(1).is_none());
+        assert_eq!(t.row(11)[0], Value::Int(7));
+        assert_eq!(sealed.row(11)[0], Value::Int(11), "the snapshot keeps its encoded chunk");
+        // A reuse-insert decodes every column's chunk of its segment.
+        t.insert(&[Value::Int(1), Value::Key(1), Value::Float(0.5)]); // reuses slot 10
+        assert!(!encoded(&t, 1, 0));
+        assert_eq!(t.seal_segments(), 1, "only the written segment is looked at again");
+        assert!(encoded(&t, 0, 0) && encoded(&t, 1, 0));
+        // An append decodes the sealed partial tail and leaves it flat.
         let last = t.segment_count() - 1;
-        assert!(t.encoding(last).is_some(), "append never unseals");
-        assert!(t.segment_needs_reseal(last), "but the overhang needs compacting");
-        assert_eq!(t.delta_rows(), 1, "one overhang row");
-        // Raw column access voids every seal.
+        assert!(encoded(&t, 0, last));
+        t.append_row(&[Value::Int(1), Value::Key(1), Value::Float(0.0)]);
+        assert!(!encoded(&t, 0, last) && t.segment_written(last).is_some());
+        assert_eq!(t.row(200)[0], Value::Int(1));
+        // Raw column access unseals everything (without decoding).
+        t.seal_segments();
         let _ = t.column_mut("v");
-        assert!(t.encodings().iter().all(Option::is_none));
-        assert!((0..t.segment_count()).all(|s| t.segment_stale(s).is_empty()));
+        assert!((0..t.segment_count()).all(|s| t.segment_written(s).is_some()));
+        // The decoded copy is all flat and equal.
+        t.seal_segments();
+        let d = t.decoded();
+        assert_eq!(d.encoded_footprint().0, d.encoded_footprint().1);
+        assert!((0..t.num_slots() as RowId).all(|r| d.row(r) == t.row(r)));
+        assert_eq!(d.epoch(), t.epoch() + 1);
     }
 
     #[test]
-    fn stale_limit_voids_the_seal() {
-        let mut t = Table::new("f", Schema::new(vec![ColumnDef::new("v", DataType::I64)]));
-        t.set_segment_rows(4096);
-        for i in 0..4096i64 {
-            t.append_row(&[Value::Int(i % 7)]);
-        }
+    fn compaction_install_is_refused_after_a_raced_write() {
+        let mut t = sealable();
         t.seal_segments();
-        for r in 0..STALE_LIMIT as u32 {
-            t.update(r, "v", &Value::Int(1));
-        }
-        assert!(t.encoding(0).is_some(), "at the limit the seal holds");
-        assert_eq!(t.segment_stale(0).len(), STALE_LIMIT);
-        t.update(STALE_LIMIT as u32, "v", &Value::Int(1));
-        assert!(t.encoding(0).is_none(), "past the limit the seal is voided");
-        assert!(t.segment_stale(0).is_empty());
-    }
+        t.update(3, "v", &Value::Int(2)); // column v of segment 0 is flat now
+        assert!(t.segment_written(0).is_some());
 
-    #[test]
-    fn compaction_install_is_fenced_by_the_epoch() {
-        let mut t = Table::new("f", Schema::new(vec![ColumnDef::new("v", DataType::I64)]));
-        t.set_segment_rows(64);
-        for i in 0..64i64 {
-            t.append_row(&[Value::Int(i % 5)]);
-        }
-        t.seal_segments();
-        t.update(3, "v", &Value::Int(2)); // segment now needs a reseal
-        assert!(t.segment_needs_reseal(0));
-
-        // Compactor reads epoch, encodes, then a write races in.
-        let epoch = t.segment_epoch(0);
+        // The compactor encodes, then a write to *another* column races in:
+        // the hold the encoding keeps on that chunk forces the write to
+        // install a new one, and the whole result is refused.
         let enc = t.encode_segment_now(0);
-        t.update(4, "v", &Value::Int(1));
-        assert!(!t.install_compacted(0, enc, epoch), "raced install must be refused");
-        assert_eq!(t.segment_stale(0), &[3, 4], "stale set untouched by the refusal");
+        assert_eq!(enc.encoded_cols(), 1);
+        t.update(4, "k", &Value::Key(1));
+        assert!(!t.install_compacted(0, enc), "raced install must be refused");
+        assert!(!encoded(&t, 0, 0) && !encoded(&t, 1, 0));
+        assert!(t.segment_written(0).is_some());
 
-        // Second attempt with no interleaved write succeeds and clears it.
-        let epoch = t.segment_epoch(0);
+        // A delete in between touches no chunk and does not refuse it.
         let enc = t.encode_segment_now(0);
-        assert!(t.install_compacted(0, enc, epoch));
-        assert!(t.segment_stale(0).is_empty());
-        assert!(!t.segment_needs_reseal(0));
-        // The installed encoding matches the flat arrays exactly.
-        let e = t.encoding(0).unwrap().cols[0].as_ref().unwrap();
-        for row in 0..64usize {
-            assert_eq!(Some(e.value_at(row)), t.column_at(0).int_at(row));
-        }
-    }
+        assert_eq!(enc.encoded_cols(), 2);
+        t.delete(5);
+        t.mark_segments_clean();
+        assert!(t.install_compacted(0, enc));
+        assert!(encoded(&t, 0, 0) && encoded(&t, 1, 0));
+        assert!(t.segment_written(0).is_none());
+        assert!(t.zone(0).is_dirty(), "the persisted form of the segment changed");
+        assert_eq!(t.row(3)[0], Value::Int(2));
+        assert_eq!(t.row(4)[1], Value::Key(1));
 
-    #[test]
-    fn small_deltas_are_not_worth_a_background_re_encode() {
-        const SEG: usize = 16_384;
-        let mut t = Table::new("f", Schema::new(vec![ColumnDef::new("v", DataType::I64)]));
-        t.set_segment_rows(SEG);
-        let append = |t: &mut Table, n: usize| {
-            for _ in 0..n {
-                t.append_row(&[Value::Int(3)]);
-            }
-        };
-        append(&mut t, SEG);
-        assert!(t.segment_worth_compacting(0), "an unsealed segment is always worth it");
-        t.seal_segments();
-        assert!(!t.segment_worth_compacting(0), "a clean seal needs nothing");
-
-        // Stale rows: one below the threshold waits, at the threshold folds.
-        for r in 0..COMPACT_MIN_STALE as u32 - 1 {
-            t.update(r, "v", &Value::Int(1));
-        }
-        assert!(t.segment_needs_reseal(0));
-        assert!(!t.segment_worth_compacting(0), "{} stale rows wait", COMPACT_MIN_STALE - 1);
-        t.update(COMPACT_MIN_STALE as u32 - 1, "v", &Value::Int(1));
-        assert!(t.segment_worth_compacting(0), "{COMPACT_MIN_STALE} stale rows fold");
-        assert_eq!(t.seal_segments(), 1, "a checkpoint seal folds any delta");
-
-        // Overhang of a segment still filling: same two sides.
-        append(&mut t, 100);
-        t.seal_segments(); // segment 1 sealed over its first 100 rows
-        append(&mut t, COMPACT_MIN_OVERHANG - 1);
-        assert!(t.segment_needs_reseal(1));
-        assert!(!t.segment_worth_compacting(1), "a short overhang of a filling segment waits");
-        append(&mut t, 1);
-        assert!(t.segment_worth_compacting(1), "{COMPACT_MIN_OVERHANG} overhang rows fold");
-
-        // A completed segment folds whatever its overhang: it will not grow.
-        t.seal_segments();
-        append(&mut t, SEG - (100 + COMPACT_MIN_OVERHANG) - 1);
-        t.seal_segments(); // one row short of full
-        append(&mut t, 1);
-        assert_eq!(t.segment_range(1).len(), SEG);
-        assert!(t.segment_worth_compacting(1), "one overhang row completes the segment");
+        // A segment with nothing left to encode is recorded as sealed too.
+        t.update(70, "x", &Value::Float(1.0));
+        let enc = t.encode_segment_now(1);
+        assert_eq!(enc.encoded_cols(), 0);
+        assert!(t.install_compacted(1, enc));
+        assert!(t.segment_written(1).is_none());
+        // Out of range: refused.
+        let enc = t.encode_segment_now(0);
+        assert!(!t.install_compacted(9, enc));
     }
 
     #[test]
@@ -1244,13 +1080,24 @@ mod tests {
             t.zones().iter().all(SegmentZone::is_dirty),
             "a seal changes the persisted form, so the checkpoint must see it"
         );
-        // Clean → install the same encodings (the load path) → re-seal: no dirt.
-        t.mark_segments_clean();
-        let encs: Vec<Option<SegmentEncoding>> =
-            t.encodings().iter().map(|e| e.as_deref().cloned()).collect();
-        t.install_segment_encodings(encs);
-        t.seal_segments();
-        assert!(t.zones().iter().all(|z| !z.is_dirty()));
+        // Clean → reload the same columns with their zones (the load path)
+        // → re-seal: nothing changes representation, no dirt.
+        let zones: Vec<SegmentZone> = t
+            .zones()
+            .iter()
+            .map(|z| SegmentZone::from_parts(z.stats().to_vec(), z.live()))
+            .collect();
+        let mut loaded = Table::from_parts_with_zones(
+            "f",
+            t.schema().clone(),
+            vec![t.column_at(0).clone()],
+            t.live_bitmap().to_bitmap(),
+            Vec::new(),
+            32,
+            zones,
+        );
+        assert_eq!(loaded.seal_segments(), 2);
+        assert!(loaded.zones().iter().all(|z| !z.is_dirty()));
     }
 
     #[test]
@@ -1296,15 +1143,17 @@ mod tests {
         assert!(e1 > e0, "append bumps");
         t.update(0, "d_month", &Value::Str("Feb".into()));
         let e2 = t.epoch();
-        assert!(e2 > e1, "update bumps (even unsealed)");
+        assert!(e2 > e1, "update bumps");
         t.delete(0);
         let e3 = t.epoch();
         assert!(e3 > e2, "delete bumps");
         t.insert(&[Value::Int(1993), Value::Str("Mar".into())]);
         let e4 = t.epoch();
         assert!(e4 > e3, "reuse-insert bumps");
-        // A pure read leaves it alone.
+        // A pure read leaves it alone, and so does a seal: the contents
+        // are the same.
         let _ = t.row(0);
+        t.seal_segments();
         assert_eq!(t.epoch(), e4);
     }
 
