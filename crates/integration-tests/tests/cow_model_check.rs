@@ -8,16 +8,25 @@
 //! row-vector model mirrors every write. After every step the chunks the
 //! new image no longer shares with the previous one must be exactly the
 //! ones the step may touch, each in the representation the step leaves it
-//! in (a value write: flat; a seal or install: encoded, same values; a
-//! delete: none) and a raced install must be refused. At every checkpoint
-//! each held snapshot must still read *its own* image — row for row — and
-//! on every image the engines must agree with each other and with the
-//! answer computed from the model: the AIR scan, the AIR scan with pruning
-//! off, the AIR scan over a decoded copy, and the hash-join pipeline.
+//! in (an overwrite: flat; an append: **shared**, unless the table counted
+//! a tail copy; a seal or install: encoded, same values; a delete: none)
+//! and a raced install must be refused — raced by an overwrite or by an
+//! append. Appends write into buffers that older images go on sharing, so
+//! after *every* step a window of the most recent images is re-read row for
+//! row against the model each had: a snapshot must never see a row appended
+//! after it. Two more shapes exercise the exchange that decides who may
+//! extend a shared tail: a *fork* (two clones of one image both append; the
+//! loser copies, both stay right, the loser stays held) and a *discarded
+//! batch* (a clone appends in place and is dropped unpublished; the live
+//! table appends next and must not expose the orphaned rows). At every
+//! checkpoint each held snapshot must still read *its own* image and on
+//! every image the engines must agree with each other and with the answer
+//! computed from the model: the AIR scan, the AIR scan with pruning off,
+//! the AIR scan over a decoded copy, and the hash-join pipeline.
 //!
 //! `COW_MODEL_SEED=<n>` runs one extra seed.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use astore_baseline::engine::execute_hash_pipeline;
@@ -134,14 +143,31 @@ fn step(rng: &mut SmallRng, shared: &SharedDatabase, model: &mut Vec<Option<Row>
                 assert!(model[slot].is_none(), "insert reused a live slot");
                 model[slot] = Some(row);
             }
-            // An append or a reuse: every column's chunk of one segment,
-            // all flat afterwards.
             let now = after();
             let now = now.table("f").unwrap();
             let touched = whole_segment(now, slot / seg_rows);
-            assert_eq!(unshared(before, now), touched, "insert into slot {slot}");
             assert!(touched.iter().all(|&s| !is_encoded(now, s)), "insert left a chunk encoded");
-            "insert"
+            let copied = now.append_copies() - before.append_copies();
+            if slot < before.num_slots() {
+                // A reuse overwrites: every column's chunk of one segment.
+                assert_eq!(unshared(before, now), touched, "reuse of slot {slot}");
+                assert_eq!(copied, 0, "a reuse is not an append");
+                "insert (reuse)"
+            } else if slot.is_multiple_of(seg_rows) {
+                // A segment starts: new chunks, nothing to copy.
+                assert_eq!(unshared(before, now), touched, "append opening slot {slot}");
+                assert_eq!(copied, 0, "a fresh chunk is not a copy");
+                "insert (new segment)"
+            } else {
+                // An append into the filling tail: shared with the held
+                // image, except the chunks the table says it had to copy —
+                // among them every one that was sealed.
+                let moved = unshared(before, now);
+                assert_eq!(moved.len() as u64, copied, "append into slot {slot}: {moved:?}");
+                assert!(moved.iter().all(|s| touched.contains(s)), "append touched {moved:?}");
+                assert!(touched.iter().all(|&s| !is_encoded(before, s) || moved.contains(&s)));
+                "insert (append)"
+            }
         }
         40..=64 => {
             let Some(r) = random_live(rng, model) else { return "update (no rows)" };
@@ -178,11 +204,18 @@ fn step(rng: &mut SmallRng, shared: &SharedDatabase, model: &mut Vec<Option<Row>
             }
             let seg = rng.gen_range(0..before.segment_count());
             let mut enc = Some(before.encode_segment_now(seg));
-            let racer = (seg * seg_rows..((seg + 1) * seg_rows).min(model.len()))
+            let mut racer = (seg * seg_rows..((seg + 1) * seg_rows).min(model.len()))
                 .find(|&r| model[r].is_some())
                 .filter(|_| rng.gen_range(0..2u32) == 0);
             if let Some(r) = racer {
                 update_random_column(rng, shared, model, r);
+            } else if !model.len().is_multiple_of(seg_rows) && seg == before.segment_count() - 1 {
+                // The filling tail, raced by an append: the chunks stay the
+                // allocations the encode read — only the row count tells.
+                let row = random_row(rng);
+                fact(&mut |t| assert_eq!(t.append_row(&values(&row)) as usize, model.len()));
+                racer = Some(model.len());
+                model.push(Some(row));
             }
             let raced = shared.snapshot();
             let mut installed = false;
@@ -273,10 +306,9 @@ fn check_query(db: &Database, flat: &Database, q: &Query, expect: Vec<Vec<Value>
     assert!(join.same_contents(&air, 1e-9), "{ctx}: hash join\n{join:?}\nvs AIR\n{air:?}");
 }
 
-/// Checks that `db` holds exactly `model`, physically and through queries.
-fn check_image(db: &Database, model: &[Option<Row>], rng: &mut SmallRng, ctx: &str) {
+/// Checks that `db`'s fact table holds exactly `model`, slot for slot.
+fn check_rows(db: &Database, model: &[Option<Row>], ctx: &str) {
     let t = db.table("f").unwrap();
-    let flat = &db.decoded();
     assert_eq!(t.num_slots(), model.len(), "{ctx}: slot count");
     assert_eq!(t.num_live(), model.iter().flatten().count(), "{ctx}: live count");
     for (r, m) in model.iter().enumerate() {
@@ -285,6 +317,12 @@ fn check_image(db: &Database, model: &[Option<Row>], rng: &mut SmallRng, ctx: &s
             assert_eq!(t.row(r as RowId), values(row), "{ctx}: slot {r}");
         }
     }
+}
+
+/// Checks that `db` holds exactly `model`, physically and through queries.
+fn check_image(db: &Database, model: &[Option<Row>], rng: &mut SmallRng, ctx: &str) {
+    check_rows(db, model, ctx);
+    let flat = &db.decoded();
     let live = || model.iter().flatten();
     let grp = |k: u32| GROUPS[k as usize % GROUPS.len()];
     let flag = |k: u32| i64::from(k % 3);
@@ -345,30 +383,174 @@ fn check_image(db: &Database, model: &[Option<Row>], rng: &mut SmallRng, ctx: &s
     check_query(db, flat, &q, expect, &format!("{ctx} Q3[{floor}]"));
 }
 
+/// An image and the model it must keep reading as.
+type Held = (String, Arc<Database>, Vec<Option<Row>>);
+
+/// The chunks of the filling tail `t` shares with `other`.
+fn shared_tail(t: &Table, other: &Table) -> usize {
+    let tail = t.segment_count() - 1;
+    (0..t.schema().arity())
+        .filter(|&c| t.column_at(c).shares_chunk(other.column_at(c), tail))
+        .count()
+}
+
+/// Two clones of the published image both append. Whoever appends first
+/// extends the shared tail in place; the other loses the exchange and
+/// copies. Both must read as the model plus their own rows, the published
+/// image as the model. The winner is published; the loser is returned, to
+/// stay held beside it.
+fn fork(rng: &mut SmallRng, shared: &SharedDatabase, model: &mut Vec<Option<Row>>) -> Held {
+    let base = shared.snapshot();
+    let (mut a, mut b) = ((*base).clone(), (*base).clone());
+    let (mut model_a, mut model_b) = (model.clone(), model.clone());
+    for _ in 0..rng.gen_range(1..4u32) {
+        for (db, m) in [(&mut a, &mut model_a), (&mut b, &mut model_b)] {
+            let row = random_row(rng);
+            assert_eq!(db.table_mut("f").unwrap().append_row(&values(&row)) as usize, m.len());
+            m.push(Some(row));
+        }
+    }
+    check_rows(&base, model, "fork: base");
+    check_rows(&a, &model_a, "fork: first appender");
+    check_rows(&b, &model_b, "fork: second appender");
+    // Inside one segment with room behind a flat tail, the first appender
+    // wrote in place (still sharing with the base) and the second copied.
+    let (tb, ta, tl) = (base.table("f").unwrap(), a.table("f").unwrap(), b.table("f").unwrap());
+    if tb.segment_count() == ta.segment_count() && ta.append_copies() == tb.append_copies() {
+        assert_eq!(shared_tail(ta, tb), tb.schema().arity(), "the winner extends in place");
+        assert_eq!(shared_tail(tl, tb), 0, "the loser copies every tail chunk");
+        assert_eq!(tl.append_copies() - tb.append_copies(), tb.schema().arity() as u64);
+    }
+    shared.replace(Arc::new(a));
+    *model = model_a;
+    ("fork loser".to_owned(), Arc::new(b), model_b)
+}
+
+/// A batch that is applied to a private clone and thrown away (the commit
+/// path after a failed WAL append): its appends landed in the shared tail's
+/// reserved space, beyond every length anybody holds. The next real append
+/// must not expose them.
+fn discarded_batch(rng: &mut SmallRng, shared: &SharedDatabase, model: &mut Vec<Option<Row>>) {
+    let base = shared.snapshot();
+    let mut work = (*base).clone();
+    let mut then = model.clone();
+    for _ in 0..rng.gen_range(1..4u32) {
+        let row = random_row(rng);
+        work.table_mut("f").unwrap().append_row(&values(&row));
+        then.push(Some(row));
+    }
+    check_rows(&work, &then, "discarded batch, before the drop");
+    drop(work);
+    check_rows(&base, model, "discarded batch: published image");
+    let row = random_row(rng);
+    shared.write(|db| db.table_mut("f").unwrap().append_row(&values(&row)));
+    model.push(Some(row));
+    check_rows(&shared.snapshot(), model, "append after a discarded batch");
+    check_rows(&base, &model[..model.len() - 1], "discarded batch: held image afterwards");
+}
+
 fn run(seed: u64) {
     const STEPS: usize = 1500;
     const CHECK_EVERY: usize = 40;
     const MAX_HELD: usize = 4;
+    /// Images re-read after every step (besides the sparse `held` ones).
+    const WINDOW: usize = 4;
     let mut rng = SmallRng::seed_from_u64(seed);
     let shared = SharedDatabase::new(seed_db());
     let mut model: Vec<Option<Row>> = Vec::new();
-    let mut held: Vec<(usize, Arc<Database>, Vec<Option<Row>>)> = Vec::new();
+    let mut held: Vec<Held> = Vec::new();
+    let mut recent: VecDeque<Held> = VecDeque::new();
     for i in 1..=STEPS {
-        let op = step(&mut rng, &shared, &mut model);
+        let op = match rng.gen_range(0..40u32) {
+            0 => {
+                let loser = fork(&mut rng, &shared, &mut model);
+                if held.len() == MAX_HELD {
+                    held.remove(rng.gen_range(0..MAX_HELD));
+                }
+                held.push(loser);
+                "fork"
+            }
+            1 => {
+                discarded_batch(&mut rng, &shared, &mut model);
+                "discarded batch"
+            }
+            _ => step(&mut rng, &shared, &mut model),
+        };
         if rng.gen_range(0..12u32) == 0 {
             if held.len() == MAX_HELD {
                 held.remove(rng.gen_range(0..MAX_HELD));
             }
-            held.push((i, shared.snapshot(), model.clone()));
+            held.push((format!("snapshot@{i}"), shared.snapshot(), model.clone()));
+        }
+        // Whatever this step appended, no earlier image may see it.
+        if recent.len() == WINDOW {
+            recent.pop_front();
+        }
+        recent.push_back((format!("image@{i}"), shared.snapshot(), model.clone()));
+        for (what, snap, then) in recent.iter().chain(&held) {
+            check_rows(snap, then, &format!("seed {seed} step {i} (after {op}) {what}"));
         }
         if i % CHECK_EVERY == 0 || i == STEPS {
             let ctx = format!("seed {seed} step {i} (after {op})");
             check_image(&shared.snapshot(), &model, &mut rng, &format!("{ctx} live"));
-            for (taken, snap, then) in &held {
-                check_image(snap, then, &mut rng, &format!("{ctx} snapshot@{taken}"));
+            for (what, snap, then) in &held {
+                check_image(snap, then, &mut rng, &format!("{ctx} {what}"));
             }
         }
     }
+}
+
+/// Ten thousand appends, each against a held snapshot of the image before
+/// it: an append that the table does not count as a copy leaves every tail
+/// chunk shared, and the copies it does count are O(log) per column and
+/// segment — the tail's reserved space doubles — not one per append.
+#[test]
+fn appends_against_held_snapshots_copy_the_tail_logarithmically() {
+    const APPENDS: usize = 10_000;
+    const SEG_ROWS: usize = 4096;
+    let mut rng = SmallRng::seed_from_u64(7);
+    let shared = SharedDatabase::new(seed_db());
+    shared.write(|db| db.table_mut("f").unwrap().set_segment_rows(SEG_ROWS));
+    let mut model: Vec<Option<Row>> = Vec::new();
+    let mut window: VecDeque<(Arc<Database>, usize)> = VecDeque::new();
+    let mut in_place = 0usize;
+    for i in 0..APPENDS {
+        let before = shared.snapshot();
+        let row = random_row(&mut rng);
+        shared.insert("f", &values(&row));
+        model.push(Some(row));
+        let now = shared.snapshot();
+        let (old, new) = (before.table("f").unwrap(), now.table("f").unwrap());
+        if !i.is_multiple_of(SEG_ROWS) && new.append_copies() == old.append_copies() {
+            assert_eq!(shared_tail(new, old), 4, "append {i} left the tail shared");
+            in_place += 1;
+        }
+        // Held images keep their length and their last row while the tail
+        // they share grows under them; a full read every so often.
+        window.push_back((before, i));
+        if window.len() > 8 {
+            window.pop_front();
+        }
+        for (snap, n) in &window {
+            let t = snap.table("f").unwrap();
+            assert_eq!(t.num_slots(), *n, "image of {n} rows after append {i}");
+            if let Some(last) = n.checked_sub(1) {
+                assert_eq!(t.row(last as RowId), values(model[last].as_ref().unwrap()));
+            }
+            if i % 1000 == 999 {
+                check_rows(snap, &model[..*n], &format!("image of {n} rows after append {i}"));
+            }
+        }
+    }
+    let t = shared.snapshot();
+    let t = t.table("f").unwrap();
+    // Per column and segment: 64 → 128 → … → 4096 rows of room, six copies.
+    let per_segment = (SEG_ROWS / 64).ilog2() as u64;
+    let segments = APPENDS.div_ceil(SEG_ROWS) as u64;
+    assert!(t.append_copies() <= 4 * segments * per_segment, "{} tail copies", t.append_copies());
+    assert!(t.append_copies() >= 4 * (segments - 1) * per_segment, "the tail does grow by copying");
+    assert_eq!(in_place + t.append_copies() as usize / 4 + segments as usize, APPENDS);
+    check_image(&shared.snapshot(), &model, &mut rng, "after 10 000 appends");
 }
 
 #[test]

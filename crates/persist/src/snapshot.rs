@@ -1268,6 +1268,47 @@ mod tests {
     }
 
     #[test]
+    fn a_tail_appended_in_place_is_written_from_the_visible_prefix() {
+        // An image and a later one share the filling tail's buffers; each
+        // must persist exactly the rows it sees, and a buffer holding rows
+        // nobody sees any more (a discarded batch) must not leak them.
+        let mut db = kitchen_sink();
+        let fact = db.table_mut("fact").unwrap();
+        fact.set_segment_rows(64);
+        let row = |i: i64| [Value::Key(0), Value::Int(i), Value::Int(i * 3), Value::Float(0.5)];
+        for i in 0..70 {
+            fact.append_row(&row(i));
+        }
+        let early = db.clone();
+        let early_bytes = encode_snapshot(&early, 1);
+        let mut discarded = db.clone();
+        discarded.table_mut("fact").unwrap().append_row(&row(-1));
+        drop(discarded);
+        let fact = db.table_mut("fact").unwrap();
+        let copies = fact.append_copies();
+        for i in 70..90 {
+            fact.append_row(&row(i));
+        }
+        assert_eq!(fact.append_copies(), copies + 4, "only the orphaned slot forced a copy");
+        assert_eq!(encode_snapshot(&early, 1), early_bytes, "the earlier image is unchanged");
+
+        // save → load → save is byte-identical, flat tail …
+        let bytes = encode_snapshot(&db, 2);
+        let (back, _) = decode_snapshot(&bytes).unwrap();
+        assert_same(&db, &back);
+        assert_eq!(back.table("fact").unwrap().num_slots(), 93);
+        assert_eq!(encode_snapshot(&back, 2), bytes);
+        // … and sealed tail (the seal encodes the visible prefix only).
+        let mut sealed = db.clone();
+        sealed.table_mut("fact").unwrap().seal_segments();
+        let bytes = encode_snapshot(&sealed, 3);
+        let (back, _) = decode_snapshot(&bytes).unwrap();
+        assert_same(&db, &back);
+        assert_eq!(encode_snapshot(&back, 3), bytes);
+        assert_same(&early, &decode_snapshot(&early_bytes).unwrap().0);
+    }
+
+    #[test]
     fn encoded_blocks_outside_the_column_domain_are_rejected() {
         use astore_storage::encoded::encode_values;
         let mut b = ColumnBuilder::new(&DataType::I32, None, Geometry::new(4));

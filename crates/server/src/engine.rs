@@ -300,15 +300,18 @@ impl Engine {
     }
 
     /// Refreshes the `encoded_bytes` / `raw_bytes` / `flat_chunks` /
-    /// `flat_bytes` gauges from a snapshot (a walk over the chunk slots, no
-    /// row data).
+    /// `flat_bytes` / `append_copies` gauges from a snapshot (a walk over
+    /// the chunk slots, no row data). Bytes count the rows the image sees,
+    /// not the space reserved behind a filling tail.
     fn gauge_footprint(&self) {
         let snap = self.db.snapshot();
-        let (mut resident, mut raw, mut chunks, mut bytes) = (0u64, 0u64, 0u64, 0u64);
+        let (mut resident, mut raw, mut chunks, mut bytes, mut copies) = (0u64, 0u64, 0, 0, 0);
         for t in snap.table_names().iter().filter_map(|name| snap.table(name)) {
             let ((r, w), (c, b)) = (t.encoded_footprint(), t.flat_chunks());
             (resident, raw, chunks, bytes) = (resident + r, raw + w, chunks + c, bytes + b);
+            copies += t.append_copies();
         }
+        self.stats.append_copies.store(copies, Ordering::Relaxed);
         self.stats.encoded_bytes.store(resident, Ordering::Relaxed);
         self.stats.raw_bytes.store(raw, Ordering::Relaxed);
         self.stats.flat_chunks.store(chunks, Ordering::Relaxed);
@@ -1245,7 +1248,15 @@ impl Engine {
     ///
     /// The private clone shares every table with the published image;
     /// applying a statement clones the written table's chunk *pointers* and
-    /// copies only the chunks of the segments it touches.
+    /// copies only the chunks it overwrites. An appending `INSERT` copies
+    /// no column chunk: the row goes into the space reserved behind each
+    /// tail chunk, which the published image keeps sharing (it reads the
+    /// shorter prefix it knows). Publishing the batch is what hands the
+    /// right to extend those tails to the next batch; a batch thrown away
+    /// after a failed WAL append has already claimed the slots it wrote,
+    /// so the next batch — built on the published image again — copies
+    /// each tail once and goes on in its own buffers, and the orphaned rows
+    /// are never visible to anyone.
     fn commit_batch(&self, batch: Vec<PendingWrite>) {
         use std::sync::atomic::Ordering::Relaxed;
         let mut work = (*self.db.snapshot()).clone();
@@ -2260,6 +2271,37 @@ mod tests {
         let s =
             r.get("rows").unwrap().as_array().unwrap()[0].as_array().unwrap()[0].as_i64().unwrap();
         assert_eq!(s, base_sum - replaced + 2 * round * 999999, "compaction preserved the values");
+    }
+
+    #[test]
+    fn a_served_insert_leaves_the_tail_shared_with_the_published_image() {
+        let e = engine();
+        let copies = |e: &Engine| {
+            let r = e.handle_line(r#"{"cmd":"stats"}"#);
+            r.get("stats").unwrap().get("append_copies").unwrap().as_i64().unwrap()
+        };
+        // Boot sealed the (partial) fact segment: the first insert decodes
+        // both tail chunks, reserving space behind them …
+        sql(&e, "INSERT INTO fact VALUES (0, 1)");
+        assert_eq!(copies(&e), 2);
+        // … which the next inserts fill, each batch against a published
+        // image (and a held snapshot) that shares the tail throughout.
+        let held = e.database().snapshot();
+        for v in 0..50 {
+            let r = sql(&e, &format!("INSERT INTO fact VALUES (1, {v})"));
+            assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
+        }
+        assert_eq!(copies(&e), 2, "fifty inserts copied no column chunk");
+        let now = e.database().snapshot();
+        let (old, new) = (held.table("fact").unwrap(), now.table("fact").unwrap());
+        assert!((0..2).all(|c| new.column_at(c).shares_chunk(old.column_at(c), 0)));
+        assert_eq!((old.num_slots(), new.num_slots()), (4, 54));
+        let r = sql(&e, "SELECT count(*) AS n, sum(f_v) AS s FROM fact");
+        let row = r.get("rows").unwrap().as_array().unwrap()[0].as_array().unwrap();
+        assert_eq!((row[0].as_i64(), row[1].as_i64()), (Some(54), Some(61 + 49 * 50 / 2)));
+        let m = e.handle_line(r#"{"cmd":"metrics"}"#);
+        let text = m.get("metrics").and_then(Json::as_str).unwrap_or_default().to_owned();
+        assert!(text.contains("astore_server_append_copies 2"), "{m:?}");
     }
 
     #[test]

@@ -391,7 +391,16 @@ pub fn render_prometheus(
         ),
         ("astore_server_raw_bytes", "Bytes the same chunks would occupy flat.", &stats.raw_bytes),
         ("astore_server_flat_chunks", "Column chunks currently held flat.", &stats.flat_chunks),
-        ("astore_server_flat_bytes", "Bytes of the chunks held flat.", &stats.flat_bytes),
+        (
+            "astore_server_flat_bytes",
+            "Bytes of the visible rows of the chunks held flat.",
+            &stats.flat_bytes,
+        ),
+        (
+            "astore_server_append_copies",
+            "Column tail chunks copied by appends since boot.",
+            &stats.append_copies,
+        ),
     ] {
         w.header(name, help, "gauge");
         w.sample_u64(name, &[], gauge.load(Ordering::Relaxed));

@@ -83,8 +83,14 @@ pub struct ServerStats {
     /// Chunks currently held flat (written since their last seal, the
     /// filling tail, or kinds with no smaller form) …
     pub flat_chunks: AtomicU64,
-    /// … and their bytes — the part of `encoded_bytes` that is not encoded.
+    /// … and the bytes of their visible rows — the part of `encoded_bytes`
+    /// that is not encoded. Space reserved behind a filling tail is not
+    /// counted: untouched, it is address space, not resident memory.
     pub flat_bytes: AtomicU64,
+    /// Column tail chunks that appends had to copy since boot (the sum of
+    /// `Table::append_copies` over the tables of the current image): an
+    /// insert that finds reserved space behind the tail adds nothing here.
+    pub append_copies: AtomicU64,
     /// End-to-end statement latency (parse → response built).
     pub latency: LatencyHistogram,
     /// Groups multi-counter updates (e.g. `queries` + `segments_scanned` +
@@ -129,6 +135,7 @@ impl Default for ServerStats {
             raw_bytes: AtomicU64::new(0),
             flat_chunks: AtomicU64::new(0),
             flat_bytes: AtomicU64::new(0),
+            append_copies: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
             group: SeqLock::new(),
             started: Instant::now(),
@@ -211,6 +218,7 @@ impl ServerStats {
             ("raw_bytes", Json::Int(self.raw_bytes.load(Ordering::Relaxed) as i64)),
             ("flat_chunks", Json::Int(self.flat_chunks.load(Ordering::Relaxed) as i64)),
             ("flat_bytes", Json::Int(self.flat_bytes.load(Ordering::Relaxed) as i64)),
+            ("append_copies", Json::Int(self.append_copies.load(Ordering::Relaxed) as i64)),
             ("cache_hits", Json::Int(cache.hits() as i64)),
             ("cache_misses", Json::Int(cache.misses() as i64)),
             ("cache_hit_rate", Json::Float(cache.hit_rate())),
@@ -298,6 +306,7 @@ mod tests {
             "raw_bytes",
             "flat_chunks",
             "flat_bytes",
+            "append_copies",
             "latency_p99_us",
             "router_mispredictions",
         ] {

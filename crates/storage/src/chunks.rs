@@ -17,10 +17,27 @@
 //! never both. Sealing ([`Chunked::seal_chunk`]) replaces a flat chunk by
 //! its encoding when that is strictly smaller; a value write into an
 //! encoded chunk decodes *that chunk* into a fresh flat one, which is
-//! exactly the copy copy-on-write would have paid for a shared flat chunk;
-//! appends land in the filling tail chunk, which is flat while it fills.
-//! Both transitions install a new `Arc`, so pointer identity
-//! ([`Chunked::shares_chunk`]) still tells whether a chunk was written.
+//! exactly the copy copy-on-write would have paid for a shared flat chunk.
+//! Both transitions install a new `Arc`, so for a **complete** chunk pointer
+//! identity ([`Chunked::shares_chunk`]) still tells whether it was written.
+//!
+//! ## Appends write into reserved space
+//!
+//! The flat array is an [`AppendBuf`]: fixed capacity, written rows never
+//! change, and the next free slot can be written through a shared
+//! reference. The buffer does not know how many rows a holder sees — the
+//! `Chunked` does (its `len`), and every reader gets the *visible prefix*
+//! of the filling tail. [`Chunked::push`] therefore copies nothing while
+//! capacity remains: the new image and every snapshot taken before keep
+//! sharing the tail allocation, each reading its own prefix of it. The
+//! right to write slot `len` is claimed by a compare-exchange from the
+//! appender's own `len` ([`AppendBuf::try_push`]), so exactly one lineage
+//! extends a buffer; a forked clone, a holder whose clone appended and was
+//! discarded, and an append into a full buffer or an encoded tail copy the
+//! visible prefix **once** into a buffer of twice the rows (capped at the
+//! segment) and go on from there — O(log) copies per segment, not one per
+//! append. Overwrites ([`Chunked::set`]) stay copy-on-write: in place only
+//! when no snapshot shares the chunk.
 //!
 //! Readers take a chunk as they find it: [`Chunked::chunk`] hands out a
 //! [`ChunkRef`] — the flat slice, the packed words or the runs — which the
@@ -34,6 +51,7 @@ use std::any::Any;
 use std::borrow::Cow;
 use std::sync::Arc;
 
+use crate::appendbuf::AppendBuf;
 use crate::encoded::{encode_values, ChunkValue, EncodedColumn, PackedInts, RleInts};
 use crate::segment::SEGMENT_ROWS;
 
@@ -91,57 +109,24 @@ impl Default for Geometry {
 }
 
 /// One column's rows of one segment, in its one resident representation.
+/// How many of a flat buffer's rows a holder sees is the holder's business
+/// ([`Chunked::chunk`] supplies it); an encoding holds exactly the rows it
+/// was made from.
 #[derive(Debug)]
 pub enum Chunk<T> {
-    /// The plain array.
-    Flat(Vec<T>),
+    /// The plain array, with whatever space is reserved behind it.
+    Flat(AppendBuf<T>),
     /// The compressed form; decodes to the array it replaced, slot for slot.
     Encoded(EncodedColumn),
 }
 
-impl<T: ChunkValue> Chunk<T> {
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        match self {
-            Chunk::Flat(v) => v.len(),
-            Chunk::Encoded(e) => e.len(),
-        }
-    }
-
-    /// Returns `true` if the chunk holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The chunk as readers take it.
-    #[inline]
-    pub fn view(&self) -> ChunkRef<'_, T> {
-        match self {
-            Chunk::Flat(v) => ChunkRef::Flat(v),
-            Chunk::Encoded(EncodedColumn::Packed(p)) => ChunkRef::Packed(p),
-            Chunk::Encoded(EncodedColumn::Rle(r)) => ChunkRef::Rle(r),
-        }
-    }
-
+impl<T> Chunk<T> {
     /// The encoding, if the chunk is held encoded.
     pub fn encoding(&self) -> Option<&EncodedColumn> {
         match self {
             Chunk::Flat(_) => None,
             Chunk::Encoded(e) => Some(e),
         }
-    }
-
-    /// Heap bytes of the resident representation.
-    pub fn bytes(&self) -> usize {
-        match self {
-            Chunk::Flat(_) => self.raw_bytes(),
-            Chunk::Encoded(e) => e.bytes(),
-        }
-    }
-
-    /// Heap bytes the chunk takes (or would take) flat.
-    pub fn raw_bytes(&self) -> usize {
-        self.len() * std::mem::size_of::<T>()
     }
 }
 
@@ -232,38 +217,9 @@ impl<'a, T: ChunkValue> ChunkRef<'a, T> {
     }
 }
 
-/// Exclusive access to a chunk as a flat array: a shared flat chunk is
-/// copied first, an encoded one decoded — either way into a fresh
-/// allocation with room for `extra` more rows, so an append right after
-/// does not reallocate what was just built.
-fn unshare<T: ChunkValue>(chunk: &mut Arc<Chunk<T>>, extra: usize) -> &mut Vec<T> {
-    // Chunks are never downgraded to `Weak`, so a strong count of one means
-    // unique; `get_mut` below stays the authority either way.
-    let fresh = match &**chunk {
-        Chunk::Flat(v) if Arc::strong_count(chunk) > 1 => {
-            let mut own = Vec::with_capacity(v.len() + extra);
-            own.extend_from_slice(v);
-            Some(own)
-        }
-        Chunk::Flat(_) => None,
-        Chunk::Encoded(e) => {
-            let mut own = Vec::with_capacity(e.len() + extra);
-            e.decode_into(&mut own);
-            Some(own)
-        }
-    };
-    if let Some(own) = fresh {
-        *chunk = Arc::new(Chunk::Flat(own));
-    }
-    match Arc::get_mut(chunk).expect("chunk is uniquely owned after un-sharing") {
-        Chunk::Flat(v) => v,
-        Chunk::Encoded(_) => unreachable!("an encoded chunk was just decoded"),
-    }
-}
-
-/// Rows of headroom a tail chunk gets when an append has to copy it: enough
-/// that the rest of a write batch appends in place, small next to the chunk.
-const APPEND_HEADROOM: usize = 64;
+/// Rows a chunk's first buffer has room for; each copy after that doubles
+/// it, up to the segment.
+const FIRST_CAPACITY: usize = 64;
 
 /// A type-erased hold on one chunk allocation: keeps it alive (so its
 /// address cannot be reused) and answers only "is this still the chunk in
@@ -271,7 +227,9 @@ const APPEND_HEADROOM: usize = 64;
 pub type ChunkHandle = Arc<dyn Any + Send + Sync>;
 
 /// A column payload as a sequence of `Arc`-held per-segment chunks. Every
-/// chunk but the last holds exactly [`Geometry::rows`] rows.
+/// chunk but the last holds exactly [`Geometry::rows`] rows; of the last
+/// this holder sees `len` minus the rows before it, whatever the buffer
+/// under it has taken since.
 #[derive(Debug, Clone)]
 pub struct Chunked<T> {
     chunks: Vec<Arc<Chunk<T>>>,
@@ -298,10 +256,10 @@ impl<T: ChunkValue> Chunked<T> {
             if len == 0 {
                 Vec::new()
             } else {
-                vec![Arc::new(Chunk::Flat(values))]
+                vec![Arc::new(Chunk::Flat(values.into()))]
             }
         } else {
-            values.chunks(geo.rows()).map(|c| Arc::new(Chunk::Flat(c.to_vec()))).collect()
+            values.chunks(geo.rows()).map(|c| Arc::new(Chunk::Flat(c.to_vec().into()))).collect()
         };
         Chunked { chunks, geo, len }
     }
@@ -313,7 +271,8 @@ impl<T: ChunkValue> Chunked<T> {
         let chunks = (0..geo.segments_for(len))
             .map(|seg| {
                 let start = seg * geo.rows();
-                Arc::new(Chunk::Flat((start..(start + geo.rows()).min(len)).map(&mut f).collect()))
+                let rows: Vec<T> = (start..(start + geo.rows()).min(len)).map(&mut f).collect();
+                Arc::new(Chunk::Flat(rows.into()))
             })
             .collect();
         Chunked { chunks, geo, len }
@@ -337,22 +296,47 @@ impl<T: ChunkValue> Chunked<T> {
         self.chunks.len()
     }
 
+    /// Rows of segment `seg` this holder sees.
+    #[inline]
+    fn visible(&self, seg: usize) -> usize {
+        if seg + 1 < self.chunks.len() {
+            self.geo.rows()
+        } else {
+            self.len - seg * self.geo.rows()
+        }
+    }
+
     /// The rows of segment `seg` as they are resident — what scans bind per
-    /// segment.
+    /// segment. Of a flat filling tail: the prefix this holder sees.
     ///
     /// # Panics
     /// Panics if `seg` is out of range.
     #[inline]
     pub fn chunk(&self, seg: usize) -> ChunkRef<'_, T> {
-        self.chunks[seg].view()
+        match &*self.chunks[seg] {
+            Chunk::Flat(buf) => ChunkRef::Flat(buf.prefix(self.visible(seg))),
+            Chunk::Encoded(EncodedColumn::Packed(p)) => ChunkRef::Packed(p),
+            Chunk::Encoded(EncodedColumn::Rle(r)) => ChunkRef::Rle(r),
+        }
     }
 
-    /// The owned chunk of segment `seg` (its representation and size).
+    /// The encoding of segment `seg`'s chunk, if it is resident encoded.
     ///
     /// # Panics
     /// Panics if `seg` is out of range.
-    pub fn chunk_slot(&self, seg: usize) -> &Chunk<T> {
-        &self.chunks[seg]
+    pub fn chunk_encoding(&self, seg: usize) -> Option<&EncodedColumn> {
+        self.chunks[seg].encoding()
+    }
+
+    /// Heap bytes of segment `seg`'s visible rows as `(resident, raw)`: in
+    /// the representation they are held in, and flat. Space reserved behind
+    /// a flat tail is not counted — untouched, it is address space.
+    ///
+    /// # Panics
+    /// Panics if `seg` is out of range.
+    pub fn chunk_bytes(&self, seg: usize) -> (usize, usize) {
+        let raw = self.visible(seg) * std::mem::size_of::<T>();
+        (self.chunk_encoding(seg).map_or(raw, EncodedColumn::bytes), raw)
     }
 
     /// Do `self` and `other` hold the *same allocation* for segment `seg`?
@@ -365,9 +349,11 @@ impl<T: ChunkValue> Chunked<T> {
     }
 
     /// A hold on the allocation currently in slot `seg`. While it is held
-    /// every write to the chunk installs a new allocation (the chunk is
-    /// shared), so [`Chunked::holds`] answering `true` later proves that
-    /// nothing wrote to the chunk in between.
+    /// every overwrite of the chunk installs a new allocation (the chunk is
+    /// shared), so for a complete chunk [`Chunked::holds`] answering `true`
+    /// later proves that nothing wrote to it in between. (Appends extend a
+    /// filling tail inside its allocation: there the row count has to be
+    /// compared too.)
     pub fn chunk_handle(&self, seg: usize) -> ChunkHandle {
         Arc::clone(&self.chunks[seg]) as ChunkHandle
     }
@@ -384,7 +370,7 @@ impl<T: ChunkValue> Chunked<T> {
     #[inline]
     pub fn get(&self, row: usize) -> T {
         let (seg, off) = self.geo.locate(row);
-        self.chunks[seg].view().at(off)
+        self.chunk(seg).at(off)
     }
 
     /// A reader that keeps the last chunk it touched bound (and decoded) —
@@ -403,8 +389,8 @@ impl<T: ChunkValue> Chunked<T> {
     /// Iterates all values in row order (an encoded chunk is decoded once,
     /// when the iteration reaches it).
     pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
-        self.chunks.iter().flat_map(|c| {
-            let (flat, decoded) = match c.view().decoded() {
+        (0..self.chunks.len()).flat_map(|seg| {
+            let (flat, decoded) = match self.chunk(seg).decoded() {
                 Cow::Borrowed(flat) => (flat, Vec::new()),
                 Cow::Owned(decoded) => (&[][..], decoded),
             };
@@ -415,8 +401,8 @@ impl<T: ChunkValue> Chunked<T> {
     /// Copies the column into one flat array.
     pub fn to_vec(&self) -> Vec<T> {
         let mut out = Vec::with_capacity(self.len);
-        for c in &self.chunks {
-            c.view().decode_into(&mut out);
+        for seg in 0..self.chunks.len() {
+            self.chunk(seg).decode_into(&mut out);
         }
         out
     }
@@ -425,27 +411,63 @@ impl<T: ChunkValue> Chunked<T> {
     /// chunk at a time; chunks whose source was encoded are sealed again.
     pub fn map<U: ChunkValue>(&self, mut f: impl FnMut(T) -> U) -> Chunked<U> {
         let mut out = Chunked::with_geometry(self.geo);
-        for (seg, c) in self.chunks.iter().enumerate() {
-            out.push_chunk(c.view().decoded().iter().map(|&v| f(v)).collect());
-            if c.encoding().is_some() {
+        for seg in 0..self.chunks.len() {
+            out.push_chunk(self.chunk(seg).decoded().iter().map(|&v| f(v)).collect());
+            if self.chunk_encoding(seg).is_some() {
                 out.seal_chunk(seg);
             }
         }
         out
     }
 
-    /// Appends a value. The tail chunk is made flat and exclusive first
-    /// (copied if a snapshot shares it, decoded if it was sealed partial).
-    pub fn push(&mut self, value: T) {
-        let rows = self.geo.rows();
-        match self.chunks.last_mut() {
-            Some(tail) if tail.len() < rows => {
-                let headroom = APPEND_HEADROOM.min(rows - tail.len());
-                unshare(tail, headroom).push(value);
-            }
-            _ => self.chunks.push(Arc::new(Chunk::Flat(vec![value]))),
+    /// The capacity a fresh flat buffer holding `rows` rows gets: twice the
+    /// rows — the reserved free space appends then fill — and never more
+    /// than the segment, so a complete chunk reserves nothing.
+    fn capacity_for(&self, rows: usize) -> usize {
+        let seg_rows = self.geo.rows();
+        (2 * rows).clamp(FIRST_CAPACITY.min(seg_rows), seg_rows)
+    }
+
+    /// A private flat copy of segment `seg`'s visible rows (decoded, if the
+    /// chunk is encoded) with the usual space reserved behind them, and
+    /// room for `at_least` rows.
+    fn flat_copy(&self, seg: usize, at_least: usize) -> Arc<Chunk<T>> {
+        let mut own = Vec::with_capacity(self.capacity_for(self.visible(seg)).max(at_least));
+        self.chunk(seg).decode_into(&mut own);
+        Arc::new(Chunk::Flat(own.into()))
+    }
+
+    /// Appends `value` as row `rows` of the filling tail in place, if the
+    /// tail is flat, this holder is the one lineage entitled to extend it
+    /// and reserved space remains (see [`AppendBuf::try_push`]).
+    fn push_in_place(&self, rows: usize, value: T) -> bool {
+        match self.chunks.last().map(|tail| &**tail) {
+            Some(Chunk::Flat(buf)) => buf.try_push(rows, value),
+            _ => false,
+        }
+    }
+
+    /// Appends a value, into the tail's reserved space: nothing is copied
+    /// and the tail stays shared with every snapshot holding it. Returns
+    /// `true` if that was not possible and the tail was copied first —
+    /// another lineage extended the buffer, its space is used up, or the
+    /// tail was sealed partial (decoded, then) — into a buffer of twice the
+    /// rows.
+    pub fn push(&mut self, value: T) -> bool {
+        let rows = self.len % self.geo.rows();
+        if rows == 0 {
+            // A chunk starts; its buffer grows by copying like any other.
+            let first = AppendBuf::with_capacity(self.capacity_for(0));
+            self.chunks.push(Arc::new(Chunk::Flat(first)));
+        }
+        let copied = !self.push_in_place(rows, value);
+        if copied {
+            let tail = self.chunks.len() - 1;
+            self.chunks[tail] = self.flat_copy(tail, 0);
+            assert!(self.push_in_place(rows, value), "a private buffer with room takes the row");
         }
         self.len += 1;
+        copied
     }
 
     /// Appends one whole flat chunk (the bulk-load path: generators and the
@@ -455,7 +477,7 @@ impl<T: ChunkValue> Chunked<T> {
     /// Panics if the current tail is partial, or the chunk is empty or
     /// longer than a segment.
     pub fn push_chunk(&mut self, chunk: Vec<T>) {
-        self.push_slot(Chunk::Flat(chunk));
+        self.push_slot(chunk.len(), Chunk::Flat(chunk.into()));
     }
 
     /// Appends one whole chunk that is already encoded — a snapshot block
@@ -464,36 +486,55 @@ impl<T: ChunkValue> Chunked<T> {
     /// # Panics
     /// As [`Chunked::push_chunk`].
     pub fn push_encoded(&mut self, chunk: EncodedColumn) {
-        self.push_slot(Chunk::Encoded(chunk));
+        self.push_slot(chunk.len(), Chunk::Encoded(chunk));
     }
 
-    fn push_slot(&mut self, chunk: Chunk<T>) {
+    fn push_slot(&mut self, rows: usize, chunk: Chunk<T>) {
         assert_eq!(self.len % self.geo.rows(), 0, "cannot append a chunk after a partial tail");
-        assert!(!chunk.is_empty() && chunk.len() <= self.geo.rows(), "chunk size out of range");
-        self.len += chunk.len();
+        assert!(rows > 0 && rows <= self.geo.rows(), "chunk size out of range");
+        self.len += rows;
         self.chunks.push(Arc::new(chunk));
     }
 
-    /// Overwrites one row. Its chunk is made flat and exclusive first
-    /// (copied if a snapshot shares it, decoded if it was encoded).
+    /// Overwrites one row. Its chunk is made flat and exclusive first:
+    /// decoded if it was encoded, copied if a snapshot shares it (a filling
+    /// tail keeps reserved space behind the copy), written in place
+    /// otherwise.
     ///
     /// # Panics
     /// Panics if `row` is out of range.
     pub fn set(&mut self, row: usize, value: T) {
+        assert!(row < self.len, "row {row} out of range");
         let (seg, off) = self.geo.locate(row);
-        unshare(&mut self.chunks[seg], 0)[off] = value;
+        // Chunks are never downgraded to `Weak`, so a strong count of one
+        // means unique; `get_mut` below stays the authority either way.
+        if self.chunk_encoding(seg).is_some() || Arc::strong_count(&self.chunks[seg]) > 1 {
+            self.chunks[seg] = self.flat_copy(seg, 0);
+        }
+        match Arc::get_mut(&mut self.chunks[seg]).expect("chunk is uniquely owned after un-sharing")
+        {
+            Chunk::Flat(buf) => buf.written_mut()[off] = value,
+            Chunk::Encoded(_) => unreachable!("an encoded chunk was just decoded"),
+        }
     }
 
-    /// Reserves room for `additional` appends in the tail chunk (capped at
-    /// the chunk boundary; later chunks are allocated as they start). An
-    /// encoded tail is left alone: the append that decodes it sizes it.
+    /// Reserves free space behind the filling tail (paper §4.4) so that the
+    /// next `additional` appends write in place — capped at the chunk
+    /// boundary; later chunks are allocated as they start. Copies the tail
+    /// once if it cannot take them as it is (see [`Chunked::push`]).
     pub fn reserve(&mut self, additional: usize) {
-        let rows = self.geo.rows();
-        if let Some(tail) = self.chunks.last_mut() {
-            let room = rows - tail.len();
-            if room > 0 && tail.encoding().is_none() {
-                unshare(tail, 0).reserve(additional.min(room));
-            }
+        let rows = self.len % self.geo.rows();
+        if rows == 0 {
+            return;
+        }
+        let want = (rows + additional).min(self.geo.rows());
+        let tail = self.chunks.len() - 1;
+        let ready = match &*self.chunks[tail] {
+            Chunk::Flat(buf) => buf.len() == rows && buf.capacity() >= want,
+            Chunk::Encoded(_) => false,
+        };
+        if !ready {
+            self.chunks[tail] = self.flat_copy(tail, want);
         }
     }
 
@@ -509,10 +550,7 @@ impl<T: ChunkValue> Chunked<T> {
     /// encoding is strictly smaller ([`encode_values`]); the slot is not
     /// touched.
     pub fn encode_chunk(&self, seg: usize) -> Option<EncodedColumn> {
-        match &*self.chunks[seg] {
-            Chunk::Flat(v) => encode_values(v),
-            Chunk::Encoded(_) => None,
-        }
+        self.chunk(seg).as_flat().and_then(encode_values)
     }
 
     /// Replaces segment `seg`'s chunk by `enc` (which must decode to it).
@@ -520,7 +558,7 @@ impl<T: ChunkValue> Chunked<T> {
     /// # Panics
     /// Panics if the lengths differ.
     pub fn install_encoded(&mut self, seg: usize, enc: EncodedColumn) {
-        assert_eq!(enc.len(), self.chunks[seg].len(), "encoding length mismatch");
+        assert_eq!(enc.len(), self.visible(seg), "encoding length mismatch");
         self.chunks[seg] = Arc::new(Chunk::Encoded(enc));
     }
 
@@ -534,9 +572,9 @@ impl<T: ChunkValue> Chunked<T> {
     /// Decodes every encoded chunk into a flat one (the flat oracle of the
     /// differential tests; a write does this to the one chunk it lands in).
     pub fn decode_all(&mut self) {
-        for chunk in &mut self.chunks {
-            if chunk.encoding().is_some() {
-                unshare(chunk, 0);
+        for seg in 0..self.chunks.len() {
+            if self.chunk_encoding(seg).is_some() {
+                self.chunks[seg] = self.flat_copy(seg, 0);
             }
         }
     }
@@ -783,14 +821,71 @@ mod tests {
         assert_eq!(snap.get(5), 5, "the snapshot keeps the old value");
         assert_eq!(live.get(5), -1);
 
-        live.push(10);
-        assert!(!live.shares_chunk(&snap, 2), "an append copies the shared tail");
+        // The tail came from `from_vec` with no room behind it: the first
+        // append copies it (reserving space), the next one writes in place.
+        assert!(live.push(10), "no reserved space: the tail is copied");
+        assert!(!live.shares_chunk(&snap, 2));
         assert!(live.shares_chunk(&snap, 0));
         assert_eq!(snap.len(), 10);
-        live.push(11); // fills chunk 2
-        live.push(12); // opens chunk 3: nothing shared to copy
+        let snap = live.clone();
+        assert!(!live.push(11), "fills chunk 2 in place");
+        assert!(live.shares_chunk(&snap, 2), "an append leaves the tail shared");
+        assert_eq!(snap.chunk(2).as_flat(), Some(&[8, 9, 10][..]), "the snapshot keeps its prefix");
+        assert_eq!(live.chunk(2).as_flat(), Some(&[8, 9, 10, 11][..]));
+        assert!(!live.push(12)); // opens chunk 3: nothing shared to copy
         assert_eq!(live.chunk_count(), 4);
         assert_eq!(live.chunk(3).as_flat(), Some(&[12][..]));
+    }
+
+    #[test]
+    fn one_lineage_extends_a_tail_and_the_others_copy() {
+        let mut a: Chunked<i32> = Chunked::with_geometry(Geometry::new(256));
+        a.push(0);
+        // A fork: both clones see one row; the first to append wins slot 1.
+        let mut b = a.clone();
+        assert!(!a.push(1));
+        assert!(b.push(-1), "the loser of the exchange copies");
+        assert!(!a.shares_chunk(&b, 0));
+        assert_eq!((a.to_vec(), b.to_vec()), (vec![0, 1], vec![0, -1]));
+        assert!(!b.push(-2), "and extends its own buffer from then on");
+
+        // A discarded batch: the clone appends in place and is dropped; the
+        // original must not expose the orphaned rows, and copies once.
+        let mut batch = a.clone();
+        assert!(!batch.push(7) && !batch.push(8));
+        drop(batch);
+        assert_eq!(a.to_vec(), [0, 1]);
+        assert_eq!(a.chunk(0).len(), 2);
+        assert!(a.push(2), "slot 2 was claimed by the discarded clone");
+        assert_eq!(a.to_vec(), [0, 1, 2]);
+
+        // Reserved space runs out at powers of two from the first capacity:
+        // 1000 appends against held snapshots copy the tail a few times.
+        let mut held = Vec::new();
+        let mut c: Chunked<i64> = Chunked::with_geometry(Geometry::new(256));
+        let copies: usize = (0..1000)
+            .map(|i| {
+                held.push(c.clone());
+                usize::from(c.push(i))
+            })
+            .sum();
+        assert_eq!(copies, 4 * 2, "64 → 128 → 256 rows of room in each of the four segments");
+        for (n, snap) in held.iter().enumerate() {
+            assert_eq!(snap.len(), n);
+            assert!(snap.iter().eq(0..n as i64), "snapshot {n} sees exactly its rows");
+        }
+
+        // `reserve` sizes the space up front; a sealed partial tail is
+        // decoded by it, and a full tail has nothing to reserve behind.
+        let mut r: Chunked<i32> = Chunked::from_vec(vec![5; 300], Geometry::new(256));
+        assert!(r.seal_chunk(1));
+        r.reserve(10_000);
+        assert!(r.chunk(1).as_flat().is_some());
+        let snap = r.clone();
+        assert!((0..212).all(|i| !r.push(i)), "reserved up to the chunk boundary");
+        assert!(r.shares_chunk(&snap, 1) && snap.len() == 300);
+        r.reserve(10);
+        assert_eq!((r.len(), r.chunk_count()), (512, 2));
     }
 
     #[test]
@@ -850,7 +945,7 @@ mod tests {
         let flat: Vec<i32> = (0..20).map(|i| 100 + i % 3).collect();
         let mut c = sealed();
         assert!((0..3).all(|seg| c.chunk(seg).as_flat().is_none()));
-        assert!(c.chunk_slot(1).bytes() < 8 * 4, "the encoding replaced the array");
+        assert!(c.chunk_bytes(1).0 < 8 * 4, "the encoding replaced the array");
         // Every reader sees the same values through the encoded form.
         assert_eq!(c.to_vec(), flat);
         assert_eq!(c.iter().collect::<Vec<_>>(), flat);
@@ -868,7 +963,7 @@ mod tests {
         assert!(!c.shares_chunk(&snap, 1) && c.shares_chunk(&snap, 0));
         assert_eq!(snap.get(9), flat[9], "the snapshot keeps its encoded chunk");
         // An append decodes the sealed partial tail and fills it flat.
-        c.push(5);
+        assert!(c.push(5));
         assert_eq!(c.chunk(2).as_flat(), Some(&[flat[16], flat[17], flat[18], flat[19], 5][..]));
         // Re-sealing puts both back.
         assert!(c.seal_chunk(1) && c.seal_chunk(2));

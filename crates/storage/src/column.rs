@@ -111,16 +111,14 @@ impl Column {
 
     /// The encoding of segment `seg`'s chunk, if it is resident encoded.
     pub fn chunk_encoding(&self, seg: usize) -> Option<&EncodedColumn> {
-        payload!(self, v => v.chunk_slot(seg).encoding())
+        payload!(self, v => v.chunk_encoding(seg))
     }
 
-    /// Resident heap bytes of segment `seg`'s chunk, and the bytes it would
-    /// take flat (string heap payloads excluded from both).
+    /// Resident heap bytes of segment `seg`'s visible rows, and the bytes
+    /// they would take flat (see [`Chunked::chunk_bytes`]; string heap
+    /// payloads excluded from both).
     pub fn chunk_bytes(&self, seg: usize) -> (usize, usize) {
-        payload!(self, v => {
-            let chunk = v.chunk_slot(seg);
-            (chunk.bytes(), chunk.raw_bytes())
-        })
+        payload!(self, v => v.chunk_bytes(seg))
     }
 
     /// A smaller encoding of segment `seg`'s chunk, if the chunk is
@@ -213,12 +211,13 @@ impl Column {
     }
 
     /// Generic append. The value must match the column type (integers widen
-    /// and narrow implicitly).
+    /// and narrow implicitly). Returns whether the tail chunk had to be
+    /// copied to take the row (see [`Chunked::push`]).
     ///
     /// # Panics
     /// Panics on a type mismatch — schema enforcement happens in
     /// [`crate::table::Table::append_row`].
-    pub fn push(&mut self, value: &Value) {
+    pub fn push(&mut self, value: &Value) -> bool {
         match (self, value) {
             (Column::I32(v), Value::Int(x)) => {
                 v.push(i32::try_from(*x).expect("i32 column overflow"))
@@ -226,9 +225,7 @@ impl Column {
             (Column::I64(v), Value::Int(x)) => v.push(*x),
             (Column::F64(v), Value::Float(x)) => v.push(*x),
             (Column::F64(v), Value::Int(x)) => v.push(*x as f64),
-            (Column::Str(c), Value::Str(s)) => {
-                c.push(s);
-            }
+            (Column::Str(c), Value::Str(s)) => c.push(s),
             (Column::Dict(c), Value::Str(s)) => c.push(s),
             (Column::Key { keys, .. }, Value::Key(k)) => keys.push(*k),
             (Column::Key { keys, .. }, Value::Int(k)) => {
@@ -247,7 +244,9 @@ impl Column {
     pub fn extend_from_rows(&mut self, src: &Column, rows: &[usize]) {
         fn copy<T: ChunkValue>(dst: &mut Chunked<T>, src: &Chunked<T>, rows: &[usize]) {
             let mut src = src.cursor();
-            rows.iter().for_each(|&r| dst.push(src.get(r)));
+            rows.iter().for_each(|&r| {
+                dst.push(src.get(r));
+            });
         }
         match (self, src) {
             (Column::I32(d), Column::I32(s)) => copy(d, s, rows),
@@ -256,7 +255,9 @@ impl Column {
             (Column::Key { keys: d, .. }, Column::Key { keys: s, .. }) => copy(d, s, rows),
             (Column::Dict(d), Column::Dict(s)) => {
                 let mut codes = s.codes().cursor();
-                rows.iter().for_each(|&r| d.push(s.dict().decode(codes.get(r))));
+                rows.iter().for_each(|&r| {
+                    d.push(s.dict().decode(codes.get(r)));
+                });
             }
             (Column::Str(d), Column::Str(s)) => rows.iter().for_each(|&r| {
                 d.push(s.get(r));
@@ -369,14 +370,15 @@ impl Column {
         }
     }
 
-    /// Reserves capacity for `additional` more rows in the tail chunk (the
-    /// append path the paper describes in §4.4).
+    /// Reserves free space for `additional` more rows behind the tail chunk
+    /// (paper §4.4; see [`Chunked::reserve`]).
     pub fn reserve(&mut self, additional: usize) {
         match self {
             Column::I32(v) => v.reserve(additional),
             Column::I64(v) => v.reserve(additional),
             Column::F64(v) => v.reserve(additional),
-            Column::Str(_) | Column::Dict(_) => {}
+            Column::Str(c) => c.slots_mut().reserve(additional),
+            Column::Dict(c) => c.codes_mut().reserve(additional),
             Column::Key { keys, .. } => keys.reserve(additional),
         }
     }

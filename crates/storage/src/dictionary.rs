@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::bitmap::Bitmap;
-use crate::chunks::{Chunk, Chunked, Geometry};
+use crate::chunks::{Chunked, Geometry};
 use crate::types::{Key, NULL_KEY};
 
 /// An order-preserving string dictionary.
@@ -159,9 +159,9 @@ impl DictColumn {
         let (codes, dict) = (codes.into(), dict.into());
         // An encoded chunk answers from its bounds; a flat one is scanned.
         let n = dict.len();
-        let in_range = (0..codes.chunk_count()).all(|seg| match codes.chunk_slot(seg) {
-            Chunk::Flat(v) => v.iter().all(|&c| (c as usize) < n),
-            Chunk::Encoded(e) => e.value_bounds().is_none_or(|(lo, hi)| lo >= 0 && hi < n as i64),
+        let in_range = (0..codes.chunk_count()).all(|seg| match codes.chunk_encoding(seg) {
+            None => codes.chunk(seg).decoded().iter().all(|&c| (c as usize) < n),
+            Some(e) => e.value_bounds().is_none_or(|(lo, hi)| lo >= 0 && hi < n as i64),
         });
         assert!(in_range, "code out of dictionary range");
         DictColumn { codes, dict }
@@ -222,10 +222,11 @@ impl DictColumn {
         }
     }
 
-    /// Appends a value, interning it if new.
-    pub fn push(&mut self, value: &str) {
+    /// Appends a value, interning it if new. Returns whether the tail code
+    /// chunk had to be copied to take it (see [`Chunked::push`]).
+    pub fn push(&mut self, value: &str) -> bool {
         let c = self.intern(value);
-        self.codes.push(c);
+        self.codes.push(c)
     }
 
     /// In-place update of one row's value.

@@ -19,7 +19,9 @@
 //! - [`chunks::Chunked`] — the physical form of every array: one
 //!   `Arc`-held chunk per table segment, the unit of copy-on-write
 //!   ownership, resident either flat or in its compressed encoding
-//!   ([`encoded`]), never both;
+//!   ([`encoded`]), never both; the flat form is an
+//!   [`appendbuf::AppendBuf`], so appends fill space reserved behind the
+//!   tail instead of copying it;
 //! - [`bitmap::Bitmap`] — predicate vectors (§4.2) and delete vectors (§4.4;
 //!   per-segment as [`bitmap::SegBitmap`]);
 //! - [`selvec::SelVec`] — selection vectors for the vectorized column scan
@@ -74,8 +76,9 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)] // `appendbuf` opts back in explicitly
 
+pub mod appendbuf;
 pub mod bitmap;
 pub mod catalog;
 pub mod chunks;

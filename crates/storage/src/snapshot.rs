@@ -21,8 +21,11 @@
 //! **What a write copies.** Only what it touches, and only if a snapshot
 //! still shares it: an `UPDATE` of one field copies that column's chunk of
 //! one segment (decodes it, if it was encoded — the same one allocation);
-//! an `INSERT` copies the tail segment's chunks; a `DELETE` copies one
-//! segment's live bits. Every other chunk stays
+//! a `DELETE` copies one segment's live bits; an appending `INSERT` copies
+//! the tail's live bits and **no column chunk** — it writes the row into
+//! the space reserved behind every column's tail
+//! ([`crate::appendbuf`]), which the new image and the snapshots go on
+//! sharing, each reading the prefix it knows. Every other chunk stays
 //! pointer-identical between the old image and the new one, so the cost of
 //! a committed write is bounded by the segments it touches and does not
 //! grow with the table. With no snapshot outstanding nothing is shared and
@@ -263,16 +266,32 @@ mod tests {
             assert_eq!(held.table("fact").unwrap().row(70)[2], Value::Int(210));
             assert_eq!(now.table("fact").unwrap().row(70)[2], Value::Int(-1));
 
-            // INSERT (append): every column's tail chunk and the tail's
-            // live bits, nothing else.
+            // INSERT (append) after a seal: the tail chunks that were
+            // sealed are decoded (floats and string slots never are, and
+            // take the row in their reserved space) …
             let held = shared.snapshot();
             let row = held.table("fact").unwrap().row(0);
             shared.insert("fact", &row);
             let now = shared.snapshot();
             let (cols, live) = unshared(held.table("fact").unwrap(), now.table("fact").unwrap());
-            assert_eq!(cols, (0..6).map(|c| (c, tail)).collect::<Vec<_>>(), "segs={segs}");
+            assert_eq!(cols, [0, 1, 2, 4].map(|c| (c, tail)), "segs={segs}");
             assert_eq!(live, vec![tail], "segs={segs}");
             assert_eq!(held.table("fact").unwrap().num_slots(), segs * 64 + 10);
+            assert_eq!(now.table("fact").unwrap().append_copies(), 4, "segs={segs}");
+
+            // … and every INSERT after that copies the tail's live bits and
+            // no column chunk at all: the held snapshot and the new image
+            // share the tail, each seeing its own rows of it.
+            let held = shared.snapshot();
+            shared.insert("fact", &row);
+            let now = shared.snapshot();
+            let (cols, live) = unshared(held.table("fact").unwrap(), now.table("fact").unwrap());
+            assert!(cols.is_empty(), "segs={segs}: an append copies no payload, got {cols:?}");
+            assert_eq!(live, vec![tail], "segs={segs}");
+            assert_eq!(held.table("fact").unwrap().num_slots(), segs * 64 + 11);
+            assert_eq!(now.table("fact").unwrap().num_slots(), segs * 64 + 12);
+            assert_eq!(now.table("fact").unwrap().row((segs * 64 + 11) as RowId), row);
+            assert_eq!(now.table("fact").unwrap().append_copies(), 4, "segs={segs}");
 
             // DELETE: one segment's live bits, no payload chunk.
             let held = shared.snapshot();

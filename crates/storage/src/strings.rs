@@ -147,11 +147,11 @@ impl StrColumn {
         self.slots.is_empty()
     }
 
-    /// Appends a value, returning its slot index.
-    pub fn push(&mut self, s: &str) -> usize {
+    /// Appends a value. Returns whether the tail slot chunk had to be
+    /// copied to take it (see [`Chunked::push`]).
+    pub fn push(&mut self, s: &str) -> bool {
         let r = Arc::make_mut(&mut self.heap).push(s);
-        self.slots.push(r);
-        self.slots.len() - 1
+        self.slots.push(r)
     }
 
     /// Reads the value at `row`.
@@ -207,12 +207,12 @@ mod tests {
     #[test]
     fn push_get_roundtrip() {
         let mut col = StrColumn::new();
-        let a = col.push("ASIA");
-        let b = col.push("EUROPE");
-        let c = col.push("");
-        assert_eq!(col.get(a), "ASIA");
-        assert_eq!(col.get(b), "EUROPE");
-        assert_eq!(col.get(c), "");
+        for s in ["ASIA", "EUROPE", ""] {
+            col.push(s);
+        }
+        assert_eq!(col.get(0), "ASIA");
+        assert_eq!(col.get(1), "EUROPE");
+        assert_eq!(col.get(2), "");
         assert_eq!(col.len(), 3);
     }
 

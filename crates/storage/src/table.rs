@@ -33,16 +33,17 @@
 //! | write | touched chunks | each is … |
 //! |---|---|---|
 //! | `update` of one field | that column's chunk of the row's segment | **decoded** into a fresh flat chunk if it was encoded; **copied** if flat and a snapshot shares it; written in place otherwise (a string value also copies the heap's active slab, ≤ 1 MiB; a *new* dictionary value: the dictionary) |
-//! | `append_row` / `insert` at the end | every column's chunk of the **tail** segment and the tail's live bits | as above — the filling tail is flat from its first append on |
-//! | `insert` reusing a dead slot | every column's chunk of that slot's segment, its live bits, the free-slot list | as above |
+//! | `append_row` / `insert` at the end | the next free slot of every column's **tail** chunk, and the tail's live bits | **written into the space reserved behind the tail** ([`crate::appendbuf`]): no column chunk is copied and the tail stays shared with every snapshot, which keeps reading its own shorter prefix. Only when that is impossible — the reserved space is used up, the tail was sealed partial, or another clone of the table extended it first — is the tail copied once into a buffer of twice the rows ([`Table::append_copies`] counts these). The live bits (≤ 8 KiB) are copied if shared |
+//! | `insert` reusing a dead slot | every column's chunk of that slot's segment, its live bits, the free-slot list | as `update`, per column |
 //! | `delete` | the row's segment's live bits (8 KiB) and the free-slot list | copied if shared; no column chunk is touched, encoded or not |
 //!
 //! A decode *is* the copy copy-on-write would have paid for a shared flat
 //! chunk, so nothing a write costs grows with the number of segments: a
-//! committed write is bounded by the segments it touches, not by the
-//! table's size. Every other chunk stays pointer-identical between the old
-//! image and the new one ([`crate::column::Column::shares_chunk`] observes
-//! it). A value write leaves its segment **unsealed**
+//! committed write is bounded by the segments it touches — an append, by
+//! the row it adds — not by the table's size. Every other chunk stays
+//! pointer-identical between the old image and the new one
+//! ([`crate::column::Column::shares_chunk`] observes it), and so does an
+//! appended-to tail. A value write leaves its segment **unsealed**
 //! ([`Table::segment_written`]) until the next seal or compaction install
 //! ([`Table::install_compacted`]) puts the flat chunks back in encoded
 //! form.
@@ -117,14 +118,16 @@ impl Schema {
 }
 
 /// The compactor's read-only half for one segment
-/// ([`Table::encode_segment_now`]): a hold on every column chunk it read
-/// and, for each chunk that was resident flat and has one, its strictly
-/// smaller encoding. The holds are what [`Table::install_compacted`]
-/// checks: while they exist every write to the segment installs a new
-/// chunk allocation, so "every chunk is still the one that was read"
-/// proves no value write raced the encode.
+/// ([`Table::encode_segment_now`]): the number of rows it read, a hold on
+/// every column chunk it read and, for each chunk that was resident flat
+/// and has one, its strictly smaller encoding. Rows and holds are what
+/// [`Table::install_compacted`] checks: while the holds exist every
+/// overwrite in the segment installs a new chunk allocation and every
+/// append adds a row, so "every chunk is still the one that was read, at
+/// the length it was read" proves no value write raced the encode.
 #[derive(Debug)]
 pub struct SegmentEncoding {
+    rows: usize,
     cols: Vec<(ChunkHandle, Option<EncodedColumn>)>,
 }
 
@@ -160,6 +163,9 @@ pub struct Table {
     /// last sealed, `0` = sealed — nothing was written since a seal looked
     /// at every chunk, so whatever is flat has no smaller encoding.
     written: Vec<u64>,
+    /// Column tail chunks copied by appends so far (see
+    /// [`Table::append_copies`]).
+    append_copies: u64,
     /// Monotonic mutation counter (see [`Table::epoch`]); never `0` once a
     /// row was written, so `0` is free to mean "sealed" in `written`.
     epoch: u64,
@@ -242,6 +248,7 @@ impl Table {
             geo,
             zones: Vec::new(),
             written: Vec::new(),
+            append_copies: 0,
             epoch: 0,
         }
     }
@@ -375,7 +382,8 @@ impl Table {
 
     /// Seals every unsealed segment: each of its flat chunks is replaced by
     /// its compressed encoding where that is strictly smaller (see
-    /// [`crate::encoded`]) — partial tail included, which the next append
+    /// [`crate::encoded`]) — partial tail included (the rows this image
+    /// sees of it, whatever its buffer took since), which the next append
     /// decodes again. Sealed segments are untouched, so sealing twice is a
     /// no-op. A segment that changed representation is marked dirty so the
     /// next checkpoint persists the encoded form. Returns the number of
@@ -411,6 +419,18 @@ impl Table {
         self.epoch
     }
 
+    /// How many column tail chunks appends have had to copy since this
+    /// table was built — one per (append, column) whose tail could not
+    /// take the row in place: its reserved space was used up, it was
+    /// sealed partial, or another clone of the table extended it first
+    /// (see [`crate::chunks::Chunked::push`]). Carried from image to image
+    /// like the epoch, not persisted. An append stream against held
+    /// snapshots moves it O(log segment rows) times per column and
+    /// segment, not once per append.
+    pub fn append_copies(&self) -> u64 {
+        self.append_copies
+    }
+
     /// Advances the table-wide mutation epoch (see [`Table::epoch`]).
     fn touch(&mut self) {
         self.epoch += 1;
@@ -425,6 +445,8 @@ impl Table {
     /// Chunks currently resident flat, as `(chunks, bytes)` — the part of
     /// [`Table::encoded_footprint`]'s first component that a seal could
     /// still shrink or that has no smaller form (floats, string slots).
+    /// Bytes count visible rows: the space reserved behind a filling tail
+    /// is address space until an append touches it.
     pub fn flat_chunks(&self) -> (u64, u64) {
         let (mut chunks, mut bytes) = (0u64, 0u64);
         for seg in 0..self.segment_count() {
@@ -442,17 +464,20 @@ impl Table {
     /// lock.
     pub fn encode_segment_now(&self, seg: usize) -> SegmentEncoding {
         SegmentEncoding {
+            rows: self.segment_range(seg).len(),
             cols: self.columns.iter().map(|c| (c.chunk_handle(seg), c.encode_chunk(seg))).collect(),
         }
     }
 
-    /// Installs a compaction result for segment `seg`, provided every chunk
-    /// of the segment is still the allocation the encode read (see
-    /// [`SegmentEncoding`]) — a value write in between replaced at least
-    /// one and the whole result is refused; the segment stays unsealed and
+    /// Installs a compaction result for segment `seg`, provided the segment
+    /// still has the rows the encode read and every chunk of it is still
+    /// the allocation the encode read (see [`SegmentEncoding`]) — an
+    /// overwrite in between replaced at least one chunk, an append added a
+    /// row, and the whole result is refused; the segment stays unsealed and
     /// is picked up again. Returns whether the result was installed.
     pub fn install_compacted(&mut self, seg: usize, enc: SegmentEncoding) -> bool {
         let current = seg < self.zones.len()
+            && enc.rows == self.segment_range(seg).len()
             && enc.cols.len() == self.columns.len()
             && self.columns.iter().zip(&enc.cols).all(|(c, (read, _))| c.holds_chunk(seg, read));
         if !current {
@@ -578,7 +603,7 @@ impl Table {
     pub fn append_row(&mut self, values: &[Value]) -> RowId {
         assert_eq!(values.len(), self.schema.arity(), "arity mismatch");
         for (col, v) in self.columns.iter_mut().zip(values) {
-            col.push(v);
+            self.append_copies += u64::from(col.push(v));
         }
         let row = self.live.len();
         self.live.push(true);
@@ -663,7 +688,10 @@ impl Table {
 
     /// Reserves append capacity across the family (paper §4.4: "A-Store
     /// preserves a certain proportion of free space at the end of each
-    /// array") — here, in each column's tail chunk.
+    /// array") — here, behind each column's tail chunk, up to the segment
+    /// boundary: the next `additional` appends copy no column chunk.
+    /// Appends reserve for themselves as well (each tail copy doubles the
+    /// space); this sizes it up front.
     pub fn reserve(&mut self, additional: usize) {
         for c in &mut self.columns {
             c.reserve(additional);
