@@ -24,8 +24,9 @@
 //! otherwise). Multicore execution (§5) is morsel-driven: a shared atomic
 //! cursor hands out fixed-size fact-table row ranges to workers that share
 //! the phase-1 artifacts read-only, each fold their morsels into one
-//! private aggregation table, and merge those tables once (see
-//! [`parallel`]).
+//! private aggregation table, and merge those tables once; the workers
+//! beside the statement's own thread are resident helpers that park between
+//! statements (see [`parallel`]).
 //!
 //! ## Quick example
 //!
@@ -63,13 +64,17 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny`, not `forbid`: there are two sanctioned exceptions, each a scoped
+// `deny`, not `forbid`: there are three sanctioned exceptions, each a scoped
 // `#[allow(unsafe_code)]` with a SAFETY argument per block — the SSE2 wide
-// path of the packed-segment scan kernel in `filter.rs`, and the AVX2
-// gather kernels of the fact scan, confined to the private `avx2` module
-// of `kernels.rs` (every gather index is clamped into its array first;
-// the safe wrappers own the length checks the intrinsics rely on).
-// Everything else stays safe.
+// path of the packed-segment scan kernel in `filter.rs`; the AVX2 gather
+// kernels of the fact scan, confined to the private `avx2` module of
+// `kernels.rs` (every gather index is clamped into its array first; the
+// safe wrappers own the length checks the intrinsics rely on); and the one
+// lifetime erasure in `parallel::Crew::run`, which lends a statement's
+// borrowed closure to resident helper threads (a completion guard, dropped
+// on every path out of `run` before anything the closure borrows, proves
+// what the erased lifetime no longer states: each helper that was handed
+// the closure has returned from it). Everything else stays safe.
 #![deny(unsafe_code)]
 
 pub mod agg;

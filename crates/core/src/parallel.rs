@@ -21,9 +21,33 @@
 //! `exec.rs`), and the workers' partial results are merged once each: by
 //! cell index when every grouping column has a shared leaf dictionary, by
 //! label — once per distinct group — for dictionaries built per worker.
-//! The statement's own thread is worker 0 ([`run_workers`]).
+//!
+//! ## Who runs the workers
+//!
+//! The statement's own thread is worker 0 ([`run_workers`]); workers
+//! `1..threads` run on the *crew*: resident helper threads that park
+//! between statements. A served scan statement lasts about a millisecond,
+//! and creating and joining a thread for it cost more than the second
+//! worker saved (1.7 ms of kernel time per 13-statement sweep at SF 0.2),
+//! so a statement borrows helpers instead: it takes parked ones from the
+//! crew's idle list — spawning only when the list is short, which stops
+//! happening once the crew has reached the process's peak demand — hands
+//! each one job, runs worker 0 itself, waits for the helpers, and puts them
+//! back. The crew never decides how wide a statement is: the caller's
+//! `threads` (the executor's plan under `--engine-threads` and the server's
+//! core budget) is the only ceiling, and the crew is as large as the most
+//! helpers that were ever wanted at once.
+//!
+//! A helper outlives every statement, so the borrowed closure it runs
+//! cannot be typed with its real lifetime; `Crew::run` erases it — the
+//! module's one `unsafe` expression — and a completion guard restores what
+//! the type no longer says: no path out of `run`, unwinding included,
+//! leaves before every started helper has finished with the closure.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use astore_storage::segment::SEGMENT_ROWS;
 use astore_storage::table::Table;
@@ -110,43 +134,225 @@ pub fn morsel_size(n: usize, threads: usize, cap: usize) -> usize {
     n.div_ceil(threads.max(1) * 4).max(1).min(cap.max(1))
 }
 
-/// Partitions `n` rows into at most `parts` near-equal contiguous ranges.
-/// The static precursor of the morsel dispatcher — the executor no longer
-/// uses it, but it stays public for embedding callers that want a fixed,
-/// cursor-free partitioning of a row space (e.g. one range per shard).
-pub fn partition_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-    if n == 0 || parts == 0 {
-        return std::iter::once(0..n).collect();
-    }
-    let parts = parts.min(n);
-    let base = n / parts;
-    let extra = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let len = base + usize::from(i < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
 /// Runs `work(w)` for every worker number `w` in `0..threads` and returns
 /// the results in worker order. Worker 0 is the calling thread — the
-/// statement already occupies it (and its slot of a server's core budget),
-/// so only `threads − 1` threads are spawned, and a one-worker run spawns
-/// none.
+/// statement already occupies it (and its slot of a server's core budget);
+/// workers `1..threads` run on the process's resident crew (module docs), so
+/// a statement creates a thread only while the crew is still growing to the
+/// process's peak demand, and a one-worker run involves no other thread.
 ///
 /// # Panics
-/// Propagates a worker's panic.
+/// Re-raises a worker's panic in the caller (the lowest-numbered one, if
+/// several panicked) once every worker has finished.
 pub fn run_workers<T: Send>(threads: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    std::thread::scope(|s| {
-        let work = &work;
-        let spawned: Vec<_> = (1..threads).map(|w| s.spawn(move || work(w))).collect();
-        let mut out = vec![work(0)];
-        out.extend(spawned.into_iter().map(|h| h.join().expect("worker panicked")));
+    CREW.run(threads, work)
+}
+
+/// Resident helpers and wake-ups of the crew behind [`run_workers`].
+pub fn crew_stats() -> CrewStats {
+    CREW.stats()
+}
+
+static CREW: Crew = Crew::new();
+
+/// A point-in-time reading of the crew ([`crew_stats`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CrewStats {
+    /// Helper threads alive (parked or running). Grows to the most helpers
+    /// ever wanted at once, then stays.
+    pub helpers: usize,
+    /// Jobs handed to helpers since the crew was created.
+    pub wakes: u64,
+}
+
+/// A set of resident helper threads that statements borrow for the length
+/// of one fan-out (see the module docs). The process has one, behind
+/// [`run_workers`]; tests make their own to count its threads undisturbed.
+struct Crew {
+    /// Helpers with no job, most recently used last.
+    idle: Mutex<Vec<Arc<Seat>>>,
+    helpers: AtomicUsize,
+    wakes: AtomicU64,
+}
+
+/// What one helper and the statement borrowing it tell each other.
+struct Seat {
+    state: Mutex<SeatState>,
+    /// Signals both transitions anyone waits for: `Assigned` (the helper
+    /// waits) and `Finished` (the borrower waits) — never both at once.
+    changed: Condvar,
+}
+
+enum SeatState {
+    /// Nothing to pick up: the helper is parked, or running what it took.
+    Vacant,
+    Assigned(Job),
+    /// The job returned; the helper no longer holds anything of it.
+    Finished,
+}
+
+/// One worker of one statement: the statement's task and a worker number.
+#[derive(Clone, Copy)]
+struct Job {
+    /// The borrowing statement's closure with its lifetime erased; valid
+    /// until the seat says `Finished` (see [`Crew::run`]).
+    task: &'static (dyn Fn(usize) + Sync),
+    worker: usize,
+}
+
+/// A poisoned seat or idle list would mean a helper or borrower panicked
+/// *inside* the few lines that hold the lock, none of which can; the data
+/// is a plain state word either way, so the guard is taken as it is.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+impl Seat {
+    fn assign(&self, job: Job) {
+        *lock(&self.state) = SeatState::Assigned(job);
+        self.changed.notify_one();
+    }
+
+    /// Blocks until the assigned job has returned, and clears the seat.
+    fn wait_finished(&self) {
+        let mut state = lock(&self.state);
+        while !matches!(*state, SeatState::Finished) {
+            state = self.changed.wait(state).unwrap_or_else(|p| p.into_inner());
+        }
+        *state = SeatState::Vacant;
+    }
+
+    /// The helper thread: take a job, run it, say so, for ever.
+    fn serve(&self) {
+        loop {
+            let job = {
+                let mut state = lock(&self.state);
+                loop {
+                    if let SeatState::Assigned(job) = *state {
+                        *state = SeatState::Vacant;
+                        break job;
+                    }
+                    state = self.changed.wait(state).unwrap_or_else(|p| p.into_inner());
+                }
+            };
+            // The task catches its worker's panic itself (it has to carry
+            // the payload to the caller); nothing below can unwind.
+            (job.task)(job.worker);
+            *lock(&self.state) = SeatState::Finished;
+            self.changed.notify_one();
+        }
+    }
+}
+
+/// The helpers a statement has started. Dropping it waits for each of them
+/// and returns them to the idle list — on the normal path and when worker 0
+/// unwinds through [`Crew::run`] alike.
+struct Started<'c> {
+    crew: &'c Crew,
+    seats: Vec<Arc<Seat>>,
+}
+
+impl Drop for Started<'_> {
+    fn drop(&mut self) {
+        for seat in &self.seats {
+            seat.wait_finished();
+        }
+        lock(&self.crew.idle).append(&mut self.seats);
+    }
+}
+
+impl Crew {
+    /// A crew with no helpers yet.
+    const fn new() -> Self {
+        Crew {
+            idle: Mutex::new(Vec::new()),
+            helpers: AtomicUsize::new(0),
+            wakes: AtomicU64::new(0),
+        }
+    }
+
+    /// Helpers alive and jobs handed out so far.
+    fn stats(&self) -> CrewStats {
+        CrewStats {
+            helpers: self.helpers.load(Ordering::Relaxed),
+            wakes: self.wakes.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Takes a parked helper, or starts one. `None` when the system will
+    /// not give the process another thread; the caller then runs that
+    /// worker itself.
+    fn seat(&'static self) -> Option<Arc<Seat>> {
+        if let Some(seat) = lock(&self.idle).pop() {
+            return Some(seat);
+        }
+        let seat = Arc::new(Seat { state: Mutex::new(SeatState::Vacant), changed: Condvar::new() });
+        let helper = Arc::clone(&seat);
+        // Detached on purpose: a helper lives as long as the process.
+        std::thread::Builder::new()
+            .name("astore-scan".into())
+            .spawn(move || helper.serve())
+            .ok()?;
+        self.helpers.fetch_add(1, Ordering::Relaxed);
+        Some(seat)
+    }
+
+    /// [`run_workers`] on this crew.
+    #[allow(unsafe_code)]
+    fn run<T: Send>(&'static self, threads: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        type Outcome<T> = Result<T, Box<dyn Any + Send>>;
+        let helped = threads.saturating_sub(1);
+        // Slot `w − 1` receives worker `w`'s value or its panic payload.
+        let outcomes: Mutex<Vec<Option<Outcome<T>>>> =
+            Mutex::new((0..helped).map(|_| None).collect());
+        let task = |w: usize| {
+            let outcome = catch_unwind(AssertUnwindSafe(|| work(w)));
+            lock(&outcomes)[w - 1] = Some(outcome);
+        };
+        let borrowed: &(dyn Fn(usize) + Sync) = &task;
+        // SAFETY: only the lifetime changes. The reference is handed to
+        // helpers solely through `Seat::assign` below, and each such seat
+        // is pushed onto `started` *before* it is assigned, so
+        // `Started::drop` waits for it on every path out of this function
+        // — the return, a panic of worker 0, a panic between two
+        // assignments. A seat turns `Finished` only after the helper's call
+        // of `task` has returned, and the helper keeps no copy of the job
+        // past that point, so when `started` is gone no thread can still
+        // reach `task`, `work` or `outcomes`. `started` is declared after
+        // all three and therefore dropped before them.
+        let task: &'static (dyn Fn(usize) + Sync) = unsafe {
+            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(
+                borrowed,
+            )
+        };
+        let mut started = Started { crew: self, seats: Vec::with_capacity(helped) };
+        let mut unhelped = Vec::new();
+        for worker in 1..threads {
+            match self.seat() {
+                Some(seat) => {
+                    started.seats.push(Arc::clone(&seat));
+                    seat.assign(Job { task, worker });
+                }
+                None => unhelped.push(worker),
+            }
+        }
+        self.wakes.fetch_add(started.seats.len() as u64, Ordering::Relaxed);
+
+        let first = work(0);
+        unhelped.into_iter().for_each(task);
+        drop(started);
+
+        let mut out = Vec::with_capacity(threads.max(1));
+        out.push(first);
+        let outcomes = outcomes.into_inner().unwrap_or_else(|p| p.into_inner());
+        for outcome in outcomes {
+            match outcome.expect("every worker was run before the guard let go") {
+                Ok(value) => out.push(value),
+                Err(panic) => resume_unwind(panic),
+            }
+        }
         out
-    })
+    }
 }
 
 #[cfg(test)]
@@ -165,21 +371,6 @@ mod tests {
         // Deterministic fan-out on any machine, including 1-core CI.
         o.optimizer.host_threads = 64;
         o
-    }
-
-    #[test]
-    fn partition_ranges_cover_exactly() {
-        for (n, p) in [(100, 7), (5, 10), (0, 4), (64, 1), (1, 1), (0, 0), (7, 0)] {
-            let ranges = partition_ranges(n, p);
-            let mut covered = 0;
-            let mut expect_start = 0;
-            for r in &ranges {
-                assert_eq!(r.start, expect_start);
-                covered += r.len();
-                expect_start = r.end;
-            }
-            assert_eq!(covered, n, "n={n} p={p}");
-        }
     }
 
     #[test]
@@ -216,7 +407,8 @@ mod tests {
     fn dispatcher_exactly_once_under_contention() {
         // N threads hammer one dispatcher; the union of claimed ranges must
         // be 0..n with no overlap and no gap.
-        const N: usize = 10_007; // prime: morsels won't align with threads
+        // Prime: morsels won't align with threads.
+        const N: usize = if cfg!(miri) { 1_009 } else { 10_007 };
         const MORSEL: usize = 64;
         const THREADS: usize = 8;
         let d = MorselDispatcher::new(N, MORSEL);
@@ -244,6 +436,133 @@ mod tests {
         assert!(seen.iter().all(|&c| c == 1), "every row claimed exactly once");
         let total_morsels: usize = claimed.iter().map(Vec::len).sum();
         assert_eq!(total_morsels, N.div_ceil(MORSEL));
+    }
+
+    /// Statements per crew test; Miri interprets every one of them.
+    const STATEMENTS: usize = if cfg!(miri) { 12 } else { 400 };
+
+    #[test]
+    fn crew_runs_every_worker_once_and_orders_the_results() {
+        static CREW: Crew = Crew::new();
+        for threads in [0, 1, 2, 5] {
+            let ran: Vec<AtomicUsize> = (0..threads.max(1)).map(|_| AtomicUsize::new(0)).collect();
+            let caller = std::thread::current().id();
+            let out = CREW.run(threads, |w| {
+                ran[w].fetch_add(1, Ordering::Relaxed);
+                (w, std::thread::current().id())
+            });
+            assert_eq!(out.len(), threads.max(1));
+            for (w, (got, thread)) in out.iter().enumerate() {
+                assert_eq!(*got, w, "results come back in worker order");
+                assert_eq!(*thread == caller, w == 0, "worker 0, and only it, is the caller");
+                assert_eq!(ran[w].load(Ordering::Relaxed), 1);
+            }
+        }
+        assert_eq!(CREW.stats().helpers, 4, "as many helpers as were ever wanted at once");
+    }
+
+    #[test]
+    fn crew_is_resident_a_warm_statement_starts_no_thread() {
+        static CREW: Crew = Crew::new();
+        let helper_threads = Mutex::new(std::collections::HashSet::new());
+        let statement = |i: usize| {
+            let data: Vec<usize> = (0..64).map(|x| x * i).collect(); // borrowed, per statement
+            let sums = CREW.run(3, |w| {
+                if w > 0 {
+                    lock(&helper_threads).insert(std::thread::current().id());
+                }
+                data.iter().skip(w).step_by(3).sum::<usize>()
+            });
+            assert_eq!(sums.iter().sum::<usize>(), data.iter().sum::<usize>());
+        };
+        statement(1);
+        let warm = CREW.stats();
+        assert_eq!(warm, CrewStats { helpers: 2, wakes: 2 });
+        (0..STATEMENTS).for_each(statement);
+        assert_eq!(
+            CREW.stats(),
+            CrewStats { helpers: 2, wakes: 2 + 2 * STATEMENTS as u64 },
+            "every statement woke two parked helpers and created none"
+        );
+        assert_eq!(lock(&helper_threads).len(), 2);
+    }
+
+    #[test]
+    fn crew_reraises_a_helper_panic_and_stays_usable() {
+        static CREW: Crew = Crew::new();
+        let unwound = catch_unwind(|| {
+            CREW.run(3, |w| {
+                if w == 2 {
+                    panic!("worker two fell over");
+                }
+                w
+            })
+        });
+        let payload = unwound.expect_err("the helper's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker two fell over"));
+        // Both helpers are parked again, and neither was lost to the panic.
+        assert_eq!(CREW.run(3, |w| w * w), vec![0, 1, 4]);
+        assert_eq!(CREW.stats().helpers, 2);
+    }
+
+    #[test]
+    fn crew_guard_outwaits_a_helper_when_worker_zero_unwinds() {
+        static CREW: Crew = Crew::new();
+        // Everything the helper touches lives in this frame: were `run` to
+        // return (unwind) before the helper is done, the asserts below —
+        // and Miri — would see it.
+        let zero_is_unwinding = std::sync::atomic::AtomicBool::new(false);
+        let helper_steps = AtomicUsize::new(0);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            CREW.run(2, |w| {
+                if w == 0 {
+                    zero_is_unwinding.store(true, Ordering::SeqCst);
+                    panic!("worker zero fell over");
+                }
+                // The helper does all its work only *after* worker 0 has
+                // started to unwind.
+                while !zero_is_unwinding.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                for _ in 0..100 {
+                    std::thread::yield_now();
+                    helper_steps.fetch_add(1, Ordering::SeqCst);
+                }
+            })
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(helper_steps.load(Ordering::SeqCst), 100, "run() left before its helper did");
+        assert_eq!(CREW.run(2, |w| w), vec![0, 1], "the crew is usable afterwards");
+    }
+
+    #[test]
+    fn crew_serves_concurrent_statements_of_different_widths() {
+        static CREW: Crew = Crew::new();
+        const CALLERS: usize = 4;
+        std::thread::scope(|s| {
+            for caller in 0..CALLERS {
+                s.spawn(move || {
+                    for i in 0..STATEMENTS / 4 {
+                        let threads = 2 + (caller + i) % 3;
+                        let tag = caller * 1_000_000 + i * 10;
+                        let out = CREW.run(threads, |w| tag + w);
+                        assert_eq!(out, (0..threads).map(|w| tag + w).collect::<Vec<_>>());
+                    }
+                });
+            }
+        });
+        // Each caller borrows at most three helpers at a time.
+        assert!(CREW.stats().helpers <= CALLERS * 3, "{:?}", CREW.stats());
+    }
+
+    /// Table sizes are cut under Miri, which runs these tests too (for the
+    /// crew's `unsafe`); only tests pinned to exact counts opt out of it.
+    fn sized(rows: usize) -> usize {
+        if cfg!(miri) {
+            rows.div_ceil(20)
+        } else {
+            rows
+        }
     }
 
     fn bigger_star(rows: usize) -> Database {
@@ -291,7 +610,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial() {
-        let db = bigger_star(10_000);
+        let db = bigger_star(sized(10_000));
         let q = query();
         let serial = execute(&db, &q, &ExecOptions::default()).unwrap();
         assert!(!serial.plan.executor.is_parallel());
@@ -315,7 +634,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_across_variants() {
-        let db = bigger_star(5_000);
+        let db = bigger_star(sized(5_000));
         let q = query();
         let reference = execute(&db, &q, &ExecOptions::default()).unwrap();
         for v in ScanVariant::ALL {
@@ -334,7 +653,8 @@ mod tests {
     #[test]
     fn parallel_matches_serial_with_tiny_morsels() {
         // Tiny morsels maximize dispatcher contention and per-morsel merges.
-        let db = bigger_star(4_001);
+        let rows = sized(4_001);
+        let db = bigger_star(rows);
         let q = query();
         let serial = execute(&db, &q, &ExecOptions::default()).unwrap();
         let par = execute(&db, &q, &par_opts(7).morsel_rows(13)).unwrap();
@@ -342,13 +662,13 @@ mod tests {
             panic!("expected parallel executor");
         };
         assert_eq!(morsel_rows, 13);
-        assert_eq!(morsels, 4_001usize.div_ceil(13));
+        assert_eq!(morsels, rows.div_ceil(13));
         assert!(par.result.same_contents(&serial.result, 1e-9));
     }
 
     #[test]
     fn parallel_min_max_merge() {
-        let db = bigger_star(4_000);
+        let db = bigger_star(sized(4_000));
         let q = Query::new()
             .group("dim", "d_cat")
             .agg(Aggregate::min(MeasureExpr::col("f_v"), "lo"))
@@ -361,6 +681,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore = "pinned to a 10-segment table")]
     fn pruning_skips_segments_in_serial_and_parallel() {
         use crate::expr::CmpOp;
         // f_v == row index in bigger_star, so 1024-row segments are
@@ -412,7 +733,7 @@ mod tests {
 
     #[test]
     fn parallel_empty_result() {
-        let db = bigger_star(1_000);
+        let db = bigger_star(sized(1_000));
         let q = Query::new()
             .root("fact")
             .filter("dim", Pred::eq("d_flag", 99))

@@ -37,6 +37,10 @@ impl From<std::io::Error> for ClientError {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// The request frame being serialised and the reply line being read:
+    /// both buffers live as long as the connection, not per request.
+    frame: Vec<u8>,
+    line: String,
 }
 
 impl Client {
@@ -45,12 +49,19 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let write_half = stream.try_clone()?;
-        Ok(Client { reader: BufReader::new(stream), writer: BufWriter::new(write_half) })
+        Ok(Client {
+            reader: BufReader::new(stream),
+            writer: BufWriter::new(write_half),
+            frame: Vec::new(),
+            line: String::new(),
+        })
     }
 
     /// Sends one frame and reads one response frame.
     pub fn request(&mut self, req: &Json) -> Result<Json, ClientError> {
-        self.raw_line(&req.to_string())
+        self.send(req)?;
+        self.flush()?;
+        self.read_frame()
     }
 
     /// Queues one request frame without flushing or reading a response —
@@ -62,7 +73,10 @@ impl Client {
     /// [`flush`]: Client::flush
     /// [`read_frame`]: Client::read_frame
     pub fn send(&mut self, req: &Json) -> Result<(), ClientError> {
-        writeln!(self.writer, "{req}")?;
+        self.frame.clear();
+        req.write_to(&mut self.frame);
+        self.frame.push(b'\n');
+        self.writer.write_all(&self.frame)?;
         Ok(())
     }
 
@@ -101,12 +115,12 @@ impl Client {
     /// Reads one response frame without sending anything (used when the
     /// server speaks first, e.g. a connection-limit rejection).
     pub fn read_frame(&mut self) -> Result<Json, ClientError> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
+        self.line.clear();
+        let n = self.reader.read_line(&mut self.line)?;
         if n == 0 {
             return Err(ClientError::Protocol("server closed the connection".into()));
         }
-        parse(line.trim()).map_err(|e| ClientError::Protocol(e.to_string()))
+        parse(self.line.trim()).map_err(|e| ClientError::Protocol(e.to_string()))
     }
 
     /// Executes one SQL statement (text mode).

@@ -1846,6 +1846,47 @@ mod tests {
     }
 
     #[test]
+    fn a_served_fanned_out_statement_moves_the_reply_and_crew_metrics() {
+        use crate::client::Client;
+        use crate::server::{start, ServerConfig};
+        let e = Engine::with_options(SharedDatabase::new(big_db()), fan_out_opts(2)).core_budget(2);
+        let config = ServerConfig { addr: "127.0.0.1:0".into(), ..ServerConfig::default() };
+        let h = start(Arc::new(e), config).unwrap();
+        let mut c = Client::connect(h.addr()).unwrap();
+        let class = |stats: &Json, hist: &str, key: &str| {
+            stats.get(hist).unwrap().get("scan").unwrap().get(key).unwrap().as_i64().unwrap()
+        };
+        let before = c.stats().unwrap();
+        let q = "SELECT d_name, sum(f_v) AS s FROM fact, dim GROUP BY d_name ORDER BY d_name";
+        let reply = c.sql(q).unwrap();
+        assert_eq!(reply.get("ok").unwrap().as_bool(), Some(true), "{reply:?}");
+        let after = c.stats().unwrap();
+        assert_eq!(after.get("parallel_queries").unwrap().as_i64(), Some(1), "it fanned out");
+
+        // One scan-class reply, exactly as long as the frame the client read.
+        assert_eq!(class(&before, "reply_bytes", "count"), 0);
+        assert_eq!(class(&after, "reply_bytes", "count"), 1);
+        assert_eq!(class(&after, "reply_bytes", "max"), reply.frame().len() as i64);
+        assert_eq!(class(&after, "serialize_us", "count"), 1);
+        // Its second worker ran on a resident helper. The crew is the
+        // process's, so other tests may have moved it too: at least, not exactly.
+        let gauge = |stats: &Json, key: &str| stats.get(key).unwrap().as_i64().unwrap();
+        assert!(gauge(&after, "scan_helpers") >= 1);
+        assert!(gauge(&after, "scan_helper_wakes") > gauge(&before, "scan_helper_wakes"));
+
+        let body = c.metrics().unwrap();
+        assert!(body.contains(r#"astore_server_reply_bytes_count{class="scan"} 1"#), "{body}");
+        assert!(body.contains(r#"astore_server_serialize_us_count{class="scan"} 1"#), "{body}");
+        let sample = |name: &str| -> f64 {
+            let line = body.lines().find(|l| l.starts_with(name)).expect(name);
+            line.rsplit_once(' ').unwrap().1.parse().unwrap()
+        };
+        assert!(sample("astore_server_scan_helpers ") >= 1.0);
+        assert!(sample("astore_server_scan_helper_wakes_total ") >= 1.0);
+        h.shutdown();
+    }
+
+    #[test]
     fn literal_variants_share_one_plan_cache_entry() {
         // Auto-parameterization: the same query shape with different
         // predicate literals is ONE template — the second spelling is a

@@ -10,6 +10,7 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use astore_net::{Done, Service};
 
@@ -17,12 +18,17 @@ use crate::engine::{error_frame, Engine, ErrorCode};
 use crate::json::Json;
 use crate::sched::{Priority, PriorityPool};
 use crate::session::StatementRegistry;
+use crate::stats::ServerStats;
 
-/// Serializes a response frame exactly like the thread model's
-/// `writeln!(w, "{frame}")` — Display form plus a trailing newline.
-fn frame_bytes(frame: &Json) -> Vec<u8> {
-    let mut bytes = frame.to_string().into_bytes();
-    bytes.push(b'\n');
+/// Serialises a reply of `class` once, straight into the buffer the reactor
+/// writes to the socket ([`Json::frame`], the same bytes the thread model
+/// sends), and records what that cost: the `serialise` stage of the
+/// request, which `elapsed_us` inside the frame cannot cover.
+fn frame_bytes(frame: &Json, stats: &ServerStats, class: Priority) -> Vec<u8> {
+    let t = Instant::now();
+    let bytes = frame.frame();
+    stats.serialize_us[class as usize].record(t.elapsed().as_micros() as u64);
+    stats.reply_bytes[class as usize].record(bytes.len() as u64);
     bytes
 }
 
@@ -99,6 +105,13 @@ impl EngineService {
     pub fn new(engine: Arc<Engine>, pool: Arc<PriorityPool>, max_connections: usize) -> Self {
         EngineService { engine, pool, max_connections }
     }
+
+    /// A frame the front-end answers itself, before any request was
+    /// classified: counted with the metadata class, where [`classify`]
+    /// puts malformed requests.
+    fn protocol_frame(&self, frame: &Json) -> Vec<u8> {
+        frame_bytes(frame, self.engine.stats(), Priority::Metadata)
+    }
 }
 
 impl Service for EngineService {
@@ -126,7 +139,7 @@ impl Service for EngineService {
             Ok(req) => req,
             Err(e) => {
                 self.engine.stats().errors.fetch_add(1, Relaxed);
-                done.send(frame_bytes(&error_frame(ErrorCode::BadRequest, e.to_string())));
+                done.send(self.protocol_frame(&error_frame(ErrorCode::BadRequest, e.to_string())));
                 return;
             }
         };
@@ -137,7 +150,7 @@ impl Service for EngineService {
                 ErrorCode::ServerBusy,
                 format!("admission queue full ({} workers busy)", self.pool.workers()),
             );
-            done.send(frame_bytes(&busy));
+            done.send(frame_bytes(&busy, self.engine.stats(), priority));
             return;
         }
         let engine = Arc::clone(&self.engine);
@@ -156,21 +169,21 @@ impl Service for EngineService {
                 .unwrap_or_else(|_| {
                     error_frame(ErrorCode::InternalError, "statement execution panicked")
                 });
-                done.send(frame_bytes(&out));
+                done.send(frame_bytes(&out, engine.stats(), priority));
             }),
         );
     }
 
     fn reject_frame(&self) -> Vec<u8> {
         self.engine.stats().conn_rejected.fetch_add(1, Relaxed);
-        frame_bytes(&error_frame(
+        self.protocol_frame(&error_frame(
             ErrorCode::TooManyConnections,
             format!("connection limit ({}) reached", self.max_connections),
         ))
     }
 
     fn oversize_frame(&self) -> Vec<u8> {
-        frame_bytes(&error_frame(ErrorCode::BadRequest, "request exceeds 1 MiB"))
+        self.protocol_frame(&error_frame(ErrorCode::BadRequest, "request exceeds 1 MiB"))
     }
 
     fn on_accept(&self) {

@@ -1,13 +1,46 @@
-//! A minimal JSON codec for the wire protocol.
+//! The wire codec: a JSON value type, a parser and a serialiser.
 //!
-//! The build environment is offline, so instead of `serde_json` the server
-//! carries this ~300-line codec. It distinguishes integers from floats
-//! (result sets carry `i64` sums that would lose precision beyond 2^53)
-//! and covers the full JSON grammar the protocol needs: objects, arrays,
-//! strings with escapes, numbers, booleans, null.
+//! **Why not `serde`.** The build is offline and the workspace carries no
+//! registry crates, so the server owns this codec. It distinguishes
+//! integers from floats (result sets carry `i64` sums that would lose
+//! precision beyond 2^53) and covers the JSON grammar the protocol needs:
+//! objects, arrays, strings with escapes, numbers, booleans, null.
+//!
+//! **The contract is linear time, both ways.** The codec runs on the
+//! reactor thread for every request and in the client for every reply, so
+//! its cost per byte is part of every statement's latency and a frame of
+//! [`MAX_LINE_BYTES`](crate::server::MAX_LINE_BYTES) must not stall the
+//! event loop:
+//!
+//! - [`parse`] touches each input byte a bounded number of times. Strings
+//!   are copied *run by run* — everything between two escapes is one
+//!   `push_str` of a slice of the input — and the only UTF-8 validation is
+//!   the one the `&str` argument already passed. Nesting deeper than
+//!   [`MAX_DEPTH`] is an error, not recursion: a frame of `[[[[…` costs a
+//!   counter, not the thread's stack. The tree a frame parses into is at
+//!   most a constant multiple of the frame (≈ 48 bytes per input byte, the
+//!   worst case being an array of one-digit numbers).
+//! - [`Json::write_to`] appends straight to a byte buffer: strings escape by
+//!   runs, integers and whole floats (every `SUM` over an integer measure)
+//!   are formatted by a digit loop. Only a float with a fraction goes
+//!   through `core::fmt` — its shortest round-trip digits are the standard
+//!   library's algorithm, which is not worth a second copy here.
+//!   [`Json::frame`] is the wire form (serialisation + `\n`);
+//!   `Display`/`to_string` produce the same bytes.
+//!
+//! The bytes are pinned: `integration-tests/tests/codec_fuzz.rs` holds a
+//! golden set recorded from the previous serialiser (the 13 SSB replies and
+//! an escape/number torture frame) next to seeded round-trip and mutation
+//! fuzzers. One wart is pinned with them: a whole float of magnitude ≥ 1e15
+//! prints without a fraction marker and so re-parses as an integer.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::io::Write as _;
+
+/// Deepest nesting of arrays and objects [`parse`] accepts. Protocol frames
+/// nest four or five levels; the limit bounds the parser's recursion on
+/// input it did not write.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,78 +117,123 @@ impl Json {
         }
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact single-line serialisation to `out`.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(true) => out.extend_from_slice(b"true"),
+            Json::Bool(false) => out.extend_from_slice(b"false"),
             Json::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Float(v) => {
-                if v.is_finite() {
-                    // Guarantee a round-trippable float token.
-                    if v.fract() == 0.0 && v.abs() < 1e15 {
-                        let _ = write!(out, "{v:.1}");
-                    } else {
-                        let _ = write!(out, "{v}");
-                    }
-                } else {
-                    out.push_str("null"); // JSON has no NaN/Inf.
+                if *v < 0 {
+                    out.push(b'-');
                 }
+                write_digits(out, v.unsigned_abs());
             }
+            Json::Float(v) => write_float(out, *v),
             Json::Str(s) => write_escaped(out, s),
             Json::Array(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    item.write(out);
+                    item.write_to(out);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::Object(map) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in map.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     write_escaped(out, k);
-                    out.push(':');
-                    v.write(out);
+                    out.push(b':');
+                    v.write_to(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
+    }
+
+    /// The wire form of a frame: the serialisation plus the terminating
+    /// newline, in one buffer that can go to the socket as it is.
+    pub fn frame(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(128);
+        self.write_to(&mut out);
+        out.push(b'\n');
+        out
     }
 }
 
 /// Serializes to a compact single-line string (via `to_string`).
 impl std::fmt::Display for Json {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+        let mut out = Vec::new();
+        self.write_to(&mut out);
+        f.write_str(std::str::from_utf8(&out).expect("the serialiser emits UTF-8"))
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+fn write_digits(out: &mut Vec<u8>, mut v: u64) {
+    let mut buf = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
-    out.push('"');
+    out.extend_from_slice(&buf[at..]);
+}
+
+fn write_float(out: &mut Vec<u8>, v: f64) {
+    if !v.is_finite() {
+        out.extend_from_slice(b"null"); // JSON has no NaN/Inf.
+    } else if v.fract() == 0.0 && v.abs() < 1e15 {
+        // A whole float keeps a fraction marker so it re-parses as a float;
+        // below 1e15 its magnitude is exact in a `u64`.
+        if v.is_sign_negative() {
+            out.push(b'-');
+        }
+        write_digits(out, v.abs() as u64);
+        out.extend_from_slice(b".0");
+    } else {
+        let _ = write!(out, "{v}"); // writing to a `Vec` cannot fail
+    }
+}
+
+fn write_escaped(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push(b'"');
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &c) in bytes.iter().enumerate() {
+        if c >= 0x20 && c != b'"' && c != b'\\' {
+            continue; // includes every byte of a multi-byte character
+        }
+        out.extend_from_slice(&bytes[run..i]);
+        run = i + 1;
+        match c {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            c => out.extend_from_slice(&[
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[usize::from(c >> 4)],
+                HEX[usize::from(c & 15)],
+            ]),
+        }
+    }
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
 }
 
 /// A JSON parse error with a byte offset.
@@ -177,7 +255,7 @@ impl std::error::Error for JsonError {}
 
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = P { b: input.as_bytes(), pos: 0 };
+    let mut p = P { s: input, b: input.as_bytes(), pos: 0, depth: 0 };
     p.ws();
     let v = p.value()?;
     p.ws();
@@ -188,8 +266,12 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct P<'a> {
+    /// The input, and the same bytes for single-byte looks.
+    s: &'a str,
     b: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl P<'_> {
@@ -243,12 +325,27 @@ impl P<'_> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.fail(&format!("unexpected {:?}", c as char))),
             None => Err(self.fail("unexpected end of input")),
         }
+    }
+
+    /// Runs a container parser one level down, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.fail("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -291,63 +388,56 @@ impl P<'_> {
         }
     }
 
+    /// A string token. Everything between two escapes is copied as one
+    /// run: a quote or backslash byte is never part of a multi-byte
+    /// character, so both ends of a run are character boundaries of the
+    /// (already valid) input.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.fail("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let cp = self.hex4(self.pos + 1)?;
-                            if (0xD800..=0xDBFF).contains(&cp) {
-                                // High surrogate: a conforming client encodes
-                                // non-BMP characters as a \uXXXX\uYYYY pair.
-                                let tail = self.b.get(self.pos + 5..self.pos + 7);
-                                if tail == Some(b"\\u") {
-                                    let lo = self.hex4(self.pos + 7)?;
-                                    if (0xDC00..=0xDFFF).contains(&lo) {
-                                        let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                        out.push(char::from_u32(c).unwrap_or('\u{fffd}'));
-                                        self.pos += 10;
-                                        self.pos += 1;
-                                        continue;
-                                    }
-                                }
-                                // Lone high surrogate: replace.
-                                out.push('\u{fffd}');
-                            } else {
-                                out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                            }
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.fail("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so valid).
-                    let rest = &self.b[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.fail("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            let run = self.pos;
+            let Some(len) = self.b[run..].iter().position(|&c| c == b'"' || c == b'\\') else {
+                self.pos = self.b.len();
+                return Err(self.fail("unterminated string"));
+            };
+            self.pos = run + len;
+            out.push_str(&self.s[run..self.pos]);
+            if self.b[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(out);
             }
+            self.pos += 1; // the backslash
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let cp = self.hex4(self.pos + 1)?;
+                    if (0xD800..=0xDBFF).contains(&cp) && self.b[self.pos + 5..].starts_with(b"\\u")
+                    {
+                        // High surrogate: a conforming client encodes a
+                        // non-BMP character as a \uXXXX\uYYYY pair.
+                        let lo = self.hex4(self.pos + 7)?;
+                        if (0xDC00..=0xDFFF).contains(&lo) {
+                            let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                            out.push(char::from_u32(c).unwrap_or('\u{fffd}'));
+                            self.pos += 11;
+                            continue;
+                        }
+                    }
+                    // A lone surrogate half is replaced, not fatal.
+                    out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
+                    self.pos += 4;
+                }
+                _ => return Err(self.fail("bad escape")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -374,7 +464,7 @@ impl P<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.b[start..self.pos]).unwrap();
+        let text = &self.s[start..self.pos];
         if float {
             text.parse::<f64>().map(Json::Float).map_err(|_| self.fail("bad number"))
         } else {
@@ -454,6 +544,62 @@ mod tests {
     #[test]
     fn nonfinite_floats_serialize_as_null() {
         assert_eq!(Json::Float(f64::NAN).to_string(), "null");
+    }
+
+    #[test]
+    fn string_parsing_is_linear_in_the_frame() {
+        // A scan that re-validates the rest of the input per character
+        // takes seconds for the first size and minutes for the last (14 s
+        // for the megabyte in release, far longer here); a linear one takes
+        // milliseconds even unoptimised. The bound sits two orders of
+        // magnitude from both.
+        for kib in [64, 256, 1024] {
+            let frame = format!(r#"{{"sql":"{}"}}"#, "a".repeat(kib * 1024));
+            let t = std::time::Instant::now();
+            let v = parse(&frame).unwrap();
+            let took = t.elapsed();
+            assert_eq!(v.get("sql").unwrap().as_str().unwrap().len(), kib * 1024);
+            assert!(took < std::time::Duration::from_secs(1), "{kib} KiB string took {took:?}");
+        }
+        // The same holds when every character is an escape or multi-byte.
+        for body in ["\\n", "\\ud83d\\ude00", "\u{4e2d}"] {
+            let frame = format!("\"{}\"", body.repeat((1 << 20) / body.len()));
+            let t = std::time::Instant::now();
+            parse(&frame).unwrap();
+            let took = t.elapsed();
+            assert!(took < std::time::Duration::from_secs(1), "{body:?} frame took {took:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let e = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.message, "nesting too deep");
+        assert_eq!(e.offset, MAX_DEPTH);
+        // Siblings do not add up: depth is what is open, not what was seen.
+        let wide = format!("[{}[]]", "[[]],".repeat(1000));
+        assert!(parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn numbers_format_like_display() {
+        for v in [0, 7, -7, 10, 1_000_000, i64::MAX, i64::MIN] {
+            assert_eq!(Json::Int(v).to_string(), v.to_string());
+        }
+        for v in [0.0, -0.0, 1.0, -3.0, 27185475.0, 999_999_999_999_999.0, -1e14] {
+            assert_eq!(Json::Float(v).to_string(), format!("{v:.1}"));
+        }
+        for v in [1e15, 1e16, 0.5, -0.1, 1.0 / 3.0, 5e-324, f64::MAX] {
+            assert_eq!(Json::Float(v).to_string(), format!("{v}"));
+        }
+    }
+
+    #[test]
+    fn frame_is_the_serialisation_plus_newline() {
+        let v = parse(r#"{"ok":true,"rows":[[1992,"a\"b",2.0]]}"#).unwrap();
+        assert_eq!(v.frame(), format!("{v}\n").into_bytes());
     }
 
     #[test]

@@ -249,6 +249,7 @@ pub fn render_prometheus(
     gauges: &[(&str, &str, f64)],
 ) -> String {
     let mut w = PromWriter::new();
+    let crew = astore_core::parallel::crew_stats();
 
     let counters: &[(&str, &str, u64)] = &[
         (
@@ -343,6 +344,11 @@ pub fn render_prometheus(
             "Routed executions that ran >1.5x the best tried arm's estimate.",
             stats.router_mispredictions.load(Ordering::Relaxed),
         ),
+        (
+            "astore_server_scan_helper_wakes_total",
+            "Scan workers handed to resident helper threads (one per extra worker per statement).",
+            crew.wakes,
+        ),
     ];
     for (name, help, value) in counters {
         w.header(name, help, "counter");
@@ -381,6 +387,12 @@ pub fn render_prometheus(
     w.sample_u64("astore_server_cached_plans", &[], cache.len() as u64);
     w.header("astore_server_slowlog_entries", "Entries in the slow-query ring.", "gauge");
     w.sample_u64("astore_server_slowlog_entries", &[], slowlog.len() as u64);
+    w.header(
+        "astore_server_scan_helpers",
+        "Resident scan helper threads (the most extra workers ever wanted at once).",
+        "gauge",
+    );
+    w.sample_u64("astore_server_scan_helpers", &[], crew.helpers as u64);
     w.header("astore_obs_enabled", "1 when the runtime tracing toggle is on.", "gauge");
     w.sample_u64("astore_obs_enabled", &[], u64::from(astore_obs::enabled()));
     for (name, help, gauge) in [
@@ -435,18 +447,32 @@ pub fn render_prometheus(
         "histogram",
     );
     emit_histogram_series(&mut w, "astore_server_pipeline_depth", &[], &stats.pipeline_depth);
-    w.header(
-        "astore_server_queue_wait_us",
-        "Executor queue wait per priority class (reactor model).",
-        "histogram",
-    );
-    for class in crate::sched::Priority::ALL {
-        emit_histogram_series(
-            &mut w,
+    for (name, help, hists) in [
+        (
             "astore_server_queue_wait_us",
-            &[("class", class.as_str())],
-            &stats.queue_wait[class as usize],
-        );
+            "Executor queue wait per priority class (reactor model).",
+            &stats.queue_wait,
+        ),
+        (
+            "astore_server_reply_bytes",
+            "Reply frame size per priority class, newline included (reactor model).",
+            &stats.reply_bytes,
+        ),
+        (
+            "astore_server_serialize_us",
+            "Time to serialise a reply frame per priority class (reactor model).",
+            &stats.serialize_us,
+        ),
+    ] {
+        w.header(name, help, "histogram");
+        for class in crate::sched::Priority::ALL {
+            emit_histogram_series(
+                &mut w,
+                name,
+                &[("class", class.as_str())],
+                &hists[class as usize],
+            );
+        }
     }
     w.header(
         "astore_server_engine_latency_us",
@@ -543,6 +569,10 @@ mod tests {
         assert!(body.contains("astore_server_engine_threads 4\n"));
         assert!(body.contains(r#"astore_server_router_decisions_total{engine="air"} 0"#));
         assert!(body.contains("astore_server_router_mispredictions_total 0\n"));
+        assert!(body.contains("# TYPE astore_server_scan_helpers gauge\n"));
+        assert!(body.contains("# TYPE astore_server_scan_helper_wakes_total counter\n"));
+        assert!(body.contains(r#"astore_server_reply_bytes_count{class="scan"} 0"#));
+        assert!(body.contains(r#"astore_server_serialize_us_bucket{class="metadata",le="+Inf"} 0"#));
         assert!(
             body.contains(r#"astore_server_engine_latency_us_bucket{engine="join",le="+Inf"} 0"#)
         );

@@ -297,7 +297,7 @@ fn accept_loop(
                 ErrorCode::TooManyConnections,
                 format!("connection limit ({max_connections}) reached"),
             );
-            let _ = writeln!(w, "{frame}");
+            let _ = w.write_all(&frame.frame());
             let _ = w.flush();
             continue; // stream drops → closed
         }
@@ -356,13 +356,13 @@ fn serve_connection(
                 continue;
             }
             let response = execute_on_pool(engine, pool, trimmed, &session);
-            if writeln!(writer, "{response}").is_err() || writer.flush().is_err() {
+            if writer.write_all(&response.frame()).is_err() || writer.flush().is_err() {
                 return;
             }
         }
         if buf.len() > MAX_LINE_BYTES {
             let frame = error_frame(ErrorCode::BadRequest, "request exceeds 1 MiB");
-            let _ = writeln!(writer, "{frame}");
+            let _ = writer.write_all(&frame.frame());
             let _ = writer.flush();
             return; // close: the rest of the oversized line is unreadable
         }
@@ -530,11 +530,53 @@ mod tests {
     }
 
     #[test]
+    fn a_megabyte_frame_does_not_stall_other_connections() {
+        // The largest legal frame is decoded on the reactor thread, which
+        // serves every connection: its cost must be milliseconds. (The
+        // codec this one replaced took 14 s for it in release.)
+        // Two workers whatever the host: this is about the reactor thread,
+        // not about a ping queueing behind A's statement on a 1-core box.
+        let h = start_tiny(ServerConfig { workers: 2, ..ServerConfig::default() });
+        let ping = Json::obj([("cmd", Json::Str("ping".into()))]);
+        let mut a = Client::connect(h.addr()).unwrap();
+        let mut b = Client::connect(h.addr()).unwrap();
+        b.request(&ping).unwrap(); // connected and warm before the clock starts
+        let big = Json::obj([("sql", Json::Str("a".repeat(MAX_LINE_BYTES - 16)))]);
+        // B pings for as long as A's frame is in the server — from its first
+        // byte on the wire to its reply — so some ping is in flight while
+        // the reactor decodes the frame, whenever that is.
+        let answered = AtomicBool::new(false);
+        let (reply, slowest) = std::thread::scope(|s| {
+            let a_thread = s.spawn(|| {
+                let reply = a.request(&big);
+                answered.store(true, Ordering::SeqCst);
+                reply
+            });
+            let mut slowest = Duration::ZERO;
+            while !answered.load(Ordering::SeqCst) {
+                let t = std::time::Instant::now();
+                let pong = b.request(&ping).unwrap();
+                slowest = slowest.max(t.elapsed());
+                assert_eq!(pong.get("pong").unwrap().as_bool(), Some(true));
+            }
+            (a_thread.join().unwrap().unwrap(), slowest)
+        });
+        assert!(slowest < Duration::from_secs(1), "a ping waited {slowest:?} behind a 1 MiB frame");
+        assert_eq!(reply.get("code").unwrap().as_str(), Some("parse_error"), "{reply:?}");
+        h.shutdown();
+    }
+
+    #[test]
     fn bad_requests_get_error_frames_and_connection_survives() {
         let h = start_tiny(ServerConfig::default());
         let mut c = Client::connect(h.addr()).unwrap();
         let r = c.raw_line("not json").unwrap();
         assert_eq!(r.get("code").unwrap().as_str(), Some("bad_request"));
+        // Nesting is bounded by a counter: 200 KB of '[' used to recurse
+        // through the reactor thread's stack and abort the process.
+        let r = c.raw_line(&"[".repeat(200_000)).unwrap();
+        assert_eq!(r.get("code").unwrap().as_str(), Some("bad_request"));
+        assert!(r.get("error").unwrap().as_str().unwrap().contains("nesting too deep"), "{r:?}");
         let r = c.sql("SELECT count(*) AS n FROM t").unwrap();
         assert_eq!(r.get("ok").unwrap().as_bool(), Some(true));
         h.shutdown();

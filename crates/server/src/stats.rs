@@ -60,6 +60,12 @@ pub struct ServerStats {
     /// [`Priority`](crate::sched::Priority) discriminant
     /// (metadata / interactive / scan).
     pub queue_wait: [LatencyHistogram; 3],
+    /// Size of each reply frame the reactor front-end serialised, newline
+    /// included, per priority class (same indexing as `queue_wait`) …
+    pub reply_bytes: [LatencyHistogram; 3],
+    /// … and the time serialising it took, in microseconds: the
+    /// `serialise` stage of a request, which `elapsed_us` does not cover.
+    pub serialize_us: [LatencyHistogram; 3],
     /// Router decisions per engine, indexed by
     /// [`EngineChoice`](crate::router::EngineChoice) discriminant
     /// (air / join / denorm).
@@ -123,14 +129,12 @@ impl Default for ServerStats {
             accepts_total: AtomicU64::new(0),
             reads_blocked_on_backpressure: AtomicU64::new(0),
             pipeline_depth: LatencyHistogram::new(),
-            queue_wait: [LatencyHistogram::new(), LatencyHistogram::new(), LatencyHistogram::new()],
+            queue_wait: Default::default(),
+            reply_bytes: Default::default(),
+            serialize_us: Default::default(),
             router_decisions: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
             router_mispredictions: AtomicU64::new(0),
-            engine_latency: [
-                LatencyHistogram::new(),
-                LatencyHistogram::new(),
-                LatencyHistogram::new(),
-            ],
+            engine_latency: Default::default(),
             encoded_bytes: AtomicU64::new(0),
             raw_bytes: AtomicU64::new(0),
             flat_chunks: AtomicU64::new(0),
@@ -154,6 +158,7 @@ impl ServerStats {
     /// fifteen counters — so counters updated as one write group appear
     /// coherently even mid-burst.
     pub fn to_json(&self, cache: &PlanCache) -> Json {
+        let crew = astore_core::parallel::crew_stats();
         let [queries, writes, wal_records, checkpoints, group_commits, compactions, parallel_queries, parallel_denied, segments_scanned, segments_pruned, prepares, prepared_execs, errors, rejected, conn_rejected] =
             self.group.read(|| {
                 [
@@ -207,7 +212,11 @@ impl ServerStats {
             ("pipeline_depth_p50", Json::Int(self.pipeline_depth.quantile_us(0.50) as i64)),
             ("pipeline_depth_p99", Json::Int(self.pipeline_depth.quantile_us(0.99) as i64)),
             ("pipeline_depth_max", Json::Int(self.pipeline_depth.max_us() as i64)),
-            ("queue_wait", self.queue_wait_json()),
+            ("queue_wait", per_class_json(&self.queue_wait, US_KEYS)),
+            ("reply_bytes", per_class_json(&self.reply_bytes, ["count", "p50", "p99", "max"])),
+            ("serialize_us", per_class_json(&self.serialize_us, US_KEYS)),
+            ("scan_helpers", Json::Int(crew.helpers as i64)),
+            ("scan_helper_wakes", Json::Int(crew.wakes as i64)),
             ("router_decisions", self.router_decisions_json()),
             (
                 "router_mispredictions",
@@ -242,36 +251,32 @@ impl ServerStats {
     /// The `engine_latency` member of the stats payload: one object per
     /// engine with count and the monitoring quantiles.
     fn engine_latency_json(&self) -> Json {
-        Json::obj(crate::router::EngineChoice::ALL.map(|e| {
-            let h = &self.engine_latency[e.index()];
-            (
-                e.as_str(),
-                Json::obj([
-                    ("count", Json::Int(h.count() as i64)),
-                    ("p50_us", Json::Int(h.quantile_us(0.50) as i64)),
-                    ("p99_us", Json::Int(h.quantile_us(0.99) as i64)),
-                    ("max_us", Json::Int(h.max_us() as i64)),
-                ]),
-            )
-        }))
+        Json::obj(
+            crate::router::EngineChoice::ALL
+                .map(|e| (e.as_str(), quantiles_json(&self.engine_latency[e.index()], US_KEYS))),
+        )
     }
+}
 
-    /// The `queue_wait` member of the stats payload: one object per
-    /// priority class with count and the monitoring quantiles.
-    fn queue_wait_json(&self) -> Json {
-        Json::obj(crate::sched::Priority::ALL.map(|p| {
-            let h = &self.queue_wait[p as usize];
-            (
-                p.as_str(),
-                Json::obj([
-                    ("count", Json::Int(h.count() as i64)),
-                    ("p50_us", Json::Int(h.quantile_us(0.50) as i64)),
-                    ("p99_us", Json::Int(h.quantile_us(0.99) as i64)),
-                    ("max_us", Json::Int(h.max_us() as i64)),
-                ]),
-            )
-        }))
-    }
+/// Member names of a microsecond histogram's summary.
+const US_KEYS: [&str; 4] = ["count", "p50_us", "p99_us", "max_us"];
+
+/// A histogram's sample count and monitoring quantiles under `keys`
+/// (count, p50, p99, max).
+fn quantiles_json(h: &LatencyHistogram, keys: [&'static str; 4]) -> Json {
+    Json::obj([
+        (keys[0], Json::Int(h.count() as i64)),
+        (keys[1], Json::Int(h.quantile_us(0.50) as i64)),
+        (keys[2], Json::Int(h.quantile_us(0.99) as i64)),
+        (keys[3], Json::Int(h.max_us() as i64)),
+    ])
+}
+
+/// One [`quantiles_json`] object per priority class.
+fn per_class_json(hists: &[LatencyHistogram; 3], keys: [&'static str; 4]) -> Json {
+    Json::obj(
+        crate::sched::Priority::ALL.map(|p| (p.as_str(), quantiles_json(&hists[p as usize], keys))),
+    )
 }
 
 #[cfg(test)]
@@ -309,9 +314,19 @@ mod tests {
             "append_copies",
             "latency_p99_us",
             "router_mispredictions",
+            "scan_helpers",
+            "scan_helper_wakes",
         ] {
             assert!(j.get(key).is_some(), "missing {key}");
         }
+        stats.reply_bytes[2].record(16_700);
+        stats.serialize_us[2].record(12);
+        let j = stats.to_json(&cache);
+        let scan_reply = j.get("reply_bytes").unwrap().get("scan").unwrap();
+        assert_eq!(scan_reply.get("count").unwrap().as_i64(), Some(1));
+        assert_eq!(scan_reply.get("max").unwrap().as_i64(), Some(16_700));
+        let scan_ser = j.get("serialize_us").unwrap().get("scan").unwrap();
+        assert_eq!(scan_ser.get("max_us").unwrap().as_i64(), Some(12));
         let decisions = j.get("router_decisions").unwrap();
         let lat = j.get("engine_latency").unwrap();
         for engine in ["air", "join", "denorm"] {
