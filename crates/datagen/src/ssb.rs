@@ -12,13 +12,15 @@
 //! `supplier` `2,000 × SF`, `part` `200,000 × (1 + ⌊log2 SF⌋)` (floored at
 //! 2,000 for sub-unit SF), `date` always 2,557 rows (the real 1992–1998 calendar).
 
+use std::fmt::Write as _;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use astore_core::expr::{CmpOp, MeasureExpr, Pred};
 use astore_core::query::{Aggregate, OrderKey, Query};
 use astore_storage::column::Column;
-use astore_storage::dictionary::DictColumn;
+use astore_storage::dictionary::DictBuilder;
 use astore_storage::prelude::*;
 use astore_storage::strings::StrColumn;
 
@@ -51,14 +53,25 @@ pub const NATIONS: [(&str, &str); 25] = [
     ("SAUDI ARABIA", "MIDDLE EAST"),
 ];
 
-/// SSB city naming: the nation name space-padded/truncated to 9 characters
-/// plus a digit 0–9 (hence `UNITED KI1` for the United Kingdom).
-pub fn city_name(nation: &str, digit: u32) -> String {
-    let mut base: String = nation.chars().take(9).collect();
-    while base.len() < 9 {
-        base.push(' ');
+/// SSB city naming, into a reused buffer: the nation name
+/// space-padded/truncated to 9 characters plus a digit 0–9 (hence
+/// `UNITED KI1` for the United Kingdom).
+fn format_city<'b>(buf: &'b mut String, nation: &str, digit: u32) -> &'b str {
+    buf.clear();
+    buf.extend(nation.chars().take(9));
+    while buf.len() < 9 {
+        buf.push(' ');
     }
-    format!("{base}{digit}")
+    write!(buf, "{digit}").expect("writing to a String cannot fail");
+    buf
+}
+
+/// Formats into a reused buffer: a generated value that has to be text is
+/// written once per row into the same allocation, not into a fresh `String`.
+fn format_into<'b>(buf: &'b mut String, args: std::fmt::Arguments<'_>) -> &'b str {
+    buf.clear();
+    buf.write_fmt(args).expect("writing to a String cannot fail");
+    buf
 }
 
 const MKT_SEGMENTS: [&str; 5] = ["AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD", "MACHINERY"];
@@ -191,21 +204,22 @@ pub fn generate(sf: f64, seed: u64) -> Database {
 pub fn gen_date() -> Table {
     let mut datekey = Vec::new();
     let mut date_str = StrColumn::new();
-    let mut dayofweek = Vec::new();
-    let mut month = Vec::new();
+    let mut dayofweek = DictBuilder::new();
+    let mut month = DictBuilder::new();
     let mut year = Vec::new();
     let mut yearmonthnum = Vec::new();
-    let mut yearmonth = Vec::new();
+    let mut yearmonth = DictBuilder::new();
     let mut daynuminweek = Vec::new();
     let mut daynuminmonth = Vec::new();
     let mut daynuminyear = Vec::new();
     let mut monthnuminyear = Vec::new();
     let mut weeknuminyear = Vec::new();
-    let mut sellingseason = Vec::new();
+    let mut sellingseason = DictBuilder::new();
     let mut lastdayinweekfl = Vec::new();
     let mut holidayfl = Vec::new();
     let mut weekdayfl = Vec::new();
 
+    let mut text = String::new();
     // 1992-01-01 was a Wednesday (day-of-week index 3 with Sunday = 0).
     let mut dow = 3usize;
     for y in 1992..=1998 {
@@ -213,27 +227,24 @@ pub fn gen_date() -> Table {
         for m in 0..12usize {
             for d in 1..=days_in_month(y, m) {
                 datekey.push(y * 10_000 + (m as i32 + 1) * 100 + d as i32);
-                date_str.push(&format!("{} {}, {}", MONTH_NAMES[m], d, y));
-                dayofweek.push(WEEKDAYS[dow].to_owned());
-                month.push(MONTH_NAMES[m].to_owned());
+                date_str.push(format_into(&mut text, format_args!("{} {d}, {y}", MONTH_NAMES[m])));
+                dayofweek.push(WEEKDAYS[dow]);
+                month.push(MONTH_NAMES[m]);
                 year.push(y);
                 yearmonthnum.push(y * 100 + m as i32 + 1);
-                yearmonth.push(format!("{}{}", MONTH_ABBR[m], y));
+                yearmonth.push(format_into(&mut text, format_args!("{}{y}", MONTH_ABBR[m])));
                 daynuminweek.push(dow as i32 + 1);
                 daynuminmonth.push(d as i32);
                 daynuminyear.push(doy);
                 monthnuminyear.push(m as i32 + 1);
                 weeknuminyear.push((doy - 1) / 7 + 1);
-                sellingseason.push(
-                    match m {
-                        11 | 0 => "Christmas",
-                        1 | 2 => "Winter",
-                        3 | 4 => "Spring",
-                        5..=7 => "Summer",
-                        _ => "Fall",
-                    }
-                    .to_owned(),
-                );
+                sellingseason.push(match m {
+                    11 | 0 => "Christmas",
+                    1 | 2 => "Winter",
+                    3 | 4 => "Spring",
+                    5..=7 => "Summer",
+                    _ => "Fall",
+                });
                 lastdayinweekfl.push(i32::from(dow == 6));
                 holidayfl.push(i32::from((m == 11 && d == 25) || (m == 0 && d == 1)));
                 weekdayfl.push(i32::from((1..=5).contains(&dow)));
@@ -267,17 +278,17 @@ pub fn gen_date() -> Table {
         vec![
             Column::I32(datekey.into()),
             Column::Str(date_str),
-            Column::Dict(DictColumn::from_values(dayofweek)),
-            Column::Dict(DictColumn::from_values(month)),
+            Column::Dict(dayofweek.finish()),
+            Column::Dict(month.finish()),
             Column::I32(year.into()),
             Column::I32(yearmonthnum.into()),
-            Column::Dict(DictColumn::from_values(yearmonth)),
+            Column::Dict(yearmonth.finish()),
             Column::I32(daynuminweek.into()),
             Column::I32(daynuminmonth.into()),
             Column::I32(daynuminyear.into()),
             Column::I32(monthnuminyear.into()),
             Column::I32(weeknuminyear.into()),
-            Column::Dict(DictColumn::from_values(sellingseason)),
+            Column::Dict(sellingseason.finish()),
             Column::I32(lastdayinweekfl.into()),
             Column::I32(holidayfl.into()),
             Column::I32(weekdayfl.into()),
@@ -288,27 +299,22 @@ pub fn gen_date() -> Table {
 fn gen_customer(n: usize, rng: &mut SmallRng) -> Table {
     let mut name = StrColumn::new();
     let mut address = StrColumn::new();
-    let mut city = Vec::with_capacity(n);
-    let mut nation = Vec::with_capacity(n);
-    let mut region = Vec::with_capacity(n);
+    let mut city = DictBuilder::new();
+    let mut nation = DictBuilder::new();
+    let mut region = DictBuilder::new();
     let mut phone = StrColumn::new();
-    let mut mkt = Vec::with_capacity(n);
+    let mut mkt = DictBuilder::new();
+    let mut text = String::new();
     for i in 0..n {
         let nk = rng.gen_range(0..NATIONS.len());
         let (nat, reg) = NATIONS[nk];
-        name.push(&format!("Customer#{i:09}"));
-        address.push(&format!("addr-{:x}", rng.gen::<u32>()));
-        city.push(city_name(nat, rng.gen_range(0..10)));
-        nation.push(nat.to_owned());
-        region.push(reg.to_owned());
-        phone.push(&format!(
-            "{:02}-{:03}-{:03}-{:04}",
-            10 + nk,
-            rng.gen_range(100..1000),
-            rng.gen_range(100..1000),
-            rng.gen_range(1000..10000)
-        ));
-        mkt.push(MKT_SEGMENTS[rng.gen_range(0..MKT_SEGMENTS.len())].to_owned());
+        name.push(format_into(&mut text, format_args!("Customer#{i:09}")));
+        address.push(format_into(&mut text, format_args!("addr-{:x}", rng.gen::<u32>())));
+        city.push(format_city(&mut text, nat, rng.gen_range(0..10)));
+        nation.push(nat);
+        region.push(reg);
+        phone.push(format_phone(&mut text, nk, rng));
+        mkt.push(MKT_SEGMENTS[rng.gen_range(0..MKT_SEGMENTS.len())]);
     }
     let schema = Schema::new(vec![
         ColumnDef::new("c_name", DataType::Str),
@@ -325,37 +331,40 @@ fn gen_customer(n: usize, rng: &mut SmallRng) -> Table {
         vec![
             Column::Str(name),
             Column::Str(address),
-            Column::Dict(DictColumn::from_values(city)),
-            Column::Dict(DictColumn::from_values(nation)),
-            Column::Dict(DictColumn::from_values(region)),
+            Column::Dict(city.finish()),
+            Column::Dict(nation.finish()),
+            Column::Dict(region.finish()),
             Column::Str(phone),
-            Column::Dict(DictColumn::from_values(mkt)),
+            Column::Dict(mkt.finish()),
         ],
     )
+}
+
+/// An SSB phone number of nation `nk` (country code `10 + nk`), drawn from
+/// `rng` into a reused buffer.
+fn format_phone<'b>(buf: &'b mut String, nk: usize, rng: &mut SmallRng) -> &'b str {
+    let (a, b, c) =
+        (rng.gen_range(100..1000), rng.gen_range(100..1000), rng.gen_range(1000..10000));
+    format_into(buf, format_args!("{:02}-{a:03}-{b:03}-{c:04}", 10 + nk))
 }
 
 fn gen_supplier(n: usize, rng: &mut SmallRng) -> Table {
     let mut name = StrColumn::new();
     let mut address = StrColumn::new();
-    let mut city = Vec::with_capacity(n);
-    let mut nation = Vec::with_capacity(n);
-    let mut region = Vec::with_capacity(n);
+    let mut city = DictBuilder::new();
+    let mut nation = DictBuilder::new();
+    let mut region = DictBuilder::new();
     let mut phone = StrColumn::new();
+    let mut text = String::new();
     for i in 0..n {
         let nk = rng.gen_range(0..NATIONS.len());
         let (nat, reg) = NATIONS[nk];
-        name.push(&format!("Supplier#{i:09}"));
-        address.push(&format!("saddr-{:x}", rng.gen::<u32>()));
-        city.push(city_name(nat, rng.gen_range(0..10)));
-        nation.push(nat.to_owned());
-        region.push(reg.to_owned());
-        phone.push(&format!(
-            "{:02}-{:03}-{:03}-{:04}",
-            10 + nk,
-            rng.gen_range(100..1000),
-            rng.gen_range(100..1000),
-            rng.gen_range(1000..10000)
-        ));
+        name.push(format_into(&mut text, format_args!("Supplier#{i:09}")));
+        address.push(format_into(&mut text, format_args!("saddr-{:x}", rng.gen::<u32>())));
+        city.push(format_city(&mut text, nat, rng.gen_range(0..10)));
+        nation.push(nat);
+        region.push(reg);
+        phone.push(format_phone(&mut text, nk, rng));
     }
     let schema = Schema::new(vec![
         ColumnDef::new("s_name", DataType::Str),
@@ -371,37 +380,38 @@ fn gen_supplier(n: usize, rng: &mut SmallRng) -> Table {
         vec![
             Column::Str(name),
             Column::Str(address),
-            Column::Dict(DictColumn::from_values(city)),
-            Column::Dict(DictColumn::from_values(nation)),
-            Column::Dict(DictColumn::from_values(region)),
+            Column::Dict(city.finish()),
+            Column::Dict(nation.finish()),
+            Column::Dict(region.finish()),
             Column::Str(phone),
         ],
     )
 }
 
 fn gen_part(n: usize, rng: &mut SmallRng) -> Table {
-    let mut name = Vec::with_capacity(n);
-    let mut mfgr = Vec::with_capacity(n);
-    let mut category = Vec::with_capacity(n);
-    let mut brand1 = Vec::with_capacity(n);
-    let mut color = Vec::with_capacity(n);
-    let mut ptype = Vec::with_capacity(n);
+    let mut name = DictBuilder::new();
+    let mut mfgr = DictBuilder::new();
+    let mut category = DictBuilder::new();
+    let mut brand1 = DictBuilder::new();
+    let mut color = DictBuilder::new();
+    let mut ptype = DictBuilder::new();
     let mut size = Vec::with_capacity(n);
-    let mut container = Vec::with_capacity(n);
+    let mut container = DictBuilder::new();
+    let mut text = String::new();
     for _ in 0..n {
         let m = rng.gen_range(1..=5);
         let c = rng.gen_range(1..=5);
         let b = rng.gen_range(1..=40);
         let col1 = COLORS[rng.gen_range(0..COLORS.len())];
         let col2 = COLORS[rng.gen_range(0..COLORS.len())];
-        name.push(format!("{col1} {col2}"));
-        mfgr.push(format!("MFGR#{m}"));
-        category.push(format!("MFGR#{m}{c}"));
-        brand1.push(format!("MFGR#{m}{c}{b:02}"));
-        color.push(col1.to_owned());
-        ptype.push(TYPES[rng.gen_range(0..TYPES.len())].to_owned());
+        name.push(format_into(&mut text, format_args!("{col1} {col2}")));
+        mfgr.push(format_into(&mut text, format_args!("MFGR#{m}")));
+        category.push(format_into(&mut text, format_args!("MFGR#{m}{c}")));
+        brand1.push(format_into(&mut text, format_args!("MFGR#{m}{c}{b:02}")));
+        color.push(col1);
+        ptype.push(TYPES[rng.gen_range(0..TYPES.len())]);
         size.push(rng.gen_range(1..=50));
-        container.push(CONTAINERS[rng.gen_range(0..CONTAINERS.len())].to_owned());
+        container.push(CONTAINERS[rng.gen_range(0..CONTAINERS.len())]);
     }
     let schema = Schema::new(vec![
         ColumnDef::new("p_name", DataType::Dict),
@@ -417,43 +427,16 @@ fn gen_part(n: usize, rng: &mut SmallRng) -> Table {
         "part",
         schema,
         vec![
-            Column::Dict(DictColumn::from_values(name)),
-            Column::Dict(DictColumn::from_values(mfgr)),
-            Column::Dict(DictColumn::from_values(category)),
-            Column::Dict(DictColumn::from_values(brand1)),
-            Column::Dict(DictColumn::from_values(color)),
-            Column::Dict(DictColumn::from_values(ptype)),
+            Column::Dict(name.finish()),
+            Column::Dict(mfgr.finish()),
+            Column::Dict(category.finish()),
+            Column::Dict(brand1.finish()),
+            Column::Dict(color.finish()),
+            Column::Dict(ptype.finish()),
             Column::I32(size.into()),
-            Column::Dict(DictColumn::from_values(container)),
+            Column::Dict(container.finish()),
         ],
     )
-}
-
-/// First-appearance interning; domains here are tiny (≤ 7 values), so a
-/// linear probe beats a hash map. [`finish_dict`] remaps the codes to the
-/// sorted-domain order [`DictColumn::from_values`] assigns.
-fn intern(values: &mut Vec<String>, v: &str) -> u32 {
-    if let Some(i) = values.iter().position(|x| x == v) {
-        return i as u32;
-    }
-    values.push(v.to_owned());
-    values.len() as u32 - 1
-}
-
-/// Remaps first-appearance codes onto the sorted-domain codes
-/// [`DictColumn::from_values`] assigns, so the column is bit-identical to
-/// one built from per-row strings — without ever holding them.
-fn finish_dict(codes: Chunked<u32>, values: Vec<String>) -> DictColumn {
-    let mut order: Vec<usize> = (0..values.len()).collect();
-    order.sort_unstable_by(|&a, &b| values[a].cmp(&values[b]));
-    let mut remap = vec![0u32; values.len()];
-    for (rank, &old) in order.iter().enumerate() {
-        remap[old] = rank as u32;
-    }
-    let codes = codes.map(|c| remap[c as usize]);
-    let mut sorted = values;
-    sorted.sort_unstable();
-    DictColumn::from_parts(codes, astore_storage::dictionary::Dictionary::from_values(sorted))
 }
 
 /// The fact table. Columns fill segment-sized chunks directly (what the
@@ -470,8 +453,7 @@ fn gen_lineorder(sizes: SsbSizes, rng: &mut SmallRng) -> Table {
     let mut partkey = ChunkedBuilder::new().sealing();
     let mut suppkey = ChunkedBuilder::new().sealing();
     let mut orderdate = ChunkedBuilder::new().sealing();
-    let mut orderpriority = ChunkedBuilder::new().sealing();
-    let mut prio_values = Vec::new();
+    let mut orderpriority = DictBuilder::new().sealing();
     let mut shippriority = ChunkedBuilder::new().sealing();
     let mut quantity = ChunkedBuilder::new().sealing();
     let mut extendedprice = ChunkedBuilder::new().sealing();
@@ -481,8 +463,10 @@ fn gen_lineorder(sizes: SsbSizes, rng: &mut SmallRng) -> Table {
     let mut supplycost = ChunkedBuilder::new().sealing();
     let mut tax = ChunkedBuilder::new().sealing();
     let mut commitdate = ChunkedBuilder::new().sealing();
-    let mut shipmode = ChunkedBuilder::new().sealing();
-    let mut ship_values = Vec::new();
+    let mut shipmode = DictBuilder::new().sealing();
+    // A ship mode's code, interned the first time the mode is drawn: one
+    // array index per row instead of a hash of its name.
+    let mut ship_codes = [None; SHIP_MODES.len()];
 
     let mut i = 0usize;
     let mut order = 0i64;
@@ -500,7 +484,7 @@ fn gen_lineorder(sizes: SsbSizes, rng: &mut SmallRng) -> Table {
         let base = (i as u64 * sizes.date as u64 / n.max(1) as u64) as i64;
         let odate = (base + rng.gen_range(-30..=30i64)).clamp(0, sizes.date as i64 - 1) as u32;
         let ck = rng.gen_range(0..sizes.customer as u32);
-        let prio = intern(&mut prio_values, PRIORITIES[rng.gen_range(0..PRIORITIES.len())]);
+        let prio = orderpriority.intern(PRIORITIES[rng.gen_range(0..PRIORITIES.len())]);
         let mut total = 0i64;
         let start = i;
         for l in 0..lines {
@@ -516,7 +500,7 @@ fn gen_lineorder(sizes: SsbSizes, rng: &mut SmallRng) -> Table {
             partkey.push(rng.gen_range(0..sizes.part as u32));
             suppkey.push(rng.gen_range(0..sizes.supplier as u32));
             orderdate.push(odate);
-            orderpriority.push(prio);
+            orderpriority.push_code(prio);
             shippriority.push(0i32);
             quantity.push(q);
             extendedprice.push(eprice);
@@ -525,7 +509,9 @@ fn gen_lineorder(sizes: SsbSizes, rng: &mut SmallRng) -> Table {
             supplycost.push(price_base * 6 / 10);
             tax.push(rng.gen_range(0..=8i32));
             commitdate.push((odate + rng.gen_range(30..=90u32)).min(sizes.date as u32 - 1));
-            shipmode.push(intern(&mut ship_values, SHIP_MODES[rng.gen_range(0..SHIP_MODES.len())]));
+            let mode = rng.gen_range(0..SHIP_MODES.len());
+            let code = *ship_codes[mode].get_or_insert_with(|| shipmode.intern(SHIP_MODES[mode]));
+            shipmode.push_code(code);
             i += 1;
         }
         for _ in start..i {
@@ -562,7 +548,7 @@ fn gen_lineorder(sizes: SsbSizes, rng: &mut SmallRng) -> Table {
             Column::Key { target: "part".into(), keys: partkey.finish() },
             Column::Key { target: "supplier".into(), keys: suppkey.finish() },
             Column::Key { target: "date".into(), keys: orderdate.finish() },
-            Column::Dict(finish_dict(orderpriority.finish(), prio_values)),
+            Column::Dict(orderpriority.finish()),
             Column::I32(shippriority.finish()),
             Column::I32(quantity.finish()),
             Column::I64(extendedprice.finish()),
@@ -572,7 +558,7 @@ fn gen_lineorder(sizes: SsbSizes, rng: &mut SmallRng) -> Table {
             Column::I64(supplycost.finish()),
             Column::I32(tax.finish()),
             Column::Key { target: "date".into(), keys: commitdate.finish() },
-            Column::Dict(finish_dict(shipmode.finish(), ship_values)),
+            Column::Dict(shipmode.finish()),
         ],
     )
 }
@@ -828,9 +814,10 @@ mod tests {
 
     #[test]
     fn city_name_shapes() {
-        assert_eq!(city_name("UNITED KINGDOM", 1), "UNITED KI1");
-        assert_eq!(city_name("PERU", 3), "PERU     3");
-        assert_eq!(city_name("UNITED STATES", 0), "UNITED ST0");
+        let mut buf = String::from("stale");
+        assert_eq!(format_city(&mut buf, "UNITED KINGDOM", 1), "UNITED KI1");
+        assert_eq!(format_city(&mut buf, "PERU", 3), "PERU     3");
+        assert_eq!(format_city(&mut buf, "UNITED STATES", 0), "UNITED ST0");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use astore_core::expr::{CmpOp, MeasureExpr, Pred};
 use astore_core::query::{Aggregate, OrderKey, Query};
 use astore_storage::column::Column;
-use astore_storage::dictionary::DictColumn;
+use astore_storage::dictionary::{DictBuilder, DictColumn};
 use astore_storage::prelude::*;
 
 use crate::ssb::NATIONS;
@@ -70,10 +70,10 @@ pub fn generate(sf: f64, seed: u64) -> Database {
     db.add_table(region);
 
     // nation -> region
-    let mut n_name = Vec::new();
+    let mut n_name = DictBuilder::new();
     let mut n_regionkey = Vec::new();
     for (nat, reg) in NATIONS {
-        n_name.push(nat.to_owned());
+        n_name.push(nat);
         n_regionkey.push(regions.iter().position(|r| *r == reg).unwrap() as Key);
     }
     let nation = Table::from_columns(
@@ -83,7 +83,7 @@ pub fn generate(sf: f64, seed: u64) -> Database {
             ColumnDef::new("n_regionkey", DataType::Key { target: "region".into() }),
         ]),
         vec![
-            Column::Dict(DictColumn::from_values(n_name)),
+            Column::Dict(n_name.finish()),
             Column::Key { target: "region".into(), keys: n_regionkey.into() },
         ],
     );
@@ -92,12 +92,12 @@ pub fn generate(sf: f64, seed: u64) -> Database {
     // customer -> nation
     let mut c_nationkey = Vec::with_capacity(sizes.customer);
     let mut c_acctbal = Vec::with_capacity(sizes.customer);
-    let mut c_mktsegment = Vec::with_capacity(sizes.customer);
+    let mut c_mktsegment = DictBuilder::new();
     const SEGMENTS: [&str; 5] = ["AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD", "MACHINERY"];
     for _ in 0..sizes.customer {
         c_nationkey.push(rng.gen_range(0..25u32));
         c_acctbal.push(rng.gen_range(-999.99..9999.99));
-        c_mktsegment.push(SEGMENTS[rng.gen_range(0..SEGMENTS.len())].to_owned());
+        c_mktsegment.push(SEGMENTS[rng.gen_range(0..SEGMENTS.len())]);
     }
     let customer = Table::from_columns(
         "customer",
@@ -109,7 +109,7 @@ pub fn generate(sf: f64, seed: u64) -> Database {
         vec![
             Column::Key { target: "nation".into(), keys: c_nationkey.into() },
             Column::F64(c_acctbal.into()),
-            Column::Dict(DictColumn::from_values(c_mktsegment)),
+            Column::Dict(c_mktsegment.finish()),
         ],
     );
     db.add_table(customer);

@@ -251,6 +251,46 @@ fn ssb_snapshot_roundtrip_is_query_equivalent_for_all_13_queries() {
 }
 
 #[test]
+fn tpch_snapshot_roundtrip_is_byte_stable() {
+    // Every TPC-H dictionary column comes out of the dictionary builder;
+    // the file a save streams is the in-memory encoding, and it survives
+    // load → save byte for byte.
+    let dir = tmpdir("tpch-roundtrip");
+    let db = astore_datagen::tpch::generate(0.01, 42);
+    let path = dir.join("tpch.snapshot");
+    save_snapshot(&db, &path).unwrap();
+    let on_disk = std::fs::read(&path).unwrap();
+    assert_eq!(on_disk, encode_snapshot(&db, 0), "one writer, file or Vec");
+    let reloaded = load_snapshot(&path).unwrap();
+    assert_identical(&db, &reloaded, "tpch");
+    save_snapshot(&reloaded, &path).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), on_disk, "save→load→save must be byte-stable");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_loaded_image_reports_the_footprint_of_the_generated_one() {
+    // The cold path (generate → seal) and the warm path (load) build the
+    // same image: the per-owner gauges, which count capacity, agree.
+    let gauges = |db: Database| -> [i64; 4] {
+        let engine = astore_server::Engine::new(SharedDatabase::new(db));
+        let reply = engine.handle_line(r#"{"cmd":"stats"}"#);
+        let stats = reply.get("stats").unwrap();
+        ["encoded_bytes", "flat_bytes", "dict_bytes", "str_heap_bytes"]
+            .map(|k| stats.get(k).and_then(|v| v.as_i64()).unwrap_or_else(|| panic!("no {k}")))
+    };
+    let dir = tmpdir("gauges");
+    let path = dir.join("ssb.snapshot");
+    let db = ssb::generate(0.02, 42);
+    save_snapshot(&db, &path).unwrap();
+    let generated = gauges(db);
+    let loaded = gauges(load_snapshot(&path).unwrap());
+    assert!(generated.iter().all(|&g| g > 0), "every owner holds something: {generated:?}");
+    assert_eq!(generated, loaded, "[encoded, flat, dict, str_heap] bytes");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn snapshot_roundtrip_preserves_dirty_state() {
     // Deletes, slot reuse and in-place updates must survive, not just
     // bulk-loaded data.

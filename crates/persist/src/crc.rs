@@ -43,7 +43,7 @@ static TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// One byte at a time: the tail loop of [`crc32`] and the test oracle.
+/// One byte at a time: the tail loop of [`update`] and the test oracle.
 fn update_bytewise(mut crc: u32, data: &[u8]) -> u32 {
     for &b in data {
         crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
@@ -53,7 +53,42 @@ fn update_bytewise(mut crc: u32, data: &[u8]) -> u32 {
 
 /// CRC-32 of `data` (init `!0`, final xor `!0` — the standard presentation).
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
+    let mut crc = Crc32::new();
+    crc.update(data);
+    crc.finish()
+}
+
+/// A running CRC-32: [`Crc32::finish`] is the [`crc32`] of everything
+/// passed to [`Crc32::update`], in order — how a snapshot streamed block by
+/// block gets its trailing checksum without ever being whole in memory.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32(u32);
+
+impl Crc32 {
+    /// The CRC of nothing yet.
+    pub fn new() -> Self {
+        Crc32(!0)
+    }
+
+    /// Feeds the next bytes.
+    pub fn update(&mut self, data: &[u8]) {
+        self.0 = update(self.0, data);
+    }
+
+    /// The CRC-32 of every byte fed so far.
+    pub fn finish(&self) -> u32 {
+        !self.0
+    }
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32::new()
+    }
+}
+
+/// Advances the (pre-inversion) register `crc` over `data`.
+fn update(mut crc: u32, data: &[u8]) -> u32 {
     let mut blocks = data.chunks_exact(8);
     for block in &mut blocks {
         let lo = crc ^ u32::from_le_bytes([block[0], block[1], block[2], block[3]]);
@@ -66,7 +101,7 @@ pub fn crc32(data: &[u8]) -> u32 {
             ^ TABLES[1][block[6] as usize]
             ^ TABLES[0][block[7] as usize];
     }
-    !update_bytewise(crc, blocks.remainder())
+    update_bytewise(crc, blocks.remainder())
 }
 
 #[cfg(test)]
@@ -106,6 +141,18 @@ mod tests {
                 assert_eq!(crc32(data), bytewise(data), "start={start} len={len}");
             }
         }
+    }
+
+    #[test]
+    fn a_running_crc_over_any_split_equals_the_whole() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 37 % 251) as u8).collect();
+        for cut in [0, 1, 7, 8, 9, 100, 199, 200] {
+            let mut crc = Crc32::new();
+            crc.update(&data[..cut]);
+            crc.update(&data[cut..]);
+            assert_eq!(crc.finish(), crc32(&data), "cut at {cut}");
+        }
+        assert_eq!(Crc32::default().finish(), crc32(b""));
     }
 
     #[test]

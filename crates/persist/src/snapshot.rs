@@ -64,19 +64,50 @@
 //! dictionary), from the block's bounds rather than row by row.
 //!
 //! The per-segment CRC + framing makes segments independently addressable:
-//! an **incremental checkpoint** ([`encode_snapshot_with_prev`]) copies the
-//! raw block bytes of every segment that has not been mutated since the
-//! previous snapshot (its zone map is *clean*) instead of re-encoding it —
-//! and because encoding is deterministic, the result is byte-identical to a
-//! full encode. Version-2 files (raw segmented columns, no encodings) and
-//! version-1 files (monolithic per-column payloads, no zone maps) still
-//! load; v1 zone maps are rebuilt on load, and both come up unsealed.
+//! an **incremental checkpoint** ([`crate::store::write_checkpoint`])
+//! copies the framed block of every segment that has not been mutated since
+//! the previous snapshot (its zone map is *clean*) out of the previous file
+//! instead of re-encoding it — and because encoding is deterministic, the
+//! result is byte-identical to a full encode. Version-2 files (raw
+//! segmented columns, no encodings) and version-1 files (monolithic
+//! per-column payloads, no zone maps) still load; v1 zone maps are rebuilt
+//! on load, and both come up unsealed.
 //!
 //! The trailing CRC makes torn or bit-flipped snapshot files a detected
 //! error instead of silently wrong data. Writes go through a temp file +
 //! atomic rename, so a crash mid-save never clobbers the previous snapshot.
+//!
+//! ## What is held at once
+//!
+//! A snapshot is never whole in memory on the way to or from a file — the
+//! database already is, and a second copy of it was once the largest
+//! transient of a boot or a checkpoint. There is one code path per
+//! direction, generic over where the bytes go or come from; the `Vec` /
+//! slice instances ([`encode_snapshot`], [`decode_snapshot`]) are what the
+//! goldens and the fuzzers drive.
+//!
+//! - **Writing** ([`save_snapshot`], the store's bootstrap and checkpoint)
+//!   streams into the temp file's buffered writer under a running CRC. At
+//!   any moment it holds the database, one segment block — assembled, length
+//!   prefix to CRC, in one buffer reused for every block of the file — and
+//!   the writer's buffer.
+//! - **Loading** ([`load_snapshot`], a warm boot) reads through a buffered
+//!   reader under a running CRC, one segment block at a time into one reused
+//!   buffer, and decodes each block straight into its slots: it holds the
+//!   database built so far plus one block. Every length and count is checked
+//!   against the bytes left in the file before anything is sized by it, every
+//!   block CRC is checked as its block is read, and the trailing file CRC
+//!   before a [`Database`] is returned — a damaged file is an error, never a
+//!   partial database.
+//! - **An incremental checkpoint** indexes the previous file as (offset,
+//!   length) per block — a walk over its table preambles that seeks past the
+//!   blocks — and copies each clean block with a positioned read into the
+//!   same block buffer, checking the block's own CRC on the way (a block that
+//!   fails it is re-encoded from the database instead). It holds the
+//!   database image, the index and one block.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use astore_storage::bitmap::Bitmap;
@@ -90,8 +121,8 @@ use astore_storage::strings::StrColumn;
 use astore_storage::table::{ColumnDef, Schema, Table};
 use astore_storage::types::{DataType, Key, RowId};
 
-use crate::crc::crc32;
-use crate::wire::{put_str, put_u32, put_u64, Cursor};
+use crate::crc::{crc32, Crc32};
+use crate::wire::{put_str, put_u32, put_u64, Cursor, Input};
 use crate::PersistError;
 
 /// File magic of the snapshot format.
@@ -136,24 +167,65 @@ const ENC_PACKED: u8 = 1;
 /// v3 per-column encoding tag: run-length block.
 const ENC_RLE: u8 = 2;
 
-/// Raw segment blocks of an existing version-2 snapshot, keyed by table
-/// then segment — the reuse source of an incremental checkpoint
-/// ([`encode_snapshot_with_prev`]). Borrows the snapshot bytes: indexing a
-/// file costs one pass and no block copies.
-#[derive(Debug, Default)]
-pub struct SegmentIndex<'a> {
-    blocks: HashMap<String, HashMap<u32, &'a [u8]>>,
+/// Bytes of a segment block's framing: the `u32` length before the payload
+/// and the `u32` CRC after it.
+const BLOCK_FRAMING: usize = 8;
+
+/// Where the framed segment blocks of an existing version-3 snapshot sit in
+/// it — per table, per segment, `(offset, framed length)` — plus the file
+/// itself, for copying them: the reuse source of an incremental checkpoint.
+/// Indexing a file reads its table preambles and seeks past its blocks;
+/// nothing of the blocks is held.
+#[derive(Debug)]
+pub struct SegmentIndex<R> {
+    source: R,
+    blocks: HashMap<String, Vec<(u64, usize)>>,
 }
 
-impl SegmentIndex<'_> {
+impl<R: Read + Seek> SegmentIndex<R> {
     /// Number of indexed blocks.
     pub fn len(&self) -> usize {
-        self.blocks.values().map(HashMap::len).sum()
+        self.blocks.values().map(Vec::len).sum()
     }
 
     /// Returns `true` if no blocks are indexed.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Bytes of the largest framed block — what writing, loading or
+    /// checkpointing this file holds beside the database.
+    pub fn largest_block(&self) -> usize {
+        self.blocks.values().flatten().map(|&(_, len)| len).max().unwrap_or(0)
+    }
+
+    /// Reads the framed block of segment `seg` of `table` into `buf`.
+    /// `false` if it is not indexed, cannot be read, or fails its own CRC —
+    /// the caller then encodes the segment from the database instead.
+    fn read_block(&mut self, table: &str, seg: usize, buf: &mut Vec<u8>) -> bool {
+        let Some(&(offset, len)) = self.blocks.get(table).and_then(|spans| spans.get(seg)) else {
+            return false;
+        };
+        clear_for(buf, len);
+        buf.resize(len, 0);
+        if self.source.seek(SeekFrom::Start(offset)).is_err()
+            || self.source.read_exact(buf).is_err()
+        {
+            return false;
+        }
+        let (payload, crc) = buf[4..].split_at(len - BLOCK_FRAMING);
+        crc32(payload) == u32::from_le_bytes(crc.try_into().unwrap())
+    }
+}
+
+/// Empties `buf` with room for `n` bytes. A buffer that is too small is
+/// freed *before* the exact-size replacement is allocated: the one block
+/// buffer never holds two blocks' worth, nor doubles past the largest.
+fn clear_for(buf: &mut Vec<u8>, n: usize) {
+    buf.clear();
+    if buf.capacity() < n {
+        *buf = Vec::new();
+        buf.reserve_exact(n);
     }
 }
 
@@ -161,23 +233,24 @@ impl SegmentIndex<'_> {
 /// equal databases in equal representations produce equal bytes — every
 /// chunk is written in the form it is resident in.
 pub fn encode_snapshot(db: &Database, wal_lsn: u64) -> Vec<u8> {
-    encode_snapshot_with_prev(db, wal_lsn, None).0
+    encode_snapshot_with_prev(db, wal_lsn, None::<&mut SegmentIndex<std::fs::File>>).0
 }
 
-/// Serializes `db`, copying the raw block bytes of every *clean* segment
-/// (not mutated since its table was loaded from / checkpointed to the
-/// snapshot `prev` was indexed from) instead of re-encoding it. Returns the
-/// bytes and the number of reused segment blocks.
+/// Serializes `db`, copying the framed block of every *clean* segment (not
+/// mutated since its table was loaded from / checkpointed to the snapshot
+/// `prev` indexes) instead of re-encoding it. Returns the bytes and the
+/// number of reused segment blocks. The in-memory instance of what
+/// [`crate::store::write_checkpoint`] streams to a file.
 ///
 /// Correctness contract: `prev` must index the snapshot file this
 /// database's clean flags are relative to — i.e. the file it was last
 /// loaded from or checkpointed to (see [`crate::store::checkpoint`]).
 /// Encoding is deterministic, so the output is byte-identical to a full
 /// [`encode_snapshot`] either way.
-pub fn encode_snapshot_with_prev(
+pub fn encode_snapshot_with_prev<R: Read + Seek>(
     db: &Database,
     wal_lsn: u64,
-    prev: Option<&SegmentIndex<'_>>,
+    prev: Option<&mut SegmentIndex<R>>,
 ) -> (Vec<u8>, usize) {
     // Sized from what is resident (the blocks are the slots' bytes plus
     // framing), not from the flat size: a sealed database must not reserve
@@ -188,19 +261,71 @@ pub fn encode_snapshot_with_prev(
         .filter_map(|name| db.table(name))
         .map(|t| t.encoded_footprint().0)
         .sum();
-    let mut buf = Vec::with_capacity(4096 + resident as usize * 5 / 4);
+    let out = Vec::with_capacity(4096 + resident as usize * 5 / 4);
+    let (out, _, reused) =
+        write_snapshot(out, db, wal_lsn, prev).expect("writing into a Vec cannot fail");
+    (out, reused)
+}
+
+/// Where snapshot bytes go: a writer, and the running CRC of everything
+/// written through it — the file's trailing checksum.
+struct Sink<W> {
+    out: W,
+    crc: Crc32,
+    len: u64,
+}
+
+impl<W: Write> Sink<W> {
+    fn put(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.crc.update(bytes);
+        self.len += bytes.len() as u64;
+        self.out.write_all(bytes)
+    }
+
+    /// Appends the trailing CRC; returns the writer and the bytes written.
+    fn finish(mut self) -> std::io::Result<(W, u64)> {
+        self.out.write_all(&self.crc.finish().to_le_bytes())?;
+        Ok((self.out, self.len + 4))
+    }
+}
+
+/// The version-3 writer behind every save, bootstrap, checkpoint and
+/// [`encode_snapshot`]: header, then per table its preamble and its segment
+/// blocks — each block copied out of `prev` when the segment is clean and
+/// `prev` has it intact, encoded from the table otherwise — all through
+/// one reused buffer. Returns the writer, the bytes written and the number
+/// of reused blocks.
+fn write_snapshot<W: Write, R: Read + Seek>(
+    out: W,
+    db: &Database,
+    wal_lsn: u64,
+    mut prev: Option<&mut SegmentIndex<R>>,
+) -> std::io::Result<(W, u64, usize)> {
+    let mut sink = Sink { out, crc: Crc32::new(), len: 0 };
+    let mut buf = Vec::new();
     buf.extend_from_slice(SNAPSHOT_MAGIC);
     put_u32(&mut buf, SNAPSHOT_VERSION);
     put_u64(&mut buf, wal_lsn);
     put_u32(&mut buf, db.len() as u32);
+    sink.put(&buf)?;
     let mut reused = 0usize;
     for name in db.table_names() {
         let t = db.table(name).expect("listed table exists");
-        reused += encode_table_v3(&mut buf, t, prev);
+        buf.clear();
+        encode_table_preamble(&mut buf, t);
+        sink.put(&buf)?;
+        for seg in 0..t.segment_count() {
+            let clean = !t.zone(seg).is_dirty();
+            if clean && prev.as_mut().is_some_and(|p| p.read_block(name, seg, &mut buf)) {
+                reused += 1;
+            } else {
+                encode_segment_block(&mut buf, t, seg, encode_segment_payload_v3);
+            }
+            sink.put(&buf)?;
+        }
     }
-    let crc = crc32(&buf);
-    put_u32(&mut buf, crc);
-    (buf, reused)
+    let (out, len) = sink.finish()?;
+    Ok((out, len, reused))
 }
 
 fn encode_coldefs(buf: &mut Vec<u8>, t: &Table) {
@@ -248,39 +373,34 @@ fn encode_table_preamble(buf: &mut Vec<u8>, t: &Table) {
     put_u32(buf, t.segment_count() as u32);
 }
 
-/// Encodes one table in the current (v3) layout; returns the number of
-/// segment blocks copied from `prev` instead of re-encoded.
-fn encode_table_v3(buf: &mut Vec<u8>, t: &Table, prev: Option<&SegmentIndex>) -> usize {
-    encode_table_preamble(buf, t);
-    let table_blocks = prev.and_then(|p| p.blocks.get(t.name()));
-    let mut reused = 0usize;
-    for seg in 0..t.segment_count() {
-        let zone = t.zone(seg);
-        if !zone.is_dirty() {
-            if let Some(block) = table_blocks.and_then(|m| m.get(&(seg as u32))) {
-                buf.extend_from_slice(block);
-                reused += 1;
-                continue;
-            }
-        }
-        let payload = encode_segment_payload_v3(t, seg);
-        put_u32(buf, payload.len() as u32);
-        let crc = crc32(&payload);
-        buf.extend_from_slice(&payload);
-        put_u32(buf, crc);
-    }
-    reused
+/// Assembles segment `seg`'s framed block in `buf` (replacing what it
+/// held): length prefix, the payload `payload` appends, CRC of the payload.
+/// Reserves the chunks' resident bytes up front, so the buffer is sized
+/// once for the largest block rather than doubled into it.
+fn encode_segment_block(
+    buf: &mut Vec<u8>,
+    t: &Table,
+    seg: usize,
+    payload: fn(&mut Vec<u8>, &Table, usize),
+) {
+    let arity = t.schema().arity();
+    let held: usize = (0..arity).map(|i| t.column_at(i).chunk_bytes(seg).0).sum();
+    clear_for(buf, held + 64 * arity + 64);
+    put_u32(buf, 0);
+    payload(buf, t, seg);
+    let len = buf.len() - 4;
+    buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = crc32(&buf[4..]);
+    put_u32(buf, crc);
 }
 
 /// Encodes one table in the frozen v2 layout (raw segmented columns).
 fn encode_table_v2(buf: &mut Vec<u8>, t: &Table) {
     encode_table_preamble(buf, t);
+    let mut block = Vec::new();
     for seg in 0..t.segment_count() {
-        let payload = encode_segment_payload_v2(t, seg);
-        put_u32(buf, payload.len() as u32);
-        let crc = crc32(&payload);
-        buf.extend_from_slice(&payload);
-        put_u32(buf, crc);
+        encode_segment_block(&mut block, t, seg, encode_segment_payload_v2);
+        buf.extend_from_slice(&block);
     }
 }
 
@@ -308,25 +428,22 @@ fn encode_zone_stats(buf: &mut Vec<u8>, zone: &SegmentZone) {
     }
 }
 
-fn encode_segment_payload_v2(t: &Table, seg: usize) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u64(&mut buf, t.zone(seg).live());
-    encode_zone_stats(&mut buf, t.zone(seg));
+fn encode_segment_payload_v2(buf: &mut Vec<u8>, t: &Table, seg: usize) {
+    put_u64(buf, t.zone(seg).live());
+    encode_zone_stats(buf, t.zone(seg));
     for i in 0..t.schema().arity() {
-        encode_column_chunk(&mut buf, t.column_at(i), seg);
+        encode_column_chunk(buf, t.column_at(i), seg);
     }
-    buf
 }
 
 /// The v3 segment payload: the v2 payload prefixed with a format byte, and
 /// — when at least one of the segment's chunks is resident encoded — one
 /// tagged block per column, each in the form its chunk is held in.
-fn encode_segment_payload_v3(t: &Table, seg: usize) -> Vec<u8> {
+fn encode_segment_payload_v3(buf: &mut Vec<u8>, t: &Table, seg: usize) {
     let encoded = (0..t.schema().arity()).any(|i| t.column_at(i).chunk_encoding(seg).is_some());
-    let mut buf = Vec::new();
     buf.push(if encoded { SEG_FMT_ENCODED } else { SEG_FMT_RAW });
-    put_u64(&mut buf, t.zone(seg).live());
-    encode_zone_stats(&mut buf, t.zone(seg));
+    put_u64(buf, t.zone(seg).live());
+    encode_zone_stats(buf, t.zone(seg));
     for i in 0..t.schema().arity() {
         let col = t.column_at(i);
         match col.chunk_encoding(seg) {
@@ -334,16 +451,16 @@ fn encode_segment_payload_v3(t: &Table, seg: usize) -> Vec<u8> {
                 if encoded {
                     buf.push(ENC_RAW);
                 }
-                encode_column_chunk(&mut buf, col, seg);
+                encode_column_chunk(buf, col, seg);
             }
             Some(EncodedColumn::Packed(p)) => {
                 buf.push(ENC_PACKED);
                 let start = buf.len();
                 buf.extend_from_slice(&p.base().to_le_bytes());
                 buf.push(u8::from(p.null_code().is_some()));
-                put_u32(&mut buf, p.len() as u32);
-                put_u64(&mut buf, p.max_code());
-                put_u32(&mut buf, p.words().len() as u32);
+                put_u32(buf, p.len() as u32);
+                put_u64(buf, p.max_code());
+                put_u32(buf, p.words().len() as u32);
                 // Sized once and filled in place: the words are most of a
                 // sealed snapshot's bytes.
                 let at = buf.len();
@@ -352,24 +469,23 @@ fn encode_segment_payload_v3(t: &Table, seg: usize) -> Vec<u8> {
                     dst.copy_from_slice(&w.to_le_bytes());
                 }
                 let crc = crc32(&buf[start..]);
-                put_u32(&mut buf, crc);
+                put_u32(buf, crc);
             }
             Some(EncodedColumn::Rle(r)) => {
                 buf.push(ENC_RLE);
                 let start = buf.len();
-                put_u32(&mut buf, r.run_count() as u32);
+                put_u32(buf, r.run_count() as u32);
                 for v in r.values() {
                     buf.extend_from_slice(&v.to_le_bytes());
                 }
                 for &e in r.ends() {
-                    put_u32(&mut buf, e);
+                    put_u32(buf, e);
                 }
                 let crc = crc32(&buf[start..]);
-                put_u32(&mut buf, crc);
+                put_u32(buf, crc);
             }
         }
     }
-    buf
 }
 
 /// Writes the raw values of `col`'s chunk of segment `seg` (an encoded
@@ -473,81 +589,162 @@ fn encode_table_v1(buf: &mut Vec<u8>, t: &Table) {
     }
 }
 
-/// Parses snapshot bytes, verifying magic, version and checksum. Returns
-/// the database and the `wal_lsn` recorded in the header. Accepts the
-/// current version 3 (zone maps and segment encodings loaded verbatim),
-/// version 2 (zone maps verbatim, no encodings) and the legacy version 1
-/// (zone maps rebuilt).
+/// Where snapshot bytes come from: a reader, the bytes left before the
+/// trailing CRC, the running CRC of everything consumed, and the one
+/// buffer every read lands in (a segment block at a time, reused).
+struct Source<R> {
+    inner: R,
+    pos: u64,
+    remaining: u64,
+    crc: Crc32,
+    buf: Vec<u8>,
+}
+
+impl<R: Read> Source<R> {
+    /// A source over a `len`-byte snapshot.
+    fn new(inner: R, len: u64) -> Result<Self, PersistError> {
+        if len < (SNAPSHOT_MAGIC.len() + 4) as u64 {
+            return Err(PersistError::Corrupt("snapshot shorter than its header".into()));
+        }
+        Ok(Source { inner, pos: 0, remaining: len - 4, crc: Crc32::new(), buf: Vec::new() })
+    }
+
+    fn truncated(&self, what: &str) -> PersistError {
+        PersistError::Corrupt(format!("truncated {what} at byte {}", self.pos))
+    }
+
+    /// Checks that nothing follows the last table but the trailing CRC, and
+    /// that the CRC matches every byte before it.
+    fn finish(mut self) -> Result<(), PersistError> {
+        if self.remaining != 0 {
+            return Err(PersistError::Corrupt(format!(
+                "{} trailing bytes after the last table",
+                self.remaining
+            )));
+        }
+        let mut trailer = [0u8; 4];
+        self.inner.read_exact(&mut trailer).map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => self.truncated("snapshot checksum"),
+            _ => PersistError::Io(e),
+        })?;
+        let (stored, actual) = (u32::from_le_bytes(trailer), self.crc.finish());
+        if stored != actual {
+            return Err(PersistError::Corrupt(format!(
+                "snapshot checksum mismatch (stored {stored:#010x}, computed {actual:#010x})"
+            )));
+        }
+        Ok(())
+    }
+}
+
+impl<R: Read> Input for Source<R> {
+    fn remaining(&self) -> usize {
+        usize::try_from(self.remaining).unwrap_or(usize::MAX)
+    }
+
+    fn take(&mut self, n: usize, what: &str) -> Result<&[u8], PersistError> {
+        if n as u64 > self.remaining {
+            return Err(self.truncated(what));
+        }
+        clear_for(&mut self.buf, n);
+        self.buf.resize(n, 0);
+        if let Err(e) = self.inner.read_exact(&mut self.buf) {
+            return Err(match e.kind() {
+                std::io::ErrorKind::UnexpectedEof => self.truncated(what),
+                _ => PersistError::Io(e),
+            });
+        }
+        self.crc.update(&self.buf);
+        self.pos += n as u64;
+        self.remaining -= n as u64;
+        Ok(&self.buf)
+    }
+}
+
+impl<R: Read + Seek> Source<BufReader<R>> {
+    /// Skips `n` bytes without reading them (the index walk: the running
+    /// CRC is not kept).
+    fn skip(&mut self, n: u64, what: &str) -> Result<(), PersistError> {
+        if n > self.remaining {
+            return Err(self.truncated(what));
+        }
+        let by = i64::try_from(n).map_err(|_| self.truncated(what))?;
+        self.inner.seek_relative(by)?;
+        self.pos += n;
+        self.remaining -= n;
+        Ok(())
+    }
+}
+
+/// Parses snapshot bytes, verifying magic, version and every checksum.
+/// Returns the database and the `wal_lsn` recorded in the header. Accepts
+/// the current version 3 (zone maps and segment encodings loaded
+/// verbatim), version 2 (zone maps verbatim, no encodings) and the legacy
+/// version 1 (zone maps rebuilt). The in-memory instance of
+/// [`load_snapshot_with_lsn`].
 pub fn decode_snapshot(bytes: &[u8]) -> Result<(Database, u64), PersistError> {
-    let (mut c, version, wal_lsn, ntables) = decode_header(bytes)?;
+    read_snapshot(Source::new(bytes, bytes.len() as u64)?)
+}
+
+/// The one snapshot reader (see the module docs for what it holds).
+fn read_snapshot<R: Read>(mut src: Source<R>) -> Result<(Database, u64), PersistError> {
+    let (version, wal_lsn, ntables) = read_header(&mut src)?;
     let mut db = Database::new();
     for _ in 0..ntables {
         let table = match version {
-            SNAPSHOT_VERSION_V1 => decode_table_v1(&mut c)?,
-            SNAPSHOT_VERSION_V2 => decode_table_v2(&mut c)?,
-            _ => decode_table_v3(&mut c)?,
+            SNAPSHOT_VERSION_V1 => decode_table_v1(&mut src)?,
+            SNAPSHOT_VERSION_V2 => decode_table_segmented(&mut src, false)?,
+            _ => decode_table_segmented(&mut src, true)?,
         };
         db.add_table(table);
     }
-    if c.remaining() != 0 {
-        return Err(PersistError::Corrupt(format!(
-            "{} trailing bytes after the last table",
-            c.remaining()
-        )));
-    }
+    src.finish()?;
     Ok((db, wal_lsn))
 }
 
-/// Verifies magic/version/CRC and returns a cursor positioned at the first
-/// table, plus `(version, wal_lsn, ntables)`.
-fn decode_header(bytes: &[u8]) -> Result<(Cursor<'_>, u32, u64, u32), PersistError> {
-    if bytes.len() < SNAPSHOT_MAGIC.len() + 4 {
-        return Err(PersistError::Corrupt("snapshot shorter than its header".into()));
-    }
-    if &bytes[..8] != SNAPSHOT_MAGIC {
+/// Reads magic and version; returns `(version, wal_lsn, ntables)`.
+fn read_header<R: Read>(src: &mut Source<R>) -> Result<(u32, u64, u32), PersistError> {
+    if src.take(8, "magic")? != SNAPSHOT_MAGIC {
         return Err(PersistError::Corrupt("bad snapshot magic".into()));
     }
-    let (payload, trailer) = bytes.split_at(bytes.len() - 4);
-    let stored_crc = u32::from_le_bytes(trailer.try_into().unwrap());
-    let actual_crc = crc32(payload);
-    if stored_crc != actual_crc {
-        return Err(PersistError::Corrupt(format!(
-            "snapshot checksum mismatch (stored {stored_crc:#010x}, computed {actual_crc:#010x})"
-        )));
-    }
-    let mut c = Cursor::new(payload);
-    c.bytes(8, "magic")?;
-    let version = c.u32("version")?;
+    let version = src.u32("version")?;
     if !matches!(version, SNAPSHOT_VERSION | SNAPSHOT_VERSION_V2 | SNAPSHOT_VERSION_V1) {
         return Err(PersistError::Version { found: version, expected: SNAPSHOT_VERSION });
     }
-    let wal_lsn = c.u64("wal_lsn")?;
-    let ntables = c.u32("table count")?;
-    Ok((c, version, wal_lsn, ntables))
+    let wal_lsn = src.u64("wal_lsn")?;
+    let ntables = src.u32("table count")?;
+    Ok((version, wal_lsn, ntables))
 }
 
 /// Indexes the segment blocks of a current-version snapshot for checkpoint
-/// reuse. Returns `None` for anything unusable (missing/corrupt file,
-/// legacy version — v1/v2 blocks are laid out differently, so a checkpoint
-/// over an old file falls back to a full encode and upgrades it in place).
-pub fn index_snapshot_segments(bytes: &[u8]) -> Option<SegmentIndex<'_>> {
-    let (mut c, version, _, ntables) = decode_header(bytes).ok()?;
+/// reuse. Returns `None` for anything unusable (unreadable or malformed
+/// structure, legacy version — v1/v2 blocks are laid out differently, so a
+/// checkpoint over an old file falls back to a full encode and upgrades it
+/// in place). The blocks themselves are not read here: each is checked
+/// against its own CRC when it is copied (see [`SegmentIndex`]).
+pub fn index_snapshot_segments<R: Read + Seek>(mut source: R) -> Option<SegmentIndex<R>> {
+    let len = source.seek(SeekFrom::End(0)).ok()?;
+    source.seek(SeekFrom::Start(0)).ok()?;
+    let mut src = Source::new(BufReader::new(source), len).ok()?;
+    let (version, _, ntables) = read_header(&mut src).ok()?;
     if version != SNAPSHOT_VERSION {
         return None;
     }
-    let mut index = SegmentIndex::default();
+    let mut blocks = HashMap::new();
     for _ in 0..ntables {
-        let header = decode_table_header(&mut c, true).ok()?;
-        let nsegs = c.u32("segment count").ok()? as usize;
-        let table_blocks: &mut HashMap<u32, &[u8]> = index.blocks.entry(header.name).or_default();
-        for seg in 0..nsegs {
-            let start = c.position();
-            let len = c.u32("segment length").ok()? as usize;
-            c.bytes(len + 4, "segment block").ok()?;
-            table_blocks.insert(seg as u32, &bytes[start..c.position()]);
+        let header = decode_table_header(&mut src, true).ok()?;
+        let nsegs = read_segment_count(&mut src, &header).ok()?;
+        let mut spans = Vec::with_capacity(nsegs);
+        for _ in 0..nsegs {
+            let offset = src.pos;
+            let len = src.u32("segment length").ok()? as usize;
+            src.skip(len as u64 + 4, "segment block").ok()?;
+            spans.push((offset, len + BLOCK_FRAMING));
         }
+        blocks.insert(header.name, spans);
     }
-    Some(index)
+    (src.remaining == 0).then_some(())?;
+    Some(SegmentIndex { source: src.inner.into_inner(), blocks })
 }
 
 /// The per-table preamble shared by v1 and v2 (v2 additionally carries
@@ -563,13 +760,30 @@ struct TableHeader {
     dicts: Vec<Option<Dictionary>>,
 }
 
-fn decode_coldefs(c: &mut Cursor<'_>) -> Result<(String, Vec<ColumnDef>), PersistError> {
+/// Refuses a count of items, each at least `min_bytes` long in the file,
+/// that the rest of the file cannot hold.
+fn check_count(
+    remaining: usize,
+    count: usize,
+    min_bytes: usize,
+    what: &str,
+) -> Result<(), PersistError> {
+    if count > remaining / min_bytes {
+        return Err(PersistError::Corrupt(format!("{what} {count} exceeds file size")));
+    }
+    Ok(())
+}
+
+fn decode_coldefs(c: &mut impl Input) -> Result<(String, Vec<ColumnDef>), PersistError> {
     let name = c.str("table name")?;
     let arity = c.u32("arity")? as usize;
-    let mut defs = Vec::with_capacity(arity);
+    // A definition is at least a name length and a tag. Not pre-sized: a
+    // `ColumnDef` is larger in memory than the bytes that describe it.
+    check_count(c.remaining(), arity, 5, "arity")?;
+    let mut defs = Vec::new();
     for _ in 0..arity {
         let col_name = c.str("column name")?;
-        let tag = c.bytes(1, "dtype tag")?[0];
+        let tag = c.take(1, "dtype tag")?[0];
         let dtype = match tag {
             TAG_I32 => DataType::I32,
             TAG_I64 => DataType::I64,
@@ -583,13 +797,14 @@ fn decode_coldefs(c: &mut Cursor<'_>) -> Result<(String, Vec<ColumnDef>), Persis
         };
         defs.push(ColumnDef::new(col_name, dtype));
     }
-    if defs.iter().enumerate().any(|(i, d)| defs[..i].iter().any(|p| p.name == d.name)) {
+    let mut names = HashSet::with_capacity(defs.len());
+    if !defs.iter().all(|d| names.insert(d.name.as_str())) {
         return Err(PersistError::Corrupt(format!("duplicate column name in table {name:?}")));
     }
     Ok((name, defs))
 }
 
-fn decode_table_header(c: &mut Cursor<'_>, v2: bool) -> Result<TableHeader, PersistError> {
+fn decode_table_header(c: &mut impl Input, v2: bool) -> Result<TableHeader, PersistError> {
     let (name, defs) = decode_coldefs(c)?;
     let seg_rows = if v2 {
         let sr = c.u32("segment rows")? as usize;
@@ -603,11 +818,9 @@ fn decode_table_header(c: &mut Cursor<'_>, v2: bool) -> Result<TableHeader, Pers
     let nslots = usize::try_from(c.u64("slot count")?)
         .map_err(|_| PersistError::Corrupt("slot count overflows usize".into()))?;
     // Guard against absurd counts decoded from corrupt bytes before any
-    // allocation sized by them.
-    if nslots > c.remaining() * 64 {
-        return Err(PersistError::Corrupt(format!("slot count {nslots} exceeds file size")));
-    }
+    // allocation sized by them: every 64 slots cost a word of live bitmap.
     let nwords = nslots.div_ceil(64);
+    check_count(c.remaining(), nwords, 8, "slot count")?;
     let mut words = Vec::with_capacity(nwords);
     for _ in 0..nwords {
         words.push(c.u64("live bitmap")?);
@@ -617,6 +830,7 @@ fn decode_table_header(c: &mut Cursor<'_>, v2: bool) -> Result<TableHeader, Pers
     if nfree > nslots {
         return Err(PersistError::Corrupt(format!("{nfree} free slots in {nslots}-slot table")));
     }
+    check_count(c.remaining(), nfree, 4, "free count")?;
     let mut free = Vec::with_capacity(nfree);
     for _ in 0..nfree {
         let slot = c.u32("free slot")?;
@@ -638,19 +852,17 @@ fn decode_table_header(c: &mut Cursor<'_>, v2: bool) -> Result<TableHeader, Pers
     Ok(TableHeader { name, defs, seg_rows, nslots, live, free, dicts })
 }
 
-fn decode_dictionary(c: &mut Cursor<'_>) -> Result<Dictionary, PersistError> {
+fn decode_dictionary(c: &mut impl Input) -> Result<Dictionary, PersistError> {
     let dict_len = c.u32("dictionary size")? as usize;
-    if dict_len > c.remaining() {
-        return Err(PersistError::Corrupt(format!("dictionary size {dict_len} exceeds file size")));
-    }
-    let mut values = Vec::with_capacity(dict_len);
+    // Each value is at least its length prefix; not pre-sized (a `String`
+    // outweighs an empty value's four bytes).
+    check_count(c.remaining(), dict_len, 4, "dictionary size")?;
+    let mut values = Vec::new();
     for _ in 0..dict_len {
         values.push(c.str("dictionary value")?);
     }
-    if values.iter().enumerate().any(|(i, v)| values[..i].contains(v)) {
-        return Err(PersistError::Corrupt("duplicate dictionary value".into()));
-    }
-    Ok(Dictionary::from_values(values))
+    Dictionary::try_from_values(values)
+        .ok_or_else(|| PersistError::Corrupt("duplicate dictionary value".into()))
 }
 
 /// Per-column accumulator for segment-wise decoding: payloads are built
@@ -684,18 +896,18 @@ impl ColumnBuilder {
     }
 
     /// Appends `n` rows decoded from `c`.
-    fn extend(&mut self, c: &mut Cursor<'_>, n: usize) -> Result<(), PersistError> {
+    fn extend(&mut self, c: &mut impl Input, n: usize) -> Result<(), PersistError> {
         match self {
             ColumnBuilder::I32(v) => {
-                let raw = c.bytes(n * 4, "i32 column")?;
+                let raw = c.take(n * 4, "i32 column")?;
                 v.extend(raw.chunks_exact(4).map(|b| i32::from_le_bytes(b.try_into().unwrap())));
             }
             ColumnBuilder::I64(v) => {
-                let raw = c.bytes(n * 8, "i64 column")?;
+                let raw = c.take(n * 8, "i64 column")?;
                 v.extend(raw.chunks_exact(8).map(|b| i64::from_le_bytes(b.try_into().unwrap())));
             }
             ColumnBuilder::F64(v) => {
-                let raw = c.bytes(n * 8, "f64 column")?;
+                let raw = c.take(n * 8, "f64 column")?;
                 v.extend(
                     raw.chunks_exact(8)
                         .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().unwrap()))),
@@ -703,12 +915,13 @@ impl ColumnBuilder {
             }
             ColumnBuilder::Str(col) => {
                 for _ in 0..n {
-                    col.push(&c.str("string value")?);
+                    col.push(c.str_ref("string value")?);
                 }
             }
             ColumnBuilder::Dict { codes, dict } => {
-                for _ in 0..n {
-                    let code = c.u32("dictionary code")?;
+                let raw = c.take(n * 4, "dictionary codes")?;
+                for b in raw.chunks_exact(4) {
+                    let code = u32::from_le_bytes(b.try_into().unwrap());
                     if code as usize >= dict.len() {
                         return Err(PersistError::Corrupt(format!(
                             "dictionary code {code} out of range {}",
@@ -719,7 +932,7 @@ impl ColumnBuilder {
                 }
             }
             ColumnBuilder::Key { keys, .. } => {
-                let raw = c.bytes(n * 4, "key column")?;
+                let raw = c.take(n * 4, "key column")?;
                 keys.extend(raw.chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().unwrap())));
             }
         }
@@ -811,8 +1024,9 @@ fn decode_zone_stats(c: &mut Cursor<'_>, arity: usize) -> Result<Vec<ZoneStats>,
     Ok(stats)
 }
 
-fn decode_table_v2(c: &mut Cursor<'_>) -> Result<Table, PersistError> {
-    let header = decode_table_header(c, true)?;
+/// Reads a v2/v3 table's segment count, which must cover its slots and
+/// fit the rest of the file (a block is at least its framing).
+fn read_segment_count(c: &mut impl Input, header: &TableHeader) -> Result<usize, PersistError> {
     let nsegs = c.u32("segment count")? as usize;
     if nsegs != header.nslots.div_ceil(header.seg_rows) {
         return Err(PersistError::Corrupt(format!(
@@ -820,69 +1034,45 @@ fn decode_table_v2(c: &mut Cursor<'_>) -> Result<Table, PersistError> {
             header.nslots, header.name
         )));
     }
-    let TableHeader { name, defs, seg_rows, nslots, live, free, dicts } = header;
-    let geo = Geometry::new(seg_rows);
-    let mut builders: Vec<ColumnBuilder> =
-        defs.iter().zip(dicts).map(|(d, dict)| ColumnBuilder::new(&d.dtype, dict, geo)).collect();
-    let mut zones = Vec::with_capacity(nsegs);
-    for seg in 0..nsegs {
-        let len = c.u32("segment length")? as usize;
-        let payload = c.bytes(len, "segment payload")?;
-        let stored = c.u32("segment crc")?;
-        let actual = crc32(payload);
-        if stored != actual {
-            return Err(PersistError::Corrupt(format!(
-                "segment {seg} of table {name:?} checksum mismatch \
-                 (stored {stored:#010x}, computed {actual:#010x})"
-            )));
-        }
-        let mut pc = Cursor::new(payload);
-        let live_count = pc.u64("segment live count")?;
-        let stats = decode_zone_stats(&mut pc, defs.len())?;
-        let start = seg * seg_rows;
-        let rows = (nslots - start).min(seg_rows);
-        for b in &mut builders {
-            b.extend(&mut pc, rows)?;
-        }
-        if pc.remaining() != 0 {
-            return Err(PersistError::Corrupt(format!(
-                "{} trailing bytes in segment {seg} of table {name:?}",
-                pc.remaining()
-            )));
-        }
-        zones.push(SegmentZone::from_parts(stats, live_count));
-    }
-    let columns: Vec<Column> = builders.into_iter().map(ColumnBuilder::finish).collect();
-    Ok(Table::from_parts_with_zones(name, Schema::new(defs), columns, live, free, seg_rows, zones))
+    check_count(c.remaining(), nsegs, BLOCK_FRAMING, "segment count")?;
+    Ok(nsegs)
 }
 
-fn decode_table_v3(c: &mut Cursor<'_>) -> Result<Table, PersistError> {
-    let header = decode_table_header(c, true)?;
-    let nsegs = c.u32("segment count")? as usize;
-    if nsegs != header.nslots.div_ceil(header.seg_rows) {
+/// Reads segment `seg`'s framed block and checks its CRC; returns the
+/// payload (borrowed from the source's block buffer).
+fn read_segment_block<'s, R: Read>(
+    src: &'s mut Source<R>,
+    seg: usize,
+    table: &str,
+) -> Result<&'s [u8], PersistError> {
+    let len = src.u32("segment length")? as usize;
+    let framed = src.take(len + 4, "segment block")?;
+    let (payload, stored) = framed.split_at(len);
+    let stored = u32::from_le_bytes(stored.try_into().unwrap());
+    let actual = crc32(payload);
+    if stored != actual {
         return Err(PersistError::Corrupt(format!(
-            "{nsegs} segments do not cover {} slots of table {:?}",
-            header.nslots, header.name
+            "segment {seg} of table {table:?} checksum mismatch \
+             (stored {stored:#010x}, computed {actual:#010x})"
         )));
     }
+    Ok(payload)
+}
+
+/// Decodes a v2 (`v3 == false`) or v3 table: the preamble, then one framed
+/// block per segment, each decoded straight into the columns' chunk slots.
+fn decode_table_segmented<R: Read>(src: &mut Source<R>, v3: bool) -> Result<Table, PersistError> {
+    let header = decode_table_header(src, true)?;
+    let nsegs = read_segment_count(src, &header)?;
     let TableHeader { name, defs, seg_rows, nslots, live, free, dicts } = header;
     let geo = Geometry::new(seg_rows);
     let mut builders: Vec<ColumnBuilder> =
         defs.iter().zip(dicts).map(|(d, dict)| ColumnBuilder::new(&d.dtype, dict, geo)).collect();
-    let mut zones = Vec::with_capacity(nsegs);
+    let mut zones = Vec::new();
     for seg in 0..nsegs {
-        let len = c.u32("segment length")? as usize;
-        let payload = c.bytes(len, "segment payload")?;
-        let stored = c.u32("segment crc")?;
-        let actual = crc32(payload);
-        if stored != actual {
-            return Err(PersistError::Corrupt(format!(
-                "segment {seg} of table {name:?} checksum mismatch \
-                 (stored {stored:#010x}, computed {actual:#010x})"
-            )));
-        }
+        let payload = read_segment_block(src, seg, &name)?;
         let mut pc = Cursor::new(payload);
-        let fmt = pc.bytes(1, "segment format")?[0];
+        let fmt = if v3 { pc.bytes(1, "segment format")?[0] } else { SEG_FMT_RAW };
         let live_count = pc.u64("segment live count")?;
         let stats = decode_zone_stats(&mut pc, defs.len())?;
         let start = seg * seg_rows;
@@ -995,7 +1185,7 @@ fn check_block_crc(
     Ok(())
 }
 
-fn decode_table_v1(c: &mut Cursor<'_>) -> Result<Table, PersistError> {
+fn decode_table_v1(c: &mut impl Input) -> Result<Table, PersistError> {
     let header = decode_table_header(c, false)?;
     let mut columns = Vec::with_capacity(header.defs.len());
     for def in &header.defs {
@@ -1005,7 +1195,7 @@ fn decode_table_v1(c: &mut Cursor<'_>) -> Result<Table, PersistError> {
 }
 
 fn decode_column_v1(
-    c: &mut Cursor<'_>,
+    c: &mut impl Input,
     dtype: &DataType,
     n: usize,
 ) -> Result<Column, PersistError> {
@@ -1026,23 +1216,28 @@ pub fn save_snapshot_with_lsn(
     path: impl AsRef<Path>,
     wal_lsn: u64,
 ) -> Result<usize, PersistError> {
-    let bytes = encode_snapshot(db, wal_lsn);
-    write_snapshot_bytes(path, &bytes)?;
-    Ok(bytes.len())
+    let (len, _) =
+        write_snapshot_file(path.as_ref(), db, wal_lsn, None::<SegmentIndex<std::fs::File>>)?;
+    Ok(len)
 }
 
-/// Atomically replaces the snapshot at `path` with `bytes`.
-pub(crate) fn write_snapshot_bytes(
-    path: impl AsRef<Path>,
-    bytes: &[u8],
-) -> Result<(), PersistError> {
-    let path = path.as_ref();
+/// Atomically replaces the snapshot at `path` with `db`, streamed into the
+/// temp file through [`write_snapshot`] (reusing `prev`'s clean blocks;
+/// `prev` is closed before the rename). Returns the bytes written and the
+/// number of reused blocks.
+pub(crate) fn write_snapshot_file<R: Read + Seek>(
+    path: &Path,
+    db: &Database,
+    wal_lsn: u64,
+    mut prev: Option<SegmentIndex<R>>,
+) -> Result<(usize, usize), PersistError> {
     let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        std::io::Write::write_all(&mut f, bytes)?;
-        f.sync_all()?;
-    }
+    let out = BufWriter::new(std::fs::File::create(&tmp)?);
+    let (out, len, reused) = write_snapshot(out, db, wal_lsn, prev.as_mut())?;
+    drop(prev);
+    let file = out.into_inner().map_err(std::io::IntoInnerError::into_error)?;
+    file.sync_all()?;
+    drop(file);
     std::fs::rename(&tmp, path)?;
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         // Windows cannot open directories as files; directory-entry
@@ -1054,7 +1249,7 @@ pub(crate) fn write_snapshot_bytes(
             Err(e) => return Err(e.into()),
         }
     }
-    Ok(())
+    Ok((len as usize, reused))
 }
 
 /// Saves a standalone snapshot (no WAL association).
@@ -1062,10 +1257,13 @@ pub fn save_snapshot(db: &Database, path: impl AsRef<Path>) -> Result<usize, Per
     save_snapshot_with_lsn(db, path, 0)
 }
 
-/// Loads a snapshot file, returning the database and the header's WAL LSN.
+/// Loads a snapshot file, returning the database and the header's WAL LSN:
+/// read through a buffered reader one block at a time, never whole (see
+/// the module docs).
 pub fn load_snapshot_with_lsn(path: impl AsRef<Path>) -> Result<(Database, u64), PersistError> {
-    let bytes = std::fs::read(path)?;
-    decode_snapshot(&bytes)
+    let file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    read_snapshot(Source::new(BufReader::new(file), len)?)
 }
 
 /// Loads a snapshot file.
@@ -1340,9 +1538,9 @@ mod tests {
         let db = sealed_kitchen_sink();
         let bytes = encode_snapshot(&db, 5);
         let (back, _) = decode_snapshot(&bytes).unwrap();
-        let index = index_snapshot_segments(&bytes).unwrap();
+        let mut index = index_snapshot_segments(std::io::Cursor::new(&bytes)).unwrap();
         let nsegs = index.len();
-        let (inc, reused) = encode_snapshot_with_prev(&back, 5, Some(&index));
+        let (inc, reused) = encode_snapshot_with_prev(&back, 5, Some(&mut index));
         assert_eq!(reused, nsegs, "a loaded sealed database reuses every block");
         assert_eq!(inc, bytes);
     }
@@ -1365,7 +1563,7 @@ mod tests {
             "and unsealed"
         );
         // v2 blocks are not reusable by a v3 checkpoint.
-        assert!(index_snapshot_segments(&bytes).is_none());
+        assert!(index_snapshot_segments(std::io::Cursor::new(&bytes)).is_none());
     }
 
     #[test]
@@ -1411,17 +1609,17 @@ mod tests {
         let bytes = encode_snapshot(&db, 5);
         // A loaded database is all-clean relative to those bytes.
         let (mut back, _) = decode_snapshot(&bytes).unwrap();
-        let index = index_snapshot_segments(&bytes).unwrap();
+        let mut index = index_snapshot_segments(std::io::Cursor::new(&bytes)).unwrap();
         assert_eq!(index.len(), 1 + 2, "dim has 1 segment, fact has 2");
 
         // No mutation: everything reuses, bytes identical to a full encode.
-        let (inc, reused) = encode_snapshot_with_prev(&back, 5, Some(&index));
+        let (inc, reused) = encode_snapshot_with_prev(&back, 5, Some(&mut index));
         assert_eq!(reused, 3);
         assert_eq!(inc, encode_snapshot(&back, 5), "reused encode must be byte-identical");
 
         // Mutate one fact segment: only it re-encodes; bytes still match.
         back.table_mut("fact").unwrap().update(0, "f_i32", &Value::Int(99));
-        let (inc, reused) = encode_snapshot_with_prev(&back, 6, Some(&index));
+        let (inc, reused) = encode_snapshot_with_prev(&back, 6, Some(&mut index));
         assert_eq!(reused, 2, "dim + the untouched fact segment reuse");
         assert_eq!(inc, encode_snapshot(&back, 6));
         let (again, _) = decode_snapshot(&inc).unwrap();
@@ -1430,7 +1628,8 @@ mod tests {
 
     #[test]
     fn v1_files_are_not_indexable_for_reuse() {
-        assert!(index_snapshot_segments(&encode_snapshot_v1(&kitchen_sink(), 0)).is_none());
+        let v1 = encode_snapshot_v1(&kitchen_sink(), 0);
+        assert!(index_snapshot_segments(std::io::Cursor::new(&v1)).is_none());
     }
 
     #[test]
@@ -1487,6 +1686,62 @@ mod tests {
             }
             other => panic!("expected version error, got {other:?}"),
         }
+    }
+
+    /// Recomputes the trailing checksum after an edit outside any block.
+    fn reseal(bytes: &mut [u8]) {
+        let len = bytes.len();
+        let crc = crc32(&bytes[..len - 4]);
+        bytes[len - 4..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    #[test]
+    fn an_arity_the_file_cannot_hold_is_refused_before_allocating() {
+        // `dim`'s arity sits after the header (24 B) and its name (4 + 3 B).
+        // 0xFFFF_FFFF column definitions would be a ~240 GB allocation —
+        // an abort, not an error — if the count sized a vector unchecked.
+        let mut bytes = encode_snapshot(&kitchen_sink(), 0);
+        assert_eq!(&bytes[28..31], b"dim");
+        assert_eq!(u32::from_le_bytes(bytes[31..35].try_into().unwrap()), 2);
+        bytes[31..35].copy_from_slice(&u32::MAX.to_le_bytes());
+        reseal(&mut bytes);
+        match decode_snapshot(&bytes) {
+            Err(PersistError::Corrupt(m)) => assert!(m.contains("arity"), "{m}"),
+            other => panic!("expected a corrupt-arity error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_large_dictionary_is_checked_for_duplicates_in_linear_time() {
+        // 100 000 distinct values: a pairwise duplicate check is 5·10⁹
+        // string comparisons (seconds even optimised); a hash check is
+        // milliseconds.
+        let n = 100_000;
+        let values: Vec<String> = (0..n).map(|i| format!("v{i:06}")).collect();
+        let mut t = Table::new("t", Schema::new(vec![ColumnDef::new("tag", DataType::Dict)]));
+        for v in &values {
+            t.append_row(&[Value::Str(v.clone())]);
+        }
+        let mut db = Database::new();
+        db.add_table(t);
+        let mut bytes = encode_snapshot(&db, 0);
+        let started = std::time::Instant::now();
+        let (back, _) = decode_snapshot(&bytes).unwrap();
+        assert!(started.elapsed().as_secs_f64() < 2.0, "decode took {:?}", started.elapsed());
+        assert_eq!(
+            back.table("t").unwrap().column("tag").unwrap().as_dict().unwrap().dict().len(),
+            n
+        );
+        // The last value rewritten as the first: refused, just as fast.
+        let last = bytes.windows(7).rposition(|w| w == b"v099999").unwrap();
+        bytes[last..last + 7].copy_from_slice(b"v000000");
+        reseal(&mut bytes);
+        let started = std::time::Instant::now();
+        match decode_snapshot(&bytes) {
+            Err(PersistError::Corrupt(m)) => assert!(m.contains("duplicate"), "{m}"),
+            other => panic!("expected a duplicate-value error, got {other:?}"),
+        }
+        assert!(started.elapsed().as_secs_f64() < 2.0, "rejection took {:?}", started.elapsed());
     }
 
     #[test]

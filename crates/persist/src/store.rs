@@ -23,7 +23,9 @@ use astore_sql::statement::parse_statement;
 use astore_storage::catalog::Database;
 
 use crate::apply::apply_statement;
-use crate::snapshot::{load_snapshot_with_lsn, save_snapshot_with_lsn};
+use crate::snapshot::{
+    index_snapshot_segments, load_snapshot_with_lsn, save_snapshot_with_lsn, write_snapshot_file,
+};
 use crate::wal::Wal;
 use crate::PersistError;
 
@@ -152,17 +154,16 @@ pub fn write_checkpoint(
     last_lsn: u64,
 ) -> Result<usize, PersistError> {
     let sample = crate::metrics::TimedSample::start();
-    let dir = dir.as_ref();
-    // The index borrows the previous file's bytes — one read, no copies.
-    let prev_bytes = std::fs::read(snapshot_path(dir)).ok();
-    let prev = prev_bytes.as_deref().and_then(crate::snapshot::index_snapshot_segments);
-    let (bytes, _reused) = crate::snapshot::encode_snapshot_with_prev(db, last_lsn, prev.as_ref());
-    crate::snapshot::write_snapshot_bytes(snapshot_path(dir), &bytes)?;
+    let path = snapshot_path(dir);
+    // The previous file, indexed by block — its blocks are read one at a
+    // time as they are copied, never the whole file at once.
+    let prev = std::fs::File::open(&path).ok().and_then(index_snapshot_segments);
+    let (bytes, _reused) = write_snapshot_file(&path, db, last_lsn, prev)?;
     use std::sync::atomic::Ordering;
     crate::metrics::checkpoints_total().fetch_add(1, Ordering::Relaxed);
-    crate::metrics::checkpoint_bytes_total().fetch_add(bytes.len() as u64, Ordering::Relaxed);
+    crate::metrics::checkpoint_bytes_total().fetch_add(bytes as u64, Ordering::Relaxed);
     sample.stop(crate::metrics::checkpoint_us_total());
-    Ok(bytes.len())
+    Ok(bytes)
 }
 
 #[cfg(test)]

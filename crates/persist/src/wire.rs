@@ -1,8 +1,44 @@
 //! Little-endian byte encoding helpers shared by the snapshot format and
-//! the WAL: an append-only encoder over `Vec<u8>` and a bounds-checked
-//! decoding cursor that never panics on truncated or corrupt input.
+//! the WAL: an append-only encoder over `Vec<u8>`, and the [`Input`] trait
+//! of bounds-checked decoders that never panic on truncated or corrupt
+//! input — a [`Cursor`] over bytes in memory, or the snapshot's streaming
+//! file source.
 
 use crate::PersistError;
+
+/// A bounds-checked little-endian reader. Every read that would run past
+/// the end is a [`PersistError::Corrupt`], raised *before* anything sized
+/// by the requested length is allocated — a length field is untrusted
+/// until the bytes it claims are known to exist.
+pub trait Input {
+    /// Bytes left to read.
+    fn remaining(&self) -> usize;
+
+    /// Reads the next `n` raw bytes.
+    fn take(&mut self, n: usize, what: &str) -> Result<&[u8], PersistError>;
+
+    /// Reads a little-endian `u32`.
+    fn u32(&mut self, what: &str) -> Result<u32, PersistError> {
+        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
+    }
+
+    /// Reads a little-endian `u64`.
+    fn u64(&mut self, what: &str) -> Result<u64, PersistError> {
+        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
+    }
+
+    /// Reads a length-prefixed UTF-8 string in place.
+    fn str_ref(&mut self, what: &str) -> Result<&str, PersistError> {
+        let len = self.u32(what)? as usize;
+        std::str::from_utf8(self.take(len, what)?)
+            .map_err(|_| PersistError::Corrupt(format!("{what}: invalid UTF-8")))
+    }
+
+    /// Reads a length-prefixed UTF-8 string.
+    fn str(&mut self, what: &str) -> Result<String, PersistError> {
+        self.str_ref(what).map(str::to_owned)
+    }
+}
 
 /// Appends a `u32` in little-endian order.
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -57,23 +93,15 @@ impl<'a> Cursor<'a> {
         self.pos += n;
         Ok(out)
     }
+}
 
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self, what: &str) -> Result<u32, PersistError> {
-        Ok(u32::from_le_bytes(self.bytes(4, what)?.try_into().unwrap()))
+impl Input for Cursor<'_> {
+    fn remaining(&self) -> usize {
+        Cursor::remaining(self)
     }
 
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self, what: &str) -> Result<u64, PersistError> {
-        Ok(u64::from_le_bytes(self.bytes(8, what)?.try_into().unwrap()))
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self, what: &str) -> Result<String, PersistError> {
-        let len = self.u32(what)? as usize;
-        let raw = self.bytes(len, what)?;
-        String::from_utf8(raw.to_vec())
-            .map_err(|_| PersistError::Corrupt(format!("{what}: invalid UTF-8")))
+    fn take(&mut self, n: usize, what: &str) -> Result<&[u8], PersistError> {
+        self.bytes(n, what)
     }
 }
 

@@ -300,15 +300,20 @@ impl Engine {
     }
 
     /// Refreshes the `encoded_bytes` / `raw_bytes` / `flat_chunks` /
-    /// `flat_bytes` / `append_copies` gauges from a snapshot (a walk over
-    /// the chunk slots, no row data). Bytes count the rows the image sees,
-    /// not the space reserved behind a filling tail.
+    /// `flat_bytes` / `dict_bytes` / `str_heap_bytes` / `append_copies`
+    /// gauges from a snapshot (a walk over the chunk slots, dictionaries
+    /// and heaps, no row data). Chunk bytes count the rows the image sees,
+    /// not the space reserved behind a filling tail; dictionary and heap
+    /// bytes count capacity.
     fn gauge_footprint(&self) {
         let snap = self.db.snapshot();
         let (mut resident, mut raw, mut chunks, mut bytes, mut copies) = (0u64, 0u64, 0, 0, 0);
+        let (mut dicts, mut heaps) = (0u64, 0u64);
         for t in snap.table_names().iter().filter_map(|name| snap.table(name)) {
             let ((r, w), (c, b)) = (t.encoded_footprint(), t.flat_chunks());
             (resident, raw, chunks, bytes) = (resident + r, raw + w, chunks + c, bytes + b);
+            let (d, h) = t.string_footprint();
+            (dicts, heaps) = (dicts + d, heaps + h);
             copies += t.append_copies();
         }
         self.stats.append_copies.store(copies, Ordering::Relaxed);
@@ -316,6 +321,8 @@ impl Engine {
         self.stats.raw_bytes.store(raw, Ordering::Relaxed);
         self.stats.flat_chunks.store(chunks, Ordering::Relaxed);
         self.stats.flat_bytes.store(bytes, Ordering::Relaxed);
+        self.stats.dict_bytes.store(dicts, Ordering::Relaxed);
+        self.stats.str_heap_bytes.store(heaps, Ordering::Relaxed);
     }
 
     /// Sets the slow-query capture threshold in milliseconds

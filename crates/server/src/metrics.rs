@@ -409,6 +409,16 @@ pub fn render_prometheus(
             &stats.flat_bytes,
         ),
         (
+            "astore_server_dict_bytes",
+            "Heap bytes of the dictionaries (values and reverse index), by capacity.",
+            &stats.dict_bytes,
+        ),
+        (
+            "astore_server_str_heap_bytes",
+            "Heap bytes of the string columns' heaps, by capacity.",
+            &stats.str_heap_bytes,
+        ),
+        (
             "astore_server_append_copies",
             "Column tail chunks copied by appends since boot.",
             &stats.append_copies,

@@ -93,6 +93,14 @@ pub struct ServerStats {
     /// that is not encoded. Space reserved behind a filling tail is not
     /// counted: untouched, it is address space, not resident memory.
     pub flat_bytes: AtomicU64,
+    /// Heap bytes of the dictionaries — value arrays, value strings and
+    /// reverse indexes — by capacity, not length, so room allocated and
+    /// never used shows up (the sum of `Table::string_footprint().0`).
+    pub dict_bytes: AtomicU64,
+    /// Heap bytes of the string columns' heaps, by capacity (the sum of
+    /// `Table::string_footprint().1`). Neither this nor `dict_bytes` is part
+    /// of `encoded_bytes`, which counts the column chunks only.
+    pub str_heap_bytes: AtomicU64,
     /// Column tail chunks that appends had to copy since boot (the sum of
     /// `Table::append_copies` over the tables of the current image): an
     /// insert that finds reserved space behind the tail adds nothing here.
@@ -139,6 +147,8 @@ impl Default for ServerStats {
             raw_bytes: AtomicU64::new(0),
             flat_chunks: AtomicU64::new(0),
             flat_bytes: AtomicU64::new(0),
+            dict_bytes: AtomicU64::new(0),
+            str_heap_bytes: AtomicU64::new(0),
             append_copies: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
             group: SeqLock::new(),
@@ -227,6 +237,8 @@ impl ServerStats {
             ("raw_bytes", Json::Int(self.raw_bytes.load(Ordering::Relaxed) as i64)),
             ("flat_chunks", Json::Int(self.flat_chunks.load(Ordering::Relaxed) as i64)),
             ("flat_bytes", Json::Int(self.flat_bytes.load(Ordering::Relaxed) as i64)),
+            ("dict_bytes", Json::Int(self.dict_bytes.load(Ordering::Relaxed) as i64)),
+            ("str_heap_bytes", Json::Int(self.str_heap_bytes.load(Ordering::Relaxed) as i64)),
             ("append_copies", Json::Int(self.append_copies.load(Ordering::Relaxed) as i64)),
             ("cache_hits", Json::Int(cache.hits() as i64)),
             ("cache_misses", Json::Int(cache.misses() as i64)),
@@ -311,6 +323,8 @@ mod tests {
             "raw_bytes",
             "flat_chunks",
             "flat_bytes",
+            "dict_bytes",
+            "str_heap_bytes",
             "append_copies",
             "latency_p99_us",
             "router_mispredictions",

@@ -58,6 +58,11 @@ impl BytesMut {
         BytesMut { data: Vec::with_capacity(cap) }
     }
 
+    /// Bytes the buffer can hold without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Appends the slice.
     pub fn extend_from_slice(&mut self, extend: &[u8]) {
         self.data.extend_from_slice(extend);

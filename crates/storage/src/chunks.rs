@@ -677,9 +677,13 @@ impl<T: ChunkValue> ChunkedBuilder<T> {
     }
 
     /// Seal every chunk the moment it completes (the trailing partial chunk
-    /// stays flat: it is the one appends go to).
+    /// stays flat: it is the one appends go to). The filling buffer is
+    /// reserved at a whole chunk once, here, and reused for every chunk that
+    /// encodes — never grown by doubling, so a bulk load leaves no trail of
+    /// outgrown buffers behind it.
     pub fn sealing(mut self) -> Self {
         self.seal = true;
+        self.tail.reserve_exact(self.done.geo.rows());
         self
     }
 
@@ -695,14 +699,18 @@ impl<T: ChunkValue> ChunkedBuilder<T> {
 
     /// Moves the full tail into the column: encoded straight from the
     /// builder's buffer (which is then reused) when sealing finds a smaller
-    /// form, handed over as a flat chunk otherwise.
+    /// form, handed over as a flat chunk otherwise (a sealing builder then
+    /// reserves its next chunk whole).
     fn complete_chunk(&mut self) {
         match self.seal.then(|| encode_values(&self.tail)).flatten() {
             Some(enc) => {
                 self.done.push_encoded(enc);
                 self.tail.clear();
             }
-            None => self.done.push_chunk(std::mem::take(&mut self.tail)),
+            None => {
+                let next = Vec::with_capacity(if self.seal { self.done.geo.rows() } else { 0 });
+                self.done.push_chunk(std::mem::replace(&mut self.tail, next));
+            }
         }
     }
 

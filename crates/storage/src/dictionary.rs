@@ -10,12 +10,28 @@
 //! range predicates on strings compile to code-range comparisons and
 //! equality predicates compile to a single code comparison — no `strcmp` in
 //! the scan loop (cf. §4.2's complaint about repeated `strcmp`).
+//!
+//! ## One build path, exact size
+//!
+//! Every order-preserving dictionary column is built by a [`DictBuilder`]:
+//! each row's value is interned by hash into a first-appearance code as the
+//! row arrives — one lookup per row, one allocation per *distinct* value,
+//! and the per-row input is neither cloned nor held — and
+//! [`DictBuilder::finish`] sorts the distinct values once and remaps the
+//! codes to their ranks. The finished dictionary holds each distinct value
+//! once in its value array and once as a key of its reverse index, both at
+//! exact capacity: a generated dictionary is the size of the same
+//! dictionary decoded from a snapshot. [`Dictionary::encode`] and
+//! [`DictColumn::from_values`] are thin wrappers over the builder;
+//! generators that know their values as codes already push those
+//! ([`DictBuilder::intern`] + [`DictBuilder::push_code`]) and never format
+//! a string per row.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::bitmap::Bitmap;
-use crate::chunks::{Chunked, Geometry};
+use crate::chunks::{Chunked, ChunkedBuilder, Geometry};
 use crate::types::{Key, NULL_KEY};
 
 /// An order-preserving string dictionary.
@@ -29,16 +45,13 @@ pub struct Dictionary {
 
 impl Dictionary {
     /// Builds an order-preserving dictionary over the distinct values of
-    /// `input`, returning the dictionary and the encoded column.
+    /// `input`, returning the dictionary and the encoded column (a
+    /// [`DictBuilder`] run over `input`).
     pub fn encode<S: AsRef<str>>(input: impl IntoIterator<Item = S>) -> (Self, Vec<Key>) {
-        let raw: Vec<String> = input.into_iter().map(|s| s.as_ref().to_owned()).collect();
-        let mut distinct: Vec<String> = raw.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let codes: HashMap<String, Key> =
-            distinct.iter().enumerate().map(|(i, v)| (v.clone(), i as Key)).collect();
-        let encoded = raw.iter().map(|v| codes[v]).collect();
-        (Dictionary { values: distinct, codes }, encoded)
+        let mut b = DictBuilder::new();
+        b.extend(input);
+        let (dict, codes) = b.finish_parts();
+        (dict, codes.to_vec())
     }
 
     /// Creates an empty dictionary (values are interned on demand via
@@ -54,10 +67,29 @@ impl Dictionary {
     /// # Panics
     /// Panics on duplicate values.
     pub fn from_values(values: Vec<String>) -> Self {
+        Dictionary::try_from_values(values).expect("duplicate dictionary value")
+    }
+
+    /// [`Dictionary::from_values`], or `None` if a value repeats (one hash
+    /// insert per value: the check untrusted input goes through). The value
+    /// array is kept at exact capacity.
+    pub fn try_from_values(mut values: Vec<String>) -> Option<Self> {
+        values.shrink_to_fit();
         let codes: HashMap<String, Key> =
             values.iter().enumerate().map(|(i, v)| (v.clone(), i as Key)).collect();
-        assert_eq!(codes.len(), values.len(), "duplicate dictionary value");
-        Dictionary { values, codes }
+        (codes.len() == values.len()).then_some(Dictionary { values, codes })
+    }
+
+    /// Heap bytes held, by capacity rather than length: the value array,
+    /// each value's string, and the reverse index — its table (estimated
+    /// from its capacity, one control byte per entry) and its own copy of
+    /// each value.
+    pub fn heap_bytes(&self) -> usize {
+        let strings: usize =
+            self.values.iter().chain(self.codes.keys()).map(String::capacity).sum();
+        self.values.capacity() * std::mem::size_of::<String>()
+            + self.codes.capacity() * (std::mem::size_of::<(String, Key)>() + 1)
+            + strings
     }
 
     /// Number of distinct values.
@@ -132,11 +164,115 @@ pub struct DictColumn {
     dict: Arc<Dictionary>,
 }
 
+/// Builds an order-preserving [`DictColumn`] row by row: the one build
+/// path of a dictionary column (see the module docs). Rows are interned by
+/// hash into first-appearance codes as they arrive; [`DictBuilder::finish`]
+/// remaps them to the sorted-domain codes, so the column is the same
+/// whatever order its values first appeared in.
+#[derive(Debug)]
+pub struct DictBuilder {
+    /// The distinct values so far, in first-appearance order.
+    seen: Dictionary,
+    /// The rows so far, as first-appearance codes.
+    codes: ChunkedBuilder<Key>,
+}
+
+impl DictBuilder {
+    /// A builder in the default geometry.
+    pub fn new() -> Self {
+        DictBuilder::with_geometry(Geometry::default())
+    }
+
+    /// A builder cutting `geo`-sized code chunks.
+    pub fn with_geometry(geo: Geometry) -> Self {
+        DictBuilder { seen: Dictionary::new_dynamic(), codes: ChunkedBuilder::with_geometry(geo) }
+    }
+
+    /// Seal each code chunk the moment it completes (see
+    /// [`ChunkedBuilder::sealing`]) — for fact-sized columns.
+    pub fn sealing(mut self) -> Self {
+        self.codes = self.codes.sealing();
+        self
+    }
+
+    /// The first-appearance code of `value`, interning it if new (one hash
+    /// lookup; an allocation only for a value not seen before).
+    pub fn intern(&mut self, value: &str) -> Key {
+        self.seen.intern(value)
+    }
+
+    /// Appends a row by a code [`DictBuilder::intern`] returned — the path
+    /// of generators that draw a value once and repeat it over rows.
+    ///
+    /// # Panics
+    /// [`DictBuilder::finish`] panics if `code` was not returned by
+    /// [`DictBuilder::intern`].
+    pub fn push_code(&mut self, code: Key) {
+        self.codes.push(code);
+    }
+
+    /// Appends a row.
+    pub fn push(&mut self, value: &str) {
+        let code = self.intern(value);
+        self.push_code(code);
+    }
+
+    /// Appends every value of `input`.
+    pub fn extend<S: AsRef<str>>(&mut self, input: impl IntoIterator<Item = S>) {
+        input.into_iter().for_each(|v| self.push(v.as_ref()));
+    }
+
+    /// Rows pushed so far.
+    pub fn len(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// Returns `true` if nothing was pushed.
+    pub fn is_empty(&self) -> bool {
+        self.codes.is_empty()
+    }
+
+    /// The finished column: codes in sorted-domain order.
+    pub fn finish(self) -> DictColumn {
+        let (dict, codes) = self.finish_parts();
+        DictColumn { codes, dict: Arc::new(dict) }
+    }
+
+    /// The order-preserving dictionary and the remapped codes. The values
+    /// move (never cloned) into their sorted order; the reverse index keeps
+    /// its keys and has its codes rewritten; both end at exact capacity.
+    fn finish_parts(self) -> (Dictionary, Chunked<Key>) {
+        let Dictionary { values, codes: mut index } = self.seen;
+        let mut by_value: Vec<(String, Key)> = values.into_iter().zip(0..).collect();
+        by_value.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut rank = vec![0 as Key; by_value.len()];
+        for (r, &(_, first)) in by_value.iter().enumerate() {
+            rank[first as usize] = r as Key;
+        }
+        let mut values: Vec<String> = by_value.into_iter().map(|(v, _)| v).collect();
+        values.shrink_to_fit();
+        index.values_mut().for_each(|c| *c = rank[*c as usize]);
+        index.shrink_to_fit();
+        let codes = self.codes.finish();
+        let sorted_already = rank.iter().enumerate().all(|(i, &r)| i as Key == r);
+        let codes = if sorted_already { codes } else { codes.map(|c| rank[c as usize]) };
+        (Dictionary { values, codes: index }, codes)
+    }
+}
+
+impl Default for DictBuilder {
+    fn default() -> Self {
+        DictBuilder::new()
+    }
+}
+
 impl DictColumn {
-    /// Encodes `input` into a new dictionary column.
+    /// Encodes `input` into a new dictionary column (a [`DictBuilder`] run
+    /// over `input`).
     pub fn from_values<S: AsRef<str>>(input: impl IntoIterator<Item = S>) -> Self {
-        let (dict, codes) = Dictionary::encode(input);
-        DictColumn { codes: codes.into(), dict: Arc::new(dict) }
+        let mut b = DictBuilder::new();
+        b.extend(input);
+        b.finish()
     }
 
     /// Creates an empty column with a dynamic dictionary.
@@ -341,6 +477,104 @@ mod tests {
     fn from_parts_rejects_bad_codes() {
         let (dict, _) = Dictionary::encode(["a"]);
         DictColumn::from_parts(vec![5], dict);
+    }
+
+    /// The encoding the builder replaced, kept as its oracle: sort, dedup,
+    /// then binary-search every row.
+    fn sorted_encode(input: &[String]) -> (Vec<String>, Vec<Key>) {
+        let mut distinct = input.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let codes = input.iter().map(|v| distinct.binary_search(v).unwrap() as Key).collect();
+        (distinct, codes)
+    }
+
+    /// A seeded xorshift stream (the storage crate has no `rand`).
+    fn stream(mut state: u64) -> impl FnMut(u64) -> u64 {
+        move |below| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below
+        }
+    }
+
+    #[test]
+    fn the_builder_matches_the_sorted_encoding() {
+        let mut next = stream(0x9E37_79B9_7F4A_7C15);
+        const PIECES: [&str; 8] = ["a", "b", "é", "中", "😀", "Z", " ", "0"];
+        let word = |next: &mut dyn FnMut(u64) -> u64| -> String {
+            (0..1 + next(4)).map(|_| PIECES[next(8) as usize]).collect()
+        };
+        let unicode: Vec<String> = (0..500).map(|_| word(&mut next)).collect();
+        let domain: Vec<String> = (0..1000).map(|i| format!("v{:04}", (i * 7919) % 1000)).collect();
+        let wide: Vec<String> = (0..100_000).map(|_| domain[next(1000) as usize].clone()).collect();
+        let cases: [(&str, Vec<String>); 6] = [
+            ("empty", vec![]),
+            ("one value", vec!["solo".into()]),
+            ("all equal", vec!["same".into(); 1000]),
+            ("unsorted", ["d", "c", "b", "a", "c", "d"].map(String::from).to_vec()),
+            ("non-ASCII", unicode),
+            ("10^5 rows", wide),
+        ];
+        for (name, input) in &cases {
+            let (values, codes) = sorted_encode(input);
+            let (dict, encoded) = Dictionary::encode(input);
+            assert_eq!((dict.values(), &encoded), (&values[..], &codes), "{name}: encode");
+            // Built through small sealing chunks, codes interned up front.
+            let mut b = DictBuilder::with_geometry(Geometry::new(4096)).sealing();
+            for v in input {
+                let code = b.intern(v);
+                b.push_code(code);
+            }
+            assert_eq!(b.len(), input.len());
+            let col = b.finish();
+            assert_eq!(col.dict().values(), &values[..], "{name}: values");
+            assert_eq!(col.codes().to_vec(), codes, "{name}: codes");
+            for (code, v) in values.iter().enumerate() {
+                assert_eq!(col.dict().code_of(v), code as Key, "{name}: reverse index");
+            }
+            // Exact size: what the dictionary decoded from its values holds.
+            let decoded = Dictionary::from_values(values.clone());
+            assert_eq!(col.dict().heap_bytes(), decoded.heap_bytes(), "{name}: capacity");
+        }
+    }
+
+    #[test]
+    fn interning_is_a_hash_lookup_not_a_scan() {
+        // 40 000 rows over 1 000 values: the first-appearance linear probe
+        // the generators once ran compares ~500 strings a row.
+        let domain: Vec<String> = (0..1000).map(|i| format!("value-{i:04}")).collect();
+        let mut next = stream(42);
+        let rows: Vec<&str> = (0..40_000).map(|_| domain[next(1000) as usize].as_str()).collect();
+        let fastest = |f: &mut dyn FnMut()| {
+            (0..3)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    f();
+                    t.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let hashed = fastest(&mut || {
+            let mut b = DictBuilder::new();
+            rows.iter().for_each(|r| b.push(r));
+            std::hint::black_box(b.finish());
+        });
+        let probed = fastest(&mut || {
+            let mut seen: Vec<&str> = Vec::new();
+            let codes: Vec<usize> = (rows.iter())
+                .map(|r| {
+                    seen.iter().position(|s| s == r).unwrap_or_else(|| {
+                        seen.push(r);
+                        seen.len() - 1
+                    })
+                })
+                .collect();
+            std::hint::black_box(codes);
+        });
+        assert!(hashed * 4 < probed, "builder {hashed:?} vs linear probe {probed:?}");
     }
 
     #[test]

@@ -88,6 +88,12 @@ impl StrHeap {
     pub fn size_bytes(&self) -> usize {
         self.frozen_len + self.active.len()
     }
+
+    /// Heap bytes held, by capacity: the frozen slabs (exact) and the
+    /// active slab with its unused room.
+    pub fn capacity_bytes(&self) -> usize {
+        self.frozen_len + self.active.capacity()
+    }
 }
 
 /// A string column: an aligned (per-segment chunked) array of fixed-width
@@ -192,6 +198,11 @@ impl StrColumn {
     /// Heap bytes in use (live + superseded).
     pub fn heap_bytes(&self) -> usize {
         self.heap.size_bytes()
+    }
+
+    /// Heap bytes held, by capacity (see [`StrHeap::capacity_bytes`]).
+    pub fn heap_capacity_bytes(&self) -> usize {
+        self.heap.capacity_bytes()
     }
 
     /// Iterates over all values in slot order.

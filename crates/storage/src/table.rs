@@ -525,6 +525,25 @@ impl Table {
         (resident, raw)
     }
 
+    /// Heap bytes of the table's string payloads as `(dictionaries, string
+    /// heaps)` — what [`Table::encoded_footprint`] leaves out — each by
+    /// *capacity* ([`Dictionary::heap_bytes`], [`StrColumn::heap_capacity_bytes`]),
+    /// so room held and never used shows up.
+    ///
+    /// [`Dictionary::heap_bytes`]: crate::dictionary::Dictionary::heap_bytes
+    /// [`StrColumn::heap_capacity_bytes`]: crate::strings::StrColumn::heap_capacity_bytes
+    pub fn string_footprint(&self) -> (u64, u64) {
+        let (mut dicts, mut heaps) = (0u64, 0u64);
+        for col in &self.columns {
+            match col {
+                Column::Dict(c) => dicts += c.dict().heap_bytes() as u64,
+                Column::Str(c) => heaps += c.heap_capacity_bytes() as u64,
+                _ => {}
+            }
+        }
+        (dicts, heaps)
+    }
+
     /// The table name.
     pub fn name(&self) -> &str {
         &self.name
