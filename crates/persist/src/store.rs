@@ -18,6 +18,7 @@
 //! ignores.
 
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use astore_sql::statement::parse_statement;
 use astore_storage::catalog::Database;
@@ -46,6 +47,10 @@ pub struct Recovered {
     pub replayed: usize,
     /// `true` if a torn tail was truncated during recovery.
     pub truncated_tail: bool,
+    /// Time spent loading the snapshot …
+    pub snapshot_time: Duration,
+    /// … and opening the WAL and replaying its records on top.
+    pub replay_time: Duration,
 }
 
 /// The snapshot path inside `dir`.
@@ -79,10 +84,16 @@ pub fn bootstrap(dir: impl AsRef<Path>, db: &Database) -> Result<Wal, PersistErr
 
 /// Recovers the database from `dir`: loads the snapshot, replays every
 /// committed WAL record newer than the snapshot, truncates any torn tail.
+/// Reports the time each of the two stages took.
 pub fn open(dir: impl AsRef<Path>) -> Result<Recovered, PersistError> {
     let dir = dir.as_ref();
+    let started = Instant::now();
     let (mut db, snapshot_lsn) = load_snapshot_with_lsn(snapshot_path(dir))?;
-    let (wal, scan) = Wal::open(wal_path(dir), snapshot_lsn + 1)?;
+    let snapshot_time = started.elapsed();
+    let next_lsn = snapshot_lsn.checked_add(1).ok_or_else(|| {
+        PersistError::Corrupt("snapshot folds in LSN u64::MAX; no record can follow".into())
+    })?;
+    let (wal, scan) = Wal::open(wal_path(dir), next_lsn)?;
     let mut replayed = 0usize;
     for rec in &scan.records {
         if rec.lsn <= snapshot_lsn {
@@ -98,7 +109,14 @@ pub fn open(dir: impl AsRef<Path>) -> Result<Recovered, PersistError> {
         })?;
         replayed += 1;
     }
-    Ok(Recovered { db, wal, replayed, truncated_tail: scan.torn })
+    Ok(Recovered {
+        db,
+        wal,
+        replayed,
+        truncated_tail: scan.torn,
+        snapshot_time,
+        replay_time: started.elapsed() - snapshot_time,
+    })
 }
 
 /// Folds the current database image into a fresh snapshot and resets the
@@ -208,6 +226,7 @@ mod tests {
         let rec = open(&dir).unwrap();
         assert_eq!(rec.replayed, 2);
         assert_eq!(sum(&rec.db), 100 + 1 + 2 + 10);
+        assert!(rec.snapshot_time > Duration::ZERO && rec.replay_time > Duration::ZERO);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -250,6 +269,20 @@ mod tests {
         let rec = open(&dir).unwrap();
         assert_eq!(rec.replayed, 0, "stale record skipped by LSN");
         assert_eq!(sum(&rec.db), sum(&db), "no double apply");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_at_the_last_lsn_is_refused_not_overflowed() {
+        // A snapshot that folds in LSN u64::MAX leaves no LSN for the WAL
+        // to continue from; `snapshot_lsn + 1` used to overflow here.
+        let dir = tmpdir("lsnmax");
+        drop(bootstrap(&dir, &seed()).unwrap());
+        save_snapshot_with_lsn(&seed(), snapshot_path(&dir), u64::MAX).unwrap();
+        match open(&dir) {
+            Err(PersistError::Corrupt(m)) => assert!(m.contains("u64::MAX"), "{m}"),
+            other => panic!("expected a corrupt-snapshot error, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

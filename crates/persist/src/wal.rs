@@ -25,11 +25,13 @@
 //! A record *commits* by being fully written and fsynced — the whole batch
 //! or nothing: the CRC covers the full body, so a crash mid-batch fails the
 //! checksum and recovery never surfaces a partial batch. Reading stops at
-//! the first frame that is truncated, oversized, checksum-mismatched or not
-//! UTF-8 — everything before it is the committed prefix, everything from it
-//! on is a torn tail that [`Wal::open`] truncates away. Recovery therefore
-//! always yields a prefix of the acknowledged write batches, no matter
-//! where in a byte stream the crash landed.
+//! the first frame that is truncated, oversized, checksum-mismatched, not
+//! UTF-8 or malformed (a body that does not parse, or LSNs that would run
+//! past `u64::MAX` — the log could never append after them) — everything
+//! before it is the committed prefix, everything from it on is a torn tail
+//! that [`Wal::open`] truncates away. Recovery therefore always yields a
+//! prefix of the acknowledged write batches, no matter where in a byte
+//! stream the crash landed.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -103,7 +105,7 @@ pub fn scan_wal(bytes: &[u8]) -> WalScan {
         }
         if version == Some(1) {
             let lsn = u64::from_le_bytes(body[..8].try_into().unwrap());
-            let Ok(sql) = std::str::from_utf8(&body[8..]) else {
+            let (Ok(sql), Some(_)) = (std::str::from_utf8(&body[8..]), lsn.checked_add(1)) else {
                 return WalScan { records, committed_len: pos, torn: true };
             };
             records.push(WalRecord { lsn, sql: sql.to_owned() });
@@ -129,21 +131,23 @@ fn wal_header_version(bytes: &[u8]) -> Option<u32> {
 }
 
 /// Decodes one version-2 batch body into per-statement records, or `None`
-/// if the structure is malformed.
+/// if the structure is malformed — which includes LSNs `first..first +
+/// count` that do not fit in a `u64`.
 fn parse_batch_body(body: &[u8]) -> Option<Vec<WalRecord>> {
     if body.len() < 12 {
         return None;
     }
     let first = u64::from_le_bytes(body[..8].try_into().unwrap());
-    let count = u32::from_le_bytes(body[8..12].try_into().unwrap()) as usize;
-    let mut out = Vec::with_capacity(count.min(1024));
+    let count = u32::from_le_bytes(body[8..12].try_into().unwrap());
+    first.checked_add(u64::from(count))?;
+    let mut out = Vec::with_capacity((count as usize).min(1024));
     let mut pos = 12usize;
-    for i in 0..count {
+    for lsn in first..first + u64::from(count) {
         let len_end = pos.checked_add(4)?;
         let len = u32::from_le_bytes(body.get(pos..len_end)?.try_into().unwrap()) as usize;
         let sql_end = len_end.checked_add(len)?;
         let sql = std::str::from_utf8(body.get(len_end..sql_end)?).ok()?;
-        out.push(WalRecord { lsn: first + i as u64, sql: sql.to_owned() });
+        out.push(WalRecord { lsn, sql: sql.to_owned() });
         pos = sql_end;
     }
     if pos != body.len() {
@@ -223,6 +227,7 @@ impl Wal {
             file.sync_all()?;
         }
         file.seek(SeekFrom::End(0))?;
+        // `scan_wal` keeps no record whose LSN + 1 overflows.
         let max_lsn = scan.records.iter().map(|r| r.lsn).max().unwrap_or(0);
         let wal = Wal {
             file,
@@ -268,13 +273,20 @@ impl Wal {
     ///
     /// Oversized batches are split greedily into multiple records (each
     /// still atomic and within [`MAX_RECORD_BYTES`], still one fsync for
-    /// all of them); a single statement too large for one record errors.
-    /// An empty batch is a no-op.
+    /// all of them); a single statement too large for one record errors,
+    /// and so does a batch whose LSNs would run past `u64::MAX` (it could
+    /// not be read back). An empty batch is a no-op.
     pub fn append_batch<S: AsRef<str>>(&mut self, sqls: &[S]) -> Result<u64, PersistError> {
         let first = self.next_lsn;
         if sqls.is_empty() {
             return Ok(first);
         }
+        let Some(next) = first.checked_add(sqls.len() as u64) else {
+            return Err(PersistError::Corrupt(format!(
+                "{} statements after LSN {first} exhaust the log's sequence numbers",
+                sqls.len()
+            )));
+        };
         let append_sample = crate::metrics::TimedSample::start();
         let mut out = Vec::new();
         let mut start = 0usize;
@@ -305,7 +317,7 @@ impl Wal {
             self.file.sync_data()?;
             fsync_sample.stop(crate::metrics::wal_fsync_us_total());
         }
-        self.next_lsn += sqls.len() as u64;
+        self.next_lsn = next;
         self.appended_since_reset += sqls.len() as u64;
         crate::metrics::wal_appends_total()
             .fetch_add(sqls.len() as u64, std::sync::atomic::Ordering::Relaxed);
@@ -615,6 +627,69 @@ mod tests {
             vec![(5, "e"), (6, "f")],
             "only post-checkpoint statements survive, LSNs preserved"
         );
+    }
+
+    #[test]
+    fn a_batch_whose_lsns_would_pass_u64_max_is_a_torn_tail() {
+        // CRC-valid records whose LSNs end at or run past u64::MAX: the
+        // first LSN plus the statement count used to overflow in the scan
+        // (a panic in debug builds, wrapped LSNs in release) and the
+        // highest LSN + 1 in `Wal::open`. Now they are malformed: the scan
+        // stops before them, open truncates them away and keeps appending.
+        let scratch = Scratch::new("lsnmax");
+        let path = scratch.file();
+        let (mut wal, _) = Wal::open(&path, 1).unwrap();
+        wal.append("INSERT INTO t VALUES (1)").unwrap();
+        drop(wal);
+        let good = std::fs::read(&path).unwrap();
+        let batch = |first: u64, sqls: &[&str]| {
+            let mut out = Vec::new();
+            frame_batch(&mut out, first, sqls);
+            out
+        };
+        for tail in [
+            batch(u64::MAX - 1, &["a", "b", "c"]),
+            batch(u64::MAX, &["a"]),
+            batch(u64::MAX - 2, &["a", "b", "c"]),
+        ] {
+            let mut bytes = good.clone();
+            bytes.extend_from_slice(&tail);
+            let scan = scan_wal(&bytes);
+            assert!(scan.torn);
+            assert_eq!(scan.records.len(), 1, "the committed prefix only");
+            assert_eq!(scan.committed_len, good.len());
+            std::fs::write(&path, &bytes).unwrap();
+            let (mut wal, scan) = Wal::open(&path, 1).unwrap();
+            assert_eq!(scan.records.len(), 1);
+            assert_eq!(wal.append("INSERT INTO t VALUES (2)").unwrap(), 2);
+        }
+        // The last representable batch still reads: LSNs up to u64::MAX − 1.
+        // After it the sequence is exhausted: an append is refused rather
+        // than written as a record no scan would keep.
+        let mut bytes = good.clone();
+        bytes.extend_from_slice(&batch(u64::MAX - 2, &["a", "b"]));
+        let scan = scan_wal(&bytes);
+        assert!(!scan.torn);
+        assert_eq!(scan.records.last().unwrap().lsn, u64::MAX - 1);
+        std::fs::write(&path, &bytes).unwrap();
+        let (mut wal, _) = Wal::open(&path, 1).unwrap();
+        assert!(wal.append("INSERT INTO t VALUES (3)").is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "nothing written");
+        // In the version-1 layout, a record at LSN u64::MAX is malformed.
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(WAL_MAGIC);
+        put_u32(&mut v1, 1);
+        for lsn in [7, u64::MAX] {
+            let mut body = Vec::new();
+            put_u64(&mut body, lsn);
+            body.extend_from_slice(b"INSERT INTO t VALUES (1)");
+            put_u32(&mut v1, body.len() as u32);
+            put_u32(&mut v1, crc32(&body));
+            v1.extend_from_slice(&body);
+        }
+        let scan = scan_wal(&v1);
+        assert!(scan.torn);
+        assert_eq!(scan.records.iter().map(|r| r.lsn).collect::<Vec<_>>(), vec![7]);
     }
 
     #[test]

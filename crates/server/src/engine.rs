@@ -376,6 +376,17 @@ impl Engine {
         self
     }
 
+    /// Records how this engine's image was recovered — the stages and
+    /// replay count of [`astore_persist::Recovered`] — for the `boot_*`
+    /// members of `{"cmd":"stats"}` and gauges of `{"cmd":"metrics"}`.
+    pub fn booted(self, snapshot: Duration, replay: Duration, replayed: usize) -> Self {
+        let micros = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+        self.stats.boot_snapshot_us.store(micros(snapshot), Ordering::Relaxed);
+        self.stats.boot_replay_us.store(micros(replay), Ordering::Relaxed);
+        self.stats.boot_replayed.store(replayed as u64, Ordering::Relaxed);
+        self
+    }
+
     /// The attached durability layer, if any.
     pub fn durability(&self) -> Option<&Durability> {
         self.durability.as_ref()
@@ -1682,6 +1693,39 @@ mod tests {
         drop(e2);
         let rec = astore_persist::store::open(&dir).unwrap();
         assert_eq!(rec.replayed, 0, "post-checkpoint WAL is empty");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_restarted_engine_reports_its_boot_stages() {
+        let dir = std::env::temp_dir().join(format!("astore-engine-boot-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let seed = {
+            let e = engine();
+            e.database().snapshot().as_ref().clone()
+        };
+        let wal = astore_persist::store::bootstrap(&dir, &seed).unwrap();
+        let e = Engine::new(SharedDatabase::new(seed)).durable(Durability::new(&dir, wal, 0));
+        let boot = |e: &Engine, key: &str| {
+            let r = e.handle_line(r#"{"cmd":"stats"}"#);
+            r.get("stats").unwrap().get(key).unwrap().as_i64().unwrap()
+        };
+        assert_eq!(boot(&e, "boot_snapshot_us"), 0, "a cold boot recovered nothing");
+        for v in 0..5 {
+            let r = sql(&e, &format!("INSERT INTO fact VALUES (1, {v})"));
+            assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
+        }
+        drop(e);
+        let rec = astore_persist::store::open(&dir).unwrap();
+        let e = Engine::new(SharedDatabase::new(rec.db))
+            .durable(Durability::new(&dir, rec.wal, 0))
+            .booted(rec.snapshot_time, rec.replay_time, rec.replayed);
+        assert!(boot(&e, "boot_snapshot_us") > 0, "the snapshot stage took time");
+        assert!(boot(&e, "boot_replay_us") > 0, "so did replaying five records");
+        assert_eq!(boot(&e, "boot_replayed"), 5, "one per record written");
+        let m = e.handle_line(r#"{"cmd":"metrics"}"#);
+        let text = m.get("metrics").and_then(Json::as_str).unwrap_or_default().to_owned();
+        assert!(text.contains("astore_server_boot_replayed 5"), "{m:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

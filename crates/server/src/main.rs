@@ -93,6 +93,7 @@ fn main() {
     }
 
     let t = Instant::now();
+    let mut booted = None;
     let (db, durability) = match &data_dir {
         Some(dir) if astore_persist::store::is_initialized(dir) => {
             // Warm boot: recover from snapshot + WAL, no regeneration.
@@ -108,7 +109,13 @@ fn main() {
             );
             let rows: usize =
                 rec.db.table_names().iter().map(|n| rec.db.table(n).unwrap().num_live()).sum();
-            eprintln!("loaded {rows} rows from disk in {:.1?}", t.elapsed());
+            eprintln!(
+                "loaded {rows} rows from disk in {:.1?} (snapshot {:.1?}, WAL replay {:.1?})",
+                t.elapsed(),
+                rec.snapshot_time,
+                rec.replay_time
+            );
+            booted = Some((rec.snapshot_time, rec.replay_time, rec.replayed));
             (rec.db, Some(Durability::new(dir.clone(), rec.wal, checkpoint_every)))
         }
         _ => {
@@ -146,6 +153,9 @@ fn main() {
     }
     if let Some(d) = durability {
         engine = engine.durable(d);
+    }
+    if let Some((snapshot, replay, replayed)) = booted {
+        engine = engine.booted(snapshot, replay, replayed);
     }
     let budget_total = engine.budget().total();
     let engine = Arc::new(engine);

@@ -423,6 +423,21 @@ pub fn render_prometheus(
             "Column tail chunks copied by appends since boot.",
             &stats.append_copies,
         ),
+        (
+            "astore_server_boot_snapshot_us",
+            "Boot: microseconds spent loading the snapshot (0 on a cold boot).",
+            &stats.boot_snapshot_us,
+        ),
+        (
+            "astore_server_boot_replay_us",
+            "Boot: microseconds spent opening and replaying the WAL.",
+            &stats.boot_replay_us,
+        ),
+        (
+            "astore_server_boot_replayed",
+            "Boot: WAL records replayed on top of the snapshot.",
+            &stats.boot_replayed,
+        ),
     ] {
         w.header(name, help, "gauge");
         w.sample_u64(name, &[], gauge.load(Ordering::Relaxed));

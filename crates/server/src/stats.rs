@@ -105,6 +105,15 @@ pub struct ServerStats {
     /// `Table::append_copies` over the tables of the current image): an
     /// insert that finds reserved space behind the tail adds nothing here.
     pub append_copies: AtomicU64,
+    /// How the engine's image was recovered from its data directory
+    /// (`astore_persist::store::open`'s two stages): µs spent loading the
+    /// snapshot, µs opening the WAL and replaying it, and records replayed.
+    /// Set once at attach ([`crate::Engine::booted`]); zero on a cold boot.
+    pub boot_snapshot_us: AtomicU64,
+    /// See `boot_snapshot_us`.
+    pub boot_replay_us: AtomicU64,
+    /// See `boot_snapshot_us`.
+    pub boot_replayed: AtomicU64,
     /// End-to-end statement latency (parse → response built).
     pub latency: LatencyHistogram,
     /// Groups multi-counter updates (e.g. `queries` + `segments_scanned` +
@@ -150,6 +159,9 @@ impl Default for ServerStats {
             dict_bytes: AtomicU64::new(0),
             str_heap_bytes: AtomicU64::new(0),
             append_copies: AtomicU64::new(0),
+            boot_snapshot_us: AtomicU64::new(0),
+            boot_replay_us: AtomicU64::new(0),
+            boot_replayed: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
             group: SeqLock::new(),
             started: Instant::now(),
@@ -240,6 +252,9 @@ impl ServerStats {
             ("dict_bytes", Json::Int(self.dict_bytes.load(Ordering::Relaxed) as i64)),
             ("str_heap_bytes", Json::Int(self.str_heap_bytes.load(Ordering::Relaxed) as i64)),
             ("append_copies", Json::Int(self.append_copies.load(Ordering::Relaxed) as i64)),
+            ("boot_snapshot_us", Json::Int(self.boot_snapshot_us.load(Ordering::Relaxed) as i64)),
+            ("boot_replay_us", Json::Int(self.boot_replay_us.load(Ordering::Relaxed) as i64)),
+            ("boot_replayed", Json::Int(self.boot_replayed.load(Ordering::Relaxed) as i64)),
             ("cache_hits", Json::Int(cache.hits() as i64)),
             ("cache_misses", Json::Int(cache.misses() as i64)),
             ("cache_hit_rate", Json::Float(cache.hit_rate())),
@@ -326,6 +341,9 @@ mod tests {
             "dict_bytes",
             "str_heap_bytes",
             "append_copies",
+            "boot_snapshot_us",
+            "boot_replay_us",
+            "boot_replayed",
             "latency_p99_us",
             "router_mispredictions",
             "scan_helpers",
