@@ -49,6 +49,7 @@ pub fn plan_lines(out: &ExecOutput) -> Vec<String> {
             "segments: scanned={} pruned={}  chains: predvec={} direct={}",
             p.segments_scanned, p.segments_pruned, p.predvec_chains, p.direct_chains
         ),
+        format!("selection: {}", p.selection),
         format!(
             "rows: selected={} groups={}  agg: {:?}",
             p.selected_rows, p.groups, p.agg_strategy
@@ -149,6 +150,7 @@ mod tests {
         assert!(text.contains("root: fact"), "{text}");
         assert!(text.contains("phases: leaf="), "{text}");
         assert!(text.contains("segments: scanned="), "{text}");
+        assert!(text.contains("selection: builds range f_dim ~50.00%"), "{text}");
         assert!(text.contains("execute "), "{text}");
         assert!(text.contains("phase2_scan"), "{text}");
         assert!(text.contains("segment_prune"), "{text}");
@@ -162,7 +164,8 @@ mod tests {
         assert_eq!(out.result.rows.len(), 1);
         // No trace attached — plan lines still render on their own.
         let lines = plan_lines(&out);
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 5);
+        assert_eq!(lines[3], "selection: live rows", "no test, nothing builds");
     }
 
     #[test]

@@ -14,11 +14,22 @@
 //!
 //! 1. **Leaf processing** — evaluate dimension predicates into predicate
 //!    vectors, compose snowflake chains, build group vectors;
-//! 2. **Fact scan** — evaluate fact-local predicates and probe the chains
-//!    to produce the selection vector, then identify each surviving tuple's
-//!    aggregation cell (the Measure Index);
+//! 2. **Fact scan** — run the selection tests to produce the selection
+//!    vector, then identify each surviving tuple's aggregation cell (the
+//!    Measure Index);
 //! 3. **Aggregation** — scan the measure columns through the Measure Index
 //!    into the multidimensional aggregation array (or hash table).
+//!
+//! Between phases 1 and 2 the zone-map survey decides which segments are
+//! scanned and, from their live rows, how many workers to ask for. The
+//! selection is then **one list of tests** — every fact-local conjunct and
+//! every dimension chain, a chain whose predicate vector is one run of keys
+//! becoming a key range on its foreign key — ordered most selective first
+//! by estimates read from the surveyed segments' zone maps, dictionary
+//! sizes and predicate-vector densities (`compile_selection`; the
+//! estimates and the three ways a segment's selection is built are in
+//! [`crate::scan`]). [`PlanInfo::selection`] reports the order, and
+//! `EXPLAIN` prints it as its `selection:` line.
 //!
 //! Phases 2 and 3 run as one **segment-at-a-time pipeline**: for each
 //! surviving segment a worker selects, gathers group codes, computes cells
@@ -48,9 +59,11 @@ use crate::optimizer::{AggStrategy, OptimizerConfig};
 use crate::parallel::{morsel_size, run_workers, MorselDispatcher};
 use crate::query::{AggFunc, Query};
 use crate::result::QueryResult;
-use crate::scan::{order_chains, ChainCheck, DirectCheck, ScanMode, SegmentScan};
+use crate::scan::{
+    order_tests, ChainCheck, DirectCheck, ScanMode, SegmentScan, SelTest, Selection, SelectionStep,
+};
 use crate::universal::{bind_root, BindError, Universal};
-use crate::zone::{SegmentPruner, SegmentSurvey};
+use crate::zone::{ScannedZones, SegmentPruner, SegmentSurvey};
 
 /// The five scan variants of the paper's §6.3 ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -295,6 +308,9 @@ pub struct PlanInfo {
     pub selected_rows: usize,
     /// Non-empty groups produced.
     pub groups: usize,
+    /// The selection tests in the order they ran, and which built each
+    /// segment's selection.
+    pub selection: Selection,
 }
 
 /// A completed execution.
@@ -321,6 +337,22 @@ pub struct ExecOutput {
 /// [`PlanInfo::segments_pruned`] how much of the fact table was never
 /// touched.
 pub fn execute(db: &Database, query: &Query, opts: &ExecOptions) -> Result<ExecOutput, BindError> {
+    execute_granted(db, query, opts, |threads| (threads, ()))
+}
+
+/// [`execute`], with the fan-out granted by the caller: `grant` is called
+/// once, after the zone-map survey, with the worker threads the planner
+/// wants for the rows the scan will visit
+/// ([`OptimizerConfig::plan_threads`]). It answers how many of them may run
+/// and a guard that is held until the scan has finished — how a server
+/// charges a statement's fan-out to its core budget. Fewer threads than
+/// wanted run the scan with that many; none or one runs it serially.
+pub fn execute_granted<G>(
+    db: &Database,
+    query: &Query,
+    opts: &ExecOptions,
+    grant: impl FnOnce(usize) -> (usize, G),
+) -> Result<ExecOutput, BindError> {
     let t_start = Instant::now();
     let trace = opts.trace.as_deref();
     // The root span id is reserved up front so every phase span can link to
@@ -366,7 +398,9 @@ pub fn execute(db: &Database, query: &Query, opts: &ExecOptions) -> Result<ExecO
         Some(s) => s.live_rows(),
         None => u.root_table().num_slots(),
     };
-    let threads = opts.optimizer.plan_threads(est_rows, opts.threads);
+    let wanted = opts.optimizer.plan_threads(est_rows, opts.threads);
+    let (granted, permits) = grant(wanted);
+    let threads = granted.clamp(1, wanted);
     if let Some(t) = trace {
         let opt_span = t.alloc();
         // One point event per segment decision, nested under `optimize` —
@@ -391,6 +425,7 @@ pub fn execute(db: &Database, query: &Query, opts: &ExecOptions) -> Result<ExecO
         );
     }
     let scanned = scan_and_aggregate(&u, query, opts, threads, &leaf, survey.as_ref(), root_span)?;
+    drop(permits);
 
     let mut result = build_result(query, &scanned.agg, &scanned.dicts());
     result.order_and_limit(&query.order_by, query.limit);
@@ -404,6 +439,7 @@ pub fn execute(db: &Database, query: &Query, opts: &ExecOptions) -> Result<ExecO
         segments_pruned: scanned.segments_pruned,
         selected_rows: scanned.selected,
         groups: scanned.agg.occupied(),
+        selection: scanned.selection,
     };
     let total = t_start.elapsed();
     if let (Some(t), Some(id)) = (trace, root_span) {
@@ -510,83 +546,91 @@ pub(crate) fn prepare_leaf(
     Ok(LeafArtifacts { chains, filters, group_vectors })
 }
 
-/// Builds the per-chain selection checks for the fact scan.
-pub(crate) fn build_chain_checks<'a>(
+/// The execution's one list of selection tests (see [`crate::scan`]),
+/// ordered most selective first among the rows `survey` keeps: every
+/// fact-local conjunct, and per dimension chain its predicate vector — a
+/// seeded key range on the foreign key when the vector is one run of keys —
+/// or its direct chase. Built once per execution and shared read-only by
+/// every worker.
+pub(crate) fn compile_selection<'a>(
     u: &Universal<'a>,
     query: &Query,
     leaf: &'a LeafArtifacts,
-) -> Result<Vec<ChainCheck<'a>>, BindError> {
+    survey: Option<&SegmentSurvey>,
+) -> Result<(Vec<SelTest<'a>>, Vec<SelectionStep>), BindError> {
     let fact = u.root_table();
-    let mut out = Vec::new();
-    for (chain, filter) in leaf.chains.iter().zip(&leaf.filters) {
-        let (_, keys) = fact
-            .column(&chain.fact_key_col)
-            .expect("chain key column exists")
-            .as_key()
-            .expect("chain key column is a key");
-        if let Some(bitmap) = filter {
-            out.push(ChainCheck::PredVec { keys, bitmap });
-            continue;
-        }
-        // Direct probing: one check per table that carries a predicate or
-        // has deleted tuples. Order nearest-first so cheap hops run first.
-        let mut checks: Vec<DirectCheck<'a>> = Vec::new();
-        let mut tables: Vec<&String> = chain.tables.iter().collect();
-        tables.sort_by_key(|t| u.graph().path(u.root(), t).map(|p| p.len()).unwrap_or(usize::MAX));
-        for t in tables {
-            let table = u.db().table(t).ok_or_else(|| BindError::NoTable(t.clone()))?;
-            let pred = query.selection_on(t).map(|p| p.compile(table));
-            let live = table.has_deletes().then(|| table.live_bitmap());
-            if pred.is_none() && live.is_none() {
-                continue;
-            }
-            checks.push(DirectCheck { hops: u.hops_to(t)?, live, pred });
-        }
-        if !checks.is_empty() {
-            out.push(ChainCheck::Direct { checks });
-        }
+    let mut tests = Vec::new();
+    for conjunct in query.selection_on(u.root()).map(|p| p.conjuncts()).unwrap_or_default() {
+        let pred = FactPred::compile(conjunct, fact);
+        let column = pred.col.map_or("expr", |c| fact.schema().defs()[c].name.as_str()).to_owned();
+        tests.push((SelTest::Fact(pred), column));
     }
-    Ok(out)
+    for (chain, filter) in leaf.chains.iter().zip(&leaf.filters) {
+        let col = fact.schema().position(&chain.fact_key_col).expect("chain key column exists");
+        let (_, keys) = fact.column_at(col).as_key().expect("chain key column is a key");
+        let test = match filter {
+            Some(bitmap) => SelTest::chain(keys, col, bitmap),
+            None => match direct_check(u, query, chain)? {
+                Some(check) => SelTest::Chain(check),
+                None => continue,
+            },
+        };
+        tests.push((test, chain.fact_key_col.clone()));
+    }
+    Ok(order_tests(tests, fact, &ScannedZones::new(fact, survey)))
 }
 
-/// Compiles the fact-local predicates and orders them most-selective-first
-/// (§4.1). With pruning enabled, the ordering key blends a prefix-sample
-/// estimate with the zone-map survival fraction (the share of segments the
-/// conjunct may match): a conjunct that zone-eliminates most of the table
-/// is cheap *and* selective inside the survivors, so it runs first. With
-/// `opts.pruning` off, zone maps are not consulted at all — the flat-scan
-/// ablation baseline reproduces the pre-segmentation ordering exactly.
-/// Done once per execution; the compiled predicates are shared read-only by
-/// every worker.
-pub(crate) fn compile_fact_preds<'a>(
+/// The direct AIR chase of a chain that has no predicate vector: one check
+/// per table that carries a predicate or has deleted tuples, nearest first
+/// so cheap hops run first. `None` when no table needs one.
+fn direct_check<'a>(
     u: &Universal<'a>,
     query: &Query,
-    opts: &ExecOptions,
-) -> Vec<FactPred<'a>> {
-    let fact = u.root_table();
-    let conjuncts = query.selection_on(u.root()).map(|p| p.conjuncts()).unwrap_or_default();
-    // Each conjunct compiles, then derives its encoded-scan seed from the
-    // compiled form — literal coercions included.
-    let mut fact_preds: Vec<FactPred<'a>> =
-        conjuncts.iter().map(|c| FactPred::compile(c, fact)).collect();
-    if fact_preds.len() > 1 {
-        let n = fact.num_slots();
-        let mut keyed: Vec<(f64, FactPred<'a>)> = fact_preds
-            .drain(..)
-            .zip(&conjuncts)
-            .map(|(p, c)| {
-                let sampled = p.pred.sampled_selectivity(n, 1024);
-                if !opts.pruning {
-                    return (sampled, p);
-                }
-                let zoned = crate::zone::conjunct_zone_survival(c, fact);
-                (sampled.min(zoned), p)
-            })
-            .collect();
-        keyed.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        fact_preds = keyed.into_iter().map(|(_, p)| p).collect();
+    chain: &ChainSpec,
+) -> Result<Option<ChainCheck<'a>>, BindError> {
+    let mut checks: Vec<DirectCheck<'a>> = Vec::new();
+    let mut tables: Vec<&String> = chain.tables.iter().collect();
+    tables.sort_by_key(|t| u.graph().path(u.root(), t).map(|p| p.len()).unwrap_or(usize::MAX));
+    for t in tables {
+        let table = u.db().table(t).ok_or_else(|| BindError::NoTable(t.clone()))?;
+        let pred = query.selection_on(t).map(|p| p.compile(table));
+        let live = table.has_deletes().then(|| table.live_bitmap());
+        if pred.is_none() && live.is_none() {
+            continue;
+        }
+        checks.push(DirectCheck { hops: u.hops_to(t)?, live, pred });
     }
-    fact_preds
+    Ok((!checks.is_empty()).then_some(ChainCheck::Direct { checks }))
+}
+
+/// How the options' scan variant and selection strategy scan a segment.
+fn scan_mode(opts: &ExecOptions) -> ScanMode {
+    match (opts.variant.column_wise(), opts.selection) {
+        (false, _) => ScanMode::RowWise,
+        (true, SelectionStrategy::VectorRefine) => ScanMode::ColumnWise,
+        (true, SelectionStrategy::BitmapAnd) => ScanMode::BitmapAnd,
+    }
+}
+
+/// The selection an execution of `query` would run, without running it:
+/// the query is bound, its leaves processed and its segments surveyed, and
+/// no fact row is read. Bare `EXPLAIN` reports it.
+pub fn plan_selection(
+    db: &Database,
+    query: &Query,
+    opts: &ExecOptions,
+) -> Result<Selection, BindError> {
+    if query.has_params() {
+        return Err(BindError::UnboundParams(query.param_count()));
+    }
+    let graph = JoinGraph::build(db);
+    let root = bind_root(&graph, query.root.as_deref(), &query.referenced_tables())?;
+    let u = Universal::new(db, &graph, &root)?;
+    let leaf = prepare_leaf(&u, query, opts)?;
+    let survey = build_pruner(&u, query, &leaf, opts).map(|p| p.survey());
+    let (tests, steps) = compile_selection(&u, query, &leaf, survey.as_ref())?;
+    let builder = SegmentScan::new(u.root_table(), &tests, scan_mode(opts)).builder();
+    Ok(Selection { steps, builder })
 }
 
 /// What a grouping column reads from during the fact scan.
@@ -837,6 +881,7 @@ struct Scanned<'a> {
     selected: usize,
     segments_scanned: usize,
     segments_pruned: usize,
+    selection: Selection,
     scan_time: Duration,
     agg_time: Duration,
 }
@@ -887,20 +932,15 @@ fn scan_and_aggregate<'a>(
     let segments_pruned = survey.map_or(0, SegmentSurvey::pruned);
     let segments_scanned = fact.segment_count() - segments_pruned;
 
-    let fact_preds = compile_fact_preds(u, query, opts);
-    let mut chains = build_chain_checks(u, query, leaf)?;
-    order_chains(&mut chains);
-    let mode = match (opts.variant.column_wise(), opts.selection) {
-        (false, _) => ScanMode::RowWise,
-        (true, SelectionStrategy::VectorRefine) => ScanMode::ColumnWise,
-        (true, SelectionStrategy::BitmapAnd) => ScanMode::BitmapAnd,
-    };
+    let (tests, steps) = compile_selection(u, query, leaf, survey)?;
+    let scan = SegmentScan::new(fact, &tests, scan_mode(opts));
+    let selection = Selection { steps, builder: scan.builder() };
     let plan = ScanPlan {
         fact,
         query,
         opts,
         leaf,
-        scan: SegmentScan::new(fact, &fact_preds, &chains, mode),
+        scan,
         measures: query
             .aggregates
             .iter()
@@ -998,6 +1038,7 @@ fn scan_and_aggregate<'a>(
         selected: first.selected,
         segments_scanned,
         segments_pruned,
+        selection,
         scan_time,
         agg_time,
     })

@@ -778,17 +778,6 @@ impl<'a> CompiledPred<'a> {
             PredOver::Not(p) => PredOver::Not(Box::new(p.bind(seg))),
         }
     }
-
-    /// Estimated selectivity from a prefix sample of `sample` rows out of
-    /// `n`. Used to order conjuncts most-selective-first (§4.1).
-    pub fn sampled_selectivity(&self, n: usize, sample: usize) -> f64 {
-        let take = sample.min(n);
-        if take == 0 {
-            return 1.0;
-        }
-        let hits = (0..take).filter(|&r| self.eval(r)).count();
-        hits as f64 / take as f64
-    }
 }
 
 /// A measure expression evaluated per selected fact tuple during the
@@ -1079,14 +1068,6 @@ mod tests {
         assert!(matches!(p, CompiledPred::Const(true)));
         let p = Pred::cmp("qty", CmpOp::Gt, 1i64 << 40).compile(&t);
         assert!(matches!(p, CompiledPred::Const(false)));
-    }
-
-    #[test]
-    fn sampled_selectivity_estimates() {
-        let t = table();
-        let p = Pred::cmp("qty", CmpOp::Ge, 20).compile(&t);
-        let sel = p.sampled_selectivity(5, 5);
-        assert!((sel - 0.6).abs() < 1e-12);
     }
 
     #[test]

@@ -19,6 +19,7 @@ use std::collections::{HashMap, HashSet};
 
 use astore_storage::bitmap::Bitmap;
 use astore_storage::catalog::Database;
+use astore_storage::column::Column;
 use astore_storage::table::Table;
 use astore_storage::types::NULL_KEY;
 
@@ -26,6 +27,7 @@ use crate::expr::{CompiledPred, Pred};
 use crate::graph::JoinGraph;
 use crate::query::Query;
 use crate::universal::BindError;
+use crate::zone::ScannedZones;
 
 /// The dimension chain a query touches through one fact FK column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -179,6 +181,8 @@ pub struct PredRange {
 pub struct FactPred<'a> {
     /// The compiled predicate (always usable row-wise).
     pub pred: CompiledPred<'a>,
+    /// Position of the one column the predicate tests, when it tests one.
+    pub col: Option<usize>,
     /// The accepted value range, when the predicate is seedable.
     pub seed: Option<PredRange>,
 }
@@ -186,14 +190,14 @@ pub struct FactPred<'a> {
 impl<'a> FactPred<'a> {
     /// Wraps a compiled predicate with no encoded-scan seed.
     pub fn unseeded(pred: CompiledPred<'a>) -> Self {
-        FactPred { pred, seed: None }
+        FactPred { pred, col: None, seed: None }
     }
 
     /// Wraps a compiled predicate over fact column `col`, deriving the
     /// seed from the compiled form (see [`seed_range`]).
     pub fn seeded(pred: CompiledPred<'a>, col: usize) -> Self {
         let seed = seed_range(&pred, col);
-        FactPred { pred, seed }
+        FactPred { pred, col: Some(col), seed }
     }
 
     /// Compiles one conjunct against `table`, seeded when it tests a single
@@ -210,6 +214,55 @@ impl<'a> FactPred<'a> {
             Some(col) => FactPred::seeded(pred, col),
             None => FactPred::unseeded(pred),
         }
+    }
+
+    /// Estimated share of the scanned rows that pass, read from metadata
+    /// alone: a range over an integer, key or float column is its overlap
+    /// with each scanned segment's zone bounds
+    /// ([`ScannedZones::range_share`]; `IN` sums its points), a dictionary
+    /// test is its code-set size over the dictionary's length, and a test
+    /// the estimate cannot see into reads as 1.
+    pub fn estimate(&self, fact: &Table, zones: &ScannedZones<'_>) -> f64 {
+        use crate::expr::CmpOp;
+        let col = match (&self.pred, self.col) {
+            (CompiledPred::Const(pass), _) => return f64::from(u8::from(*pass)),
+            (_, Some(col)) => col,
+            (_, None) => return 1.0,
+        };
+        let range = |lo: f64, hi: f64| zones.range_share(col, lo, hi);
+        // `step` is 1 on integer domains, where `<` excludes the literal's
+        // own value, and 0 on floats.
+        let cmp = |op: CmpOp, v: f64, step: f64| match op {
+            CmpOp::Eq => range(v, v),
+            CmpOp::Ne => 1.0 - range(v, v),
+            CmpOp::Lt => range(f64::NEG_INFINITY, v - step),
+            CmpOp::Le => range(f64::NEG_INFINITY, v),
+            CmpOp::Gt => range(v + step, f64::INFINITY),
+            CmpOp::Ge => range(v, f64::INFINITY),
+        };
+        let points = |vs: &mut dyn Iterator<Item = f64>| vs.map(|v| range(v, v)).sum::<f64>();
+        let share = match &self.pred {
+            CompiledPred::I32Cmp { op, v, .. } => cmp(*op, f64::from(*v), 1.0),
+            CompiledPred::I64Cmp { op, v, .. } => cmp(*op, *v as f64, 1.0),
+            CompiledPred::KeyCmp { op, v, .. } => cmp(*op, f64::from(*v), 1.0),
+            CompiledPred::F64Cmp { op, v, .. } => cmp(*op, *v, 0.0),
+            CompiledPred::I32Between { lo, hi, .. } => range(f64::from(*lo), f64::from(*hi)),
+            CompiledPred::I64Between { lo, hi, .. } => range(*lo as f64, *hi as f64),
+            CompiledPred::KeyBetween { lo, hi, .. } => range(f64::from(*lo), f64::from(*hi)),
+            CompiledPred::F64Between { lo, hi, .. } => range(*lo, *hi),
+            CompiledPred::I32In { set, .. } => points(&mut set.iter().map(|&v| f64::from(v))),
+            CompiledPred::I64In { set, .. } => points(&mut set.iter().map(|&v| v as f64)),
+            CompiledPred::DictEq { code, .. } if *code == NULL_KEY => 0.0,
+            CompiledPred::DictEq { .. } => match fact.column_at(col) {
+                Column::Dict(dc) => 1.0 / dc.dict().len().max(1) as f64,
+                _ => 1.0,
+            },
+            CompiledPred::DictSet { matches, .. } => {
+                matches.count_ones() as f64 / matches.len().max(1) as f64
+            }
+            _ => 1.0,
+        };
+        share.clamp(0.0, 1.0)
     }
 }
 
@@ -587,6 +640,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Estimates read zone bounds and dictionaries, never rows: a range is
+    /// its overlap with each segment's bounds, a dictionary test its share
+    /// of the codes, anything else 1.
+    #[test]
+    fn fact_pred_estimates_read_metadata_only() {
+        let mut t = Table::new(
+            "t",
+            Schema::new(vec![
+                ColumnDef::new("a", DataType::I32),
+                ColumnDef::new("d", DataType::Dict),
+                ColumnDef::new("f", DataType::F64),
+            ]),
+        );
+        t.set_segment_rows(4);
+        // Segment 0: a in 0..=3, segment 1: a in 10..=13; d cycles over
+        // four values; f = a / 2.
+        for a in [0i64, 1, 2, 3, 10, 11, 12, 13] {
+            let d = ["w", "x", "y", "z"][a as usize % 4];
+            t.append_row(&[Value::Int(a), Value::Str(d.into()), Value::Float(a as f64 / 2.0)]);
+        }
+        let zones = ScannedZones::new(&t, None);
+        let est = |p: Pred| FactPred::compile(&p, &t).estimate(&t, &zones);
+        let close = |got: f64, want: f64| assert!((got - want).abs() < 1e-12, "{got} vs {want}");
+        close(est(Pred::cmp("a", CmpOp::Lt, 2)), 0.25);
+        close(est(Pred::cmp("a", CmpOp::Le, 2)), 3.0 / 8.0);
+        close(est(Pred::cmp("a", CmpOp::Ne, 2)), 7.0 / 8.0);
+        close(est(Pred::between("a", 2, 11)), 4.0 / 8.0);
+        close(est(Pred::in_list("a", vec![0, 13, 99])), 2.0 / 8.0);
+        close(est(Pred::eq("a", 7)), 0.0);
+        close(est(Pred::eq("d", "x")), 0.25);
+        close(est(Pred::eq("d", "absent")), 0.0);
+        close(est(Pred::in_list("d", vec!["w", "z"])), 0.5);
+        close(est(Pred::cmp("f", CmpOp::Ge, 6.0)), (0.5 / 1.5) / 2.0);
+        close(est(Pred::Or(vec![Pred::eq("a", 1), Pred::eq("d", "x")])), 1.0);
+        close(est(Pred::Const(false)), 0.0);
+        // A dead row leaves its segment's weight, not its bounds.
+        t.delete(4);
+        let zones = ScannedZones::new(&t, None);
+        close(FactPred::compile(&Pred::cmp("a", CmpOp::Ge, 10), &t).estimate(&t, &zones), 3.0 / 7.0);
     }
 
     /// Seeds come from the *compiled* predicate, so literal coercions are

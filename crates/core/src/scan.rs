@@ -2,22 +2,54 @@
 //!
 //! The fact scan works one segment at a time: [`SegmentScan::select`]
 //! produces the ascending row ids of one segment's slice that pass every
-//! fact-local predicate and every dimension chain, into a buffer the caller
-//! reuses. Three scan disciplines are provided ([`ScanMode`]), matching the
-//! paper's ablation (§6.3) and §4.1's comparison:
+//! test of the execution's selection, into a buffer the caller reuses.
 //!
-//! * **row-wise**: every tuple is evaluated against all predicates in one
-//!   pass over the segment;
-//! * **column-wise**: the selection is refined one predicate at a time,
-//!   most selective first, so later predicates touch only surviving tuples;
-//! * **bitmap-AND**: every predicate scans the whole slice into a bitmap
-//!   and the bitmaps are intersected — the alternative §4.1 argues against.
+//! **One list of tests.** Fact-local conjuncts and dimension chains are the
+//! [`SelTest`]s of one list, ordered once per execution most selective
+//! first (§4.1) by [`order_tests`]. The estimates come from metadata the
+//! plan already holds — no row is sampled:
 //!
-//! Dimension predicates appear as [`ChainCheck`]s: either a probe of a
-//! pre-built predicate vector (§4.2) or a direct AIR chase that evaluates
-//! the dimension predicates per fact row (the fallback when the filter
-//! would not fit the cache budget, and the mode of the `_P`-less variants).
-//! The column-wise predicate-vector probes run through [`crate::kernels`].
+//! * a range over an integer, key or float column: its overlap with the
+//!   zone bounds of every segment the survey keeps, values taken as uniform
+//!   inside a zone ([`ScannedZones::range_share`]);
+//! * a dictionary test: its code-set size over the dictionary's length;
+//! * a chain's predicate vector (§4.2) with scattered bits: its density;
+//! * a direct AIR chase: nothing is known, so it runs last, on the fewest
+//!   rows.
+//!
+//! A chain whose composed predicate vector is one run of keys `[k0, k1]` is
+//! no probe: the executor compiles it as the fact predicate
+//! `fk BETWEEN k0 AND k1`, which is exact (a NULL key or a key past the
+//! dimension fails both), so it is estimated, seeded and refined like any
+//! fact range.
+//!
+//! **Three builders.** In the column-wise scan the first test of the list
+//! that can produce a segment's selection by itself builds it:
+//!
+//! * a seeded range, word-at-a-time on its column's packed codes
+//!   (`scan_encoded`; a flat chunk is tested row by row);
+//! * a predicate-vector probe, fused into one pass over the foreign-key
+//!   chunk ([`kernels::dense_probe`]);
+//! * else the segment's live rows.
+//!
+//! Every other test then refines the selection in list order, so it touches
+//! only the rows still standing. Rows stay ascending whatever the order, so
+//! the order changes the cost of a selection, never its rows.
+//!
+//! Three scan disciplines are provided ([`ScanMode`]), matching the paper's
+//! ablation (§6.3) and §4.1's comparison:
+//!
+//! * **row-wise**: every tuple is evaluated against all tests in one pass
+//!   over the segment;
+//! * **column-wise**: the selection is built and refined as above;
+//! * **bitmap-AND**: every test scans the whole slice into a bitmap and the
+//!   bitmaps are intersected — the alternative §4.1 argues against.
+//!
+//! Dimension tests are [`ChainCheck`]s: either a probe of a pre-built
+//! predicate vector (§4.2) or a direct AIR chase that evaluates the
+//! dimension predicates per fact row (the fallback when the filter would not
+//! fit the cache budget, and the mode of the `_P`-less variants). The
+//! column-wise probes run through [`crate::kernels`].
 
 use astore_storage::bitmap::{Bitmap, SegBitmap};
 use astore_storage::chunks::{ChunkRef, Chunked};
@@ -28,6 +60,7 @@ use astore_storage::types::{Key, RowId, NULL_KEY};
 use crate::expr::{CompiledPred, Pred, SegPred};
 use crate::filter::{FactPred, PackedRangeTest};
 use crate::kernels;
+use crate::zone::ScannedZones;
 
 /// A per-fact-row liveness + predicate check against one table of a
 /// dimension chain, evaluated by chasing the AIR hops.
@@ -135,9 +168,8 @@ impl<'a> ChainCheck<'a> {
         }
     }
 
-    /// Rough selectivity estimate for check ordering (predicate vectors
-    /// expose their density; direct probes are pessimistically 1.0 so they
-    /// run last, on the fewest rows).
+    /// Selectivity estimate for test ordering: a predicate vector's density
+    /// over the dimension; a direct chase is pessimistically 1.0.
     pub fn estimated_selectivity(&self) -> f64 {
         match self {
             ChainCheck::PredVec { bitmap, .. } => {
@@ -152,15 +184,171 @@ impl<'a> ChainCheck<'a> {
     }
 }
 
-/// Orders chain checks for the column-wise scan: predicate vectors first
-/// (cheap, cache-resident), most selective first, direct probes last. Done
-/// once per execution — the estimate counts a bitmap's set bits.
-pub fn order_chains(chains: &mut [ChainCheck<'_>]) {
-    chains.sort_by_cached_key(|c| {
-        // Selectivities are in [0, 1]: their bit patterns order like the
-        // values.
-        c.estimated_selectivity().to_bits()
+/// One test of an execution's selection (see the module docs).
+pub enum SelTest<'a> {
+    /// A fact-local conjunct, or a chain whose predicate vector is one run
+    /// of keys, compiled as `fk BETWEEN k0 AND k1`.
+    Fact(FactPred<'a>),
+    /// A dimension chain, probed or chased.
+    Chain(ChainCheck<'a>),
+}
+
+/// A [`SelTest`] bound to one fact segment (row-wise and bitmap-AND scans).
+enum SegTest<'c, 'a> {
+    Pred(SegPred<'a>),
+    Chain(SegChain<'c, 'a>),
+}
+
+impl SegTest<'_, '_> {
+    #[inline]
+    fn eval(&self, off: usize) -> bool {
+        match self {
+            SegTest::Pred(p) => p.eval(off),
+            SegTest::Chain(c) => c.eval(off),
+        }
+    }
+}
+
+impl<'a> SelTest<'a> {
+    /// The test of a chain with a composed predicate vector, whose keys are
+    /// fact column `col`: the seeded range `keys BETWEEN k0 AND k1` when the
+    /// vector's set bits are the one run `[k0, k1]`, a probe otherwise.
+    pub fn chain(keys: &'a Chunked<Key>, col: usize, bitmap: &'a Bitmap) -> Self {
+        match bitmap.one_run() {
+            Some((k0, k1)) => {
+                let (lo, hi) = (k0 as Key, k1 as Key);
+                SelTest::Fact(FactPred::seeded(CompiledPred::KeyBetween { keys, lo, hi }, col))
+            }
+            None => SelTest::Chain(ChainCheck::PredVec { keys, bitmap }),
+        }
+    }
+
+    /// How the test is evaluated.
+    pub fn kind(&self) -> TestKind {
+        match self {
+            SelTest::Fact(p) if p.seed.is_some() => TestKind::Range,
+            SelTest::Fact(_) => TestKind::RowWise,
+            SelTest::Chain(ChainCheck::PredVec { .. }) => TestKind::Probe,
+            SelTest::Chain(ChainCheck::Direct { .. }) => TestKind::Direct,
+        }
+    }
+
+    /// Estimated share of the scanned rows that pass (see the module docs).
+    pub fn estimate(&self, fact: &Table, zones: &ScannedZones<'_>) -> f64 {
+        match self {
+            SelTest::Fact(p) => p.estimate(fact, zones),
+            SelTest::Chain(c) => c.estimated_selectivity(),
+        }
+    }
+
+    fn bind(&self, seg: &FactSegment<'_>) -> SegTest<'_, 'a> {
+        match self {
+            SelTest::Fact(p) => SegTest::Pred(p.pred.bind(seg.index)),
+            SelTest::Chain(c) => SegTest::Chain(c.bind(seg)),
+        }
+    }
+}
+
+/// How a selection test is evaluated, in the order ties are broken: the
+/// kinds that can build a segment's selection first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum TestKind {
+    /// A seeded value range, tested on its column's codes.
+    Range,
+    /// A predicate-vector probe through a foreign key.
+    Probe,
+    /// A fact-local predicate evaluated row by row.
+    RowWise,
+    /// A direct AIR chase.
+    Direct,
+}
+
+impl TestKind {
+    /// The name `EXPLAIN` prints.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            TestKind::Range => "range",
+            TestKind::Probe => "probe",
+            TestKind::RowWise => "row-wise",
+            TestKind::Direct => "direct",
+        }
+    }
+}
+
+/// One test of an executed selection, as the plan reports it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SelectionStep {
+    /// How the test is evaluated.
+    pub kind: TestKind,
+    /// The fact column it reads: the tested column, or a chain's foreign
+    /// key (`expr` for a conjunct over several columns).
+    pub column: String,
+    /// Its estimated share of the scanned rows.
+    pub estimate: f64,
+}
+
+/// An execution's selection tests in evaluation order, and which of them
+/// builds each segment's selection.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Selection {
+    /// The tests, most selective first.
+    pub steps: Vec<SelectionStep>,
+    /// The step that builds each segment's selection (column-wise scans
+    /// only); the others refine it. `None`: the selection starts from the
+    /// live rows.
+    pub builder: Option<usize>,
+}
+
+impl Selection {
+    /// The building step, if one builds.
+    pub fn builder_step(&self) -> Option<&SelectionStep> {
+        self.builder.map(|i| &self.steps[i])
+    }
+}
+
+/// `builds range lo_orderdate ~0.41%, then range lo_discount ~27.27%` —
+/// the `selection:` line of `EXPLAIN`.
+impl std::fmt::Display for Selection {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let step = |s: &SelectionStep| {
+            format!("{} {} ~{:.2}%", s.kind.as_str(), s.column, s.estimate * 100.0)
+        };
+        match self.builder_step() {
+            Some(b) => write!(f, "builds {}", step(b))?,
+            None => write!(f, "live rows")?,
+        }
+        let rest: Vec<String> = (0..self.steps.len())
+            .filter(|&i| Some(i) != self.builder)
+            .map(|i| step(&self.steps[i]))
+            .collect();
+        if !rest.is_empty() {
+            write!(f, ", then {}", rest.join(", "))?;
+        }
+        Ok(())
+    }
+}
+
+/// Orders one execution's tests for the scan: lowest estimate first,
+/// direct chases last whatever theirs, ties to the kind that can build.
+/// Each test is named by the fact column it reads. Done once per execution.
+pub fn order_tests<'a>(
+    tests: Vec<(SelTest<'a>, String)>,
+    fact: &Table,
+    zones: &ScannedZones<'_>,
+) -> (Vec<SelTest<'a>>, Vec<SelectionStep>) {
+    let mut keyed: Vec<(SelTest<'a>, SelectionStep)> = tests
+        .into_iter()
+        .map(|(test, column)| {
+            let step =
+                SelectionStep { kind: test.kind(), column, estimate: test.estimate(fact, zones) };
+            (test, step)
+        })
+        .collect();
+    keyed.sort_by(|(_, a), (_, b)| {
+        let direct = |s: &SelectionStep| s.kind == TestKind::Direct;
+        direct(a).cmp(&direct(b)).then(a.estimate.total_cmp(&b.estimate)).then(a.kind.cmp(&b.kind))
     });
+    keyed.into_iter().unzip()
 }
 
 /// The slice of one fact segment a scan step works on. Columns, live bits
@@ -304,17 +492,16 @@ fn seeded_segment(fact: &Table, seg: &FactSegment<'_>, fp: &FactPred<'_>, rows: 
 /// ablation plus §4.1's full-materialization comparator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanMode {
-    /// The `AIRScan_R*` variants: all predicates evaluated per tuple in a
-    /// single pass.
+    /// The `AIRScan_R*` variants: all tests evaluated per tuple in a single
+    /// pass.
     RowWise,
-    /// Column-wise vector-based scan (§4.1): refine per fact-local
-    /// predicate (already ordered most-selective-first by the caller), then
-    /// per chain check ([`order_chains`]).
+    /// Column-wise vector-based scan (§4.1): the first test that can build
+    /// the selection does, the rest refine it in list order.
     ColumnWise,
     /// "Some systems choose to scan and evaluate each column independently.
     /// The result of each scan is a bitmap … then the scan results of all
-    /// the columns are combined through bitwise AND." Every predicate
-    /// touches the *whole* slice — no skipping — which is exactly the
+    /// the columns are combined through bitwise AND." Every test touches
+    /// the *whole* slice — no skipping — which is exactly the
     /// memory-bandwidth cost the selection-vector scan avoids.
     BitmapAnd,
 }
@@ -323,32 +510,32 @@ pub enum ScanMode {
 /// once per segment slice; shared read-only by every worker.
 pub struct SegmentScan<'p, 'a> {
     fact: &'a Table,
-    preds: &'p [FactPred<'a>],
-    chains: &'p [ChainCheck<'a>],
+    tests: &'p [SelTest<'a>],
     mode: ScanMode,
-    /// The column-wise scan's seeded predicate: the *first* seedable
-    /// predicate builds a segment's initial selection — directly from the
-    /// encoded form wherever the chunk it tests is resident encoded —
-    /// instead of refining the full range.
-    seed_idx: Option<usize>,
+    /// The column-wise scan's builder: the first seeded range or
+    /// predicate-vector probe of the list.
+    builder: Option<usize>,
 }
 
 impl<'p, 'a> SegmentScan<'p, 'a> {
-    /// A scan of `fact` by the given predicates and chain checks, both
-    /// already in evaluation order.
-    pub fn new(
-        fact: &'a Table,
-        preds: &'p [FactPred<'a>],
-        chains: &'p [ChainCheck<'a>],
-        mode: ScanMode,
-    ) -> Self {
-        let seed_idx = preds.iter().position(|p| p.seed.is_some());
-        SegmentScan { fact, preds, chains, mode, seed_idx }
+    /// A scan of `fact` by the given tests, already in evaluation order.
+    pub fn new(fact: &'a Table, tests: &'p [SelTest<'a>], mode: ScanMode) -> Self {
+        let builds = |t: &SelTest<'_>| matches!(t.kind(), TestKind::Range | TestKind::Probe);
+        let builder = match mode {
+            ScanMode::ColumnWise => tests.iter().position(builds),
+            ScanMode::RowWise | ScanMode::BitmapAnd => None,
+        };
+        SegmentScan { fact, tests, mode, builder }
+    }
+
+    /// The test that builds each segment's selection, if one does.
+    pub fn builder(&self) -> Option<usize> {
+        self.builder
     }
 
     /// Overwrites `rows` with the live rows of `range` that pass every
-    /// predicate and chain check, ascending. `range` must be non-empty and
-    /// lie inside one segment.
+    /// test, ascending. `range` must be non-empty and lie inside one
+    /// segment.
     pub fn select(&self, range: std::ops::Range<usize>, rows: &mut Vec<RowId>) {
         rows.clear();
         let seg = FactSegment::of(self.fact, range);
@@ -359,37 +546,34 @@ impl<'p, 'a> SegmentScan<'p, 'a> {
         }
     }
 
-    /// Each predicate and check is bound to the segment's chunks once, in
-    /// whichever representation they are resident. The first step fills the
-    /// selection: from the seeded predicate's column when there is one,
-    /// else — with no fact-local predicate and every slot live — fused with
-    /// the first predicate-vector probe ([`kernels::dense_probe`]), else
-    /// from the live bits.
+    /// Each test is bound to the segment's chunks in whichever
+    /// representation they are resident. The builder fills the selection —
+    /// a seeded range from its column, a predicate vector in one fused
+    /// probe of the foreign key — else the live bits do; every other test
+    /// refines it in list order.
     fn columnwise(&self, seg: &FactSegment<'_>, rows: &mut Vec<RowId>) {
         let base = seg.row(0);
-        let mut chains = self.chains.iter();
-        match (self.seed_idx, seg.live, self.preds, self.chains.first()) {
-            (Some(i), ..) => seeded_segment(self.fact, seg, &self.preds[i], rows),
-            (None, None, [], Some(ChainCheck::PredVec { keys, bitmap })) => {
+        match self.builder.map(|i| &self.tests[i]) {
+            Some(SelTest::Fact(fp)) => seeded_segment(self.fact, seg, fp, rows),
+            Some(SelTest::Chain(ChainCheck::PredVec { keys, bitmap })) => {
                 kernels::dense_probe(keys.chunk(seg.index), seg.offs.clone(), base, bitmap, rows);
-                chains.next();
+                if let Some(live) = seg.live {
+                    kernels::scalar::retain(rows, |r| live.get_or_false((r - base) as usize));
+                }
             }
-            _ => seg.push_live(rows),
+            Some(SelTest::Chain(ChainCheck::Direct { .. })) | None => seg.push_live(rows),
         }
-        for (i, p) in self.preds.iter().enumerate() {
-            if Some(i) == self.seed_idx {
+        for (i, test) in self.tests.iter().enumerate() {
+            if Some(i) == self.builder {
                 continue;
             }
             if rows.is_empty() {
                 return;
             }
-            self.refine(seg, p, base, rows);
-        }
-        for c in chains {
-            if rows.is_empty() {
-                return;
+            match test {
+                SelTest::Fact(p) => self.refine(seg, p, base, rows),
+                SelTest::Chain(c) => c.bind(seg).refine(rows, base),
             }
-            c.bind(seg).refine(rows, base);
         }
     }
 
@@ -423,29 +607,20 @@ impl<'p, 'a> SegmentScan<'p, 'a> {
             Some(live) => Bitmap::from_fn(n, |i| live.get_or_false(lo + i)),
             None => Bitmap::new(n, true),
         };
-        for p in self.preds {
+        for test in self.tests {
             // Full column scan into an intermediate bitmap, then AND.
-            let pred = p.pred.bind(seg.index);
-            acc.and_assign(&Bitmap::from_fn(n, |i| pred.eval(lo + i)));
-        }
-        for c in self.chains {
-            let check = c.bind(seg);
-            acc.and_assign(&Bitmap::from_fn(n, |i| check.eval(lo + i)));
+            let test = test.bind(seg);
+            acc.and_assign(&Bitmap::from_fn(n, |i| test.eval(lo + i)));
         }
         rows.extend(acc.iter_ones().map(|i| seg.row(lo + i)));
     }
 
     fn rowwise(&self, seg: &FactSegment<'_>, rows: &mut Vec<RowId>) {
-        let preds: Vec<SegPred<'_>> = self.preds.iter().map(|p| p.pred.bind(seg.index)).collect();
-        let checks: Vec<SegChain<'_, '_>> = self.chains.iter().map(|c| c.bind(seg)).collect();
+        let tests: Vec<SegTest<'_, '_>> = self.tests.iter().map(|t| t.bind(seg)).collect();
         rows.extend(
             seg.offs
                 .clone()
-                .filter(|&off| {
-                    seg.is_live(off)
-                        && preds.iter().all(|p| p.eval(off))
-                        && checks.iter().all(|c| c.eval(off))
-                })
+                .filter(|&off| seg.is_live(off) && tests.iter().all(|t| t.eval(off)))
                 .map(|off| seg.row(off)),
         );
     }
@@ -453,12 +628,13 @@ impl<'p, 'a> SegmentScan<'p, 'a> {
 
 /// Evaluates `pred` over all live rows of `table` into a bitmap — a
 /// dimension's predicate vector (§4.2). This is the column-wise selection
-/// scan with no chains: the first range conjunct builds each segment's
-/// selection (word-at-a-time on an encoded chunk), the others refine it.
+/// scan with the conjuncts as its tests, in the order written: the first
+/// range conjunct builds each segment's selection (word-at-a-time on an
+/// encoded chunk), the others refine it.
 pub fn select_bitmap(table: &Table, pred: &Pred) -> Bitmap {
-    let preds: Vec<FactPred<'_>> =
-        pred.conjuncts().into_iter().map(|c| FactPred::compile(c, table)).collect();
-    let scan = SegmentScan::new(table, &preds, &[], ScanMode::ColumnWise);
+    let tests: Vec<SelTest<'_>> =
+        pred.conjuncts().into_iter().map(|c| SelTest::Fact(FactPred::compile(c, table))).collect();
+    let scan = SegmentScan::new(table, &tests, ScanMode::ColumnWise);
     let n = table.num_slots();
     let mut words = vec![0u64; n.div_ceil(64)];
     let mut rows = Vec::new();
@@ -482,11 +658,10 @@ mod tests {
     fn select<'a>(
         fact: &'a Table,
         range: std::ops::Range<usize>,
-        preds: &[FactPred<'a>],
-        chains: &[ChainCheck<'a>],
+        tests: &[SelTest<'a>],
         mode: ScanMode,
     ) -> Vec<RowId> {
-        let scan = SegmentScan::new(fact, preds, chains, mode);
+        let scan = SegmentScan::new(fact, tests, mode);
         let seg_rows = fact.segment_rows();
         let (mut out, mut rows) = (Vec::new(), Vec::new());
         let mut start = range.start;
@@ -526,8 +701,8 @@ mod tests {
         let db = db();
         let fact = db.table("fact").unwrap();
         for mode in [ScanMode::RowWise, ScanMode::ColumnWise, ScanMode::BitmapAnd] {
-            assert_eq!(select(fact, 0..6, &[], &[], mode).len(), 6);
-            assert_eq!(select(fact, 2..4, &[], &[], mode), [2, 3]);
+            assert_eq!(select(fact, 0..6, &[], mode).len(), 6);
+            assert_eq!(select(fact, 2..4, &[], mode), [2, 3]);
         }
     }
 
@@ -537,10 +712,12 @@ mod tests {
         db.table_mut("fact").unwrap().delete(1);
         let fact = db.table("fact").unwrap();
         for mode in [ScanMode::RowWise, ScanMode::ColumnWise, ScanMode::BitmapAnd] {
-            assert_eq!(select(fact, 0..6, &[], &[], mode), [0, 2, 3, 4, 5]);
+            assert_eq!(select(fact, 0..6, &[], mode), [0, 2, 3, 4, 5]);
         }
     }
 
+    /// One list for chains and fact predicates: lowest estimate first, a
+    /// direct chase last, and the first range or probe builds.
     #[test]
     fn chains_order_most_selective_first_direct_last() {
         let db = db();
@@ -549,14 +726,33 @@ mod tests {
         let (_, keys) = fact.column("f_dim").unwrap().as_key().unwrap();
         let half = Pred::eq("d_flag", 1).eval_bitmap(dim);
         let none = Pred::eq("d_flag", 7).eval_bitmap(dim);
-        let mut chains = vec![
-            ChainCheck::Direct { checks: Vec::new() },
-            ChainCheck::PredVec { keys, bitmap: &half },
-            ChainCheck::PredVec { keys, bitmap: &none },
+        let col = |name: &str| fact.schema().position(name).unwrap();
+        let tests = vec![
+            (SelTest::Chain(ChainCheck::Direct { checks: Vec::new() }), "f_dim".to_owned()),
+            (SelTest::chain(keys, col("f_dim"), &half), "f_dim".to_owned()),
+            // f_v spans 10..=60: `< 30` covers 20 of its 51 values.
+            (
+                SelTest::Fact(FactPred::compile(&Pred::cmp("f_v", CmpOp::Lt, 30), fact)),
+                "f_v".into(),
+            ),
+            (SelTest::chain(keys, col("f_dim"), &none), "f_dim".to_owned()),
         ];
-        order_chains(&mut chains);
-        let density: Vec<f64> = chains.iter().map(ChainCheck::estimated_selectivity).collect();
-        assert_eq!(density, [0.0, 0.5, 1.0]);
+        let zones = ScannedZones::new(fact, None);
+        let (tests, steps) = order_tests(tests, fact, &zones);
+        let kinds: Vec<TestKind> = steps.iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, [TestKind::Probe, TestKind::Range, TestKind::Probe, TestKind::Direct]);
+        for (step, want) in steps.iter().zip([0.0, 20.0 / 51.0, 0.5, 1.0]) {
+            assert!((step.estimate - want).abs() < 1e-12, "{step:?}");
+        }
+        let scan = SegmentScan::new(fact, &tests, ScanMode::ColumnWise);
+        let selection = Selection { steps, builder: scan.builder() };
+        assert_eq!(selection.builder, Some(0));
+        assert_eq!(
+            selection.to_string(),
+            "builds probe f_dim ~0.00%, then range f_v ~39.22%, probe f_dim ~50.00%, \
+             direct f_dim ~100.00%"
+        );
+        assert_eq!(SegmentScan::new(fact, &tests, ScanMode::RowWise).builder(), None);
     }
 
     #[test]
@@ -614,23 +810,37 @@ mod tests {
 
     #[test]
     fn all_three_scan_disciplines_agree() {
-        let db = db();
-        let fact = db.table("fact").unwrap();
+        let mut db = db();
         let dim = db.table("dim").unwrap();
         let bm = Pred::eq("d_flag", 1).eval_bitmap(dim);
-        let (_, keys) = fact.column("f_dim").unwrap().as_key().unwrap();
-        let fact_pred = FactPred::unseeded(Pred::cmp("f_v", CmpOp::Lt, 60).compile(fact));
-
-        let chains = vec![ChainCheck::PredVec { keys, bitmap: &bm }];
-        let preds = std::slice::from_ref(&fact_pred);
-        let col = select(fact, 0..6, preds, &chains, ScanMode::ColumnWise);
-        assert_eq!(col, select(fact, 0..6, preds, &chains, ScanMode::RowWise));
-        assert_eq!(col, select(fact, 0..6, preds, &chains, ScanMode::BitmapAnd));
-        assert_eq!(col, [1, 3]);
-        // Chains alone take the fused first probe; same rows as row-wise.
-        let col = select(fact, 0..6, &[], &chains, ScanMode::ColumnWise);
-        assert_eq!(col, select(fact, 0..6, &[], &chains, ScanMode::RowWise));
-        assert_eq!(col, [1, 3, 5]);
+        for deleted in [None, Some(3)] {
+            if let Some(r) = deleted {
+                db.table_mut("fact").unwrap().delete(r);
+            }
+            let fact = db.table("fact").unwrap();
+            let (_, keys) = fact.column("f_dim").unwrap().as_key().unwrap();
+            let tests = || {
+                vec![
+                    SelTest::Fact(FactPred::unseeded(
+                        Pred::cmp("f_v", CmpOp::Lt, 60).compile(fact),
+                    )),
+                    SelTest::Chain(ChainCheck::PredVec { keys, bitmap: &bm }),
+                ]
+            };
+            let (tests, chain_only) = (tests(), tests().split_off(1));
+            // The probe builds even with a fact predicate ahead of it; with
+            // a dead slot its output is filtered by the live bits.
+            assert_eq!(SegmentScan::new(fact, &tests, ScanMode::ColumnWise).builder(), Some(1));
+            let col = select(fact, 0..6, &tests, ScanMode::ColumnWise);
+            assert_eq!(col, select(fact, 0..6, &tests, ScanMode::RowWise));
+            assert_eq!(col, select(fact, 0..6, &tests, ScanMode::BitmapAnd));
+            let want: &[RowId] = if deleted.is_some() { &[1] } else { &[1, 3] };
+            assert_eq!(col, want);
+            let col = select(fact, 0..6, &chain_only, ScanMode::ColumnWise);
+            assert_eq!(col, select(fact, 0..6, &chain_only, ScanMode::RowWise));
+            let want: &[RowId] = if deleted.is_some() { &[1, 5] } else { &[1, 3, 5] };
+            assert_eq!(col, want);
+        }
     }
 
     #[test]
@@ -638,8 +848,8 @@ mod tests {
         let mut db = db();
         db.table_mut("fact").unwrap().delete(3);
         let fact = db.table("fact").unwrap();
-        let p = FactPred::unseeded(Pred::cmp("f_v", CmpOp::Ge, 20).compile(fact));
-        let rows = select(fact, 1..5, std::slice::from_ref(&p), &[], ScanMode::BitmapAnd);
+        let p = SelTest::Fact(FactPred::unseeded(Pred::cmp("f_v", CmpOp::Ge, 20).compile(fact)));
+        let rows = select(fact, 1..5, std::slice::from_ref(&p), ScanMode::BitmapAnd);
         assert_eq!(rows, [1, 2, 4]);
     }
 
@@ -647,15 +857,16 @@ mod tests {
     fn empty_short_circuit() {
         let db = db();
         let fact = db.table("fact").unwrap();
-        let p = FactPred::unseeded(Pred::cmp("f_v", CmpOp::Gt, 1000).compile(fact));
-        assert!(select(fact, 0..6, std::slice::from_ref(&p), &[], ScanMode::ColumnWise).is_empty());
+        let p = SelTest::Fact(FactPred::unseeded(Pred::cmp("f_v", CmpOp::Gt, 1000).compile(fact)));
+        assert!(select(fact, 0..6, std::slice::from_ref(&p), ScanMode::ColumnWise).is_empty());
     }
 
-    /// The encoded seeded scan must produce exactly the rows the row-wise
-    /// predicate accepts, across segment seals, sub-ranges, deletes, and
-    /// every seedable predicate/column shape.
-    #[test]
-    fn seeded_scan_matches_rowwise_eval() {
+    /// fact(f_dim key -> dim, f_i i32, f_l i64, f_d dict) in 64-row
+    /// segments, sealed and then written to: updates and a reuse-insert
+    /// decode the chunks they land in, appends fill a flat tail, deletes
+    /// leave dead slots. `f_dim` holds NULLs and keys 8 and 9, past the
+    /// 8-row dimension.
+    fn written_db() -> Database {
         let mut db = Database::new();
         let mut dim = Table::new("dim", Schema::new(vec![ColumnDef::new("d_flag", DataType::I32)]));
         for f in 0..8 {
@@ -677,7 +888,11 @@ mod tests {
             state >> 33
         };
         for i in 0..300u64 {
-            let key = if next() % 10 == 0 { NULL_KEY } else { (next() % 8) as u32 };
+            let key = match next() % 20 {
+                0 | 1 => NULL_KEY,
+                2 => 8 + (next() % 2) as u32,
+                _ => (next() % 8) as u32,
+            };
             fact.append_row(&[
                 Value::Key(key),
                 Value::Int((next() % 50) as i64 - 25),
@@ -715,9 +930,26 @@ mod tests {
         }
         assert!(fact.column_at(1).chunk_encoding(0).is_none(), "the written chunk went flat");
         assert!(fact.column_at(2).chunk_encoding(0).is_some(), "its neighbours stayed encoded");
+        assert!(fact.column_at(0).chunk_encoding(1).is_some(), "a key chunk stayed encoded");
+        assert!(fact.column_at(0).chunk_encoding(3).is_none(), "the key update decoded one");
         assert!(fact.segment_written(0).is_some());
         db.add_table(dim);
         db.add_table(fact);
+        db
+    }
+
+    /// Row ranges that cross segment seals, sub-ranges, dead slots, the
+    /// reused slot, the flat tail and empty ranges.
+    fn ranges(n: usize) -> [std::ops::Range<usize>; 9] {
+        [0..n, 0..64, 10..200, 64..128, 130..131, 299..300, 150..150, 290..n, 300..n]
+    }
+
+    /// The encoded seeded scan must produce exactly the rows the row-wise
+    /// predicate accepts, across segment seals, sub-ranges, deletes, and
+    /// every seedable predicate/column shape.
+    #[test]
+    fn seeded_scan_matches_rowwise_eval() {
+        let db = written_db();
         let fact = db.table("fact").unwrap();
 
         let preds = [
@@ -736,17 +968,54 @@ mod tests {
         for (p, col) in preds.iter().zip(cols) {
             let compiled = p.clone().compile(fact);
             let colpos = fact.schema().position(col).unwrap();
-            let fp = FactPred::seeded(compiled, colpos);
-            assert!(fp.seed.is_some(), "{p:?} should seed");
-            let n = fact.num_slots();
-            for range in
-                [0..n, 0..64, 10..200, 64..128, 130..131, 299..300, 150..150, 290..n, 300..n]
-            {
-                let preds = std::slice::from_ref(&fp);
-                let enc = select(fact, range.clone(), preds, &[], ScanMode::ColumnWise);
-                let flat = select(fact, range, preds, &[], ScanMode::RowWise);
+            let test = SelTest::Fact(FactPred::seeded(compiled, colpos));
+            assert_eq!(test.kind(), TestKind::Range, "{p:?} should seed");
+            for range in ranges(fact.num_slots()) {
+                let tests = std::slice::from_ref(&test);
+                let enc = select(fact, range.clone(), tests, ScanMode::ColumnWise);
+                let flat = select(fact, range, tests, ScanMode::RowWise);
                 assert_eq!(enc, flat, "{p:?}");
             }
         }
+    }
+
+    /// A chain whose predicate vector is one run of keys becomes a seeded
+    /// range on the foreign key, and selects exactly the rows the probe
+    /// does: NULL keys and keys past the dimension fail both, on encoded,
+    /// written and flat chunks alike. A vector with a gap stays a probe.
+    #[test]
+    fn a_one_run_chain_is_the_key_range_it_replaces() {
+        let db = written_db();
+        let fact = db.table("fact").unwrap();
+        let col = fact.schema().position("f_dim").unwrap();
+        let (_, keys) = fact.column_at(col).as_key().unwrap();
+        for (k0, k1) in [(0, 0), (0, 7), (3, 5), (7, 7), (2, 3)] {
+            let bitmap = Bitmap::from_fn(8, |i| (k0..=k1).contains(&i));
+            let run = SelTest::chain(keys, col, &bitmap);
+            let SelTest::Fact(FactPred { seed: Some(seed), .. }) = &run else {
+                panic!("[{k0}, {k1}] is one run and should be a seeded key range")
+            };
+            assert_eq!((seed.lo, seed.hi), (k0 as i64, k1 as i64));
+            let probe = SelTest::Chain(ChainCheck::PredVec { keys, bitmap: &bitmap });
+            for range in ranges(fact.num_slots()) {
+                let want =
+                    select(fact, range.clone(), std::slice::from_ref(&probe), ScanMode::RowWise);
+                for mode in [ScanMode::ColumnWise, ScanMode::RowWise, ScanMode::BitmapAnd] {
+                    let got = select(fact, range.clone(), std::slice::from_ref(&run), mode);
+                    assert_eq!(got, want, "[{k0}, {k1}] {mode:?} {range:?}");
+                }
+            }
+        }
+        let gap = Bitmap::from_fn(8, |i| i == 2 || i == 5);
+        assert_eq!(SelTest::chain(keys, col, &gap).kind(), TestKind::Probe);
+        let empty = Bitmap::new(8, false);
+        assert_eq!(SelTest::chain(keys, col, &empty).kind(), TestKind::Probe);
+        assert!(select(
+            fact,
+            0..fact.num_slots(),
+            &[SelTest::chain(keys, col, &empty)],
+            ScanMode::ColumnWise
+        )
+        .is_empty());
     }
 }

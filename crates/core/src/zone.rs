@@ -286,10 +286,69 @@ impl SegmentSurvey {
     }
 }
 
+/// The zone maps of the segments one execution scans: what the selection
+/// tests' estimates are read from, so ordering them samples no row.
+#[derive(Debug)]
+pub struct ScannedZones<'a> {
+    fact: &'a Table,
+    /// Scanned segments that hold a live row.
+    kept: Vec<usize>,
+    /// Live rows across them.
+    live: u64,
+}
+
+impl<'a> ScannedZones<'a> {
+    /// The segments `survey` keeps, or every segment when there is none
+    /// (pruning disabled).
+    pub fn new(fact: &'a Table, survey: Option<&SegmentSurvey>) -> Self {
+        let kept: Vec<usize> = (0..fact.segment_count())
+            .filter(|&s| survey.is_none_or(|sv| sv.keep(s)) && fact.zone(s).live() > 0)
+            .collect();
+        let live = kept.iter().map(|&s| fact.zone(s).live()).sum();
+        ScannedZones { fact, kept, live }
+    }
+
+    /// Estimated share of the scanned live rows whose value in column `col`
+    /// lies in `[lo, hi]`: each segment contributes its live rows times the
+    /// share of its zone bounds the range covers, values taken as uniform
+    /// between the bounds. An untracked column reads as 1.
+    pub fn range_share(&self, col: usize, lo: f64, hi: f64) -> f64 {
+        if self.live == 0 {
+            return 0.0;
+        }
+        let rows: f64 = self
+            .kept
+            .iter()
+            .map(|&s| {
+                let zone = self.fact.zone(s);
+                zone.live() as f64 * bounds_share(zone.stat(col), lo, hi)
+            })
+            .sum();
+        rows / self.live as f64
+    }
+}
+
+/// Share of a zone's value bounds that `[lo, hi]` covers (integer and key
+/// bounds count values, float bounds measure width).
+fn bounds_share(stat: &ZoneStats, lo: f64, hi: f64) -> f64 {
+    let (min, max, unit) = match *stat {
+        ZoneStats::Int { min, max } => (min as f64, max as f64, 1.0),
+        ZoneStats::Key { min, max, .. } => (f64::from(min), f64::from(max), 1.0),
+        ZoneStats::Float { min, max } => (min, max, 0.0),
+        ZoneStats::Untracked => return 1.0,
+    };
+    if min > max || hi < min || lo > max {
+        return 0.0;
+    }
+    let span = max - min + unit;
+    if span <= 0.0 {
+        return 1.0;
+    }
+    ((hi.min(max) - lo.max(min) + unit) / span).clamp(0.0, 1.0)
+}
+
 /// Fraction of the fact table's segments a single conjunct may match
-/// (1.0 when the conjunct cannot prune). The optimizer folds this into
-/// predicate ordering: a conjunct that zone-eliminates most segments is
-/// worth evaluating first inside the survivors too.
+/// (1.0 when the conjunct cannot prune) — one of the router's features.
 pub fn conjunct_zone_survival(conjunct: &Pred, fact: &Table) -> f64 {
     let total = fact.segment_count();
     if total == 0 {
@@ -445,6 +504,33 @@ mod tests {
         let kept: Vec<usize> =
             (0..t.segment_count()).filter(|&s| zp.may_match(t.zone(s).stat(zp.col))).collect();
         assert_eq!(kept, vec![0, 2]);
+    }
+
+    #[test]
+    fn range_share_weighs_zone_overlap_by_live_rows() {
+        let mut t = fact_table();
+        let all = ScannedZones::new(&t, None);
+        let v = t.schema().position("f_v").unwrap();
+        // f_v bounds per segment: 0..=30, 40..=70, 80..=110.
+        assert!((all.range_share(v, 0.0, 110.0) - 1.0).abs() < 1e-12);
+        let one_value = all.range_share(v, 40.0, 40.0);
+        assert!((one_value - (1.0 / 31.0) / 3.0).abs() < 1e-12, "{one_value}");
+        assert_eq!(all.range_share(v, 200.0, 300.0), 0.0);
+        // Only the segments a survey keeps count.
+        let dim = t.schema().position("f_dim").unwrap();
+        let mut bm = Bitmap::new(3, false);
+        bm.set(2, true);
+        let survey = SegmentPruner::new(&t, None, vec![(dim, &bm)]).survey();
+        let kept = ScannedZones::new(&t, Some(&survey));
+        assert!((kept.range_share(v, 80.0, 110.0) - 1.0).abs() < 1e-12);
+        assert!((kept.range_share(dim, 2.0, 2.0) - 1.0).abs() < 1e-12);
+        // Float bounds measure width; a degenerate zone is all or nothing.
+        let f = t.schema().position("f_f").unwrap();
+        assert!((kept.range_share(f, 4.0, 4.75) - 0.5).abs() < 1e-12);
+        for r in 0..12 {
+            t.delete(r);
+        }
+        assert_eq!(ScannedZones::new(&t, None).range_share(v, 0.0, 110.0), 0.0, "no live row");
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //! mixes float literals over integer columns — the encoded seed-range
 //! derivation must round them exactly as the scalar path does.
 //!
+//! The date filters are one run of date keys, so they exercise the scan of
+//! a chain as a key range on the packed foreign key against the same
+//! filter on the flat copy.
+//!
 //! `ASTORE_SF` scales the dataset (CI's sf1 job smokes this at 0.2).
 
 use astore_core::expr::{CmpOp, MeasureExpr, Pred};
@@ -26,10 +30,19 @@ use rand::{Rng, SeedableRng};
 const REGIONS: [&str; 5] = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"];
 const MFGRS: [&str; 5] = ["MFGR#1", "MFGR#2", "MFGR#3", "MFGR#4", "MFGR#5"];
 
-/// One random dimension predicate.
+/// One random dimension predicate. The date filters select one run of
+/// date keys — a day, a week, a month, one or two years — which the scan
+/// tests as a key range on `lo_orderdate` rather than a probe.
 fn random_dim_pred(rng: &mut SmallRng) -> (&'static str, Pred) {
-    match rng.gen_range(0..6u32) {
-        0 => ("date", Pred::eq("d_year", rng.gen_range(1992..=1998i64))),
+    let year = rng.gen_range(1992..=1998i64);
+    match rng.gen_range(0..9u32) {
+        6 => ("date", Pred::eq("d_datekey", year * 10_000 + rng.gen_range(1..=12i64) * 100 + 28)),
+        7 => ("date", Pred::eq("d_yearmonthnum", year * 100 + rng.gen_range(1..=12i64))),
+        8 => (
+            "date",
+            Pred::eq("d_weeknuminyear", rng.gen_range(1..=52i64)).and(Pred::eq("d_year", year)),
+        ),
+        0 => ("date", Pred::eq("d_year", year)),
         1 => {
             let lo = rng.gen_range(1992..=1997i64);
             ("date", Pred::between("d_year", lo, lo + 1))

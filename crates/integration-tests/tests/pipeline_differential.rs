@@ -1,11 +1,13 @@
 //! The segment-at-a-time scan pipeline against everything it must equal.
 //!
-//! For the 13 SSB queries and for seeded random SPJGA queries
-//! ([`astore_integration_tests::random_sql`]), five executions must return
-//! the same rows with tolerance 0.0 (every SSB measure is an integer, so
-//! sums are exact in any association): one worker, two workers, zone-map
-//! pruning off, a decoded (all-flat) copy of the database, and the
-//! hash-join baseline — which shares none of the scan code. The fact table
+//! For the 13 SSB queries, for seeded random SPJGA queries
+//! ([`astore_integration_tests::random_sql`]) and for date filters that
+//! select one run of keys (scanned as a key range on the foreign key), six
+//! executions must return the same rows with tolerance 0.0 (every SSB
+//! measure is an integer, so sums are exact in any association): one
+//! worker, two and four workers, zone-map pruning off, a decoded (all-flat)
+//! copy of the database, and the hash-join baseline — which shares none of
+//! the scan code. The fact table
 //! is sealed and then written to, so segments mix encoded chunks with flat
 //! ones (decoded by updates after the seal), a flat tail (appends) and
 //! deletes: the kernels must take every chunk as they find it.
@@ -19,11 +21,12 @@ use std::sync::Arc;
 
 use astore_baseline::engine::execute_hash_pipeline;
 use astore_core::prelude::*;
+use astore_core::scan::TestKind;
 use astore_integration_tests::{random_sql, ssb_sql, substitute};
 use astore_obs::TraceBuf;
 use astore_sql::sql_to_query;
 use astore_storage::catalog::Database;
-use astore_storage::types::Value;
+use astore_storage::types::{Value, NULL_KEY};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -78,13 +81,18 @@ fn dirty(db: &mut Database, rng: &mut SmallRng) {
 /// Forces fan-out on the test-sized table, with morsels smaller than a
 /// segment so a worker claims many.
 fn two_threads(base: ExecOptions) -> ExecOptions {
-    let mut o = base.threads(2).morsel_rows(1024);
+    fan_out(base, 2)
+}
+
+fn fan_out(base: ExecOptions, threads: usize) -> ExecOptions {
+    let mut o = base.threads(threads).morsel_rows(1024);
     o.optimizer.parallel_min_rows_per_thread = 1;
     o.optimizer.host_threads = 64;
     o
 }
 
-fn check_all_arms(db: &Database, flat: &Database, name: &str, sql: &str) {
+/// Runs `sql` on every arm and returns the serial execution's plan.
+fn check_all_arms(db: &Database, flat: &Database, name: &str, sql: &str) -> PlanInfo {
     let q = sql_to_query(sql, db).unwrap_or_else(|e| panic!("{name}: {e}\n{sql}"));
     let run = |arm: &str, opts: ExecOptions| {
         execute(db, &q, &opts).unwrap_or_else(|e| panic!("{name}: {arm} arm failed: {e:?}\n{sql}"))
@@ -97,6 +105,7 @@ fn check_all_arms(db: &Database, flat: &Database, name: &str, sql: &str) {
     assert!(!serial.plan.executor.is_parallel());
     let arms = [
         ("2 threads", run("2 threads", two_threads(ExecOptions::default()))),
+        ("4 threads", run("4 threads", fan_out(ExecOptions::default(), 4))),
         ("pruning(false)", run("pruning(false)", ExecOptions::default().pruning(false))),
         ("decoded copy", on_copy("decoded copy", ExecOptions::default())),
         (
@@ -129,6 +138,7 @@ fn check_all_arms(db: &Database, flat: &Database, name: &str, sql: &str) {
         serial.result.rows
     );
     assert_eq!(joined.selected_rows, serial.plan.selected_rows, "{name}: join\n{sql}");
+    serial.plan
 }
 
 #[test]
@@ -149,6 +159,78 @@ fn pipeline_equals_every_other_execution_on_a_written_to_sealed_table() {
             check_all_arms(&db, &flat, &format!("random {round}/{i}"), &sql);
         }
     }
+}
+
+/// Date filters whose predicate vector is one run of keys — a day, a
+/// month, a week, a year, six years, the first and the last day — are
+/// scanned as a key range on `lo_orderdate` instead of probed, and must
+/// select what every other execution selects: over NULL foreign keys, a
+/// decoded key chunk and dead slots in the segments they seed, beside fact
+/// predicates and other chains. An empty filter, and a run broken by a
+/// deleted date row, stay probes.
+#[test]
+fn one_run_chains_equal_every_other_execution() {
+    let mut db = sealed_db();
+    {
+        // Segment 0 holds the first days: NULL keys (their update decodes
+        // the key chunk) and dead slots.
+        let t = db.table_mut("lineorder").unwrap();
+        for r in (0..400).step_by(9) {
+            t.update(r, "lo_orderdate", &Value::Key(NULL_KEY));
+        }
+        for r in [4u32, 50, 51, 2000, 5000] {
+            t.delete(r);
+        }
+        assert!(t.column("lo_orderdate").unwrap().chunk_encoding(0).is_none());
+        assert!(t.column("lo_orderdate").unwrap().chunk_encoding(1).is_some());
+    }
+    let datekeys =
+        db.table("date").unwrap().column("d_datekey").unwrap().as_i32().unwrap().to_vec();
+    let (first, last) = (datekeys[0], datekeys[datekeys.len() - 1]);
+    let runs = [
+        ("day", format!("d_datekey = {}", datekeys[700])),
+        ("first day", format!("d_datekey = {first}")),
+        ("last day", format!("d_datekey = {last}")),
+        ("month", "d_yearmonthnum = 199401".to_owned()),
+        ("first month", "d_yearmonthnum = 199201".to_owned()),
+        ("week", "d_weeknuminyear = 6 AND d_year = 1994".to_owned()),
+        ("year", "d_year = 1993".to_owned()),
+        ("six years", "d_year BETWEEN 1992 AND 1997".to_owned()),
+    ];
+    let shapes = [
+        "SELECT sum(lo_revenue) AS r, count(*) AS n FROM lineorder, date \
+         WHERE lo_orderdate = d_datekey AND {run}",
+        "SELECT sum(lo_extendedprice * lo_discount) AS r FROM lineorder, date \
+         WHERE lo_orderdate = d_datekey AND {run} AND lo_discount BETWEEN 1 AND 3 \
+         AND lo_quantity < 25",
+        "SELECT lo_shipmode, sum(lo_quantity) AS q FROM lineorder, date \
+         WHERE lo_orderdate = d_datekey AND {run} GROUP BY lo_shipmode ORDER BY lo_shipmode",
+        "SELECT c_nation, d_year, sum(lo_revenue) AS r FROM lineorder, date, customer \
+         WHERE lo_orderdate = d_datekey AND lo_custkey = c_custkey AND {run} \
+         AND c_region = 'ASIA' GROUP BY c_nation, d_year",
+    ];
+    let date_test = |plan: &PlanInfo| {
+        let step = plan.selection.steps.iter().find(|s| s.column == "lo_orderdate");
+        step.expect("the date chain is a test").kind
+    };
+    let check = |db: &Database, name: &str, run: &str| {
+        let flat = db.decoded();
+        shapes.map(|shape| {
+            let sql = shape.replace("{run}", run);
+            date_test(&check_all_arms(db, &flat, name, &sql))
+        })
+    };
+    for (name, run) in &runs {
+        assert_eq!(check(&db, name, run), [TestKind::Range; 4], "{name}: a run is a key range");
+    }
+    assert_eq!(check(&db, "empty", "d_year = 2099"), [TestKind::Probe; 4]);
+
+    // A deleted date inside January 1994 splits the month into two runs.
+    let jan15 = datekeys.iter().position(|&k| k == 19940115).expect("the calendar has it");
+    db.table_mut("date").unwrap().delete(jan15 as u32);
+    let month = "d_yearmonthnum = 199401";
+    assert_eq!(check(&db, "month with a hole", month), [TestKind::Probe; 4]);
+    assert_eq!(check(&db, "a day beside the hole", "d_datekey = 19940116"), [TestKind::Range; 4]);
 }
 
 /// `(query, groups, selected_rows, segments_scanned, segments_pruned)` of

@@ -9,11 +9,17 @@
 //! The SPJGA workload generator is shared with `prepared_differential.rs`
 //! (see `astore_integration_tests`), so both suites cover the same query
 //! space: 200 seeded queries here, interleaved with 200 seeded writes.
+//!
+//! The zone maps also order the scan's selection tests; the last test pins
+//! which test builds the selection for the benchmark's short statements and
+//! three SSB queries at SF 0.2.
 
 use astore_api::{Connection, EmbeddedConnection, Row, Rows};
 use astore_core::prelude::*;
+use astore_core::scan::TestKind;
 use astore_datagen::ssb;
-use astore_integration_tests::random_sql;
+use astore_integration_tests::{random_sql, ssb_sql, substitute};
+use astore_sql::sql_to_query;
 use astore_storage::snapshot::SharedDatabase;
 use astore_storage::types::{RowId, Value};
 use rand::rngs::SmallRng;
@@ -183,5 +189,74 @@ fn parallel_pruned_scan_matches_flat_oracle() {
             "{}: parallel pruned scan diverged",
             sq.id
         );
+    }
+}
+
+/// Which test builds the selection at SF 0.2 (seed 42): the most selective
+/// test among the rows the zone maps keep — a one-run date chain only when
+/// it is that. The statements are `serve-mix`'s four short templates and
+/// three SSB queries.
+#[test]
+fn selection_builders_at_sf_0_2() {
+    let db = ssb::generate(0.2, 42);
+    let day = "FROM lineorder, date WHERE lo_orderdate = d_datekey AND d_datekey = 19950612";
+    let mut statements: Vec<(&str, String)> = vec![
+        ("T0", format!("SELECT sum(lo_revenue) AS revenue {day}")),
+        (
+            "T1",
+            format!(
+                "SELECT count(*) AS orders, sum(lo_extendedprice * lo_discount) AS revenue \
+                 {day} AND lo_discount BETWEEN 3 AND 5"
+            ),
+        ),
+        (
+            "T2",
+            format!(
+                "SELECT lo_shipmode, sum(lo_quantity) AS quantity {day} \
+                 GROUP BY lo_shipmode ORDER BY lo_shipmode"
+            ),
+        ),
+        (
+            "T3",
+            "SELECT sum(lo_extendedprice * lo_discount) AS revenue FROM lineorder, date \
+             WHERE lo_orderdate = d_datekey AND d_yearmonthnum = 199606 \
+             AND lo_discount BETWEEN 2 AND 4 AND lo_quantity BETWEEN 20 AND 29"
+                .to_owned(),
+        ),
+    ];
+    for (name, template, params) in ssb_sql() {
+        if ["Q1.1", "Q3.1", "Q3.3"].contains(&name) {
+            statements.push((name, substitute(template, &params)));
+        }
+    }
+    // (builder kind, builder column, then the date chain's kind and where it
+    // runs in the list).
+    let want = [
+        ("T0", TestKind::Range, "lo_orderdate", 0),
+        ("T1", TestKind::Range, "lo_orderdate", 0),
+        ("T2", TestKind::Range, "lo_orderdate", 0),
+        ("T3", TestKind::Range, "lo_orderdate", 0),
+        ("Q1.1", TestKind::Range, "lo_discount", 2),
+        ("Q3.1", TestKind::Probe, "lo_custkey", 2),
+        ("Q3.3", TestKind::Range, "lo_suppkey", 2),
+    ];
+    for ((name, sql), (want_name, kind, column, date_at)) in statements.iter().zip(want) {
+        assert_eq!(*name, want_name);
+        let q = sql_to_query(sql, &db).unwrap();
+        let sel = execute(&db, &q, &ExecOptions::default()).unwrap().plan.selection;
+        let builder = sel.builder_step().unwrap_or_else(|| panic!("{name}: nothing builds: {sel}"));
+        assert_eq!((builder.kind, builder.column.as_str()), (kind, column), "{name}: {sel}");
+        let date = &sel.steps[date_at];
+        assert_eq!((date.kind, date.column.as_str()), (TestKind::Range, "lo_orderdate"), "{name}");
+        match *name {
+            // A day among the ≈ 1.4 segments it keeps is well under 1 %.
+            "T0" | "T1" | "T2" => assert!(date.estimate < 0.01, "{name}: {sel}"),
+            // The year of Q1.1 is ≈ 68 % of its four segments, behind the
+            // discount range's 3 of 11 values.
+            "Q1.1" => assert!((0.6..0.75).contains(&date.estimate), "{name}: {sel}"),
+            // Six of seven years pass nearly every row Q3.x scans.
+            _ if name.starts_with("Q3") => assert!(date.estimate > 0.9, "{name}: {sel}"),
+            _ => {}
+        }
     }
 }

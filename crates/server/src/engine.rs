@@ -42,7 +42,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use astore_baseline::engine::execute_hash_pipeline;
-use astore_core::exec::{execute, ExecOptions, ExecOutput};
+use astore_core::exec::{execute, execute_granted, plan_selection, ExecOptions, ExecOutput};
 use astore_core::graph::JoinGraph;
 use astore_core::query::Query;
 use astore_core::result::QueryResult;
@@ -1061,22 +1061,26 @@ impl Engine {
 
     /// The production AIR arm: morsel fan-out under the core budget's
     /// grant. Zero grant = serial — never blocking, never oversubscribing.
+    /// The request is sized by the executor from the rows its zone-map
+    /// survey keeps, so a pruned statement asks for no permit it would not
+    /// use.
     fn run_air(
         &self,
         snap: &Arc<Database>,
         query: &Query,
         trace: &Option<Arc<TraceBuf>>,
     ) -> Result<EngineRun, Json> {
-        let want =
-            self.opts.optimizer.plan_threads(estimated_scan_rows(snap, query), self.opts.threads);
-        let extra = self.budget.try_extra(want.saturating_sub(1));
-        let mut exec_opts = ExecOptions { threads: 1 + extra.held(), ..self.opts.clone() };
+        let mut exec_opts = self.opts.clone();
         if let Some(t) = trace {
             exec_opts = exec_opts.trace(Arc::clone(t));
         }
-        let out = execute(snap, query, &exec_opts)
-            .map_err(|e| error_frame(ErrorCode::ExecError, e.to_string()))?;
-        drop(extra);
+        let mut want = 1;
+        let out = execute_granted(snap, query, &exec_opts, |threads| {
+            want = threads;
+            let extra = self.budget.try_extra(threads - 1);
+            (1 + extra.held(), extra)
+        })
+        .map_err(|e| error_frame(ErrorCode::ExecError, e.to_string()))?;
         Ok(EngineRun::Air { out, want })
     }
 
@@ -1161,6 +1165,8 @@ impl Engine {
                     return Err(error_frame(ErrorCode::BadRequest, "statement is not a SELECT"))
                 }
             };
+        let selection = plan_selection(&snap, &query, &self.opts)
+            .map_err(|e| error_frame(ErrorCode::ExecError, e.to_string()))?;
         let features = Features::extract(&snap, &query);
         let eligible = self.engine_eligibility(&snap, &query, &key);
         let decision = self.router.peek(&key, eligible, pin);
@@ -1184,6 +1190,7 @@ impl Engine {
             ),
             format!("top_feature: {top_name}={top_value:.4}"),
             format!("eligible: {eligible_list}"),
+            format!("selection: {selection}"),
         ];
         if let Some(ts) = self.router.template_snapshot(&key) {
             for e in EngineChoice::ALL {
@@ -1451,10 +1458,9 @@ fn json_to_param(j: &Json) -> Result<Value, String> {
     }
 }
 
-/// The planner's scan-size estimate for the core budget: the largest table
-/// the query references (the fact table dominates a star query). An
-/// explicit root is trusted outright; a query referencing no known table
-/// estimates 0 and stays serial.
+/// The denorm arm's fact-size gate: the largest table the query references
+/// (the fact table dominates a star query). An explicit root is trusted
+/// outright; a query referencing no known table estimates 0.
 fn estimated_scan_rows(db: &astore_storage::catalog::Database, query: &Query) -> usize {
     if let Some(root) = &query.root {
         return db.table(root).map(|t| t.num_slots()).unwrap_or(0);
@@ -1807,6 +1813,11 @@ mod tests {
     /// A star schema with a fact table big enough (two full segments) that
     /// the default planner wants to fan out.
     fn big_db() -> Database {
+        big_db_keyed(|i| i % 16)
+    }
+
+    /// [`big_db`] with fact row `i` referencing dimension row `key(i)`.
+    fn big_db_keyed(key: impl Fn(u32) -> u32) -> Database {
         let mut dim =
             Table::new("dim", Schema::new(vec![ColumnDef::new("d_name", DataType::Dict)]));
         for i in 0..16 {
@@ -1820,7 +1831,7 @@ mod tests {
             ]),
         );
         for i in 0..(2 * SEGMENT_ROWS as u32) {
-            fact.append_row(&[Value::Key(i % 16), Value::Int(i as i64)]);
+            fact.append_row(&[Value::Key(key(i)), Value::Int(i as i64)]);
         }
         let mut db = Database::new();
         db.add_table(dim);
@@ -1860,6 +1871,51 @@ mod tests {
         let stats = e.stats();
         assert_eq!(stats.parallel_queries.load(std::sync::atomic::Ordering::Relaxed), 0);
         assert_eq!(stats.parallel_denied.load(std::sync::atomic::Ordering::Relaxed), 1);
+    }
+
+    /// The fan-out request is sized from the rows the zone maps keep, not
+    /// from the table: a statement that prunes to one segment takes no
+    /// permit beyond its own, is not counted as denied, and leaves the
+    /// budget free for the statements beside it.
+    #[test]
+    fn zone_pruned_statements_ask_for_no_extra_permit() {
+        // Dimension row k is referenced by the k-th sixteenth of the fact
+        // rows, so one name keeps one of the two segments.
+        let db = big_db_keyed(|i| i / (2 * SEGMENT_ROWS as u32 / 16));
+        let e = Engine::with_options(SharedDatabase::new(db), fan_out_opts(2)).core_budget(2);
+        let mut session = StatementRegistry::default();
+        let r = sqls(&e, &mut session, "SET engine = air");
+        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
+        let peak = std::sync::atomic::AtomicUsize::new(0);
+        let done = AtomicBool::new(false);
+        let replies = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    peak.fetch_max(e.budget().in_use(), Ordering::Relaxed);
+                    std::thread::yield_now();
+                }
+            });
+            let replies: Vec<Json> = (0..100)
+                .map(|i| {
+                    let q =
+                        format!("SELECT sum(f_v) AS s FROM fact, dim WHERE d_name = 'd{}'", i % 16);
+                    sqls(&e, &mut session, &q)
+                })
+                .collect();
+            done.store(true, Ordering::Relaxed);
+            replies
+        });
+        for r in &replies {
+            assert_eq!(r.get("segments_scanned").and_then(Json::as_i64), Some(1), "{r:?}");
+        }
+        assert!(peak.load(Ordering::Relaxed) <= 1, "a pruned statement took an extra permit");
+        let stats = e.stats();
+        assert_eq!(stats.parallel_denied.load(Ordering::Relaxed), 0);
+        assert_eq!(e.budget().denied(), 0);
+        // The whole table still fans out on the same engine.
+        let r = sqls(&e, &mut session, "SELECT sum(f_v) AS s FROM fact");
+        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
+        assert_eq!(stats.parallel_queries.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -2553,6 +2609,13 @@ mod tests {
         assert!(joined.contains("features: fact_rows_live=3"), "{joined}");
         assert!(joined.contains("top_feature:"), "{joined}");
         assert!(joined.contains("eligible: air,join,denorm"), "{joined}");
+        assert!(joined.contains("selection: live rows"), "no filter, nothing builds: {joined}");
+        let r = sql(&e, "EXPLAIN SELECT sum(f_v) AS s FROM fact, dim WHERE d_name = 'beta' AND f_v > 1");
+        let explain = r.get("explain").unwrap().as_array().unwrap();
+        assert!(
+            explain.iter().any(|l| l.as_str().unwrap().starts_with("selection: builds range f_dim")),
+            "one name is one key run: {r:?}"
+        );
         use std::sync::atomic::Ordering::Relaxed;
         assert_eq!(e.stats().queries.load(Relaxed), 0, "no query ran");
         assert_eq!(e.router().snapshot().total_decisions, 0, "no decision consumed");

@@ -166,6 +166,19 @@ impl Bitmap {
         self.words[wl + 1..wh].iter().any(|&w| w != 0)
     }
 
+    /// The set bits as one inclusive run `(first, last)` when they form
+    /// exactly one, `None` when no bit is set or there is a gap. A composed
+    /// predicate vector that is one run is a key range, which the fact scan
+    /// tests on the foreign key's packed codes instead of probing the bits.
+    pub fn one_run(&self) -> Option<(usize, usize)> {
+        let w0 = self.words.iter().position(|&w| w != 0)?;
+        let w1 = self.words.iter().rposition(|&w| w != 0)?;
+        let first = w0 * WORD_BITS + self.words[w0].trailing_zeros() as usize;
+        let last = w1 * WORD_BITS + (WORD_BITS - 1 - self.words[w1].leading_zeros() as usize);
+        let ones: usize = self.words[w0..=w1].iter().map(|w| w.count_ones() as usize).sum();
+        (ones == last - first + 1).then_some((first, last))
+    }
+
     /// Iterates over the indexes of set bits, in ascending order.
     pub fn iter_ones(&self) -> IterOnes<'_> {
         IterOnes { bm: self, word_idx: 0, current: self.words.first().copied().unwrap_or(0) }
@@ -567,6 +580,23 @@ mod tests {
                 assert_eq!(bm.any_in_range(lo, hi), naive, "lo={lo} hi={hi}");
             }
         }
+    }
+
+    #[test]
+    fn one_run_finds_a_single_run_of_set_bits() {
+        assert_eq!(Bitmap::new(0, false).one_run(), None);
+        assert_eq!(Bitmap::new(200, false).one_run(), None, "no bit set");
+        assert_eq!(Bitmap::new(200, true).one_run(), Some((0, 199)));
+        // Every run inside, across and at the ends of words; then a gap.
+        for (lo, hi) in [(0, 0), (63, 64), (5, 130), (199, 199), (64, 127)] {
+            let mut bm = Bitmap::from_fn(200, |i| (lo..=hi).contains(&i));
+            assert_eq!(bm.one_run(), Some((lo, hi)), "{lo}..={hi}");
+            if hi > lo + 1 {
+                bm.set(lo + 1, false);
+                assert_eq!(bm.one_run(), None, "{lo}..={hi} with a hole");
+            }
+        }
+        assert_eq!(Bitmap::from_fn(200, |i| i == 3 || i == 150).one_run(), None);
     }
 
     #[test]
