@@ -1,25 +1,5 @@
-//! Router replay harness: the SSB flight replayed under each fixed engine
-//! (air, join, denorm) and then under the adaptive router, against one
-//! server [`Engine`].
-//!
-//! The fixed passes do double duty: they are the measurement baseline
-//! *and* — because every pinned execution still reports its latency to the
-//! router — the training data the adaptive pass exploits. After them the
-//! harness runs the workload on an `auto` session (a few warmup rounds,
-//! then measured rounds) and scores it against two oracles:
-//!
-//! - **best-of-oracle**: per query, the fastest fixed strategy — the
-//!   latency a clairvoyant per-template picker would achieve. The router's
-//!   *regret* is how far above that its own total lands.
-//! - **worst fixed**: the slowest single strategy applied to everything —
-//!   the cost of picking one engine globally and being wrong.
-//!
-//! Every execution of every pass is checked bit-for-bit (rows sorted to
-//! canonicalize group order) against the forced-AIR answer; a replay with
-//! any mismatch is a correctness failure, whatever the timings say.
-
-use astore_server::json::Json;
-use astore_server::{Engine, StatementRegistry};
+//! The SSB flight as wire-level SQL text, shared by the differential
+//! suites and the repository benchmark.
 
 /// The 13 SSB queries as literal SQL, in flight order — the wire-level
 /// twin of [`astore_datagen::ssb::queries`].
@@ -134,205 +114,3 @@ pub const SSB_SQL: [(&str, &str); 13] = [
          GROUP BY d_year, s_city, p_brand1 ORDER BY d_year, s_city, p_brand1",
     ),
 ];
-
-/// One strategy's replay result.
-#[derive(Debug)]
-pub struct StrategyRun {
-    /// `air` | `join` | `denorm` | `auto`.
-    pub name: &'static str,
-    /// Per query (flight order): the best measured server-side latency.
-    pub per_query_us: Vec<u64>,
-    /// Executions whose canonicalized rows differed from forced AIR.
-    pub mismatches: usize,
-}
-
-impl StrategyRun {
-    /// Sum of the per-query best latencies — one steady-state workload pass.
-    pub fn total_us(&self) -> u64 {
-        self.per_query_us.iter().sum()
-    }
-}
-
-/// The full replay outcome: three fixed passes, the adaptive pass, and the
-/// derived oracles.
-#[derive(Debug)]
-pub struct ReplayOutcome {
-    /// Fixed passes, in `air`, `join`, `denorm` order.
-    pub fixed: Vec<StrategyRun>,
-    /// The adaptive (`auto`) pass, measured after its warmup rounds.
-    pub router: StrategyRun,
-    /// Per query, min across the fixed strategies, summed: the clairvoyant
-    /// per-template picker.
-    pub oracle_us: u64,
-    /// The slowest fixed strategy's total.
-    pub worst_fixed_us: u64,
-    /// `router_total / oracle − 1` (0.0 = matched the oracle exactly).
-    pub regret: f64,
-    /// Mismatches across every pass and round; must be zero.
-    pub total_mismatches: usize,
-    /// Adaptive-pass decisions per arm (air, join, denorm), from the
-    /// engine's counters.
-    pub decisions: [u64; 3],
-}
-
-impl ReplayOutcome {
-    /// Whether the replay met the router's acceptance gates: zero
-    /// mismatches, regret within `max_regret`, and strictly cheaper than
-    /// the worst fixed strategy.
-    pub fn passes(&self, max_regret: f64) -> bool {
-        self.total_mismatches == 0
-            && self.regret <= max_regret
-            && self.router.total_us() < self.worst_fixed_us
-    }
-
-    /// Renders the outcome as the `BENCH_router.json` document.
-    pub fn to_json(&self, sf: f64, rounds: usize, warmup_rounds: usize) -> Json {
-        let strategy = |run: &StrategyRun| {
-            Json::obj([
-                ("total_us", Json::Int(run.total_us() as i64)),
-                (
-                    "per_query_us",
-                    Json::Array(run.per_query_us.iter().map(|&us| Json::Int(us as i64)).collect()),
-                ),
-                ("mismatches", Json::Int(run.mismatches as i64)),
-            ])
-        };
-        let mut fixed: Vec<(&str, Json)> = Vec::new();
-        for run in &self.fixed {
-            fixed.push((run.name, strategy(run)));
-        }
-        Json::obj([
-            ("bench", Json::Str("router_replay".into())),
-            ("dataset", Json::Str("ssb".into())),
-            ("sf", Json::Float(sf)),
-            (
-                "queries",
-                Json::Array(SSB_SQL.iter().map(|(id, _)| Json::Str((*id).into())).collect()),
-            ),
-            ("rounds", Json::Int(rounds as i64)),
-            ("router_warmup_rounds", Json::Int(warmup_rounds as i64)),
-            ("fixed", Json::obj(fixed)),
-            ("router", strategy(&self.router)),
-            ("oracle_us", Json::Int(self.oracle_us as i64)),
-            ("worst_fixed_us", Json::Int(self.worst_fixed_us as i64)),
-            ("regret", Json::Float(self.regret)),
-            (
-                "router_decisions",
-                Json::obj([
-                    ("air", Json::Int(self.decisions[0] as i64)),
-                    ("join", Json::Int(self.decisions[1] as i64)),
-                    ("denorm", Json::Int(self.decisions[2] as i64)),
-                ]),
-            ),
-            ("total_mismatches", Json::Int(self.total_mismatches as i64)),
-        ])
-    }
-}
-
-fn sql(e: &Engine, reg: &mut StatementRegistry, s: &str) -> Json {
-    e.handle_line_session(&Json::obj([("sql", Json::Str(s.into()))]).to_string(), reg)
-}
-
-fn pinned_session(e: &Engine, engine: &str) -> StatementRegistry {
-    let mut reg = StatementRegistry::default();
-    let r = sql(e, &mut reg, &format!("SET engine = {engine}"));
-    assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "SET engine failed: {r}");
-    reg
-}
-
-/// Canonicalized rows of a successful result frame (sorted serialized
-/// rows), plus the server-side latency.
-fn run_one(e: &Engine, reg: &mut StatementRegistry, stmt: &str, ctx: &str) -> (Vec<String>, u64) {
-    let frame = sql(e, reg, stmt);
-    assert_eq!(frame.get("ok").and_then(Json::as_bool), Some(true), "{ctx}: {frame}");
-    let mut rows: Vec<String> = frame
-        .get("rows")
-        .and_then(Json::as_array)
-        .map(|rs| rs.iter().map(Json::to_string).collect())
-        .unwrap_or_default();
-    rows.sort_unstable();
-    let us = frame.get("elapsed_us").and_then(Json::as_i64).unwrap_or(0).max(0) as u64;
-    (rows, us)
-}
-
-/// Replays the SSB flight on `engine`: `rounds` measured rounds per fixed
-/// strategy, then `warmup_rounds + rounds` adaptive rounds (only the last
-/// `rounds` are measured). The engine should carry a low-warmup
-/// [`astore_server::RouterConfig`] so the adaptive pass converges within
-/// the warmup rounds.
-pub fn run_replay(engine: &Engine, rounds: usize, warmup_rounds: usize) -> ReplayOutcome {
-    assert!(rounds > 0);
-    let n = SSB_SQL.len();
-
-    // Forced-AIR reference answers (data is static during the replay).
-    let mut reference: Vec<Vec<String>> = Vec::with_capacity(n);
-    {
-        let mut reg = pinned_session(engine, "air");
-        for (id, stmt) in SSB_SQL {
-            reference.push(run_one(engine, &mut reg, stmt, id).0);
-        }
-    }
-
-    let mut total_mismatches = 0usize;
-    let mut pass = |engine_name: &'static str, skip_rounds: usize| -> StrategyRun {
-        let mut reg = pinned_session(engine, engine_name);
-        let mut best = vec![u64::MAX; n];
-        let mut mismatches = 0usize;
-        for round in 0..skip_rounds + rounds {
-            for (q, (id, stmt)) in SSB_SQL.iter().enumerate() {
-                let (rows, us) = run_one(engine, &mut reg, stmt, id);
-                if rows != reference[q] {
-                    mismatches += 1;
-                    eprintln!("MISMATCH: {engine_name} round {round} {id}");
-                }
-                if round >= skip_rounds {
-                    best[q] = best[q].min(us);
-                }
-            }
-        }
-        total_mismatches += mismatches;
-        StrategyRun { name: engine_name, per_query_us: best, mismatches }
-    };
-
-    let fixed: Vec<StrategyRun> =
-        ["air", "join", "denorm"].into_iter().map(|name| pass(name, 0)).collect();
-
-    use std::sync::atomic::Ordering::Relaxed;
-    let before: [u64; 3] =
-        std::array::from_fn(|i| engine.stats().router_decisions[i].load(Relaxed));
-    let router = pass("auto", warmup_rounds);
-    let decisions: [u64; 3] = std::array::from_fn(|i| {
-        engine.stats().router_decisions[i].load(Relaxed).saturating_sub(before[i])
-    });
-
-    let oracle_us: u64 =
-        (0..n).map(|q| fixed.iter().map(|s| s.per_query_us[q]).min().unwrap_or(0)).sum();
-    let worst_fixed_us = fixed.iter().map(StrategyRun::total_us).max().unwrap_or(0);
-    let router_total = router.total_us();
-    let regret = if oracle_us > 0 { router_total as f64 / oracle_us as f64 - 1.0 } else { 0.0 };
-
-    ReplayOutcome { fixed, router, oracle_us, worst_fixed_us, regret, total_mismatches, decisions }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use astore_datagen::ssb;
-    use astore_server::RouterConfig;
-    use astore_storage::snapshot::SharedDatabase;
-
-    #[test]
-    fn replay_is_mismatch_free_on_a_tiny_set() {
-        let shared = SharedDatabase::new(ssb::generate(0.001, 42));
-        let engine = Engine::new(shared)
-            .router_config(RouterConfig { warmup: 2, ..RouterConfig::default() });
-        let out = run_replay(&engine, 2, 1);
-        assert_eq!(out.total_mismatches, 0);
-        assert_eq!(out.fixed.len(), 3);
-        assert_eq!(out.router.per_query_us.len(), SSB_SQL.len());
-        assert!(out.oracle_us > 0, "latencies were recorded");
-        assert_eq!(out.decisions.iter().sum::<u64>(), ((1 + 2) * SSB_SQL.len()) as u64);
-        let json = out.to_json(0.001, 2, 1).to_string();
-        assert!(json.contains("\"regret\""), "{json}");
-    }
-}

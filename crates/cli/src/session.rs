@@ -347,20 +347,10 @@ impl Session {
         match remote.client.sql(sql) {
             Ok(frame) => {
                 let mut out = render_frame(&frame, self.timing);
-                // With \plan on, say which engine the adaptive router ran
-                // this statement on, and (one extra round trip — a bare
-                // EXPLAIN previews without executing or perturbing the
-                // router) the feature that dominated the choice.
+                // With \plan on, say which engine ran this statement.
                 if self.show_plan {
                     if let Some(engine) = frame.get("engine").and_then(Json::as_str) {
                         let _ = write!(out, "\nengine: {engine}");
-                        if let Ok(ex) = remote.client.sql(&format!("EXPLAIN {sql}")) {
-                            for line in explain_lines(&ex) {
-                                if let Some(tf) = line.strip_prefix("top_feature: ") {
-                                    let _ = write!(out, "  ({tf})");
-                                }
-                            }
-                        }
                     }
                 }
                 out
@@ -540,15 +530,6 @@ fn render_frame(frame: &Json, timing: bool) -> String {
     out
 }
 
-/// The `explain` lines of an EXPLAIN response frame, if any.
-fn explain_lines(frame: &Json) -> Vec<&str> {
-    frame
-        .get("explain")
-        .and_then(Json::as_array)
-        .map(|ls| ls.iter().filter_map(Json::as_str).collect())
-        .unwrap_or_default()
-}
-
 /// Whether the statement is a SELECT (the only kind `\trace` wraps).
 fn is_select(sql: &str) -> bool {
     sql.trim_start().get(..6).is_some_and(|head| head.eq_ignore_ascii_case("select"))
@@ -619,8 +600,8 @@ commands:
   \\variant <v>       r | rp | c | cp | cpg   (AIRScan variants)
   \\threads <n>       parallel workers
   \\timing on|off     per-query wall time
-  \\plan on|off       plan diagnostics (remote mode: also the engine the
-                     adaptive router chose and its top deciding feature)
+  \\plan on|off       plan diagnostics (remote mode: also the engine that
+                     ran the statement)
   \\trace on|off      run SELECTs as EXPLAIN ANALYZE (rows + span report)
   \\save <file>       snapshot the loaded database to disk
   \\open <file>       load a snapshot written by \\save (or astore-serve)
@@ -856,12 +837,10 @@ mod tests {
         assert!(out.contains("(1 rows)"), "{out}");
         assert!(out.contains("phases: leaf="), "{out}");
 
-        // \plan on names the engine the router ran the SELECT on and the
-        // top feature behind the choice (via a bare-EXPLAIN preview).
+        // \plan on names the engine that ran the SELECT.
         text(s.feed("\\plan on"));
         let out = text(s.feed("SELECT count(*) AS n FROM lineorder"));
-        assert!(out.contains("engine: air  ("), "{out}");
-        assert!(out.contains('='), "{out}");
+        assert!(out.contains("engine: air"), "{out}");
         text(s.feed("\\plan off"));
 
         // \trace on wraps plain SELECTs as EXPLAIN ANALYZE server-side.

@@ -347,22 +347,6 @@ fn bounds_share(stat: &ZoneStats, lo: f64, hi: f64) -> f64 {
     ((hi.min(max) - lo.max(min) + unit) / span).clamp(0.0, 1.0)
 }
 
-/// Fraction of the fact table's segments a single conjunct may match
-/// (1.0 when the conjunct cannot prune) — one of the router's features.
-pub fn conjunct_zone_survival(conjunct: &Pred, fact: &Table) -> f64 {
-    let total = fact.segment_count();
-    if total == 0 {
-        return 1.0;
-    }
-    match ZonePred::from_conjunct(conjunct, fact) {
-        Some(zp) => {
-            let kept = (0..total).filter(|&s| zp.may_match(fact.zone(s).stat(zp.col))).count();
-            kept as f64 / total as f64
-        }
-        None => 1.0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,13 +515,5 @@ mod tests {
             t.delete(r);
         }
         assert_eq!(ScannedZones::new(&t, None).range_share(v, 0.0, 110.0), 0.0, "no live row");
-    }
-
-    #[test]
-    fn survival_fraction() {
-        let t = fact_table();
-        let s = conjunct_zone_survival(&Pred::cmp("f_v", CmpOp::Ge, 80), &t);
-        assert!((s - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(conjunct_zone_survival(&Pred::cmp("f_v", CmpOp::Ne, 1), &t), 1.0);
     }
 }

@@ -5,7 +5,7 @@
 //!   replies at SF 0.002 and the [`torture`] frame, all printed by the
 //!   serialiser this codec replaced. Re-serialising them must reproduce the
 //!   file byte for byte — that is what keeps reply frames identical across
-//!   releases and across both io models.
+//!   releases.
 //! - **Round trip.** Random trees (deep nesting, every escape class,
 //!   non-BMP characters, extreme integers, whole / subnormal / huge floats,
 //!   empty containers) satisfy `parse(to_string(v)) == v`.

@@ -1,9 +1,9 @@
 //! The event-driven connection front-end, exercised over real TCP against
 //! a live server: protocol robustness (frames split at arbitrary byte
 //! boundaries, many frames in one write, oversized frames, slow-loris
-//! half-frames) and the io-model differential — the reactor and the
-//! thread-per-connection oracle must serve **byte-identical** response
-//! frames for the same recorded request log.
+//! half-frames) and the recorded-log transcript — the server must answer a
+//! recorded request log with **byte-identical** response frames to the
+//! ones `testdata/recorded-log-replies.jsonl` holds.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -12,10 +12,10 @@ use std::time::Duration;
 
 use astore_datagen::ssb;
 use astore_server::json::Json;
-use astore_server::{start, Engine, IoModel, ServerConfig, ServerHandle};
+use astore_server::{start, Engine, ServerConfig, ServerHandle};
 use astore_storage::snapshot::SharedDatabase;
 
-fn serve(io_model: IoModel, idle_timeout_ms: u64) -> ServerHandle {
+fn serve(idle_timeout_ms: u64) -> ServerHandle {
     let db = ssb::generate(0.002, 42);
     let engine = Arc::new(Engine::new(SharedDatabase::new(db)));
     start(
@@ -24,7 +24,6 @@ fn serve(io_model: IoModel, idle_timeout_ms: u64) -> ServerHandle {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             queue_depth: 64,
-            io_model,
             idle_timeout_ms,
             ..Default::default()
         },
@@ -40,7 +39,7 @@ fn read_line(stream: &mut BufReader<TcpStream>) -> String {
 
 #[test]
 fn frames_split_at_every_byte_boundary_against_live_server() {
-    let server = serve(IoModel::Reactor, 0);
+    let server = serve(0);
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream.set_nodelay(true).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -62,7 +61,7 @@ fn frames_split_at_every_byte_boundary_against_live_server() {
 
 #[test]
 fn pipelined_frames_in_one_write_answered_in_order() {
-    let server = serve(IoModel::Reactor, 0);
+    let server = serve(0);
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream.set_nodelay(true).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -99,7 +98,7 @@ fn pipelined_frames_in_one_write_answered_in_order() {
 
 #[test]
 fn oversized_frame_gets_typed_error_then_close() {
-    let server = serve(IoModel::Reactor, 0);
+    let server = serve(0);
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     // 1 MiB + change of newline-free garbage.
@@ -120,7 +119,7 @@ fn oversized_frame_gets_typed_error_then_close() {
 
 #[test]
 fn slow_loris_half_frame_reaped_while_idle_connection_survives() {
-    let server = serve(IoModel::Reactor, 250);
+    let server = serve(250);
     // Connection A stalls mid-frame; connection B is connected but silent.
     let mut loris = TcpStream::connect(server.addr()).unwrap();
     let mut idle = TcpStream::connect(server.addr()).unwrap();
@@ -145,7 +144,7 @@ fn slow_loris_half_frame_reaped_while_idle_connection_survives() {
 }
 
 // ---------------------------------------------------------------------------
-// io-model differential: reactor vs thread-per-connection oracle.
+// Recorded-log transcript: the replies are pinned byte for byte.
 // ---------------------------------------------------------------------------
 
 /// A recorded request log covering the whole protocol surface: text SQL
@@ -207,17 +206,20 @@ fn replay(addr: std::net::SocketAddr, log: &[String]) -> Vec<String> {
         .collect()
 }
 
+/// The replies the recorded log drew when the reactor and the retired
+/// thread-per-connection model still served it side by side and agreed
+/// byte for byte; `elapsed_us` stripped, one frame a line.
+const RECORDED_REPLIES: &str = include_str!("../testdata/recorded-log-replies.jsonl");
+
 #[test]
 fn io_models_serve_byte_identical_frames_for_recorded_log() {
     let log = request_log();
-    let reactor = serve(IoModel::Reactor, 0);
-    let threads = serve(IoModel::Threads, 0);
-    let from_reactor = replay(reactor.addr(), &log);
-    let from_threads = replay(threads.addr(), &log);
-    for (i, (r, t)) in from_reactor.iter().zip(&from_threads).enumerate() {
-        assert_eq!(r, t, "response {i} diverged for request {:?}", log[i]);
+    let server = serve(0);
+    let replies = replay(server.addr(), &log);
+    let recorded: Vec<&str> = RECORDED_REPLIES.lines().collect();
+    assert_eq!(replies.len(), recorded.len(), "one recorded reply per request");
+    for (i, (got, want)) in replies.iter().zip(&recorded).enumerate() {
+        assert_eq!(got, want, "response {i} diverged for request {:?}", log[i]);
     }
-    assert_eq!(from_reactor.len(), from_threads.len());
-    reactor.shutdown();
-    threads.shutdown();
+    server.shutdown();
 }

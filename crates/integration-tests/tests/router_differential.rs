@@ -1,33 +1,36 @@
-//! Adaptive-router differential: whatever engine the router picks — AIR,
-//! hash-join, or cached denormalization — the answer must be *identical*
-//! to the forced-AIR oracle.
+//! Engine differential: whichever engine answers — AIR, hash-join, or
+//! cached denormalization — the answer must be *identical* to the
+//! forced-AIR oracle, and an unpinned session is always answered by AIR.
 //!
-//! Three suites:
+//! Four suites:
 //!
-//! 1. **Four-strategy 200-query differential.** The seeded SPJGA workload
+//! 1. **Four-session 200-query differential.** The seeded SPJGA workload
 //!    (shared with `prepared_differential.rs` / `scan_pruning.rs`) runs on
 //!    four sessions of one engine — pinned air, pinned join, pinned
-//!    denorm, and adaptive — with an aggressive explore cadence so every
-//!    arm actually executes. Every frame must match the pinned-air frame.
+//!    denorm, and unpinned (`auto`). Every frame must match the pinned-air
+//!    frame, and every `auto` frame must name AIR.
 //!
-//! 2. **Concurrent writers.** A writer churns inserts/updates/deletes
-//!    through the group-commit path while the adaptive session answers
-//!    queries; nothing may error, and once the writer quiesces the
-//!    adaptive session must agree with forced AIR again — whatever the
-//!    router learned during the churn.
+//! 2. **The SSB flight.** The 13 SSB queries on the three pinned
+//!    sessions: each one runs on the engine its session pinned, and all
+//!    three agree.
 //!
-//! 3. **Denorm staleness proof.** A session pinned to the denormalized
+//! 3. **Concurrent writers.** A writer churns inserts/updates/deletes
+//!    through the group-commit path while the unpinned session answers
+//!    queries on AIR; nothing may error, and once the writer quiesces the
+//!    session agrees with forced AIR.
+//!
+//! 4. **Denorm staleness proof.** A session pinned to the denormalized
 //!    engine must observe every committed write: the epoch check
 //!    invalidates the cached wide table, and the rebuilt answer matches
 //!    AIR exactly — a stale cache would keep returning the old sum.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
+use astore_bench::replay::SSB_SQL;
 use astore_datagen::ssb;
 use astore_integration_tests::random_sql;
 use astore_server::json::Json;
-use astore_server::{Engine, RouterConfig, StatementRegistry};
+use astore_server::{Engine, StatementRegistry};
 use astore_storage::snapshot::SharedDatabase;
 use astore_storage::types::{RowId, Value};
 use rand::rngs::SmallRng;
@@ -53,16 +56,15 @@ fn canon(frame: &Json, ctx: &str) -> (Json, Vec<String>) {
     (cols, rows)
 }
 
-/// One engine over a small SSB set, with an explore cadence aggressive
-/// enough that a 200-query run exercises every arm.
-fn router_engine(sf: f64, seed: u64) -> (Arc<Engine>, SharedDatabase) {
+/// One engine over a small SSB set.
+fn ssb_engine(sf: f64, seed: u64) -> (Arc<Engine>, SharedDatabase) {
     let shared = SharedDatabase::new(ssb::generate(sf, seed));
-    let engine = Engine::new(shared.clone()).router_config(RouterConfig {
-        epsilon_n: 2,
-        warmup: 1,
-        ..RouterConfig::default()
-    });
-    (Arc::new(engine), shared)
+    (Arc::new(Engine::new(shared.clone())), shared)
+}
+
+/// The engine a result frame names.
+fn engine_of(frame: &Json) -> Option<&str> {
+    frame.get("engine").and_then(Json::as_str)
 }
 
 /// A session pinned to `engine` ("air" | "join" | "denorm" | "auto").
@@ -76,14 +78,13 @@ fn pinned_session(e: &Engine, engine: &str) -> StatementRegistry {
 
 #[test]
 fn four_strategies_agree_on_200_seeded_queries() {
-    let (e, _shared) = router_engine(0.002, 20260808);
+    let (e, _shared) = ssb_engine(0.002, 20260808);
     let mut air = pinned_session(&e, "air");
     let mut join = pinned_session(&e, "join");
     let mut denorm = pinned_session(&e, "denorm");
     let mut auto = pinned_session(&e, "auto");
 
     let mut rng = SmallRng::seed_from_u64(0x407E5);
-    let mut engines_seen: HashSet<String> = HashSet::new();
     let mut nonempty = 0usize;
     for q in 0..200 {
         let stmt = random_sql(&mut rng).literal_sql();
@@ -93,9 +94,7 @@ fn four_strategies_agree_on_200_seeded_queries() {
             let got = canon(&frame, &format!("query {q} {name}\n{stmt}"));
             assert_eq!(got, oracle, "query {q}: {name} diverged from forced AIR\n{stmt}");
             if name == "auto" {
-                if let Some(engine) = frame.get("engine").and_then(Json::as_str) {
-                    engines_seen.insert(engine.to_owned());
-                }
+                assert_eq!(engine_of(&frame), Some("air"), "query {q}: auto left AIR\n{stmt}");
             }
         }
         if !oracle.1.is_empty() {
@@ -103,10 +102,30 @@ fn four_strategies_agree_on_200_seeded_queries() {
         }
     }
     assert!(nonempty >= 100, "only {nonempty}/200 queries returned rows; generator too weak");
-    assert!(
-        engines_seen.len() >= 2,
-        "the adaptive session never left one engine: {engines_seen:?}"
-    );
+}
+
+#[test]
+fn ssb_flight_agrees_on_every_pinned_engine() {
+    let (e, _shared) = ssb_engine(0.002, 20260809);
+    let mut air = pinned_session(&e, "air");
+    let mut join = pinned_session(&e, "join");
+    let mut denorm = pinned_session(&e, "denorm");
+    let mut nonempty = 0usize;
+    for (name, stmt) in SSB_SQL {
+        let frame = sql(&e, &mut air, stmt);
+        assert_eq!(engine_of(&frame), Some("air"), "{name}: {frame}");
+        let oracle = canon(&frame, &format!("{name} pinned air"));
+        nonempty += usize::from(!oracle.1.is_empty());
+        for (pin, reg) in [("join", &mut join), ("denorm", &mut denorm)] {
+            let frame = sql(&e, reg, stmt);
+            assert_eq!(engine_of(&frame), Some(pin), "{name} did not run on {pin}: {frame}");
+            let got = canon(&frame, &format!("{name} pinned {pin}"));
+            assert_eq!(got, oracle, "{name}: {pin} diverged from forced AIR");
+        }
+    }
+    // Q3.3 and Q3.4 name two cities on both sides and are empty at this
+    // scale; every other query must bite.
+    assert!(nonempty >= 11, "only {nonempty}/13 SSB queries returned rows");
 }
 
 /// Renders one storage value as a SQL literal.
@@ -150,13 +169,13 @@ fn random_write(rng: &mut SmallRng, db: &astore_storage::catalog::Database) -> S
 
 #[test]
 fn adaptive_session_survives_concurrent_writers_and_reconverges() {
-    let (e, shared) = router_engine(0.002, 20260807);
+    let (e, shared) = ssb_engine(0.002, 20260807);
     let mut auto = pinned_session(&e, "auto");
 
-    // Phase 1: writers churn while the adaptive session answers queries.
+    // Phase 1: writers churn while the unpinned session answers queries.
     // Results cannot be compared to an oracle mid-churn (each statement
-    // legally sees a different snapshot) — but nothing may error, and every
-    // engine the router picks must still answer.
+    // legally sees a different snapshot) — but nothing may error, and AIR
+    // answers every one.
     std::thread::scope(|s| {
         let writer_engine = Arc::clone(&e);
         let writer_shared = shared.clone();
@@ -182,24 +201,26 @@ fn adaptive_session_survives_concurrent_writers_and_reconverges() {
                 Some(true),
                 "query {q} failed under churn: {r}\n{stmt}"
             );
+            assert_eq!(engine_of(&r), Some("air"), "query {q} under churn left AIR");
         }
     });
 
-    // Phase 2: quiesced. Whatever latencies the router learned during the
-    // churn, the adaptive session must still agree with forced AIR.
+    // Phase 2: quiesced. The unpinned session agrees with forced AIR.
     let mut air = pinned_session(&e, "air");
     let mut rng = SmallRng::seed_from_u64(0xF17A1);
     for q in 0..40 {
         let stmt = random_sql(&mut rng).literal_sql();
         let oracle = canon(&sql(&e, &mut air, &stmt), &format!("post-churn {q} air\n{stmt}"));
-        let got = canon(&sql(&e, &mut auto, &stmt), &format!("post-churn {q} auto\n{stmt}"));
-        assert_eq!(got, oracle, "post-churn query {q}: adaptive diverged\n{stmt}");
+        let frame = sql(&e, &mut auto, &stmt);
+        assert_eq!(engine_of(&frame), Some("air"), "post-churn query {q} left AIR");
+        let got = canon(&frame, &format!("post-churn {q} auto\n{stmt}"));
+        assert_eq!(got, oracle, "post-churn query {q}: unpinned diverged\n{stmt}");
     }
 }
 
 #[test]
 fn pinned_denorm_observes_every_committed_write() {
-    let (e, _shared) = router_engine(0.001, 20260806);
+    let (e, _shared) = ssb_engine(0.001, 20260806);
     let mut air = pinned_session(&e, "air");
     let mut denorm = pinned_session(&e, "denorm");
     let mut writer = StatementRegistry::default();

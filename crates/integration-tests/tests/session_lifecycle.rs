@@ -1,6 +1,6 @@
 //! Session-registry lifecycle under connection churn: thousands of
 //! open/close cycles against a live server must leave no registries (and
-//! no connection-gauge drift) behind, in either io model.
+//! no connection-gauge drift) behind.
 //!
 //! Lives in its own test binary: [`astore_server::session::live_registries`]
 //! is process-global, so concurrent tests creating sessions would make the
@@ -14,10 +14,10 @@ use std::time::{Duration, Instant};
 use astore_datagen::ssb;
 use astore_server::json::Json;
 use astore_server::session::live_registries;
-use astore_server::{start, Engine, IoModel, ServerConfig, ServerHandle};
+use astore_server::{start, Engine, ServerConfig, ServerHandle};
 use astore_storage::snapshot::SharedDatabase;
 
-fn serve(io_model: IoModel) -> ServerHandle {
+fn serve() -> ServerHandle {
     let db = ssb::generate(0.001, 7);
     let engine = Arc::new(Engine::new(SharedDatabase::new(db)));
     start(
@@ -26,23 +26,17 @@ fn serve(io_model: IoModel) -> ServerHandle {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             queue_depth: 64,
-            io_model,
             ..Default::default()
         },
     )
     .unwrap()
 }
 
-/// Serializes the churn runs: the registry counter is process-global, so
-/// two servers churning at once would race each other's baselines.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// Opens and closes `cycles` connections; every `probe_every`-th sends one
 /// request first (so some sessions do real work before dying). Then waits
 /// for the server to tear every session down.
-fn churn(io_model: IoModel, cycles: usize, probe_every: usize) {
-    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    let server = serve(io_model);
+fn churn(cycles: usize, probe_every: usize) {
+    let server = serve();
     let baseline = live_registries();
     for i in 0..cycles {
         let mut stream = TcpStream::connect(server.addr()).unwrap();
@@ -55,8 +49,8 @@ fn churn(io_model: IoModel, cycles: usize, probe_every: usize) {
         // Drop closes the socket; the server must notice and free the
         // session registry promptly.
     }
-    // Teardown is asynchronous (the reactor reaps on its next event batch,
-    // the thread model on its next read) — poll, bounded.
+    // Teardown is asynchronous (the reactor reaps on its next event batch)
+    // — poll, bounded.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let live = live_registries();
@@ -69,9 +63,7 @@ fn churn(io_model: IoModel, cycles: usize, probe_every: usize) {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    // The connection gauge drains too — under the same deadline, not at the
-    // same instant: a connection the accept loop has counted but whose
-    // thread has not started yet holds a gauge slot and no registry.
+    // The connection gauge drains too, under the same deadline.
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     loop {
@@ -98,10 +90,5 @@ fn churn(io_model: IoModel, cycles: usize, probe_every: usize) {
 
 #[test]
 fn reactor_survives_10k_open_close_cycles_without_leaking() {
-    churn(IoModel::Reactor, 10_000, 100);
-}
-
-#[test]
-fn thread_model_churn_does_not_leak_registries() {
-    churn(IoModel::Threads, 1_000, 50);
+    churn(10_000, 100);
 }

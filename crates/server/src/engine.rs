@@ -3,42 +3,55 @@
 //!
 //! One [`Engine`] is shared by every connection. Reads execute against an
 //! O(1) copy-on-write snapshot ([`SharedDatabase::snapshot`]) so they never
-//! block writers; writes are routed through [`SharedDatabase::write`] and
-//! become visible atomically (a multi-row `INSERT` is one write call, so a
-//! concurrent reader sees all of its rows or none).
+//! block writers; writes commit in groups and become visible
+//! atomically (a multi-row `INSERT` is one statement, so a concurrent
+//! reader sees all of its rows or none).
 //!
-//! SELECT plans are reused across sessions via the [`PlanCache`], keyed by
-//! the *canonical statement template*: text-mode queries are
-//! auto-parameterized (WHERE literals lifted into slots), so SSB Q1.1 with
-//! different date literals is one cache entry and every request is a cheap
-//! bind instead of a re-plan. Protocol v2 (`{"prepare":…}` /
-//! `{"execute":{"id":…,"params":[…]}}` frames, per-session
-//! [`StatementRegistry`]) removes the per-request parse as well.
+//! ## The statement path
 //!
-//! Writes commit in **groups**: each writer stages its statement and the
-//! first stager becomes the batch leader, which validates and applies the
-//! whole batch onto a private copy-on-write clone, appends every surviving
-//! statement to the write-ahead log with **one fsync**, and publishes the
-//! new catalog image with a single pointer swap. Statements that fail
-//! validation are bounced out of the batch individually (per-statement
-//! conflict detection) — one bad write never aborts its batchmates. The
-//! write latch is held only for the pointer swap, so readers taking
-//! snapshots never wait on statement application or WAL I/O, and an
-//! acknowledged write is always on disk before its response frame leaves.
-//! The private clone is pointer bumps, and applying a statement copies only
-//! the chunks of the segments it touches (see `astore_storage::table`), so
-//! a batch's cost does not grow with the tables it writes to.
-//! The WAL is folded back into the snapshot by `{"cmd":"checkpoint"}` or
-//! automatically once it accumulates `checkpoint_every` records: the
-//! committing leader only *notes* that the fold is due and the maintenance
-//! thread ([`Engine::run_maintenance`]) runs it, so no client's
-//! acknowledgement waits for a fold. The fold encodes from a COW snapshot
-//! *outside* the commit lock, so checkpoints do not stall writers either.
+//! Every statement-shaped frame runs through the same stages, each one
+//! named function:
+//!
+//! ```text
+//! {"sql":…}     ─ parse ─ plan ─┐
+//!                               ├─ bind ─┬─ SELECT: route ─ execute ─ reply
+//! {"execute":…} ─ registry ─────┘        └─ write:  stage ─ commit ─ publish
+//! ```
+//!
+//! - `parse` turns SQL text into its canonical template: WHERE literals
+//!   are lifted into parameter slots, so SSB Q1.1 with different date
+//!   literals is one template, and identifiers are case-folded.
+//! - `Engine::plan` looks the template up in the shared [`PlanCache`] and
+//!   plans it on a miss. Protocol v2 (`{"prepare":…}` /
+//!   `{"execute":{"id":…,"params":[…]}}` frames, per-session
+//!   [`StatementRegistry`]) skips both: the session holds the plan.
+//! - `bind` fills the parameter slots — the lifted literals or the
+//!   client's parameters — and is the one place a bad value is reported.
+//! - [`route`] picks the engine: AIR, unless the session pinned join or
+//!   denorm and that engine can answer the statement.
+//! - `Engine::execute` runs it (`run_air` / `run_join` / `run_denorm`);
+//!   `reply` builds the result frame.
+//! - Writes go to `Engine::stage` and commit in groups (module `commit`):
+//!   one batch leader validates and applies, appends to the write-ahead
+//!   log with one fsync and publishes the new catalog image with one
+//!   pointer swap.
+//!
+//! Checkpoints, compaction and the footprint gauges run beside the path,
+//! on the server's maintenance thread ([`Engine::run_maintenance`], module
+//! `maintenance`).
+//!
+//! `EXPLAIN` stops after `route`; `EXPLAIN ANALYZE` runs the whole path
+//! with a span recorder attached.
+
+mod commit;
+mod maintenance;
+
+pub use maintenance::COMPACT_QUIET;
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use astore_baseline::engine::execute_hash_pipeline;
@@ -48,14 +61,12 @@ use astore_core::query::Query;
 use astore_core::result::QueryResult;
 use astore_core::universal::bind_root;
 use astore_obs::TraceBuf;
-use astore_persist::apply::{apply_statement, validate_statement};
-use astore_persist::store;
 use astore_persist::wal::Wal;
 use astore_sql::prepared::{
     canonicalize, extract_select_params, prepare_template, BoundStatement, PrepareError, Prepared,
 };
 use astore_sql::statement::{
-    parse_template, strip_explain, strip_explain_analyze, Statement, StatementTemplate,
+    parse_template, strip_explain, strip_explain_analyze, StatementTemplate,
 };
 use astore_storage::catalog::Database;
 use astore_storage::snapshot::SharedDatabase;
@@ -65,9 +76,12 @@ use crate::budget::CoreBudget;
 use crate::cache::PlanCache;
 use crate::json::Json;
 use crate::metrics::{render_prometheus, SlowLog, TemplateStats};
-use crate::router::{query_rewritable, DenormCache, EngineChoice, Features, Router, RouterConfig};
+use crate::router::{query_rewritable, route, DenormCache, EngineChoice};
 use crate::session::StatementRegistry;
 use crate::stats::ServerStats;
+
+use self::commit::CommitState;
+use self::maintenance::UnsealedSegments;
 
 /// Machine-readable error codes of the wire protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,49 +177,6 @@ impl Durability {
     }
 }
 
-/// One staged write waiting for its result: the committing leader fills
-/// `done` and signals `cv`; the staging connection blocks on the pair.
-#[derive(Debug, Default)]
-struct WriteSlot {
-    done: Mutex<Option<Result<usize, Json>>>,
-    cv: Condvar,
-}
-
-impl WriteSlot {
-    fn finish(&self, result: Result<usize, Json>) {
-        let mut done = self.done.lock().unwrap_or_else(|p| p.into_inner());
-        *done = Some(result);
-        self.cv.notify_one();
-    }
-
-    fn wait(&self) -> Result<usize, Json> {
-        let mut done = self.done.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(r) = done.take() {
-                return r;
-            }
-            done = self.cv.wait(done).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-}
-
-/// A write staged for the next group-commit batch.
-#[derive(Debug)]
-struct PendingWrite {
-    stmt: Statement,
-    wal_sql: String,
-    slot: Arc<WriteSlot>,
-}
-
-/// The group-commit staging area. `leader_active` makes leader election
-/// race-free: exactly one stager flips it and drains the queue; everyone
-/// else parks on their slot.
-#[derive(Debug, Default)]
-struct CommitState {
-    pending: Vec<PendingWrite>,
-    leader_active: bool,
-}
-
 /// The shared serving engine: database handle, plan cache, counters, and
 /// the global core budget shared by inter- and intra-query parallelism.
 #[derive(Debug)]
@@ -217,10 +188,9 @@ pub struct Engine {
     slowlog: SlowLog,
     opts: ExecOptions,
     budget: Arc<CoreBudget>,
-    router: Router,
     denorm_cache: DenormCache,
     durability: Option<Durability>,
-    /// Write staging area (see [`CommitState`]).
+    /// Write staging area (see `commit`).
     commit: Mutex<CommitState>,
     /// Serializes catalog publication: the batch leader, the brief latched
     /// phases of a checkpoint, and compactor installs. Never held across
@@ -233,10 +203,6 @@ pub struct Engine {
     /// [`Engine::run_compaction_pass`]).
     unsealed_since: Mutex<HashMap<String, UnsealedSegments>>,
 }
-
-/// Per unsealed complete segment of one table: the write stamp the
-/// compactor last saw, and when it first saw it.
-type UnsealedSegments = HashMap<usize, (u64, Instant)>;
 
 impl Engine {
     /// Wraps a shared database with default execution options (serial
@@ -274,7 +240,6 @@ impl Engine {
             slowlog: SlowLog::default(),
             opts,
             budget,
-            router: Router::new(RouterConfig::default()),
             denorm_cache: DenormCache::new(),
             durability: None,
             commit: Mutex::new(CommitState::default()),
@@ -288,41 +253,6 @@ impl Engine {
         // sealed and this finds nothing to do.
         engine.seal_and_gauge();
         engine
-    }
-
-    /// Seals every segment that needs it and refreshes the footprint
-    /// gauges. Boot only — once the engine is shared, mutation outside the
-    /// commit lock would race the group-commit leader; checkpoints seal
-    /// under the commit lock instead.
-    fn seal_and_gauge(&self) {
-        self.db.write(seal_all);
-        self.gauge_footprint();
-    }
-
-    /// Refreshes the `encoded_bytes` / `raw_bytes` / `flat_chunks` /
-    /// `flat_bytes` / `dict_bytes` / `str_heap_bytes` / `append_copies`
-    /// gauges from a snapshot (a walk over the chunk slots, dictionaries
-    /// and heaps, no row data). Chunk bytes count the rows the image sees,
-    /// not the space reserved behind a filling tail; dictionary and heap
-    /// bytes count capacity.
-    fn gauge_footprint(&self) {
-        let snap = self.db.snapshot();
-        let (mut resident, mut raw, mut chunks, mut bytes, mut copies) = (0u64, 0u64, 0, 0, 0);
-        let (mut dicts, mut heaps) = (0u64, 0u64);
-        for t in snap.table_names().iter().filter_map(|name| snap.table(name)) {
-            let ((r, w), (c, b)) = (t.encoded_footprint(), t.flat_chunks());
-            (resident, raw, chunks, bytes) = (resident + r, raw + w, chunks + c, bytes + b);
-            let (d, h) = t.string_footprint();
-            (dicts, heaps) = (dicts + d, heaps + h);
-            copies += t.append_copies();
-        }
-        self.stats.append_copies.store(copies, Ordering::Relaxed);
-        self.stats.encoded_bytes.store(resident, Ordering::Relaxed);
-        self.stats.raw_bytes.store(raw, Ordering::Relaxed);
-        self.stats.flat_chunks.store(chunks, Ordering::Relaxed);
-        self.stats.flat_bytes.store(bytes, Ordering::Relaxed);
-        self.stats.dict_bytes.store(dicts, Ordering::Relaxed);
-        self.stats.str_heap_bytes.store(heaps, Ordering::Relaxed);
     }
 
     /// Sets the slow-query capture threshold in milliseconds
@@ -351,19 +281,6 @@ impl Engine {
         Arc::clone(&self.budget)
     }
 
-    /// Replaces the adaptive router's configuration (`--engine` pin,
-    /// explore cadence, warmup window). Construction-time only: any learned
-    /// per-template history is discarded.
-    pub fn router_config(mut self, config: RouterConfig) -> Self {
-        self.router = Router::new(config);
-        self
-    }
-
-    /// The adaptive engine router.
-    pub fn router(&self) -> &Router {
-        &self.router
-    }
-
     /// The denormalized-materialization cache (epoch-invalidated on write).
     pub fn denorm_cache(&self) -> &DenormCache {
         &self.denorm_cache
@@ -390,108 +307,6 @@ impl Engine {
     /// The attached durability layer, if any.
     pub fn durability(&self) -> Option<&Durability> {
         self.durability.as_ref()
-    }
-
-    /// Folds the live database into a fresh snapshot and truncates the WAL
-    /// through the folded LSN. Returns `(checkpoint LSN, snapshot bytes)`.
-    ///
-    /// The expensive part — encoding and writing the snapshot file — runs
-    /// against a COW snapshot with **no locks held**: writers keep
-    /// committing and readers keep scanning while the file is built. Only
-    /// two brief phases take the commit lock: fixing the (image, LSN) pair
-    /// at the start, and truncating the WAL + flipping clean flags at the
-    /// end. Writes that land mid-encode survive in the truncated WAL tail
-    /// and replay on the next boot.
-    pub fn checkpoint(&self) -> Result<(u64, usize), String> {
-        let d = self.durability.as_ref().ok_or("server is running without --data-dir")?;
-        let _one = self.checkpoint_lock.lock().unwrap_or_else(|p| p.into_inner());
-        self.checkpoint_locked(d)
-    }
-
-    /// The checkpoint body; caller holds `checkpoint_lock`.
-    fn checkpoint_locked(&self, d: &Durability) -> Result<(u64, usize), String> {
-        // Phase 1 (commit lock, brief): seal, then fix the image and the
-        // last LSN it covers. No batch can publish between the two reads,
-        // so every statement with LSN ≤ `last` is in `snap`. Readers
-        // holding the previous image do not delay the seal: a shared table
-        // is cloned (pointer bumps) and only re-sealed segments change.
-        let (snap, last) = {
-            let _c = self.commit_lock.lock().unwrap_or_else(|p| p.into_inner());
-            self.db.write(seal_all);
-            let wal = d.wal.lock().unwrap_or_else(|p| p.into_inner());
-            (self.db.snapshot(), wal.last_lsn())
-        };
-
-        // Phase 2 (no locks): encode and write the snapshot file from the
-        // frozen image while the server keeps serving.
-        let bytes = store::write_checkpoint(&d.dir, &snap, last).map_err(|e| e.to_string())?;
-
-        // Phase 3 (commit lock, brief): drop WAL records the file now
-        // covers, then flip clean flags on tables the live catalog still
-        // shares with the image (a table written mid-encode is *not* in
-        // the file as encoded — it must stay dirty for the next round).
-        {
-            let _c = self.commit_lock.lock().unwrap_or_else(|p| p.into_inner());
-            {
-                let mut wal = d.wal.lock().unwrap_or_else(|p| p.into_inner());
-                wal.truncate_through(last).map_err(|e| e.to_string())?;
-            }
-            let cur = self.db.snapshot();
-            let unchanged: Vec<String> = cur
-                .table_names()
-                .iter()
-                .filter(|name| match (cur.table_arc(name), snap.table_arc(name)) {
-                    (Some(a), Some(b)) => Arc::ptr_eq(&a, &b),
-                    _ => false,
-                })
-                .cloned()
-                .collect();
-            self.db.write(|db| {
-                for name in &unchanged {
-                    if let Some(t) = db.table_mut(name) {
-                        t.mark_segments_clean();
-                    }
-                }
-            });
-        }
-        self.stats.checkpoints.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.gauge_footprint();
-        Ok((last, bytes))
-    }
-
-    /// Is an auto-checkpoint noted as due and not yet run?
-    pub fn checkpoint_due(&self) -> bool {
-        self.durability.as_ref().is_some_and(|d| d.checkpoint_due.load(Ordering::SeqCst))
-    }
-
-    /// Runs the auto-checkpoint if one is due. The note is re-checked
-    /// against the log itself, so a note raised while the previous fold was
-    /// still encoding does not trigger a second fold over a log that fold
-    /// just truncated.
-    fn run_due_checkpoint(&self) {
-        let Some(d) = &self.durability else { return };
-        if !d.checkpoint_due.swap(false, Ordering::SeqCst) {
-            return;
-        }
-        let _one = self.checkpoint_lock.lock().unwrap_or_else(|p| p.into_inner());
-        let due = {
-            let wal = d.wal.lock().unwrap_or_else(|p| p.into_inner());
-            wal.appended_since_reset() >= d.checkpoint_every
-        };
-        if due {
-            if let Err(e) = self.checkpoint_locked(d) {
-                eprintln!("auto-checkpoint failed: {e}");
-            }
-        }
-    }
-
-    /// One pass of background maintenance, run by the server's maintenance
-    /// thread: the auto-checkpoint if the write path noted one as due, then
-    /// one compaction pass. Returns the number of segments compaction
-    /// installed.
-    pub fn run_maintenance(&self) -> usize {
-        self.run_due_checkpoint();
-        self.run_compaction_pass()
     }
 
     /// The underlying shared database handle.
@@ -528,24 +343,6 @@ impl Engine {
         let us = t.elapsed().as_micros() as u64;
         self.templates.record(key, us);
         self.slowlog.observe(key, us);
-    }
-
-    /// Looks a canonical template up in the shared plan cache, planning
-    /// and inserting on miss. Returns the plan and whether it was cached.
-    fn cached_plan(
-        &self,
-        key: String,
-        tmpl: StatementTemplate,
-        snap: &Arc<Database>,
-    ) -> Result<(Arc<Prepared>, bool), Json> {
-        match self.cache.get(&key) {
-            Some(p) => Ok((p, true)),
-            None => {
-                let p = Arc::new(prepare_template(tmpl, snap).map_err(prepare_error_frame)?);
-                self.cache.insert(key, Arc::clone(&p));
-                Ok((p, false))
-            }
-        }
     }
 
     /// Handles one raw request line with a throwaway statement registry —
@@ -631,12 +428,6 @@ impl Engine {
                         let version = self.db.snapshot().version();
                         m.insert("db_version".into(), Json::Int(version as i64));
                         m.insert("templates".into(), self.templates.to_json());
-                        let rsnap = self.router.snapshot();
-                        m.insert(
-                            "router_templates".into(),
-                            Json::Int(rsnap.templates.len() as i64),
-                        );
-                        m.insert("router_regret_us".into(), Json::Float(rsnap.total_regret_us));
                         m.insert(
                             "denorm_cache_entries".into(),
                             Json::Int(self.denorm_cache.len() as i64),
@@ -701,10 +492,9 @@ impl Engine {
         }
     }
 
-    /// The text path (`{"sql":…}`): parse, canonicalize into a parameter
-    /// template (WHERE literals lifted out), look the template up in the
-    /// shared plan cache, bind the extracted literals back, execute. Two
-    /// literal variants of the same query — or two formattings of it —
+    /// The text path (`{"sql":…}`): `SET engine`, or a statement — with an
+    /// optional `EXPLAIN` / `EXPLAIN ANALYZE` prefix — through the stages.
+    /// Two literal variants of the same query, or two formattings of it,
     /// share one plan.
     fn run_statement(&self, sql: &str, session: &mut StatementRegistry) -> Result<Json, Json> {
         if let Some(parsed) = parse_set_engine(sql) {
@@ -715,122 +505,75 @@ impl Engine {
                 ("engine", Json::Str(pin.map_or("auto", EngineChoice::as_str).to_owned())),
             ]));
         }
-        let pin = session.engine_pin();
-        if let Some(inner) = strip_explain_analyze(sql) {
-            return self.run_explain_analyze(inner, pin);
+        let (mode, sql) = if let Some(inner) = strip_explain_analyze(sql) {
+            (Mode::Analyze, inner)
+        } else if let Some(inner) = strip_explain(sql) {
+            (Mode::Explain, inner)
+        } else {
+            (Mode::Run, sql)
+        };
+        let Parsed { tmpl, key, lifted, explicit_params } = parse(sql, true)?;
+        if mode != Mode::Run && !tmpl.is_select() {
+            let prefix = if mode == Mode::Explain { "EXPLAIN" } else { "EXPLAIN ANALYZE" };
+            return Err(error_frame(
+                ErrorCode::PlanError,
+                format!("{prefix} supports SELECT statements only"),
+            ));
         }
-        if let Some(inner) = strip_explain(sql) {
-            return self.run_explain(inner, pin);
-        }
-        let mut tmpl =
-            parse_template(sql).map_err(|e| error_frame(ErrorCode::ParseError, e.to_string()))?;
-        // Whether the *client* wrote placeholders: decides how a bind
-        // failure is reported (auto-extracted literals are not the
-        // client's parameters, so their type errors are plan errors).
-        let explicit_params = tmpl.param_count() > 0;
-        let inline = extract_select_params(&mut tmpl);
         // This statement's worker thread occupies one core for the
         // duration; the budget must know so concurrent queries' fan-out
         // grants shrink accordingly.
-        let _slot = self.budget.enter_statement();
-        let key = canonicalize(&mut tmpl);
+        let _slot = (mode != Mode::Explain).then(|| self.budget.enter_statement());
         let t = Instant::now();
-        if tmpl.is_select() {
+        let out = if tmpl.is_select() {
             let snap = self.db.snapshot();
-            let (prepared, cached) = self.cached_plan(key.clone(), tmpl, &snap)?;
-            let bind_code =
-                if explicit_params { ErrorCode::ParamError } else { ErrorCode::PlanError };
-            let out =
-                self.exec_select(&snap, &prepared, &inline, cached, bind_code, None, &key, pin);
-            if out.is_ok() {
-                self.observe_template(&key, t);
+            let (prepared, cached) = self.plan(tmpl, &key, &snap, true)?;
+            // Literals the server lifted out are not the client's
+            // parameters: their type errors are plan errors.
+            let code = if explicit_params { ErrorCode::ParamError } else { ErrorCode::PlanError };
+            let BoundStatement::Select(query) = bind(&prepared, &lifted, code)? else {
+                unreachable!("a SELECT template binds to a SELECT")
+            };
+            let pin = session.engine_pin();
+            match mode {
+                Mode::Explain => return self.explain(&snap, &query, &key, cached, pin),
+                Mode::Analyze => self.select(&snap, &query, pin, cached, Some(TraceBuf::new())),
+                Mode::Run => self.select(&snap, &query, pin, cached, None),
             }
-            out
         } else {
             // Text-mode writes carry no parameters; a placeholder here is
             // a protocol error (prepare/execute is the parameterized path).
-            let stmt = tmpl
-                .into_concrete()
-                .map_err(|e| error_frame(ErrorCode::ParamError, e.to_string()))?;
-            // canonicalize() above case-folded identifiers in place, so the
-            // applied statement may differ from the client's raw text (e.g.
-            // `INSERT INTO FACT` applies to table `fact`). The WAL must
-            // record the canonical rendering: replay parses it verbatim,
-            // without case-folding.
-            let wal_sql = stmt.to_sql().expect("concrete write renders");
-            let out = self.exec_write(&stmt, &wal_sql);
-            if out.is_ok() {
-                self.observe_template(&key, t);
-            }
-            out
-        }
-    }
-
-    /// `EXPLAIN ANALYZE <select>`: runs the statement with a span recorder
-    /// attached — regardless of the global tracing toggle — and returns
-    /// the query result plus an `analyze` member: the executed plan
-    /// annotated with actual per-phase times, morsel spans and per-segment
-    /// prune decisions.
-    fn run_explain_analyze(&self, sql: &str, pin: Option<EngineChoice>) -> Result<Json, Json> {
-        let mut tmpl =
-            parse_template(sql).map_err(|e| error_frame(ErrorCode::ParseError, e.to_string()))?;
-        let explicit_params = tmpl.param_count() > 0;
-        let inline = extract_select_params(&mut tmpl);
-        if !tmpl.is_select() {
-            return Err(error_frame(
-                ErrorCode::PlanError,
-                "EXPLAIN ANALYZE supports SELECT statements only",
-            ));
-        }
-        let _slot = self.budget.enter_statement();
-        let key = canonicalize(&mut tmpl);
-        let t = Instant::now();
-        let snap = self.db.snapshot();
-        let (prepared, cached) = self.cached_plan(key.clone(), tmpl, &snap)?;
-        let bind_code = if explicit_params { ErrorCode::ParamError } else { ErrorCode::PlanError };
-        let trace = Arc::new(TraceBuf::new());
-        let out =
-            self.exec_select(&snap, &prepared, &inline, cached, bind_code, Some(trace), &key, pin);
+            tmpl.into_concrete()
+                .map_err(|e| error_frame(ErrorCode::ParamError, e.to_string()))
+                .and_then(|stmt| self.stage(stmt))
+        };
         if out.is_ok() {
             self.observe_template(&key, t);
         }
         out
     }
 
-    /// The `{"prepare":…}` path: plan (or fetch from the shared plan
-    /// cache) and register the template in the session's registry.
+    /// The `{"prepare":…}` path: parse and plan (or fetch from the shared
+    /// plan cache), then register the template in the session's registry.
     fn run_prepare(&self, sql: &str, session: &mut StatementRegistry) -> Result<Json, Json> {
         use std::sync::atomic::Ordering::Relaxed;
-        let mut tmpl =
-            parse_template(sql).map_err(|e| error_frame(ErrorCode::ParseError, e.to_string()))?;
-        let key = canonicalize(&mut tmpl);
-        let key_arc: Arc<str> = Arc::from(key.as_str());
+        let Parsed { tmpl, key, .. } = parse(sql, false)?;
         let is_select = tmpl.is_select();
         // Only fully parameterized SELECTs go through the shared plan
         // cache: write templates carry no plan, and a SELECT with inline
         // WHERE literals would key per-literal — a client preparing fresh
         // literal SQL each request could flood the FIFO and evict the hot
-        // shared templates. (The text path extracts literals before
-        // keying, so its templates are always cacheable.)
+        // shared templates. (The text path lifts literals before keying,
+        // so its templates are always cacheable.)
         let cacheable = is_select && !tmpl.has_predicate_literals();
-        let prepared = match cacheable.then(|| self.cache.get(&key)).flatten() {
-            Some(p) => p,
-            None => {
-                let snap = self.db.snapshot();
-                let p = Arc::new(prepare_template(tmpl, &snap).map_err(prepare_error_frame)?);
-                if cacheable {
-                    self.cache.insert(key, Arc::clone(&p));
-                }
-                p
-            }
-        };
+        let (prepared, _) = self.plan(tmpl, &key, &self.db.snapshot(), cacheable)?;
         let param_count = prepared.param_count() as i64;
         let columns =
             prepared.columns().map(|cs| Json::Array(cs.iter().cloned().map(Json::Str).collect()));
         let column_types = prepared
             .column_types()
             .map(|ts| Json::Array(ts.iter().map(|t| Json::Str(t.to_string())).collect()));
-        let (id, evicted) = session.register(key_arc, prepared);
+        let (id, evicted) = session.register(Arc::from(key), prepared);
         self.stats.prepares.fetch_add(1, Relaxed);
         let mut frame = Json::obj([
             ("ok", Json::Bool(true)),
@@ -866,7 +609,6 @@ impl Engine {
                 format!("statement {id} is not prepared in this session"),
             )
         })?;
-        let prepared = registered.prepared;
         let params = match ex.get("params") {
             None => Vec::new(),
             Some(Json::Array(items)) => items
@@ -881,28 +623,12 @@ impl Engine {
         let _slot = self.budget.enter_statement();
         self.stats.prepared_execs.fetch_add(1, Relaxed);
         let t = Instant::now();
-        let out = if prepared.is_select() {
-            let snap = self.db.snapshot();
-            self.exec_select(
-                &snap,
-                &prepared,
-                &params,
-                true,
-                ErrorCode::ParamError,
-                None,
-                &registered.key,
-                session.engine_pin(),
-            )
-        } else {
-            let stmt = match prepared
-                .bind(&params)
-                .map_err(|e| error_frame(ErrorCode::ParamError, e.to_string()))?
-            {
-                BoundStatement::Write(s) => s,
-                BoundStatement::Select(_) => unreachable!("is_select checked"),
-            };
-            let wal_sql = stmt.to_sql().expect("bound write renders");
-            self.exec_write(&stmt, &wal_sql)
+        let out = match bind(&registered.prepared, &params, ErrorCode::ParamError)? {
+            BoundStatement::Select(query) => {
+                let snap = self.db.snapshot();
+                self.select(&snap, &query, session.engine_pin(), true, None)
+            }
+            BoundStatement::Write(stmt) => self.stage(stmt),
         };
         if out.is_ok() {
             self.observe_template(&registered.key, t);
@@ -910,75 +636,85 @@ impl Engine {
         out
     }
 
-    /// Binds parameters into a prepared SELECT, routes it to an engine, and
-    /// executes it against a snapshot. `bind_code` is the error code a bind
-    /// failure maps to: `param_error` when the client supplied the
-    /// parameters, `plan_error` when they are auto-extracted literals of a
-    /// text-mode statement (the client never wrote a `$n`). With `trace`
-    /// attached (the `EXPLAIN ANALYZE` path), spans are recorded during
-    /// execution and the response gains an `analyze` member.
-    ///
-    /// Engine dispatch: the adaptive [`Router`] picks AIR, the hash-join
-    /// baseline, or a cached denormalized scan per canonical template
-    /// (`key`), honoring a session/server `pin`. The non-AIR arms are bound
-    /// by a hard result-identity contract and **fall back to AIR** on any
-    /// engine failure or unrewritable shape — routing can never fail a
-    /// query that forced-AIR would answer. The observed engine latency
-    /// feeds the router's per-arm history and the per-engine histograms.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_select(
+    /// The plan stage: the plan of a canonical template, from the shared
+    /// plan cache when `cacheable`, planned against `snap` (and cached)
+    /// otherwise. Returns the plan and whether the cache served it.
+    fn plan(
+        &self,
+        tmpl: StatementTemplate,
+        key: &str,
+        snap: &Database,
+        cacheable: bool,
+    ) -> Result<(Arc<Prepared>, bool), Json> {
+        if let Some(p) = cacheable.then(|| self.cache.get(key)).flatten() {
+            return Ok((p, true));
+        }
+        let p = Arc::new(prepare_template(tmpl, snap).map_err(prepare_error_frame)?);
+        if cacheable {
+            self.cache.insert(key.to_owned(), Arc::clone(&p));
+        }
+        Ok((p, false))
+    }
+
+    /// A bound SELECT from route to reply: the routed engine runs it
+    /// against `snap`, the per-engine counters record it, and the result
+    /// becomes the reply frame. With `trace` attached (`EXPLAIN ANALYZE`)
+    /// spans are recorded during execution and the frame gains an
+    /// `analyze` member.
+    fn select(
         &self,
         snap: &Arc<Database>,
-        prepared: &Prepared,
-        params: &[Value],
-        cached: bool,
-        bind_code: ErrorCode,
-        trace: Option<Arc<TraceBuf>>,
-        key: &str,
+        query: &Query,
         pin: Option<EngineChoice>,
+        cached: bool,
+        trace: Option<TraceBuf>,
     ) -> Result<Json, Json> {
+        let trace = trace.map(Arc::new);
+        let t = Instant::now();
+        let (engine, run) = self.execute(route(pin, snap, query), snap, query, &trace)?;
+        let engine_us = t.elapsed().as_micros() as u64;
+        self.record_select(engine, engine_us, &run);
+        let analyze = trace.map(|trace| {
+            let head = format!(
+                "router: engine={} reason={} elapsed={engine_us}us",
+                engine.as_str(),
+                reason(pin, engine)
+            );
+            (head, trace)
+        });
+        Ok(reply(&run, engine, cached, analyze))
+    }
+
+    /// The execute stage: runs `query` on `engine`. A join or denorm run
+    /// that cannot answer falls back to AIR inside the statement, so a
+    /// pinned session never fails where AIR would answer. Returns the
+    /// engine that answered.
+    fn execute(
+        &self,
+        engine: EngineChoice,
+        snap: &Arc<Database>,
+        query: &Query,
+        trace: &Option<Arc<TraceBuf>>,
+    ) -> Result<(EngineChoice, EngineRun), Json> {
+        let other = match engine {
+            EngineChoice::Air => None,
+            EngineChoice::Join => self.run_join(snap, query, trace.is_some()),
+            EngineChoice::Denorm => self.run_denorm(snap, query, trace.is_some()),
+        };
+        match other {
+            Some(run) => Ok((engine, run)),
+            None => Ok((EngineChoice::Air, self.run_air(snap, query, trace)?)),
+        }
+    }
+
+    /// Counts one executed SELECT: its engine and engine-side latency, and
+    /// the AIR scan's segment and fan-out counters.
+    fn record_select(&self, engine: EngineChoice, engine_us: u64, run: &EngineRun) {
         use std::sync::atomic::Ordering::Relaxed;
-        let query = match prepared.bind(params).map_err(|e| match bind_code {
-            ErrorCode::PlanError => error_frame(
-                ErrorCode::PlanError,
-                format!("type mismatch in predicate literal: {e}"),
-            ),
-            code => error_frame(code, e.to_string()),
-        })? {
-            BoundStatement::Select(q) => q,
-            BoundStatement::Write(_) => {
-                return Err(error_frame(ErrorCode::BadRequest, "statement is not a SELECT"))
-            }
-        };
-        let eligible = self.engine_eligibility(snap, &query, key);
-        let decision = self.router.decide(key, eligible, pin);
-        let mut engine_used = decision.choice;
-        let t_engine = Instant::now();
-        let run = match decision.choice {
-            EngineChoice::Air => self.run_air(snap, &query, &trace)?,
-            EngineChoice::Join => match self.run_join(snap, &query, trace.is_some()) {
-                Some(r) => r,
-                None => {
-                    engine_used = EngineChoice::Air;
-                    self.run_air(snap, &query, &trace)?
-                }
-            },
-            EngineChoice::Denorm => match self.run_denorm(snap, &query, key, trace.is_some()) {
-                Some(r) => r,
-                None => {
-                    engine_used = EngineChoice::Air;
-                    self.run_air(snap, &query, &trace)?
-                }
-            },
-        };
-        let engine_us = t_engine.elapsed().as_micros() as u64;
-        let obs = self.router.observe(key, engine_used, engine_us as f64);
-        self.stats.engine_latency[engine_used.index()].record(engine_us);
-        let (result, scanned, pruned, parallel, denied) = match &run {
+        self.stats.engine_latency[engine.index()].record(engine_us);
+        let (scanned, pruned) = run.segments();
+        let (parallel, denied) = match run {
             EngineRun::Air { out, want } => (
-                &out.result,
-                out.plan.segments_scanned,
-                out.plan.segments_pruned,
                 out.plan.executor.is_parallel(),
                 // The planner wanted to fan out but the query ran serial
                 // (budget exhausted or final row-count clamp). A fully-pruned
@@ -986,77 +722,21 @@ impl Engine {
                 // is not a denial.
                 !out.plan.executor.is_parallel() && *want > 1 && out.plan.segments_scanned > 0,
             ),
-            EngineRun::Other { result, .. } => (result, 0, 0, false, false),
+            EngineRun::Other { .. } => (false, false),
         };
-        {
-            // One statement's counter updates form one seqlock write
-            // group, so a concurrent stats snapshot sees all of them or
-            // none (e.g. never pruned bumped but scanned not yet).
-            let _group = self.stats.group.begin_write();
-            self.stats.router_decisions[engine_used.index()].fetch_add(1, Relaxed);
-            if obs.mispredicted {
-                self.stats.router_mispredictions.fetch_add(1, Relaxed);
-            }
-            if parallel {
-                self.stats.parallel_queries.fetch_add(1, Relaxed);
-            } else if denied {
-                self.stats.parallel_denied.fetch_add(1, Relaxed);
-            }
-            self.stats.segments_scanned.fetch_add(scanned as u64, Relaxed);
-            self.stats.segments_pruned.fetch_add(pruned as u64, Relaxed);
-            self.stats.queries.fetch_add(1, Relaxed);
+        // One statement's counter updates form one seqlock write group, so
+        // a concurrent stats snapshot sees all of them or none (e.g. never
+        // pruned bumped but scanned not yet).
+        let _group = self.stats.group.begin_write();
+        self.stats.router_decisions[engine.index()].fetch_add(1, Relaxed);
+        if parallel {
+            self.stats.parallel_queries.fetch_add(1, Relaxed);
+        } else if denied {
+            self.stats.parallel_denied.fetch_add(1, Relaxed);
         }
-        let mut frame = Json::obj([
-            ("ok", Json::Bool(true)),
-            ("columns", Json::Array(result.columns.iter().cloned().map(Json::Str).collect())),
-            (
-                "rows",
-                Json::Array(
-                    result
-                        .rows
-                        .iter()
-                        .map(|r| Json::Array(r.iter().map(value_to_json).collect()))
-                        .collect(),
-                ),
-            ),
-            ("row_count", Json::Int(result.rows.len() as i64)),
-            ("cached_plan", Json::Bool(cached)),
-            ("engine", Json::Str(engine_used.as_str().to_owned())),
-            ("segments_scanned", Json::Int(scanned as i64)),
-            ("segments_pruned", Json::Int(pruned as i64)),
-        ]);
-        if let (Some(t), Json::Object(m)) = (&trace, &mut frame) {
-            let mut lines = vec![format!(
-                "router: engine={} reason={} elapsed={engine_us}us",
-                engine_used.as_str(),
-                decision.reason.as_str()
-            )];
-            match &run {
-                EngineRun::Air { out, .. } => {
-                    lines.extend(astore_core::analyze::render_analyze(out, t));
-                }
-                EngineRun::Other { lines: engine_lines, .. } => {
-                    lines.extend(engine_lines.iter().cloned());
-                }
-            }
-            m.insert("analyze".into(), Json::Array(lines.into_iter().map(Json::Str).collect()));
-        }
-        Ok(frame)
-    }
-
-    /// Which engines can serve this query. AIR always can. Neither the
-    /// join pipeline's universal relation nor the denormalized wide table
-    /// carries positional row addresses, so any `rowid` predicate is
-    /// AIR-only. Denorm is additionally gated on fact size (materializing a
-    /// huge fact would dwarf any benefit) and on the cached shape probe.
-    fn engine_eligibility(&self, snap: &Database, query: &Query, key: &str) -> [bool; 3] {
-        let uses_rowid = query.selections.iter().any(|(_, p)| p.columns().contains(&"rowid"));
-        let mut eligible = [true; 3];
-        eligible[EngineChoice::Join.index()] = !uses_rowid;
-        eligible[EngineChoice::Denorm.index()] = !uses_rowid
-            && estimated_scan_rows(snap, query) <= self.router.config().denorm_max_fact_rows
-            && self.router.denorm_rewritable(key) != Some(false);
-        eligible
+        self.stats.segments_scanned.fetch_add(scanned as u64, Relaxed);
+        self.stats.segments_pruned.fetch_add(pruned as u64, Relaxed);
+        self.stats.queries.fetch_add(1, Relaxed);
     }
 
     /// The production AIR arm: morsel fan-out under the core budget's
@@ -1085,8 +765,7 @@ impl Engine {
     }
 
     /// The hash-join baseline arm. `None` = engine failure; the caller
-    /// falls back to AIR, so a routed query never fails where forced AIR
-    /// would succeed.
+    /// falls back to AIR.
     fn run_join(&self, snap: &Database, query: &Query, traced: bool) -> Option<EngineRun> {
         let hp = execute_hash_pipeline(snap, query).ok()?;
         let lines = if traced {
@@ -1105,24 +784,16 @@ impl Engine {
     /// The cached-denormalization arm: rewrite the query onto the wide
     /// table and scan it serially. The cache entry is epoch-validated
     /// against this snapshot, so a write to any folded table forces a
-    /// rebuild — stale rows are never served. An unrewritable shape is
-    /// remembered (`set_denorm_rewritable`) so the router stops offering
-    /// this arm for the template; `None` falls back to AIR.
-    fn run_denorm(
-        &self,
-        snap: &Arc<Database>,
-        query: &Query,
-        key: &str,
-        traced: bool,
-    ) -> Option<EngineRun> {
+    /// rebuild — stale rows are never served. `None` falls back to AIR.
+    fn run_denorm(&self, snap: &Arc<Database>, query: &Query, traced: bool) -> Option<EngineRun> {
         let graph = JoinGraph::build(snap);
         let root = bind_root(&graph, query.root.as_deref(), &query.referenced_tables()).ok()?;
         let entry = self.denorm_cache.get_or_build(snap, &root).ok()?;
+        // `route` admits only shapes the wide table carries; this guards
+        // `rewrite`, which panics on a column the wide table lacks.
         if !query_rewritable(&entry.denorm, query, &root) {
-            self.router.set_denorm_rewritable(key, false);
             return None;
         }
-        self.router.set_denorm_rewritable(key, true);
         let wide = entry.denorm.rewrite(query, &root);
         let exec_opts = ExecOptions { threads: 1, ..self.opts.clone() };
         let out = execute(&entry.denorm.db, &wide, &exec_opts).ok()?;
@@ -1139,292 +810,175 @@ impl Engine {
         Some(EngineRun::Other { result: out.result, lines })
     }
 
-    /// Bare `EXPLAIN <select>`: plans the statement and previews the
-    /// router's verdict — engine, reason, the static feature vector, the
-    /// per-arm latency history and regret-to-date — without executing
-    /// anything or perturbing the learned state ([`Router::peek`]).
-    fn run_explain(&self, sql: &str, pin: Option<EngineChoice>) -> Result<Json, Json> {
-        let mut tmpl =
-            parse_template(sql).map_err(|e| error_frame(ErrorCode::ParseError, e.to_string()))?;
-        let explicit_params = tmpl.param_count() > 0;
-        let inline = extract_select_params(&mut tmpl);
-        if !tmpl.is_select() {
-            return Err(error_frame(
-                ErrorCode::PlanError,
-                "EXPLAIN supports SELECT statements only",
-            ));
-        }
-        let key = canonicalize(&mut tmpl);
-        let snap = self.db.snapshot();
-        let (prepared, cached) = self.cached_plan(key.clone(), tmpl, &snap)?;
-        let bind_code = if explicit_params { ErrorCode::ParamError } else { ErrorCode::PlanError };
-        let query =
-            match prepared.bind(&inline).map_err(|e| error_frame(bind_code, e.to_string()))? {
-                BoundStatement::Select(q) => q,
-                BoundStatement::Write(_) => {
-                    return Err(error_frame(ErrorCode::BadRequest, "statement is not a SELECT"))
-                }
-            };
-        let selection = plan_selection(&snap, &query, &self.opts)
+    /// Bare `EXPLAIN <select>`: the path up to `route`, without executing
+    /// anything — the routed engine and why, the engines that could answer,
+    /// the canonical template and the selection plan.
+    fn explain(
+        &self,
+        snap: &Database,
+        query: &Query,
+        key: &str,
+        cached: bool,
+        pin: Option<EngineChoice>,
+    ) -> Result<Json, Json> {
+        let selection = plan_selection(snap, query, &self.opts)
             .map_err(|e| error_frame(ErrorCode::ExecError, e.to_string()))?;
-        let features = Features::extract(&snap, &query);
-        let eligible = self.engine_eligibility(&snap, &query, &key);
-        let decision = self.router.peek(&key, eligible, pin);
-        let (top_name, top_value) = features.top_feature();
-        let eligible_list = EngineChoice::ALL
+        let engine = route(pin, snap, query);
+        let reason = reason(pin, engine);
+        let eligible = EngineChoice::ALL
             .into_iter()
-            .filter(|e| eligible[e.index()])
+            .filter(|&e| route(Some(e), snap, query) == e)
             .map(EngineChoice::as_str)
             .collect::<Vec<_>>()
             .join(",");
-        let mut lines = vec![
-            format!("engine: {} ({})", decision.choice.as_str(), decision.reason.as_str()),
+        let lines = [
+            format!("engine: {} ({reason})", engine.as_str()),
             format!("template: {key}"),
-            format!(
-                "features: fact_rows_live={} segments={}/{} group_domain={} selectivity={:.4}",
-                features.fact_rows_live,
-                features.segments_surviving,
-                features.segments_total,
-                features.group_domain,
-                features.selectivity
-            ),
-            format!("top_feature: {top_name}={top_value:.4}"),
-            format!("eligible: {eligible_list}"),
+            format!("eligible: {eligible}"),
             format!("selection: {selection}"),
         ];
-        if let Some(ts) = self.router.template_snapshot(&key) {
-            for e in EngineChoice::ALL {
-                let (tries, ewma) = ts.arms[e.index()];
-                lines.push(format!("arm: {} tries={tries} ewma_us={ewma:.0}", e.as_str()));
-            }
-            lines.push(format!("regret_us: {:.0}", ts.regret_us));
-        }
         Ok(Json::obj([
             ("ok", Json::Bool(true)),
-            ("engine", Json::Str(decision.choice.as_str().to_owned())),
-            ("reason", Json::Str(decision.reason.as_str().to_owned())),
-            ("top_feature", Json::Str(top_name.to_owned())),
+            ("engine", Json::Str(engine.as_str().to_owned())),
+            ("reason", Json::Str(reason.to_owned())),
             ("cached_plan", Json::Bool(cached)),
             ("explain", Json::Array(lines.into_iter().map(Json::Str).collect())),
         ]))
     }
-
-    /// Commits one concrete write statement through the group-commit
-    /// pipeline. `wal_sql` is the text the write-ahead log records — always
-    /// the canonical rendering ([`Statement::to_sql`]) of the statement
-    /// being applied, never the client's raw text, so replay (which parses
-    /// the log verbatim) sees exactly the statement that mutated memory.
-    ///
-    /// The statement is staged; the first stager becomes the batch leader
-    /// and commits everything staged so far as one batch (see
-    /// [`Engine::commit_batch`]), everyone else parks on their slot until
-    /// the leader posts their result. Either way the statement is on disk
-    /// before the acknowledgment frame can be sent.
-    fn exec_write(&self, write_stmt: &Statement, wal_sql: &str) -> Result<Json, Json> {
-        let slot = Arc::new(WriteSlot::default());
-        let lead = {
-            let mut st = self.commit.lock().unwrap_or_else(|p| p.into_inner());
-            st.pending.push(PendingWrite {
-                stmt: write_stmt.clone(),
-                wal_sql: wal_sql.to_owned(),
-                slot: Arc::clone(&slot),
-            });
-            !std::mem::replace(&mut st.leader_active, true)
-        };
-        if lead {
-            self.lead_commits();
-        }
-        let affected = slot.wait()?;
-        Ok(Json::obj([("ok", Json::Bool(true)), ("rows_affected", Json::Int(affected as i64))]))
-    }
-
-    /// The leader loop: drain the staging queue and commit each drained
-    /// batch, until a drain comes up empty. Stepping down happens under the
-    /// staging mutex in the same critical section as the emptiness check,
-    /// so a write staged concurrently either joined a drained batch or sees
-    /// `leader_active == false` and elects itself.
-    fn lead_commits(&self) {
-        let _publish = self.commit_lock.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            let batch = {
-                let mut st = self.commit.lock().unwrap_or_else(|p| p.into_inner());
-                if st.pending.is_empty() {
-                    st.leader_active = false;
-                    return;
-                }
-                std::mem::take(&mut st.pending)
-            };
-            self.commit_batch(batch);
-        }
-    }
-
-    /// Commits one batch. Caller holds `commit_lock`, so the snapshot taken
-    /// here is the latest published image and nobody else can publish
-    /// until this batch lands.
-    ///
-    /// Per-statement conflict detection: each statement validates against
-    /// the batch-in-progress image (earlier batchmates' effects included);
-    /// a failure bounces that statement alone with a `write_error` — its
-    /// batchmates commit. After validation the apply cannot fail, so the
-    /// one WAL append (one fsync for the whole batch, LSNs assigned in
-    /// apply order) is the commit point: if it errors, every applied
-    /// statement is thrown away with the private clone and memory, log and
-    /// clients all agree the batch never happened.
-    ///
-    /// The private clone shares every table with the published image;
-    /// applying a statement clones the written table's chunk *pointers* and
-    /// copies only the chunks it overwrites. An appending `INSERT` copies
-    /// no column chunk: the row goes into the space reserved behind each
-    /// tail chunk, which the published image keeps sharing (it reads the
-    /// shorter prefix it knows). Publishing the batch is what hands the
-    /// right to extend those tails to the next batch; a batch thrown away
-    /// after a failed WAL append has already claimed the slots it wrote,
-    /// so the next batch — built on the published image again — copies
-    /// each tail once and goes on in its own buffers, and the orphaned rows
-    /// are never visible to anyone.
-    fn commit_batch(&self, batch: Vec<PendingWrite>) {
-        use std::sync::atomic::Ordering::Relaxed;
-        let mut work = (*self.db.snapshot()).clone();
-        let mut applied: Vec<(Arc<WriteSlot>, usize)> = Vec::with_capacity(batch.len());
-        let mut sqls: Vec<String> = Vec::with_capacity(batch.len());
-        for pw in batch {
-            match validate_statement(&work, &pw.stmt) {
-                Ok(()) => {
-                    let n =
-                        apply_statement(&mut work, &pw.stmt).expect("validated statement applies");
-                    sqls.push(pw.wal_sql);
-                    applied.push((pw.slot, n));
-                }
-                Err(msg) => pw.slot.finish(Err(error_frame(ErrorCode::WriteError, msg))),
-            }
-        }
-        if applied.is_empty() {
-            return;
-        }
-        if let Some(d) = &self.durability {
-            let mut wal = d.wal.lock().unwrap_or_else(|p| p.into_inner());
-            if let Err(e) = wal.append_batch(&sqls) {
-                let frame = error_frame(
-                    ErrorCode::InternalError,
-                    format!("WAL append failed, write aborted: {e}"),
-                );
-                for (slot, _) in applied {
-                    slot.finish(Err(frame.clone()));
-                }
-                return;
-            }
-            // Only note that the fold is due: the maintenance thread runs
-            // it, so the batch's clients are acknowledged without waiting.
-            if d.checkpoint_every > 0 && wal.appended_since_reset() >= d.checkpoint_every {
-                d.checkpoint_due.store(true, Ordering::SeqCst);
-            }
-        }
-        work.bump_version();
-        self.db.replace(Arc::new(work));
-        {
-            let _group = self.stats.group.begin_write();
-            self.stats.writes.fetch_add(applied.len() as u64, Relaxed);
-            if self.durability.is_some() {
-                self.stats.wal_records.fetch_add(sqls.len() as u64, Relaxed);
-            }
-            self.stats.group_commits.fetch_add(1, Relaxed);
-        }
-        for (slot, n) in applied {
-            slot.finish(Ok(n));
-        }
-    }
-
-    /// One background-compaction pass. The rule, in full: a **complete**
-    /// segment (the filling tail is left to appends) that is unsealed — a
-    /// value write decoded or rewrote some of its chunks — is re-encoded
-    /// once its write stamp
-    /// ([`astore_storage::table::Table::segment_written`]) has not moved for
-    /// [`COMPACT_QUIET`]. A segment a writer keeps touching is therefore
-    /// never picked, however often the pass runs: encoding a chunk that the
-    /// next write decodes again would be pure churn. (Checkpoints do not
-    /// wait: they seal everything they persist.)
-    ///
-    /// Due segments — up to a handful per pass — are encoded against a COW
-    /// snapshot with no locks held and installed under the commit lock;
-    /// [`astore_storage::table::Table::install_compacted`] refuses a result if any chunk of the
-    /// segment is no longer the allocation the encode read, i.e. if a write
-    /// slipped in, and the segment starts a new quiet period. Readers
-    /// holding the current image never delay an install: a shared table is
-    /// cloned (pointer bumps) and only the installed chunks change. Returns
-    /// the number of segments installed.
-    pub fn run_compaction_pass(&self) -> usize {
-        const MAX_SEGMENTS_PER_PASS: usize = 8;
-        let snap = self.db.snapshot();
-        let now = Instant::now();
-        let mut encoded = Vec::new();
-        {
-            let mut seen = self.unsealed_since.lock().unwrap_or_else(|p| p.into_inner());
-            seen.retain(|name, _| snap.table(name).is_some());
-            'scan: for name in snap.table_names() {
-                let Some(t) = snap.table(name) else { continue };
-                let complete = t.num_slots() / t.segment_rows();
-                let segs = seen.entry(name.clone()).or_default();
-                segs.retain(|&seg, _| seg < complete && t.segment_written(seg).is_some());
-                for seg in 0..complete {
-                    let Some(stamp) = t.segment_written(seg) else { continue };
-                    let first_seen = segs.entry(seg).or_insert((stamp, now));
-                    if first_seen.0 != stamp {
-                        *first_seen = (stamp, now);
-                    } else if now.duration_since(first_seen.1) >= COMPACT_QUIET {
-                        // The heavy part, off every lock: readers and
-                        // writers proceed while this encodes.
-                        encoded.push((name.clone(), seg, t.encode_segment_now(seg)));
-                        if encoded.len() >= MAX_SEGMENTS_PER_PASS {
-                            break 'scan;
-                        }
-                    }
-                }
-            }
-        }
-        drop(snap);
-        if encoded.is_empty() {
-            return 0;
-        }
-        let mut installed = 0usize;
-        {
-            let _publish = self.commit_lock.lock().unwrap_or_else(|p| p.into_inner());
-            self.db.write(|db| {
-                for (name, seg, enc) in encoded {
-                    let installs =
-                        db.table_mut(&name).is_some_and(|t| t.install_compacted(seg, enc));
-                    installed += usize::from(installs);
-                }
-            });
-        }
-        if installed > 0 {
-            self.stats.compactions.fetch_add(installed as u64, Ordering::Relaxed);
-            self.gauge_footprint();
-        }
-        installed
-    }
 }
 
-/// How long a complete segment must have gone unwritten before the
-/// background compactor re-encodes its flat chunks (see
-/// [`Engine::run_compaction_pass`]). Long next to the gap between two writes
-/// of a busy writer, short next to how long an idle table stays idle.
-pub const COMPACT_QUIET: Duration = Duration::from_secs(1);
+/// Which prefix a text statement carried.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// No prefix: run the statement.
+    Run,
+    /// `EXPLAIN`: stop after `route`.
+    Explain,
+    /// `EXPLAIN ANALYZE`: run with a span recorder attached.
+    Analyze,
+}
 
-/// Seals every segment of every table that needs it.
-fn seal_all(db: &mut Database) {
-    for name in db.table_names().to_vec() {
-        db.table_mut(&name).expect("listed table exists").seal_segments();
+/// What the parse stage hands on.
+struct Parsed {
+    /// The canonical template: identifiers case-folded, lifted literals
+    /// replaced by parameter slots.
+    tmpl: StatementTemplate,
+    /// Its canonical text, the plan-cache and template-stats key.
+    key: String,
+    /// The literals lifted out of the WHERE clause, in slot order.
+    lifted: Vec<Value>,
+    /// Whether the client wrote placeholders itself.
+    explicit_params: bool,
+}
+
+/// The parse stage: SQL text to its canonical template. With `lift`, WHERE
+/// literals become parameter slots (the text path), so literal variants of
+/// one query share a template; a prepared statement keeps them inline.
+fn parse(sql: &str, lift: bool) -> Result<Parsed, Json> {
+    let mut tmpl =
+        parse_template(sql).map_err(|e| error_frame(ErrorCode::ParseError, e.to_string()))?;
+    let explicit_params = tmpl.param_count() > 0;
+    let lifted = if lift { extract_select_params(&mut tmpl) } else { Vec::new() };
+    let key = canonicalize(&mut tmpl);
+    Ok(Parsed { tmpl, key, lifted, explicit_params })
+}
+
+/// The bind stage: a plan plus its parameters become the statement to
+/// run. `code` is what a failure reports: `param_error` when the client
+/// supplied the parameters, `plan_error` when they are literals the text
+/// path lifted out (the client never wrote a `$n`).
+fn bind(prepared: &Prepared, params: &[Value], code: ErrorCode) -> Result<BoundStatement, Json> {
+    prepared.bind(params).map_err(|e| match code {
+        ErrorCode::PlanError => {
+            error_frame(code, format!("type mismatch in predicate literal: {e}"))
+        }
+        code => error_frame(code, e.to_string()),
+    })
+}
+
+/// Why `engine` answered a statement: the session's pin, AIR standing in
+/// for a pinned engine that could not answer, or the default rule.
+fn reason(pin: Option<EngineChoice>, engine: EngineChoice) -> &'static str {
+    match pin {
+        Some(p) if p == engine => "pinned",
+        Some(_) => "fallback",
+        None => "default",
     }
 }
 
 /// One engine arm's execution output: the AIR path keeps its full
 /// [`ExecOutput`] (plan diagnostics + trace-renderable spans); the join and
-/// denorm arms produce bare rows plus pre-rendered analyze lines.
+/// denorm arms produce bare rows plus pre-rendered analyze lines. One
+/// lives on the stack per statement, so the size gap costs a move, not
+/// memory; boxing the AIR output would add an allocation per statement.
+#[allow(clippy::large_enum_variant)]
 enum EngineRun {
     /// The AIR scan ran, under a fan-out request of `want` threads.
     Air { out: ExecOutput, want: usize },
     /// A non-AIR arm ran.
     Other { result: QueryResult, lines: Vec<String> },
+}
+
+impl EngineRun {
+    fn result(&self) -> &QueryResult {
+        match self {
+            EngineRun::Air { out, .. } => &out.result,
+            EngineRun::Other { result, .. } => result,
+        }
+    }
+
+    /// `(segments scanned, segments pruned)`; the other arms report none.
+    fn segments(&self) -> (usize, usize) {
+        match self {
+            EngineRun::Air { out, .. } => (out.plan.segments_scanned, out.plan.segments_pruned),
+            EngineRun::Other { .. } => (0, 0),
+        }
+    }
+}
+
+/// The reply stage: a SELECT's result frame. With `analyze` (the header
+/// line and the trace of an `EXPLAIN ANALYZE`) the frame gains an `analyze`
+/// member: the header, then the executed plan with its spans.
+fn reply(
+    run: &EngineRun,
+    engine: EngineChoice,
+    cached: bool,
+    analyze: Option<(String, Arc<TraceBuf>)>,
+) -> Json {
+    let result = run.result();
+    let (scanned, pruned) = run.segments();
+    let mut frame = Json::obj([
+        ("ok", Json::Bool(true)),
+        ("columns", Json::Array(result.columns.iter().cloned().map(Json::Str).collect())),
+        (
+            "rows",
+            Json::Array(
+                result
+                    .rows
+                    .iter()
+                    .map(|r| Json::Array(r.iter().map(value_to_json).collect()))
+                    .collect(),
+            ),
+        ),
+        ("row_count", Json::Int(result.rows.len() as i64)),
+        ("cached_plan", Json::Bool(cached)),
+        ("engine", Json::Str(engine.as_str().to_owned())),
+        ("segments_scanned", Json::Int(scanned as i64)),
+        ("segments_pruned", Json::Int(pruned as i64)),
+    ]);
+    if let (Some((head, trace)), Json::Object(m)) = (analyze, &mut frame) {
+        let mut lines = vec![head];
+        match run {
+            EngineRun::Air { out, .. } => {
+                lines.extend(astore_core::analyze::render_analyze(out, &trace));
+            }
+            EngineRun::Other { lines: engine_lines, .. } => {
+                lines.extend(engine_lines.iter().cloned())
+            }
+        }
+        m.insert("analyze".into(), Json::Array(lines.into_iter().map(Json::Str).collect()));
+    }
+    frame
 }
 
 /// Recognizes `SET engine = air|join|denorm|auto` (case-insensitive,
@@ -1458,22 +1012,6 @@ fn json_to_param(j: &Json) -> Result<Value, String> {
     }
 }
 
-/// The denorm arm's fact-size gate: the largest table the query references
-/// (the fact table dominates a star query). An explicit root is trusted
-/// outright; a query referencing no known table estimates 0.
-fn estimated_scan_rows(db: &astore_storage::catalog::Database, query: &Query) -> usize {
-    if let Some(root) = &query.root {
-        return db.table(root).map(|t| t.num_slots()).unwrap_or(0);
-    }
-    query
-        .referenced_tables()
-        .iter()
-        .filter_map(|t| db.table(t))
-        .map(|t| t.num_slots())
-        .max()
-        .unwrap_or(0)
-}
-
 /// Converts a storage value into its wire representation.
 pub fn value_to_json(v: &Value) -> Json {
     match v {
@@ -1494,7 +1032,8 @@ mod tests {
     use astore_storage::table::{ColumnDef, Schema, Table};
     use astore_storage::types::DataType;
 
-    fn engine() -> Engine {
+    /// A two-table star: `dim` (two names) and a three-row `fact`.
+    pub(super) fn engine() -> Engine {
         let mut dim = Table::new(
             "dim",
             Schema::new(vec![
@@ -1520,7 +1059,7 @@ mod tests {
         Engine::new(SharedDatabase::new(db))
     }
 
-    fn sql(e: &Engine, s: &str) -> Json {
+    pub(super) fn sql(e: &Engine, s: &str) -> Json {
         e.handle_line(&Json::obj([("sql", Json::Str(s.into()))]).to_string())
     }
 
@@ -1581,27 +1120,6 @@ mod tests {
     }
 
     #[test]
-    fn write_validation_rejects_without_mutating() {
-        let e = engine();
-        for bad in [
-            "INSERT INTO nope VALUES (1)",
-            "INSERT INTO fact VALUES (1)",               // arity
-            "INSERT INTO fact VALUES (1, 'str')",        // type
-            "INSERT INTO fact VALUES (9, 1)",            // dangling key
-            "INSERT INTO fact VALUES (0, 1), (0, NULL)", // later row invalid → whole stmt rejected
-            "UPDATE fact SET nope = 1 WHERE rowid = 0",
-            "UPDATE fact SET f_v = 1 WHERE rowid = 99",
-        ] {
-            let r = sql(&e, bad);
-            assert_eq!(r.get("ok").unwrap().as_bool(), Some(false), "{bad}");
-            assert_eq!(r.get("code").unwrap().as_str(), Some("write_error"), "{bad}");
-        }
-        let r = sql(&e, "SELECT count(*) AS n FROM fact");
-        let rows = r.get("rows").unwrap().as_array().unwrap();
-        assert_eq!(rows[0].as_array().unwrap()[0].as_i64(), Some(3), "no partial writes");
-    }
-
-    #[test]
     fn delete_from_air_referenced_table_is_rejected() {
         let e = engine();
         // `dim` is the target of fact.f_dim: deleting from it would let a
@@ -1638,22 +1156,6 @@ mod tests {
         assert_eq!(s.get("queries").unwrap().as_i64(), Some(1));
         assert_eq!(s.get("writes").unwrap().as_i64(), Some(1));
         assert_eq!(s.get("latency_count").unwrap().as_i64(), Some(2));
-    }
-
-    #[test]
-    fn boot_seal_primes_footprint_gauges() {
-        // big_db spans two full segments; with_options seals them at boot,
-        // so the footprint gauges report a real (and compressed) residency.
-        let e = Engine::new(SharedDatabase::new(big_db()));
-        let r = e.handle_line(r#"{"cmd":"stats"}"#);
-        let s = r.get("stats").unwrap();
-        let enc = s.get("encoded_bytes").unwrap().as_i64().unwrap();
-        let raw = s.get("raw_bytes").unwrap().as_i64().unwrap();
-        assert!(enc > 0, "boot seal produced no encoded segments");
-        assert!(enc < raw, "encoded footprint should beat raw: {enc} vs {raw}");
-        // Query results are unaffected by the sealed representation.
-        let r = sql(&e, "SELECT count(*) AS n FROM fact");
-        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
     }
 
     #[test]
@@ -1735,84 +1237,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn mixed_case_text_write_replays_from_wal() {
-        // Text writes are case-folded before apply (`INSERT INTO FACT`
-        // mutates table `fact`), but WAL replay parses the log verbatim —
-        // so the log must store the canonical rendering, never the raw
-        // client text, or a committed write becomes unrecoverable.
-        let dir = std::env::temp_dir().join(format!("astore-engine-case-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let seed = {
-            let e = engine();
-            e.database().snapshot().as_ref().clone()
-        };
-        let wal = astore_persist::store::bootstrap(&dir, &seed).unwrap();
-        let e = Engine::new(SharedDatabase::new(seed)).durable(Durability::new(&dir, wal, 0));
-        let r = sql(&e, "INSERT INTO FACT VALUES (1, 100)");
-        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
-        let r = sql(&e, "UPDATE Fact SET F_V = 11 WHERE ROWID = 0");
-        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
-        let live_sum = {
-            let r = sql(&e, "SELECT sum(f_v) AS s FROM fact");
-            r.get("rows").unwrap().as_array().unwrap()[0].as_array().unwrap()[0].as_i64().unwrap()
-        };
-        drop(e);
-        let rec = astore_persist::store::open(&dir).unwrap();
-        assert_eq!(rec.replayed, 2, "mixed-case committed writes replay");
-        let e2 =
-            Engine::new(SharedDatabase::new(rec.db)).durable(Durability::new(&dir, rec.wal, 0));
-        let r = sql(&e2, "SELECT sum(f_v) AS s FROM fact");
-        let sum2 =
-            r.get("rows").unwrap().as_array().unwrap()[0].as_array().unwrap()[0].as_i64().unwrap();
-        assert_eq!(sum2, live_sum, "recovered state equals pre-crash state");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn checkpoint_without_data_dir_is_a_typed_error() {
-        let e = engine();
-        let r = e.handle_line(r#"{"cmd":"checkpoint"}"#);
-        assert_eq!(r.get("ok").unwrap().as_bool(), Some(false));
-        assert_eq!(r.get("code").unwrap().as_str(), Some("bad_request"));
-        assert!(r.get("error").unwrap().as_str().unwrap().contains("--data-dir"));
-    }
-
-    #[test]
-    fn auto_checkpoint_is_noted_by_the_write_and_run_by_maintenance() {
-        let dir = std::env::temp_dir().join(format!("astore-engine-auto-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let seed = {
-            let e = engine();
-            e.database().snapshot().as_ref().clone()
-        };
-        let wal = astore_persist::store::bootstrap(&dir, &seed).unwrap();
-        let e = Engine::new(SharedDatabase::new(seed)).durable(Durability::new(&dir, wal, 3));
-        let checkpoints = || e.stats().checkpoints.load(std::sync::atomic::Ordering::Relaxed);
-        for i in 0..3 {
-            assert!(!e.checkpoint_due(), "write {i} is below the threshold");
-            let r = sql(&e, "INSERT INTO fact VALUES (0, 1)");
-            assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
-        }
-        // The third write crossed the threshold and was acknowledged — the
-        // fold is only noted, not charged to the writer's thread.
-        assert!(e.checkpoint_due(), "third write crosses the threshold");
-        assert_eq!(checkpoints(), 0, "no fold ran on the acknowledging thread");
-        e.run_maintenance();
-        assert_eq!(checkpoints(), 1, "the maintenance pass ran the due fold");
-        assert!(!e.checkpoint_due());
-        e.run_maintenance();
-        assert_eq!(checkpoints(), 1, "nothing due, nothing folded");
-        drop(e);
-        let rec = astore_persist::store::open(&dir).unwrap();
-        assert_eq!(rec.replayed, 0, "everything folded into the snapshot");
-        assert_eq!(rec.db.table("fact").unwrap().num_live(), 6);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// A star schema with a fact table big enough (two full segments) that
     /// the default planner wants to fan out.
-    fn big_db() -> Database {
+    pub(super) fn big_db() -> Database {
         big_db_keyed(|i| i % 16)
     }
 
@@ -2288,207 +1715,6 @@ mod tests {
         assert_eq!(snap[0].1.count(), 3, "prepared and text executions share it");
     }
 
-    #[test]
-    fn concurrent_writes_group_commit_and_recover() {
-        let dir = std::env::temp_dir().join(format!("astore-engine-group-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let seed = {
-            let e = engine();
-            e.database().snapshot().as_ref().clone()
-        };
-        let wal = astore_persist::store::bootstrap(&dir, &seed).unwrap();
-        let e = std::sync::Arc::new(
-            Engine::new(SharedDatabase::new(seed)).durable(Durability::new(&dir, wal, 0)),
-        );
-        let (threads, per) = (8, 10);
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                let e = e.clone();
-                s.spawn(move || {
-                    for _ in 0..per {
-                        let r = sql(&e, "INSERT INTO fact VALUES (0, 1)");
-                        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
-                    }
-                });
-            }
-        });
-        use std::sync::atomic::Ordering::Relaxed;
-        let total = (threads * per) as u64;
-        assert_eq!(e.stats().writes.load(Relaxed), total);
-        assert_eq!(e.stats().wal_records.load(Relaxed), total);
-        let commits = e.stats().group_commits.load(Relaxed);
-        assert!(commits >= 1 && commits <= total, "commits {commits}");
-        let r = sql(&e, "SELECT count(*) AS n FROM fact");
-        let n =
-            r.get("rows").unwrap().as_array().unwrap()[0].as_array().unwrap()[0].as_i64().unwrap();
-        assert_eq!(n, 3 + total as i64);
-        drop(e);
-        // Every acknowledged write replays: group commit batches on disk
-        // carry per-statement LSNs.
-        let rec = astore_persist::store::open(&dir).unwrap();
-        assert_eq!(rec.replayed, total as usize);
-        assert_eq!(rec.db.table("fact").unwrap().num_live(), 3 + total as usize);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn invalid_batchmates_bounce_individually() {
-        // Valid and invalid writes race into the same batches; each invalid
-        // one gets its own write_error and never drags a batchmate down.
-        let e = std::sync::Arc::new(engine());
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let e = e.clone();
-                s.spawn(move || {
-                    for _ in 0..10 {
-                        let r = sql(&e, "INSERT INTO fact VALUES (1, 7)");
-                        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
-                    }
-                });
-            }
-            for _ in 0..2 {
-                let e = e.clone();
-                s.spawn(move || {
-                    for _ in 0..10 {
-                        let r = sql(&e, "INSERT INTO fact VALUES (9, 1)"); // dangling key
-                        assert_eq!(r.get("code").unwrap().as_str(), Some("write_error"), "{r:?}");
-                    }
-                });
-            }
-        });
-        use std::sync::atomic::Ordering::Relaxed;
-        assert_eq!(e.stats().writes.load(Relaxed), 40);
-        let r = sql(&e, "SELECT count(*) AS n FROM fact");
-        let n =
-            r.get("rows").unwrap().as_array().unwrap()[0].as_array().unwrap()[0].as_i64().unwrap();
-        assert_eq!(n, 43, "valid writes all landed, invalid none");
-    }
-
-    #[test]
-    fn compaction_waits_for_a_quiet_period_then_reseals() {
-        use std::sync::atomic::Ordering::Relaxed;
-        let e = Engine::new(SharedDatabase::new(big_db()));
-        // Boot sealed both (complete) fact segments.
-        let flat_chunks = |e: &Engine| {
-            let r = e.handle_line(r#"{"cmd":"stats"}"#);
-            r.get("stats").unwrap().get("flat_chunks").unwrap().as_i64().unwrap()
-        };
-        let sealed = flat_chunks(&e);
-        let n = 2 * SEGMENT_ROWS as i64;
-        let base_sum: i64 = n * (n - 1) / 2;
-        let mut replaced = 0i64;
-        let mut update = |row: i64| {
-            let r = sql(&e, &format!("UPDATE fact SET f_v = 999999 WHERE rowid = {row}"));
-            assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
-            replaced += row;
-        };
-        // A writer touching every segment four times a second, for longer
-        // than the quiet period: the compactor, polling all along, never
-        // re-encodes anything.
-        let start = Instant::now();
-        let mut round = 0i64;
-        while start.elapsed() < COMPACT_QUIET + Duration::from_millis(500) {
-            update(round);
-            update(SEGMENT_ROWS as i64 + round);
-            round += 1;
-            for _ in 0..5 {
-                assert_eq!(e.run_compaction_pass(), 0, "a busy segment is not re-encoded");
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-        assert_eq!(e.stats().compactions.load(Relaxed), 0);
-        assert_eq!(flat_chunks(&e), sealed + 2, "each write decoded the one chunk it touched");
-        // The writer stops: within two quiet periods both segments are
-        // encoded again — while a reader holds the image; the install
-        // replaces chunks, readers never delay the compactor.
-        let held = e.database().snapshot();
-        let stopped = Instant::now();
-        while flat_chunks(&e) > sealed {
-            assert!(stopped.elapsed() < 2 * COMPACT_QUIET, "segments still flat after two periods");
-            e.run_compaction_pass();
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        assert_eq!(e.stats().compactions.load(Relaxed), 2);
-        assert_eq!(e.run_compaction_pass(), 0, "nothing left to do");
-        let fact = held.table("fact").unwrap();
-        assert!(
-            fact.column_at(1).chunk_encoding(0).is_none(),
-            "the held image keeps its flat chunk"
-        );
-        let r = sql(&e, "SELECT sum(f_v) AS s FROM fact");
-        let s =
-            r.get("rows").unwrap().as_array().unwrap()[0].as_array().unwrap()[0].as_i64().unwrap();
-        assert_eq!(s, base_sum - replaced + 2 * round * 999999, "compaction preserved the values");
-    }
-
-    #[test]
-    fn a_served_insert_leaves_the_tail_shared_with_the_published_image() {
-        let e = engine();
-        let copies = |e: &Engine| {
-            let r = e.handle_line(r#"{"cmd":"stats"}"#);
-            r.get("stats").unwrap().get("append_copies").unwrap().as_i64().unwrap()
-        };
-        // Boot sealed the (partial) fact segment: the first insert decodes
-        // both tail chunks, reserving space behind them …
-        sql(&e, "INSERT INTO fact VALUES (0, 1)");
-        assert_eq!(copies(&e), 2);
-        // … which the next inserts fill, each batch against a published
-        // image (and a held snapshot) that shares the tail throughout.
-        let held = e.database().snapshot();
-        for v in 0..50 {
-            let r = sql(&e, &format!("INSERT INTO fact VALUES (1, {v})"));
-            assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
-        }
-        assert_eq!(copies(&e), 2, "fifty inserts copied no column chunk");
-        let now = e.database().snapshot();
-        let (old, new) = (held.table("fact").unwrap(), now.table("fact").unwrap());
-        assert!((0..2).all(|c| new.column_at(c).shares_chunk(old.column_at(c), 0)));
-        assert_eq!((old.num_slots(), new.num_slots()), (4, 54));
-        let r = sql(&e, "SELECT count(*) AS n, sum(f_v) AS s FROM fact");
-        let row = r.get("rows").unwrap().as_array().unwrap()[0].as_array().unwrap();
-        assert_eq!((row[0].as_i64(), row[1].as_i64()), (Some(54), Some(61 + 49 * 50 / 2)));
-        let m = e.handle_line(r#"{"cmd":"metrics"}"#);
-        let text = m.get("metrics").and_then(Json::as_str).unwrap_or_default().to_owned();
-        assert!(text.contains("astore_server_append_copies 2"), "{m:?}");
-    }
-
-    #[test]
-    fn checkpoint_races_writers_without_losing_acks() {
-        let dir = std::env::temp_dir().join(format!("astore-engine-ckptw-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let seed = {
-            let e = engine();
-            e.database().snapshot().as_ref().clone()
-        };
-        let wal = astore_persist::store::bootstrap(&dir, &seed).unwrap();
-        let e = std::sync::Arc::new(
-            Engine::new(SharedDatabase::new(seed)).durable(Durability::new(&dir, wal, 0)),
-        );
-        let (threads, per) = (4, 25);
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                let e = e.clone();
-                s.spawn(move || {
-                    for _ in 0..per {
-                        let r = sql(&e, "INSERT INTO fact VALUES (0, 1)");
-                        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
-                    }
-                });
-            }
-            // Checkpoints run concurrently with the writers: the encode
-            // happens off-lock, the WAL truncation must never drop a record
-            // the snapshot file does not cover.
-            for _ in 0..5 {
-                e.checkpoint().unwrap();
-            }
-        });
-        let expect = 3 + (threads * per) as usize;
-        drop(e);
-        let rec = astore_persist::store::open(&dir).unwrap();
-        assert_eq!(rec.db.table("fact").unwrap().num_live(), expect, "no acked write lost");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     fn sqls(e: &Engine, session: &mut StatementRegistry, s: &str) -> Json {
         e.handle_line_session(&Json::obj([("sql", Json::Str(s.into()))]).to_string(), session)
     }
@@ -2512,22 +1738,22 @@ mod tests {
         }
 
         // `auto` unpins; a bad value is a typed parse error; pins are
-        // per-session (a throwaway-session statement routes adaptively).
+        // per-session (a throwaway-session statement is unpinned).
         let r = sqls(&e, &mut session, "SET engine=auto");
         assert_eq!(r.get("engine").unwrap().as_str(), Some("auto"));
         let r = sqls(&e, &mut session, "SET engine = quantum");
         assert_eq!(r.get("code").unwrap().as_str(), Some("parse_error"), "{r:?}");
         let fresh = sql(&e, q);
-        assert_eq!(fresh.get("engine").unwrap().as_str(), Some("air"), "cold template → warmup");
+        assert_eq!(fresh.get("engine").unwrap().as_str(), Some("air"), "unpinned → air");
     }
 
     #[test]
-    fn unrewritable_shapes_fall_back_to_air_and_are_remembered() {
+    fn unrewritable_shapes_route_to_air() {
         let e = engine();
         let mut session = StatementRegistry::default();
         sqls(&e, &mut session, "SET engine = denorm");
         // Grouping by a key column: the wide table folds references away,
-        // so the shape probe rejects the rewrite and the query falls back.
+        // so the route sends the pinned statement to AIR.
         let q = "SELECT f_dim, count(*) AS c FROM fact GROUP BY f_dim ORDER BY f_dim";
         let r = sqls(&e, &mut session, q);
         assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
@@ -2535,11 +1761,18 @@ mod tests {
         let rows = r.get("rows").unwrap().as_array().unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].as_array().unwrap()[1].as_i64(), Some(2));
-        // The probe is cached: the template's denorm arm stays excluded.
-        let snap = e.router().snapshot();
-        assert_eq!(snap.templates.len(), 1);
-        let r = sqls(&e, &mut session, q);
-        assert_eq!(r.get("engine").unwrap().as_str(), Some("air"));
+        assert!(e.denorm_cache().is_empty(), "no wide table built for a shape it cannot answer");
+        let r = sqls(
+            &e,
+            &mut session,
+            "EXPLAIN ANALYZE SELECT f_dim, count(*) AS c FROM fact GROUP BY f_dim",
+        );
+        let analyze = r.get("analyze").unwrap().as_array().unwrap();
+        assert_eq!(
+            analyze[0].as_str().unwrap().split(" elapsed").next(),
+            Some("router: engine=air reason=fallback"),
+            "{r:?}"
+        );
     }
 
     #[test]
@@ -2569,24 +1802,38 @@ mod tests {
     }
 
     #[test]
-    fn router_explores_alternatives_and_counts_decisions() {
+    fn unpinned_statements_run_on_air_and_are_counted() {
         let e = engine();
         let q = "SELECT d_name, sum(f_v) AS total FROM fact, dim GROUP BY d_name ORDER BY d_name";
         let baseline = sql(&e, q);
-        let mut engines_seen = std::collections::HashSet::new();
         for _ in 0..40 {
             let r = sql(&e, q);
-            assert_eq!(r.get("rows"), baseline.get("rows"), "result identity across engines");
-            engines_seen.insert(r.get("engine").unwrap().as_str().unwrap().to_owned());
+            assert_eq!(r.get("rows"), baseline.get("rows"));
+            assert_eq!(r.get("engine").unwrap().as_str(), Some("air"), "the rule never explores");
         }
-        assert!(engines_seen.contains("air"));
-        assert!(engines_seen.len() >= 2, "explore arms tried an alternative: {engines_seen:?}");
-        let snap = e.router().snapshot();
-        assert_eq!(snap.total_decisions, 41);
-        assert_eq!(snap.templates.len(), 1);
         use std::sync::atomic::Ordering::Relaxed;
-        let by_engine: u64 = e.stats().router_decisions.iter().map(|c| c.load(Relaxed)).sum();
-        assert_eq!(by_engine, 41, "every decision counted in stats");
+        let decisions = &e.stats().router_decisions;
+        assert_eq!(decisions[EngineChoice::Air.index()].load(Relaxed), 41);
+        let by_engine: u64 = decisions.iter().map(|c| c.load(Relaxed)).sum();
+        assert_eq!(by_engine, 41, "every statement counted in stats");
+    }
+
+    /// A text statement's literals are lifted into parameter slots and
+    /// bound back by the one bind stage, so a literal that does not fit its
+    /// column reads the same whether the statement runs or is explained.
+    #[test]
+    fn a_lifted_literal_that_does_not_fit_reports_alike_under_explain() {
+        let e = engine();
+        let q = "SELECT count(*) AS n FROM fact, dim WHERE d_name = 5";
+        let run = sql(&e, q);
+        assert_eq!(run.get("code").unwrap().as_str(), Some("plan_error"), "{run:?}");
+        let error = run.get("error").unwrap().as_str().unwrap();
+        assert!(error.starts_with("type mismatch in predicate literal: "), "{run:?}");
+        for prefix in ["EXPLAIN", "EXPLAIN ANALYZE"] {
+            let r = sql(&e, &format!("{prefix} {q}"));
+            assert_eq!(r.get("code"), run.get("code"), "{prefix}: {r:?}");
+            assert_eq!(r.get("error"), run.get("error"), "{prefix}: {r:?}");
+        }
     }
 
     #[test]
@@ -2594,8 +1841,8 @@ mod tests {
         let e = engine();
         let r = sql(&e, "EXPLAIN SELECT d_name, sum(f_v) AS s FROM fact, dim GROUP BY d_name");
         assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
-        assert_eq!(r.get("engine").unwrap().as_str(), Some("air"), "cold template previews AIR");
-        assert_eq!(r.get("reason").unwrap().as_str(), Some("warmup"));
+        assert_eq!(r.get("engine").unwrap().as_str(), Some("air"), "unpinned previews AIR");
+        assert_eq!(r.get("reason").unwrap().as_str(), Some("default"));
         assert!(r.get("rows").is_none(), "EXPLAIN does not execute");
         let lines: Vec<&str> = r
             .get("explain")
@@ -2606,19 +1853,27 @@ mod tests {
             .map(|l| l.as_str().unwrap())
             .collect();
         let joined = lines.join("\n");
-        assert!(joined.contains("features: fact_rows_live=3"), "{joined}");
-        assert!(joined.contains("top_feature:"), "{joined}");
+        assert!(joined.contains("template: select d_name"), "{joined}");
         assert!(joined.contains("eligible: air,join,denorm"), "{joined}");
         assert!(joined.contains("selection: live rows"), "no filter, nothing builds: {joined}");
-        let r = sql(&e, "EXPLAIN SELECT sum(f_v) AS s FROM fact, dim WHERE d_name = 'beta' AND f_v > 1");
+        let r = sql(
+            &e,
+            "EXPLAIN SELECT sum(f_v) AS s FROM fact, dim WHERE d_name = 'beta' AND f_v > 1",
+        );
         let explain = r.get("explain").unwrap().as_array().unwrap();
         assert!(
-            explain.iter().any(|l| l.as_str().unwrap().starts_with("selection: builds range f_dim")),
+            explain
+                .iter()
+                .any(|l| l.as_str().unwrap().starts_with("selection: builds range f_dim")),
             "one name is one key run: {r:?}"
         );
+        let r = sql(&e, "EXPLAIN SELECT f_dim, count(*) AS c FROM fact GROUP BY f_dim");
+        let explain = r.get("explain").unwrap().as_array().unwrap();
+        assert!(explain.iter().any(|l| l.as_str() == Some("eligible: air,join")), "{r:?}");
         use std::sync::atomic::Ordering::Relaxed;
         assert_eq!(e.stats().queries.load(Relaxed), 0, "no query ran");
-        assert_eq!(e.router().snapshot().total_decisions, 0, "no decision consumed");
+        let decisions: u64 = e.stats().router_decisions.iter().map(|c| c.load(Relaxed)).sum();
+        assert_eq!(decisions, 0, "no engine ran");
         // Writes are rejected with a typed error, same as EXPLAIN ANALYZE.
         let r = sql(&e, "EXPLAIN INSERT INTO fact VALUES (0, 1)");
         assert_eq!(r.get("code").unwrap().as_str(), Some("plan_error"), "{r:?}");

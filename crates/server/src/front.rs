@@ -3,9 +3,9 @@
 //!
 //! The reactor thread does exactly three cheap things per frame — decode +
 //! trim, parse the JSON once, classify — then hands the *parsed* request
-//! to an executor worker. The worker replays the same dispatch the
-//! thread-per-connection model uses ([`Engine::handle_request`]), so both
-//! io models produce byte-identical frames for the same request stream.
+//! to an executor worker, which runs it through the engine's statement
+//! path ([`Engine::handle_request`]). The reply bytes for a recorded
+//! request log are pinned by `testdata/recorded-log-replies.jsonl`.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering::Relaxed;
@@ -21,8 +21,7 @@ use crate::session::StatementRegistry;
 use crate::stats::ServerStats;
 
 /// Serialises a reply of `class` once, straight into the buffer the reactor
-/// writes to the socket ([`Json::frame`], the same bytes the thread model
-/// sends), and records what that cost: the `serialise` stage of the
+/// writes to the socket ([`Json::frame`]), and records what that cost: the `serialise` stage of the
 /// request, which `elapsed_us` inside the frame cannot cover.
 fn frame_bytes(frame: &Json, stats: &ServerStats, class: Priority) -> Vec<u8> {
     let t = Instant::now();
@@ -127,8 +126,7 @@ impl Service for EngineService {
     }
 
     fn dispatch(&self, session: &Arc<Mutex<StatementRegistry>>, frame: Vec<u8>, done: Done) {
-        // Mirror the thread model's framing byte-for-byte: lossy decode,
-        // trim, silently skip whitespace-only frames.
+        // Lossy decode, trim, silently skip whitespace-only frames.
         let line = String::from_utf8_lossy(&frame);
         let trimmed = line.trim();
         if trimmed.is_empty() {

@@ -66,30 +66,30 @@
 //!
 //! ## Architecture
 //!
-//! Connection handling comes in two io models (see [`server::IoModel`]).
-//! The default is the event-driven reactor: one epoll/kqueue thread owns
-//! every socket (nonblocking accepts, incremental framing, pipelining,
-//! write-buffer backpressure) and hands parsed requests to the
-//! strict-priority executor pool — metadata and point lookups jump ahead
-//! of long scans. `--io-model threads` keeps the previous
-//! thread-per-connection path as a differential oracle.
+//! One epoll/kqueue reactor thread owns every socket (nonblocking accepts,
+//! incremental framing, pipelining, write-buffer backpressure) and hands
+//! parsed requests to the strict-priority executor pool — metadata and
+//! point lookups jump ahead of long scans ([`server`], [`front`]). Each
+//! statement then runs through the [`engine`]'s stages, one function each:
 //!
 //! ```text
-//! TcpListener ── reactor (epoll/kqueue, default) ── priority executor pool
-//!           └─── or: accept loop ── per-connection I/O threads
-//!                                     │ one statement at a time
-//!                                     ▼
-//!                     bounded admission queue (shed, don't stall)
-//!                                     │
-//!                                     ▼
-//!        Engine: parse → PlanCache (canonical template → Arc<Prepared>)
-//!                  │ SELECT: execute against SharedDatabase::snapshot(),
-//!                  │   fan-out threads granted by the shared CoreBudget
-//!                  │   (big scans go morsel-parallel, small stay serial)
-//!                  │ INSERT/UPDATE/DELETE: SharedDatabase::write (atomic)
-//!                  ▼
-//!        ServerStats: counters + streaming latency histogram (p50/p99)
+//! TcpListener ── reactor (epoll/kqueue) ── priority executor pool
+//!                                            │ bounded admission queues
+//!                                            │ (shed, don't stall)
+//!                                            ▼
+//!   Engine: parse → plan (PlanCache: canonical template → Arc<Prepared>)
+//!             → bind ─┬─ SELECT: route → execute against
+//!                     │    SharedDatabase::snapshot(), fan-out threads
+//!                     │    granted by the shared CoreBudget → reply
+//!                     └─ INSERT/UPDATE/DELETE: stage → group commit
+//!                          (validate, apply, WAL + fsync, publish)
+//!                                            ▼
+//!   ServerStats: counters + streaming latency histograms (p50/p99)
 //! ```
+//!
+//! The route is a rule ([`router::route`]): AIR, unless the session's
+//! `SET engine` pin names the hash-join or denormalized baseline and that
+//! engine can answer the statement.
 //!
 //! Intra-query parallelism (`--engine-threads`) and the worker pool share
 //! one [`CoreBudget`] sized to the machine's cores: each executing
@@ -111,7 +111,6 @@ pub mod front;
 pub mod hist;
 pub mod json;
 pub mod metrics;
-pub mod pool;
 pub mod router;
 pub mod sched;
 pub mod server;
@@ -124,8 +123,8 @@ pub use client::{Client, ClientError};
 pub use engine::{Durability, Engine, ErrorCode};
 pub use front::EngineService;
 pub use metrics::{SlowLog, TemplateStats};
-pub use router::{DenormCache, EngineChoice, Router, RouterConfig};
+pub use router::{DenormCache, EngineChoice};
 pub use sched::{Priority, PriorityPool};
-pub use server::{start, IoModel, ServerConfig, ServerHandle};
+pub use server::{start, ServerConfig, ServerHandle};
 pub use session::StatementRegistry;
 pub use stats::ServerStats;

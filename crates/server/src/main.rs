@@ -18,7 +18,7 @@ use std::process::exit;
 use std::sync::Arc;
 use std::time::Instant;
 
-use astore_server::{start, Durability, Engine, EngineChoice, RouterConfig, ServerConfig};
+use astore_server::{start, Durability, Engine, ServerConfig};
 use astore_storage::snapshot::SharedDatabase;
 
 fn main() {
@@ -32,7 +32,6 @@ fn main() {
     let mut engine_threads: usize = 1;
     let mut slow_ms: u64 = 0;
     let mut trace = false;
-    let mut engine_pin: Option<EngineChoice> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -52,7 +51,6 @@ fn main() {
             "--max-conn" => {
                 config.max_connections = parse_or_die(&value("--max-conn"), "--max-conn")
             }
-            "--io-model" => config.io_model = parse_or_die(&value("--io-model"), "--io-model"),
             "--idle-timeout-ms" => {
                 config.idle_timeout_ms =
                     parse_or_die(&value("--idle-timeout-ms"), "--idle-timeout-ms")
@@ -68,12 +66,6 @@ fn main() {
                 engine_threads = parse_or_die(&value("--engine-threads"), "--engine-threads")
             }
             "--slow-ms" => slow_ms = parse_or_die(&value("--slow-ms"), "--slow-ms"),
-            "--engine" => {
-                engine_pin = EngineChoice::parse(&value("--engine")).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    exit(2);
-                })
-            }
             "--trace" => trace = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -147,10 +139,6 @@ fn main() {
     }
     let exec_opts = astore_core::exec::ExecOptions::default().threads(engine_threads.max(1));
     let mut engine = Engine::with_options(SharedDatabase::new(db), exec_opts).slow_ms(slow_ms);
-    if engine_pin.is_some() {
-        engine =
-            engine.router_config(RouterConfig { pinned: engine_pin, ..RouterConfig::default() });
-    }
     if let Some(d) = durability {
         engine = engine.durable(d);
     }
@@ -161,14 +149,10 @@ fn main() {
     let engine = Arc::new(engine);
     let workers = config.workers;
     let queue = config.queue_depth;
-    let io_model = match config.io_model {
-        astore_server::IoModel::Reactor => "reactor",
-        astore_server::IoModel::Threads => "threads",
-    };
     match start(engine, config) {
         Ok(handle) => {
             eprintln!(
-                "astore-serve listening on {} (io model {io_model}, {workers} workers, \
+                "astore-serve listening on {} ({workers} workers, \
                  queue depth {queue}, engine threads {engine_threads}, \
                  core budget {budget_total})",
                 handle.addr(),
@@ -225,13 +209,7 @@ flags:
   --workers <n>           statement worker threads    (default: cores)
   --queue <n>             admission queue depth       (default: 4x workers)
   --max-conn <n>          connection limit            (default 256)
-  --io-model <m>          reactor | threads           (default reactor)
-                          reactor: one epoll/kqueue event loop owns every
-                          socket; statements run on a strict-priority
-                          executor pool (metadata > interactive > scan).
-                          threads: one I/O thread per connection (the
-                          previous model, kept as a differential oracle)
-  --idle-timeout-ms <n>   reactor only: close connections whose partial
+  --idle-timeout-ms <n>   close connections whose partial
                           frame stalls for n ms (slow-loris defence;
                           default 30000, 0 = off). Idle connections with
                           no buffered bytes are never reaped
@@ -249,11 +227,6 @@ flags:
                           inter-query parallelism never oversubscribe cores
   --slow-ms <n>           capture statements slower than n ms in the
                           {\"cmd\":\"slowlog\"} ring buffer (default 0 = off)
-  --engine <e>            air | join | denorm | auto (default auto). Pins
-                          every SELECT to one execution engine server-wide;
-                          auto lets the adaptive router pick per template
-                          from observed latencies. Sessions can override
-                          with SET engine = <e>
   --trace                 arm the runtime tracing toggle: engine timing
                           counters (WAL fsync, checkpoint) are sampled and
                           exposed via {\"cmd\":\"metrics\"}";

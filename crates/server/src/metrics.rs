@@ -340,11 +340,6 @@ pub fn render_prometheus(
         ("astore_server_plan_cache_hits_total", "Plan-cache hits.", cache.hits()),
         ("astore_server_plan_cache_misses_total", "Plan-cache misses.", cache.misses()),
         (
-            "astore_server_router_mispredictions_total",
-            "Routed executions that ran >1.5x the best tried arm's estimate.",
-            stats.router_mispredictions.load(Ordering::Relaxed),
-        ),
-        (
             "astore_server_scan_helper_wakes_total",
             "Scan workers handed to resident helper threads (one per extra worker per statement).",
             crew.wakes,
@@ -355,11 +350,11 @@ pub fn render_prometheus(
         w.sample_u64(name, &[], *value);
     }
 
-    // The adaptive router's decision counter: one labeled series per engine
-    // under a single header.
+    // Statements answered per engine: one labeled series per engine under a
+    // single header.
     w.header(
         "astore_server_router_decisions_total",
-        "Adaptive-router decisions per execution engine.",
+        "SELECT statements answered per execution engine.",
         "counter",
     );
     for e in crate::router::EngineChoice::ALL {
@@ -593,7 +588,6 @@ mod tests {
             .contains(r#"astore_server_template_latency_us_bucket{template="SELECT count(*) FROM fact",le="+Inf"} 1"#));
         assert!(body.contains("astore_server_engine_threads 4\n"));
         assert!(body.contains(r#"astore_server_router_decisions_total{engine="air"} 0"#));
-        assert!(body.contains("astore_server_router_mispredictions_total 0\n"));
         assert!(body.contains("# TYPE astore_server_scan_helpers gauge\n"));
         assert!(body.contains("# TYPE astore_server_scan_helper_wakes_total counter\n"));
         assert!(body.contains(r#"astore_server_reply_bytes_count{class="scan"} 0"#));

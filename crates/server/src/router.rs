@@ -1,28 +1,17 @@
-//! Adaptive engine router: learned per-template strategy selection.
-//!
-//! The paper's thesis is that the join-free AIR scan beats join pipelines on
-//! *most but not all* star-schema queries. This module makes that a live
-//! planner decision: for each canonical statement template the router picks
-//! one of three engines —
+//! Engine choice: which of the three engines answers a SELECT.
 //!
 //! * **air** — the production AIR scan (`astore_core::exec::execute`),
 //! * **join** — the hash-join baseline (`astore_baseline::engine`),
 //! * **denorm** — a scan over a cached materialized denormalization
-//!   (`astore_baseline::denorm`), invalidated by table epoch on write —
+//!   (`astore_baseline::denorm`), invalidated by table epoch on write.
 //!
-//! using static plan features (zone-map segment survival, estimated group-by
-//! domain, predicate selectivity, live fact rows) to seed the choice and
-//! *observed* per-template per-engine latencies to correct it. Exploration is
-//! epsilon-greedy but deterministic: every `epsilon_n`-th decision for a
-//! template runs the least-tried eligible engine instead of the believed-best
-//! one, so a misprediction cannot persist. All engines are bound by a hard
-//! result-identity contract — rows must be bit-identical — which the
-//! differential suites and the replay harness enforce.
-//!
-//! Router history is deliberately **decoupled from the plan cache**: the
-//! per-template arm statistics live in their own bounded LRU keyed by the
-//! canonical template string, so plan-cache churn cannot erase what the
-//! router has learned (ISSUE 10 satellite).
+//! The choice is a rule, not a learned policy: AIR, unless the session's
+//! `SET engine` pin names join or denorm and that engine can answer the
+//! statement ([`route`]). AIR answers every SSB query fastest when the
+//! three are measured side by side (README, "Engine choice"), so the other
+//! two engines stay as pinned baselines and as differential oracles. All three are
+//! bound by a hard result-identity contract — rows must be bit-identical —
+//! which the differential suites enforce.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -30,13 +19,12 @@ use std::sync::{Arc, Mutex};
 use astore_baseline::denorm::{denormalize, Denormalized};
 use astore_core::graph::JoinGraph;
 use astore_core::query::Query;
-use astore_core::universal::{bind_root, BindError};
-use astore_core::zone::conjunct_zone_survival;
+use astore_core::universal::BindError;
 use astore_storage::catalog::Database;
 use astore_storage::column::Column;
 use astore_storage::table::Table;
 
-/// The execution engines the router chooses between.
+/// The execution engines a statement can run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineChoice {
     /// Join-free AIR scan — the production path.
@@ -48,7 +36,7 @@ pub enum EngineChoice {
 }
 
 impl EngineChoice {
-    /// All engines, in arm order.
+    /// All engines, in index order.
     pub const ALL: [EngineChoice; 3] =
         [EngineChoice::Air, EngineChoice::Join, EngineChoice::Denorm];
 
@@ -61,7 +49,7 @@ impl EngineChoice {
         }
     }
 
-    /// Arm index (0..3).
+    /// Index (0..3) into per-engine counters.
     #[inline]
     pub fn index(self) -> usize {
         self as usize
@@ -79,510 +67,65 @@ impl EngineChoice {
     }
 }
 
-/// Router tuning knobs.
-#[derive(Debug, Clone)]
-pub struct RouterConfig {
-    /// Every `epsilon_n`-th decision for a template explores the least-tried
-    /// eligible arm instead of exploiting the believed-best one.
-    pub epsilon_n: u64,
-    /// AIR observations a template must accumulate before any non-AIR arm is
-    /// considered. Keeps cold templates on the production path until the
-    /// router has a baseline to compare against.
-    pub warmup: u64,
-    /// Server-wide engine pin (`--engine`); `None` routes adaptively.
-    pub pinned: Option<EngineChoice>,
-    /// Maximum templates the latency-history LRU retains.
-    pub history_capacity: usize,
-    /// Denormalization is never attempted when the fact table holds more
-    /// live rows than this (the materialization would dwarf its benefit).
-    pub denorm_max_fact_rows: usize,
-}
+/// The denorm engine is never used when the fact table holds more slots
+/// than this: the materialization would dwarf its benefit.
+pub const DENORM_MAX_FACT_ROWS: usize = 8_000_000;
 
-impl Default for RouterConfig {
-    fn default() -> Self {
-        RouterConfig {
-            epsilon_n: 16,
-            warmup: 8,
-            pinned: None,
-            history_capacity: 4096,
-            denorm_max_fact_rows: 8_000_000,
-        }
+/// The route stage: the engine that runs `query` on `snap` — `pin` when the
+/// session pinned an engine that can answer the statement, AIR otherwise.
+/// Reads the snapshot's schema and row counts only; takes no lock.
+pub fn route(pin: Option<EngineChoice>, snap: &Database, query: &Query) -> EngineChoice {
+    match pin {
+        Some(engine) if eligible(engine, snap, query, DENORM_MAX_FACT_ROWS) => engine,
+        _ => EngineChoice::Air,
     }
 }
 
-/// The static feature vector the router extracts per execution — cheap,
-/// zone-map-level plan statistics (no row touched).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Features {
-    /// Live rows in the root (fact) table.
-    pub fact_rows_live: u64,
-    /// Total fact segments.
-    pub segments_total: u64,
-    /// Segments surviving the best zone-prunable fact conjunct.
-    pub segments_surviving: u64,
-    /// Estimated group-by output domain (product of per-column distinct
-    /// estimates, saturating).
-    pub group_domain: u64,
-    /// Estimated selection survival fraction in `[0, 1]`.
-    pub selectivity: f64,
-}
-
-impl Features {
-    /// Extracts the feature vector from a snapshot and a bound query.
-    /// Returns defaults when the root cannot be resolved (the executor will
-    /// fail the query with a proper error anyway).
-    pub fn extract(db: &Database, query: &Query) -> Features {
-        let graph = JoinGraph::build(db);
-        let referenced = query.referenced_tables();
-        let root = match bind_root(&graph, query.root.as_deref(), &referenced) {
-            Ok(r) => r,
-            Err(_) => return Features::default(),
-        };
-        let Some(fact) = db.table(&root) else { return Features::default() };
-
-        let segments_total = fact.segment_count() as u64;
-        // Segment survival of the most selective zone-prunable fact conjunct;
-        // dimension predicates discount selectivity by a fixed factor each
-        // (they prune rows the zone maps cannot see).
-        let mut best_survival = 1.0f64;
-        let mut selectivity = 1.0f64;
-        for (table, pred) in &query.selections {
-            if *table == root {
-                for c in pred.conjuncts() {
-                    let s = conjunct_zone_survival(c, fact);
-                    best_survival = best_survival.min(s);
-                    selectivity *= s;
-                }
-            } else {
-                selectivity *= 0.5;
-            }
-        }
-        let segments_surviving =
-            ((segments_total as f64) * best_survival).ceil().min(segments_total as f64) as u64;
-
-        // Group-by domain: product of per-column distinct estimates. Dict
-        // columns know their cardinality exactly; everything else is bounded
-        // by the owning table's live rows.
-        let mut group_domain = 1u64;
-        for g in &query.group_by {
-            let distinct = db
-                .table(&g.table)
-                .map(|t| match t.column(&g.column) {
-                    Some(Column::Dict(d)) => d.dict().len() as u64,
-                    _ => t.num_live() as u64,
-                })
-                .unwrap_or(1)
-                .max(1);
-            group_domain = group_domain.saturating_mul(distinct);
-        }
-
-        Features {
-            fact_rows_live: fact.num_live() as u64,
-            segments_total,
-            segments_surviving,
-            group_domain,
-            selectivity,
-        }
-    }
-
-    /// The feature that most strongly shaped the decision: the name shown by
-    /// `EXPLAIN` and the CLI's `\plan on` banner, with its value.
-    pub fn top_feature(&self) -> (&'static str, f64) {
-        // A near-fully-pruned scan is AIR's strongest signal; a huge group
-        // domain is the join/denorm pipelines' weakest spot; otherwise the
-        // selection survival fraction dominates.
-        let survival = if self.segments_total == 0 {
-            1.0
-        } else {
-            self.segments_surviving as f64 / self.segments_total as f64
-        };
-        if survival <= 0.5 {
-            ("segment_survival", survival)
-        } else if self.group_domain > 10_000 {
-            ("group_domain", self.group_domain as f64)
-        } else {
-            ("selectivity", self.selectivity)
+/// Can `engine` answer `query` on `snap`? AIR always can. Neither the join
+/// pipeline's universal relation nor the denormalized wide table carries
+/// positional row addresses, so a `rowid` predicate is AIR-only. Denorm
+/// also needs a fact table of at most `max_fact_rows` slots and a shape the
+/// wide table can answer: every column the statement reads is a value (not
+/// a key) column, since the wide table folds references away.
+fn eligible(engine: EngineChoice, snap: &Database, query: &Query, max_fact_rows: usize) -> bool {
+    let uses_rowid = || query.selections.iter().any(|(_, p)| p.columns().contains(&"rowid"));
+    match engine {
+        EngineChoice::Air => true,
+        EngineChoice::Join => !uses_rowid(),
+        EngineChoice::Denorm => {
+            let Some((root, fact)) = fact_table(snap, query) else { return false };
+            let is_value = |table: &str, column: &str| {
+                snap.table(table)
+                    .and_then(|t| t.column(column))
+                    .is_some_and(|c| !matches!(c, Column::Key { .. }))
+            };
+            !uses_rowid()
+                && fact.num_slots() <= max_fact_rows
+                && query
+                    .selections
+                    .iter()
+                    .all(|(table, pred)| pred.columns().iter().all(|c| is_value(table, c)))
+                && query.group_by.iter().all(|g| is_value(&g.table, &g.column))
+                && query
+                    .aggregates
+                    .iter()
+                    .filter_map(|a| a.expr.as_ref())
+                    .all(|expr| expr.columns().iter().all(|c| is_value(root, c)))
         }
     }
 }
 
-/// One arm's running latency estimate.
-#[derive(Debug, Clone, Copy, Default)]
-struct ArmStats {
-    /// Exponentially-weighted moving average of observed latency (µs).
-    ewma_us: f64,
-    /// Observations recorded.
-    tries: u64,
-}
-
-impl ArmStats {
-    fn observe(&mut self, us: f64) {
-        if self.tries == 0 {
-            self.ewma_us = us;
-        } else {
-            self.ewma_us = 0.8 * self.ewma_us + 0.2 * us;
-        }
-        self.tries += 1;
+/// The table a star query scans: its explicit root, else the largest table
+/// it references (the fact table dominates a star query).
+fn fact_table<'a>(snap: &'a Database, query: &'a Query) -> Option<(&'a str, &'a Table)> {
+    if let Some(root) = &query.root {
+        return snap.table(root).map(|t| (root.as_str(), t));
     }
-}
-
-/// Per-template router state.
-#[derive(Debug, Clone, Default)]
-struct TemplateState {
-    arms: [ArmStats; 3],
-    decisions: u64,
-    /// Whether this template's query shape can be rewritten onto the wide
-    /// denormalized table (`None` = not yet probed).
-    denorm_rewritable: Option<bool>,
-    /// Cumulative regret (µs) vs the best tried arm's estimate.
-    regret_us: f64,
-    /// LRU stamp.
-    last_used: u64,
-}
-
-/// How a decision was reached — surfaced through `EXPLAIN`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecisionReason {
-    /// A session (`SET engine=...`) or server (`--engine`) pin.
-    Pinned,
-    /// Template still inside the AIR warmup window.
-    Warmup,
-    /// Deterministic epsilon-greedy exploration of the least-tried arm.
-    Explore,
-    /// Lowest-EWMA exploitation.
-    Exploit,
-}
-
-impl DecisionReason {
-    /// Stable wire label.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DecisionReason::Pinned => "pinned",
-            DecisionReason::Warmup => "warmup",
-            DecisionReason::Explore => "explore",
-            DecisionReason::Exploit => "exploit",
-        }
-    }
-}
-
-/// The router's verdict for one execution.
-#[derive(Debug, Clone, Copy)]
-pub struct Decision {
-    /// The engine to run.
-    pub choice: EngineChoice,
-    /// Why it was chosen.
-    pub reason: DecisionReason,
-}
-
-/// Feedback from recording one observed latency.
-#[derive(Debug, Clone, Copy)]
-pub struct Observation {
-    /// Observed latency exceeded 1.5× the best tried arm's estimate — the
-    /// router believed wrong.
-    pub mispredicted: bool,
-    /// Regret increment (µs) vs the best tried arm's estimate.
-    pub regret_us: f64,
-}
-
-/// One template's arm statistics in a [`RouterSnapshot`].
-#[derive(Debug, Clone)]
-pub struct TemplateSnapshot {
-    /// Canonical template string.
-    pub template: String,
-    /// Decisions taken for this template.
-    pub decisions: u64,
-    /// Per-engine `(tries, ewma_us)` in [`EngineChoice::ALL`] order.
-    pub arms: [(u64, f64); 3],
-    /// Cumulative regret (µs).
-    pub regret_us: f64,
-    /// The arm the router currently believes best (lowest tried EWMA).
-    pub best: EngineChoice,
-}
-
-/// A point-in-time copy of the router's learned state.
-#[derive(Debug, Clone, Default)]
-pub struct RouterSnapshot {
-    /// Per-template statistics, insertion order unspecified.
-    pub templates: Vec<TemplateSnapshot>,
-    /// Total regret (µs) accumulated across all templates since start.
-    pub total_regret_us: f64,
-    /// Total decisions taken.
-    pub total_decisions: u64,
-}
-
-#[derive(Debug)]
-struct RouterInner {
-    templates: HashMap<String, TemplateState>,
-    stamp: u64,
-    total_regret_us: f64,
-    total_decisions: u64,
-}
-
-/// The adaptive engine router: per-template epsilon-greedy bandit over the
-/// three execution engines, with its own bounded history (independent of the
-/// plan cache).
-#[derive(Debug)]
-pub struct Router {
-    config: RouterConfig,
-    inner: Mutex<RouterInner>,
-}
-
-impl Router {
-    /// Creates a router with the given configuration.
-    pub fn new(config: RouterConfig) -> Router {
-        Router {
-            config,
-            inner: Mutex::new(RouterInner {
-                templates: HashMap::new(),
-                stamp: 0,
-                total_regret_us: 0.0,
-                total_decisions: 0,
-            }),
-        }
-    }
-
-    /// The configuration this router runs with.
-    pub fn config(&self) -> &RouterConfig {
-        &self.config
-    }
-
-    /// Picks an engine for one execution of `template`.
-    ///
-    /// `eligible` marks which arms *can* produce this query's result (AIR is
-    /// always eligible; join/denorm may be ruled out by query shape or fact
-    /// size). `session_pin` is a `SET engine=...` override and wins over the
-    /// server-wide pin; a pinned engine that is not eligible falls back to
-    /// AIR rather than failing the query.
-    pub fn decide(
-        &self,
-        template: &str,
-        mut eligible: [bool; 3],
-        session_pin: Option<EngineChoice>,
-    ) -> Decision {
-        eligible[EngineChoice::Air.index()] = true;
-        let mut inner = self.inner.lock().unwrap();
-        inner.stamp += 1;
-        inner.total_decisions += 1;
-        let stamp = inner.stamp;
-        self.evict_if_full(&mut inner, template);
-        let state = inner.templates.entry(template.to_owned()).or_default();
-        state.last_used = stamp;
-        state.decisions += 1;
-        if state.denorm_rewritable == Some(false) {
-            eligible[EngineChoice::Denorm.index()] = false;
-        }
-
-        if let Some(pin) = session_pin.or(self.config.pinned) {
-            let choice = if eligible[pin.index()] { pin } else { EngineChoice::Air };
-            return Decision { choice, reason: DecisionReason::Pinned };
-        }
-
-        // Cold start: stay on the production AIR path until it has a
-        // trustworthy latency estimate to compare alternatives against.
-        if state.arms[EngineChoice::Air.index()].tries < self.config.warmup {
-            return Decision { choice: EngineChoice::Air, reason: DecisionReason::Warmup };
-        }
-
-        // Deterministic epsilon-greedy: every epsilon_n-th decision tries the
-        // least-tried eligible arm.
-        if self.config.epsilon_n > 0 && state.decisions.is_multiple_of(self.config.epsilon_n) {
-            let choice = EngineChoice::ALL
-                .into_iter()
-                .filter(|e| eligible[e.index()])
-                .min_by_key(|e| state.arms[e.index()].tries)
-                .unwrap_or(EngineChoice::Air);
-            return Decision { choice, reason: DecisionReason::Explore };
-        }
-
-        // Exploit: lowest EWMA among tried eligible arms (ties → AIR first).
-        let choice = EngineChoice::ALL
-            .into_iter()
-            .filter(|e| eligible[e.index()] && state.arms[e.index()].tries > 0)
-            .min_by(|a, b| state.arms[a.index()].ewma_us.total_cmp(&state.arms[b.index()].ewma_us))
-            .unwrap_or(EngineChoice::Air);
-        Decision { choice, reason: DecisionReason::Exploit }
-    }
-
-    /// What [`Router::decide`] *would* pick for `template`, without mutating
-    /// any state — no decision counter, no LRU touch. This is the `EXPLAIN`
-    /// path: the statement is not executed, so the router must not learn
-    /// from it. Exploration cadence is previewed against the *next* decision
-    /// number.
-    pub fn peek(
-        &self,
-        template: &str,
-        mut eligible: [bool; 3],
-        session_pin: Option<EngineChoice>,
-    ) -> Decision {
-        eligible[EngineChoice::Air.index()] = true;
-        let inner = self.inner.lock().unwrap();
-        let default_state = TemplateState::default();
-        let state = inner.templates.get(template).unwrap_or(&default_state);
-        if state.denorm_rewritable == Some(false) {
-            eligible[EngineChoice::Denorm.index()] = false;
-        }
-
-        if let Some(pin) = session_pin.or(self.config.pinned) {
-            let choice = if eligible[pin.index()] { pin } else { EngineChoice::Air };
-            return Decision { choice, reason: DecisionReason::Pinned };
-        }
-        if state.arms[EngineChoice::Air.index()].tries < self.config.warmup {
-            return Decision { choice: EngineChoice::Air, reason: DecisionReason::Warmup };
-        }
-        if self.config.epsilon_n > 0 && (state.decisions + 1).is_multiple_of(self.config.epsilon_n)
-        {
-            let choice = EngineChoice::ALL
-                .into_iter()
-                .filter(|e| eligible[e.index()])
-                .min_by_key(|e| state.arms[e.index()].tries)
-                .unwrap_or(EngineChoice::Air);
-            return Decision { choice, reason: DecisionReason::Explore };
-        }
-        let choice = EngineChoice::ALL
-            .into_iter()
-            .filter(|e| eligible[e.index()] && state.arms[e.index()].tries > 0)
-            .min_by(|a, b| state.arms[a.index()].ewma_us.total_cmp(&state.arms[b.index()].ewma_us))
-            .unwrap_or(EngineChoice::Air);
-        Decision { choice, reason: DecisionReason::Exploit }
-    }
-
-    /// Records an observed latency for `template` run on `choice`, updating
-    /// the arm's EWMA and the regret/misprediction accounting.
-    pub fn observe(&self, template: &str, choice: EngineChoice, us: f64) -> Observation {
-        let mut inner = self.inner.lock().unwrap();
-        inner.stamp += 1;
-        let stamp = inner.stamp;
-        self.evict_if_full(&mut inner, template);
-        let state = inner.templates.entry(template.to_owned()).or_default();
-        state.last_used = stamp;
-        state.arms[choice.index()].observe(us);
-        let best = state
-            .arms
-            .iter()
-            .filter(|a| a.tries > 0)
-            .map(|a| a.ewma_us)
-            .fold(f64::INFINITY, f64::min);
-        let (mispredicted, regret_us) = if best.is_finite() {
-            (us > 1.5 * best && best > 0.0, (us - best).max(0.0))
-        } else {
-            (false, 0.0)
-        };
-        state.regret_us += regret_us;
-        inner.total_regret_us += regret_us;
-        Observation { mispredicted, regret_us }
-    }
-
-    /// Marks a template's shape as (not) rewritable onto the denormalized
-    /// wide table, permanently excluding (or admitting) the denorm arm.
-    pub fn set_denorm_rewritable(&self, template: &str, ok: bool) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.stamp += 1;
-        let stamp = inner.stamp;
-        self.evict_if_full(&mut inner, template);
-        let state = inner.templates.entry(template.to_owned()).or_default();
-        state.last_used = stamp;
-        state.denorm_rewritable = Some(ok);
-    }
-
-    /// Cached denorm-rewritability verdict for a template, if probed.
-    pub fn denorm_rewritable(&self, template: &str) -> Option<bool> {
-        let inner = self.inner.lock().unwrap();
-        inner.templates.get(template).and_then(|s| s.denorm_rewritable)
-    }
-
-    /// Number of templates currently tracked.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().templates.len()
-    }
-
-    /// Returns `true` if no template has been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The arm the router currently believes best for `template`, with its
-    /// EWMA (µs) — `None` for unknown templates or before any observation.
-    pub fn believed_best(&self, template: &str) -> Option<(EngineChoice, f64)> {
-        let inner = self.inner.lock().unwrap();
-        let state = inner.templates.get(template)?;
-        EngineChoice::ALL
-            .into_iter()
-            .filter(|e| state.arms[e.index()].tries > 0)
-            .min_by(|a, b| state.arms[a.index()].ewma_us.total_cmp(&state.arms[b.index()].ewma_us))
-            .map(|e| (e, state.arms[e.index()].ewma_us))
-    }
-
-    /// One template's learned state, if tracked — the `EXPLAIN` payload.
-    pub fn template_snapshot(&self, template: &str) -> Option<TemplateSnapshot> {
-        let inner = self.inner.lock().unwrap();
-        let s = inner.templates.get(template)?;
-        let best = EngineChoice::ALL
-            .into_iter()
-            .filter(|e| s.arms[e.index()].tries > 0)
-            .min_by(|a, b| s.arms[a.index()].ewma_us.total_cmp(&s.arms[b.index()].ewma_us))
-            .unwrap_or(EngineChoice::Air);
-        Some(TemplateSnapshot {
-            template: template.to_owned(),
-            decisions: s.decisions,
-            arms: [
-                (s.arms[0].tries, s.arms[0].ewma_us),
-                (s.arms[1].tries, s.arms[1].ewma_us),
-                (s.arms[2].tries, s.arms[2].ewma_us),
-            ],
-            regret_us: s.regret_us,
-            best,
-        })
-    }
-
-    /// Copies out the full learned state (for `EXPLAIN`, the stats command
-    /// and the replay harness's `BENCH_router.json`).
-    pub fn snapshot(&self) -> RouterSnapshot {
-        let inner = self.inner.lock().unwrap();
-        let mut templates: Vec<TemplateSnapshot> = inner
-            .templates
-            .iter()
-            .map(|(k, s)| {
-                let best = EngineChoice::ALL
-                    .into_iter()
-                    .filter(|e| s.arms[e.index()].tries > 0)
-                    .min_by(|a, b| s.arms[a.index()].ewma_us.total_cmp(&s.arms[b.index()].ewma_us))
-                    .unwrap_or(EngineChoice::Air);
-                TemplateSnapshot {
-                    template: k.clone(),
-                    decisions: s.decisions,
-                    arms: [
-                        (s.arms[0].tries, s.arms[0].ewma_us),
-                        (s.arms[1].tries, s.arms[1].ewma_us),
-                        (s.arms[2].tries, s.arms[2].ewma_us),
-                    ],
-                    regret_us: s.regret_us,
-                    best,
-                }
-            })
-            .collect();
-        templates.sort_by(|a, b| a.template.cmp(&b.template));
-        RouterSnapshot {
-            templates,
-            total_regret_us: inner.total_regret_us,
-            total_decisions: inner.total_decisions,
-        }
-    }
-
-    /// Evicts the least-recently-used template when inserting `incoming`
-    /// would exceed the history capacity. O(n) scan — eviction is rare at
-    /// the default capacity.
-    fn evict_if_full(&self, inner: &mut RouterInner, incoming: &str) {
-        if inner.templates.len() < self.config.history_capacity.max(1)
-            || inner.templates.contains_key(incoming)
-        {
-            return;
-        }
-        if let Some(victim) =
-            inner.templates.iter().min_by_key(|(_, s)| s.last_used).map(|(k, _)| k.clone())
-        {
-            inner.templates.remove(&victim);
-        }
-    }
+    query
+        .referenced_tables()
+        .into_iter()
+        .filter_map(|name| snap.table(name).map(|t| (name, t)))
+        .max_by_key(|(_, t)| t.num_slots())
 }
 
 /// Returns `true` when every column the query references maps onto the wide
@@ -703,177 +246,7 @@ impl DenormCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::PlanCache;
     use astore_storage::prelude::*;
-
-    fn cfg(warmup: u64, epsilon_n: u64) -> RouterConfig {
-        RouterConfig { warmup, epsilon_n, ..RouterConfig::default() }
-    }
-
-    #[test]
-    fn warmup_keeps_cold_templates_on_air() {
-        let r = Router::new(cfg(3, 16));
-        for _ in 0..3 {
-            let d = r.decide("q", [true; 3], None);
-            assert_eq!(d.choice, EngineChoice::Air);
-            assert_eq!(d.reason, DecisionReason::Warmup);
-            r.observe("q", EngineChoice::Air, 100.0);
-        }
-        // Warmup satisfied: next non-explore decision exploits.
-        let d = r.decide("q", [true; 3], None);
-        assert_eq!(d.choice, EngineChoice::Air, "only AIR has been tried");
-    }
-
-    #[test]
-    fn explore_cadence_tries_least_tried_arm() {
-        let r = Router::new(cfg(0, 4));
-        // Decisions 1..3 exploit; decision 4 must explore an untried arm.
-        for _ in 0..3 {
-            let d = r.decide("q", [true; 3], None);
-            r.observe("q", d.choice, 50.0);
-        }
-        let d = r.decide("q", [true; 3], None);
-        assert_eq!(d.reason, DecisionReason::Explore);
-        assert_ne!(d.choice, EngineChoice::Air, "air is the most-tried arm");
-    }
-
-    #[test]
-    fn exploit_follows_observed_latency() {
-        let r = Router::new(cfg(0, 0));
-        r.observe("q", EngineChoice::Air, 1000.0);
-        r.observe("q", EngineChoice::Join, 100.0);
-        let d = r.decide("q", [true; 3], None);
-        assert_eq!(d.choice, EngineChoice::Join);
-        assert_eq!(d.reason, DecisionReason::Exploit);
-        // New evidence flips it back: joins got slow.
-        for _ in 0..30 {
-            r.observe("q", EngineChoice::Join, 5000.0);
-        }
-        let d = r.decide("q", [true; 3], None);
-        assert_eq!(d.choice, EngineChoice::Air);
-    }
-
-    #[test]
-    fn pins_win_and_fall_back_to_air_when_ineligible() {
-        let r = Router::new(cfg(0, 0));
-        let d = r.decide("q", [true; 3], Some(EngineChoice::Denorm));
-        assert_eq!(d.choice, EngineChoice::Denorm);
-        assert_eq!(d.reason, DecisionReason::Pinned);
-        let mut eligible = [true; 3];
-        eligible[EngineChoice::Denorm.index()] = false;
-        let d = r.decide("q", eligible, Some(EngineChoice::Denorm));
-        assert_eq!(d.choice, EngineChoice::Air, "ineligible pin degrades to AIR");
-
-        let server_pinned =
-            Router::new(RouterConfig { pinned: Some(EngineChoice::Join), ..cfg(0, 0) });
-        let d = server_pinned.decide("q", [true; 3], None);
-        assert_eq!(d.choice, EngineChoice::Join);
-        // Session pin outranks the server pin.
-        let d = server_pinned.decide("q", [true; 3], Some(EngineChoice::Air));
-        assert_eq!(d.choice, EngineChoice::Air);
-    }
-
-    #[test]
-    fn observe_tracks_regret_and_mispredictions() {
-        let r = Router::new(cfg(0, 0));
-        let o = r.observe("q", EngineChoice::Air, 100.0);
-        assert!(!o.mispredicted, "first observation sets the baseline");
-        assert_eq!(o.regret_us, 0.0);
-        let o = r.observe("q", EngineChoice::Join, 1000.0);
-        assert!(o.mispredicted, "10x the best arm's estimate");
-        assert!(o.regret_us > 0.0);
-        let snap = r.snapshot();
-        assert!(snap.total_regret_us > 0.0);
-        assert_eq!(snap.templates.len(), 1);
-        assert_eq!(snap.templates[0].best, EngineChoice::Air);
-    }
-
-    #[test]
-    fn denorm_rewritability_gates_the_arm() {
-        let r = Router::new(cfg(0, 0));
-        r.observe("q", EngineChoice::Air, 1000.0);
-        r.observe("q", EngineChoice::Denorm, 10.0);
-        let d = r.decide("q", [true; 3], None);
-        assert_eq!(d.choice, EngineChoice::Denorm);
-        r.set_denorm_rewritable("q", false);
-        let d = r.decide("q", [true; 3], None);
-        assert_ne!(d.choice, EngineChoice::Denorm, "shape probe excludes the arm");
-        assert_eq!(r.denorm_rewritable("q"), Some(false));
-    }
-
-    /// ISSUE 10 satellite: router history is keyed and bounded independently
-    /// of the plan cache, so evicting a plan must not erase learned latency.
-    #[test]
-    fn history_survives_plan_cache_eviction() {
-        let db = star_db();
-        let cache = PlanCache::with_capacity(2);
-        let r = Router::new(cfg(0, 0));
-        let sqls = [
-            "SELECT sum(f_v) AS s FROM fact WHERE f_v > 1",
-            "SELECT d_name, sum(f_v) AS s FROM fact, dim GROUP BY d_name",
-            "SELECT count(*) AS c FROM fact",
-        ];
-        let mut keys = Vec::new();
-        for sql in sqls {
-            let mut tmpl = astore_sql::parse_template(sql).expect("parses");
-            let key = astore_sql::prepared::canonicalize(&mut tmpl);
-            let plan = astore_sql::prepare(sql, &db).expect("prepares");
-            cache.insert(key.clone(), Arc::new(plan));
-            r.observe(&key, EngineChoice::Join, 42.0);
-            keys.push(key);
-        }
-        // FIFO capacity 2: the first plan is gone...
-        assert!(cache.get(&keys[0]).is_none(), "plan was evicted");
-        // ...but the router still remembers every template's latency.
-        for k in &keys {
-            let (best, ewma) = r.believed_best(k).expect("history survived eviction");
-            assert_eq!(best, EngineChoice::Join);
-            assert_eq!(ewma, 42.0);
-        }
-    }
-
-    #[test]
-    fn lru_evicts_oldest_template_at_capacity() {
-        let r = Router::new(RouterConfig { history_capacity: 2, ..cfg(0, 0) });
-        r.observe("a", EngineChoice::Air, 1.0);
-        r.observe("b", EngineChoice::Air, 1.0);
-        r.observe("a", EngineChoice::Air, 1.0); // refresh "a"
-        r.observe("c", EngineChoice::Air, 1.0); // evicts "b"
-        assert_eq!(r.len(), 2);
-        let snap = r.snapshot();
-        let names: Vec<&str> = snap.templates.iter().map(|t| t.template.as_str()).collect();
-        assert_eq!(names, vec!["a", "c"]);
-    }
-
-    /// `EXPLAIN` must not perturb the bandit: peek returns the same verdict
-    /// decide would, without advancing the decision counter.
-    #[test]
-    fn peek_previews_decide_without_mutating() {
-        let r = Router::new(cfg(0, 4));
-        r.observe("q", EngineChoice::Air, 100.0);
-        for _ in 0..3 {
-            let previewed = r.peek("q", [true; 3], None);
-            let taken = r.decide("q", [true; 3], None);
-            assert_eq!(previewed.choice, taken.choice);
-            assert_eq!(previewed.reason, taken.reason);
-            r.observe("q", taken.choice, 100.0);
-        }
-        let before = r.snapshot().total_decisions;
-        r.peek("q", [true; 3], None);
-        assert_eq!(r.snapshot().total_decisions, before, "peek takes no decision");
-        // Unknown templates are previewed as cold-start AIR.
-        let d = r.peek("never-seen", [true; 3], None);
-        assert_eq!(d.choice, EngineChoice::Air);
-    }
-
-    #[test]
-    fn engine_choice_labels_round_trip() {
-        for e in EngineChoice::ALL {
-            assert_eq!(EngineChoice::parse(e.as_str()).unwrap(), Some(e));
-        }
-        assert_eq!(EngineChoice::parse("auto").unwrap(), None);
-        assert!(EngineChoice::parse("quantum").is_err());
-    }
 
     fn star_db() -> Database {
         let mut dim = Table::new(
@@ -901,21 +274,77 @@ mod tests {
         db
     }
 
+    fn query(db: &Database, sql: &str) -> Query {
+        astore_sql::sql_to_query(sql, db).unwrap()
+    }
+
+    const GROUPED: &str =
+        "SELECT d_name, sum(f_v) AS s FROM fact, dim WHERE d_rank = 1 GROUP BY d_name";
+
     #[test]
-    fn features_extract_from_snapshot() {
+    fn pins_win_and_fall_back_to_air_when_ineligible() {
         let db = star_db();
-        let q = astore_sql::sql_to_query(
-            "SELECT d_name, sum(f_v) AS s FROM fact, dim WHERE f_v > 15 GROUP BY d_name",
-            &db,
-        )
-        .unwrap();
-        let f = Features::extract(&db, &q);
-        assert_eq!(f.fact_rows_live, 3);
-        assert!(f.segments_total >= 1);
-        assert!(f.selectivity <= 1.0);
-        assert_eq!(f.group_domain, 2, "d_name dictionary has two entries");
-        let (name, _) = f.top_feature();
-        assert!(!name.is_empty());
+        let q = query(&db, GROUPED);
+        assert_eq!(route(None, &db, &q), EngineChoice::Air, "no pin: the rule says AIR");
+        for pin in EngineChoice::ALL {
+            assert_eq!(route(Some(pin), &db, &q), pin, "an eligible pin wins");
+        }
+        let keyed = query(&db, "SELECT f_dim, count(*) AS c FROM fact GROUP BY f_dim");
+        assert_eq!(route(Some(EngineChoice::Join), &db, &keyed), EngineChoice::Join);
+        assert_eq!(
+            route(Some(EngineChoice::Denorm), &db, &keyed),
+            EngineChoice::Air,
+            "an ineligible pin degrades to AIR"
+        );
+    }
+
+    #[test]
+    fn rowid_predicates_route_to_air() {
+        let db = star_db();
+        let q = Query::new()
+            .root("fact")
+            .filter("fact", astore_core::expr::Pred::eq("rowid", 1))
+            .agg(astore_core::query::Aggregate::count("c"));
+        for pin in [None, Some(EngineChoice::Join), Some(EngineChoice::Denorm)] {
+            assert_eq!(route(pin, &db, &q), EngineChoice::Air, "{pin:?}");
+        }
+    }
+
+    /// The wide table folds references away, so a statement that reads a
+    /// key column has no denormalized shape.
+    #[test]
+    fn denorm_rewritability_gates_the_arm() {
+        let db = star_db();
+        let denorm = denormalize(&db, Some("fact")).unwrap();
+        for (sql, rewritable) in [
+            (GROUPED, true),
+            ("SELECT f_dim, count(*) AS c FROM fact GROUP BY f_dim", false),
+            ("SELECT count(*) AS c FROM fact WHERE f_dim = 1", false),
+        ] {
+            let q = query(&db, sql);
+            let want = if rewritable { EngineChoice::Denorm } else { EngineChoice::Air };
+            assert_eq!(route(Some(EngineChoice::Denorm), &db, &q), want, "{sql}");
+            assert_eq!(query_rewritable(&denorm, &q, "fact"), rewritable, "{sql}");
+        }
+    }
+
+    #[test]
+    fn a_fact_table_above_the_denorm_cap_routes_to_air() {
+        let db = star_db();
+        let q = query(&db, GROUPED);
+        assert!(eligible(EngineChoice::Denorm, &db, &q, 3), "three fact rows, cap three");
+        assert!(!eligible(EngineChoice::Denorm, &db, &q, 2), "three fact rows, cap two");
+        assert!(eligible(EngineChoice::Join, &db, &q, 2), "the cap is the denorm arm's alone");
+        assert!(db.table("fact").unwrap().num_slots() <= DENORM_MAX_FACT_ROWS);
+    }
+
+    #[test]
+    fn engine_choice_labels_round_trip() {
+        for e in EngineChoice::ALL {
+            assert_eq!(EngineChoice::parse(e.as_str()).unwrap(), Some(e));
+        }
+        assert_eq!(EngineChoice::parse("auto").unwrap(), None);
+        assert!(EngineChoice::parse("quantum").is_err());
     }
 
     #[test]

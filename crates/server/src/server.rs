@@ -1,6 +1,4 @@
-//! The TCP serving layer, in two interchangeable io models:
-//!
-//! **Reactor (default).** One event-loop thread owns every socket via the
+//! The TCP serving layer. One event-loop thread owns every socket via the
 //! [`astore_net`] epoll/kqueue reactor: nonblocking accepts, incremental
 //! frame parsing, request pipelining, and write-buffer backpressure. Each
 //! complete frame is parsed and classified on the reactor thread, then
@@ -8,59 +6,25 @@
 //! lookups and metadata commands jump ahead of long scans. Idle
 //! connections cost no threads, so the model holds 10K+ of them.
 //!
-//! **Threads (`IoModel::Threads`).** The previous model — one lightweight
-//! I/O thread per connection feeding the bounded [`WorkerPool`] — kept for
-//! one release as the differential oracle: both models answer the same
-//! request stream with byte-identical frames.
-//!
-//! Either way, admission control is a bounded queue: when it is full the
-//! server answers immediately with a `server_busy` error frame instead of
+//! Admission control is a bounded queue: when it is full the server
+//! answers immediately with a `server_busy` error frame instead of
 //! stalling — it sheds load, it never builds an unbounded backlog.
 
-use std::io::{BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use astore_net::{Reactor, ReactorConfig, ReactorStop};
 
-use crate::engine::{error_frame, Engine, ErrorCode};
+use crate::engine::Engine;
 use crate::front::EngineService;
-use crate::json::Json;
-use crate::pool::{RejectReason, WorkerPool};
 use crate::sched::PriorityPool;
-use crate::session::StatementRegistry;
-use std::sync::Mutex;
 
 /// Maximum accepted request-line length (1 MiB); longer lines are answered
 /// with `bad_request` and the connection is closed.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
-
-/// Which connection-handling model serves the listener.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoModel {
-    /// Event-driven: an epoll/kqueue reactor owns all sockets and a
-    /// priority executor pool runs the statements (default).
-    Reactor,
-    /// One I/O thread per connection over the bounded worker pool — the
-    /// differential oracle for the reactor.
-    Threads,
-}
-
-impl std::str::FromStr for IoModel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "reactor" => Ok(IoModel::Reactor),
-            "threads" => Ok(IoModel::Threads),
-            other => Err(format!("unknown io model {other:?} (try reactor or threads)")),
-        }
-    }
-}
 
 /// Server tunables.
 #[derive(Debug, Clone)]
@@ -69,19 +33,15 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads executing statements.
     pub workers: usize,
-    /// Bounded admission-queue depth in statements (per priority class
-    /// under the reactor model).
+    /// Bounded admission-queue depth in statements, per priority class.
     pub queue_depth: usize,
     /// Maximum concurrently open connections.
     pub max_connections: usize,
-    /// Connection-handling model.
-    pub io_model: IoModel,
-    /// Reactor only: write backlog (bytes) at which reading from a
-    /// connection pauses.
+    /// Write backlog (bytes) at which reading from a connection pauses.
     pub high_watermark: usize,
-    /// Reactor only: write backlog at which a paused connection resumes.
+    /// Write backlog at which a paused connection resumes.
     pub low_watermark: usize,
-    /// Reactor only: close a connection whose *partial* frame has stalled
+    /// Close a connection whose *partial* frame has stalled
     /// this long (slow-loris defence; 0 disables). Fully idle connections
     /// are never reaped.
     pub idle_timeout_ms: u64,
@@ -95,7 +55,6 @@ impl Default for ServerConfig {
             workers,
             queue_depth: workers * 4,
             max_connections: 256,
-            io_model: IoModel::Reactor,
             high_watermark: 256 * 1024,
             low_watermark: 64 * 1024,
             idle_timeout_ms: 30_000,
@@ -108,12 +67,13 @@ impl Default for ServerConfig {
 /// executor pool.
 pub struct ServerHandle {
     addr: SocketAddr,
+    /// Stops the maintenance thread.
     stop: Arc<AtomicBool>,
-    /// The accept-loop thread (threads model) or the reactor thread.
-    accept: Option<JoinHandle<()>>,
+    /// The reactor thread.
+    reactor: Option<JoinHandle<()>>,
     compactor: Option<JoinHandle<()>>,
     engine: Arc<Engine>,
-    reactor_stop: Option<ReactorStop>,
+    reactor_stop: ReactorStop,
     /// Held so the executor pool outlives the reactor; the last Arc drop
     /// (after the reactor joined) drains and joins the workers.
     exec_pool: Option<Arc<PriorityPool>>,
@@ -136,34 +96,25 @@ impl ServerHandle {
         &self.engine
     }
 
-    /// Blocks until the accept loop exits (i.e. until another thread calls
+    /// Blocks until the reactor exits (i.e. until another thread calls
     /// [`ServerHandle::shutdown`] via a clone-free path — typically never,
     /// for a foreground server process).
     pub fn join(mut self) {
-        if let Some(h) = self.accept.take() {
+        if let Some(h) = self.reactor.take() {
             let _ = h.join();
         }
     }
 
-    /// Stops accepting, unblocks the accept loop, and joins it. Connection
-    /// threads notice the flag at their next read timeout and exit.
+    /// Stops the reactor — it closes every connection, running their
+    /// session teardown — and the maintenance thread, and joins both.
     pub fn shutdown(mut self) {
-        self.stop_accept();
+        self.stop_serving();
     }
 
-    fn stop_accept(&mut self) {
+    fn stop_serving(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        match self.reactor_stop.take() {
-            // Reactor model: wake the event loop; it closes every
-            // connection (running their session teardown) and exits.
-            Some(stop) => stop.stop(),
-            // Threads model: unblock the blocking accept with a throwaway
-            // connection.
-            None => {
-                let _ = TcpStream::connect(self.addr);
-            }
-        }
-        if let Some(h) = self.accept.take() {
+        self.reactor_stop.stop();
+        if let Some(h) = self.reactor.take() {
             let _ = h.join();
         }
         // With the reactor joined, this is the last pool reference: the
@@ -177,61 +128,43 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        if self.accept.is_some() || self.compactor.is_some() {
-            self.stop_accept();
+        if self.reactor.is_some() || self.compactor.is_some() {
+            self.stop_serving();
         }
     }
 }
 
-/// Binds the listener and starts serving `engine` in background threads
-/// using the configured [`IoModel`].
+/// Binds the listener and starts serving `engine` in background threads.
 pub fn start(engine: Arc<Engine>, config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    let (accept, reactor_stop, exec_pool) = match config.io_model {
-        IoModel::Reactor => {
-            // Share the engine's core budget with the executor: when every
-            // core is granted to running statements, the pool briefly defers
-            // scan-class dispatch instead of piling more scans on.
-            let pool = Arc::new(PriorityPool::with_budget(
-                config.workers,
-                config.queue_depth,
-                engine.budget_handle(),
-            ));
-            let service =
-                EngineService::new(Arc::clone(&engine), Arc::clone(&pool), config.max_connections);
-            let reactor_config = ReactorConfig {
-                max_connections: config.max_connections,
-                max_frame_bytes: MAX_LINE_BYTES,
-                high_watermark: config.high_watermark,
-                low_watermark: config.low_watermark.min(config.high_watermark),
-                idle_timeout: (config.idle_timeout_ms > 0)
-                    .then(|| Duration::from_millis(config.idle_timeout_ms)),
-            };
-            let reactor = Reactor::new(listener, service, reactor_config)?;
-            let reactor_stop = reactor.stop_handle();
-            let accept = std::thread::Builder::new()
-                .name("astore-reactor".into())
-                .spawn(move || {
-                    let _ = reactor.run();
-                })
-                .expect("failed to spawn reactor thread");
-            (accept, Some(reactor_stop), Some(pool))
-        }
-        IoModel::Threads => {
-            let pool = Arc::new(WorkerPool::new(config.workers, config.queue_depth));
-            let engine = Arc::clone(&engine);
-            let stop = Arc::clone(&stop);
-            let accept = std::thread::Builder::new()
-                .name("astore-accept".into())
-                .spawn(move || {
-                    accept_loop(&listener, &engine, &pool, &stop, config.max_connections)
-                })
-                .expect("failed to spawn accept thread");
-            (accept, None, None)
-        }
+    // Share the engine's core budget with the executor: when every core is
+    // granted to running statements, the pool briefly defers scan-class
+    // dispatch instead of piling more scans on.
+    let pool = Arc::new(PriorityPool::with_budget(
+        config.workers,
+        config.queue_depth,
+        engine.budget_handle(),
+    ));
+    let service =
+        EngineService::new(Arc::clone(&engine), Arc::clone(&pool), config.max_connections);
+    let reactor_config = ReactorConfig {
+        max_connections: config.max_connections,
+        max_frame_bytes: MAX_LINE_BYTES,
+        high_watermark: config.high_watermark,
+        low_watermark: config.low_watermark.min(config.high_watermark),
+        idle_timeout: (config.idle_timeout_ms > 0)
+            .then(|| Duration::from_millis(config.idle_timeout_ms)),
     };
+    let reactor = Reactor::new(listener, service, reactor_config)?;
+    let reactor_stop = reactor.stop_handle();
+    let reactor = std::thread::Builder::new()
+        .name("astore-reactor".into())
+        .spawn(move || {
+            let _ = reactor.run();
+        })
+        .expect("failed to spawn reactor thread");
     // Background maintenance: due auto-checkpoints, and compaction — put
     // the chunks writes decoded back in encoded form once their segment
     // has gone quiet, so a write-heavy phase does not slowly grow the
@@ -248,11 +181,11 @@ pub fn start(engine: Arc<Engine>, config: ServerConfig) -> std::io::Result<Serve
     Ok(ServerHandle {
         addr,
         stop,
-        accept: Some(accept),
+        reactor: Some(reactor),
         compactor,
         engine,
         reactor_stop,
-        exec_pool,
+        exec_pool: Some(pool),
     })
 }
 
@@ -271,166 +204,11 @@ fn compactor_loop(engine: &Arc<Engine>, stop: &AtomicBool) {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    engine: &Arc<Engine>,
-    pool: &Arc<WorkerPool>,
-    stop: &Arc<AtomicBool>,
-    max_connections: usize,
-) {
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else {
-            // Transient accept errors (EMFILE, ECONNABORTED) would otherwise
-            // busy-spin the loop at 100% CPU; back off briefly.
-            std::thread::sleep(Duration::from_millis(10));
-            continue;
-        };
-        let stats = engine.stats();
-        stats.accepts_total.fetch_add(1, Ordering::Relaxed);
-        if stats.active_connections.load(Ordering::Relaxed) >= max_connections {
-            stats.conn_rejected.fetch_add(1, Ordering::Relaxed);
-            let mut w = BufWriter::new(&stream);
-            let frame = error_frame(
-                ErrorCode::TooManyConnections,
-                format!("connection limit ({max_connections}) reached"),
-            );
-            let _ = w.write_all(&frame.frame());
-            let _ = w.flush();
-            continue; // stream drops → closed
-        }
-        stats.active_connections.fetch_add(1, Ordering::Relaxed);
-        let conn_engine = Arc::clone(engine);
-        let pool = Arc::clone(pool);
-        let stop = Arc::clone(stop);
-        // The connection thread gives the slot back itself (`ConnectionSlot`).
-        let spawned = std::thread::Builder::new()
-            .name("astore-conn".into())
-            .spawn(move || serve_connection(stream, &conn_engine, &pool, &stop));
-        if spawned.is_err() {
-            // Thread exhaustion: give the slot back or the counter leaks
-            // and the server eventually rejects everything while idle.
-            stats.active_connections.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Reads newline-delimited request frames and answers each on the same
-/// stream. Statement execution happens on the worker pool; this thread only
-/// parses frames and shuttles bytes.
-///
-/// Framing is done on raw bytes: UTF-8 is only decoded once a full frame
-/// (up to `\n`) is buffered, so a read stall in the middle of a multi-byte
-/// character cannot corrupt the frame, and the buffer is bounds-checked
-/// *before* every read, so a client streaming a newline-free line cannot
-/// grow memory past [`MAX_LINE_BYTES`].
-fn serve_connection(
-    mut stream: TcpStream,
-    engine: &Arc<Engine>,
-    pool: &WorkerPool,
-    stop: &AtomicBool,
-) {
-    // The connection's prepared-statement registry. Statements run on pool
-    // workers one at a time per connection, so the mutex is uncontended —
-    // it only carries the registry across worker threads. Declared before
-    // the gauge slot so that it is dropped *after* it: whoever observes the
-    // registry gone also observes the connection gone from the gauge.
-    let session = Arc::new(Mutex::new(StatementRegistry::default()));
-    let _slot = ConnectionSlot(engine);
-    // A short read timeout doubles as the shutdown poll interval.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else { return };
-    let mut writer = BufWriter::new(write_half);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 8192];
-    loop {
-        // Answer every complete frame currently buffered.
-        while let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-            let frame: Vec<u8> = buf.drain(..=nl).collect();
-            let line = String::from_utf8_lossy(&frame);
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            let response = execute_on_pool(engine, pool, trimmed, &session);
-            if writer.write_all(&response.frame()).is_err() || writer.flush().is_err() {
-                return;
-            }
-        }
-        if buf.len() > MAX_LINE_BYTES {
-            let frame = error_frame(ErrorCode::BadRequest, "request exceeds 1 MiB");
-            let _ = writer.write_all(&frame.frame());
-            let _ = writer.flush();
-            return; // close: the rest of the oversized line is unreadable
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // peer closed
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
-/// Returns a connection's slot in the `active_connections` gauge (taken by
-/// the accept loop) when the connection thread is done, on every exit path.
-struct ConnectionSlot<'a>(&'a Engine);
-
-impl Drop for ConnectionSlot<'_> {
-    fn drop(&mut self) {
-        self.0.stats().active_connections.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Runs one request on the worker pool, translating admission-control
-/// rejections and worker panics into typed error frames.
-fn execute_on_pool(
-    engine: &Arc<Engine>,
-    pool: &WorkerPool,
-    request: &str,
-    session: &Arc<Mutex<StatementRegistry>>,
-) -> Json {
-    let (tx, rx) = channel();
-    let job_engine = Arc::clone(engine);
-    let job_line = request.to_owned();
-    let job_session = Arc::clone(session);
-    let submitted = pool.try_execute(Box::new(move || {
-        let mut reg = job_session.lock().unwrap_or_else(|p| p.into_inner());
-        let _ = tx.send(job_engine.handle_line_session(&job_line, &mut reg));
-    }));
-    match submitted {
-        Ok(()) => rx.recv().unwrap_or_else(|_| {
-            // The worker panicked before sending (contained by the pool).
-            error_frame(ErrorCode::InternalError, "statement execution panicked")
-        }),
-        Err(rejected) => {
-            engine.stats().rejected.fetch_add(1, Ordering::Relaxed);
-            let message = match rejected.reason {
-                RejectReason::QueueFull => {
-                    format!("admission queue full ({} workers busy)", pool.workers())
-                }
-                RejectReason::ShuttingDown => "server is shutting down".to_owned(),
-            };
-            error_frame(ErrorCode::ServerBusy, message)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::json::Json;
     use astore_storage::catalog::Database;
     use astore_storage::snapshot::SharedDatabase;
     use astore_storage::table::{ColumnDef, Schema, Table};

@@ -19,7 +19,7 @@ pub const DEFAULT_STATEMENTS_PER_SESSION: usize = 64;
 
 /// Registries currently alive in this process. Connection teardown must
 /// drop the session registry promptly — tests assert this count returns to
-/// its baseline after open/close churn, so a leak in either io model's
+/// its baseline after open/close churn, so a leak in the connection
 /// lifecycle shows up as a number, not an OOM.
 static LIVE_REGISTRIES: AtomicUsize = AtomicUsize::new(0);
 
@@ -40,8 +40,8 @@ pub struct SessionStatement {
 }
 
 /// A bounded id → prepared-statement map, one per connection. Also carries
-/// the session's engine pin (`SET engine=...`): per-connection state the
-/// adaptive router consults before its own learned policy.
+/// the session's engine pin (`SET engine=...`), which the route stage
+/// honours when the pinned engine can answer the statement.
 #[derive(Debug)]
 pub struct StatementRegistry {
     stmts: HashMap<u64, SessionStatement>,
@@ -70,7 +70,7 @@ impl StatementRegistry {
         }
     }
 
-    /// The session's engine pin (`SET engine=...`); `None` = adaptive.
+    /// The session's engine pin (`SET engine=...`); `None` = unpinned (AIR).
     pub fn engine_pin(&self) -> Option<crate::router::EngineChoice> {
         self.engine_pin
     }

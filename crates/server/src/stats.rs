@@ -66,13 +66,10 @@ pub struct ServerStats {
     /// … and the time serialising it took, in microseconds: the
     /// `serialise` stage of a request, which `elapsed_us` does not cover.
     pub serialize_us: [LatencyHistogram; 3],
-    /// Router decisions per engine, indexed by
+    /// SELECT statements answered per engine, indexed by
     /// [`EngineChoice`](crate::router::EngineChoice) discriminant
     /// (air / join / denorm).
     pub router_decisions: [AtomicU64; 3],
-    /// Routed executions whose observed latency exceeded 1.5× the best
-    /// tried arm's estimate — the router believed wrong.
-    pub router_mispredictions: AtomicU64,
     /// Observed execution latency per engine, same indexing as
     /// `router_decisions`. Only the engine-execution window is recorded
     /// (bind and frame assembly excluded), so the three engines compare
@@ -150,7 +147,6 @@ impl Default for ServerStats {
             reply_bytes: Default::default(),
             serialize_us: Default::default(),
             router_decisions: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
-            router_mispredictions: AtomicU64::new(0),
             engine_latency: Default::default(),
             encoded_bytes: AtomicU64::new(0),
             raw_bytes: AtomicU64::new(0),
@@ -223,7 +219,7 @@ impl ServerStats {
                 Json::Int(self.active_connections.load(Ordering::Relaxed) as i64),
             ),
             // Same gauge under the reactor-era name; `active_connections`
-            // stays for callers written against the thread model.
+            // stays for callers written against the older name.
             ("open_connections", Json::Int(self.active_connections.load(Ordering::Relaxed) as i64)),
             ("accepts_total", Json::Int(self.accepts_total.load(Ordering::Relaxed) as i64)),
             (
@@ -240,10 +236,6 @@ impl ServerStats {
             ("scan_helpers", Json::Int(crew.helpers as i64)),
             ("scan_helper_wakes", Json::Int(crew.wakes as i64)),
             ("router_decisions", self.router_decisions_json()),
-            (
-                "router_mispredictions",
-                Json::Int(self.router_mispredictions.load(Ordering::Relaxed) as i64),
-            ),
             ("engine_latency", self.engine_latency_json()),
             ("encoded_bytes", Json::Int(self.encoded_bytes.load(Ordering::Relaxed) as i64)),
             ("raw_bytes", Json::Int(self.raw_bytes.load(Ordering::Relaxed) as i64)),
@@ -267,8 +259,8 @@ impl ServerStats {
         ])
     }
 
-    /// The `router_decisions` member of the stats payload: decisions
-    /// taken per engine.
+    /// The `router_decisions` member of the stats payload: statements
+    /// answered per engine.
     fn router_decisions_json(&self) -> Json {
         Json::obj(crate::router::EngineChoice::ALL.map(|e| {
             (e.as_str(), Json::Int(self.router_decisions[e.index()].load(Ordering::Relaxed) as i64))
@@ -345,7 +337,6 @@ mod tests {
             "boot_replay_us",
             "boot_replayed",
             "latency_p99_us",
-            "router_mispredictions",
             "scan_helpers",
             "scan_helper_wakes",
         ] {
