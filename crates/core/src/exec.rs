@@ -20,16 +20,21 @@
 //! 3. **Aggregation** — scan the measure columns through the Measure Index
 //!    into the multidimensional aggregation array (or hash table).
 //!
-//! Between phases 1 and 2 the zone-map survey decides which segments are
-//! scanned and, from their live rows, how many workers to ask for. The
-//! selection is then **one list of tests** — every fact-local conjunct and
-//! every dimension chain, a chain whose predicate vector is one run of keys
-//! becoming a key range on its foreign key — ordered most selective first
-//! by estimates read from the surveyed segments' zone maps, dictionary
-//! sizes and predicate-vector densities (`compile_selection`; the
-//! estimates and the three ways a segment's selection is built are in
-//! [`crate::scan`]). [`PlanInfo::selection`] reports the order, and
-//! `EXPLAIN` prints it as its `selection:` line.
+//! Between phases 1 and 2 one function, `plan`, builds the execution's
+//! plan. The selection is **one list of tests**, compiled once — every
+//! fact-local conjunct and every dimension chain, a chain whose predicate
+//! vector is one run of keys becoming a key range on its foreign key. The
+//! zone-map survey runs those compiled tests over every segment
+//! ([`SegmentSurvey`]), deciding which segments are scanned and, from their
+//! live rows, how many workers to ask for; then the tests are ordered most
+//! selective first by estimates read from the surveyed segments' zone
+//! maps, dictionary sizes and predicate-vector densities (the estimates
+//! and the three ways a segment's selection is built are in
+//! [`crate::scan`]). The survey, the estimates and the encoded scan all
+//! read the values each compiled test accepts
+//! ([`CompiledPred::accepts`](crate::expr::CompiledPred::accepts)).
+//! [`PlanInfo::selection`] reports the order, and bare `EXPLAIN` prints the
+//! same plan ([`plan_selection`]) as its `selection:` line.
 //!
 //! Phases 2 and 3 run as one **segment-at-a-time pipeline**: for each
 //! surviving segment a worker selects, gathers group codes, computes cells
@@ -60,10 +65,10 @@ use crate::parallel::{morsel_size, run_workers, MorselDispatcher};
 use crate::query::{AggFunc, Query};
 use crate::result::QueryResult;
 use crate::scan::{
-    order_tests, ChainCheck, DirectCheck, ScanMode, SegmentScan, SelTest, Selection, SelectionStep,
+    order_tests, ChainCheck, DirectCheck, ScanMode, SegmentScan, SelTest, Selection,
 };
 use crate::universal::{bind_root, BindError, Universal};
-use crate::zone::{ScannedZones, SegmentPruner, SegmentSurvey};
+use crate::zone::SegmentSurvey;
 
 /// The five scan variants of the paper's §6.3 ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -326,13 +331,14 @@ pub struct ExecOutput {
 
 /// Executes a SPJGA query against a database.
 ///
-/// This is the primary entry point of A-Store. The query is bound once and
-/// phase 1 (leaf processing) runs once; its composed chain filters feed the
-/// [`SegmentPruner`], whose surviving-row estimate drives the planner's
-/// fan-out decision ([`OptimizerConfig::plan_threads`]): with
-/// `opts.threads > 1` *and* enough surviving rows to amortize worker spawn,
-/// the scan is driven by the segment-aligned morsel dispatcher (§5) from
-/// several workers; otherwise one worker — the calling thread — drains it.
+/// This is the primary entry point of A-Store. The query is planned once
+/// (`plan`: bind, leaf processing, the selection tests compiled, the
+/// segments surveyed with them, the tests ordered); the survey's
+/// surviving-row estimate drives the planner's fan-out decision
+/// ([`OptimizerConfig::plan_threads`]): with `opts.threads > 1` *and*
+/// enough surviving rows to amortize worker spawn, the scan is driven by
+/// the segment-aligned morsel dispatcher (§5) from several workers;
+/// otherwise one worker — the calling thread — drains it.
 /// [`PlanInfo::executor`] reports which ran, and
 /// [`PlanInfo::segments_pruned`] how much of the fact table was never
 /// touched.
@@ -353,10 +359,135 @@ pub fn execute_granted<G>(
     opts: &ExecOptions,
     grant: impl FnOnce(usize) -> (usize, G),
 ) -> Result<ExecOutput, BindError> {
+    plan(db, query, opts, |plan| {
+        let trace = opts.trace.as_deref();
+        let fact = plan.u.root_table();
+        // The fan-out decision sees what the scan will actually visit: live
+        // rows of the surviving segments, not raw slots (with pruning
+        // disabled, the pre-segmentation behaviour — raw slot count — is
+        // preserved).
+        let est_rows = if opts.pruning { plan.survey.live_rows() } else { fact.num_slots() };
+        let wanted = opts.optimizer.plan_threads(est_rows, opts.threads);
+        let (granted, permits) = grant(wanted);
+        let threads = granted.clamp(1, wanted);
+        if let Some(t) = trace {
+            let opt_span = t.alloc();
+            // One point event per segment decision, nested under `optimize`
+            // — the EXPLAIN ANALYZE rendering of "which segments were
+            // skipped".
+            if opts.pruning {
+                for seg in 0..fact.segment_count() {
+                    let kept = i64::from(plan.survey.keep(seg));
+                    let attrs = vec![("segment", seg as i64), ("kept", kept)];
+                    t.event("segment_prune", Some(opt_span), attrs);
+                }
+            }
+            let start = t.us_since_epoch(plan.t_opt);
+            t.record(
+                opt_span,
+                "optimize",
+                plan.root_span,
+                start,
+                t.now_us().saturating_sub(start),
+                vec![("est_rows", est_rows as i64), ("threads", threads as i64)],
+            );
+        }
+        let scanned = scan_and_aggregate(&plan, query, opts, threads)?;
+        drop(permits);
+
+        let mut result = build_result(query, &scanned.agg, &scanned.dicts());
+        result.order_and_limit(&query.order_by, query.limit);
+        let leaf = plan.leaf;
+        let info = PlanInfo {
+            root: plan.u.root().to_owned(),
+            executor: scanned.executor,
+            predvec_chains: leaf.filters.iter().filter(|f| f.is_some()).count(),
+            direct_chains: leaf.filters.iter().filter(|f| f.is_none()).count(),
+            agg_strategy: scanned.strategy,
+            segments_scanned: scanned.segments_scanned,
+            segments_pruned: scanned.segments_pruned,
+            selected_rows: scanned.selected,
+            groups: scanned.agg.occupied(),
+            selection: plan.selection,
+        };
+        let total = plan.t_start.elapsed();
+        if let (Some(t), Some(id)) = (trace, plan.root_span) {
+            let start = t.us_since_epoch(plan.t_start);
+            t.record(
+                id,
+                "execute",
+                None,
+                start,
+                t.now_us().saturating_sub(start),
+                vec![("selected_rows", info.selected_rows as i64), ("groups", info.groups as i64)],
+            );
+        }
+        Ok(ExecOutput {
+            result,
+            timings: PhaseTimings {
+                leaf: plan.leaf_time,
+                scan: scanned.scan_time,
+                agg: scanned.agg_time,
+                total,
+            },
+            plan: info,
+        })
+    })
+}
+
+/// The selection an execution of `query` would run, without running it:
+/// the plan an execution builds, reported before any fact row is read.
+/// Bare `EXPLAIN` prints it.
+pub fn plan_selection(
+    db: &Database,
+    query: &Query,
+    opts: &ExecOptions,
+) -> Result<Selection, BindError> {
+    plan(db, query, opts, |plan| Ok(plan.selection))
+}
+
+/// One execution's plan (see [`plan`]), everything the scan reads.
+struct Plan<'a> {
+    u: &'a Universal<'a>,
+    leaf: &'a LeafArtifacts,
+    /// The zone-map survey (every segment kept when pruning is disabled).
+    survey: SegmentSurvey,
+    /// The selection step over the ordered tests.
+    scan: SegmentScan<'a, 'a>,
+    /// The tests' order and estimates, and which builds, as reported.
+    selection: Selection,
+    /// When the execution started, and its trace's root span (reserved up
+    /// front so every phase span can link to it; its interval is recorded
+    /// last, once the total is known).
+    t_start: Instant,
+    root_span: Option<SpanId>,
+    /// Phase 1's wall time.
+    leaf_time: Duration,
+    /// When planning after phase 1 began (the `optimize` span's start).
+    t_opt: Instant,
+}
+
+/// Builds the plan of one execution of `query` and hands it to `then`, in
+/// this order:
+///
+/// 1. bind the root and the universal table;
+/// 2. leaf processing (phase 1);
+/// 3. compile the selection tests, unordered ([`compile_selection`]);
+/// 4. survey the segments with those tests ([`SegmentSurvey::new`]; with
+///    pruning disabled every segment is kept);
+/// 5. order the tests by estimates read from the surveyed zones
+///    ([`order_tests`]).
+///
+/// [`execute_granted`] scans from the plan; [`plan_selection`] reports it.
+/// No fact row is read.
+fn plan<R>(
+    db: &Database,
+    query: &Query,
+    opts: &ExecOptions,
+    then: impl FnOnce(Plan<'_>) -> Result<R, BindError>,
+) -> Result<R, BindError> {
     let t_start = Instant::now();
     let trace = opts.trace.as_deref();
-    // The root span id is reserved up front so every phase span can link to
-    // it; its interval is recorded last, once the total is known.
     let root_span = trace.map(|t| t.alloc());
     if query.has_params() {
         return Err(BindError::UnboundParams(query.param_count()));
@@ -369,8 +500,6 @@ pub fn execute_granted<G>(
         t.add("bind", root_span, start, t.now_us().saturating_sub(start), vec![]);
     }
 
-    // Phase 1 (leaf processing) runs before the fan-out decision so the
-    // pruner can use the chain filters.
     let t_leaf = Instant::now();
     let leaf = prepare_leaf(&u, query, opts)?;
     let leaf_time = t_leaf.elapsed();
@@ -386,108 +515,17 @@ pub fn execute_granted<G>(
             ],
         );
     }
-    // The per-segment admission tests run exactly once, into a survey that
-    // the fan-out decision and the morsel dispatcher share.
+
     let t_opt = Instant::now();
-    let survey = build_pruner(&u, query, &leaf, opts).map(|p| p.survey());
-
-    // The fan-out decision sees what the scan will actually visit: live
-    // rows of the surviving segments, not raw slots (with pruning disabled,
-    // the pre-segmentation behaviour — raw slot count — is preserved).
-    let est_rows = match &survey {
-        Some(s) => s.live_rows(),
-        None => u.root_table().num_slots(),
-    };
-    let wanted = opts.optimizer.plan_threads(est_rows, opts.threads);
-    let (granted, permits) = grant(wanted);
-    let threads = granted.clamp(1, wanted);
-    if let Some(t) = trace {
-        let opt_span = t.alloc();
-        // One point event per segment decision, nested under `optimize` —
-        // the EXPLAIN ANALYZE rendering of "which segments were skipped".
-        if let Some(s) = &survey {
-            for seg in 0..u.root_table().segment_count() {
-                t.event(
-                    "segment_prune",
-                    Some(opt_span),
-                    vec![("segment", seg as i64), ("kept", i64::from(s.keep(seg)))],
-                );
-            }
-        }
-        let start = t.us_since_epoch(t_opt);
-        t.record(
-            opt_span,
-            "optimize",
-            root_span,
-            start,
-            t.now_us().saturating_sub(start),
-            vec![("est_rows", est_rows as i64), ("threads", threads as i64)],
-        );
-    }
-    let scanned = scan_and_aggregate(&u, query, opts, threads, &leaf, survey.as_ref(), root_span)?;
-    drop(permits);
-
-    let mut result = build_result(query, &scanned.agg, &scanned.dicts());
-    result.order_and_limit(&query.order_by, query.limit);
-    let plan = PlanInfo {
-        root: u.root().to_owned(),
-        executor: scanned.executor,
-        predvec_chains: leaf.filters.iter().filter(|f| f.is_some()).count(),
-        direct_chains: leaf.filters.iter().filter(|f| f.is_none()).count(),
-        agg_strategy: scanned.strategy,
-        segments_scanned: scanned.segments_scanned,
-        segments_pruned: scanned.segments_pruned,
-        selected_rows: scanned.selected,
-        groups: scanned.agg.occupied(),
-        selection: scanned.selection,
-    };
-    let total = t_start.elapsed();
-    if let (Some(t), Some(id)) = (trace, root_span) {
-        let start = t.us_since_epoch(t_start);
-        t.record(
-            id,
-            "execute",
-            None,
-            start,
-            t.now_us().saturating_sub(start),
-            vec![("selected_rows", plan.selected_rows as i64), ("groups", plan.groups as i64)],
-        );
-    }
-    Ok(ExecOutput {
-        result,
-        timings: PhaseTimings {
-            leaf: leaf_time,
-            scan: scanned.scan_time,
-            agg: scanned.agg_time,
-            total,
-        },
-        plan,
-    })
-}
-
-/// Builds the segment pruner for an execution: fact-local zone predicates
-/// plus a key-range test per materialized chain filter. `None` when data
-/// skipping is disabled.
-pub(crate) fn build_pruner<'a>(
-    u: &Universal<'a>,
-    query: &Query,
-    leaf: &'a LeafArtifacts,
-    opts: &ExecOptions,
-) -> Option<SegmentPruner<'a>> {
-    if !opts.pruning {
-        return None;
-    }
     let fact = u.root_table();
-    let chains = leaf
-        .chains
-        .iter()
-        .zip(&leaf.filters)
-        .filter_map(|(chain, filter)| {
-            let bitmap = filter.as_ref()?;
-            Some((fact.schema().position(&chain.fact_key_col)?, bitmap))
-        })
-        .collect();
-    Some(SegmentPruner::new(fact, query.selection_on(u.root()), chains))
+    let (tests, columns) = compile_selection(&u, query, &leaf)?;
+    // The per-segment admission tests run exactly once, into a survey that
+    // the estimates, the fan-out decision and the morsel dispatcher share.
+    let survey = SegmentSurvey::new(fact, opts.pruning.then_some(&tests[..]));
+    let (tests, steps) = order_tests(tests, columns, fact, &survey);
+    let scan = SegmentScan::new(fact, &tests, scan_mode(opts));
+    let selection = Selection { steps, builder: scan.builder() };
+    then(Plan { u: &u, leaf: &leaf, survey, scan, selection, t_start, root_span, leaf_time, t_opt })
 }
 
 /// Artifacts of the leaf-processing phase, shared read-only by all workers
@@ -547,23 +585,22 @@ pub(crate) fn prepare_leaf(
 }
 
 /// The execution's one list of selection tests (see [`crate::scan`]),
-/// ordered most selective first among the rows `survey` keeps: every
-/// fact-local conjunct, and per dimension chain its predicate vector — a
-/// seeded key range on the foreign key when the vector is one run of keys —
-/// or its direct chase. Built once per execution and shared read-only by
-/// every worker.
-pub(crate) fn compile_selection<'a>(
+/// unordered, each named by the fact column it reads: every fact-local
+/// conjunct, and per dimension chain its predicate vector — a seeded key
+/// range on the foreign key when the vector is one run of keys — or its
+/// direct chase. Built once per execution and shared read-only by every
+/// worker.
+fn compile_selection<'a>(
     u: &Universal<'a>,
     query: &Query,
     leaf: &'a LeafArtifacts,
-    survey: Option<&SegmentSurvey>,
-) -> Result<(Vec<SelTest<'a>>, Vec<SelectionStep>), BindError> {
+) -> Result<(Vec<SelTest<'a>>, Vec<String>), BindError> {
     let fact = u.root_table();
-    let mut tests = Vec::new();
+    let (mut tests, mut columns) = (Vec::new(), Vec::new());
     for conjunct in query.selection_on(u.root()).map(|p| p.conjuncts()).unwrap_or_default() {
         let pred = FactPred::compile(conjunct, fact);
-        let column = pred.col.map_or("expr", |c| fact.schema().defs()[c].name.as_str()).to_owned();
-        tests.push((SelTest::Fact(pred), column));
+        columns.push(pred.col.map_or("expr", |c| fact.schema().defs()[c].name.as_str()).to_owned());
+        tests.push(SelTest::Fact(pred));
     }
     for (chain, filter) in leaf.chains.iter().zip(&leaf.filters) {
         let col = fact.schema().position(&chain.fact_key_col).expect("chain key column exists");
@@ -575,9 +612,10 @@ pub(crate) fn compile_selection<'a>(
                 None => continue,
             },
         };
-        tests.push((test, chain.fact_key_col.clone()));
+        tests.push(test);
+        columns.push(chain.fact_key_col.clone());
     }
-    Ok(order_tests(tests, fact, &ScannedZones::new(fact, survey)))
+    Ok((tests, columns))
 }
 
 /// The direct AIR chase of a chain that has no predicate vector: one check
@@ -610,27 +648,6 @@ fn scan_mode(opts: &ExecOptions) -> ScanMode {
         (true, SelectionStrategy::VectorRefine) => ScanMode::ColumnWise,
         (true, SelectionStrategy::BitmapAnd) => ScanMode::BitmapAnd,
     }
-}
-
-/// The selection an execution of `query` would run, without running it:
-/// the query is bound, its leaves processed and its segments surveyed, and
-/// no fact row is read. Bare `EXPLAIN` reports it.
-pub fn plan_selection(
-    db: &Database,
-    query: &Query,
-    opts: &ExecOptions,
-) -> Result<Selection, BindError> {
-    if query.has_params() {
-        return Err(BindError::UnboundParams(query.param_count()));
-    }
-    let graph = JoinGraph::build(db);
-    let root = bind_root(&graph, query.root.as_deref(), &query.referenced_tables())?;
-    let u = Universal::new(db, &graph, &root)?;
-    let leaf = prepare_leaf(&u, query, opts)?;
-    let survey = build_pruner(&u, query, &leaf, opts).map(|p| p.survey());
-    let (tests, steps) = compile_selection(&u, query, &leaf, survey.as_ref())?;
-    let builder = SegmentScan::new(u.root_table(), &tests, scan_mode(opts)).builder();
-    Ok(Selection { steps, builder })
 }
 
 /// What a grouping column reads from during the fact scan.
@@ -881,7 +898,6 @@ struct Scanned<'a> {
     selected: usize,
     segments_scanned: usize,
     segments_pruned: usize,
-    selection: Selection,
     scan_time: Duration,
     agg_time: Duration,
 }
@@ -908,15 +924,13 @@ impl Scanned<'_> {
 /// accumulation, each summed over the segments; with several workers the
 /// scan span covers the workers' wall time and aggregation is the merge.
 fn scan_and_aggregate<'a>(
-    u: &Universal<'a>,
+    plan: &Plan<'a>,
     query: &Query,
     opts: &ExecOptions,
     threads: usize,
-    leaf: &'a LeafArtifacts,
-    survey: Option<&SegmentSurvey>,
-    root_span: Option<SpanId>,
 ) -> Result<Scanned<'a>, BindError> {
     let trace = opts.trace.as_deref();
+    let (u, survey, root_span) = (plan.u, &plan.survey, plan.root_span);
     let fact = u.root_table();
     let parallel = threads > 1;
     let t_scan = Instant::now();
@@ -929,18 +943,15 @@ fn scan_and_aggregate<'a>(
         fact.segment_rows()
     };
     let dispatcher = MorselDispatcher::over_segments(fact, survey, morsel);
-    let segments_pruned = survey.map_or(0, SegmentSurvey::pruned);
+    let segments_pruned = survey.pruned();
     let segments_scanned = fact.segment_count() - segments_pruned;
 
-    let (tests, steps) = compile_selection(u, query, leaf, survey)?;
-    let scan = SegmentScan::new(fact, &tests, scan_mode(opts));
-    let selection = Selection { steps, builder: scan.builder() };
-    let plan = ScanPlan {
+    let shared = ScanPlan {
         fact,
         query,
         opts,
-        leaf,
-        scan,
+        leaf: plan.leaf,
+        scan: plan.scan,
         measures: query
             .aggregates
             .iter()
@@ -952,7 +963,7 @@ fn scan_and_aggregate<'a>(
     // it; its interval is recorded once the workers have joined.
     let scan_span = trace.filter(|_| parallel).map(|t| t.alloc());
     let workers = run_workers(threads, |w| -> Result<Worker<'_, 'a>, BindError> {
-        let mut worker = Worker::new(&plan, u)?;
+        let mut worker = Worker::new(&shared, u)?;
         while let Some(range) = dispatcher.claim() {
             let morsel_start = scan_span.and(trace).map(|t| t.now_us());
             let rows = range.len();
@@ -1038,7 +1049,6 @@ fn scan_and_aggregate<'a>(
         selected: first.selected,
         segments_scanned,
         segments_pruned,
-        selection,
         scan_time,
         agg_time,
     })

@@ -352,21 +352,21 @@ fn str_lit<'l>(lit: &'l Lit, col: &str) -> &'l str {
 fn compile_cmp<'a>(table: &'a Table, col: &str, op: CmpOp, lit: &Lit) -> CompiledPred<'a> {
     match col_of(table, col) {
         Column::I32(data) => {
-            let v = int_lit(lit, col);
-            match i32::try_from(v) {
-                Ok(v) => CompiledPred::I32Cmp { data, op, v },
-                // Out-of-range literal: constant-fold.
-                Err(_) => CompiledPred::Const(fold_oob_cmp(op, v > 0)),
-            }
+            let domain = (i32::MIN.into(), i32::MAX.into());
+            int_cmp(op, int_lit(lit, col), domain, |lo, hi| CompiledPred::I32Between {
+                data,
+                lo: lo as i32,
+                hi: hi as i32,
+            })
         }
-        Column::I64(data) => CompiledPred::I64Cmp { data, op, v: int_lit(lit, col) },
+        Column::I64(data) => int_cmp(op, int_lit(lit, col), (i64::MIN, i64::MAX), |lo, hi| {
+            CompiledPred::I64Between { data, lo, hi }
+        }),
         Column::F64(data) => CompiledPred::F64Cmp { data, op, v: float_lit(lit, col) },
         Column::Key { keys, .. } => {
-            let v = int_lit(lit, col);
-            match Key::try_from(v) {
-                Ok(v) => CompiledPred::KeyCmp { keys, op, v },
-                Err(_) => CompiledPred::Const(fold_oob_cmp(op, v > 0)),
-            }
+            int_cmp(op, int_lit(lit, col), (0, Key::MAX.into()), |lo, hi| {
+                CompiledPred::KeyBetween { keys, lo: lo as Key, hi: hi as Key }
+            })
         }
         Column::Dict(dict_col) => {
             let s = str_lit(lit, col);
@@ -383,6 +383,32 @@ fn compile_cmp<'a>(table: &'a Table, col: &str, op: CmpOp, lit: &Lit) -> Compile
             }
         }
         Column::Str(sc) => CompiledPred::StrCmp { col: sc, op, v: str_lit(lit, col).into() },
+    }
+}
+
+/// The integer comparison `x <op> v` over a column whose values lie in
+/// `[min, max]`, compiled as the range of values it accepts (`range(lo,
+/// hi)`; `<>` as the negated point), so the compiled test states its
+/// interval.
+fn int_cmp<'a>(
+    op: CmpOp,
+    v: i64,
+    (min, max): (i64, i64),
+    range: impl Fn(i64, i64) -> CompiledPred<'a>,
+) -> CompiledPred<'a> {
+    if v < min || v > max {
+        // Out-of-range literal: constant-fold.
+        return CompiledPred::Const(fold_oob_cmp(op, v > max));
+    }
+    match op {
+        CmpOp::Eq => range(v, v),
+        CmpOp::Ne => CompiledPred::Not(Box::new(range(v, v))),
+        CmpOp::Le => range(min, v),
+        CmpOp::Ge => range(v, max),
+        CmpOp::Lt if v == min => CompiledPred::Const(false),
+        CmpOp::Gt if v == max => CompiledPred::Const(false),
+        CmpOp::Lt => range(min, v - 1),
+        CmpOp::Gt => range(v + 1, max),
     }
 }
 
@@ -531,15 +557,6 @@ impl<'a> Binding<'a> for InSegment {
 pub enum PredOver<'a, B: Binding<'a>> {
     /// Constant truth value.
     Const(bool),
-    /// `i32` comparison.
-    I32Cmp {
-        /// Column data.
-        data: B::Of<i32>,
-        /// Operator.
-        op: CmpOp,
-        /// Literal.
-        v: i32,
-    },
     /// `i32` inclusive range.
     I32Between {
         /// Column data.
@@ -555,15 +572,6 @@ pub enum PredOver<'a, B: Binding<'a>> {
         data: B::Of<i32>,
         /// Accepted values.
         set: Arc<[i32]>,
-    },
-    /// `i64` comparison.
-    I64Cmp {
-        /// Column data.
-        data: B::Of<i64>,
-        /// Operator.
-        op: CmpOp,
-        /// Literal.
-        v: i64,
     },
     /// `i64` inclusive range.
     I64Between {
@@ -598,15 +606,6 @@ pub enum PredOver<'a, B: Binding<'a>> {
         lo: f64,
         /// Upper bound.
         hi: f64,
-    },
-    /// Key comparison (rare; keys are opaque positions).
-    KeyCmp {
-        /// Column data.
-        keys: B::Of<Key>,
-        /// Operator.
-        op: CmpOp,
-        /// Literal.
-        v: Key,
     },
     /// Key inclusive range.
     KeyBetween {
@@ -680,13 +679,11 @@ impl<'a, B: Binding<'a>> PredOver<'a, B> {
     pub fn eval(&self, i: usize) -> bool {
         match self {
             PredOver::Const(b) => *b,
-            PredOver::I32Cmp { data, op, v } => op.apply(data.at(i), *v),
             PredOver::I32Between { data, lo, hi } => {
                 let x = data.at(i);
                 x >= *lo && x <= *hi
             }
             PredOver::I32In { data, set } => set.contains(&data.at(i)),
-            PredOver::I64Cmp { data, op, v } => op.apply(data.at(i), *v),
             PredOver::I64Between { data, lo, hi } => {
                 let x = data.at(i);
                 x >= *lo && x <= *hi
@@ -697,7 +694,6 @@ impl<'a, B: Binding<'a>> PredOver<'a, B> {
                 let x = data.at(i);
                 x >= *lo && x <= *hi
             }
-            PredOver::KeyCmp { keys, op, v } => op.apply(keys.at(i), *v),
             PredOver::KeyBetween { keys, lo, hi } => {
                 let k = keys.at(i);
                 k >= *lo && k <= *hi
@@ -728,17 +724,11 @@ impl<'a> CompiledPred<'a> {
     pub fn bind(&self, seg: usize) -> SegPred<'a> {
         match self {
             PredOver::Const(b) => PredOver::Const(*b),
-            PredOver::I32Cmp { data, op, v } => {
-                PredOver::I32Cmp { data: data.chunk(seg), op: *op, v: *v }
-            }
             PredOver::I32Between { data, lo, hi } => {
                 PredOver::I32Between { data: data.chunk(seg), lo: *lo, hi: *hi }
             }
             PredOver::I32In { data, set } => {
                 PredOver::I32In { data: data.chunk(seg), set: Arc::clone(set) }
-            }
-            PredOver::I64Cmp { data, op, v } => {
-                PredOver::I64Cmp { data: data.chunk(seg), op: *op, v: *v }
             }
             PredOver::I64Between { data, lo, hi } => {
                 PredOver::I64Between { data: data.chunk(seg), lo: *lo, hi: *hi }
@@ -751,9 +741,6 @@ impl<'a> CompiledPred<'a> {
             }
             PredOver::F64Between { data, lo, hi } => {
                 PredOver::F64Between { data: data.chunk(seg), lo: *lo, hi: *hi }
-            }
-            PredOver::KeyCmp { keys, op, v } => {
-                PredOver::KeyCmp { keys: keys.chunk(seg), op: *op, v: *v }
             }
             PredOver::KeyBetween { keys, lo, hi } => {
                 PredOver::KeyBetween { keys: keys.chunk(seg), lo: *lo, hi: *hi }
@@ -778,6 +765,134 @@ impl<'a> CompiledPred<'a> {
             PredOver::Not(p) => PredOver::Not(Box::new(p.bind(seg))),
         }
     }
+
+    /// The values of its one column the compiled test accepts, or `None`
+    /// when it tests several columns or raw strings. Read from the compiled
+    /// form, so every literal coercion the compiler applied — float
+    /// literals truncated against integer columns, `BETWEEN` bounds clamped
+    /// into the i32 domain, out-of-range literals folded, strings resolved
+    /// to dictionary codes — is already in the interval. The zone survey,
+    /// the encoded-scan seed and the selection estimate all read this one
+    /// answer.
+    pub fn accepts(&self) -> Option<Accepts> {
+        let int = |lo: i64, hi: i64| Interval::Int { lo, hi };
+        // The smallest interval holding every value (empty for none).
+        let envelope = |vs: &mut dyn Iterator<Item = i64>| {
+            let (lo, hi) = vs.fold((i64::MAX, i64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
+            int(lo, hi)
+        };
+        Some(match self {
+            PredOver::Const(false) => Accepts::Exactly(Interval::EMPTY),
+            // `<>` over integers compiles to the negated point.
+            PredOver::Not(p) => match p.accepts()? {
+                Accepts::Exactly(iv) => Accepts::AllBut(iv),
+                _ => return None,
+            },
+            PredOver::F64Cmp { op, v, .. } => {
+                let (lo, hi) = match op {
+                    CmpOp::Eq | CmpOp::Ne => (*v, *v),
+                    CmpOp::Lt | CmpOp::Le => (f64::NEG_INFINITY, *v),
+                    CmpOp::Gt | CmpOp::Ge => (*v, f64::INFINITY),
+                };
+                match op {
+                    CmpOp::Ne => Accepts::AllBut(Interval::Float { lo, hi }),
+                    // A strict float bound is relaxed to an inclusive one.
+                    CmpOp::Lt | CmpOp::Gt => Accepts::Within(Interval::Float { lo, hi }),
+                    _ => Accepts::Exactly(Interval::Float { lo, hi }),
+                }
+            }
+            PredOver::I32Between { lo, hi, .. } => {
+                Accepts::Exactly(int((*lo).into(), (*hi).into()))
+            }
+            PredOver::I64Between { lo, hi, .. } => Accepts::Exactly(int(*lo, *hi)),
+            PredOver::KeyBetween { lo, hi, .. } => {
+                Accepts::Exactly(int((*lo).into(), (*hi).into()))
+            }
+            PredOver::F64Between { lo, hi, .. } => {
+                Accepts::Exactly(Interval::Float { lo: *lo, hi: *hi })
+            }
+            PredOver::I32In { set, .. } => {
+                Accepts::Within(envelope(&mut set.iter().map(|&v| i64::from(v))))
+            }
+            PredOver::I64In { set, .. } => Accepts::Within(envelope(&mut set.iter().copied())),
+            // An absent value compiles to `NULL_KEY`, which no stored code
+            // reaches.
+            PredOver::DictEq { code, .. } => Accepts::Exactly(int((*code).into(), (*code).into())),
+            // A string range over an order-preserving dictionary (and any
+            // other set that is one run of codes) is exactly a code range.
+            PredOver::DictSet { matches, .. } => {
+                match envelope(&mut matches.iter_ones().map(|c| c as i64)) {
+                    Interval::Int { lo, hi }
+                        if lo <= hi && (hi - lo + 1) as usize != matches.count_ones() =>
+                    {
+                        Accepts::Within(int(lo, hi))
+                    }
+                    run => Accepts::Exactly(run),
+                }
+            }
+            _ => return None,
+        })
+    }
+}
+
+/// An inclusive interval of one column's values. Integer, key and
+/// dictionary-code columns are ordered over the logical `i64` domain (i32
+/// widened, keys and codes as raw `u32`, in which
+/// [`NULL_KEY`](astore_storage::types::NULL_KEY) is the largest value) —
+/// the order the encodings preserve.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Interval {
+    /// Integer, key or dictionary-code values.
+    Int {
+        /// Smallest value (inclusive).
+        lo: i64,
+        /// Largest value (inclusive).
+        hi: i64,
+    },
+    /// `f64` values.
+    Float {
+        /// Smallest value (inclusive).
+        lo: f64,
+        /// Largest value (inclusive).
+        hi: f64,
+    },
+}
+
+impl Interval {
+    /// The interval that holds no value.
+    pub const EMPTY: Interval = Interval::Int { lo: i64::MAX, hi: i64::MIN };
+
+    /// Does the interval hold no value?
+    pub fn is_empty(self) -> bool {
+        match self {
+            Interval::Int { lo, hi } => lo > hi,
+            // A NaN bound holds nothing either.
+            Interval::Float { lo, hi } => lo.partial_cmp(&hi).is_none_or(std::cmp::Ordering::is_gt),
+        }
+    }
+
+    /// The bounds as floats (the estimates' domain).
+    pub fn as_f64(self) -> (f64, f64) {
+        match self {
+            Interval::Int { lo, hi } => (lo as f64, hi as f64),
+            Interval::Float { lo, hi } => (lo, hi),
+        }
+    }
+}
+
+/// Which values of its column a compiled test accepts
+/// ([`CompiledPred::accepts`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Accepts {
+    /// Every value of the interval and no other: an integer one seeds the
+    /// encoded scan.
+    Exactly(Interval),
+    /// No value outside the interval, not every value in it: an `IN`
+    /// list's envelope, a strict float bound, a dictionary code set with
+    /// gaps.
+    Within(Interval),
+    /// Every value outside the interval (`<>`).
+    AllBut(Interval),
 }
 
 /// A measure expression evaluated per selected fact tuple during the

@@ -23,11 +23,11 @@ use astore_storage::column::Column;
 use astore_storage::table::Table;
 use astore_storage::types::NULL_KEY;
 
-use crate::expr::{CompiledPred, Pred};
+use crate::expr::{Accepts, CompiledPred, Interval, Pred};
 use crate::graph::JoinGraph;
 use crate::query::Query;
 use crate::universal::BindError;
-use crate::zone::ScannedZones;
+use crate::zone::SegmentSurvey;
 
 /// The dimension chain a query touches through one fact FK column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,12 +150,12 @@ fn compose_table_filter(
 
 /// The inclusive logical-value range a seedable fact predicate accepts.
 ///
-/// Derived from a [`CompiledPred`] by [`seed_range`], this is the bridge
-/// between a compiled predicate and a sealed segment's [`EncodedColumn`]:
-/// the range is expressed over the column's *logical* i64 domain (i32
-/// widened, keys/dictionary codes as `0..=u32::MAX` with
-/// [`NULL_KEY`] literally the largest), which is exactly the
-/// domain the encodings preserve order over. A seeded predicate can
+/// A predicate that accepts exactly one integer [`Interval`] is seeded with
+/// it ([`FactPred::seed`]); this is the bridge between a compiled predicate
+/// and a sealed segment's [`EncodedColumn`]: the range is expressed over
+/// the column's *logical* i64 domain (i32 widened, keys/dictionary codes as
+/// `0..=u32::MAX` with [`NULL_KEY`] literally the largest), which is exactly
+/// the domain the encodings preserve order over. A seeded predicate can
 /// therefore be evaluated on bit-packed codes or FOR-offset words without
 /// decoding.
 ///
@@ -170,34 +170,36 @@ pub struct PredRange {
     pub hi: i64,
 }
 
-/// A compiled fact-local predicate plus its encoded-scan seed, if the
-/// predicate's accepted set is one contiguous value range.
+/// A compiled fact-local predicate, the column it tests and the values of
+/// that column it accepts ([`CompiledPred::accepts`]) — read by the zone
+/// survey, the encoded-scan seed and the estimate alike.
 ///
 /// Every predicate keeps its row-wise [`CompiledPred::eval`] — the seed is
 /// an *additional* capability the column-wise scan uses on sealed segments.
-/// Predicates whose accepted set is not an interval (`<>`, `IN`, raw-string
-/// and float comparisons, boolean combinators, dictionary sets that are
-/// not one run of codes) carry no seed and always evaluate row-wise.
+/// Predicates whose accepted set is not one integer interval (`<>`, `IN`,
+/// raw-string and float comparisons, boolean combinators, dictionary sets
+/// that are not one run of codes) carry no seed and always evaluate
+/// row-wise.
 pub struct FactPred<'a> {
     /// The compiled predicate (always usable row-wise).
     pub pred: CompiledPred<'a>,
     /// Position of the one column the predicate tests, when it tests one.
     pub col: Option<usize>,
-    /// The accepted value range, when the predicate is seedable.
-    pub seed: Option<PredRange>,
+    /// The values of `col` the predicate accepts, when it tests one column.
+    pub accepts: Option<Accepts>,
 }
 
 impl<'a> FactPred<'a> {
-    /// Wraps a compiled predicate with no encoded-scan seed.
+    /// Wraps a compiled predicate whose column is not known: it is never
+    /// seeded or surveyed, and its estimate is 1 unless it is constant.
     pub fn unseeded(pred: CompiledPred<'a>) -> Self {
-        FactPred { pred, col: None, seed: None }
+        FactPred { pred, col: None, accepts: None }
     }
 
-    /// Wraps a compiled predicate over fact column `col`, deriving the
-    /// seed from the compiled form (see [`seed_range`]).
+    /// Wraps a compiled predicate over fact column `col`.
     pub fn seeded(pred: CompiledPred<'a>, col: usize) -> Self {
-        let seed = seed_range(&pred, col);
-        FactPred { pred, col: Some(col), seed }
+        let accepts = pred.accepts();
+        FactPred { pred, col: Some(col), accepts }
     }
 
     /// Compiles one conjunct against `table`, seeded when it tests a single
@@ -216,113 +218,52 @@ impl<'a> FactPred<'a> {
         }
     }
 
+    /// The encoded-scan seed: the accepted range, when the predicate
+    /// accepts exactly one non-empty integer interval.
+    pub fn seed(&self) -> Option<PredRange> {
+        match self.accepts? {
+            Accepts::Exactly(Interval::Int { lo, hi }) if lo <= hi => {
+                Some(PredRange { col: self.col?, lo, hi })
+            }
+            _ => None,
+        }
+    }
+
     /// Estimated share of the scanned rows that pass, read from metadata
-    /// alone: a range over an integer, key or float column is its overlap
-    /// with each scanned segment's zone bounds
-    /// ([`ScannedZones::range_share`]; `IN` sums its points), a dictionary
-    /// test is its code-set size over the dictionary's length, and a test
-    /// the estimate cannot see into reads as 1.
-    pub fn estimate(&self, fact: &Table, zones: &ScannedZones<'_>) -> f64 {
-        use crate::expr::CmpOp;
+    /// alone: the accepted interval's overlap with each scanned segment's
+    /// zone bounds ([`SegmentSurvey::range_share`]; `IN` sums its points,
+    /// `<>` is the rest), a dictionary test its code-set size over the
+    /// dictionary's length, and a test the estimate cannot see into 1.
+    pub fn estimate(&self, fact: &Table, survey: &SegmentSurvey) -> f64 {
         let col = match (&self.pred, self.col) {
             (CompiledPred::Const(pass), _) => return f64::from(u8::from(*pass)),
             (_, Some(col)) => col,
             (_, None) => return 1.0,
         };
-        let range = |lo: f64, hi: f64| zones.range_share(col, lo, hi);
-        // `step` is 1 on integer domains, where `<` excludes the literal's
-        // own value, and 0 on floats.
-        let cmp = |op: CmpOp, v: f64, step: f64| match op {
-            CmpOp::Eq => range(v, v),
-            CmpOp::Ne => 1.0 - range(v, v),
-            CmpOp::Lt => range(f64::NEG_INFINITY, v - step),
-            CmpOp::Le => range(f64::NEG_INFINITY, v),
-            CmpOp::Gt => range(v + step, f64::INFINITY),
-            CmpOp::Ge => range(v, f64::INFINITY),
+        let range = |iv: Interval| {
+            let (lo, hi) = iv.as_f64();
+            survey.range_share(fact, col, lo, hi)
         };
-        let points = |vs: &mut dyn Iterator<Item = f64>| vs.map(|v| range(v, v)).sum::<f64>();
-        let share = match &self.pred {
-            CompiledPred::I32Cmp { op, v, .. } => cmp(*op, f64::from(*v), 1.0),
-            CompiledPred::I64Cmp { op, v, .. } => cmp(*op, *v as f64, 1.0),
-            CompiledPred::KeyCmp { op, v, .. } => cmp(*op, f64::from(*v), 1.0),
-            CompiledPred::F64Cmp { op, v, .. } => cmp(*op, *v, 0.0),
-            CompiledPred::I32Between { lo, hi, .. } => range(f64::from(*lo), f64::from(*hi)),
-            CompiledPred::I64Between { lo, hi, .. } => range(*lo as f64, *hi as f64),
-            CompiledPred::KeyBetween { lo, hi, .. } => range(f64::from(*lo), f64::from(*hi)),
-            CompiledPred::F64Between { lo, hi, .. } => range(*lo, *hi),
-            CompiledPred::I32In { set, .. } => points(&mut set.iter().map(|&v| f64::from(v))),
-            CompiledPred::I64In { set, .. } => points(&mut set.iter().map(|&v| v as f64)),
-            CompiledPred::DictEq { code, .. } if *code == NULL_KEY => 0.0,
-            CompiledPred::DictEq { .. } => match fact.column_at(col) {
+        let points = |vs: &mut dyn Iterator<Item = f64>| {
+            vs.map(|v| survey.range_share(fact, col, v, v)).sum::<f64>()
+        };
+        let share = match (&self.pred, self.accepts) {
+            (CompiledPred::I32In { set, .. }, _) => points(&mut set.iter().map(|&v| f64::from(v))),
+            (CompiledPred::I64In { set, .. }, _) => points(&mut set.iter().map(|&v| v as f64)),
+            (CompiledPred::DictEq { code, .. }, _) if *code == NULL_KEY => 0.0,
+            (CompiledPred::DictEq { .. }, _) => match fact.column_at(col) {
                 Column::Dict(dc) => 1.0 / dc.dict().len().max(1) as f64,
                 _ => 1.0,
             },
-            CompiledPred::DictSet { matches, .. } => {
+            (CompiledPred::DictSet { matches, .. }, _) => {
                 matches.count_ones() as f64 / matches.len().max(1) as f64
             }
-            _ => 1.0,
+            (_, Some(Accepts::AllBut(iv))) => 1.0 - range(iv),
+            (_, Some(Accepts::Exactly(iv) | Accepts::Within(iv))) => range(iv),
+            (_, None) => 1.0,
         };
         share.clamp(0.0, 1.0)
     }
-}
-
-impl<'a> From<CompiledPred<'a>> for FactPred<'a> {
-    fn from(pred: CompiledPred<'a>) -> Self {
-        FactPred::unseeded(pred)
-    }
-}
-
-/// Maps a comparison against `v` to the inclusive i64 interval it accepts.
-/// `Ne` is two disjoint intervals — not seedable. `Lt i64::MIN` / `Gt
-/// i64::MAX` accept nothing; rather than model the empty interval they
-/// fall back to row-wise evaluation (`None`), which is just as correct and
-/// keeps the kernel contract simple (`lo <= hi` always holds).
-fn cmp_range(op: crate::expr::CmpOp, v: i64) -> Option<(i64, i64)> {
-    use crate::expr::CmpOp::*;
-    match op {
-        Eq => Some((v, v)),
-        Le => Some((i64::MIN, v)),
-        Lt => Some((i64::MIN, v.checked_sub(1)?)),
-        Ge => Some((v, i64::MAX)),
-        Gt => Some((v.checked_add(1)?, i64::MAX)),
-        Ne => None,
-    }
-}
-
-/// Derives the encoded-scan seed for a compiled predicate over fact column
-/// `col`, or `None` when the predicate is not a single contiguous range.
-///
-/// The derivation starts from the *compiled* predicate, not the AST, so
-/// every literal-coercion quirk the compiler applied — float literals
-/// truncated to integers, `BETWEEN` bounds clamped into the i32 domain,
-/// strings resolved to dictionary codes — is already baked into the range.
-/// Key comparisons use the raw `u32` order, under which
-/// [`NULL_KEY`] (`u32::MAX`) really is the largest value; the
-/// encodings preserve exactly that order.
-pub fn seed_range(pred: &CompiledPred<'_>, col: usize) -> Option<PredRange> {
-    let (lo, hi) = match pred {
-        CompiledPred::I32Cmp { op, v, .. } => cmp_range(*op, *v as i64)?,
-        CompiledPred::I32Between { lo, hi, .. } => (*lo as i64, *hi as i64),
-        CompiledPred::I64Cmp { op, v, .. } => cmp_range(*op, *v)?,
-        CompiledPred::I64Between { lo, hi, .. } => (*lo, *hi),
-        CompiledPred::KeyCmp { op, v, .. } => cmp_range(*op, *v as i64)?,
-        CompiledPred::KeyBetween { lo, hi, .. } => (*lo as i64, *hi as i64),
-        // An absent dictionary value compiles to code == NULL_KEY, which the
-        // seed preserves: no stored code reaches it, so nothing matches —
-        // same as eval.
-        CompiledPred::DictEq { code, .. } => (*code as i64, *code as i64),
-        // A string range over an order-preserving dictionary (and any other
-        // set that happens to be one run of codes) is a code range.
-        CompiledPred::DictSet { matches, .. } => {
-            let (first, last) = (matches.iter_ones().next()?, matches.iter_ones().last()?);
-            if last - first + 1 != matches.count_ones() {
-                return None;
-            }
-            (first as i64, last as i64)
-        }
-        _ => return None,
-    };
-    (lo <= hi).then_some(PredRange { col, lo, hi })
 }
 
 /// SWAR range test over one word of bit-packed codes (paper §4.1's
@@ -662,8 +603,8 @@ mod tests {
             let d = ["w", "x", "y", "z"][a as usize % 4];
             t.append_row(&[Value::Int(a), Value::Str(d.into()), Value::Float(a as f64 / 2.0)]);
         }
-        let zones = ScannedZones::new(&t, None);
-        let est = |p: Pred| FactPred::compile(&p, &t).estimate(&t, &zones);
+        let all = SegmentSurvey::new(&t, None);
+        let est = |p: Pred| FactPred::compile(&p, &t).estimate(&t, &all);
         let close = |got: f64, want: f64| assert!((got - want).abs() < 1e-12, "{got} vs {want}");
         close(est(Pred::cmp("a", CmpOp::Lt, 2)), 0.25);
         close(est(Pred::cmp("a", CmpOp::Le, 2)), 3.0 / 8.0);
@@ -679,8 +620,8 @@ mod tests {
         close(est(Pred::Const(false)), 0.0);
         // A dead row leaves its segment's weight, not its bounds.
         t.delete(4);
-        let zones = ScannedZones::new(&t, None);
-        close(FactPred::compile(&Pred::cmp("a", CmpOp::Ge, 10), &t).estimate(&t, &zones), 3.0 / 7.0);
+        let all = SegmentSurvey::new(&t, None);
+        close(FactPred::compile(&Pred::cmp("a", CmpOp::Ge, 10), &t).estimate(&t, &all), 3.0 / 7.0);
     }
 
     /// Seeds come from the *compiled* predicate, so literal coercions are
@@ -704,15 +645,18 @@ mod tests {
             Value::Str("x".into()),
             Value::Float(1.5),
         ]);
-        let seed = |p: Pred, col: usize| seed_range(&p.compile(&t), col);
+        let seed = |p: Pred, col: usize| FactPred::seeded(p.compile(&t), col).seed();
 
+        // A comparison compiles to the range it accepts within the
+        // column's domain.
+        let (i32_min, i32_max) = (i64::from(i32::MIN), i64::from(i32::MAX));
         assert_eq!(
             seed(Pred::cmp("a", CmpOp::Ge, 10), 0),
-            Some(PredRange { col: 0, lo: 10, hi: i64::MAX })
+            Some(PredRange { col: 0, lo: 10, hi: i32_max })
         );
         assert_eq!(
             seed(Pred::cmp("a", CmpOp::Lt, 10), 0),
-            Some(PredRange { col: 0, lo: i64::MIN, hi: 9 })
+            Some(PredRange { col: 0, lo: i32_min, hi: 9 })
         );
         assert_eq!(seed(Pred::between("b", 3, 7), 1), Some(PredRange { col: 1, lo: 3, hi: 7 }));
         // Float literal over an int column truncates at compile time; the
@@ -722,7 +666,7 @@ mod tests {
         // Key order treats NULL_KEY as the largest u32.
         assert_eq!(
             seed(Pred::cmp("k", CmpOp::Gt, 0), 2),
-            Some(PredRange { col: 2, lo: 1, hi: i64::MAX })
+            Some(PredRange { col: 2, lo: 1, hi: i64::from(NULL_KEY) })
         );
         // Dict equality seeds on the resolved code ("x" -> code 0); a miss
         // resolves to NULL_KEY and seeds a range no stored code reaches.
@@ -742,7 +686,7 @@ mod tests {
                 Value::Float(1.5),
             ]);
         }
-        let seed = |p: Pred, col: usize| seed_range(&p.compile(&t), col);
+        let seed = |p: Pred, col: usize| FactPred::seeded(p.compile(&t), col).seed();
         // Codes in first-appearance order: x=0, a=1, m=2, z=3.
         assert_eq!(seed(Pred::between("d", "a", "n"), 3), Some(PredRange { col: 3, lo: 1, hi: 2 }));
         assert_eq!(seed(Pred::in_list("d", vec!["a", "z"]), 3), None);

@@ -108,5 +108,5 @@ pub mod prelude {
     pub use crate::query::{AggFunc, Aggregate, ColRef, OrderKey, Query, SortOrder};
     pub use crate::result::QueryResult;
     pub use crate::universal::{BindError, Universal};
-    pub use crate::zone::{SegmentPruner, SegmentSurvey, ZonePred, ZoneRange};
+    pub use crate::zone::SegmentSurvey;
 }

@@ -91,15 +91,14 @@ impl MorselDispatcher {
     }
 
     /// The segment-aligned, pruned layout over `fact`: every segment the
-    /// survey keeps (all of them without a survey) is cut into
-    /// `morsel`-row chunks, in row order; pruned segments are skipped
-    /// entirely (the survey already holds the per-segment decisions — no
-    /// admission test is re-evaluated here). Morsels never straddle a
-    /// segment boundary.
-    pub fn over_segments(fact: &Table, survey: Option<&SegmentSurvey>, morsel: usize) -> Self {
+    /// survey keeps is cut into `morsel`-row chunks, in row order; pruned
+    /// segments are skipped entirely (the survey already holds the
+    /// per-segment decisions — no admission test is re-evaluated here).
+    /// Morsels never straddle a segment boundary.
+    pub fn over_segments(fact: &Table, survey: &SegmentSurvey, morsel: usize) -> Self {
         let morsel = morsel.max(1);
         let mut ranges = Vec::new();
-        for seg in (0..fact.segment_count()).filter(|&seg| survey.is_none_or(|s| s.keep(seg))) {
+        for seg in (0..fact.segment_count()).filter(|&seg| survey.keep(seg)) {
             let r = fact.segment_range(seg);
             ranges
                 .extend(r.clone().step_by(morsel).map(|start| start..(start + morsel).min(r.end)));

@@ -5,13 +5,18 @@
 //! test of the execution's selection, into a buffer the caller reuses.
 //!
 //! **One list of tests.** Fact-local conjuncts and dimension chains are the
-//! [`SelTest`]s of one list, ordered once per execution most selective
-//! first (§4.1) by [`order_tests`]. The estimates come from metadata the
-//! plan already holds — no row is sampled:
+//! [`SelTest`]s of one list, compiled once per execution. The zone survey
+//! ([`crate::zone::SegmentSurvey`]) reads the same list, and
+//! [`order_tests`] then orders it most selective first (§4.1). A fact test
+//! carries the values of its column it accepts
+//! ([`CompiledPred::accepts`]), which seeds the encoded scan, prunes
+//! segments and drives its estimate alike. The estimates come from
+//! metadata the plan already holds — no row is sampled:
 //!
-//! * a range over an integer, key or float column: its overlap with the
-//!   zone bounds of every segment the survey keeps, values taken as uniform
-//!   inside a zone ([`ScannedZones::range_share`]);
+//! * an accepted interval over an integer, key or float column: its
+//!   overlap with the zone bounds of every segment the survey keeps, values
+//!   taken as uniform inside a zone ([`SegmentSurvey::range_share`]; an `IN`
+//!   list sums its points, `<>` is the rest);
 //! * a dictionary test: its code-set size over the dictionary's length;
 //! * a chain's predicate vector (§4.2) with scattered bits: its density;
 //! * a direct AIR chase: nothing is known, so it runs last, on the fewest
@@ -20,8 +25,8 @@
 //! A chain whose composed predicate vector is one run of keys `[k0, k1]` is
 //! no probe: the executor compiles it as the fact predicate
 //! `fk BETWEEN k0 AND k1`, which is exact (a NULL key or a key past the
-//! dimension fails both), so it is estimated, seeded and refined like any
-//! fact range.
+//! dimension fails both), so it is estimated, seeded, surveyed and refined
+//! like any fact range.
 //!
 //! **Three builders.** In the column-wise scan the first test of the list
 //! that can produce a segment's selection by itself builds it:
@@ -60,7 +65,7 @@ use astore_storage::types::{Key, RowId, NULL_KEY};
 use crate::expr::{CompiledPred, Pred, SegPred};
 use crate::filter::{FactPred, PackedRangeTest};
 use crate::kernels;
-use crate::zone::ScannedZones;
+use crate::zone::SegmentSurvey;
 
 /// A per-fact-row liveness + predicate check against one table of a
 /// dimension chain, evaluated by chasing the AIR hops.
@@ -105,6 +110,9 @@ pub enum ChainCheck<'a> {
     PredVec {
         /// The fact FK column's key array.
         keys: &'a Chunked<Key>,
+        /// The fact FK column's position (its zone map prunes by the
+        /// vector).
+        col: usize,
         /// Composed predicate vector over the first-level dimension.
         bitmap: &'a Bitmap,
     },
@@ -151,7 +159,7 @@ impl<'a> ChainCheck<'a> {
     #[inline]
     pub fn eval(&self, row: usize) -> bool {
         match self {
-            ChainCheck::PredVec { keys, bitmap } => {
+            ChainCheck::PredVec { keys, bitmap, .. } => {
                 // NULL_KEY maps far out of range and reads as false.
                 bitmap.get_or_false(keys.get(row) as usize)
             }
@@ -161,7 +169,7 @@ impl<'a> ChainCheck<'a> {
 
     fn bind(&self, seg: &FactSegment<'_>) -> SegChain<'_, 'a> {
         match self {
-            ChainCheck::PredVec { keys, bitmap } => {
+            ChainCheck::PredVec { keys, bitmap, .. } => {
                 SegChain::PredVec { keys: keys.chunk(seg.index), bitmap }
             }
             ChainCheck::Direct { checks } => SegChain::Direct { checks, seg_start: seg.start },
@@ -219,14 +227,14 @@ impl<'a> SelTest<'a> {
                 let (lo, hi) = (k0 as Key, k1 as Key);
                 SelTest::Fact(FactPred::seeded(CompiledPred::KeyBetween { keys, lo, hi }, col))
             }
-            None => SelTest::Chain(ChainCheck::PredVec { keys, bitmap }),
+            None => SelTest::Chain(ChainCheck::PredVec { keys, col, bitmap }),
         }
     }
 
     /// How the test is evaluated.
     pub fn kind(&self) -> TestKind {
         match self {
-            SelTest::Fact(p) if p.seed.is_some() => TestKind::Range,
+            SelTest::Fact(p) if p.seed().is_some() => TestKind::Range,
             SelTest::Fact(_) => TestKind::RowWise,
             SelTest::Chain(ChainCheck::PredVec { .. }) => TestKind::Probe,
             SelTest::Chain(ChainCheck::Direct { .. }) => TestKind::Direct,
@@ -234,9 +242,9 @@ impl<'a> SelTest<'a> {
     }
 
     /// Estimated share of the scanned rows that pass (see the module docs).
-    pub fn estimate(&self, fact: &Table, zones: &ScannedZones<'_>) -> f64 {
+    pub fn estimate(&self, fact: &Table, survey: &SegmentSurvey) -> f64 {
         match self {
-            SelTest::Fact(p) => p.estimate(fact, zones),
+            SelTest::Fact(p) => p.estimate(fact, survey),
             SelTest::Chain(c) => c.estimated_selectivity(),
         }
     }
@@ -330,17 +338,20 @@ impl std::fmt::Display for Selection {
 
 /// Orders one execution's tests for the scan: lowest estimate first,
 /// direct chases last whatever theirs, ties to the kind that can build.
-/// Each test is named by the fact column it reads. Done once per execution.
+/// `columns` names each test by the fact column it reads. Done once per
+/// execution.
 pub fn order_tests<'a>(
-    tests: Vec<(SelTest<'a>, String)>,
+    tests: Vec<SelTest<'a>>,
+    columns: Vec<String>,
     fact: &Table,
-    zones: &ScannedZones<'_>,
+    survey: &SegmentSurvey,
 ) -> (Vec<SelTest<'a>>, Vec<SelectionStep>) {
     let mut keyed: Vec<(SelTest<'a>, SelectionStep)> = tests
         .into_iter()
+        .zip(columns)
         .map(|(test, column)| {
             let step =
-                SelectionStep { kind: test.kind(), column, estimate: test.estimate(fact, zones) };
+                SelectionStep { kind: test.kind(), column, estimate: test.estimate(fact, survey) };
             (test, step)
         })
         .collect();
@@ -469,7 +480,7 @@ fn scan_encoded(
 /// indistinguishable from the live rows refined by the predicate — just
 /// cheaper.
 fn seeded_segment(fact: &Table, seg: &FactSegment<'_>, fp: &FactPred<'_>, rows: &mut Vec<RowId>) {
-    let seed = fp.seed.as_ref().expect("caller verified the seed");
+    let seed = fp.seed().expect("caller verified the seed");
     match fact.column_at(seed.col).chunk_encoding(seg.index) {
         Some(enc) => scan_encoded(enc, seed.lo, seed.hi, seg.offs.start, seg.offs.end, |off| {
             if seg.is_live(off) {
@@ -508,6 +519,7 @@ pub enum ScanMode {
 
 /// The selection step of the fact scan, set up once per execution and run
 /// once per segment slice; shared read-only by every worker.
+#[derive(Clone, Copy)]
 pub struct SegmentScan<'p, 'a> {
     fact: &'a Table,
     tests: &'p [SelTest<'a>],
@@ -555,7 +567,7 @@ impl<'p, 'a> SegmentScan<'p, 'a> {
         let base = seg.row(0);
         match self.builder.map(|i| &self.tests[i]) {
             Some(SelTest::Fact(fp)) => seeded_segment(self.fact, seg, fp, rows),
-            Some(SelTest::Chain(ChainCheck::PredVec { keys, bitmap })) => {
+            Some(SelTest::Chain(ChainCheck::PredVec { keys, bitmap, .. })) => {
                 kernels::dense_probe(keys.chunk(seg.index), seg.offs.clone(), base, bitmap, rows);
                 if let Some(live) = seg.live {
                     kernels::scalar::retain(rows, |r| live.get_or_false((r - base) as usize));
@@ -582,7 +594,7 @@ impl<'p, 'a> SegmentScan<'p, 'a> {
     /// range is mapped onto the chunk's code domain once, no value is
     /// rebuilt); everything else evaluates the bound predicate per row.
     fn refine(&self, seg: &FactSegment<'_>, p: &FactPred<'_>, base: RowId, rows: &mut Vec<RowId>) {
-        let packed = p.seed.as_ref().and_then(|seed| {
+        let packed = p.seed().and_then(|seed| {
             match self.fact.column_at(seed.col).chunk_encoding(seg.index) {
                 Some(EncodedColumn::Packed(codes)) => Some((codes, seed)),
                 _ => None,
@@ -728,17 +740,15 @@ mod tests {
         let none = Pred::eq("d_flag", 7).eval_bitmap(dim);
         let col = |name: &str| fact.schema().position(name).unwrap();
         let tests = vec![
-            (SelTest::Chain(ChainCheck::Direct { checks: Vec::new() }), "f_dim".to_owned()),
-            (SelTest::chain(keys, col("f_dim"), &half), "f_dim".to_owned()),
+            SelTest::Chain(ChainCheck::Direct { checks: Vec::new() }),
+            SelTest::chain(keys, col("f_dim"), &half),
             // f_v spans 10..=60: `< 30` covers 20 of its 51 values.
-            (
-                SelTest::Fact(FactPred::compile(&Pred::cmp("f_v", CmpOp::Lt, 30), fact)),
-                "f_v".into(),
-            ),
-            (SelTest::chain(keys, col("f_dim"), &none), "f_dim".to_owned()),
+            SelTest::Fact(FactPred::compile(&Pred::cmp("f_v", CmpOp::Lt, 30), fact)),
+            SelTest::chain(keys, col("f_dim"), &none),
         ];
-        let zones = ScannedZones::new(fact, None);
-        let (tests, steps) = order_tests(tests, fact, &zones);
+        let columns = ["f_dim", "f_dim", "f_v", "f_dim"].map(String::from).to_vec();
+        let all = SegmentSurvey::new(fact, None);
+        let (tests, steps) = order_tests(tests, columns, fact, &all);
         let kinds: Vec<TestKind> = steps.iter().map(|s| s.kind).collect();
         assert_eq!(kinds, [TestKind::Probe, TestKind::Range, TestKind::Probe, TestKind::Direct]);
         for (step, want) in steps.iter().zip([0.0, 20.0 / 51.0, 0.5, 1.0]) {
@@ -762,7 +772,7 @@ mod tests {
         let dim = db.table("dim").unwrap();
         let bm = Pred::eq("d_flag", 1).eval_bitmap(dim);
         let (_, keys) = fact.column("f_dim").unwrap().as_key().unwrap();
-        let check = ChainCheck::PredVec { keys, bitmap: &bm };
+        let check = ChainCheck::PredVec { keys, col: 0, bitmap: &bm };
         // fact rows pointing at dims 1 or 3 pass; NULL_KEY fails.
         let hits: Vec<usize> = (0..6).filter(|&r| check.eval(r)).collect();
         assert_eq!(hits, vec![1, 3, 5]);
@@ -783,7 +793,7 @@ mod tests {
             }],
         };
         let bm = Pred::eq("d_flag", 1).eval_bitmap(dim);
-        let pv = ChainCheck::PredVec { keys, bitmap: &bm };
+        let pv = ChainCheck::PredVec { keys, col: 0, bitmap: &bm };
         for r in 0..6 {
             assert_eq!(direct.eval(r), pv.eval(r), "row {r}");
         }
@@ -824,7 +834,7 @@ mod tests {
                     SelTest::Fact(FactPred::unseeded(
                         Pred::cmp("f_v", CmpOp::Lt, 60).compile(fact),
                     )),
-                    SelTest::Chain(ChainCheck::PredVec { keys, bitmap: &bm }),
+                    SelTest::Chain(ChainCheck::PredVec { keys, col: 0, bitmap: &bm }),
                 ]
             };
             let (tests, chain_only) = (tests(), tests().split_off(1));
@@ -992,11 +1002,14 @@ mod tests {
         for (k0, k1) in [(0, 0), (0, 7), (3, 5), (7, 7), (2, 3)] {
             let bitmap = Bitmap::from_fn(8, |i| (k0..=k1).contains(&i));
             let run = SelTest::chain(keys, col, &bitmap);
-            let SelTest::Fact(FactPred { seed: Some(seed), .. }) = &run else {
+            let Some(seed) = (match &run {
+                SelTest::Fact(p) => p.seed(),
+                SelTest::Chain(_) => None,
+            }) else {
                 panic!("[{k0}, {k1}] is one run and should be a seeded key range")
             };
             assert_eq!((seed.lo, seed.hi), (k0 as i64, k1 as i64));
-            let probe = SelTest::Chain(ChainCheck::PredVec { keys, bitmap: &bitmap });
+            let probe = SelTest::Chain(ChainCheck::PredVec { keys, col, bitmap: &bitmap });
             for range in ranges(fact.num_slots()) {
                 let want =
                     select(fact, range.clone(), std::slice::from_ref(&probe), ScanMode::RowWise);

@@ -1,259 +1,78 @@
 //! Zone-map data skipping over segmented fact tables.
 //!
 //! The storage layer partitions every table into fixed-size segments with
-//! per-column min/max statistics (`astore_storage::segment`). This module
-//! turns a query's selection into *segment-level* tests:
+//! per-column min/max statistics (`astore_storage::segment`). The
+//! [`SegmentSurvey`] asks, once per segment and before the scan touches a
+//! single column value, whether the segment can hold a row that passes the
+//! execution's compiled selection tests ([`SelTest`]) — one rule per test:
 //!
-//! * a fact-local conjunct becomes a [`ZonePred`] — an inclusive value
-//!   range that a segment's bounds must intersect for any row to qualify;
-//! * a dimension chain probed through a predicate vector becomes a
-//!   key-range test — the segment's FK bounds are checked for *any* set
-//!   bit in the composed chain bitmap ([`Bitmap::any_in_range`]).
+//! * a fact test keeps a segment whose zone bounds meet the values it
+//!   accepts ([`CompiledPred::accepts`](crate::expr::CompiledPred::accepts)),
+//!   and an empty interval keeps none. Key columns follow the raw `u32`
+//!   order, in which [`NULL_KEY`] is the largest value, so an interval that
+//!   reaches it keeps every segment holding a NULL key;
+//! * a probed chain keeps a segment whose foreign-key bounds hold a set bit
+//!   of its predicate vector ([`Bitmap::any_in_range`]);
+//! * a direct chase keeps every segment;
 //!
-//! A [`SegmentPruner`] bundles both and answers "can segment `s` contain a
-//! qualifying row?" once per segment, before the scan touches a single
-//! column value. Every answer is conservative: zone bounds only ever widen
-//! under incremental maintenance, so a `false` proves the segment empty of
-//! matches while a `true` merely means "scan it".
+//! and a segment without a live row is never kept. Every answer is
+//! conservative: zone bounds only ever widen under incremental maintenance,
+//! so a `false` proves the segment empty of matches while a `true` merely
+//! means "scan it". The tests' estimates are then read from the kept
+//! segments' zone maps ([`SegmentSurvey::range_share`]).
+//!
+//! [`Bitmap::any_in_range`]: astore_storage::bitmap::Bitmap::any_in_range
 
-use astore_storage::bitmap::Bitmap;
-use astore_storage::column::Column;
-use astore_storage::segment::ZoneStats;
+use astore_storage::segment::{SegmentZone, ZoneStats};
 use astore_storage::table::Table;
+use astore_storage::types::NULL_KEY;
 
-use crate::expr::{CmpOp, Lit, Pred};
+use crate::expr::{Accepts, Interval};
+use crate::scan::{ChainCheck, SelTest};
 
-/// An inclusive value range a segment's column bounds must intersect.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ZoneRange {
-    /// Integer range (for `i32`/`i64` columns).
-    Int {
-        /// Inclusive lower bound.
-        lo: i64,
-        /// Inclusive upper bound.
-        hi: i64,
-    },
-    /// Float range (for `f64` columns). Strict bounds are relaxed to
-    /// inclusive ones — a widening that can only reduce pruning.
-    Float {
-        /// Inclusive lower bound.
-        lo: f64,
-        /// Inclusive upper bound.
-        hi: f64,
-    },
-}
-
-/// A segment-level test compiled from one fact-local conjunct.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ZonePred {
-    /// Position of the tested column in the fact schema.
-    pub col: usize,
-    /// The value range a segment must overlap.
-    pub range: ZoneRange,
-}
-
-fn int_of(lit: &Lit) -> Option<i64> {
-    match lit {
-        Lit::Int(v) => Some(*v),
-        // Mirrors predicate compilation, which truncates float literals
-        // against integer columns.
-        Lit::Float(f) => Some(*f as i64),
-        Lit::Str(_) | Lit::Param(_) => None,
+/// Can a segment whose column bounds are `stat` hold a value of `iv`?
+fn meets(iv: Interval, stat: &ZoneStats) -> bool {
+    if iv.is_empty() {
+        return false;
     }
-}
-
-fn float_of(lit: &Lit) -> Option<f64> {
-    match lit {
-        Lit::Int(v) => Some(*v as f64),
-        Lit::Float(f) => Some(*f),
-        Lit::Str(_) | Lit::Param(_) => None,
-    }
-}
-
-impl ZonePred {
-    /// Compiles one conjunct into a zone test, or `None` when the conjunct
-    /// cannot prune (non-range shapes, string/dictionary/key columns,
-    /// unbound parameters). `None` never loses correctness — the conjunct
-    /// is still evaluated row-wise inside surviving segments.
-    pub fn from_conjunct(pred: &Pred, table: &Table) -> Option<ZonePred> {
-        let (col_name, range) = match pred {
-            Pred::Cmp { col, op, lit } => (col, Self::cmp_range(table, col, *op, lit)?),
-            Pred::Between { col, lo, hi } => (col, Self::between_range(table, col, lo, hi)?),
-            Pred::InList { col, lits } => (col, Self::in_range(table, col, lits)?),
-            _ => return None,
-        };
-        Some(ZonePred { col: table.schema().position(col_name)?, range })
-    }
-
-    fn is_int_col(table: &Table, col: &str) -> Option<bool> {
-        match table.column(col)? {
-            Column::I32(_) | Column::I64(_) => Some(true),
-            Column::F64(_) => Some(false),
-            _ => None,
+    match (iv, stat) {
+        (Interval::Int { lo, hi }, &ZoneStats::Int { min, max }) => lo <= max && hi >= min,
+        (Interval::Float { lo, hi }, &ZoneStats::Float { min, max }) => lo <= max && hi >= min,
+        // An all-NULL segment has `min > max`.
+        (Interval::Int { lo, hi }, &ZoneStats::Key { min, max, nulls }) => {
+            (nulls > 0 && hi >= i64::from(NULL_KEY))
+                || (min <= max && lo <= i64::from(max) && hi >= i64::from(min))
         }
+        // Untracked columns — and any type drift — cannot prune.
+        _ => true,
     }
+}
 
-    fn is_i32_col(table: &Table, col: &str) -> bool {
-        matches!(table.column(col), Some(Column::I32(_)))
-    }
-
-    fn cmp_range(table: &Table, col: &str, op: CmpOp, lit: &Lit) -> Option<ZoneRange> {
-        if Self::is_int_col(table, col)? {
-            let v = int_of(lit)?;
-            let (lo, hi) = match op {
-                CmpOp::Eq => (v, v),
-                CmpOp::Ge => (v, i64::MAX),
-                CmpOp::Gt => (v.checked_add(1)?, i64::MAX),
-                CmpOp::Le => (i64::MIN, v),
-                CmpOp::Lt => (i64::MIN, v.checked_sub(1)?),
-                CmpOp::Ne => return None,
-            };
-            Some(ZoneRange::Int { lo, hi })
-        } else {
-            let v = float_of(lit)?;
-            let (lo, hi) = match op {
-                CmpOp::Eq => (v, v),
-                // Strict float bounds relax to inclusive — sound.
-                CmpOp::Ge | CmpOp::Gt => (v, f64::INFINITY),
-                CmpOp::Le | CmpOp::Lt => (f64::NEG_INFINITY, v),
-                CmpOp::Ne => return None,
-            };
-            Some(ZoneRange::Float { lo, hi })
-        }
-    }
-
-    fn between_range(table: &Table, col: &str, lo: &Lit, hi: &Lit) -> Option<ZoneRange> {
-        if Self::is_int_col(table, col)? {
-            let (mut lo, mut hi) = (int_of(lo)?, int_of(hi)?);
-            if Self::is_i32_col(table, col) {
-                // Mirror predicate compilation exactly: `compile_between`
-                // clamps BETWEEN bounds into the i32 domain, so an
-                // out-of-range bound collapses onto i32::MIN/MAX and can
-                // still match boundary values. The zone test must not be
-                // tighter than the row test it stands in for.
-                lo = lo.clamp(i64::from(i32::MIN), i64::from(i32::MAX));
-                hi = hi.clamp(i64::from(i32::MIN), i64::from(i32::MAX));
+/// Can the segment of `zone` hold a row that passes `test`?
+fn keeps(test: &SelTest<'_>, zone: &SegmentZone) -> bool {
+    match test {
+        SelTest::Fact(p) => match (p.col, p.accepts) {
+            (Some(col), Some(Accepts::Exactly(iv) | Accepts::Within(iv))) => {
+                meets(iv, zone.stat(col))
             }
-            Some(ZoneRange::Int { lo, hi })
-        } else {
-            Some(ZoneRange::Float { lo: float_of(lo)?, hi: float_of(hi)? })
-        }
-    }
-
-    fn in_range(table: &Table, col: &str, lits: &[Lit]) -> Option<ZoneRange> {
-        // The list's envelope [min, max]: looser than the exact set but
-        // enough to skip segments wholly outside it. An empty list is an
-        // empty range and prunes everything (IN () matches nothing).
-        if Self::is_int_col(table, col)? {
-            let vs: Option<Vec<i64>> = lits.iter().map(int_of).collect();
-            let vs = vs?;
-            Some(ZoneRange::Int {
-                lo: vs.iter().copied().min().unwrap_or(i64::MAX),
-                hi: vs.iter().copied().max().unwrap_or(i64::MIN),
-            })
-        } else {
-            let vs: Option<Vec<f64>> = lits.iter().map(float_of).collect();
-            let vs = vs?;
-            Some(ZoneRange::Float {
-                lo: vs.iter().copied().fold(f64::INFINITY, f64::min),
-                hi: vs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            })
-        }
-    }
-
-    /// Can any value inside `stats` satisfy this range?
-    pub fn may_match(&self, stats: &ZoneStats) -> bool {
-        match (&self.range, stats) {
-            (ZoneRange::Int { lo, hi }, ZoneStats::Int { min, max }) => lo <= max && hi >= min,
-            (ZoneRange::Float { lo, hi }, ZoneStats::Float { min, max }) => lo <= max && hi >= min,
-            // Untracked columns — and any type drift — cannot prune.
             _ => true,
-        }
+        },
+        SelTest::Chain(ChainCheck::PredVec { col, bitmap, .. }) => match zone.stat(*col) {
+            // Empty key range = every live row's FK is NULL: the probe
+            // fails them all. Otherwise the vector must have a qualifying
+            // dimension row in range.
+            &ZoneStats::Key { min, max, .. } => {
+                min <= max && bitmap.any_in_range(min as usize, max as usize)
+            }
+            _ => true,
+        },
+        SelTest::Chain(ChainCheck::Direct { .. }) => true,
     }
 }
 
-/// The per-segment admission test of one execution: fact-local zone
-/// predicates plus chain key-range probes, evaluated against the fact
-/// table's zone maps.
-#[derive(Debug)]
-pub struct SegmentPruner<'a> {
-    fact: &'a Table,
-    preds: Vec<ZonePred>,
-    /// `(fact FK column position, composed chain predicate vector)` for
-    /// every chain the leaf phase materialized a bitmap for.
-    chains: Vec<(usize, &'a Bitmap)>,
-}
-
-impl<'a> SegmentPruner<'a> {
-    /// Builds the pruner from the fact table's selection (already bound —
-    /// no parameters) and the leaf phase's materialized chain filters.
-    pub fn new(
-        fact: &'a Table,
-        fact_pred: Option<&Pred>,
-        chains: Vec<(usize, &'a Bitmap)>,
-    ) -> SegmentPruner<'a> {
-        let preds = fact_pred
-            .map(|p| {
-                p.conjuncts().iter().filter_map(|c| ZonePred::from_conjunct(c, fact)).collect()
-            })
-            .unwrap_or_default();
-        SegmentPruner { fact, preds, chains }
-    }
-
-    /// Can segment `seg` contain a row satisfying the whole selection?
-    pub fn may_match(&self, seg: usize) -> bool {
-        let zone = self.fact.zone(seg);
-        if zone.live() == 0 {
-            return false;
-        }
-        for p in &self.preds {
-            if !p.may_match(zone.stat(p.col)) {
-                return false;
-            }
-        }
-        for &(col, bitmap) in &self.chains {
-            if let ZoneStats::Key { min, max, .. } = zone.stat(col) {
-                // Empty key range = every live row's FK is NULL: the chain
-                // probe fails them all. Otherwise the chain bitmap must
-                // have at least one qualifying dimension row in range.
-                if min > max || !bitmap.any_in_range(*min as usize, *max as usize) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Estimated rows the scan will actually visit: the live counts of the
-    /// surviving segments.
-    pub fn estimated_rows(&self) -> usize {
-        self.survey().live_rows()
-    }
-
-    /// Runs the admission test over every segment **once**, materializing
-    /// the keep/prune decisions plus the surviving live-row count. The
-    /// executor computes one survey per execution and shares it between
-    /// the fan-out decision and the morsel dispatcher — the (chain-bitmap)
-    /// range probes are never repeated.
-    pub fn survey(&self) -> SegmentSurvey {
-        let mut keep = Vec::with_capacity(self.fact.segment_count());
-        let mut live_rows = 0usize;
-        let mut pruned = 0usize;
-        for seg in 0..self.fact.segment_count() {
-            let k = self.may_match(seg);
-            if k {
-                live_rows += self.fact.zone(seg).live() as usize;
-            } else {
-                pruned += 1;
-            }
-            keep.push(k);
-        }
-        SegmentSurvey { keep, live_rows, pruned }
-    }
-}
-
-/// The materialized keep/prune decision for every segment of one
-/// execution (see [`SegmentPruner::survey`]).
+/// The keep/prune decision for every segment of one execution, made once
+/// and shared by the fan-out decision, the estimates and the morsel
+/// dispatcher.
 #[derive(Debug)]
 pub struct SegmentSurvey {
     keep: Vec<bool>,
@@ -262,6 +81,24 @@ pub struct SegmentSurvey {
 }
 
 impl SegmentSurvey {
+    /// Surveys every segment of `fact` with every test (see the module
+    /// docs). Without tests — pruning disabled — every segment is kept.
+    pub fn new(fact: &Table, tests: Option<&[SelTest<'_>]>) -> SegmentSurvey {
+        let mut keep = Vec::with_capacity(fact.segment_count());
+        let (mut live_rows, mut pruned) = (0usize, 0usize);
+        for seg in 0..fact.segment_count() {
+            let zone = fact.zone(seg);
+            let k = tests.is_none_or(|ts| zone.live() > 0 && ts.iter().all(|t| keeps(t, zone)));
+            if k {
+                live_rows += zone.live() as usize;
+            } else {
+                pruned += 1;
+            }
+            keep.push(k);
+        }
+        SegmentSurvey { keep, live_rows, pruned }
+    }
+
     /// Should segment `seg` be scanned? Out-of-range segments (appended
     /// concurrently — cannot happen under the executor's snapshot) read as
     /// kept, the conservative answer.
@@ -280,51 +117,24 @@ impl SegmentSurvey {
         self.pruned
     }
 
-    /// `true` if every segment survived (the scan can run flat).
-    pub fn all_kept(&self) -> bool {
-        self.pruned == 0
-    }
-}
-
-/// The zone maps of the segments one execution scans: what the selection
-/// tests' estimates are read from, so ordering them samples no row.
-#[derive(Debug)]
-pub struct ScannedZones<'a> {
-    fact: &'a Table,
-    /// Scanned segments that hold a live row.
-    kept: Vec<usize>,
-    /// Live rows across them.
-    live: u64,
-}
-
-impl<'a> ScannedZones<'a> {
-    /// The segments `survey` keeps, or every segment when there is none
-    /// (pruning disabled).
-    pub fn new(fact: &'a Table, survey: Option<&SegmentSurvey>) -> Self {
-        let kept: Vec<usize> = (0..fact.segment_count())
-            .filter(|&s| survey.is_none_or(|sv| sv.keep(s)) && fact.zone(s).live() > 0)
-            .collect();
-        let live = kept.iter().map(|&s| fact.zone(s).live()).sum();
-        ScannedZones { fact, kept, live }
-    }
-
-    /// Estimated share of the scanned live rows whose value in column `col`
-    /// lies in `[lo, hi]`: each segment contributes its live rows times the
-    /// share of its zone bounds the range covers, values taken as uniform
-    /// between the bounds. An untracked column reads as 1.
-    pub fn range_share(&self, col: usize, lo: f64, hi: f64) -> f64 {
-        if self.live == 0 {
+    /// Estimated share of the kept segments' live rows of `fact` whose
+    /// value in column `col` lies in `[lo, hi]` — what the selection tests'
+    /// estimates are read from, so ordering them samples no row. Each
+    /// segment contributes its live rows times the share of its zone bounds
+    /// the range covers, values taken as uniform between the bounds. An
+    /// untracked column reads as 1.
+    pub fn range_share(&self, fact: &Table, col: usize, lo: f64, hi: f64) -> f64 {
+        if self.live_rows == 0 {
             return 0.0;
         }
-        let rows: f64 = self
-            .kept
+        let rows: f64 = fact
+            .zones()
             .iter()
-            .map(|&s| {
-                let zone = self.fact.zone(s);
-                zone.live() as f64 * bounds_share(zone.stat(col), lo, hi)
-            })
+            .zip(&self.keep)
+            .filter(|(zone, &keep)| keep && zone.live() > 0)
+            .map(|(zone, _)| zone.live() as f64 * bounds_share(zone.stat(col), lo, hi))
             .sum();
-        rows / self.live as f64
+        rows / self.live_rows as f64
     }
 }
 
@@ -350,6 +160,11 @@ fn bounds_share(stat: &ZoneStats, lo: f64, hi: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{execute, ExecOptions};
+    use crate::expr::{CmpOp, Pred};
+    use crate::filter::FactPred;
+    use crate::query::{Aggregate, Query};
+    use astore_storage::bitmap::Bitmap;
     use astore_storage::prelude::*;
 
     /// fact(f_v i64, f_f f64, f_dim key->dim) with 3 segments of 4 rows:
@@ -374,40 +189,39 @@ mod tests {
         t
     }
 
+    /// The segments a survey by `tests` keeps.
+    fn kept(t: &Table, tests: &[SelTest<'_>]) -> Vec<usize> {
+        let survey = SegmentSurvey::new(t, Some(tests));
+        (0..t.segment_count()).filter(|&s| survey.keep(s)).collect()
+    }
+
+    /// The segments a survey by the one fact conjunct `pred` keeps.
+    fn kept_by(t: &Table, pred: Pred) -> Vec<usize> {
+        kept(t, &[SelTest::Fact(FactPred::compile(&pred, t))])
+    }
+
     #[test]
     fn cmp_ranges_prune_int_segments() {
         let t = fact_table();
         // f_v >= 80 → only segment 2 (values 80..=110).
-        let zp = ZonePred::from_conjunct(&Pred::cmp("f_v", CmpOp::Ge, 80), &t).unwrap();
-        let kept: Vec<usize> =
-            (0..t.segment_count()).filter(|&s| zp.may_match(t.zone(s).stat(zp.col))).collect();
-        assert_eq!(kept, vec![2]);
+        assert_eq!(kept_by(&t, Pred::cmp("f_v", CmpOp::Ge, 80)), vec![2]);
         // f_v < 40 → only segment 0.
-        let zp = ZonePred::from_conjunct(&Pred::cmp("f_v", CmpOp::Lt, 40), &t).unwrap();
-        let kept: Vec<usize> =
-            (0..t.segment_count()).filter(|&s| zp.may_match(t.zone(s).stat(zp.col))).collect();
-        assert_eq!(kept, vec![0]);
+        assert_eq!(kept_by(&t, Pred::cmp("f_v", CmpOp::Lt, 40)), vec![0]);
         // Eq on a boundary value.
-        let zp = ZonePred::from_conjunct(&Pred::eq("f_v", 70), &t).unwrap();
-        let kept: Vec<usize> =
-            (0..t.segment_count()).filter(|&s| zp.may_match(t.zone(s).stat(zp.col))).collect();
-        assert_eq!(kept, vec![1]);
+        assert_eq!(kept_by(&t, Pred::eq("f_v", 70)), vec![1]);
     }
 
     #[test]
     fn between_and_in_prune() {
         let t = fact_table();
-        let zp = ZonePred::from_conjunct(&Pred::between("f_f", 2.25, 3.0), &t).unwrap();
-        let kept: Vec<usize> =
-            (0..t.segment_count()).filter(|&s| zp.may_match(t.zone(s).stat(zp.col))).collect();
-        assert_eq!(kept, vec![1], "floats 2.25..3.0 live in segment 1 (2.0..=3.5)");
-        let zp = ZonePred::from_conjunct(&Pred::in_list("f_v", vec![90, 100]), &t).unwrap();
-        let kept: Vec<usize> =
-            (0..t.segment_count()).filter(|&s| zp.may_match(t.zone(s).stat(zp.col))).collect();
-        assert_eq!(kept, vec![2]);
+        assert_eq!(
+            kept_by(&t, Pred::between("f_f", 2.25, 3.0)),
+            vec![1],
+            "floats 2.25..3.0 live in segment 1 (2.0..=3.5)"
+        );
+        assert_eq!(kept_by(&t, Pred::in_list("f_v", vec![90, 100])), vec![2]);
         // Empty IN list prunes everything.
-        let zp = ZonePred::from_conjunct(&Pred::in_list("f_v", Vec::<i64>::new()), &t).unwrap();
-        assert!((0..t.segment_count()).all(|s| !zp.may_match(t.zone(s).stat(zp.col))));
+        assert!(kept_by(&t, Pred::in_list("f_v", Vec::<i64>::new())).is_empty());
     }
 
     #[test]
@@ -424,15 +238,13 @@ mod tests {
         let compiled = pred.compile(&t);
         let row_hits = (0..3).filter(|&r| compiled.eval(r)).count();
         assert_eq!(row_hits, 1, "the i32::MAX row matches the clamped range");
-        let zp = ZonePred::from_conjunct(&pred, &t).unwrap();
-        assert!(zp.may_match(t.zone(0).stat(zp.col)), "zone test must not out-prune the rows");
+        assert_eq!(kept_by(&t, pred), vec![0], "zone test must not out-prune the rows");
         // Below-range bounds clamp symmetrically.
         let pred = Pred::between("v", -4_000_000_000i64, -3_000_000_000i64);
-        let zp = ZonePred::from_conjunct(&pred, &t).unwrap();
         let compiled = pred.compile(&t);
         assert_eq!(
             (0..3).any(|r| compiled.eval(r)),
-            zp.may_match(t.zone(0).stat(zp.col)),
+            !kept_by(&t, pred).is_empty(),
             "zone and row tests agree on the below-range clamp"
         );
     }
@@ -440,31 +252,34 @@ mod tests {
     #[test]
     fn unprunable_shapes_return_none() {
         let t = fact_table();
-        assert!(ZonePred::from_conjunct(&Pred::cmp("f_v", CmpOp::Ne, 10), &t).is_none());
-        assert!(ZonePred::from_conjunct(&Pred::Const(true), &t).is_none());
-        assert!(
-            ZonePred::from_conjunct(&Pred::eq("f_dim", 1), &t).is_none(),
-            "key columns are not zone-tested"
-        );
-        assert!(ZonePred::from_conjunct(
-            &Pred::Or(vec![Pred::eq("f_v", 1), Pred::eq("f_v", 2)]),
-            &t
-        )
-        .is_none());
+        let all = vec![0, 1, 2];
+        assert_eq!(kept_by(&t, Pred::cmp("f_v", CmpOp::Ne, 10)), all);
+        assert_eq!(kept_by(&t, Pred::Const(true)), all);
+        assert_eq!(kept_by(&t, Pred::Or(vec![Pred::eq("f_v", 1), Pred::eq("f_v", 2)])), all);
+        // A fact-local key conjunct prunes by its column's zone like any
+        // other range.
+        assert_eq!(kept_by(&t, Pred::eq("f_dim", 1)), vec![1], "key columns are zone-tested");
     }
 
     #[test]
     fn chain_key_range_prunes_clustered_segments() {
         let t = fact_table();
         // Chain bitmap over 3 dimension rows: only dim row 2 qualifies →
-        // only segment 2 (keys all = 2) survives.
+        // only segment 2 (keys all = 2) survives, whether the chain is
+        // probed or compiled as the key range of its one run.
         let mut bm = Bitmap::new(3, false);
         bm.set(2, true);
-        let dim_col = t.schema().position("f_dim").unwrap();
-        let pruner = SegmentPruner::new(&t, None, vec![(dim_col, &bm)]);
-        let kept: Vec<usize> = (0..t.segment_count()).filter(|&s| pruner.may_match(s)).collect();
-        assert_eq!(kept, vec![2]);
-        assert_eq!(pruner.estimated_rows(), 4);
+        let col = t.schema().position("f_dim").unwrap();
+        let (_, keys) = t.column_at(col).as_key().unwrap();
+        let probe = SelTest::Chain(ChainCheck::PredVec { keys, col, bitmap: &bm });
+        assert_eq!(kept(&t, std::slice::from_ref(&probe)), vec![2]);
+        assert_eq!(SegmentSurvey::new(&t, Some(&[probe])).live_rows(), 4);
+        let run = SelTest::chain(keys, col, &bm);
+        assert!(matches!(run, SelTest::Fact(_)), "one run is a key range");
+        assert_eq!(kept(&t, &[run]), vec![2]);
+        // A direct chase keeps every segment.
+        let direct = SelTest::Chain(ChainCheck::Direct { checks: Vec::new() });
+        assert_eq!(kept(&t, &[direct]), vec![0, 1, 2]);
     }
 
     #[test]
@@ -473,9 +288,10 @@ mod tests {
         for r in 4..8 {
             t.delete(r);
         }
-        let pruner = SegmentPruner::new(&t, None, vec![]);
-        let kept: Vec<usize> = (0..t.segment_count()).filter(|&s| pruner.may_match(s)).collect();
-        assert_eq!(kept, vec![0, 2]);
+        assert_eq!(kept(&t, &[]), vec![0, 2]);
+        // Pruning disabled keeps it.
+        let all = SegmentSurvey::new(&t, None);
+        assert_eq!((all.pruned(), all.live_rows()), (0, 8));
     }
 
     #[test]
@@ -484,36 +300,80 @@ mod tests {
         // Move one value of segment 0 into "segment 2 territory": the zone
         // widens and segment 0 must now survive an f_v >= 80 probe.
         t.update(1, "f_v", &Value::Int(95));
-        let zp = ZonePred::from_conjunct(&Pred::cmp("f_v", CmpOp::Ge, 80), &t).unwrap();
-        let kept: Vec<usize> =
-            (0..t.segment_count()).filter(|&s| zp.may_match(t.zone(s).stat(zp.col))).collect();
-        assert_eq!(kept, vec![0, 2]);
+        assert_eq!(kept_by(&t, Pred::cmp("f_v", CmpOp::Ge, 80)), vec![0, 2]);
+    }
+
+    /// `NULL_KEY` is the largest key: a key interval reaching it keeps the
+    /// segments holding NULLs — the all-NULL one included — and a
+    /// fact-local `f_dim >= k` returns the same rows with pruning on and
+    /// off.
+    #[test]
+    fn null_keys_are_the_largest_key() {
+        let mut db = Database::new();
+        let mut dim = Table::new("dim", Schema::new(vec![ColumnDef::new("d_v", DataType::I32)]));
+        for v in 0..4 {
+            dim.append_row(&[Value::Int(v)]);
+        }
+        let mut fact = Table::new(
+            "fact",
+            Schema::new(vec![
+                ColumnDef::new("f_dim", DataType::Key { target: "dim".into() }),
+                ColumnDef::new("f_v", DataType::I64),
+            ]),
+        );
+        fact.set_segment_rows(4);
+        // Segment 0: keys 0..=3; segment 1: all NULL; segment 2: 1 and NULL.
+        let keys = [0, 1, 2, 3, NULL_KEY, NULL_KEY, NULL_KEY, NULL_KEY, 1, NULL_KEY, 1, NULL_KEY];
+        for (i, k) in keys.into_iter().enumerate() {
+            fact.append_row(&[Value::Key(k), Value::Int(i as i64)]);
+        }
+        db.add_table(dim);
+        db.add_table(fact);
+        let fact = db.table("fact").unwrap();
+        let all_null = fact.zone(1).stat(0);
+        assert!(matches!(*all_null, ZoneStats::Key { min, max, nulls: 4 } if min > max));
+        for (op, k, want) in [
+            (CmpOp::Ge, 2, vec![0, 1, 2]),
+            (CmpOp::Ge, i64::from(NULL_KEY), vec![1, 2]),
+            (CmpOp::Gt, 3, vec![1, 2]),
+            (CmpOp::Le, 2, vec![0, 2]),
+            (CmpOp::Eq, 1, vec![0, 2]),
+        ] {
+            let pred = Pred::cmp("f_dim", op, k);
+            assert_eq!(kept_by(fact, pred.clone()), want, "f_dim {op:?} {k}");
+            let q = Query::new().root("fact").filter("fact", pred).agg(Aggregate::count("n"));
+            let on = execute(&db, &q, &ExecOptions::default()).unwrap();
+            let off = execute(&db, &q, &ExecOptions::default().pruning(false)).unwrap();
+            assert_eq!(on.result.rows, off.result.rows, "f_dim {op:?} {k}");
+            assert_eq!(on.plan.segments_pruned, 3 - want.len(), "f_dim {op:?} {k}");
+        }
     }
 
     #[test]
     fn range_share_weighs_zone_overlap_by_live_rows() {
         let mut t = fact_table();
-        let all = ScannedZones::new(&t, None);
+        let all = SegmentSurvey::new(&t, None);
         let v = t.schema().position("f_v").unwrap();
         // f_v bounds per segment: 0..=30, 40..=70, 80..=110.
-        assert!((all.range_share(v, 0.0, 110.0) - 1.0).abs() < 1e-12);
-        let one_value = all.range_share(v, 40.0, 40.0);
+        assert!((all.range_share(&t, v, 0.0, 110.0) - 1.0).abs() < 1e-12);
+        let one_value = all.range_share(&t, v, 40.0, 40.0);
         assert!((one_value - (1.0 / 31.0) / 3.0).abs() < 1e-12, "{one_value}");
-        assert_eq!(all.range_share(v, 200.0, 300.0), 0.0);
+        assert_eq!(all.range_share(&t, v, 200.0, 300.0), 0.0);
         // Only the segments a survey keeps count.
         let dim = t.schema().position("f_dim").unwrap();
+        let (_, keys) = t.column_at(dim).as_key().unwrap();
         let mut bm = Bitmap::new(3, false);
         bm.set(2, true);
-        let survey = SegmentPruner::new(&t, None, vec![(dim, &bm)]).survey();
-        let kept = ScannedZones::new(&t, Some(&survey));
-        assert!((kept.range_share(v, 80.0, 110.0) - 1.0).abs() < 1e-12);
-        assert!((kept.range_share(dim, 2.0, 2.0) - 1.0).abs() < 1e-12);
+        let kept = SegmentSurvey::new(&t, Some(&[SelTest::chain(keys, dim, &bm)]));
+        assert!((kept.range_share(&t, v, 80.0, 110.0) - 1.0).abs() < 1e-12);
+        assert!((kept.range_share(&t, dim, 2.0, 2.0) - 1.0).abs() < 1e-12);
         // Float bounds measure width; a degenerate zone is all or nothing.
         let f = t.schema().position("f_f").unwrap();
-        assert!((kept.range_share(f, 4.0, 4.75) - 0.5).abs() < 1e-12);
+        assert!((kept.range_share(&t, f, 4.0, 4.75) - 0.5).abs() < 1e-12);
         for r in 0..12 {
             t.delete(r);
         }
-        assert_eq!(ScannedZones::new(&t, None).range_share(v, 0.0, 110.0), 0.0, "no live row");
+        let none = SegmentSurvey::new(&t, None);
+        assert_eq!(none.range_share(&t, v, 0.0, 110.0), 0.0, "no live row");
     }
 }

@@ -140,3 +140,58 @@ fn sql_rejects_unsupported_shapes() {
     // Pure projection.
     assert!(run_sql("SELECT c_name FROM customer", &db, &ExecOptions::default()).is_err());
 }
+
+/// A literal that does not fit its column is a typed plan error on every
+/// path into the engine — the served text path, prepare/execute, and the
+/// embedded connection (the CLI's local mode) — never a panic.
+#[test]
+fn ill_typed_literals_are_plan_errors() {
+    use astore_api::{AstoreError, Connection, EmbeddedConnection};
+    use astore_server::json::Json;
+    use astore_server::{Engine, StatementRegistry};
+    use astore_storage::prelude::*;
+    use astore_storage::snapshot::SharedDatabase;
+
+    let mut db = Database::new();
+    let mut dim = Table::new("dim", Schema::new(vec![ColumnDef::new("d_name", DataType::Dict)]));
+    dim.append_row(&[Value::Str("alpha".into())]);
+    let mut fact = Table::new(
+        "fact",
+        Schema::new(vec![
+            ColumnDef::new("f_dim", DataType::Key { target: "dim".into() }),
+            ColumnDef::new("f_x", DataType::F64),
+            ColumnDef::new("f_i", DataType::I32),
+        ]),
+    );
+    fact.append_row(&[Value::Key(0), Value::Float(1.0), Value::Int(1)]);
+    db.add_table(dim);
+    db.add_table(fact);
+    let shared = SharedDatabase::new(db);
+    let engine = Engine::new(shared.clone());
+    let mut embedded = EmbeddedConnection::over(shared);
+
+    for stmt in [
+        "SELECT count(*) AS n FROM fact WHERE f_x IN (1.0, 2.0)",
+        "SELECT count(*) AS n FROM fact WHERE f_dim IN (0, 1)",
+        "SELECT count(*) AS n FROM fact, dim WHERE d_name = 5",
+        "SELECT count(*) AS n FROM fact WHERE f_i = 'abc'",
+    ] {
+        let mut session = StatementRegistry::default();
+        let mut frame = |req: Json| engine.handle_line_session(&req.to_string(), &mut session);
+        let text = frame(Json::obj([("sql", Json::Str(stmt.into()))]));
+        assert_eq!(text.get("code").and_then(Json::as_str), Some("plan_error"), "{stmt}: {text}");
+        let prepared = frame(Json::obj([("prepare", Json::Str(stmt.into()))]));
+        if let Some(id) = prepared.get("stmt_id").and_then(Json::as_i64) {
+            let execute = Json::obj([(
+                "execute",
+                Json::obj([("id", Json::Int(id)), ("params", Json::Array(vec![]))]),
+            )]);
+            panic!("{stmt}: prepared as {id}, executed as {}", frame(execute));
+        }
+        assert_eq!(prepared.get("code").and_then(Json::as_str), Some("plan_error"), "{stmt}");
+        match embedded.query(stmt, &[]) {
+            Err(e @ AstoreError::Plan { .. }) => assert_eq!(e.code(), "plan_error"),
+            other => panic!("{stmt}: embedded query gave {other:?}"),
+        }
+    }
+}

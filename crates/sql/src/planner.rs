@@ -319,25 +319,25 @@ impl Binder<'_> {
         Ok(match cond {
             Cond::Cmp { col, op, rhs } => {
                 let (c, dt) = bind_col(col)?;
-                Pred::Cmp { col: c, op: *op, lit: scalar_to_lit(rhs, &dt, params)? }
+                let lit = scalar_to_lit(rhs, &c, &dt, params)?;
+                Pred::Cmp { col: c, op: *op, lit }
             }
             Cond::Between { col, lo, hi } => {
                 let (c, dt) = bind_col(col)?;
-                Pred::Between {
-                    col: c,
-                    lo: scalar_to_lit(lo, &dt, params)?,
-                    hi: scalar_to_lit(hi, &dt, params)?,
-                }
+                let (lo, hi) =
+                    (scalar_to_lit(lo, &c, &dt, params)?, scalar_to_lit(hi, &c, &dt, params)?);
+                Pred::Between { col: c, lo, hi }
             }
             Cond::InList { col, list } => {
                 let (c, dt) = bind_col(col)?;
-                Pred::InList {
-                    col: c,
-                    lits: list
-                        .iter()
-                        .map(|s| scalar_to_lit(s, &dt, params))
-                        .collect::<Result<_, _>>()?,
+                if matches!(dt, DataType::F64 | DataType::Key { .. }) {
+                    return err(format!("IN list unsupported for {dt} column {c:?}"));
                 }
+                let lits = list
+                    .iter()
+                    .map(|s| scalar_to_lit(s, &c, &dt, params))
+                    .collect::<Result<_, _>>()?;
+                Pred::InList { col: c, lits }
             }
             Cond::And(cs) => Pred::And(
                 cs.iter().map(|c| self.cond_to_pred(c, table, params)).collect::<Result<_, _>>()?,
@@ -411,15 +411,24 @@ pub(crate) fn record_param_type(
     Ok(())
 }
 
-/// Converts one scalar to a predicate literal. A parameter slot becomes
-/// [`Lit::Param`] and records `dtype` — the column it is compared against —
-/// as its expected type.
+/// Converts one scalar compared with column `col` of type `dtype` to a
+/// predicate literal: a string literal against a numeric column, or a
+/// number against a string column, is refused. A parameter slot becomes
+/// [`Lit::Param`] and records `dtype` as its expected type.
 fn scalar_to_lit(
     s: &Scalar,
+    col: &str,
     dtype: &DataType,
     params: &mut Vec<Option<DataType>>,
 ) -> Result<Lit, PlanError> {
+    let stringy = matches!(dtype, DataType::Str | DataType::Dict);
     Ok(match s {
+        Scalar::Int(_) | Scalar::Float(_) if stringy => {
+            return err(format!("numeric literal {s} compared with {dtype} column {col:?}"))
+        }
+        Scalar::Str(_) if !stringy => {
+            return err(format!("string literal {s} compared with {dtype} column {col:?}"))
+        }
         Scalar::Int(v) => Lit::Int(*v),
         Scalar::Float(v) => Lit::Float(*v),
         Scalar::Str(v) => Lit::Str(v.clone()),

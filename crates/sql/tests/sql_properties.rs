@@ -1,52 +1,107 @@
-//! Property-based tests for the SQL front-end: lexer round-trips and
+//! Seeded property tests for the SQL front-end: lexer round-trips and
 //! parser robustness (no panics on arbitrary input, structural round-trips
-//! on generated well-formed queries).
-
-use proptest::prelude::*;
+//! on generated well-formed queries). Every property runs [`CASES`] cases
+//! on each seed of [`SEEDS`].
 
 use astore_sql::lexer::{lex, Token};
 use astore_sql::parser::parse;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
-proptest! {
-    /// Rendering a token stream and re-lexing it yields the same stream
-    /// (tokens are context-free).
-    #[test]
-    fn lexer_roundtrip(tokens in prop::collection::vec(token_strategy(), 0..40)) {
-        let text: String =
-            tokens.iter().map(|t| format!("{t} ")).collect();
-        let relexed = lex(&text).expect("rendered tokens must lex");
-        prop_assert_eq!(relexed, tokens);
+const SEEDS: [u64; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
+const CASES: usize = 32;
+
+/// Runs `property` on [`CASES`] cases per seed, each with its own
+/// generator.
+fn check(name: &str, mut property: impl FnMut(&mut SmallRng, &str)) {
+    for seed in SEEDS {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for case in 0..CASES {
+            property(&mut rng, &format!("{name}: seed {seed} case {case}"));
+        }
     }
+}
 
-    /// The lexer never panics on arbitrary ASCII input.
-    #[test]
-    fn lexer_never_panics(input in "[ -~]{0,200}") {
-        let _ = lex(&input);
+/// A string of `len` characters drawn from `alphabet`.
+fn string(rng: &mut SmallRng, alphabet: &[u8], len: std::ops::RangeInclusive<usize>) -> String {
+    let n = rng.gen_range(len);
+    (0..n).map(|_| char::from(alphabet[rng.gen_range(0..alphabet.len())])).collect()
+}
+
+const LETTERS: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
+const DIGITS: &[u8] = b"0123456789";
+
+/// Printable ASCII, `[ -~]`.
+fn printable() -> Vec<u8> {
+    (b' '..=b'~').collect()
+}
+
+/// A token whose display form re-lexes unambiguously when space-separated.
+fn token(rng: &mut SmallRng) -> Token {
+    match rng.gen_range(0..13) {
+        0 => {
+            let head = string(rng, &[LETTERS, b"_"].concat(), 1..=1);
+            Token::Ident(head + &string(rng, &[LETTERS, DIGITS, b"_"].concat(), 0..=10))
+        }
+        1 => Token::Int(rng.gen_range(0..1_000_000i64)),
+        2 => Token::Str(string(rng, b"abcdefghijklmnopqrstuvwxyz ", 0..=10)),
+        3 => Token::LParen,
+        4 => Token::RParen,
+        5 => Token::Comma,
+        6 => Token::Star,
+        7 => Token::Plus,
+        8 => Token::Eq,
+        9 => Token::Ne,
+        10 => Token::Le,
+        11 => Token::Ge,
+        _ => Token::Semi,
     }
+}
 
-    /// The parser never panics on arbitrary token-ish input.
-    #[test]
-    fn parser_never_panics(input in "[a-zA-Z0-9_'(),.*<>=! ]{0,200}") {
-        let _ = parse(&input);
-    }
+/// Rendering a token stream and re-lexing it yields the same stream
+/// (tokens are context-free).
+#[test]
+fn lexer_roundtrip() {
+    check("lexer_roundtrip", |rng, ctx| {
+        let n = rng.gen_range(0..40usize);
+        let tokens: Vec<Token> = (0..n).map(|_| token(rng)).collect();
+        let text: String = tokens.iter().map(|t| format!("{t} ")).collect();
+        let relexed = lex(&text).unwrap_or_else(|e| panic!("{ctx}: {text:?} does not lex: {e}"));
+        assert_eq!(relexed, tokens, "{ctx}: {text:?}");
+    });
+}
 
-    /// Generated well-formed SPJGA queries always parse, and the parse
-    /// captures the right clause counts.
-    #[test]
-    fn wellformed_queries_parse(
-        n_aggs in 1..4usize,
-        n_tables in 1..4usize,
-        n_preds in 0..4usize,
-        n_groups in 0..3usize,
-        limit in prop::option::of(0..1000usize),
-    ) {
-        let aggs: Vec<String> = (0..n_aggs)
-            .map(|i| format!("sum(m{i}) AS a{i}"))
-            .collect();
+/// The lexer never panics on arbitrary ASCII input.
+#[test]
+fn lexer_never_panics() {
+    let alphabet = printable();
+    check("lexer_never_panics", |rng, _| {
+        let _ = lex(&string(rng, &alphabet, 0..=200));
+    });
+}
+
+/// The parser never panics on arbitrary token-ish input.
+#[test]
+fn parser_never_panics() {
+    let alphabet: Vec<u8> = [LETTERS, DIGITS, b"_'(),.*<>=! "].concat();
+    check("parser_never_panics", |rng, _| {
+        let _ = parse(&string(rng, &alphabet, 0..=200));
+    });
+}
+
+/// Generated well-formed SPJGA queries always parse, and the parse
+/// captures the right clause counts.
+#[test]
+fn wellformed_queries_parse() {
+    check("wellformed_queries_parse", |rng, ctx| {
+        let n_aggs = rng.gen_range(1..4usize);
+        let n_tables = rng.gen_range(1..4usize);
+        let n_preds = rng.gen_range(0..4usize);
+        let n_groups = rng.gen_range(0..3usize);
+        let limit = rng.gen_bool(0.5).then(|| rng.gen_range(0..1000usize));
+        let aggs: Vec<String> = (0..n_aggs).map(|i| format!("sum(m{i}) AS a{i}")).collect();
         let tables: Vec<String> = (0..n_tables).map(|i| format!("t{i}")).collect();
-        let preds: Vec<String> = (0..n_preds)
-            .map(|i| format!("c{i} >= {i}"))
-            .collect();
+        let preds: Vec<String> = (0..n_preds).map(|i| format!("c{i} >= {i}")).collect();
         let groups: Vec<String> = (0..n_groups).map(|i| format!("g{i}")).collect();
 
         let mut sql = format!(
@@ -66,42 +121,26 @@ proptest! {
             sql.push_str(&format!(" LIMIT {n}"));
         }
 
-        let stmt = parse(&sql).expect("well-formed query must parse");
-        prop_assert_eq!(stmt.items.len(), n_aggs + n_groups);
-        prop_assert_eq!(stmt.tables.len(), n_tables);
-        prop_assert_eq!(stmt.group_by.len(), n_groups);
-        prop_assert_eq!(stmt.limit, limit);
-        if n_preds == 0 {
-            prop_assert!(stmt.where_clause.is_none());
-        } else {
-            prop_assert_eq!(stmt.where_clause.unwrap().conjuncts().len(), n_preds);
+        let stmt = parse(&sql).unwrap_or_else(|e| panic!("{ctx}: {sql} does not parse: {e}"));
+        assert_eq!(stmt.items.len(), n_aggs + n_groups, "{ctx}: {sql}");
+        assert_eq!(stmt.tables.len(), n_tables, "{ctx}: {sql}");
+        assert_eq!(stmt.group_by.len(), n_groups, "{ctx}: {sql}");
+        assert_eq!(stmt.limit, limit, "{ctx}: {sql}");
+        match stmt.where_clause {
+            None => assert_eq!(n_preds, 0, "{ctx}: {sql}"),
+            Some(w) => assert_eq!(w.conjuncts().len(), n_preds, "{ctx}: {sql}"),
         }
-    }
-
-    /// String literals survive the lexer including escaped quotes.
-    #[test]
-    fn string_literal_roundtrip(content in "[a-zA-Z '.#-]{0,30}") {
-        let escaped = content.replace('\'', "''");
-        let toks = lex(&format!("'{escaped}'")).expect("quoted literal lexes");
-        prop_assert_eq!(toks, vec![Token::Str(content)]);
-    }
+    });
 }
 
-/// Tokens whose display form re-lexes unambiguously when space-separated.
-fn token_strategy() -> impl Strategy<Value = Token> {
-    prop_oneof![
-        "[a-zA-Z_][a-zA-Z0-9_]{0,10}".prop_map(Token::Ident),
-        (0..1_000_000i64).prop_map(Token::Int),
-        "[a-z ]{0,10}".prop_map(Token::Str),
-        Just(Token::LParen),
-        Just(Token::RParen),
-        Just(Token::Comma),
-        Just(Token::Star),
-        Just(Token::Plus),
-        Just(Token::Eq),
-        Just(Token::Ne),
-        Just(Token::Le),
-        Just(Token::Ge),
-        Just(Token::Semi),
-    ]
+/// String literals survive the lexer including escaped quotes.
+#[test]
+fn string_literal_roundtrip() {
+    let alphabet: Vec<u8> = [LETTERS, b" '.#-"].concat();
+    check("string_literal_roundtrip", |rng, ctx| {
+        let content = string(rng, &alphabet, 0..=30);
+        let escaped = content.replace('\'', "''");
+        let toks = lex(&format!("'{escaped}'")).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_eq!(toks, vec![Token::Str(content)], "{ctx}");
+    });
 }
