@@ -5,11 +5,11 @@
 //!
 //! The dataset is the *sealed* SF 0.1 SSB database (600K fact rows,
 //! zone-map pruning and encoded segments active) — large enough that the
-//! planner's one-full-segment-per-thread floor grants real fan-out, and
+//! planner's two-segments-per-thread floor grants real fan-out, and
 //! representative of the serving configuration rather than a flat
 //! unsealed table. The executor that *actually* ran is taken from
 //! `PlanInfo::executor` — the planner may clamp the request (e.g. 8
-//! threads on a scan with only 7 segments' worth of rows, or all the way
+//! threads to 4 on a scan with only 9 segments' worth of rows, or all the way
 //! to serial on a tiny `ASTORE_SF`), and the JSON records the clamped
 //! truth, not the request. `ASTORE_SF` overrides the scale factor; the
 //! first CLI argument overrides the output path.
@@ -63,7 +63,7 @@ fn main() {
                     sq.id
                 ),
             }
-            // A serial clamp is the planner doing its job (one full segment
+            // A serial clamp is the planner doing its job (two full segments
             // per thread minimum) — record it, never panic on it.
             match out.plan.executor {
                 ExecutorInfo::Serial { .. } => {}

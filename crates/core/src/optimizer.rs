@@ -7,11 +7,12 @@
 //! 2. *Aggregation strategy*: "The optimizer of A-Store is responsible for
 //!    estimating the sparsity of aggregation arrays and deciding whether to
 //!    use array based or hash based aggregation."
-//! 3. *Fan-out*: whether a scan is big enough to amortize spawning worker
+//! 3. *Fan-out*: whether a scan is big enough to amortize waking worker
 //!    threads at all, and how many are useful for its row count. Small
 //!    queries stay serial even when the caller requests parallelism.
 
 use astore_storage::catalog::Database;
+use astore_storage::segment::SEGMENT_ROWS;
 
 /// How grouped aggregates are stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,15 +37,20 @@ pub struct OptimizerConfig {
     /// cell cap alone decides.
     pub agg_min_fill: f64,
     /// Minimum fact-table rows per worker thread before a query fans out.
-    /// Below this, thread spawn + merge overhead dominates the scan itself
-    /// and the executor stays serial regardless of the requested thread
-    /// count. The count compared against is *post-prune* live rows, so a
-    /// selective query over a huge table still stays serial when zone maps
-    /// leave little to scan. The default — one full segment (65536 rows)
-    /// per worker — comes from measurement: BENCH_parallel.json recorded
-    /// sub-1× speedups at every thread count when sub-segment scans were
-    /// allowed to fan out, because per-worker setup (predicate compilation,
-    /// chain checks, partial-map allocation) exceeded the scan itself.
+    /// Below this the executor stays serial regardless of the requested
+    /// thread count. The count compared against is *post-prune*
+    /// live rows, so a selective query over a huge table still stays
+    /// serial when zone maps leave little to scan. The default — two full
+    /// segments (131 072 rows) per worker — keeps a server's short
+    /// statements on their own core. Measured at SF 0.2 on a 2-vCPU host:
+    /// with one segment per worker, the day- and month-keyed statements whose
+    /// rows straddle a segment boundary fan out (11 % of the benchmark's
+    /// `serve-mix` statements). Alone in-process, such a statement gains
+    /// only a few microseconds (21.0 → 16–18 µs). When it is served beside
+    /// another connection, the gain does not show: the p50 read 0.27–0.31
+    /// ms at either quota. The SSB flight fans out the same ten of its 13
+    /// queries at either quota (3.8–4.0 ms per in-process sweep at two
+    /// threads against 6.7–7.1 ms serial).
     pub parallel_min_rows_per_thread: usize,
     /// Upper bound the *host* puts on per-query fan-out. Worker threads
     /// beyond the machine's available parallelism only timeslice one
@@ -63,7 +69,7 @@ impl Default for OptimizerConfig {
             cache_budget_bytes: 16 << 20,
             agg_array_max_cells: 1 << 22,
             agg_min_fill: 0.0,
-            parallel_min_rows_per_thread: astore_storage::segment::SEGMENT_ROWS,
+            parallel_min_rows_per_thread: 2 * SEGMENT_ROWS,
             host_threads: 0,
         }
     }
@@ -161,9 +167,13 @@ mod tests {
 
     #[test]
     fn plan_threads_clamps_small_scans_to_serial() {
-        // one segment (65536 rows) per worker; host_threads pinned so the
+        // One segment (65536 rows) per worker; host_threads pinned so the
         // expectations hold on any machine (including 1-core CI).
-        let cfg = OptimizerConfig { host_threads: 64, ..OptimizerConfig::default() };
+        let cfg = OptimizerConfig {
+            host_threads: 64,
+            parallel_min_rows_per_thread: SEGMENT_ROWS,
+            ..OptimizerConfig::default()
+        };
         assert_eq!(cfg.plan_threads(100, 8), 1, "tiny scan stays serial");
         assert_eq!(cfg.plan_threads(65535, 4), 1, "just under one worker's quota");
         assert_eq!(cfg.plan_threads(2 << 16, 4), 2, "two workers' worth of rows");
@@ -172,6 +182,15 @@ mod tests {
         assert_eq!(cfg.plan_threads(0, 8), 1, "empty table");
         let loose = OptimizerConfig { parallel_min_rows_per_thread: 1, ..cfg };
         assert_eq!(loose.plan_threads(3, 8), 3, "threshold 1 still caps at one row per worker");
+    }
+
+    #[test]
+    fn default_quota_is_two_segments_per_worker() {
+        let cfg = OptimizerConfig { host_threads: 64, ..OptimizerConfig::default() };
+        assert_eq!(cfg.plan_threads(2 * SEGMENT_ROWS, 2), 1, "two segments stay serial");
+        assert_eq!(cfg.plan_threads(4 * SEGMENT_ROWS - 1, 2), 1, "just under two workers' quota");
+        assert_eq!(cfg.plan_threads(4 * SEGMENT_ROWS, 4), 2, "four segments feed two workers");
+        assert_eq!(cfg.plan_threads(8 * SEGMENT_ROWS, 8), 4, "eight segments feed four");
     }
 
     #[test]

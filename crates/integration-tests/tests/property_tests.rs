@@ -9,7 +9,7 @@
 use astore_baseline::engine::execute_hash_pipeline;
 use astore_core::optimizer::AggStrategy;
 use astore_core::prelude::*;
-use astore_server::router::query_rewritable;
+use astore_server::router::{query_rewritable, route, EngineChoice};
 use astore_storage::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -221,18 +221,19 @@ fn all_execution_strategies_agree() {
 
 #[test]
 fn denormalization_preserves_results() {
+    let mut admitted = 0;
     check(|case, ctx| {
         let (db, q) = build(case);
         let reference = execute(&db, &q, &ExecOptions::default()).unwrap();
         let wide = astore_baseline::denorm::denormalize(&db, Some("fact")).unwrap();
-        // The wide table has no foreign-key columns: a test on one is not
-        // the denormalized engine's to answer. It also inner-joins every
-        // dimension, so it drops a fact row whose `f_b` is NULL even when
-        // the query does not join `dim_b`, where AIR keeps the row: compare
-        // only queries that join both dimensions.
-        if !query_rewritable(&wide, &q, "fact") || case.pred_bval_min.is_none() {
+        // What the route refuses the denormalized engine (a test on a key
+        // column, or a wide table that lost rows the query sees) runs on
+        // AIR; everything it admits must answer as AIR does.
+        if route(Some(EngineChoice::Denorm), &db, &q) != EngineChoice::Denorm {
             return;
         }
+        admitted += 1;
+        assert!(query_rewritable(&wide, &q, "fact"), "admitted but not rewritable\n{ctx}");
         let wq = wide.rewrite(&q, "fact");
         let den = execute(&wide.db, &wq, &ExecOptions::default()).unwrap();
         assert!(
@@ -242,6 +243,7 @@ fn denormalization_preserves_results() {
             reference.result.rows
         );
     });
+    assert!(admitted > 0, "the route admitted no generated query");
 }
 
 #[test]

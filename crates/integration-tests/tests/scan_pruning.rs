@@ -10,9 +10,9 @@
 //! (see `astore_integration_tests`), so both suites cover the same query
 //! space: 200 seeded queries here, interleaved with 200 seeded writes.
 //!
-//! The zone maps also order the scan's selection tests; the last test pins
+//! The zone maps also order the scan's selection tests; the last tests pin
 //! which test builds the selection for the benchmark's short statements and
-//! three SSB queries at SF 0.2.
+//! three SSB queries at SF 0.2, and which of those statements fan out.
 
 use astore_api::{Connection, EmbeddedConnection, Row, Rows};
 use astore_core::prelude::*;
@@ -258,5 +258,64 @@ fn selection_builders_at_sf_0_2() {
             _ if name.starts_with("Q3") => assert!(date.estimate > 0.9, "{name}: {sel}"),
             _ => {}
         }
+    }
+}
+
+/// Which statements fan out at two threads on a two-core host, SF 0.2
+/// (seed 42). A worker's quota is two surviving segments, so the SSB
+/// queries that keep four or more segments fan out; Q1.2, Q1.3 and Q3.4
+/// keep one, and the benchmark's short statements keep one or two —
+/// two where their key's rows straddle a segment boundary — and stay
+/// serial.
+#[test]
+fn fan_out_decisions_at_sf_0_2() {
+    let db = ssb::generate(0.2, 42);
+    let mut opts = ExecOptions::default().threads(2);
+    opts.optimizer.host_threads = 2;
+    // (name, statement, segments it keeps if pinned)
+    let mut statements: Vec<(String, String, Option<usize>)> = Vec::new();
+    for (key, kept) in [(19940315, 1), (19960228, 2)] {
+        let day =
+            format!("FROM lineorder, date WHERE lo_orderdate = d_datekey AND d_datekey = {key}");
+        statements.extend([
+            (format!("T0 {key}"), format!("SELECT sum(lo_revenue) AS revenue {day}"), Some(kept)),
+            (
+                format!("T1 {key}"),
+                format!(
+                    "SELECT count(*) AS orders, sum(lo_extendedprice * lo_discount) AS revenue \
+                     {day} AND lo_discount BETWEEN 3 AND 5"
+                ),
+                Some(kept),
+            ),
+            (
+                format!("T2 {key}"),
+                format!(
+                    "SELECT lo_shipmode, sum(lo_quantity) AS quantity {day} \
+                     GROUP BY lo_shipmode ORDER BY lo_shipmode"
+                ),
+                Some(kept),
+            ),
+        ]);
+    }
+    for (month, kept) in [(199606, 1), (199507, 2), (199611, 2)] {
+        let sql = format!(
+            "SELECT sum(lo_extendedprice * lo_discount) AS revenue FROM lineorder, date \
+             WHERE lo_orderdate = d_datekey AND d_yearmonthnum = {month} \
+             AND lo_discount BETWEEN 2 AND 4 AND lo_quantity BETWEEN 20 AND 29"
+        );
+        statements.push((format!("T3 {month}"), sql, Some(kept)));
+    }
+    for (name, template, params) in ssb_sql() {
+        statements.push((name.to_owned(), substitute(template, &params), None));
+    }
+    let parallel = ["Q1.1", "Q2.1", "Q2.2", "Q2.3", "Q3.1", "Q3.2", "Q3.3", "Q4.1", "Q4.2", "Q4.3"];
+    for (name, sql, kept) in &statements {
+        let q = sql_to_query(sql, &db).unwrap();
+        let plan = execute(&db, &q, &opts).unwrap().plan;
+        if let Some(kept) = kept {
+            assert_eq!(plan.segments_scanned, *kept, "{name}");
+        }
+        let want = parallel.contains(&name.as_str());
+        assert_eq!(plan.executor.is_parallel(), want, "{name}: {:?}", plan.executor);
     }
 }

@@ -103,6 +103,13 @@ const WAKER_TOKEN: Token = usize::MAX - 1;
 const READ_CHUNK: usize = 16 * 1024;
 const SWEEP_INTERVAL: Duration = Duration::from_millis(500);
 const ACCEPT_PAUSE: Duration = Duration::from_millis(100);
+/// After its last frame is flushed, a closing connection's write side is
+/// shut down and its input discarded until EOF — at most this many bytes,
+/// for at most [`CLOSE_DRAIN_TIME`] — so the peer reads that frame before
+/// the socket closes: closing with unread input makes the kernel answer
+/// with a reset, which can destroy the frame in the peer's receive queue.
+const CLOSE_DRAIN_BYTES: usize = 16 << 20;
+const CLOSE_DRAIN_TIME: Duration = Duration::from_secs(2);
 
 struct Completion {
     slot: usize,
@@ -178,8 +185,13 @@ struct Conn<S> {
     interest: Interest,
     /// Reading paused by the write-side high watermark.
     read_blocked: bool,
-    /// Flush pending output, then close (oversize / fatal protocol state).
+    /// Flush pending output, then drain and close (oversize / fatal
+    /// protocol state).
     closing: bool,
+    /// Set once a closing connection's output is flushed and its write side
+    /// shut down: input is discarded until EOF, this deadline, or
+    /// [`CLOSE_DRAIN_BYTES`] more bytes, whichever comes first.
+    draining: Option<(Instant, usize)>,
     /// When the currently buffered partial frame started waiting.
     partial_since: Option<Instant>,
 }
@@ -340,6 +352,7 @@ impl<S: Service> Reactor<S> {
             interest: Interest::READABLE,
             read_blocked: false,
             closing: false,
+            draining: None,
             partial_since: None,
         });
         self.open += 1;
@@ -366,13 +379,21 @@ impl<S: Service> Reactor<S> {
     fn read_ready(&mut self, slot: usize, scratch: &mut [u8]) -> bool {
         loop {
             let conn = self.slots[slot].conn.as_mut().unwrap();
-            if conn.closing || conn.read_blocked {
+            if (conn.closing && conn.draining.is_none()) || conn.read_blocked {
                 return true;
             }
             match conn.stream.read(scratch) {
                 Ok(0) => {
                     self.close_conn(slot);
                     return false;
+                }
+                Ok(n) if conn.draining.is_some() => {
+                    let (_, left) = conn.draining.as_mut().unwrap();
+                    *left = left.saturating_sub(n);
+                    if *left == 0 {
+                        self.close_conn(slot);
+                        return false;
+                    }
                 }
                 Ok(n) => {
                     conn.rbuf.extend(&scratch[..n]);
@@ -464,13 +485,19 @@ impl<S: Service> Reactor<S> {
         self.flush_or_close(slot)
     }
 
-    /// If the connection is closing and fully drained, close it now.
-    /// Returns false when it closed.
+    /// If the connection is closing and its output is flushed, shut down
+    /// its write side and start discarding its input (see
+    /// [`CLOSE_DRAIN_BYTES`]); it closes at EOF. Returns false when the
+    /// shutdown failed and the connection closed.
     fn flush_or_close(&mut self, slot: usize) -> bool {
-        let conn = self.slots[slot].conn.as_ref().unwrap();
-        if conn.closing && conn.wbuf.is_empty() && !conn.in_flight {
-            self.close_conn(slot);
-            return false;
+        let conn = self.slots[slot].conn.as_mut().unwrap();
+        if conn.closing && conn.draining.is_none() && conn.wbuf.is_empty() && !conn.in_flight {
+            if conn.stream.shutdown(std::net::Shutdown::Write).is_err() {
+                self.close_conn(slot);
+                return false;
+            }
+            conn.draining = Some((Instant::now() + CLOSE_DRAIN_TIME, CLOSE_DRAIN_BYTES));
+            conn.read_blocked = false;
         }
         true
     }
@@ -523,7 +550,7 @@ impl<S: Service> Reactor<S> {
     fn update_interest(&mut self, slot: usize) {
         let Some(conn) = self.slots[slot].conn.as_mut() else { return };
         let want = Interest {
-            readable: !conn.closing && !conn.read_blocked,
+            readable: (!conn.closing || conn.draining.is_some()) && !conn.read_blocked,
             writable: !conn.wbuf.is_empty(),
         };
         if want != conn.interest && self.poller.modify(conn.stream.as_raw_fd(), slot, want).is_ok()
@@ -533,16 +560,8 @@ impl<S: Service> Reactor<S> {
     }
 
     fn close_conn(&mut self, slot: usize) {
-        let mut conn = self.slots[slot].conn.take().unwrap();
+        let conn = self.slots[slot].conn.take().unwrap();
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        if conn.closing {
-            // Graceful close (e.g. an oversize error was just flushed):
-            // discard any input the peer already sent but we never read, so
-            // the kernel sends a clean FIN instead of an RST — an RST could
-            // destroy the final frame before the peer reads it.
-            let mut junk = [0u8; 4096];
-            while matches!(conn.stream.read(&mut junk), Ok(n) if n > 0) {}
-        }
         self.service.closed(&conn.session);
         self.slots[slot].generation += 1;
         self.free.push(slot);
@@ -562,10 +581,15 @@ impl<S: Service> Reactor<S> {
                 self.accept_burst();
             }
         }
-        let Some(deadline) = self.config.idle_timeout else { return };
+        let idle = self.config.idle_timeout;
         for slot in 0..self.slots.len() {
             let stale = match &self.slots[slot].conn {
-                Some(c) => c.partial_since.is_some_and(|t| now.duration_since(t) > deadline),
+                Some(c) => {
+                    c.draining.is_some_and(|(until, _)| now >= until)
+                        || idle.is_some_and(|deadline| {
+                            c.partial_since.is_some_and(|t| now.duration_since(t) > deadline)
+                        })
+                }
                 None => false,
             };
             if stale {
@@ -750,6 +774,39 @@ mod tests {
         line.clear();
         let n = reader.read_line(&mut line).unwrap();
         assert_eq!(n, 0, "connection should be closed after the oversize frame");
+        stop.stop();
+        join.join().unwrap();
+    }
+
+    /// A peer still writing its oversized frame when the error is sent
+    /// finishes the write, reads the error and then EOF — never a reset.
+    #[test]
+    fn oversized_frame_is_answered_before_the_rest_of_it_is_discarded() {
+        let service = EchoService::new(false);
+        let closes = Arc::clone(&service.closes);
+        let config = ReactorConfig { max_frame_bytes: 64, ..ReactorConfig::default() };
+        let (addr, stop, join) = spawn_reactor(service, config);
+
+        let mut stream = TcpStream::connect(addr).unwrap();
+        // The server answers the first write; the later ones reach it after
+        // the answer — a closed socket would reset the connection.
+        for _ in 0..5 {
+            stream.write_all(&[b'x'; 64 << 10]).expect("the server reads every write");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("the error frame arrives intact");
+        assert_eq!(line.trim_end(), "OVERSIZE");
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "then a clean FIN");
+        drop(reader);
+        drop(stream);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while closes.load(Ordering::SeqCst) < 1 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(closes.load(Ordering::SeqCst), 1, "closed at the peer's EOF");
         stop.stop();
         join.join().unwrap();
     }

@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use astore_server::hist::LatencyHistogram;
 use astore_server::json::Json;
-use astore_server::{start, Client, Durability, Engine, ServerConfig};
+use astore_server::{host_cores, start, Client, Durability, Engine, ServerConfig};
 use astore_storage::snapshot::SharedDatabase;
 
 /// One workload entry: a `?`-placeholder template plus rotating parameter
@@ -426,7 +426,7 @@ fn main() {
         connections: 8,
         queries: 150,
         write_every: 0,
-        workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
+        workers: host_cores(),
         prepared: false,
         durable: false,
         idle_fraction: 0.0,

@@ -14,6 +14,13 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
+/// The machine's available parallelism (4 when it cannot be read): the
+/// size of the server's [`CoreBudget`], its default worker pool and its
+/// default per-query fan-out ceiling.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
+}
+
 /// A non-blocking permit pool over the machine's cores.
 #[derive(Debug)]
 pub struct CoreBudget {

@@ -72,7 +72,7 @@ use astore_storage::catalog::Database;
 use astore_storage::snapshot::SharedDatabase;
 use astore_storage::types::Value;
 
-use crate::budget::CoreBudget;
+use crate::budget::{host_cores, CoreBudget};
 use crate::cache::PlanCache;
 use crate::json::Json;
 use crate::metrics::{render_prometheus, SlowLog, TemplateStats};
@@ -205,25 +205,30 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Wraps a shared database with default execution options (serial
-    /// per-query execution — parallelism comes from serving many queries
-    /// at once, not from splitting one).
+    /// Wraps a shared database with default execution options and a
+    /// per-query fan-out ceiling of the host's cores: a statement whose
+    /// surviving segments give every worker two of them
+    /// ([`astore_core::optimizer::OptimizerConfig::parallel_min_rows_per_thread`])
+    /// scans on the cores the [`CoreBudget`] has free; any other runs on
+    /// its own worker thread alone.
     pub fn new(db: SharedDatabase) -> Self {
-        Engine::with_options(db, ExecOptions::default())
+        Engine::with_options(db, ExecOptions::default().threads(host_cores()))
     }
 
     /// Wraps a shared database with explicit per-query execution options.
     ///
     /// `opts.threads` is the per-query fan-out *ceiling* (`--engine-threads`
-    /// on `astore-serve`). Each query's actual thread count is decided at
-    /// run time: the planner clamps it to the estimated scan size, and the
-    /// [`CoreBudget`] — sized to the machine's available parallelism —
-    /// grants only the cores not already busy serving other statements. An
-    /// `opts.threads` above the host's parallelism no longer inflates the
-    /// budget (that oversubscribed every statement at once); it is kept as
-    /// the per-query ceiling but the budget clamps to real cores.
+    /// on `astore-serve`, the host's cores unless given; `ExecOptions`'
+    /// default of 1 serves serially). Each query's actual thread count is
+    /// decided at run time: the planner clamps it to the estimated scan
+    /// size, and the [`CoreBudget`] — sized to the machine's available
+    /// parallelism — grants only the cores not already busy serving other
+    /// statements. An `opts.threads` above the host's parallelism no longer
+    /// inflates the budget (that oversubscribed every statement at once);
+    /// it is kept as the per-query ceiling but the budget clamps to real
+    /// cores.
     pub fn with_options(db: SharedDatabase, opts: ExecOptions) -> Self {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+        let cores = host_cores();
         if opts.threads > cores {
             eprintln!(
                 "astore-server: --engine-threads {} exceeds host parallelism {cores}; \
@@ -1237,8 +1242,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A star schema with a fact table big enough (two full segments) that
-    /// the default planner wants to fan out.
+    /// A star schema with a fact table big enough (four full segments: two
+    /// per worker at two threads) that the default planner wants to fan
+    /// out.
     pub(super) fn big_db() -> Database {
         big_db_keyed(|i| i % 16)
     }
@@ -1257,7 +1263,7 @@ mod tests {
                 ColumnDef::new("f_v", DataType::I64),
             ]),
         );
-        for i in 0..(2 * SEGMENT_ROWS as u32) {
+        for i in 0..(4 * SEGMENT_ROWS as u32) {
             fact.append_row(&[Value::Key(key(i)), Value::Int(i as i64)]);
         }
         let mut db = Database::new();
@@ -1301,14 +1307,15 @@ mod tests {
     }
 
     /// The fan-out request is sized from the rows the zone maps keep, not
-    /// from the table: a statement that prunes to one segment takes no
-    /// permit beyond its own, is not counted as denied, and leaves the
-    /// budget free for the statements beside it.
+    /// from the table: a statement that prunes to one or two segments — too
+    /// few to give two workers two each — takes no permit beyond its own,
+    /// is not counted as denied, and leaves the budget free for the
+    /// statements beside it.
     #[test]
     fn zone_pruned_statements_ask_for_no_extra_permit() {
         // Dimension row k is referenced by the k-th sixteenth of the fact
-        // rows, so one name keeps one of the two segments.
-        let db = big_db_keyed(|i| i / (2 * SEGMENT_ROWS as u32 / 16));
+        // rows, so one name keeps one of the four segments.
+        let db = big_db_keyed(|i| i / (4 * SEGMENT_ROWS as u32 / 16));
         let e = Engine::with_options(SharedDatabase::new(db), fan_out_opts(2)).core_budget(2);
         let mut session = StatementRegistry::default();
         let r = sqls(&e, &mut session, "SET engine = air");
@@ -1322,18 +1329,25 @@ mod tests {
                     std::thread::yield_now();
                 }
             });
-            let replies: Vec<Json> = (0..100)
+            // `f_v` is the row number: this range straddles the boundary of
+            // the first two segments and keeps both.
+            let straddling = format!(
+                "SELECT sum(f_v) AS s FROM fact WHERE f_v BETWEEN {} AND {}",
+                SEGMENT_ROWS - 10,
+                SEGMENT_ROWS + 10
+            );
+            let statements = (0..100)
                 .map(|i| {
-                    let q =
-                        format!("SELECT sum(f_v) AS s FROM fact, dim WHERE d_name = 'd{}'", i % 16);
-                    sqls(&e, &mut session, &q)
+                    (format!("SELECT sum(f_v) AS s FROM fact, dim WHERE d_name = 'd{}'", i % 16), 1)
                 })
-                .collect();
+                .chain((0..20).map(|_| (straddling.clone(), 2)));
+            let replies: Vec<(Json, i64)> =
+                statements.map(|(q, kept)| (sqls(&e, &mut session, &q), kept)).collect();
             done.store(true, Ordering::Relaxed);
             replies
         });
-        for r in &replies {
-            assert_eq!(r.get("segments_scanned").and_then(Json::as_i64), Some(1), "{r:?}");
+        for (r, kept) in &replies {
+            assert_eq!(r.get("segments_scanned").and_then(Json::as_i64), Some(*kept), "{r:?}");
         }
         assert!(peak.load(Ordering::Relaxed) <= 1, "a pruned statement took an extra permit");
         let stats = e.stats();

@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn boot_seal_primes_footprint_gauges() {
-        // big_db spans two full segments; with_options seals them at boot,
+        // big_db spans four full segments; with_options seals them at boot,
         // so the footprint gauges report a real (and compressed) residency.
         let e = Engine::new(SharedDatabase::new(big_db()));
         let r = e.handle_line(r#"{"cmd":"stats"}"#);
@@ -312,13 +312,13 @@ mod tests {
     fn compaction_waits_for_a_quiet_period_then_reseals() {
         use std::sync::atomic::Ordering::Relaxed;
         let e = Engine::new(SharedDatabase::new(big_db()));
-        // Boot sealed both (complete) fact segments.
+        // Boot sealed every (complete) fact segment.
         let flat_chunks = |e: &Engine| {
             let r = e.handle_line(r#"{"cmd":"stats"}"#);
             r.get("stats").unwrap().get("flat_chunks").unwrap().as_i64().unwrap()
         };
         let sealed = flat_chunks(&e);
-        let n = 2 * SEGMENT_ROWS as i64;
+        let n = e.database().snapshot().table("fact").unwrap().num_slots() as i64;
         let base_sum: i64 = n * (n - 1) / 2;
         let mut replaced = 0i64;
         let mut update = |row: i64| {
@@ -342,7 +342,7 @@ mod tests {
         }
         assert_eq!(e.stats().compactions.load(Relaxed), 0);
         assert_eq!(flat_chunks(&e), sealed + 2, "each write decoded the one chunk it touched");
-        // The writer stops: within two quiet periods both segments are
+        // The writer stops: within two quiet periods both written segments are
         // encoded again — while a reader holds the image; the install
         // replaces chunks, readers never delay the compactor.
         let held = e.database().snapshot();

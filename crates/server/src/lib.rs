@@ -91,11 +91,11 @@
 //! `SET engine` pin names the hash-join or denormalized baseline and that
 //! engine can answer the statement.
 //!
-//! Intra-query parallelism (`--engine-threads`) and the worker pool share
-//! one [`CoreBudget`] sized to the machine's cores: each executing
-//! statement holds a baseline permit, and a query fans out only over the
-//! cores nobody else is using — the two concurrency layers compose instead
-//! of multiplying.
+//! Intra-query parallelism (`--engine-threads`, by default the host's
+//! cores) and the worker pool share one [`CoreBudget`] sized to the
+//! machine's cores: each executing statement holds a baseline permit, and
+//! a query fans out only over the cores nobody else is using — the two
+//! concurrency layers compose instead of multiplying.
 //!
 //! Binaries: `astore-serve` (the server) and `loadgen` (a load-generator
 //! client that prints a JSON throughput/latency summary).
@@ -117,7 +117,7 @@ pub mod server;
 pub mod session;
 pub mod stats;
 
-pub use budget::CoreBudget;
+pub use budget::{host_cores, CoreBudget};
 pub use cache::PlanCache;
 pub use client::{Client, ClientError};
 pub use engine::{Durability, Engine, ErrorCode};

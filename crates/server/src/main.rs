@@ -18,7 +18,7 @@ use std::process::exit;
 use std::sync::Arc;
 use std::time::Instant;
 
-use astore_server::{start, Durability, Engine, ServerConfig};
+use astore_server::{host_cores, start, Durability, Engine, ServerConfig};
 use astore_storage::snapshot::SharedDatabase;
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
     let mut data_dir: Option<String> = None;
     let mut cache_dir: Option<String> = None;
     let mut checkpoint_every: u64 = 4096;
-    let mut engine_threads: usize = 1;
+    let mut engine_threads: usize = host_cores();
     let mut slow_ms: u64 = 0;
     let mut trace = false;
 
@@ -220,11 +220,13 @@ flags:
                           (dataset, sf, seed): generate once, reload after
   --checkpoint-every <n>  auto-checkpoint after n WAL records (default 4096,
                           0 = only on {\"cmd\":\"checkpoint\"})
-  --engine-threads <n>    per-query fan-out ceiling (default 1 = serial).
-                          Big scans split into morsels across up to n worker
-                          threads, granted from a global core budget shared
-                          with the statement worker pool, so intra-query and
-                          inter-query parallelism never oversubscribe cores
+  --engine-threads <n>    per-query fan-out ceiling (default: cores; 1 =
+                          serial). A scan whose surviving segments give each
+                          worker two of them splits into morsels across up
+                          to n worker threads, granted from a global core
+                          budget shared with the statement worker pool, so
+                          intra-query and inter-query parallelism never
+                          oversubscribe cores
   --slow-ms <n>           capture statements slower than n ms in the
                           {\"cmd\":\"slowlog\"} ring buffer (default 0 = off)
   --trace                 arm the runtime tracing toggle: engine timing

@@ -22,7 +22,9 @@ use astore_core::query::Query;
 use astore_core::universal::BindError;
 use astore_storage::catalog::Database;
 use astore_storage::column::Column;
+use astore_storage::segment::ZoneStats;
 use astore_storage::table::Table;
+use astore_storage::types::DataType;
 
 /// The execution engines a statement can run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,9 +86,11 @@ pub fn route(pin: Option<EngineChoice>, snap: &Database, query: &Query) -> Engin
 /// Can `engine` answer `query` on `snap`? AIR always can. Neither the join
 /// pipeline's universal relation nor the denormalized wide table carries
 /// positional row addresses, so a `rowid` predicate is AIR-only. Denorm
-/// also needs a fact table of at most `max_fact_rows` slots and a shape the
-/// wide table can answer: every column the statement reads is a value (not
-/// a key) column, since the wide table folds references away.
+/// also needs a fact table of at most `max_fact_rows` slots, a shape the
+/// wide table can answer — every column the statement reads is a value
+/// (not a key) column, since the wide table folds references away — and a
+/// wide table that holds every row the statement sees
+/// ([`denorm_keeps_every_row`]).
 fn eligible(engine: EngineChoice, snap: &Database, query: &Query, max_fact_rows: usize) -> bool {
     let uses_rowid = || query.selections.iter().any(|(_, p)| p.columns().contains(&"rowid"));
     match engine {
@@ -111,8 +115,44 @@ fn eligible(engine: EngineChoice, snap: &Database, query: &Query, max_fact_rows:
                     .iter()
                     .filter_map(|a| a.expr.as_ref())
                     .all(|expr| expr.columns().iter().all(|c| is_value(root, c)))
+                && denorm_keeps_every_row(snap, root, query)
         }
     }
+}
+
+/// Does the wide table hold every fact row `query` sees on AIR?
+/// [`denormalize`] inner-joins every dimension reachable from `root`, so it
+/// drops a fact row whose reference into a dimension is NULL or lands on a
+/// deleted tuple; AIR drops it only when the statement reads that
+/// dimension. The two agree when the statement reads every reachable
+/// dimension (through the chain to it), or when no folded table's key
+/// zone counts a NULL and no folded dimension has a dead slot.
+fn denorm_keeps_every_row(snap: &Database, root: &str, query: &Query) -> bool {
+    let graph = JoinGraph::build(snap);
+    let read: Vec<&str> = query
+        .referenced_tables()
+        .into_iter()
+        .filter_map(|t| graph.path(root, t))
+        .flat_map(|path| path.steps.iter().map(|step| step.to_table.as_str()))
+        .collect();
+    let leaves = graph.leaves_of(root);
+    if leaves.iter().all(|t| read.contains(t)) {
+        return true;
+    }
+    let no_null_key = |table: &Table| {
+        let keys: Vec<usize> = (table.schema().defs().iter().enumerate())
+            .filter(|(_, def)| matches!(def.dtype, DataType::Key { .. }))
+            .map(|(col, _)| col)
+            .collect();
+        table.zones().iter().all(|zone| {
+            keys.iter().all(|&col| matches!(zone.stat(col), ZoneStats::Key { nulls: 0, .. }))
+        })
+    };
+    snap.table(root).is_some_and(no_null_key)
+        && leaves
+            .iter()
+            .filter_map(|t| snap.table(t))
+            .all(|dim| no_null_key(dim) && !dim.has_deletes())
 }
 
 /// The table a star query scans: its explicit root, else the largest table
@@ -336,6 +376,80 @@ mod tests {
         assert!(!eligible(EngineChoice::Denorm, &db, &q, 2), "three fact rows, cap two");
         assert!(eligible(EngineChoice::Join, &db, &q, 2), "the cap is the denorm arm's alone");
         assert!(db.table("fact").unwrap().num_slots() <= DENORM_MAX_FACT_ROWS);
+    }
+
+    /// A fact table keyed into `dim` and `other`; the second fact row's
+    /// `other` key is `other_key`.
+    fn two_dim_db(other_key: Key) -> Database {
+        let mut dim = Table::new("dim", Schema::new(vec![ColumnDef::new("d_v", DataType::Dict)]));
+        dim.append_row(&[Value::Str("x".into())]);
+        let mut other =
+            Table::new("other", Schema::new(vec![ColumnDef::new("o_v", DataType::I32)]));
+        for v in [1, 2] {
+            other.append_row(&[Value::Int(v)]);
+        }
+        let mut fact = Table::new(
+            "fact",
+            Schema::new(vec![
+                ColumnDef::new("f_dim", DataType::Key { target: "dim".into() }),
+                ColumnDef::new("f_other", DataType::Key { target: "other".into() }),
+                ColumnDef::new("f_m", DataType::I64),
+            ]),
+        );
+        fact.append_row(&[Value::Key(0), Value::Key(0), Value::Int(1)]);
+        fact.append_row(&[Value::Key(0), Value::Key(other_key), Value::Int(2)]);
+        let mut db = Database::new();
+        db.add_table(dim);
+        db.add_table(other);
+        db.add_table(fact);
+        db
+    }
+
+    /// The one sum `sql` answers on AIR and on the wide table.
+    fn air_and_denorm_sums(db: &Database, sql: &str) -> (Value, Value) {
+        use astore_core::exec::{execute, ExecOptions};
+        let q = query(db, sql);
+        let sum = |db: &Database, q: &Query| {
+            let rows = execute(db, q, &ExecOptions::default()).unwrap().result.rows;
+            rows.first().map_or(Value::Null, |row| row.last().unwrap().clone())
+        };
+        let wide = denormalize(db, Some("fact")).unwrap();
+        (sum(db, &q), sum(&wide.db, &wide.rewrite(&q, "fact")))
+    }
+
+    /// The wide table inner-joins every dimension, so it lost the fact rows
+    /// whose key into a dimension is NULL or lands on a deleted row. AIR
+    /// keeps such a row when the statement does not read that dimension,
+    /// and the pin then falls back to AIR.
+    #[test]
+    fn denorm_is_refused_where_the_wide_table_lost_rows() {
+        const DIM_ONLY: &str = "SELECT d_v, sum(f_m) AS s FROM fact, dim GROUP BY d_v";
+        const BOTH: &str =
+            "SELECT d_v, sum(f_m) AS s FROM fact, dim, other WHERE o_v > 0 GROUP BY d_v";
+        let denorm =
+            |db: &Database, sql: &str| route(Some(EngineChoice::Denorm), db, &query(db, sql));
+
+        let nulled = two_dim_db(NULL_KEY);
+        assert_eq!(
+            air_and_denorm_sums(&nulled, DIM_ONLY),
+            (Value::Float(3.0), Value::Float(1.0)),
+            "the probe: the wide table lost the NULL-keyed row"
+        );
+        assert_eq!(denorm(&nulled, DIM_ONLY), EngineChoice::Air);
+        // Reading `other` drops the row on AIR too.
+        assert_eq!(air_and_denorm_sums(&nulled, BOTH), (Value::Float(1.0), Value::Float(1.0)));
+        assert_eq!(denorm(&nulled, BOTH), EngineChoice::Denorm);
+
+        // Every key set and every row live: nothing was lost.
+        let mut whole = two_dim_db(1);
+        assert_eq!(air_and_denorm_sums(&whole, DIM_ONLY), (Value::Float(3.0), Value::Float(3.0)));
+        assert_eq!(denorm(&whole, DIM_ONLY), EngineChoice::Denorm);
+
+        // A deleted `other` row leaves the second fact row's key dangling.
+        whole.table_mut("other").unwrap().delete(1);
+        assert_eq!(air_and_denorm_sums(&whole, DIM_ONLY), (Value::Float(3.0), Value::Float(1.0)));
+        assert_eq!(denorm(&whole, DIM_ONLY), EngineChoice::Air);
+        assert_eq!(denorm(&whole, BOTH), EngineChoice::Denorm);
     }
 
     #[test]

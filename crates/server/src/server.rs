@@ -18,6 +18,7 @@ use std::time::Duration;
 
 use astore_net::{Reactor, ReactorConfig, ReactorStop};
 
+use crate::budget::host_cores;
 use crate::engine::Engine;
 use crate::front::EngineService;
 use crate::sched::PriorityPool;
@@ -49,7 +50,7 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+        let workers = host_cores();
         ServerConfig {
             addr: "127.0.0.1:3939".into(),
             workers,
