@@ -12,9 +12,8 @@
 
 use std::collections::HashMap;
 
-use astore_core::graph::JoinGraph;
 use astore_core::query::{ColRef, Query};
-use astore_core::universal::{bind_root, BindError, Universal};
+use astore_core::universal::{BindError, Universal};
 use astore_storage::column::Column;
 use astore_storage::dictionary::DictColumn;
 use astore_storage::prelude::*;
@@ -89,17 +88,15 @@ impl Denormalized {
 /// Fact rows with an incomplete chain (a NULL or dangling reference, or a
 /// reference to a deleted tuple) are dropped, as an inner join would do.
 pub fn denormalize(db: &Database, root: Option<&str>) -> Result<Denormalized, BindError> {
-    let graph = JoinGraph::build(db);
     let all: Vec<&str> = db.table_names().iter().map(String::as_str).collect();
-    let root = bind_root(&graph, root, &all)?;
-    let u = Universal::new(db, &graph, &root)?;
+    let u = Universal::bind(db, root, &all)?;
     let fact = u.root_table();
     let n = fact.num_slots();
 
     // Tables to fold in: the root plus everything reachable, in a stable
     // order (root first, then leaves sorted).
-    let mut tables: Vec<String> = vec![root.clone()];
-    tables.extend(graph.leaves_of(&root).iter().map(|s| s.to_string()));
+    let mut tables: Vec<&str> = vec![u.root()];
+    tables.extend(db.graph().leaves_of(u.root()));
 
     // Rows that survive the inner join: live fact rows whose chain to every
     // reachable table is complete and lands on live tuples.
@@ -107,7 +104,7 @@ pub fn denormalize(db: &Database, root: Option<&str>) -> Result<Denormalized, Bi
     {
         let mut chains = Vec::new();
         for t in &tables[1..] {
-            let target = db.table(t).ok_or_else(|| BindError::NoTable(t.clone()))?;
+            let target = db.table(t).ok_or_else(|| BindError::NoTable(t.to_string()))?;
             let hops: Vec<_> = u.hops_to(t)?.into_iter().map(Chunked::cursor).collect();
             chains.push((hops, target));
         }
@@ -160,7 +157,7 @@ pub fn denormalize(db: &Database, root: Option<&str>) -> Result<Denormalized, Bi
                     format!("{t}_{name}")
                 }
             };
-            mapping.insert((t.clone(), name.to_owned()), wide_name.clone());
+            mapping.insert((t.to_string(), name.to_owned()), wide_name.clone());
             let gathered = gather(col, &dim_rows);
             defs.push(ColumnDef::new(wide_name, gathered.dtype()));
             cols.push(gathered);

@@ -23,11 +23,10 @@ use astore_core::agg::{AggTable, Grouper};
 use astore_core::exec::agg_output;
 use astore_core::expr::{CompiledMeasure, CompiledPred, SegMeasure, SegPred};
 use astore_core::filter::{build_chain_filter, participating_chains};
-use astore_core::graph::JoinGraph;
 use astore_core::groupvec::{build_group_vector, FactGrouper, GroupDict, GroupVector};
 use astore_core::query::{AggFunc, Query};
 use astore_core::result::QueryResult;
-use astore_core::universal::{bind_root, BindError, Universal};
+use astore_core::universal::{BindError, Universal};
 use astore_storage::catalog::Database;
 use astore_storage::chunks::Chunked;
 use astore_storage::types::{Key, Value, NULL_KEY};
@@ -66,14 +65,12 @@ pub fn execute_hash_pipeline(
     db: &Database,
     query: &Query,
 ) -> Result<HashPipelineOutput, BindError> {
-    let graph = JoinGraph::build(db);
-    let root = bind_root(&graph, query.root.as_deref(), &query.referenced_tables())?;
-    let u = Universal::new(db, &graph, &root)?;
-    let fact = u.root_table();
+    let u = Universal::bind(db, query.root.as_deref(), &query.referenced_tables())?;
+    let (root, fact) = (u.root(), u.root_table());
 
     // ---- Build phase ----
     let t_build = Instant::now();
-    let chains = participating_chains(&graph, &root, query)?;
+    let chains = participating_chains(&u, query)?;
     let mut hash_tables: Vec<ChainHashTable> = Vec::with_capacity(chains.len());
     for chain in &chains {
         // Which group columns does this chain cover?
@@ -82,18 +79,18 @@ pub fn execute_hash_pipeline(
             if g.table == root {
                 continue;
             }
-            let path = graph.path(&root, &g.table).expect("participating table reachable");
+            let path = u.path(&g.table).expect("participating table reachable");
             if path.steps[0].key_column == chain.fact_key_col {
                 group_cols.push(gi);
             }
         }
         // Qualify dimension rows (predicates + liveness + chain integrity).
-        let filter = build_chain_filter(db, &graph, query, chain);
+        let filter = build_chain_filter(db, query, chain);
         // Group vectors give the codes to stash in the payloads.
         let gvs: Vec<GroupVector> = group_cols
             .iter()
             .map(|&gi| {
-                build_group_vector(db, &graph, &root, &query.group_by[gi], Some(&filter))
+                build_group_vector(&u, &query.group_by[gi], Some(&filter))
                     .expect("group vector over participating chain")
             })
             .collect();
@@ -127,7 +124,7 @@ pub fn execute_hash_pipeline(
     // ---- Probe phase (pipelined) ----
     let t_probe = Instant::now();
     let fact_preds: Vec<CompiledPred<'_>> = query
-        .selection_on(&root)
+        .selection_on(root)
         .map(|p| p.conjuncts().iter().map(|c| c.compile(fact)).collect())
         .unwrap_or_default();
 

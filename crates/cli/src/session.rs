@@ -166,7 +166,7 @@ impl Session {
             },
             "graph" => {
                 let db = self.db.snapshot();
-                let g = JoinGraph::build(&db);
+                let g = db.graph();
                 let mut out = String::new();
                 for root in g.roots() {
                     let _ = writeln!(out, "root: {root}");

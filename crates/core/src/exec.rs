@@ -57,7 +57,6 @@ use astore_storage::types::{Key, RowId, Value, NULL_KEY};
 use crate::agg::{AggTable, Grouper};
 use crate::expr::CompiledMeasure;
 use crate::filter::{build_chain_filter, participating_chains, ChainSpec, FactPred};
-use crate::graph::JoinGraph;
 use crate::groupvec::{build_group_vector, label_at, FactGrouper, GroupDict, GroupVector};
 use crate::kernels;
 use crate::optimizer::{AggStrategy, OptimizerConfig};
@@ -67,7 +66,7 @@ use crate::result::QueryResult;
 use crate::scan::{
     order_tests, ChainCheck, DirectCheck, ScanMode, SegmentScan, SelTest, Selection,
 };
-use crate::universal::{bind_root, BindError, Universal};
+use crate::universal::{BindError, Universal};
 use crate::zone::SegmentSurvey;
 
 /// The five scan variants of the paper's §6.3 ablation.
@@ -492,9 +491,7 @@ fn plan<R>(
     if query.has_params() {
         return Err(BindError::UnboundParams(query.param_count()));
     }
-    let graph = JoinGraph::build(db);
-    let root = bind_root(&graph, query.root.as_deref(), &query.referenced_tables())?;
-    let u = Universal::new(db, &graph, &root)?;
+    let u = Universal::bind(db, query.root.as_deref(), &query.referenced_tables())?;
     if let Some(t) = trace {
         let start = t.us_since_epoch(t_start);
         t.add("bind", root_span, start, t.now_us().saturating_sub(start), vec![]);
@@ -546,7 +543,7 @@ pub(crate) fn prepare_leaf(
     query: &Query,
     opts: &ExecOptions,
 ) -> Result<LeafArtifacts, BindError> {
-    let chains = participating_chains(u.graph(), u.root(), query)?;
+    let chains = participating_chains(u, query)?;
 
     let mut filters: Vec<Option<Bitmap>> = Vec::with_capacity(chains.len());
     for chain in &chains {
@@ -555,7 +552,7 @@ pub(crate) fn prepare_leaf(
             && chain.has_predicates
             && opts.optimizer.use_predicate_vector(dim_rows);
         if use_vec {
-            filters.push(Some(build_chain_filter(u.db(), u.graph(), query, chain)));
+            filters.push(Some(build_chain_filter(u.db(), query, chain)));
         } else {
             filters.push(None);
         }
@@ -569,16 +566,12 @@ pub(crate) fn prepare_leaf(
         }
         // Find the chain this grouping column hangs off, to reuse its
         // composed filter for null-ing out filtered dimension rows.
-        let path = u.graph().path(u.root(), &g.table).ok_or_else(|| BindError::Unreachable {
-            root: u.root().into(),
-            table: g.table.clone(),
-        })?;
-        let key_col = &path.steps[0].key_column;
+        let key_col = &u.path(&g.table)?.steps[0].key_column;
         let filter = chains
             .iter()
             .position(|c| &c.fact_key_col == key_col)
             .and_then(|i| filters[i].as_ref());
-        group_vectors.push(Some(build_group_vector(u.db(), u.graph(), u.root(), g, filter)?));
+        group_vectors.push(Some(build_group_vector(u, g, filter)?));
     }
 
     Ok(LeafArtifacts { chains, filters, group_vectors })
@@ -628,7 +621,7 @@ fn direct_check<'a>(
 ) -> Result<Option<ChainCheck<'a>>, BindError> {
     let mut checks: Vec<DirectCheck<'a>> = Vec::new();
     let mut tables: Vec<&String> = chain.tables.iter().collect();
-    tables.sort_by_key(|t| u.graph().path(u.root(), t).map(|p| p.len()).unwrap_or(usize::MAX));
+    tables.sort_by_key(|t| u.path(t).map_or(usize::MAX, |p| p.len()));
     for t in tables {
         let table = u.db().table(t).ok_or_else(|| BindError::NoTable(t.clone()))?;
         let pred = query.selection_on(t).map(|p| p.compile(table));

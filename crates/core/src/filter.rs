@@ -24,9 +24,8 @@ use astore_storage::table::Table;
 use astore_storage::types::NULL_KEY;
 
 use crate::expr::{Accepts, CompiledPred, Interval, Pred};
-use crate::graph::JoinGraph;
 use crate::query::Query;
-use crate::universal::BindError;
+use crate::universal::{BindError, Universal};
 use crate::zone::SegmentSurvey;
 
 /// The dimension chain a query touches through one fact FK column.
@@ -46,11 +45,8 @@ pub struct ChainSpec {
 /// Groups the query's participating dimension tables by the fact FK column
 /// through which they are reached, producing one [`ChainSpec`] per FK
 /// column. Chains are returned in fact-schema column order.
-pub fn participating_chains(
-    graph: &JoinGraph,
-    root: &str,
-    query: &Query,
-) -> Result<Vec<ChainSpec>, BindError> {
+pub fn participating_chains(u: &Universal<'_>, query: &Query) -> Result<Vec<ChainSpec>, BindError> {
+    let root = u.root();
     // Tables the query references besides the root.
     let mut participating: HashSet<&str> = HashSet::new();
     for (t, _) in &query.selections {
@@ -67,9 +63,7 @@ pub fn participating_chains(
     // Group by first hop; collect every intermediate table along each path.
     let mut by_key_col: HashMap<String, (String, HashSet<String>)> = HashMap::new();
     for t in participating {
-        let path = graph
-            .path(root, t)
-            .ok_or_else(|| BindError::Unreachable { root: root.into(), table: t.into() })?;
+        let path = u.path(t)?;
         let first = &path.steps[0];
         let entry = by_key_col
             .entry(first.key_column.clone())
@@ -81,7 +75,8 @@ pub fn participating_chains(
 
     // Deterministic order: fact schema column order.
     let mut chains = Vec::new();
-    for (key_col, _) in graph.out_edges(root) {
+    for edge in u.graph().out_edges(root) {
+        let key_col = &edge.key_column;
         if let Some((dim_table, tables)) = by_key_col.remove(key_col) {
             let mut tables: Vec<String> = tables.into_iter().collect();
             tables.sort_unstable();
@@ -101,24 +96,13 @@ pub fn participating_chains(
 /// first-level dimension's slots where bit `i` = 1 iff dimension row `i`
 /// is live, passes its own predicates, and transitively references rows
 /// passing theirs (recursive fold, paper §4.2).
-pub fn build_chain_filter(
-    db: &Database,
-    graph: &JoinGraph,
-    query: &Query,
-    chain: &ChainSpec,
-) -> Bitmap {
-    compose_table_filter(db, graph, query, &chain.dim_table, &chain.tables)
+pub fn build_chain_filter(db: &Database, query: &Query, chain: &ChainSpec) -> Bitmap {
+    compose_table_filter(db, query, &chain.dim_table, &chain.tables)
 }
 
 /// Computes the composed bitmap for `table`, folding in the composed bitmaps
 /// of any relevant child tables it references.
-fn compose_table_filter(
-    db: &Database,
-    graph: &JoinGraph,
-    query: &Query,
-    table: &str,
-    relevant: &[String],
-) -> Bitmap {
+fn compose_table_filter(db: &Database, query: &Query, table: &str, relevant: &[String]) -> Bitmap {
     let t = db.table(table).unwrap_or_else(|| panic!("no table {table:?}"));
 
     // Local predicate (or pure liveness when the table has none).
@@ -129,13 +113,16 @@ fn compose_table_filter(
 
     // Fold children: for each outgoing AIR edge into a relevant table,
     // recursively compose the child's filter and probe it per local row.
-    for (key_col, child) in graph.out_edges(table) {
-        if !relevant.contains(child) {
+    for edge in db.graph().out_edges(table) {
+        if !relevant.contains(&edge.to_table) {
             continue;
         }
-        let child_bm = compose_table_filter(db, graph, query, child, relevant);
-        let (_, keys) =
-            t.column(key_col).expect("edge column exists").as_key().expect("edge column is a key");
+        let child_bm = compose_table_filter(db, query, &edge.to_table, relevant);
+        let (_, keys) = t
+            .column(&edge.key_column)
+            .expect("edge column exists")
+            .as_key()
+            .expect("edge column is a key");
         // Only rows still passing need the child probe.
         let passing: Vec<usize> = bm.iter_ones().collect();
         for i in passing {
@@ -444,12 +431,12 @@ mod tests {
     #[test]
     fn chains_grouped_by_fact_key_column() {
         let db = db();
-        let g = JoinGraph::build(&db);
+        let u = Universal::bind(&db, Some("lineorder"), &[]).unwrap();
         let q = Query::new()
             .filter("region", Pred::eq("r_name", "ASIA"))
             .filter("date", Pred::eq("d_year", 1997))
             .group("nation", "n_name");
-        let chains = participating_chains(&g, "lineorder", &q).unwrap();
+        let chains = participating_chains(&u, &q).unwrap();
         assert_eq!(chains.len(), 2);
         // Fact schema order: lo_custkey before lo_datekey.
         assert_eq!(chains[0].fact_key_col, "lo_custkey");
@@ -464,9 +451,9 @@ mod tests {
     #[test]
     fn chain_without_predicates_flagged() {
         let db = db();
-        let g = JoinGraph::build(&db);
+        let u = Universal::bind(&db, Some("lineorder"), &[]).unwrap();
         let q = Query::new().group("date", "d_year");
-        let chains = participating_chains(&g, "lineorder", &q).unwrap();
+        let chains = participating_chains(&u, &q).unwrap();
         assert_eq!(chains.len(), 1);
         assert!(!chains[0].has_predicates);
     }
@@ -474,10 +461,10 @@ mod tests {
     #[test]
     fn single_table_filter() {
         let db = db();
-        let g = JoinGraph::build(&db);
+        let u = Universal::bind(&db, Some("lineorder"), &[]).unwrap();
         let q = Query::new().filter("date", Pred::eq("d_year", 1997));
-        let chains = participating_chains(&g, "lineorder", &q).unwrap();
-        let bm = build_chain_filter(&db, &g, &q, &chains[0]);
+        let chains = participating_chains(&u, &q).unwrap();
+        let bm = build_chain_filter(&db, &q, &chains[0]);
         assert_eq!(bm.len(), 3);
         let hits: Vec<usize> = bm.iter_ones().collect();
         assert_eq!(hits, vec![1]);
@@ -486,12 +473,12 @@ mod tests {
     #[test]
     fn snowflake_filter_composes_down_the_chain() {
         let db = db();
-        let g = JoinGraph::build(&db);
+        let u = Universal::bind(&db, Some("lineorder"), &[]).unwrap();
         // region = ASIA folds region -> nation -> customer.
         let q = Query::new().filter("region", Pred::eq("r_name", "ASIA"));
-        let chains = participating_chains(&g, "lineorder", &q).unwrap();
+        let chains = participating_chains(&u, &q).unwrap();
         assert_eq!(chains[0].dim_table, "customer");
-        let bm = build_chain_filter(&db, &g, &q, &chains[0]);
+        let bm = build_chain_filter(&db, &q, &chains[0]);
         // customers 1 (CHINA) and 2 (JAPAN) are in ASIA; 0 is AMERICA;
         // 3 has a NULL nation reference and must drop out.
         let hits: Vec<usize> = bm.iter_ones().collect();
@@ -501,12 +488,12 @@ mod tests {
     #[test]
     fn local_and_folded_predicates_combine() {
         let db = db();
-        let g = JoinGraph::build(&db);
+        let u = Universal::bind(&db, Some("lineorder"), &[]).unwrap();
         let q = Query::new()
             .filter("region", Pred::eq("r_name", "ASIA"))
             .filter("customer", Pred::eq("c_mkt", "AUTO"));
-        let chains = participating_chains(&g, "lineorder", &q).unwrap();
-        let bm = build_chain_filter(&db, &g, &q, &chains[0]);
+        let chains = participating_chains(&u, &q).unwrap();
+        let bm = build_chain_filter(&db, &q, &chains[0]);
         // Only customer 1 is both AUTO and in ASIA.
         let hits: Vec<usize> = bm.iter_ones().collect();
         assert_eq!(hits, vec![1]);
@@ -516,10 +503,10 @@ mod tests {
     fn dead_dimension_rows_are_filtered() {
         let mut db = db();
         db.table_mut("customer").unwrap().delete(1);
-        let g = JoinGraph::build(&db);
+        let u = Universal::bind(&db, Some("lineorder"), &[]).unwrap();
         let q = Query::new().filter("region", Pred::eq("r_name", "ASIA"));
-        let chains = participating_chains(&g, "lineorder", &q).unwrap();
-        let bm = build_chain_filter(&db, &g, &q, &chains[0]);
+        let chains = participating_chains(&u, &q).unwrap();
+        let bm = build_chain_filter(&db, &q, &chains[0]);
         let hits: Vec<usize> = bm.iter_ones().collect();
         assert_eq!(hits, vec![2]);
     }
@@ -527,13 +514,13 @@ mod tests {
     #[test]
     fn intermediate_table_without_predicate_still_folds() {
         let db = db();
-        let g = JoinGraph::build(&db);
+        let u = Universal::bind(&db, Some("lineorder"), &[]).unwrap();
         // Group by region name, no predicates anywhere: bitmap over customer
         // is just "has a complete live chain".
         let q = Query::new().group("region", "r_name");
-        let chains = participating_chains(&g, "lineorder", &q).unwrap();
+        let chains = participating_chains(&u, &q).unwrap();
         assert!(!chains[0].has_predicates);
-        let bm = build_chain_filter(&db, &g, &q, &chains[0]);
+        let bm = build_chain_filter(&db, &q, &chains[0]);
         let hits: Vec<usize> = bm.iter_ones().collect();
         assert_eq!(hits, vec![0, 1, 2], "customer 3 has a NULL chain");
     }

@@ -16,15 +16,12 @@
 use std::collections::HashMap;
 
 use astore_storage::bitmap::Bitmap;
-use astore_storage::catalog::Database;
-use astore_storage::chunks::Chunked;
 use astore_storage::column::Column;
 use astore_storage::dictionary::DictColumn;
 use astore_storage::types::{Key, RowId, Value, NULL_KEY};
 
-use crate::graph::JoinGraph;
 use crate::query::ColRef;
-use crate::universal::BindError;
+use crate::universal::{BindError, Universal};
 
 /// A group label: the distinct value a group is keyed on.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -138,34 +135,21 @@ impl GroupVector {
 ///   dimension (rows failing it get code −1, so aggregation never touches
 ///   them), or `None` when the chain has no predicates (liveness only).
 pub fn build_group_vector(
-    db: &Database,
-    graph: &JoinGraph,
-    root: &str,
+    u: &Universal<'_>,
     colref: &ColRef,
     filter: Option<&Bitmap>,
 ) -> Result<GroupVector, BindError> {
-    let path = graph
-        .path(root, &colref.table)
-        .ok_or_else(|| BindError::Unreachable { root: root.into(), table: colref.table.clone() })?;
+    let path = u.path(&colref.table)?;
     assert!(!path.steps.is_empty(), "group column on the root table needs FactGrouper");
     let fact_key_col = path.steps[0].key_column.clone();
     let first_dim_name = &path.steps[0].to_table;
     let first_dim =
-        db.table(first_dim_name).ok_or_else(|| BindError::NoTable(first_dim_name.clone()))?;
+        u.db().table(first_dim_name).ok_or_else(|| BindError::NoTable(first_dim_name.clone()))?;
 
     // Hop arrays *within* the dimension chain (first-level dim -> target).
-    let mut hops: Vec<&Chunked<Key>> = Vec::with_capacity(path.steps.len() - 1);
-    for step in &path.steps[1..] {
-        let t = db
-            .table(&step.from_table)
-            .ok_or_else(|| BindError::NoTable(step.from_table.clone()))?;
-        let col = t
-            .column(&step.key_column)
-            .ok_or_else(|| BindError::NoColumn(step.from_table.clone(), step.key_column.clone()))?;
-        hops.push(col.as_key().expect("path step is a key column").1);
-    }
+    let hops = u.hops_to(&colref.table)?.split_off(1);
     let target_table =
-        db.table(&colref.table).ok_or_else(|| BindError::NoTable(colref.table.clone()))?;
+        u.db().table(&colref.table).ok_or_else(|| BindError::NoTable(colref.table.clone()))?;
     let column = target_table
         .column(&colref.column)
         .ok_or_else(|| BindError::NoColumn(colref.table.clone(), colref.column.clone()))?;
@@ -373,9 +357,8 @@ mod tests {
     #[test]
     fn direct_dimension_group_vector() {
         let db = db();
-        let g = JoinGraph::build(&db);
-        let gv =
-            build_group_vector(&db, &g, "fact", &ColRef::new("customer", "c_seg"), None).unwrap();
+        let u = Universal::bind(&db, Some("fact"), &[]).unwrap();
+        let gv = build_group_vector(&u, &ColRef::new("customer", "c_seg"), None).unwrap();
         assert_eq!(gv.fact_key_col, "f_cust");
         assert_eq!(gv.codes.len(), 4);
         // Codes are dictionary-compressed: A=0 (first seen), B=1.
@@ -386,9 +369,8 @@ mod tests {
     #[test]
     fn snowflake_group_vector_chases_chain() {
         let db = db();
-        let g = JoinGraph::build(&db);
-        let gv =
-            build_group_vector(&db, &g, "fact", &ColRef::new("nation", "n_name"), None).unwrap();
+        let u = Universal::bind(&db, Some("fact"), &[]).unwrap();
+        let gv = build_group_vector(&u, &ColRef::new("nation", "n_name"), None).unwrap();
         // Vector lives on customer (first-level dim), labels come from nation.
         assert_eq!(gv.codes.len(), 4);
         let labels: Vec<&GroupLabel> = gv.codes.iter().take(3).map(|&c| gv.dict.label(c)).collect();
@@ -407,11 +389,10 @@ mod tests {
     #[test]
     fn filter_nulls_out_failing_rows() {
         let db = db();
-        let g = JoinGraph::build(&db);
+        let u = Universal::bind(&db, Some("fact"), &[]).unwrap();
         let q = Query::new().filter("customer", Pred::eq("c_seg", "A"));
         let bm = q.selection_on("customer").unwrap().eval_bitmap(db.table("customer").unwrap());
-        let gv = build_group_vector(&db, &g, "fact", &ColRef::new("nation", "n_name"), Some(&bm))
-            .unwrap();
+        let gv = build_group_vector(&u, &ColRef::new("nation", "n_name"), Some(&bm)).unwrap();
         assert_eq!(gv.codes[1], NULL_KEY, "customer 1 is segment B");
         assert_ne!(gv.codes[0], NULL_KEY);
         assert_ne!(gv.codes[2], NULL_KEY);
@@ -423,9 +404,8 @@ mod tests {
     #[test]
     fn probe_handles_null_and_out_of_range() {
         let db = db();
-        let g = JoinGraph::build(&db);
-        let gv =
-            build_group_vector(&db, &g, "fact", &ColRef::new("customer", "c_seg"), None).unwrap();
+        let u = Universal::bind(&db, Some("fact"), &[]).unwrap();
+        let gv = build_group_vector(&u, &ColRef::new("customer", "c_seg"), None).unwrap();
         assert_eq!(gv.probe(NULL_KEY), NULL_KEY);
         assert_eq!(gv.probe(1000), NULL_KEY);
         assert_eq!(gv.probe(1), 1);

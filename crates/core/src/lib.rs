@@ -83,7 +83,6 @@ pub mod analyze;
 pub mod exec;
 pub mod expr;
 pub mod filter;
-pub mod graph;
 pub mod groupvec;
 pub mod kernels;
 pub mod optimizer;
@@ -102,7 +101,6 @@ pub mod prelude {
         SelectionStrategy,
     };
     pub use crate::expr::{CmpOp, Lit, MeasureExpr, Pred};
-    pub use crate::graph::JoinGraph;
     pub use crate::optimizer::{AggStrategy, OptimizerConfig};
     pub use crate::parallel::{MorselDispatcher, DEFAULT_MORSEL_ROWS};
     pub use crate::query::{AggFunc, Aggregate, ColRef, OrderKey, Query, SortOrder};

@@ -6,18 +6,20 @@
 //! references have already linked all the tables together, forming a
 //! virtual denormalization."
 //!
-//! [`Universal`] binds a database + join graph + root table and resolves
-//! any [`ColRef`] into a [`ResolvedCol`]: the chain of AIR arrays to chase
-//! from a fact row, plus the target column. Chasing is a handful of
+//! [`Universal`] binds a catalog image and a root table, and resolves any
+//! [`ColRef`] into a [`ResolvedCol`]: the chain of AIR arrays to chase from
+//! a fact row, plus the target column. The reference paths come from the
+//! image's own join graph ([`Database::graph`]), and [`Universal::bind`] is
+//! the one rule that picks a query's root. Chasing is a handful of
 //! positional array lookups — the paper's "scan-and-address" join.
 
 use astore_storage::catalog::Database;
 use astore_storage::chunks::Chunked;
 use astore_storage::column::Column;
+use astore_storage::graph::{JoinGraph, RefPath};
 use astore_storage::table::Table;
 use astore_storage::types::{Key, NULL_KEY};
 
-use crate::graph::JoinGraph;
 use crate::query::ColRef;
 
 /// Errors raised while binding a query to a schema.
@@ -65,27 +67,38 @@ impl std::error::Error for BindError {}
 /// table.
 pub struct Universal<'a> {
     db: &'a Database,
-    graph: &'a JoinGraph,
-    root: String,
+    root: &'a Table,
 }
 
 impl<'a> Universal<'a> {
-    /// Binds a universal table rooted at `root`.
-    pub fn new(db: &'a Database, graph: &'a JoinGraph, root: &str) -> Result<Self, BindError> {
-        if db.table(root).is_none() {
-            return Err(BindError::NoTable(root.to_owned()));
-        }
-        Ok(Universal { db, graph, root: root.to_owned() })
+    /// Binds the universal table of a query: rooted at `explicit` when the
+    /// query names its root, else at the first root of the join graph whose
+    /// reference paths reach every table in `referenced`
+    /// ([`JoinGraph::root_covering`]). Every engine and the router bind
+    /// through here, so they agree on the root.
+    pub fn bind(
+        db: &'a Database,
+        explicit: Option<&str>,
+        referenced: &[&str],
+    ) -> Result<Self, BindError> {
+        let root = match explicit {
+            Some(root) => root,
+            None => db.graph().root_covering(referenced).ok_or_else(|| {
+                BindError::NoRoot(referenced.iter().map(|s| s.to_string()).collect())
+            })?,
+        };
+        let root = db.table(root).ok_or_else(|| BindError::NoTable(root.to_owned()))?;
+        Ok(Universal { db, root })
     }
 
     /// The root (fact) table name.
-    pub fn root(&self) -> &str {
-        &self.root
+    pub fn root(&self) -> &'a str {
+        self.root.name()
     }
 
     /// The root table.
     pub fn root_table(&self) -> &'a Table {
-        self.db.table(&self.root).expect("root checked at bind time")
+        self.root
     }
 
     /// The database.
@@ -93,18 +106,23 @@ impl<'a> Universal<'a> {
         self.db
     }
 
-    /// The join graph.
+    /// The join graph of the bound image.
     pub fn graph(&self) -> &'a JoinGraph {
-        self.graph
+        self.db.graph()
+    }
+
+    /// The reference path `root -> table` (empty for the root itself).
+    pub fn path(&self, table: &str) -> Result<&'a RefPath, BindError> {
+        self.graph().path(self.root(), table).ok_or_else(|| BindError::Unreachable {
+            root: self.root().to_owned(),
+            table: table.to_owned(),
+        })
     }
 
     /// The AIR hop arrays along the path `root -> table`, in traversal
     /// order. Empty for the root itself.
     pub fn hops_to(&self, table: &str) -> Result<Vec<&'a Chunked<Key>>, BindError> {
-        let path = self.graph.path(&self.root, table).ok_or_else(|| BindError::Unreachable {
-            root: self.root.clone(),
-            table: table.into(),
-        })?;
+        let path = self.path(table)?;
         let mut hops = Vec::with_capacity(path.steps.len());
         for step in &path.steps {
             let t = self
@@ -175,22 +193,6 @@ impl ResolvedCol<'_> {
     }
 }
 
-/// Resolves the root table for a query: the explicit root if given, else the
-/// unique root covering all referenced tables.
-pub fn bind_root(
-    graph: &JoinGraph,
-    explicit: Option<&str>,
-    referenced: &[&str],
-) -> Result<String, BindError> {
-    if let Some(r) = explicit {
-        return Ok(r.to_owned());
-    }
-    graph
-        .root_covering(referenced)
-        .map(str::to_owned)
-        .ok_or_else(|| BindError::NoRoot(referenced.iter().map(|s| s.to_string()).collect()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,8 +235,7 @@ mod tests {
     #[test]
     fn resolve_root_column_has_no_hops() {
         let db = chain_db();
-        let g = JoinGraph::build(&db);
-        let u = Universal::new(&db, &g, "fact").unwrap();
+        let u = Universal::bind(&db, Some("fact"), &[]).unwrap();
         let r = u.resolve(&ColRef::new("fact", "f_m")).unwrap();
         assert!(r.is_root_local());
         assert_eq!(r.depth(), 0);
@@ -245,8 +246,7 @@ mod tests {
     #[test]
     fn resolve_chases_two_hops() {
         let db = chain_db();
-        let g = JoinGraph::build(&db);
-        let u = Universal::new(&db, &g, "fact").unwrap();
+        let u = Universal::bind(&db, Some("fact"), &[]).unwrap();
         let r = u.resolve(&ColRef::new("dim", "d_name")).unwrap();
         assert_eq!(r.depth(), 2);
         // fact row 0 -> mid 0 -> dim 1 = "beta"
@@ -259,8 +259,7 @@ mod tests {
     #[test]
     fn null_key_breaks_the_chain() {
         let db = chain_db();
-        let g = JoinGraph::build(&db);
-        let u = Universal::new(&db, &g, "fact").unwrap();
+        let u = Universal::bind(&db, Some("fact"), &[]).unwrap();
         let r = u.resolve(&ColRef::new("dim", "d_name")).unwrap();
         // fact row 1 -> mid 2 -> NULL
         assert_eq!(r.locate(1), None);
@@ -269,12 +268,12 @@ mod tests {
     #[test]
     fn bind_errors() {
         let db = chain_db();
-        let g = JoinGraph::build(&db);
-        assert!(matches!(Universal::new(&db, &g, "ghost"), Err(BindError::NoTable(_))));
-        let u = Universal::new(&db, &g, "fact").unwrap();
+        let bind = |root| Universal::bind(&db, Some(root), &[]);
+        assert!(matches!(bind("ghost"), Err(BindError::NoTable(_))));
+        let u = bind("fact").unwrap();
         assert!(matches!(u.resolve(&ColRef::new("dim", "ghost")), Err(BindError::NoColumn(..))));
         // "dim" cannot reach "fact".
-        let udim = Universal::new(&db, &g, "dim").unwrap();
+        let udim = bind("dim").unwrap();
         assert!(matches!(
             udim.resolve(&ColRef::new("fact", "f_m")),
             Err(BindError::Unreachable { .. })
@@ -284,17 +283,20 @@ mod tests {
     #[test]
     fn bind_root_explicit_and_inferred() {
         let db = chain_db();
-        let g = JoinGraph::build(&db);
-        assert_eq!(bind_root(&g, Some("fact"), &[]).unwrap(), "fact");
-        assert_eq!(bind_root(&g, None, &["dim", "mid"]).unwrap(), "fact");
-        assert!(matches!(bind_root(&g, None, &["nonexistent"]), Err(BindError::NoRoot(_))));
+        let root = |explicit, referenced: &[&str]| {
+            Universal::bind(&db, explicit, referenced).map(|u| u.root())
+        };
+        assert_eq!(root(Some("fact"), &[]).unwrap(), "fact");
+        assert_eq!(root(Some("dim"), &["fact"]).unwrap(), "dim", "an explicit root wins");
+        assert_eq!(root(None, &["dim", "mid"]).unwrap(), "fact");
+        assert_eq!(root(None, &["dim"]).unwrap(), "fact", "a dimension is not a root");
+        assert!(matches!(root(None, &["nonexistent"]), Err(BindError::NoRoot(_))));
     }
 
     #[test]
     fn hops_to_root_is_empty() {
         let db = chain_db();
-        let g = JoinGraph::build(&db);
-        let u = Universal::new(&db, &g, "fact").unwrap();
+        let u = Universal::bind(&db, Some("fact"), &[]).unwrap();
         assert!(u.hops_to("fact").unwrap().is_empty());
         assert_eq!(u.hops_to("dim").unwrap().len(), 2);
     }

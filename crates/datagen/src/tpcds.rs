@@ -112,7 +112,6 @@ pub fn generate(sf: f64, seed: u64) -> Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use astore_core::graph::JoinGraph;
 
     #[test]
     fn sf100_ratios_reproduced() {
@@ -136,7 +135,7 @@ mod tests {
     fn generated_star_is_sound() {
         let db = generate(0.05, 9);
         assert!(db.validate_references().is_empty());
-        let g = JoinGraph::build(&db);
+        let g = db.graph();
         assert!(g.roots().contains(&"store_sales".to_string()));
         assert_eq!(g.leaves_of("store_sales").len(), 9);
     }

@@ -256,7 +256,6 @@ pub fn paper_q3() -> Query {
 mod tests {
     use super::*;
     use astore_core::exec::{execute, ExecOptions};
-    use astore_core::graph::JoinGraph;
 
     #[test]
     fn sizes_scale() {
@@ -270,7 +269,7 @@ mod tests {
     fn schema_forms_the_paper_snowflake() {
         let db = generate(0.001, 1);
         assert!(db.validate_references().is_empty());
-        let g = JoinGraph::build(&db);
+        let g = db.graph();
         assert_eq!(g.roots(), &["lineitem".to_string()]);
         let p = g.path("lineitem", "region").unwrap();
         let chain: Vec<&str> = p.steps.iter().map(|s| s.to_table.as_str()).collect();

@@ -54,7 +54,7 @@ fn main() {
 
     // --- 3. The schema's join graph: lineorder is the root, every
     //        dimension is reachable through an AIR chain.
-    let graph = JoinGraph::build(&db);
+    let graph = db.graph();
     println!("join graph roots: {:?}", graph.roots());
     for leaf in graph.leaves_of("lineorder") {
         let path = graph.path("lineorder", leaf).unwrap();

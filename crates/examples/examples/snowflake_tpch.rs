@@ -18,9 +18,8 @@ fn main() {
     let sf = env_scale_factor(0.02);
     println!("generating TPC-H subset at SF={sf} …");
     let db = tpch::generate(sf, 7);
-    let graph = JoinGraph::build(&db);
     println!("snowflake chain from lineitem to region:");
-    let path = graph.path("lineitem", "region").unwrap();
+    let path = db.graph().path("lineitem", "region").unwrap();
     for step in &path.steps {
         println!("  {} --[{}]--> {}", step.from_table, step.key_column, step.to_table);
     }

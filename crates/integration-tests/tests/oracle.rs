@@ -13,7 +13,6 @@ use std::collections::HashMap;
 
 use astore_baseline::engine::execute_hash_pipeline;
 use astore_core::expr::{CmpOp, Lit, MeasureExpr, Pred};
-use astore_core::graph::JoinGraph;
 use astore_core::prelude::*;
 use astore_core::query::AggFunc;
 use astore_core::universal::Universal;
@@ -64,12 +63,11 @@ fn eval_measure(m: &MeasureExpr, t: &Table, row: usize) -> f64 {
 
 /// The reference evaluator: materializes the result as unsorted rows.
 fn reference_execute(db: &Database, q: &Query) -> QueryResult {
-    let graph = JoinGraph::build(db);
     let root_name = q
         .root
         .clone()
-        .unwrap_or_else(|| graph.root_covering(&q.referenced_tables()).unwrap().to_owned());
-    let u = Universal::new(db, &graph, &root_name).unwrap();
+        .unwrap_or_else(|| db.graph().root_covering(&q.referenced_tables()).unwrap().to_owned());
+    let u = Universal::bind(db, Some(&root_name), &[]).unwrap();
     let fact = u.root_table();
 
     // Resolve every non-root table the query references.

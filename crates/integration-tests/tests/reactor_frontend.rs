@@ -1,9 +1,10 @@
 //! The event-driven connection front-end, exercised over real TCP against
 //! a live server: protocol robustness (frames split at arbitrary byte
 //! boundaries, many frames in one write, oversized frames, slow-loris
-//! half-frames) and the recorded-log transcript — the server must answer a
-//! recorded request log with **byte-identical** response frames to the
-//! ones `testdata/recorded-log-replies.jsonl` holds.
+//! half-frames, statements nested past the SQL parser's depth cap) and
+//! the recorded-log transcript — the server must answer a recorded request
+//! log with **byte-identical** response frames to the ones
+//! `testdata/recorded-log-replies.jsonl` holds.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -114,6 +115,34 @@ fn oversized_frame_gets_typed_error_then_close() {
     let mut rest = Vec::new();
     reader.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty(), "unexpected bytes after oversize error: {rest:?}");
+    server.shutdown();
+}
+
+/// A 4 KB frame of 2 000 nested parentheses is a typed `parse_error`, not
+/// a worker thread's stack overflow, and the connection keeps serving.
+#[test]
+fn deeply_nested_sql_gets_parse_error_and_connection_survives() {
+    let server = serve(0);
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let sql = format!(
+        "SELECT count(*) AS c FROM lineorder, date WHERE lo_orderdate = d_datekey AND \
+         {}d_year = 1993{}",
+        "(".repeat(2000),
+        ")".repeat(2000)
+    );
+    let frame = Json::obj([("sql", Json::Str(sql))]).frame();
+    assert!(frame.len() > 4096, "{}", frame.len());
+    stream.write_all(&frame).unwrap();
+    let resp = read_line(&mut reader);
+    let reply = astore_server::json::parse(resp.trim()).unwrap();
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false), "{resp}");
+    assert_eq!(reply.get("code").and_then(Json::as_str), Some("parse_error"), "{resp}");
+    assert!(resp.contains("nesting too deep"), "{resp}");
+    stream.write_all(b"{\"cmd\":\"ping\"}\n").unwrap();
+    let resp = read_line(&mut reader);
+    let reply = astore_server::json::parse(resp.trim()).unwrap();
+    assert_eq!(reply.get("pong").and_then(Json::as_bool), Some(true), "{resp}");
     server.shutdown();
 }
 

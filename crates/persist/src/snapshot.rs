@@ -1422,6 +1422,7 @@ mod tests {
 
     fn assert_same(a: &Database, b: &Database) {
         assert_eq!(a.table_names(), b.table_names());
+        assert_eq!(**a.graph(), **b.graph(), "join graph");
         for name in a.table_names() {
             let (ta, tb) = (a.table(name).unwrap(), b.table(name).unwrap());
             assert_eq!(ta.num_slots(), tb.num_slots(), "{name}");
@@ -1448,6 +1449,20 @@ mod tests {
         let load = back.table("dim").unwrap().column("d_tag").unwrap().as_dict().unwrap();
         assert_eq!(orig.codes(), load.codes());
         assert_eq!(orig.dict().values(), load.dict().values());
+    }
+
+    #[test]
+    fn a_loaded_image_has_the_saved_join_graph() {
+        let db = kitchen_sink();
+        let (back, _) = decode_snapshot(&encode_snapshot(&db, 0)).unwrap();
+        let (saved, loaded) = (db.graph(), back.graph());
+        assert_eq!(loaded.roots(), saved.roots());
+        assert_eq!(loaded.roots(), ["fact".to_string()]);
+        for table in ["fact", "dim"] {
+            assert_eq!(loaded.path("fact", table), saved.path("fact", table), "{table}");
+        }
+        assert_eq!(loaded.path("fact", "dim").unwrap().steps[0].key_column, "f_dim");
+        assert_eq!(**loaded, **saved);
     }
 
     #[test]

@@ -56,10 +56,9 @@ use std::time::{Duration, Instant};
 
 use astore_baseline::engine::execute_hash_pipeline;
 use astore_core::exec::{execute, execute_granted, plan_selection, ExecOptions, ExecOutput};
-use astore_core::graph::JoinGraph;
 use astore_core::query::Query;
 use astore_core::result::QueryResult;
-use astore_core::universal::bind_root;
+use astore_core::universal::Universal;
 use astore_obs::TraceBuf;
 use astore_persist::wal::Wal;
 use astore_sql::prepared::{
@@ -791,15 +790,15 @@ impl Engine {
     /// against this snapshot, so a write to any folded table forces a
     /// rebuild — stale rows are never served. `None` falls back to AIR.
     fn run_denorm(&self, snap: &Arc<Database>, query: &Query, traced: bool) -> Option<EngineRun> {
-        let graph = JoinGraph::build(snap);
-        let root = bind_root(&graph, query.root.as_deref(), &query.referenced_tables()).ok()?;
-        let entry = self.denorm_cache.get_or_build(snap, &root).ok()?;
+        let refs = query.referenced_tables();
+        let root = Universal::bind(snap, query.root.as_deref(), &refs).ok()?.root();
+        let entry = self.denorm_cache.get_or_build(snap, root).ok()?;
         // `route` admits only shapes the wide table carries; this guards
         // `rewrite`, which panics on a column the wide table lacks.
-        if !query_rewritable(&entry.denorm, query, &root) {
+        if !query_rewritable(&entry.denorm, query, root) {
             return None;
         }
-        let wide = entry.denorm.rewrite(query, &root);
+        let wide = entry.denorm.rewrite(query, root);
         let exec_opts = ExecOptions { threads: 1, ..self.opts.clone() };
         let out = execute(&entry.denorm.db, &wide, &exec_opts).ok()?;
         let lines = if traced {
@@ -1106,6 +1105,20 @@ mod tests {
         let other = sql(&e, "select count(*) as N from fact");
         assert_eq!(other.get("cached_plan").unwrap().as_bool(), Some(false));
         assert_eq!(other.get("columns").unwrap().as_array().unwrap()[0].as_str(), Some("N"));
+    }
+
+    /// The join graph belongs to the catalog image: a published write batch
+    /// copies the image it changes, and shares its graph by pointer.
+    #[test]
+    fn a_write_batch_shares_the_join_graph() {
+        let e = engine();
+        let before = e.database().snapshot();
+        let r = sql(&e, "INSERT INTO fact VALUES (1, 100)");
+        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
+        let after = e.database().snapshot();
+        assert!(!Arc::ptr_eq(&before, &after), "the batch published a new image");
+        assert!(Arc::ptr_eq(before.graph(), after.graph()));
+        assert_eq!(after.graph().roots(), ["fact".to_string()]);
     }
 
     #[test]

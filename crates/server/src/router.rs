@@ -17,9 +17,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use astore_baseline::denorm::{denormalize, Denormalized};
-use astore_core::graph::JoinGraph;
 use astore_core::query::Query;
-use astore_core::universal::BindError;
+use astore_core::universal::{BindError, Universal};
 use astore_storage::catalog::Database;
 use astore_storage::column::Column;
 use astore_storage::segment::ZoneStats;
@@ -86,18 +85,20 @@ pub fn route(pin: Option<EngineChoice>, snap: &Database, query: &Query) -> Engin
 /// Can `engine` answer `query` on `snap`? AIR always can. Neither the join
 /// pipeline's universal relation nor the denormalized wide table carries
 /// positional row addresses, so a `rowid` predicate is AIR-only. Denorm
-/// also needs a fact table of at most `max_fact_rows` slots, a shape the
-/// wide table can answer — every column the statement reads is a value
-/// (not a key) column, since the wide table folds references away — and a
-/// wide table that holds every row the statement sees
-/// ([`denorm_keeps_every_row`]).
+/// also needs: a root — the one execution binds ([`Universal::bind`]) — of
+/// at most `max_fact_rows` slots; a shape the wide table can answer (every
+/// column the statement reads is a value, not a key, column, since the
+/// wide table folds references away); and a wide table that holds every
+/// row the statement sees ([`denorm_keeps_every_row`]).
 fn eligible(engine: EngineChoice, snap: &Database, query: &Query, max_fact_rows: usize) -> bool {
     let uses_rowid = || query.selections.iter().any(|(_, p)| p.columns().contains(&"rowid"));
     match engine {
         EngineChoice::Air => true,
         EngineChoice::Join => !uses_rowid(),
         EngineChoice::Denorm => {
-            let Some((root, fact)) = fact_table(snap, query) else { return false };
+            let refs = query.referenced_tables();
+            let Ok(u) = Universal::bind(snap, query.root.as_deref(), &refs) else { return false };
+            let (root, fact) = (u.root(), u.root_table());
             let is_value = |table: &str, column: &str| {
                 snap.table(table)
                     .and_then(|t| t.column(column))
@@ -128,7 +129,7 @@ fn eligible(engine: EngineChoice, snap: &Database, query: &Query, max_fact_rows:
 /// dimension (through the chain to it), or when no folded table's key
 /// zone counts a NULL and no folded dimension has a dead slot.
 fn denorm_keeps_every_row(snap: &Database, root: &str, query: &Query) -> bool {
-    let graph = JoinGraph::build(snap);
+    let graph = snap.graph();
     let read: Vec<&str> = query
         .referenced_tables()
         .into_iter()
@@ -153,19 +154,6 @@ fn denorm_keeps_every_row(snap: &Database, root: &str, query: &Query) -> bool {
             .iter()
             .filter_map(|t| snap.table(t))
             .all(|dim| no_null_key(dim) && !dim.has_deletes())
-}
-
-/// The table a star query scans: its explicit root, else the largest table
-/// it references (the fact table dominates a star query).
-fn fact_table<'a>(snap: &'a Database, query: &'a Query) -> Option<(&'a str, &'a Table)> {
-    if let Some(root) = &query.root {
-        return snap.table(root).map(|t| (root.as_str(), t));
-    }
-    query
-        .referenced_tables()
-        .into_iter()
-        .filter_map(|name| snap.table(name).map(|t| (name, t)))
-        .max_by_key(|(_, t)| t.num_slots())
 }
 
 /// Returns `true` when every column the query references maps onto the wide
@@ -251,14 +239,11 @@ impl DenormCache {
             entries.remove(root);
         }
         let denorm = denormalize(db, Some(root))?;
-        let graph = JoinGraph::build(db);
-        let mut names: Vec<String> = vec![root.to_owned()];
-        names.extend(graph.leaves_of(root).into_iter().map(str::to_owned));
-        let mut sources = Vec::with_capacity(names.len());
-        for name in names {
-            if let Some(arc) = db.table_arc(&name) {
+        let mut sources = Vec::new();
+        for name in std::iter::once(root).chain(db.graph().leaves_of(root)) {
+            if let Some(arc) = db.table_arc(name) {
                 let epoch = arc.epoch();
-                sources.push((name, arc, epoch));
+                sources.push((name.to_owned(), arc, epoch));
             }
         }
         let entry = Arc::new(DenormEntry { denorm, sources });
@@ -450,6 +435,32 @@ mod tests {
         assert_eq!(air_and_denorm_sums(&whole, DIM_ONLY), (Value::Float(3.0), Value::Float(1.0)));
         assert_eq!(denorm(&whole, DIM_ONLY), EngineChoice::Air);
         assert_eq!(denorm(&whole, BOTH), EngineChoice::Denorm);
+    }
+
+    /// A query that names no root binds the root that reaches every table it
+    /// reads (`fact` here, not the `dim` it names), and the denorm pin is
+    /// judged on that root: the wide table rooted at `fact` lost the
+    /// NULL-keyed row, so the pin falls back to AIR.
+    #[test]
+    fn a_rootless_query_is_routed_on_the_root_execution_binds() {
+        use astore_core::exec::{execute, ExecOptions};
+        use astore_core::query::Aggregate;
+        let db = two_dim_db(NULL_KEY);
+        let q = Query::new().group("dim", "d_v").agg(Aggregate::count("c"));
+        assert!(q.root.is_none());
+        let root = Universal::bind(&db, None, &q.referenced_tables()).unwrap().root();
+        assert_eq!(root, "fact");
+        let count = |db: &Database, q: &Query| {
+            execute(db, q, &ExecOptions::default()).unwrap().result.rows[0][1].clone()
+        };
+        let wide = denormalize(&db, Some(root)).unwrap();
+        assert_eq!(
+            (count(&db, &q), count(&wide.db, &wide.rewrite(&q, root))),
+            (Value::Int(2), Value::Int(1)),
+            "the probe: the wide table lost the NULL-keyed row"
+        );
+        assert_eq!(route(Some(EngineChoice::Denorm), &db, &q), EngineChoice::Air);
+        assert_eq!(route(Some(EngineChoice::Join), &db, &q), EngineChoice::Join);
     }
 
     #[test]

@@ -24,6 +24,10 @@
 //! alias). Placeholders are accepted wherever a comparison/BETWEEN/IN
 //! literal is — not in measure arithmetic or LIMIT, whose values shape
 //! the plan itself.
+//!
+//! Nesting — parentheses, `NOT` and unary minus, counted together — deeper
+//! than [`MAX_DEPTH`] is an error, not recursion: a statement of
+//! `((((…` costs a counter, not the thread's stack.
 
 use astore_core::expr::CmpOp;
 
@@ -66,10 +70,15 @@ impl From<LexError> for ParseError {
 
 const AGG_FUNCS: [&str; 5] = ["sum", "count", "min", "max", "avg"];
 
+/// Deepest nesting of parentheses, `NOT` and unary minus [`parse`] accepts
+/// (the wire codec's JSON limit). Real statements nest a few levels; the
+/// limit bounds the parser's recursion on input it did not write.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one SELECT statement.
 pub fn parse(input: &str) -> Result<SelectStmt, ParseError> {
     let toks = lex_spanned(input)?;
-    let mut p = Parser { toks, pos: 0, anon_params: 0, numbered_params: false };
+    let mut p = Parser { toks, pos: 0, depth: 0, anon_params: 0, numbered_params: false };
     let stmt = p.select_stmt()?;
     p.eat_token(&Token::Semi);
     if !p.at_end() {
@@ -81,6 +90,8 @@ pub fn parse(input: &str) -> Result<SelectStmt, ParseError> {
 pub(crate) struct Parser {
     toks: Vec<SpannedToken>,
     pos: usize,
+    /// Open nesting levels; never above [`MAX_DEPTH`].
+    depth: usize,
     anon_params: usize,
     numbered_params: bool,
 }
@@ -123,6 +134,20 @@ impl Parser {
     fn err_prev(&self, message: String) -> ParseError {
         let span = self.toks.get(self.pos.saturating_sub(1)).map(|s| (s.start, s.end));
         ParseError { message, span }
+    }
+
+    /// Runs `inner` one nesting level down, refusing to pass [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        inner: fn(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err_prev("nesting too deep".into()));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     /// Consumes the given token if present.
@@ -301,11 +326,11 @@ impl Parser {
             }
             Some(Token::Minus) => {
                 self.pos += 1;
-                Ok(Arith::Sub(Box::new(Arith::Num(0.0)), Box::new(self.factor()?)))
+                Ok(Arith::Sub(Box::new(Arith::Num(0.0)), Box::new(self.nested(Self::factor)?)))
             }
             Some(Token::LParen) => {
                 self.pos += 1;
-                let e = self.arith()?;
+                let e = self.nested(Self::arith)?;
                 self.expect_token(&Token::RParen)?;
                 Ok(e)
             }
@@ -337,10 +362,10 @@ impl Parser {
 
     fn not_cond(&mut self) -> Result<Cond, ParseError> {
         if self.eat_kw("not") {
-            return Ok(Cond::Not(Box::new(self.not_cond()?)));
+            return Ok(Cond::Not(Box::new(self.nested(Self::not_cond)?)));
         }
         if self.eat_token(&Token::LParen) {
-            let c = self.or_cond()?;
+            let c = self.nested(Self::or_cond)?;
             self.expect_token(&Token::RParen)?;
             return Ok(c);
         }
@@ -588,6 +613,35 @@ mod tests {
         let e = parse(src).unwrap_err();
         let (start, end) = e.span.unwrap();
         assert_eq!(&src[start..end], "SELEKT");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |open: &str, inner: &str, close: &str, d: usize| {
+            format!("{}{inner}{}", open.repeat(d), close.repeat(d))
+        };
+        let shapes = [
+            ("SELECT count(*) FROM t WHERE ", "(", "a = 1", ")"),
+            ("SELECT count(*) FROM t WHERE ", "NOT ", "a = 1", ""),
+            ("SELECT sum(", "(", "x", ")"),
+            ("SELECT sum(", "- ", "x", ""),
+        ];
+        for (prefix, open, inner, close) in shapes {
+            let sql = |d| {
+                let tail = if prefix.ends_with('(') { ") FROM t" } else { "" };
+                format!("{prefix}{}{tail}", nest(open, inner, close, d))
+            };
+            assert!(parse(&sql(MAX_DEPTH)).is_ok(), "{open:?} at the cap");
+            let e = parse(&sql(MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(e.message, "nesting too deep", "{open:?}");
+            // The span is the opener one past the cap.
+            let at = prefix.len() + MAX_DEPTH * open.len();
+            assert_eq!(e.span.unwrap().0, at, "{open:?}");
+            assert!(parse(&sql(20 * MAX_DEPTH)).is_err(), "{open:?} far past the cap");
+        }
+        // Siblings do not add up: depth is what is open, not what was seen.
+        let wide = vec!["(a = 1)"; 1000].join(" AND ");
+        assert!(parse(&format!("SELECT count(*) FROM t WHERE ({wide})")).is_ok());
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! binds to concrete tables and columns.
 
 use astore_core::expr::{Lit, MeasureExpr, Pred};
-use astore_core::graph::JoinGraph;
 use astore_core::query::{AggFunc, Aggregate, OrderKey, Query, SortOrder};
 use astore_storage::catalog::Database;
 use astore_storage::types::DataType;
@@ -75,9 +74,8 @@ pub fn plan_with_params(
     let binder = Binder { db, tables: &stmt.tables };
 
     // Bind the root: the single join-graph root covering all FROM tables.
-    let graph = JoinGraph::build(db);
     let froms: Vec<&str> = stmt.tables.iter().map(String::as_str).collect();
-    let Some(root) = graph.root_covering(&froms) else {
+    let Some(root) = db.graph().root_covering(&froms) else {
         return err(format!("no fact table reaches all of {:?}", stmt.tables));
     };
     let root = root.to_owned();
@@ -89,7 +87,7 @@ pub fn plan_with_params(
     if let Some(w) = &stmt.where_clause {
         for cond in w.clone().conjuncts() {
             match cond {
-                Cond::JoinEq(a, b) => binder.validate_join(&graph, &a, &b)?,
+                Cond::JoinEq(a, b) => binder.validate_join(&a, &b)?,
                 other => {
                     let (table, pred) = binder.bind_cond(&other, &mut param_types)?;
                     query = query.filter(table, pred);
@@ -235,7 +233,7 @@ impl Binder<'_> {
     /// must be a foreign-key (AIR) column and the other side must denote
     /// the referenced table's (virtual) primary key. The condition is then
     /// dropped — A-Store's joins are implicit.
-    fn validate_join(&self, graph: &JoinGraph, a: &ColName, b: &ColName) -> Result<(), PlanError> {
+    fn validate_join(&self, a: &ColName, b: &ColName) -> Result<(), PlanError> {
         for (fk, pk) in [(a, b), (b, a)] {
             if let Ok((t, c)) = self.resolve(fk) {
                 let col = self.db.table(&t).unwrap().column(&c).unwrap();
@@ -251,7 +249,8 @@ impl Binder<'_> {
                     };
                     if pk_ok {
                         // Sanity: the edge must exist in the join graph.
-                        if graph.out_edges(&t).iter().any(|(kc, tt)| kc == &c && tt == target) {
+                        let edges = self.db.graph().out_edges(&t);
+                        if edges.iter().any(|e| e.key_column == c && e.to_table == target) {
                             return Ok(());
                         }
                     }

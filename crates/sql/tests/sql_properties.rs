@@ -4,7 +4,7 @@
 //! on each seed of [`SEEDS`].
 
 use astore_sql::lexer::{lex, Token};
-use astore_sql::parser::parse;
+use astore_sql::parser::{parse, MAX_DEPTH};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,12 +80,25 @@ fn lexer_never_panics() {
     });
 }
 
-/// The parser never panics on arbitrary token-ish input.
+/// The parser never panics on arbitrary token-ish input, nor on nesting
+/// far past [`MAX_DEPTH`]: parentheses mixed with `NOT` in a condition, and
+/// with unary minus in a measure.
 #[test]
 fn parser_never_panics() {
     let alphabet: Vec<u8> = [LETTERS, DIGITS, b"_'(),.*<>=! "].concat();
     check("parser_never_panics", |rng, _| {
         let _ = parse(&string(rng, &alphabet, 0..=200));
+        let depth = rng.gen_range(0..=40 * MAX_DEPTH);
+        let mut nest = |unary: &str| -> (String, String) {
+            let open: String =
+                (0..depth).map(|_| if rng.gen_bool(0.5) { "(" } else { unary }).collect();
+            let close = ")".repeat(open.matches('(').count());
+            (open, close)
+        };
+        let (open, close) = nest("NOT ");
+        let _ = parse(&format!("SELECT count(*) FROM t WHERE {open}a = 1{close}"));
+        let (open, close) = nest("- ");
+        let _ = parse(&format!("SELECT sum({open}x{close}) FROM t"));
     });
 }
 

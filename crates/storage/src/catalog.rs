@@ -1,38 +1,32 @@
 //! The database catalog: a set of named tables connected by AIR columns.
 //!
-//! The AIR edges (`fact.fk -> dimension`) recorded here are what the query
-//! layer turns into a *join graph* (paper §3). The catalog also implements
-//! the consolidation protocol (paper §4.4): compacting a table requires
-//! rewriting every inbound reference column.
+//! The catalog owns the schema's *join graph* (paper §3, [`JoinGraph`]):
+//! the AIR edges (`fact.fk -> dimension`) of its tables, the roots and the
+//! reference paths. [`Database::add_table`], the only schema change, rebuilds
+//! it; every other image of the catalog shares it by pointer. The catalog
+//! also implements the consolidation protocol (paper §4.4): compacting a
+//! table requires rewriting every inbound reference column.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::column::Column;
+use crate::graph::JoinGraph;
 use crate::table::Table;
 use crate::types::{Key, NULL_KEY};
-
-/// A foreign-key edge: `from_table.column` references `to_table`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AirEdge {
-    /// Referencing table.
-    pub from_table: String,
-    /// The AIR column in the referencing table.
-    pub column: String,
-    /// Referenced table.
-    pub to_table: String,
-}
 
 /// A set of named tables. Tables are held behind [`Arc`] so snapshots
 /// (see [`crate::snapshot`]) are cheap copy-on-write clones, and a table
 /// itself clones in O(columns × segments) pointer bumps (see
 /// [`crate::table`]), so [`Database::table_mut`] never copies row data
-/// wholesale.
+/// wholesale. A clone shares the join graph too.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: HashMap<String, Arc<Table>>,
     /// Table names in insertion order, for deterministic iteration.
     order: Vec<String>,
+    /// The join graph of the tables' schemas, rebuilt by `add_table`.
+    graph: Arc<JoinGraph>,
     /// Commit version: bumped once per published write batch (not per
     /// statement). Diagnostics only — never persisted, restarts from 0.
     version: u64,
@@ -54,12 +48,19 @@ impl Database {
         self.version += 1;
     }
 
-    /// Adds (or replaces) a table.
+    /// Adds (or replaces) a table, and rebuilds the join graph.
     pub fn add_table(&mut self, table: Table) {
         let name = table.name().to_owned();
         if self.tables.insert(name.clone(), Arc::new(table)).is_none() {
             self.order.push(name);
         }
+        self.graph = Arc::new(JoinGraph::build(self));
+    }
+
+    /// The join graph of this image's schemas: its roots and reference
+    /// paths. Built by [`Database::add_table`]; clones share it.
+    pub fn graph(&self) -> &Arc<JoinGraph> {
+        &self.graph
     }
 
     /// Looks up a table.
@@ -104,40 +105,21 @@ impl Database {
         self.order.is_empty()
     }
 
-    /// All AIR edges, discovered from `Key` column metadata, in
-    /// deterministic order.
-    pub fn edges(&self) -> Vec<AirEdge> {
-        let mut out = Vec::new();
-        for name in &self.order {
-            let t = &self.tables[name];
-            for (col_name, col) in t.columns() {
-                if let Some((target, _)) = col.as_key() {
-                    out.push(AirEdge {
-                        from_table: name.clone(),
-                        column: col_name.to_owned(),
-                        to_table: target.to_owned(),
-                    });
-                }
-            }
-        }
-        out
-    }
-
     /// Checks referential integrity of every AIR column: each key must be
     /// [`NULL_KEY`] or address a *live* slot of an existing target table.
     /// Returns the list of violations as human-readable strings.
     pub fn validate_references(&self) -> Vec<String> {
         let mut errors = Vec::new();
-        for edge in self.edges() {
+        for edge in self.graph.edges() {
             let Some(target) = self.table(&edge.to_table) else {
                 errors.push(format!(
                     "{}.{} references missing table {}",
-                    edge.from_table, edge.column, edge.to_table
+                    edge.from_table, edge.key_column, edge.to_table
                 ));
                 continue;
             };
             let src = &self.tables[&edge.from_table];
-            let (_, keys) = src.column(&edge.column).unwrap().as_key().unwrap();
+            let (_, keys) = src.column(&edge.key_column).unwrap().as_key().unwrap();
             for (row, k) in keys.iter().enumerate() {
                 if !src.is_live(row as u32) || k == NULL_KEY {
                     continue;
@@ -146,7 +128,7 @@ impl Database {
                     errors.push(format!(
                         "{}.{}[{}] = {} out of range for {} ({} slots)",
                         edge.from_table,
-                        edge.column,
+                        edge.key_column,
                         row,
                         k,
                         edge.to_table,
@@ -155,7 +137,7 @@ impl Database {
                 } else if !target.is_live(k) {
                     errors.push(format!(
                         "{}.{}[{}] = {} references dead tuple in {}",
-                        edge.from_table, edge.column, row, k, edge.to_table
+                        edge.from_table, edge.key_column, row, k, edge.to_table
                     ));
                 }
             }
@@ -174,11 +156,10 @@ impl Database {
             let t = self.table_mut(name).unwrap_or_else(|| panic!("no table {name:?}"));
             t.compact()
         };
-        let inbound: Vec<AirEdge> =
-            self.edges().into_iter().filter(|e| e.to_table == name).collect();
-        for edge in inbound {
+        let graph = Arc::clone(&self.graph);
+        for edge in graph.edges().filter(|e| e.to_table == name) {
             let src = self.table_mut(&edge.from_table).unwrap();
-            if let Some(Column::Key { keys, .. }) = src.column_mut(&edge.column) {
+            if let Some(Column::Key { keys, .. }) = src.column_mut(&edge.key_column) {
                 *keys = keys.map(|k| match k {
                     NULL_KEY => NULL_KEY,
                     k => remap.get(k as usize).copied().flatten().unwrap_or(NULL_KEY),
@@ -228,6 +209,7 @@ pub fn checked_key(k: Key, n: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::AirEdge;
     use crate::table::{ColumnDef, Schema};
     use crate::types::{DataType, Value};
 
@@ -256,16 +238,50 @@ mod tests {
     #[test]
     fn edges_discovered_from_key_columns() {
         let db = tiny_star();
-        let edges = db.edges();
-        assert_eq!(edges.len(), 1);
+        let edges: Vec<&AirEdge> = db.graph().edges().collect();
         assert_eq!(
-            edges[0],
-            AirEdge {
+            edges,
+            [&AirEdge {
                 from_table: "lineorder".into(),
-                column: "lo_dk".into(),
+                key_column: "lo_dk".into(),
                 to_table: "date".into()
-            }
+            }]
         );
+    }
+
+    #[test]
+    fn clones_share_the_join_graph() {
+        let db = tiny_star();
+        let mut image = db.clone();
+        assert!(Arc::ptr_eq(db.graph(), image.graph()));
+        image.table_mut("lineorder").unwrap().append_row(&[Value::Key(1), Value::Int(40)]);
+        image.consolidate("date");
+        assert!(Arc::ptr_eq(db.graph(), image.graph()), "row writes keep the graph");
+        assert!(Arc::ptr_eq(db.graph(), db.decoded().graph()));
+    }
+
+    #[test]
+    fn add_table_rebuilds_the_join_graph() {
+        let mut db = Database::new();
+        assert_eq!(**db.graph(), JoinGraph::build(&db));
+        let star = tiny_star();
+        db.add_table(star.table("date").unwrap().clone());
+        assert_eq!(db.graph().roots(), ["date".to_string()]);
+        db.add_table(star.table("lineorder").unwrap().clone());
+        assert_eq!(**db.graph(), JoinGraph::build(&db));
+        assert_eq!(db.graph().roots(), ["lineorder".to_string()]);
+
+        // Replacing a table with one of another schema rebuilds too: the
+        // fact table loses its reference, so `date` is a root again.
+        let before = Arc::clone(db.graph());
+        db.add_table(Table::new(
+            "lineorder",
+            Schema::new(vec![ColumnDef::new("lo_rev", DataType::I64)]),
+        ));
+        assert!(!Arc::ptr_eq(&before, db.graph()));
+        assert_eq!(**db.graph(), JoinGraph::build(&db));
+        assert_eq!(db.graph().roots(), ["date".to_string(), "lineorder".into()]);
+        assert!(db.graph().path("lineorder", "date").is_none());
     }
 
     #[test]

@@ -6,22 +6,26 @@
 //! join graph. … Each leaf table can be reached from the root table through
 //! a chain of array index references."
 //!
-//! A [`JoinGraph`] is derived from the AIR columns of a
-//! [`astore_storage::catalog::Database`]; [`RefPath`] materializes the chain
-//! of key columns from the root to any reachable table.
+//! A [`JoinGraph`] is derived from the AIR columns of a [`Database`]'s
+//! schemas, and [`RefPath`] is the chain of [`AirEdge`]s from the root to
+//! any reachable table. The graph is a property of the catalog: the
+//! [`Database`] builds it when a table is added and shares it by pointer
+//! with every clone of that image ([`Database::graph`]), so nothing outside
+//! this crate builds one.
 
 use std::collections::{HashMap, VecDeque};
 
-use astore_storage::catalog::Database;
+use crate::catalog::Database;
 
-/// One hop of a reference path: follow `key_column` of `from_table`.
+/// An AIR edge: `from_table.key_column` references `to_table`. It is also
+/// one hop of a [`RefPath`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PathStep {
-    /// Table the hop starts from.
+pub struct AirEdge {
+    /// The referencing table.
     pub from_table: String,
-    /// The AIR column to follow.
+    /// The AIR column of `from_table`.
     pub key_column: String,
-    /// Table the hop lands in.
+    /// The referenced table.
     pub to_table: String,
 }
 
@@ -30,7 +34,7 @@ pub struct PathStep {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RefPath {
     /// The hops, in traversal order.
-    pub steps: Vec<PathStep>,
+    pub steps: Vec<AirEdge>,
 }
 
 impl RefPath {
@@ -51,12 +55,10 @@ impl RefPath {
 }
 
 /// The join graph of a database: tables as vertexes, AIR columns as edges.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JoinGraph {
-    /// Adjacency: table -> outgoing (key_column, target_table).
-    out_edges: HashMap<String, Vec<(String, String)>>,
-    /// In-degree per table.
-    in_degree: HashMap<String, usize>,
+    /// Adjacency: table -> outgoing edges, in schema column order.
+    out_edges: HashMap<String, Vec<AirEdge>>,
     /// All table names, in catalog order.
     tables: Vec<String>,
     /// Shortest reference path from each root to each reachable table,
@@ -68,27 +70,27 @@ pub struct JoinGraph {
 }
 
 impl JoinGraph {
-    /// Builds the join graph of `db` from its AIR edges.
-    pub fn build(db: &Database) -> Self {
+    /// Builds the join graph of `db` from the `Key` columns of its schemas.
+    /// Only [`Database::add_table`] calls this: the catalog image owns its
+    /// graph.
+    pub(crate) fn build(db: &Database) -> Self {
         let tables: Vec<String> = db.table_names().to_vec();
-        let mut out_edges: HashMap<String, Vec<(String, String)>> = HashMap::new();
-        let mut in_degree: HashMap<String, usize> = tables.iter().map(|t| (t.clone(), 0)).collect();
-        for t in &tables {
-            out_edges.entry(t.clone()).or_default();
-        }
-        for e in db.edges() {
-            out_edges
-                .entry(e.from_table.clone())
-                .or_default()
-                .push((e.column.clone(), e.to_table.clone()));
-            *in_degree.entry(e.to_table.clone()).or_insert(0) += 1;
-        }
-
-        let roots: Vec<String> = tables
+        let out_edges: HashMap<String, Vec<AirEdge>> = tables
             .iter()
-            .filter(|t| in_degree.get(*t).copied().unwrap_or(0) == 0)
-            .cloned()
+            .map(|name| {
+                let table = db.table(name).expect("listed table exists");
+                let edges = table.columns().filter_map(|(column, col)| {
+                    col.as_key().map(|(target, _)| AirEdge {
+                        from_table: name.clone(),
+                        key_column: column.to_owned(),
+                        to_table: target.to_owned(),
+                    })
+                });
+                (name.clone(), edges.collect())
+            })
             .collect();
+        let referenced = |t: &String| out_edges.values().flatten().any(|e| &e.to_table == t);
+        let roots: Vec<String> = tables.iter().filter(|t| !referenced(t)).cloned().collect();
 
         // BFS from every root records the shortest AIR chain to each
         // reachable table (shortest = fewest random lookups per fact tuple).
@@ -99,24 +101,20 @@ impl JoinGraph {
             queue.push_back(root.clone());
             while let Some(t) = queue.pop_front() {
                 let base = paths[&(root.clone(), t.clone())].clone();
-                for (col, target) in out_edges.get(&t).into_iter().flatten() {
-                    let key = (root.clone(), target.clone());
+                for edge in out_edges.get(&t).into_iter().flatten() {
+                    let key = (root.clone(), edge.to_table.clone());
                     if paths.contains_key(&key) {
                         continue;
                     }
                     let mut p = base.clone();
-                    p.steps.push(PathStep {
-                        from_table: t.clone(),
-                        key_column: col.clone(),
-                        to_table: target.clone(),
-                    });
+                    p.steps.push(edge.clone());
                     paths.insert(key, p);
-                    queue.push_back(target.clone());
+                    queue.push_back(edge.to_table.clone());
                 }
             }
         }
 
-        JoinGraph { out_edges, in_degree, tables, paths, roots }
+        JoinGraph { out_edges, tables, paths, roots }
     }
 
     /// The root tables (fact tables in a star/snowflake schema).
@@ -149,14 +147,19 @@ impl JoinGraph {
         self.paths.get(&(root.to_owned(), table.to_owned()))
     }
 
-    /// Outgoing AIR edges of a table: `(key_column, target_table)` pairs.
-    pub fn out_edges(&self, table: &str) -> &[(String, String)] {
+    /// Outgoing AIR edges of a table, in schema column order.
+    pub fn out_edges(&self, table: &str) -> &[AirEdge] {
         self.out_edges.get(table).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// In-degree of a table.
+    /// Every AIR edge, in catalog order, then schema column order.
+    pub fn edges(&self) -> impl Iterator<Item = &AirEdge> {
+        self.tables.iter().flat_map(|t| self.out_edges(t))
+    }
+
+    /// In-degree of a table: the AIR columns that reference it.
     pub fn in_degree(&self, table: &str) -> usize {
-        self.in_degree.get(table).copied().unwrap_or(0)
+        self.edges().filter(|e| e.to_table == table).count()
     }
 
     /// All tables.
@@ -178,7 +181,7 @@ impl JoinGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use astore_storage::prelude::*;
+    use crate::prelude::*;
 
     /// lineitem -> orders -> customer -> nation -> region (paper Fig. 3),
     /// plus lineitem -> part.
@@ -218,20 +221,23 @@ mod tests {
 
     #[test]
     fn single_root_is_the_fact_table() {
-        let g = JoinGraph::build(&snowflake());
+        let db = snowflake();
+        let g = db.graph();
         assert_eq!(g.roots(), &["lineitem".to_string()]);
         assert!(g.is_single_rooted());
     }
 
     #[test]
     fn leaves_are_all_dimensions() {
-        let g = JoinGraph::build(&snowflake());
+        let db = snowflake();
+        let g = db.graph();
         assert_eq!(g.leaves_of("lineitem"), vec!["customer", "nation", "orders", "part", "region"]);
     }
 
     #[test]
     fn reference_path_chains_match_paper_figure3() {
-        let g = JoinGraph::build(&snowflake());
+        let db = snowflake();
+        let g = db.graph();
         let p = g.path("lineitem", "region").unwrap();
         let chain: Vec<&str> = p.steps.iter().map(|s| s.to_table.as_str()).collect();
         assert_eq!(chain, vec!["orders", "customer", "nation", "region"]);
@@ -243,7 +249,8 @@ mod tests {
 
     #[test]
     fn root_path_is_empty() {
-        let g = JoinGraph::build(&snowflake());
+        let db = snowflake();
+        let g = db.graph();
         let p = g.path("lineitem", "lineitem").unwrap();
         assert!(p.is_empty());
         assert_eq!(p.target(), None);
@@ -253,7 +260,7 @@ mod tests {
     fn unreachable_table_has_no_path() {
         let mut db = snowflake();
         db.add_table(Table::new("island", Schema::new(vec![ColumnDef::new("x", DataType::I32)])));
-        let g = JoinGraph::build(&db);
+        let g = db.graph();
         assert!(g.path("lineitem", "island").is_none());
         // The island is itself a root (no incoming edges).
         assert!(g.roots().contains(&"island".to_string()));
@@ -261,7 +268,8 @@ mod tests {
 
     #[test]
     fn in_degree_and_out_edges() {
-        let g = JoinGraph::build(&snowflake());
+        let db = snowflake();
+        let g = db.graph();
         assert_eq!(g.in_degree("region"), 1);
         assert_eq!(g.in_degree("lineitem"), 0);
         assert_eq!(g.out_edges("lineitem").len(), 2);
@@ -270,12 +278,13 @@ mod tests {
 
     #[test]
     fn root_covering_picks_reaching_root() {
-        let g = JoinGraph::build(&snowflake());
+        let db = snowflake();
+        let g = db.graph();
         assert_eq!(g.root_covering(&["region", "part"]), Some("lineitem"));
         assert_eq!(g.root_covering(&["lineitem"]), Some("lineitem"));
         let mut db = snowflake();
         db.add_table(Table::new("island", Schema::new(vec![ColumnDef::new("x", DataType::I32)])));
-        let g = JoinGraph::build(&db);
+        let g = db.graph();
         assert_eq!(g.root_covering(&["island"]), Some("island"));
         assert_eq!(g.root_covering(&["island", "region"]), None);
     }
@@ -296,7 +305,6 @@ mod tests {
                 ColumnDef::new("f_dim", DataType::Key { target: "dim".into() }),
             ]),
         ));
-        let g = JoinGraph::build(&db);
-        assert_eq!(g.path("fact", "dim").unwrap().len(), 1);
+        assert_eq!(db.graph().path("fact", "dim").unwrap().len(), 1);
     }
 }

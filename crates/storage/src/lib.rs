@@ -32,8 +32,10 @@
 //! - [`segment::SegmentZone`] — per-segment zone maps (min/max statistics,
 //!   NULL/live counts) maintained incrementally, the basis of segment
 //!   skipping in the scan layer;
-//! - [`catalog::Database`] — named tables, AIR edge discovery, referential
-//!   validation, and consolidation;
+//! - [`catalog::Database`] — named tables, referential validation, and
+//!   consolidation; each image owns its [`graph::JoinGraph`] (paper §3: the
+//!   AIR edges, roots and reference paths), rebuilt when a table is added
+//!   and shared by every clone;
 //! - [`snapshot::SharedDatabase`] — copy-on-write snapshots isolating OLAP
 //!   readers from concurrent updates (§4.4): a write copies the chunks of
 //!   the segments it touches, never the table.
@@ -85,6 +87,7 @@ pub mod chunks;
 pub mod column;
 pub mod dictionary;
 pub mod encoded;
+pub mod graph;
 pub mod segment;
 pub mod selvec;
 pub mod snapshot;
@@ -95,11 +98,12 @@ pub mod types;
 /// Convenient glob import of the commonly used names.
 pub mod prelude {
     pub use crate::bitmap::{Bitmap, SegBitmap};
-    pub use crate::catalog::{checked_key, AirEdge, Database};
+    pub use crate::catalog::{checked_key, Database};
     pub use crate::chunks::{Chunk, ChunkRef, Chunked, ChunkedBuilder, Geometry};
     pub use crate::column::Column;
     pub use crate::dictionary::{DictColumn, Dictionary};
     pub use crate::encoded::{ChunkValue, EncodedColumn, PackedInts, RleInts};
+    pub use crate::graph::{AirEdge, JoinGraph, RefPath};
     pub use crate::segment::{SegmentZone, ZoneStats, SEGMENT_ROWS};
     pub use crate::selvec::SelVec;
     pub use crate::snapshot::SharedDatabase;
