@@ -9,14 +9,17 @@
 //! SPJGA [`Query`] onto the wide table so the same engine can execute it —
 //! the execution then has zero AIR hops, which is exactly the trade the
 //! paper quantifies: faster scans for ~5× the RAM (§6.2.2).
+//! [`Denormalized::answers`] says which statements the wide table answers
+//! exactly as the normalized execution does.
 
 use std::collections::HashMap;
 
-use astore_core::query::{ColRef, Query};
+use astore_core::query::{query_rewritable, ColRef, ColumnMap, Query};
 use astore_core::universal::{BindError, Universal};
 use astore_storage::column::Column;
 use astore_storage::dictionary::DictColumn;
 use astore_storage::prelude::*;
+use astore_storage::segment::ZoneStats;
 
 /// A materialized wide table plus the mapping back to the source schema.
 pub struct Denormalized {
@@ -32,11 +35,6 @@ impl Denormalized {
     /// The wide table.
     pub fn table(&self) -> &Table {
         self.db.table(&self.wide_name).expect("wide table exists")
-    }
-
-    /// The wide column name for a source column.
-    pub fn wide_column(&self, table: &str, column: &str) -> Option<&str> {
-        self.mapping.get(&(table.to_owned(), column.to_owned())).map(String::as_str)
     }
 
     /// Rebinds a normalized query onto the wide table: all selections,
@@ -75,11 +73,64 @@ impl Denormalized {
         out
     }
 
+    /// Does the wide table answer `query` exactly as the normalized
+    /// execution on `db` — the database it was built from, rooted at
+    /// `root` — does? It must carry every column the statement reads
+    /// ([`query_rewritable`]: no key column, no `rowid`) and every fact row
+    /// the statement sees (`keeps_every_row`: a NULL or dangling key drops
+    /// a row from the wide table that AIR keeps when the statement does not
+    /// read that dimension). [`Denormalized::rewrite`] panics on a
+    /// statement that fails the first half.
+    pub fn answers(&self, db: &Database, query: &Query, root: &str) -> bool {
+        query_rewritable(self, query, root) && keeps_every_row(db, root, query)
+    }
+
     /// Approximate bytes of the wide table (for the paper's §6.2.2 space
     /// comparison: 262 GB materialized vs 46 GB virtual at SF 100).
     pub fn approx_bytes(&self) -> usize {
         self.db.approx_bytes()
     }
+}
+
+impl ColumnMap for Denormalized {
+    fn wide_column(&self, table: &str, column: &str) -> Option<&str> {
+        self.mapping.get(&(table.to_owned(), column.to_owned())).map(String::as_str)
+    }
+}
+
+/// Does the wide table of `db` rooted at `root` hold every fact row `query`
+/// sees on AIR? [`denormalize`] inner-joins every dimension reachable from
+/// `root`, so it drops a fact row whose reference into a dimension is NULL
+/// or lands on a deleted tuple; AIR drops it only when the statement reads
+/// that dimension. The two agree when the statement reads every reachable
+/// dimension (through the chain to it), or when no folded table's key zone
+/// counts a NULL and no folded dimension has a dead slot.
+fn keeps_every_row(db: &Database, root: &str, query: &Query) -> bool {
+    let graph = db.graph();
+    let read: Vec<&str> = query
+        .referenced_tables()
+        .into_iter()
+        .filter_map(|t| graph.path(root, t))
+        .flat_map(|path| path.steps.iter().map(|step| step.to_table.as_str()))
+        .collect();
+    let leaves = graph.leaves_of(root);
+    if leaves.iter().all(|t| read.contains(t)) {
+        return true;
+    }
+    let no_null_key = |table: &Table| {
+        let keys: Vec<usize> = (table.schema().defs().iter().enumerate())
+            .filter(|(_, def)| matches!(def.dtype, DataType::Key { .. }))
+            .map(|(col, _)| col)
+            .collect();
+        table.zones().iter().all(|zone| {
+            keys.iter().all(|&col| matches!(zone.stat(col), ZoneStats::Key { nulls: 0, .. }))
+        })
+    };
+    db.table(root).is_some_and(no_null_key)
+        && leaves
+            .iter()
+            .filter_map(|t| db.table(t))
+            .all(|dim| no_null_key(dim) && !dim.has_deletes())
 }
 
 /// Materializes the full denormalization of the schema rooted at `root`
@@ -205,7 +256,7 @@ fn gather(col: &Column, rows: &[usize]) -> Column {
 mod tests {
     use super::*;
     use astore_core::exec::{execute, ExecOptions};
-    use astore_core::expr::{MeasureExpr, Pred};
+    use astore_core::expr::{CmpOp, MeasureExpr, Pred};
     use astore_core::query::{Aggregate, OrderKey};
 
     fn star_db() -> Database {
@@ -323,6 +374,129 @@ mod tests {
         let d = denormalize(&db, None).unwrap();
         assert_eq!(d.wide_column("fact", "v"), Some("v"));
         assert_eq!(d.wide_column("dim", "v"), Some("dim_v"));
+    }
+
+    /// A fact table keyed into `dim` and `other`; the second fact row's
+    /// `other` key is `other_key`.
+    fn two_dim_db(other_key: Key) -> Database {
+        let mut dim = Table::new("dim", Schema::new(vec![ColumnDef::new("d_v", DataType::Dict)]));
+        dim.append_row(&[Value::Str("x".into())]);
+        let mut other =
+            Table::new("other", Schema::new(vec![ColumnDef::new("o_v", DataType::I32)]));
+        for v in [1, 2] {
+            other.append_row(&[Value::Int(v)]);
+        }
+        let mut fact = Table::new(
+            "fact",
+            Schema::new(vec![
+                ColumnDef::new("f_dim", DataType::Key { target: "dim".into() }),
+                ColumnDef::new("f_other", DataType::Key { target: "other".into() }),
+                ColumnDef::new("f_m", DataType::I64),
+            ]),
+        );
+        fact.append_row(&[Value::Key(0), Value::Key(0), Value::Int(1)]);
+        fact.append_row(&[Value::Key(0), Value::Key(other_key), Value::Int(2)]);
+        let mut db = Database::new();
+        db.add_table(dim);
+        db.add_table(other);
+        db.add_table(fact);
+        db
+    }
+
+    /// `sum(f_m)` grouped by `d_v`, reading `other` too when `both`.
+    fn by_dim(both: bool) -> Query {
+        let q = Query::new()
+            .root("fact")
+            .group("dim", "d_v")
+            .agg(Aggregate::sum(MeasureExpr::col("f_m"), "s"));
+        if both {
+            q.filter("other", Pred::cmp("o_v", CmpOp::Gt, 0))
+        } else {
+            q
+        }
+    }
+
+    /// Whether the wide table answers `q`, and the one sum `q` gives on AIR
+    /// and on the wide table.
+    fn verdict_and_sums(db: &Database, q: &Query) -> (bool, Value, Value) {
+        let sum = |db: &Database, q: &Query| {
+            let rows = execute(db, q, &ExecOptions::default()).unwrap().result.rows;
+            rows.first().map_or(Value::Null, |row| row.last().unwrap().clone())
+        };
+        let wide = denormalize(db, Some("fact")).unwrap();
+        (wide.answers(db, q, "fact"), sum(db, q), sum(&wide.db, &wide.rewrite(q, "fact")))
+    }
+
+    /// The wide table inner-joins every dimension, so it lost the fact rows
+    /// whose key into a dimension is NULL or lands on a deleted row. AIR
+    /// keeps such a row when the statement does not read that dimension,
+    /// and the wide table then does not answer the statement.
+    #[test]
+    fn denorm_is_refused_where_the_wide_table_lost_rows() {
+        let (f1, f3) = (Value::Float(1.0), Value::Float(3.0));
+        let nulled = two_dim_db(NULL_KEY);
+        assert_eq!(
+            verdict_and_sums(&nulled, &by_dim(false)),
+            (false, f3.clone(), f1.clone()),
+            "the wide table lost the NULL-keyed row"
+        );
+        // Reading `other` drops the row on AIR too.
+        assert_eq!(verdict_and_sums(&nulled, &by_dim(true)), (true, f1.clone(), f1.clone()));
+
+        // Every key set and every row live: nothing was lost.
+        let mut whole = two_dim_db(1);
+        assert_eq!(verdict_and_sums(&whole, &by_dim(false)), (true, f3.clone(), f3.clone()));
+
+        // A deleted `other` row leaves the second fact row's key dangling.
+        whole.table_mut("other").unwrap().delete(1);
+        assert_eq!(verdict_and_sums(&whole, &by_dim(false)), (false, f3, f1.clone()));
+        assert_eq!(verdict_and_sums(&whole, &by_dim(true)), (true, f1.clone(), f1));
+    }
+
+    fn count() -> Query {
+        Query::new().root("sales").agg(Aggregate::count("c"))
+    }
+
+    /// Asserts that neither the probe nor `answers` gives `q` a wide shape.
+    fn assert_no_wide_shape(db: &Database, d: &Denormalized, q: &Query) {
+        assert!(!query_rewritable(d, q, "sales"), "{q:?}");
+        assert!(!d.answers(db, q, "sales"), "{q:?}");
+    }
+
+    #[test]
+    fn rewritability_probe_matches_rewrite_preconditions() {
+        let db = star_db();
+        let d = denormalize(&db, None).unwrap();
+        let by_nation = Query::new()
+            .filter("customer", Pred::eq("c_seg", "AUTO"))
+            .group("nation", "n_name")
+            .agg(Aggregate::sum(MeasureExpr::col("s_qty"), "total"));
+        assert!(query_rewritable(&d, &by_nation, "sales"));
+        assert!(d.answers(&db, &by_nation, "sales"));
+    }
+
+    /// The wide table folds references away, so a statement that reads a
+    /// key column has no wide shape.
+    #[test]
+    fn denorm_rewritability_gates_key_columns() {
+        let db = star_db();
+        let d = denormalize(&db, None).unwrap();
+        for q in [
+            count().group("sales", "s_cust"),
+            count().filter("customer", Pred::eq("c_nation", 1)),
+            count().agg(Aggregate::sum(MeasureExpr::col("s_cust"), "k")),
+        ] {
+            assert_no_wide_shape(&db, &d, &q);
+        }
+    }
+
+    /// The wide table carries no row addresses, so a `rowid` predicate has
+    /// no wide shape.
+    #[test]
+    fn rowid_predicates_have_no_wide_shape() {
+        let db = star_db();
+        let d = denormalize(&db, None).unwrap();
+        assert_no_wide_shape(&db, &d, &count().filter("sales", Pred::eq("rowid", 1)));
     }
 
     #[test]

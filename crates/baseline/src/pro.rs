@@ -22,11 +22,65 @@ impl Default for RadixConfig {
     }
 }
 
-/// The partition id of a key: a multiplicative scramble so skewed key
-/// spaces spread evenly, masked to `bits`.
+/// A multiplicative scramble (Knuth's 2^32 / φ) so skewed key spaces
+/// spread evenly.
+#[inline]
+fn scramble(key: u32) -> u32 {
+    key.wrapping_mul(0x9E37_79B1)
+}
+
+/// The partition id of a key: the low `bits` bits of its scramble.
 #[inline]
 fn part_of(key: u32, bits: u32) -> usize {
-    (key.wrapping_mul(2654435761) & ((1u32 << bits) - 1)) as usize
+    (scramble(key) & ((1u32 << bits) - 1)) as usize
+}
+
+/// One partition's chained hash table over its build keys. A key's bucket
+/// is taken from the scramble bits just above the `bits` that chose its
+/// partition: those low bits are the same for every key of a partition, so
+/// a bucket read from them would put the whole partition in one chain.
+struct PartitionTable {
+    /// The radix bits of the partitioning.
+    bits: u32,
+    /// Bucket count − 1 (a power of two minus one).
+    mask: u32,
+    /// The first key index of each bucket's chain, −1 when empty.
+    heads: Vec<i32>,
+    /// The next key index in the same chain, −1 at its end.
+    next: Vec<i32>,
+}
+
+impl PartitionTable {
+    fn build(keys: &[u32], bits: u32) -> Self {
+        let n_buckets = keys.len().next_power_of_two().max(8);
+        let mut table = PartitionTable {
+            bits,
+            mask: (n_buckets - 1) as u32,
+            heads: vec![-1; n_buckets],
+            next: vec![-1; keys.len()],
+        };
+        for (i, &k) in keys.iter().enumerate() {
+            let b = table.bucket(k);
+            table.next[i] = table.heads[b];
+            table.heads[b] = i as i32;
+        }
+        table
+    }
+
+    #[inline]
+    fn bucket(&self, key: u32) -> usize {
+        ((scramble(key) >> self.bits) & self.mask) as usize
+    }
+
+    /// The indices of the build keys in `key`'s bucket.
+    #[inline]
+    fn chain(&self, key: u32) -> impl Iterator<Item = usize> + '_ {
+        let head = self.heads[self.bucket(key)];
+        std::iter::successors((head >= 0).then_some(head as usize), |&i| {
+            let e = self.next[i];
+            (e >= 0).then_some(e as usize)
+        })
+    }
 }
 
 /// Radix-partitions `(keys, payloads)` into `2^cfg.bits` buckets, returning
@@ -116,24 +170,13 @@ pub fn pro_join_sum(
         }
         let keys = &bk[b_range.clone()];
         let pays = &bp[b_range];
-        let n_buckets = keys.len().next_power_of_two().max(8);
-        let mask = (n_buckets - 1) as u32;
-        let mut heads = vec![-1i32; n_buckets];
-        let mut next = vec![-1i32; keys.len()];
-        for (i, &k) in keys.iter().enumerate() {
-            let b = (k.wrapping_mul(0x9E37_79B1) & mask) as usize;
-            next[i] = heads[b];
-            heads[b] = i as i32;
-        }
+        let table = PartitionTable::build(keys, cfg.bits);
         for &k in &pk[p_range] {
-            let mut e = heads[(k.wrapping_mul(0x9E37_79B1) & mask) as usize];
-            while e >= 0 {
-                let i = e as usize;
+            for i in table.chain(k) {
                 if keys[i] == k {
                     matches += 1;
                     sum = sum.wrapping_add(pays[i]);
                 }
-                e = next[i];
             }
         }
     }
@@ -177,6 +220,23 @@ mod tests {
             for &k in &pk[bounds[p]..bounds[p + 1]] {
                 assert_eq!(part_of(k, cfg.bits), p, "key {k} in wrong partition");
             }
+        }
+    }
+
+    /// The keys of one partition share the low scramble bits that chose
+    /// it; the bucket must come from other bits, or every key of the
+    /// partition lands in one chain and each probe walks all of them.
+    #[test]
+    fn a_partitions_keys_spread_over_its_buckets() {
+        let cfg = RadixConfig::default();
+        for p in [0, 3, 1000] {
+            let keys: Vec<u32> = (0..1u32 << 21).filter(|&k| part_of(k, cfg.bits) == p).collect();
+            assert_eq!(keys.len(), 2048, "dense keys fill every partition alike");
+            let table = PartitionTable::build(&keys, cfg.bits);
+            let longest = keys.iter().map(|&k| table.chain(k).count()).max().unwrap();
+            let used = table.heads.iter().filter(|&&h| h >= 0).count();
+            assert!(longest <= 4, "partition {p}: a chain of {longest} keys");
+            assert!(used * 2 >= keys.len(), "partition {p}: {used} buckets hold 2048 keys");
         }
     }
 

@@ -25,7 +25,7 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 fn main() {
     let sf = env_scale_factor(0.1);
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_parallel.json".to_owned());
-    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let host_cores = astore_core::host_cores();
 
     println!("=== parallel scaling — morsel-driven execution (paper §5) ===");
     println!(

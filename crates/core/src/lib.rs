@@ -93,6 +93,8 @@ pub mod scan;
 pub mod universal;
 pub mod zone;
 
+pub use parallel::host_cores;
+
 /// Convenient glob import of the engine's public surface.
 pub mod prelude {
     pub use crate::analyze::render_analyze;

@@ -57,9 +57,9 @@ pub struct OptimizerConfig {
     /// another — they add spawn and merge overhead while scanning zero
     /// extra rows concurrently (BENCH_parallel.json measured 0.85× at 8
     /// threads on a 1-core runner before this clamp). `0` (the default)
-    /// auto-detects via `std::thread::available_parallelism`; tests that
-    /// need deterministic fan-out regardless of the machine set it
-    /// explicitly.
+    /// reads the host's cores ([`crate::host_cores`]); any other value
+    /// pretends the host has that many — tests that need deterministic
+    /// fan-out regardless of the machine set it.
     pub host_threads: usize,
 }
 
@@ -118,11 +118,7 @@ impl OptimizerConfig {
     /// [`OptimizerConfig::host_threads`] — fan-out past the machine's
     /// physical parallelism is pure overhead.
     pub fn plan_threads(&self, n_rows: usize, requested: usize) -> usize {
-        let host = if self.host_threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.host_threads
-        };
+        let host = if self.host_threads == 0 { crate::host_cores() } else { self.host_threads };
         let requested = requested.min(host.max(1));
         if requested <= 1 {
             return 1;
@@ -199,11 +195,12 @@ mod tests {
         assert_eq!(one_core.plan_threads(1 << 24, 8), 1, "1-core host never fans out");
         let two_core = OptimizerConfig { host_threads: 2, ..OptimizerConfig::default() };
         assert_eq!(two_core.plan_threads(1 << 24, 8), 2, "request clamps to the cores");
-        // host_threads = 0 auto-detects; the result is bounded by the
-        // actual machine whatever it is.
+        // host_threads = 0 reads the host's cached core count: a big
+        // enough scan fans out to exactly that many workers.
         let auto = OptimizerConfig::default();
-        let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        assert!(auto.plan_threads(1 << 24, 64) <= host);
+        let host = crate::host_cores();
+        assert!(host >= 1);
+        assert_eq!(auto.plan_threads(1 << 24, 64), host.min(64));
     }
 
     #[test]

@@ -54,6 +54,18 @@ use astore_storage::table::Table;
 
 use crate::zone::SegmentSurvey;
 
+/// The machine's available parallelism, asked of the OS once per process
+/// and cached (the query reads cgroup files and costs tens of
+/// microseconds); 1 when the OS will not say. Every layer that sizes
+/// itself by the host reads this one answer: the planner's fan-out clamp
+/// ([`crate::optimizer::OptimizerConfig::plan_threads`]), the server's core
+/// budget, worker pool and fan-out ceiling, and the generators' thread
+/// default.
+pub fn host_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Cap on rows per dispatched morsel: 64K rows keeps a scanned fact-column
 /// chunk cache-resident while leaving enough morsels per query for dynamic
 /// load balance. Deliberately equal to the storage layer's

@@ -251,6 +251,28 @@ impl Query {
     }
 }
 
+/// A relation a [`Query`] can be rebound onto column by column: the
+/// denormalized wide table of `astore-baseline`, whose columns are the
+/// value columns of every table of the star, renamed.
+pub trait ColumnMap {
+    /// The column `table.column` is renamed to, if this relation carries
+    /// it.
+    fn wide_column(&self, table: &str, column: &str) -> Option<&str>;
+}
+
+/// Does `map` carry every column `query` reads: the columns of its
+/// selections and its grouping, and the measure columns of `root` its
+/// aggregates read? The wide table maps neither a key column (it folds
+/// references away) nor `rowid` (it has no row addresses), so a statement
+/// that reads one cannot be rebound onto it.
+pub fn query_rewritable(map: &impl ColumnMap, query: &Query, root: &str) -> bool {
+    let carries = |table: &str, column: &str| map.wide_column(table, column).is_some();
+    query.selections.iter().all(|(table, pred)| pred.columns().iter().all(|c| carries(table, c)))
+        && query.group_by.iter().all(|g| carries(&g.table, &g.column))
+        && (query.aggregates.iter().filter_map(|a| a.expr.as_ref()))
+            .all(|expr| expr.columns().iter().all(|c| carries(root, c)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

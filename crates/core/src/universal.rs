@@ -74,7 +74,7 @@ impl<'a> Universal<'a> {
     /// Binds the universal table of a query: rooted at `explicit` when the
     /// query names its root, else at the first root of the join graph whose
     /// reference paths reach every table in `referenced`
-    /// ([`JoinGraph::root_covering`]). Every engine and the router bind
+    /// ([`JoinGraph::root_covering`]). AIR and the baseline engines bind
     /// through here, so they agree on the root.
     pub fn bind(
         db: &'a Database,

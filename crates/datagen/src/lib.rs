@@ -38,12 +38,12 @@ pub fn env_scale_factor(default_sf: f64) -> f64 {
         .unwrap_or(default_sf)
 }
 
-/// Reads a thread count from `ASTORE_THREADS`, defaulting to the available
-/// parallelism.
+/// Reads a thread count from `ASTORE_THREADS`, defaulting to the host's
+/// cores ([`astore_core::host_cores`]).
 pub fn env_threads() -> usize {
     std::env::var("ASTORE_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|v| *v > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4))
+        .unwrap_or_else(astore_core::host_cores)
 }

@@ -1,19 +1,28 @@
-//! Concurrent snapshot semantics, end to end.
+//! Concurrent snapshot semantics and served answers, end to end.
 //!
-//! Two levels: (1) raw `SharedDatabase` — readers taking snapshots while a
-//! writer churns rows must never observe a torn row (a multi-field
+//! Three levels: (1) raw `SharedDatabase` — readers taking snapshots while
+//! a writer churns rows must never observe a torn row (a multi-field
 //! invariant violated mid-write); (2) the TCP server — SSB Q1.1 answers
 //! during an update burst must always correspond to a whole number of
-//! atomically applied insert batches, never a partial one.
+//! atomically applied insert batches, never a partial one; (3) the served
+//! statement path — every session, whatever it sent as `SET engine`,
+//! answers the seeded SPJGA workload and the SSB flight on AIR exactly as
+//! an in-process execution of the same SQL does, also beside a churning
+//! writer once it has quiesced.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use astore_core::exec::ExecOptions;
+use astore_bench::replay::SSB_SQL;
+use astore_core::exec::{execute, ExecOptions};
+use astore_integration_tests::random_sql;
 use astore_persist::store;
+use astore_server::engine::value_to_json;
 use astore_server::json::Json;
-use astore_server::{start, Client, Durability, Engine, ServerConfig};
+use astore_server::{start, Client, Durability, Engine, ServerConfig, StatementRegistry};
 use astore_storage::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Level 1: writers maintain the invariant `b == 2 * a` in every row,
 /// restoring it only within a single `write` call. A reader that ever sees
@@ -397,4 +406,180 @@ fn server_restart_from_data_dir_preserves_every_acknowledged_write() {
         "all bursts present in the snapshot"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+fn sql(e: &Engine, reg: &mut StatementRegistry, s: &str) -> Json {
+    e.handle_line_session(&Json::obj([("sql", Json::Str(s.into()))]).to_string(), reg)
+}
+
+/// Columns plus rows of an answer, with the rows sorted by their serialized
+/// form: a statement without ORDER BY may emit its groups in any order,
+/// while every cell — float aggregates included — must match bit for bit.
+type Canon = (Json, Vec<String>);
+
+/// The [`Canon`] of a served result frame, which must be a success naming
+/// AIR.
+fn canon(frame: &Json, ctx: &str) -> Canon {
+    assert_eq!(frame.get("ok").and_then(Json::as_bool), Some(true), "{ctx}: {frame}");
+    assert_eq!(frame.get("engine").and_then(Json::as_str), Some("air"), "{ctx}: {frame}");
+    let cols = frame.get("columns").cloned().unwrap_or(Json::Array(vec![]));
+    let mut rows: Vec<String> = frame
+        .get("rows")
+        .and_then(Json::as_array)
+        .map(|rs| rs.iter().map(Json::to_string).collect())
+        .unwrap_or_default();
+    rows.sort_unstable();
+    (cols, rows)
+}
+
+/// The [`Canon`] of `stmt` planned and executed in process, serially, on
+/// `db`: the AIR oracle, with no server stage in between.
+fn in_process(db: &Database, stmt: &str) -> Canon {
+    let q = astore_sql::sql_to_query(stmt, db).unwrap_or_else(|e| panic!("{stmt}: {e}"));
+    let out = execute(db, &q, &ExecOptions::default()).unwrap_or_else(|e| panic!("{stmt}: {e}"));
+    let cols = Json::Array(out.result.columns.iter().cloned().map(Json::Str).collect());
+    let mut rows: Vec<String> = (out.result.rows.iter())
+        .map(|r| Json::Array(r.iter().map(value_to_json).collect()).to_string())
+        .collect();
+    rows.sort_unstable();
+    (cols, rows)
+}
+
+/// One engine over a small SSB set.
+fn ssb_engine(sf: f64, seed: u64) -> (Arc<Engine>, SharedDatabase) {
+    let shared = SharedDatabase::new(astore_datagen::ssb::generate(sf, seed));
+    (Arc::new(Engine::new(shared.clone())), shared)
+}
+
+/// A session that sent `set` first (`None`: nothing).
+fn session(e: &Engine, set: Option<&str>) -> StatementRegistry {
+    let mut reg = StatementRegistry::default();
+    if let Some(set) = set {
+        let r = sql(e, &mut reg, set);
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{set}: {r}");
+        assert_eq!(r.get("engine").and_then(Json::as_str), Some("air"), "{set}: {r}");
+    }
+    reg
+}
+
+/// Three sessions — one that sent `SET engine = air`, one `SET engine =
+/// auto`, one nothing — answer 200 seeded queries alike, on AIR, and as
+/// the in-process execution does.
+#[test]
+fn served_sessions_agree_with_in_process_air_on_200_seeded_queries() {
+    let (e, shared) = ssb_engine(0.002, 20260808);
+    let db = shared.snapshot();
+    let mut sessions = [
+        ("air", session(&e, Some("SET engine = air"))),
+        ("auto", session(&e, Some("SET engine = auto"))),
+        ("unset", session(&e, None)),
+    ];
+    let mut rng = SmallRng::seed_from_u64(0x407E5);
+    let mut nonempty = 0usize;
+    for q in 0..200 {
+        let stmt = random_sql(&mut rng).literal_sql();
+        let oracle = in_process(&db, &stmt);
+        for (name, reg) in &mut sessions {
+            let got = canon(&sql(&e, reg, &stmt), &format!("query {q} {name}\n{stmt}"));
+            assert_eq!(got, oracle, "query {q}: the {name} session diverged from AIR\n{stmt}");
+        }
+        nonempty += usize::from(!oracle.1.is_empty());
+    }
+    assert!(nonempty >= 100, "only {nonempty}/200 queries returned rows; generator too weak");
+}
+
+#[test]
+fn served_ssb_flight_agrees_with_in_process_air() {
+    let (e, shared) = ssb_engine(0.002, 20260809);
+    let db = shared.snapshot();
+    let mut reg = session(&e, None);
+    let mut nonempty = 0usize;
+    for (name, stmt) in SSB_SQL {
+        let oracle = in_process(&db, stmt);
+        assert_eq!(canon(&sql(&e, &mut reg, stmt), name), oracle, "{name} diverged from AIR");
+        nonempty += usize::from(!oracle.1.is_empty());
+    }
+    // Q3.3 and Q3.4 name two cities on both sides and are empty at this
+    // scale; every other query must bite.
+    assert!(nonempty >= 11, "only {nonempty}/13 SSB queries returned rows");
+}
+
+/// Renders one storage value as a SQL literal.
+fn lit(v: &Value) -> String {
+    match v {
+        Value::Int(x) => x.to_string(),
+        Value::Float(f) => format!("{f}"),
+        Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
+        Value::Key(k) => k.to_string(),
+        Value::Null => "NULL".into(),
+    }
+}
+
+/// A random committed write against `lineorder` (insert cloned from a live
+/// row, measure/date update, or delete).
+fn random_write(rng: &mut SmallRng, db: &Database) -> String {
+    let lo = db.table("lineorder").unwrap();
+    let n_dates = db.table("date").unwrap().num_slots() as i64;
+    let live: Vec<RowId> = (0..lo.num_slots() as RowId).filter(|&r| lo.is_live(r)).collect();
+    let pick = live[rng.gen_range(0..live.len())];
+    match rng.gen_range(0..5u32) {
+        0 | 1 => {
+            let mut row = lo.row(pick);
+            row[5] = Value::Key(rng.gen_range(0..n_dates) as u32);
+            row[12] = Value::Int(rng.gen_range(100..100_000i64));
+            let vals: Vec<String> = row.iter().map(lit).collect();
+            format!("INSERT INTO lineorder VALUES ({})", vals.join(", "))
+        }
+        2 => format!(
+            "UPDATE lineorder SET lo_revenue = {} WHERE rowid = {pick}",
+            rng.gen_range(0..1_000_000i64)
+        ),
+        3 => format!(
+            "UPDATE lineorder SET lo_quantity = {} WHERE rowid = {pick}",
+            rng.gen_range(1..=50i64)
+        ),
+        _ if live.len() > 100 => format!("DELETE FROM lineorder WHERE rowid = {pick}"),
+        _ => format!("UPDATE lineorder SET lo_shipmode = 'AIR' WHERE rowid = {pick}"),
+    }
+}
+
+/// A writer churns inserts, updates and deletes through the group-commit
+/// path while a reader session answers queries. Mid-churn each statement
+/// legally sees its own snapshot, so nothing is compared — but nothing may
+/// fail and AIR answers every one. Once the writer has quiesced, the
+/// session agrees with the in-process execution on the final image.
+#[test]
+fn served_readers_survive_a_churning_writer_and_reconverge() {
+    let (e, shared) = ssb_engine(0.002, 20260807);
+    let mut reader = session(&e, None);
+    std::thread::scope(|s| {
+        let writer_engine = Arc::clone(&e);
+        let writer_shared = shared.clone();
+        s.spawn(move || {
+            let mut reg = StatementRegistry::default();
+            let mut rng = SmallRng::seed_from_u64(0xA11_0C8);
+            for w in 0..150 {
+                let stmt = random_write(&mut rng, &writer_shared.snapshot());
+                let r = sql(&writer_engine, &mut reg, &stmt);
+                assert_eq!(
+                    r.get("ok").and_then(Json::as_bool),
+                    Some(true),
+                    "write {w} failed: {r}\n{stmt}"
+                );
+            }
+        });
+        let mut rng = SmallRng::seed_from_u64(0x5EED_CAFE);
+        for q in 0..100 {
+            let stmt = random_sql(&mut rng).literal_sql();
+            canon(&sql(&e, &mut reader, &stmt), &format!("query {q} under churn\n{stmt}"));
+        }
+    });
+
+    let db = shared.snapshot();
+    let mut rng = SmallRng::seed_from_u64(0xF17A1);
+    for q in 0..40 {
+        let stmt = random_sql(&mut rng).literal_sql();
+        let got = canon(&sql(&e, &mut reader, &stmt), &format!("post-churn {q}\n{stmt}"));
+        assert_eq!(got, in_process(&db, &stmt), "post-churn query {q} diverged\n{stmt}");
+    }
 }

@@ -29,9 +29,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use astore_core::host_cores;
 use astore_server::hist::LatencyHistogram;
 use astore_server::json::Json;
-use astore_server::{host_cores, start, Client, Durability, Engine, ServerConfig};
+use astore_server::{start, Client, Durability, Engine, ServerConfig};
 use astore_storage::snapshot::SharedDatabase;
 
 /// One workload entry: a `?`-placeholder template plus rotating parameter

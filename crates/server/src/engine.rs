@@ -14,7 +14,7 @@
 //!
 //! ```text
 //! {"sql":…}     ─ parse ─ plan ─┐
-//!                               ├─ bind ─┬─ SELECT: route ─ execute ─ reply
+//!                               ├─ bind ─┬─ SELECT: execute ─ reply
 //! {"execute":…} ─ registry ─────┘        └─ write:  stage ─ commit ─ publish
 //! ```
 //!
@@ -27,10 +27,11 @@
 //!   [`StatementRegistry`]) skips both: the session holds the plan.
 //! - `bind` fills the parameter slots — the lifted literals or the
 //!   client's parameters — and is the one place a bad value is reported.
-//! - [`route`] picks the engine: AIR, unless the session pinned join or
-//!   denorm and that engine can answer the statement.
-//! - `Engine::execute` runs it (`run_air` / `run_join` / `run_denorm`);
-//!   `reply` builds the result frame.
+//! - `Engine::execute` runs it on AIR, the one served engine: the
+//!   join-free scan, fanned out over the cores the [`CoreBudget`] has
+//!   free; `reply` builds the result frame. The hash-join and
+//!   denormalized baselines the paper measures AIR against live in
+//!   `astore-baseline`, outside the server.
 //! - Writes go to `Engine::stage` and commit in groups (module `commit`):
 //!   one batch leader validates and applies, appends to the write-ahead
 //!   log with one fsync and publishes the new catalog image with one
@@ -40,7 +41,7 @@
 //! on the server's maintenance thread ([`Engine::run_maintenance`], module
 //! `maintenance`).
 //!
-//! `EXPLAIN` stops after `route`; `EXPLAIN ANALYZE` runs the whole path
+//! `EXPLAIN` stops before `execute`; `EXPLAIN ANALYZE` runs the whole path
 //! with a span recorder attached.
 
 mod commit;
@@ -54,11 +55,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use astore_baseline::engine::execute_hash_pipeline;
-use astore_core::exec::{execute, execute_granted, plan_selection, ExecOptions, ExecOutput};
+use astore_core::exec::{execute_granted, plan_selection, ExecOptions, ExecOutput};
+use astore_core::host_cores;
 use astore_core::query::Query;
-use astore_core::result::QueryResult;
-use astore_core::universal::Universal;
 use astore_obs::TraceBuf;
 use astore_persist::wal::Wal;
 use astore_sql::prepared::{
@@ -71,11 +70,10 @@ use astore_storage::catalog::Database;
 use astore_storage::snapshot::SharedDatabase;
 use astore_storage::types::Value;
 
-use crate::budget::{host_cores, CoreBudget};
+use crate::budget::CoreBudget;
 use crate::cache::PlanCache;
 use crate::json::Json;
 use crate::metrics::{render_prometheus, SlowLog, TemplateStats};
-use crate::router::{query_rewritable, route, DenormCache, EngineChoice};
 use crate::session::StatementRegistry;
 use crate::stats::ServerStats;
 
@@ -187,7 +185,6 @@ pub struct Engine {
     slowlog: SlowLog,
     opts: ExecOptions,
     budget: Arc<CoreBudget>,
-    denorm_cache: DenormCache,
     durability: Option<Durability>,
     /// Write staging area (see `commit`).
     commit: Mutex<CommitState>,
@@ -244,7 +241,6 @@ impl Engine {
             slowlog: SlowLog::default(),
             opts,
             budget,
-            denorm_cache: DenormCache::new(),
             durability: None,
             commit: Mutex::new(CommitState::default()),
             commit_lock: Mutex::new(()),
@@ -283,11 +279,6 @@ impl Engine {
     /// ([`crate::sched::PriorityPool::with_budget`]).
     pub fn budget_handle(&self) -> Arc<CoreBudget> {
         Arc::clone(&self.budget)
-    }
-
-    /// The denormalized-materialization cache (epoch-invalidated on write).
-    pub fn denorm_cache(&self) -> &DenormCache {
-        &self.denorm_cache
     }
 
     /// Attaches a durability layer: writes are WAL-logged before they are
@@ -395,7 +386,7 @@ impl Engine {
     pub fn handle_request(&self, req: &Json, session: &mut StatementRegistry) -> Json {
         use std::sync::atomic::Ordering::Relaxed;
         if let Some(sql) = req.get("sql").and_then(Json::as_str) {
-            self.timed(|| self.run_statement(sql, session))
+            self.timed(|| self.run_statement(sql))
         } else if let Some(sql) = req.get("prepare").and_then(Json::as_str) {
             match self.run_prepare(sql, session) {
                 Ok(ok) => ok,
@@ -432,10 +423,6 @@ impl Engine {
                         let version = self.db.snapshot().version();
                         m.insert("db_version".into(), Json::Int(version as i64));
                         m.insert("templates".into(), self.templates.to_json());
-                        m.insert(
-                            "denorm_cache_entries".into(),
-                            Json::Int(self.denorm_cache.len() as i64),
-                        );
                     }
                     Json::obj([("ok", Json::Bool(true)), ("stats", s)])
                 }
@@ -500,14 +487,9 @@ impl Engine {
     /// optional `EXPLAIN` / `EXPLAIN ANALYZE` prefix — through the stages.
     /// Two literal variants of the same query, or two formattings of it,
     /// share one plan.
-    fn run_statement(&self, sql: &str, session: &mut StatementRegistry) -> Result<Json, Json> {
-        if let Some(parsed) = parse_set_engine(sql) {
-            let pin = parsed.map_err(|m| error_frame(ErrorCode::ParseError, m))?;
-            session.set_engine_pin(pin);
-            return Ok(Json::obj([
-                ("ok", Json::Bool(true)),
-                ("engine", Json::Str(pin.map_or("auto", EngineChoice::as_str).to_owned())),
-            ]));
+    fn run_statement(&self, sql: &str) -> Result<Json, Json> {
+        if let Some(set) = parse_set_engine(sql) {
+            return set.map(|()| Json::obj([("ok", Json::Bool(true)), ("engine", air())]));
         }
         let (mode, sql) = if let Some(inner) = strip_explain_analyze(sql) {
             (Mode::Analyze, inner)
@@ -538,11 +520,10 @@ impl Engine {
             let BoundStatement::Select(query) = bind(&prepared, &lifted, code)? else {
                 unreachable!("a SELECT template binds to a SELECT")
             };
-            let pin = session.engine_pin();
             match mode {
-                Mode::Explain => return self.explain(&snap, &query, &key, cached, pin),
-                Mode::Analyze => self.select(&snap, &query, pin, cached, Some(TraceBuf::new())),
-                Mode::Run => self.select(&snap, &query, pin, cached, None),
+                Mode::Explain => return self.explain(&snap, &query, &key, cached),
+                Mode::Analyze => self.select(&snap, &query, cached, Some(TraceBuf::new())),
+                Mode::Run => self.select(&snap, &query, cached, None),
             }
         } else {
             // Text-mode writes carry no parameters; a placeholder here is
@@ -630,7 +611,7 @@ impl Engine {
         let out = match bind(&registered.prepared, &params, ErrorCode::ParamError)? {
             BoundStatement::Select(query) => {
                 let snap = self.db.snapshot();
-                self.select(&snap, &query, session.engine_pin(), true, None)
+                self.select(&snap, &query, true, None)
             }
             BoundStatement::Write(stmt) => self.stage(stmt),
         };
@@ -660,100 +641,37 @@ impl Engine {
         Ok((p, false))
     }
 
-    /// A bound SELECT from route to reply: the routed engine runs it
-    /// against `snap`, the per-engine counters record it, and the result
-    /// becomes the reply frame. With `trace` attached (`EXPLAIN ANALYZE`)
-    /// spans are recorded during execution and the frame gains an
-    /// `analyze` member.
+    /// A bound SELECT from execute to reply: AIR runs it against `snap`,
+    /// the counters record it, and the result becomes the reply frame.
+    /// With `trace` attached (`EXPLAIN ANALYZE`) spans are recorded during
+    /// execution and the frame gains an `analyze` member.
     fn select(
         &self,
         snap: &Arc<Database>,
         query: &Query,
-        pin: Option<EngineChoice>,
         cached: bool,
         trace: Option<TraceBuf>,
     ) -> Result<Json, Json> {
         let trace = trace.map(Arc::new);
         let t = Instant::now();
-        let (engine, run) = self.execute(route(pin, snap, query), snap, query, &trace)?;
-        let engine_us = t.elapsed().as_micros() as u64;
-        self.record_select(engine, engine_us, &run);
-        let analyze = trace.map(|trace| {
-            let head = format!(
-                "router: engine={} reason={} elapsed={engine_us}us",
-                engine.as_str(),
-                reason(pin, engine)
-            );
-            (head, trace)
-        });
-        Ok(reply(&run, engine, cached, analyze))
+        let (out, want) = self.execute(snap, query, &trace)?;
+        let execute_us = t.elapsed().as_micros() as u64;
+        self.record_select(&out, want, execute_us);
+        let analyze = trace.map(|trace| (format!("engine: air elapsed={execute_us}us"), trace));
+        Ok(reply(&out, cached, analyze))
     }
 
-    /// The execute stage: runs `query` on `engine`. A join or denorm run
-    /// that cannot answer falls back to AIR inside the statement, so a
-    /// pinned session never fails where AIR would answer. Returns the
-    /// engine that answered.
-    fn execute(
-        &self,
-        engine: EngineChoice,
-        snap: &Arc<Database>,
-        query: &Query,
-        trace: &Option<Arc<TraceBuf>>,
-    ) -> Result<(EngineChoice, EngineRun), Json> {
-        let other = match engine {
-            EngineChoice::Air => None,
-            EngineChoice::Join => self.run_join(snap, query, trace.is_some()),
-            EngineChoice::Denorm => self.run_denorm(snap, query, trace.is_some()),
-        };
-        match other {
-            Some(run) => Ok((engine, run)),
-            None => Ok((EngineChoice::Air, self.run_air(snap, query, trace)?)),
-        }
-    }
-
-    /// Counts one executed SELECT: its engine and engine-side latency, and
-    /// the AIR scan's segment and fan-out counters.
-    fn record_select(&self, engine: EngineChoice, engine_us: u64, run: &EngineRun) {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.stats.engine_latency[engine.index()].record(engine_us);
-        let (scanned, pruned) = run.segments();
-        let (parallel, denied) = match run {
-            EngineRun::Air { out, want } => (
-                out.plan.executor.is_parallel(),
-                // The planner wanted to fan out but the query ran serial
-                // (budget exhausted or final row-count clamp). A fully-pruned
-                // scan is excluded: zone maps proving there is nothing to scan
-                // is not a denial.
-                !out.plan.executor.is_parallel() && *want > 1 && out.plan.segments_scanned > 0,
-            ),
-            EngineRun::Other { .. } => (false, false),
-        };
-        // One statement's counter updates form one seqlock write group, so
-        // a concurrent stats snapshot sees all of them or none (e.g. never
-        // pruned bumped but scanned not yet).
-        let _group = self.stats.group.begin_write();
-        self.stats.router_decisions[engine.index()].fetch_add(1, Relaxed);
-        if parallel {
-            self.stats.parallel_queries.fetch_add(1, Relaxed);
-        } else if denied {
-            self.stats.parallel_denied.fetch_add(1, Relaxed);
-        }
-        self.stats.segments_scanned.fetch_add(scanned as u64, Relaxed);
-        self.stats.segments_pruned.fetch_add(pruned as u64, Relaxed);
-        self.stats.queries.fetch_add(1, Relaxed);
-    }
-
-    /// The production AIR arm: morsel fan-out under the core budget's
+    /// The execute stage: the AIR scan, fanned out under the core budget's
     /// grant. Zero grant = serial — never blocking, never oversubscribing.
     /// The request is sized by the executor from the rows its zone-map
     /// survey keeps, so a pruned statement asks for no permit it would not
-    /// use.
-    fn run_air(
+    /// use. Returns the output and the fan-out the executor asked for.
+    fn execute(
         &self,
         snap: &Arc<Database>,
         query: &Query,
         trace: &Option<Arc<TraceBuf>>,
-    ) -> Result<EngineRun, Json> {
+    ) -> Result<(ExecOutput, usize), Json> {
         let mut exec_opts = self.opts.clone();
         if let Some(t) = trace {
             exec_opts = exec_opts.trace(Arc::clone(t));
@@ -765,86 +683,56 @@ impl Engine {
             (1 + extra.held(), extra)
         })
         .map_err(|e| error_frame(ErrorCode::ExecError, e.to_string()))?;
-        Ok(EngineRun::Air { out, want })
+        Ok((out, want))
     }
 
-    /// The hash-join baseline arm. `None` = engine failure; the caller
-    /// falls back to AIR.
-    fn run_join(&self, snap: &Database, query: &Query, traced: bool) -> Option<EngineRun> {
-        let hp = execute_hash_pipeline(snap, query).ok()?;
-        let lines = if traced {
-            vec![format!(
-                "engine: join  build={}us probe={}us selected_rows={}",
-                hp.build_time.as_micros(),
-                hp.probe_time.as_micros(),
-                hp.selected_rows
-            )]
-        } else {
-            Vec::new()
-        };
-        Some(EngineRun::Other { result: hp.result, lines })
-    }
-
-    /// The cached-denormalization arm: rewrite the query onto the wide
-    /// table and scan it serially. The cache entry is epoch-validated
-    /// against this snapshot, so a write to any folded table forces a
-    /// rebuild — stale rows are never served. `None` falls back to AIR.
-    fn run_denorm(&self, snap: &Arc<Database>, query: &Query, traced: bool) -> Option<EngineRun> {
-        let refs = query.referenced_tables();
-        let root = Universal::bind(snap, query.root.as_deref(), &refs).ok()?.root();
-        let entry = self.denorm_cache.get_or_build(snap, root).ok()?;
-        // `route` admits only shapes the wide table carries; this guards
-        // `rewrite`, which panics on a column the wide table lacks.
-        if !query_rewritable(&entry.denorm, query, root) {
-            return None;
+    /// Counts one executed SELECT: its execute-stage latency, and the
+    /// scan's segment and fan-out counters. `want` is the fan-out the
+    /// executor asked for.
+    fn record_select(&self, out: &ExecOutput, want: usize, execute_us: u64) {
+        use std::sync::atomic::Ordering::Relaxed;
+        self.stats.execute_latency.record(execute_us);
+        let plan = &out.plan;
+        let parallel = plan.executor.is_parallel();
+        // The planner wanted to fan out but the query ran serial (budget
+        // exhausted or final row-count clamp). A fully-pruned scan is
+        // excluded: zone maps proving there is nothing to scan is not a
+        // denial.
+        let denied = !parallel && want > 1 && plan.segments_scanned > 0;
+        // One statement's counter updates form one seqlock write group, so
+        // a concurrent stats snapshot sees all of them or none (e.g. never
+        // pruned bumped but scanned not yet).
+        let _group = self.stats.group.begin_write();
+        if parallel {
+            self.stats.parallel_queries.fetch_add(1, Relaxed);
+        } else if denied {
+            self.stats.parallel_denied.fetch_add(1, Relaxed);
         }
-        let wide = entry.denorm.rewrite(query, root);
-        let exec_opts = ExecOptions { threads: 1, ..self.opts.clone() };
-        let out = execute(&entry.denorm.db, &wide, &exec_opts).ok()?;
-        let lines = if traced {
-            vec![format!(
-                "engine: denorm  wide={} wide_rows={} segments_scanned={}",
-                entry.denorm.wide_name,
-                entry.denorm.table().num_live(),
-                out.plan.segments_scanned
-            )]
-        } else {
-            Vec::new()
-        };
-        Some(EngineRun::Other { result: out.result, lines })
+        self.stats.segments_scanned.fetch_add(plan.segments_scanned as u64, Relaxed);
+        self.stats.segments_pruned.fetch_add(plan.segments_pruned as u64, Relaxed);
+        self.stats.queries.fetch_add(1, Relaxed);
     }
 
-    /// Bare `EXPLAIN <select>`: the path up to `route`, without executing
-    /// anything — the routed engine and why, the engines that could answer,
-    /// the canonical template and the selection plan.
+    /// Bare `EXPLAIN <select>`: the path up to `execute`, without executing
+    /// anything — the engine, the canonical template and the selection
+    /// plan.
     fn explain(
         &self,
         snap: &Database,
         query: &Query,
         key: &str,
         cached: bool,
-        pin: Option<EngineChoice>,
     ) -> Result<Json, Json> {
         let selection = plan_selection(snap, query, &self.opts)
             .map_err(|e| error_frame(ErrorCode::ExecError, e.to_string()))?;
-        let engine = route(pin, snap, query);
-        let reason = reason(pin, engine);
-        let eligible = EngineChoice::ALL
-            .into_iter()
-            .filter(|&e| route(Some(e), snap, query) == e)
-            .map(EngineChoice::as_str)
-            .collect::<Vec<_>>()
-            .join(",");
         let lines = [
-            format!("engine: {} ({reason})", engine.as_str()),
+            "engine: air".to_owned(),
             format!("template: {key}"),
-            format!("eligible: {eligible}"),
             format!("selection: {selection}"),
         ];
         Ok(Json::obj([
             ("ok", Json::Bool(true)),
-            ("engine", Json::Str(engine.as_str().to_owned())),
-            ("reason", Json::Str(reason.to_owned())),
+            ("engine", air()),
             ("cached_plan", Json::Bool(cached)),
             ("explain", Json::Array(lines.into_iter().map(Json::Str).collect())),
         ]))
@@ -856,7 +744,7 @@ impl Engine {
 enum Mode {
     /// No prefix: run the statement.
     Run,
-    /// `EXPLAIN`: stop after `route`.
+    /// `EXPLAIN`: stop before `execute`.
     Explain,
     /// `EXPLAIN ANALYZE`: run with a span recorder attached.
     Analyze,
@@ -900,57 +788,17 @@ fn bind(prepared: &Prepared, params: &[Value], code: ErrorCode) -> Result<BoundS
     })
 }
 
-/// Why `engine` answered a statement: the session's pin, AIR standing in
-/// for a pinned engine that could not answer, or the default rule.
-fn reason(pin: Option<EngineChoice>, engine: EngineChoice) -> &'static str {
-    match pin {
-        Some(p) if p == engine => "pinned",
-        Some(_) => "fallback",
-        None => "default",
-    }
-}
-
-/// One engine arm's execution output: the AIR path keeps its full
-/// [`ExecOutput`] (plan diagnostics + trace-renderable spans); the join and
-/// denorm arms produce bare rows plus pre-rendered analyze lines. One
-/// lives on the stack per statement, so the size gap costs a move, not
-/// memory; boxing the AIR output would add an allocation per statement.
-#[allow(clippy::large_enum_variant)]
-enum EngineRun {
-    /// The AIR scan ran, under a fan-out request of `want` threads.
-    Air { out: ExecOutput, want: usize },
-    /// A non-AIR arm ran.
-    Other { result: QueryResult, lines: Vec<String> },
-}
-
-impl EngineRun {
-    fn result(&self) -> &QueryResult {
-        match self {
-            EngineRun::Air { out, .. } => &out.result,
-            EngineRun::Other { result, .. } => result,
-        }
-    }
-
-    /// `(segments scanned, segments pruned)`; the other arms report none.
-    fn segments(&self) -> (usize, usize) {
-        match self {
-            EngineRun::Air { out, .. } => (out.plan.segments_scanned, out.plan.segments_pruned),
-            EngineRun::Other { .. } => (0, 0),
-        }
-    }
+/// The `engine` member of a result, `EXPLAIN` or `SET engine` frame: AIR
+/// answers every statement.
+fn air() -> Json {
+    Json::Str("air".to_owned())
 }
 
 /// The reply stage: a SELECT's result frame. With `analyze` (the header
 /// line and the trace of an `EXPLAIN ANALYZE`) the frame gains an `analyze`
 /// member: the header, then the executed plan with its spans.
-fn reply(
-    run: &EngineRun,
-    engine: EngineChoice,
-    cached: bool,
-    analyze: Option<(String, Arc<TraceBuf>)>,
-) -> Json {
-    let result = run.result();
-    let (scanned, pruned) = run.segments();
+fn reply(out: &ExecOutput, cached: bool, analyze: Option<(String, Arc<TraceBuf>)>) -> Json {
+    let result = &out.result;
     let mut frame = Json::obj([
         ("ok", Json::Bool(true)),
         ("columns", Json::Array(result.columns.iter().cloned().map(Json::Str).collect())),
@@ -966,29 +814,26 @@ fn reply(
         ),
         ("row_count", Json::Int(result.rows.len() as i64)),
         ("cached_plan", Json::Bool(cached)),
-        ("engine", Json::Str(engine.as_str().to_owned())),
-        ("segments_scanned", Json::Int(scanned as i64)),
-        ("segments_pruned", Json::Int(pruned as i64)),
+        ("engine", air()),
+        ("segments_scanned", Json::Int(out.plan.segments_scanned as i64)),
+        ("segments_pruned", Json::Int(out.plan.segments_pruned as i64)),
     ]);
     if let (Some((head, trace)), Json::Object(m)) = (analyze, &mut frame) {
-        let mut lines = vec![head];
-        match run {
-            EngineRun::Air { out, .. } => {
-                lines.extend(astore_core::analyze::render_analyze(out, &trace));
-            }
-            EngineRun::Other { lines: engine_lines, .. } => {
-                lines.extend(engine_lines.iter().cloned())
-            }
-        }
-        m.insert("analyze".into(), Json::Array(lines.into_iter().map(Json::Str).collect()));
+        let lines = std::iter::once(head)
+            .chain(astore_core::analyze::render_analyze(out, &trace))
+            .map(Json::Str)
+            .collect();
+        m.insert("analyze".into(), Json::Array(lines));
     }
     frame
 }
 
-/// Recognizes `SET engine = air|join|denorm|auto` (case-insensitive,
-/// `=` optional, trailing `;` tolerated). `None` = not a SET-engine
-/// statement; `Some(Err)` = it is one, with a bad value.
-fn parse_set_engine(sql: &str) -> Option<Result<Option<EngineChoice>, String>> {
+/// Recognizes `SET engine = <value>` (case-insensitive, `=` optional,
+/// trailing `;` tolerated). `None` = not a SET-engine statement. AIR is
+/// the one served engine, so `air` and `auto` (the server's choice) are
+/// accepted and change nothing; any other value is a `plan_error`, and a
+/// missing one a `parse_error`.
+fn parse_set_engine(sql: &str) -> Option<Result<(), Json>> {
     let s = sql.trim().trim_end_matches(';').trim();
     let mut words = s.split_whitespace();
     if !words.next()?.eq_ignore_ascii_case("set") {
@@ -998,10 +843,16 @@ fn parse_set_engine(sql: &str) -> Option<Result<Option<EngineChoice>, String>> {
     let lower = rest.to_ascii_lowercase();
     let after = lower.strip_prefix("engine")?;
     let value = after.trim_start().trim_start_matches('=').trim();
-    if value.is_empty() {
-        return Some(Err("SET engine takes a value: air|join|denorm|auto".to_owned()));
-    }
-    Some(EngineChoice::parse(value))
+    Some(match value {
+        "air" | "auto" => Ok(()),
+        "" => Err(error_frame(ErrorCode::ParseError, "SET engine takes a value: air|auto")),
+        other => Err(error_frame(
+            ErrorCode::PlanError,
+            format!(
+                "engine {other:?} is not served: AIR is the only engine (SET engine = air|auto)"
+            ),
+        )),
+    })
 }
 
 /// Converts one wire parameter to a storage value. Booleans and nested
@@ -1174,6 +1025,11 @@ mod tests {
         assert_eq!(s.get("queries").unwrap().as_i64(), Some(1));
         assert_eq!(s.get("writes").unwrap().as_i64(), Some(1));
         assert_eq!(s.get("latency_count").unwrap().as_i64(), Some(2));
+        let execute = s.get("execute_latency").unwrap();
+        assert_eq!(execute.get("count").unwrap().as_i64(), Some(1), "the SELECT's execute stage");
+        for gone in ["router_decisions", "engine_latency", "denorm_cache_entries"] {
+            assert!(s.get(gone).is_none(), "{gone} is still reported: {s:?}");
+        }
     }
 
     #[test]
@@ -1747,85 +1603,44 @@ mod tests {
     }
 
     #[test]
-    fn set_engine_pins_the_session_and_results_stay_identical() {
+    fn set_engine_air_or_auto_answers_ok_and_changes_nothing() {
         let e = engine();
         let mut session = StatementRegistry::default();
         let q = "SELECT d_name, sum(f_v) AS total FROM fact, dim GROUP BY d_name ORDER BY d_name";
-        let air = sqls(&e, &mut session, q);
-        assert_eq!(air.get("engine").unwrap().as_str(), Some("air"), "{air:?}");
-
-        for engine_name in ["join", "denorm"] {
-            let r = sqls(&e, &mut session, &format!("SET engine = {engine_name}"));
-            assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
-            assert_eq!(r.get("engine").unwrap().as_str(), Some(engine_name));
-            let pinned = sqls(&e, &mut session, q);
-            assert_eq!(pinned.get("engine").unwrap().as_str(), Some(engine_name), "{pinned:?}");
-            assert_eq!(pinned.get("rows"), air.get("rows"), "{engine_name} differs from air");
-            assert_eq!(pinned.get("columns"), air.get("columns"));
+        let before = sqls(&e, &mut session, q);
+        assert_eq!(before.get("engine").unwrap().as_str(), Some("air"), "{before:?}");
+        for set in ["SET engine = air", "SET engine=auto", "set ENGINE AIR;"] {
+            let r = sqls(&e, &mut session, set);
+            assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{set}: {r:?}");
+            assert_eq!(r.get("engine").unwrap().as_str(), Some("air"), "{set}: {r:?}");
+            let after = sqls(&e, &mut session, q);
+            assert_eq!(after.get("engine").unwrap().as_str(), Some("air"), "{after:?}");
+            assert_eq!(after.get("rows"), before.get("rows"));
+            assert_eq!(after.get("columns"), before.get("columns"));
         }
+        use std::sync::atomic::Ordering::Relaxed;
+        assert_eq!(e.stats().queries.load(Relaxed), 4, "SET runs no query");
+        assert_eq!(e.stats().errors.load(Relaxed), 0);
+    }
 
-        // `auto` unpins; a bad value is a typed parse error; pins are
-        // per-session (a throwaway-session statement is unpinned).
-        let r = sqls(&e, &mut session, "SET engine=auto");
-        assert_eq!(r.get("engine").unwrap().as_str(), Some("auto"));
-        let r = sqls(&e, &mut session, "SET engine = quantum");
+    #[test]
+    fn set_engine_to_any_other_engine_is_a_typed_error_and_the_session_stays_usable() {
+        let e = engine();
+        let mut session = StatementRegistry::default();
+        for engine_name in ["join", "denorm", "quantum"] {
+            let r = sqls(&e, &mut session, &format!("SET engine = {engine_name}"));
+            assert_eq!(r.get("code").unwrap().as_str(), Some("plan_error"), "{r:?}");
+            let error = r.get("error").unwrap().as_str().unwrap();
+            assert!(error.contains(engine_name) && error.contains("AIR"), "{error}");
+            let next = sqls(&e, &mut session, "SELECT sum(f_v) AS s FROM fact");
+            assert_eq!(next.get("ok").unwrap().as_bool(), Some(true), "{next:?}");
+            assert_eq!(next.get("engine").unwrap().as_str(), Some("air"), "{next:?}");
+        }
+        let r = sqls(&e, &mut session, "SET engine");
         assert_eq!(r.get("code").unwrap().as_str(), Some("parse_error"), "{r:?}");
-        let fresh = sql(&e, q);
-        assert_eq!(fresh.get("engine").unwrap().as_str(), Some("air"), "unpinned → air");
-    }
-
-    #[test]
-    fn unrewritable_shapes_route_to_air() {
-        let e = engine();
-        let mut session = StatementRegistry::default();
-        sqls(&e, &mut session, "SET engine = denorm");
-        // Grouping by a key column: the wide table folds references away,
-        // so the route sends the pinned statement to AIR.
-        let q = "SELECT f_dim, count(*) AS c FROM fact GROUP BY f_dim ORDER BY f_dim";
-        let r = sqls(&e, &mut session, q);
-        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
-        assert_eq!(r.get("engine").unwrap().as_str(), Some("air"), "fallback, not failure");
-        let rows = r.get("rows").unwrap().as_array().unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].as_array().unwrap()[1].as_i64(), Some(2));
-        assert!(e.denorm_cache().is_empty(), "no wide table built for a shape it cannot answer");
-        let r = sqls(
-            &e,
-            &mut session,
-            "EXPLAIN ANALYZE SELECT f_dim, count(*) AS c FROM fact GROUP BY f_dim",
-        );
-        let analyze = r.get("analyze").unwrap().as_array().unwrap();
-        assert_eq!(
-            analyze[0].as_str().unwrap().split(" elapsed").next(),
-            Some("router: engine=air reason=fallback"),
-            "{r:?}"
-        );
-    }
-
-    #[test]
-    fn pinned_denorm_rebuilds_after_writes() {
-        // End-to-end epoch invalidation: a pinned-denorm session must see
-        // every committed write — stale wide tables are never served.
-        let e = engine();
-        let mut session = StatementRegistry::default();
-        sqls(&e, &mut session, "SET engine = denorm");
-        let q = "SELECT sum(f_v) AS s FROM fact";
-        let r = sqls(&e, &mut session, q);
-        assert_eq!(r.get("engine").unwrap().as_str(), Some("denorm"), "{r:?}");
-        let sum = |r: &Json| {
-            r.get("rows").unwrap().as_array().unwrap()[0].as_array().unwrap()[0].as_i64().unwrap()
-        };
-        assert_eq!(sum(&r), 60);
-        assert_eq!(e.denorm_cache().len(), 1, "materialization cached");
-
-        sqls(&e, &mut session, "INSERT INTO fact VALUES (1, 40)");
-        let r = sqls(&e, &mut session, q);
-        assert_eq!(r.get("engine").unwrap().as_str(), Some("denorm"));
-        assert_eq!(sum(&r), 100, "write invalidated the cached wide table");
-
-        sqls(&e, &mut session, "UPDATE fact SET f_v = 11 WHERE rowid = 0");
-        let r = sqls(&e, &mut session, q);
-        assert_eq!(sum(&r), 101, "update invalidated it too");
+        use std::sync::atomic::Ordering::Relaxed;
+        assert_eq!(e.stats().errors.load(Relaxed), 4);
+        assert_eq!(e.stats().queries.load(Relaxed), 3);
     }
 
     #[test]
@@ -1836,13 +1651,11 @@ mod tests {
         for _ in 0..40 {
             let r = sql(&e, q);
             assert_eq!(r.get("rows"), baseline.get("rows"));
-            assert_eq!(r.get("engine").unwrap().as_str(), Some("air"), "the rule never explores");
+            assert_eq!(r.get("engine").unwrap().as_str(), Some("air"));
         }
         use std::sync::atomic::Ordering::Relaxed;
-        let decisions = &e.stats().router_decisions;
-        assert_eq!(decisions[EngineChoice::Air.index()].load(Relaxed), 41);
-        let by_engine: u64 = decisions.iter().map(|c| c.load(Relaxed)).sum();
-        assert_eq!(by_engine, 41, "every statement counted in stats");
+        assert_eq!(e.stats().queries.load(Relaxed), 41, "every statement counted in stats");
+        assert_eq!(e.stats().execute_latency.count(), 41, "and timed at its execute stage");
     }
 
     /// A text statement's literals are lifted into parameter slots and
@@ -1868,8 +1681,8 @@ mod tests {
         let e = engine();
         let r = sql(&e, "EXPLAIN SELECT d_name, sum(f_v) AS s FROM fact, dim GROUP BY d_name");
         assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
-        assert_eq!(r.get("engine").unwrap().as_str(), Some("air"), "unpinned previews AIR");
-        assert_eq!(r.get("reason").unwrap().as_str(), Some("default"));
+        assert_eq!(r.get("engine").unwrap().as_str(), Some("air"));
+        assert!(r.get("reason").is_none(), "there is no choice to give a reason for");
         assert!(r.get("rows").is_none(), "EXPLAIN does not execute");
         let lines: Vec<&str> = r
             .get("explain")
@@ -1879,9 +1692,10 @@ mod tests {
             .iter()
             .map(|l| l.as_str().unwrap())
             .collect();
+        assert_eq!(lines[0], "engine: air", "{lines:?}");
+        assert!(!lines.iter().any(|l| l.starts_with("eligible:")), "{lines:?}");
         let joined = lines.join("\n");
         assert!(joined.contains("template: select d_name"), "{joined}");
-        assert!(joined.contains("eligible: air,join,denorm"), "{joined}");
         assert!(joined.contains("selection: live rows"), "no filter, nothing builds: {joined}");
         let r = sql(
             &e,
@@ -1894,51 +1708,39 @@ mod tests {
                 .any(|l| l.as_str().unwrap().starts_with("selection: builds range f_dim")),
             "one name is one key run: {r:?}"
         );
-        let r = sql(&e, "EXPLAIN SELECT f_dim, count(*) AS c FROM fact GROUP BY f_dim");
-        let explain = r.get("explain").unwrap().as_array().unwrap();
-        assert!(explain.iter().any(|l| l.as_str() == Some("eligible: air,join")), "{r:?}");
-        use std::sync::atomic::Ordering::Relaxed;
-        assert_eq!(e.stats().queries.load(Relaxed), 0, "no query ran");
-        let decisions: u64 = e.stats().router_decisions.iter().map(|c| c.load(Relaxed)).sum();
-        assert_eq!(decisions, 0, "no engine ran");
+        assert_eq!(e.stats().queries.load(Ordering::Relaxed), 0, "no query ran");
+        assert_eq!(e.stats().execute_latency.count(), 0, "nothing was executed");
         // Writes are rejected with a typed error, same as EXPLAIN ANALYZE.
         let r = sql(&e, "EXPLAIN INSERT INTO fact VALUES (0, 1)");
         assert_eq!(r.get("code").unwrap().as_str(), Some("plan_error"), "{r:?}");
     }
 
     #[test]
-    fn explain_analyze_names_the_routed_engine() {
+    fn explain_analyze_names_air() {
         let e = engine();
-        let mut session = StatementRegistry::default();
-        sqls(&e, &mut session, "SET engine = join");
-        let r = sqls(&e, &mut session, "EXPLAIN ANALYZE SELECT sum(f_v) AS s FROM fact, dim");
+        let r = sql(&e, "EXPLAIN ANALYZE SELECT sum(f_v) AS s FROM fact, dim");
         assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
-        assert_eq!(r.get("engine").unwrap().as_str(), Some("join"));
-        let lines: Vec<String> = r
-            .get("analyze")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|l| l.as_str().unwrap().to_owned())
-            .collect();
-        let joined = lines.join("\n");
-        assert!(joined.contains("router: engine=join reason=pinned"), "{joined}");
-        assert!(joined.contains("engine: join"), "{joined}");
+        assert_eq!(r.get("engine").unwrap().as_str(), Some("air"));
+        let analyze = r.get("analyze").unwrap().as_array().unwrap();
+        let head = analyze[0].as_str().unwrap();
+        assert!(head.starts_with("engine: air elapsed="), "{head}");
+        assert!(!analyze.iter().any(|l| l.as_str().unwrap().contains("router")), "{r:?}");
     }
 
     #[test]
     fn set_engine_parser_accepts_reasonable_spellings() {
-        for (input, want) in [
-            ("SET engine = air", Some(EngineChoice::Air)),
-            ("set ENGINE=join;", Some(EngineChoice::Join)),
-            ("  SET engine denorm", Some(EngineChoice::Denorm)),
-            ("SET engine=auto", None),
-        ] {
-            assert_eq!(parse_set_engine(input).unwrap().unwrap(), want, "{input}");
+        for input in ["SET engine = air", "set ENGINE=AIR;", "  SET engine auto", "SET engine=auto"]
+        {
+            assert!(parse_set_engine(input).unwrap().is_ok(), "{input}");
         }
-        assert!(parse_set_engine("SET engine = warp").unwrap().is_err());
-        assert!(parse_set_engine("SET engine").unwrap().is_err());
+        let code = |input: &str| {
+            let frame = parse_set_engine(input).unwrap().unwrap_err();
+            frame.get("code").and_then(Json::as_str).unwrap().to_owned()
+        };
+        for other in ["set ENGINE=join;", "  SET engine denorm", "SET engine = warp"] {
+            assert_eq!(code(other), "plan_error", "{other}");
+        }
+        assert_eq!(code("SET engine"), "parse_error");
         assert!(parse_set_engine("SELECT 1").is_none());
         assert!(parse_set_engine("SET other = 1").is_none());
     }

@@ -78,7 +78,7 @@
 //!                                            │ (shed, don't stall)
 //!                                            ▼
 //!   Engine: parse → plan (PlanCache: canonical template → Arc<Prepared>)
-//!             → bind ─┬─ SELECT: route → execute against
+//!             → bind ─┬─ SELECT: execute on AIR against
 //!                     │    SharedDatabase::snapshot(), fan-out threads
 //!                     │    granted by the shared CoreBudget → reply
 //!                     └─ INSERT/UPDATE/DELETE: stage → group commit
@@ -87,9 +87,13 @@
 //!   ServerStats: counters + streaming latency histograms (p50/p99)
 //! ```
 //!
-//! The route is a rule ([`router::route`]): AIR, unless the session's
-//! `SET engine` pin names the hash-join or denormalized baseline and that
-//! engine can answer the statement.
+//! AIR answers every SELECT: its join-free scan over array-index
+//! references needs neither a hash join nor a materialized wide table, and
+//! measured side by side it beats both on every SSB query (README, "One
+//! served engine"). The server therefore carries no other engine and does
+//! not depend on `astore-baseline`; `SET engine = air` and `SET engine =
+//! auto` are accepted and change nothing, and any other engine is a
+//! `plan_error`.
 //!
 //! Intra-query parallelism (`--engine-threads`, by default the host's
 //! cores) and the worker pool share one [`CoreBudget`] sized to the
@@ -111,20 +115,26 @@ pub mod front;
 pub mod hist;
 pub mod json;
 pub mod metrics;
-pub mod router;
 pub mod sched;
 pub mod server;
 pub mod session;
 pub mod stats;
 
-pub use budget::{host_cores, CoreBudget};
+pub use budget::CoreBudget;
 pub use cache::PlanCache;
 pub use client::{Client, ClientError};
 pub use engine::{Durability, Engine, ErrorCode};
 pub use front::EngineService;
 pub use metrics::{SlowLog, TemplateStats};
-pub use router::{DenormCache, EngineChoice};
 pub use sched::{Priority, PriorityPool};
 pub use server::{start, ServerConfig, ServerHandle};
 pub use session::StatementRegistry;
 pub use stats::ServerStats;
+
+/// The rule for which statements the denormalized wide table can answer
+/// column by column, under the path it had while the server still routed
+/// statements to that table; it lives in
+/// [`astore_core::query::query_rewritable`].
+pub mod router {
+    pub use astore_core::query::query_rewritable;
+}

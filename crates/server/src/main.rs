@@ -18,7 +18,8 @@ use std::process::exit;
 use std::sync::Arc;
 use std::time::Instant;
 
-use astore_server::{host_cores, start, Durability, Engine, ServerConfig};
+use astore_core::host_cores;
+use astore_server::{start, Durability, Engine, ServerConfig};
 use astore_storage::snapshot::SharedDatabase;
 
 fn main() {

@@ -350,21 +350,6 @@ pub fn render_prometheus(
         w.sample_u64(name, &[], *value);
     }
 
-    // Statements answered per engine: one labeled series per engine under a
-    // single header.
-    w.header(
-        "astore_server_router_decisions_total",
-        "SELECT statements answered per execution engine.",
-        "counter",
-    );
-    for e in crate::router::EngineChoice::ALL {
-        w.sample_u64(
-            "astore_server_router_decisions_total",
-            &[("engine", e.as_str())],
-            stats.router_decisions[e.index()].load(Ordering::Relaxed),
-        );
-    }
-
     w.header("astore_server_active_connections", "Currently open connections.", "gauge");
     w.sample_u64(
         "astore_server_active_connections",
@@ -495,18 +480,11 @@ pub fn render_prometheus(
         }
     }
     w.header(
-        "astore_server_engine_latency_us",
-        "Observed execution latency per engine (air/join/denorm).",
+        "astore_server_execute_latency_us",
+        "Execute-stage latency of each SELECT (the AIR scan alone).",
         "histogram",
     );
-    for e in crate::router::EngineChoice::ALL {
-        emit_histogram_series(
-            &mut w,
-            "astore_server_engine_latency_us",
-            &[("engine", e.as_str())],
-            &stats.engine_latency[e.index()],
-        );
-    }
+    emit_histogram_series(&mut w, "astore_server_execute_latency_us", &[], &stats.execute_latency);
 
     for (name, value) in astore_obs::counters() {
         w.header(name, "Engine event/timing counter (see astore-obs registry).", "counter");
@@ -587,14 +565,13 @@ mod tests {
         assert!(body
             .contains(r#"astore_server_template_latency_us_bucket{template="SELECT count(*) FROM fact",le="+Inf"} 1"#));
         assert!(body.contains("astore_server_engine_threads 4\n"));
-        assert!(body.contains(r#"astore_server_router_decisions_total{engine="air"} 0"#));
+        assert!(!body.contains("astore_server_router_decisions_total"), "{body}");
         assert!(body.contains("# TYPE astore_server_scan_helpers gauge\n"));
         assert!(body.contains("# TYPE astore_server_scan_helper_wakes_total counter\n"));
         assert!(body.contains(r#"astore_server_reply_bytes_count{class="scan"} 0"#));
         assert!(body.contains(r#"astore_server_serialize_us_bucket{class="metadata",le="+Inf"} 0"#));
-        assert!(
-            body.contains(r#"astore_server_engine_latency_us_bucket{engine="join",le="+Inf"} 0"#)
-        );
+        assert!(body.contains(r#"astore_server_execute_latency_us_bucket{le="+Inf"} 0"#));
+        assert!(!body.contains("engine_latency"), "{body}");
         assert!(body
             .contains(r#"astore_server_template_latency_us_bucket{template="SELECT sum(x) FROM fact",le="+Inf"} 1"#));
         // One HELP/TYPE header per family, no matter how many labeled

@@ -16,9 +16,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use astore_core::host_cores;
 use astore_net::{Reactor, ReactorConfig, ReactorStop};
 
-use crate::budget::host_cores;
 use crate::engine::Engine;
 use crate::front::EngineService;
 use crate::sched::PriorityPool;

@@ -39,16 +39,13 @@ pub struct SessionStatement {
     pub prepared: Arc<Prepared>,
 }
 
-/// A bounded id → prepared-statement map, one per connection. Also carries
-/// the session's engine pin (`SET engine=...`), which the route stage
-/// honours when the pinned engine can answer the statement.
+/// A bounded id → prepared-statement map, one per connection.
 #[derive(Debug)]
 pub struct StatementRegistry {
     stmts: HashMap<u64, SessionStatement>,
     order: VecDeque<u64>,
     next_id: u64,
     capacity: usize,
-    engine_pin: Option<crate::router::EngineChoice>,
 }
 
 impl Default for StatementRegistry {
@@ -66,18 +63,7 @@ impl StatementRegistry {
             order: VecDeque::new(),
             next_id: 1,
             capacity: capacity.max(1),
-            engine_pin: None,
         }
-    }
-
-    /// The session's engine pin (`SET engine=...`); `None` = unpinned (AIR).
-    pub fn engine_pin(&self) -> Option<crate::router::EngineChoice> {
-        self.engine_pin
-    }
-
-    /// Pins (or, with `None`, unpins) this session's execution engine.
-    pub fn set_engine_pin(&mut self, pin: Option<crate::router::EngineChoice>) {
-        self.engine_pin = pin;
     }
 
     /// Registers a statement under its canonical-template key, returning

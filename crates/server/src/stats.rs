@@ -66,15 +66,9 @@ pub struct ServerStats {
     /// … and the time serialising it took, in microseconds: the
     /// `serialise` stage of a request, which `elapsed_us` does not cover.
     pub serialize_us: [LatencyHistogram; 3],
-    /// SELECT statements answered per engine, indexed by
-    /// [`EngineChoice`](crate::router::EngineChoice) discriminant
-    /// (air / join / denorm).
-    pub router_decisions: [AtomicU64; 3],
-    /// Observed execution latency per engine, same indexing as
-    /// `router_decisions`. Only the engine-execution window is recorded
-    /// (bind and frame assembly excluded), so the three engines compare
-    /// apples to apples.
-    pub engine_latency: [LatencyHistogram; 3],
+    /// Latency of the execute stage of each SELECT: the AIR scan alone,
+    /// parse, plan, bind and frame assembly excluded.
+    pub execute_latency: LatencyHistogram,
     /// Resident bytes of the column chunks, each counted in the one
     /// representation it is held in (encoded or flat): the sum of
     /// `Table::encoded_footprint().0` over the tables. Gauge, not counter:
@@ -146,8 +140,7 @@ impl Default for ServerStats {
             queue_wait: Default::default(),
             reply_bytes: Default::default(),
             serialize_us: Default::default(),
-            router_decisions: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
-            engine_latency: Default::default(),
+            execute_latency: LatencyHistogram::new(),
             encoded_bytes: AtomicU64::new(0),
             raw_bytes: AtomicU64::new(0),
             flat_chunks: AtomicU64::new(0),
@@ -235,8 +228,7 @@ impl ServerStats {
             ("serialize_us", per_class_json(&self.serialize_us, US_KEYS)),
             ("scan_helpers", Json::Int(crew.helpers as i64)),
             ("scan_helper_wakes", Json::Int(crew.wakes as i64)),
-            ("router_decisions", self.router_decisions_json()),
-            ("engine_latency", self.engine_latency_json()),
+            ("execute_latency", quantiles_json(&self.execute_latency, US_KEYS)),
             ("encoded_bytes", Json::Int(self.encoded_bytes.load(Ordering::Relaxed) as i64)),
             ("raw_bytes", Json::Int(self.raw_bytes.load(Ordering::Relaxed) as i64)),
             ("flat_chunks", Json::Int(self.flat_chunks.load(Ordering::Relaxed) as i64)),
@@ -257,23 +249,6 @@ impl ServerStats {
             ("latency_p99_us", Json::Int(self.latency.quantile_us(0.99) as i64)),
             ("latency_max_us", Json::Int(self.latency.max_us() as i64)),
         ])
-    }
-
-    /// The `router_decisions` member of the stats payload: statements
-    /// answered per engine.
-    fn router_decisions_json(&self) -> Json {
-        Json::obj(crate::router::EngineChoice::ALL.map(|e| {
-            (e.as_str(), Json::Int(self.router_decisions[e.index()].load(Ordering::Relaxed) as i64))
-        }))
-    }
-
-    /// The `engine_latency` member of the stats payload: one object per
-    /// engine with count and the monitoring quantiles.
-    fn engine_latency_json(&self) -> Json {
-        Json::obj(
-            crate::router::EngineChoice::ALL
-                .map(|e| (e.as_str(), quantiles_json(&self.engine_latency[e.index()], US_KEYS))),
-        )
     }
 }
 
@@ -350,11 +325,13 @@ mod tests {
         assert_eq!(scan_reply.get("max").unwrap().as_i64(), Some(16_700));
         let scan_ser = j.get("serialize_us").unwrap().get("scan").unwrap();
         assert_eq!(scan_ser.get("max_us").unwrap().as_i64(), Some(12));
-        let decisions = j.get("router_decisions").unwrap();
-        let lat = j.get("engine_latency").unwrap();
-        for engine in ["air", "join", "denorm"] {
-            assert!(decisions.get(engine).unwrap().as_i64().is_some(), "missing {engine}");
-            assert!(lat.get(engine).unwrap().get("count").is_some(), "missing {engine} latency");
+        stats.execute_latency.record(40);
+        let j = stats.to_json(&cache);
+        let execute = j.get("execute_latency").unwrap();
+        assert_eq!(execute.get("count").unwrap().as_i64(), Some(1));
+        assert_eq!(execute.get("max_us").unwrap().as_i64(), Some(40));
+        for gone in ["router_decisions", "engine_latency", "denorm_cache_entries"] {
+            assert!(j.get(gone).is_none(), "{gone} is still reported");
         }
     }
 

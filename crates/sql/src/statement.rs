@@ -306,8 +306,8 @@ pub fn strip_explain_analyze(input: &str) -> Option<&str> {
 /// inner statement text. `None` when the input has no such prefix **or**
 /// when the prefix is `EXPLAIN ANALYZE` — that form belongs to
 /// [`strip_explain_analyze`], so callers must try that first (or this one
-/// declines anyway). Bare `EXPLAIN` reports the *decision* — plan shape and
-/// the engine router's choice — without executing the statement.
+/// declines anyway). Bare `EXPLAIN` reports the *decision* — the engine
+/// and the selection plan — without executing the statement.
 pub fn strip_explain(input: &str) -> Option<&str> {
     let rest = strip_keyword(input.trim_start(), "explain")?;
     let inner = rest.trim_start();
