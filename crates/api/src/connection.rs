@@ -1,22 +1,24 @@
 //! The [`Connection`] trait and its two implementations: embedded
-//! (in-process over a [`SharedDatabase`]) and remote (TCP, wire protocol
-//! v2). A [`PreparedStatement`] made by either flavour exposes the same
-//! metadata, and query results come back as the same typed [`Rows`] — code
-//! written against the trait runs unchanged over either transport.
+//! (in-process, the server's [`Engine`] without a socket) and remote (TCP,
+//! wire protocol v2). A [`PreparedStatement`] made by either flavour
+//! exposes the same metadata, and query results come back as the same
+//! typed [`Rows`] — code written against the trait runs unchanged over
+//! either transport.
 
 use std::sync::Arc;
 
-use astore_core::exec::{execute, ExecOptions};
-use astore_persist::apply::{apply_prepared, ApplyError};
+use astore_core::exec::PlanInfo;
+// Parameters are encoded with the server's own wire conversion, so the two
+// sides cannot drift (Key → Int, etc.).
+use astore_server::engine::value_to_json;
 use astore_server::json::Json;
-use astore_server::{Client, ClientError};
-use astore_sql::prepared::{BoundStatement, Prepared};
+use astore_server::{Client, ClientError, Engine, Executed, SessionStatement};
 use astore_sql::ColumnType;
 use astore_storage::catalog::Database;
 use astore_storage::snapshot::SharedDatabase;
 use astore_storage::types::Value;
 
-use crate::error::{from_prepare, AstoreError};
+use crate::error::AstoreError;
 use crate::rows::Rows;
 
 /// A prepared statement handle: planned once, executable many times with
@@ -34,7 +36,7 @@ pub struct PreparedStatement {
 
 #[derive(Debug, Clone)]
 enum Inner {
-    Embedded(Arc<Prepared>),
+    Embedded(SessionStatement),
     Remote { id: u64 },
 }
 
@@ -63,6 +65,27 @@ impl PreparedStatement {
     /// Advertised output column types (SELECT only).
     pub fn column_types(&self) -> Option<&[ColumnType]> {
         self.column_types.as_deref()
+    }
+
+    /// A result set under this statement's prepare-time column names and
+    /// types.
+    fn rows(&self, rows: Vec<Vec<Value>>) -> Rows {
+        Rows::new(
+            self.columns.clone().unwrap_or_default(),
+            self.column_types.clone().unwrap_or_default(),
+            rows,
+        )
+    }
+
+    /// A usage error unless this statement is of the kind — SELECT or
+    /// write — the calling method runs.
+    fn expect_select(&self, select: bool) -> Result<(), AstoreError> {
+        let message = match (self.is_select, select) {
+            (false, true) => "statement is a write; use execute_prepared",
+            (true, false) => "statement is a SELECT; use query_prepared",
+            _ => return Ok(()),
+        };
+        Err(AstoreError::Usage { message: message.into() })
     }
 
     /// The server-side statement id (remote statements only).
@@ -119,98 +142,88 @@ pub trait Connection {
 // Embedded
 // ---------------------------------------------------------------------------
 
-/// An in-process connection over a [`SharedDatabase`]: reads execute
-/// against O(1) copy-on-write snapshots, writes go through the same
-/// validated apply path the server and WAL replay use.
+/// An in-process connection: the server's [`Engine`] without a socket.
+///
+/// Statements run through the engine's own stages, on typed values: a
+/// prepare plans through the shared plan cache, a query binds and executes
+/// on AIR under the engine's core budget, and a write binds and goes
+/// through group commit — logged to the write-ahead log before it is
+/// acknowledged when the engine is durable. Every statement lands in the
+/// engine's counters ([`Engine::stats`]), so several connections, or a
+/// connection beside a server, share one engine and one set of numbers.
 #[derive(Debug, Clone)]
 pub struct EmbeddedConnection {
-    db: SharedDatabase,
-    opts: ExecOptions,
+    engine: Arc<Engine>,
 }
 
 impl EmbeddedConnection {
-    /// Wraps an owned database.
+    /// Wraps an owned database in an engine with the server's defaults
+    /// ([`Engine::new`]).
     pub fn new(db: Database) -> Self {
-        EmbeddedConnection::over(SharedDatabase::new(db))
+        EmbeddedConnection::over(Arc::new(Engine::new(SharedDatabase::new(db))))
     }
 
-    /// Wraps a shared handle (several connections may share one database).
-    pub fn over(db: SharedDatabase) -> Self {
-        EmbeddedConnection { db, opts: ExecOptions::default() }
+    /// A connection over a shared engine — one built with explicit
+    /// execution options, a durable one, or one a server also serves.
+    pub fn over(engine: Arc<Engine>) -> Self {
+        EmbeddedConnection { engine }
     }
 
-    /// Replaces the execution options (scan variant, thread ceiling, …).
-    pub fn with_options(mut self, opts: ExecOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
-    /// The underlying shared database handle.
-    pub fn shared(&self) -> &SharedDatabase {
-        &self.db
+    /// The engine this connection runs on.
+    pub fn engine(&self) -> &Arc<Engine> {
+        &self.engine
     }
 
     /// An O(1) read snapshot of the current database state.
     pub fn snapshot(&self) -> Arc<Database> {
-        self.db.snapshot()
+        self.engine.database().snapshot()
     }
 
     /// Like [`Connection::query_prepared`], additionally returning the
-    /// engine's plan diagnostics (executor, chain counts, selectivity) —
-    /// what the CLI's `\plan on` mode prints.
+    /// engine's plan diagnostics (executor, chain counts, selectivity).
     pub fn query_with_plan(
         &mut self,
         stmt: &PreparedStatement,
         params: &[Value],
-    ) -> Result<(Rows, astore_core::exec::PlanInfo), AstoreError> {
-        let prepared = self.embedded_stmt(stmt)?;
-        if !stmt.is_select {
-            return Err(AstoreError::Usage {
-                message: "statement is a write; use execute_prepared".into(),
-            });
-        }
-        let query = match prepared
-            .bind(params)
-            .map_err(|e| AstoreError::Param { message: e.to_string() })?
-        {
-            BoundStatement::Select(q) => q,
-            BoundStatement::Write(_) => unreachable!("is_select checked"),
+    ) -> Result<(Rows, PlanInfo), AstoreError> {
+        stmt.expect_select(true)?;
+        let Executed::Select(answer) = self.run(stmt, params, false)? else {
+            unreachable!("a SELECT runs to an answer")
         };
-        let snap = self.db.snapshot();
-        let out = execute(&snap, &query, &self.opts)
-            .map_err(|e| AstoreError::Exec { message: e.to_string() })?;
-        let rows = Rows::new(
-            stmt.columns.clone().unwrap_or_default(),
-            stmt.column_types.clone().unwrap_or_default(),
-            out.result.rows,
-        );
-        Ok((rows, out.plan))
+        Ok((stmt.rows(answer.out.result.rows), answer.out.plan))
     }
 
-    fn embedded_stmt<'s>(
-        &self,
-        stmt: &'s PreparedStatement,
-    ) -> Result<&'s Arc<Prepared>, AstoreError> {
-        match &stmt.inner {
-            Inner::Embedded(p) => Ok(p),
-            Inner::Remote { .. } => Err(AstoreError::Usage {
+    /// Runs a statement through [`Engine::run_prepared`]: a SELECT to the
+    /// engine's whole answer — rows, plan diagnostics and, with `analyze`,
+    /// the `EXPLAIN ANALYZE` report — and a write to its row count.
+    pub fn run(
+        &mut self,
+        stmt: &PreparedStatement,
+        params: &[Value],
+        analyze: bool,
+    ) -> Result<Executed, AstoreError> {
+        let Inner::Embedded(planned) = &stmt.inner else {
+            return Err(AstoreError::Usage {
                 message: "statement was prepared on a remote connection".into(),
-            }),
-        }
+            });
+        };
+        self.engine
+            .run_prepared(planned, params, analyze)
+            .map_err(|e| AstoreError::from_engine(e, &stmt.sql))
     }
 }
 
 impl Connection for EmbeddedConnection {
     fn prepare(&mut self, sql: &str) -> Result<PreparedStatement, AstoreError> {
-        let snap = self.db.snapshot();
-        let prepared = Arc::new(astore_sql::prepare(sql, &snap).map_err(|e| from_prepare(e, sql))?);
+        let planned = self.engine.prepare(sql).map_err(|e| AstoreError::from_engine(e, sql))?;
+        let prepared = &planned.prepared;
         Ok(PreparedStatement {
             sql: prepared.sql().to_owned(),
             param_count: prepared.param_count(),
             is_select: prepared.is_select(),
             columns: prepared.columns().map(<[String]>::to_vec),
             column_types: prepared.column_types().map(<[ColumnType]>::to_vec),
-            inner: Inner::Embedded(prepared),
+            inner: Inner::Embedded(planned),
         })
     }
 
@@ -227,18 +240,11 @@ impl Connection for EmbeddedConnection {
         stmt: &PreparedStatement,
         params: &[Value],
     ) -> Result<u64, AstoreError> {
-        let prepared = self.embedded_stmt(stmt)?;
-        if stmt.is_select {
-            return Err(AstoreError::Usage {
-                message: "statement is a SELECT; use query_prepared".into(),
-            });
-        }
-        let affected = self.db.write(|db| apply_prepared(db, prepared, params));
-        match affected {
-            Ok((n, _)) => Ok(n as u64),
-            Err(ApplyError::Param(e)) => Err(AstoreError::Param { message: e.to_string() }),
-            Err(ApplyError::Invalid(m)) => Err(AstoreError::Write { message: m }),
-        }
+        stmt.expect_select(false)?;
+        let Executed::Write(n) = self.run(stmt, params, false)? else {
+            unreachable!("a write runs to a row count")
+        };
+        Ok(n as u64)
     }
 }
 
@@ -297,11 +303,7 @@ impl RemoteConnection {
         param_sets: &[&[Value]],
     ) -> Result<Vec<Rows>, AstoreError> {
         let id = self.remote_id(stmt)?;
-        if !stmt.is_select {
-            return Err(AstoreError::Usage {
-                message: "statement is a write; use execute_prepared".into(),
-            });
-        }
+        stmt.expect_select(true)?;
         let reqs: Vec<Json> = param_sets
             .iter()
             .map(|params| {
@@ -360,11 +362,7 @@ impl Connection for RemoteConnection {
         stmt: &PreparedStatement,
         params: &[Value],
     ) -> Result<Rows, AstoreError> {
-        if !stmt.is_select {
-            return Err(AstoreError::Usage {
-                message: "statement is a write; use execute_prepared".into(),
-            });
-        }
+        stmt.expect_select(true)?;
         let frame = self.run(stmt, params)?;
         Ok(decode_rows(stmt, &frame))
     }
@@ -374,11 +372,7 @@ impl Connection for RemoteConnection {
         stmt: &PreparedStatement,
         params: &[Value],
     ) -> Result<u64, AstoreError> {
-        if stmt.is_select {
-            return Err(AstoreError::Usage {
-                message: "statement is a SELECT; use query_prepared".into(),
-            });
-        }
+        stmt.expect_select(false)?;
         let frame = self.run(stmt, params)?;
         frame
             .get("rows_affected")
@@ -429,29 +423,16 @@ fn check_frame(frame: Json, stmt_id: Option<u64>) -> Result<Json, AstoreError> {
     if frame.get("ok").and_then(Json::as_bool) == Some(true) {
         return Ok(frame);
     }
-    let code = frame.get("code").and_then(Json::as_str).unwrap_or("unknown").to_owned();
+    let code = frame.get("code").and_then(Json::as_str).unwrap_or("unknown");
     let message = frame.get("error").and_then(Json::as_str).unwrap_or("(no message)").to_owned();
-    Err(match code.as_str() {
-        "parse_error" => AstoreError::Parse { message, span: None, sql: None },
-        "plan_error" => AstoreError::Plan { message },
-        "param_error" => AstoreError::Param { message },
-        "exec_error" => AstoreError::Exec { message },
-        "write_error" => AstoreError::Write { message },
-        "unknown_statement" => AstoreError::UnknownStatement { id: stmt_id.unwrap_or(0) },
-        "server_busy" => AstoreError::Busy { message },
-        "too_many_connections" => AstoreError::TooManyConnections { message },
-        _ => AstoreError::Protocol { code, message },
-    })
+    Err(AstoreError::from_code(code, message, stmt_id))
 }
 
-// Parameter encoding reuses the server's own wire conversion so the two
-// sides cannot drift (Key → Int, etc.).
-use astore_server::engine::value_to_json;
-
-/// Decodes one result cell. The server only ever emits scalars (see
-/// `astore_server::engine::value_to_json`); anything else is rendered
-/// leniently rather than failing the whole result set.
-fn json_to_value(j: &Json) -> Value {
+/// Decodes one cell of a reply frame's `rows` — the one decoder, shared
+/// with the CLI's remote mode. The server only ever emits scalars (see
+/// [`value_to_json`]); anything else is rendered leniently rather than
+/// failing the whole result set.
+pub fn json_to_value(j: &Json) -> Value {
     match j {
         Json::Int(x) => Value::Int(*x),
         Json::Float(f) => Value::Float(*f),

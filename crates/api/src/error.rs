@@ -10,6 +10,8 @@
 
 use std::fmt;
 
+use astore_server::EngineError;
+
 /// A structured client-API error.
 #[derive(Debug)]
 pub enum AstoreError {
@@ -161,13 +163,33 @@ impl From<std::io::Error> for AstoreError {
     }
 }
 
-/// Maps a local prepare failure, keeping the source text for diagnostics.
-pub(crate) fn from_prepare(e: astore_sql::PrepareError, sql: &str) -> AstoreError {
-    match e {
-        astore_sql::PrepareError::Parse(p) => {
-            AstoreError::Parse { message: p.to_string(), span: p.span, sql: Some(sql.to_owned()) }
+impl AstoreError {
+    /// The one table from an error code — an engine error's or a wire
+    /// frame's — to its variant. `stmt_id` names the statement an
+    /// `unknown_statement` frame answered.
+    pub(crate) fn from_code(code: &str, message: String, stmt_id: Option<u64>) -> AstoreError {
+        match code {
+            "parse_error" => AstoreError::Parse { message, span: None, sql: None },
+            "plan_error" => AstoreError::Plan { message },
+            "param_error" => AstoreError::Param { message },
+            "exec_error" => AstoreError::Exec { message },
+            "write_error" => AstoreError::Write { message },
+            "unknown_statement" => AstoreError::UnknownStatement { id: stmt_id.unwrap_or(0) },
+            "server_busy" => AstoreError::Busy { message },
+            "too_many_connections" => AstoreError::TooManyConnections { message },
+            _ => AstoreError::Protocol { code: code.to_owned(), message },
         }
-        astore_sql::PrepareError::Plan(p) => AstoreError::Plan { message: p.to_string() },
+    }
+
+    /// Maps an engine error. A parse error keeps its span and the source
+    /// text `sql`, so [`AstoreError::render`] can print its caret.
+    pub(crate) fn from_engine(e: EngineError, sql: &str) -> AstoreError {
+        match AstoreError::from_code(e.code.as_str(), e.message, None) {
+            AstoreError::Parse { message, .. } => {
+                AstoreError::Parse { message, span: e.span, sql: Some(sql.to_owned()) }
+            }
+            other => other,
+        }
     }
 }
 

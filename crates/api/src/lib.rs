@@ -10,7 +10,11 @@
 //! different seam (`astore_core::execute`, `astore_sql::planner`, the
 //! server's JSON frames, …). Now there is one pipeline — parse → plan →
 //! **prepare** → bind → execute — and the expensive front half runs once
-//! per statement, not once per request.
+//! per statement, not once per request. The embedded connection *is* the
+//! server's [`Engine`](astore_server::Engine) without a socket: its
+//! statements run through the same stage functions, on typed values — the
+//! shared plan cache, the core budget, the counters, group commit and,
+//! when the engine is durable, the write-ahead log.
 //!
 //! ## Embedded quickstart
 //!
@@ -195,6 +199,40 @@ mod tests {
             "write_error",
             "dangling key caught by validation"
         );
+    }
+
+    /// The embedded connection is the server's engine: its statements land
+    /// in the engine's counters, its writes commit in groups, and a second
+    /// prepare of a parameterized template is a plan-cache hit.
+    #[test]
+    fn embedded_statements_run_through_the_engine() {
+        use astore_server::Engine;
+        use astore_storage::snapshot::SharedDatabase;
+        use std::sync::atomic::Ordering::Relaxed;
+        use std::sync::Arc;
+
+        let engine = Arc::new(Engine::new(SharedDatabase::new(star_db())));
+        let mut conn = EmbeddedConnection::over(Arc::clone(&engine));
+        let sql = "SELECT sum(f_v) AS s FROM fact WHERE f_v >= ?";
+        let select = conn.prepare(sql).unwrap();
+        let insert = conn.prepare("INSERT INTO fact VALUES (?, ?)").unwrap();
+        let (n, m) = (5u64, 3u64);
+        for i in 0..n {
+            conn.query_prepared(&select, &[Value::Int(i as i64 * 10)]).unwrap();
+        }
+        for i in 0..m {
+            let params = [Value::Int(1), Value::Int(i as i64)];
+            assert_eq!(conn.execute_prepared(&insert, &params).unwrap(), 1);
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.queries.load(Relaxed), n);
+        assert_eq!(stats.writes.load(Relaxed), m);
+        assert!(stats.group_commits.load(Relaxed) >= 1);
+        let hits = engine.cache().hits();
+        let again = conn.prepare(sql).unwrap();
+        assert_eq!(engine.cache().hits(), hits + 1, "the second prepare is a plan-cache hit");
+        let mut rows = conn.query_prepared(&again, &[Value::Int(0)]).unwrap();
+        assert_eq!(rows.next().unwrap().as_i64(0), Some(60 + 3), "the writes are visible");
     }
 
     #[test]

@@ -5,20 +5,22 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use astore_api::{Connection, EmbeddedConnection, Row};
+use astore_api::connection::json_to_value;
+use astore_api::{Connection, EmbeddedConnection};
 use astore_baseline::engine::execute_hash_pipeline;
 use astore_core::prelude::*;
 use astore_datagen::{ssb, tpch};
-use astore_obs::TraceBuf;
 use astore_server::json::Json;
-use astore_server::Client;
+use astore_server::{Client, ClientError, Engine, Executed};
 use astore_sql::{sql_to_query, strip_explain_analyze};
-use astore_storage::prelude::*;
 use astore_storage::snapshot::SharedDatabase;
 
 /// A REPL session holding the loaded database and settings.
 pub struct Session {
-    db: SharedDatabase,
+    /// Local mode's connection: the server's engine without a socket,
+    /// rebuilt over the database on `\load`, `\open`, `\threads` and
+    /// `\variant`.
+    conn: EmbeddedConnection,
     dataset: String,
     opts: ExecOptions,
     /// When set, SQL is sent to a remote astore-server instead of the
@@ -56,10 +58,11 @@ impl Default for Session {
 impl Session {
     /// Creates a session with an empty database.
     pub fn new() -> Self {
+        let opts = ExecOptions::default();
         Session {
-            db: SharedDatabase::default(),
+            conn: local(SharedDatabase::default(), &opts),
             dataset: "(empty)".into(),
-            opts: ExecOptions::default(),
+            opts,
             remote: None,
             timing: true,
             show_plan: false,
@@ -75,10 +78,10 @@ impl Session {
         }
     }
 
-    /// A snapshot of the loaded database (used by embedding callers).
-    #[allow(dead_code)]
-    pub fn database(&self) -> Arc<Database> {
-        self.db.snapshot()
+    /// Rebuilds the local connection over `db` under the current execution
+    /// options.
+    fn rebuild(&mut self, db: SharedDatabase) {
+        self.conn = local(db, &self.opts);
     }
 
     /// Processes one input line (a meta command starting with `\` or a SQL
@@ -92,7 +95,7 @@ impl Session {
             return self.meta(rest);
         }
         if self.remote.is_some() {
-            return Outcome::Text(self.run_remote_sql(line));
+            return self.run_remote_sql(line);
         }
         Outcome::Text(self.run_sql(line))
     }
@@ -111,34 +114,26 @@ impl Session {
                     .unwrap_or("0.01")
                     .parse()
                     .unwrap_or(0.01);
-                match arg {
-                    "ssb" => {
-                        let t = Instant::now();
-                        self.db = SharedDatabase::new(ssb::generate(sf, 42));
-                        self.dataset = format!("ssb sf={sf}");
-                        Outcome::Text(format!(
-                            "loaded SSB at SF={sf} ({} lineorder rows) in {:.1?}",
-                            self.db.snapshot().table("lineorder").unwrap().num_slots(),
-                            t.elapsed()
+                let t = Instant::now();
+                let (db, label, fact) = match arg {
+                    "ssb" => (ssb::generate(sf, 42), "SSB", "lineorder"),
+                    "tpch" => (tpch::generate(sf, 42), "TPC-H subset", "lineitem"),
+                    other => {
+                        return Outcome::Text(format!(
+                            "unknown dataset {other:?}; try \\load ssb 0.01 or \\load tpch 0.01"
                         ))
                     }
-                    "tpch" => {
-                        let t = Instant::now();
-                        self.db = SharedDatabase::new(tpch::generate(sf, 42));
-                        self.dataset = format!("tpch sf={sf}");
-                        Outcome::Text(format!(
-                            "loaded TPC-H subset at SF={sf} ({} lineitem rows) in {:.1?}",
-                            self.db.snapshot().table("lineitem").unwrap().num_slots(),
-                            t.elapsed()
-                        ))
-                    }
-                    other => Outcome::Text(format!(
-                        "unknown dataset {other:?}; try \\load ssb 0.01 or \\load tpch 0.01"
-                    )),
-                }
+                };
+                let rows = db.table(fact).unwrap().num_slots();
+                self.rebuild(SharedDatabase::new(db));
+                self.dataset = format!("{arg} sf={sf}");
+                Outcome::Text(format!(
+                    "loaded {label} at SF={sf} ({rows} {fact} rows) in {:.1?}",
+                    t.elapsed()
+                ))
             }
             "tables" => {
-                let db = self.db.snapshot();
+                let db = self.conn.snapshot();
                 let mut out = String::new();
                 for name in db.table_names() {
                     let t = db.table(name).unwrap();
@@ -154,7 +149,7 @@ impl Session {
                 }
                 Outcome::Text(out)
             }
-            "schema" => match self.db.snapshot().table(arg) {
+            "schema" => match self.conn.snapshot().table(arg) {
                 None => Outcome::Text(format!("no table {arg:?}")),
                 Some(t) => {
                     let mut out = String::new();
@@ -165,7 +160,7 @@ impl Session {
                 }
             },
             "graph" => {
-                let db = self.db.snapshot();
+                let db = self.conn.snapshot();
                 let g = db.graph();
                 let mut out = String::new();
                 for root in g.roots() {
@@ -202,6 +197,7 @@ impl Session {
             "threads" => {
                 let n: usize = arg.parse().unwrap_or(1);
                 self.opts.threads = n.max(1);
+                self.rebuild(self.conn.engine().database().clone());
                 Outcome::Text(format!(
                     "threads = {} (a fan-out ceiling: small scans stay serial; \
                      \\plan on shows the executor that actually ran)",
@@ -220,6 +216,7 @@ impl Session {
                 match v {
                     Some(v) => {
                         self.opts.variant = v;
+                        self.rebuild(self.conn.engine().database().clone());
                         Outcome::Text(format!("variant = {}", v.paper_name()))
                     }
                     None => Outcome::Text(
@@ -235,38 +232,29 @@ impl Session {
                 Some(r) => format!("disconnected from {}", r.addr),
                 None => "not connected".into(),
             }),
-            "stats" => Outcome::Text(match &mut self.remote {
-                None => "not connected; \\connect host:port first".into(),
-                Some(r) => match r.client.stats() {
-                    Ok(stats) => render_stats(&stats),
-                    Err(e) => {
-                        self.remote = None;
-                        format!("connection lost ({e}); back to local mode")
-                    }
-                },
-            }),
-            "metrics" => Outcome::Text(match &mut self.remote {
-                None => "not connected; \\connect host:port first".into(),
-                Some(r) => match r.client.metrics() {
-                    Ok(body) => body,
-                    Err(e) => {
-                        self.remote = None;
-                        format!("connection lost ({e}); back to local mode")
-                    }
-                },
-            }),
-            "slowlog" => Outcome::Text(match &mut self.remote {
-                None => "not connected; \\connect host:port first".into(),
-                Some(r) => match r.client.slowlog() {
-                    Ok(log) => render_slowlog(&log),
-                    Err(e) => {
-                        self.remote = None;
-                        format!("connection lost ({e}); back to local mode")
-                    }
-                },
-            }),
+            "stats" => self.remote_cmd(|c| c.stats().map(|stats| render_stats(&stats))),
+            "metrics" => self.remote_cmd(Client::metrics),
+            "slowlog" => self.remote_cmd(|c| c.slowlog().map(|log| render_slowlog(&log))),
             other => Outcome::Text(format!("unknown command \\{other}; \\help lists commands")),
         }
+    }
+
+    /// `f` against the connected server (remote mode only). A failed
+    /// connection drops back to local mode.
+    fn remote_cmd(
+        &mut self,
+        f: impl FnOnce(&mut Client) -> Result<String, ClientError>,
+    ) -> Outcome {
+        Outcome::Text(match &mut self.remote {
+            None => "not connected; \\connect host:port first".into(),
+            Some(r) => match f(&mut r.client) {
+                Ok(text) => text,
+                Err(e) => {
+                    self.remote = None;
+                    format!("connection lost ({e}); back to local mode")
+                }
+            },
+        })
     }
 
     /// `\save <path>`: snapshot the loaded database to disk.
@@ -277,7 +265,7 @@ impl Session {
         if self.remote.is_some() {
             return "\\save works on the local database; \\disconnect first".into();
         }
-        let db = self.db.snapshot();
+        let db = self.conn.snapshot();
         if db.is_empty() {
             return "nothing to save; \\load a dataset first".into();
         }
@@ -307,7 +295,7 @@ impl Session {
                 let rows: usize =
                     db.table_names().iter().map(|n| db.table(n).unwrap().num_live()).sum();
                 let tables = db.len();
-                self.db = SharedDatabase::new(db);
+                self.rebuild(SharedDatabase::new(db));
                 self.dataset = path.to_owned();
                 format!("opened {path}: {tables} table(s), {rows} live rows in {:.1?}", t.elapsed())
             }
@@ -335,7 +323,7 @@ impl Session {
     /// Executes SQL on the connected server and renders the response frame.
     /// With `\trace on`, SELECTs are wrapped as `EXPLAIN ANALYZE` so the
     /// server returns (and we render) the executed-plan report too.
-    fn run_remote_sql(&mut self, sql: &str) -> String {
+    fn run_remote_sql(&mut self, sql: &str) -> Outcome {
         let wrapped;
         let sql = if self.trace && is_select(sql) && strip_explain_analyze(sql).is_none() {
             wrapped = format!("EXPLAIN ANALYZE {sql}");
@@ -343,108 +331,70 @@ impl Session {
         } else {
             sql
         };
-        let remote = self.remote.as_mut().expect("checked by caller");
-        match remote.client.sql(sql) {
-            Ok(frame) => {
-                let mut out = render_frame(&frame, self.timing);
-                // With \plan on, say which engine ran this statement.
-                if self.show_plan {
-                    if let Some(engine) = frame.get("engine").and_then(Json::as_str) {
-                        let _ = write!(out, "\nengine: {engine}");
-                    }
-                }
-                out
+        let (timing, show_plan) = (self.timing, self.show_plan);
+        self.remote_cmd(|client| {
+            let frame = client.sql(sql)?;
+            let mut out = render_frame(&frame, timing);
+            // With \plan on, say which engine ran this statement.
+            if let Some(engine) = frame.get("engine").and_then(Json::as_str).filter(|_| show_plan) {
+                let _ = write!(out, "\nengine: {engine}");
             }
-            Err(e) => {
-                self.remote = None;
-                format!("connection lost ({e}); back to local mode")
-            }
-        }
+            Ok(out)
+        })
     }
 
     /// Executes local SQL — reads *and* rowid-addressed writes — through
-    /// the unified connection API ([`astore_api::Connection`]): prepare,
-    /// bind (no parameters at the REPL), execute.
+    /// the unified connection API ([`astore_api::Connection`]) on the
+    /// session's engine: prepare, bind (no parameters at the REPL),
+    /// execute. `EXPLAIN ANALYZE` (or any SELECT under `\trace on`) runs
+    /// with a span recorder and prints the server's report after the rows.
     fn run_sql(&mut self, sql: &str) -> String {
-        if let Some(inner) = strip_explain_analyze(sql) {
-            return self.run_analyze(inner);
-        }
-        if self.trace && is_select(sql) {
-            return self.run_analyze(sql);
-        }
-        let mut conn = EmbeddedConnection::over(self.db.clone()).with_options(self.opts.clone());
-        let stmt = match conn.prepare(sql) {
+        let (analyze, sql) = match strip_explain_analyze(sql) {
+            Some(inner) => (true, inner),
+            None => (self.trace && is_select(sql), sql),
+        };
+        let stmt = match self.conn.prepare(sql) {
+            Ok(s) if analyze && !s.is_select() => {
+                return "error: EXPLAIN ANALYZE supports SELECT statements only".into()
+            }
             Ok(s) => s,
             Err(e) => return e.render(),
         };
         let t = Instant::now();
-        if stmt.is_select() {
-            match conn.query_with_plan(&stmt, &[]) {
-                Err(e) => e.render(),
-                Ok((rows, plan)) => {
-                    let columns = rows.columns().to_vec();
-                    let result =
-                        QueryResult { columns, rows: rows.map(Row::into_values).collect() };
-                    let mut s = result.to_table_string();
-                    let _ = writeln!(s, "({} rows)", result.len());
-                    if self.timing {
-                        let _ = writeln!(s, "time: {:.2} ms", t.elapsed().as_secs_f64() * 1e3);
-                    }
-                    if self.show_plan {
-                        let _ = writeln!(
-                            s,
-                            "plan: root={} variant={} executor={} segments={}/{} \
-                             predvec_chains={} agg={:?} selected={} groups={}",
-                            plan.root,
-                            self.opts.variant.paper_name(),
-                            plan.executor,
-                            plan.segments_scanned,
-                            plan.segments_pruned,
-                            plan.predvec_chains,
-                            plan.agg_strategy,
-                            plan.selected_rows,
-                            plan.groups
-                        );
-                    }
-                    s
+        let answer = match self.conn.run(&stmt, &[], analyze) {
+            Err(e) => return e.render(),
+            Ok(Executed::Write(n)) => {
+                let mut s = format!("{n} rows affected");
+                if self.timing {
+                    let _ = write!(s, "\ntime: {:.2} ms", t.elapsed().as_secs_f64() * 1e3);
                 }
+                return s;
             }
-        } else {
-            match conn.execute_prepared(&stmt, &[]) {
-                Err(e) => e.render(),
-                Ok(n) => {
-                    let mut s = format!("{n} rows affected");
-                    if self.timing {
-                        let _ = write!(s, "\ntime: {:.2} ms", t.elapsed().as_secs_f64() * 1e3);
-                    }
-                    s
-                }
-            }
-        }
-    }
-
-    /// `EXPLAIN ANALYZE <select>` in local mode: execute with a span
-    /// recorder attached and render the rows followed by the report —
-    /// the same report the server puts in its `analyze` frame member.
-    fn run_analyze(&mut self, sql: &str) -> String {
-        let db = self.db.snapshot();
-        let q = match sql_to_query(sql, &db) {
-            Ok(q) => q,
-            Err(e) => return format!("error: {e}"),
+            Ok(Executed::Select(answer)) => answer,
         };
-        let trace = Arc::new(TraceBuf::new());
-        let opts = self.opts.clone().trace(Arc::clone(&trace));
-        let t = Instant::now();
-        let out = match execute(&db, &q, &opts) {
-            Ok(o) => o,
-            Err(e) => return format!("error: {e}"),
-        };
-        let mut s = out.result.to_table_string();
-        let _ = writeln!(s, "({} rows)", out.result.rows.len());
+        let (result, plan) = (&answer.out.result, &answer.out.plan);
+        let mut s = result.to_table_string();
+        let _ = writeln!(s, "({} rows)", result.len());
         if self.timing {
             let _ = writeln!(s, "time: {:.2} ms", t.elapsed().as_secs_f64() * 1e3);
         }
-        for line in render_analyze(&out, &trace) {
+        if self.show_plan {
+            let _ = writeln!(
+                s,
+                "plan: root={} variant={} executor={} segments={}/{} \
+                 predvec_chains={} agg={:?} selected={} groups={}",
+                plan.root,
+                self.opts.variant.paper_name(),
+                plan.executor,
+                plan.segments_scanned,
+                plan.segments_pruned,
+                plan.predvec_chains,
+                plan.agg_strategy,
+                plan.selected_rows,
+                plan.groups
+            );
+        }
+        for line in answer.analyze.iter().flatten() {
             let _ = writeln!(s, "{line}");
         }
         s
@@ -454,7 +404,7 @@ impl Session {
     /// agreement, report both times.
     fn compare(&mut self, tail: String, first: &str) -> String {
         let sql = format!("{first} {tail}");
-        let db = self.db.snapshot();
+        let db = self.conn.snapshot();
         let q = match sql_to_query(&sql, &db) {
             Ok(q) => q,
             Err(e) => return format!("error: {e}"),
@@ -535,15 +485,9 @@ fn is_select(sql: &str) -> bool {
     sql.trim_start().get(..6).is_some_and(|head| head.eq_ignore_ascii_case("select"))
 }
 
-fn json_to_value(v: &Json) -> Value {
-    match v {
-        Json::Int(x) => Value::Int(*x),
-        Json::Float(f) => Value::Float(*f),
-        Json::Str(s) => Value::Str(s.clone()),
-        Json::Bool(b) => Value::Str(b.to_string()),
-        Json::Null => Value::Null,
-        other => Value::Str(other.to_string()),
-    }
+/// Local mode's connection over `db`: a fresh engine under `opts`.
+fn local(db: SharedDatabase, opts: &ExecOptions) -> EmbeddedConnection {
+    EmbeddedConnection::over(Arc::new(Engine::with_options(db, opts.clone())))
 }
 
 fn render_cell(v: &Json) -> String {
@@ -615,7 +559,9 @@ commands:
   \\q                 quit
 anything else is executed as SQL: SPJGA SELECTs, plus INSERT / UPDATE /
 DELETE addressed by rowid (local and remote mode alike); prefix a SELECT
-with EXPLAIN ANALYZE for the executed plan annotated with actual times.";
+with EXPLAIN ANALYZE for the executed plan annotated with actual times.
+local mode runs every statement on the server's engine without a socket:
+its plan cache, core budget, group commit and counters.";
 
 #[cfg(test)]
 mod tests {

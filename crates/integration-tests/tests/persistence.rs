@@ -225,6 +225,51 @@ fn crc_flip_drops_exactly_the_damaged_record() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// An embedded connection over a durable engine writes through the
+/// server's group commit and WAL: the acknowledged writes survive dropping
+/// the connection without a checkpoint, recovery replays exactly them, and
+/// a rejected write never reaches the log.
+#[test]
+fn embedded_writes_on_a_durable_engine_recover() {
+    use astore_api::{Connection, EmbeddedConnection};
+    use astore_server::{Durability, Engine};
+    use astore_storage::snapshot::SharedDatabase;
+    use std::sync::atomic::Ordering::Relaxed;
+    use std::sync::Arc;
+
+    let dir = tmpdir("embedded");
+    let seed = crash_seed();
+    let wal = store::bootstrap(&dir, &seed).unwrap();
+    let engine = Engine::new(SharedDatabase::new(seed)).durable(Durability::new(&dir, wal, 0));
+    let mut conn = EmbeddedConnection::over(Arc::new(engine));
+    let insert = conn.prepare("INSERT INTO pair VALUES (?, ?, ?)").unwrap();
+    let update = conn.prepare("UPDATE pair SET a = ?, b = ? WHERE rowid = ?").unwrap();
+    let delete = conn.prepare("DELETE FROM pair WHERE rowid = ?").unwrap();
+    let mut acked = 0u64;
+    for i in 0..20i64 {
+        let row = [Value::Int(i % 4), Value::Int(i), Value::Int(2 * i)];
+        assert_eq!(conn.execute_prepared(&insert, &row).unwrap(), 1);
+        acked += 1;
+    }
+    let update_row = [Value::Int(7), Value::Int(14), Value::Int(0)];
+    assert_eq!(conn.execute_prepared(&update, &update_row).unwrap(), 1);
+    assert_eq!(conn.execute_prepared(&delete, &[Value::Int(1)]).unwrap(), 1);
+    acked += 2;
+    let dangling = [Value::Int(9), Value::Int(1), Value::Int(2)];
+    let e = conn.execute_prepared(&insert, &dangling).unwrap_err();
+    assert_eq!(e.code(), "write_error", "{e}");
+    assert_eq!(conn.engine().stats().wal_records.load(Relaxed), acked);
+    let live = conn.snapshot();
+    assert_eq!(live.table("pair").unwrap().num_live(), 4 + 20 - 1);
+
+    drop(conn); // crash: no checkpoint
+    let rec = store::open(&dir).unwrap();
+    assert_eq!(rec.replayed as u64, acked, "every acknowledged write replays, nothing else");
+    assert_identical(&rec.db, &live, "recovered image");
+    check_invariant(&rec.db, "recovered image");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn ssb_snapshot_roundtrip_is_query_equivalent_for_all_13_queries() {
     let dir = tmpdir("ssb-roundtrip");

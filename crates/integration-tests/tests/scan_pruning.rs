@@ -14,11 +14,14 @@
 //! which test builds the selection for the benchmark's short statements and
 //! three SSB queries at SF 0.2, and which of those statements fan out.
 
+use std::sync::Arc;
+
 use astore_api::{Connection, EmbeddedConnection, Row, Rows};
 use astore_core::prelude::*;
 use astore_core::scan::TestKind;
 use astore_datagen::ssb;
 use astore_integration_tests::{random_sql, ssb_sql, substitute};
+use astore_server::Engine;
 use astore_sql::sql_to_query;
 use astore_storage::snapshot::SharedDatabase;
 use astore_storage::types::{RowId, Value};
@@ -91,9 +94,11 @@ fn interleaved_writes_segmented_matches_flat_oracle() {
     seg_db.table_mut("lineorder").unwrap().set_segment_rows(1024);
     let shared_seg = SharedDatabase::new(seg_db);
     let shared_flat = SharedDatabase::new(base);
-    let mut seg_conn = EmbeddedConnection::over(shared_seg.clone());
-    let mut flat_conn = EmbeddedConnection::over(shared_flat.clone())
-        .with_options(ExecOptions::default().pruning(false));
+    let engine = |db: &SharedDatabase, opts: ExecOptions| {
+        EmbeddedConnection::over(Arc::new(Engine::with_options(db.clone(), opts)))
+    };
+    let mut seg_conn = engine(&shared_seg, ExecOptions::default());
+    let mut flat_conn = engine(&shared_flat, ExecOptions::default().pruning(false));
 
     let mut rng = SmallRng::seed_from_u64(0x5E6_5CA9);
     let (mut total_pruned, mut total_scanned) = (0usize, 0usize);

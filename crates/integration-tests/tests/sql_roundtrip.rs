@@ -151,6 +151,7 @@ fn ill_typed_literals_are_plan_errors() {
     use astore_server::{Engine, StatementRegistry};
     use astore_storage::prelude::*;
     use astore_storage::snapshot::SharedDatabase;
+    use std::sync::Arc;
 
     let mut db = Database::new();
     let mut dim = Table::new("dim", Schema::new(vec![ColumnDef::new("d_name", DataType::Dict)]));
@@ -166,9 +167,8 @@ fn ill_typed_literals_are_plan_errors() {
     fact.append_row(&[Value::Key(0), Value::Float(1.0), Value::Int(1)]);
     db.add_table(dim);
     db.add_table(fact);
-    let shared = SharedDatabase::new(db);
-    let engine = Engine::new(shared.clone());
-    let mut embedded = EmbeddedConnection::over(shared);
+    let engine = Arc::new(Engine::new(SharedDatabase::new(db)));
+    let mut embedded = EmbeddedConnection::over(Arc::clone(&engine));
 
     for stmt in [
         "SELECT count(*) AS n FROM fact WHERE f_x IN (1.0, 2.0)",

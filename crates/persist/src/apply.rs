@@ -1,14 +1,13 @@
 //! Validated application of write statements to a [`Database`].
 //!
-//! This is the single write path shared by the serving layer (which calls
-//! it inside `SharedDatabase::write`, after logging to the WAL) and by
-//! crash recovery (which replays the WAL through the very same code, so a
+//! This is the single write path shared by the serving engine's group
+//! commit (which validates, logs to the WAL, then applies) and by crash
+//! recovery (which replays the WAL through the very same code, so a
 //! recovered database is byte-identical to one that never crashed).
 //!
 //! Every statement is validated *before* any mutation: a rejected statement
 //! leaves the database untouched, and no storage-layer `panic!` can escape.
 
-use astore_sql::prepared::{BoundStatement, ParamError, Prepared};
 use astore_sql::statement::Statement;
 use astore_storage::catalog::Database;
 use astore_storage::table::Table;
@@ -66,48 +65,6 @@ pub fn validate_statement(db: &Database, stmt: &Statement) -> Result<(), String>
 pub fn apply_statement(db: &mut Database, stmt: &Statement) -> Result<usize, String> {
     validate_statement(db, stmt)?;
     Ok(apply_validated(db, stmt))
-}
-
-/// Why a prepared write failed to apply.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ApplyError {
-    /// Parameter binding failed (wrong count or kind).
-    Param(ParamError),
-    /// The bound statement failed validation (unknown table, dangling key,
-    /// dead row, …) — the database is untouched.
-    Invalid(String),
-}
-
-impl std::fmt::Display for ApplyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ApplyError::Param(e) => write!(f, "{e}"),
-            ApplyError::Invalid(m) => write!(f, "{m}"),
-        }
-    }
-}
-
-impl std::error::Error for ApplyError {}
-
-/// Binds a prepared write template to `params`, validates the resulting
-/// statement and applies it — the prepared-statement flavour of
-/// [`apply_statement`], shared by the embedded connection API and the
-/// serving layer's execute path. Returns `(affected rows, bound
-/// statement)`; the bound statement is what the caller WAL-logs (via
-/// [`Statement::to_sql`]) so replay sees the same concrete write.
-pub fn apply_prepared(
-    db: &mut Database,
-    prepared: &Prepared,
-    params: &[Value],
-) -> Result<(usize, Statement), ApplyError> {
-    let stmt = match prepared.bind(params).map_err(ApplyError::Param)? {
-        BoundStatement::Write(s) => s,
-        BoundStatement::Select(_) => {
-            return Err(ApplyError::Invalid("SELECT is not a write statement".into()))
-        }
-    };
-    let n = apply_statement(db, &stmt).map_err(ApplyError::Invalid)?;
-    Ok((n, stmt))
 }
 
 /// Mutation half of [`apply_statement`]; must only run after

@@ -14,8 +14,8 @@
 //!   torn-tail truncation so recovery always yields a prefix of the
 //!   acknowledged writes;
 //! - [`apply`] — the validated statement-application path shared by the
-//!   server's write latch and by WAL replay (one code path, identical
-//!   results);
+//!   serving engine's group commit and by WAL replay (one code path,
+//!   identical results);
 //! - [`store`] — data-directory orchestration: `bootstrap` → `open`
 //!   (recover) → `checkpoint`, crash-safe at every step via atomic renames
 //!   and LSN-gated replay.

@@ -37,6 +37,12 @@
 //!   log with one fsync and publishes the new catalog image with one
 //!   pointer swap.
 //!
+//! The stages pass typed values and one [`EngineError`]; JSON appears only
+//! at the wire edge (`reply`, [`error_frame`]). `astore-api`'s embedded
+//! connection is the path without that edge: it calls [`Engine::prepare`]
+//! and [`Engine::run_prepared`], the functions behind `{"prepare":…}` and
+//! `{"execute":…}` frames.
+//!
 //! Checkpoints, compaction and the footprint gauges run beside the path,
 //! on the server's maintenance thread ([`Engine::run_maintenance`], module
 //! `maintenance`).
@@ -74,7 +80,7 @@ use crate::budget::CoreBudget;
 use crate::cache::PlanCache;
 use crate::json::Json;
 use crate::metrics::{render_prometheus, SlowLog, TemplateStats};
-use crate::session::StatementRegistry;
+use crate::session::{SessionStatement, StatementRegistry};
 use crate::stats::ServerStats;
 
 use self::commit::CommitState;
@@ -126,14 +132,6 @@ impl ErrorCode {
     }
 }
 
-/// Maps a prepare failure to its wire error frame.
-fn prepare_error_frame(e: PrepareError) -> Json {
-    match e {
-        PrepareError::Parse(e) => error_frame(ErrorCode::ParseError, e.to_string()),
-        PrepareError::Plan(e) => error_frame(ErrorCode::PlanError, e.to_string()),
-    }
-}
-
 /// Builds an `{"ok":false,"code":…,"error":…}` frame.
 pub fn error_frame(code: ErrorCode, message: impl Into<String>) -> Json {
     Json::obj([
@@ -141,6 +139,62 @@ pub fn error_frame(code: ErrorCode, message: impl Into<String>) -> Json {
         ("code", Json::Str(code.as_str().to_owned())),
         ("error", Json::Str(message.into())),
     ])
+}
+
+/// Why a stage failed: the error code, the message and, for a parse
+/// error, the byte span of the offending token. The wire edge turns it
+/// into an error frame; the embedded connection into its client error.
+#[derive(Debug, Clone)]
+pub struct EngineError {
+    /// The error code.
+    pub code: ErrorCode,
+    /// Description.
+    pub message: String,
+    /// Byte range of the offending token in the SQL text (parse errors).
+    pub span: Option<(usize, usize)>,
+}
+
+impl EngineError {
+    fn new(code: ErrorCode, message: impl Into<String>) -> Self {
+        EngineError { code, message: message.into(), span: None }
+    }
+}
+
+impl From<PrepareError> for EngineError {
+    fn from(e: PrepareError) -> Self {
+        match e {
+            PrepareError::Parse(e) => {
+                EngineError { code: ErrorCode::ParseError, message: e.to_string(), span: e.span }
+            }
+            PrepareError::Plan(e) => EngineError::new(ErrorCode::PlanError, e.to_string()),
+        }
+    }
+}
+
+impl From<EngineError> for Json {
+    fn from(e: EngineError) -> Json {
+        error_frame(e.code, e.message)
+    }
+}
+
+/// What a SELECT's execute stage hands on: the engine's output and, under
+/// `EXPLAIN ANALYZE`, the report (a header line, then the executed plan
+/// with its spans).
+#[derive(Debug)]
+pub struct Answer {
+    /// Rows and plan diagnostics.
+    pub out: ExecOutput,
+    /// The `EXPLAIN ANALYZE` report, when a span recorder was attached.
+    pub analyze: Option<Vec<String>>,
+}
+
+/// What running a planned statement produced.
+#[derive(Debug)]
+pub enum Executed {
+    /// A SELECT's answer.
+    Select(Box<Answer>),
+    /// A write's affected-row count.
+    Write(usize),
 }
 
 /// The durability attachment of an [`Engine`]: the data directory and its
@@ -219,20 +273,12 @@ impl Engine {
     /// decided at run time: the planner clamps it to the estimated scan
     /// size, and the [`CoreBudget`] — sized to the machine's available
     /// parallelism — grants only the cores not already busy serving other
-    /// statements. An `opts.threads` above the host's parallelism no longer
-    /// inflates the budget (that oversubscribed every statement at once);
-    /// it is kept as the per-query ceiling but the budget clamps to real
-    /// cores.
+    /// statements. An `opts.threads` above the host's parallelism does not
+    /// inflate the budget (that would oversubscribe every statement at
+    /// once); it is kept as the per-query ceiling but the budget clamps to
+    /// real cores.
     pub fn with_options(db: SharedDatabase, opts: ExecOptions) -> Self {
-        let cores = host_cores();
-        if opts.threads > cores {
-            eprintln!(
-                "astore-server: --engine-threads {} exceeds host parallelism {cores}; \
-                 core budget clamped to {cores}",
-                opts.threads
-            );
-        }
-        let budget = Arc::new(CoreBudget::new(cores));
+        let budget = Arc::new(CoreBudget::new(host_cores()));
         let engine = Engine {
             db,
             cache: PlanCache::default(),
@@ -360,53 +406,37 @@ impl Engine {
         self.handle_request(&req, session)
     }
 
-    /// Runs a statement-shaped request, recording latency and the error
-    /// counter, and stamping `elapsed_us` into success frames.
-    fn timed(&self, f: impl FnOnce() -> Result<Json, Json>) -> Json {
-        use std::sync::atomic::Ordering::Relaxed;
+    /// Runs a statement-shaped request, recording its latency and
+    /// stamping `elapsed_us` into a success frame.
+    fn timed(&self, f: impl FnOnce() -> Result<Json, Json>) -> Result<Json, Json> {
         let t = Instant::now();
         let resp = f();
         let us = t.elapsed().as_micros() as u64;
         self.stats.latency.record(us);
-        match resp {
-            Ok(mut ok) => {
-                if let Json::Object(m) = &mut ok {
-                    m.insert("elapsed_us".into(), Json::Int(us as i64));
-                }
-                ok
+        resp.map(|mut ok| {
+            if let Json::Object(m) = &mut ok {
+                m.insert("elapsed_us".into(), Json::Int(us as i64));
             }
-            Err(frame) => {
-                self.stats.errors.fetch_add(1, Relaxed);
-                frame
-            }
-        }
+            ok
+        })
     }
 
-    /// Handles one parsed request frame.
+    /// Handles one parsed request frame; a failed one bumps the error
+    /// counter.
     pub fn handle_request(&self, req: &Json, session: &mut StatementRegistry) -> Json {
-        use std::sync::atomic::Ordering::Relaxed;
-        if let Some(sql) = req.get("sql").and_then(Json::as_str) {
+        let resp = if let Some(sql) = req.get("sql").and_then(Json::as_str) {
             self.timed(|| self.run_statement(sql))
         } else if let Some(sql) = req.get("prepare").and_then(Json::as_str) {
-            match self.run_prepare(sql, session) {
-                Ok(ok) => ok,
-                Err(frame) => {
-                    self.stats.errors.fetch_add(1, Relaxed);
-                    frame
-                }
-            }
+            self.run_prepare(sql, session)
         } else if let Some(ex) = req.get("execute") {
             self.timed(|| self.run_execute(ex, session))
         } else if let Some(id) = req.get("close") {
             match id.as_i64() {
                 Some(id) if id >= 0 => {
                     let closed = session.close(id as u64);
-                    Json::obj([("ok", Json::Bool(true)), ("closed", Json::Bool(closed))])
+                    Ok(Json::obj([("ok", Json::Bool(true)), ("closed", Json::Bool(closed))]))
                 }
-                _ => {
-                    self.stats.errors.fetch_add(1, Relaxed);
-                    error_frame(ErrorCode::BadRequest, "\"close\" takes a statement id")
-                }
+                _ => Err(error_frame(ErrorCode::BadRequest, "\"close\" takes a statement id")),
             }
         } else if let Some(cmd) = req.get("cmd").and_then(Json::as_str) {
             match cmd {
@@ -424,7 +454,7 @@ impl Engine {
                         m.insert("db_version".into(), Json::Int(version as i64));
                         m.insert("templates".into(), self.templates.to_json());
                     }
-                    Json::obj([("ok", Json::Bool(true)), ("stats", s)])
+                    Ok(Json::obj([("ok", Json::Bool(true)), ("stats", s)]))
                 }
                 "metrics" => {
                     self.gauge_footprint();
@@ -452,35 +482,34 @@ impl Engine {
                         &self.slowlog,
                         &gauges,
                     );
-                    Json::obj([("ok", Json::Bool(true)), ("metrics", Json::Str(body))])
+                    Ok(Json::obj([("ok", Json::Bool(true)), ("metrics", Json::Str(body))]))
                 }
                 "slowlog" => {
-                    Json::obj([("ok", Json::Bool(true)), ("slowlog", self.slowlog.to_json())])
+                    Ok(Json::obj([("ok", Json::Bool(true)), ("slowlog", self.slowlog.to_json())]))
                 }
-                "ping" => Json::obj([("ok", Json::Bool(true)), ("pong", Json::Bool(true))]),
-                "checkpoint" => match self.checkpoint() {
-                    Ok((lsn, bytes)) => Json::obj([
-                        ("ok", Json::Bool(true)),
-                        ("lsn", Json::Int(lsn as i64)),
-                        ("snapshot_bytes", Json::Int(bytes as i64)),
-                    ]),
-                    Err(e) => {
-                        self.stats.errors.fetch_add(1, Relaxed);
-                        error_frame(ErrorCode::BadRequest, e)
-                    }
-                },
-                other => {
-                    self.stats.errors.fetch_add(1, Relaxed);
-                    error_frame(ErrorCode::BadRequest, format!("unknown cmd {other:?}"))
-                }
+                "ping" => Ok(Json::obj([("ok", Json::Bool(true)), ("pong", Json::Bool(true))])),
+                "checkpoint" => self
+                    .checkpoint()
+                    .map(|(lsn, bytes)| {
+                        Json::obj([
+                            ("ok", Json::Bool(true)),
+                            ("lsn", Json::Int(lsn as i64)),
+                            ("snapshot_bytes", Json::Int(bytes as i64)),
+                        ])
+                    })
+                    .map_err(|e| error_frame(ErrorCode::BadRequest, e)),
+                other => Err(error_frame(ErrorCode::BadRequest, format!("unknown cmd {other:?}"))),
             }
         } else {
-            self.stats.errors.fetch_add(1, Relaxed);
-            error_frame(
+            Err(error_frame(
                 ErrorCode::BadRequest,
                 "request needs a \"sql\", \"prepare\", \"execute\", \"close\" or \"cmd\" member",
-            )
-        }
+            ))
+        };
+        resp.unwrap_or_else(|frame| {
+            self.stats.errors.fetch_add(1, Ordering::Relaxed);
+            frame
+        })
     }
 
     /// The text path (`{"sql":…}`): `SET engine`, or a statement — with an
@@ -520,71 +549,51 @@ impl Engine {
             let BoundStatement::Select(query) = bind(&prepared, &lifted, code)? else {
                 unreachable!("a SELECT template binds to a SELECT")
             };
-            match mode {
-                Mode::Explain => return self.explain(&snap, &query, &key, cached),
-                Mode::Analyze => self.select(&snap, &query, cached, Some(TraceBuf::new())),
-                Mode::Run => self.select(&snap, &query, cached, None),
+            if mode == Mode::Explain {
+                return Ok(self.explain(&snap, &query, &key, cached)?);
             }
+            self.select(&snap, &query, mode == Mode::Analyze).map(|answer| reply(&answer, cached))
         } else {
             // Text-mode writes carry no parameters; a placeholder here is
             // a protocol error (prepare/execute is the parameterized path).
             tmpl.into_concrete()
-                .map_err(|e| error_frame(ErrorCode::ParamError, e.to_string()))
+                .map_err(|e| EngineError::new(ErrorCode::ParamError, e.to_string()))
                 .and_then(|stmt| self.stage(stmt))
+                .map(affected)
         };
         if out.is_ok() {
             self.observe_template(&key, t);
         }
-        out
+        Ok(out?)
     }
 
-    /// The `{"prepare":…}` path: parse and plan (or fetch from the shared
-    /// plan cache), then register the template in the session's registry.
+    /// The `{"prepare":…}` path: [`Engine::prepare`], then register the
+    /// statement in the session's registry.
     fn run_prepare(&self, sql: &str, session: &mut StatementRegistry) -> Result<Json, Json> {
-        use std::sync::atomic::Ordering::Relaxed;
-        let Parsed { tmpl, key, .. } = parse(sql, false)?;
-        let is_select = tmpl.is_select();
-        // Only fully parameterized SELECTs go through the shared plan
-        // cache: write templates carry no plan, and a SELECT with inline
-        // WHERE literals would key per-literal — a client preparing fresh
-        // literal SQL each request could flood the FIFO and evict the hot
-        // shared templates. (The text path lifts literals before keying,
-        // so its templates are always cacheable.)
-        let cacheable = is_select && !tmpl.has_predicate_literals();
-        let (prepared, _) = self.plan(tmpl, &key, &self.db.snapshot(), cacheable)?;
-        let param_count = prepared.param_count() as i64;
-        let columns =
-            prepared.columns().map(|cs| Json::Array(cs.iter().cloned().map(Json::Str).collect()));
-        let column_types = prepared
-            .column_types()
-            .map(|ts| Json::Array(ts.iter().map(|t| Json::Str(t.to_string())).collect()));
-        let (id, evicted) = session.register(Arc::from(key), prepared);
-        self.stats.prepares.fetch_add(1, Relaxed);
-        let mut frame = Json::obj([
+        let SessionStatement { key, prepared } = self.prepare(sql)?;
+        let strings = |xs: Vec<String>| Json::Array(xs.into_iter().map(Json::Str).collect());
+        let kind = if prepared.is_select() { "select" } else { "write" };
+        let mut frame = vec![
             ("ok", Json::Bool(true)),
-            ("stmt_id", Json::Int(id as i64)),
-            ("param_count", Json::Int(param_count)),
-            ("kind", Json::Str(if is_select { "select".into() } else { "write".into() })),
-        ]);
-        if let Json::Object(m) = &mut frame {
-            if let Some(cols) = columns {
-                m.insert("columns".into(), cols);
-            }
-            if let Some(types) = column_types {
-                m.insert("column_types".into(), types);
-            }
-            if let Some(old) = evicted {
-                m.insert("evicted_stmt".into(), Json::Int(old as i64));
-            }
-        }
-        Ok(frame)
+            ("param_count", Json::Int(prepared.param_count() as i64)),
+            ("kind", Json::Str(kind.into())),
+        ];
+        frame.extend(prepared.columns().map(|cs| ("columns", strings(cs.to_vec()))));
+        frame.extend(
+            prepared
+                .column_types()
+                .map(|ts| ("column_types", strings(ts.iter().map(ToString::to_string).collect()))),
+        );
+        let (id, evicted) = session.register(key, prepared);
+        frame.push(("stmt_id", Json::Int(id as i64)));
+        frame.extend(evicted.map(|old| ("evicted_stmt", Json::Int(old as i64))));
+        Ok(Json::obj(frame))
     }
 
     /// The `{"execute":{"id":…,"params":[…]}}` path: look the statement up
-    /// in the session registry, bind, run. No SQL text is parsed here —
-    /// this is the bind-per-request hot path.
+    /// in the session registry, then [`Engine::run_prepared`]. No SQL text
+    /// is parsed here — this is the bind-per-request hot path.
     fn run_execute(&self, ex: &Json, session: &StatementRegistry) -> Result<Json, Json> {
-        use std::sync::atomic::Ordering::Relaxed;
         let id = ex.get("id").and_then(Json::as_i64).filter(|id| *id >= 0).ok_or_else(|| {
             error_frame(ErrorCode::BadRequest, "\"execute\" needs a statement \"id\"")
         })?;
@@ -605,18 +614,51 @@ impl Engine {
                 return Err(error_frame(ErrorCode::BadRequest, "\"params\" must be an array"))
             }
         };
+        Ok(match self.run_prepared(&registered, &params, false)? {
+            Executed::Select(answer) => reply(&answer, true),
+            Executed::Write(n) => affected(n),
+        })
+    }
+
+    /// Parses and plans `sql` into a reusable statement: the prepare path
+    /// of `{"prepare":…}` frames and of the embedded connection. WHERE
+    /// literals stay inline; a fully parameterized SELECT is planned
+    /// through the shared plan cache.
+    pub fn prepare(&self, sql: &str) -> Result<SessionStatement, EngineError> {
+        let Parsed { tmpl, key, .. } = parse(sql, false)?;
+        // Only fully parameterized SELECTs go through the shared plan
+        // cache: write templates carry no plan, and a SELECT with inline
+        // WHERE literals would key per-literal — a client preparing fresh
+        // literal SQL each request could flood the FIFO and evict the hot
+        // shared templates. (The text path lifts literals before keying,
+        // so its templates are always cacheable.)
+        let cacheable = tmpl.is_select() && !tmpl.has_predicate_literals();
+        let (prepared, _) = self.plan(tmpl, &key, &self.db.snapshot(), cacheable)?;
+        self.stats.prepares.fetch_add(1, Ordering::Relaxed);
+        Ok(SessionStatement { key: Arc::from(key), prepared })
+    }
+
+    /// Runs a prepared statement with `params`: bind, then a SELECT's
+    /// execute stage (with a span recorder when `analyze`) or a write's
+    /// stage → commit. The statement holds a core-budget slot throughout.
+    /// Serves `{"execute":…}` frames and the embedded connection alike.
+    pub fn run_prepared(
+        &self,
+        stmt: &SessionStatement,
+        params: &[Value],
+        analyze: bool,
+    ) -> Result<Executed, EngineError> {
         let _slot = self.budget.enter_statement();
-        self.stats.prepared_execs.fetch_add(1, Relaxed);
+        self.stats.prepared_execs.fetch_add(1, Ordering::Relaxed);
         let t = Instant::now();
-        let out = match bind(&registered.prepared, &params, ErrorCode::ParamError)? {
-            BoundStatement::Select(query) => {
-                let snap = self.db.snapshot();
-                self.select(&snap, &query, true, None)
-            }
-            BoundStatement::Write(stmt) => self.stage(stmt),
+        let out = match bind(&stmt.prepared, params, ErrorCode::ParamError)? {
+            BoundStatement::Select(query) => self
+                .select(&self.db.snapshot(), &query, analyze)
+                .map(|a| Executed::Select(Box::new(a))),
+            BoundStatement::Write(write) => self.stage(write).map(Executed::Write),
         };
         if out.is_ok() {
-            self.observe_template(&registered.key, t);
+            self.observe_template(&stmt.key, t);
         }
         out
     }
@@ -630,35 +672,37 @@ impl Engine {
         key: &str,
         snap: &Database,
         cacheable: bool,
-    ) -> Result<(Arc<Prepared>, bool), Json> {
+    ) -> Result<(Arc<Prepared>, bool), EngineError> {
         if let Some(p) = cacheable.then(|| self.cache.get(key)).flatten() {
             return Ok((p, true));
         }
-        let p = Arc::new(prepare_template(tmpl, snap).map_err(prepare_error_frame)?);
+        let p = Arc::new(prepare_template(tmpl, snap)?);
         if cacheable {
             self.cache.insert(key.to_owned(), Arc::clone(&p));
         }
         Ok((p, false))
     }
 
-    /// A bound SELECT from execute to reply: AIR runs it against `snap`,
-    /// the counters record it, and the result becomes the reply frame.
-    /// With `trace` attached (`EXPLAIN ANALYZE`) spans are recorded during
-    /// execution and the frame gains an `analyze` member.
+    /// A bound SELECT through the execute stage, counted. With `analyze`
+    /// (`EXPLAIN ANALYZE`) spans are recorded during execution and the
+    /// answer carries the report.
     fn select(
         &self,
         snap: &Arc<Database>,
         query: &Query,
-        cached: bool,
-        trace: Option<TraceBuf>,
-    ) -> Result<Json, Json> {
-        let trace = trace.map(Arc::new);
+        analyze: bool,
+    ) -> Result<Answer, EngineError> {
+        let trace = analyze.then(|| Arc::new(TraceBuf::new()));
         let t = Instant::now();
         let (out, want) = self.execute(snap, query, &trace)?;
         let execute_us = t.elapsed().as_micros() as u64;
         self.record_select(&out, want, execute_us);
-        let analyze = trace.map(|trace| (format!("engine: air elapsed={execute_us}us"), trace));
-        Ok(reply(&out, cached, analyze))
+        let analyze = trace.map(|trace| {
+            std::iter::once(format!("engine: air elapsed={execute_us}us"))
+                .chain(astore_core::analyze::render_analyze(&out, &trace))
+                .collect()
+        });
+        Ok(Answer { out, analyze })
     }
 
     /// The execute stage: the AIR scan, fanned out under the core budget's
@@ -671,7 +715,7 @@ impl Engine {
         snap: &Arc<Database>,
         query: &Query,
         trace: &Option<Arc<TraceBuf>>,
-    ) -> Result<(ExecOutput, usize), Json> {
+    ) -> Result<(ExecOutput, usize), EngineError> {
         let mut exec_opts = self.opts.clone();
         if let Some(t) = trace {
             exec_opts = exec_opts.trace(Arc::clone(t));
@@ -682,7 +726,7 @@ impl Engine {
             let extra = self.budget.try_extra(threads - 1);
             (1 + extra.held(), extra)
         })
-        .map_err(|e| error_frame(ErrorCode::ExecError, e.to_string()))?;
+        .map_err(|e| EngineError::new(ErrorCode::ExecError, e.to_string()))?;
         Ok((out, want))
     }
 
@@ -722,9 +766,9 @@ impl Engine {
         query: &Query,
         key: &str,
         cached: bool,
-    ) -> Result<Json, Json> {
+    ) -> Result<Json, EngineError> {
         let selection = plan_selection(snap, query, &self.opts)
-            .map_err(|e| error_frame(ErrorCode::ExecError, e.to_string()))?;
+            .map_err(|e| EngineError::new(ErrorCode::ExecError, e.to_string()))?;
         let lines = [
             "engine: air".to_owned(),
             format!("template: {key}"),
@@ -766,9 +810,8 @@ struct Parsed {
 /// The parse stage: SQL text to its canonical template. With `lift`, WHERE
 /// literals become parameter slots (the text path), so literal variants of
 /// one query share a template; a prepared statement keeps them inline.
-fn parse(sql: &str, lift: bool) -> Result<Parsed, Json> {
-    let mut tmpl =
-        parse_template(sql).map_err(|e| error_frame(ErrorCode::ParseError, e.to_string()))?;
+fn parse(sql: &str, lift: bool) -> Result<Parsed, EngineError> {
+    let mut tmpl = parse_template(sql).map_err(PrepareError::Parse)?;
     let explicit_params = tmpl.param_count() > 0;
     let lifted = if lift { extract_select_params(&mut tmpl) } else { Vec::new() };
     let key = canonicalize(&mut tmpl);
@@ -779,12 +822,16 @@ fn parse(sql: &str, lift: bool) -> Result<Parsed, Json> {
 /// run. `code` is what a failure reports: `param_error` when the client
 /// supplied the parameters, `plan_error` when they are literals the text
 /// path lifted out (the client never wrote a `$n`).
-fn bind(prepared: &Prepared, params: &[Value], code: ErrorCode) -> Result<BoundStatement, Json> {
+fn bind(
+    prepared: &Prepared,
+    params: &[Value],
+    code: ErrorCode,
+) -> Result<BoundStatement, EngineError> {
     prepared.bind(params).map_err(|e| match code {
         ErrorCode::PlanError => {
-            error_frame(code, format!("type mismatch in predicate literal: {e}"))
+            EngineError::new(code, format!("type mismatch in predicate literal: {e}"))
         }
-        code => error_frame(code, e.to_string()),
+        code => EngineError::new(code, e.to_string()),
     })
 }
 
@@ -794,11 +841,11 @@ fn air() -> Json {
     Json::Str("air".to_owned())
 }
 
-/// The reply stage: a SELECT's result frame. With `analyze` (the header
-/// line and the trace of an `EXPLAIN ANALYZE`) the frame gains an `analyze`
-/// member: the header, then the executed plan with its spans.
-fn reply(out: &ExecOutput, cached: bool, analyze: Option<(String, Arc<TraceBuf>)>) -> Json {
-    let result = &out.result;
+/// The reply stage: a SELECT's result frame. Under `EXPLAIN ANALYZE` the
+/// frame gains an `analyze` member: the header, then the executed plan
+/// with its spans.
+fn reply(answer: &Answer, cached: bool) -> Json {
+    let (out, result) = (&answer.out, &answer.out.result);
     let mut frame = Json::obj([
         ("ok", Json::Bool(true)),
         ("columns", Json::Array(result.columns.iter().cloned().map(Json::Str).collect())),
@@ -818,14 +865,15 @@ fn reply(out: &ExecOutput, cached: bool, analyze: Option<(String, Arc<TraceBuf>)
         ("segments_scanned", Json::Int(out.plan.segments_scanned as i64)),
         ("segments_pruned", Json::Int(out.plan.segments_pruned as i64)),
     ]);
-    if let (Some((head, trace)), Json::Object(m)) = (analyze, &mut frame) {
-        let lines = std::iter::once(head)
-            .chain(astore_core::analyze::render_analyze(out, &trace))
-            .map(Json::Str)
-            .collect();
-        m.insert("analyze".into(), Json::Array(lines));
+    if let (Some(lines), Json::Object(m)) = (&answer.analyze, &mut frame) {
+        m.insert("analyze".into(), Json::Array(lines.iter().cloned().map(Json::Str).collect()));
     }
     frame
+}
+
+/// A write's reply frame.
+fn affected(n: usize) -> Json {
+    Json::obj([("ok", Json::Bool(true)), ("rows_affected", Json::Int(n as i64))])
 }
 
 /// Recognizes `SET engine = <value>` (case-insensitive, `=` optional,

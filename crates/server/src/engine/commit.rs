@@ -21,25 +21,24 @@ use std::sync::{Arc, Condvar, Mutex};
 use astore_persist::apply::{apply_statement, validate_statement};
 use astore_sql::statement::Statement;
 
-use super::{error_frame, Engine, ErrorCode};
-use crate::json::Json;
+use super::{Engine, EngineError, ErrorCode};
 
 /// One staged write waiting for its result: the committing leader fills
 /// `done` and signals `cv`; the staging connection blocks on the pair.
 #[derive(Debug, Default)]
 struct WriteSlot {
-    done: Mutex<Option<Result<usize, Json>>>,
+    done: Mutex<Option<Result<usize, EngineError>>>,
     cv: Condvar,
 }
 
 impl WriteSlot {
-    fn finish(&self, result: Result<usize, Json>) {
+    fn finish(&self, result: Result<usize, EngineError>) {
         let mut done = self.done.lock().unwrap_or_else(|p| p.into_inner());
         *done = Some(result);
         self.cv.notify_one();
     }
 
-    fn wait(&self) -> Result<usize, Json> {
+    fn wait(&self) -> Result<usize, EngineError> {
         let mut done = self.done.lock().unwrap_or_else(|p| p.into_inner());
         loop {
             if let Some(r) = done.take() {
@@ -73,8 +72,9 @@ impl Engine {
     /// becomes the batch leader and commits everything staged so far as one
     /// batch (see [`Engine::commit_batch`]), everyone else parks on their
     /// slot until the leader posts their result. Either way the statement
-    /// is on disk before the acknowledgment frame can be sent.
-    pub(super) fn stage(&self, stmt: Statement) -> Result<Json, Json> {
+    /// is on disk before the acknowledgment can be sent. Returns the
+    /// number of rows the statement affected.
+    pub(super) fn stage(&self, stmt: Statement) -> Result<usize, EngineError> {
         // The write-ahead log records the canonical rendering, never the
         // client's raw text: the parse stage case-folded identifiers, so
         // the applied statement may differ from the text (`INSERT INTO
@@ -90,8 +90,7 @@ impl Engine {
         if lead {
             self.lead_commits();
         }
-        let affected = slot.wait()?;
-        Ok(Json::obj([("ok", Json::Bool(true)), ("rows_affected", Json::Int(affected as i64))]))
+        slot.wait()
     }
 
     /// The leader loop: drain the staging queue and commit each drained
@@ -151,7 +150,7 @@ impl Engine {
                     sqls.push(pw.wal_sql);
                     applied.push((pw.slot, n));
                 }
-                Err(msg) => pw.slot.finish(Err(error_frame(ErrorCode::WriteError, msg))),
+                Err(msg) => pw.slot.finish(Err(EngineError::new(ErrorCode::WriteError, msg))),
             }
         }
         if applied.is_empty() {
@@ -160,12 +159,12 @@ impl Engine {
         if let Some(d) = &self.durability {
             let mut wal = d.wal.lock().unwrap_or_else(|p| p.into_inner());
             if let Err(e) = wal.append_batch(&sqls) {
-                let frame = error_frame(
+                let err = EngineError::new(
                     ErrorCode::InternalError,
                     format!("WAL append failed, write aborted: {e}"),
                 );
                 for (slot, _) in applied {
-                    slot.finish(Err(frame.clone()));
+                    slot.finish(Err(err.clone()));
                 }
                 return;
             }
@@ -196,6 +195,7 @@ mod tests {
     use super::super::tests::{engine, sql};
     use super::super::Durability;
     use super::*;
+    use crate::json::Json;
     use astore_storage::snapshot::SharedDatabase;
 
     #[test]

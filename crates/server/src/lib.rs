@@ -123,12 +123,12 @@ pub mod stats;
 pub use budget::CoreBudget;
 pub use cache::PlanCache;
 pub use client::{Client, ClientError};
-pub use engine::{Durability, Engine, ErrorCode};
+pub use engine::{Answer, Durability, Engine, EngineError, ErrorCode, Executed};
 pub use front::EngineService;
 pub use metrics::{SlowLog, TemplateStats};
 pub use sched::{Priority, PriorityPool};
 pub use server::{start, ServerConfig, ServerHandle};
-pub use session::StatementRegistry;
+pub use session::{SessionStatement, StatementRegistry};
 pub use stats::ServerStats;
 
 /// The rule for which statements the denormalized wide table can answer

@@ -138,6 +138,13 @@ fn main() {
         // append/fsync, checkpoint encode) surfaced by {"cmd":"metrics"}.
         astore_obs::set_enabled(true);
     }
+    let cores = host_cores();
+    if engine_threads > cores {
+        eprintln!(
+            "astore-server: --engine-threads {engine_threads} exceeds host parallelism {cores}; \
+             core budget clamped to {cores}"
+        );
+    }
     let exec_opts = astore_core::exec::ExecOptions::default().threads(engine_threads.max(1));
     let mut engine = Engine::with_options(SharedDatabase::new(db), exec_opts).slow_ms(slow_ms);
     if let Some(d) = durability {
