@@ -17,7 +17,7 @@ macro_rules! cached_counter {
         #[doc = $doc]
         pub fn $fn_name() -> &'static AtomicU64 {
             static C: OnceLock<&'static AtomicU64> = OnceLock::new();
-            C.get_or_init(|| astore_obs::counter($metric))
+            C.get_or_init(|| astore_obs::counter($metric, $doc))
         }
     };
 }
@@ -83,7 +83,8 @@ mod tests {
     #[test]
     fn counters_are_interned_once() {
         assert!(std::ptr::eq(wal_appends_total(), wal_appends_total()));
-        assert!(std::ptr::eq(wal_appends_total(), astore_obs::counter("astore_wal_appends_total")));
+        let again = astore_obs::counter("astore_wal_appends_total", "WAL records appended.");
+        assert!(std::ptr::eq(wal_appends_total(), again));
     }
 
     #[test]

@@ -43,8 +43,8 @@
 //! and [`Engine::run_prepared`], the functions behind `{"prepare":…}` and
 //! `{"execute":…}` frames.
 //!
-//! Checkpoints, compaction and the footprint gauges run beside the path,
-//! on the server's maintenance thread ([`Engine::run_maintenance`], module
+//! Checkpoints and compaction run beside the path, on the server's
+//! maintenance thread ([`Engine::run_maintenance`], module
 //! `maintenance`).
 //!
 //! `EXPLAIN` stops before `execute`; `EXPLAIN ANALYZE` runs the whole path
@@ -81,10 +81,10 @@ use crate::cache::PlanCache;
 use crate::json::Json;
 use crate::metrics::{render_prometheus, SlowLog, TemplateStats};
 use crate::session::{SessionStatement, StatementRegistry};
-use crate::stats::ServerStats;
+use crate::stats::{EngineSources, Footprint, ServerStats, Sources};
 
 use self::commit::CommitState;
-use self::maintenance::UnsealedSegments;
+use self::maintenance::{seal_all, UnsealedSegments};
 
 /// Machine-readable error codes of the wire protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -294,10 +294,12 @@ impl Engine {
             unsealed_since: Mutex::default(),
         };
         // Seal whatever the boot image carried flat (a v1/v2 snapshot, the
-        // chunks a WAL replay decoded, a hand-built database) and prime the
-        // footprint gauges. A generated or checkpointed image arrives
-        // sealed and this finds nothing to do.
-        engine.seal_and_gauge();
+        // chunks a WAL replay decoded, a hand-built database). A generated
+        // or checkpointed image arrives sealed and this finds nothing to
+        // do. Boot only — once the engine is shared, mutation outside the
+        // commit lock would race the group-commit leader; checkpoints seal
+        // under the commit lock instead.
+        engine.db.write(seal_all);
         engine
     }
 
@@ -358,6 +360,24 @@ impl Engine {
     /// The server-wide counters.
     pub fn stats(&self) -> &ServerStats {
         &self.stats
+    }
+
+    /// What an exposition of this engine reads: its counters, plan cache,
+    /// templates, slow log, budget and options, and the footprint of the
+    /// image it serves, walked now.
+    fn sources(&self) -> Sources<'_> {
+        let snap = self.db.snapshot();
+        Sources {
+            footprint: Footprint::of(&snap),
+            engine: Some(EngineSources {
+                templates: &self.templates,
+                slowlog: &self.slowlog,
+                budget: &self.budget,
+                threads: self.opts.threads,
+                db_version: snap.version(),
+            }),
+            ..Sources::new(&self.stats, &self.cache)
+        }
     }
 
     /// The shared plan cache.
@@ -441,48 +461,11 @@ impl Engine {
         } else if let Some(cmd) = req.get("cmd").and_then(Json::as_str) {
             match cmd {
                 "stats" => {
-                    self.gauge_footprint();
-                    let mut s = self.stats.to_json(&self.cache);
-                    if let Json::Object(m) = &mut s {
-                        m.insert("engine_threads".into(), Json::Int(self.opts.threads as i64));
-                        m.insert("core_budget_total".into(), Json::Int(self.budget.total() as i64));
-                        m.insert(
-                            "core_budget_in_use".into(),
-                            Json::Int(self.budget.in_use() as i64),
-                        );
-                        let version = self.db.snapshot().version();
-                        m.insert("db_version".into(), Json::Int(version as i64));
-                        m.insert("templates".into(), self.templates.to_json());
-                    }
-                    Ok(Json::obj([("ok", Json::Bool(true)), ("stats", s)]))
+                    Ok(Json::obj([("ok", Json::Bool(true)), ("stats", self.sources().to_json())]))
                 }
                 "metrics" => {
-                    self.gauge_footprint();
-                    let gauges = [
-                        (
-                            "astore_server_engine_threads",
-                            "Per-query fan-out ceiling.",
-                            self.opts.threads as f64,
-                        ),
-                        (
-                            "astore_server_core_budget_total",
-                            "Cores in the shared budget.",
-                            self.budget.total() as f64,
-                        ),
-                        (
-                            "astore_server_core_budget_in_use",
-                            "Cores currently granted to statements.",
-                            self.budget.in_use() as f64,
-                        ),
-                    ];
-                    let body = render_prometheus(
-                        &self.stats,
-                        &self.cache,
-                        &self.templates,
-                        &self.slowlog,
-                        &gauges,
-                    );
-                    Ok(Json::obj([("ok", Json::Bool(true)), ("metrics", Json::Str(body))]))
+                    let body = Json::Str(render_prometheus(&self.sources()));
+                    Ok(Json::obj([("ok", Json::Bool(true)), ("metrics", body)]))
                 }
                 "slowlog" => {
                     Ok(Json::obj([("ok", Json::Bool(true)), ("slowlog", self.slowlog.to_json())]))

@@ -1,6 +1,5 @@
 //! Background maintenance beside the statement path: checkpoints (explicit
-//! and automatic), compaction of written segments, and the footprint
-//! gauges.
+//! and automatic) and compaction of written segments.
 //!
 //! The WAL is folded back into the snapshot by `{"cmd":"checkpoint"}` or
 //! automatically once it accumulates `checkpoint_every` records: the
@@ -24,41 +23,6 @@ use super::{Durability, Engine};
 pub(super) type UnsealedSegments = HashMap<usize, (u64, Instant)>;
 
 impl Engine {
-    /// Seals every segment that needs it and refreshes the footprint
-    /// gauges. Boot only — once the engine is shared, mutation outside the
-    /// commit lock would race the group-commit leader; checkpoints seal
-    /// under the commit lock instead.
-    pub(super) fn seal_and_gauge(&self) {
-        self.db.write(seal_all);
-        self.gauge_footprint();
-    }
-
-    /// Refreshes the `encoded_bytes` / `raw_bytes` / `flat_chunks` /
-    /// `flat_bytes` / `dict_bytes` / `str_heap_bytes` / `append_copies`
-    /// gauges from a snapshot (a walk over the chunk slots, dictionaries
-    /// and heaps, no row data). Chunk bytes count the rows the image sees,
-    /// not the space reserved behind a filling tail; dictionary and heap
-    /// bytes count capacity.
-    pub(super) fn gauge_footprint(&self) {
-        let snap = self.db.snapshot();
-        let (mut resident, mut raw, mut chunks, mut bytes, mut copies) = (0u64, 0u64, 0, 0, 0);
-        let (mut dicts, mut heaps) = (0u64, 0u64);
-        for t in snap.table_names().iter().filter_map(|name| snap.table(name)) {
-            let ((r, w), (c, b)) = (t.encoded_footprint(), t.flat_chunks());
-            (resident, raw, chunks, bytes) = (resident + r, raw + w, chunks + c, bytes + b);
-            let (d, h) = t.string_footprint();
-            (dicts, heaps) = (dicts + d, heaps + h);
-            copies += t.append_copies();
-        }
-        self.stats.append_copies.store(copies, Ordering::Relaxed);
-        self.stats.encoded_bytes.store(resident, Ordering::Relaxed);
-        self.stats.raw_bytes.store(raw, Ordering::Relaxed);
-        self.stats.flat_chunks.store(chunks, Ordering::Relaxed);
-        self.stats.flat_bytes.store(bytes, Ordering::Relaxed);
-        self.stats.dict_bytes.store(dicts, Ordering::Relaxed);
-        self.stats.str_heap_bytes.store(heaps, Ordering::Relaxed);
-    }
-
     /// Folds the live database into a fresh snapshot and truncates the WAL
     /// through the folded LSN. Returns `(checkpoint LSN, snapshot bytes)`.
     ///
@@ -70,7 +34,7 @@ impl Engine {
     /// end. Writes that land mid-encode survive in the truncated WAL tail
     /// and replay on the next boot.
     pub fn checkpoint(&self) -> Result<(u64, usize), String> {
-        let d = self.durability.as_ref().ok_or("server is running without --data-dir")?;
+        let d = self.durability.as_ref().ok_or("this engine has no data directory")?;
         let _one = self.checkpoint_lock.lock().unwrap_or_else(|p| p.into_inner());
         self.checkpoint_locked(d)
     }
@@ -122,7 +86,6 @@ impl Engine {
             });
         }
         self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
-        self.gauge_footprint();
         Ok((last, bytes))
     }
 
@@ -223,10 +186,7 @@ impl Engine {
                 }
             });
         }
-        if installed > 0 {
-            self.stats.compactions.fetch_add(installed as u64, Ordering::Relaxed);
-            self.gauge_footprint();
-        }
+        self.stats.compactions.fetch_add(installed as u64, Ordering::Relaxed);
         installed
     }
 }
@@ -238,7 +198,7 @@ impl Engine {
 pub const COMPACT_QUIET: Duration = Duration::from_secs(1);
 
 /// Seals every segment of every table that needs it.
-fn seal_all(db: &mut Database) {
+pub(super) fn seal_all(db: &mut Database) {
     for name in db.table_names().to_vec() {
         db.table_mut(&name).expect("listed table exists").seal_segments();
     }
@@ -273,7 +233,7 @@ mod tests {
         let r = e.handle_line(r#"{"cmd":"checkpoint"}"#);
         assert_eq!(r.get("ok").unwrap().as_bool(), Some(false));
         assert_eq!(r.get("code").unwrap().as_str(), Some("bad_request"));
-        assert!(r.get("error").unwrap().as_str().unwrap().contains("--data-dir"));
+        assert!(r.get("error").unwrap().as_str().unwrap().contains("no data directory"));
     }
 
     #[test]

@@ -46,8 +46,11 @@
 //! morsel spans and per-segment prune decisions). `{"cmd":"metrics"}`
 //! returns a Prometheus text-format scrape body — all server counters,
 //! the global latency histogram, and one labeled histogram per canonical
-//! statement template. `{"cmd":"slowlog"}` returns the bounded ring of
-//! statements slower than the `--slow-ms` threshold, newest first:
+//! statement template. A metric is one row of [`stats::METRICS`] (key,
+//! family, kind, help, owner); `{"cmd":"stats"}` and `{"cmd":"metrics"}`
+//! are both rendered from that table. `{"cmd":"slowlog"}` returns the
+//! bounded ring of statements slower than the `--slow-ms` threshold,
+//! newest first:
 //!
 //! ```text
 //! → {"sql":"EXPLAIN ANALYZE SELECT d_year, sum(lo_revenue) AS rev FROM lineorder, date WHERE lo_orderdate = d_datekey GROUP BY d_year"}
@@ -84,7 +87,8 @@
 //!                     └─ INSERT/UPDATE/DELETE: stage → group commit
 //!                          (validate, apply, WAL + fsync, publish)
 //!                                            ▼
-//!   ServerStats: counters + streaming latency histograms (p50/p99)
+//!   ServerStats: counters + streaming latency histograms (p50/p99),
+//!   declared with every other metric as one row of stats::METRICS
 //! ```
 //!
 //! AIR answers every SELECT: its join-free scan over array-index

@@ -11,6 +11,11 @@
 //! [`SlowLog`] is a bounded ring of the most recent statements that ran
 //! longer than the `--slow-ms` threshold, served by `{"cmd":"slowlog"}`
 //! newest-first. A threshold of 0 disables capture entirely.
+//!
+//! [`render_prometheus`] writes the `{"cmd":"metrics"}` body. It declares
+//! no metric of its own: each family is a row of the one metric table,
+//! [`METRICS`](crate::stats::METRICS), which the stats frame is rendered
+//! from too.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,10 +24,10 @@ use std::time::Instant;
 
 use astore_obs::PromWriter;
 
-use crate::cache::PlanCache;
 use crate::hist::LatencyHistogram;
 use crate::json::Json;
-use crate::stats::ServerStats;
+use crate::sched::Priority;
+use crate::stats::{Num, Reading, Sources};
 
 /// Most distinct templates tracked before new shapes fold into `(other)`.
 pub const MAX_TEMPLATES: usize = 128;
@@ -237,257 +242,35 @@ fn emit_histogram_series(
     w.sample_u64(&format!("{name}_count"), labels, h.count());
 }
 
-/// Builds the full Prometheus text-format scrape body: server counters,
-/// gauges, the global latency histogram, one labeled histogram per
-/// canonical template, and every engine-wide counter registered in the
-/// [`astore_obs`] registry (WAL append/fsync and checkpoint timings).
-pub fn render_prometheus(
-    stats: &ServerStats,
-    cache: &PlanCache,
-    templates: &TemplateStats,
-    slowlog: &SlowLog,
-    gauges: &[(&str, &str, f64)],
-) -> String {
+/// Builds the full Prometheus text-format scrape body: one family per
+/// scraped row of [`METRICS`](crate::stats::METRICS) — its `ServerStats`
+/// counters loaded in one seqlock pass, as the stats frame loads them —
+/// then every counter registered in the [`astore_obs`] registry (WAL
+/// append/fsync and checkpoint timings) with its own help.
+pub fn render_prometheus(sources: &Sources) -> String {
     let mut w = PromWriter::new();
-    let crew = astore_core::parallel::crew_stats();
-
-    let counters: &[(&str, &str, u64)] = &[
-        (
-            "astore_server_queries_total",
-            "Read queries served.",
-            stats.queries.load(Ordering::Relaxed),
-        ),
-        (
-            "astore_server_writes_total",
-            "Write statements applied.",
-            stats.writes.load(Ordering::Relaxed),
-        ),
-        (
-            "astore_server_wal_records_total",
-            "Write statements appended to the WAL.",
-            stats.wal_records.load(Ordering::Relaxed),
-        ),
-        (
-            "astore_server_checkpoints_total",
-            "Checkpoints taken.",
-            stats.checkpoints.load(Ordering::Relaxed),
-        ),
-        (
-            "astore_server_group_commits_total",
-            "Group-commit batches published (one WAL fsync each).",
-            stats.group_commits.load(Ordering::Relaxed),
-        ),
-        (
-            "astore_server_compactions_total",
-            "Segments whose flat chunks the background compactor put back in encoded form.",
-            stats.compactions.load(Ordering::Relaxed),
-        ),
-        (
-            "astore_server_parallel_queries_total",
-            "Queries run by the morsel-parallel executor.",
-            stats.parallel_queries.load(Ordering::Relaxed),
-        ),
-        (
-            "astore_server_parallel_denied_total",
-            "Queries that wanted to fan out but ran serial.",
-            stats.parallel_denied.load(Ordering::Relaxed),
-        ),
-        (
-            "astore_server_segments_scanned_total",
-            "Fact-table segments scanned.",
-            stats.segments_scanned.load(Ordering::Relaxed),
-        ),
-        (
-            "astore_server_segments_pruned_total",
-            "Fact-table segments skipped by zone maps.",
-            stats.segments_pruned.load(Ordering::Relaxed),
-        ),
-        (
-            "astore_server_prepares_total",
-            "Statements prepared (protocol v2).",
-            stats.prepares.load(Ordering::Relaxed),
-        ),
-        (
-            "astore_server_prepared_execs_total",
-            "Prepared executions (protocol v2).",
-            stats.prepared_execs.load(Ordering::Relaxed),
-        ),
-        (
-            "astore_server_errors_total",
-            "Requests answered with an error frame.",
-            stats.errors.load(Ordering::Relaxed),
-        ),
-        (
-            "astore_server_rejected_total",
-            "Requests shed by admission control.",
-            stats.rejected.load(Ordering::Relaxed),
-        ),
-        (
-            "astore_server_connections_rejected_total",
-            "Connections refused at the limit.",
-            stats.conn_rejected.load(Ordering::Relaxed),
-        ),
-        (
-            "astore_server_accepts_total",
-            "Sockets accepted (admitted or refused).",
-            stats.accepts_total.load(Ordering::Relaxed),
-        ),
-        (
-            "astore_server_reads_blocked_on_backpressure_total",
-            "Connection reads paused by the write-buffer high watermark.",
-            stats.reads_blocked_on_backpressure.load(Ordering::Relaxed),
-        ),
-        ("astore_server_plan_cache_hits_total", "Plan-cache hits.", cache.hits()),
-        ("astore_server_plan_cache_misses_total", "Plan-cache misses.", cache.misses()),
-        (
-            "astore_server_scan_helper_wakes_total",
-            "Scan workers handed to resident helper threads (one per extra worker per statement).",
-            crew.wakes,
-        ),
-    ];
-    for (name, help, value) in counters {
-        w.header(name, help, "counter");
-        w.sample_u64(name, &[], *value);
-    }
-
-    w.header("astore_server_active_connections", "Currently open connections.", "gauge");
-    w.sample_u64(
-        "astore_server_active_connections",
-        &[],
-        stats.active_connections.load(Ordering::Relaxed) as u64,
-    );
-    // The same gauge under the reactor-era name, mirroring the stats frame.
-    w.header("astore_server_open_connections", "Currently open connections.", "gauge");
-    w.sample_u64(
-        "astore_server_open_connections",
-        &[],
-        stats.active_connections.load(Ordering::Relaxed) as u64,
-    );
-    w.header("astore_server_cached_plans", "Templates in the plan cache.", "gauge");
-    w.sample_u64("astore_server_cached_plans", &[], cache.len() as u64);
-    w.header("astore_server_slowlog_entries", "Entries in the slow-query ring.", "gauge");
-    w.sample_u64("astore_server_slowlog_entries", &[], slowlog.len() as u64);
-    w.header(
-        "astore_server_scan_helpers",
-        "Resident scan helper threads (the most extra workers ever wanted at once).",
-        "gauge",
-    );
-    w.sample_u64("astore_server_scan_helpers", &[], crew.helpers as u64);
-    w.header("astore_obs_enabled", "1 when the runtime tracing toggle is on.", "gauge");
-    w.sample_u64("astore_obs_enabled", &[], u64::from(astore_obs::enabled()));
-    for (name, help, gauge) in [
-        (
-            "astore_server_encoded_bytes",
-            "Resident bytes of the column chunks, each in the representation it is held in.",
-            &stats.encoded_bytes,
-        ),
-        ("astore_server_raw_bytes", "Bytes the same chunks would occupy flat.", &stats.raw_bytes),
-        ("astore_server_flat_chunks", "Column chunks currently held flat.", &stats.flat_chunks),
-        (
-            "astore_server_flat_bytes",
-            "Bytes of the visible rows of the chunks held flat.",
-            &stats.flat_bytes,
-        ),
-        (
-            "astore_server_dict_bytes",
-            "Heap bytes of the dictionaries (values and reverse index), by capacity.",
-            &stats.dict_bytes,
-        ),
-        (
-            "astore_server_str_heap_bytes",
-            "Heap bytes of the string columns' heaps, by capacity.",
-            &stats.str_heap_bytes,
-        ),
-        (
-            "astore_server_append_copies",
-            "Column tail chunks copied by appends since boot.",
-            &stats.append_copies,
-        ),
-        (
-            "astore_server_boot_snapshot_us",
-            "Boot: microseconds spent loading the snapshot (0 on a cold boot).",
-            &stats.boot_snapshot_us,
-        ),
-        (
-            "astore_server_boot_replay_us",
-            "Boot: microseconds spent opening and replaying the WAL.",
-            &stats.boot_replay_us,
-        ),
-        (
-            "astore_server_boot_replayed",
-            "Boot: WAL records replayed on top of the snapshot.",
-            &stats.boot_replayed,
-        ),
-    ] {
-        w.header(name, help, "gauge");
-        w.sample_u64(name, &[], gauge.load(Ordering::Relaxed));
-    }
-    for (name, help, value) in gauges {
-        w.header(name, help, "gauge");
-        w.sample(name, &[], *value);
-    }
-
-    w.header(
-        "astore_server_latency_us",
-        "End-to-end statement latency (all templates).",
-        "histogram",
-    );
-    emit_histogram_series(&mut w, "astore_server_latency_us", &[], &stats.latency);
-    w.header(
-        "astore_server_template_latency_us",
-        "Statement latency per canonical template.",
-        "histogram",
-    );
-    for (template, hist) in templates.snapshot() {
-        emit_histogram_series(
-            &mut w,
-            "astore_server_template_latency_us",
-            &[("template", &template)],
-            &hist,
-        );
-    }
-    w.header(
-        "astore_server_pipeline_depth",
-        "Requests queued or in flight on a connection as each frame arrived (1 = no pipelining).",
-        "histogram",
-    );
-    emit_histogram_series(&mut w, "astore_server_pipeline_depth", &[], &stats.pipeline_depth);
-    for (name, help, hists) in [
-        (
-            "astore_server_queue_wait_us",
-            "Executor queue wait per priority class (reactor model).",
-            &stats.queue_wait,
-        ),
-        (
-            "astore_server_reply_bytes",
-            "Reply frame size per priority class, newline included (reactor model).",
-            &stats.reply_bytes,
-        ),
-        (
-            "astore_server_serialize_us",
-            "Time to serialise a reply frame per priority class (reactor model).",
-            &stats.serialize_us,
-        ),
-    ] {
-        w.header(name, help, "histogram");
-        for class in crate::sched::Priority::ALL {
-            emit_histogram_series(
-                &mut w,
-                name,
-                &[("class", class.as_str())],
-                &hists[class as usize],
-            );
+    for (metric, reading) in sources.readings() {
+        let Some(name) = metric.family else { continue };
+        w.header(name, metric.help, metric.kind);
+        match reading {
+            Reading::Num(Num::Int(v)) => w.sample_u64(name, &[], v),
+            Reading::Num(Num::Float(v)) => w.sample(name, &[], v),
+            Reading::Hist(h) => emit_histogram_series(&mut w, name, &[], h),
+            Reading::PerClass(hists) => {
+                for class in Priority::ALL {
+                    let labels = [("class", class.as_str())];
+                    emit_histogram_series(&mut w, name, &labels, &hists[class as usize]);
+                }
+            }
+            Reading::Templates(templates) => {
+                for (template, hist) in templates.snapshot() {
+                    emit_histogram_series(&mut w, name, &[("template", &template)], &hist);
+                }
+            }
         }
     }
-    w.header(
-        "astore_server_execute_latency_us",
-        "Execute-stage latency of each SELECT (the AIR scan alone).",
-        "histogram",
-    );
-    emit_histogram_series(&mut w, "astore_server_execute_latency_us", &[], &stats.execute_latency);
-
-    for (name, value) in astore_obs::counters() {
-        w.header(name, "Engine event/timing counter (see astore-obs registry).", "counter");
+    for (name, help, value) in astore_obs::counters() {
+        w.header(name, help, "counter");
         w.sample_u64(name, &[], value);
     }
     w.finish()
@@ -496,6 +279,8 @@ pub fn render_prometheus(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::PlanCache;
+    use crate::stats::{EngineSources, ServerStats};
 
     #[test]
     fn template_stats_bound_and_overflow() {
@@ -542,6 +327,118 @@ mod tests {
     }
 
     #[test]
+    fn prometheus_scrape_never_tears_a_write_group() {
+        // As `stats::tests::snapshot_never_tears_a_write_group`, through the
+        // scrape body: pruned ≤ scanned holds at every group boundary.
+        let (stats, cache) = (ServerStats::new(), PlanCache::default());
+        let sample = |body: &str, name: &str| -> u64 {
+            let line =
+                body.lines().find(|l| l.strip_prefix(name).is_some_and(|v| v.starts_with(' ')));
+            line.and_then(|l| l.rsplit_once(' ')).unwrap().1.parse().unwrap()
+        };
+        /// Stops the writer when the scrapes end, panicking or not.
+        struct Stop<'a>(&'a std::sync::atomic::AtomicBool);
+        impl Drop for Stop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Until the scrapes are done, so every scrape races a writer.
+                while !done.load(Ordering::Relaxed) {
+                    let _g = stats.group.begin_write();
+                    stats.segments_pruned.fetch_add(1, Ordering::Relaxed);
+                    stats.segments_scanned.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            let _stop = Stop(&done);
+            for _ in 0..500 {
+                let body = render_prometheus(&Sources::new(&stats, &cache));
+                let scanned = sample(&body, "astore_server_segments_scanned_total");
+                let pruned = sample(&body, "astore_server_segments_pruned_total");
+                assert!(pruned <= scanned, "torn scrape: pruned={pruned} scanned={scanned}");
+            }
+        });
+    }
+
+    #[test]
+    fn prometheus_families_are_pinned() {
+        use astore_storage::catalog::Database;
+        use astore_storage::snapshot::SharedDatabase;
+        let e = crate::Engine::new(SharedDatabase::new(Database::new()));
+        let r = e.handle_line(r#"{"cmd":"metrics"}"#);
+        let body = r.get("metrics").and_then(Json::as_str).unwrap().to_owned();
+        let ours = |name: &str| name.starts_with("astore_server_") || name == "astore_obs_enabled";
+        let mut families: Vec<(String, String, String)> = Vec::new();
+        let mut lines = body.lines();
+        while let Some(line) = lines.next() {
+            let Some(rest) = line.strip_prefix("# HELP ") else { continue };
+            let (name, help) = rest.split_once(' ').unwrap();
+            let kind = lines.next().unwrap().strip_prefix(&format!("# TYPE {name} ")).unwrap();
+            if ours(name) {
+                families.push((name.into(), kind.into(), help.into()));
+            }
+        }
+        families.sort();
+        let expected: Vec<(String, String, String)> = PINNED_FAMILIES
+            .iter()
+            .map(|(n, k, h)| (n.to_string(), k.to_string(), h.to_string()))
+            .collect();
+        assert_eq!(families, expected);
+    }
+
+    const PINNED_FAMILIES: &[(&str, &str, &str)] = &[
+        ("astore_obs_enabled", "gauge", "1 when the runtime tracing toggle is on."),
+        ("astore_server_accepts_total", "counter", "Sockets accepted (admitted or refused)."),
+        ("astore_server_active_connections", "gauge", "Currently open connections."),
+        ("astore_server_append_copies", "gauge", "Column tail chunks copied by appends since boot."),
+        ("astore_server_boot_replay_us", "gauge", "Boot: microseconds spent opening and replaying the WAL."),
+        ("astore_server_boot_replayed", "gauge", "Boot: WAL records replayed on top of the snapshot."),
+        ("astore_server_boot_snapshot_us", "gauge", "Boot: microseconds spent loading the snapshot (0 on a cold boot)."),
+        ("astore_server_cached_plans", "gauge", "Templates in the plan cache."),
+        ("astore_server_checkpoints_total", "counter", "Checkpoints taken."),
+        ("astore_server_compactions_total", "counter", "Segments whose flat chunks the background compactor put back in encoded form."),
+        ("astore_server_connections_rejected_total", "counter", "Connections refused at the limit."),
+        ("astore_server_core_budget_in_use", "gauge", "Cores currently granted to statements."),
+        ("astore_server_core_budget_total", "gauge", "Cores in the shared budget."),
+        ("astore_server_dict_bytes", "gauge", "Heap bytes of the dictionaries (values and reverse index), by capacity."),
+        ("astore_server_encoded_bytes", "gauge", "Resident bytes of the column chunks, each in the representation it is held in."),
+        ("astore_server_engine_threads", "gauge", "Per-query fan-out ceiling."),
+        ("astore_server_errors_total", "counter", "Requests answered with an error frame."),
+        ("astore_server_execute_latency_us", "histogram", "Execute-stage latency of each SELECT (the AIR scan alone)."),
+        ("astore_server_flat_bytes", "gauge", "Bytes of the visible rows of the chunks held flat."),
+        ("astore_server_flat_chunks", "gauge", "Column chunks currently held flat."),
+        ("astore_server_group_commits_total", "counter", "Group-commit batches published (one WAL fsync each)."),
+        ("astore_server_latency_us", "histogram", "End-to-end statement latency (all templates)."),
+        ("astore_server_open_connections", "gauge", "Currently open connections."),
+        ("astore_server_parallel_denied_total", "counter", "Queries that wanted to fan out but ran serial."),
+        ("astore_server_parallel_queries_total", "counter", "Queries run by the morsel-parallel executor."),
+        ("astore_server_pipeline_depth", "histogram", "Requests queued or in flight on a connection as each frame arrived (1 = no pipelining)."),
+        ("astore_server_plan_cache_hits_total", "counter", "Plan-cache hits."),
+        ("astore_server_plan_cache_misses_total", "counter", "Plan-cache misses."),
+        ("astore_server_prepared_execs_total", "counter", "Prepared executions (protocol v2)."),
+        ("astore_server_prepares_total", "counter", "Statements prepared (protocol v2)."),
+        ("astore_server_queries_total", "counter", "Read queries served."),
+        ("astore_server_queue_wait_us", "histogram", "Executor queue wait per priority class (reactor model)."),
+        ("astore_server_raw_bytes", "gauge", "Bytes the same chunks would occupy flat."),
+        ("astore_server_reads_blocked_on_backpressure_total", "counter", "Connection reads paused by the write-buffer high watermark."),
+        ("astore_server_rejected_total", "counter", "Requests shed by admission control."),
+        ("astore_server_reply_bytes", "histogram", "Reply frame size per priority class, newline included (reactor model)."),
+        ("astore_server_scan_helper_wakes_total", "counter", "Scan workers handed to resident helper threads (one per extra worker per statement)."),
+        ("astore_server_scan_helpers", "gauge", "Resident scan helper threads (the most extra workers ever wanted at once)."),
+        ("astore_server_segments_pruned_total", "counter", "Fact-table segments skipped by zone maps."),
+        ("astore_server_segments_scanned_total", "counter", "Fact-table segments scanned."),
+        ("astore_server_serialize_us", "histogram", "Time to serialise a reply frame per priority class (reactor model)."),
+        ("astore_server_slowlog_entries", "gauge", "Entries in the slow-query ring."),
+        ("astore_server_str_heap_bytes", "gauge", "Heap bytes of the string columns' heaps, by capacity."),
+        ("astore_server_template_latency_us", "histogram", "Statement latency per canonical template."),
+        ("astore_server_wal_records_total", "counter", "Write statements appended to the WAL."),
+        ("astore_server_writes_total", "counter", "Write statements applied."),
+    ];
+
+    #[test]
     fn prometheus_body_is_well_formed() {
         let stats = ServerStats::new();
         stats.queries.fetch_add(3, Ordering::Relaxed);
@@ -551,13 +448,16 @@ mod tests {
         templates.record("SELECT count(*) FROM fact", 150);
         templates.record("SELECT sum(x) FROM fact", 9_000);
         let slowlog = SlowLog::new(0);
-        let body = render_prometheus(
-            &stats,
-            &cache,
-            &templates,
-            &slowlog,
-            &[("astore_server_engine_threads", "Fan-out ceiling.", 4.0)],
-        );
+        let budget = crate::CoreBudget::new(4);
+        let engine = EngineSources {
+            templates: &templates,
+            slowlog: &slowlog,
+            budget: &budget,
+            threads: 4,
+            db_version: 0,
+        };
+        let body =
+            render_prometheus(&Sources { engine: Some(engine), ..Sources::new(&stats, &cache) });
         assert!(body.contains("astore_server_queries_total 3\n"));
         assert!(body.contains("# TYPE astore_server_latency_us histogram\n"));
         assert!(body.contains("astore_server_latency_us_count 1\n"));

@@ -1,160 +1,318 @@
-//! Server-wide counters and the `{"cmd":"stats"}` report.
+//! The server's metrics, declared once, and the `{"cmd":"stats"}` frame.
+//!
+//! Every metric is one row of [`METRICS`]: its stats-frame key, its
+//! Prometheus family, its kind, its help text and where its value is read
+//! from ([`Read`]). A row the server bumps itself also declares the
+//! [`ServerStats`] field that holds it — the kind gives the field's type —
+//! so adding a counter is one row plus its bump site. The stats frame
+//! ([`Sources::to_json`]) and the Prometheus scrape
+//! ([`render_prometheus`](crate::metrics::render_prometheus)) are each one
+//! loop over the table, and each loads every counter in one
+//! [`SeqLock::read`] pass: counters a statement bumps as one write group
+//! (`segments_scanned` and `segments_pruned`) never show torn.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use astore_core::parallel::{crew_stats, CrewStats};
 use astore_obs::SeqLock;
+use astore_storage::catalog::Database;
 
+use crate::budget::CoreBudget;
 use crate::cache::PlanCache;
 use crate::hist::LatencyHistogram;
 use crate::json::Json;
+use crate::metrics::{SlowLog, TemplateStats};
+use crate::sched::Priority;
 
-/// Atomic counters shared by every connection and worker.
-#[derive(Debug)]
-pub struct ServerStats {
-    /// Successfully served read queries.
-    pub queries: AtomicU64,
-    /// Successfully applied write statements.
-    pub writes: AtomicU64,
-    /// Write statements appended to the write-ahead log.
-    pub wal_records: AtomicU64,
-    /// Checkpoints taken (explicit or automatic).
-    pub checkpoints: AtomicU64,
-    /// Group-commit batches published (each batch is one WAL fsync; the
-    /// statements it carried are counted by `writes`).
-    pub group_commits: AtomicU64,
-    /// Segments whose flat chunks the background compactor put back in
-    /// encoded form (written segments that then went quiet).
-    pub compactions: AtomicU64,
-    /// Read queries executed by the morsel-driven parallel executor.
-    pub parallel_queries: AtomicU64,
-    /// Read queries the planner wanted to fan out but that ran serial
-    /// (core budget exhausted, or the final row-count clamp said no).
-    pub parallel_denied: AtomicU64,
-    /// Fact-table segments read queries actually scanned.
-    pub segments_scanned: AtomicU64,
-    /// Fact-table segments skipped whole by zone-map pruning.
-    pub segments_pruned: AtomicU64,
-    /// Statements prepared via `{"prepare":…}` frames.
-    pub prepares: AtomicU64,
-    /// Statements executed via `{"execute":…}` frames (bind-per-request,
-    /// no SQL text parsed).
-    pub prepared_execs: AtomicU64,
-    /// Requests that returned an error frame (parse/plan/execution).
-    pub errors: AtomicU64,
-    /// Requests shed by admission control (`server_busy`).
-    pub rejected: AtomicU64,
-    /// Connections refused because the connection limit was reached.
-    pub conn_rejected: AtomicU64,
-    /// Currently open connections.
-    pub active_connections: AtomicUsize,
-    /// Sockets accepted over the server's lifetime (admitted or refused).
-    pub accepts_total: AtomicU64,
-    /// Times the reactor paused reading a connection because its write
-    /// backlog crossed the high watermark.
-    pub reads_blocked_on_backpressure: AtomicU64,
-    /// Per-connection pipeline depth (queued + in-flight requests)
-    /// observed as each complete frame arrived. Depth 1 = no pipelining.
-    pub pipeline_depth: LatencyHistogram,
-    /// Queue wait per priority class, indexed by
-    /// [`Priority`](crate::sched::Priority) discriminant
-    /// (metadata / interactive / scan).
-    pub queue_wait: [LatencyHistogram; 3],
-    /// Size of each reply frame the reactor front-end serialised, newline
-    /// included, per priority class (same indexing as `queue_wait`) …
-    pub reply_bytes: [LatencyHistogram; 3],
-    /// … and the time serialising it took, in microseconds: the
-    /// `serialise` stage of a request, which `elapsed_us` does not cover.
-    pub serialize_us: [LatencyHistogram; 3],
-    /// Latency of the execute stage of each SELECT: the AIR scan alone,
-    /// parse, plan, bind and frame assembly excluded.
-    pub execute_latency: LatencyHistogram,
-    /// Resident bytes of the column chunks, each counted in the one
-    /// representation it is held in (encoded or flat): the sum of
-    /// `Table::encoded_footprint().0` over the tables. Gauge, not counter:
-    /// overwritten at boot, after each compaction install and checkpoint,
-    /// and when the stats are read.
-    pub encoded_bytes: AtomicU64,
-    /// Flat columnar bytes the same chunks would occupy raw.
-    pub raw_bytes: AtomicU64,
-    /// Chunks currently held flat (written since their last seal, the
-    /// filling tail, or kinds with no smaller form) …
-    pub flat_chunks: AtomicU64,
-    /// … and the bytes of their visible rows — the part of `encoded_bytes`
-    /// that is not encoded. Space reserved behind a filling tail is not
-    /// counted: untouched, it is address space, not resident memory.
-    pub flat_bytes: AtomicU64,
-    /// Heap bytes of the dictionaries — value arrays, value strings and
-    /// reverse indexes — by capacity, not length, so room allocated and
-    /// never used shows up (the sum of `Table::string_footprint().0`).
-    pub dict_bytes: AtomicU64,
-    /// Heap bytes of the string columns' heaps, by capacity (the sum of
-    /// `Table::string_footprint().1`). Neither this nor `dict_bytes` is part
-    /// of `encoded_bytes`, which counts the column chunks only.
-    pub str_heap_bytes: AtomicU64,
-    /// Column tail chunks that appends had to copy since boot (the sum of
-    /// `Table::append_copies` over the tables of the current image): an
-    /// insert that finds reserved space behind the tail adds nothing here.
-    pub append_copies: AtomicU64,
-    /// How the engine's image was recovered from its data directory
-    /// (`astore_persist::store::open`'s two stages): µs spent loading the
-    /// snapshot, µs opening the WAL and replaying it, and records replayed.
-    /// Set once at attach ([`crate::Engine::booted`]); zero on a cold boot.
-    pub boot_snapshot_us: AtomicU64,
-    /// See `boot_snapshot_us`.
-    pub boot_replay_us: AtomicU64,
-    /// See `boot_snapshot_us`.
-    pub boot_replayed: AtomicU64,
-    /// End-to-end statement latency (parse → response built).
-    pub latency: LatencyHistogram,
-    /// Groups multi-counter updates (e.g. `queries` + `segments_scanned` +
-    /// `segments_pruned` of one statement) so [`ServerStats::to_json`]
-    /// snapshots either all of an update or none of it — a mid-burst scrape
-    /// can no longer report `segments_pruned` ahead of `segments_scanned`.
-    pub group: SeqLock,
-    started: Instant,
+/// One summary statistic of a histogram in the stats frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stat {
+    /// Samples recorded.
+    Count,
+    /// Their mean.
+    Mean,
+    /// The median.
+    P50,
+    /// The 99th percentile.
+    P99,
+    /// The largest sample.
+    Max,
 }
 
-impl Default for ServerStats {
-    fn default() -> Self {
-        ServerStats {
-            queries: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            wal_records: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            group_commits: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            parallel_queries: AtomicU64::new(0),
-            parallel_denied: AtomicU64::new(0),
-            segments_scanned: AtomicU64::new(0),
-            segments_pruned: AtomicU64::new(0),
-            prepares: AtomicU64::new(0),
-            prepared_execs: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            conn_rejected: AtomicU64::new(0),
-            active_connections: AtomicUsize::new(0),
-            accepts_total: AtomicU64::new(0),
-            reads_blocked_on_backpressure: AtomicU64::new(0),
-            pipeline_depth: LatencyHistogram::new(),
-            queue_wait: Default::default(),
-            reply_bytes: Default::default(),
-            serialize_us: Default::default(),
-            execute_latency: LatencyHistogram::new(),
-            encoded_bytes: AtomicU64::new(0),
-            raw_bytes: AtomicU64::new(0),
-            flat_chunks: AtomicU64::new(0),
-            flat_bytes: AtomicU64::new(0),
-            dict_bytes: AtomicU64::new(0),
-            str_heap_bytes: AtomicU64::new(0),
-            append_copies: AtomicU64::new(0),
-            boot_snapshot_us: AtomicU64::new(0),
-            boot_replay_us: AtomicU64::new(0),
-            boot_replayed: AtomicU64::new(0),
-            latency: LatencyHistogram::new(),
-            group: SeqLock::new(),
-            started: Instant::now(),
+impl Stat {
+    fn of(self, h: &LatencyHistogram) -> Json {
+        match self {
+            Stat::Count => Json::Int(h.count() as i64),
+            Stat::Mean => Json::Float(h.mean_us()),
+            Stat::P50 => Json::Int(h.quantile_us(0.50) as i64),
+            Stat::P99 => Json::Int(h.quantile_us(0.99) as i64),
+            Stat::Max => Json::Int(h.max_us() as i64),
         }
+    }
+}
+
+/// Summary members of a microsecond histogram.
+const US: &[(&str, Stat)] =
+    &[("count", Stat::Count), ("p50_us", Stat::P50), ("p99_us", Stat::P99), ("max_us", Stat::Max)];
+
+/// Where a metric sits in the stats frame.
+#[derive(Debug, Clone, Copy)]
+pub enum Key {
+    /// Not in the stats frame: the scrape alone carries it.
+    None,
+    /// One member: a number, or the per-template array.
+    One(&'static str),
+    /// A histogram spread over top-level members (`latency_p50_us`, …).
+    Flat(&'static [(&'static str, Stat)]),
+    /// A histogram as one object of summary members — a per-class
+    /// histogram as one such object per priority class.
+    Nested(&'static str, &'static [(&'static str, Stat)]),
+}
+
+/// A scalar reading, rendered as an integer or a float.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Num {
+    /// An integer.
+    Int(u64),
+    /// A float.
+    Float(f64),
+}
+
+/// Where a metric's value is read from.
+#[derive(Debug, Clone, Copy)]
+pub enum Read {
+    /// A counter or gauge field of [`ServerStats`]. An exposition loads
+    /// all of them in one seqlock pass.
+    Field(fn(&ServerStats) -> &AtomicU64),
+    /// A histogram field of [`ServerStats`].
+    Hist(fn(&ServerStats) -> &LatencyHistogram),
+    /// A [`ServerStats`] histogram per priority class, indexed by
+    /// [`Priority`] discriminant.
+    PerClass(fn(&ServerStats) -> &[LatencyHistogram; 3]),
+    /// An owner every exposition has: the plan cache, the scan crew, the
+    /// footprint, the uptime clock, the tracing toggle.
+    Value(fn(&Sources) -> Num),
+    /// The serving engine's options, core budget, image or slow log.
+    Engine(fn(&EngineSources) -> Num),
+    /// The engine's per-template latency histograms.
+    Templates,
+}
+
+/// One metric: a row of [`METRICS`].
+#[derive(Debug, Clone, Copy)]
+pub struct Metric {
+    /// Where it sits in the stats frame.
+    pub key: Key,
+    /// Its Prometheus family, when the scrape carries it.
+    pub family: Option<&'static str>,
+    /// Its Prometheus type: `counter`, `gauge` or `histogram`.
+    pub kind: &'static str,
+    /// Its help text (the scrape's `# HELP`).
+    pub help: &'static str,
+    /// Where its value is read from.
+    pub read: Read,
+}
+
+/// The parts of a row of [`metric_table!`].
+#[rustfmt::skip]
+macro_rules! part {
+    (ty histogram) => { LatencyHistogram };
+    (ty per_class) => { [LatencyHistogram; 3] };
+    (ty $scalar:ident) => { AtomicU64 };
+    (field histogram $field:ident) => { Read::Hist(|s| &s.$field) };
+    (field per_class $field:ident) => { Read::PerClass(|s| &s.$field) };
+    (field $scalar:ident $field:ident) => { Read::Field(|s| &s.$field) };
+    (kind per_class) => { "histogram" };
+    (kind $kind:ident) => { stringify!($kind) };
+    (key _) => { Key::None };
+    (key $key:literal) => { Key::One($key) };
+    (key $key:expr) => { $key };
+    (family _) => { None };
+    (family $family:literal) => { Some($family) };
+    (read value |$s:ident| $e:expr) => { Read::Value(|$s| Num::Int($e)) };
+    (read float |$s:ident| $e:expr) => { Read::Value(|$s| Num::Float($e)) };
+    (read engine |$e:ident| $v:expr) => { Read::Engine(|$e| Num::Int($v)) };
+    (read templates) => { Read::Templates };
+}
+
+/// Declares [`ServerStats`] and [`METRICS`] from one list of rows, `kind
+/// key, family, help`; a key or family of `_` is absent. A row before the
+/// `;;` is a field of [`ServerStats`] (`field: kind …`, documented by its
+/// help): `counter` and `gauge` are `AtomicU64`s, `histogram` a
+/// [`LatencyHistogram`], `per_class` one per priority class. A row after
+/// it names the owner its value is read from: `=> value |sources| …` (an
+/// integer), `=> float |sources| …`, `=> engine |engine| …` (an integer).
+macro_rules! metric_table {
+    (
+        $( $(#[doc = $doc:literal])* $field:ident: $kind:ident $key:tt, $family:tt, $help:literal; )*
+        ;;
+        $( $okind:ident $okey:tt, $ofamily:tt, $ohelp:literal
+            => $owner:ident $(|$arg:ident| $value:expr)?; )*
+    ) => {
+        /// The counters and histograms the server bumps, shared by every
+        /// connection and worker: the rows of [`METRICS`] it owns.
+        #[derive(Debug, Default)]
+        pub struct ServerStats {
+            $( #[doc = $help] $(#[doc = $doc])* pub $field: part!(ty $kind), )*
+            /// Groups multi-counter updates (e.g. `queries` +
+            /// `segments_scanned` + `segments_pruned` of one statement) so
+            /// an exposition shows either all of an update or none of it.
+            pub group: SeqLock,
+            started: Started,
+        }
+
+        /// Every server metric, one row each: the stats frame and the
+        /// Prometheus scrape are both rendered from this list.
+        pub const METRICS: &[Metric] = &[
+            $( Metric {
+                key: part!(key $key), family: part!(family $family), kind: part!(kind $kind),
+                help: $help, read: part!(field $kind $field),
+            }, )*
+            $( Metric {
+                key: part!(key $okey), family: part!(family $ofamily), kind: part!(kind $okind),
+                help: $ohelp, read: part!(read $owner $(|$arg| $value)?),
+            }, )*
+        ];
+    };
+}
+
+metric_table! {
+    queries: counter "queries", "astore_server_queries_total", "Read queries served.";
+    writes: counter "writes", "astore_server_writes_total", "Write statements applied.";
+    wal_records: counter "wal_records", "astore_server_wal_records_total",
+        "Write statements appended to the WAL.";
+    checkpoints: counter "checkpoints", "astore_server_checkpoints_total", "Checkpoints taken.";
+    /// The statements a batch carried are counted by `writes`.
+    group_commits: counter "group_commits", "astore_server_group_commits_total",
+        "Group-commit batches published (one WAL fsync each).";
+    compactions: counter "compactions", "astore_server_compactions_total",
+        "Segments whose flat chunks the background compactor put back in encoded form.";
+    parallel_queries: counter "parallel_queries", "astore_server_parallel_queries_total",
+        "Queries run by the morsel-parallel executor.";
+    /// The core budget was exhausted, or the final row-count clamp said no.
+    parallel_denied: counter "parallel_denied", "astore_server_parallel_denied_total",
+        "Queries that wanted to fan out but ran serial.";
+    segments_scanned: counter "segments_scanned", "astore_server_segments_scanned_total",
+        "Fact-table segments scanned.";
+    segments_pruned: counter "segments_pruned", "astore_server_segments_pruned_total",
+        "Fact-table segments skipped by zone maps.";
+    prepares: counter "prepares", "astore_server_prepares_total",
+        "Statements prepared (protocol v2).";
+    prepared_execs: counter "prepared_execs", "astore_server_prepared_execs_total",
+        "Prepared executions (protocol v2).";
+    errors: counter "errors", "astore_server_errors_total",
+        "Requests answered with an error frame.";
+    rejected: counter "rejected", "astore_server_rejected_total",
+        "Requests shed by admission control.";
+    conn_rejected: counter "connections_rejected", "astore_server_connections_rejected_total",
+        "Connections refused at the limit.";
+    accepts_total: counter "accepts_total", "astore_server_accepts_total",
+        "Sockets accepted (admitted or refused).";
+    reads_blocked_on_backpressure: counter "reads_blocked_on_backpressure",
+        "astore_server_reads_blocked_on_backpressure_total",
+        "Connection reads paused by the write-buffer high watermark.";
+    active_connections: gauge "active_connections", "astore_server_active_connections",
+        "Currently open connections.";
+    /// The stages of `astore_persist::store::open`, set once at attach
+    /// ([`crate::Engine::booted`]).
+    boot_snapshot_us: gauge "boot_snapshot_us", "astore_server_boot_snapshot_us",
+        "Boot: microseconds spent loading the snapshot (0 on a cold boot).";
+    boot_replay_us: gauge "boot_replay_us", "astore_server_boot_replay_us",
+        "Boot: microseconds spent opening and replaying the WAL.";
+    boot_replayed: gauge "boot_replayed", "astore_server_boot_replayed",
+        "Boot: WAL records replayed on top of the snapshot.";
+    /// Parse → response built.
+    latency: histogram (Key::Flat(&[
+            ("latency_count", Stat::Count),
+            ("latency_mean_us", Stat::Mean),
+            ("latency_p50_us", Stat::P50),
+            ("latency_p99_us", Stat::P99),
+            ("latency_max_us", Stat::Max),
+        ])), "astore_server_latency_us", "End-to-end statement latency (all templates).";
+    pipeline_depth: histogram (Key::Flat(&[
+            ("pipeline_depth_count", Stat::Count),
+            ("pipeline_depth_p50", Stat::P50),
+            ("pipeline_depth_p99", Stat::P99),
+            ("pipeline_depth_max", Stat::Max),
+        ])), "astore_server_pipeline_depth",
+        "Requests queued or in flight on a connection as each frame arrived (1 = no pipelining).";
+    queue_wait: per_class (Key::Nested("queue_wait", US)), "astore_server_queue_wait_us",
+        "Executor queue wait per priority class (reactor model).";
+    reply_bytes: per_class (Key::Nested("reply_bytes", &[
+            ("count", Stat::Count),
+            ("p50", Stat::P50),
+            ("p99", Stat::P99),
+            ("max", Stat::Max),
+        ])), "astore_server_reply_bytes",
+        "Reply frame size per priority class, newline included (reactor model).";
+    /// The `serialise` stage of a request, which `elapsed_us` does not cover.
+    serialize_us: per_class (Key::Nested("serialize_us", US)), "astore_server_serialize_us",
+        "Time to serialise a reply frame per priority class (reactor model).";
+    /// Parse, plan, bind and frame assembly excluded.
+    execute_latency: histogram (Key::Nested("execute_latency", US)),
+        "astore_server_execute_latency_us",
+        "Execute-stage latency of each SELECT (the AIR scan alone).";
+    ;;
+    // `active_connections` under its reactor-era name.
+    gauge "open_connections", "astore_server_open_connections", "Currently open connections."
+        => value |s| s.stats.active_connections.load(Ordering::Relaxed);
+    gauge "uptime_s", _, "Seconds since the counters started."
+        => float |s| s.stats.started.0.elapsed().as_secs_f64();
+    counter "cache_hits", "astore_server_plan_cache_hits_total", "Plan-cache hits."
+        => value |s| s.cache.hits();
+    counter "cache_misses", "astore_server_plan_cache_misses_total", "Plan-cache misses."
+        => value |s| s.cache.misses();
+    gauge "cache_hit_rate", _, "Plan-cache hits over lookups (0 before the first lookup)."
+        => float |s| s.cache.hit_rate();
+    gauge "cached_plans", "astore_server_cached_plans", "Templates in the plan cache."
+        => value |s| s.cache.len() as u64;
+    counter "scan_helper_wakes", "astore_server_scan_helper_wakes_total",
+        "Scan workers handed to resident helper threads (one per extra worker per statement)."
+        => value |s| s.crew.wakes;
+    gauge "scan_helpers", "astore_server_scan_helpers",
+        "Resident scan helper threads (the most extra workers ever wanted at once)."
+        => value |s| s.crew.helpers as u64;
+    gauge "encoded_bytes", "astore_server_encoded_bytes",
+        "Resident bytes of the column chunks, each in the representation it is held in."
+        => value |s| s.footprint.encoded_bytes;
+    gauge "raw_bytes", "astore_server_raw_bytes", "Bytes the same chunks would occupy flat."
+        => value |s| s.footprint.raw_bytes;
+    gauge "flat_chunks", "astore_server_flat_chunks", "Column chunks currently held flat."
+        => value |s| s.footprint.flat_chunks;
+    gauge "flat_bytes", "astore_server_flat_bytes",
+        "Bytes of the visible rows of the chunks held flat." => value |s| s.footprint.flat_bytes;
+    gauge "dict_bytes", "astore_server_dict_bytes",
+        "Heap bytes of the dictionaries (values and reverse index), by capacity."
+        => value |s| s.footprint.dict_bytes;
+    gauge "str_heap_bytes", "astore_server_str_heap_bytes",
+        "Heap bytes of the string columns' heaps, by capacity."
+        => value |s| s.footprint.str_heap_bytes;
+    gauge "append_copies", "astore_server_append_copies",
+        "Column tail chunks copied by appends since boot." => value |s| s.footprint.append_copies;
+    gauge _, "astore_obs_enabled", "1 when the runtime tracing toggle is on."
+        => value |_s| u64::from(astore_obs::enabled());
+    gauge "engine_threads", "astore_server_engine_threads", "Per-query fan-out ceiling."
+        => engine |e| e.threads as u64;
+    gauge "core_budget_total", "astore_server_core_budget_total", "Cores in the shared budget."
+        => engine |e| e.budget.total() as u64;
+    gauge "core_budget_in_use", "astore_server_core_budget_in_use",
+        "Cores currently granted to statements." => engine |e| e.budget.in_use() as u64;
+    gauge "db_version", _, "Version of the catalog image being served." => engine |e| e.db_version;
+    gauge _, "astore_server_slowlog_entries", "Entries in the slow-query ring."
+        => engine |e| e.slowlog.len() as u64;
+    histogram "templates", "astore_server_template_latency_us",
+        "Statement latency per canonical template." => templates;
+}
+
+/// When the counters started (`uptime_s`).
+#[derive(Debug)]
+struct Started(Instant);
+
+impl Default for Started {
+    fn default() -> Self {
+        Started(Instant::now())
     }
 }
 
@@ -164,113 +322,158 @@ impl ServerStats {
         ServerStats::default()
     }
 
-    /// Builds the `stats` payload of the wire protocol. The counter loads
-    /// run inside a [`SeqLock::read`] retry loop — one cheap pass over all
-    /// fifteen counters — so counters updated as one write group appear
-    /// coherently even mid-burst.
+    /// The stats frame of these counters and `cache` alone: no engine
+    /// members, a zero footprint.
     pub fn to_json(&self, cache: &PlanCache) -> Json {
-        let crew = astore_core::parallel::crew_stats();
-        let [queries, writes, wal_records, checkpoints, group_commits, compactions, parallel_queries, parallel_denied, segments_scanned, segments_pruned, prepares, prepared_execs, errors, rejected, conn_rejected] =
-            self.group.read(|| {
-                [
-                    self.queries.load(Ordering::Relaxed),
-                    self.writes.load(Ordering::Relaxed),
-                    self.wal_records.load(Ordering::Relaxed),
-                    self.checkpoints.load(Ordering::Relaxed),
-                    self.group_commits.load(Ordering::Relaxed),
-                    self.compactions.load(Ordering::Relaxed),
-                    self.parallel_queries.load(Ordering::Relaxed),
-                    self.parallel_denied.load(Ordering::Relaxed),
-                    self.segments_scanned.load(Ordering::Relaxed),
-                    self.segments_pruned.load(Ordering::Relaxed),
-                    self.prepares.load(Ordering::Relaxed),
-                    self.prepared_execs.load(Ordering::Relaxed),
-                    self.errors.load(Ordering::Relaxed),
-                    self.rejected.load(Ordering::Relaxed),
-                    self.conn_rejected.load(Ordering::Relaxed),
-                ]
-            });
-        Json::obj([
-            ("uptime_s", Json::Float(self.started.elapsed().as_secs_f64())),
-            ("queries", Json::Int(queries as i64)),
-            ("writes", Json::Int(writes as i64)),
-            ("wal_records", Json::Int(wal_records as i64)),
-            ("checkpoints", Json::Int(checkpoints as i64)),
-            ("group_commits", Json::Int(group_commits as i64)),
-            ("compactions", Json::Int(compactions as i64)),
-            ("parallel_queries", Json::Int(parallel_queries as i64)),
-            ("parallel_denied", Json::Int(parallel_denied as i64)),
-            ("segments_scanned", Json::Int(segments_scanned as i64)),
-            ("segments_pruned", Json::Int(segments_pruned as i64)),
-            ("prepares", Json::Int(prepares as i64)),
-            ("prepared_execs", Json::Int(prepared_execs as i64)),
-            ("errors", Json::Int(errors as i64)),
-            ("rejected", Json::Int(rejected as i64)),
-            ("connections_rejected", Json::Int(conn_rejected as i64)),
-            (
-                "active_connections",
-                Json::Int(self.active_connections.load(Ordering::Relaxed) as i64),
-            ),
-            // Same gauge under the reactor-era name; `active_connections`
-            // stays for callers written against the older name.
-            ("open_connections", Json::Int(self.active_connections.load(Ordering::Relaxed) as i64)),
-            ("accepts_total", Json::Int(self.accepts_total.load(Ordering::Relaxed) as i64)),
-            (
-                "reads_blocked_on_backpressure",
-                Json::Int(self.reads_blocked_on_backpressure.load(Ordering::Relaxed) as i64),
-            ),
-            ("pipeline_depth_count", Json::Int(self.pipeline_depth.count() as i64)),
-            ("pipeline_depth_p50", Json::Int(self.pipeline_depth.quantile_us(0.50) as i64)),
-            ("pipeline_depth_p99", Json::Int(self.pipeline_depth.quantile_us(0.99) as i64)),
-            ("pipeline_depth_max", Json::Int(self.pipeline_depth.max_us() as i64)),
-            ("queue_wait", per_class_json(&self.queue_wait, US_KEYS)),
-            ("reply_bytes", per_class_json(&self.reply_bytes, ["count", "p50", "p99", "max"])),
-            ("serialize_us", per_class_json(&self.serialize_us, US_KEYS)),
-            ("scan_helpers", Json::Int(crew.helpers as i64)),
-            ("scan_helper_wakes", Json::Int(crew.wakes as i64)),
-            ("execute_latency", quantiles_json(&self.execute_latency, US_KEYS)),
-            ("encoded_bytes", Json::Int(self.encoded_bytes.load(Ordering::Relaxed) as i64)),
-            ("raw_bytes", Json::Int(self.raw_bytes.load(Ordering::Relaxed) as i64)),
-            ("flat_chunks", Json::Int(self.flat_chunks.load(Ordering::Relaxed) as i64)),
-            ("flat_bytes", Json::Int(self.flat_bytes.load(Ordering::Relaxed) as i64)),
-            ("dict_bytes", Json::Int(self.dict_bytes.load(Ordering::Relaxed) as i64)),
-            ("str_heap_bytes", Json::Int(self.str_heap_bytes.load(Ordering::Relaxed) as i64)),
-            ("append_copies", Json::Int(self.append_copies.load(Ordering::Relaxed) as i64)),
-            ("boot_snapshot_us", Json::Int(self.boot_snapshot_us.load(Ordering::Relaxed) as i64)),
-            ("boot_replay_us", Json::Int(self.boot_replay_us.load(Ordering::Relaxed) as i64)),
-            ("boot_replayed", Json::Int(self.boot_replayed.load(Ordering::Relaxed) as i64)),
-            ("cache_hits", Json::Int(cache.hits() as i64)),
-            ("cache_misses", Json::Int(cache.misses() as i64)),
-            ("cache_hit_rate", Json::Float(cache.hit_rate())),
-            ("cached_plans", Json::Int(cache.len() as i64)),
-            ("latency_count", Json::Int(self.latency.count() as i64)),
-            ("latency_mean_us", Json::Float(self.latency.mean_us())),
-            ("latency_p50_us", Json::Int(self.latency.quantile_us(0.50) as i64)),
-            ("latency_p99_us", Json::Int(self.latency.quantile_us(0.99) as i64)),
-            ("latency_max_us", Json::Int(self.latency.max_us() as i64)),
-        ])
+        Sources::new(self, cache).to_json()
     }
 }
 
-/// Member names of a microsecond histogram's summary.
-const US_KEYS: [&str; 4] = ["count", "p50_us", "p99_us", "max_us"];
-
-/// A histogram's sample count and monitoring quantiles under `keys`
-/// (count, p50, p99, max).
-fn quantiles_json(h: &LatencyHistogram, keys: [&'static str; 4]) -> Json {
-    Json::obj([
-        (keys[0], Json::Int(h.count() as i64)),
-        (keys[1], Json::Int(h.quantile_us(0.50) as i64)),
-        (keys[2], Json::Int(h.quantile_us(0.99) as i64)),
-        (keys[3], Json::Int(h.max_us() as i64)),
-    ])
+/// Where an image's column memory is: a walk over its tables' chunk slots,
+/// dictionaries and heaps, no row data. Chunk bytes count the rows the
+/// image sees, not the space reserved behind a filling tail; dictionary
+/// and heap bytes count capacity, so room allocated and never used shows.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Footprint {
+    /// Column chunk bytes, each chunk in the one form it is held in.
+    pub encoded_bytes: u64,
+    /// The bytes the same chunks would occupy flat.
+    pub raw_bytes: u64,
+    /// Chunks held flat: written since their last seal, the filling tail,
+    /// or kinds with no smaller form.
+    pub flat_chunks: u64,
+    /// The visible rows' bytes of the chunks held flat.
+    pub flat_bytes: u64,
+    /// Dictionary heap bytes: values, their strings, reverse indexes.
+    pub dict_bytes: u64,
+    /// String heap bytes (neither this nor `dict_bytes` is a chunk byte).
+    pub str_heap_bytes: u64,
+    /// Tail chunks appends had to copy, rather than fill in place.
+    pub append_copies: u64,
 }
 
-/// One [`quantiles_json`] object per priority class.
-fn per_class_json(hists: &[LatencyHistogram; 3], keys: [&'static str; 4]) -> Json {
-    Json::obj(
-        crate::sched::Priority::ALL.map(|p| (p.as_str(), quantiles_json(&hists[p as usize], keys))),
-    )
+impl Footprint {
+    /// Sums the footprint of `db`'s tables.
+    pub fn of(db: &Database) -> Footprint {
+        let mut f = Footprint::default();
+        for t in db.table_names().iter().filter_map(|name| db.table(name)) {
+            let ((resident, raw), (chunks, bytes)) = (t.encoded_footprint(), t.flat_chunks());
+            let (dicts, heaps) = t.string_footprint();
+            f.encoded_bytes += resident;
+            f.raw_bytes += raw;
+            f.flat_chunks += chunks;
+            f.flat_bytes += bytes;
+            f.dict_bytes += dicts;
+            f.str_heap_bytes += heaps;
+            f.append_copies += t.append_copies();
+        }
+        f
+    }
+}
+
+/// What one exposition reads: the server's counters and the owners beside
+/// them.
+#[derive(Debug)]
+pub struct Sources<'a> {
+    /// The server's counters and histograms.
+    pub stats: &'a ServerStats,
+    /// The shared plan cache.
+    pub cache: &'a PlanCache,
+    /// The resident scan crew.
+    pub crew: CrewStats,
+    /// The served image's footprint, walked once for this exposition.
+    pub footprint: Footprint,
+    /// The serving engine's part; without it, its rows are left out.
+    pub engine: Option<EngineSources<'a>>,
+}
+
+/// The serving engine's part of an exposition.
+#[derive(Debug)]
+pub struct EngineSources<'a> {
+    /// Per-template latency histograms.
+    pub templates: &'a TemplateStats,
+    /// The slow-query ring.
+    pub slowlog: &'a SlowLog,
+    /// The core budget.
+    pub budget: &'a CoreBudget,
+    /// The per-query fan-out ceiling.
+    pub threads: usize,
+    /// The version of the served image.
+    pub db_version: u64,
+}
+
+/// One metric's value in an exposition.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Reading<'a> {
+    Num(Num),
+    Hist(&'a LatencyHistogram),
+    PerClass(&'a [LatencyHistogram; 3]),
+    Templates(&'a TemplateStats),
+}
+
+impl<'a> Sources<'a> {
+    /// The counters and the plan cache alone: a zero footprint, no engine.
+    pub fn new(stats: &'a ServerStats, cache: &'a PlanCache) -> Self {
+        Sources { stats, cache, crew: crew_stats(), footprint: Footprint::default(), engine: None }
+    }
+
+    /// Each row of [`METRICS`] with its value, in table order; a row whose
+    /// owner is absent is skipped. The [`Read::Field`]s are loaded up
+    /// front, inside one [`SeqLock::read`] retry loop.
+    pub(crate) fn readings(&self) -> impl Iterator<Item = (&'static Metric, Reading<'_>)> {
+        let stats = self.stats;
+        let fields: Vec<u64> = stats.group.read(|| {
+            let fields = METRICS.iter().filter_map(|m| match m.read {
+                Read::Field(field) => Some(field(stats).load(Ordering::Relaxed)),
+                _ => None,
+            });
+            fields.collect()
+        });
+        let mut fields = fields.into_iter();
+        METRICS.iter().filter_map(move |m| {
+            let reading = match m.read {
+                Read::Field(_) => Reading::Num(Num::Int(fields.next()?)),
+                Read::Hist(field) => Reading::Hist(field(self.stats)),
+                Read::PerClass(field) => Reading::PerClass(field(self.stats)),
+                Read::Value(value) => Reading::Num(value(self)),
+                Read::Engine(value) => Reading::Num(value(self.engine.as_ref()?)),
+                Read::Templates => Reading::Templates(self.engine.as_ref()?.templates),
+            };
+            Some((m, reading))
+        })
+    }
+
+    /// The `stats` payload of the wire protocol.
+    pub fn to_json(&self) -> Json {
+        let mut frame = BTreeMap::new();
+        let mut put = |key: &str, value: Json| {
+            frame.insert(key.to_owned(), value);
+        };
+        for (metric, reading) in self.readings() {
+            match (metric.key, reading) {
+                (Key::None, _) => {}
+                (Key::One(key), Reading::Num(Num::Int(v))) => put(key, Json::Int(v as i64)),
+                (Key::One(key), Reading::Num(Num::Float(v))) => put(key, Json::Float(v)),
+                (Key::One(key), Reading::Templates(t)) => put(key, t.to_json()),
+                (Key::Flat(members), Reading::Hist(h)) => {
+                    members.iter().for_each(|&(key, stat)| put(key, stat.of(h)))
+                }
+                (Key::Nested(key, members), Reading::Hist(h)) => put(key, summary(h, members)),
+                (Key::Nested(key, members), Reading::PerClass(hists)) => {
+                    let per_class =
+                        Priority::ALL.map(|p| (p.as_str(), summary(&hists[p as usize], members)));
+                    put(key, Json::obj(per_class))
+                }
+                (key, reading) => unreachable!("stats-frame key {key:?} cannot hold {reading:?}"),
+            }
+        }
+        Json::Object(frame)
+    }
+}
+
+/// A histogram's summary members as one object.
+fn summary(h: &LatencyHistogram, members: &[(&'static str, Stat)]) -> Json {
+    Json::obj(members.iter().map(|&(key, stat)| (key, stat.of(h))))
 }
 
 #[cfg(test)]
@@ -334,6 +537,128 @@ mod tests {
             assert!(j.get(gone).is_none(), "{gone} is still reported");
         }
     }
+
+    /// Every member path of a JSON object, `a.b.c` for nested members.
+    fn key_tree(j: &Json, prefix: &str, out: &mut Vec<String>) {
+        if let Json::Object(m) = j {
+            for (k, v) in m {
+                let path = if prefix.is_empty() { k.clone() } else { format!("{prefix}.{k}") };
+                key_tree(v, &path, out);
+                out.push(path);
+            }
+        }
+    }
+
+    #[test]
+    fn stats_frame_key_tree_is_pinned() {
+        let j = ServerStats::new().to_json(&PlanCache::default());
+        let mut keys = Vec::new();
+        key_tree(&j, "", &mut keys);
+        keys.sort_unstable();
+        let expected: Vec<String> = PINNED_KEYS.iter().map(|k| k.to_string()).collect();
+        assert_eq!(keys, expected);
+    }
+
+    const PINNED_KEYS: &[&str] = &[
+        "accepts_total",
+        "active_connections",
+        "append_copies",
+        "boot_replay_us",
+        "boot_replayed",
+        "boot_snapshot_us",
+        "cache_hit_rate",
+        "cache_hits",
+        "cache_misses",
+        "cached_plans",
+        "checkpoints",
+        "compactions",
+        "connections_rejected",
+        "dict_bytes",
+        "encoded_bytes",
+        "errors",
+        "execute_latency",
+        "execute_latency.count",
+        "execute_latency.max_us",
+        "execute_latency.p50_us",
+        "execute_latency.p99_us",
+        "flat_bytes",
+        "flat_chunks",
+        "group_commits",
+        "latency_count",
+        "latency_max_us",
+        "latency_mean_us",
+        "latency_p50_us",
+        "latency_p99_us",
+        "open_connections",
+        "parallel_denied",
+        "parallel_queries",
+        "pipeline_depth_count",
+        "pipeline_depth_max",
+        "pipeline_depth_p50",
+        "pipeline_depth_p99",
+        "prepared_execs",
+        "prepares",
+        "queries",
+        "queue_wait",
+        "queue_wait.interactive",
+        "queue_wait.interactive.count",
+        "queue_wait.interactive.max_us",
+        "queue_wait.interactive.p50_us",
+        "queue_wait.interactive.p99_us",
+        "queue_wait.metadata",
+        "queue_wait.metadata.count",
+        "queue_wait.metadata.max_us",
+        "queue_wait.metadata.p50_us",
+        "queue_wait.metadata.p99_us",
+        "queue_wait.scan",
+        "queue_wait.scan.count",
+        "queue_wait.scan.max_us",
+        "queue_wait.scan.p50_us",
+        "queue_wait.scan.p99_us",
+        "raw_bytes",
+        "reads_blocked_on_backpressure",
+        "rejected",
+        "reply_bytes",
+        "reply_bytes.interactive",
+        "reply_bytes.interactive.count",
+        "reply_bytes.interactive.max",
+        "reply_bytes.interactive.p50",
+        "reply_bytes.interactive.p99",
+        "reply_bytes.metadata",
+        "reply_bytes.metadata.count",
+        "reply_bytes.metadata.max",
+        "reply_bytes.metadata.p50",
+        "reply_bytes.metadata.p99",
+        "reply_bytes.scan",
+        "reply_bytes.scan.count",
+        "reply_bytes.scan.max",
+        "reply_bytes.scan.p50",
+        "reply_bytes.scan.p99",
+        "scan_helper_wakes",
+        "scan_helpers",
+        "segments_pruned",
+        "segments_scanned",
+        "serialize_us",
+        "serialize_us.interactive",
+        "serialize_us.interactive.count",
+        "serialize_us.interactive.max_us",
+        "serialize_us.interactive.p50_us",
+        "serialize_us.interactive.p99_us",
+        "serialize_us.metadata",
+        "serialize_us.metadata.count",
+        "serialize_us.metadata.max_us",
+        "serialize_us.metadata.p50_us",
+        "serialize_us.metadata.p99_us",
+        "serialize_us.scan",
+        "serialize_us.scan.count",
+        "serialize_us.scan.max_us",
+        "serialize_us.scan.p50_us",
+        "serialize_us.scan.p99_us",
+        "str_heap_bytes",
+        "uptime_s",
+        "wal_records",
+        "writes",
+    ];
 
     #[test]
     fn snapshot_never_tears_a_write_group() {
