@@ -201,6 +201,17 @@ mod tests {
         );
     }
 
+    #[test]
+    fn write_parse_errors_draw_a_caret() {
+        let mut conn = EmbeddedConnection::new(star_db());
+        let sql = "DELETE FROM fact WHERE rowid = x";
+        let err = conn.execute(sql, &[]).unwrap_err();
+        assert_eq!(err.code(), "parse_error");
+        let r = err.render();
+        assert!(r.contains("expected row id, found x (at byte 31)"), "{r}");
+        assert!(r.ends_with(&format!("\n  {sql}\n  {}^", " ".repeat(31))), "{r}");
+    }
+
     /// The embedded connection is the server's engine: its statements land
     /// in the engine's counters, its writes commit in groups, and a second
     /// prepare of a parameterized template is a plan-cache hit.

@@ -294,12 +294,6 @@ impl<'a> FactGrouper<'a> {
             _ => codes.extend(rows.iter().map(|&r| self.code_for(r as usize))),
         }
     }
-
-    /// An upper bound on the number of groups, when the column knows one
-    /// without scanning (a dictionary column's dictionary size).
-    pub fn max_groups(&self) -> Option<usize> {
-        matches!(self.column, Column::Dict(_)).then_some(self.dict_code_map.len())
-    }
 }
 
 #[cfg(test)]

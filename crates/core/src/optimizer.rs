@@ -11,7 +11,6 @@
 //!    threads at all, and how many are useful for its row count. Small
 //!    queries stay serial even when the caller requests parallelism.
 
-use astore_storage::catalog::Database;
 use astore_storage::segment::SEGMENT_ROWS;
 
 /// How grouped aggregates are stored.
@@ -32,10 +31,6 @@ pub struct OptimizerConfig {
     pub cache_budget_bytes: usize,
     /// Maximum number of cells the dense aggregation array may have.
     pub agg_array_max_cells: usize,
-    /// Minimum fill ratio (estimated groups / cells) below which the dense
-    /// array is considered too sparse. 0 disables the sparsity test — the
-    /// cell cap alone decides.
-    pub agg_min_fill: f64,
     /// Minimum fact-table rows per worker thread before a query fans out.
     /// Below this the executor stays serial regardless of the requested
     /// thread count. The count compared against is *post-prune*
@@ -68,7 +63,6 @@ impl Default for OptimizerConfig {
         OptimizerConfig {
             cache_budget_bytes: 16 << 20,
             agg_array_max_cells: 1 << 22,
-            agg_min_fill: 0.0,
             parallel_min_rows_per_thread: 2 * SEGMENT_ROWS,
             host_threads: 0,
         }
@@ -84,25 +78,18 @@ impl OptimizerConfig {
     }
 
     /// Decides the aggregation strategy given the per-dimension group
-    /// dictionary sizes (radices).
+    /// dictionary sizes (radices): the dense array, unless its cell count
+    /// overflows or passes [`OptimizerConfig::agg_array_max_cells`].
     pub fn agg_strategy(&self, radices: &[u32]) -> AggStrategy {
         let Some(cells) = radices.iter().try_fold(1usize, |acc, &r| acc.checked_mul(r as usize))
         else {
             return AggStrategy::HashTable;
         };
         if cells > self.agg_array_max_cells {
-            return AggStrategy::HashTable;
+            AggStrategy::HashTable
+        } else {
+            AggStrategy::DenseArray
         }
-        if self.agg_min_fill > 0.0 && !radices.is_empty() {
-            // Crude independence estimate: expected fill if every
-            // combination were equally likely is bounded by the largest
-            // single dimension.
-            let max_dim = radices.iter().copied().max().unwrap_or(1) as f64;
-            if max_dim / cells as f64 > 0.0 && (max_dim / cells as f64) < self.agg_min_fill {
-                return AggStrategy::HashTable;
-            }
-        }
-        AggStrategy::DenseArray
     }
 
     /// Decides how many worker threads a scan of `n_rows` fact rows should
@@ -125,12 +112,6 @@ impl OptimizerConfig {
         }
         let per = self.parallel_min_rows_per_thread.max(1);
         requested.min(n_rows / per).max(1)
-    }
-
-    /// Estimated bytes of all predicate vectors a query would allocate —
-    /// exposed for planning diagnostics.
-    pub fn filter_bytes(&self, db: &Database, dims: &[&str]) -> usize {
-        dims.iter().filter_map(|d| db.table(d)).map(|t| t.num_slots().div_ceil(8)).sum()
     }
 }
 

@@ -94,7 +94,7 @@ fn main() {
     // ── 5. Checkpoint: fold the WAL into a fresh snapshot (incremental:
     //      segments untouched since the boot snapshot are byte-copied) ─────
     let (_, bytes) = engine.checkpoint().expect("checkpoint");
-    println!("checkpoint written ({:.1} KiB); WAL reset to empty", bytes as f64 / 1024.0);
+    println!("checkpoint written ({:.1} KiB); WAL truncated through it", bytes as f64 / 1024.0);
     drop(engine);
     let again = store::open(&dir).expect("re-open");
     assert_eq!(again.replayed, 0, "nothing left to replay after a checkpoint");

@@ -20,7 +20,7 @@ use astore_datagen::ssb;
 use astore_persist::snapshot::{encode_snapshot, load_snapshot, save_snapshot};
 use astore_persist::wal::scan_wal;
 use astore_persist::{apply_statement, store};
-use astore_sql::statement::parse_statement;
+use astore_sql::{parse_template, StatementTemplate};
 use astore_storage::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -132,7 +132,8 @@ fn crash_fixture(dir: &PathBuf, n: usize, seed: u64) -> (Vec<Database>, Vec<u8>)
     let mut states = vec![db.clone()];
     for _ in 0..n {
         let sql = random_stmt(&mut rng, &db);
-        let stmt = parse_statement(&sql).unwrap();
+        let Ok(StatementTemplate::Write(w)) = parse_template(&sql) else { panic!("{sql}") };
+        let stmt = w.bind(&[]).unwrap();
         apply_statement(&mut db, &stmt).unwrap();
         wal.append(&sql).unwrap();
         states.push(db.clone());

@@ -1,35 +1,33 @@
-//! Validated application of write statements to a [`Database`].
+//! Validated application of bound writes to a [`Database`].
 //!
 //! This is the single write path shared by the serving engine's group
 //! commit (which validates, logs to the WAL, then applies) and by crash
-//! recovery (which replays the WAL through the very same code, so a
-//! recovered database is byte-identical to one that never crashed).
+//! recovery (which parses each WAL record back into the same bound
+//! [`Write`] and replays it through the very same code, so a recovered
+//! database is byte-identical to one that never crashed).
 //!
-//! Every statement is validated *before* any mutation: a rejected statement
-//! leaves the database untouched, and no storage-layer `panic!` can escape.
+//! Every write is validated *before* any mutation: a rejected write leaves
+//! the database untouched, and no storage-layer `panic!` can escape.
 
-use astore_sql::statement::Statement;
+use astore_sql::statement::Write;
 use astore_storage::catalog::Database;
 use astore_storage::table::Table;
 use astore_storage::types::{DataType, RowId, Value};
 
-/// Validates one write statement without mutating anything. After an `Ok`,
-/// [`apply_statement`] on the same database state cannot fail — which is
-/// what lets the serving layer WAL-log *between* validation and mutation:
-/// an append failure then leaves memory, log and client view all agreeing
-/// that the write never happened.
-pub fn validate_statement(db: &Database, stmt: &Statement) -> Result<(), String> {
+/// Validates one bound write without mutating anything. After an `Ok`,
+/// the mutation on the same database state cannot fail.
+fn validate_statement(db: &Database, stmt: &Write<Value>) -> Result<(), String> {
     match stmt {
-        Statement::Insert { table, rows } => {
+        Write::Insert { table, rows } => {
             let t = db.table(table).ok_or_else(|| format!("no table {table:?}"))?;
             for (i, row) in rows.iter().enumerate() {
                 check_row(db, t, row).map_err(|e| format!("row {i}: {e}"))?;
             }
             Ok(())
         }
-        Statement::Update { table, assignments, row } => {
+        Write::Update { table, assignments, row } => {
             let t = db.table(table).ok_or_else(|| format!("no table {table:?}"))?;
-            check_live(t, *row)?;
+            check_live(t, row_id(row)?)?;
             for (col, v) in assignments {
                 let def = t
                     .schema()
@@ -41,8 +39,9 @@ pub fn validate_statement(db: &Database, stmt: &Statement) -> Result<(), String>
             }
             Ok(())
         }
-        Statement::Delete { table, .. } => {
+        Write::Delete { table, row } => {
             db.table(table).ok_or_else(|| format!("no table {table:?}"))?;
+            row_id(row)?;
             // A deleted slot goes on the free list and is recycled by the
             // next INSERT; any AIR column still pointing at it would then
             // silently rebind to an unrelated row. Refuse deletes from
@@ -56,40 +55,48 @@ pub fn validate_statement(db: &Database, stmt: &Statement) -> Result<(), String>
             }
             Ok(())
         }
-        Statement::Select(_) => Err("SELECT is not a write statement".into()),
     }
 }
 
-/// Applies one write statement, returning the number of affected rows.
+/// Applies one bound write, returning the number of affected rows.
 /// Validation happens up front; on `Err` the database is unchanged.
-pub fn apply_statement(db: &mut Database, stmt: &Statement) -> Result<usize, String> {
+pub fn apply_statement(db: &mut Database, stmt: &Write<Value>) -> Result<usize, String> {
     validate_statement(db, stmt)?;
     Ok(apply_validated(db, stmt))
 }
 
 /// Mutation half of [`apply_statement`]; must only run after
-/// [`validate_statement`] succeeded on the same state.
-fn apply_validated(db: &mut Database, stmt: &Statement) -> usize {
+/// `validate_statement` succeeded on the same state.
+fn apply_validated(db: &mut Database, stmt: &Write<Value>) -> usize {
+    let row = |v| row_id(v).expect("validated");
     match stmt {
-        Statement::Insert { table, rows } => {
+        Write::Insert { table, rows } => {
             let t = db.table_mut(table).expect("validated");
             for row in rows {
                 t.insert(row);
             }
             rows.len()
         }
-        Statement::Update { table, assignments, row } => {
+        Write::Update { table, assignments, row: r } => {
             let t = db.table_mut(table).expect("validated");
             for (col, v) in assignments {
-                t.update(*row, col, v);
+                t.update(row(r), col, v);
             }
             1
         }
-        Statement::Delete { table, row } => {
+        Write::Delete { table, row: r } => {
             let t = db.table_mut(table).expect("validated");
-            usize::from(t.delete(*row))
+            usize::from(t.delete(row(r)))
         }
-        Statement::Select(_) => unreachable!("validate_statement rejects SELECT"),
+    }
+}
+
+/// The row a write addresses; binding keeps it an integer in
+/// `[0, RowId::MAX]`, and a hand-built write that breaks that is refused.
+fn row_id(v: &Value) -> Result<RowId, String> {
+    match v {
+        Value::Int(n) => RowId::try_from(*n).map_err(|_| format!("row id {n} is out of range")),
+        other => Err(format!("row id must be an integer, got {other:?}")),
     }
 }
 
@@ -155,7 +162,7 @@ fn check_value(db: &Database, dtype: &DataType, v: &Value) -> Result<(), String>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use astore_sql::statement::parse_statement;
+    use astore_sql::{parse_template, StatementTemplate};
     use astore_storage::table::{ColumnDef, Schema};
 
     fn star() -> Database {
@@ -177,7 +184,8 @@ mod tests {
     }
 
     fn apply_sql(db: &mut Database, sql: &str) -> Result<usize, String> {
-        apply_statement(db, &parse_statement(sql).unwrap())
+        let Ok(StatementTemplate::Write(w)) = parse_template(sql) else { panic!("{sql}") };
+        apply_statement(db, &w.bind(&[]).unwrap())
     }
 
     #[test]

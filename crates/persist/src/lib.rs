@@ -13,12 +13,12 @@
 //!   validated write statements (`INSERT`/`UPDATE`/`DELETE`), with
 //!   torn-tail truncation so recovery always yields a prefix of the
 //!   acknowledged writes;
-//! - [`apply`] — the validated statement-application path shared by the
+//! - [`apply`] — the validated application of a bound write, shared by the
 //!   serving engine's group commit and by WAL replay (one code path,
 //!   identical results);
 //! - [`store`] — data-directory orchestration: `bootstrap` → `open`
-//!   (recover) → `checkpoint`, crash-safe at every step via atomic renames
-//!   and LSN-gated replay.
+//!   (recover) → `write_checkpoint` (then [`Wal::truncate_through`]),
+//!   crash-safe at every step via atomic renames and LSN-gated replay.
 //!
 //! Everything is `std`-only and panic-free on corrupt input: a damaged file
 //! is an [`PersistError`], never a crash or silently wrong data.
@@ -59,7 +59,7 @@ mod wire;
 
 pub use apply::apply_statement;
 pub use snapshot::{load_snapshot, save_snapshot, SNAPSHOT_VERSION};
-pub use store::{bootstrap, checkpoint, open, Recovered};
+pub use store::{bootstrap, open, write_checkpoint, Recovered};
 pub use wal::{Wal, WalRecord};
 
 /// Errors of the persistence layer.

@@ -40,7 +40,7 @@ cached_counter!(
 cached_counter!(
     checkpoints_total,
     "astore_checkpoints_total",
-    "Checkpoints taken (snapshot fold + WAL reset)."
+    "Checkpoints taken (snapshot fold + WAL truncation)."
 );
 cached_counter!(
     checkpoint_us_total,

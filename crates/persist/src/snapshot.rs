@@ -266,7 +266,7 @@ pub fn encode_snapshot(db: &Database, wal_lsn: u64) -> Vec<u8> {
 ///
 /// Correctness contract: `prev` must index the snapshot file this
 /// database's clean flags are relative to — i.e. the file it was last
-/// loaded from or checkpointed to (see [`crate::store::checkpoint`]).
+/// loaded from or checkpointed to (see [`crate::store::write_checkpoint`]).
 /// Encoding is deterministic, so the output is byte-identical to a full
 /// [`encode_snapshot`] either way.
 pub fn encode_snapshot_with_prev<R: Read + Seek>(
@@ -1317,7 +1317,7 @@ fn decode_column_v1(
 
 /// Saves `db` to `path` atomically (temp file in the same directory, fsync,
 /// rename, then fsync of the parent directory so the rename itself is
-/// durable — without it, a power loss could persist a later WAL reset while
+/// durable — without it, a power loss could persist a later WAL truncation while
 /// the directory entry still points at the old snapshot, silently dropping
 /// checkpointed writes). Records `wal_lsn` as the last WAL record folded
 /// in. Returns the number of bytes written.

@@ -9,18 +9,19 @@
 //!
 //! The lifecycle is: [`bootstrap`] once (seed database → snapshot + empty
 //! WAL), then [`open`] on every boot (load snapshot, replay the WAL's
-//! committed prefix through [`crate::apply`], truncate any torn tail), and
-//! [`checkpoint`] whenever the WAL has grown enough to be worth folding
-//! back into the snapshot. Checkpointing is crash-safe in both directions:
-//! the snapshot is replaced by atomic rename, and because replay skips
-//! records with LSN ≤ the snapshot's header LSN, a crash *between* the
-//! rename and the WAL reset merely leaves stale records that the next boot
-//! ignores.
+//! committed prefix through [`crate::apply`], truncate any torn tail). A
+//! checkpoint is [`write_checkpoint`] (fold an image into a fresh snapshot
+//! stamped with the last folded LSN) followed by
+//! [`Wal::truncate_through`] that LSN, which keeps the records committed
+//! after it. Both steps are crash-safe: the snapshot and the log are each
+//! replaced by atomic rename, and because replay skips records with LSN ≤
+//! the snapshot's header LSN, a crash *between* the two merely leaves
+//! stale records that the next boot ignores.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use astore_sql::statement::parse_statement;
+use astore_sql::{parse_template, StatementTemplate};
 use astore_storage::catalog::Database;
 
 use crate::apply::apply_statement;
@@ -98,10 +99,17 @@ pub fn open(dir: impl AsRef<Path>) -> Result<Recovered, PersistError> {
     for rec in &scan.records {
         if rec.lsn <= snapshot_lsn {
             // Already folded into the snapshot by a checkpoint that crashed
-            // before resetting the log.
+            // before truncating the log.
             continue;
         }
-        let stmt = parse_statement(&rec.sql).map_err(|e| {
+        // A record is a bound write's canonical text: it parses back to
+        // that write, with no parameters to bind.
+        let stmt = match parse_template(&rec.sql) {
+            Ok(StatementTemplate::Write(w)) => w.bind(&[]).map_err(|e| e.to_string()),
+            Ok(StatementTemplate::Select(_)) => Err("a SELECT is not a write".into()),
+            Err(e) => Err(e.to_string()),
+        }
+        .map_err(|e| {
             PersistError::Corrupt(format!("WAL record {} does not parse: {e}", rec.lsn))
         })?;
         apply_statement(&mut db, &stmt).map_err(|e| {
@@ -119,53 +127,18 @@ pub fn open(dir: impl AsRef<Path>) -> Result<Recovered, PersistError> {
     })
 }
 
-/// Folds the current database image into a fresh snapshot and resets the
-/// WAL. `last_lsn` must be the LSN of the last record applied to `db`
-/// (i.e. [`Wal::last_lsn`] at the moment `db` was fixed). Returns the
-/// snapshot size in bytes.
-///
-/// The checkpoint is **incremental at segment granularity**: segments not
-/// mutated since `db` was loaded from (or last checkpointed to) this data
-/// directory are byte-copied from the existing snapshot file instead of
-/// re-encoded — the output is byte-identical either way because encoding is
-/// deterministic. Afterwards every segment is marked clean, making the new
-/// file the reuse baseline for the next checkpoint. Because the clean flags
-/// are relative to *this directory's* snapshot, `db` must be a database
-/// that was opened from (or bootstrapped into) `dir`.
-///
-/// The caller must hold the database still for the duration (the serving
-/// layer runs this inside its write latch).
-pub fn checkpoint(
-    dir: impl AsRef<Path>,
-    db: &mut Database,
-    wal: &mut Wal,
-) -> Result<usize, PersistError> {
-    let dir = dir.as_ref();
-    let last = wal.last_lsn();
-    // Seal before encoding so the snapshot persists the compressed segment
-    // form (newly sealed segments come out dirty and re-encode; segments
-    // sealed by an earlier checkpoint stay clean and byte-reuse). A table
-    // shared with in-flight readers is cloned first — pointer bumps, not
-    // row data — so readers never delay a seal.
-    for name in db.table_names().to_vec() {
-        db.table_mut(&name).expect("listed table exists").seal_segments();
-    }
-    let bytes = write_checkpoint(dir, db, last)?;
-    wal.reset(last)?;
-    for name in db.table_names().to_vec() {
-        db.table_mut(&name).expect("listed table exists").mark_segments_clean();
-    }
-    Ok(bytes)
-}
-
 /// The encode-and-write half of a checkpoint, usable from a *shared*
 /// snapshot: folds `db` into `<dir>/db.snapshot` stamped with `last_lsn`
-/// (incremental at segment granularity against the previous file) and
-/// returns the snapshot size in bytes. Touches neither the WAL nor the
-/// tables' clean flags — the caller sequences those (see
-/// [`checkpoint`] for the embedded one-latch variant; the server runs this
-/// from a COW snapshot outside its commit lock and then truncates the WAL
-/// and marks segments clean in two brief latched phases).
+/// and returns the snapshot size in bytes.
+///
+/// The write is **incremental at segment granularity**: segments not
+/// mutated since the previous snapshot in `dir` was written (their clean
+/// flag is set) are byte-copied from that file instead of re-encoded — the
+/// output is byte-identical either way because encoding is deterministic.
+/// Touches neither the WAL nor the tables' clean flags: the caller
+/// sequences those (the server runs this from a COW snapshot outside its
+/// commit lock, then truncates the WAL through `last_lsn` and marks clean
+/// the segments nobody wrote meanwhile, each in a brief latched phase).
 pub fn write_checkpoint(
     dir: impl AsRef<Path>,
     db: &Database,
@@ -206,6 +179,11 @@ mod tests {
         dir
     }
 
+    fn apply_sql(db: &mut Database, sql: &str) {
+        let Ok(StatementTemplate::Write(w)) = parse_template(sql) else { panic!("{sql}") };
+        apply_statement(db, &w.bind(&[]).unwrap()).unwrap();
+    }
+
     fn sum(db: &Database) -> i64 {
         let t = db.table("t").unwrap();
         (0..t.num_slots() as u32)
@@ -236,16 +214,17 @@ mod tests {
         let mut db = seed();
         let mut wal = bootstrap(&dir, &db).unwrap();
         for sql in ["INSERT INTO t VALUES (10)", "DELETE FROM t WHERE rowid = 1"] {
-            let stmt = parse_statement(sql).unwrap();
-            apply_statement(&mut db, &stmt).unwrap();
+            apply_sql(&mut db, sql);
             wal.append(sql).unwrap();
         }
-        checkpoint(&dir, &mut db, &mut wal).unwrap();
-        assert_eq!(wal.appended_since_reset(), 0);
-        // More writes after the checkpoint.
+        let folded = wal.last_lsn();
+        write_checkpoint(&dir, &db, folded).unwrap();
+        // A write that committed while the snapshot was being written.
         let sql = "INSERT INTO t VALUES (50)";
-        apply_statement(&mut db, &parse_statement(sql).unwrap()).unwrap();
+        apply_sql(&mut db, sql);
         wal.append(sql).unwrap();
+        wal.truncate_through(folded).unwrap();
+        assert_eq!(wal.record_count(), 1, "the later record is kept");
         drop(wal);
         let rec = open(&dir).unwrap();
         assert_eq!(rec.replayed, 1, "only the post-checkpoint record replays");
@@ -256,14 +235,14 @@ mod tests {
     #[test]
     fn crashed_checkpoint_is_not_double_applied() {
         // Simulate: checkpoint wrote the new snapshot (with LSN) but crashed
-        // before resetting the WAL → stale records with old LSNs remain.
+        // before truncating the WAL → stale records with old LSNs remain.
         let dir = tmpdir("crashckpt");
         let mut db = seed();
         let mut wal = bootstrap(&dir, &db).unwrap();
         let sql = "INSERT INTO t VALUES (10)";
-        apply_statement(&mut db, &parse_statement(sql).unwrap()).unwrap();
+        apply_sql(&mut db, sql);
         wal.append(sql).unwrap();
-        // Snapshot written with the current last LSN, WAL NOT reset.
+        // Snapshot written with the current last LSN, WAL NOT truncated.
         save_snapshot_with_lsn(&db, snapshot_path(&dir), wal.last_lsn()).unwrap();
         drop(wal);
         let rec = open(&dir).unwrap();

@@ -179,8 +179,8 @@ pub struct Wal {
     file: File,
     path: PathBuf,
     next_lsn: u64,
-    /// Records appended since the log was last reset (checkpoint pressure).
-    appended_since_reset: u64,
+    /// Records the log holds (checkpoint pressure).
+    record_count: u64,
     /// `false` disables the per-record fsync (tests and bulk loads only —
     /// the durability guarantee needs it on).
     pub sync_on_commit: bool,
@@ -233,7 +233,7 @@ impl Wal {
             file,
             path,
             next_lsn: min_next_lsn.max(max_lsn + 1),
-            appended_since_reset: scan.records.len() as u64,
+            record_count: scan.records.len() as u64,
             sync_on_commit: true,
         };
         Ok((wal, scan))
@@ -254,10 +254,11 @@ impl Wal {
         self.next_lsn - 1
     }
 
-    /// Records appended since the last [`Wal::reset`] (or open) — the
+    /// Records the log holds: those found on open, plus those appended
+    /// since, minus those a [`Wal::truncate_through`] dropped — the
     /// checkpoint-pressure gauge.
-    pub fn appended_since_reset(&self) -> u64 {
-        self.appended_since_reset
+    pub fn record_count(&self) -> u64 {
+        self.record_count
     }
 
     /// Appends one committed statement and (by default) fsyncs. Returns the
@@ -318,30 +319,20 @@ impl Wal {
             fsync_sample.stop(crate::metrics::wal_fsync_us_total());
         }
         self.next_lsn = next;
-        self.appended_since_reset += sqls.len() as u64;
+        self.record_count += sqls.len() as u64;
         crate::metrics::wal_appends_total()
             .fetch_add(sqls.len() as u64, std::sync::atomic::Ordering::Relaxed);
         append_sample.stop(crate::metrics::wal_append_us_total());
         Ok(first)
     }
 
-    /// Truncates the log back to an empty header after a checkpoint whose
-    /// snapshot folded in everything up to `checkpoint_lsn`. LSNs keep
-    /// counting up from where they were — they never restart, which is what
-    /// makes stale WAL bytes after a crashed checkpoint harmless.
-    pub fn reset(&mut self, checkpoint_lsn: u64) -> Result<(), PersistError> {
-        self.file.set_len(HEADER_LEN as u64)?;
-        self.file.seek(SeekFrom::End(0))?;
-        self.file.sync_all()?;
-        self.next_lsn = self.next_lsn.max(checkpoint_lsn + 1);
-        self.appended_since_reset = 0;
-        Ok(())
-    }
-
     /// Truncates the log to only the records with LSN > `checkpoint_lsn`,
-    /// for checkpoints that run *concurrently* with committers: unlike
-    /// [`Wal::reset`], writes that landed after the checkpoint fixed its
-    /// snapshot survive. Survivors are re-framed as single-statement
+    /// after a checkpoint whose snapshot folded in everything up to it.
+    /// Checkpoints run *concurrently* with committers, so writes that
+    /// landed after the checkpoint fixed its snapshot survive. LSNs keep
+    /// counting up from where they were — they never restart, which is
+    /// what makes stale WAL bytes after a crashed checkpoint harmless.
+    /// Survivors are re-framed as single-statement
     /// batches (a group-committed batch may straddle the checkpoint LSN)
     /// and the file is replaced by atomic rename, so a crash at any point
     /// leaves either the old or the new committed prefix.
@@ -361,7 +352,7 @@ impl Wal {
         self.file = replace_wal_file(&self.path, &out)?;
         self.file.seek(SeekFrom::End(0))?;
         self.next_lsn = self.next_lsn.max(checkpoint_lsn + 1);
-        self.appended_since_reset = keep.len() as u64;
+        self.record_count = keep.len() as u64;
         Ok(())
     }
 }
@@ -489,23 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_records_but_not_lsns() {
-        let scratch = Scratch::new("reset");
-        let path = scratch.file();
-        let (mut wal, _) = Wal::open(&path, 1).unwrap();
-        wal.append("INSERT INTO t VALUES (1)").unwrap();
-        let ck = wal.last_lsn();
-        wal.reset(ck).unwrap();
-        assert_eq!(wal.appended_since_reset(), 0);
-        let lsn = wal.append("INSERT INTO t VALUES (2)").unwrap();
-        assert!(lsn > ck, "LSNs never restart");
-        drop(wal);
-        let (_, scan) = Wal::open(&path, 1).unwrap();
-        assert_eq!(scan.records.len(), 1);
-        assert_eq!(scan.records[0].lsn, lsn);
-    }
-
-    #[test]
     fn batch_append_scan_roundtrip() {
         let scratch = Scratch::new("batch");
         let path = scratch.file();
@@ -513,7 +487,7 @@ mod tests {
         let sqls: Vec<String> = (0..5).map(|i| format!("INSERT INTO t VALUES ({i})")).collect();
         assert_eq!(wal.append_batch(&sqls).unwrap(), 1, "first LSN of the batch");
         assert_eq!(wal.next_lsn(), 6);
-        assert_eq!(wal.appended_since_reset(), 5);
+        assert_eq!(wal.record_count(), 5);
         assert_eq!(wal.append("INSERT INTO t VALUES (99)").unwrap(), 6);
         assert_eq!(wal.append_batch::<&str>(&[]).unwrap(), 7, "empty batch is a no-op");
         assert_eq!(wal.next_lsn(), 7);
@@ -616,7 +590,7 @@ mod tests {
         wal.append_batch(&["d", "e"]).unwrap();
         // Checkpoint folded in LSNs ≤ 4 — the second batch is split.
         wal.truncate_through(4).unwrap();
-        assert_eq!(wal.appended_since_reset(), 1);
+        assert_eq!(wal.record_count(), 1);
         assert_eq!(wal.next_lsn(), 6, "next LSN unchanged (5 is still live)");
         let lsn = wal.append("f").unwrap();
         assert_eq!(lsn, 6);
@@ -627,6 +601,12 @@ mod tests {
             vec![(5, "e"), (6, "f")],
             "only post-checkpoint statements survive, LSNs preserved"
         );
+        // A checkpoint that folded in every record leaves an empty log,
+        // and LSNs still never restart.
+        let (mut wal, _) = Wal::open(&path, 1).unwrap();
+        wal.truncate_through(6).unwrap();
+        assert_eq!(wal.record_count(), 0);
+        assert_eq!(wal.append("g").unwrap(), 7);
     }
 
     #[test]

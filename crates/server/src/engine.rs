@@ -66,12 +66,11 @@ use astore_core::host_cores;
 use astore_core::query::Query;
 use astore_obs::TraceBuf;
 use astore_persist::wal::Wal;
+use astore_sql::parse_template;
 use astore_sql::prepared::{
     canonicalize, extract_select_params, prepare_template, BoundStatement, PrepareError, Prepared,
 };
-use astore_sql::statement::{
-    parse_template, strip_explain, strip_explain_analyze, StatementTemplate,
-};
+use astore_sql::statement::{strip_explain, strip_explain_analyze, StatementTemplate};
 use astore_storage::catalog::Database;
 use astore_storage::snapshot::SharedDatabase;
 use astore_storage::types::Value;
@@ -523,26 +522,30 @@ impl Engine {
         // grants shrink accordingly.
         let _slot = (mode != Mode::Explain).then(|| self.budget.enter_statement());
         let t = Instant::now();
-        let out = if tmpl.is_select() {
-            let snap = self.db.snapshot();
-            let (prepared, cached) = self.plan(tmpl, &key, &snap, true)?;
-            // Literals the server lifted out are not the client's
-            // parameters: their type errors are plan errors.
-            let code = if explicit_params { ErrorCode::ParamError } else { ErrorCode::PlanError };
-            let BoundStatement::Select(query) = bind(&prepared, &lifted, code)? else {
-                unreachable!("a SELECT template binds to a SELECT")
-            };
-            if mode == Mode::Explain {
-                return Ok(self.explain(&snap, &query, &key, cached)?);
-            }
-            self.select(&snap, &query, mode == Mode::Analyze).map(|answer| reply(&answer, cached))
-        } else {
+        let out = match tmpl {
             // Text-mode writes carry no parameters; a placeholder here is
-            // a protocol error (prepare/execute is the parameterized path).
-            tmpl.into_concrete()
+            // a param error (prepare/execute is the parameterized path).
+            StatementTemplate::Write(w) => w
+                .bind(&[])
                 .map_err(|e| EngineError::new(ErrorCode::ParamError, e.to_string()))
-                .and_then(|stmt| self.stage(stmt))
-                .map(affected)
+                .and_then(|w| self.stage(w))
+                .map(affected),
+            select => {
+                let snap = self.db.snapshot();
+                let (prepared, cached) = self.plan(select, &key, &snap, true)?;
+                // Literals the server lifted out are not the client's
+                // parameters: their type errors are plan errors.
+                let code =
+                    if explicit_params { ErrorCode::ParamError } else { ErrorCode::PlanError };
+                let BoundStatement::Select(query) = bind(&prepared, &lifted, code)? else {
+                    unreachable!("a SELECT template binds to a SELECT")
+                };
+                if mode == Mode::Explain {
+                    return Ok(self.explain(&snap, &query, &key, cached)?);
+                }
+                self.select(&snap, &query, mode == Mode::Analyze)
+                    .map(|answer| reply(&answer, cached))
+            }
         };
         if out.is_ok() {
             self.observe_template(&key, t);

@@ -18,8 +18,9 @@
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 
-use astore_persist::apply::{apply_statement, validate_statement};
-use astore_sql::statement::Statement;
+use astore_persist::apply::apply_statement;
+use astore_sql::statement::{render_write, Write};
+use astore_storage::types::Value;
 
 use super::{Engine, EngineError, ErrorCode};
 
@@ -52,7 +53,7 @@ impl WriteSlot {
 /// A write staged for the next group-commit batch.
 #[derive(Debug)]
 struct PendingWrite {
-    stmt: Statement,
+    stmt: Write<Value>,
     wal_sql: String,
     slot: Arc<WriteSlot>,
 }
@@ -74,13 +75,13 @@ impl Engine {
     /// slot until the leader posts their result. Either way the statement
     /// is on disk before the acknowledgment can be sent. Returns the
     /// number of rows the statement affected.
-    pub(super) fn stage(&self, stmt: Statement) -> Result<usize, EngineError> {
-        // The write-ahead log records the canonical rendering, never the
-        // client's raw text: the parse stage case-folded identifiers, so
-        // the applied statement may differ from the text (`INSERT INTO
-        // FACT` applies to table `fact`), and replay parses the log
-        // verbatim, without case-folding.
-        let wal_sql = stmt.to_sql().expect("concrete write renders");
+    pub(super) fn stage(&self, stmt: Write<Value>) -> Result<usize, EngineError> {
+        // The write-ahead log records the bound write's canonical text,
+        // never the client's raw text: the parse stage case-folded
+        // identifiers, so the applied write may differ from the text
+        // (`INSERT INTO FACT` applies to table `fact`), and replay parses
+        // the log verbatim, without case-folding.
+        let wal_sql = render_write(&stmt);
         let slot = Arc::new(WriteSlot::default());
         let lead = {
             let mut st = self.commit.lock().unwrap_or_else(|p| p.into_inner());
@@ -143,10 +144,9 @@ impl Engine {
         let mut applied: Vec<(Arc<WriteSlot>, usize)> = Vec::with_capacity(batch.len());
         let mut sqls: Vec<String> = Vec::with_capacity(batch.len());
         for pw in batch {
-            match validate_statement(&work, &pw.stmt) {
-                Ok(()) => {
-                    let n =
-                        apply_statement(&mut work, &pw.stmt).expect("validated statement applies");
+            // Validates first: a refused write leaves `work` untouched.
+            match apply_statement(&mut work, &pw.stmt) {
+                Ok(n) => {
                     sqls.push(pw.wal_sql);
                     applied.push((pw.slot, n));
                 }
@@ -170,7 +170,7 @@ impl Engine {
             }
             // Only note that the fold is due: the maintenance thread runs
             // it, so the batch's clients are acknowledged without waiting.
-            if d.checkpoint_every > 0 && wal.appended_since_reset() >= d.checkpoint_every {
+            if d.checkpoint_every > 0 && wal.record_count() >= d.checkpoint_every {
                 d.checkpoint_due.store(true, Ordering::SeqCst);
             }
         }

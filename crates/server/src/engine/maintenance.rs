@@ -106,7 +106,7 @@ impl Engine {
         let _one = self.checkpoint_lock.lock().unwrap_or_else(|p| p.into_inner());
         let due = {
             let wal = d.wal.lock().unwrap_or_else(|p| p.into_inner());
-            wal.appended_since_reset() >= d.checkpoint_every
+            wal.record_count() >= d.checkpoint_every
         };
         if due {
             if let Err(e) = self.checkpoint_locked(d) {

@@ -35,13 +35,12 @@ fn frame_bytes(frame: &Json, stats: &ServerStats, class: Priority) -> Vec<u8> {
 ///
 /// - metadata: `cmd` / `prepare` / `close` frames and malformed requests —
 ///   cheap protocol work that should never sit behind a scan;
-/// - interactive: writes and `rowid`-keyed point lookups — short
-///   statements a user is waiting on;
-/// - scan: every other query.
+/// - interactive: writes, text or prepared — short statements a user is
+///   waiting on;
+/// - scan: every SELECT.
 ///
 /// For `execute` frames the session registry says whether the prepared
-/// statement is a write; its canonical template text drives the
-/// point-lookup heuristic, same as text-mode SQL.
+/// statement is a write.
 fn classify(req: &Json, registry: &Mutex<StatementRegistry>) -> Priority {
     if let Some(sql) = req.get("sql").and_then(Json::as_str) {
         return classify_sql(sql);
@@ -57,7 +56,6 @@ fn classify(req: &Json, registry: &Mutex<StatementRegistry>) -> Priority {
             .and_then(|id| registry.get(id as u64))
         {
             Some(stmt) if !stmt.prepared.is_select() => Priority::Interactive,
-            Some(stmt) if is_point_lookup(&stmt.key) => Priority::Interactive,
             Some(_) => Priority::Scan,
             None => Priority::Metadata, // unknown id: a fast typed error
         };
@@ -73,22 +71,11 @@ fn classify_sql(sql: &str) -> Priority {
     if keyword.eq_ignore_ascii_case("set") {
         return Priority::Metadata;
     }
-    if keyword.eq_ignore_ascii_case("insert")
-        || keyword.eq_ignore_ascii_case("update")
-        || keyword.eq_ignore_ascii_case("delete")
-    {
-        return Priority::Interactive;
-    }
-    if is_point_lookup(sql) {
+    if ["insert", "update", "delete"].iter().any(|w| keyword.eq_ignore_ascii_case(w)) {
         Priority::Interactive
     } else {
         Priority::Scan
     }
-}
-
-/// A statement keyed on `rowid` touches one row, not a segment scan.
-fn is_point_lookup(sql: &str) -> bool {
-    sql.as_bytes().windows(5).any(|w| w.eq_ignore_ascii_case(b"rowid"))
 }
 
 /// The [`Service`] wiring the reactor to the engine and executor pool.
@@ -117,12 +104,12 @@ impl Service for EngineService {
     type Session = StatementRegistry;
 
     fn open(&self) -> StatementRegistry {
-        self.engine.stats().active_connections.fetch_add(1, Relaxed);
+        self.engine.stats().open_connections.fetch_add(1, Relaxed);
         StatementRegistry::default()
     }
 
     fn closed(&self, _session: &Arc<Mutex<StatementRegistry>>) {
-        self.engine.stats().active_connections.fetch_sub(1, Relaxed);
+        self.engine.stats().open_connections.fetch_sub(1, Relaxed);
     }
 
     fn dispatch(&self, session: &Arc<Mutex<StatementRegistry>>, frame: Vec<u8>, done: Done) {
@@ -208,8 +195,8 @@ mod tests {
         assert_eq!(classify_sql("INSERT INTO t VALUES (1)"), Priority::Interactive);
         assert_eq!(classify_sql("update t SET v = 2 WHERE rowid = 3"), Priority::Interactive);
         assert_eq!(classify_sql("DELETE FROM t WHERE rowid = 3"), Priority::Interactive);
-        assert_eq!(classify_sql("SELECT v FROM t WHERE rowid = 17"), Priority::Interactive);
-        assert_eq!(classify_sql("SELECT v FROM t WHERE ROWID = 17"), Priority::Interactive);
+        // The SELECT grammar has no `rowid`: naming it is no point lookup.
+        assert_eq!(classify_sql("SELECT v FROM t WHERE rowid = 17"), Priority::Scan);
         assert_eq!(classify_sql("SET engine = join"), Priority::Metadata);
         assert_eq!(classify_sql("  set engine=auto;"), Priority::Metadata);
     }

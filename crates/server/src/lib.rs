@@ -72,7 +72,7 @@
 //! One epoll/kqueue reactor thread owns every socket (nonblocking accepts,
 //! incremental framing, pipelining, write-buffer backpressure) and hands
 //! parsed requests to the strict-priority executor pool — metadata and
-//! point lookups jump ahead of long scans ([`server`], [`front`]). Each
+//! writes jump ahead of long scans ([`server`], [`front`]). Each
 //! statement then runs through the [`engine`]'s stages, one function each:
 //!
 //! ```text

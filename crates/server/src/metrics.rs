@@ -392,7 +392,6 @@ mod tests {
     const PINNED_FAMILIES: &[(&str, &str, &str)] = &[
         ("astore_obs_enabled", "gauge", "1 when the runtime tracing toggle is on."),
         ("astore_server_accepts_total", "counter", "Sockets accepted (admitted or refused)."),
-        ("astore_server_active_connections", "gauge", "Currently open connections."),
         ("astore_server_append_copies", "gauge", "Column tail chunks copied by appends since boot."),
         ("astore_server_boot_replay_us", "gauge", "Boot: microseconds spent opening and replaying the WAL."),
         ("astore_server_boot_replayed", "gauge", "Boot: WAL records replayed on top of the snapshot."),

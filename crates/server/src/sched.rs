@@ -1,5 +1,5 @@
 //! The reactor's executor: a worker pool fed by three strict-priority
-//! queues, so interactive point-lookups and metadata commands jump ahead
+//! queues, so interactive writes and metadata commands jump ahead
 //! of long scans instead of queueing behind them.
 //!
 //! Each class has its own bounded queue; a full queue is an *admission*
@@ -42,7 +42,7 @@ pub enum Priority {
     /// Protocol housekeeping: `cmd` frames, `prepare`, `close`,
     /// malformed requests. Cheap and latency-critical.
     Metadata = 0,
-    /// Writes and point lookups — short statements a user is waiting on.
+    /// Writes — short statements a user is waiting on.
     Interactive = 1,
     /// Everything else: analytical scans that may hold a worker for long.
     Scan = 2,

@@ -213,7 +213,7 @@ metric_table! {
     reads_blocked_on_backpressure: counter "reads_blocked_on_backpressure",
         "astore_server_reads_blocked_on_backpressure_total",
         "Connection reads paused by the write-buffer high watermark.";
-    active_connections: gauge "active_connections", "astore_server_active_connections",
+    open_connections: gauge "open_connections", "astore_server_open_connections",
         "Currently open connections.";
     /// The stages of `astore_persist::store::open`, set once at attach
     /// ([`crate::Engine::booted`]).
@@ -255,9 +255,6 @@ metric_table! {
         "astore_server_execute_latency_us",
         "Execute-stage latency of each SELECT (the AIR scan alone).";
     ;;
-    // `active_connections` under its reactor-era name.
-    gauge "open_connections", "astore_server_open_connections", "Currently open connections."
-        => value |s| s.stats.active_connections.load(Ordering::Relaxed);
     gauge "uptime_s", _, "Seconds since the counters started."
         => float |s| s.stats.started.0.elapsed().as_secs_f64();
     counter "cache_hits", "astore_server_plan_cache_hits_total", "Plan-cache hits."
@@ -561,7 +558,6 @@ mod tests {
 
     const PINNED_KEYS: &[&str] = &[
         "accepts_total",
-        "active_connections",
         "append_copies",
         "boot_replay_us",
         "boot_replayed",

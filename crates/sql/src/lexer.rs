@@ -8,8 +8,9 @@ pub enum Token {
     /// Identifier or keyword (keywords are matched case-insensitively by
     /// the parser).
     Ident(String),
-    /// Integer literal.
-    Int(i64),
+    /// Integer literal: its magnitude, so that `-9223372036854775808`
+    /// (`i64::MIN`) is a literal too. The parser range-checks it.
+    Int(u64),
     /// Float literal.
     Float(f64),
     /// Single-quoted string literal (quotes stripped, `''` unescaped).
@@ -105,11 +106,6 @@ impl fmt::Display for LexError {
 }
 
 impl std::error::Error for LexError {}
-
-/// Tokenizes a SQL string.
-pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
-    Ok(lex_spanned(input)?.into_iter().map(|s| s.tok).collect())
-}
 
 /// Tokenizes a SQL string, keeping each token's byte span.
 pub fn lex_spanned(input: &str) -> Result<Vec<SpannedToken>, LexError> {
@@ -225,30 +221,23 @@ pub fn lex_spanned(input: &str) -> Result<Vec<SpannedToken>, LexError> {
                 }
             }
             '\'' => {
+                // Copied a run at a time, so multi-byte characters stay whole.
                 let mut s = String::new();
                 i += 1;
                 loop {
-                    match bytes.get(i) {
-                        None => {
-                            return Err(LexError {
-                                pos: i,
-                                message: "unterminated string literal".into(),
-                            })
-                        }
-                        Some(&b'\'') => {
-                            if bytes.get(i + 1) == Some(&b'\'') {
-                                s.push('\'');
-                                i += 2;
-                            } else {
-                                i += 1;
-                                break;
-                            }
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
+                    let Some(q) = input[i..].find('\'') else {
+                        return Err(LexError {
+                            pos: start,
+                            message: "unterminated string literal".into(),
+                        });
+                    };
+                    s.push_str(&input[i..i + q]);
+                    i += q + 1;
+                    if bytes.get(i) != Some(&b'\'') {
+                        break;
                     }
+                    s.push('\'');
+                    i += 1;
                 }
                 push(Token::Str(s), start, i, &mut out);
             }
@@ -290,8 +279,12 @@ pub fn lex_spanned(input: &str) -> Result<Vec<SpannedToken>, LexError> {
                 }
                 push(Token::Ident(input[start..i].to_owned()), start, i, &mut out);
             }
-            other => {
-                return Err(LexError { pos: i, message: format!("unexpected character {other:?}") })
+            _ => {
+                let other = input[i..].chars().next().expect("i is inside the input");
+                return Err(LexError {
+                    pos: i,
+                    message: format!("unexpected character {other:?}"),
+                });
             }
         }
     }
@@ -301,6 +294,10 @@ pub fn lex_spanned(input: &str) -> Result<Vec<SpannedToken>, LexError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn lex(input: &str) -> Result<Vec<Token>, LexError> {
+        Ok(lex_spanned(input)?.into_iter().map(|s| s.tok).collect())
+    }
 
     #[test]
     fn lexes_a_full_query() {
@@ -338,8 +335,15 @@ mod tests {
 
     #[test]
     fn string_literals_and_escapes() {
-        let toks = lex("'ASIA' 'O''NEIL'").unwrap();
-        assert_eq!(toks, vec![Token::Str("ASIA".into()), Token::Str("O'NEIL".into())]);
+        let toks = lex("'ASIA' 'O''NEIL' 'Zürich'").unwrap();
+        assert_eq!(
+            toks,
+            vec![
+                Token::Str("ASIA".into()),
+                Token::Str("O'NEIL".into()),
+                Token::Str("Zürich".into())
+            ]
+        );
     }
 
     #[test]
@@ -383,5 +387,9 @@ mod tests {
         assert!(lex("'unterminated").is_err());
         assert!(lex("a ! b").is_err());
         assert!(lex("#").is_err());
+        let e = lex("a = 'open").unwrap_err();
+        assert_eq!(e.pos, 4, "an unterminated string points at its quote");
+        let e = lex("a = é").unwrap_err();
+        assert_eq!(e.message, "unexpected character 'é'");
     }
 }

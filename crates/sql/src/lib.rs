@@ -49,14 +49,13 @@ pub mod statement;
 use astore_core::exec::{execute, ExecOptions, ExecOutput};
 use astore_storage::catalog::Database;
 
-pub use parser::{parse, ParseError};
+pub use parser::{parse, parse_template, ParseError};
 pub use planner::{plan, plan_with_params, sql_to_query, PlanError};
 pub use prepared::{
     prepare, BoundStatement, ColumnType, ParamError, PrepareError, Prepared, PreparedKind,
 };
 pub use statement::{
-    parse_statement, parse_template, strip_explain, strip_explain_analyze, Statement,
-    StatementTemplate, WriteTemplate,
+    render_write, strip_explain, strip_explain_analyze, Arg, StatementTemplate, Write,
 };
 
 /// An error from any stage of SQL execution.

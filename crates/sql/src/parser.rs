@@ -1,6 +1,8 @@
-//! Recursive-descent parser for the SPJGA SQL subset.
+//! Recursive-descent parser for every statement A-Store runs: the SPJGA
+//! SELECT subset and the `rowid`-keyed writes (grammar in
+//! [`crate::statement`]).
 //!
-//! Supported grammar (keywords case-insensitive):
+//! Supported SELECT grammar (keywords case-insensitive):
 //!
 //! ```text
 //! SELECT item (',' item)*
@@ -25,14 +27,20 @@
 //! literal is — not in measure arithmetic or LIMIT, whose values shape
 //! the plan itself.
 //!
+//! Every error carries the byte span of the token it points at (an empty
+//! span just past the last token at end of input) and names that token as
+//! written, or `<eof>`.
+//!
 //! Nesting — parentheses, `NOT` and unary minus, counted together — deeper
 //! than [`MAX_DEPTH`] is an error, not recursion: a statement of
 //! `((((…` costs a counter, not the thread's stack.
 
 use astore_core::expr::CmpOp;
+use astore_storage::types::{RowId, Value};
 
 use crate::ast::{Arith, ColName, Cond, OrderItem, Scalar, SelectItem, SelectStmt};
 use crate::lexer::{lex_spanned, LexError, SpannedToken, Token};
+use crate::statement::{Arg, StatementTemplate, Write};
 
 /// A parse error, with the byte span of the offending token when known.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,13 +49,6 @@ pub struct ParseError {
     pub message: String,
     /// Byte range in the source text the error points at, if known.
     pub span: Option<(usize, usize)>,
-}
-
-impl ParseError {
-    /// An error without position information.
-    pub fn new(message: impl Into<String>) -> Self {
-        ParseError { message: message.into(), span: None }
-    }
 }
 
 impl std::fmt::Display for ParseError {
@@ -77,14 +78,13 @@ pub const MAX_DEPTH: usize = 128;
 
 /// Parses one SELECT statement.
 pub fn parse(input: &str) -> Result<SelectStmt, ParseError> {
-    let toks = lex_spanned(input)?;
-    let mut p = Parser { toks, pos: 0, depth: 0, anon_params: 0, numbered_params: false };
-    let stmt = p.select_stmt()?;
-    p.eat_token(&Token::Semi);
-    if !p.at_end() {
-        return Err(p.err(format!("trailing input at token {}", p.peek_str())));
-    }
-    Ok(stmt)
+    Parser::run(input, Parser::select_stmt)
+}
+
+/// Parses one statement of any kind — SELECT, INSERT, UPDATE or DELETE —
+/// keeping parameter placeholders.
+pub fn parse_template(input: &str) -> Result<StatementTemplate, ParseError> {
+    Parser::run(input, Parser::statement)
 }
 
 pub(crate) struct Parser {
@@ -97,8 +97,17 @@ pub(crate) struct Parser {
 }
 
 impl Parser {
-    fn at_end(&self) -> bool {
-        self.pos >= self.toks.len()
+    /// Lexes `input` and parses all of it as one `top` (an optional `;`
+    /// may end it).
+    fn run<T>(input: &str, top: fn(&mut Self) -> Result<T, ParseError>) -> Result<T, ParseError> {
+        let toks = lex_spanned(input)?;
+        let mut p = Parser { toks, pos: 0, depth: 0, anon_params: 0, numbered_params: false };
+        let stmt = top(&mut p)?;
+        p.eat_token(&Token::Semi);
+        if p.pos < p.toks.len() {
+            return Err(p.err(format!("trailing input at token {}", p.peek_str())));
+        }
+        Ok(stmt)
     }
 
     fn peek(&self) -> Option<&Token> {
@@ -113,21 +122,25 @@ impl Parser {
         self.peek().map(|t| t.to_string()).unwrap_or_else(|| "<eof>".into())
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.toks.get(self.pos).map(|s| s.tok.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+    /// Consumes the current token if `f` maps it to a value.
+    fn take<T>(&mut self, f: impl FnOnce(&Token) -> Option<T>) -> Option<T> {
+        let v = self.peek().and_then(f)?;
+        self.pos += 1;
+        Some(v)
     }
 
     /// An error pointing at the *current* token (or just past the last one).
     fn err(&self, message: String) -> ParseError {
         let span = match self.toks.get(self.pos) {
             Some(s) => Some((s.start, s.end)),
-            None => self.toks.last().map(|s| (s.end, s.end + 1)),
+            None => self.toks.last().map(|s| (s.end, s.end)),
         };
         ParseError { message, span }
+    }
+
+    /// `expected {what}, found {the current token}`.
+    fn unexpected(&self, what: &str) -> ParseError {
+        self.err(format!("expected {what}, found {}", self.peek_str()))
     }
 
     /// An error pointing at the token just consumed.
@@ -150,52 +163,51 @@ impl Parser {
         v
     }
 
+    /// `item (',' item)*`.
+    fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<Vec<T>, ParseError> {
+        let mut items = vec![item(self)?];
+        while self.eat_token(&Token::Comma) {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
     /// Consumes the given token if present.
     fn eat_token(&mut self, t: &Token) -> bool {
-        if self.peek() == Some(t) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+        self.take(|cur| (cur == t).then_some(())).is_some()
     }
 
     fn expect_token(&mut self, t: &Token) -> Result<(), ParseError> {
         if self.eat_token(t) {
             Ok(())
         } else {
-            Err(self.err(format!("expected {t:?}, found {}", self.peek_str())))
+            Err(self.unexpected(&format!("'{t}'")))
         }
     }
 
     /// Consumes an identifier equal (case-insensitively) to `kw`.
     fn eat_kw(&mut self, kw: &str) -> bool {
-        if let Some(Token::Ident(s)) = self.peek() {
-            if s.eq_ignore_ascii_case(kw) {
-                self.pos += 1;
-                return true;
-            }
-        }
-        false
-    }
-
-    fn peek_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(Token::Ident(s)) if s.eq_ignore_ascii_case(kw))
+        self.take(|t| matches!(t, Token::Ident(s) if s.eq_ignore_ascii_case(kw)).then_some(()))
+            .is_some()
     }
 
     fn expect_kw(&mut self, kw: &str) -> Result<(), ParseError> {
         if self.eat_kw(kw) {
             Ok(())
         } else {
-            Err(self.err(format!("expected keyword {kw}, found {}", self.peek_str())))
+            Err(self.unexpected(&format!("keyword {kw}")))
         }
     }
 
     fn ident(&mut self) -> Result<String, ParseError> {
-        match self.next() {
-            Some(Token::Ident(s)) => Ok(s),
-            other => Err(self.err_prev(format!("expected identifier, found {other:?}"))),
-        }
+        self.take(|t| match t {
+            Token::Ident(s) => Some(s.clone()),
+            _ => None,
+        })
+        .ok_or_else(|| self.unexpected("identifier"))
     }
 
     fn colname(&mut self) -> Result<ColName, ParseError> {
@@ -208,56 +220,106 @@ impl Parser {
         }
     }
 
+    /// A write, or else a SELECT.
+    fn statement(&mut self) -> Result<StatementTemplate, ParseError> {
+        let write = if self.eat_kw("insert") {
+            self.expect_kw("into")?;
+            let table = self.ident()?;
+            self.expect_kw("values")?;
+            let rows = self.list(|p| {
+                p.expect_token(&Token::LParen)?;
+                let row = p.list(Self::arg)?;
+                p.expect_token(&Token::RParen)?;
+                Ok(row)
+            })?;
+            Write::Insert { table, rows }
+        } else if self.eat_kw("update") {
+            let table = self.ident()?;
+            self.expect_kw("set")?;
+            let assignments = self.list(|p| {
+                let col = p.ident()?;
+                p.expect_token(&Token::Eq)?;
+                Ok((col, p.arg()?))
+            })?;
+            Write::Update { table, assignments, row: self.where_rowid()? }
+        } else if self.eat_kw("delete") {
+            self.expect_kw("from")?;
+            let table = self.ident()?;
+            Write::Delete { table, row: self.where_rowid()? }
+        } else {
+            return Ok(StatementTemplate::Select(self.select_stmt()?));
+        };
+        Ok(StatementTemplate::Write(write))
+    }
+
+    /// A write's literal slot: a number, a string, `NULL` or a placeholder.
+    fn arg(&mut self) -> Result<Arg, ParseError> {
+        if self.eat_kw("null") {
+            return Ok(Arg::Value(Value::Null));
+        }
+        Ok(match self.scalar()? {
+            Scalar::Int(v) => Arg::Value(Value::Int(v)),
+            Scalar::Float(v) => Arg::Value(Value::Float(v)),
+            Scalar::Str(s) => Arg::Value(Value::Str(s)),
+            Scalar::Param(i) => Arg::Param(i),
+        })
+    }
+
+    /// `WHERE rowid = n` (or a placeholder for `n`): a write addresses its
+    /// row by array index, A-Store's primary key.
+    fn where_rowid(&mut self) -> Result<Arg, ParseError> {
+        self.expect_kw("where")?;
+        if !self.eat_kw("rowid") {
+            return Err(self.unexpected("rowid (writes address a row by its array index)"));
+        }
+        self.expect_token(&Token::Eq)?;
+        match self.peek() {
+            Some(&Token::Int(n)) if n <= u64::from(RowId::MAX) => {
+                self.pos += 1;
+                Ok(Arg::Value(Value::Int(n as i64)))
+            }
+            Some(&Token::Param(p)) => {
+                self.pos += 1;
+                Ok(Arg::Param(self.param_slot(p)?))
+            }
+            _ => Err(self.unexpected("row id")),
+        }
+    }
+
     fn select_stmt(&mut self) -> Result<SelectStmt, ParseError> {
         self.expect_kw("select")?;
-        let mut items = vec![self.select_item()?];
-        while self.eat_token(&Token::Comma) {
-            items.push(self.select_item()?);
-        }
+        let items = self.list(Self::select_item)?;
         self.expect_kw("from")?;
-        let mut tables = vec![self.ident()?];
-        while self.eat_token(&Token::Comma) {
-            tables.push(self.ident()?);
-        }
+        let tables = self.list(Self::ident)?;
         let where_clause = if self.eat_kw("where") { Some(self.or_cond()?) } else { None };
         let mut group_by = Vec::new();
         if self.eat_kw("group") {
             self.expect_kw("by")?;
-            group_by.push(self.colname()?);
-            while self.eat_token(&Token::Comma) {
-                group_by.push(self.colname()?);
-            }
+            group_by = self.list(Self::colname)?;
         }
         let mut order_by = Vec::new();
         if self.eat_kw("order") {
             self.expect_kw("by")?;
-            loop {
-                let col = self.colname()?;
-                let desc = if self.eat_kw("desc") {
-                    true
-                } else {
-                    self.eat_kw("asc");
-                    false
-                };
-                order_by.push(OrderItem { name: col.column, desc });
-                if !self.eat_token(&Token::Comma) {
-                    break;
+            order_by = self.list(|p| {
+                let name = p.colname()?.column;
+                let desc = p.eat_kw("desc");
+                if !desc {
+                    p.eat_kw("asc");
                 }
-            }
+                Ok(OrderItem { name, desc })
+            })?;
         }
         let limit = if self.eat_kw("limit") {
-            match self.next() {
-                Some(Token::Int(n)) if n >= 0 => Some(n as usize),
-                other => {
-                    return Err(self.err_prev(format!("expected LIMIT count, found {other:?}")))
-                }
-            }
+            let n = self.take(|t| match t {
+                Token::Int(n) => Some(*n as usize),
+                _ => None,
+            });
+            Some(n.ok_or_else(|| self.unexpected("LIMIT count"))?)
         } else {
             None
         };
         Ok(SelectStmt { items, tables, where_clause, group_by, order_by, limit })
     }
-
     fn select_item(&mut self) -> Result<SelectItem, ParseError> {
         // Aggregate call?
         if let Some(Token::Ident(name)) = self.peek() {
@@ -340,24 +402,30 @@ impl Parser {
                  (their values shape the plan)"
                     .into(),
             )),
-            other => Err(self.err(format!("expected expression, found {other:?}"))),
+            _ => Err(self.unexpected("expression")),
         }
     }
 
     fn or_cond(&mut self) -> Result<Cond, ParseError> {
-        let mut parts = vec![self.and_cond()?];
-        while self.eat_kw("or") {
-            parts.push(self.and_cond()?);
-        }
-        Ok(if parts.len() == 1 { parts.pop().unwrap() } else { Cond::Or(parts) })
+        self.chain("or", Self::and_cond, Cond::Or)
     }
 
     fn and_cond(&mut self) -> Result<Cond, ParseError> {
-        let mut parts = vec![self.not_cond()?];
-        while self.eat_kw("and") {
-            parts.push(self.not_cond()?);
+        self.chain("and", Self::not_cond, Cond::And)
+    }
+
+    /// `item (kw item)*`, joined by `join` when there is more than one.
+    fn chain(
+        &mut self,
+        kw: &str,
+        item: fn(&mut Self) -> Result<Cond, ParseError>,
+        join: fn(Vec<Cond>) -> Cond,
+    ) -> Result<Cond, ParseError> {
+        let mut parts = vec![item(self)?];
+        while self.eat_kw(kw) {
+            parts.push(item(self)?);
         }
-        Ok(if parts.len() == 1 { parts.pop().unwrap() } else { Cond::And(parts) })
+        Ok(if parts.len() == 1 { parts.pop().unwrap() } else { join(parts) })
     }
 
     fn not_cond(&mut self) -> Result<Cond, ParseError> {
@@ -370,112 +438,88 @@ impl Parser {
             return Ok(c);
         }
         let col = self.colname()?;
-        // BETWEEN
         if self.eat_kw("between") {
             let lo = self.scalar()?;
             self.expect_kw("and")?;
             let hi = self.scalar()?;
             return Ok(Cond::Between { col, lo, hi });
         }
-        // [NOT] IN
-        if self.peek_kw("in") {
-            self.pos += 1;
+        if self.eat_kw("in") {
             self.expect_token(&Token::LParen)?;
-            let mut list = vec![self.scalar()?];
-            while self.eat_token(&Token::Comma) {
-                list.push(self.scalar()?);
-            }
+            let list = self.list(Self::scalar)?;
             self.expect_token(&Token::RParen)?;
             return Ok(Cond::InList { col, list });
         }
-        // Comparison.
-        let op = match self.next() {
-            Some(Token::Eq) => CmpOp::Eq,
-            Some(Token::Ne) => CmpOp::Ne,
-            Some(Token::Lt) => CmpOp::Lt,
-            Some(Token::Le) => CmpOp::Le,
-            Some(Token::Gt) => CmpOp::Gt,
-            Some(Token::Ge) => CmpOp::Ge,
-            other => {
-                return Err(self.err_prev(format!("expected comparison operator, found {other:?}")))
-            }
-        };
+        let op = self.take(|t| match t {
+            Token::Eq => Some(CmpOp::Eq),
+            Token::Ne => Some(CmpOp::Ne),
+            Token::Lt => Some(CmpOp::Lt),
+            Token::Le => Some(CmpOp::Le),
+            Token::Gt => Some(CmpOp::Gt),
+            Token::Ge => Some(CmpOp::Ge),
+            _ => None,
+        });
+        let op = op.ok_or_else(|| self.unexpected("comparison operator"))?;
         // RHS: literal, placeholder, or column (join condition).
-        match self.peek().cloned() {
-            Some(Token::Ident(_)) => {
-                let rhs = self.colname()?;
-                if op != CmpOp::Eq {
-                    return Err(ParseError::new(
-                        "only equality joins are supported between columns",
-                    ));
-                }
-                Ok(Cond::JoinEq(col, rhs))
-            }
-            _ => Ok(Cond::Cmp { col, op, rhs: self.scalar()? }),
+        if !matches!(self.peek(), Some(Token::Ident(_))) {
+            return Ok(Cond::Cmp { col, op, rhs: self.scalar()? });
         }
+        if op != CmpOp::Eq {
+            return Err(self.err("only equality joins are supported between columns".into()));
+        }
+        Ok(Cond::JoinEq(col, self.colname()?))
     }
 
+    /// A number (optionally negated), a string, or a placeholder.
     fn scalar(&mut self) -> Result<Scalar, ParseError> {
-        match self.next() {
-            Some(Token::Int(v)) => Ok(Scalar::Int(v)),
-            Some(Token::Float(v)) => Ok(Scalar::Float(v)),
-            Some(Token::Str(s)) => Ok(Scalar::Str(s)),
-            Some(Token::Param(p)) => Ok(Scalar::Param(self.param_slot(p)?)),
-            Some(Token::Minus) => match self.next() {
-                Some(Token::Int(v)) => Ok(Scalar::Int(-v)),
-                Some(Token::Float(v)) => Ok(Scalar::Float(-v)),
-                other => Err(self.err_prev(format!("expected number after '-', found {other:?}"))),
-            },
-            other => Err(self.err_prev(format!("expected literal, found {other:?}"))),
-        }
+        let neg = self.eat_token(&Token::Minus);
+        let scalar = match self.peek() {
+            Some(&Token::Int(v)) => {
+                let n = if neg { 0i64.checked_sub_unsigned(v) } else { i64::try_from(v).ok() };
+                Scalar::Int(n.ok_or_else(|| self.err("integer literal out of range".into()))?)
+            }
+            Some(&Token::Float(v)) => Scalar::Float(if neg { -v } else { v }),
+            Some(Token::Str(s)) if !neg => Scalar::Str(s.clone()),
+            Some(&Token::Param(p)) if !neg => {
+                self.pos += 1;
+                return Ok(Scalar::Param(self.param_slot(p)?));
+            }
+            _ if neg => return Err(self.unexpected("number after '-'")),
+            _ => return Err(self.unexpected("literal")),
+        };
+        self.pos += 1;
+        Ok(scalar)
     }
 
-    /// Resolves a placeholder token to a 0-based slot: `?` takes the next
-    /// sequential slot, `$n` names slot `n-1` explicitly. The two styles
-    /// cannot mix (their numberings would silently alias), and slots are
-    /// capped at `u16::MAX` — the width of `Lit::Param` — so a hostile
-    /// `$4000000000` cannot request a giant parameter table.
+    /// Resolves the placeholder token just consumed to a 0-based slot: `?`
+    /// takes the next sequential slot, `$n` names slot `n-1` explicitly.
+    /// The two styles cannot mix (their numberings would silently alias),
+    /// and slots are capped at `u16::MAX` — the width of `Lit::Param` — so
+    /// a hostile `$4000000000` cannot request a giant parameter table.
     fn param_slot(&mut self, p: Option<u32>) -> Result<usize, ParseError> {
-        resolve_param_slot(p, &mut self.anon_params, &mut self.numbered_params)
-            .map_err(|m| self.err_prev(m))
-    }
-}
-
-/// Shared `?`/`$n` slot resolution (also used by the write-statement
-/// cursor). Errors are returned as bare messages for the caller to span.
-pub(crate) fn resolve_param_slot(
-    p: Option<u32>,
-    anon_count: &mut usize,
-    saw_numbered: &mut bool,
-) -> Result<usize, String> {
-    const MAX_SLOTS: usize = u16::MAX as usize + 1;
-    match p {
-        Some(n) => {
-            if *anon_count > 0 {
-                return Err("cannot mix ? and $n placeholders in one statement (their numberings \
-                     would alias); use one style"
-                    .into());
-            }
-            *saw_numbered = true;
-            let slot = (n - 1) as usize;
-            if slot >= MAX_SLOTS {
-                return Err(format!("parameter ${n} exceeds the maximum of ${MAX_SLOTS}"));
-            }
-            Ok(slot)
+        const MAX_SLOTS: usize = u16::MAX as usize + 1;
+        if (p.is_some() && self.anon_params > 0) || (p.is_none() && self.numbered_params) {
+            return Err(self.err_prev(
+                "cannot mix ? and $n placeholders in one statement (their numberings would \
+                 alias); use one style"
+                    .into(),
+            ));
         }
-        None => {
-            if *saw_numbered {
-                return Err("cannot mix ? and $n placeholders in one statement (their numberings \
-                     would alias); use one style"
-                    .into());
-            }
-            let slot = *anon_count;
-            if slot >= MAX_SLOTS {
-                return Err(format!("statement exceeds the maximum of {MAX_SLOTS} parameters"));
-            }
-            *anon_count += 1;
-            Ok(slot)
+        let slot = match p {
+            Some(n) => (n - 1) as usize,
+            None => self.anon_params,
+        };
+        if slot >= MAX_SLOTS {
+            return Err(self.err_prev(match p {
+                Some(n) => format!("parameter ${n} exceeds the maximum of ${MAX_SLOTS}"),
+                None => format!("statement exceeds the maximum of {MAX_SLOTS} parameters"),
+            }));
         }
+        match p {
+            Some(_) => self.numbered_params = true,
+            None => self.anon_params += 1,
+        }
+        Ok(slot)
     }
 }
 

@@ -26,14 +26,13 @@
 use astore_core::expr::Lit;
 use astore_core::query::Query;
 use astore_storage::catalog::Database;
-use astore_storage::types::{DataType, RowId, Value};
+use astore_storage::types::{DataType, Value};
 
 use crate::ast::{Arith, ColName, Cond, Scalar, SelectItem, SelectStmt};
+use crate::parser::parse_template;
 use crate::parser::ParseError;
 use crate::planner::{plan_with_params, PlanError};
-use crate::statement::{
-    concrete_write, parse_template, sql_value, Arg, Statement, StatementTemplate, WriteTemplate,
-};
+use crate::statement::{render_write, Arg, StatementTemplate, Write};
 
 /// An error from preparing a statement (parsing or planning).
 #[derive(Debug, Clone, PartialEq)]
@@ -76,7 +75,7 @@ pub struct ParamError {
 }
 
 impl ParamError {
-    fn new(message: impl Into<String>) -> Self {
+    pub(crate) fn new(message: impl Into<String>) -> Self {
         ParamError { message: message.into() }
     }
 }
@@ -123,7 +122,7 @@ pub enum PreparedKind {
         column_types: Vec<ColumnType>,
     },
     /// An INSERT/UPDATE/DELETE template.
-    Write(WriteTemplate),
+    Write(Write<Arg>),
 }
 
 /// A statement bound to concrete parameter values, ready to execute.
@@ -131,8 +130,8 @@ pub enum PreparedKind {
 pub enum BoundStatement {
     /// An executable SPJGA query (no parameter slots remain).
     Select(Query),
-    /// A concrete write statement.
-    Write(Statement),
+    /// A write with every slot filled.
+    Write(Write<Value>),
 }
 
 /// A prepared statement template: planned once, bindable many times.
@@ -283,7 +282,7 @@ impl Prepared {
                 let bound = query.bind_params(&lits).map_err(ParamError::new)?;
                 Ok(BoundStatement::Select(bound))
             }
-            PreparedKind::Write(w) => Ok(BoundStatement::Write(bind_write(w, params)?)),
+            PreparedKind::Write(w) => Ok(BoundStatement::Write(w.bind(params)?)),
         }
     }
 }
@@ -338,50 +337,10 @@ fn value_to_lit(v: &Value) -> Result<Lit, ParamError> {
     })
 }
 
-/// Substitutes parameter values into a write template.
-fn bind_write(w: &WriteTemplate, params: &[Value]) -> Result<Statement, ParamError> {
-    let subst = |a: &Arg| -> Value {
-        match a {
-            Arg::Value(v) => v.clone(),
-            Arg::Param(i) => params[*i].clone(),
-        }
-    };
-    let rowid = |a: &Arg| -> Result<Value, ParamError> {
-        match subst(a) {
-            Value::Int(n) if n >= 0 && n <= i64::from(RowId::MAX) => Ok(Value::Int(n)),
-            other => Err(ParamError::new(format!(
-                "rowid must be an integer in [0, {}], got {other:?}",
-                RowId::MAX
-            ))),
-        }
-    };
-    let bound = match w {
-        WriteTemplate::Insert { table, rows } => WriteTemplate::Insert {
-            table: table.clone(),
-            rows: rows.iter().map(|r| r.iter().map(|a| Arg::Value(subst(a))).collect()).collect(),
-        },
-        WriteTemplate::Update { table, assignments, row } => WriteTemplate::Update {
-            table: table.clone(),
-            assignments: assignments
-                .iter()
-                .map(|(c, a)| (c.clone(), Arg::Value(subst(a))))
-                .collect(),
-            row: Arg::Value(rowid(row)?),
-        },
-        WriteTemplate::Delete { table, row } => {
-            WriteTemplate::Delete { table: table.clone(), row: Arg::Value(rowid(row)?) }
-        }
-    };
-    Ok(concrete_write(bound))
-}
-
 /// Schema-derived expected types for every parameter slot of a write
 /// template; also validates the template's shape (table, columns, arity)
 /// so prepare fails early instead of at first execute.
-fn write_param_types(
-    w: &WriteTemplate,
-    db: &Database,
-) -> Result<Vec<Option<DataType>>, PrepareError> {
+fn write_param_types(w: &Write<Arg>, db: &Database) -> Result<Vec<Option<DataType>>, PrepareError> {
     let plan_err = |m: String| PrepareError::Plan(PlanError { message: m });
     let table =
         db.table(w.table()).ok_or_else(|| plan_err(format!("unknown table {:?}", w.table())))?;
@@ -394,7 +353,7 @@ fn write_param_types(
         crate::planner::record_param_type(&mut types, slot, dtype).map_err(plan_err)
     };
     match w {
-        WriteTemplate::Insert { rows, .. } => {
+        Write::Insert { rows, .. } => {
             for row in rows {
                 if row.len() != defs.len() {
                     return Err(plan_err(format!(
@@ -410,7 +369,7 @@ fn write_param_types(
                 }
             }
         }
-        WriteTemplate::Update { assignments, row, .. } => {
+        Write::Update { assignments, row, .. } => {
             for (col, arg) in assignments {
                 let def = defs
                     .iter()
@@ -424,7 +383,7 @@ fn write_param_types(
                 record(*i, DataType::I64)?;
             }
         }
-        WriteTemplate::Delete { row, .. } => {
+        Write::Delete { row, .. } => {
             if let Arg::Param(i) = row {
                 record(*i, DataType::I64)?;
             }
@@ -516,12 +475,12 @@ fn lowercase_idents(tmpl: &mut StatementTemplate) {
             s.group_by.iter_mut().for_each(col);
         }
         StatementTemplate::Write(w) => match w {
-            WriteTemplate::Insert { table, .. } => table.make_ascii_lowercase(),
-            WriteTemplate::Update { table, assignments, .. } => {
+            Write::Insert { table, .. } => table.make_ascii_lowercase(),
+            Write::Update { table, assignments, .. } => {
                 table.make_ascii_lowercase();
                 assignments.iter_mut().for_each(|(c, _)| c.make_ascii_lowercase());
             }
-            WriteTemplate::Delete { table, .. } => table.make_ascii_lowercase(),
+            Write::Delete { table, .. } => table.make_ascii_lowercase(),
         },
     }
 }
@@ -538,26 +497,58 @@ fn op_str(op: astore_core::expr::CmpOp) -> &'static str {
     }
 }
 
+/// Renders a measure expression with the parentheses its shape needs and
+/// no more — `+` and `-` chain to the left, `*` binds tighter — so the
+/// text parses back to the same tree and nests no deeper than the source.
 fn render_arith(a: &Arith) -> String {
+    // Binding strength: `+`/`-`, then `*`, then an operand.
+    fn strength(a: &Arith) -> u8 {
+        match a {
+            Arith::Add(..) | Arith::Sub(..) => 0,
+            Arith::Mul(..) => 1,
+            Arith::Col(_) | Arith::Num(_) => 2,
+        }
+    }
+    let side = |x: &Arith, min: u8| {
+        if strength(x) < min {
+            format!("({})", render_arith(x))
+        } else {
+            render_arith(x)
+        }
+    };
     match a {
         Arith::Col(c) => c.to_string(),
         Arith::Num(v) if v.fract() == 0.0 && v.is_finite() && v.abs() < 9e15 => {
             format!("{}", *v as i64)
         }
+        // A whole float must keep its decimal point or it lexes as an integer.
+        Arith::Num(v) if v.fract() == 0.0 => format!("{v:.1}"),
         Arith::Num(v) => v.to_string(),
-        Arith::Add(x, y) => format!("({} + {})", render_arith(x), render_arith(y)),
-        Arith::Sub(x, y) => format!("({} - {})", render_arith(x), render_arith(y)),
-        Arith::Mul(x, y) => format!("({} * {})", render_arith(x), render_arith(y)),
+        Arith::Add(x, y) => format!("{} + {}", side(x, 0), side(y, 1)),
+        Arith::Sub(x, y) => format!("{} - {}", side(x, 0), side(y, 1)),
+        Arith::Mul(x, y) => format!("{} * {}", side(x, 1), side(y, 2)),
     }
 }
 
+/// Renders a condition with the parentheses its shape needs and no more:
+/// `and` binds tighter than `or`, `not` tightest, and a conjunction or
+/// disjunction nested in one of its own kind keeps its parentheses, so the
+/// text parses back to the same tree (injective up to AST equality) and
+/// nests no deeper than the source.
 fn render_cond(c: &Cond) -> String {
-    // Composite children are always parenthesized, so the rendering is
-    // unambiguous (injective up to AST equality) regardless of precedence.
-    let paren = |c: &Cond| -> String {
+    // Binding strength: `or`, then `and`, then a leaf or `not`.
+    fn strength(c: &Cond) -> u8 {
         match c {
-            Cond::And(_) | Cond::Or(_) => format!("({})", render_cond(c)),
-            other => render_cond(other),
+            Cond::Or(_) => 0,
+            Cond::And(_) => 1,
+            _ => 2,
+        }
+    }
+    let side = |x: &Cond, above: u8| {
+        if strength(x) <= above {
+            format!("({})", render_cond(x))
+        } else {
+            render_cond(x)
         }
     };
     match c {
@@ -568,9 +559,9 @@ fn render_cond(c: &Cond) -> String {
             let items: Vec<String> = list.iter().map(|s| s.to_string()).collect();
             format!("{col} in ({})", items.join(", "))
         }
-        Cond::And(cs) => cs.iter().map(paren).collect::<Vec<_>>().join(" and "),
-        Cond::Or(cs) => cs.iter().map(paren).collect::<Vec<_>>().join(" or "),
-        Cond::Not(c) => format!("not ({})", render_cond(c)),
+        Cond::And(cs) => cs.iter().map(|x| side(x, 1)).collect::<Vec<_>>().join(" and "),
+        Cond::Or(cs) => cs.iter().map(|x| side(x, 0)).collect::<Vec<_>>().join(" or "),
+        Cond::Not(x) => format!("not {}", side(x, 1)),
     }
 }
 
@@ -622,37 +613,6 @@ fn render_select(s: &SelectStmt) -> String {
         out.push_str(&format!(" limit {n}"));
     }
     out
-}
-
-fn render_arg(a: &Arg) -> String {
-    match a {
-        Arg::Value(v) => sql_value(v),
-        Arg::Param(i) => format!("${}", i + 1),
-    }
-}
-
-/// Renders a (case-folded) write template as canonical SQL text.
-fn render_write(w: &WriteTemplate) -> String {
-    match w {
-        WriteTemplate::Insert { table, rows } => {
-            let rows: Vec<String> = rows
-                .iter()
-                .map(|r| {
-                    let vals: Vec<String> = r.iter().map(render_arg).collect();
-                    format!("({})", vals.join(", "))
-                })
-                .collect();
-            format!("insert into {table} values {}", rows.join(", "))
-        }
-        WriteTemplate::Update { table, assignments, row } => {
-            let sets: Vec<String> =
-                assignments.iter().map(|(c, a)| format!("{c} = {}", render_arg(a))).collect();
-            format!("update {table} set {} where rowid = {}", sets.join(", "), render_arg(row))
-        }
-        WriteTemplate::Delete { table, row } => {
-            format!("delete from {table} where rowid = {}", render_arg(row))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -802,10 +762,7 @@ mod tests {
         };
         assert_eq!(
             s,
-            Statement::Insert {
-                table: "fact".into(),
-                rows: vec![vec![Value::Int(1), Value::Int(99)]]
-            }
+            Write::Insert { table: "fact".into(), rows: vec![vec![Value::Int(1), Value::Int(99)]] }
         );
         // Type mismatch caught at bind.
         let e = p.bind(&[Value::Str("x".into()), Value::Int(1)]).unwrap_err();
@@ -817,10 +774,10 @@ mod tests {
         };
         assert_eq!(
             s,
-            Statement::Update {
+            Write::Update {
                 table: "fact".into(),
                 assignments: vec![("f_v".into(), Value::Int(-5))],
-                row: 3,
+                row: Value::Int(3),
             }
         );
         let e = p.bind(&[Value::Int(-1), Value::Int(0)]).unwrap_err();
@@ -828,7 +785,7 @@ mod tests {
 
         let p = prepare("DELETE FROM fact WHERE rowid = ?", &db).unwrap();
         let BoundStatement::Write(s) = p.bind(&[Value::Int(2)]).unwrap() else { panic!() };
-        assert_eq!(s, Statement::Delete { table: "fact".into(), row: 2 });
+        assert_eq!(s, Write::Delete { table: "fact".into(), row: Value::Int(2) });
     }
 
     #[test]

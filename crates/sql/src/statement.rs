@@ -1,5 +1,4 @@
-//! Top-level statement parsing: SELECT plus the write statements the
-//! serving layer routes through `SharedDatabase::write`.
+//! Statements of every kind, and the one type a write has from parse to log.
 //!
 //! A-Store's storage model makes the array index the primary key, so the
 //! write grammar addresses rows by `rowid` directly (paper §2: "the array
@@ -14,93 +13,19 @@
 //! Literals are integers, floats, single-quoted strings, or `NULL`. Key
 //! (AIR) columns take integer literals; the executor coerces them using
 //! the table schema. Every literal position (including `rowid`) also
-//! accepts a `?`/`$n` placeholder — [`parse_template`] keeps the slots,
-//! [`parse_statement`] requires a fully literal statement.
+//! accepts a `?`/`$n` placeholder.
+//!
+//! [`parse_template`](crate::parser::parse_template) parses every
+//! statement kind with one parser. A write is a [`Write`] throughout:
+//! `Write<Arg>` as parsed or prepared, and `Write<Value>` once
+//! [`Write::bind`] has filled its slots — the value the commit path
+//! validates and applies, and whose [`render_write`] text a WAL record
+//! carries and replay parses back.
 
 use astore_storage::types::{RowId, Value};
 
 use crate::ast::SelectStmt;
-use crate::lexer::{lex, Token};
-use crate::parser::{parse, ParseError};
-
-/// One parsed SQL statement.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Statement {
-    /// A read-only SPJGA query.
-    Select(SelectStmt),
-    /// `INSERT INTO table VALUES (…), (…)` — one or more rows.
-    Insert {
-        /// Target table.
-        table: String,
-        /// Row literals, one `Vec<Value>` per row.
-        rows: Vec<Vec<Value>>,
-    },
-    /// `UPDATE table SET col = lit, … WHERE rowid = n`.
-    Update {
-        /// Target table.
-        table: String,
-        /// `(column, new value)` pairs.
-        assignments: Vec<(String, Value)>,
-        /// The row to update (the array index is the primary key).
-        row: RowId,
-    },
-    /// `DELETE FROM table WHERE rowid = n`.
-    Delete {
-        /// Target table.
-        table: String,
-        /// The row to delete.
-        row: RowId,
-    },
-}
-
-impl Statement {
-    /// Returns `true` for statements that mutate the database.
-    pub fn is_write(&self) -> bool {
-        !matches!(self, Statement::Select(_))
-    }
-
-    /// Renders a *write* statement back to canonical SQL text — the form
-    /// the write-ahead log stores, so a parameter-bound prepared write is
-    /// logged (and replayed) exactly like its literal-SQL equivalent.
-    /// Returns `None` for SELECT.
-    pub fn to_sql(&self) -> Option<String> {
-        match self {
-            Statement::Select(_) => None,
-            Statement::Insert { table, rows } => {
-                let rows: Vec<String> = rows
-                    .iter()
-                    .map(|r| {
-                        let vals: Vec<String> = r.iter().map(sql_value).collect();
-                        format!("({})", vals.join(", "))
-                    })
-                    .collect();
-                Some(format!("INSERT INTO {table} VALUES {}", rows.join(", ")))
-            }
-            Statement::Update { table, assignments, row } => {
-                let sets: Vec<String> =
-                    assignments.iter().map(|(c, v)| format!("{c} = {}", sql_value(v))).collect();
-                Some(format!("UPDATE {table} SET {} WHERE rowid = {row}", sets.join(", ")))
-            }
-            Statement::Delete { table, row } => {
-                Some(format!("DELETE FROM {table} WHERE rowid = {row}"))
-            }
-        }
-    }
-}
-
-/// Renders one literal as SQL source text that re-parses to the same
-/// [`Value`].
-pub(crate) fn sql_value(v: &Value) -> String {
-    match v {
-        Value::Int(x) => x.to_string(),
-        // A whole float must keep its decimal point or it re-parses as Int.
-        Value::Float(f) if f.fract() == 0.0 && f.is_finite() => format!("{f:.1}"),
-        Value::Float(f) => f.to_string(),
-        Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
-        Value::Key(k) => k.to_string(),
-        Value::Null => "NULL".into(),
-    }
-}
+use crate::prepared::ParamError;
 
 /// One slot of a write template: a concrete literal or a parameter.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,79 +36,161 @@ pub enum Arg {
     Param(usize),
 }
 
-impl Arg {
-    /// The parameter slot, if this argument is one.
-    pub fn param(&self) -> Option<usize> {
-        match self {
-            Arg::Param(i) => Some(*i),
-            Arg::Value(_) => None,
-        }
-    }
-}
-
-/// A write statement whose literal positions may be parameter slots.
+/// An INSERT, UPDATE or DELETE. `S` is what fills a literal position:
+/// [`Arg`] in a template, [`Value`] once bound.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WriteTemplate {
-    /// `INSERT INTO table VALUES (…), (…)`.
+pub enum Write<S> {
+    /// `INSERT INTO table VALUES (…), (…)` — one or more rows.
     Insert {
         /// Target table.
         table: String,
-        /// Row slots, one `Vec<Arg>` per row.
-        rows: Vec<Vec<Arg>>,
+        /// One `Vec` of slots per row.
+        rows: Vec<Vec<S>>,
     },
-    /// `UPDATE table SET col = arg, … WHERE rowid = arg`.
+    /// `UPDATE table SET col = slot, … WHERE rowid = slot`.
     Update {
         /// Target table.
         table: String,
         /// `(column, slot)` pairs.
-        assignments: Vec<(String, Arg)>,
-        /// The row to update.
-        row: Arg,
+        assignments: Vec<(String, S)>,
+        /// The row to update (the array index is the primary key).
+        row: S,
     },
-    /// `DELETE FROM table WHERE rowid = arg`.
+    /// `DELETE FROM table WHERE rowid = slot`.
     Delete {
         /// Target table.
         table: String,
         /// The row to delete.
-        row: Arg,
+        row: S,
     },
 }
 
-impl WriteTemplate {
+impl<S> Write<S> {
     /// The target table.
     pub fn table(&self) -> &str {
         match self {
-            WriteTemplate::Insert { table, .. }
-            | WriteTemplate::Update { table, .. }
-            | WriteTemplate::Delete { table, .. } => table,
+            Write::Insert { table, .. }
+            | Write::Update { table, .. }
+            | Write::Delete { table, .. } => table,
         }
     }
+}
 
-    /// Every argument slot, in source order.
-    pub fn args(&self) -> Vec<&Arg> {
-        match self {
-            WriteTemplate::Insert { rows, .. } => rows.iter().flatten().collect(),
-            WriteTemplate::Update { assignments, row, .. } => {
-                assignments.iter().map(|(_, a)| a).chain(std::iter::once(row)).collect()
-            }
-            WriteTemplate::Delete { row, .. } => vec![row],
-        }
-    }
-
+impl Write<Arg> {
     /// Number of parameter slots (one more than the highest index).
     pub fn param_count(&self) -> usize {
-        self.args().iter().filter_map(|a| a.param()).map(|i| i + 1).max().unwrap_or(0)
+        let slot = |a: &Arg| match a {
+            Arg::Param(i) => i + 1,
+            Arg::Value(_) => 0,
+        };
+        match self {
+            Write::Insert { rows, .. } => rows.iter().flatten().map(slot).max(),
+            Write::Update { assignments, row, .. } => {
+                assignments.iter().map(|(_, a)| slot(a)).chain([slot(row)]).max()
+            }
+            Write::Delete { row, .. } => Some(slot(row)),
+        }
+        .unwrap_or(0)
+    }
+
+    /// Fills the slots with `params` — none for a literal write. Checks the
+    /// count and that the row id is an integer in `[0, RowId::MAX]`; column
+    /// types are checked when the write is validated against a database.
+    /// A key value binds as its integer, the form the WAL text replays.
+    pub fn bind(&self, params: &[Value]) -> Result<Write<Value>, ParamError> {
+        if params.len() != self.param_count() {
+            return Err(ParamError::new(format!(
+                "statement has {} parameter placeholder(s), {} value(s) given",
+                self.param_count(),
+                params.len()
+            )));
+        }
+        let value = |a: &Arg| match a {
+            Arg::Value(v) => v.clone(),
+            Arg::Param(i) => match &params[*i] {
+                Value::Key(k) => Value::Int(i64::from(*k)),
+                v => v.clone(),
+            },
+        };
+        let row = |a: &Arg| match value(a) {
+            Value::Int(n) if (0..=i64::from(RowId::MAX)).contains(&n) => Ok(Value::Int(n)),
+            other => Err(ParamError::new(format!(
+                "rowid must be an integer in [0, {}], got {other:?}",
+                RowId::MAX
+            ))),
+        };
+        Ok(match self {
+            Write::Insert { table, rows } => Write::Insert {
+                table: table.clone(),
+                rows: rows.iter().map(|r| r.iter().map(value).collect()).collect(),
+            },
+            Write::Update { table, assignments, row: r } => Write::Update {
+                table: table.clone(),
+                assignments: assignments.iter().map(|(c, a)| (c.clone(), value(a))).collect(),
+                row: row(r)?,
+            },
+            Write::Delete { table, row: r } => Write::Delete { table: table.clone(), row: row(r)? },
+        })
+    }
+}
+
+/// The SQL text of one slot of a [`Write`].
+pub trait SlotSql {
+    /// Source text that parses back to the same slot.
+    fn sql(&self) -> String;
+}
+
+impl SlotSql for Value {
+    fn sql(&self) -> String {
+        match self {
+            Value::Int(x) => x.to_string(),
+            // A whole float must keep its decimal point or it re-parses as Int.
+            Value::Float(f) if f.fract() == 0.0 && f.is_finite() => format!("{f:.1}"),
+            Value::Float(f) => f.to_string(),
+            Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
+            Value::Key(k) => k.to_string(),
+            Value::Null => "NULL".into(),
+        }
+    }
+}
+
+impl SlotSql for Arg {
+    fn sql(&self) -> String {
+        match self {
+            Arg::Value(v) => v.sql(),
+            Arg::Param(i) => format!("${}", i + 1),
+        }
+    }
+}
+
+/// A write's canonical SQL text: lower-case keywords, literals that parse
+/// back to the same value, placeholders as `$n`. A template's text is its
+/// plan-cache key; a bound write's text is what its WAL record carries.
+pub fn render_write<S: SlotSql>(w: &Write<S>) -> String {
+    let list = |slots: &[S]| slots.iter().map(S::sql).collect::<Vec<_>>().join(", ");
+    match w {
+        Write::Insert { table, rows } => {
+            let rows: Vec<String> = rows.iter().map(|r| format!("({})", list(r))).collect();
+            format!("insert into {table} values {}", rows.join(", "))
+        }
+        Write::Update { table, assignments, row } => {
+            let sets: Vec<String> =
+                assignments.iter().map(|(c, s)| format!("{c} = {}", s.sql())).collect();
+            format!("update {table} set {} where rowid = {}", sets.join(", "), row.sql())
+        }
+        Write::Delete { table, row } => format!("delete from {table} where rowid = {}", row.sql()),
     }
 }
 
 /// A statement whose literal positions may be parameter slots — what
-/// `prepare` produces before planning/binding.
+/// [`parse_template`](crate::parser::parse_template) produces before
+/// planning/binding.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StatementTemplate {
     /// A SELECT (placeholders live in its WHERE clause).
     Select(SelectStmt),
     /// An INSERT/UPDATE/DELETE.
-    Write(WriteTemplate),
+    Write(Write<Arg>),
 }
 
 impl StatementTemplate {
@@ -219,74 +226,6 @@ impl StatementTemplate {
             }
             StatementTemplate::Write(_) => false,
         }
-    }
-
-    /// Converts a placeholder-free template into a concrete [`Statement`];
-    /// a template that still carries parameter slots is an error.
-    pub fn into_concrete(self) -> Result<Statement, ParseError> {
-        if self.param_count() > 0 {
-            return Err(ParseError::new(format!(
-                "statement has {} parameter placeholder(s); prepare and bind it instead",
-                self.param_count()
-            )));
-        }
-        Ok(match self {
-            StatementTemplate::Select(s) => Statement::Select(s),
-            StatementTemplate::Write(w) => concrete_write(w),
-        })
-    }
-}
-
-/// Parses one statement of any kind, keeping parameter placeholders.
-pub fn parse_template(input: &str) -> Result<StatementTemplate, ParseError> {
-    let head = first_keyword(input).unwrap_or_default();
-    match head.as_str() {
-        "insert" | "update" | "delete" => {
-            let toks = lex(input)?;
-            let mut c = Cursor { toks, pos: 0, anon_params: 0, numbered_params: false };
-            let stmt = match head.as_str() {
-                "insert" => c.insert_stmt()?,
-                "update" => c.update_stmt()?,
-                _ => c.delete_stmt()?,
-            };
-            c.eat(&Token::Semi);
-            if !c.at_end() {
-                return Err(c.err(format!("trailing input at token {}", c.peek_str())));
-            }
-            Ok(StatementTemplate::Write(stmt))
-        }
-        _ => Ok(StatementTemplate::Select(parse(input)?)),
-    }
-}
-
-/// Parses one fully literal statement of any kind; placeholders are an
-/// error here (the WAL replays concrete statements only).
-pub fn parse_statement(input: &str) -> Result<Statement, ParseError> {
-    parse_template(input)?.into_concrete()
-}
-
-/// Converts a placeholder-free write template into a concrete statement.
-/// Panics if a parameter slot remains (callers check `param_count`).
-pub(crate) fn concrete_write(w: WriteTemplate) -> Statement {
-    let value = |a: Arg| match a {
-        Arg::Value(v) => v,
-        Arg::Param(i) => panic!("unbound parameter ${} in write statement", i + 1),
-    };
-    let rowid = |a: Arg| match value(a) {
-        Value::Int(n) if n >= 0 && n <= i64::from(u32::MAX) => n as RowId,
-        other => panic!("rowid slot holds non-rowid value {other:?}"),
-    };
-    match w {
-        WriteTemplate::Insert { table, rows } => Statement::Insert {
-            table,
-            rows: rows.into_iter().map(|r| r.into_iter().map(value).collect()).collect(),
-        },
-        WriteTemplate::Update { table, assignments, row } => Statement::Update {
-            table,
-            assignments: assignments.into_iter().map(|(c, a)| (c, value(a))).collect(),
-            row: rowid(row),
-        },
-        WriteTemplate::Delete { table, row } => Statement::Delete { table, row: rowid(row) },
     }
 }
 
@@ -330,183 +269,32 @@ fn strip_keyword<'a>(s: &'a str, kw: &str) -> Option<&'a str> {
     }
 }
 
-/// The first word of the statement, lower-cased.
-fn first_keyword(input: &str) -> Option<String> {
-    input
-        .split_whitespace()
-        .next()
-        .map(|w| w.trim_end_matches(|c: char| !c.is_ascii_alphanumeric()).to_ascii_lowercase())
-}
-
-struct Cursor {
-    toks: Vec<Token>,
-    pos: usize,
-    anon_params: usize,
-    numbered_params: bool,
-}
-
-impl Cursor {
-    fn at_end(&self) -> bool {
-        self.pos >= self.toks.len()
-    }
-
-    fn peek(&self) -> Option<&Token> {
-        self.toks.get(self.pos)
-    }
-
-    fn peek_str(&self) -> String {
-        self.peek().map(|t| t.to_string()).unwrap_or_else(|| "<eof>".into())
-    }
-
-    fn next(&mut self) -> Option<Token> {
-        let t = self.toks.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn err(&self, message: String) -> ParseError {
-        ParseError::new(message)
-    }
-
-    fn eat(&mut self, t: &Token) -> bool {
-        if self.peek() == Some(t) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, t: &Token) -> Result<(), ParseError> {
-        if self.eat(t) {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {t:?}, found {}", self.peek_str())))
-        }
-    }
-
-    fn expect_kw(&mut self, kw: &str) -> Result<(), ParseError> {
-        match self.next() {
-            Some(Token::Ident(s)) if s.eq_ignore_ascii_case(kw) => Ok(()),
-            other => Err(self.err(format!("expected keyword {kw}, found {other:?}"))),
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.next() {
-            Some(Token::Ident(s)) => Ok(s),
-            other => Err(self.err(format!("expected identifier, found {other:?}"))),
-        }
-    }
-
-    fn param_slot(&mut self, p: Option<u32>) -> Result<usize, ParseError> {
-        crate::parser::resolve_param_slot(p, &mut self.anon_params, &mut self.numbered_params)
-            .map_err(ParseError::new)
-    }
-
-    /// A literal (number, string, `NULL`) or a placeholder.
-    fn arg(&mut self) -> Result<Arg, ParseError> {
-        match self.next() {
-            Some(Token::Int(v)) => Ok(Arg::Value(Value::Int(v))),
-            Some(Token::Float(v)) => Ok(Arg::Value(Value::Float(v))),
-            Some(Token::Str(s)) => Ok(Arg::Value(Value::Str(s))),
-            Some(Token::Param(p)) => Ok(Arg::Param(self.param_slot(p)?)),
-            Some(Token::Minus) => match self.next() {
-                Some(Token::Int(v)) => Ok(Arg::Value(Value::Int(-v))),
-                Some(Token::Float(v)) => Ok(Arg::Value(Value::Float(-v))),
-                other => Err(self.err(format!("expected number after '-', found {other:?}"))),
-            },
-            Some(Token::Ident(s)) if s.eq_ignore_ascii_case("null") => Ok(Arg::Value(Value::Null)),
-            other => Err(self.err(format!("expected literal, found {other:?}"))),
-        }
-    }
-
-    /// `WHERE rowid = n` (or a placeholder for `n`).
-    fn where_rowid(&mut self) -> Result<Arg, ParseError> {
-        self.expect_kw("where")?;
-        let col = self.ident()?;
-        if !col.eq_ignore_ascii_case("rowid") {
-            return Err(self.err(format!(
-                "write statements address rows by primary key: expected `rowid`, found `{col}` \
-                 (in A-Store the array index is the primary key)"
-            )));
-        }
-        self.expect(&Token::Eq)?;
-        match self.next() {
-            Some(Token::Int(n)) if n >= 0 && n <= i64::from(u32::MAX) => {
-                Ok(Arg::Value(Value::Int(n)))
-            }
-            Some(Token::Param(p)) => Ok(Arg::Param(self.param_slot(p)?)),
-            other => Err(self.err(format!("expected row id, found {other:?}"))),
-        }
-    }
-
-    fn insert_stmt(&mut self) -> Result<WriteTemplate, ParseError> {
-        self.expect_kw("insert")?;
-        self.expect_kw("into")?;
-        let table = self.ident()?;
-        self.expect_kw("values")?;
-        let mut rows = Vec::new();
-        loop {
-            self.expect(&Token::LParen)?;
-            let mut row = vec![self.arg()?];
-            while self.eat(&Token::Comma) {
-                row.push(self.arg()?);
-            }
-            self.expect(&Token::RParen)?;
-            rows.push(row);
-            if !self.eat(&Token::Comma) {
-                break;
-            }
-        }
-        Ok(WriteTemplate::Insert { table, rows })
-    }
-
-    fn update_stmt(&mut self) -> Result<WriteTemplate, ParseError> {
-        self.expect_kw("update")?;
-        let table = self.ident()?;
-        self.expect_kw("set")?;
-        let mut assignments = Vec::new();
-        loop {
-            let col = self.ident()?;
-            self.expect(&Token::Eq)?;
-            assignments.push((col, self.arg()?));
-            if !self.eat(&Token::Comma) {
-                break;
-            }
-        }
-        let row = self.where_rowid()?;
-        Ok(WriteTemplate::Update { table, assignments, row })
-    }
-
-    fn delete_stmt(&mut self) -> Result<WriteTemplate, ParseError> {
-        self.expect_kw("delete")?;
-        self.expect_kw("from")?;
-        let table = self.ident()?;
-        let row = self.where_rowid()?;
-        Ok(WriteTemplate::Delete { table, row })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::parse_template;
+
+    /// A literal write, parsed and bound with no parameters (the text path).
+    fn write(sql: &str) -> Write<Value> {
+        match parse_template(sql).unwrap() {
+            StatementTemplate::Write(w) => w.bind(&[]).unwrap(),
+            other => panic!("{sql} parsed as {other:?}"),
+        }
+    }
 
     #[test]
     fn select_routes_to_select_parser() {
-        let s = parse_statement("SELECT count(*) FROM t").unwrap();
-        assert!(matches!(s, Statement::Select(_)));
-        assert!(!s.is_write());
+        let s = parse_template("SELECT count(*) FROM t").unwrap();
+        assert!(matches!(s, StatementTemplate::Select(_)));
+        assert!(s.is_select());
     }
 
     #[test]
     fn insert_single_and_multi_row() {
-        let s = parse_statement("INSERT INTO dim VALUES (1, 2.5, 'x', NULL)").unwrap();
+        let s = write("INSERT INTO dim VALUES (1, 2.5, 'x', NULL)");
         assert_eq!(
             s,
-            Statement::Insert {
+            Write::Insert {
                 table: "dim".into(),
                 rows: vec![vec![
                     Value::Int(1),
@@ -516,80 +304,116 @@ mod tests {
                 ]],
             }
         );
-        let s = parse_statement("insert into t values (1), (-2), (3);").unwrap();
-        let Statement::Insert { rows, .. } = s else { panic!() };
+        let Write::Insert { rows, .. } = write("insert into t values (1), (-2), (3);") else {
+            panic!()
+        };
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[1], vec![Value::Int(-2)]);
     }
 
     #[test]
     fn update_by_rowid() {
-        let s = parse_statement("UPDATE t SET a = 5, b = 'y' WHERE rowid = 7").unwrap();
+        let s = write("UPDATE t SET a = 5, b = 'y' WHERE rowid = 7");
         assert_eq!(
             s,
-            Statement::Update {
+            Write::Update {
                 table: "t".into(),
                 assignments: vec![
                     ("a".into(), Value::Int(5)),
                     ("b".into(), Value::Str("y".into()))
                 ],
-                row: 7,
+                row: Value::Int(7),
             }
         );
     }
 
     #[test]
     fn delete_by_rowid() {
-        let s = parse_statement("DELETE FROM t WHERE rowid = 3;").unwrap();
-        assert_eq!(s, Statement::Delete { table: "t".into(), row: 3 });
-        assert!(s.is_write());
+        let s = write("DELETE FROM t WHERE rowid = 3;");
+        assert_eq!(s, Write::Delete { table: "t".into(), row: Value::Int(3) });
+        assert!(!parse_template("DELETE FROM t WHERE rowid = 3").unwrap().is_select());
     }
 
     #[test]
     fn write_templates_keep_placeholders() {
         let t = parse_template("INSERT INTO t VALUES (?, 'fixed', ?)").unwrap();
         assert_eq!(t.param_count(), 2);
-        let StatementTemplate::Write(WriteTemplate::Insert { rows, .. }) = &t else { panic!() };
+        let StatementTemplate::Write(Write::Insert { rows, .. }) = &t else { panic!() };
         assert_eq!(rows[0][0], Arg::Param(0));
         assert_eq!(rows[0][1], Arg::Value(Value::Str("fixed".into())));
         assert_eq!(rows[0][2], Arg::Param(1));
 
         let t = parse_template("UPDATE t SET v = $2 WHERE rowid = $1").unwrap();
         assert_eq!(t.param_count(), 2);
-        let StatementTemplate::Write(WriteTemplate::Update { row, .. }) = &t else { panic!() };
+        let StatementTemplate::Write(Write::Update { row, .. }) = &t else { panic!() };
         assert_eq!(*row, Arg::Param(0));
 
         let t = parse_template("DELETE FROM t WHERE rowid = ?").unwrap();
         assert_eq!(t.param_count(), 1);
 
-        // parse_statement refuses templates.
-        let e = parse_statement("DELETE FROM t WHERE rowid = ?").unwrap_err();
-        assert!(e.message.contains("placeholder"), "{e}");
+        // The text path binds no parameters, so a template refuses it.
+        let StatementTemplate::Write(w) = t else { panic!() };
+        let e = w.bind(&[]).unwrap_err();
+        assert!(e.message.contains("1 parameter placeholder(s), 0 value(s) given"), "{e}");
+        assert_eq!(w.bind(&[Value::Int(4)]).unwrap(), write("DELETE FROM t WHERE rowid = 4"));
     }
 
     #[test]
     fn write_errors() {
-        assert!(parse_statement("INSERT INTO t").is_err());
-        assert!(parse_statement("INSERT INTO t VALUES 1, 2").is_err());
-        assert!(parse_statement("DELETE FROM t WHERE other = 3").is_err());
-        assert!(parse_statement("UPDATE t SET a = 1").is_err());
-        assert!(parse_statement("DELETE FROM t WHERE rowid = -1").is_err());
-        assert!(parse_statement("INSERT INTO t VALUES (1) garbage").is_err());
+        for bad in [
+            "INSERT INTO t",
+            "INSERT INTO t VALUES 1, 2",
+            "DELETE FROM t WHERE other = 3",
+            "UPDATE t SET a = 1",
+            "DELETE FROM t WHERE rowid = -1",
+            "INSERT INTO t VALUES (1) garbage",
+        ] {
+            assert!(parse_template(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
-    fn to_sql_roundtrips_through_the_parser() {
+    fn write_errors_carry_spans() {
+        for (sql, at) in [
+            ("INSERT INTO t VALUES (1,", "<eof>"),
+            ("UPDATE t SET v = 1 WHERE k = 3", "k"),
+            ("DELETE FROM t WHERE rowid = x", "x"),
+        ] {
+            let e = parse_template(sql).unwrap_err();
+            let (start, end) = e.span.unwrap_or_else(|| panic!("{sql}: no span in {e:?}"));
+            assert!(start <= end && end <= sql.len(), "{sql}: span {start}..{end}");
+            if at == "<eof>" {
+                assert_eq!(start, sql.len(), "{sql}");
+            } else {
+                assert_eq!(&sql[start..end], at, "{sql}");
+            }
+            let text = e.to_string();
+            assert!(text.contains(&format!("found {at}")), "{text}");
+            assert!(text.ends_with(&format!("(at byte {start})")), "{text}");
+            assert!(!text.contains("None") && !text.contains("Some("), "{text}");
+        }
+    }
+
+    #[test]
+    fn render_write_roundtrips_through_the_parser() {
         for sql in [
             "INSERT INTO t VALUES (1, 2.5, 'x', NULL)",
             "INSERT INTO t VALUES (1), (-2), (3)",
-            "UPDATE t SET a = 5, b = 'O''NEIL', c = 2.0 WHERE rowid = 7",
+            "UPDATE t SET a = 5, b = 'O''NEIL', c = 2.0, d = 'Zürich' WHERE rowid = 7",
             "DELETE FROM t WHERE rowid = 3",
+            "INSERT INTO t VALUES (-9223372036854775808, 9223372036854775807)",
         ] {
-            let stmt = parse_statement(sql).unwrap();
-            let rendered = stmt.to_sql().unwrap();
-            assert_eq!(parse_statement(&rendered).unwrap(), stmt, "{sql} → {rendered}");
+            let bound = write(sql);
+            let rendered = render_write(&bound);
+            assert_eq!(write(&rendered), bound, "{sql} → {rendered}");
         }
-        assert!(parse_statement("SELECT count(*) FROM t").unwrap().to_sql().is_none());
+        assert_eq!(
+            render_write(&write("DELETE FROM t WHERE rowid = 3")),
+            "delete from t where rowid = 3"
+        );
+        // i64::MIN is a literal; one past i64::MAX is not.
+        let e = parse_template("INSERT INTO t VALUES (9223372036854775808)").unwrap_err();
+        assert!(e.message.contains("out of range"), "{e}");
     }
 
     #[test]

@@ -3,10 +3,14 @@
 //! on generated well-formed queries). Every property runs [`CASES`] cases
 //! on each seed of [`SEEDS`].
 
-use astore_sql::lexer::{lex, Token};
+use astore_sql::lexer::{lex_spanned, LexError, Token};
 use astore_sql::parser::{parse, MAX_DEPTH};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+fn lex(input: &str) -> Result<Vec<Token>, LexError> {
+    Ok(lex_spanned(input)?.into_iter().map(|s| s.tok).collect())
+}
 
 const SEEDS: [u64; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 const CASES: usize = 32;
@@ -43,7 +47,7 @@ fn token(rng: &mut SmallRng) -> Token {
             let head = string(rng, &[LETTERS, b"_"].concat(), 1..=1);
             Token::Ident(head + &string(rng, &[LETTERS, DIGITS, b"_"].concat(), 0..=10))
         }
-        1 => Token::Int(rng.gen_range(0..1_000_000i64)),
+        1 => Token::Int(rng.gen_range(0..1_000_000u64)),
         2 => Token::Str(string(rng, b"abcdefghijklmnopqrstuvwxyz ", 0..=10)),
         3 => Token::LParen,
         4 => Token::RParen,
