@@ -150,29 +150,34 @@ pub fn denormalize(db: &Database, root: Option<&str>) -> Result<Denormalized, Bi
     tables.extend(db.graph().leaves_of(u.root()));
 
     // Rows that survive the inner join: live fact rows whose chain to every
-    // reachable table is complete and lands on live tuples.
+    // reachable table is complete and lands on live tuples. A chain's first
+    // hop is a fact column, read in row order through a cursor; the later
+    // hops land on dimension rows in fact order, read one value at a time.
     let mut keep: Vec<usize> = Vec::with_capacity(fact.num_live());
     {
         let mut chains = Vec::new();
         for t in &tables[1..] {
             let target = db.table(t).ok_or_else(|| BindError::NoTable(t.to_string()))?;
-            let hops: Vec<_> = u.hops_to(t)?.into_iter().map(Chunked::cursor).collect();
-            chains.push((hops, target));
+            let hops = u.hops_to(t)?;
+            let (first, rest) = hops.split_first().expect("a dimension is at least one hop away");
+            chains.push((first.cursor(), rest.to_vec(), target));
         }
         'rows: for row in 0..n {
             if !fact.is_live(row as RowId) {
                 continue;
             }
-            for (hops, target) in &mut chains {
-                let mut r = row;
-                for keys in hops.iter_mut() {
-                    let k = keys.get(r);
-                    if k == NULL_KEY || (k as usize) >= target.num_slots() {
+            for (first, rest, target) in &mut chains {
+                let mut k = first.get(row);
+                for keys in rest.iter() {
+                    if k == NULL_KEY || k as usize >= keys.len() {
                         continue 'rows;
                     }
-                    r = k as usize;
+                    k = keys.get(k as usize);
                 }
-                if target.has_deletes() && !target.is_live(r as RowId) {
+                if k == NULL_KEY || k as usize >= target.num_slots() {
+                    continue 'rows;
+                }
+                if target.has_deletes() && !target.is_live(k) {
                     continue 'rows;
                 }
             }
@@ -188,12 +193,14 @@ pub fn denormalize(db: &Database, root: Option<&str>) -> Result<Denormalized, Bi
 
     for t in &tables {
         let table = db.table(t).unwrap();
-        let mut hops: Vec<_> = u.hops_to(t)?.into_iter().map(Chunked::cursor).collect();
-        // Pre-chase the chain once per kept row for this table.
-        let dim_rows: Vec<usize> = keep
-            .iter()
-            .map(|&row| hops.iter_mut().fold(row, |r, keys| keys.get(r) as usize))
-            .collect();
+        // Chase the chain one hop at a time for every kept row; only the
+        // first hop (from the fact table) reads ascending rows.
+        let mut dim_rows = keep.clone();
+        for (hop, keys) in u.hops_to(t)?.into_iter().enumerate() {
+            let mut key = reader(keys, hop == 0);
+            dim_rows.iter_mut().for_each(|r| *r = key(*r) as usize);
+        }
+        let ascending = *t == u.root();
         for (name, col) in table.columns() {
             if matches!(col, Column::Key { .. }) {
                 continue; // joins are materialized; references are dropped
@@ -209,7 +216,7 @@ pub fn denormalize(db: &Database, root: Option<&str>) -> Result<Denormalized, Bi
                 }
             };
             mapping.insert((t.to_string(), name.to_owned()), wide_name.clone());
-            let gathered = gather(col, &dim_rows);
+            let gathered = gather(col, &dim_rows, ascending);
             defs.push(ColumnDef::new(wide_name, gathered.dtype()));
             cols.push(gathered);
         }
@@ -222,24 +229,32 @@ pub fn denormalize(db: &Database, root: Option<&str>) -> Result<Denormalized, Bi
     Ok(Denormalized { db: out, wide_name, mapping })
 }
 
+/// Reads `v` by row. Ascending rows (the fact table's own) go through a
+/// [`ChunkCursor`](astore_storage::chunks::ChunkCursor), which decodes each
+/// chunk once as the rows reach it. Rows in any other order (dimension rows
+/// in fact order) read a copy of the column decoded once up front: the
+/// cursor would decode a whole chunk on every miss.
+fn reader<T: ChunkValue>(v: &Chunked<T>, ascending: bool) -> impl FnMut(usize) -> T + '_ {
+    let mut cursor = v.cursor();
+    let flat = if ascending { Vec::new() } else { v.to_vec() };
+    move |row| if ascending { cursor.get(row) } else { flat[row] }
+}
+
 /// Gathers `col[rows[i]]` into a fresh column, built straight into
-/// segment-sized chunks. The source is read through a
-/// [`ChunkCursor`](astore_storage::chunks::ChunkCursor): the
-/// fact table's own columns (ascending rows) bind — and, where the chunk is
-/// resident encoded, decode — each chunk once, and a dimension that fits
-/// one segment binds once for the whole gather.
+/// segment-sized chunks and read through [`reader`].
 /// Dictionary columns share the source dictionary; only codes are gathered.
-fn gather(col: &Column, rows: &[usize]) -> Column {
-    fn values<T: ChunkValue>(v: &Chunked<T>, rows: &[usize]) -> Chunked<T> {
-        let mut src = v.cursor();
-        Chunked::from_fn(rows.len(), |i| src.get(rows[i]))
+fn gather(col: &Column, rows: &[usize], ascending: bool) -> Column {
+    fn values<T: ChunkValue>(v: &Chunked<T>, rows: &[usize], ascending: bool) -> Chunked<T> {
+        let mut at = reader(v, ascending);
+        Chunked::from_fn(rows.len(), |i| at(rows[i]))
     }
     match col {
-        Column::I32(v) => Column::I32(values(v, rows)),
-        Column::I64(v) => Column::I64(values(v, rows)),
-        Column::F64(v) => Column::F64(values(v, rows)),
+        Column::I32(v) => Column::I32(values(v, rows, ascending)),
+        Column::I64(v) => Column::I64(values(v, rows, ascending)),
+        Column::F64(v) => Column::F64(values(v, rows, ascending)),
         Column::Dict(dc) => {
-            Column::Dict(DictColumn::from_parts(values(dc.codes(), rows), dc.dict_arc()))
+            let codes = values(dc.codes(), rows, ascending);
+            Column::Dict(DictColumn::from_parts(codes, dc.dict_arc()))
         }
         Column::Str(sc) => {
             let mut out = astore_storage::strings::StrColumn::new();
@@ -343,6 +358,20 @@ mod tests {
         db.table_mut("sales").unwrap().append_row(&[Value::Key(NULL_KEY), Value::Int(100)]);
         let d = denormalize(&db, None).unwrap();
         assert_eq!(d.table().num_slots(), 4, "NULL-chain row dropped");
+    }
+
+    /// Each hop of a chain is bounded by the table it lands in, not by the
+    /// chain's last table: a sale keyed to a customer past the nations'
+    /// row count is kept.
+    #[test]
+    fn each_hop_is_bounded_by_the_table_it_lands_in() {
+        let mut db = star_db();
+        let customer = db.table_mut("customer").unwrap();
+        customer.append_row(&[Value::Key(1), Value::Str("AUTO".into())]);
+        db.table_mut("sales").unwrap().append_row(&[Value::Key(2), Value::Int(13)]);
+        let d = denormalize(&db, None).unwrap();
+        assert_eq!(d.table().num_slots(), 5, "the sale of customer 2 is kept");
+        assert_eq!(d.table().column("n_name").unwrap().get(4), Value::Str("CHINA".into()));
     }
 
     #[test]
@@ -497,6 +526,51 @@ mod tests {
         let db = star_db();
         let d = denormalize(&db, None).unwrap();
         assert_no_wide_shape(&db, &d, &count().filter("sales", Pred::eq("rowid", 1)));
+    }
+
+    /// A sealed dimension of two segments, read in fact order with keys
+    /// that alternate between them: every wide value is its source row's.
+    #[test]
+    fn gathers_from_a_dimension_across_segments() {
+        let dim_rows = SEGMENT_ROWS + 1_000;
+        let mut dim = Table::new(
+            "dim",
+            Schema::new(vec![
+                ColumnDef::new("d_a", DataType::I32),
+                ColumnDef::new("d_b", DataType::Dict),
+            ]),
+        );
+        for i in 0..dim_rows {
+            dim.append_row(&[Value::Int(i as i64 % 7), Value::Str(format!("s{}", i % 5))]);
+        }
+        dim.seal_segments();
+        let Some((_, Column::I32(d_a))) = dim.columns().next() else { panic!("d_a first") };
+        assert!(d_a.chunk_encoding(1).is_some(), "the second segment is held encoded");
+        let mut fact = Table::new(
+            "fact",
+            Schema::new(vec![
+                ColumnDef::new("f_dim", DataType::Key { target: "dim".into() }),
+                ColumnDef::new("f_v", DataType::I64),
+            ]),
+        );
+        let key = |i: usize| if i.is_multiple_of(2) { i % 997 } else { SEGMENT_ROWS + i % 997 };
+        for i in 0..4_000 {
+            fact.append_row(&[Value::Key(key(i) as Key), Value::Int(i as i64)]);
+        }
+        let mut db = Database::new();
+        db.add_table(dim);
+        db.add_table(fact);
+
+        let d = denormalize(&db, Some("fact")).unwrap();
+        let (wide, dim) = (d.table(), db.table("dim").unwrap());
+        assert_eq!(wide.num_slots(), 4_000);
+        for i in 0..4_000 {
+            for name in ["d_a", "d_b"] {
+                let source = dim.column(name).unwrap().get(key(i));
+                assert_eq!(wide.column(name).unwrap().get(i), source, "{name} at fact row {i}");
+            }
+            assert_eq!(wide.column("f_v").unwrap().get(i), Value::Int(i as i64));
+        }
     }
 
     #[test]

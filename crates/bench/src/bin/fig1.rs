@@ -17,7 +17,14 @@ fn main() {
     banner("Fig 1", "denormalization versus normal engines on SSB (paper §1)", sf, threads);
 
     let db = ssb::generate(sf, 42);
-    let wide = denormalize(&db, Some("lineorder")).expect("denormalization succeeds");
+    let (took, wide) =
+        time_best_of(1, || denormalize(&db, Some("lineorder")).expect("denormalization succeeds"));
+    let facts = db.table("lineorder").map_or(0, |t| t.num_slots());
+    println!(
+        "denormalize: {:.1} ms for {facts} fact rows ({:.1} ns per row)\n",
+        ms(took),
+        took.as_nanos() as f64 / facts.max(1) as f64
+    );
 
     let serial = ExecOptions::default();
     let parallel = ExecOptions::default().threads(threads);

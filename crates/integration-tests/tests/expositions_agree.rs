@@ -7,6 +7,9 @@
 //! The pairing of stats-frame keys with Prometheus series is read from the
 //! metric table itself ([`astore_server::stats::METRICS`]), so a metric
 //! added to the table is checked here without touching this file.
+//!
+//! And each engine's scrape is its own: two durable engines in one process
+//! each report only their own checkpoints.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -142,11 +145,57 @@ fn stats_frame_and_scrape_agree_over_the_wire() {
     counts.sort_unstable();
     assert_eq!(counts, [1, 2, 3, 4, 5], "one series per template of the mix: {templates:?}");
 
-    // The registry's counters carry their own help.
-    assert!(body.contains("# HELP astore_wal_appends_total WAL records appended"), "{body}");
-    assert!(!body.contains("see astore-obs registry"), "{body}");
+    // The durability timings are rows of the table, with their help; the
+    // two families that repeated `wal_records` and `checkpoints` are gone.
+    assert!(body.contains("# HELP astore_wal_fsync_us_total Cumulative WAL fsync"), "{body}");
+    assert!(scrape.get("astore_checkpoint_bytes_total") > Some(&0.0), "{body}");
+    for gone in ["astore_wal_appends_total", "astore_checkpoints_total"] {
+        assert!(!body.contains(gone), "{gone} is still scraped");
+    }
 
     drop(c);
     drop(server);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Reads one unlabelled series of `engine`'s scrape.
+fn scraped(engine: &Engine, series: &str) -> u64 {
+    let r = engine.handle_line(r#"{"cmd":"metrics"}"#);
+    let body = r.get("metrics").and_then(Json::as_str).unwrap();
+    let line = body.lines().find_map(|l| l.strip_prefix(series)?.strip_prefix(' '));
+    line.unwrap_or_else(|| panic!("{series} not scraped")).parse().unwrap()
+}
+
+/// Two durable engines in one process each count their own checkpoints:
+/// neither scrape reads the other's bytes.
+#[test]
+fn each_engine_scrapes_its_own_checkpoints() {
+    let mut engines = Vec::new();
+    for folds in [1, 2] {
+        let dir = std::env::temp_dir()
+            .join(format!("astore-own-counters-{}-{folds}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = ssb::generate(0.001, 7);
+        let wal = astore_persist::store::bootstrap(&dir, &db).unwrap();
+        let engine = Engine::new(SharedDatabase::new(db)).durable(Durability::new(&dir, wal, 0));
+        engines.push((engine, dir, folds, 0));
+    }
+    // Interleaved, so each engine's folds happen between the other's.
+    for round in 0..2 {
+        for (engine, _, folds, bytes) in &mut engines {
+            if round < *folds {
+                let r = engine.handle_line(
+                    r#"{"sql":"UPDATE lineorder SET lo_quantity = 7 WHERE rowid = 1"}"#,
+                );
+                assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r:?}");
+                *bytes += engine.checkpoint().unwrap().1 as u64;
+            }
+        }
+    }
+    for (engine, dir, folds, bytes) in engines {
+        assert_eq!(scraped(&engine, "astore_server_checkpoints_total"), folds as u64);
+        assert_eq!(scraped(&engine, "astore_checkpoint_bytes_total"), bytes, "{folds} folds");
+        drop(engine);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -1,4 +1,4 @@
-//! Safe wrapper over the platform readiness facility (epoll / kqueue):
+//! Safe wrapper over Linux's readiness facility (epoll + eventfd):
 //! register fds with a token + interest, block for events, and wake the
 //! blocked thread from outside.
 
@@ -36,17 +36,11 @@ pub struct Event {
 
 const EVENT_CAPACITY: usize = 256;
 
-// ---------------------------------------------------------------------------
-// Linux implementation
-// ---------------------------------------------------------------------------
-
-#[cfg(target_os = "linux")]
 pub struct Poller {
     epfd: RawFd,
     events: Vec<sys::EpollEvent>,
 }
 
-#[cfg(target_os = "linux")]
 impl Poller {
     pub fn new() -> io::Result<Poller> {
         let epfd = sys::epoll_create()?;
@@ -97,7 +91,6 @@ impl Poller {
     }
 }
 
-#[cfg(target_os = "linux")]
 impl Drop for Poller {
     fn drop(&mut self) {
         sys::close(self.epfd);
@@ -106,12 +99,10 @@ impl Drop for Poller {
 
 /// Wakes a `Poller` blocked in `wait` from another thread. Cloneable and
 /// cheap: one eventfd registered under a caller-chosen token.
-#[cfg(target_os = "linux")]
 pub struct Waker {
     efd: RawFd,
 }
 
-#[cfg(target_os = "linux")]
 impl Waker {
     /// Creates the waker and registers it with `poller` under `token`.
     pub fn new(poller: &Poller, token: Token) -> io::Result<Arc<Waker>> {
@@ -132,123 +123,9 @@ impl Waker {
     }
 }
 
-#[cfg(target_os = "linux")]
 impl Drop for Waker {
     fn drop(&mut self) {
         sys::close(self.efd);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// macOS / BSD implementation
-// ---------------------------------------------------------------------------
-
-#[cfg(not(target_os = "linux"))]
-pub struct Poller {
-    kq: RawFd,
-    events: Vec<sys::KEvent>,
-}
-
-#[cfg(not(target_os = "linux"))]
-impl Poller {
-    pub fn new() -> io::Result<Poller> {
-        let kq = sys::kqueue_create()?;
-        Ok(Poller {
-            kq,
-            events: vec![
-                sys::KEvent {
-                    ident: 0,
-                    filter: 0,
-                    flags: 0,
-                    fflags: 0,
-                    data: 0,
-                    udata: std::ptr::null_mut(),
-                };
-                EVENT_CAPACITY
-            ],
-        })
-    }
-
-    /// kqueue has no single add-with-mask op: drive each filter to the
-    /// desired state and ignore ENOENT from deleting an absent filter.
-    fn apply(&self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        let pairs = [(sys::EVFILT_READ, interest.readable), (sys::EVFILT_WRITE, interest.writable)];
-        for (filter, on) in pairs {
-            let flags = if on { sys::EV_ADD } else { sys::EV_DELETE };
-            match sys::kqueue_control(self.kq, fd, filter, flags, token as u64) {
-                Ok(()) => {}
-                Err(e) if !on && e.raw_os_error() == Some(2) => {} // ENOENT
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-
-    pub fn register(&self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        self.apply(fd, token, interest)
-    }
-
-    pub fn modify(&self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        self.apply(fd, token, interest)
-    }
-
-    pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-        self.apply(fd, 0, Interest::NONE)
-    }
-
-    pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: Option<i32>) -> io::Result<()> {
-        let n = match sys::kqueue_poll(self.kq, &mut self.events, timeout_ms.unwrap_or(-1)) {
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
-            Err(e) => return Err(e),
-        };
-        for ev in &self.events[..n] {
-            out.push(Event {
-                token: ev.udata as Token,
-                readable: ev.filter == sys::EVFILT_READ,
-                writable: ev.filter == sys::EVFILT_WRITE,
-                closed: ev.flags & sys::EV_EOF != 0,
-            });
-        }
-        Ok(())
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-impl Drop for Poller {
-    fn drop(&mut self) {
-        sys::close(self.kq);
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-pub struct Waker {
-    read_fd: RawFd,
-    write_fd: RawFd,
-}
-
-#[cfg(not(target_os = "linux"))]
-impl Waker {
-    pub fn new(poller: &Poller, token: Token) -> io::Result<Arc<Waker>> {
-        let (read_fd, write_fd) = sys::wake_pipe()?;
-        poller.register(read_fd, token, Interest::READABLE)?;
-        Ok(Arc::new(Waker { read_fd, write_fd }))
-    }
-
-    pub fn wake(&self) {
-        sys::pipe_signal(self.write_fd);
-    }
-
-    pub fn drain(&self) {
-        sys::pipe_drain(self.read_fd);
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-impl Drop for Waker {
-    fn drop(&mut self) {
-        sys::close(self.read_fd);
-        sys::close(self.write_fd);
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! The build environment is offline, so instead of the `libc` crate these
 //! are hand-written `extern "C"` declarations against the C library the
-//! Rust standard library already links (glibc/musl on Linux, libSystem on
-//! macOS). Every wrapper converts the C return convention (-1 + `errno`)
+//! Rust standard library already links (glibc or musl: the crate is
+//! Linux-only). Every wrapper converts the C return convention (-1 + `errno`)
 //! into `std::io::Result` and hands ownership of file descriptors to the
 //! caller as plain `RawFd`s — the safe modules above wrap them in types
 //! whose `Drop` closes them exactly once.
@@ -33,229 +33,85 @@ pub fn close(fd: RawFd) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Linux: epoll + eventfd
-// ---------------------------------------------------------------------------
+pub const EPOLLIN: u32 = 0x001;
+pub const EPOLLOUT: u32 = 0x004;
+pub const EPOLLERR: u32 = 0x008;
+pub const EPOLLHUP: u32 = 0x010;
+pub const EPOLLRDHUP: u32 = 0x2000;
 
-#[cfg(target_os = "linux")]
-pub use linux::*;
+pub const EPOLL_CTL_ADD: c_int = 1;
+pub const EPOLL_CTL_DEL: c_int = 2;
+pub const EPOLL_CTL_MOD: c_int = 3;
 
-#[cfg(target_os = "linux")]
-mod linux {
-    use super::{c_int, cvt, io, RawFd};
+const EPOLL_CLOEXEC: c_int = 0o2000000;
+const EFD_CLOEXEC: c_int = 0o2000000;
+const EFD_NONBLOCK: c_int = 0o4000;
 
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
+/// One readiness record. The kernel and glibc pack the struct on
+/// x86-64 only (12 bytes); every other architecture pads it to 16.
+/// Mirror that exactly — the wrong layout would shear every second
+/// event in the `epoll_wait` output array.
+#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+#[derive(Clone, Copy)]
+pub struct EpollEvent {
+    /// `EPOLLIN | EPOLLOUT | …` readiness bits.
+    pub events: u32,
+    /// Caller-owned cookie (the poller stores its token here).
+    pub data: u64,
+}
 
-    pub const EPOLL_CTL_ADD: c_int = 1;
-    pub const EPOLL_CTL_DEL: c_int = 2;
-    pub const EPOLL_CTL_MOD: c_int = 3;
+const _: () = assert!(
+    std::mem::size_of::<EpollEvent>() == if cfg!(target_arch = "x86_64") { 12 } else { 16 }
+);
 
-    const EPOLL_CLOEXEC: c_int = 0o2000000;
-    const EFD_CLOEXEC: c_int = 0o2000000;
-    const EFD_NONBLOCK: c_int = 0o4000;
+extern "C" {
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
+    fn eventfd(initval: u32, flags: c_int) -> c_int;
+    fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
+    fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
+}
 
-    /// One readiness record. x86-64 glibc declares the struct packed, so
-    /// mirror that exactly — a padded layout would shear every second
-    /// event in the `epoll_wait` output array.
-    #[repr(C, packed)]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        /// `EPOLLIN | EPOLLOUT | …` readiness bits.
-        pub events: u32,
-        /// Caller-owned cookie (the poller stores its token here).
-        pub data: u64,
-    }
+/// A fresh close-on-exec epoll instance.
+pub fn epoll_create() -> io::Result<RawFd> {
+    cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })
+}
 
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-        fn eventfd(initval: u32, flags: c_int) -> c_int;
-        fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
-        fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
-    }
+/// Adds/modifies/removes `fd` with the given interest + token.
+pub fn epoll_control(epfd: RawFd, op: c_int, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+    let mut ev = EpollEvent { events, data: token };
+    // DEL ignores the event argument but old kernels want it non-null.
+    cvt(unsafe { epoll_ctl(epfd, op, fd, &mut ev) }).map(drop)
+}
 
-    /// A fresh close-on-exec epoll instance.
-    pub fn epoll_create() -> io::Result<RawFd> {
-        cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })
-    }
+/// Blocks for readiness; fills `events` and returns how many fired.
+/// `timeout_ms` of -1 blocks indefinitely.
+pub fn epoll_poll(epfd: RawFd, events: &mut [EpollEvent], timeout_ms: c_int) -> io::Result<usize> {
+    let n =
+        cvt(unsafe { epoll_wait(epfd, events.as_mut_ptr(), events.len() as c_int, timeout_ms) })?;
+    Ok(n as usize)
+}
 
-    /// Adds/modifies/removes `fd` with the given interest + token.
-    pub fn epoll_control(
-        epfd: RawFd,
-        op: c_int,
-        fd: RawFd,
-        events: u32,
-        token: u64,
-    ) -> io::Result<()> {
-        let mut ev = EpollEvent { events, data: token };
-        // DEL ignores the event argument but old kernels want it non-null.
-        cvt(unsafe { epoll_ctl(epfd, op, fd, &mut ev) }).map(drop)
-    }
+/// A nonblocking close-on-exec eventfd (the reactor wake channel).
+pub fn eventfd_create() -> io::Result<RawFd> {
+    cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })
+}
 
-    /// Blocks for readiness; fills `events` and returns how many fired.
-    /// `timeout_ms` of -1 blocks indefinitely.
-    pub fn epoll_poll(
-        epfd: RawFd,
-        events: &mut [EpollEvent],
-        timeout_ms: c_int,
-    ) -> io::Result<usize> {
-        let n = cvt(unsafe {
-            epoll_wait(epfd, events.as_mut_ptr(), events.len() as c_int, timeout_ms)
-        })?;
-        Ok(n as usize)
-    }
-
-    /// A nonblocking close-on-exec eventfd (the reactor wake channel).
-    pub fn eventfd_create() -> io::Result<RawFd> {
-        cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })
-    }
-
-    /// Posts one wake to an eventfd. Saturation (EAGAIN on an already-
-    /// signalled counter) is success: the reader will wake regardless.
-    pub fn eventfd_signal(fd: RawFd) {
-        let one: u64 = 1;
-        unsafe {
-            write(fd, (&one as *const u64).cast(), 8);
-        }
-    }
-
-    /// Drains an eventfd so it can signal again.
-    pub fn eventfd_drain(fd: RawFd) {
-        let mut buf = [0u8; 8];
-        unsafe {
-            read(fd, buf.as_mut_ptr(), 8);
-        }
+/// Posts one wake to an eventfd. Saturation (EAGAIN on an already-
+/// signalled counter) is success: the reader will wake regardless.
+pub fn eventfd_signal(fd: RawFd) {
+    let one: u64 = 1;
+    unsafe {
+        write(fd, (&one as *const u64).cast(), 8);
     }
 }
 
-// ---------------------------------------------------------------------------
-// macOS (and the BSDs): kqueue + self-pipe
-// ---------------------------------------------------------------------------
-
-#[cfg(not(target_os = "linux"))]
-pub use bsd::*;
-
-#[cfg(not(target_os = "linux"))]
-mod bsd {
-    use super::{c_int, cvt, io, RawFd};
-    use std::os::raw::c_void;
-
-    pub const EVFILT_READ: i16 = -1;
-    pub const EVFILT_WRITE: i16 = -2;
-    pub const EV_ADD: u16 = 0x0001;
-    pub const EV_DELETE: u16 = 0x0002;
-    pub const EV_EOF: u16 = 0x8000;
-
-    const F_SETFL: c_int = 4;
-    const O_NONBLOCK: c_int = 0x0004;
-
-    /// `struct kevent` as declared by xnu / the BSDs.
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct KEvent {
-        pub ident: usize,
-        pub filter: i16,
-        pub flags: u16,
-        pub fflags: u32,
-        pub data: isize,
-        pub udata: *mut c_void,
-    }
-
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: isize,
-        tv_nsec: isize,
-    }
-
-    extern "C" {
-        fn kqueue() -> c_int;
-        fn kevent(
-            kq: c_int,
-            changelist: *const KEvent,
-            nchanges: c_int,
-            eventlist: *mut KEvent,
-            nevents: c_int,
-            timeout: *const Timespec,
-        ) -> c_int;
-        fn pipe(fds: *mut c_int) -> c_int;
-        fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
-        fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
-        fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
-    }
-
-    /// A fresh kqueue instance.
-    pub fn kqueue_create() -> io::Result<RawFd> {
-        cvt(unsafe { kqueue() })
-    }
-
-    /// Applies one filter change (EV_ADD / EV_DELETE) for `fd`.
-    pub fn kqueue_control(
-        kq: RawFd,
-        fd: RawFd,
-        filter: i16,
-        flags: u16,
-        token: u64,
-    ) -> io::Result<()> {
-        let change = KEvent {
-            ident: fd as usize,
-            filter,
-            flags,
-            fflags: 0,
-            data: 0,
-            udata: token as *mut c_void,
-        };
-        cvt(unsafe { kevent(kq, &change, 1, std::ptr::null_mut(), 0, std::ptr::null()) }).map(drop)
-    }
-
-    /// Blocks for readiness; fills `events` and returns how many fired.
-    pub fn kqueue_poll(kq: RawFd, events: &mut [KEvent], timeout_ms: c_int) -> io::Result<usize> {
-        let ts;
-        let ts_ptr = if timeout_ms < 0 {
-            std::ptr::null()
-        } else {
-            ts = Timespec {
-                tv_sec: (timeout_ms / 1000) as isize,
-                tv_nsec: (timeout_ms % 1000) as isize * 1_000_000,
-            };
-            &ts as *const Timespec
-        };
-        let n = cvt(unsafe {
-            kevent(kq, std::ptr::null(), 0, events.as_mut_ptr(), events.len() as c_int, ts_ptr)
-        })?;
-        Ok(n as usize)
-    }
-
-    /// A nonblocking self-pipe (the reactor wake channel): `(read, write)`.
-    pub fn wake_pipe() -> io::Result<(RawFd, RawFd)> {
-        let mut fds = [0 as c_int; 2];
-        cvt(unsafe { pipe(fds.as_mut_ptr()) })?;
-        for fd in fds {
-            cvt(unsafe { fcntl(fd, F_SETFL, O_NONBLOCK) })?;
-        }
-        Ok((fds[0], fds[1]))
-    }
-
-    /// Posts one wake byte; a full pipe is success (the reader will wake).
-    pub fn pipe_signal(fd: RawFd) {
-        let one = [1u8];
-        unsafe {
-            write(fd, one.as_ptr(), 1);
-        }
-    }
-
-    /// Drains the wake pipe so it can signal again.
-    pub fn pipe_drain(fd: RawFd) {
-        let mut buf = [0u8; 64];
-        while unsafe { read(fd, buf.as_mut_ptr(), buf.len()) } > 0 {}
+/// Drains an eventfd so it can signal again.
+pub fn eventfd_drain(fd: RawFd) {
+    let mut buf = [0u8; 8];
+    unsafe {
+        read(fd, buf.as_mut_ptr(), 8);
     }
 }

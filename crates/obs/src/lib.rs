@@ -1,10 +1,10 @@
 //! # astore-obs
 //!
 //! The observability substrate for the A-Store engine: a lightweight span
-//! recorder ([`TraceBuf`]), a process-wide atomic counter registry
-//! ([`counter`]), a seqlock for coherent multi-counter snapshots
+//! recorder ([`TraceBuf`]), a seqlock for coherent multi-counter snapshots
 //! ([`SeqLock`]), and Prometheus text-format exposition helpers
-//! ([`PromWriter`]).
+//! ([`PromWriter`]). The counters themselves belong to whoever bumps them:
+//! this crate holds none.
 //!
 //! Everything here is `std`-only and allocation-light. Tracing is designed
 //! to be *feature-off cheap*: the global [`enabled`] toggle costs one
@@ -29,12 +29,10 @@
 #![forbid(unsafe_code)]
 
 pub mod prom;
-pub mod registry;
 pub mod seqlock;
 pub mod trace;
 
 pub use prom::PromWriter;
-pub use registry::{counter, counters};
 pub use seqlock::SeqLock;
 pub use trace::{Span, SpanId, TraceBuf, DEFAULT_SPAN_CAP};
 
@@ -44,10 +42,10 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Turns the process-wide tracing toggle on or off.
 ///
-/// The toggle does **not** gate counter arithmetic (counters are two
-/// relaxed atomics and always on); it gates the expensive parts — clock
-/// sampling for the persistence timing counters and whether the serving
-/// layer attaches a [`TraceBuf`] to queries at all.
+/// The toggle does **not** gate counter arithmetic (counters are relaxed
+/// atomics and always on); it gates the expensive parts — the serving
+/// engine's clock samples around WAL appends and checkpoints, and whether
+/// it attaches a [`TraceBuf`] to queries at all.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

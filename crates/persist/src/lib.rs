@@ -51,7 +51,6 @@
 
 pub mod apply;
 pub mod crc;
-pub mod metrics;
 pub mod snapshot;
 pub mod store;
 pub mod wal;

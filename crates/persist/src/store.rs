@@ -144,17 +144,11 @@ pub fn write_checkpoint(
     db: &Database,
     last_lsn: u64,
 ) -> Result<usize, PersistError> {
-    let sample = crate::metrics::TimedSample::start();
     let path = snapshot_path(dir);
     // The previous file, indexed by block — its blocks are read one at a
     // time as they are copied, never the whole file at once.
     let prev = std::fs::File::open(&path).ok().and_then(index_snapshot_segments);
-    let (bytes, _reused) = write_snapshot_file(&path, db, last_lsn, prev)?;
-    use std::sync::atomic::Ordering;
-    crate::metrics::checkpoints_total().fetch_add(1, Ordering::Relaxed);
-    crate::metrics::checkpoint_bytes_total().fetch_add(bytes as u64, Ordering::Relaxed);
-    sample.stop(crate::metrics::checkpoint_us_total());
-    Ok(bytes)
+    write_snapshot_file(&path, db, last_lsn, prev).map(|(bytes, _reused)| bytes)
 }
 
 #[cfg(test)]

@@ -36,6 +36,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use crate::crc::crc32;
 use crate::wire::{put_u32, put_u64};
@@ -181,6 +182,8 @@ pub struct Wal {
     next_lsn: u64,
     /// Records the log holds (checkpoint pressure).
     record_count: u64,
+    /// Time the last append spent in `fsync` (zero without one).
+    last_fsync: Duration,
     /// `false` disables the per-record fsync (tests and bulk loads only —
     /// the durability guarantee needs it on).
     pub sync_on_commit: bool,
@@ -234,6 +237,7 @@ impl Wal {
             path,
             next_lsn: min_next_lsn.max(max_lsn + 1),
             record_count: scan.records.len() as u64,
+            last_fsync: Duration::ZERO,
             sync_on_commit: true,
         };
         Ok((wal, scan))
@@ -259,6 +263,12 @@ impl Wal {
     /// checkpoint-pressure gauge.
     pub fn record_count(&self) -> u64 {
         self.record_count
+    }
+
+    /// Time the last successful append spent waiting for `fsync` — zero
+    /// when it ran without one ([`Wal::sync_on_commit`] off).
+    pub fn last_fsync(&self) -> Duration {
+        self.last_fsync
     }
 
     /// Appends one committed statement and (by default) fsyncs. Returns the
@@ -288,7 +298,6 @@ impl Wal {
                 sqls.len()
             )));
         };
-        let append_sample = crate::metrics::TimedSample::start();
         let mut out = Vec::new();
         let mut start = 0usize;
         while start < sqls.len() {
@@ -313,16 +322,14 @@ impl Wal {
             start = end;
         }
         self.file.write_all(&out)?;
+        self.last_fsync = Duration::ZERO;
         if self.sync_on_commit {
-            let fsync_sample = crate::metrics::TimedSample::start();
+            let t0 = Instant::now();
             self.file.sync_data()?;
-            fsync_sample.stop(crate::metrics::wal_fsync_us_total());
+            self.last_fsync = t0.elapsed();
         }
         self.next_lsn = next;
         self.record_count += sqls.len() as u64;
-        crate::metrics::wal_appends_total()
-            .fetch_add(sqls.len() as u64, std::sync::atomic::Ordering::Relaxed);
-        append_sample.stop(crate::metrics::wal_append_us_total());
         Ok(first)
     }
 

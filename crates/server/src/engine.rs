@@ -867,7 +867,7 @@ fn affected(n: usize) -> Json {
 /// the one served engine, so `air` and `auto` (the server's choice) are
 /// accepted and change nothing; any other value is a `plan_error`, and a
 /// missing one a `parse_error`.
-fn parse_set_engine(sql: &str) -> Option<Result<(), Json>> {
+pub(crate) fn parse_set_engine(sql: &str) -> Option<Result<(), Json>> {
     let s = sql.trim().trim_end_matches(';').trim();
     let mut words = s.split_whitespace();
     if !words.next()?.eq_ignore_ascii_case("set") {

@@ -17,6 +17,7 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
 
 use astore_persist::apply::apply_statement;
 use astore_sql::statement::{render_write, Write};
@@ -156,8 +157,11 @@ impl Engine {
         if applied.is_empty() {
             return;
         }
+        // The append and the fsync inside it, timed while tracing is on.
+        let mut timed = None;
         if let Some(d) = &self.durability {
             let mut wal = d.wal.lock().unwrap_or_else(|p| p.into_inner());
+            let t0 = astore_obs::enabled().then(Instant::now);
             if let Err(e) = wal.append_batch(&sqls) {
                 let err = EngineError::new(
                     ErrorCode::InternalError,
@@ -168,6 +172,7 @@ impl Engine {
                 }
                 return;
             }
+            timed = t0.map(|t0| (t0.elapsed(), wal.last_fsync()));
             // Only note that the fold is due: the maintenance thread runs
             // it, so the batch's clients are acknowledged without waiting.
             if d.checkpoint_every > 0 && wal.record_count() >= d.checkpoint_every {
@@ -181,6 +186,10 @@ impl Engine {
             self.stats.writes.fetch_add(applied.len() as u64, Relaxed);
             if self.durability.is_some() {
                 self.stats.wal_records.fetch_add(sqls.len() as u64, Relaxed);
+            }
+            if let Some((append, fsync)) = timed {
+                self.stats.wal_append_us.fetch_add(append.as_micros() as u64, Relaxed);
+                self.stats.wal_fsync_us.fetch_add(fsync.as_micros() as u64, Relaxed);
             }
             self.stats.group_commits.fetch_add(1, Relaxed);
         }

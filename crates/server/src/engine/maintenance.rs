@@ -55,7 +55,9 @@ impl Engine {
 
         // Phase 2 (no locks): encode and write the snapshot file from the
         // frozen image while the server keeps serving.
+        let t0 = astore_obs::enabled().then(Instant::now);
         let bytes = store::write_checkpoint(&d.dir, &snap, last).map_err(|e| e.to_string())?;
+        let took = t0.map(|t0| t0.elapsed());
 
         // Phase 3 (commit lock, brief): drop WAL records the file now
         // covers, then flip clean flags on tables the live catalog still
@@ -85,7 +87,14 @@ impl Engine {
                 }
             });
         }
-        self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
+        {
+            let _group = self.stats.group.begin_write();
+            self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
+            self.stats.checkpoint_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+            if let Some(took) = took {
+                self.stats.checkpoint_us.fetch_add(took.as_micros() as u64, Ordering::Relaxed);
+            }
+        }
         Ok((last, bytes))
     }
 
@@ -234,6 +243,37 @@ mod tests {
         assert_eq!(r.get("ok").unwrap().as_bool(), Some(false));
         assert_eq!(r.get("code").unwrap().as_str(), Some("bad_request"));
         assert!(r.get("error").unwrap().as_str().unwrap().contains("no data directory"));
+    }
+
+    /// The three `_us` durability timings count only while the tracing
+    /// toggle is armed; a checkpoint's bytes count always.
+    #[test]
+    fn disarmed_timings_add_nothing() {
+        use std::sync::atomic::AtomicU64;
+        let dir = std::env::temp_dir().join(format!("astore-engine-timed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let seed = engine().database().snapshot().as_ref().clone();
+        let wal = astore_persist::store::bootstrap(&dir, &seed).unwrap();
+        let e = Engine::new(SharedDatabase::new(seed)).durable(Durability::new(&dir, wal, 0));
+        let read = |c: fn(&crate::ServerStats) -> &AtomicU64| c(e.stats()).load(Ordering::Relaxed);
+        let timings =
+            || [read(|s| &s.wal_append_us), read(|s| &s.wal_fsync_us), read(|s| &s.checkpoint_us)];
+        let was = astore_obs::enabled();
+        astore_obs::set_enabled(false);
+        let r = sql(&e, "INSERT INTO fact VALUES (0, 1)");
+        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
+        let (_, bytes) = e.checkpoint().unwrap();
+        assert_eq!(timings(), [0, 0, 0], "disarmed: no clock was read");
+        assert_eq!(read(|s| &s.checkpoint_bytes), bytes as u64);
+
+        astore_obs::set_enabled(true);
+        sql(&e, "INSERT INTO fact VALUES (0, 2)");
+        e.checkpoint().unwrap();
+        astore_obs::set_enabled(was);
+        let [append, fsync, checkpoint] = timings();
+        assert!(append >= fsync && checkpoint > 0, "armed: {:?}", timings());
+        drop(e);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -13,8 +13,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use astore_net::{Done, Service};
+use astore_sql::lexer::tokens;
+use astore_sql::opens_write;
 
-use crate::engine::{error_frame, Engine, ErrorCode};
+use crate::engine::{error_frame, parse_set_engine, Engine, ErrorCode};
 use crate::json::Json;
 use crate::sched::{Priority, PriorityPool};
 use crate::session::StatementRegistry;
@@ -33,8 +35,9 @@ fn frame_bytes(frame: &Json, stats: &ServerStats, class: Priority) -> Vec<u8> {
 
 /// Decides which executor queue a parsed request joins.
 ///
-/// - metadata: `cmd` / `prepare` / `close` frames and malformed requests —
-///   cheap protocol work that should never sit behind a scan;
+/// - metadata: `cmd` / `prepare` / `close` frames and malformed requests,
+///   SQL text with no statement included — cheap protocol work that should
+///   never sit behind a scan;
 /// - interactive: writes, text or prepared — short statements a user is
 ///   waiting on;
 /// - scan: every SELECT.
@@ -64,17 +67,16 @@ fn classify(req: &Json, registry: &Mutex<StatementRegistry>) -> Priority {
     Priority::Metadata
 }
 
+/// Classes a text statement by the first token of the one SQL lexer: a
+/// token that opens a write is interactive, any other a scan. A frame
+/// with no statement — empty, all comment, or a first token that does not
+/// lex — is a parse error, and `SET engine` a session knob: both are
+/// answered without touching data, so both are metadata.
 fn classify_sql(sql: &str) -> Priority {
-    let keyword = sql.split_whitespace().next().unwrap_or("");
-    // Session knobs (`SET engine = ...`) touch no data — answer them ahead
-    // of any queued scan so a pin takes effect on the very next statement.
-    if keyword.eq_ignore_ascii_case("set") {
-        return Priority::Metadata;
-    }
-    if ["insert", "update", "delete"].iter().any(|w| keyword.eq_ignore_ascii_case(w)) {
-        Priority::Interactive
-    } else {
-        Priority::Scan
+    match tokens(sql).next() {
+        Some(Ok(first)) if opens_write(&first.tok) => Priority::Interactive,
+        Some(Ok(_)) if parse_set_engine(sql).is_none() => Priority::Scan,
+        _ => Priority::Metadata,
     }
 }
 
@@ -199,6 +201,16 @@ mod tests {
         assert_eq!(classify_sql("SELECT v FROM t WHERE rowid = 17"), Priority::Scan);
         assert_eq!(classify_sql("SET engine = join"), Priority::Metadata);
         assert_eq!(classify_sql("  set engine=auto;"), Priority::Metadata);
+        // The lexer skips comments, so a commented write is still a write.
+        assert_eq!(classify_sql("-- note\nINSERT INTO t VALUES (1)"), Priority::Interactive);
+        assert_eq!(
+            classify_sql("\n  -- c\n update t set v = 1 where rowid = 0"),
+            Priority::Interactive
+        );
+        assert_eq!(classify_sql("SELECT 1 -- insert"), Priority::Scan);
+        // No statement: a parse error, answered without touching data.
+        assert_eq!(classify_sql("'oops"), Priority::Metadata);
+        assert_eq!(classify_sql("  -- nothing else"), Priority::Metadata);
     }
 
     #[test]

@@ -69,14 +69,14 @@
 //!
 //! ## Architecture
 //!
-//! One epoll/kqueue reactor thread owns every socket (nonblocking accepts,
+//! One epoll reactor thread owns every socket (nonblocking accepts,
 //! incremental framing, pipelining, write-buffer backpressure) and hands
 //! parsed requests to the strict-priority executor pool — metadata and
 //! writes jump ahead of long scans ([`server`], [`front`]). Each
 //! statement then runs through the [`engine`]'s stages, one function each:
 //!
 //! ```text
-//! TcpListener ── reactor (epoll/kqueue) ── priority executor pool
+//! TcpListener ── reactor (epoll) ── priority executor pool
 //!                                            │ bounded admission queues
 //!                                            │ (shed, don't stall)
 //!                                            ▼

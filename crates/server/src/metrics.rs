@@ -244,9 +244,7 @@ fn emit_histogram_series(
 
 /// Builds the full Prometheus text-format scrape body: one family per
 /// scraped row of [`METRICS`](crate::stats::METRICS) — its `ServerStats`
-/// counters loaded in one seqlock pass, as the stats frame loads them —
-/// then every counter registered in the [`astore_obs`] registry (WAL
-/// append/fsync and checkpoint timings) with its own help.
+/// counters loaded in one seqlock pass, as the stats frame loads them.
 pub fn render_prometheus(sources: &Sources) -> String {
     let mut w = PromWriter::new();
     for (metric, reading) in sources.readings() {
@@ -268,10 +266,6 @@ pub fn render_prometheus(sources: &Sources) -> String {
                 }
             }
         }
-    }
-    for (name, help, value) in astore_obs::counters() {
-        w.header(name, help, "counter");
-        w.sample_u64(name, &[], value);
     }
     w.finish()
 }
@@ -370,16 +364,13 @@ mod tests {
         let e = crate::Engine::new(SharedDatabase::new(Database::new()));
         let r = e.handle_line(r#"{"cmd":"metrics"}"#);
         let body = r.get("metrics").and_then(Json::as_str).unwrap().to_owned();
-        let ours = |name: &str| name.starts_with("astore_server_") || name == "astore_obs_enabled";
         let mut families: Vec<(String, String, String)> = Vec::new();
         let mut lines = body.lines();
         while let Some(line) = lines.next() {
             let Some(rest) = line.strip_prefix("# HELP ") else { continue };
             let (name, help) = rest.split_once(' ').unwrap();
             let kind = lines.next().unwrap().strip_prefix(&format!("# TYPE {name} ")).unwrap();
-            if ours(name) {
-                families.push((name.into(), kind.into(), help.into()));
-            }
+            families.push((name.into(), kind.into(), help.into()));
         }
         families.sort();
         let expected: Vec<(String, String, String)> = PINNED_FAMILIES
@@ -390,6 +381,8 @@ mod tests {
     }
 
     const PINNED_FAMILIES: &[(&str, &str, &str)] = &[
+        ("astore_checkpoint_bytes_total", "counter", "Cumulative snapshot bytes written by checkpoints."),
+        ("astore_checkpoint_us_total", "counter", "Cumulative checkpoint time, µs."),
         ("astore_obs_enabled", "gauge", "1 when the runtime tracing toggle is on."),
         ("astore_server_accepts_total", "counter", "Sockets accepted (admitted or refused)."),
         ("astore_server_append_copies", "gauge", "Column tail chunks copied by appends since boot."),
@@ -435,6 +428,8 @@ mod tests {
         ("astore_server_template_latency_us", "histogram", "Statement latency per canonical template."),
         ("astore_server_wal_records_total", "counter", "Write statements appended to the WAL."),
         ("astore_server_writes_total", "counter", "Write statements applied."),
+        ("astore_wal_append_us_total", "counter", "Cumulative WAL append time, µs — frame build + write + fsync."),
+        ("astore_wal_fsync_us_total", "counter", "Cumulative WAL fsync time, µs (the durability wait inside appends)."),
     ];
 
     #[test]

@@ -1,5 +1,5 @@
 //! The TCP serving layer. One event-loop thread owns every socket via the
-//! [`astore_net`] epoll/kqueue reactor: nonblocking accepts, incremental
+//! [`astore_net`] epoll reactor: nonblocking accepts, incremental
 //! frame parsing, request pipelining, and write-buffer backpressure. Each
 //! complete frame is parsed and classified on the reactor thread, then
 //! executed on the strict-priority [`PriorityPool`] — interactive point

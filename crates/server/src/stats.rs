@@ -91,8 +91,9 @@ pub enum Read {
     /// A [`ServerStats`] histogram per priority class, indexed by
     /// [`Priority`] discriminant.
     PerClass(fn(&ServerStats) -> &[LatencyHistogram; 3]),
-    /// An owner every exposition has: the plan cache, the scan crew, the
-    /// footprint, the uptime clock, the tracing toggle.
+    /// An owner beside [`ServerStats`] that every exposition has: the plan
+    /// cache, the scan crew, the footprint, the uptime clock, and the
+    /// tracing toggle — the one process-wide value a row reads.
     Value(fn(&Sources) -> Num),
     /// The serving engine's options, core budget, image or slow log.
     Engine(fn(&EngineSources) -> Num),
@@ -184,6 +185,16 @@ metric_table! {
     wal_records: counter "wal_records", "astore_server_wal_records_total",
         "Write statements appended to the WAL.";
     checkpoints: counter "checkpoints", "astore_server_checkpoints_total", "Checkpoints taken.";
+    /// Timed around `Wal::append_batch`, only while the tracing toggle is on.
+    wal_append_us: counter _, "astore_wal_append_us_total",
+        "Cumulative WAL append time, µs — frame build + write + fsync.";
+    /// The `fsync` time each append reports, only while the toggle is on.
+    wal_fsync_us: counter _, "astore_wal_fsync_us_total",
+        "Cumulative WAL fsync time, µs (the durability wait inside appends).";
+    /// Timed around `write_checkpoint`, only while the toggle is on.
+    checkpoint_us: counter _, "astore_checkpoint_us_total", "Cumulative checkpoint time, µs.";
+    checkpoint_bytes: counter _, "astore_checkpoint_bytes_total",
+        "Cumulative snapshot bytes written by checkpoints.";
     /// The statements a batch carried are counted by `writes`.
     group_commits: counter "group_commits", "astore_server_group_commits_total",
         "Group-commit batches published (one WAL fsync each).";

@@ -109,64 +109,82 @@ impl std::error::Error for LexError {}
 
 /// Tokenizes a SQL string, keeping each token's byte span.
 pub fn lex_spanned(input: &str) -> Result<Vec<SpannedToken>, LexError> {
-    let bytes = input.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    let push = |tok: Token, start: usize, end: usize, out: &mut Vec<SpannedToken>| {
-        out.push(SpannedToken { tok, start, end });
-    };
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        let start = i;
-        match c {
-            ' ' | '\t' | '\r' | '\n' => i += 1,
-            '(' => {
-                i += 1;
-                push(Token::LParen, start, i, &mut out);
-            }
-            ')' => {
-                i += 1;
-                push(Token::RParen, start, i, &mut out);
-            }
-            ',' => {
-                i += 1;
-                push(Token::Comma, start, i, &mut out);
-            }
-            '.' => {
-                i += 1;
-                push(Token::Dot, start, i, &mut out);
-            }
-            '*' => {
-                i += 1;
-                push(Token::Star, start, i, &mut out);
-            }
-            '+' => {
-                i += 1;
-                push(Token::Plus, start, i, &mut out);
-            }
-            '/' => {
-                i += 1;
-                push(Token::Slash, start, i, &mut out);
-            }
-            ';' => {
-                i += 1;
-                push(Token::Semi, start, i, &mut out);
-            }
-            '=' => {
-                i += 1;
-                push(Token::Eq, start, i, &mut out);
-            }
-            '?' => {
-                i += 1;
-                push(Token::Param(None), start, i, &mut out);
-            }
-            '$' => {
-                i += 1;
-                let digits = i;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
+    tokens(input).collect()
+}
+
+/// The tokens of a SQL string, lexed one at a time as they are asked for:
+/// a caller that needs only the first token lexes only that one.
+pub fn tokens(input: &str) -> Tokens<'_> {
+    Tokens { input, pos: 0 }
+}
+
+/// An iterator over the spanned tokens of a SQL string ([`tokens`]). It
+/// skips whitespace and `--` comments — the only place these rules live —
+/// and ends after the first error.
+#[derive(Debug)]
+pub struct Tokens<'a> {
+    input: &'a str,
+    /// Byte offset of the first character not yet lexed.
+    pos: usize,
+}
+
+impl Iterator for Tokens<'_> {
+    type Item = Result<SpannedToken, LexError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let next = self.lex().transpose();
+        if matches!(next, Some(Err(_))) {
+            self.pos = self.input.len();
+        }
+        next
+    }
+}
+
+impl Tokens<'_> {
+    /// Lexes the token at or after `pos`; `None` at the end of the input.
+    fn lex(&mut self) -> Result<Option<SpannedToken>, LexError> {
+        let (input, bytes) = (self.input, self.input.as_bytes());
+        let mut start = self.pos;
+        loop {
+            match bytes.get(start) {
+                None => return Ok(None),
+                Some(b' ' | b'\t' | b'\r' | b'\n') => start += 1,
+                // `--` starts a comment to end of line.
+                Some(b'-') if bytes.get(start + 1) == Some(&b'-') => {
+                    while start < bytes.len() && bytes[start] != b'\n' {
+                        start += 1;
+                    }
                 }
-                let n: u32 = input[digits..i].parse().map_err(|_| LexError {
+                Some(_) => break,
+            }
+        }
+        let next = bytes.get(start + 1).copied();
+        // The end of the run of bytes from `from` that `f` accepts.
+        let run = |from: usize, f: fn(&u8) -> bool| {
+            from + bytes[from..].iter().take_while(|b| f(b)).count()
+        };
+        let (tok, end) = match bytes[start] {
+            b'(' => (Token::LParen, start + 1),
+            b')' => (Token::RParen, start + 1),
+            b',' => (Token::Comma, start + 1),
+            b'.' => (Token::Dot, start + 1),
+            b'*' => (Token::Star, start + 1),
+            b'+' => (Token::Plus, start + 1),
+            b'-' => (Token::Minus, start + 1),
+            b'/' => (Token::Slash, start + 1),
+            b';' => (Token::Semi, start + 1),
+            b'=' => (Token::Eq, start + 1),
+            b'?' => (Token::Param(None), start + 1),
+            b'!' if next == Some(b'=') => (Token::Ne, start + 2),
+            b'!' => return Err(LexError { pos: start, message: "expected '=' after '!'".into() }),
+            b'<' if next == Some(b'=') => (Token::Le, start + 2),
+            b'<' if next == Some(b'>') => (Token::Ne, start + 2),
+            b'<' => (Token::Lt, start + 1),
+            b'>' if next == Some(b'=') => (Token::Ge, start + 2),
+            b'>' => (Token::Gt, start + 1),
+            b'$' => {
+                let end = run(start + 1, u8::is_ascii_digit);
+                let n: u32 = input[start + 1..end].parse().map_err(|_| LexError {
                     pos: start,
                     message: "expected a parameter number after '$' (e.g. $1)".into(),
                 })?;
@@ -176,54 +194,12 @@ pub fn lex_spanned(input: &str) -> Result<Vec<SpannedToken>, LexError> {
                         message: "parameter numbers start at $1".into(),
                     });
                 }
-                push(Token::Param(Some(n)), start, i, &mut out);
+                (Token::Param(Some(n)), end)
             }
-            '!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    i += 2;
-                    push(Token::Ne, start, i, &mut out);
-                } else {
-                    return Err(LexError { pos: i, message: "expected '=' after '!'".into() });
-                }
-            }
-            '<' => match bytes.get(i + 1) {
-                Some(&b'=') => {
-                    i += 2;
-                    push(Token::Le, start, i, &mut out);
-                }
-                Some(&b'>') => {
-                    i += 2;
-                    push(Token::Ne, start, i, &mut out);
-                }
-                _ => {
-                    i += 1;
-                    push(Token::Lt, start, i, &mut out);
-                }
-            },
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    i += 2;
-                    push(Token::Ge, start, i, &mut out);
-                } else {
-                    i += 1;
-                    push(Token::Gt, start, i, &mut out);
-                }
-            }
-            '-' => {
-                // `--` starts a comment to end of line.
-                if bytes.get(i + 1) == Some(&b'-') {
-                    while i < bytes.len() && bytes[i] != b'\n' {
-                        i += 1;
-                    }
-                } else {
-                    i += 1;
-                    push(Token::Minus, start, i, &mut out);
-                }
-            }
-            '\'' => {
+            b'\'' => {
                 // Copied a run at a time, so multi-byte characters stay whole.
                 let mut s = String::new();
-                i += 1;
+                let mut i = start + 1;
                 loop {
                     let Some(q) = input[i..].find('\'') else {
                         return Err(LexError {
@@ -239,56 +215,42 @@ pub fn lex_spanned(input: &str) -> Result<Vec<SpannedToken>, LexError> {
                     s.push('\'');
                     i += 1;
                 }
-                push(Token::Str(s), start, i, &mut out);
+                (Token::Str(s), i)
             }
-            '0'..='9' => {
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let mut is_float = false;
-                if i < bytes.len()
-                    && bytes[i] == b'.'
-                    && bytes.get(i + 1).is_some_and(u8::is_ascii_digit)
-                {
-                    is_float = true;
-                    i += 1;
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                }
-                let text = &input[start..i];
+            b'0'..=b'9' => {
+                let mut end = run(start, u8::is_ascii_digit);
+                let is_float = bytes.get(end) == Some(&b'.')
+                    && bytes.get(end + 1).is_some_and(u8::is_ascii_digit);
                 if is_float {
-                    let v = text.parse().map_err(|_| LexError {
-                        pos: start,
-                        message: format!("bad float literal {text:?}"),
-                    })?;
-                    push(Token::Float(v), start, i, &mut out);
+                    end = run(end + 1, u8::is_ascii_digit);
+                }
+                let text = &input[start..end];
+                let bad = |kind: &str| LexError {
+                    pos: start,
+                    message: format!("bad {kind} literal {text:?}"),
+                };
+                let tok = if is_float {
+                    Token::Float(text.parse().map_err(|_| bad("float"))?)
                 } else {
-                    let v = text.parse().map_err(|_| LexError {
-                        pos: start,
-                        message: format!("bad integer literal {text:?}"),
-                    })?;
-                    push(Token::Int(v), start, i, &mut out);
-                }
+                    Token::Int(text.parse().map_err(|_| bad("integer"))?)
+                };
+                (tok, end)
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                while i < bytes.len()
-                    && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
-                    i += 1;
-                }
-                push(Token::Ident(input[start..i].to_owned()), start, i, &mut out);
+            c if c.is_ascii_alphabetic() || c == b'_' => {
+                let end = run(start, |b| b.is_ascii_alphanumeric() || *b == b'_');
+                (Token::Ident(input[start..end].to_owned()), end)
             }
             _ => {
-                let other = input[i..].chars().next().expect("i is inside the input");
+                let other = input[start..].chars().next().expect("start is inside the input");
                 return Err(LexError {
-                    pos: i,
+                    pos: start,
                     message: format!("unexpected character {other:?}"),
                 });
             }
-        }
+        };
+        self.pos = end;
+        Ok(Some(SpannedToken { tok, start, end }))
     }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -365,6 +327,17 @@ mod tests {
     fn comments_are_skipped() {
         let toks = lex("SELECT -- the works\n 1").unwrap();
         assert_eq!(toks, vec![Token::Ident("SELECT".into()), Token::Int(1)]);
+    }
+
+    #[test]
+    fn tokens_lex_on_demand_and_stop_at_an_error() {
+        let first = tokens("\n  -- c\n update t set v = 1 'open").next().unwrap().unwrap();
+        assert_eq!((first.tok, first.start), (Token::Ident("update".into()), 9));
+        let mut toks = tokens("a 'open b");
+        assert!(matches!(toks.next(), Some(Ok(_))));
+        assert!(matches!(toks.next(), Some(Err(_))));
+        assert!(toks.next().is_none(), "nothing after the error");
+        assert!(tokens(" -- only a comment").next().is_none());
     }
 
     #[test]

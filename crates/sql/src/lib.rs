@@ -49,7 +49,7 @@ pub mod statement;
 use astore_core::exec::{execute, ExecOptions, ExecOutput};
 use astore_storage::catalog::Database;
 
-pub use parser::{parse, parse_template, ParseError};
+pub use parser::{opens_write, parse, parse_template, ParseError};
 pub use planner::{plan, plan_with_params, sql_to_query, PlanError};
 pub use prepared::{
     prepare, BoundStatement, ColumnType, ParamError, PrepareError, Prepared, PreparedKind,

@@ -71,6 +71,23 @@ impl From<LexError> for ParseError {
 
 const AGG_FUNCS: [&str; 5] = ["sum", "count", "min", "max", "avg"];
 
+/// The keywords that open a write — the one list of them: the parser
+/// dispatches on it, and [`opens_write`] classes a statement by it.
+const WRITE_KEYWORDS: [&str; 3] = ["insert", "update", "delete"];
+
+/// The write keyword `tok` is, if it is one.
+fn write_keyword(tok: &Token) -> Option<&'static str> {
+    let Token::Ident(word) = tok else { return None };
+    WRITE_KEYWORDS.into_iter().find(|kw| word.eq_ignore_ascii_case(kw))
+}
+
+/// Does a statement that starts with `first` parse as a write, if it
+/// parses at all? Anything else is a SELECT or no statement. Lets a
+/// scheduler class a statement from its first token without parsing it.
+pub fn opens_write(first: &Token) -> bool {
+    write_keyword(first).is_some()
+}
+
 /// Deepest nesting of parentheses, `NOT` and unary minus [`parse`] accepts
 /// (the wire codec's JSON limit). Real statements nest a few levels; the
 /// limit bounds the parser's recursion on input it did not write.
@@ -222,32 +239,35 @@ impl Parser {
 
     /// A write, or else a SELECT.
     fn statement(&mut self) -> Result<StatementTemplate, ParseError> {
-        let write = if self.eat_kw("insert") {
-            self.expect_kw("into")?;
-            let table = self.ident()?;
-            self.expect_kw("values")?;
-            let rows = self.list(|p| {
-                p.expect_token(&Token::LParen)?;
-                let row = p.list(Self::arg)?;
-                p.expect_token(&Token::RParen)?;
-                Ok(row)
-            })?;
-            Write::Insert { table, rows }
-        } else if self.eat_kw("update") {
-            let table = self.ident()?;
-            self.expect_kw("set")?;
-            let assignments = self.list(|p| {
-                let col = p.ident()?;
-                p.expect_token(&Token::Eq)?;
-                Ok((col, p.arg()?))
-            })?;
-            Write::Update { table, assignments, row: self.where_rowid()? }
-        } else if self.eat_kw("delete") {
-            self.expect_kw("from")?;
-            let table = self.ident()?;
-            Write::Delete { table, row: self.where_rowid()? }
-        } else {
-            return Ok(StatementTemplate::Select(self.select_stmt()?));
+        let write = match self.take(write_keyword) {
+            None => return Ok(StatementTemplate::Select(self.select_stmt()?)),
+            Some("insert") => {
+                self.expect_kw("into")?;
+                let table = self.ident()?;
+                self.expect_kw("values")?;
+                let rows = self.list(|p| {
+                    p.expect_token(&Token::LParen)?;
+                    let row = p.list(Self::arg)?;
+                    p.expect_token(&Token::RParen)?;
+                    Ok(row)
+                })?;
+                Write::Insert { table, rows }
+            }
+            Some("update") => {
+                let table = self.ident()?;
+                self.expect_kw("set")?;
+                let assignments = self.list(|p| {
+                    let col = p.ident()?;
+                    p.expect_token(&Token::Eq)?;
+                    Ok((col, p.arg()?))
+                })?;
+                Write::Update { table, assignments, row: self.where_rowid()? }
+            }
+            Some(_delete) => {
+                self.expect_kw("from")?;
+                let table = self.ident()?;
+                Write::Delete { table, row: self.where_rowid()? }
+            }
         };
         Ok(StatementTemplate::Write(write))
     }
@@ -637,6 +657,20 @@ mod tests {
                 rhs: Scalar::Int(-5)
             }
         );
+    }
+
+    #[test]
+    fn the_first_token_says_what_parses() {
+        for sql in [
+            "INSERT INTO t VALUES (1)",
+            "-- note\nupdate t SET v = 1 WHERE rowid = 0",
+            "Delete FROM t WHERE rowid = 2",
+            "SELECT v FROM t",
+        ] {
+            let first = crate::lexer::tokens(sql).next().unwrap().unwrap();
+            assert_eq!(opens_write(&first.tok), !parse_template(sql).unwrap().is_select(), "{sql}");
+        }
+        assert!(!opens_write(&Token::Str("insert".into())), "a string is no keyword");
     }
 
     #[test]
