@@ -11,8 +11,8 @@ use astore_baseline::engine::execute_hash_pipeline;
 use astore_core::prelude::*;
 use astore_datagen::{ssb, tpch};
 use astore_server::json::Json;
-use astore_server::{Client, ClientError, Engine, Executed};
-use astore_sql::{sql_to_query, strip_explain_analyze};
+use astore_server::{Client, ClientError, Engine, Executed, StatementRegistry};
+use astore_sql::{sql_to_query, strip_explain, strip_explain_analyze};
 use astore_storage::snapshot::SharedDatabase;
 
 /// A REPL session holding the loaded database and settings.
@@ -349,6 +349,13 @@ impl Session {
     /// execute. `EXPLAIN ANALYZE` (or any SELECT under `\trace on`) runs
     /// with a span recorder and prints the server's report after the rows.
     fn run_sql(&mut self, sql: &str) -> String {
+        // Bare `EXPLAIN` runs nothing: it takes the engine's explain path,
+        // the one a server's `{"sql":…}` frame takes.
+        if strip_explain(sql).is_some() {
+            let req = Json::obj([("sql", Json::Str(sql.into()))]);
+            let frame = self.conn.engine().handle_request(&req, &mut StatementRegistry::default());
+            return render_frame(&frame, self.timing);
+        }
         let (analyze, sql) = match strip_explain_analyze(sql) {
             Some(inner) => (true, inner),
             None => (self.trace && is_select(sql), sql),
@@ -439,7 +446,7 @@ fn render_frame(frame: &Json, timing: bool) -> String {
     let mut out = String::new();
     if let Some(n) = frame.get("rows_affected").and_then(Json::as_i64) {
         let _ = write!(out, "{n} rows affected");
-    } else {
+    } else if frame.get("explain").is_none() {
         // Rebuild a QueryResult so local and remote mode share one table
         // renderer (and render identically).
         let result = QueryResult {
@@ -465,17 +472,20 @@ fn render_frame(frame: &Json, timing: bool) -> String {
             let _ = write!(out, " [cached plan]");
         }
     }
+    let mut lines = Vec::new();
     if timing {
         if let Some(us) = frame.get("elapsed_us").and_then(Json::as_i64) {
-            let _ = write!(out, "\nserver time: {:.2} ms", us as f64 / 1e3);
+            lines.push(format!("server time: {:.2} ms", us as f64 / 1e3));
         }
     }
-    if let Some(lines) = frame.get("analyze").and_then(Json::as_array) {
-        for line in lines {
-            if let Some(s) = line.as_str() {
-                let _ = write!(out, "\n{s}");
-            }
-        }
+    // A bare EXPLAIN's plan, or an EXPLAIN ANALYZE's report after the rows.
+    for key in ["explain", "analyze"] {
+        let plan = frame.get(key).and_then(Json::as_array).into_iter().flatten();
+        lines.extend(plan.filter_map(Json::as_str).map(str::to_owned));
+    }
+    for line in lines {
+        let sep = if out.is_empty() { "" } else { "\n" };
+        let _ = write!(out, "{sep}{line}");
     }
     out
 }
@@ -728,6 +738,16 @@ mod tests {
         assert!(out.contains("phases: leaf="), "{out}");
         assert!(out.contains("segments: scanned="), "{out}");
         assert!(out.contains("phase2_scan"), "{out}");
+    }
+
+    #[test]
+    fn bare_explain_local_prints_the_plan() {
+        let mut s = Session::new();
+        text(s.feed("\\load ssb 0.001"));
+        let out = text(s.feed("EXPLAIN SELECT count(*) AS n FROM lineorder"));
+        assert!(out.contains("engine: air"), "{out}");
+        assert!(out.contains("selection:"), "{out}");
+        assert!(!out.contains("rows)"), "nothing ran: {out}");
     }
 
     #[test]

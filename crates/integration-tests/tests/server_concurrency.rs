@@ -583,3 +583,46 @@ fn served_readers_survive_a_churning_writer_and_reconverge() {
         assert_eq!(got, in_process(&db, &stmt), "post-churn query {q} diverged\n{stmt}");
     }
 }
+
+/// Two statements keep running at once: with two serving threads, one
+/// answers connection A's pipelined batch of sweeps while the other answers
+/// connection B — every ping B sends after A's batch started is answered
+/// before the batch finishes.
+#[test]
+fn pings_are_answered_while_a_pipelined_sweep_batch_runs() {
+    let (e, _) = ssb_engine(0.02, 42);
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        queue_depth: 64,
+        ..Default::default()
+    };
+    let h = start(e, config).unwrap();
+    let ping = Json::obj([("cmd", Json::Str("ping".into()))]);
+    let mut a = Client::connect(h.addr()).unwrap();
+    let mut b = Client::connect(h.addr()).unwrap();
+    b.request(&ping).unwrap(); // connected before A's batch starts
+
+    let batch: Vec<Json> = (SSB_SQL.iter().cycle().take(2 * SSB_SQL.len()))
+        .map(|(_, sql)| Json::obj([("sql", Json::Str((*sql).into()))]))
+        .collect();
+    a.send_all(&batch).unwrap();
+    let first = a.read_frame().unwrap();
+    assert_eq!(first.get("ok").and_then(Json::as_bool), Some(true), "{first}");
+    let batch_done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for i in 1..batch.len() {
+                let r = a.read_frame().unwrap();
+                assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "sweep {i}: {r}");
+            }
+            batch_done.store(true, Ordering::SeqCst);
+        });
+        for i in 0..20 {
+            let pong = b.request(&ping).unwrap();
+            assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true), "ping {i}: {pong}");
+        }
+        assert!(!batch_done.load(Ordering::SeqCst), "B's pings waited for A's batch");
+    });
+    h.shutdown();
+}

@@ -1,17 +1,17 @@
 //! astore-net — a std-only event-driven connection front-end.
 //!
 //! The offline build environment precludes tokio/mio, so this crate is a
-//! small, self-contained reactor in the mio mold: a thin FFI layer over
-//! epoll in `sys`, a safe [`poller::Poller`] + [`poller::Waker`] on top,
-//! newline-framing byte buffers in [`buffer`],
-//! and the [`reactor::Reactor`] event loop that turns 10K+ sockets into a
-//! stream of complete frames handed to a [`reactor::Service`].
+//! small, self-contained serving loop: a thin FFI layer over epoll in
+//! `sys`, a safe one-shot [`poller::Poller`] + [`poller::Waker`] on top,
+//! newline-framing byte buffers in [`buffer`], and the [`reactor::Reactor`]
+//! whose serving threads turn 10K+ sockets into complete frames and answer
+//! each through a [`reactor::Service`] on the thread that read it.
 //!
 //! ```text
-//!   sockets ──► Poller (epoll) ─────────► Reactor ──► Service::dispatch
-//!                        ▲                  │   per-conn state machine:
-//!                        │ Waker            │   incremental framing,
-//!   executor threads ────┴── Done::send ◄───┘   pipelining, watermarks
+//!   sockets ──► Poller (epoll, one-shot) ──► serving thread 0..n
+//!                  ▲                           │ reads, frames, calls
+//!                  │ re-arm after the turn     │ Service::dispatch, writes
+//!                  └───────────────────────────┘ the reply itself
 //! ```
 //!
 //! Everything `unsafe` lives in `sys`; the rest of the crate forbids it.
@@ -30,4 +30,4 @@ pub mod reactor;
 
 pub use buffer::{Frame, ReadBuffer, WriteBuffer};
 pub use poller::{Event, Interest, Poller, Token, Waker};
-pub use reactor::{Done, Reactor, ReactorConfig, ReactorStop, Service};
+pub use reactor::{ConnId, Queued, Reactor, ReactorConfig, ReactorHandle, Service};

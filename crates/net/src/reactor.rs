@@ -1,22 +1,32 @@
-//! The event loop: one thread owns every socket, a slab of per-connection
-//! state machines turns readiness into complete frames, and a [`Service`]
-//! decides what each frame means.
+//! The serving loop: every serving thread waits on one epoll instance,
+//! and the thread a connection's readiness reaches answers it — it reads,
+//! frames, hands each frame to the [`Service`] and writes the reply itself
+//! — then re-arms the connection. This is the Leader/Followers pattern
+//! (Schmidt, O'Ryan, Pyarali, Kircher and Buschmann, PLoP 2000): no thread
+//! hands a frame or a reply to another.
 //!
 //! Design points, in the order they matter:
 //!
+//! - **One owner per connection.** Every socket is registered one-shot
+//!   ([`Poller`]): its readiness reaches exactly one thread, which owns the
+//!   connection until it re-arms it. Per-connection state is never
+//!   contended, and no frame of a connection overtakes another.
 //! - **Pipelining, in order.** A client may send many frames without
-//!   waiting. The reactor queues parsed frames per connection and keeps
-//!   *at most one* dispatched at a time, so responses come back in request
-//!   order without any reorder buffer — and per-session state is never
-//!   contended between two in-flight jobs of the same connection.
+//!   waiting. The owner answers them in order, writing each reply as it
+//!   is made, and re-arms the connection once none is left.
+//! - **Frames that wait.** The service may queue a frame instead of
+//!   answering it ([`Service::dispatch`] returns `None`). The connection
+//!   then reads nothing more until [`Service::next_queued`] hands the frame
+//!   back to a thread, which runs it. A thread looks for fresh readiness
+//!   before it takes queued work, and takes queued work before it blocks.
 //! - **Backpressure.** When a connection's write backlog crosses the high
-//!   watermark the reactor stops reading from it; reading resumes at the
-//!   low watermark. A slow reader therefore bounds its own memory, not the
-//!   server's.
-//! - **Graceful overload.** Accept errors like EMFILE pause the accept
-//!   interest briefly instead of busy-spinning; over the connection limit
-//!   the service's reject frame is written best-effort and the socket
-//!   dropped. Nothing stalls the accept queue silently.
+//!   watermark its owner stops reading from it and answering it; both
+//!   resume at the low watermark. A slow reader therefore bounds its own
+//!   memory, not the server's.
+//! - **Graceful overload.** Accept errors like EMFILE pause accepting
+//!   briefly instead of busy-spinning; over the connection limit the
+//!   service's reject frame is written best-effort and the socket dropped.
+//!   Nothing stalls the accept queue silently.
 //! - **Slow-loris defence without idle reaping.** The idle deadline
 //!   applies only to connections holding an *incomplete* frame. Thousands
 //!   of fully-idle keep-alive connections cost nothing and are never
@@ -28,28 +38,44 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// What the reactor asks of the protocol layer. Implementations must not
-/// block inside `dispatch` — hand the frame to an executor (or complete
-/// inline) and return; the reactor thread is the server's I/O heart.
-pub trait Service {
+/// What the serving threads ask of the protocol layer. Every method runs on
+/// a serving thread, several at once.
+pub trait Service: Send + Sync + 'static {
     /// Per-connection protocol state (e.g. a prepared-statement registry).
     type Session: Send + 'static;
+    /// A frame the service queued to run later.
+    type Job: Send + 'static;
 
     /// A connection was accepted and admitted.
     fn open(&self) -> Self::Session;
 
     /// A connection ended (EOF, error, deadline, shutdown). Called exactly
-    /// once per admitted connection; the session Arc is dropped after.
-    fn closed(&self, _session: &Arc<Mutex<Self::Session>>) {}
+    /// once per admitted connection.
+    fn closed(&self, _session: &mut Self::Session) {}
 
-    /// Handle one complete frame. Respond via `done.send(bytes)` — bytes
-    /// must include the trailing newline; send empty bytes for "no
-    /// response". Dropping `done` unanswered counts as an empty response.
-    fn dispatch(&self, session: &Arc<Mutex<Self::Session>>, frame: Vec<u8>, done: Done);
+    /// Handles one complete frame on the thread that read it and returns
+    /// the reply bytes (trailing newline included; empty for no reply) —
+    /// or `None` when the service queued the frame under `conn` instead:
+    /// [`Service::next_queued`] hands it back later.
+    fn dispatch(
+        &self,
+        conn: ConnId,
+        session: &mut Self::Session,
+        frame: Vec<u8>,
+    ) -> Option<Vec<u8>>;
+
+    /// The queued frame to run next, if one may run now.
+    fn next_queued(&self) -> Queued<(ConnId, Self::Job)>;
+
+    /// Runs a frame [`Service::next_queued`] handed back and returns its
+    /// reply, as [`Service::dispatch`] does.
+    fn run(&self, session: &mut Self::Session, job: Self::Job) -> Vec<u8>;
 
     /// Frame written before dropping a connection over the limit.
     fn reject_frame(&self) -> Vec<u8>;
@@ -64,9 +90,40 @@ pub trait Service {
     /// Reading from a connection was paused by the write-side watermark.
     fn on_backpressure(&self) {}
 
-    /// Depth of a connection's pipeline (queued + in-flight) observed as a
-    /// completed frame arrived.
+    /// Frames read from a connection and not yet answered, counted as a
+    /// complete frame arrives (1 = no pipelining).
     fn on_pipeline_depth(&self, _depth: usize) {}
+}
+
+/// What [`Service::next_queued`] found.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Queued<T> {
+    /// Run this now.
+    Run(T),
+    /// Frames are queued but held back: look again within this long, or
+    /// when [`ReactorHandle::wake`] is called.
+    Wait(Duration),
+    /// Nothing is queued.
+    Empty,
+}
+
+/// Names one admitted connection: its slot, and which of the slot's
+/// connections it is, so that a frame queued for a connection that has
+/// since closed never reaches the slot's next one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ConnId {
+    slot: u32,
+    generation: u32,
+}
+
+impl ConnId {
+    fn token(self) -> Token {
+        u64::from(self.generation) << 32 | u64::from(self.slot)
+    }
+
+    fn of(token: Token) -> ConnId {
+        ConnId { slot: token as u32, generation: (token >> 32) as u32 }
+    }
 }
 
 /// Tuning knobs for a reactor instance.
@@ -98,8 +155,8 @@ impl Default for ReactorConfig {
     }
 }
 
-const LISTENER_TOKEN: Token = usize::MAX;
-const WAKER_TOKEN: Token = usize::MAX - 1;
+const LISTENER_TOKEN: Token = u64::MAX;
+const WAKER_TOKEN: Token = u64::MAX - 1;
 const READ_CHUNK: usize = 16 * 1024;
 const SWEEP_INTERVAL: Duration = Duration::from_millis(500);
 const ACCEPT_PAUSE: Duration = Duration::from_millis(100);
@@ -111,79 +168,42 @@ const ACCEPT_PAUSE: Duration = Duration::from_millis(100);
 const CLOSE_DRAIN_BYTES: usize = 16 << 20;
 const CLOSE_DRAIN_TIME: Duration = Duration::from_secs(2);
 
-struct Completion {
-    slot: usize,
-    generation: u64,
-    bytes: Vec<u8>,
-}
-
-struct Shared {
-    completions: Mutex<Vec<Completion>>,
-    waker: Arc<Waker>,
+/// The stop flag and the wake channel, shared with every [`ReactorHandle`].
+struct Signal {
     stop: AtomicBool,
+    waker: Waker,
 }
 
-/// One-shot response channel handed to [`Service::dispatch`]. Send from
-/// any thread; the reactor wakes and flushes to the right connection (or
-/// discards if the connection died in the meantime — the generation tag
-/// prevents delivery to a recycled slot).
-pub struct Done {
-    shared: Arc<Shared>,
-    slot: usize,
-    generation: u64,
-    sent: bool,
-}
-
-impl Done {
-    /// Completes the frame with `bytes` (trailing newline included; empty
-    /// means "no response").
-    pub fn send(mut self, bytes: Vec<u8>) {
-        self.deliver(bytes);
-    }
-
-    fn deliver(&mut self, bytes: Vec<u8>) {
-        if self.sent {
-            return;
-        }
-        self.sent = true;
-        let mut q = self.shared.completions.lock().unwrap();
-        q.push(Completion { slot: self.slot, generation: self.generation, bytes });
-        drop(q);
-        self.shared.waker.wake();
-    }
-}
-
-impl Drop for Done {
-    fn drop(&mut self) {
-        // A job that panicked or forgot to answer must not wedge the
-        // connection's pipeline: treat it as an empty response.
-        self.deliver(Vec::new());
-    }
-}
-
-/// Stops a running reactor from another thread.
+/// Stops or wakes a running reactor from another thread.
 #[derive(Clone)]
-pub struct ReactorStop {
-    shared: Arc<Shared>,
+pub struct ReactorHandle {
+    signal: Arc<Signal>,
 }
 
-impl ReactorStop {
+impl ReactorHandle {
+    /// Stops every serving thread; the last one out closes every
+    /// connection.
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.waker.wake();
+        self.signal.stop.store(true, Ordering::Release);
+        self.signal.waker.wake();
+    }
+
+    /// Wakes one blocked serving thread, so that it looks at the service's
+    /// queued frames again.
+    pub fn wake(&self) {
+        self.signal.waker.wake();
     }
 }
 
 struct Conn<S> {
+    id: ConnId,
     stream: TcpStream,
-    session: Arc<Mutex<S>>,
+    session: S,
     rbuf: ReadBuffer,
     wbuf: WriteBuffer,
-    /// Parsed frames waiting their turn behind the in-flight one.
-    queued: VecDeque<Vec<u8>>,
-    in_flight: bool,
-    interest: Interest,
-    /// Reading paused by the write-side high watermark.
+    /// Complete frames read and not yet dispatched.
+    frames: VecDeque<Vec<u8>>,
+    /// Reading and answering paused by the write-side high watermark.
     read_blocked: bool,
     /// Flush pending output, then drain and close (oversize / fatal
     /// protocol state).
@@ -196,25 +216,41 @@ struct Conn<S> {
     partial_since: Option<Instant>,
 }
 
+/// A slot's connection, if open. The thread that owns the connection (see
+/// the module docs) holds the lock; others only ever `try_lock` it.
+type Cell<S> = Arc<Mutex<Option<Conn<S>>>>;
+
 struct Slot<S> {
-    generation: u64,
-    conn: Option<Conn<S>>,
+    generation: u32,
+    cell: Cell<S>,
 }
 
-/// The event loop. Create with [`Reactor::new`], grab a [`ReactorStop`]
-/// via [`Reactor::stop_handle`], then hand the reactor to its own thread
-/// and call [`Reactor::run`].
+struct Slab<S> {
+    slots: Vec<Slot<S>>,
+    free: Vec<usize>,
+    open: usize,
+}
+
+/// The serving loop's shared state. Create with [`Reactor::new`], take a
+/// [`ReactorHandle`], then [`Reactor::spawn`] the serving threads.
 pub struct Reactor<S: Service> {
     poller: Poller,
+    signal: Arc<Signal>,
     listener: TcpListener,
     service: S,
     config: ReactorConfig,
-    shared: Arc<Shared>,
-    slots: Vec<Slot<S::Session>>,
-    free: Vec<usize>,
-    open: usize,
-    accept_paused_until: Option<Instant>,
-    last_sweep: Instant,
+    conns: Mutex<Slab<S::Session>>,
+    /// While set, accepting is paused (the listener stays disarmed) until
+    /// that instant; the sweep resumes it.
+    accept_paused_until: Mutex<Option<Instant>>,
+    last_sweep: Mutex<Instant>,
+    /// Serving threads still in their loop; the last one out closes every
+    /// connection.
+    running: AtomicUsize,
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 impl<S: Service> Reactor<S> {
@@ -223,377 +259,366 @@ impl<S: Service> Reactor<S> {
         let poller = Poller::new()?;
         poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
         let waker = Waker::new(&poller, WAKER_TOKEN)?;
-        let shared = Arc::new(Shared {
-            completions: Mutex::new(Vec::new()),
-            waker,
-            stop: AtomicBool::new(false),
-        });
         Ok(Reactor {
             poller,
+            signal: Arc::new(Signal { stop: AtomicBool::new(false), waker }),
             listener,
             service,
             config,
-            shared,
-            slots: Vec::new(),
-            free: Vec::new(),
-            open: 0,
-            accept_paused_until: None,
-            last_sweep: Instant::now(),
+            conns: Mutex::new(Slab { slots: Vec::new(), free: Vec::new(), open: 0 }),
+            accept_paused_until: Mutex::new(None),
+            last_sweep: Mutex::new(Instant::now()),
+            running: AtomicUsize::new(0),
         })
     }
 
-    pub fn stop_handle(&self) -> ReactorStop {
-        ReactorStop { shared: Arc::clone(&self.shared) }
+    /// A handle that stops the serving threads or wakes one of them.
+    pub fn handle(&self) -> ReactorHandle {
+        ReactorHandle { signal: Arc::clone(&self.signal) }
     }
 
-    /// Runs the event loop until [`ReactorStop::stop`] is called. Consumes
-    /// the reactor; every live connection gets its `closed` hook on exit.
-    pub fn run(mut self) -> io::Result<()> {
-        let mut events: Vec<Event> = Vec::new();
+    /// Serves on `workers` threads named `{name}-{i}` until
+    /// [`ReactorHandle::stop`]; join them to wait for that.
+    pub fn spawn(self, workers: usize, name: &str) -> Vec<JoinHandle<()>> {
+        let workers = workers.max(1);
+        self.running.store(workers, Ordering::Release);
+        let reactor = Arc::new(self);
+        (0..workers)
+            .map(|i| {
+                let reactor = Arc::clone(&reactor);
+                std::thread::Builder::new()
+                    .name(format!("{name}-{i}"))
+                    .spawn(move || reactor.serve())
+                    .expect("failed to spawn a serving thread")
+            })
+            .collect()
+    }
+
+    /// One serving thread's loop.
+    fn serve(&self) {
         let mut scratch = vec![0u8; READ_CHUNK];
-        loop {
-            events.clear();
-            self.poller.wait(&mut events, Some(SWEEP_INTERVAL.as_millis() as i32))?;
-            if self.shared.stop.load(Ordering::Acquire) {
-                break;
+        let mut timeout = SWEEP_INTERVAL;
+        while !self.signal.stop.load(Ordering::Acquire) {
+            let ms = timeout.as_micros().div_ceil(1000) as i32;
+            match self.poller.wait(Some(ms)) {
+                Ok(Some(ev)) => self.on_event(ev, &mut scratch),
+                Ok(None) => {}
+                Err(_) => break,
             }
-            let mut accept_ready = false;
-            let batch = std::mem::take(&mut events);
-            for &ev in &batch {
-                match ev.token {
-                    LISTENER_TOKEN => accept_ready = true,
-                    WAKER_TOKEN => self.shared.waker.drain(),
-                    slot => self.handle_conn_event(slot, ev, &mut scratch),
+            timeout = match self.service.next_queued() {
+                Queued::Run((id, job)) => {
+                    // Fresh readiness first: a frame that has just arrived
+                    // may outrank the queued one.
+                    if let Ok(Some(ev)) = self.poller.wait(Some(0)) {
+                        self.on_event(ev, &mut scratch);
+                    }
+                    self.run_queued(id, job);
+                    Duration::ZERO // and the next queued frame, unblocked
+                }
+                Queued::Wait(left) => left.min(SWEEP_INTERVAL),
+                Queued::Empty => SWEEP_INTERVAL,
+            };
+            self.sweep_if_due();
+        }
+        // Pass the stop on to a thread still blocked in the poller.
+        self.signal.waker.wake();
+        if self.running.fetch_sub(1, Ordering::AcqRel) == 1 {
+            for cell in self.cells() {
+                self.close(&mut lock(&cell));
+            }
+        }
+    }
+
+    fn on_event(&self, ev: Event, scratch: &mut [u8]) {
+        match ev.token {
+            LISTENER_TOKEN => self.accept_burst(),
+            WAKER_TOKEN => self.signal.waker.drain(),
+            token => {
+                let id = ConnId::of(token);
+                let Some(cell) = self.cell(id) else { return };
+                let mut guard = lock(&cell);
+                if guard.as_ref().is_some_and(|c| c.id == id) {
+                    self.turn(&mut guard, ev.readable || ev.closed, scratch);
                 }
             }
-            events = batch;
-            self.drain_completions();
-            // Accept last so a slot freed in this batch can't be recycled
-            // while stale events for it are still in `events`.
-            if accept_ready {
-                self.accept_burst();
-            }
-            self.sweep();
         }
-        // Graceful shutdown: every admitted connection is closed exactly once.
-        for slot in 0..self.slots.len() {
-            if self.slots[slot].conn.is_some() {
-                self.close_conn(slot);
-            }
-        }
-        Ok(())
+    }
+
+    fn cell(&self, id: ConnId) -> Option<Cell<S::Session>> {
+        let slab = lock(&self.conns);
+        let slot = slab.slots.get(id.slot as usize)?;
+        (slot.generation == id.generation).then(|| Arc::clone(&slot.cell))
+    }
+
+    fn cells(&self) -> Vec<Cell<S::Session>> {
+        lock(&self.conns).slots.iter().map(|s| Arc::clone(&s.cell)).collect()
     }
 
     // -- accept path --------------------------------------------------------
 
-    fn accept_burst(&mut self) {
-        if let Some(until) = self.accept_paused_until {
-            if Instant::now() < until {
-                return;
-            }
-            self.accept_paused_until = None;
-        }
+    /// Accepts until the listener would block, then re-arms it — unless an
+    /// error paused accepting.
+    fn accept_burst(&self) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     self.service.on_accept();
-                    if self.open >= self.config.max_connections {
-                        // Best-effort typed rejection; never block the loop.
+                    if lock(&self.conns).open >= self.config.max_connections {
+                        // Best-effort typed rejection; never block.
                         let _ = stream.set_nonblocking(true);
                         let _ = (&stream).write(&self.service.reject_frame());
                         continue; // stream drops -> RST/FIN, slot never allocated
                     }
-                    if let Err(e) = self.admit(stream) {
+                    if self.admit(stream).is_err() {
                         // Registration failure (fd pressure): back off.
-                        let _ = e;
-                        self.pause_accept();
-                        return;
+                        return self.pause_accept();
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    // EMFILE/ENFILE/ECONNABORTED storms: pause briefly so a
-                    // level-triggered listener doesn't busy-spin, then let
-                    // the sweep re-arm accepting.
-                    self.pause_accept();
+                // EMFILE/ENFILE/ECONNABORTED storms: pause briefly instead
+                // of spinning on a ready listener; the sweep resumes.
+                Err(_) => return self.pause_accept(),
+            }
+        }
+        let _ = self.poller.modify(self.listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE);
+    }
+
+    fn pause_accept(&self) {
+        *lock(&self.accept_paused_until) = Some(Instant::now() + ACCEPT_PAUSE);
+    }
+
+    fn admit(&self, stream: TcpStream) -> io::Result<()> {
+        stream.set_nonblocking(true)?;
+        // Responses are small frames written as they complete: with Nagle
+        // on, the tail of a pipelined batch waits out the peer's delayed
+        // ACK (~40 ms per batch). Best-effort.
+        let _ = stream.set_nodelay(true);
+        let (id, cell) = {
+            let mut slab = lock(&self.conns);
+            let slot = slab.free.pop().unwrap_or_else(|| {
+                slab.slots.push(Slot { generation: 0, cell: Arc::default() });
+                slab.slots.len() - 1
+            });
+            slab.open += 1;
+            let Slot { generation, cell } = &slab.slots[slot];
+            (ConnId { slot: slot as u32, generation: *generation }, Arc::clone(cell))
+        };
+        // Held across registration: the first event waits for the state.
+        let mut guard = lock(&cell);
+        if let Err(e) = self.poller.register(stream.as_raw_fd(), id.token(), Interest::READABLE) {
+            let mut slab = lock(&self.conns);
+            slab.free.push(id.slot as usize);
+            slab.open -= 1;
+            return Err(e);
+        }
+        *guard = Some(Conn {
+            id,
+            stream,
+            session: self.service.open(),
+            rbuf: ReadBuffer::new(self.config.max_frame_bytes),
+            wbuf: WriteBuffer::new(self.config.high_watermark, self.config.low_watermark),
+            frames: VecDeque::new(),
+            read_blocked: false,
+            closing: false,
+            draining: None,
+            partial_since: None,
+        });
+        Ok(())
+    }
+
+    // -- connection turns ---------------------------------------------------
+
+    /// One turn of the thread a connection's readiness reached: flush,
+    /// read, answer what was read, re-arm.
+    fn turn(&self, guard: &mut Option<Conn<S::Session>>, read: bool, scratch: &mut [u8]) {
+        let conn = guard.as_mut().unwrap();
+        let open = self.flush(conn) && (!read || self.read(conn, scratch));
+        self.answer(guard, open);
+    }
+
+    /// Runs a frame the service queued on its connection, if that is still
+    /// open, then answers the frames read behind it.
+    fn run_queued(&self, id: ConnId, job: S::Job) {
+        let Some(cell) = self.cell(id) else { return };
+        let mut guard = lock(&cell);
+        let Some(conn) = guard.as_mut().filter(|c| c.id == id) else { return };
+        let session = &mut conn.session;
+        let reply = catch_unwind(AssertUnwindSafe(|| self.service.run(session, job)));
+        if let Ok(reply) = &reply {
+            conn.wbuf.push(reply);
+        }
+        let open = reply.is_ok() && self.flush(conn);
+        self.answer(&mut guard, open);
+    }
+
+    /// Answers the connection's buffered frames in order, writing each reply
+    /// as it is made, until one waits in the service's queue (which then
+    /// owns the connection) or the backlog pauses the connection; then
+    /// re-arms it — or closes it when `open` is false or a step fails.
+    fn answer(&self, guard: &mut Option<Conn<S::Session>>, mut open: bool) {
+        let conn = guard.as_mut().unwrap();
+        while open && !conn.closing && !conn.read_blocked {
+            let Some(frame) = conn.frames.pop_front() else { break };
+            let (id, session) = (conn.id, &mut conn.session);
+            match catch_unwind(AssertUnwindSafe(|| self.service.dispatch(id, session, frame))) {
+                Ok(Some(reply)) => {
+                    conn.wbuf.push(&reply);
+                    open = self.flush(conn);
+                }
+                Ok(None) => return, // queued: `run_queued` goes on from here
+                Err(_) => open = false,
+            }
+        }
+        if open && conn.closing && conn.draining.is_none() && conn.wbuf.is_empty() {
+            // Flushed: shut the write side and discard input until EOF.
+            open = conn.stream.shutdown(std::net::Shutdown::Write).is_ok();
+            conn.draining = Some((Instant::now() + CLOSE_DRAIN_TIME, CLOSE_DRAIN_BYTES));
+            conn.read_blocked = false;
+        }
+        if open {
+            let want = Interest {
+                readable: (!conn.closing || conn.draining.is_some()) && !conn.read_blocked,
+                writable: !conn.wbuf.is_empty(),
+            };
+            open = self.poller.modify(conn.stream.as_raw_fd(), conn.id.token(), want).is_ok();
+        }
+        if !open {
+            self.close(guard);
+        }
+    }
+
+    /// Reads until the socket is drained, carving complete frames off.
+    /// Returns false when the connection ended (EOF, error, drain limit).
+    fn read(&self, conn: &mut Conn<S::Session>, scratch: &mut [u8]) -> bool {
+        loop {
+            if (conn.closing && conn.draining.is_none()) || conn.read_blocked {
+                return true;
+            }
+            match conn.stream.read(scratch) {
+                Ok(0) => return false,
+                Ok(n) => {
+                    match conn.draining.as_mut() {
+                        Some((_, left)) => {
+                            *left = left.saturating_sub(n);
+                            if *left == 0 {
+                                return false;
+                            }
+                        }
+                        None => {
+                            conn.rbuf.extend(&scratch[..n]);
+                            self.take_frames(conn);
+                        }
+                    }
+                    // A short read took all there was: the re-armed
+                    // registration reports whatever arrives after it.
+                    if n < scratch.len() {
+                        return true;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            }
+        }
+    }
+
+    /// Moves every complete frame out of the read buffer.
+    fn take_frames(&self, conn: &mut Conn<S::Session>) {
+        loop {
+            match conn.rbuf.next_frame() {
+                Frame::Complete(frame) => {
+                    conn.partial_since = None;
+                    conn.frames.push_back(frame);
+                    self.service.on_pipeline_depth(conn.frames.len());
+                }
+                Frame::Partial => {
+                    if !conn.rbuf.has_partial() {
+                        conn.partial_since = None;
+                    } else if conn.partial_since.is_none() {
+                        conn.partial_since = Some(Instant::now());
+                    }
+                    return;
+                }
+                Frame::Oversized => {
+                    conn.wbuf.push(&self.service.oversize_frame());
+                    conn.closing = true;
+                    conn.frames.clear();
                     return;
                 }
             }
         }
     }
 
-    fn pause_accept(&mut self) {
-        self.accept_paused_until = Some(Instant::now() + ACCEPT_PAUSE);
-    }
-
-    fn admit(&mut self, stream: TcpStream) -> io::Result<()> {
-        stream.set_nonblocking(true)?;
-        // Responses are small frames written as they complete: with Nagle
-        // on, the tail of a pipelined batch waits out the peer's delayed
-        // ACK (~40 ms per batch). Best-effort, like the threaded front end.
-        let _ = stream.set_nodelay(true);
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.slots.push(Slot { generation: 0, conn: None });
-                self.slots.len() - 1
-            }
-        };
-        self.poller.register(stream.as_raw_fd(), slot, Interest::READABLE)?;
-        let session = Arc::new(Mutex::new(self.service.open()));
-        self.slots[slot].conn = Some(Conn {
-            stream,
-            session,
-            rbuf: ReadBuffer::new(self.config.max_frame_bytes),
-            wbuf: WriteBuffer::new(self.config.high_watermark, self.config.low_watermark),
-            queued: VecDeque::new(),
-            in_flight: false,
-            interest: Interest::READABLE,
-            read_blocked: false,
-            closing: false,
-            draining: None,
-            partial_since: None,
-        });
-        self.open += 1;
-        Ok(())
-    }
-
-    // -- connection events --------------------------------------------------
-
-    fn handle_conn_event(&mut self, slot: usize, ev: Event, scratch: &mut [u8]) {
-        if slot >= self.slots.len() || self.slots[slot].conn.is_none() {
-            return; // stale event for an already-closed connection
-        }
-        if (ev.readable || ev.closed) && !self.read_ready(slot, scratch) {
-            return; // connection closed
-        }
-        if ev.writable && !self.write_ready(slot) {
-            return;
-        }
-        self.update_interest(slot);
-    }
-
-    /// Drains the socket until WouldBlock. Returns false if the connection
-    /// was closed.
-    fn read_ready(&mut self, slot: usize, scratch: &mut [u8]) -> bool {
-        loop {
-            let conn = self.slots[slot].conn.as_mut().unwrap();
-            if (conn.closing && conn.draining.is_none()) || conn.read_blocked {
-                return true;
-            }
-            match conn.stream.read(scratch) {
-                Ok(0) => {
-                    self.close_conn(slot);
-                    return false;
-                }
-                Ok(n) if conn.draining.is_some() => {
-                    let (_, left) = conn.draining.as_mut().unwrap();
-                    *left = left.saturating_sub(n);
-                    if *left == 0 {
-                        self.close_conn(slot);
-                        return false;
-                    }
-                }
-                Ok(n) => {
-                    conn.rbuf.extend(&scratch[..n]);
-                    if !self.drain_frames(slot) {
-                        return false;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_conn(slot);
-                    return false;
-                }
-            }
-        }
-    }
-
-    /// Parses every complete frame out of the read buffer, enqueueing or
-    /// dispatching each. Returns false if the connection was closed.
-    fn drain_frames(&mut self, slot: usize) -> bool {
-        loop {
-            let conn = self.slots[slot].conn.as_mut().unwrap();
-            match conn.rbuf.next_frame() {
-                Frame::Complete(frame) => {
-                    conn.partial_since = None;
-                    let depth = conn.queued.len() + conn.in_flight as usize + 1;
-                    self.service.on_pipeline_depth(depth);
-                    let conn = self.slots[slot].conn.as_mut().unwrap();
-                    if conn.in_flight {
-                        conn.queued.push_back(frame);
-                    } else {
-                        conn.in_flight = true;
-                        let session = Arc::clone(&conn.session);
-                        let done = self.done_for(slot);
-                        self.service.dispatch(&session, frame, done);
-                    }
-                }
-                Frame::Partial => {
-                    if conn.rbuf.has_partial() && conn.partial_since.is_none() {
-                        conn.partial_since = Some(Instant::now());
-                    } else if !conn.rbuf.has_partial() {
-                        conn.partial_since = None;
-                    }
-                    // A deep enough response backlog pauses further reads.
-                    if conn.wbuf.above_high_watermark() && !conn.read_blocked {
-                        conn.read_blocked = true;
-                        self.service.on_backpressure();
-                    }
-                    return true;
-                }
-                Frame::Oversized => {
-                    let oversize = self.service.oversize_frame();
-                    let conn = self.slots[slot].conn.as_mut().unwrap();
-                    conn.wbuf.push(&oversize);
-                    conn.closing = true;
-                    conn.queued.clear();
-                    return self.flush_or_close(slot);
-                }
-            }
-        }
-    }
-
-    /// Writes as much pending output as the socket accepts. Returns false
-    /// if the connection was closed.
-    fn write_ready(&mut self, slot: usize) -> bool {
-        loop {
-            let conn = self.slots[slot].conn.as_mut().unwrap();
-            if conn.wbuf.is_empty() {
-                break;
-            }
+    /// Writes as much pending output as the socket accepts, then moves the
+    /// backpressure state: reading and answering pause at the high
+    /// watermark and resume at the low one. Returns false if the connection
+    /// failed.
+    fn flush(&self, conn: &mut Conn<S::Session>) -> bool {
+        while !conn.wbuf.is_empty() {
             match conn.stream.write(conn.wbuf.pending()) {
-                Ok(0) => {
-                    self.close_conn(slot);
-                    return false;
-                }
+                Ok(0) => return false,
                 Ok(n) => conn.wbuf.advance(n),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_conn(slot);
-                    return false;
-                }
+                Err(_) => return false,
             }
         }
-        let conn = self.slots[slot].conn.as_mut().unwrap();
-        if conn.read_blocked && conn.wbuf.below_low_watermark() && !conn.closing {
-            conn.read_blocked = false;
-        }
-        self.flush_or_close(slot)
-    }
-
-    /// If the connection is closing and its output is flushed, shut down
-    /// its write side and start discarding its input (see
-    /// [`CLOSE_DRAIN_BYTES`]); it closes at EOF. Returns false when the
-    /// shutdown failed and the connection closed.
-    fn flush_or_close(&mut self, slot: usize) -> bool {
-        let conn = self.slots[slot].conn.as_mut().unwrap();
-        if conn.closing && conn.draining.is_none() && conn.wbuf.is_empty() && !conn.in_flight {
-            if conn.stream.shutdown(std::net::Shutdown::Write).is_err() {
-                self.close_conn(slot);
-                return false;
-            }
-            conn.draining = Some((Instant::now() + CLOSE_DRAIN_TIME, CLOSE_DRAIN_BYTES));
+        if conn.wbuf.above_high_watermark() && !conn.read_blocked {
+            conn.read_blocked = true;
+            self.service.on_backpressure();
+        } else if conn.read_blocked && conn.wbuf.below_low_watermark() && !conn.closing {
             conn.read_blocked = false;
         }
         true
     }
 
-    // -- completions --------------------------------------------------------
-
-    fn done_for(&self, slot: usize) -> Done {
-        Done {
-            shared: Arc::clone(&self.shared),
-            slot,
-            generation: self.slots[slot].generation,
-            sent: false,
-        }
-    }
-
-    fn drain_completions(&mut self) {
-        let batch: Vec<Completion> = std::mem::take(&mut *self.shared.completions.lock().unwrap());
-        for done in batch {
-            let slot = done.slot;
-            if slot >= self.slots.len() || self.slots[slot].generation != done.generation {
-                continue; // connection died while the job ran
-            }
-            let Some(conn) = self.slots[slot].conn.as_mut() else { continue };
-            conn.wbuf.push(&done.bytes);
-            conn.in_flight = false;
-            // Keep the pipeline moving: next queued frame goes in-flight.
-            if let Some(next) = conn.queued.pop_front() {
-                conn.in_flight = true;
-                let session = Arc::clone(&conn.session);
-                let done = self.done_for(slot);
-                self.service.dispatch(&session, next, done);
-            }
-            // Opportunistic flush — don't wait for the next writable event.
-            if self.write_ready(slot) {
-                // The backlog grows on this path too: a slow reader must
-                // stop being read from even between its own read events.
-                if let Some(conn) = self.slots[slot].conn.as_mut() {
-                    if conn.wbuf.above_high_watermark() && !conn.read_blocked {
-                        conn.read_blocked = true;
-                        self.service.on_backpressure();
-                    }
-                }
-                self.update_interest(slot);
-            }
-        }
-    }
-
     // -- bookkeeping --------------------------------------------------------
 
-    fn update_interest(&mut self, slot: usize) {
-        let Some(conn) = self.slots[slot].conn.as_mut() else { return };
-        let want = Interest {
-            readable: (!conn.closing || conn.draining.is_some()) && !conn.read_blocked,
-            writable: !conn.wbuf.is_empty(),
-        };
-        if want != conn.interest && self.poller.modify(conn.stream.as_raw_fd(), slot, want).is_ok()
-        {
-            conn.interest = want;
-        }
-    }
-
-    fn close_conn(&mut self, slot: usize) {
-        let conn = self.slots[slot].conn.take().unwrap();
+    fn close(&self, guard: &mut Option<Conn<S::Session>>) {
+        let Some(mut conn) = guard.take() else { return };
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        self.service.closed(&conn.session);
-        self.slots[slot].generation += 1;
-        self.free.push(slot);
-        self.open -= 1;
+        self.service.closed(&mut conn.session);
+        let mut slab = lock(&self.conns);
+        let slot = &mut slab.slots[conn.id.slot as usize];
+        slot.generation = slot.generation.wrapping_add(1);
+        slab.free.push(conn.id.slot as usize);
+        slab.open -= 1;
         // stream drops here, closing the fd
     }
 
-    fn sweep(&mut self) {
+    /// Every [`SWEEP_INTERVAL`], on whichever thread gets here first:
+    /// resumes a paused accept, and closes connections past their drain
+    /// deadline or stalled mid-frame past the idle timeout.
+    fn sweep_if_due(&self) {
         let now = Instant::now();
-        if now.duration_since(self.last_sweep) < SWEEP_INTERVAL {
-            return;
+        match self.last_sweep.try_lock() {
+            Ok(mut last) if now.duration_since(*last) >= SWEEP_INTERVAL => *last = now,
+            _ => return,
         }
-        self.last_sweep = now;
-        if let Some(until) = self.accept_paused_until {
-            if now >= until {
-                self.accept_paused_until = None;
-                self.accept_burst();
+        let resume = {
+            let mut paused = lock(&self.accept_paused_until);
+            let due = paused.is_some_and(|until| now >= until);
+            if due {
+                *paused = None;
             }
+            due
+        };
+        if resume {
+            self.accept_burst();
         }
         let idle = self.config.idle_timeout;
-        for slot in 0..self.slots.len() {
-            let stale = match &self.slots[slot].conn {
-                Some(c) => {
-                    c.draining.is_some_and(|(until, _)| now >= until)
-                        || idle.is_some_and(|deadline| {
-                            c.partial_since.is_some_and(|t| now.duration_since(t) > deadline)
-                        })
-                }
-                None => false,
-            };
+        for cell in self.cells() {
+            // A connection some thread is serving is not stalled.
+            let Ok(mut guard) = cell.try_lock() else { continue };
+            let stale = guard.as_ref().is_some_and(|c| {
+                c.draining.is_some_and(|(until, _)| now >= until)
+                    || idle.is_some_and(|deadline| {
+                        c.partial_since.is_some_and(|t| now.duration_since(t) > deadline)
+                    })
+            });
             if stale {
-                self.close_conn(slot);
+                self.close(&mut guard);
             }
         }
     }
@@ -603,11 +628,13 @@ impl<S: Service> Reactor<S> {
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};
-    use std::sync::atomic::AtomicUsize;
 
-    /// Echoes each frame back uppercased, optionally via a worker thread.
+    /// Echoes each frame back uppercased. Frames starting with `q` — or
+    /// every frame, when built with `queue_all` — go through the service's
+    /// queue and come back through `next_queued`.
     struct EchoService {
-        threaded: bool,
+        queue_all: bool,
+        queue: Mutex<VecDeque<(ConnId, Vec<u8>)>>,
         opens: Arc<AtomicUsize>,
         closes: Arc<AtomicUsize>,
         backpressure: Arc<AtomicUsize>,
@@ -615,9 +642,10 @@ mod tests {
     }
 
     impl EchoService {
-        fn new(threaded: bool) -> EchoService {
+        fn new(queue_all: bool) -> EchoService {
             EchoService {
-                threaded,
+                queue_all,
+                queue: Mutex::new(VecDeque::new()),
                 opens: Arc::new(AtomicUsize::new(0)),
                 closes: Arc::new(AtomicUsize::new(0)),
                 backpressure: Arc::new(AtomicUsize::new(0)),
@@ -628,18 +656,35 @@ mod tests {
 
     impl Service for EchoService {
         type Session = u64;
+        type Job = Vec<u8>;
 
         fn open(&self) -> u64 {
             self.opens.fetch_add(1, Ordering::SeqCst);
             0
         }
 
-        fn closed(&self, _session: &Arc<Mutex<u64>>) {
+        fn closed(&self, _session: &mut u64) {
             self.closes.fetch_add(1, Ordering::SeqCst);
         }
 
-        fn dispatch(&self, session: &Arc<Mutex<u64>>, frame: Vec<u8>, done: Done) {
-            *session.lock().unwrap() += 1;
+        fn dispatch(&self, conn: ConnId, session: &mut u64, frame: Vec<u8>) -> Option<Vec<u8>> {
+            assert_ne!(frame, b"panic", "statement exploded");
+            if self.queue_all || frame.starts_with(b"q") {
+                self.queue.lock().unwrap().push_back((conn, frame));
+                return None;
+            }
+            Some(self.run(session, frame))
+        }
+
+        fn next_queued(&self) -> Queued<(ConnId, Vec<u8>)> {
+            match self.queue.lock().unwrap().pop_front() {
+                Some(job) => Queued::Run(job),
+                None => Queued::Empty,
+            }
+        }
+
+        fn run(&self, session: &mut u64, frame: Vec<u8>) -> Vec<u8> {
+            *session += 1;
             // "amp:<tag>" asks for a fat response — lets tests overwhelm
             // kernel socket buffers with tiny requests.
             let mut out = if let Some(tag) = frame.strip_prefix(b"amp:") {
@@ -651,14 +696,7 @@ mod tests {
                 frame.to_ascii_uppercase()
             };
             out.push(b'\n');
-            if self.threaded {
-                std::thread::spawn(move || {
-                    std::thread::sleep(Duration::from_millis(2));
-                    done.send(out);
-                });
-            } else {
-                done.send(out);
-            }
+            out
         }
 
         fn reject_frame(&self) -> Vec<u8> {
@@ -678,23 +716,40 @@ mod tests {
         }
     }
 
-    fn spawn_reactor(
-        service: EchoService,
-        config: ReactorConfig,
-    ) -> (std::net::SocketAddr, ReactorStop, std::thread::JoinHandle<()>) {
+    struct Running {
+        addr: std::net::SocketAddr,
+        handle: ReactorHandle,
+        threads: Vec<JoinHandle<()>>,
+    }
+
+    impl Running {
+        fn stop(self) {
+            self.handle.stop();
+            for t in self.threads {
+                t.join().unwrap();
+            }
+        }
+    }
+
+    fn spawn_reactor(service: EchoService, config: ReactorConfig, workers: usize) -> Running {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let reactor = Reactor::new(listener, service, config).unwrap();
-        let stop = reactor.stop_handle();
-        let join = std::thread::spawn(move || reactor.run().unwrap());
-        (addr, stop, join)
+        let handle = reactor.handle();
+        Running { addr, handle, threads: reactor.spawn(workers, "test-serve") }
+    }
+
+    fn read_line(reader: &mut BufReader<TcpStream>) -> String {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        line.trim_end().to_owned()
     }
 
     #[test]
     fn admitted_streams_have_nagle_off() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let mut reactor =
+        let reactor =
             Reactor::new(listener, EchoService::new(false), ReactorConfig::default()).unwrap();
         let _client = TcpStream::connect(addr).unwrap();
         let accepted = loop {
@@ -706,29 +761,42 @@ mod tests {
         };
         assert!(!accepted.nodelay().unwrap(), "accepted sockets start with Nagle on");
         reactor.admit(accepted).unwrap();
-        let conn = reactor.slots[0].conn.as_ref().expect("admitted connection");
-        assert!(conn.stream.nodelay().unwrap(), "admit must set TCP_NODELAY");
+        let cell = reactor.cell(ConnId { slot: 0, generation: 0 }).expect("admitted connection");
+        let conn = cell.lock().unwrap();
+        assert!(conn.as_ref().unwrap().stream.nodelay().unwrap(), "admit must set TCP_NODELAY");
     }
 
     #[test]
     fn echo_roundtrip_and_pipelining_order() {
+        // Every frame waits in the service's queue: replies still come back
+        // in request order.
         let service = EchoService::new(true);
         let max_depth = Arc::clone(&service.max_depth);
-        let (addr, stop, join) = spawn_reactor(service, ReactorConfig::default());
+        let running = spawn_reactor(service, ReactorConfig::default(), 2);
 
-        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut stream = TcpStream::connect(running.addr).unwrap();
         // Pipeline: three frames in one write, no interleaved reads.
         stream.write_all(b"alpha\nbeta\ngamma\n").unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut line = String::new();
         for expect in ["ALPHA", "BETA", "GAMMA"] {
-            line.clear();
-            reader.read_line(&mut line).unwrap();
-            assert_eq!(line.trim_end(), expect);
+            assert_eq!(read_line(&mut reader), expect);
         }
         assert!(max_depth.load(Ordering::SeqCst) >= 2, "pipeline depth never exceeded 1");
-        stop.stop();
-        join.join().unwrap();
+        running.stop();
+    }
+
+    #[test]
+    fn queued_and_answered_frames_keep_their_order() {
+        let running = spawn_reactor(EchoService::new(false), ReactorConfig::default(), 2);
+        let mut stream = TcpStream::connect(running.addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        for _ in 0..20 {
+            stream.write_all(b"q1\nd2\nq3\nq4\nd5\n").unwrap();
+            for expect in ["Q1", "D2", "Q3", "Q4", "D5"] {
+                assert_eq!(read_line(&mut reader), expect);
+            }
+        }
+        running.stop();
     }
 
     #[test]
@@ -736,46 +804,59 @@ mod tests {
         let service = EchoService::new(false);
         let opens = Arc::clone(&service.opens);
         let closes = Arc::clone(&service.closes);
-        let (addr, stop, join) = spawn_reactor(service, ReactorConfig::default());
+        let running = spawn_reactor(service, ReactorConfig::default(), 2);
 
         for _ in 0..20 {
-            let mut stream = TcpStream::connect(addr).unwrap();
+            let mut stream = TcpStream::connect(running.addr).unwrap();
             stream.write_all(b"hi\n").unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            assert_eq!(line.trim_end(), "HI");
-            drop(reader);
-            drop(stream);
+            assert_eq!(read_line(&mut BufReader::new(stream.try_clone().unwrap())), "HI");
         }
-        // Wait for the reactor to observe all the EOFs.
+        // Wait for the serving threads to observe all the EOFs.
         let deadline = Instant::now() + Duration::from_secs(5);
         while closes.load(Ordering::SeqCst) < 20 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(opens.load(Ordering::SeqCst), 20);
         assert_eq!(closes.load(Ordering::SeqCst), 20);
-        stop.stop();
-        join.join().unwrap();
+        // A connection still open at stop is closed once, by the last
+        // thread out.
+        let open = TcpStream::connect(running.addr).unwrap();
+        (&open).write_all(b"hi\n").unwrap();
+        assert_eq!(read_line(&mut BufReader::new(open.try_clone().unwrap())), "HI");
+        running.stop();
+        assert_eq!(opens.load(Ordering::SeqCst), 21);
+        assert_eq!(closes.load(Ordering::SeqCst), 21);
+    }
+
+    #[test]
+    fn panicking_dispatch_does_not_kill_worker() {
+        let running = spawn_reactor(EchoService::new(false), ReactorConfig::default(), 1);
+        let mut doomed = TcpStream::connect(running.addr).unwrap();
+        doomed.write_all(b"panic\n").unwrap();
+        let mut reader = BufReader::new(doomed);
+        let mut line = String::new();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "its connection is closed");
+        // The one serving thread survived and answers the next connection.
+        let mut stream = TcpStream::connect(running.addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream.write_all(b"alive\n").unwrap();
+        assert_eq!(read_line(&mut BufReader::new(stream)), "ALIVE");
+        running.stop();
     }
 
     #[test]
     fn oversized_frame_gets_error_then_close() {
-        let service = EchoService::new(false);
         let config = ReactorConfig { max_frame_bytes: 64, ..ReactorConfig::default() };
-        let (addr, stop, join) = spawn_reactor(service, config);
+        let running = spawn_reactor(EchoService::new(false), config, 2);
 
-        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut stream = TcpStream::connect(running.addr).unwrap();
         stream.write_all(&[b'x'; 200]).unwrap(); // no newline, over the limit
         let mut reader = BufReader::new(stream.try_clone().unwrap());
+        assert_eq!(read_line(&mut reader), "OVERSIZE");
         let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim_end(), "OVERSIZE");
-        line.clear();
         let n = reader.read_line(&mut line).unwrap();
         assert_eq!(n, 0, "connection should be closed after the oversize frame");
-        stop.stop();
-        join.join().unwrap();
+        running.stop();
     }
 
     /// A peer still writing its oversized frame when the error is sent
@@ -785,9 +866,9 @@ mod tests {
         let service = EchoService::new(false);
         let closes = Arc::clone(&service.closes);
         let config = ReactorConfig { max_frame_bytes: 64, ..ReactorConfig::default() };
-        let (addr, stop, join) = spawn_reactor(service, config);
+        let running = spawn_reactor(service, config, 2);
 
-        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut stream = TcpStream::connect(running.addr).unwrap();
         // The server answers the first write; the later ones reach it after
         // the answer — a closed socket would reset the connection.
         for _ in 0..5 {
@@ -795,10 +876,8 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
         let mut reader = BufReader::new(stream.try_clone().unwrap());
+        assert_eq!(read_line(&mut reader), "OVERSIZE", "the error frame arrives intact");
         let mut line = String::new();
-        reader.read_line(&mut line).expect("the error frame arrives intact");
-        assert_eq!(line.trim_end(), "OVERSIZE");
-        line.clear();
         assert_eq!(reader.read_line(&mut line).unwrap(), 0, "then a clean FIN");
         drop(reader);
         drop(stream);
@@ -807,36 +886,28 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(closes.load(Ordering::SeqCst), 1, "closed at the peer's EOF");
-        stop.stop();
-        join.join().unwrap();
+        running.stop();
     }
 
     #[test]
     fn connection_limit_sends_reject_frame() {
-        let service = EchoService::new(false);
         let config = ReactorConfig { max_connections: 2, ..ReactorConfig::default() };
-        let (addr, stop, join) = spawn_reactor(service, config);
+        let running = spawn_reactor(EchoService::new(false), config, 2);
 
-        let keep1 = TcpStream::connect(addr).unwrap();
-        let keep2 = TcpStream::connect(addr).unwrap();
+        let keep1 = TcpStream::connect(running.addr).unwrap();
+        let keep2 = TcpStream::connect(running.addr).unwrap();
         // Make sure both were admitted before the third connects.
         for s in [&keep1, &keep2] {
             let mut s2 = s.try_clone().unwrap();
             s2.write_all(b"ok\n").unwrap();
-            let mut reader = BufReader::new(s2);
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            assert_eq!(line.trim_end(), "OK");
+            assert_eq!(read_line(&mut BufReader::new(s2)), "OK");
         }
-        let third = TcpStream::connect(addr).unwrap();
+        let third = TcpStream::connect(running.addr).unwrap();
         let mut reader = BufReader::new(third);
+        assert_eq!(read_line(&mut reader), "REJECT");
         let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim_end(), "REJECT");
-        line.clear();
         assert_eq!(reader.read_line(&mut line).unwrap(), 0, "rejected conn must be dropped");
-        stop.stop();
-        join.join().unwrap();
+        running.stop();
     }
 
     #[test]
@@ -846,12 +917,12 @@ mod tests {
         // Tiny watermarks so a single unread response trips the pause.
         let config =
             ReactorConfig { high_watermark: 64, low_watermark: 16, ..ReactorConfig::default() };
-        let (addr, stop, join) = spawn_reactor(service, config);
+        let running = spawn_reactor(service, config, 2);
 
-        let stream = TcpStream::connect(addr).unwrap();
+        let stream = TcpStream::connect(running.addr).unwrap();
         // Tiny amplifying requests from a writer thread while the main
         // thread refuses to read: 8 KB responses pile up far past every
-        // kernel buffer and the reactor must stop reading us. (A thread,
+        // kernel buffer and the server must stop reading us. (A thread,
         // because once the server pauses reads our own writes may block —
         // exactly the flow control under test.)
         const N: usize = 2000;
@@ -869,32 +940,28 @@ mod tests {
 
         // Now drain: every single response must still arrive, in order.
         let mut reader = BufReader::new(stream);
-        let mut line = String::new();
         for i in 0..N {
-            line.clear();
-            reader.read_line(&mut line).unwrap();
-            let (tag, fat) = line.trim_end().split_once(':').unwrap();
+            let line = read_line(&mut reader);
+            let (tag, fat) = line.split_once(':').unwrap();
             assert_eq!(tag, i.to_string(), "response order");
             assert_eq!(fat.len(), 8192);
         }
         writer_thread.join().unwrap();
-        stop.stop();
-        join.join().unwrap();
+        running.stop();
     }
 
     #[test]
     fn slow_loris_partial_frame_reaped_but_idle_conn_survives() {
-        let service = EchoService::new(false);
         let config = ReactorConfig {
             idle_timeout: Some(Duration::from_millis(300)),
             ..ReactorConfig::default()
         };
-        let (addr, stop, join) = spawn_reactor(service, config);
+        let running = spawn_reactor(EchoService::new(false), config, 2);
 
         // A fully idle connection (no bytes at all) must survive.
-        let idle = TcpStream::connect(addr).unwrap();
+        let idle = TcpStream::connect(running.addr).unwrap();
         // A half-open frame must be reaped after the deadline.
-        let mut loris = TcpStream::connect(addr).unwrap();
+        let mut loris = TcpStream::connect(running.addr).unwrap();
         loris.write_all(b"{\"never\":\"finish").unwrap();
 
         std::thread::sleep(Duration::from_millis(1500));
@@ -910,35 +977,25 @@ mod tests {
         // The idle connection still works end to end.
         let mut idle2 = idle.try_clone().unwrap();
         idle2.write_all(b"alive\n").unwrap();
-        let mut reader = BufReader::new(idle);
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim_end(), "ALIVE");
-        stop.stop();
-        join.join().unwrap();
+        assert_eq!(read_line(&mut BufReader::new(idle)), "ALIVE");
+        running.stop();
     }
 
     #[test]
     fn frames_split_at_byte_boundaries_over_tcp() {
-        let service = EchoService::new(false);
-        let (addr, stop, join) = spawn_reactor(service, ReactorConfig::default());
+        let running = spawn_reactor(EchoService::new(false), ReactorConfig::default(), 2);
 
         let input = b"first\nsecond\n";
         for split in 1..input.len() {
-            let mut stream = TcpStream::connect(addr).unwrap();
+            let mut stream = TcpStream::connect(running.addr).unwrap();
             stream.write_all(&input[..split]).unwrap();
             stream.flush().unwrap();
             std::thread::sleep(Duration::from_millis(2));
             stream.write_all(&input[split..]).unwrap();
             let mut reader = BufReader::new(stream);
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            assert_eq!(line.trim_end(), "FIRST", "split {split}");
-            line.clear();
-            reader.read_line(&mut line).unwrap();
-            assert_eq!(line.trim_end(), "SECOND", "split {split}");
+            assert_eq!(read_line(&mut reader), "FIRST", "split {split}");
+            assert_eq!(read_line(&mut reader), "SECOND", "split {split}");
         }
-        stop.stop();
-        join.join().unwrap();
+        running.stop();
     }
 }

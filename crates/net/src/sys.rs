@@ -38,6 +38,8 @@ pub const EPOLLOUT: u32 = 0x004;
 pub const EPOLLERR: u32 = 0x008;
 pub const EPOLLHUP: u32 = 0x010;
 pub const EPOLLRDHUP: u32 = 0x2000;
+/// Disarm a registration after it reports one event; `EPOLL_CTL_MOD` re-arms it.
+pub const EPOLLONESHOT: u32 = 1 << 30;
 
 pub const EPOLL_CTL_ADD: c_int = 1;
 pub const EPOLL_CTL_DEL: c_int = 2;
@@ -94,7 +96,7 @@ pub fn epoll_poll(epfd: RawFd, events: &mut [EpollEvent], timeout_ms: c_int) -> 
     Ok(n as usize)
 }
 
-/// A nonblocking close-on-exec eventfd (the reactor wake channel).
+/// A nonblocking close-on-exec eventfd (the serving threads' wake channel).
 pub fn eventfd_create() -> io::Result<RawFd> {
     cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })
 }

@@ -1,21 +1,25 @@
 //! The global core budget: one permit pool shared by inter-query
-//! concurrency (the worker pool) and intra-query parallelism (the engine's
+//! concurrency (the serving threads) and intra-query parallelism (the engine's
 //! morsel-driven executor).
 //!
 //! Without a shared budget the two multiply: `workers × engine-threads`
 //! runnable threads on `cores` cores, and every query gets slower under
 //! load. The budget models each core as one permit. Every executing
-//! statement holds one baseline permit for the worker thread that runs it;
+//! statement holds one baseline permit for the thread that runs it;
 //! a query whose planner wants to fan out asks for *extra* permits, gets
 //! whatever is available right now (possibly zero — it then runs serial),
 //! and returns them the moment it finishes. Acquisition never blocks, so a
 //! loaded server degrades to one-core-per-query instead of deadlocking or
 //! oversubscribing.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+/// What a permit release calls for a dispatcher waiting on the budget.
+type ReleaseHook = Box<dyn Fn() + Send + Sync>;
 
 /// A non-blocking permit pool over the machine's cores.
-#[derive(Debug)]
 pub struct CoreBudget {
     /// Total permits (normally the machine's available parallelism).
     total: usize,
@@ -24,12 +28,32 @@ pub struct CoreBudget {
     in_use: AtomicUsize,
     /// Extra-permit requests that were fully or partially denied.
     denied: AtomicU64,
+    /// A dispatcher holds work back until a permit is released
+    /// ([`CoreBudget::exhausted_until_release`]).
+    waiter: AtomicBool,
+    on_release: Mutex<Option<ReleaseHook>>,
+}
+
+impl fmt::Debug for CoreBudget {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CoreBudget")
+            .field("total", &self.total)
+            .field("in_use", &self.in_use)
+            .field("denied", &self.denied)
+            .finish_non_exhaustive()
+    }
 }
 
 impl CoreBudget {
     /// A budget of `total` permits (clamped to at least 1).
     pub fn new(total: usize) -> Self {
-        CoreBudget { total: total.max(1), in_use: AtomicUsize::new(0), denied: AtomicU64::new(0) }
+        CoreBudget {
+            total: total.max(1),
+            in_use: AtomicUsize::new(0),
+            denied: AtomicU64::new(0),
+            waiter: AtomicBool::new(false),
+            on_release: Mutex::new(None),
+        }
     }
 
     /// Total permits.
@@ -52,6 +76,24 @@ impl CoreBudget {
     /// hold scan-class work back while every core is granted.
     pub fn available(&self) -> usize {
         self.total.saturating_sub(self.in_use())
+    }
+
+    /// Whether every permit is granted. When it is, the next release of a
+    /// permit calls the [`CoreBudget::on_release`] hook, so the dispatcher
+    /// holding work back for a free core hears of it at once.
+    pub fn exhausted_until_release(&self) -> bool {
+        if self.available() > 0 {
+            return false;
+        }
+        self.waiter.store(true, Ordering::SeqCst);
+        // A release between the two reads may have missed the flag.
+        self.in_use.load(Ordering::SeqCst) >= self.total
+    }
+
+    /// Sets what a release calls after [`CoreBudget::exhausted_until_release`]
+    /// said `true`: the server wakes a serving thread with it.
+    pub fn on_release(&self, hook: impl Fn() + Send + Sync + 'static) {
+        *self.on_release.lock().unwrap_or_else(|p| p.into_inner()) = Some(Box::new(hook));
     }
 
     /// Takes the baseline permit of one executing statement. Never fails:
@@ -115,7 +157,13 @@ impl Permits<'_> {
 impl Drop for Permits<'_> {
     fn drop(&mut self) {
         if self.held > 0 {
-            self.budget.in_use.fetch_sub(self.held, Ordering::AcqRel);
+            self.budget.in_use.fetch_sub(self.held, Ordering::SeqCst);
+            if self.budget.waiter.swap(false, Ordering::SeqCst) {
+                let hook = self.budget.on_release.lock().unwrap_or_else(|p| p.into_inner());
+                if let Some(wake) = hook.as_ref() {
+                    wake();
+                }
+            }
         }
     }
 }

@@ -323,7 +323,7 @@ impl Engine {
 
     /// A shareable handle to the core budget, for wiring the same permit
     /// pool into the scheduler's scan gate
-    /// ([`crate::sched::PriorityPool::with_budget`]).
+    /// ([`crate::sched::ClassQueues::new`]).
     pub fn budget_handle(&self) -> Arc<CoreBudget> {
         Arc::clone(&self.budget)
     }

@@ -1,30 +1,32 @@
-//! The reactor-side protocol front-end: an [`astore_net::Service`] that
-//! turns complete frames into classified jobs on the [`PriorityPool`].
+//! The protocol front-end: the [`astore_net::Service`] the serving threads
+//! hand each complete frame to.
 //!
-//! The reactor thread does exactly three cheap things per frame — decode +
-//! trim, parse the JSON once, classify — then hands the *parsed* request
-//! to an executor worker, which runs it through the engine's statement
-//! path ([`Engine::handle_request`]). The reply bytes for a recorded
-//! request log are pinned by `testdata/recorded-log-replies.jsonl`.
+//! The thread that read a frame decodes and trims it, parses the JSON once
+//! and classifies it. Unless the frame must wait in its class's queue
+//! ([`ClassQueues`]), the same thread runs it through the engine's
+//! statement path ([`Engine::handle_request`]) and serialises the reply.
+//! The reply bytes for a recorded request log are pinned by
+//! `testdata/recorded-log-replies.jsonl`.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
-use astore_net::{Done, Service};
+use astore_net::{ConnId, Queued, Service};
 use astore_sql::lexer::tokens;
 use astore_sql::opens_write;
 
 use crate::engine::{error_frame, parse_set_engine, Engine, ErrorCode};
 use crate::json::Json;
-use crate::sched::{Priority, PriorityPool};
+use crate::sched::{Admit, ClassQueues, Priority};
 use crate::session::StatementRegistry;
 use crate::stats::ServerStats;
 
-/// Serialises a reply of `class` once, straight into the buffer the reactor
-/// writes to the socket ([`Json::frame`]), and records what that cost: the `serialise` stage of the
-/// request, which `elapsed_us` inside the frame cannot cover.
+/// Serialises a reply of `class` once, straight into the buffer the serving
+/// thread writes to the socket ([`Json::frame`]), and records what that
+/// cost: the `serialise` stage of the request, which `elapsed_us` inside
+/// the frame cannot cover.
 fn frame_bytes(frame: &Json, stats: &ServerStats, class: Priority) -> Vec<u8> {
     let t = Instant::now();
     let bytes = frame.frame();
@@ -33,7 +35,7 @@ fn frame_bytes(frame: &Json, stats: &ServerStats, class: Priority) -> Vec<u8> {
     bytes
 }
 
-/// Decides which executor queue a parsed request joins.
+/// Decides which class a parsed request belongs to.
 ///
 /// - metadata: `cmd` / `prepare` / `close` frames and malformed requests,
 ///   SQL text with no statement included — cheap protocol work that should
@@ -44,14 +46,11 @@ fn frame_bytes(frame: &Json, stats: &ServerStats, class: Priority) -> Vec<u8> {
 ///
 /// For `execute` frames the session registry says whether the prepared
 /// statement is a write.
-fn classify(req: &Json, registry: &Mutex<StatementRegistry>) -> Priority {
+fn classify(req: &Json, registry: &StatementRegistry) -> Priority {
     if let Some(sql) = req.get("sql").and_then(Json::as_str) {
         return classify_sql(sql);
     }
     if let Some(ex) = req.get("execute") {
-        // Uncontended by construction: at most one frame of a connection
-        // is in flight, and jobs release the registry before completing.
-        let registry = registry.lock().unwrap_or_else(|p| p.into_inner());
         return match ex
             .get("id")
             .and_then(Json::as_i64)
@@ -80,18 +79,34 @@ fn classify_sql(sql: &str) -> Priority {
     }
 }
 
-/// The [`Service`] wiring the reactor to the engine and executor pool.
+/// A parsed, classified request that waits in its class's queue.
+pub struct Job {
+    req: Json,
+    class: Priority,
+    /// When the frame was read: its queue wait runs from here.
+    read_at: Instant,
+}
+
+/// The [`Service`] wiring the serving threads to the engine.
 pub struct EngineService {
     engine: Arc<Engine>,
-    pool: Arc<PriorityPool>,
+    queues: ClassQueues<(ConnId, Job)>,
+    workers: usize,
     max_connections: usize,
 }
 
 impl EngineService {
-    /// A front-end over `engine`, executing on `pool`, quoting
-    /// `max_connections` in rejection frames.
-    pub fn new(engine: Arc<Engine>, pool: Arc<PriorityPool>, max_connections: usize) -> Self {
-        EngineService { engine, pool, max_connections }
+    /// A front-end over `engine` for `workers` serving threads, queueing up
+    /// to `queue_depth` frames per class and quoting `max_connections` in
+    /// rejection frames.
+    pub fn new(
+        engine: Arc<Engine>,
+        workers: usize,
+        queue_depth: usize,
+        max_connections: usize,
+    ) -> Self {
+        let queues = ClassQueues::new(queue_depth, engine.budget_handle());
+        EngineService { engine, queues, workers, max_connections }
     }
 
     /// A frame the front-end answers itself, before any request was
@@ -104,61 +119,69 @@ impl EngineService {
 
 impl Service for EngineService {
     type Session = StatementRegistry;
+    type Job = Job;
 
     fn open(&self) -> StatementRegistry {
         self.engine.stats().open_connections.fetch_add(1, Relaxed);
         StatementRegistry::default()
     }
 
-    fn closed(&self, _session: &Arc<Mutex<StatementRegistry>>) {
+    fn closed(&self, _session: &mut StatementRegistry) {
         self.engine.stats().open_connections.fetch_sub(1, Relaxed);
     }
 
-    fn dispatch(&self, session: &Arc<Mutex<StatementRegistry>>, frame: Vec<u8>, done: Done) {
+    fn dispatch(
+        &self,
+        conn: ConnId,
+        registry: &mut StatementRegistry,
+        frame: Vec<u8>,
+    ) -> Option<Vec<u8>> {
+        let read_at = Instant::now();
         // Lossy decode, trim, silently skip whitespace-only frames.
         let line = String::from_utf8_lossy(&frame);
         let trimmed = line.trim();
         if trimmed.is_empty() {
-            done.send(Vec::new());
-            return;
+            return Some(Vec::new());
         }
         let req = match crate::json::parse(trimmed) {
             Ok(req) => req,
             Err(e) => {
                 self.engine.stats().errors.fetch_add(1, Relaxed);
-                done.send(self.protocol_frame(&error_frame(ErrorCode::BadRequest, e.to_string())));
-                return;
+                return Some(
+                    self.protocol_frame(&error_frame(ErrorCode::BadRequest, e.to_string())),
+                );
             }
         };
-        let priority = classify(&req, session);
-        if !self.pool.accepting(priority) {
-            self.engine.stats().rejected.fetch_add(1, Relaxed);
-            let busy = error_frame(
-                ErrorCode::ServerBusy,
-                format!("admission queue full ({} workers busy)", self.pool.workers()),
-            );
-            done.send(frame_bytes(&busy, self.engine.stats(), priority));
-            return;
+        let class = classify(&req, registry);
+        match self.queues.admit(class, (conn, Job { req, class, read_at })) {
+            Admit::Run((_, job)) => Some(self.run(registry, job)),
+            Admit::Queued => {
+                self.engine.stats().queued_frames.fetch_add(1, Relaxed);
+                None
+            }
+            Admit::Full => {
+                self.engine.stats().rejected.fetch_add(1, Relaxed);
+                let busy = error_frame(
+                    ErrorCode::ServerBusy,
+                    format!("admission queue full ({} workers busy)", self.workers),
+                );
+                Some(frame_bytes(&busy, self.engine.stats(), class))
+            }
         }
-        let engine = Arc::clone(&self.engine);
-        let session = Arc::clone(session);
-        self.pool.submit(
-            priority,
-            Box::new(move |wait_us| {
-                engine.stats().queue_wait[priority as usize].record(wait_us);
-                let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    let mut registry = session.lock().unwrap_or_else(|p| p.into_inner());
-                    engine.handle_request(&req, &mut registry)
-                    // registry unlocks here — before `done` fires, so the
-                    // reactor can classify this connection's next frame
-                    // without contending.
-                }))
-                .unwrap_or_else(|_| {
-                    error_frame(ErrorCode::InternalError, "statement execution panicked")
-                });
-                done.send(frame_bytes(&out, engine.stats(), priority));
-            }),
-        );
+    }
+
+    fn next_queued(&self) -> Queued<(ConnId, Job)> {
+        self.queues.next()
+    }
+
+    fn run(&self, registry: &mut StatementRegistry, job: Job) -> Vec<u8> {
+        let stats = self.engine.stats();
+        stats.queue_wait[job.class as usize].record(job.read_at.elapsed().as_micros() as u64);
+        let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            self.engine.handle_request(&job.req, registry)
+        }))
+        .unwrap_or_else(|_| error_frame(ErrorCode::InternalError, "statement execution panicked"));
+        frame_bytes(&out, stats, job.class)
     }
 
     fn reject_frame(&self) -> Vec<u8> {
@@ -215,7 +238,7 @@ mod tests {
 
     #[test]
     fn frame_classification() {
-        let registry = Mutex::new(StatementRegistry::default());
+        let registry = StatementRegistry::default();
         let cmd = Json::obj([("cmd", Json::Str("stats".into()))]);
         assert_eq!(classify(&cmd, &registry), Priority::Metadata);
         let prepare = Json::obj([("prepare", Json::Str("SELECT count(*) FROM t".into()))]);

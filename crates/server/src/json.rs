@@ -6,11 +6,11 @@
 //! precision beyond 2^53) and covers the JSON grammar the protocol needs:
 //! objects, arrays, strings with escapes, numbers, booleans, null.
 //!
-//! **The contract is linear time, both ways.** The codec runs on the
-//! reactor thread for every request and in the client for every reply, so
+//! **The contract is linear time, both ways.** The codec runs on a
+//! serving thread for every request and in the client for every reply, so
 //! its cost per byte is part of every statement's latency and a frame of
 //! [`MAX_LINE_BYTES`](crate::server::MAX_LINE_BYTES) must not stall the
-//! event loop:
+//! thread that reads it:
 //!
 //! - [`parse`] touches each input byte a bounded number of times. Strings
 //!   are copied *run by run* — everything between two escapes is one

@@ -69,15 +69,17 @@
 //!
 //! ## Architecture
 //!
-//! One epoll reactor thread owns every socket (nonblocking accepts,
-//! incremental framing, pipelining, write-buffer backpressure) and hands
-//! parsed requests to the strict-priority executor pool — metadata and
-//! writes jump ahead of long scans ([`server`], [`front`]). Each
-//! statement then runs through the [`engine`]'s stages, one function each:
+//! The `--workers` serving threads share one epoll reactor (nonblocking
+//! accepts, incremental framing, pipelining, write-buffer backpressure):
+//! the thread a connection's readiness reaches parses and classifies the
+//! request and runs it itself, unless its class must wait in a
+//! strict-priority queue — metadata and writes never wait behind long
+//! scans ([`server`], [`front`]). Each statement then runs through the
+//! [`engine`]'s stages, one function each:
 //!
 //! ```text
-//! TcpListener ── reactor (epoll) ── priority executor pool
-//!                                            │ bounded admission queues
+//! TcpListener ── serving threads (epoll, one-shot) ── run at once, or
+//!                                            │ bounded class queues
 //!                                            │ (shed, don't stall)
 //!                                            ▼
 //!   Engine: parse → plan (PlanCache: canonical template → Arc<Prepared>)
@@ -100,7 +102,7 @@
 //! `plan_error`.
 //!
 //! Intra-query parallelism (`--engine-threads`, by default the host's
-//! cores) and the worker pool share one [`CoreBudget`] sized to the
+//! cores) and the serving threads share one [`CoreBudget`] sized to the
 //! machine's cores: each executing statement holds a baseline permit, and
 //! a query fans out only over the cores nobody else is using — the two
 //! concurrency layers compose instead of multiplying.
@@ -130,7 +132,7 @@ pub use client::{Client, ClientError};
 pub use engine::{Answer, Durability, Engine, EngineError, ErrorCode, Executed};
 pub use front::EngineService;
 pub use metrics::{SlowLog, TemplateStats};
-pub use sched::{Priority, PriorityPool};
+pub use sched::Priority;
 pub use server::{start, ServerConfig, ServerHandle};
 pub use session::{SessionStatement, StatementRegistry};
 pub use stats::ServerStats;

@@ -214,7 +214,8 @@ flags:
   --addr <host:port>      listen address              (default 127.0.0.1:3939)
   --dataset <name>        ssb | tpch                  (default ssb)
   --sf <f>                dataset scale factor        (default 0.01)
-  --workers <n>           statement worker threads    (default: cores)
+  --workers <n>           serving threads: each reads, runs and
+                          answers requests            (default: cores)
   --queue <n>             admission queue depth       (default: 4x workers)
   --max-conn <n>          connection limit            (default 256)
   --idle-timeout-ms <n>   close connections whose partial
@@ -232,7 +233,7 @@ flags:
                           serial). A scan whose surviving segments give each
                           worker two of them splits into morsels across up
                           to n worker threads, granted from a global core
-                          budget shared with the statement worker pool, so
+                          budget shared with the serving threads, so
                           intra-query and inter-query parallelism never
                           oversubscribe cores
   --slow-ms <n>           capture statements slower than n ms in the

@@ -413,7 +413,8 @@ mod tests {
         ("astore_server_prepared_execs_total", "counter", "Prepared executions (protocol v2)."),
         ("astore_server_prepares_total", "counter", "Statements prepared (protocol v2)."),
         ("astore_server_queries_total", "counter", "Read queries served."),
-        ("astore_server_queue_wait_us", "histogram", "Executor queue wait per priority class (reactor model)."),
+        ("astore_server_queue_wait_us", "histogram", "Time from a frame being read to its execution starting, per priority class."),
+        ("astore_server_queued_frames_total", "counter", "Frames that waited in a class queue instead of running on the thread that read them."),
         ("astore_server_raw_bytes", "gauge", "Bytes the same chunks would occupy flat."),
         ("astore_server_reads_blocked_on_backpressure_total", "counter", "Connection reads paused by the write-buffer high watermark."),
         ("astore_server_rejected_total", "counter", "Requests shed by admission control."),

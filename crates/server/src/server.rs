@@ -1,14 +1,17 @@
-//! The TCP serving layer. One event-loop thread owns every socket via the
-//! [`astore_net`] epoll reactor: nonblocking accepts, incremental
-//! frame parsing, request pipelining, and write-buffer backpressure. Each
-//! complete frame is parsed and classified on the reactor thread, then
-//! executed on the strict-priority [`PriorityPool`] — interactive point
-//! lookups and metadata commands jump ahead of long scans. Idle
-//! connections cost no threads, so the model holds 10K+ of them.
+//! The TCP serving layer. `--workers` serving threads share one
+//! [`astore_net`] epoll instance: the thread a connection's readiness
+//! reaches reads the frame, parses and classifies it, runs it through the
+//! engine and writes the reply itself — no thread hands a frame or a reply
+//! to another. Nonblocking accepts, incremental framing, request pipelining
+//! and write-buffer backpressure live in the reactor; idle connections
+//! cost no threads, so the model holds 10K+ of them.
 //!
-//! Admission control is a bounded queue: when it is full the server
-//! answers immediately with a `server_busy` error frame instead of
-//! stalling — it sheds load, it never builds an unbounded backlog.
+//! Under contention a frame waits in the strict-priority class queues
+//! ([`crate::sched`]): a scan while every core of the budget is granted, or
+//! any frame behind a queued one of its class or a higher one. Admission
+//! control is their bound: when a frame's queue is full the server answers
+//! at once with a `server_busy` error frame instead of stalling — it sheds
+//! load, it never builds an unbounded backlog.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -17,11 +20,10 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use astore_core::host_cores;
-use astore_net::{Reactor, ReactorConfig, ReactorStop};
+use astore_net::{Reactor, ReactorConfig, ReactorHandle};
 
 use crate::engine::Engine;
 use crate::front::EngineService;
-use crate::sched::PriorityPool;
 
 /// Maximum accepted request-line length (1 MiB); longer lines are answered
 /// with `bad_request` and the connection is closed.
@@ -32,9 +34,9 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 pub struct ServerConfig {
     /// Listen address, e.g. `127.0.0.1:3939` (`…:0` picks a free port).
     pub addr: String,
-    /// Worker threads executing statements.
+    /// Serving threads: each reads, runs and answers frames.
     pub workers: usize,
-    /// Bounded admission-queue depth in statements, per priority class.
+    /// Bounded admission-queue depth in frames, per priority class.
     pub queue_depth: usize,
     /// Maximum concurrently open connections.
     pub max_connections: usize,
@@ -64,20 +66,16 @@ impl Default for ServerConfig {
 }
 
 /// A handle to a running server. Dropping it (or calling
-/// [`ServerHandle::shutdown`]) stops the serving threads and drains the
-/// executor pool.
+/// [`ServerHandle::shutdown`]) stops the serving and maintenance threads.
 pub struct ServerHandle {
     addr: SocketAddr,
     /// Stops the maintenance thread.
     stop: Arc<AtomicBool>,
-    /// The reactor thread.
-    reactor: Option<JoinHandle<()>>,
+    /// The serving threads.
+    workers: Vec<JoinHandle<()>>,
     compactor: Option<JoinHandle<()>>,
     engine: Arc<Engine>,
-    reactor_stop: ReactorStop,
-    /// Held so the executor pool outlives the reactor; the last Arc drop
-    /// (after the reactor joined) drains and joins the workers.
-    exec_pool: Option<Arc<PriorityPool>>,
+    reactor: ReactorHandle,
 }
 
 impl std::fmt::Debug for ServerHandle {
@@ -97,30 +95,28 @@ impl ServerHandle {
         &self.engine
     }
 
-    /// Blocks until the reactor exits (i.e. until another thread calls
-    /// [`ServerHandle::shutdown`] via a clone-free path — typically never,
-    /// for a foreground server process).
+    /// Blocks until the serving threads exit (i.e. until another thread
+    /// calls [`ServerHandle::shutdown`] via a clone-free path — typically
+    /// never, for a foreground server process).
     pub fn join(mut self) {
-        if let Some(h) = self.reactor.take() {
+        for h in self.workers.drain(..) {
             let _ = h.join();
         }
     }
 
-    /// Stops the reactor — it closes every connection, running their
-    /// session teardown — and the maintenance thread, and joins both.
+    /// Stops the serving threads — the last one out closes every
+    /// connection, running their session teardown — and the maintenance
+    /// thread, and joins them.
     pub fn shutdown(mut self) {
         self.stop_serving();
     }
 
     fn stop_serving(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        self.reactor_stop.stop();
-        if let Some(h) = self.reactor.take() {
+        self.reactor.stop();
+        for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        // With the reactor joined, this is the last pool reference: the
-        // drop drains queued statements and joins the executor workers.
-        self.exec_pool.take();
         if let Some(h) = self.compactor.take() {
             let _ = h.join();
         }
@@ -129,7 +125,7 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        if self.reactor.is_some() || self.compactor.is_some() {
+        if !self.workers.is_empty() || self.compactor.is_some() {
             self.stop_serving();
         }
     }
@@ -140,16 +136,12 @@ pub fn start(engine: Arc<Engine>, config: ServerConfig) -> std::io::Result<Serve
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    // Share the engine's core budget with the executor: when every core is
-    // granted to running statements, the pool briefly defers scan-class
-    // dispatch instead of piling more scans on.
-    let pool = Arc::new(PriorityPool::with_budget(
+    let service = EngineService::new(
+        Arc::clone(&engine),
         config.workers,
         config.queue_depth,
-        engine.budget_handle(),
-    ));
-    let service =
-        EngineService::new(Arc::clone(&engine), Arc::clone(&pool), config.max_connections);
+        config.max_connections,
+    );
     let reactor_config = ReactorConfig {
         max_connections: config.max_connections,
         max_frame_bytes: MAX_LINE_BYTES,
@@ -159,13 +151,12 @@ pub fn start(engine: Arc<Engine>, config: ServerConfig) -> std::io::Result<Serve
             .then(|| Duration::from_millis(config.idle_timeout_ms)),
     };
     let reactor = Reactor::new(listener, service, reactor_config)?;
-    let reactor_stop = reactor.stop_handle();
-    let reactor = std::thread::Builder::new()
-        .name("astore-reactor".into())
-        .spawn(move || {
-            let _ = reactor.run();
-        })
-        .expect("failed to spawn reactor thread");
+    let handle = reactor.handle();
+    // A scan the budget gate holds back runs as soon as a core frees: the
+    // release wakes a serving thread to take it.
+    let wake = handle.clone();
+    engine.budget().on_release(move || wake.wake());
+    let workers = reactor.spawn(config.workers, "astore-worker");
     // Background maintenance: due auto-checkpoints, and compaction — put
     // the chunks writes decoded back in encoded form once their segment
     // has gone quiet, so a write-heavy phase does not slowly grow the
@@ -179,15 +170,7 @@ pub fn start(engine: Arc<Engine>, config: ServerConfig) -> std::io::Result<Serve
             .spawn(move || compactor_loop(&engine, &stop))
             .ok()
     };
-    Ok(ServerHandle {
-        addr,
-        stop,
-        reactor: Some(reactor),
-        compactor,
-        engine,
-        reactor_stop,
-        exec_pool: Some(pool),
-    })
+    Ok(ServerHandle { addr, stop, workers, compactor, engine, reactor: handle })
 }
 
 /// The maintenance thread: runs the auto-checkpoint the write path noted as
@@ -310,11 +293,10 @@ mod tests {
 
     #[test]
     fn a_megabyte_frame_does_not_stall_other_connections() {
-        // The largest legal frame is decoded on the reactor thread, which
-        // serves every connection: its cost must be milliseconds. (The
-        // codec this one replaced took 14 s for it in release.)
-        // Two workers whatever the host: this is about the reactor thread,
-        // not about a ping queueing behind A's statement on a 1-core box.
+        // The largest legal frame is decoded on a serving thread: its cost
+        // must be milliseconds. (The codec this one replaced took 14 s for
+        // it in release.) Two workers whatever the host, so that B's pings
+        // have a thread while A's frame is decoded.
         let h = start_tiny(ServerConfig { workers: 2, ..ServerConfig::default() });
         let ping = Json::obj([("cmd", Json::Str("ping".into()))]);
         let mut a = Client::connect(h.addr()).unwrap();
@@ -323,7 +305,7 @@ mod tests {
         let big = Json::obj([("sql", Json::Str("a".repeat(MAX_LINE_BYTES - 16)))]);
         // B pings for as long as A's frame is in the server — from its first
         // byte on the wire to its reply — so some ping is in flight while
-        // the reactor decodes the frame, whenever that is.
+        // a serving thread decodes the frame, whenever that is.
         let answered = AtomicBool::new(false);
         let (reply, slowest) = std::thread::scope(|s| {
             let a_thread = s.spawn(|| {
@@ -345,6 +327,50 @@ mod tests {
         h.shutdown();
     }
 
+    /// `queue_wait` runs from the read: about 0 for a frame its reading
+    /// thread runs, the whole hold-up for one the scan gate queued — which
+    /// the release of the last permit then starts.
+    #[test]
+    fn queue_wait_runs_from_the_read() {
+        let db = tiny_engine().database().snapshot().as_ref().clone();
+        let engine = Arc::new(Engine::new(SharedDatabase::new(db)).core_budget(1));
+        let h = start(engine, ServerConfig { addr: "127.0.0.1:0".into(), ..Default::default() })
+            .unwrap();
+        let mut c = Client::connect(h.addr()).unwrap();
+        let r = c.sql("SELECT count(*) AS n FROM t").unwrap();
+        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
+        let stats = h.engine().stats();
+        assert_eq!(stats.queued_frames.load(Ordering::Relaxed), 0, "ran on its reading thread");
+        assert!(stats.queue_wait[2].max_us() < 100_000, "{}", stats.queue_wait[2].max_us());
+
+        let held = Duration::from_millis(20);
+        let permit = h.engine().budget().enter_statement(); // every core granted
+        c.send(&Json::obj([("sql", Json::Str("SELECT count(*) AS n FROM t".into()))])).unwrap();
+        c.flush().unwrap();
+        std::thread::sleep(held);
+        drop(permit);
+        let r = c.read_frame().unwrap();
+        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r:?}");
+        assert_eq!(stats.queued_frames.load(Ordering::Relaxed), 1, "the gate queued it");
+        // Less whatever the read itself took after the send.
+        let waited = stats.queue_wait[2].max_us();
+        assert!(waited >= held.as_micros() as u64 * 3 / 4, "queue wait {waited} us");
+        h.shutdown();
+    }
+
+    /// The EXPLAIN prefix is read by the SQL lexer, so a comment before it
+    /// still gets the plan.
+    #[test]
+    fn commented_explain_frame_answers_with_its_plan() {
+        let h = start_tiny(ServerConfig::default());
+        let mut c = Client::connect(h.addr()).unwrap();
+        let r = c.sql("-- c\nEXPLAIN SELECT count(*) AS n FROM t").unwrap();
+        let lines = r.get("explain").and_then(Json::as_array).unwrap_or_else(|| panic!("{r:?}"));
+        assert_eq!(lines[0].as_str(), Some("engine: air"), "{r:?}");
+        assert!(lines.iter().any(|l| l.as_str().is_some_and(|l| l.starts_with("selection:"))));
+        h.shutdown();
+    }
+
     #[test]
     fn bad_requests_get_error_frames_and_connection_survives() {
         let h = start_tiny(ServerConfig::default());
@@ -352,7 +378,7 @@ mod tests {
         let r = c.raw_line("not json").unwrap();
         assert_eq!(r.get("code").unwrap().as_str(), Some("bad_request"));
         // Nesting is bounded by a counter: 200 KB of '[' used to recurse
-        // through the reactor thread's stack and abort the process.
+        // through the decoding thread's stack and abort the process.
         let r = c.raw_line(&"[".repeat(200_000)).unwrap();
         assert_eq!(r.get("code").unwrap().as_str(), Some("bad_request"));
         assert!(r.get("error").unwrap().as_str().unwrap().contains("nesting too deep"), "{r:?}");

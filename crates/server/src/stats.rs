@@ -217,6 +217,8 @@ metric_table! {
         "Requests answered with an error frame.";
     rejected: counter "rejected", "astore_server_rejected_total",
         "Requests shed by admission control.";
+    queued_frames: counter "queued_frames", "astore_server_queued_frames_total",
+        "Frames that waited in a class queue instead of running on the thread that read them.";
     conn_rejected: counter "connections_rejected", "astore_server_connections_rejected_total",
         "Connections refused at the limit.";
     accepts_total: counter "accepts_total", "astore_server_accepts_total",
@@ -250,7 +252,7 @@ metric_table! {
         ])), "astore_server_pipeline_depth",
         "Requests queued or in flight on a connection as each frame arrived (1 = no pipelining).";
     queue_wait: per_class (Key::Nested("queue_wait", US)), "astore_server_queue_wait_us",
-        "Executor queue wait per priority class (reactor model).";
+        "Time from a frame being read to its execution starting, per priority class.";
     reply_bytes: per_class (Key::Nested("reply_bytes", &[
             ("count", Stat::Count),
             ("p50", Stat::P50),
@@ -512,6 +514,7 @@ mod tests {
             "prepared_execs",
             "errors",
             "rejected",
+            "queued_frames",
             "encoded_bytes",
             "raw_bytes",
             "flat_chunks",
@@ -622,6 +625,7 @@ mod tests {
         "queue_wait.scan.max_us",
         "queue_wait.scan.p50_us",
         "queue_wait.scan.p99_us",
+        "queued_frames",
         "raw_bytes",
         "reads_blocked_on_backpressure",
         "rejected",

@@ -25,6 +25,7 @@
 use astore_storage::types::{RowId, Value};
 
 use crate::ast::SelectStmt;
+use crate::lexer::{tokens, Token};
 use crate::prepared::ParamError;
 
 /// One slot of a write template: a concrete literal or a parameter.
@@ -229,44 +230,46 @@ impl StatementTemplate {
     }
 }
 
-/// Strips a leading `EXPLAIN ANALYZE` prefix (case-insensitive, any
-/// whitespace between and after the keywords), returning the inner
-/// statement text. `None` when the input has no such prefix — callers fall
-/// through to normal statement parsing. A bare `EXPLAIN` without `ANALYZE`
-/// is not a prefix (the engine only reports *executed* plans).
+/// Strips a leading `EXPLAIN ANALYZE` prefix (case-insensitive, with any
+/// whitespace or `--` comments around the keywords — the SQL lexer reads
+/// them), returning the inner statement text. `None` when the input has no
+/// such prefix — callers fall through to normal statement parsing. A bare
+/// `EXPLAIN` without `ANALYZE` is not this prefix ([`strip_explain`]).
 pub fn strip_explain_analyze(input: &str) -> Option<&str> {
-    let rest = strip_keyword(input.trim_start(), "explain")?;
-    let rest = strip_keyword(rest.trim_start(), "analyze")?;
-    let inner = rest.trim_start();
-    (!inner.is_empty()).then_some(inner)
+    after_keywords(input, &["explain", "analyze"]).map(|(inner, _)| inner)
 }
 
-/// Strips a leading bare `EXPLAIN` prefix (case-insensitive), returning the
-/// inner statement text. `None` when the input has no such prefix **or**
-/// when the prefix is `EXPLAIN ANALYZE` — that form belongs to
-/// [`strip_explain_analyze`], so callers must try that first (or this one
-/// declines anyway). Bare `EXPLAIN` reports the *decision* — the engine
-/// and the selection plan — without executing the statement.
+/// Strips a leading bare `EXPLAIN` prefix (read as
+/// [`strip_explain_analyze`] reads its keywords), returning the inner
+/// statement text. `None` when the input has no such prefix **or** when
+/// the prefix is `EXPLAIN ANALYZE` — that form belongs to
+/// [`strip_explain_analyze`]. Bare `EXPLAIN` reports the *decision* — the
+/// engine and the selection plan — without executing the statement.
 pub fn strip_explain(input: &str) -> Option<&str> {
-    let rest = strip_keyword(input.trim_start(), "explain")?;
-    let inner = rest.trim_start();
-    let first = inner.split_whitespace().next().unwrap_or("");
-    if first.eq_ignore_ascii_case("analyze") {
-        return None;
+    match after_keywords(input, &["explain"])? {
+        (_, Some(next)) if is_keyword(&next, "analyze") => None,
+        (inner, _) => Some(inner),
     }
-    (!inner.is_empty()).then_some(inner)
 }
 
-/// Strips one leading keyword iff it is followed by whitespace.
-fn strip_keyword<'a>(s: &'a str, kw: &str) -> Option<&'a str> {
-    let head = s.get(..kw.len())?;
-    if head.eq_ignore_ascii_case(kw)
-        && s.as_bytes().get(kw.len()).is_some_and(u8::is_ascii_whitespace)
-    {
-        Some(&s[kw.len()..])
-    } else {
-        None
+/// The text after a leading run of the keywords `kws`, read with the SQL
+/// lexer, and the token that follows them (`None` if it does not lex).
+/// `None` unless the input opens with exactly those keywords and something
+/// follows them.
+fn after_keywords<'a>(input: &'a str, kws: &[&str]) -> Option<(&'a str, Option<Token>)> {
+    let mut toks = tokens(input);
+    let mut end = 0;
+    for kw in kws {
+        let tok = toks.next()?.ok().filter(|t| is_keyword(&t.tok, kw))?;
+        end = tok.end;
     }
+    let next = toks.next()?.ok().map(|t| t.tok);
+    Some((input[end..].trim_start(), next))
+}
+
+/// Whether `tok` is the keyword `kw` (keywords match case-insensitively).
+fn is_keyword(tok: &Token, kw: &str) -> bool {
+    matches!(tok, Token::Ident(word) if word.eq_ignore_ascii_case(kw))
 }
 
 #[cfg(test)]
@@ -448,6 +451,20 @@ mod tests {
         assert_eq!(strip_explain("EXPLAIN"), None);
         assert_eq!(strip_explain("EXPLAIN   "), None);
         assert_eq!(strip_explain("EXPLAINSELECT 1"), None);
+    }
+
+    /// The keywords are read by the lexer: comments may sit before and
+    /// between them.
+    #[test]
+    fn explain_prefixes_skip_comments() {
+        assert_eq!(strip_explain("-- c\nEXPLAIN SELECT 1 FROM t"), Some("SELECT 1 FROM t"));
+        assert_eq!(strip_explain("EXPLAIN -- c\nANALYZE SELECT 1 FROM t"), None);
+        assert_eq!(
+            strip_explain_analyze("-- a\nexplain -- b\n analyze\n select 1 from t"),
+            Some("select 1 from t")
+        );
+        assert_eq!(strip_explain("EXPLAIN -- nothing else"), None);
+        assert_eq!(strip_explain("SELECT 1 -- EXPLAIN"), None);
     }
 
     #[test]
