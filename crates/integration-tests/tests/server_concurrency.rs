@@ -590,22 +590,36 @@ fn served_readers_survive_a_churning_writer_and_reconverge() {
 /// before the batch finishes.
 #[test]
 fn pings_are_answered_while_a_pipelined_sweep_batch_runs() {
+    pings_outrun_a_pipelined_sweep_batch(2);
+}
+
+/// A pipelined batch does not hold the only serving thread: A's sweeps
+/// take one turn each, and B's pings are answered between them — each
+/// waits for at most one of A's statements, so all of them are answered
+/// before the batch finishes.
+#[test]
+fn one_serving_thread_interleaves_pings_with_a_pipelined_batch() {
+    pings_outrun_a_pipelined_sweep_batch(1);
+}
+
+fn pings_outrun_a_pipelined_sweep_batch(workers: usize) {
+    const PINGS: usize = 20;
     let (e, _) = ssb_engine(0.02, 42);
-    let config = ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        queue_depth: 64,
-        ..Default::default()
-    };
+    let config =
+        ServerConfig { addr: "127.0.0.1:0".into(), workers, queue_depth: 64, ..Default::default() };
     let h = start(e, config).unwrap();
     let ping = Json::obj([("cmd", Json::Str("ping".into()))]);
     let mut a = Client::connect(h.addr()).unwrap();
     let mut b = Client::connect(h.addr()).unwrap();
     b.request(&ping).unwrap(); // connected before A's batch starts
 
-    let batch: Vec<Json> = (SSB_SQL.iter().cycle().take(2 * SSB_SQL.len()))
+    // Several times more sweeps than pings: one thread answering a ping
+    // per sweep answers the last ping long before the last sweep, even when
+    // B's thread is slow to send its next ping.
+    let batch: Vec<Json> = (SSB_SQL.iter().cycle().take(8 * SSB_SQL.len()))
         .map(|(_, sql)| Json::obj([("sql", Json::Str((*sql).into()))]))
         .collect();
+    assert!(batch.len() > 5 * PINGS);
     a.send_all(&batch).unwrap();
     let first = a.read_frame().unwrap();
     assert_eq!(first.get("ok").and_then(Json::as_bool), Some(true), "{first}");
@@ -618,7 +632,7 @@ fn pings_are_answered_while_a_pipelined_sweep_batch_runs() {
             }
             batch_done.store(true, Ordering::SeqCst);
         });
-        for i in 0..20 {
+        for i in 0..PINGS {
             let pong = b.request(&ping).unwrap();
             assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true), "ping {i}: {pong}");
         }

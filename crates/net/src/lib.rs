@@ -5,7 +5,7 @@
 //! `sys`, a safe one-shot [`poller::Poller`] + [`poller::Waker`] on top,
 //! newline-framing byte buffers in [`buffer`], and the [`reactor::Reactor`]
 //! whose serving threads turn 10K+ sockets into complete frames and answer
-//! each through a [`reactor::Service`] on the thread that read it.
+//! each through a [`reactor::Service`] on the thread that owns its socket.
 //!
 //! ```text
 //!   sockets ──► Poller (epoll, one-shot) ──► serving thread 0..n

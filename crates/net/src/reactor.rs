@@ -5,32 +5,25 @@
 //! (Schmidt, O'Ryan, Pyarali, Kircher and Buschmann, PLoP 2000): no thread
 //! hands a frame or a reply to another.
 //!
-//! Design points, in the order they matter:
-//!
 //! - **One owner per connection.** Every socket is registered one-shot
-//!   ([`Poller`]): its readiness reaches exactly one thread, which owns the
-//!   connection until it re-arms it. Per-connection state is never
-//!   contended, and no frame of a connection overtakes another.
-//! - **Pipelining, in order.** A client may send many frames without
-//!   waiting. The owner answers them in order, writing each reply as it
-//!   is made, and re-arms the connection once none is left.
-//! - **Frames that wait.** The service may queue a frame instead of
-//!   answering it ([`Service::dispatch`] returns `None`). The connection
-//!   then reads nothing more until [`Service::next_queued`] hands the frame
-//!   back to a thread, which runs it. A thread looks for fresh readiness
-//!   before it takes queued work, and takes queued work before it blocks.
-//! - **Backpressure.** When a connection's write backlog crosses the high
-//!   watermark its owner stops reading from it and answering it; both
-//!   resume at the low watermark. A slow reader therefore bounds its own
-//!   memory, not the server's.
+//!   ([`Poller`]): its readiness reaches one thread, which owns the
+//!   connection until it re-arms it, so no frame overtakes another.
+//! - **One frame a turn.** A client may pipeline many frames. A turn
+//!   answers one; while more are buffered the connection yields its turn
+//!   to the back of a line that threads take from after polling for fresh
+//!   readiness, so a ping waits for at most one statement per thread.
+//!   Reading resumes once every buffered frame is answered.
+//! - **Frames that wait.** When [`Service::dispatch`] queues a frame, its
+//!   connection only flushes earlier replies until [`Service::next_queued`]
+//!   hands the frame back. A thread polls for fresh readiness before it
+//!   takes queued work, and takes queued work before it blocks.
+//! - **Backpressure.** Past the write backlog's high watermark a
+//!   connection is neither read nor answered until the low one.
 //! - **Graceful overload.** Accept errors like EMFILE pause accepting
-//!   briefly instead of busy-spinning; over the connection limit the
-//!   service's reject frame is written best-effort and the socket dropped.
-//!   Nothing stalls the accept queue silently.
+//!   briefly; over the connection limit the reject frame is written
+//!   best-effort and the socket dropped.
 //! - **Slow-loris defence without idle reaping.** The idle deadline
-//!   applies only to connections holding an *incomplete* frame. Thousands
-//!   of fully-idle keep-alive connections cost nothing and are never
-//!   reaped.
+//!   applies only to connections holding an *incomplete* frame.
 
 use crate::buffer::{Frame, ReadBuffer, WriteBuffer};
 use crate::poller::{Event, Interest, Poller, Token, Waker};
@@ -59,15 +52,15 @@ pub trait Service: Send + Sync + 'static {
     /// once per admitted connection.
     fn closed(&self, _session: &mut Self::Session) {}
 
-    /// Handles one complete frame on the thread that read it and returns
-    /// the reply bytes (trailing newline included; empty for no reply) —
-    /// or `None` when the service queued the frame under `conn` instead:
-    /// [`Service::next_queued`] hands it back later.
+    /// Handles a frame read at `read_at` and returns the reply bytes (with
+    /// their newline; empty for none) — or `None` when it queued the frame
+    /// under `conn` instead: [`Service::next_queued`] hands it back later.
     fn dispatch(
         &self,
         conn: ConnId,
         session: &mut Self::Session,
         frame: Vec<u8>,
+        read_at: Instant,
     ) -> Option<Vec<u8>>;
 
     /// The queued frame to run next, if one may run now.
@@ -100,16 +93,14 @@ pub trait Service: Send + Sync + 'static {
 pub enum Queued<T> {
     /// Run this now.
     Run(T),
-    /// Frames are queued but held back: look again within this long, or
-    /// when [`ReactorHandle::wake`] is called.
+    /// Held back: look again within this long, or at [`ReactorHandle::wake`].
     Wait(Duration),
     /// Nothing is queued.
     Empty,
 }
 
-/// Names one admitted connection: its slot, and which of the slot's
-/// connections it is, so that a frame queued for a connection that has
-/// since closed never reaches the slot's next one.
+/// Names one admitted connection: its slot and the slot's generation, so
+/// that a frame queued for a closed connection never reaches the next one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ConnId {
     slot: u32,
@@ -160,11 +151,9 @@ const WAKER_TOKEN: Token = u64::MAX - 1;
 const READ_CHUNK: usize = 16 * 1024;
 const SWEEP_INTERVAL: Duration = Duration::from_millis(500);
 const ACCEPT_PAUSE: Duration = Duration::from_millis(100);
-/// After its last frame is flushed, a closing connection's write side is
-/// shut down and its input discarded until EOF — at most this many bytes,
-/// for at most [`CLOSE_DRAIN_TIME`] — so the peer reads that frame before
-/// the socket closes: closing with unread input makes the kernel answer
-/// with a reset, which can destroy the frame in the peer's receive queue.
+/// A closing connection's input is discarded until EOF after its last frame
+/// is flushed — at most this many bytes, for at most [`CLOSE_DRAIN_TIME`]:
+/// closing with unread input resets the socket and can destroy that frame.
 const CLOSE_DRAIN_BYTES: usize = 16 << 20;
 const CLOSE_DRAIN_TIME: Duration = Duration::from_secs(2);
 
@@ -181,15 +170,13 @@ pub struct ReactorHandle {
 }
 
 impl ReactorHandle {
-    /// Stops every serving thread; the last one out closes every
-    /// connection.
+    /// Stops every serving thread; the last one out closes every connection.
     pub fn stop(&self) {
         self.signal.stop.store(true, Ordering::Release);
         self.signal.waker.wake();
     }
 
-    /// Wakes one blocked serving thread, so that it looks at the service's
-    /// queued frames again.
+    /// Wakes one blocked serving thread to look at the queued frames again.
     pub fn wake(&self) {
         self.signal.waker.wake();
     }
@@ -201,16 +188,16 @@ struct Conn<S> {
     session: S,
     rbuf: ReadBuffer,
     wbuf: WriteBuffer,
-    /// Complete frames read and not yet dispatched.
-    frames: VecDeque<Vec<u8>>,
+    /// Complete frames read and not yet dispatched, with when each was read.
+    frames: VecDeque<(Instant, Vec<u8>)>,
+    /// A frame waits in the service's queue: nothing more is answered.
+    queued: bool,
     /// Reading and answering paused by the write-side high watermark.
     read_blocked: bool,
-    /// Flush pending output, then drain and close (oversize / fatal
-    /// protocol state).
+    /// Flush pending output, then drain and close (oversize frame).
     closing: bool,
-    /// Set once a closing connection's output is flushed and its write side
-    /// shut down: input is discarded until EOF, this deadline, or
-    /// [`CLOSE_DRAIN_BYTES`] more bytes, whichever comes first.
+    /// Once a closing connection is flushed and shut down for writing: its
+    /// drain deadline and the input bytes it may still discard.
     draining: Option<(Instant, usize)>,
     /// When the currently buffered partial frame started waiting.
     partial_since: Option<Instant>,
@@ -240,12 +227,14 @@ pub struct Reactor<S: Service> {
     service: S,
     config: ReactorConfig,
     conns: Mutex<Slab<S::Session>>,
-    /// While set, accepting is paused (the listener stays disarmed) until
-    /// that instant; the sweep resumes it.
+    /// Accepting paused (listener disarmed) until then; the sweep resumes it.
     accept_paused_until: Mutex<Option<Instant>>,
     last_sweep: Mutex<Instant>,
-    /// Serving threads still in their loop; the last one out closes every
-    /// connection.
+    /// Connections that yielded their turn, oldest first, left disarmed.
+    yielded: Mutex<VecDeque<ConnId>>,
+    /// Serving threads blocked in the poller: a yielded turn wakes one.
+    idle: AtomicUsize,
+    /// Serving threads still in their loop; the last one out closes all.
     running: AtomicUsize,
 }
 
@@ -268,6 +257,8 @@ impl<S: Service> Reactor<S> {
             conns: Mutex::new(Slab { slots: Vec::new(), free: Vec::new(), open: 0 }),
             accept_paused_until: Mutex::new(None),
             last_sweep: Mutex::new(Instant::now()),
+            yielded: Mutex::new(VecDeque::new()),
+            idle: AtomicUsize::new(0),
             running: AtomicUsize::new(0),
         })
     }
@@ -299,21 +290,24 @@ impl<S: Service> Reactor<S> {
         let mut scratch = vec![0u8; READ_CHUNK];
         let mut timeout = SWEEP_INTERVAL;
         while !self.signal.stop.load(Ordering::Acquire) {
-            let ms = timeout.as_micros().div_ceil(1000) as i32;
-            match self.poller.wait(Some(ms)) {
+            // A turn yielded before this poll runs after its event.
+            let yielded = lock(&self.yielded).pop_front();
+            let ms = if yielded.is_some() { 0 } else { timeout.as_micros().div_ceil(1000) };
+            self.idle.fetch_add(usize::from(ms > 0), Ordering::SeqCst);
+            let polled = self.poller.wait(Some(ms as i32));
+            self.idle.fetch_sub(usize::from(ms > 0), Ordering::SeqCst);
+            match polled {
                 Ok(Some(ev)) => self.on_event(ev, &mut scratch),
                 Ok(None) => {}
                 Err(_) => break,
             }
+            if let Some(id) = yielded {
+                self.with_conn(id, |guard| self.turn(guard, false, &mut scratch));
+            }
             timeout = match self.service.next_queued() {
                 Queued::Run((id, job)) => {
-                    // Fresh readiness first: a frame that has just arrived
-                    // may outrank the queued one.
-                    if let Ok(Some(ev)) = self.poller.wait(Some(0)) {
-                        self.on_event(ev, &mut scratch);
-                    }
                     self.run_queued(id, job);
-                    Duration::ZERO // and the next queued frame, unblocked
+                    Duration::ZERO
                 }
                 Queued::Wait(left) => left.min(SWEEP_INTERVAL),
                 Queued::Empty => SWEEP_INTERVAL,
@@ -333,14 +327,18 @@ impl<S: Service> Reactor<S> {
         match ev.token {
             LISTENER_TOKEN => self.accept_burst(),
             WAKER_TOKEN => self.signal.waker.drain(),
-            token => {
-                let id = ConnId::of(token);
-                let Some(cell) = self.cell(id) else { return };
-                let mut guard = lock(&cell);
-                if guard.as_ref().is_some_and(|c| c.id == id) {
-                    self.turn(&mut guard, ev.readable || ev.closed, scratch);
-                }
-            }
+            token => self.with_conn(ConnId::of(token), |guard| {
+                self.turn(guard, ev.readable || ev.closed, scratch)
+            }),
+        }
+    }
+
+    /// Runs `f` on connection `id`, holding its lock, if it is still open.
+    fn with_conn(&self, id: ConnId, f: impl FnOnce(&mut Option<Conn<S::Session>>)) {
+        let Some(cell) = self.cell(id) else { return };
+        let mut guard = lock(&cell);
+        if guard.as_ref().is_some_and(|c| c.id == id) {
+            f(&mut guard);
         }
     }
 
@@ -390,9 +388,8 @@ impl<S: Service> Reactor<S> {
 
     fn admit(&self, stream: TcpStream) -> io::Result<()> {
         stream.set_nonblocking(true)?;
-        // Responses are small frames written as they complete: with Nagle
-        // on, the tail of a pipelined batch waits out the peer's delayed
-        // ACK (~40 ms per batch). Best-effort.
+        // Replies are small frames: with Nagle on, a pipelined batch's tail
+        // waits out the peer's delayed ACK (~40 ms). Best-effort.
         let _ = stream.set_nodelay(true);
         let (id, cell) = {
             let mut slab = lock(&self.conns);
@@ -419,6 +416,7 @@ impl<S: Service> Reactor<S> {
             rbuf: ReadBuffer::new(self.config.max_frame_bytes),
             wbuf: WriteBuffer::new(self.config.high_watermark, self.config.low_watermark),
             frames: VecDeque::new(),
+            queued: false,
             read_blocked: false,
             closing: false,
             draining: None,
@@ -430,58 +428,77 @@ impl<S: Service> Reactor<S> {
     // -- connection turns ---------------------------------------------------
 
     /// One turn of the thread a connection's readiness reached: flush,
-    /// read, answer what was read, re-arm.
+    /// read, answer the next frame, re-arm.
     fn turn(&self, guard: &mut Option<Conn<S::Session>>, read: bool, scratch: &mut [u8]) {
         let conn = guard.as_mut().unwrap();
-        let open = self.flush(conn) && (!read || self.read(conn, scratch));
-        self.answer(guard, open);
+        let open = self.flush(conn) && (!read || self.read(conn, scratch)) && self.answer(conn);
+        self.rearm(guard, open);
     }
 
     /// Runs a frame the service queued on its connection, if that is still
-    /// open, then answers the frames read behind it.
+    /// open, then re-arms the connection for the frames read behind it.
     fn run_queued(&self, id: ConnId, job: S::Job) {
-        let Some(cell) = self.cell(id) else { return };
-        let mut guard = lock(&cell);
-        let Some(conn) = guard.as_mut().filter(|c| c.id == id) else { return };
-        let session = &mut conn.session;
-        let reply = catch_unwind(AssertUnwindSafe(|| self.service.run(session, job)));
-        if let Ok(reply) = &reply {
-            conn.wbuf.push(reply);
-        }
-        let open = reply.is_ok() && self.flush(conn);
-        self.answer(&mut guard, open);
+        self.with_conn(id, |guard| {
+            let conn = guard.as_mut().unwrap();
+            conn.queued = false;
+            let session = &mut conn.session;
+            let reply = catch_unwind(AssertUnwindSafe(|| self.service.run(session, job)));
+            if let Ok(reply) = &reply {
+                conn.wbuf.push(reply);
+            }
+            let open = reply.is_ok() && self.flush(conn);
+            self.rearm(guard, open);
+        });
     }
 
-    /// Answers the connection's buffered frames in order, writing each reply
-    /// as it is made, until one waits in the service's queue (which then
-    /// owns the connection) or the backlog pauses the connection; then
-    /// re-arms it — or closes it when `open` is false or a step fails.
-    fn answer(&self, guard: &mut Option<Conn<S::Session>>, mut open: bool) {
-        let conn = guard.as_mut().unwrap();
-        while open && !conn.closing && !conn.read_blocked {
-            let Some(frame) = conn.frames.pop_front() else { break };
-            let (id, session) = (conn.id, &mut conn.session);
-            match catch_unwind(AssertUnwindSafe(|| self.service.dispatch(id, session, frame))) {
-                Ok(Some(reply)) => {
-                    conn.wbuf.push(&reply);
-                    open = self.flush(conn);
-                }
-                Ok(None) => return, // queued: `run_queued` goes on from here
-                Err(_) => open = false,
-            }
+    /// Answers the next buffered frame unless the connection is queued,
+    /// paused or closing. Returns false if the connection failed.
+    fn answer(&self, conn: &mut Conn<S::Session>) -> bool {
+        if conn.closing || conn.read_blocked || conn.queued {
+            return true;
         }
+        let Some((read_at, frame)) = conn.frames.pop_front() else { return true };
+        let (id, session) = (conn.id, &mut conn.session);
+        match catch_unwind(AssertUnwindSafe(|| self.service.dispatch(id, session, frame, read_at)))
+        {
+            Ok(Some(reply)) => {
+                conn.wbuf.push(&reply);
+                self.flush(conn)
+            }
+            Ok(None) => {
+                conn.queued = true;
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Re-arms the connection for what it waits on, or closes it when `open`
+    /// is false or re-arming fails. With frames still buffered it yields its
+    /// turn instead. A queued connection is armed only to flush its earlier
+    /// replies; `run_queued` re-arms it.
+    fn rearm(&self, guard: &mut Option<Conn<S::Session>>, mut open: bool) {
+        let conn = guard.as_mut().unwrap();
         if open && conn.closing && conn.draining.is_none() && conn.wbuf.is_empty() {
             // Flushed: shut the write side and discard input until EOF.
             open = conn.stream.shutdown(std::net::Shutdown::Write).is_ok();
             conn.draining = Some((Instant::now() + CLOSE_DRAIN_TIME, CLOSE_DRAIN_BYTES));
             conn.read_blocked = false;
         }
-        if open {
+        let answering = !conn.queued && !conn.read_blocked && !conn.closing;
+        if open && answering && !conn.frames.is_empty() {
+            lock(&self.yielded).push_back(conn.id);
+            if self.idle.load(Ordering::SeqCst) > 0 {
+                self.signal.waker.wake(); // this thread may have more to do first
+            }
+        } else if open {
             let want = Interest {
-                readable: (!conn.closing || conn.draining.is_some()) && !conn.read_blocked,
+                readable: answering || conn.draining.is_some(),
                 writable: !conn.wbuf.is_empty(),
             };
-            open = self.poller.modify(conn.stream.as_raw_fd(), conn.id.token(), want).is_ok();
+            if want.readable || want.writable {
+                open = self.poller.modify(conn.stream.as_raw_fd(), conn.id.token(), want).is_ok();
+            }
         }
         if !open {
             self.close(guard);
@@ -529,7 +546,7 @@ impl<S: Service> Reactor<S> {
             match conn.rbuf.next_frame() {
                 Frame::Complete(frame) => {
                     conn.partial_since = None;
-                    conn.frames.push_back(frame);
+                    conn.frames.push_back((Instant::now(), frame));
                     self.service.on_pipeline_depth(conn.frames.len());
                 }
                 Frame::Partial => {
@@ -631,7 +648,8 @@ mod tests {
 
     /// Echoes each frame back uppercased. Frames starting with `q` — or
     /// every frame, when built with `queue_all` — go through the service's
-    /// queue and come back through `next_queued`.
+    /// queue and come back through `next_queued`, which holds them back
+    /// while `hold` is set.
     struct EchoService {
         queue_all: bool,
         queue: Mutex<VecDeque<(ConnId, Vec<u8>)>>,
@@ -639,6 +657,8 @@ mod tests {
         closes: Arc<AtomicUsize>,
         backpressure: Arc<AtomicUsize>,
         max_depth: Arc<AtomicUsize>,
+        hold: Arc<AtomicBool>,
+        queued: Arc<AtomicUsize>,
     }
 
     impl EchoService {
@@ -650,6 +670,8 @@ mod tests {
                 closes: Arc::new(AtomicUsize::new(0)),
                 backpressure: Arc::new(AtomicUsize::new(0)),
                 max_depth: Arc::new(AtomicUsize::new(0)),
+                hold: Arc::new(AtomicBool::new(false)),
+                queued: Arc::new(AtomicUsize::new(0)),
             }
         }
     }
@@ -667,16 +689,26 @@ mod tests {
             self.closes.fetch_add(1, Ordering::SeqCst);
         }
 
-        fn dispatch(&self, conn: ConnId, session: &mut u64, frame: Vec<u8>) -> Option<Vec<u8>> {
+        fn dispatch(
+            &self,
+            conn: ConnId,
+            session: &mut u64,
+            frame: Vec<u8>,
+            _read_at: Instant,
+        ) -> Option<Vec<u8>> {
             assert_ne!(frame, b"panic", "statement exploded");
             if self.queue_all || frame.starts_with(b"q") {
                 self.queue.lock().unwrap().push_back((conn, frame));
+                self.queued.fetch_add(1, Ordering::SeqCst);
                 return None;
             }
             Some(self.run(session, frame))
         }
 
         fn next_queued(&self) -> Queued<(ConnId, Vec<u8>)> {
+            if self.hold.load(Ordering::SeqCst) {
+                return Queued::Wait(Duration::from_millis(5));
+            }
             match self.queue.lock().unwrap().pop_front() {
                 Some(job) => Queued::Run(job),
                 None => Queued::Empty,
@@ -685,6 +717,9 @@ mod tests {
 
         fn run(&self, session: &mut u64, frame: Vec<u8>) -> Vec<u8> {
             *session += 1;
+            if frame == b"slow" {
+                std::thread::sleep(Duration::from_millis(20));
+            }
             // "amp:<tag>" asks for a fat response — lets tests overwhelm
             // kernel socket buffers with tiny requests.
             let mut out = if let Some(tag) = frame.strip_prefix(b"amp:") {
@@ -796,6 +831,75 @@ mod tests {
                 assert_eq!(read_line(&mut reader), expect);
             }
         }
+        running.stop();
+    }
+
+    /// A pipelined batch does not hold its thread: with one serving
+    /// thread, a frame another connection sends while the batch runs is
+    /// answered before the batch is.
+    #[test]
+    fn a_pipelined_batch_yields_to_other_connections() {
+        let running = spawn_reactor(EchoService::new(false), ReactorConfig::default(), 1);
+        let mut a = TcpStream::connect(running.addr).unwrap();
+        let mut b = TcpStream::connect(running.addr).unwrap();
+        let mut b_reader = BufReader::new(b.try_clone().unwrap());
+        b.write_all(b"hi\n").unwrap(); // admitted before A's batch
+        assert_eq!(read_line(&mut b_reader), "HI");
+
+        const BATCH: usize = 50; // 1 s of work on the one thread
+        a.write_all(&b"slow\n".repeat(BATCH)).unwrap();
+        let a_answered = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&a_answered);
+        let a_reader = std::thread::spawn(move || {
+            let mut reader = BufReader::new(a);
+            for _ in 0..BATCH {
+                assert_eq!(read_line(&mut reader), "SLOW");
+                counter.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        while a_answered.load(Ordering::SeqCst) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for i in 0..5 {
+            b.write_all(b"ping\n").unwrap();
+            assert_eq!(read_line(&mut b_reader), "PING", "ping {i}");
+        }
+        // Each ping waited for at most one of A's frames.
+        let answered = a_answered.load(Ordering::SeqCst);
+        assert!(answered < BATCH / 2, "{answered} of A's {BATCH} frames ran before B's pings");
+        a_reader.join().unwrap();
+        running.stop();
+    }
+
+    /// Replies written before a frame was queued keep flowing to the peer
+    /// while that frame waits, however long it waits.
+    #[test]
+    fn earlier_replies_flow_while_a_frame_waits_in_the_queue() {
+        let service = EchoService::new(false);
+        let (hold, queued) = (Arc::clone(&service.hold), Arc::clone(&service.queued));
+        hold.store(true, Ordering::SeqCst);
+        // No watermark pause: the unsent replies stay behind in the buffer.
+        let config = ReactorConfig { high_watermark: 64 << 20, ..ReactorConfig::default() };
+        let running = spawn_reactor(service, config, 2);
+
+        let mut stream = TcpStream::connect(running.addr).unwrap();
+        // 16 MiB of replies, more than the kernel's socket buffers hold,
+        // before the held frame.
+        const N: usize = 2000;
+        let mut batch: Vec<u8> = (0..N).flat_map(|i| format!("amp:{i}\n").into_bytes()).collect();
+        batch.extend_from_slice(b"q-held\n");
+        stream.write_all(&batch).unwrap();
+        while queued.load(Ordering::SeqCst) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut reader = BufReader::new(stream);
+        for i in 0..N {
+            let line = read_line(&mut reader);
+            assert_eq!(line.split_once(':').unwrap().0, i.to_string(), "response order");
+        }
+        hold.store(false, Ordering::SeqCst);
+        assert_eq!(read_line(&mut reader), "Q-HELD");
         running.stop();
     }
 

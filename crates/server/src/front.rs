@@ -1,11 +1,11 @@
 //! The protocol front-end: the [`astore_net::Service`] the serving threads
 //! hand each complete frame to.
 //!
-//! The thread that read a frame decodes and trims it, parses the JSON once
-//! and classifies it. Unless the frame must wait in its class's queue
-//! ([`ClassQueues`]), the same thread runs it through the engine's
-//! statement path ([`Engine::handle_request`]) and serialises the reply.
-//! The reply bytes for a recorded request log are pinned by
+//! The thread that owns a frame's connection decodes and trims it, parses
+//! the JSON once and classifies it. Unless the frame must wait in its
+//! class's queue ([`ClassQueues`]), the same thread runs it through the
+//! engine's statement path ([`Engine::handle_request`]) and serialises the
+//! reply. The reply bytes for a recorded request log are pinned by
 //! `testdata/recorded-log-replies.jsonl`.
 
 use std::panic::AssertUnwindSafe;
@@ -39,7 +39,7 @@ fn frame_bytes(frame: &Json, stats: &ServerStats, class: Priority) -> Vec<u8> {
 ///
 /// - metadata: `cmd` / `prepare` / `close` frames and malformed requests,
 ///   SQL text with no statement included — cheap protocol work that should
-///   never sit behind a scan;
+///   never sit behind a queued scan;
 /// - interactive: writes, text or prepared — short statements a user is
 ///   waiting on;
 /// - scan: every SELECT.
@@ -135,8 +135,8 @@ impl Service for EngineService {
         conn: ConnId,
         registry: &mut StatementRegistry,
         frame: Vec<u8>,
+        read_at: Instant,
     ) -> Option<Vec<u8>> {
-        let read_at = Instant::now();
         // Lossy decode, trim, silently skip whitespace-only frames.
         let line = String::from_utf8_lossy(&frame);
         let trimmed = line.trim();

@@ -73,8 +73,10 @@
 //! accepts, incremental framing, pipelining, write-buffer backpressure):
 //! the thread a connection's readiness reaches parses and classifies the
 //! request and runs it itself, unless its class must wait in a
-//! strict-priority queue — metadata and writes never wait behind long
-//! scans ([`server`], [`front`]). Each statement then runs through the
+//! strict-priority queue — metadata and writes never wait behind queued
+//! scans, and while every serving thread is busy a frame waits for at most
+//! the statement each one is running, pipelined batches included
+//! ([`server`], [`front`]). Each statement then runs through the
 //! [`engine`]'s stages, one function each:
 //!
 //! ```text

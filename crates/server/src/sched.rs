@@ -1,5 +1,5 @@
 //! The strict-priority class queues a frame waits in when it may not run
-//! on the serving thread that read it.
+//! at once on the serving thread that owns its connection.
 //!
 //! A frame runs at once unless a frame of its class or a higher one is
 //! already queued — so no frame overtakes one of its own class — or, for a
